@@ -21,6 +21,7 @@
 //! buckets (last/min/max/mean per bucket) so a monitoring client can
 //! replay "gauge over time" without the registry storing every sample.
 
+use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -259,7 +260,9 @@ impl Labels {
 /// (`glare_admission_admitted_total{class,site}` and friends); building a
 /// [`Labels`] per request would allocate on the hot path. Like the
 /// kernel's per-site drop labels, the three label sets are built once at
-/// construction and selected by a branch — zero allocation per event.
+/// construction and selected by a branch; the registry looks an existing
+/// instrument up by reference, so after the first event of a class a tally
+/// allocates nothing.
 ///
 /// The class vocabulary is fixed (`gold`, `silver`, `best_effort`);
 /// unknown class strings fold into `best_effort`, matching the admission
@@ -411,7 +414,7 @@ impl MetricsRegistry {
 
     /// Get or create the counter `name`.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_owned()).or_default()
+        get_or_insert_with(&mut self.counters, name, Counter::default)
     }
 
     /// Read a counter value without creating it (zero if absent).
@@ -421,7 +424,7 @@ impl MetricsRegistry {
 
     /// Get or create the histogram `name`.
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_owned()).or_default()
+        get_or_insert_with(&mut self.histograms, name, Histogram::default)
     }
 
     /// Read-only view of a histogram if it exists.
@@ -431,7 +434,7 @@ impl MetricsRegistry {
 
     /// Get or create the time series `name`.
     pub fn time_series(&mut self, name: &str) -> &mut TimeSeries {
-        self.series.entry(name.to_owned()).or_default()
+        get_or_insert_with(&mut self.series, name, TimeSeries::default)
     }
 
     /// Read-only view of a time series if it exists.
@@ -451,11 +454,8 @@ impl MetricsRegistry {
 
     /// Get or create the counter `labels` inside family `family`.
     pub fn counter_labeled(&mut self, family: &str, labels: &Labels) -> &mut Counter {
-        self.labeled_counters
-            .entry(family.to_owned())
-            .or_default()
-            .entry(labels.clone())
-            .or_default()
+        let entries = get_or_insert_with(&mut self.labeled_counters, family, BTreeMap::new);
+        get_or_insert_with(entries, labels, Counter::default)
     }
 
     /// Read a labeled counter without creating it (zero if absent).
@@ -476,11 +476,8 @@ impl MetricsRegistry {
 
     /// Get or create the histogram `labels` inside family `family`.
     pub fn histogram_labeled(&mut self, family: &str, labels: &Labels) -> &mut Histogram {
-        self.labeled_histograms
-            .entry(family.to_owned())
-            .or_default()
-            .entry(labels.clone())
-            .or_default()
+        let entries = get_or_insert_with(&mut self.labeled_histograms, family, BTreeMap::new);
+        get_or_insert_with(entries, labels, Histogram::default)
     }
 
     /// Read-only view of a labeled histogram if it exists.
@@ -504,12 +501,8 @@ impl MetricsRegistry {
     /// The first call fixes the bucket window for that instrument; later
     /// calls must pass the same window.
     pub fn gauge(&mut self, family: &str, labels: &Labels, window: SimDuration) -> &mut WindowedGauge {
-        let g = self
-            .gauges
-            .entry(family.to_owned())
-            .or_default()
-            .entry(labels.clone())
-            .or_insert_with(|| WindowedGauge::new(window));
+        let entries = get_or_insert_with(&mut self.gauges, family, BTreeMap::new);
+        let g = get_or_insert_with(entries, labels, || WindowedGauge::new(window));
         assert_eq!(g.window(), window, "gauge window changed for {family}");
         g
     }
@@ -731,6 +724,25 @@ impl MetricsRegistry {
         }
         violations
     }
+}
+
+/// The instrument under `key`, created by `new` when absent. Looks up by
+/// reference first, so the key is cloned only the first time it is seen:
+/// recording into an existing instrument allocates nothing, which is what
+/// lets callers that intern their names and [`Labels`] record for free.
+fn get_or_insert_with<'a, K, Q, V>(
+    map: &'a mut BTreeMap<K, V>,
+    key: &Q,
+    new: impl FnOnce() -> V,
+) -> &'a mut V
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ToOwned<Owned = K> + ?Sized,
+{
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), new());
+    }
+    map.get_mut(key).expect("present: inserted above when absent")
 }
 
 /// `true` when `name` follows the labeled-family naming scheme.
@@ -1014,6 +1026,63 @@ mod tests {
         let snap_b = build().snapshot_json();
         assert_eq!(snap_a, snap_b, "snapshot must be byte-identical");
         assert!(snap_a.starts_with('{') && snap_a.ends_with('}'));
+    }
+
+    /// Every get-or-create accessor finds the instrument an earlier call
+    /// made (one instrument per name or label set, values accumulate),
+    /// and the exposition is, byte for byte, what the registry rendered
+    /// when each call cloned its keys up front.
+    #[test]
+    fn lookups_find_the_existing_instrument_and_exposition_is_pinned() {
+        let mut m = MetricsRegistry::new();
+        let s0 = Labels::of(&[("site", "site0")]);
+        let s1 = Labels::of(&[("site", "site1")]);
+        let window = SimDuration::from_secs(60);
+        for round in 1..=3u64 {
+            m.counter("site0.cache.hits").add(round);
+            m.histogram("lat").record(SimDuration::from_millis(round));
+            m.time_series("load").push(SimTime::from_secs(round), round as f64);
+            m.counter_labeled("glare_requests_total", &s1).inc();
+            m.counter_labeled("glare_requests_total", &s0).add(round);
+            m.histogram_labeled("glare_probe_latency_ms", &s0)
+                .record(SimDuration::from_millis(10 * round));
+            m.gauge("glare_inbox_occupancy", &s0, window)
+                .set(SimTime::from_secs(round), round as f64);
+        }
+        assert_eq!(m.counter_names().collect::<Vec<_>>(), ["site0.cache.hits"]);
+        assert_eq!(m.counter_value("site0.cache.hits"), 6);
+        assert_eq!(m.histogram_names().collect::<Vec<_>>(), ["lat"]);
+        assert_eq!(m.histogram_ref("lat").unwrap().count(), 3);
+        assert_eq!(m.time_series_ref("load").unwrap().points().len(), 3);
+        let requests: Vec<_> = m.labeled_counters_of("glare_requests_total").collect();
+        assert_eq!(requests, [(&s0, 6), (&s1, 3)]);
+        assert_eq!(m.labeled_histograms_of("glare_probe_latency_ms").count(), 1);
+        assert_eq!(m.histogram_labeled_ref("glare_probe_latency_ms", &s0).unwrap().count(), 3);
+        assert_eq!(m.gauges_of("glare_inbox_occupancy").count(), 1);
+        let gauge = m.gauge_ref("glare_inbox_occupancy", &s0).unwrap();
+        assert_eq!((gauge.buckets().len(), gauge.buckets()[0].count), (1, 3));
+        assert_eq!(
+            m.expose_prometheus(),
+            "# TYPE glare_requests_total counter\n\
+             glare_requests_total{site=\"site0\"} 6\n\
+             glare_requests_total{site=\"site1\"} 3\n\
+             # TYPE site0_cache_hits counter\n\
+             site0_cache_hits 6\n\
+             # TYPE glare_probe_latency_ms summary\n\
+             glare_probe_latency_ms{site=\"site0\",quantile=\"0.5\"} 20\n\
+             glare_probe_latency_ms{site=\"site0\",quantile=\"0.95\"} 30\n\
+             glare_probe_latency_ms{site=\"site0\",quantile=\"0.99\"} 30\n\
+             glare_probe_latency_ms_count{site=\"site0\"} 3\n\
+             glare_probe_latency_ms_sum{site=\"site0\"} 60\n\
+             # TYPE lat summary\n\
+             lat{quantile=\"0.5\"} 2\n\
+             lat{quantile=\"0.95\"} 3\n\
+             lat{quantile=\"0.99\"} 3\n\
+             lat_count 3\n\
+             lat_sum 6\n\
+             # TYPE glare_inbox_occupancy gauge\n\
+             glare_inbox_occupancy{site=\"site0\"} 3\n"
+        );
     }
 
     #[test]

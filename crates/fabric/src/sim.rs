@@ -161,8 +161,11 @@ enum EventKind {
     Cancelled,
 }
 
-/// Interned per-site drop labels, built once at kernel construction so
-/// [`Kernel::count_drop`] allocates nothing on the hot path.
+/// Interned per-site drop labels, built once at kernel construction.
+/// [`Kernel::count_drop`] passes them by reference and
+/// [`MetricsRegistry::counter_labeled`] clones its keys only when it first
+/// creates an instrument, so every drop after a site's first of a reason
+/// allocates nothing.
 struct DropLabels {
     partition: Labels,
     loss: Labels,
@@ -276,7 +279,8 @@ impl Kernel {
 
     /// Per-site labeled drop counter, alongside the flat reason counters,
     /// so the health report can show which links degrade. Labels are
-    /// interned per site at construction; no allocation per drop.
+    /// interned per site at construction and the registry looks them up by
+    /// reference: only the first drop of a `(site, reason)` allocates.
     fn count_drop(&mut self, site: SiteId, reason: &str) {
         let dl = &self.drop_labels[site.index()];
         let labels = match reason {

@@ -137,7 +137,7 @@ impl ActivityTypeRegistry {
     /// at or below it, skipping expired and revoked entries.
     pub fn resolve_concrete(&self, name: &str, now: SimTime) -> TypedResponse<Vec<ActivityType>> {
         self.lookups_served.fetch_add(1, Ordering::Relaxed);
-        let names = self.hierarchy.read().resolve_concrete(name);
+        let names = self.hierarchy.read().concrete_closure(name);
         let types: Vec<ActivityType> = names
             .iter()
             .filter_map(|n| self.home.get(n, now))

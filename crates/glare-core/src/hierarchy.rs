@@ -13,6 +13,9 @@
 //! DAG and travels along the overlay tree.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
+
+use glare_fabric::sync::RwLock;
 
 use crate::model::{ActivityType, TypeKind};
 
@@ -21,10 +24,14 @@ use crate::model::{ActivityType, TypeKind};
 pub struct TypeHierarchy {
     /// type -> its direct base types.
     parents: HashMap<String, Vec<String>>,
-    /// base type -> types that directly extend it.
+    /// base type -> types that directly extend it (no empty lists).
     children: HashMap<String, Vec<String>>,
     /// type -> kind.
     kinds: HashMap<String, TypeKind>,
+    /// name -> its concrete closure, filled on first resolution and
+    /// emptied by every edge change. Only names the edge maps mention are
+    /// stored, so it never outgrows them.
+    closures: RwLock<HashMap<String, Arc<[String]>>>,
 }
 
 impl TypeHierarchy {
@@ -48,11 +55,15 @@ impl TypeHierarchy {
 
     /// Remove a type's edges.
     pub fn remove(&mut self, name: &str) {
+        self.closures.get_mut().clear();
         self.kinds.remove(name);
         if let Some(bases) = self.parents.remove(name) {
             for base in bases {
                 if let Some(kids) = self.children.get_mut(&base) {
                     kids.retain(|k| k != name);
+                    if kids.is_empty() {
+                        self.children.remove(&base);
+                    }
                 }
             }
         }
@@ -69,9 +80,32 @@ impl TypeHierarchy {
     }
 
     /// All *concrete* types at or below `name` (the §2.2 "iterative
-    /// lookup"): BFS over extension edges, deduplicated, in discovery
-    /// order. Unknown names yield an empty list.
+    /// lookup"), deduplicated, in discovery order. Unknown names yield an
+    /// empty list.
     pub fn resolve_concrete(&self, name: &str) -> Vec<String> {
+        self.concrete_closure(name).to_vec()
+    }
+
+    /// [`TypeHierarchy::resolve_concrete`] as a shared slice: the walk
+    /// runs once per name between edge changes, every later call is one
+    /// hash lookup. Names the hierarchy has never heard of are answered
+    /// empty without being remembered.
+    pub fn concrete_closure(&self, name: &str) -> Arc<[String]> {
+        if let Some(hit) = self.closures.read().get(name) {
+            return Arc::clone(hit);
+        }
+        if !self.kinds.contains_key(name) && !self.children.contains_key(name) {
+            return Arc::default();
+        }
+        let closure: Arc<[String]> = self.walk_concrete(name).into();
+        self.closures
+            .write()
+            .insert(name.to_owned(), Arc::clone(&closure));
+        closure
+    }
+
+    /// BFS over extension edges from `name`, collecting concrete types.
+    fn walk_concrete(&self, name: &str) -> Vec<String> {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
         let mut queue = VecDeque::from([name.to_owned()]);
@@ -275,6 +309,72 @@ mod tests {
         assert!(!h.would_cycle("Wien2k", &["Imaging".to_owned()]));
         // Unknown bases are future-dangling edges, never cycles.
         assert!(!h.would_cycle("A", &["NotYetRegistered".to_owned()]));
+    }
+
+    /// Seeded property: whatever sequence of inserts (diamonds, re-inserts
+    /// under new bases, dangling bases) and removals (inner nodes
+    /// included) ran, the memoised closure of every name the hierarchy
+    /// mentions is what a fresh walk gives, both when first filled and
+    /// when served again, and asking about names it has never heard of
+    /// stores nothing.
+    #[test]
+    fn memoised_closure_equals_fresh_walk_after_random_edits() {
+        use crate::model::ActivityType;
+        use glare_fabric::SimRng;
+
+        const NAMES: u64 = 10;
+        let mut rng = SimRng::from_seed(0x13_C105);
+        for _ in 0..200 {
+            let mut h = TypeHierarchy::new();
+            for _ in 0..rng.range(1, 40) {
+                let i = rng.range(0, NAMES);
+                let name = format!("T{i}");
+                if rng.chance(0.3) {
+                    h.remove(&name);
+                } else {
+                    // Bases have smaller indices, so the graph stays
+                    // acyclic; T10.. are never registered themselves.
+                    let mut t = if rng.chance(0.5) {
+                        ActivityType::concrete_type(&name, "d", "x")
+                    } else {
+                        ActivityType::abstract_type(&name, "d")
+                    };
+                    for _ in 0..rng.range(0, 4) {
+                        let base = if rng.chance(0.1) {
+                            format!("T{}", NAMES + rng.range(0, 2))
+                        } else if i > 0 {
+                            format!("T{}", rng.range(0, i))
+                        } else {
+                            continue;
+                        };
+                        if !t.base_types.contains(&base) {
+                            t.base_types.push(base);
+                        }
+                    }
+                    h.insert(&t);
+                }
+                // Probe a few names between edits so stale entries would
+                // be there to find.
+                for _ in 0..3 {
+                    let probe = format!("T{}", rng.range(0, NAMES + 2));
+                    assert_eq!(*h.concrete_closure(&probe), *h.walk_concrete(&probe));
+                }
+            }
+            assert!(h.closures.read().len() <= h.kinds.len() + h.children.len());
+            h.closures.write().clear();
+            for name in ["Nope", "", "T99"] {
+                assert!(h.concrete_closure(name).is_empty());
+            }
+            assert!(h.closures.read().is_empty(), "unknown names are not stored");
+            for i in 0..NAMES + 2 {
+                let name = format!("T{i}");
+                let fresh = h.walk_concrete(&name);
+                assert_eq!(*h.concrete_closure(&name), *fresh, "first fill of {name}");
+                assert_eq!(*h.concrete_closure(&name), *fresh, "memo hit on {name}");
+                assert_eq!(h.resolve_concrete(&name), fresh);
+            }
+            assert!(h.children.values().all(|kids| !kids.is_empty()));
+        }
     }
 
     #[test]

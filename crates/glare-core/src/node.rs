@@ -31,7 +31,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use glare_fabric::{
-    Actor, ActorId, Ctx, Envelope, Labels, SimDuration, SimTime, SpanHandle, SpanKind,
+    Actor, ActorId, Ctx, Envelope, Labels, SimDuration, SimTime, SiteId, SpanHandle, SpanKind,
     TenantLabels, TimerToken, DEFAULT_GAUGE_WINDOW,
 };
 use glare_services::mds::REQUEST_BASE_COST;
@@ -440,6 +440,104 @@ enum Deferred {
     },
 }
 
+/// Everything a node names its metrics by, interned so that a record
+/// formats nothing: the `{site}` label set nearly every family is keyed
+/// on, and the names of the cache and admission families.
+///
+/// Each part is built the first time something is recorded under it (a
+/// node that never records holds none; one with the cache or admission off
+/// never builds that part), from the strings the call sites used to format
+/// per record, so exposition is unchanged.
+struct NodeLabels {
+    /// `{site="site{N}"}`.
+    site: Labels,
+    /// Names of the cache tallies.
+    cache: Option<Box<CacheLabels>>,
+    /// `{class, site}` sets of the admission families.
+    tenant: Option<Box<TenantLabels>>,
+}
+
+/// The names one node's cache tallies are recorded under.
+struct CacheLabels {
+    /// `site{N}.cache.hits`.
+    hits: String,
+    /// `site{N}.cache.misses`.
+    misses: String,
+    /// `{peer_group, site}` as of `peer_group_of`.
+    peer_group: Labels,
+    /// The super-peer these were built under.
+    peer_group_of: Option<ActorId>,
+}
+
+impl NodeLabels {
+    /// The node's interned names, the `{site}` set built now if this is
+    /// its first record. Takes the slot, not the node, so callers keep the
+    /// node's other fields while they hold the result.
+    fn of(slot: &mut Option<Box<NodeLabels>>, site: SiteId) -> &mut NodeLabels {
+        slot.get_or_insert_with(|| {
+            Box::new(NodeLabels {
+                site: Labels::of(&[("site", &format!("site{}", site.0))]),
+                cache: None,
+                tenant: None,
+            })
+        })
+    }
+
+    /// `site{N}`.
+    fn site_name(&self) -> &str {
+        self.site.get("site").expect("built with a site label")
+    }
+
+    /// `{site, key=value}`, for the few families keyed on a second label.
+    /// Built per call: they record on elections, retries and breaker
+    /// trips, not per request.
+    fn site_and(&self, key: &str, value: &str) -> Labels {
+        Labels::of(&[("site", self.site_name()), (key, value)])
+    }
+
+    /// The cache tallies' names, with `{peer_group, site}` naming the
+    /// node's current peer group: the super-peer's actor id (`g{N}`), or
+    /// `ungrouped` before the first appointment. Rebuilt only when the
+    /// super-peer differs from the one the held set names.
+    ///
+    /// Group membership changes over time (elections, takeovers); labeled
+    /// tallies are attributed to the group at access time, which is what
+    /// the paper's two-level cache question — "how effective is this
+    /// super-peer's cache domain" — needs.
+    fn cache(&mut self, super_peer: Option<ActorId>) -> &CacheLabels {
+        if self.cache.as_ref().is_none_or(|c| c.peer_group_of != super_peer) {
+            let site = self.site_name();
+            let group = match super_peer {
+                Some(sp) => format!("g{}", sp.0),
+                None => "ungrouped".to_owned(),
+            };
+            self.cache = Some(Box::new(CacheLabels {
+                hits: format!("{site}.cache.hits"),
+                misses: format!("{site}.cache.misses"),
+                peer_group: self.site_and("peer_group", &group),
+                peer_group_of: super_peer,
+            }));
+        }
+        self.cache.as_deref().expect("built above when absent")
+    }
+
+    /// The `{class, site}` set of `class` for the admission families;
+    /// `site_name` is the node's configured name, which those families
+    /// have always carried.
+    fn tenant(&mut self, site_name: &str, class: &str) -> &Labels {
+        self.tenant
+            .get_or_insert_with(|| Box::new(TenantLabels::for_site(site_name)))
+            .get(class)
+    }
+}
+
+/// The names a request for `activity` is looked up under: its concrete
+/// closure, or the raw name when the hierarchy resolves it to nothing.
+fn lookup_names<'a>(closure: &'a [String], activity: &'a str) -> impl Iterator<Item = &'a str> {
+    let raw = closure.is_empty().then_some(activity);
+    closure.iter().map(String::as_str).chain(raw)
+}
+
 /// One distributed GLARE node.
 pub struct GlareNode {
     cfg: NodeConfig,
@@ -494,8 +592,8 @@ pub struct GlareNode {
     /// Bounded-inbox admission controller (inert unless `cfg.admission`
     /// is enabled).
     admission: AdmissionController,
-    /// Interned `{class, site}` label sets for the admission families.
-    tenant_labels: TenantLabels,
+    /// Interned metric names and label sets (`None` until first used).
+    labels: Option<Box<NodeLabels>>,
     /// Ticket of each admitted, still-unanswered client request, keyed by
     /// `(reply_to, req_id)`; released when the reply goes out.
     admitted: HashMap<(ActorId, u64), u64>,
@@ -556,7 +654,7 @@ impl GlareNode {
             rtt: SuspicionTracker::new(cfg.suspicion),
             hb: SuspicionTracker::new(cfg.suspicion),
             admission: AdmissionController::new(cfg.admission),
-            tenant_labels: TenantLabels::for_site(&cfg.site_name),
+            labels: None,
             admitted: HashMap::new(),
             sinks: Vec::new(),
             notify_seq: 0,
@@ -677,16 +775,21 @@ impl GlareNode {
             .collect()
     }
 
+    /// Add `n` to this site's counter in the `{site}`-keyed `family`.
+    fn count(&mut self, ctx: &mut Ctx<'_>, family: &str, n: u64) {
+        let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
+        ctx.metrics().counter_labeled(family, &labels.site).add(n);
+    }
+
+    /// The memoised concrete closure of `activity` in this node's ATR.
+    fn concrete_closure(&self, activity: &str) -> Arc<[String]> {
+        self.atr.with_hierarchy(|h| h.concrete_closure(activity))
+    }
+
     fn resolve_local(&mut self, activity: &str, now: SimTime) -> Vec<ActivityDeployment> {
-        // Resolve through the hierarchy, falling back to the raw name.
-        let mut names: Vec<String> = self
-            .atr
-            .with_hierarchy(|h| h.resolve_concrete(activity));
-        if names.is_empty() {
-            names.push(activity.to_owned());
-        }
+        let closure = self.concrete_closure(activity);
         let mut out = Vec::new();
-        for n in &names {
+        for n in lookup_names(&closure, activity) {
             out.extend(self.adr.deployments_of(n, now).value);
         }
         out
@@ -696,31 +799,12 @@ impl GlareNode {
         if !self.cfg.use_cache {
             return Vec::new();
         }
-        let mut names: Vec<String> = self
-            .atr
-            .with_hierarchy(|h| h.resolve_concrete(activity));
-        if names.is_empty() {
-            names.push(activity.to_owned());
-        }
+        let closure = self.concrete_closure(activity);
         let mut out = Vec::new();
-        for n in &names {
+        for n in lookup_names(&closure, activity) {
             out.extend(self.cache.deployments_of(n, now));
         }
         out
-    }
-
-    /// Label value for the node's current peer group: the super-peer's
-    /// actor id (`g{N}`), or `ungrouped` before the first appointment.
-    ///
-    /// Group membership changes over time (elections, takeovers); labeled
-    /// tallies are attributed to the group at access time, which is what
-    /// the paper's two-level cache question — "how effective is this
-    /// super-peer's cache domain" — needs.
-    fn group_label(&self) -> String {
-        match self.super_peer {
-            Some(sp) => format!("g{}", sp.0),
-            None => "ungrouped".to_owned(),
-        }
     }
 
     /// [`GlareNode::resolve_cache`], mirroring the cache's own hit/miss
@@ -737,32 +821,26 @@ impl GlareNode {
         let (h0, m0) = (self.cache.hits(), self.cache.misses());
         let out = self.resolve_cache(activity, now);
         let (h1, m1) = (self.cache.hits(), self.cache.misses());
-        let site = ctx.self_site.0;
-        let site_label = format!("site{site}");
-        let labels = Labels::of(&[("site", &site_label), ("peer_group", &self.group_label())]);
-        if h1 > h0 {
-            ctx.metrics()
-                .counter(&format!("site{site}.cache.hits"))
-                .add(h1 - h0);
-            ctx.metrics()
-                .counter_labeled("glare_cache_hits_total", &labels)
-                .add(h1 - h0);
-        }
-        if m1 > m0 {
-            ctx.metrics()
-                .counter(&format!("site{site}.cache.misses"))
-                .add(m1 - m0);
-            ctx.metrics()
-                .counter_labeled("glare_cache_misses_total", &labels)
-                .add(m1 - m0);
+        // With the cache off there is nothing to record below, and no name
+        // is built.
+        if h1 > h0 || m1 > m0 {
+            let names = NodeLabels::of(&mut self.labels, ctx.self_site).cache(self.super_peer);
+            let m = ctx.metrics();
+            if h1 > h0 {
+                m.counter(&names.hits).add(h1 - h0);
+                m.counter_labeled("glare_cache_hits_total", &names.peer_group)
+                    .add(h1 - h0);
+            }
+            if m1 > m0 {
+                m.counter(&names.misses).add(m1 - m0);
+                m.counter_labeled("glare_cache_misses_total", &names.peer_group)
+                    .add(m1 - m0);
+            }
         }
         if let Some(ratio) = self.cache.hit_ratio() {
+            let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
             ctx.metrics()
-                .gauge(
-                    "glare_cache_hit_ratio",
-                    &Labels::of(&[("site", &site_label)]),
-                    DEFAULT_GAUGE_WINDOW,
-                )
+                .gauge("glare_cache_hit_ratio", &labels.site, DEFAULT_GAUGE_WINDOW)
                 .set(now, ratio);
         }
         out
@@ -780,8 +858,10 @@ impl GlareNode {
         span: SpanHandle,
         source: &str,
     ) {
-        ctx.span_attr(span, "source", source);
-        ctx.span_attr(span, "results", &deployments.len().to_string());
+        if ctx.trace_enabled() {
+            ctx.span_attr(span, "source", source);
+            ctx.span_attr(span, "results", &deployments.len().to_string());
+        }
         ctx.send_sized(
             reply_to,
             NodeMsg::QueryResponse {
@@ -905,13 +985,7 @@ impl GlareNode {
                 class,
             },
         );
-        let site_label = format!("site{}", ctx.self_site.0);
-        ctx.metrics()
-            .counter_labeled(
-                "glare_hedges_fired_total",
-                &Labels::of(&[("site", &site_label)]),
-            )
-            .inc();
+        self.count(ctx, "glare_hedges_fired_total", 1);
         ctx.emit_event(
             "query.hedged",
             "node",
@@ -1074,15 +1148,13 @@ impl GlareNode {
             self.conclude_stage(ctx, local_id);
             return;
         }
-        let site_label = format!("site{}", ctx.self_site.0);
+        let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
         // Silence past the deadline counts as a failed call per peer.
         for &t in &unanswered {
             if self.breakers.breaker(t).record_failure(now) {
+                let opened = labels.site_and("to", "open");
                 ctx.metrics()
-                    .counter_labeled(
-                        "glare_breaker_transitions_total",
-                        &Labels::of(&[("site", &site_label), ("to", "open")]),
-                    )
+                    .counter_labeled("glare_breaker_transitions_total", &opened)
                     .inc();
                 ctx.emit_event("breaker.open", "node", &[("remote", &t.to_string())]);
             }
@@ -1097,16 +1169,10 @@ impl GlareNode {
         }
         let delay = retry.next_backoff(ctx.rng(), prev_backoff);
         ctx.metrics()
-            .counter_labeled(
-                "glare_retries_total",
-                &Labels::of(&[("site", &site_label), ("op", "query")]),
-            )
+            .counter_labeled("glare_retries_total", &labels.site_and("op", "query"))
             .inc();
         ctx.metrics()
-            .histogram_labeled(
-                "glare_retry_backoff_ms",
-                &Labels::of(&[("site", &site_label)]),
-            )
+            .histogram_labeled("glare_retry_backoff_ms", &labels.site)
             .record(delay);
         ctx.emit_event(
             "retry.attempt",
@@ -1137,7 +1203,6 @@ impl GlareNode {
             }
             None => return, // stage already concluded by a late reply
         };
-        let site_label = format!("site{}", ctx.self_site.0);
         let mut resend = Vec::new();
         let mut shorted = 0u64;
         for t in targets {
@@ -1148,12 +1213,7 @@ impl GlareNode {
             }
         }
         if shorted > 0 {
-            ctx.metrics()
-                .counter_labeled(
-                    "glare_breaker_short_circuits_total",
-                    &Labels::of(&[("site", &site_label)]),
-                )
-                .add(shorted);
+            self.count(ctx, "glare_breaker_short_circuits_total", shorted);
         }
         if resend.is_empty() {
             // Every silent peer is behind an open breaker: give up on the
@@ -1200,15 +1260,10 @@ impl GlareNode {
     fn reply_miss(&mut self, ctx: &mut Ctx<'_>, p: PendingQuery) {
         if p.probes_failed && self.cfg.use_cache {
             let now = ctx.now();
-            let mut names: Vec<String> = self
-                .atr
-                .with_hierarchy(|h| h.resolve_concrete(&p.activity));
-            if names.is_empty() {
-                names.push(p.activity.clone());
-            }
+            let closure = self.concrete_closure(&p.activity);
             let mut stale = Vec::new();
             let mut max_age = SimDuration::ZERO;
-            for n in &names {
+            for n in lookup_names(&closure, &p.activity) {
                 for (d, age) in self.cache.deployments_of_degraded(n, now) {
                     if age > max_age {
                         max_age = age;
@@ -1217,13 +1272,7 @@ impl GlareNode {
                 }
             }
             if !stale.is_empty() {
-                let site_label = format!("site{}", ctx.self_site.0);
-                ctx.metrics()
-                    .counter_labeled(
-                        "glare_degraded_reads_total",
-                        &Labels::of(&[("site", &site_label)]),
-                    )
-                    .inc();
+                self.count(ctx, "glare_degraded_reads_total", 1);
                 ctx.emit_event(
                     "query.degraded",
                     "node",
@@ -1361,10 +1410,7 @@ impl GlareNode {
             } else {
                 "glare_hedges_wasted_total"
             };
-            let site_label = format!("site{}", ctx.self_site.0);
-            ctx.metrics()
-                .counter_labeled(family, &Labels::of(&[("site", &site_label)]))
-                .inc();
+            self.count(ctx, family, 1);
         }
         if !p.collected.is_empty() {
             // Cache what the probe learned (§3.3: the super-peer "caches
@@ -1636,13 +1682,7 @@ impl GlareNode {
     /// broadcasts, acks and appointments form one trace.
     fn start_election(&mut self, ctx: &mut Ctx<'_>) {
         self.election_acks.clear();
-        let site_label = format!("site{}", ctx.self_site.0);
-        ctx.metrics()
-            .counter_labeled(
-                "glare_election_rounds_total",
-                &Labels::of(&[("site", &site_label)]),
-            )
-            .inc();
+        self.count(ctx, "glare_election_rounds_total", 1);
         ctx.emit_event(
             "election.round",
             "node",
@@ -1683,13 +1723,7 @@ impl GlareNode {
         if sp == self.me {
             return;
         }
-        let site_label = format!("site{}", ctx.self_site.0);
-        ctx.metrics()
-            .counter_labeled(
-                "glare_failures_suspected_total",
-                &Labels::of(&[("site", &site_label)]),
-            )
-            .inc();
+        self.count(ctx, "glare_failures_suspected_total", 1);
         ctx.emit_event("failure.suspected", "node", &[("suspect", &sp.to_string())]);
         if self.cfg.naive_takeover {
             // Ablation: no verification, no majority — just grab office.
@@ -1759,12 +1793,9 @@ impl GlareNode {
     /// `glare_failure_detection_ms{site}` and a `failure.confirmed` event.
     fn record_failure_confirmed(&mut self, ctx: &mut Ctx<'_>, suspect: ActorId, method: &str) {
         let latency = ctx.now().saturating_since(self.last_heartbeat);
-        let site_label = format!("site{}", ctx.self_site.0);
+        let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
         ctx.metrics()
-            .histogram_labeled(
-                "glare_failure_detection_ms",
-                &Labels::of(&[("site", &site_label)]),
-            )
+            .histogram_labeled("glare_failure_detection_ms", &labels.site)
             .record(latency);
         ctx.emit_event(
             "failure.confirmed",
@@ -1815,13 +1846,7 @@ impl GlareNode {
             return;
         }
         if ctx.store_append(m.kind(), &m.payload()).is_some() {
-            let site_label = format!("site{}", ctx.self_site.0);
-            ctx.metrics()
-                .counter_labeled(
-                    "glare_store_appends_total",
-                    &Labels::of(&[("site", &site_label)]),
-                )
-                .inc();
+            self.count(ctx, "glare_store_appends_total", 1);
         }
         let every = ctx.store_config().compact_every;
         if every > 0 && ctx.store_journal_len() >= every as usize {
@@ -1850,13 +1875,7 @@ impl GlareNode {
         }
         state.tombstones = self.adr.tombstones();
         if let Some(compacted) = ctx.store_snapshot(&durable::encode_snapshot(&state)) {
-            let site_label = format!("site{}", ctx.self_site.0);
-            ctx.metrics()
-                .counter_labeled(
-                    "glare_store_snapshots_total",
-                    &Labels::of(&[("site", &site_label)]),
-                )
-                .inc();
+            self.count(ctx, "glare_store_snapshots_total", 1);
             ctx.emit_event("store.compacted", "store", &[("records", &compacted.to_string())]);
         }
     }
@@ -1909,14 +1928,13 @@ impl GlareNode {
                 | None => {}
             }
         }
-        let site_label = format!("site{}", ctx.self_site.0);
-        let labels = Labels::of(&[("site", &site_label)]);
+        let labels = &NodeLabels::of(&mut self.labels, ctx.self_site).site;
         ctx.metrics()
-            .counter_labeled("glare_store_replayed_records_total", &labels)
+            .counter_labeled("glare_store_replayed_records_total", labels)
             .add(replayed);
         if recovered.truncated_records > 0 {
             ctx.metrics()
-                .counter_labeled("glare_store_truncated_records_total", &labels)
+                .counter_labeled("glare_store_truncated_records_total", labels)
                 .add(recovered.truncated_records);
         }
         // Mirror the modeled replay cost (already charged to the site's
@@ -1927,7 +1945,7 @@ impl GlareNode {
             replay_cost += store_cfg.snapshot_load_cost;
         }
         ctx.metrics()
-            .histogram_labeled("glare_store_replay_ms", &labels)
+            .histogram_labeled("glare_store_replay_ms", labels)
             .record(replay_cost);
         ctx.emit_event(
             "store.recovered",
@@ -1977,13 +1995,7 @@ impl GlareNode {
             .into_iter()
             .map(|(k, t)| (k, t.as_nanos()))
             .collect();
-        let site_label = format!("site{}", ctx.self_site.0);
-        ctx.metrics()
-            .counter_labeled(
-                "glare_antientropy_rounds_total",
-                &Labels::of(&[("site", &site_label)]),
-            )
-            .inc();
+        self.count(ctx, "glare_antientropy_rounds_total", 1);
         ctx.emit_event(
             "antientropy.round",
             "node",
@@ -2104,16 +2116,9 @@ impl Actor for GlareNode {
                 self.verification_sent = false;
                 self.tally = None;
                 let won = super_peer == self.me;
-                let site_label = format!("site{}", ctx.self_site.0);
-                ctx.metrics()
-                    .counter_labeled(
-                        "glare_elections_total",
-                        &Labels::of(&[
-                            ("site", &site_label),
-                            ("outcome", if won { "won" } else { "lost" }),
-                        ]),
-                    )
-                    .inc();
+                let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
+                let outcome = labels.site_and("outcome", if won { "won" } else { "lost" });
+                ctx.metrics().counter_labeled("glare_elections_total", &outcome).inc();
                 ctx.emit_event(
                     if won { "election.won" } else { "election.lost" },
                     "node",
@@ -2136,11 +2141,9 @@ impl Actor for GlareNode {
                         // authority again; there is nobody to pull from.
                         if let Some(started) = self.recovery_started.take() {
                             let elapsed = ctx.now().saturating_since(started);
+                            let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
                             ctx.metrics()
-                                .histogram_labeled(
-                                    "glare_recovery_ms",
-                                    &Labels::of(&[("site", &site_label)]),
-                                )
+                                .histogram_labeled("glare_recovery_ms", &labels.site)
                                 .record(elapsed);
                         }
                     } else {
@@ -2280,17 +2283,11 @@ impl Actor for GlareNode {
                         push.push(entry.value.clone());
                     }
                 }
-                let site_label = format!("site{}", ctx.self_site.0);
-                let labels = Labels::of(&[("site", &site_label)]);
                 if absorbed > 0 {
-                    ctx.metrics()
-                        .counter_labeled("glare_antientropy_pushes_total", &labels)
-                        .add(absorbed);
+                    self.count(ctx, "glare_antientropy_pushes_total", absorbed);
                 }
                 if applied > 0 {
-                    ctx.metrics()
-                        .counter_labeled("glare_antientropy_tombstones_total", &labels)
-                        .add(applied);
+                    self.count(ctx, "glare_antientropy_tombstones_total", applied);
                 }
                 let sp_tombs: Vec<(String, u64)> = self
                     .adr
@@ -2343,23 +2340,18 @@ impl Actor for GlareNode {
                         }
                     }
                 }
-                let site_label = format!("site{}", ctx.self_site.0);
-                let labels = Labels::of(&[("site", &site_label)]);
                 if pulls > 0 {
-                    ctx.metrics()
-                        .counter_labeled("glare_antientropy_pulls_total", &labels)
-                        .add(pulls);
+                    self.count(ctx, "glare_antientropy_pulls_total", pulls);
                 }
                 if learned > 0 {
-                    ctx.metrics()
-                        .counter_labeled("glare_antientropy_tombstones_total", &labels)
-                        .add(learned);
+                    self.count(ctx, "glare_antientropy_tombstones_total", learned);
                 }
                 if let Some(started) = self.recovery_started.take() {
                     // First anti-entropy answer after a rejoin: the node is
                     // converged with its group — recovery is over.
+                    let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
                     ctx.metrics()
-                        .histogram_labeled("glare_recovery_ms", &labels)
+                        .histogram_labeled("glare_recovery_ms", &labels.site)
                         .record(now.saturating_since(started));
                 }
             }
@@ -2383,13 +2375,7 @@ impl Actor for GlareNode {
                     // instead of letting them drain silently.
                     let leaked = self.admission.take_ttl_released();
                     if leaked > 0 {
-                        let site_label = format!("site{}", ctx.self_site.0);
-                        ctx.metrics()
-                            .counter_labeled(
-                                "glare_inbox_ttl_released_total",
-                                &Labels::of(&[("site", &site_label)]),
-                            )
-                            .add(leaked);
+                        self.count(ctx, "glare_inbox_ttl_released_total", leaked);
                         ctx.emit_event(
                             "inbox.ttl_release",
                             "admission",
@@ -2399,26 +2385,23 @@ impl Actor for GlareNode {
                     match decision {
                         AdmissionDecision::Admit { ticket } => {
                             self.admitted.insert((reply_to, req_id), ticket);
+                            let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
                             ctx.metrics()
                                 .counter_labeled(
                                     "glare_admission_admitted_total",
-                                    self.tenant_labels.get(class.label()),
+                                    labels.tenant(&self.cfg.site_name, class.label()),
                                 )
                                 .inc();
-                            let site_label = format!("site{}", ctx.self_site.0);
                             ctx.metrics()
-                                .gauge(
-                                    "glare_inbox_occupancy",
-                                    &Labels::of(&[("site", &site_label)]),
-                                    DEFAULT_GAUGE_WINDOW,
-                                )
+                                .gauge("glare_inbox_occupancy", &labels.site, DEFAULT_GAUGE_WINDOW)
                                 .set(now, self.admission.occupancy(now) as f64);
                         }
                         AdmissionDecision::Shed { retry_after } => {
+                            let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
                             ctx.metrics()
                                 .counter_labeled(
                                     "glare_admission_shed_total",
-                                    self.tenant_labels.get(class.label()),
+                                    labels.tenant(&self.cfg.site_name, class.label()),
                                 )
                                 .inc();
                             ctx.emit_event(
@@ -2450,8 +2433,10 @@ impl Actor for GlareNode {
                 // The query span covers arrival → reply; opened before the
                 // compute so the CPU stage chains under it.
                 let span = ctx.span("node.query", SpanKind::Internal);
-                ctx.span_attr(span, "activity", &activity);
-                ctx.span_attr(span, "scope", scope_label(scope));
+                if ctx.trace_enabled() {
+                    ctx.span_attr(span, "activity", &activity);
+                    ctx.span_attr(span, "scope", scope_label(scope));
+                }
                 match ctx.compute(self.cfg.request_cost, "req") {
                     Some(token) => {
                         self.deferred.insert(
@@ -2681,14 +2666,10 @@ impl Actor for GlareNode {
                             // Export the current suspicion level (0 while
                             // healthy or cold) as a windowed gauge.
                             let level = self.hb.suspicion(sp, silence);
-                            let site_label = format!("site{}", ctx.self_site.0);
+                            let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
                             let now = ctx.now();
                             ctx.metrics()
-                                .gauge(
-                                    "glare_suspicion_level",
-                                    &Labels::of(&[("site", &site_label)]),
-                                    DEFAULT_GAUGE_WINDOW,
-                                )
+                                .gauge("glare_suspicion_level", &labels.site, DEFAULT_GAUGE_WINDOW)
                                 .set(now, level);
                         }
                         if silence >= self.takeover_threshold(sp) {
@@ -2732,13 +2713,7 @@ impl Actor for GlareNode {
                 for k in &keys {
                     let _ = self.adr.touch(k, now);
                 }
-                let site_label = format!("site{}", ctx.self_site.0);
-                ctx.metrics()
-                    .counter_labeled(
-                        "glare_monitor_ticks_total",
-                        &Labels::of(&[("site", &site_label)]),
-                    )
-                    .inc();
+                self.count(ctx, "glare_monitor_ticks_total", 1);
                 ctx.emit_event(
                     "monitor.tick",
                     "node",
@@ -2908,6 +2883,40 @@ mod tests {
             }
         });
         b.build()
+    }
+
+    /// The interned names are, string for string, what each record used
+    /// to format: parts appear on first use, and only the peer-group set
+    /// follows the super-peer.
+    #[test]
+    fn node_labels_are_lazy_and_track_the_super_peer() {
+        let mut slot = None;
+        let labels = NodeLabels::of(&mut slot, SiteId(7));
+        assert_eq!(labels.site, Labels::of(&[("site", "site7")]));
+        assert!(labels.cache.is_none() && labels.tenant.is_none());
+        assert_eq!(
+            labels.site_and("op", "query"),
+            Labels::of(&[("site", "site7"), ("op", "query")])
+        );
+        let names = labels.cache(None);
+        assert_eq!(names.hits, "site7.cache.hits");
+        assert_eq!(names.misses, "site7.cache.misses");
+        assert_eq!(
+            names.peer_group,
+            Labels::of(&[("site", "site7"), ("peer_group", "ungrouped")])
+        );
+        for sp in [ActorId(3), ActorId(3), ActorId(5)] {
+            assert_eq!(
+                labels.cache(Some(sp)).peer_group,
+                Labels::of(&[("site", "site7"), ("peer_group", &format!("g{}", sp.0))])
+            );
+        }
+        assert_eq!(
+            *labels.tenant("siteSeven", "gold"),
+            Labels::of(&[("class", "gold"), ("site", "siteSeven")])
+        );
+        // A second `of` finds what the first built.
+        assert!(NodeLabels::of(&mut slot, SiteId(7)).cache.is_some());
     }
 
     #[test]

@@ -439,6 +439,62 @@ mod tests {
         assert_eq!(idx.query("//ActivityType", t(700)).unwrap().matches.len(), 0);
     }
 
+    /// Seeded property: through any interleaving of `register`,
+    /// `refresh` (with and without new content), `remove`, `sweep`, and
+    /// time moving on — now and then past a lapse — a query sees exactly
+    /// the document rebuilt from the group at that instant, whatever
+    /// became of the snapshot on the way. Pins the invalidation rules for
+    /// any later change to how mutators treat the snapshot.
+    #[test]
+    fn query_sees_the_rebuilt_aggregate_after_random_edits() {
+        use glare_fabric::SimRng;
+        use glare_wsrf::EntryId;
+
+        let mut rng = SimRng::from_seed(0x3D5_5A9);
+        for _ in 0..60 {
+            let mut idx = index();
+            let mut now = t(0);
+            let mut ids: Vec<EntryId> = Vec::new();
+            let mut serial = 0;
+            for _ in 0..rng.range(20, 120) {
+                match rng.range(0, 10) {
+                    0..=2 => {
+                        serial += 1;
+                        ids.push(idx.register("m", entry(&format!("n{serial}")), now).0);
+                    }
+                    3..=5 if !ids.is_empty() => {
+                        let id = ids[rng.index(ids.len())];
+                        serial += 1;
+                        let content = rng.chance(0.5).then(|| entry(&format!("n{serial}")));
+                        // May name an entry a sweep has already dropped.
+                        let _ = idx.refresh(id, content, now);
+                    }
+                    6 if !ids.is_empty() => {
+                        let id = ids.swap_remove(rng.index(ids.len()));
+                        let _ = idx.remove(id);
+                    }
+                    7 => {
+                        idx.sweep(now);
+                    }
+                    8 => {
+                        // Mostly small steps; sometimes past every lease.
+                        let step = if rng.chance(0.2) { 700 } else { rng.range(1, 200) };
+                        now += SimDuration::from_secs(step);
+                    }
+                    _ => {}
+                }
+                // Not after every step, so several writes can land
+                // between two queries.
+                if rng.chance(0.6) {
+                    let seen = idx.query("//Entry", now).unwrap();
+                    let rebuilt = idx.aggregate(now);
+                    assert_eq!(seen.matches, rebuilt.children);
+                    assert_eq!(seen.scanned, rebuilt.children.len());
+                }
+            }
+        }
+    }
+
     #[test]
     fn concurrent_queries_share_the_service() {
         use std::sync::Arc;

@@ -37,6 +37,11 @@
 #      the healthy baseline while the disabled run exceeds 5x (and the
 #      hedged run beating the unhedged one outright), and a disabled
 #      gray stack must be event-identical to one never constructed
+#  13. perf ledger (perf/README.md): the ledger package's own tests, then
+#      one short `run` pass over its five workloads, whose correctness
+#      checks (every query hits, admission accounting, replay restores,
+#      same digest and sim_* values on every round, no metric at 0) exit
+#      non-zero; no timing is gated here
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -283,5 +288,9 @@ cargo test --release -q -p glare-core --lib \
     crash_with_store_recovers_and_digests_match >/dev/null
 cargo test --release -q --test fault_tolerance \
     missed_uninstall_tombstone_wins_on_rejoin >/dev/null
+
+echo "==> perf ledger: cargo test, then run --seconds 4 (correctness checks only)"
+cargo test -q --manifest-path perf/Cargo.toml
+cargo run --release -q --manifest-path perf/Cargo.toml -- run --seconds 4 >/dev/null
 
 echo "verify: OK"

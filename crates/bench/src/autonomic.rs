@@ -36,11 +36,13 @@ use glare_core::autonomic::{
 use glare_core::grid::Grid;
 use glare_core::model::ActivityType;
 use glare_core::rdm::install_with_dependencies;
+use glare_fabric::store::fnv1a;
 use glare_fabric::{Labels, SimTime, StoreConfig, DEFAULT_GAUGE_WINDOW};
 use glare_services::{ChannelKind, Transport};
 use glare_workload::{ArrivalStream, WorkloadSpec};
 
 use crate::json::Json;
+use crate::percentile;
 
 /// Activity catalogue, most popular first (Zipf rank order). Every entry
 /// maps to a real dependency-free package so controller provisions run
@@ -248,13 +250,6 @@ pub struct AutonomicReport {
     pub wall_ms: f64,
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Weighted p99: the smallest latency such that 99% of the request mass
 /// sits at or below it.
 fn weighted_p99(samples: &[(f64, u64)]) -> f64 {
@@ -273,14 +268,6 @@ fn weighted_p99(samples: &[(f64, u64)]) -> f64 {
         }
     }
     0.0
-}
-
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() as f64 * q).ceil() as usize).clamp(1, sorted_ms.len()) - 1;
-    sorted_ms[idx]
 }
 
 /// Distinct up sites holding a usable deployment of `name`.
@@ -658,8 +645,7 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
         .collect();
 
     let jsonl = grid.events.to_jsonl();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    fnv1a(&mut digest, jsonl.as_bytes());
+    let digest = fnv1a(jsonl.as_bytes());
 
     AutonomicReport {
         params: *p,

@@ -49,6 +49,8 @@ use glare_fabric::{
 };
 use glare_services::{ChannelKind, Transport};
 
+use crate::percentile as pct;
+
 /// Scenario parameters.
 #[derive(Clone, Debug)]
 pub struct ChaosParams {
@@ -277,15 +279,6 @@ fn sorted_samples_ms(m: &MetricsRegistry, family: &str) -> Vec<f64> {
     }
     out.sort_by(f64::total_cmp);
     out
-}
-
-/// Nearest-rank percentile over an ascending slice; 0 when empty.
-fn pct(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Check the post-heal overlay invariants: one super-peer per group and

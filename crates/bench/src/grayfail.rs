@@ -34,12 +34,14 @@ use glare_core::model::{example_hierarchy, ActivityDeployment};
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
 use glare_core::{GlareNode, TenantClass};
+use glare_fabric::store::fnv1a;
 use glare_fabric::sync::Mutex;
 use glare_fabric::{
     ActorId, Labels, SimDuration, SimTime, Simulation, SiteId, Topology, DEFAULT_MAX_EVENTS,
 };
 
 use crate::json::Json;
+use crate::percentile;
 
 /// Skewed activity catalogue (concrete types of the example hierarchy):
 /// client assignment is Zipf-flavored (half the clients hammer the head
@@ -190,21 +192,6 @@ pub struct GrayfailReport {
     pub disabled_matches_absent: bool,
     /// Host-side run time, ms (wall-clock half only).
     pub wall_ms: f64,
-}
-
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() as f64 * q).ceil() as usize).clamp(1, sorted_ms.len()) - 1;
-    sorted_ms[idx]
 }
 
 const CLASSES: [(TenantClass, &str); 3] = [
@@ -477,8 +464,7 @@ pub fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
             eprintln!("DEBUG {mode:?} {ph:7} {k} = {n}");
         }
     }
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    fnv1a(&mut digest, jsonl.as_bytes());
+    let digest = fnv1a(jsonl.as_bytes());
 
     ModeReport {
         mode,

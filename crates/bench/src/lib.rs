@@ -23,3 +23,13 @@ pub mod scale;
 pub mod table1;
 pub mod timing;
 pub mod trace;
+
+/// Nearest-rank percentile (`q` in 0–1) over an ascending slice; 0 when
+/// empty.
+pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len()) - 1;
+    sorted[rank]
+}

@@ -28,6 +28,7 @@ use glare_core::admission::{AdmissionConfig, TenantClass};
 use glare_core::model::{ActivityDeployment, ActivityType};
 use glare_core::overlay::OverlayBuilder;
 use glare_core::retry::RetryPolicy;
+use glare_fabric::store::fnv1a;
 use glare_fabric::{Labels, SimDuration, SimTime, SiteId};
 use glare_workload::{TenantLoad, TenantStats, WorkloadSpec};
 
@@ -228,13 +229,6 @@ impl LoadPoint {
     }
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Count admission-invariant violations over the spec-ordered rows
 /// (gold, silver, best-effort): each higher class must succeed at least
 /// as often as every lower one (small epsilon for open-loop noise) and
@@ -347,10 +341,8 @@ pub fn run_point(factor: f64, p: &LoadParams) -> LoadPoint {
             .counter_labeled_value("glare_admission_shed_total", &labels);
     }
 
-    let mut event_digest: u64 = 0xcbf2_9ce4_8422_2325;
-    if let Some(log) = sim.events() {
-        fnv1a(&mut event_digest, log.to_jsonl().as_bytes());
-    }
+    let jsonl = sim.events().map(|log| log.to_jsonl()).unwrap_or_default();
+    let event_digest = fnv1a(jsonl.as_bytes());
     let lint_errors = sim.metrics().lint_metric_names().len() as u64;
 
     LoadPoint {

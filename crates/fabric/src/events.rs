@@ -17,7 +17,9 @@
 //! `link.recovered`, carrying the directed endpoints and the latency
 //! multiplier), and hedged read probes
 //! (`query.hedged`, carrying the activity and the alternate target a
-//! slow stage was raced against).
+//! slow stage was raced against). One kind is spelled two ways by its two
+//! emitters: `store.recovered` carries `snapshot` as `1`/`0` from a
+//! `GlareNode` and as `true`/`false` from the synchronous `Grid`.
 //! The log is strictly observe-only: emitting an
 //! event never consults the RNG, never schedules simulation work, and
 //! sequence numbers are allocated in emission order, so an instrumented

@@ -22,9 +22,11 @@
 //! equal to a never-crashed one.
 
 use glare_fabric::store::fnv1a;
-use glare_fabric::{Platform, SimDuration, SimTime};
+use glare_fabric::{Platform, RecoveredState, SimDuration, SimTime};
 
-use crate::lease::{LeaseKind, LeaseTicket};
+use crate::adr::ActivityDeploymentRegistry;
+use crate::atr::ActivityTypeRegistry;
+use crate::lease::{LeaseKind, LeaseManager, LeaseTicket};
 use crate::model::{
     ActivityDeployment, ActivityFunction, ActivityType, DeploymentAccess, DeploymentLimits,
     DeploymentMetrics, DeploymentStatus, InstallConstraints, InstallMode, InstallationSpec,
@@ -561,6 +563,51 @@ impl RegistryMutation {
         };
         d.finished().then_some(m)
     }
+
+    /// Replay this mutation into a site's registries (and its lease table,
+    /// for the substrate that keeps one; lease records are skipped
+    /// without). Journal order, not timestamps, is the source of truth
+    /// during replay: an uninstall removes the live entry and tombstones
+    /// unconditionally — if the entry never made it back (a torn
+    /// register) the tombstone is kept regardless — and a later replayed
+    /// register legitimately supersedes it.
+    pub fn apply(
+        self,
+        atr: &ActivityTypeRegistry,
+        adr: &ActivityDeploymentRegistry,
+        leases: Option<&mut LeaseManager>,
+        now: SimTime,
+    ) {
+        match self {
+            RegistryMutation::AtrRegister(t) => {
+                let _ = atr.register(*t, now);
+            }
+            RegistryMutation::AtrRemove(name) => {
+                let _ = atr.remove(&name);
+            }
+            RegistryMutation::AdrRegister(d) => {
+                let _ = adr.register(*d, atr, now);
+            }
+            RegistryMutation::AdrRemove(key) => {
+                let _ = adr.remove(&key);
+            }
+            RegistryMutation::AdrUninstall { key, at } => {
+                if adr.uninstall(&key, at).is_err() {
+                    adr.restore_tombstones([(key, at)]);
+                }
+            }
+            RegistryMutation::LeaseGrant(ticket) => {
+                if let Some(leases) = leases {
+                    leases.restore(ticket);
+                }
+            }
+            RegistryMutation::LeaseRelease(id) => {
+                if let Some(leases) = leases {
+                    let _ = leases.release(id);
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -580,6 +627,89 @@ pub struct SnapshotState {
     /// Live lease tickets (empty for the distributed-node harness, which
     /// keeps leasing on the synchronous Grid side).
     pub leases: Vec<LeaseTicket>,
+}
+
+/// Every live deployment of `adr` at `now`, in registry order.
+pub(crate) fn live_deployments(
+    adr: &ActivityDeploymentRegistry,
+    now: SimTime,
+) -> Vec<ActivityDeployment> {
+    let keys = adr.keys(now);
+    keys.iter()
+        .filter_map(|k| adr.lookup(k, now))
+        .map(|r| r.value)
+        .collect()
+}
+
+impl SnapshotState {
+    /// The durable state of one site's registries at `now`: live types,
+    /// live deployments and uninstall tombstones. `leases` is left empty
+    /// for the substrate that keeps a lease table to fill in.
+    pub fn capture(
+        atr: &ActivityTypeRegistry,
+        adr: &ActivityDeploymentRegistry,
+        now: SimTime,
+    ) -> SnapshotState {
+        let names = atr.names(now);
+        SnapshotState {
+            types: names
+                .iter()
+                .filter_map(|n| atr.lookup(n, now))
+                .map(|r| r.value)
+                .collect(),
+            deployments: live_deployments(adr, now),
+            tombstones: adr.tombstones(),
+            leases: Vec::new(),
+        }
+    }
+
+    /// Load this snapshot into a site's (empty, post-crash) registries:
+    /// types before the deployments checked against them, tombstones
+    /// before the deployments that may supersede them, lease tickets into
+    /// the lease table if the substrate keeps one.
+    pub fn restore(
+        self,
+        atr: &ActivityTypeRegistry,
+        adr: &ActivityDeploymentRegistry,
+        leases: Option<&mut LeaseManager>,
+        now: SimTime,
+    ) {
+        for t in self.types {
+            let _ = atr.register(t, now);
+        }
+        adr.restore_tombstones(self.tombstones);
+        for d in self.deployments {
+            let _ = adr.register(d, atr, now);
+        }
+        if let Some(leases) = leases {
+            for l in self.leases {
+                leases.restore(l);
+            }
+        }
+    }
+}
+
+/// Rebuild a site's registries from what its store recovered after a
+/// crash: the snapshot first, then the journal *in record order*, skipping
+/// records that do not decode. Returns whether a snapshot was loaded.
+pub fn replay(
+    recovered: &RecoveredState,
+    atr: &ActivityTypeRegistry,
+    adr: &ActivityDeploymentRegistry,
+    mut leases: Option<&mut LeaseManager>,
+    now: SimTime,
+) -> bool {
+    let snapshot = recovered.snapshot.as_deref().and_then(decode_snapshot);
+    let had_snapshot = snapshot.is_some();
+    if let Some(state) = snapshot {
+        state.restore(atr, adr, leases.as_deref_mut(), now);
+    }
+    for (kind, payload) in &recovered.records {
+        if let Some(m) = RegistryMutation::decode(kind, payload) {
+            m.apply(atr, adr, leases.as_deref_mut(), now);
+        }
+    }
+    had_snapshot
 }
 
 /// Encode a snapshot blob. Entries are sorted by key so the blob is

@@ -293,18 +293,7 @@ impl Grid {
             return;
         }
         let s = &self.sites[site];
-        let mut state = SnapshotState::default();
-        for name in s.atr.names(now) {
-            if let Some(resp) = s.atr.lookup(&name, now) {
-                state.types.push(resp.value);
-            }
-        }
-        for key in s.adr.keys(now) {
-            if let Some(resp) = s.adr.lookup(&key, now) {
-                state.deployments.push(resp.value);
-            }
-        }
-        state.tombstones = s.adr.tombstones();
+        let mut state = SnapshotState::capture(&s.atr, &s.adr, now);
         state.leases = s.leases.tickets().to_vec();
         let blob = durable::encode_snapshot(&state);
         let records = self
@@ -732,56 +721,8 @@ impl Grid {
         let replayed = recovered.replayed_records();
         let truncated = recovered.truncated_records;
         let had_snapshot = recovered.snapshot.is_some();
-        {
-            let s = &mut self.sites[site];
-            if let Some(state) = recovered
-                .snapshot
-                .as_deref()
-                .and_then(durable::decode_snapshot)
-            {
-                for t in state.types {
-                    let _ = s.atr.register(t, now);
-                }
-                s.adr.restore_tombstones(state.tombstones);
-                for d in state.deployments {
-                    let _ = s.adr.register(d, &s.atr, now);
-                }
-                for l in state.leases {
-                    s.leases.restore(l);
-                }
-            }
-            for (kind, payload) in &recovered.records {
-                let Some(m) = RegistryMutation::decode(kind, payload) else {
-                    continue;
-                };
-                match m {
-                    RegistryMutation::AtrRegister(t) => {
-                        let _ = s.atr.register(*t, now);
-                    }
-                    RegistryMutation::AtrRemove(name) => {
-                        let _ = s.atr.remove(&name);
-                    }
-                    RegistryMutation::AdrRegister(d) => {
-                        let _ = s.adr.register(*d, &s.atr, now);
-                    }
-                    RegistryMutation::AdrRemove(key) => {
-                        let _ = s.adr.remove(&key);
-                    }
-                    RegistryMutation::AdrUninstall { key, at } => {
-                        // Journal order is authoritative on replay: remove
-                        // the live entry; if it never made it back (e.g. a
-                        // torn register), keep the tombstone regardless.
-                        if s.adr.uninstall(&key, at).is_err() {
-                            s.adr.restore_tombstones([(key, at)]);
-                        }
-                    }
-                    RegistryMutation::LeaseGrant(ticket) => s.leases.restore(ticket),
-                    RegistryMutation::LeaseRelease(id) => {
-                        let _ = s.leases.release(id);
-                    }
-                }
-            }
-        }
+        let s = &mut self.sites[site];
+        durable::replay(&recovered, &s.atr, &s.adr, Some(&mut s.leases), now);
         let site_label = Grid::site_label(site);
         let labels = Labels::of(&[("site", &site_label)]);
         self.metrics

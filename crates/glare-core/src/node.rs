@@ -14,7 +14,10 @@
 //! Access"). The node charges the request's CPU cost to its site (feeding
 //! the run-queue/load-average model), then resolves: own registry → cache
 //! → group peers → super-peer, which forwards to the other super-peers
-//! and caches results (§3.3).
+//! and caches results (§3.3). The super-peers may themselves be grouped
+//! (`NodeConfig::tree_depth`); one ladder walks every depth, climbing a
+//! tier at a time and forwarding across the top one — the paper's
+//! two-level overlay is the case where the leaf tier *is* the top tier.
 //!
 //! ## Election
 //!
@@ -48,47 +51,44 @@ use crate::superpeer::{highest_ranked, plan_tree, MajorityTally, Role, TreeParen
 use crate::suspicion::{HedgeConfig, SuspicionConfig, SuspicionTracker};
 
 /// How far a query may travel from the handling node.
+///
+/// One routing rule serves every tree depth: the paper's two-level
+/// overlay (`tree_depth = 2`) is the tree with a single grouping tier,
+/// where level 1 is the only level there is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum QueryScope {
     /// Answer from local state only (a probe).
     LocalOnly,
-    /// Local state, then probe the node's own group members (a super-peer
-    /// handling an escalation from one of its members).
-    GroupProbe,
-    /// Like [`QueryScope::GroupProbe`], but terminal: a super-peer
-    /// handling a request forwarded by *another* super-peer must not
-    /// forward it again (loop prevention).
-    SpForwarded,
-    /// The full ladder: local → cache → group → super-peer → other
-    /// super-peers (a client request).
+    /// The full ladder: local → cache → group → super-peer → up the tree
+    /// → across the top tier (a client request).
     Full,
-    /// Multi-level tree descent: the receiving super-peer resolves
-    /// against everything *beneath* it down to the leaves — its leaf
-    /// group plus, for every tier up to `level` it leads, the subtrees of
-    /// that tier's members — and never forwards up or sideways
-    /// (loop-free, like [`QueryScope::SpForwarded`] but depth-aware).
+    /// Tree descent: the receiving super-peer resolves against everything
+    /// *beneath* it down to the leaves — its leaf group plus, for every
+    /// tier up to `level` it leads, the subtrees of that tier's members —
+    /// and never forwards up or sideways (loop prevention).
     Subtree {
         /// Tree level whose subtree the receiver must cover (1 = its
-        /// leaf group only; `Subtree { level: 1 }` ≡ `SpForwarded`).
+        /// leaf group only: what one leaf super-peer forwards to another).
         level: u8,
     },
-    /// Multi-level tree ascent: a level-`level - 1` super-peer's miss
-    /// escalated to its level-`level` parent. The parent covers its own
-    /// subtree and, on a miss, keeps climbing (or forwards across the
-    /// top tier, terminally).
+    /// Tree ascent: a miss escalated to the level-`level` super-peer
+    /// above. It covers its own subtree and, on a miss, keeps climbing
+    /// (or forwards across the top tier, terminally).
     TreeUp {
-        /// Tree level handling the escalation.
+        /// Tree level handling the escalation (1 = a member's miss at
+        /// its own leaf super-peer).
         level: u8,
     },
 }
 
-/// Stable label of a [`QueryScope`] for span attributes.
+/// Stable label of a [`QueryScope`] for span attributes. Level 1 keeps
+/// the names the two-level protocol's spans have always carried.
 fn scope_label(scope: QueryScope) -> &'static str {
     match scope {
         QueryScope::LocalOnly => "local-only",
-        QueryScope::GroupProbe => "group-probe",
-        QueryScope::SpForwarded => "sp-forwarded",
         QueryScope::Full => "full",
+        QueryScope::TreeUp { level: 1 } => "group-probe",
+        QueryScope::Subtree { level: 1 } => "sp-forwarded",
         QueryScope::Subtree { .. } => "subtree",
         QueryScope::TreeUp { .. } => "tree-up",
     }
@@ -117,10 +117,13 @@ pub enum NodeMsg {
         group: Vec<ActorId>,
         /// The elected super-peer.
         super_peer: ActorId,
-        /// Super-peers of the other groups. At tree depth 2 this is every
-        /// other leaf super-peer (the paper's flat super group); at depth
-        /// ≥ 3 it is the leaf super-peer's *siblings* in its level-2
-        /// group, so a takeover heir still has nearby peers to reach.
+        /// The leaf super-peer's fellows one tier up, told to every node
+        /// of the group. On a one-tier plan (tree depth 2) the next tier
+        /// up is the top tier: every other leaf super-peer, the paper's
+        /// super group, which is what lets a takeover heir keep forwarding
+        /// across groups. At depth ≥ 3 it is the leaf super-peer's
+        /// *siblings* in its level-2 group, the nearby peers a member
+        /// hedges to.
         other_super_peers: Vec<ActorId>,
         /// Higher-level tree placement of the receiving node (empty for
         /// plain members and for the flat `depth = 2` overlay).
@@ -346,18 +349,17 @@ impl NodeConfig {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Stage {
-    /// Waiting on this node's group members.
+    /// A client request's first rung: waiting on this node's group
+    /// members.
     PeerProbe,
-    /// Waiting on the super-peer's escalation.
-    SpEscalate,
-    /// A super-peer waiting on the other super-peers.
-    SpForward,
-    /// Waiting on the node's level-`N` parent super-peer (tree ascent).
+    /// Waiting on the level-`N` super-peer above (tree ascent; 1 = a
+    /// member waiting on its own leaf super-peer).
     TreeEscalate(u8),
-    /// A level-`N` super-peer waiting on its level-`N` group's subtrees.
+    /// A level-`N` super-peer waiting on its subtree: its leaf peers and
+    /// the member subtrees of every tier it leads up to `N`.
     TreeProbe(u8),
     /// A top-tier super-peer waiting on the other top-tier super-peers
-    /// (terminal, like [`Stage::SpForward`]).
+    /// (terminal).
     TreeForward,
 }
 
@@ -379,23 +381,30 @@ struct HedgeState {
     won: bool,
 }
 
-struct PendingQuery {
+/// One deployment-list request as the node handling it sees it.
+struct Request {
     activity: String,
-    orig_req_id: u64,
+    /// Correlation id chosen by the requester, echoed in the answer.
+    req_id: u64,
     reply_to: ActorId,
+    scope: QueryScope,
     /// Originating tenant's class, echoed into every probe of the ladder.
     class: TenantClass,
+    /// The `node.query` span covering arrival → reply (inert when tracing
+    /// is off).
+    span: SpanHandle,
+}
+
+/// One probe stage of the ladder answering `req`.
+struct PendingQuery {
+    req: Request,
     awaiting: HashSet<ActorId>,
     collected: Vec<ActivityDeployment>,
     stage: Stage,
-    scope: QueryScope,
-    /// Scope the probe messages carried (needed to re-send them verbatim
-    /// on a retry).
-    probe_scope: QueryScope,
-    /// Per-target scope overrides for mixed-scope tree probes (empty for
-    /// the uniform probes of the flat ladder; retries fall back to
-    /// `probe_scope` for targets not listed here).
-    target_scopes: Vec<(ActorId, QueryScope)>,
+    /// Every peer this stage asked, with the scope its probe carried (a
+    /// retry re-sends it verbatim).
+    targets: Vec<(ActorId, QueryScope)>,
+    /// The one live deadline timer of this stage.
     deadline: TimerToken,
     /// Probe attempt number, 1-based.
     attempt: u32,
@@ -407,27 +416,15 @@ struct PendingQuery {
     /// or was short-circuited — unlocks the degraded cache fallback on a
     /// final miss.
     probes_failed: bool,
-    /// The `node.query` span covering the whole ladder (inert when
-    /// tracing is off).
-    span: SpanHandle,
     /// Hedged-probe state (inert default unless this stage armed one).
     hedge: HedgeState,
 }
 
 enum Deferred {
-    HandleQuery {
-        activity: String,
-        req_id: u64,
-        reply_to: ActorId,
-        scope: QueryScope,
-        class: TenantClass,
-        span: SpanHandle,
-    },
+    HandleQuery(Request),
     ReplyAfterRegistry {
-        req_id: u64,
-        reply_to: ActorId,
+        req: Request,
         deployments: Vec<ActivityDeployment>,
-        span: SpanHandle,
     },
     DeliverNotification {
         sink: ActorId,
@@ -574,11 +571,10 @@ pub struct GlareNode {
     next_req: u64,
     pending: HashMap<u64, PendingQuery>,
     deferred: HashMap<TimerToken, Deferred>,
-    deadline_to_req: HashMap<TimerToken, u64>,
-    backoff_to_req: HashMap<TimerToken, u64>,
-    /// Armed hedge timers → pending query (same shape as
-    /// `deadline_to_req`; empty unless `cfg.hedge` is enabled).
-    hedge_to_req: HashMap<TimerToken, u64>,
+    /// Armed probe timers → pending query. What a timer is for is the tag
+    /// it was armed with: `"qdl"` a stage deadline, `"qback"` a retry
+    /// backoff, `"qhedge"` a hedge delay.
+    probe_timers: HashMap<TimerToken, u64>,
     /// Per-remote-peer circuit breakers fed by probe deadline misses
     /// (only consulted when `cfg.retry` enables retries).
     breakers: BreakerBank<ActorId>,
@@ -647,9 +643,7 @@ impl GlareNode {
             next_req: 0,
             pending: HashMap::new(),
             deferred: HashMap::new(),
-            deadline_to_req: HashMap::new(),
-            backoff_to_req: HashMap::new(),
-            hedge_to_req: HashMap::new(),
+            probe_timers: HashMap::new(),
             breakers: BreakerBank::default(),
             rtt: SuspicionTracker::new(cfg.suspicion),
             hb: SuspicionTracker::new(cfg.suspicion),
@@ -750,21 +744,15 @@ impl GlareNode {
 
     /// Whether this node is the unique root of a converged multi-level
     /// tree: super-peer of its topmost group with no fellow top-tier
-    /// super-peers.
+    /// super-peers. Never true on a one-tier plan, whose top tier is the
+    /// leaf tier and holds no placement above it.
     pub fn is_tree_root(&self) -> bool {
-        self.in_tree()
-            && self.tree_others.is_empty()
+        self.tree_others.is_empty()
             && self
                 .tree_parents
                 .iter()
                 .find(|t| t.level == self.tree_tiers)
                 .is_some_and(|t| t.super_peer == self.me)
-    }
-
-    /// Whether routing should walk the multi-level tree instead of the
-    /// flat super group.
-    fn in_tree(&self) -> bool {
-        self.tree_tiers >= 2
     }
 
     fn group_peers(&self) -> Vec<ActorId> {
@@ -848,33 +836,30 @@ impl GlareNode {
 
     /// Send the answer and close the request's `node.query` span, tagging
     /// it with the resolution source and result count.
-    #[allow(clippy::too_many_arguments)]
     fn reply(
         &mut self,
         ctx: &mut Ctx<'_>,
-        reply_to: ActorId,
-        req_id: u64,
+        req: Request,
         deployments: Vec<ActivityDeployment>,
-        span: SpanHandle,
         source: &str,
     ) {
         if ctx.trace_enabled() {
-            ctx.span_attr(span, "source", source);
-            ctx.span_attr(span, "results", &deployments.len().to_string());
+            ctx.span_attr(req.span, "source", source);
+            ctx.span_attr(req.span, "results", &deployments.len().to_string());
         }
         ctx.send_sized(
-            reply_to,
+            req.reply_to,
             NodeMsg::QueryResponse {
-                req_id,
+                req_id: req.req_id,
                 deployments,
             },
             2_048,
         );
-        ctx.end_span(span);
+        ctx.end_span(req.span);
         if self.admission.is_enabled() {
             // Probe replies were never admitted and miss the map; only the
             // original client request holds an inbox ticket.
-            if let Some(ticket) = self.admitted.remove(&(reply_to, req_id)) {
+            if let Some(ticket) = self.admitted.remove(&(req.reply_to, req.req_id)) {
                 self.admission.release(ticket);
             }
         }
@@ -889,16 +874,17 @@ impl GlareNode {
     /// write is a correctness bug, not a latency win.
     fn hedge_candidate(&self, stage: Stage, original: ActorId) -> Option<(ActorId, QueryScope)> {
         match stage {
-            // Escalation to the own (possibly gray-slow) super-peer: any
-            // other leaf super-peer serves the same read terminally.
-            Stage::SpEscalate => self
+            // A member's escalation to its own (possibly gray-slow)
+            // super-peer: any other leaf super-peer it was told of serves
+            // the same read from its own group, terminally.
+            Stage::TreeEscalate(1) => self
                 .other_super_peers
                 .iter()
                 .copied()
                 .filter(|&id| id != original)
                 .min()
-                .map(|id| (id, QueryScope::SpForwarded)),
-            // Tree ascent: a sibling of the slow parent covers its own
+                .map(|id| (id, QueryScope::Subtree { level: 1 })),
+            // Higher up: a sibling of the slow parent covers its own
             // subtree — a second, disjoint replica of the read.
             Stage::TreeEscalate(lvl) => self
                 .tree_parents
@@ -947,8 +933,8 @@ impl GlareNode {
             return HedgeState::default();
         };
         let delay = self.hedge_delay(original);
-        let timer = ctx.timer_after(delay, &format!("qhedge:{local_id}"));
-        self.hedge_to_req.insert(timer, local_id);
+        let timer = ctx.timer_after(delay, "qhedge");
+        self.probe_timers.insert(timer, local_id);
         HedgeState {
             plan: Some(plan),
             timer: Some(timer),
@@ -956,6 +942,27 @@ impl GlareNode {
             sent: None,
             won: false,
         }
+    }
+
+    /// Ask `to` for `activity` on behalf of pending query `local_id`.
+    fn send_probe(
+        ctx: &mut Ctx<'_>,
+        to: ActorId,
+        scope: QueryScope,
+        activity: &str,
+        local_id: u64,
+        class: TenantClass,
+    ) {
+        ctx.send(
+            to,
+            NodeMsg::QueryDeployments {
+                activity: activity.to_owned(),
+                req_id: local_id,
+                reply_to: ctx.self_id,
+                scope,
+                class,
+            },
+        );
     }
 
     /// A hedge timer fired: the original target is past its learned
@@ -971,20 +978,10 @@ impl GlareNode {
         let Some((target, scope)) = p.hedge.plan else {
             return;
         };
-        let activity = p.activity.clone();
-        let class = p.class;
+        let activity = p.req.activity.clone();
         p.hedge.target = Some(target);
         p.hedge.sent = Some(ctx.now());
-        ctx.send(
-            target,
-            NodeMsg::QueryDeployments {
-                activity: activity.clone(),
-                req_id: local_id,
-                reply_to: ctx.self_id,
-                scope,
-                class,
-            },
-        );
+        Self::send_probe(ctx, target, scope, &activity, local_id, p.req.class);
         self.count(ctx, "glare_hedges_fired_total", 1);
         ctx.emit_event(
             "query.hedged",
@@ -993,130 +990,55 @@ impl GlareNode {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn start_probe(
+    /// Start the next probe stage of the ladder answering `req`: arm its
+    /// deadline (and, for a single-target read, its hedge), ask every
+    /// target with the scope given for it, and park the stage until the
+    /// answers or the deadline conclude it. With nothing to probe the
+    /// stage concludes empty on the spot, and the ladder moves on.
+    fn begin_stage(
         &mut self,
         ctx: &mut Ctx<'_>,
-        activity: String,
-        orig_req_id: u64,
-        reply_to: ActorId,
-        class: TenantClass,
-        targets: Vec<ActorId>,
-        stage: Stage,
-        scope: QueryScope,
-        probe_scope: QueryScope,
+        req: Request,
         probes_failed: bool,
-        span: SpanHandle,
-    ) {
-        let local_id = self.next_req;
-        self.next_req += 1;
-        let deadline = ctx.timer_after(self.cfg.probe_timeout, &format!("qdl:{local_id}"));
-        self.deadline_to_req.insert(deadline, local_id);
-        let hedge = if targets.len() == 1 {
-            self.arm_hedge(ctx, local_id, stage, targets[0])
-        } else {
-            HedgeState::default()
-        };
-        let mut awaiting = HashSet::new();
-        for t in &targets {
-            awaiting.insert(*t);
-            ctx.send(
-                *t,
-                NodeMsg::QueryDeployments {
-                    activity: activity.clone(),
-                    req_id: local_id,
-                    reply_to: ctx.self_id,
-                    scope: probe_scope,
-                    class,
-                },
-            );
-        }
-        self.pending.insert(
-            local_id,
-            PendingQuery {
-                activity,
-                orig_req_id,
-                reply_to,
-                class,
-                awaiting,
-                collected: Vec::new(),
-                stage,
-                scope,
-                probe_scope,
-                target_scopes: Vec::new(),
-                deadline,
-                attempt: 1,
-                prev_backoff: SimDuration::ZERO,
-                started: ctx.now(),
-                probes_failed,
-                span,
-                hedge,
-            },
-        );
-    }
-
-    /// Like [`GlareNode::start_probe`], but each target carries its own
-    /// scope — the mixed-depth fan-out of a tree stage (leaf peers probed
-    /// `LocalOnly`, lower-tier super-peers probed `Subtree`).
-    #[allow(clippy::too_many_arguments)]
-    fn start_probe_multi(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        activity: String,
-        orig_req_id: u64,
-        reply_to: ActorId,
-        class: TenantClass,
         targets: Vec<(ActorId, QueryScope)>,
         stage: Stage,
-        scope: QueryScope,
-        probes_failed: bool,
-        span: SpanHandle,
     ) {
         let local_id = self.next_req;
         self.next_req += 1;
-        let deadline = ctx.timer_after(self.cfg.probe_timeout, &format!("qdl:{local_id}"));
-        self.deadline_to_req.insert(deadline, local_id);
-        let hedge = if targets.len() == 1 {
-            self.arm_hedge(ctx, local_id, stage, targets[0].0)
+        let timeout = if targets.is_empty() {
+            SimDuration::ZERO
         } else {
-            HedgeState::default()
+            self.cfg.probe_timeout
         };
-        let mut awaiting = HashSet::new();
-        for &(t, target_scope) in &targets {
-            awaiting.insert(t);
-            ctx.send(
-                t,
-                NodeMsg::QueryDeployments {
-                    activity: activity.clone(),
-                    req_id: local_id,
-                    reply_to: ctx.self_id,
-                    scope: target_scope,
-                    class,
-                },
-            );
+        let deadline = ctx.timer_after(timeout, "qdl");
+        self.probe_timers.insert(deadline, local_id);
+        let hedge = match targets[..] {
+            [(only, _)] => self.arm_hedge(ctx, local_id, stage, only),
+            _ => HedgeState::default(),
+        };
+        for &(t, scope) in &targets {
+            Self::send_probe(ctx, t, scope, &req.activity, local_id, req.class);
         }
+        let nothing_to_probe = targets.is_empty();
         self.pending.insert(
             local_id,
             PendingQuery {
-                activity,
-                orig_req_id,
-                reply_to,
-                class,
-                awaiting,
+                req,
+                awaiting: targets.iter().map(|&(t, _)| t).collect(),
                 collected: Vec::new(),
                 stage,
-                scope,
-                probe_scope: QueryScope::LocalOnly,
-                target_scopes: targets,
+                targets,
                 deadline,
                 attempt: 1,
                 prev_backoff: SimDuration::ZERO,
                 started: ctx.now(),
                 probes_failed,
-                span,
                 hedge,
             },
         );
+        if nothing_to_probe {
+            self.conclude_stage(ctx, local_id);
+        }
     }
 
     /// A probe deadline fired: with retries enabled and only silence to
@@ -1183,8 +1105,8 @@ impl GlareNode {
                 ("backoff_ms", &format!("{}", delay.as_millis_f64())),
             ],
         );
-        let token = ctx.timer_after(delay, &format!("qback:{local_id}"));
-        self.backoff_to_req.insert(token, local_id);
+        let token = ctx.timer_after(delay, "qback");
+        self.probe_timers.insert(token, local_id);
         if let Some(p) = self.pending.get_mut(&local_id) {
             p.attempt = next;
             p.prev_backoff = delay;
@@ -1195,62 +1117,38 @@ impl GlareNode {
     /// any behind an open breaker. A new deadline covers the re-probe.
     fn retry_probe(&mut self, ctx: &mut Ctx<'_>, local_id: u64) {
         let now = ctx.now();
-        let targets: Vec<ActorId> = match self.pending.get(&local_id) {
-            Some(p) => {
-                let mut u: Vec<ActorId> = p.awaiting.iter().copied().collect();
-                u.sort_unstable();
-                u
-            }
-            None => return, // stage already concluded by a late reply
+        let Some(p) = self.pending.get(&local_id) else {
+            return; // stage already concluded by a late reply
         };
-        let mut resend = Vec::new();
-        let mut shorted = 0u64;
-        for t in targets {
-            if self.breakers.breaker(t).allow(now) {
-                resend.push(t);
-            } else {
-                shorted += 1;
-            }
-        }
+        // Sorted for determinism: probes go out in actor-id order.
+        let mut resend: Vec<(ActorId, QueryScope)> = p
+            .targets
+            .iter()
+            .copied()
+            .filter(|(t, _)| p.awaiting.contains(t))
+            .collect();
+        resend.sort_unstable_by_key(|&(t, _)| t);
+        let silent = resend.len();
+        resend.retain(|&(t, _)| self.breakers.breaker(t).allow(now));
+        let shorted = (silent - resend.len()) as u64;
         if shorted > 0 {
             self.count(ctx, "glare_breaker_short_circuits_total", shorted);
-        }
-        if resend.is_empty() {
-            // Every silent peer is behind an open breaker: give up on the
-            // stage and let the ladder escalate (or degrade).
-            if let Some(p) = self.pending.get_mut(&local_id) {
-                p.probes_failed = true;
-            }
-            self.conclude_stage(ctx, local_id);
-            return;
         }
         let Some(p) = self.pending.get_mut(&local_id) else {
             return;
         };
-        let activity = p.activity.clone();
-        let probe_scope = p.probe_scope;
-        let class = p.class;
-        let target_scopes = p.target_scopes.clone();
-        let deadline = ctx.timer_after(self.cfg.probe_timeout, &format!("qdl:{local_id}"));
-        p.deadline = deadline;
-        for &t in &resend {
-            let scope = target_scopes
-                .iter()
-                .find(|(id, _)| *id == t)
-                .map(|&(_, s)| s)
-                .unwrap_or(probe_scope);
-            ctx.send(
-                t,
-                NodeMsg::QueryDeployments {
-                    activity: activity.clone(),
-                    req_id: local_id,
-                    reply_to: ctx.self_id,
-                    scope,
-                    class,
-                },
-            );
+        if resend.is_empty() {
+            // Every silent peer is behind an open breaker: give up on the
+            // stage and let the ladder escalate (or degrade).
+            p.probes_failed = true;
+            self.conclude_stage(ctx, local_id);
+            return;
         }
-        self.deadline_to_req.insert(deadline, local_id);
+        p.deadline = ctx.timer_after(self.cfg.probe_timeout, "qdl");
+        self.probe_timers.insert(p.deadline, local_id);
+        for &(t, scope) in &resend {
+            Self::send_probe(ctx, t, scope, &p.req.activity, local_id, p.req.class);
+        }
     }
 
     /// Final miss of the ladder. When a probe stage ran out of road
@@ -1260,10 +1158,10 @@ impl GlareNode {
     fn reply_miss(&mut self, ctx: &mut Ctx<'_>, p: PendingQuery) {
         if p.probes_failed && self.cfg.use_cache {
             let now = ctx.now();
-            let closure = self.concrete_closure(&p.activity);
+            let closure = self.concrete_closure(&p.req.activity);
             let mut stale = Vec::new();
             let mut max_age = SimDuration::ZERO;
-            for n in lookup_names(&closure, &p.activity) {
+            for n in lookup_names(&closure, &p.req.activity) {
                 for (d, age) in self.cache.deployments_of_degraded(n, now) {
                     if age > max_age {
                         max_age = age;
@@ -1277,44 +1175,22 @@ impl GlareNode {
                     "query.degraded",
                     "node",
                     &[
-                        ("activity", &p.activity),
+                        ("activity", &p.req.activity),
                         ("age_ms", &format!("{}", max_age.as_millis_f64())),
                     ],
                 );
-                ctx.span_attr(p.span, "degraded", "1");
-                self.reply(ctx, p.reply_to, p.orig_req_id, stale, p.span, "degraded");
+                ctx.span_attr(p.req.span, "degraded", "1");
+                self.reply(ctx, p.req, stale, "degraded");
                 return;
             }
         }
-        self.reply(ctx, p.reply_to, p.orig_req_id, Vec::new(), p.span, "miss");
-    }
-
-    /// Continue a concluded stage `p` as a new probe stage with the given
-    /// mixed-scope targets.
-    fn begin_stage(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        p: PendingQuery,
-        targets: Vec<(ActorId, QueryScope)>,
-        stage: Stage,
-    ) {
-        self.start_probe_multi(
-            ctx,
-            p.activity,
-            p.orig_req_id,
-            p.reply_to,
-            p.class,
-            targets,
-            stage,
-            p.scope,
-            p.probes_failed,
-            p.span,
-        );
+        self.reply(ctx, p.req, Vec::new(), "miss");
     }
 
     /// Fan-out for a node asked to resolve against its subtree as a
     /// level-`level` super-peer: the members of every tier it leads up to
-    /// `level` (each covering its own subtree), plus its leaf peers.
+    /// `level` (each covering its own subtree), plus its leaf peers. At
+    /// level 1 — always, on a one-tier plan — that is the leaf peers alone.
     fn tree_probe_targets(&self, level: u8) -> Vec<(ActorId, QueryScope)> {
         let mut out = Vec::new();
         for j in 2..=level {
@@ -1338,11 +1214,12 @@ impl GlareNode {
         out
     }
 
-    /// A tree node's group miss at `from_level`: climb toward the root.
-    /// At each tier, either hand the query to the parent super-peer
-    /// (`TreeUp`) or — when this node *is* that parent — probe the
-    /// tier's member subtrees directly. A miss at the top tier forwards
-    /// sideways to the other top super-peers, terminally.
+    /// This node's subtree missed at `from_level`: climb toward the root.
+    /// At each tier above, either hand the query to the parent super-peer
+    /// (`TreeUp`) or — when this node *is* that parent — probe the tier's
+    /// member subtrees directly. A miss at the top tier forwards sideways
+    /// to the other top super-peers, terminally; on a one-tier plan that
+    /// is the whole climb.
     fn escalate_tree(&mut self, ctx: &mut Ctx<'_>, p: PendingQuery, from_level: u8) {
         let top = self.tree_tiers;
         let mut lvl = from_level;
@@ -1355,13 +1232,8 @@ impl GlareNode {
                 return;
             };
             if tp.super_peer != self.me {
-                let parent = tp.super_peer;
-                self.begin_stage(
-                    ctx,
-                    p,
-                    vec![(parent, QueryScope::TreeUp { level: lvl })],
-                    Stage::TreeEscalate(lvl),
-                );
+                let up = vec![(tp.super_peer, QueryScope::TreeUp { level: lvl })];
+                self.begin_stage(ctx, p.req, p.probes_failed, up, Stage::TreeEscalate(lvl));
                 return;
             }
             let targets: Vec<(ActorId, QueryScope)> = tp
@@ -1372,21 +1244,29 @@ impl GlareNode {
                 .map(|id| (id, QueryScope::Subtree { level: lvl - 1 }))
                 .collect();
             if !targets.is_empty() {
-                self.begin_stage(ctx, p, targets, Stage::TreeProbe(lvl));
+                self.begin_stage(ctx, p.req, p.probes_failed, targets, Stage::TreeProbe(lvl));
                 return;
             }
             // Sole member of this tier's group: keep climbing.
         }
-        let others: Vec<(ActorId, QueryScope)> = self
-            .tree_others
+        // Whom to forward across. When the leaf tier is the top, every
+        // member of a group was told the other leaf super-peers, so an heir
+        // that took office by takeover still forwards; above it only the
+        // appointed top-tier super-peers know their fellows, and an heir,
+        // holding no placement, never gets here.
+        let fellows: &[ActorId] = match top {
+            1 if self.role == Role::SuperPeer => &self.other_super_peers,
+            1 => &[],
+            _ => &self.tree_others,
+        };
+        let across: Vec<(ActorId, QueryScope)> = fellows
             .iter()
-            .copied()
-            .map(|id| (id, QueryScope::Subtree { level: top }))
+            .map(|&id| (id, QueryScope::Subtree { level: top }))
             .collect();
-        if others.is_empty() {
+        if across.is_empty() {
             self.reply_miss(ctx, p);
         } else {
-            self.begin_stage(ctx, p, others, Stage::TreeForward);
+            self.begin_stage(ctx, p.req, p.probes_failed, across, Stage::TreeForward);
         }
     }
 
@@ -1395,11 +1275,11 @@ impl GlareNode {
             return;
         };
         ctx.cancel_timer(p.deadline);
-        self.deadline_to_req.retain(|_, v| *v != local_id);
+        self.probe_timers.remove(&p.deadline);
         if let Some(t) = p.hedge.timer {
             // Unfired hedge: tombstone the timer so it never fires.
             ctx.cancel_timer(t);
-            self.hedge_to_req.remove(&t);
+            self.probe_timers.remove(&t);
         }
         if p.hedge.target.is_some() {
             // The hedge went out: it either won the stage with a useful
@@ -1422,92 +1302,35 @@ impl GlareNode {
                     self.cache.put_deployment(d.clone(), &origin, epr, ctx.now());
                 }
             }
-            let deployments = p.collected.clone();
+            // Level 1 keeps the names the two-level protocol's spans have
+            // always carried.
             let source = match p.stage {
-                Stage::PeerProbe => "probe.group",
-                Stage::SpEscalate => "probe.superpeer",
-                Stage::SpForward => "probe.forwarded",
+                Stage::PeerProbe | Stage::TreeProbe(1) => "probe.group",
+                Stage::TreeEscalate(1) => "probe.superpeer",
                 Stage::TreeEscalate(_) => "probe.parent",
                 Stage::TreeProbe(_) => "probe.subtree",
                 Stage::TreeForward => "probe.forwarded",
             };
-            self.reply(ctx, p.reply_to, p.orig_req_id, deployments, p.span, source);
+            self.reply(ctx, p.req, p.collected, source);
             return;
         }
         // Miss: escalate or give up.
-        match (p.stage, p.scope) {
+        match (p.stage, p.req.scope) {
             (Stage::PeerProbe, QueryScope::Full) if self.cfg.flood_mode => {
                 // Everyone was already asked; a miss is final.
                 self.reply_miss(ctx, p);
             }
             (Stage::PeerProbe, QueryScope::Full) => {
-                if let Some(sp) = self.super_peer.filter(|&sp| sp != self.me) {
-                    self.start_probe(
-                        ctx,
-                        p.activity,
-                        p.orig_req_id,
-                        p.reply_to,
-                        p.class,
-                        vec![sp],
-                        Stage::SpEscalate,
-                        QueryScope::Full,
-                        QueryScope::GroupProbe,
-                        p.probes_failed,
-                        p.span,
-                    );
-                } else if self.in_tree() {
-                    // A tree super-peer fielding its own client's miss:
-                    // climb instead of flat-broadcasting the super group.
-                    self.escalate_tree(ctx, p, 1);
-                } else if !self.other_super_peers.is_empty() && self.role == Role::SuperPeer {
-                    let sps = self.other_super_peers.clone();
-                    self.start_probe(
-                        ctx,
-                        p.activity,
-                        p.orig_req_id,
-                        p.reply_to,
-                        p.class,
-                        sps,
-                        Stage::SpForward,
-                        QueryScope::Full,
-                        QueryScope::SpForwarded,
-                        p.probes_failed,
-                        p.span,
-                    );
-                } else {
-                    self.reply_miss(ctx, p);
+                match self.super_peer.filter(|&sp| sp != self.me) {
+                    Some(sp) => {
+                        let up = vec![(sp, QueryScope::TreeUp { level: 1 })];
+                        self.begin_stage(ctx, p.req, p.probes_failed, up, Stage::TreeEscalate(1));
+                    }
+                    // A super-peer fielding its own client's miss.
+                    None => self.escalate_tree(ctx, p, 1),
                 }
             }
-            (Stage::PeerProbe, QueryScope::GroupProbe) if self.role == Role::SuperPeer => {
-                // A super-peer handling an escalation: own group missed.
-                // Flat overlay: forward to the other super-peers, whose
-                // handling is terminal (they probe their groups but don't
-                // re-forward). Tree overlay: climb toward the root.
-                if self.in_tree() {
-                    self.escalate_tree(ctx, p, 1);
-                } else if self.other_super_peers.is_empty() {
-                    self.reply_miss(ctx, p);
-                } else {
-                    let sps = self.other_super_peers.clone();
-                    self.start_probe(
-                        ctx,
-                        p.activity,
-                        p.orig_req_id,
-                        p.reply_to,
-                        p.class,
-                        sps,
-                        Stage::SpForward,
-                        QueryScope::GroupProbe,
-                        QueryScope::SpForwarded,
-                        p.probes_failed,
-                        p.span,
-                    );
-                }
-            }
-            (
-                Stage::TreeProbe(level),
-                QueryScope::Full | QueryScope::GroupProbe | QueryScope::TreeUp { .. },
-            ) => {
+            (Stage::TreeProbe(level), QueryScope::Full | QueryScope::TreeUp { .. }) => {
                 // This tier's subtrees missed; keep climbing (terminal
                 // only once the top tier has been forwarded across).
                 self.escalate_tree(ctx, p, level);
@@ -1518,26 +1341,16 @@ impl GlareNode {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_query(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        activity: String,
-        req_id: u64,
-        reply_to: ActorId,
-        scope: QueryScope,
-        class: TenantClass,
-        span: SpanHandle,
-    ) {
+    fn handle_query(&mut self, ctx: &mut Ctx<'_>, req: Request) {
         let now = ctx.now();
         // Cache fast path: answers without the registry resolution stage.
-        let cached = self.resolve_cache_counted(ctx, &activity, now);
+        let cached = self.resolve_cache_counted(ctx, &req.activity, now);
         if !cached.is_empty() {
             ctx.metrics().counter("glare.cache_answers").inc();
-            self.reply(ctx, reply_to, req_id, cached, span, "cache");
+            self.reply(ctx, req, cached, "cache");
             return;
         }
-        let local = self.resolve_local(&activity, now);
+        let local = self.resolve_local(&req.activity, now);
         if !local.is_empty() {
             // Registry resolution costs an extra CPU stage; its result is
             // cached for subsequent requests.
@@ -1552,126 +1365,37 @@ impl GlareNode {
                 self.deferred.insert(
                     token,
                     Deferred::ReplyAfterRegistry {
-                        req_id,
-                        reply_to,
+                        req,
                         deployments: local,
-                        span,
                     },
                 );
             }
             return;
         }
-        match scope {
+        let (targets, stage) = match req.scope {
             QueryScope::LocalOnly => {
-                self.reply(ctx, reply_to, req_id, Vec::new(), span, "miss");
+                self.reply(ctx, req, Vec::new(), "miss");
+                return;
             }
-            QueryScope::GroupProbe | QueryScope::SpForwarded | QueryScope::Full => {
-                let peers = if self.cfg.flood_mode && scope == QueryScope::Full {
-                    // Ablation: ask everyone at once.
-                    self.roster
-                        .iter()
-                        .map(|&(id, _)| id)
-                        .filter(|&id| id != self.me)
-                        .collect()
-                } else {
-                    self.group_peers()
-                };
-                if peers.is_empty() {
-                    // Nothing to probe: behave as if the probe stage
-                    // concluded empty.
-                    let local_id = self.next_req;
-                    self.next_req += 1;
-                    let deadline = ctx.timer_after(SimDuration::ZERO, &format!("qdl:{local_id}"));
-                    self.deadline_to_req.insert(deadline, local_id);
-                    self.pending.insert(
-                        local_id,
-                        PendingQuery {
-                            activity,
-                            orig_req_id: req_id,
-                            reply_to,
-                            class,
-                            awaiting: HashSet::new(),
-                            collected: Vec::new(),
-                            stage: Stage::PeerProbe,
-                            scope,
-                            probe_scope: QueryScope::LocalOnly,
-                            target_scopes: Vec::new(),
-                            deadline,
-                            attempt: 1,
-                            prev_backoff: SimDuration::ZERO,
-                            started: now,
-                            probes_failed: false,
-                            span,
-                            hedge: HedgeState::default(),
-                        },
-                    );
-                    self.conclude_stage(ctx, local_id);
-                } else {
-                    self.start_probe(
-                        ctx,
-                        activity,
-                        req_id,
-                        reply_to,
-                        class,
-                        peers,
-                        Stage::PeerProbe,
-                        scope,
-                        QueryScope::LocalOnly,
-                        false,
-                        span,
-                    );
-                }
+            QueryScope::Full if self.cfg.flood_mode => {
+                // Ablation: ask everyone at once.
+                let everyone = self
+                    .roster
+                    .iter()
+                    .filter(|&&(id, _)| id != self.me)
+                    .map(|&(id, _)| (id, QueryScope::LocalOnly))
+                    .collect();
+                (everyone, Stage::PeerProbe)
             }
+            QueryScope::Full => (self.tree_probe_targets(1), Stage::PeerProbe),
+            // Cover this node's subtree as a level-`level` super-peer. A
+            // `TreeUp` miss then climbs further; a `Subtree` miss is
+            // terminal.
             QueryScope::Subtree { level } | QueryScope::TreeUp { level } => {
-                // Cover this node's subtree as a level-`level` super-peer:
-                // each led tier's member subtrees plus the leaf peers. A
-                // `TreeUp` miss then climbs further; a `Subtree` miss is
-                // terminal.
-                let targets = self.tree_probe_targets(level);
-                if targets.is_empty() {
-                    let local_id = self.next_req;
-                    self.next_req += 1;
-                    let deadline = ctx.timer_after(SimDuration::ZERO, &format!("qdl:{local_id}"));
-                    self.deadline_to_req.insert(deadline, local_id);
-                    self.pending.insert(
-                        local_id,
-                        PendingQuery {
-                            activity,
-                            orig_req_id: req_id,
-                            reply_to,
-                            class,
-                            awaiting: HashSet::new(),
-                            collected: Vec::new(),
-                            stage: Stage::TreeProbe(level),
-                            scope,
-                            probe_scope: QueryScope::LocalOnly,
-                            target_scopes: Vec::new(),
-                            deadline,
-                            attempt: 1,
-                            prev_backoff: SimDuration::ZERO,
-                            started: now,
-                            probes_failed: false,
-                            span,
-                            hedge: HedgeState::default(),
-                        },
-                    );
-                    self.conclude_stage(ctx, local_id);
-                } else {
-                    self.start_probe_multi(
-                        ctx,
-                        activity,
-                        req_id,
-                        reply_to,
-                        class,
-                        targets,
-                        Stage::TreeProbe(level),
-                        scope,
-                        false,
-                        span,
-                    );
-                }
+                (self.tree_probe_targets(level), Stage::TreeProbe(level))
             }
-        }
+        };
+        self.begin_stage(ctx, req, false, targets, stage);
     }
 
     /// Coordinator: broadcast the first election notice and arm the
@@ -1861,73 +1585,25 @@ impl GlareNode {
         if !ctx.store_enabled() {
             return;
         }
-        let now = ctx.now();
-        let mut state = durable::SnapshotState::default();
-        for name in self.atr.names(now) {
-            if let Some(r) = self.atr.lookup(&name, now) {
-                state.types.push(r.value);
-            }
-        }
-        for key in self.adr.keys(now) {
-            if let Some(r) = self.adr.lookup(&key, now) {
-                state.deployments.push(r.value);
-            }
-        }
-        state.tombstones = self.adr.tombstones();
+        let state = durable::SnapshotState::capture(&self.atr, &self.adr, ctx.now());
         if let Some(compacted) = ctx.store_snapshot(&durable::encode_snapshot(&state)) {
             self.count(ctx, "glare_store_snapshots_total", 1);
             ctx.emit_event("store.compacted", "store", &[("records", &compacted.to_string())]);
         }
     }
 
-    /// Rebuild the registries from the durable store after a crash:
-    /// snapshot first, then journal replay *in record order* (a replayed
-    /// uninstall tombstones unconditionally; a later replayed register
-    /// legitimately supersedes it — journal order, not timestamps, is the
-    /// source of truth during replay).
+    /// Rebuild the registries from the durable store after a crash
+    /// ([`durable::replay`]), publish what the replay cost, and owe the
+    /// next super-peer an anti-entropy round.
     fn recover_from_store(&mut self, ctx: &mut Ctx<'_>) {
         let Some(recovered) = ctx.store_recover() else {
             return;
         };
         let now = ctx.now();
-        let mut had_snapshot = false;
-        if let Some(state) = recovered.snapshot.as_deref().and_then(durable::decode_snapshot) {
-            had_snapshot = true;
-            for t in state.types {
-                let _ = self.atr.register(t, now);
-            }
-            self.adr.restore_tombstones(state.tombstones);
-            for d in state.deployments {
-                let _ = self.adr.register(d, &self.atr, now);
-            }
-        }
+        // Lease records belong to the synchronous Grid harness; the
+        // distributed node keeps no lease table.
+        let had_snapshot = durable::replay(&recovered, &self.atr, &self.adr, None, now);
         let replayed = recovered.replayed_records();
-        for (kind, payload) in &recovered.records {
-            match RegistryMutation::decode(kind, payload) {
-                Some(RegistryMutation::AtrRegister(t)) => {
-                    let _ = self.atr.register(*t, now);
-                }
-                Some(RegistryMutation::AtrRemove(name)) => {
-                    let _ = self.atr.remove(&name);
-                }
-                Some(RegistryMutation::AdrRegister(d)) => {
-                    let _ = self.adr.register(*d, &self.atr, now);
-                }
-                Some(RegistryMutation::AdrRemove(key)) => {
-                    let _ = self.adr.remove(&key);
-                }
-                Some(RegistryMutation::AdrUninstall { key, at }) => {
-                    if self.adr.uninstall(&key, at).is_err() {
-                        self.adr.restore_tombstones([(key, at)]);
-                    }
-                }
-                // Lease records belong to the synchronous Grid harness;
-                // the distributed node keeps no lease table.
-                Some(RegistryMutation::LeaseGrant(_))
-                | Some(RegistryMutation::LeaseRelease(_))
-                | None => {}
-            }
-        }
         let labels = &NodeLabels::of(&mut self.labels, ctx.self_site).site;
         ctx.metrics()
             .counter_labeled("glare_store_replayed_records_total", labels)
@@ -1975,20 +1651,18 @@ impl GlareNode {
             return;
         };
         let now = ctx.now();
-        let mut keys = self.adr.keys(now);
-        keys.sort_unstable();
-        let mut entries = Vec::new();
-        for key in keys {
-            let Some(resp) = self.adr.lookup(&key, now) else {
-                continue;
-            };
-            let lut = self
-                .adr
-                .epr_of(&key, now)
-                .map(|e| e.last_update_time.as_nanos())
-                .unwrap_or(0);
-            entries.push((resp.value, lut));
-        }
+        let mut live = durable::live_deployments(&self.adr, now);
+        live.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        let entries: Vec<(ActivityDeployment, u64)> = live
+            .into_iter()
+            .map(|d| {
+                let lut = self
+                    .adr
+                    .epr_of(&d.key, now)
+                    .map_or(0, |e| e.last_update_time.as_nanos());
+                (d, lut)
+            })
+            .collect();
         let tombstones: Vec<(String, u64)> = self
             .adr
             .tombstones()
@@ -2014,21 +1688,9 @@ impl GlareNode {
     /// crashed-recovered-rejoined run and a never-crashed run of the same
     /// seed.
     pub fn registry_digest(&self, now: SimTime) -> u64 {
-        let mut types = Vec::new();
-        for name in self.atr.names(now) {
-            if let Some(r) = self.atr.lookup(&name, now) {
-                types.push(r.value);
-            }
-        }
-        let mut deployments = Vec::new();
-        for key in self.adr.keys(now) {
-            if let Some(r) = self.adr.lookup(&key, now) {
-                deployments.push(r.value);
-            }
-        }
-        let tomb_keys: Vec<String> =
-            self.adr.tombstones().into_iter().map(|(k, _)| k).collect();
-        durable::registry_digest(&types, &deployments, &tomb_keys)
+        let state = durable::SnapshotState::capture(&self.atr, &self.adr, now);
+        let tomb_keys: Vec<String> = state.tombstones.into_iter().map(|(k, _)| k).collect();
+        durable::registry_digest(&state.types, &state.deployments, &tomb_keys)
     }
 }
 
@@ -2439,17 +2101,15 @@ impl Actor for GlareNode {
                 }
                 match ctx.compute(self.cfg.request_cost, "req") {
                     Some(token) => {
-                        self.deferred.insert(
-                            token,
-                            Deferred::HandleQuery {
-                                activity,
-                                req_id,
-                                reply_to,
-                                scope,
-                                class,
-                                span,
-                            },
-                        );
+                        let req = Request {
+                            activity,
+                            req_id,
+                            reply_to,
+                            scope,
+                            class,
+                            span,
+                        };
+                        self.deferred.insert(token, Deferred::HandleQuery(req));
                     }
                     None => {
                         // Site down; request lost. An admitted request's
@@ -2528,18 +2188,14 @@ impl Actor for GlareNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken, tag: &str) {
-        if let Some(req) = self.deadline_to_req.remove(&token) {
-            // Probe deadline: retry silent peers or conclude with
-            // whatever arrived.
-            self.deadline_expired(ctx, req);
-            return;
-        }
-        if let Some(req) = self.backoff_to_req.remove(&token) {
-            self.retry_probe(ctx, req);
-            return;
-        }
-        if let Some(req) = self.hedge_to_req.remove(&token) {
-            self.fire_hedge(ctx, req);
+        if let Some(req) = self.probe_timers.remove(&token) {
+            match tag {
+                // Probe deadline: retry silent peers or conclude with
+                // whatever arrived.
+                "qdl" => self.deadline_expired(ctx, req),
+                "qback" => self.retry_probe(ctx, req),
+                _ => self.fire_hedge(ctx, req),
+            }
             return;
         }
         if tag == "notify-stagger" {
@@ -2581,50 +2237,43 @@ impl Actor for GlareNode {
                 if tiers >= 2 {
                     ctx.span_attr(span, "tiers", &tiers.to_string());
                 }
-                // Placement above the leaf tier (all empty on a flat plan,
-                // which keeps the depth-2 appointments byte-identical to
-                // the pre-tree protocol).
+                // Placement above the leaf tier (none on a one-tier plan).
+                let top_sps = plan.top_super_peers();
+                let fellows = |of: ActorId| -> Vec<ActorId> {
+                    top_sps.iter().copied().filter(|&s| s != of).collect()
+                };
                 let mut parents: HashMap<ActorId, Vec<TreeParent>> = HashMap::new();
                 let mut siblings: HashMap<ActorId, Vec<ActorId>> = HashMap::new();
                 let mut top_others: HashMap<ActorId, Vec<ActorId>> = HashMap::new();
-                if tiers >= 2 {
-                    for (li, level_groups) in plan.levels.iter().enumerate().skip(1) {
-                        let level = (li + 1) as u8;
-                        for g in level_groups {
-                            for m in g.all() {
-                                parents.entry(m).or_default().push(TreeParent {
-                                    level,
-                                    group: g.all(),
-                                    super_peer: g.super_peer,
-                                });
-                                if level == 2 {
-                                    siblings.insert(
-                                        m,
-                                        g.all().into_iter().filter(|&s| s != m).collect(),
-                                    );
-                                }
+                for (li, level_groups) in plan.levels.iter().enumerate().skip(1) {
+                    let level = (li + 1) as u8;
+                    for g in level_groups {
+                        if level == tiers {
+                            top_others.insert(g.super_peer, fellows(g.super_peer));
+                        }
+                        for m in g.all() {
+                            parents.entry(m).or_default().push(TreeParent {
+                                level,
+                                group: g.all(),
+                                super_peer: g.super_peer,
+                            });
+                            if level == 2 {
+                                siblings.insert(
+                                    m,
+                                    g.all().into_iter().filter(|&s| s != m).collect(),
+                                );
                             }
                         }
                     }
-                    let top_sps = plan.top_super_peers();
-                    for &sp in &top_sps {
-                        top_others.insert(
-                            sp,
-                            top_sps.iter().copied().filter(|&s| s != sp).collect(),
-                        );
-                    }
                 }
-                let flat_sps: Vec<ActorId> = leaf.iter().map(|g| g.super_peer).collect();
                 for g in leaf {
-                    let others: Vec<ActorId> = if tiers >= 2 {
-                        siblings.get(&g.super_peer).cloned().unwrap_or_default()
-                    } else {
-                        flat_sps
-                            .iter()
-                            .copied()
-                            .filter(|&s| s != g.super_peer)
-                            .collect()
-                    };
+                    // The leaf super-peer's fellows one tier up: its
+                    // level-2 group, or — the leaf tier being the top —
+                    // the top tier itself.
+                    let others = siblings
+                        .get(&g.super_peer)
+                        .cloned()
+                        .unwrap_or_else(|| fellows(g.super_peer));
                     for &m in &g.all() {
                         ctx.send(
                             m,
@@ -2745,23 +2394,9 @@ impl Actor for GlareNode {
 
     fn on_compute_done(&mut self, ctx: &mut Ctx<'_>, token: TimerToken, _tag: &str) {
         match self.deferred.remove(&token) {
-            Some(Deferred::HandleQuery {
-                activity,
-                req_id,
-                reply_to,
-                scope,
-                class,
-                span,
-            }) => {
-                self.handle_query(ctx, activity, req_id, reply_to, scope, class, span);
-            }
-            Some(Deferred::ReplyAfterRegistry {
-                req_id,
-                reply_to,
-                deployments,
-                span,
-            }) => {
-                self.reply(ctx, reply_to, req_id, deployments, span, "registry");
+            Some(Deferred::HandleQuery(req)) => self.handle_query(ctx, req),
+            Some(Deferred::ReplyAfterRegistry { req, deployments }) => {
+                self.reply(ctx, req, deployments, "registry");
             }
             Some(Deferred::DeliverNotification { sink, seq }) => {
                 ctx.send(sink, NodeMsg::Notification { seq });
@@ -2810,9 +2445,7 @@ impl Actor for GlareNode {
         // correlation id.
         self.pending.clear();
         self.deferred.clear();
-        self.deadline_to_req.clear();
-        self.backoff_to_req.clear();
-        self.hedge_to_req.clear();
+        self.probe_timers.clear();
         self.breakers = BreakerBank::default();
         self.rtt.clear();
         self.hb.clear();

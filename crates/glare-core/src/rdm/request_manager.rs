@@ -78,24 +78,7 @@ impl RequestManager {
         activity: &str,
         now: SimTime,
     ) -> Result<ResolveOutcome, GlareError> {
-        let site = Some(SiteId(from_site as u32));
-        let root = grid
-            .trace
-            .open(None, "rdm.request", SpanKind::Request, site, None, now);
-        grid.trace.attr(root.span_id, "activity", activity);
-        let (out, end) = self.run_ladder(grid, from_site, activity, now, root);
-        let label = match &out {
-            Ok(o) => match o.source {
-                DiscoverySource::LocalRegistry => "registry",
-                DiscoverySource::LocalCache => "cache",
-                DiscoverySource::RemoteSite(_) => "remote",
-                DiscoverySource::DegradedCache => "degraded",
-            },
-            Err(_) => "not-found",
-        };
-        grid.trace.attr(root.span_id, "source", label);
-        grid.trace.close(root.span_id, end);
-        out
+        self.traced_request(grid, from_site, activity, now, None)
     }
 
     /// [`RequestManager::list_deployments`] with the request attributed to
@@ -112,19 +95,36 @@ impl RequestManager {
         now: SimTime,
         class: TenantClass,
     ) -> Result<ResolveOutcome, GlareError> {
-        let from_label = Grid::site_label(from_site);
-        grid.metrics
-            .counter_labeled(
-                "glare_rdm_requests_total",
-                &Labels::of(&[("class", class.label()), ("site", &from_label)]),
-            )
-            .inc();
+        self.traced_request(grid, from_site, activity, now, Some(class))
+    }
+
+    /// Run the ladder under an `rdm.request` root span, counting and
+    /// tagging the request when it is attributed to a tenant class.
+    fn traced_request(
+        &self,
+        grid: &mut Grid,
+        from_site: usize,
+        activity: &str,
+        now: SimTime,
+        class: Option<TenantClass>,
+    ) -> Result<ResolveOutcome, GlareError> {
+        if let Some(class) = class {
+            let from_label = Grid::site_label(from_site);
+            grid.metrics
+                .counter_labeled(
+                    "glare_rdm_requests_total",
+                    &Labels::of(&[("class", class.label()), ("site", &from_label)]),
+                )
+                .inc();
+        }
         let site = Some(SiteId(from_site as u32));
         let root = grid
             .trace
             .open(None, "rdm.request", SpanKind::Request, site, None, now);
         grid.trace.attr(root.span_id, "activity", activity);
-        grid.trace.attr(root.span_id, "class", class.label());
+        if let Some(class) = class {
+            grid.trace.attr(root.span_id, "class", class.label());
+        }
         let (out, end) = self.run_ladder(grid, from_site, activity, now, root);
         let label = match &out {
             Ok(o) => match o.source {

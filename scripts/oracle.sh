@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# Cross-commit refactoring oracle. Every gate in verify.sh compares two runs
+# of the *same* commit; this writes what a behaviour-preserving change must
+# leave untouched, so that two commits can be compared:
+#
+#   scripts/oracle.sh /tmp/parent      # in a checkout of the parent commit
+#   scripts/oracle.sh /tmp/change      # in the changed tree
+#   diff -r /tmp/parent /tmp/change    # empty iff nothing observable moved
+#
+# One sub-directory per harness (fig12 and fig13 both write
+# BENCH_overlay.json). The four reports that carry host timings keep only
+# their `deterministic` half.
+set -euo pipefail
+out=$(mkdir -p "$1" && cd "$1" && pwd)
+cd "$(dirname "$0")/.."
+manifest=$PWD/Cargo.toml
+cargo build --release -q -p glare-bench --bins
+
+harness() { # harness <bin> [args...]: run it inside $out/<bin>
+    local bin=$1
+    shift
+    mkdir -p "$out/$bin"
+    (cd "$out/$bin" && cargo run --release -q -p glare-bench \
+        --manifest-path "$manifest" --bin "$bin" -- "$@" >/dev/null 2>&1)
+}
+harness fig12 --trace
+harness fig13
+for bin in healthreport chaos load scale grayfail autonomic; do
+    harness "$bin" --smoke
+done
+
+python3 - "$out"/{load,scale,grayfail,autonomic}/BENCH_*.json <<'EOF'
+import json, sys
+for path in sys.argv[1:]:
+    report = json.load(open(path))
+    del report["wall_clock"]
+    json.dump(report, open(path, "w"), indent=1, sort_keys=True)
+EOF
+echo "oracle: wrote $(find "$out" -type f | wc -l) files under $out"

@@ -11,32 +11,32 @@
 #      must parse and report zero invariant violations and lint-clean
 #      retry/breaker metric names; BENCH_recovery.json must parse and
 #      carry completed crash-to-rejoin recoveries with nonzero percentiles
-#   8. crash-replay smoke: after a crash, store recovery and anti-entropy
-#      rejoin must converge to registries byte-identical (digest match,
-#      zero tombstone resurrections) to a never-crashed same-seed run
-#   9. scale smoke: BENCH_scale.json must parse, the kernel must report
+#   8. scale smoke: BENCH_scale.json must parse, the kernel must report
 #      nonzero events/sec, every query must hit, and the depth-3 tree's
 #      hops per query must be strictly below the flat-broadcast baseline
-#  10. load smoke: BENCH_load.json must parse, report zero admission-
+#   9. load smoke: BENCH_load.json must parse, report zero admission-
 #      invariant violations and lint-clean shed counters, show gold
 #      holding goodput while best-effort sheds first past saturation,
 #      stay byte-identical across two same-seed runs (deterministic
 #      half), and with backpressure off two same-seed runs must be
 #      event-identical (same event digests)
-#  11. autonomic smoke: BENCH_autonomic.json must parse, report zero
+#  10. autonomic smoke: BENCH_autonomic.json must parse, report zero
 #      safety-invariant violations (replica bounds, dead-site actions,
 #      double-provisions), show gold p99 recovering to within 25% of its
 #      pre-spike baseline with the controller enabled and NOT recovering
 #      with it disabled, stay byte-identical across two same-seed runs
 #      (deterministic half), and a disabled-controller run must be
 #      event-identical to a controller-never-constructed run
-#  12. grayfail smoke: BENCH_grayfail.json must parse, be lint-clean,
+#  11. grayfail smoke: BENCH_grayfail.json must parse, be lint-clean,
 #      stay byte-identical across two same-seed runs (deterministic
 #      half), report zero false-positive takeovers in every mode, show
 #      the gray-phase gold p99 with suspicion+hedging enabled within 2x
 #      the healthy baseline while the disabled run exceeds 5x (and the
 #      hedged run beating the unhedged one outright), and a disabled
 #      gray stack must be event-identical to one never constructed
+#  12. crash-replay smoke: after a crash, store recovery and anti-entropy
+#      rejoin must converge to registries byte-identical (digest match,
+#      zero tombstone resurrections) to a never-crashed same-seed run
 #  13. perf ledger (perf/README.md): the ledger package's own tests, then
 #      one short `run` pass over its five workloads, whose correctness
 #      checks (every query hits, admission accounting, replay restores,

@@ -20,6 +20,11 @@
 //! [`WindowedGauge`] aggregates a sampled value over fixed sim-time
 //! buckets (last/min/max/mean per bucket) so a monitoring client can
 //! replay "gauge over time" without the registry storing every sample.
+//!
+//! Instruments are stored densely and the sorted maps index them, so a
+//! recorder on a hot path resolves a counter or gauge once, at its first
+//! record, and from then on records through the [`CounterId`] /
+//! [`GaugeId`] it got back: an index, with no name or label comparison.
 
 use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
@@ -258,11 +263,11 @@ impl Labels {
 ///
 /// The admission path tallies every request into per-class families
 /// (`glare_admission_admitted_total{class,site}` and friends); building a
-/// [`Labels`] per request would allocate on the hot path. Like the
-/// kernel's per-site drop labels, the three label sets are built once at
-/// construction and selected by a branch; the registry looks an existing
-/// instrument up by reference, so after the first event of a class a tally
-/// allocates nothing.
+/// [`Labels`] per request would allocate on the hot path. The three label
+/// sets are built once at construction and selected by a branch; the
+/// registry looks an existing instrument up by reference, so after the
+/// first event of a class a tally allocates nothing (and a caller that
+/// keeps the [`CounterId`] beside the set does not search either).
 ///
 /// The class vocabulary is fixed (`gold`, `silver`, `best_effort`);
 /// unknown class strings fold into `best_effort`, matching the admission
@@ -394,16 +399,45 @@ impl WindowedGauge {
     }
 }
 
-/// Flat and labeled, name-addressed registry of all instruments in one
-/// simulation run.
+/// Handle to a counter, flat or labeled: its position in the registry that
+/// resolved it. Append-only, so it stays valid for the registry's lifetime
+/// (and addresses the same counter in a clone); meaningless in any other
+/// registry.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CounterId(u32);
+
+/// Handle to a windowed gauge; see [`CounterId`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct GaugeId(u32);
+
+/// Ordered index of one labeled family kind: family name, then label set,
+/// to the instrument's position in its store.
+type FamilyIndex = BTreeMap<String, BTreeMap<Labels, u32>>;
+
+/// Flat and labeled registry of all instruments in one simulation run.
+///
+/// Every instrument lives once, in a `Vec` per kind, in creation order.
+/// The sorted name and label maps are indexes into those: exposition, the
+/// snapshot and the read accessors walk them, so output order is the key
+/// order whatever the creation order was. The get-or-create accessors
+/// search the index and then index the store; a caller that records often
+/// keeps the [`CounterId`] / [`GaugeId`] of its first record and skips the
+/// search ([`MetricsRegistry::counter_at`], [`MetricsRegistry::gauge_at`]).
+/// Resolving an id creates the instrument, so a caller resolves when it
+/// first records and not before: an instrument that never recorded must not
+/// show up in exposition.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, TimeSeries>,
-    labeled_counters: BTreeMap<String, BTreeMap<Labels, Counter>>,
-    labeled_histograms: BTreeMap<String, BTreeMap<Labels, Histogram>>,
-    gauges: BTreeMap<String, BTreeMap<Labels, WindowedGauge>>,
+    counter_store: Vec<Counter>,
+    histogram_store: Vec<Histogram>,
+    series_store: Vec<TimeSeries>,
+    gauge_store: Vec<WindowedGauge>,
+    counters: BTreeMap<String, u32>,
+    histograms: BTreeMap<String, u32>,
+    series: BTreeMap<String, u32>,
+    labeled_counters: FamilyIndex,
+    labeled_histograms: FamilyIndex,
+    gauges: FamilyIndex,
 }
 
 impl MetricsRegistry {
@@ -414,32 +448,69 @@ impl MetricsRegistry {
 
     /// Get or create the counter `name`.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        get_or_insert_with(&mut self.counters, name, Counter::default)
+        let id = self.counter_id(name);
+        self.counter_at(id)
+    }
+
+    /// Handle of the counter `name`, created when absent.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        CounterId(resolve(
+            &mut self.counters,
+            &mut self.counter_store,
+            name,
+            Counter::default,
+        ))
+    }
+
+    /// The counter `id` was resolved to.
+    ///
+    /// # Panics
+    /// May panic on an id another registry resolved.
+    pub fn counter_at(&mut self, id: CounterId) -> &mut Counter {
+        &mut self.counter_store[id.0 as usize]
     }
 
     /// Read a counter value without creating it (zero if absent).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, Counter::get)
+        self.counters
+            .get(name)
+            .map_or(0, |&i| self.counter_store[i as usize].get())
     }
 
     /// Get or create the histogram `name`.
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        get_or_insert_with(&mut self.histograms, name, Histogram::default)
+        let i = resolve(
+            &mut self.histograms,
+            &mut self.histogram_store,
+            name,
+            Histogram::default,
+        );
+        &mut self.histogram_store[i as usize]
     }
 
     /// Read-only view of a histogram if it exists.
     pub fn histogram_ref(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histograms
+            .get(name)
+            .map(|&i| &self.histogram_store[i as usize])
     }
 
     /// Get or create the time series `name`.
     pub fn time_series(&mut self, name: &str) -> &mut TimeSeries {
-        get_or_insert_with(&mut self.series, name, TimeSeries::default)
+        let i = resolve(
+            &mut self.series,
+            &mut self.series_store,
+            name,
+            TimeSeries::default,
+        );
+        &mut self.series_store[i as usize]
     }
 
     /// Read-only view of a time series if it exists.
     pub fn time_series_ref(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
+        self.series
+            .get(name)
+            .map(|&i| &self.series_store[i as usize])
     }
 
     /// Names of all counters, in sorted order.
@@ -454,8 +525,20 @@ impl MetricsRegistry {
 
     /// Get or create the counter `labels` inside family `family`.
     pub fn counter_labeled(&mut self, family: &str, labels: &Labels) -> &mut Counter {
-        let entries = get_or_insert_with(&mut self.labeled_counters, family, BTreeMap::new);
-        get_or_insert_with(entries, labels, Counter::default)
+        let id = self.counter_labeled_id(family, labels);
+        self.counter_at(id)
+    }
+
+    /// Handle of the counter `labels` inside family `family`, created when
+    /// absent.
+    pub fn counter_labeled_id(&mut self, family: &str, labels: &Labels) -> CounterId {
+        CounterId(resolve_labeled(
+            &mut self.labeled_counters,
+            &mut self.counter_store,
+            family,
+            labels,
+            Counter::default,
+        ))
     }
 
     /// Read a labeled counter without creating it (zero if absent).
@@ -463,26 +546,32 @@ impl MetricsRegistry {
         self.labeled_counters
             .get(family)
             .and_then(|m| m.get(labels))
-            .map_or(0, Counter::get)
+            .map_or(0, |&i| self.counter_store[i as usize].get())
     }
 
     /// All `(labels, value)` entries of a counter family, in label order.
     pub fn labeled_counters_of(&self, family: &str) -> impl Iterator<Item = (&Labels, u64)> {
-        self.labeled_counters
-            .get(family)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(l, c)| (l, c.get())))
+        entries_of(&self.labeled_counters, &self.counter_store, family).map(|(l, c)| (l, c.get()))
     }
 
     /// Get or create the histogram `labels` inside family `family`.
     pub fn histogram_labeled(&mut self, family: &str, labels: &Labels) -> &mut Histogram {
-        let entries = get_or_insert_with(&mut self.labeled_histograms, family, BTreeMap::new);
-        get_or_insert_with(entries, labels, Histogram::default)
+        let i = resolve_labeled(
+            &mut self.labeled_histograms,
+            &mut self.histogram_store,
+            family,
+            labels,
+            Histogram::default,
+        );
+        &mut self.histogram_store[i as usize]
     }
 
     /// Read-only view of a labeled histogram if it exists.
     pub fn histogram_labeled_ref(&self, family: &str, labels: &Labels) -> Option<&Histogram> {
-        self.labeled_histograms.get(family).and_then(|m| m.get(labels))
+        self.labeled_histograms
+            .get(family)
+            .and_then(|m| m.get(labels))
+            .map(|&i| &self.histogram_store[i as usize])
     }
 
     /// All `(labels, histogram)` entries of a family, in label order.
@@ -490,10 +579,7 @@ impl MetricsRegistry {
         &self,
         family: &str,
     ) -> impl Iterator<Item = (&Labels, &Histogram)> {
-        self.labeled_histograms
-            .get(family)
-            .into_iter()
-            .flat_map(|m| m.iter())
+        entries_of(&self.labeled_histograms, &self.histogram_store, family)
     }
 
     /// Get or create the windowed gauge `labels` inside family `family`.
@@ -501,20 +587,48 @@ impl MetricsRegistry {
     /// The first call fixes the bucket window for that instrument; later
     /// calls must pass the same window.
     pub fn gauge(&mut self, family: &str, labels: &Labels, window: SimDuration) -> &mut WindowedGauge {
-        let entries = get_or_insert_with(&mut self.gauges, family, BTreeMap::new);
-        let g = get_or_insert_with(entries, labels, || WindowedGauge::new(window));
-        assert_eq!(g.window(), window, "gauge window changed for {family}");
-        g
+        let id = self.gauge_id(family, labels, window);
+        self.gauge_at(id)
+    }
+
+    /// Handle of the windowed gauge `labels` inside family `family`,
+    /// created over `window` when absent; an existing gauge must have been
+    /// created over the same window.
+    pub fn gauge_id(&mut self, family: &str, labels: &Labels, window: SimDuration) -> GaugeId {
+        let i = resolve_labeled(
+            &mut self.gauges,
+            &mut self.gauge_store,
+            family,
+            labels,
+            || WindowedGauge::new(window),
+        );
+        assert_eq!(
+            self.gauge_store[i as usize].window(),
+            window,
+            "gauge window changed for {family}"
+        );
+        GaugeId(i)
+    }
+
+    /// The gauge `id` was resolved to.
+    ///
+    /// # Panics
+    /// May panic on an id another registry resolved.
+    pub fn gauge_at(&mut self, id: GaugeId) -> &mut WindowedGauge {
+        &mut self.gauge_store[id.0 as usize]
     }
 
     /// Read-only view of a windowed gauge if it exists.
     pub fn gauge_ref(&self, family: &str, labels: &Labels) -> Option<&WindowedGauge> {
-        self.gauges.get(family).and_then(|m| m.get(labels))
+        self.gauges
+            .get(family)
+            .and_then(|m| m.get(labels))
+            .map(|&i| &self.gauge_store[i as usize])
     }
 
     /// All `(labels, gauge)` entries of a family, in label order.
     pub fn gauges_of(&self, family: &str) -> impl Iterator<Item = (&Labels, &WindowedGauge)> {
-        self.gauges.get(family).into_iter().flat_map(|m| m.iter())
+        entries_of(&self.gauges, &self.gauge_store, family)
     }
 
     /// Names of all labeled counter families, in sorted order.
@@ -542,29 +656,29 @@ impl MetricsRegistry {
         let mut out = String::new();
         for (family, entries) in &self.labeled_counters {
             let _ = writeln!(out, "# TYPE {family} counter");
-            for (labels, c) in entries {
+            for (labels, c) in stored(entries, &self.counter_store) {
                 let _ = writeln!(out, "{family}{} {}", labels.render(), c.get());
             }
         }
-        for (name, c) in &self.counters {
+        for (name, c) in stored(&self.counters, &self.counter_store) {
             let family = sanitize_name(name);
             let _ = writeln!(out, "# TYPE {family} counter");
             let _ = writeln!(out, "{family} {}", c.get());
         }
         for (family, entries) in &self.labeled_histograms {
             let _ = writeln!(out, "# TYPE {family} summary");
-            for (labels, h) in entries {
+            for (labels, h) in stored(entries, &self.histogram_store) {
                 expose_histogram(&mut out, family, labels, h);
             }
         }
-        for (name, h) in &self.histograms {
+        for (name, h) in stored(&self.histograms, &self.histogram_store) {
             let family = sanitize_name(name);
             let _ = writeln!(out, "# TYPE {family} summary");
             expose_histogram(&mut out, &family, &Labels::empty(), h);
         }
         for (family, entries) in &self.gauges {
             let _ = writeln!(out, "# TYPE {family} gauge");
-            for (labels, g) in entries {
+            for (labels, g) in stored(entries, &self.gauge_store) {
                 if let Some(v) = g.latest() {
                     let _ = writeln!(out, "{family}{} {v}", labels.render());
                 }
@@ -581,25 +695,25 @@ impl MetricsRegistry {
     pub fn snapshot_json(&self) -> String {
         let mut out = String::from("{");
         let _ = write!(out, "\"counters\":{{");
-        push_entries(&mut out, self.counters.iter(), |out, (name, c)| {
+        push_entries(&mut out, stored(&self.counters, &self.counter_store), |out, (name, c)| {
             let _ = write!(out, "\"{}\":{}", json_escape(name), c.get());
         });
         let _ = write!(out, "}},\"labeled_counters\":{{");
         push_entries(&mut out, self.labeled_counters.iter(), |out, (family, m)| {
             let _ = write!(out, "\"{}\":[", json_escape(family));
-            push_entries(out, m.iter(), |out, (labels, c)| {
+            push_entries(out, stored(m, &self.counter_store), |out, (labels, c)| {
                 let _ = write!(out, "{{\"labels\":{},\"value\":{}}}", labels_json(labels), c.get());
             });
             let _ = write!(out, "]");
         });
         let _ = write!(out, "}},\"histograms\":{{");
-        push_entries(&mut out, self.histograms.iter(), |out, (name, h)| {
+        push_entries(&mut out, stored(&self.histograms, &self.histogram_store), |out, (name, h)| {
             let _ = write!(out, "\"{}\":{}", json_escape(name), histogram_json(h));
         });
         let _ = write!(out, "}},\"labeled_histograms\":{{");
         push_entries(&mut out, self.labeled_histograms.iter(), |out, (family, m)| {
             let _ = write!(out, "\"{}\":[", json_escape(family));
-            push_entries(out, m.iter(), |out, (labels, h)| {
+            push_entries(out, stored(m, &self.histogram_store), |out, (labels, h)| {
                 let _ = write!(
                     out,
                     "{{\"labels\":{},\"stats\":{}}}",
@@ -612,7 +726,7 @@ impl MetricsRegistry {
         let _ = write!(out, "}},\"gauges\":{{");
         push_entries(&mut out, self.gauges.iter(), |out, (family, m)| {
             let _ = write!(out, "\"{}\":[", json_escape(family));
-            push_entries(out, m.iter(), |out, (labels, g)| {
+            push_entries(out, stored(m, &self.gauge_store), |out, (labels, g)| {
                 let _ = write!(
                     out,
                     "{{\"labels\":{},\"window_ms\":{},\"buckets\":[",
@@ -636,7 +750,7 @@ impl MetricsRegistry {
             let _ = write!(out, "]");
         });
         let _ = write!(out, "}},\"series\":{{");
-        push_entries(&mut out, self.series.iter(), |out, (name, s)| {
+        push_entries(&mut out, stored(&self.series, &self.series_store), |out, (name, s)| {
             let _ = write!(
                 out,
                 "\"{}\":{{\"points\":{},\"mean\":{},\"max\":{},\"last\":{}}}",
@@ -726,23 +840,62 @@ impl MetricsRegistry {
     }
 }
 
-/// The instrument under `key`, created by `new` when absent. Looks up by
-/// reference first, so the key is cloned only the first time it is seen:
-/// recording into an existing instrument allocates nothing, which is what
-/// lets callers that intern their names and [`Labels`] record for free.
-fn get_or_insert_with<'a, K, Q, V>(
-    map: &'a mut BTreeMap<K, V>,
+/// Position in `store` of the instrument `key` names, appended by `new`
+/// when the key is new. One search for a known key, and the key is cloned
+/// only when it is not known, so recording under an interned name or
+/// [`Labels`] allocates nothing.
+fn resolve<K, Q, V>(
+    index: &mut BTreeMap<K, u32>,
+    store: &mut Vec<V>,
     key: &Q,
     new: impl FnOnce() -> V,
-) -> &'a mut V
+) -> u32
 where
     K: Ord + Borrow<Q>,
     Q: Ord + ToOwned<Owned = K> + ?Sized,
 {
-    if !map.contains_key(key) {
-        map.insert(key.to_owned(), new());
+    if let Some(&i) = index.get(key) {
+        return i;
     }
-    map.get_mut(key).expect("present: inserted above when absent")
+    let i = u32::try_from(store.len()).expect("fewer than 2^32 instruments of a kind");
+    store.push(new());
+    index.insert(key.to_owned(), i);
+    i
+}
+
+/// [`resolve`] under `family` then `labels`: one search per level for a
+/// known instrument.
+fn resolve_labeled<V>(
+    families: &mut FamilyIndex,
+    store: &mut Vec<V>,
+    family: &str,
+    labels: &Labels,
+    new: impl FnOnce() -> V,
+) -> u32 {
+    if let Some(&i) = families.get(family).and_then(|m| m.get(labels)) {
+        return i;
+    }
+    resolve(families.entry(family.to_owned()).or_default(), store, labels, new)
+}
+
+/// The instruments `index` points at, in key order.
+fn stored<'a, K, V>(
+    index: &'a BTreeMap<K, u32>,
+    store: &'a [V],
+) -> impl Iterator<Item = (&'a K, &'a V)> {
+    index.iter().map(move |(k, &i)| (k, &store[i as usize]))
+}
+
+/// The `(labels, instrument)` entries of `family`, in label order.
+fn entries_of<'a, V>(
+    families: &'a FamilyIndex,
+    store: &'a [V],
+    family: &str,
+) -> impl Iterator<Item = (&'a Labels, &'a V)> {
+    families
+        .get(family)
+        .into_iter()
+        .flat_map(move |m| stored(m, store))
 }
 
 /// `true` when `name` follows the labeled-family naming scheme.
@@ -1083,6 +1236,179 @@ mod tests {
              # TYPE glare_inbox_occupancy gauge\n\
              glare_inbox_occupancy{site=\"site0\"} 3\n"
         );
+    }
+
+    /// A random interleaving of by-name and by-handle records over flat
+    /// counters, labeled counters and gauges leaves exactly what the same
+    /// records made by name alone leave.
+    #[test]
+    fn records_by_handle_equal_records_by_name() {
+        use crate::rng::SimRng;
+        let window = SimDuration::from_secs(60);
+        let names = ["net.msgs_sent", "glare.requests", "site3.cache.hits", "a"];
+        let families = ["glare_cache_hits_total", "glare_requests_total"];
+        let gauge_families = ["glare_inbox_occupancy", "glare_cache_hit_ratio"];
+        let sets: Vec<Labels> = (0..5)
+            .map(|i| Labels::of(&[("site", &format!("site{i}")), ("peer_group", "g1")]))
+            .collect();
+        for seed in 0..20u64 {
+            let mut rng = SimRng::from_seed(seed);
+            let (mut by_name, mut mixed) = (MetricsRegistry::new(), MetricsRegistry::new());
+            // The handles the mixed registry's recorder holds: one slot
+            // per instrument, filled by its first by-handle record.
+            let mut flat = [None; 4];
+            let mut labeled = [[None; 5]; 2];
+            let mut gauges = [[None; 5]; 2];
+            for step in 0..400u64 {
+                let (n, by_handle) = (rng.range(1, 9), rng.chance(0.6));
+                match rng.index(3) {
+                    0 => {
+                        let i = rng.index(names.len());
+                        by_name.counter(names[i]).add(n);
+                        if by_handle {
+                            let id = *flat[i].get_or_insert_with(|| mixed.counter_id(names[i]));
+                            mixed.counter_at(id).add(n);
+                        } else {
+                            mixed.counter(names[i]).add(n);
+                        }
+                    }
+                    1 => {
+                        let (f, l) = (rng.index(families.len()), rng.index(sets.len()));
+                        by_name.counter_labeled(families[f], &sets[l]).add(n);
+                        if by_handle {
+                            let id = *labeled[f][l].get_or_insert_with(|| {
+                                mixed.counter_labeled_id(families[f], &sets[l])
+                            });
+                            mixed.counter_at(id).add(n);
+                        } else {
+                            mixed.counter_labeled(families[f], &sets[l]).add(n);
+                        }
+                    }
+                    _ => {
+                        let (f, l) = (rng.index(gauge_families.len()), rng.index(sets.len()));
+                        let now = SimTime::from_secs(step);
+                        by_name
+                            .gauge(gauge_families[f], &sets[l], window)
+                            .set(now, n as f64);
+                        if by_handle {
+                            let id = *gauges[f][l].get_or_insert_with(|| {
+                                mixed.gauge_id(gauge_families[f], &sets[l], window)
+                            });
+                            mixed.gauge_at(id).set(now, n as f64);
+                        } else {
+                            mixed
+                                .gauge(gauge_families[f], &sets[l], window)
+                                .set(now, n as f64);
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                mixed.snapshot_json(),
+                by_name.snapshot_json(),
+                "seed {seed}"
+            );
+            assert_eq!(
+                mixed.expose_prometheus(),
+                by_name.expose_prometheus(),
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// Handles are positions in append-only storage: one taken early
+    /// addresses its instrument after a thousand later creations, in its
+    /// own family and in others, and in a clone of the registry.
+    #[test]
+    fn handles_survive_later_creations_and_cloning() {
+        let window = SimDuration::from_secs(60);
+        let site = |i: u32| Labels::of(&[("site", &format!("site{i}"))]);
+        let mut m = MetricsRegistry::new();
+        let flat = m.counter_id("m.first");
+        let labeled = m.counter_labeled_id("glare_requests_total", &site(500));
+        let gauge = m.gauge_id("glare_inbox_occupancy", &site(500), window);
+        for i in 0..1000 {
+            // Keys sorting before and after the early ones, same family
+            // and others, every kind.
+            m.counter(&format!("a.{i}")).inc();
+            m.counter(&format!("z.{i}")).inc();
+            m.counter_labeled("glare_requests_total", &site(i)).inc();
+            m.counter_labeled("glare_a_total", &site(i)).inc();
+            m.gauge("glare_inbox_occupancy", &site(i), window)
+                .set(SimTime::ZERO, 1.0);
+            m.gauge("glare_z_ratio", &site(i), window)
+                .set(SimTime::ZERO, 1.0);
+            m.histogram(&format!("h.{i}"))
+                .record(SimDuration::from_millis(1));
+        }
+        m.counter_at(flat).add(7);
+        m.counter_at(labeled).add(7);
+        m.gauge_at(gauge).set(SimTime::from_secs(1), 7.0);
+        assert_eq!(m.counter_value("m.first"), 7);
+        // site(500) was also counted once by name inside the loop.
+        assert_eq!(
+            m.counter_labeled_value("glare_requests_total", &site(500)),
+            8
+        );
+        let latest = |m: &MetricsRegistry| {
+            m.gauge_ref("glare_inbox_occupancy", &site(500))
+                .unwrap()
+                .latest()
+        };
+        assert_eq!(latest(&m), Some(7.0));
+        // Resolving again finds the same handle.
+        assert_eq!(m.counter_id("m.first"), flat);
+        assert_eq!(
+            m.counter_labeled_id("glare_requests_total", &site(500)),
+            labeled
+        );
+        assert_eq!(
+            m.gauge_id("glare_inbox_occupancy", &site(500), window),
+            gauge
+        );
+
+        let mut copy = m.clone();
+        copy.counter_at(flat).inc();
+        copy.counter_at(labeled).inc();
+        copy.gauge_at(gauge).set(SimTime::from_secs(2), 9.0);
+        assert_eq!(copy.counter_value("m.first"), 8);
+        assert_eq!(
+            copy.counter_labeled_value("glare_requests_total", &site(500)),
+            9
+        );
+        assert_eq!(latest(&copy), Some(9.0));
+        assert_eq!(
+            (m.counter_value("m.first"), latest(&m)),
+            (7, Some(7.0)),
+            "the original is untouched"
+        );
+    }
+
+    /// Resolving is the only way an instrument appears. A recorder that
+    /// holds a name, a label set and an empty handle slot but never
+    /// records leaves nothing to expose, and reading creates nothing; the
+    /// first resolve is when the line appears, at zero.
+    #[test]
+    fn an_unresolved_key_leaves_exposition_empty() {
+        let mut m = MetricsRegistry::new();
+        let (name, labels) = ("site3.cache.misses", Labels::of(&[("site", "site3")]));
+        let mut slot: Option<CounterId> = None;
+        assert_eq!(m.counter_value(name), 0);
+        assert_eq!(
+            m.counter_labeled_value("glare_cache_misses_total", &labels),
+            0
+        );
+        assert!(m.gauge_ref("glare_cache_hit_ratio", &labels).is_none());
+        assert_eq!(m.expose_prometheus(), "");
+        assert_eq!(m.snapshot_json(), MetricsRegistry::new().snapshot_json());
+
+        let id = *slot.get_or_insert_with(|| m.counter_id(name));
+        assert_eq!(
+            m.expose_prometheus(),
+            "# TYPE site3_cache_misses counter\nsite3_cache_misses 0\n"
+        );
+        m.counter_at(id).inc();
+        assert_eq!(m.counter_value(name), 1);
     }
 
     #[test]

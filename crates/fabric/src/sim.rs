@@ -15,7 +15,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::events::EventLog;
-use crate::metrics::{Labels, MetricsRegistry, DEFAULT_GAUGE_WINDOW};
+use crate::metrics::{CounterId, GaugeId, Labels, MetricsRegistry, DEFAULT_GAUGE_WINDOW};
 use crate::queue::{EventKey, EventPool, EventQueue, SchedulerKind};
 use crate::rng::SimRng;
 use crate::site::{SiteRuntime, WorkTicket, LOAD_SAMPLE_INTERVAL};
@@ -137,7 +137,7 @@ enum EventKind {
     Timer {
         actor: ActorId,
         token: TimerToken,
-        tag: String,
+        tag: &'static str,
         tctx: Option<TraceContext>,
     },
     ComputeDone {
@@ -145,7 +145,7 @@ enum EventKind {
         site: SiteId,
         ticket: WorkTicket,
         token: TimerToken,
-        tag: String,
+        tag: &'static str,
         tctx: Option<TraceContext>,
     },
     SiteCrash(SiteId),
@@ -161,25 +161,59 @@ enum EventKind {
     Cancelled,
 }
 
-/// Interned per-site drop labels, built once at kernel construction.
-/// [`Kernel::count_drop`] passes them by reference and
-/// [`MetricsRegistry::counter_labeled`] clones its keys only when it first
-/// creates an instrument, so every drop after a site's first of a reason
-/// allocates nothing.
-struct DropLabels {
-    partition: Labels,
-    loss: Labels,
-    site_down: Labels,
+/// Why the kernel dropped a message.
+#[derive(Clone, Copy)]
+enum DropReason {
+    Partition,
+    Loss,
+    SiteDown,
 }
 
-impl DropLabels {
-    fn for_site(site: usize) -> DropLabels {
-        let site = format!("site{site}");
-        let of = |reason: &str| Labels::of(&[("reason", reason), ("site", &site)]);
-        DropLabels {
-            partition: of("partition"),
-            loss: of("loss"),
-            site_down: of("site_down"),
+impl DropReason {
+    /// The `reason` label value.
+    fn label(self) -> &'static str {
+        match self {
+            DropReason::Partition => "partition",
+            DropReason::Loss => "loss",
+            DropReason::SiteDown => "site_down",
+        }
+    }
+
+    /// The flat counter of all drops for this reason.
+    fn counter_name(self) -> &'static str {
+        match self {
+            DropReason::Partition => "net.msgs_dropped.partition",
+            DropReason::Loss => "net.msgs_dropped.loss",
+            DropReason::SiteDown => "net.msgs_dropped.site_down",
+        }
+    }
+}
+
+/// Handles of the instruments the kernel records into per message and per
+/// load sample. Each is resolved at its first record, so an instrument
+/// appears in exposition exactly when it first counts something, and from
+/// then on recording is an index, with no name or label search.
+struct KernelIds {
+    /// `net.msgs_sent`.
+    msgs_sent: Option<CounterId>,
+    /// `net.bytes_sent`.
+    bytes_sent: Option<CounterId>,
+    /// `net.msgs_dropped.{reason}`, by [`DropReason`].
+    dropped: [Option<CounterId>; 3],
+    /// `glare_net_dropped_total{reason, site}`, by site then [`DropReason`].
+    dropped_at: Vec<[Option<CounterId>; 3]>,
+    /// `glare_site_load1m{site}`, by site.
+    site_load: Vec<Option<GaugeId>>,
+}
+
+impl KernelIds {
+    fn for_sites(n: usize) -> KernelIds {
+        KernelIds {
+            msgs_sent: None,
+            bytes_sent: None,
+            dropped: [None; 3],
+            dropped_at: vec![[None; 3]; n],
+            site_load: vec![None; n],
         }
     }
 }
@@ -205,8 +239,8 @@ pub struct Kernel {
     /// are removed both at fire and at cancel, so the map tracks only
     /// pending timers.
     timer_slots: HashMap<u64, u32>,
-    /// Per-site interned drop labels (indexed by site).
-    drop_labels: Vec<DropLabels>,
+    /// Handles of the kernel's own hot instruments.
+    ids: KernelIds,
     /// High-water mark of concurrent pending events.
     peak_queue: usize,
     topology: Topology,
@@ -277,29 +311,38 @@ impl Kernel {
         a != b && self.partitions.contains(&Self::partition_key(a, b))
     }
 
-    /// Per-site labeled drop counter, alongside the flat reason counters,
-    /// so the health report can show which links degrade. Labels are
-    /// interned per site at construction and the registry looks them up by
-    /// reference: only the first drop of a `(site, reason)` allocates.
-    fn count_drop(&mut self, site: SiteId, reason: &str) {
-        let dl = &self.drop_labels[site.index()];
-        let labels = match reason {
-            "partition" => &dl.partition,
-            "loss" => &dl.loss,
-            _ => &dl.site_down,
-        };
-        self.metrics
-            .counter_labeled("glare_net_dropped_total", labels)
-            .inc();
+    /// Count one dropped message: the flat per-reason counter and the
+    /// per-site labeled one, so the health report can show which links
+    /// degrade. Only the first drop of a `(site, reason)` builds its label
+    /// set and searches the registry.
+    fn count_drop(&mut self, site: SiteId, reason: DropReason) {
+        let metrics = &mut self.metrics;
+        let flat = *self.ids.dropped[reason as usize]
+            .get_or_insert_with(|| metrics.counter_id(reason.counter_name()));
+        metrics.counter_at(flat).inc();
+        let labeled =
+            *self.ids.dropped_at[site.index()][reason as usize].get_or_insert_with(|| {
+                let labels = Labels::of(&[("reason", reason.label()), ("site", &site.to_string())]);
+                metrics.counter_labeled_id("glare_net_dropped_total", &labels)
+            });
+        metrics.counter_at(labeled).inc();
     }
 
     fn send_from(&mut self, from: ActorId, from_site: SiteId, to: ActorId, msg: Msg, bytes: u64) {
         let to_site = self.actor_sites[to.index()];
-        self.metrics.counter("net.msgs_sent").inc();
-        self.metrics.counter("net.bytes_sent").add(bytes);
+        let metrics = &mut self.metrics;
+        let sent = *self
+            .ids
+            .msgs_sent
+            .get_or_insert_with(|| metrics.counter_id("net.msgs_sent"));
+        metrics.counter_at(sent).inc();
+        let sent_bytes = *self
+            .ids
+            .bytes_sent
+            .get_or_insert_with(|| metrics.counter_id("net.bytes_sent"));
+        metrics.counter_at(sent_bytes).add(bytes);
         if self.is_partitioned(from_site, to_site) {
-            self.metrics.counter("net.msgs_dropped.partition").inc();
-            self.count_drop(from_site, "partition");
+            self.count_drop(from_site, DropReason::Partition);
             return;
         }
         let drop_p = self
@@ -308,8 +351,7 @@ impl Kernel {
             .copied()
             .unwrap_or(self.net.drop_probability);
         if from_site != to_site && self.rng.chance(drop_p) {
-            self.metrics.counter("net.msgs_dropped.loss").inc();
-            self.count_drop(from_site, "loss");
+            self.count_drop(from_site, DropReason::Loss);
             return;
         }
         let link = self.topology.link(from_site, to_site);
@@ -381,7 +423,7 @@ impl<'a> Ctx<'a> {
     ///
     /// The ambient trace context (if any) is captured and restored when
     /// the timer fires, so causality survives self-scheduled delays.
-    pub fn timer_after(&mut self, after: SimDuration, tag: &str) -> TimerToken {
+    pub fn timer_after(&mut self, after: SimDuration, tag: &'static str) -> TimerToken {
         let token = TimerToken(self.kernel.next_token);
         self.kernel.next_token += 1;
         let at = self.kernel.now + after;
@@ -392,7 +434,7 @@ impl<'a> Ctx<'a> {
             EventKind::Timer {
                 actor,
                 token,
-                tag: tag.to_owned(),
+                tag,
                 tctx,
             },
         );
@@ -403,7 +445,7 @@ impl<'a> Ctx<'a> {
     /// Cancel a pending timer (no-op if already fired).
     ///
     /// Cancellation tombstones the timer's pool slot in place: the slot's
-    /// payload (tag string, trace context) is dropped immediately, the key
+    /// payload (tag, trace context) is dropped immediately, the key
     /// still pops at its due time (counting as a processed event, exactly
     /// as before), and the slot is reclaimed at that pop — so repeated
     /// arm/cancel cycles hold zero residual state.
@@ -416,7 +458,7 @@ impl<'a> Ctx<'a> {
     /// Submit CPU-bound work costing `cost` reference-CPU time on the
     /// actor's own site. Completion arrives via [`Actor::on_compute_done`].
     /// Returns `None` when the site is down.
-    pub fn compute(&mut self, cost: SimDuration, tag: &str) -> Option<TimerToken> {
+    pub fn compute(&mut self, cost: SimDuration, tag: &'static str) -> Option<TimerToken> {
         let site = self.self_site;
         let now = self.kernel.now;
         let ticket = self.kernel.sites[site.index()].submit(now, cost)?;
@@ -462,7 +504,7 @@ impl<'a> Ctx<'a> {
                 site,
                 ticket,
                 token,
-                tag: tag.to_owned(),
+                tag,
                 tctx,
             },
         );
@@ -721,7 +763,7 @@ impl Simulation {
             .site_ids()
             .map(|s| SiteRuntime::new(topology.site(s)))
             .collect();
-        let drop_labels = (0..sites.len()).map(DropLabels::for_site).collect();
+        let ids = KernelIds::for_sites(sites.len());
         // Pre-size for a handful of in-flight events per site; both the
         // pool and the queue grow transparently past this.
         let expected = (sites.len() * 4).max(256);
@@ -732,7 +774,7 @@ impl Simulation {
                 queue: EventQueue::new(scheduler, expected),
                 pool: EventPool::with_capacity(expected),
                 timer_slots: HashMap::new(),
-                drop_labels,
+                ids,
                 peak_queue: 0,
                 topology,
                 sites,
@@ -1140,8 +1182,7 @@ impl Simulation {
             } => {
                 let site = self.kernel.actor_sites[to.index()];
                 if !self.kernel.sites[site.index()].is_up() {
-                    self.kernel.metrics.counter("net.msgs_dropped.site_down").inc();
-                    self.kernel.count_drop(site, "site_down");
+                    self.kernel.count_drop(site, DropReason::SiteDown);
                     return true;
                 }
                 self.kernel.set_ambient(tctx);
@@ -1173,7 +1214,7 @@ impl Simulation {
                     return true;
                 }
                 self.kernel.set_ambient(tctx);
-                self.with_actor(actor, |a, ctx| a.on_timer(ctx, token, &tag));
+                self.with_actor(actor, |a, ctx| a.on_timer(ctx, token, tag));
             }
             EventKind::ComputeDone {
                 actor,
@@ -1187,7 +1228,7 @@ impl Simulation {
                     return true; // site crashed since submission
                 }
                 self.kernel.set_ambient(tctx);
-                self.with_actor(actor, |a, ctx| a.on_compute_done(ctx, token, &tag));
+                self.with_actor(actor, |a, ctx| a.on_compute_done(ctx, token, tag));
             }
             EventKind::SiteCrash(site) => {
                 let now = self.kernel.now;
@@ -1255,18 +1296,18 @@ impl Simulation {
             }
             EventKind::SampleLoads { until } => {
                 let now = self.kernel.now;
+                let metrics = &mut self.kernel.metrics;
                 for (i, site) in self.kernel.sites.iter_mut().enumerate() {
                     site.sample_load();
                     let load = site.load_average_1m();
-                    self.kernel
-                        .metrics
+                    metrics
                         .time_series(&format!("site{i}.load1m"))
                         .push(now, load);
-                    let labels = Labels::of(&[("site", &format!("site{i}"))]);
-                    self.kernel
-                        .metrics
-                        .gauge("glare_site_load1m", &labels, DEFAULT_GAUGE_WINDOW)
-                        .set(now, load);
+                    let gauge = *self.kernel.ids.site_load[i].get_or_insert_with(|| {
+                        let labels = Labels::of(&[("site", &format!("site{i}"))]);
+                        metrics.gauge_id("glare_site_load1m", &labels, DEFAULT_GAUGE_WINDOW)
+                    });
+                    metrics.gauge_at(gauge).set(now, load);
                 }
                 if now + LOAD_SAMPLE_INTERVAL <= until {
                     self.kernel
@@ -1372,6 +1413,30 @@ mod tests {
             sim.now()
         );
         assert_eq!(sim.metrics().counter_value("net.msgs_sent"), 10);
+    }
+
+    /// The kernel holds a handle slot for every instrument it records
+    /// into, per site where labeled; an instrument still appears with its
+    /// first record and not before, and only for the site and reason that
+    /// recorded.
+    #[test]
+    fn kernel_instruments_appear_with_their_first_record() {
+        let (mut sim, _a, _b) = two_site_sim();
+        assert_eq!(sim.metrics().expose_prometheus(), "", "nothing sent yet");
+        sim.set_partitioned(SiteId(0), SiteId(1), true);
+        sim.start();
+        sim.run_to_quiescence(1_000);
+        assert_eq!(
+            sim.metrics().expose_prometheus(),
+            "# TYPE glare_net_dropped_total counter\n\
+             glare_net_dropped_total{reason=\"partition\",site=\"site0\"} 1\n\
+             # TYPE net_bytes_sent counter\n\
+             net_bytes_sent 512\n\
+             # TYPE net_msgs_dropped_partition counter\n\
+             net_msgs_dropped_partition 1\n\
+             # TYPE net_msgs_sent counter\n\
+             net_msgs_sent 1\n"
+        );
     }
 
     #[test]

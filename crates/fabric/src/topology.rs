@@ -6,8 +6,7 @@
 //! match against. A [`Topology`] adds pairwise link characteristics used to
 //! price message and file-transfer latency.
 
-use std::collections::HashMap;
-
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::time::SimDuration;
 
@@ -161,6 +160,8 @@ impl Default for LinkSpec {
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
     sites: Vec<SiteSpec>,
+    /// Site names to ids, so that adding a site checks its name in O(1).
+    by_name: HashMap<String, SiteId>,
     default_link: Option<LinkSpec>,
     overrides: HashMap<(SiteId, SiteId), LinkSpec>,
 }
@@ -170,19 +171,22 @@ impl Topology {
     pub fn new() -> Self {
         Topology {
             sites: Vec::new(),
+            by_name: HashMap::new(),
             default_link: Some(LinkSpec::wan_default()),
             overrides: HashMap::new(),
         }
     }
 
     /// Add a site, returning its id.
+    ///
+    /// # Panics
+    /// Panics if a site of the same name was already added.
     pub fn add_site(&mut self, spec: SiteSpec) -> SiteId {
-        assert!(
-            !self.sites.iter().any(|s| s.name == spec.name),
-            "duplicate site name {:?}",
-            spec.name
-        );
         let id = SiteId(self.sites.len() as u32);
+        match self.by_name.entry(spec.name.clone()) {
+            Entry::Occupied(_) => panic!("duplicate site name {:?}", spec.name),
+            Entry::Vacant(slot) => slot.insert(id),
+        };
         self.sites.push(spec);
         id
     }
@@ -226,10 +230,7 @@ impl Topology {
 
     /// Find a site by name.
     pub fn site_by_name(&self, name: &str) -> Option<SiteId> {
-        self.sites
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| SiteId(i as u32))
+        self.by_name.get(name).copied()
     }
 
     /// Override the link between a pair of sites (applies symmetrically).
@@ -291,6 +292,18 @@ mod tests {
         let mut t = Topology::new();
         t.add_site(SiteSpec::reference("x"));
         t.add_site(SiteSpec::reference("x"));
+    }
+
+    /// 10 000 sites: the name check in `add_site` is a map lookup, not a
+    /// scan of the sites so far.
+    #[test]
+    fn uniform_10k_builds_and_finds_sites_by_name() {
+        let t = Topology::uniform(10_000);
+        assert_eq!(t.len(), 10_000);
+        assert_eq!(
+            t.site_by_name("site9999.agrid.example"),
+            Some(SiteId(9_999))
+        );
     }
 
     #[test]

@@ -239,7 +239,7 @@ impl AdmissionController {
                 retry_after: self.retry_after(occupancy, limit),
             };
         }
-        match self.leases.acquire(
+        match self.leases.grant(
             INBOX_KEY,
             class.label(),
             LeaseKind::Shared,
@@ -247,9 +247,10 @@ impl AdmissionController {
             now + self.cfg.ticket_ttl,
         ) {
             Ok(ticket) => {
+                let ticket = ticket.id;
                 self.stats.admitted[class.index()] += 1;
                 self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupancy + 1);
-                AdmissionDecision::Admit { ticket: ticket.id }
+                AdmissionDecision::Admit { ticket }
             }
             Err(_) => {
                 // The hard lease cap closed the door between the threshold

@@ -94,35 +94,52 @@ impl LeaseManager {
         from: SimTime,
         until: SimTime,
     ) -> Result<LeaseTicket, GlareError> {
+        self.grant(deployment, client, kind, from, until).cloned()
+    }
+
+    /// [`LeaseManager::acquire`], lending the granted ticket instead of
+    /// copying it out: what a caller that keeps only the id wants (the
+    /// admission controller grants one per request).
+    pub fn grant(
+        &mut self,
+        deployment: &str,
+        client: &str,
+        kind: LeaseKind,
+        from: SimTime,
+        until: SimTime,
+    ) -> Result<&LeaseTicket, GlareError> {
         if from >= until {
             return Err(GlareError::LeaseDenied {
                 deployment: deployment.to_owned(),
                 reason: "empty timeframe".into(),
             });
         }
-        let overlapping: Vec<&LeaseTicket> = self
-            .leases
-            .iter()
-            .filter(|l| l.deployment == deployment && l.overlaps(from, until))
-            .collect();
+        let mut overlapping = 0usize;
+        let mut exclusive = false;
+        for l in &self.leases {
+            if l.deployment == deployment && l.overlaps(from, until) {
+                overlapping += 1;
+                exclusive |= l.kind == LeaseKind::Exclusive;
+            }
+        }
         // Any exclusive overlap blocks everything, and an exclusive
         // request is blocked by any overlap.
-        if overlapping.iter().any(|l| l.kind == LeaseKind::Exclusive) {
+        if exclusive {
             return Err(GlareError::LeaseDenied {
                 deployment: deployment.to_owned(),
                 reason: "overlaps an exclusive lease".into(),
             });
         }
         match kind {
-            LeaseKind::Exclusive if !overlapping.is_empty() => {
+            LeaseKind::Exclusive if overlapping > 0 => {
                 return Err(GlareError::LeaseDenied {
                     deployment: deployment.to_owned(),
-                    reason: format!("{} shared lease(s) already granted", overlapping.len()),
+                    reason: format!("{overlapping} shared lease(s) already granted"),
                 });
             }
             LeaseKind::Shared => {
                 let cap = self.capacity(deployment);
-                if overlapping.len() as u32 >= cap {
+                if overlapping as u32 >= cap {
                     return Err(GlareError::LeaseDenied {
                         deployment: deployment.to_owned(),
                         reason: format!("shared capacity {cap} exhausted"),
@@ -131,17 +148,16 @@ impl LeaseManager {
             }
             LeaseKind::Exclusive => {}
         }
-        let ticket = LeaseTicket {
+        self.leases.push(LeaseTicket {
             id: self.next_id,
             deployment: deployment.to_owned(),
             client: client.to_owned(),
             kind,
             from,
             until,
-        };
+        });
         self.next_id += 1;
-        self.leases.push(ticket.clone());
-        Ok(ticket)
+        Ok(self.leases.last().expect("pushed above"))
     }
 
     /// Whether `client` holds a valid ticket for `deployment` at `at`
@@ -287,6 +303,44 @@ mod tests {
         m.acquire("d", "a", LeaseKind::Shared, t(0), t(10)).unwrap();
         assert!(m.acquire("d", "b", LeaseKind::Exclusive, t(5), t(15)).is_err());
         assert!(m.acquire("d", "b", LeaseKind::Exclusive, t(10), t(15)).is_ok());
+    }
+
+    /// `grant` lends the stored ticket `acquire` would have copied out,
+    /// and refuses with the same reasons.
+    #[test]
+    fn grant_lends_what_acquire_copies() {
+        let mut m = LeaseManager::new();
+        m.set_capacity("d", 2);
+        let copied = m.acquire("d", "a", LeaseKind::Shared, t(0), t(10)).unwrap();
+        let lent = m
+            .grant("d", "b", LeaseKind::Shared, t(0), t(10))
+            .unwrap()
+            .clone();
+        assert_eq!((copied.id, lent.id), (0, 1));
+        assert_eq!(m.tickets(), [copied, lent]);
+        let reason = |r: Result<&LeaseTicket, GlareError>| match r {
+            Err(GlareError::LeaseDenied { reason, .. }) => reason,
+            other => panic!("expected a denial, got {other:?}"),
+        };
+        assert_eq!(
+            reason(m.grant("d", "c", LeaseKind::Shared, t(5), t(6))),
+            "shared capacity 2 exhausted"
+        );
+        assert_eq!(
+            reason(m.grant("d", "c", LeaseKind::Exclusive, t(5), t(6))),
+            "2 shared lease(s) already granted"
+        );
+        m.grant("d", "c", LeaseKind::Exclusive, t(10), t(20))
+            .unwrap();
+        assert_eq!(
+            reason(m.grant("d", "e", LeaseKind::Shared, t(15), t(16))),
+            "overlaps an exclusive lease"
+        );
+        assert_eq!(
+            reason(m.grant("d", "e", LeaseKind::Shared, t(3), t(3))),
+            "empty timeframe"
+        );
+        assert_eq!(m.len(), 3);
     }
 
     #[test]

@@ -34,8 +34,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use glare_fabric::{
-    Actor, ActorId, Ctx, Envelope, Labels, SimDuration, SimTime, SiteId, SpanHandle, SpanKind,
-    TenantLabels, TimerToken, DEFAULT_GAUGE_WINDOW,
+    Actor, ActorId, CounterId, Ctx, Envelope, GaugeId, Labels, MetricsRegistry, SimDuration,
+    SimTime, SiteId, SpanHandle, SpanKind, TenantLabels, TimerToken, DEFAULT_GAUGE_WINDOW,
 };
 use glare_services::mds::REQUEST_BASE_COST;
 use glare_services::Transport;
@@ -445,25 +445,84 @@ enum Deferred {
 /// node that never records holds none; one with the cache or admission off
 /// never builds that part), from the strings the call sites used to format
 /// per record, so exposition is unchanged.
+///
+/// The instruments a request records into keep their registry handle
+/// beside the name: filled by the first record (never earlier, or the
+/// instrument would appear before it counted anything), used by every
+/// later one in place of the name search.
 struct NodeLabels {
     /// `{site="site{N}"}`.
     site: Labels,
+    /// `glare_cache_hit_ratio{site}`.
+    hit_ratio: Option<GaugeId>,
+    /// `glare_inbox_occupancy{site}`.
+    inbox_occupancy: Option<GaugeId>,
     /// Names of the cache tallies.
     cache: Option<Box<CacheLabels>>,
     /// `{class, site}` sets of the admission families.
-    tenant: Option<Box<TenantLabels>>,
+    tenant: Option<Box<AdmissionLabels>>,
 }
 
-/// The names one node's cache tallies are recorded under.
+/// The `{class, site}` sets one node's admission decisions are counted
+/// under, with the handles of the two counters of each class once
+/// recorded, by [`TenantClass::index`].
+struct AdmissionLabels {
+    sets: TenantLabels,
+    /// `glare_admission_admitted_total{class, site}`.
+    admitted: [Option<CounterId>; 3],
+    /// `glare_admission_shed_total{class, site}`.
+    shed: [Option<CounterId>; 3],
+}
+
+/// The names one node's cache tallies are recorded under, each with the
+/// handle of its counter once recorded. Rebuilt as a whole, so a stale
+/// `{peer_group, site}` set takes its handles with it.
 struct CacheLabels {
     /// `site{N}.cache.hits`.
     hits: String,
+    hits_id: Option<CounterId>,
     /// `site{N}.cache.misses`.
     misses: String,
+    misses_id: Option<CounterId>,
     /// `{peer_group, site}` as of `peer_group_of`.
     peer_group: Labels,
+    /// `glare_cache_hits_total{peer_group, site}`.
+    group_hits_id: Option<CounterId>,
+    /// `glare_cache_misses_total{peer_group, site}`.
+    group_misses_id: Option<CounterId>,
     /// The super-peer these were built under.
     peer_group_of: Option<ActorId>,
+}
+
+impl CacheLabels {
+    /// Add `hits` and `misses` (whichever is nonzero) to the flat and the
+    /// per-group tallies.
+    fn tally(&mut self, m: &mut MetricsRegistry, hits: u64, misses: u64) {
+        let group = &self.peer_group;
+        for (n, name, flat_id, family, group_id) in [
+            (
+                hits,
+                &self.hits,
+                &mut self.hits_id,
+                "glare_cache_hits_total",
+                &mut self.group_hits_id,
+            ),
+            (
+                misses,
+                &self.misses,
+                &mut self.misses_id,
+                "glare_cache_misses_total",
+                &mut self.group_misses_id,
+            ),
+        ] {
+            if n > 0 {
+                let flat = *flat_id.get_or_insert_with(|| m.counter_id(name));
+                m.counter_at(flat).add(n);
+                let labeled = *group_id.get_or_insert_with(|| m.counter_labeled_id(family, group));
+                m.counter_at(labeled).add(n);
+            }
+        }
+    }
 }
 
 impl NodeLabels {
@@ -474,6 +533,8 @@ impl NodeLabels {
         slot.get_or_insert_with(|| {
             Box::new(NodeLabels {
                 site: Labels::of(&[("site", &format!("site{}", site.0))]),
+                hit_ratio: None,
+                inbox_occupancy: None,
                 cache: None,
                 tenant: None,
             })
@@ -501,7 +562,7 @@ impl NodeLabels {
     /// tallies are attributed to the group at access time, which is what
     /// the paper's two-level cache question — "how effective is this
     /// super-peer's cache domain" — needs.
-    fn cache(&mut self, super_peer: Option<ActorId>) -> &CacheLabels {
+    fn cache(&mut self, super_peer: Option<ActorId>) -> &mut CacheLabels {
         if self.cache.as_ref().is_none_or(|c| c.peer_group_of != super_peer) {
             let site = self.site_name();
             let group = match super_peer {
@@ -510,21 +571,65 @@ impl NodeLabels {
             };
             self.cache = Some(Box::new(CacheLabels {
                 hits: format!("{site}.cache.hits"),
+                hits_id: None,
                 misses: format!("{site}.cache.misses"),
+                misses_id: None,
                 peer_group: self.site_and("peer_group", &group),
+                group_hits_id: None,
+                group_misses_id: None,
                 peer_group_of: super_peer,
             }));
         }
-        self.cache.as_deref().expect("built above when absent")
+        self.cache.as_deref_mut().expect("built above when absent")
     }
 
-    /// The `{class, site}` set of `class` for the admission families;
-    /// `site_name` is the node's configured name, which those families
-    /// have always carried.
-    fn tenant(&mut self, site_name: &str, class: &str) -> &Labels {
-        self.tenant
-            .get_or_insert_with(|| Box::new(TenantLabels::for_site(site_name)))
-            .get(class)
+    /// Set `glare_cache_hit_ratio{site}`.
+    fn set_hit_ratio(&mut self, m: &mut MetricsRegistry, now: SimTime, ratio: f64) {
+        let id = *self.hit_ratio.get_or_insert_with(|| {
+            m.gauge_id("glare_cache_hit_ratio", &self.site, DEFAULT_GAUGE_WINDOW)
+        });
+        m.gauge_at(id).set(now, ratio);
+    }
+
+    /// Set `glare_inbox_occupancy{site}`.
+    fn set_inbox_occupancy(&mut self, m: &mut MetricsRegistry, now: SimTime, occupancy: u32) {
+        let id = *self.inbox_occupancy.get_or_insert_with(|| {
+            m.gauge_id("glare_inbox_occupancy", &self.site, DEFAULT_GAUGE_WINDOW)
+        });
+        m.gauge_at(id).set(now, f64::from(occupancy));
+    }
+
+    /// The admission families' `{class, site}` sets and handles, built now
+    /// if this is the node's first admission decision; `site_name` is the
+    /// node's configured name, which those families have always carried.
+    fn admission(&mut self, site_name: &str) -> &mut AdmissionLabels {
+        self.tenant.get_or_insert_with(|| {
+            Box::new(AdmissionLabels {
+                sets: TenantLabels::for_site(site_name),
+                admitted: [None; 3],
+                shed: [None; 3],
+            })
+        })
+    }
+
+    /// Count one `class` decision of the node configured as `site_name`
+    /// into `glare_admission_admitted_total` or `glare_admission_shed_total`.
+    fn count_admission(
+        &mut self,
+        m: &mut MetricsRegistry,
+        site_name: &str,
+        class: TenantClass,
+        admitted: bool,
+    ) {
+        let a = self.admission(site_name);
+        let (family, slots) = if admitted {
+            ("glare_admission_admitted_total", &mut a.admitted)
+        } else {
+            ("glare_admission_shed_total", &mut a.shed)
+        };
+        let id = *slots[class.index()]
+            .get_or_insert_with(|| m.counter_labeled_id(family, a.sets.get(class.label())));
+        m.counter_at(id).inc();
     }
 }
 
@@ -590,6 +695,10 @@ pub struct GlareNode {
     admission: AdmissionController,
     /// Interned metric names and label sets (`None` until first used).
     labels: Option<Box<NodeLabels>>,
+    /// Handle of `glare.requests`, from this node's first request on.
+    requests_id: Option<CounterId>,
+    /// Handle of `glare.cache_answers`, from its first cache answer on.
+    cache_answers_id: Option<CounterId>,
     /// Ticket of each admitted, still-unanswered client request, keyed by
     /// `(reply_to, req_id)`; released when the reply goes out.
     admitted: HashMap<(ActorId, u64), u64>,
@@ -649,6 +758,8 @@ impl GlareNode {
             hb: SuspicionTracker::new(cfg.suspicion),
             admission: AdmissionController::new(cfg.admission),
             labels: None,
+            requests_id: None,
+            cache_answers_id: None,
             admitted: HashMap::new(),
             sinks: Vec::new(),
             notify_seq: 0,
@@ -812,24 +923,16 @@ impl GlareNode {
         // With the cache off there is nothing to record below, and no name
         // is built.
         if h1 > h0 || m1 > m0 {
-            let names = NodeLabels::of(&mut self.labels, ctx.self_site).cache(self.super_peer);
-            let m = ctx.metrics();
-            if h1 > h0 {
-                m.counter(&names.hits).add(h1 - h0);
-                m.counter_labeled("glare_cache_hits_total", &names.peer_group)
-                    .add(h1 - h0);
-            }
-            if m1 > m0 {
-                m.counter(&names.misses).add(m1 - m0);
-                m.counter_labeled("glare_cache_misses_total", &names.peer_group)
-                    .add(m1 - m0);
-            }
+            NodeLabels::of(&mut self.labels, ctx.self_site)
+                .cache(self.super_peer)
+                .tally(ctx.metrics(), h1 - h0, m1 - m0);
         }
         if let Some(ratio) = self.cache.hit_ratio() {
-            let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
-            ctx.metrics()
-                .gauge("glare_cache_hit_ratio", &labels.site, DEFAULT_GAUGE_WINDOW)
-                .set(now, ratio);
+            NodeLabels::of(&mut self.labels, ctx.self_site).set_hit_ratio(
+                ctx.metrics(),
+                now,
+                ratio,
+            );
         }
         out
     }
@@ -1346,7 +1449,11 @@ impl GlareNode {
         // Cache fast path: answers without the registry resolution stage.
         let cached = self.resolve_cache_counted(ctx, &req.activity, now);
         if !cached.is_empty() {
-            ctx.metrics().counter("glare.cache_answers").inc();
+            let m = ctx.metrics();
+            let id = *self
+                .cache_answers_id
+                .get_or_insert_with(|| m.counter_id("glare.cache_answers"));
+            m.counter_at(id).inc();
             self.reply(ctx, req, cached, "cache");
             return;
         }
@@ -2048,24 +2155,20 @@ impl Actor for GlareNode {
                         AdmissionDecision::Admit { ticket } => {
                             self.admitted.insert((reply_to, req_id), ticket);
                             let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
-                            ctx.metrics()
-                                .counter_labeled(
-                                    "glare_admission_admitted_total",
-                                    labels.tenant(&self.cfg.site_name, class.label()),
-                                )
-                                .inc();
-                            ctx.metrics()
-                                .gauge("glare_inbox_occupancy", &labels.site, DEFAULT_GAUGE_WINDOW)
-                                .set(now, self.admission.occupancy(now) as f64);
+                            labels.count_admission(ctx.metrics(), &self.cfg.site_name, class, true);
+                            labels.set_inbox_occupancy(
+                                ctx.metrics(),
+                                now,
+                                self.admission.occupancy(now),
+                            );
                         }
                         AdmissionDecision::Shed { retry_after } => {
-                            let labels = NodeLabels::of(&mut self.labels, ctx.self_site);
-                            ctx.metrics()
-                                .counter_labeled(
-                                    "glare_admission_shed_total",
-                                    labels.tenant(&self.cfg.site_name, class.label()),
-                                )
-                                .inc();
+                            NodeLabels::of(&mut self.labels, ctx.self_site).count_admission(
+                                ctx.metrics(),
+                                &self.cfg.site_name,
+                                class,
+                                false,
+                            );
                             ctx.emit_event(
                                 "query.shed",
                                 "admission",
@@ -2091,7 +2194,11 @@ impl Actor for GlareNode {
                     }
                 }
                 // Charge the request's CPU cost; handle when it completes.
-                ctx.metrics().counter("glare.requests").inc();
+                let m = ctx.metrics();
+                let id = *self
+                    .requests_id
+                    .get_or_insert_with(|| m.counter_id("glare.requests"));
+                m.counter_at(id).inc();
                 // The query span covers arrival → reply; opened before the
                 // compute so the CPU stage chains under it.
                 let span = ctx.span("node.query", SpanKind::Internal);
@@ -2538,14 +2645,33 @@ mod tests {
             names.peer_group,
             Labels::of(&[("site", "site7"), ("peer_group", "ungrouped")])
         );
+        // A hit is tallied under the group of the moment: the handles a
+        // rebuilt set starts without are resolved again, by name, so the
+        // flat counter carries on and each group gets its own.
+        let mut m = MetricsRegistry::new();
         for sp in [ActorId(3), ActorId(3), ActorId(5)] {
+            let names = labels.cache(Some(sp));
             assert_eq!(
-                labels.cache(Some(sp)).peer_group,
+                names.peer_group,
                 Labels::of(&[("site", "site7"), ("peer_group", &format!("g{}", sp.0))])
             );
+            names.tally(&mut m, 1, 0);
+            assert!(names.group_hits_id.is_some() && names.misses_id.is_none());
         }
+        assert_eq!(m.counter_names().collect::<Vec<_>>(), ["site7.cache.hits"]);
+        assert_eq!(m.counter_value("site7.cache.hits"), 3);
+        let per_group: Vec<u64> = m
+            .labeled_counters_of("glare_cache_hits_total")
+            .map(|(_, n)| n)
+            .collect();
+        assert_eq!(per_group, [2, 1]);
         assert_eq!(
-            *labels.tenant("siteSeven", "gold"),
+            m.labeled_counter_families().count(),
+            1,
+            "no miss was tallied"
+        );
+        assert_eq!(
+            *labels.admission("siteSeven").sets.get("gold"),
             Labels::of(&[("class", "gold"), ("site", "siteSeven")])
         );
         // A second `of` finds what the first built.

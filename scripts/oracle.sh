@@ -9,7 +9,10 @@
 #
 # One sub-directory per harness (fig12 and fig13 both write
 # BENCH_overlay.json). The four reports that carry host timings keep only
-# their `deterministic` half.
+# their `deterministic` half. `perf/` holds one untraced round of each perf
+# ledger workload that runs the simulator or the Grid: its output digest,
+# attempted/failed counts and seed-determined `sim_*` values, host-time lines
+# dropped.
 set -euo pipefail
 out=$(mkdir -p "$1" && cd "$1" && pwd)
 cd "$(dirname "$0")/.."
@@ -27,6 +30,13 @@ harness fig12 --trace
 harness fig13
 for bin in healthreport chaos load scale grayfail autonomic; do
     harness "$bin" --smoke
+done
+
+mkdir -p "$out/perf"
+for workload in overlay_10k load_2x provision_storm; do
+    cargo run --release -q --manifest-path perf/Cargo.toml -- round \
+        --workload "$workload" --trace 0 --micro 0 --spawned-at 0 |
+        grep -E '^(digest|attempted|failed|value (sim_|ok_share))' >"$out/perf/$workload.txt"
 done
 
 python3 - "$out"/{load,scale,grayfail,autonomic}/BENCH_*.json <<'EOF'

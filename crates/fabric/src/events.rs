@@ -128,6 +128,22 @@ impl EventLog {
         component: &str,
         fields: &[(&str, &str)],
     ) -> u64 {
+        self.emit_with(now, kind, site, component, || {
+            fields.iter().map(|&(k, v)| (k, v.to_owned()))
+        })
+    }
+
+    /// [`EventLog::emit`] with the fields built by a closure that is called
+    /// only when the record is retained: a full log still advances the
+    /// sequence number and the dropped count, and formats nothing.
+    pub fn emit_with<K: Into<String>, I: IntoIterator<Item = (K, String)>>(
+        &mut self,
+        now: SimTime,
+        kind: &str,
+        site: Option<SiteId>,
+        component: &str,
+        fields: impl FnOnce() -> I,
+    ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.records.len() >= self.max_events {
@@ -140,10 +156,7 @@ impl EventLog {
             kind: kind.to_owned(),
             site,
             component: component.to_owned(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
+            fields: fields().into_iter().map(|(k, v)| (k.into(), v)).collect(),
         });
         seq
     }
@@ -241,6 +254,22 @@ mod tests {
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 3);
+    }
+
+    #[test]
+    fn emit_with_builds_fields_only_for_a_retained_record() {
+        let (mut lazy, mut eager) = (EventLog::new(2), EventLog::new(2));
+        let mut built = 0;
+        for i in 0..5u64 {
+            let seq = lazy.emit_with(SimTime::from_secs(i), "k", None, "c", || {
+                built += 1;
+                [("i", i.to_string())]
+            });
+            assert_eq!(seq, eager.emit(SimTime::from_secs(i), "k", None, "c", &[("i", &i.to_string())]));
+        }
+        assert_eq!(built, 2, "past the bound the closure is not called");
+        assert_eq!((lazy.len(), lazy.dropped()), (2, 3));
+        assert_eq!(lazy.to_jsonl(), eager.to_jsonl());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use metrics::{
 pub use queue::{CalendarQueue, EventKey, EventPool, EventQueue, SchedulerKind};
 pub use rng::SimRng;
 pub use sim::{Actor, ActorId, Ctx, Envelope, Msg, NetworkConfig, Simulation, TimerToken};
-pub use site::{SiteRuntime, WorkTicket};
+pub use site::{SiteRuntime, TicketEpoch, WorkTicket};
 pub use store::{JournalRecord, RecoveredState, SiteStore, Snapshot, StoreConfig, StoreStats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkSpec, Platform, SiteId, SiteSpec, Topology};

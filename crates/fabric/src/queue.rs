@@ -115,6 +115,13 @@ impl<T> EventPool<T> {
         value
     }
 
+    /// The payload a slot holds now, if any. A [`crate::sim::TimerToken`]
+    /// outlives its event, so its slot may be vacant, re-let, or past the
+    /// end of another simulation's pool.
+    pub fn get(&self, slot: u32) -> Option<&T> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
     /// Replace a live payload in place (tombstoning a cancelled timer drops
     /// its original payload immediately; the slot itself is reclaimed when
     /// the key pops).

@@ -18,7 +18,7 @@ use crate::events::EventLog;
 use crate::metrics::{CounterId, GaugeId, Labels, MetricsRegistry, DEFAULT_GAUGE_WINDOW};
 use crate::queue::{EventKey, EventPool, EventQueue, SchedulerKind};
 use crate::rng::SimRng;
-use crate::site::{SiteRuntime, WorkTicket, LOAD_SAMPLE_INTERVAL};
+use crate::site::{SiteRuntime, TicketEpoch, LOAD_SAMPLE_INTERVAL};
 use crate::store::{RecoveredState, SiteStore, StoreConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{SiteId, Topology};
@@ -71,9 +71,15 @@ impl Envelope {
     }
 }
 
-/// Handle to a pending timer, usable for cancellation.
+/// Handle to a pending timer or compute item, usable for cancellation.
+///
+/// It names the pool slot its event waits in; `gen`, the kernel's issue
+/// counter, tells the slot's tenants apart once the slot is reused.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TimerToken(u64);
+pub struct TimerToken {
+    gen: u64,
+    slot: u32,
+}
 
 /// Behaviour of a simulated component.
 ///
@@ -89,7 +95,8 @@ pub trait Actor {
     /// A timer armed with [`Ctx::timer_after`] fired.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken, _tag: &str) {}
 
-    /// A CPU work item submitted with [`Ctx::compute`] finished.
+    /// A CPU work item submitted with [`Ctx::compute`] or
+    /// [`Ctx::compute_then`] finished.
     fn on_compute_done(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken, _tag: &str) {}
 
     /// The actor's site just crashed (in-flight work and timers survive in
@@ -127,26 +134,30 @@ impl Default for NetworkConfig {
     }
 }
 
+/// What a pool slot holds. The slot's index is the other half of a
+/// timer's or compute item's [`TimerToken`], and the event's trace context
+/// lives beside the pool ([`TraceState::slot_ctx`]), so an untraced run
+/// carries none.
 enum EventKind {
     Deliver {
         to: ActorId,
         from: ActorId,
         msg: Msg,
-        tctx: Option<TraceContext>,
     },
     Timer {
         actor: ActorId,
-        token: TimerToken,
+        gen: u64,
         tag: &'static str,
-        tctx: Option<TraceContext>,
     },
     ComputeDone {
         actor: ActorId,
-        site: SiteId,
-        ticket: WorkTicket,
-        token: TimerToken,
+        /// Epoch of the actor's site at submission; a crash since voids
+        /// the completion, and `then` dies with it.
+        epoch: TicketEpoch,
+        gen: u64,
         tag: &'static str,
-        tctx: Option<TraceContext>,
+        /// Payload of [`Ctx::compute_then`].
+        then: Option<Msg>,
     },
     SiteCrash(SiteId),
     SiteRestart(SiteId),
@@ -224,6 +235,10 @@ impl KernelIds {
 struct TraceState {
     sink: TraceSink,
     stack: Vec<TraceContext>,
+    /// Context each pending event was scheduled under, by pool slot;
+    /// rewritten at every schedule, so a reused slot never shows its
+    /// previous tenant's.
+    slot_ctx: Vec<Option<TraceContext>>,
 }
 
 /// Kernel state shared with actors through [`Ctx`].
@@ -235,10 +250,11 @@ pub struct Kernel {
     /// equals `queue.len()` (asserted), so cancel-heavy workloads cannot
     /// grow it without bound.
     pool: EventPool<EventKind>,
-    /// Live timers: token → pool slot, for direct cancellation. Entries
-    /// are removed both at fire and at cancel, so the map tracks only
-    /// pending timers.
-    timer_slots: HashMap<u64, u32>,
+    /// Armed timers that have neither fired nor been cancelled.
+    live_timers: usize,
+    /// Payload of the compute completion being dispatched, until
+    /// [`Ctx::take_continuation`] or the end of the callback.
+    continuation: Option<Msg>,
     /// Handles of the kernel's own hot instruments.
     ids: KernelIds,
     /// High-water mark of concurrent pending events.
@@ -286,10 +302,16 @@ impl Kernel {
         }
     }
 
-    fn schedule(&mut self, at: SimTime, kind: EventKind) -> u32 {
+    fn schedule(&mut self, at: SimTime, kind: EventKind, tctx: Option<TraceContext>) -> u32 {
         let seq = self.seq;
         self.seq += 1;
         let slot = self.pool.insert(kind);
+        if let Some(ts) = &mut self.trace {
+            if ts.slot_ctx.len() <= slot as usize {
+                ts.slot_ctx.resize(slot as usize + 1, None);
+            }
+            ts.slot_ctx[slot as usize] = tctx;
+        }
         self.queue.push(EventKey { at, seq, slot });
         let len = self.queue.len();
         if len > self.peak_queue {
@@ -388,7 +410,7 @@ impl Kernel {
         } else {
             None
         };
-        self.schedule(at, EventKind::Deliver { to, from, msg, tctx });
+        self.schedule(at, EventKind::Deliver { to, from, msg }, tctx);
     }
 }
 
@@ -424,34 +446,28 @@ impl<'a> Ctx<'a> {
     /// The ambient trace context (if any) is captured and restored when
     /// the timer fires, so causality survives self-scheduled delays.
     pub fn timer_after(&mut self, after: SimDuration, tag: &'static str) -> TimerToken {
-        let token = TimerToken(self.kernel.next_token);
+        let gen = self.kernel.next_token;
         self.kernel.next_token += 1;
         let at = self.kernel.now + after;
         let actor = self.self_id;
         let tctx = self.kernel.ambient();
-        let slot = self.kernel.schedule(
-            at,
-            EventKind::Timer {
-                actor,
-                token,
-                tag,
-                tctx,
-            },
-        );
-        self.kernel.timer_slots.insert(token.0, slot);
-        token
+        let slot = self.kernel.schedule(at, EventKind::Timer { actor, gen, tag }, tctx);
+        self.kernel.live_timers += 1;
+        TimerToken { gen, slot }
     }
 
-    /// Cancel a pending timer (no-op if already fired).
+    /// Cancel a pending timer (no-op if it already fired or was cancelled,
+    /// whoever holds its slot now, and for a compute token).
     ///
-    /// Cancellation tombstones the timer's pool slot in place: the slot's
-    /// payload (tag, trace context) is dropped immediately, the key
+    /// Cancellation tombstones the timer's pool slot in place: the key
     /// still pops at its due time (counting as a processed event, exactly
     /// as before), and the slot is reclaimed at that pop — so repeated
     /// arm/cancel cycles hold zero residual state.
     pub fn cancel_timer(&mut self, token: TimerToken) {
-        if let Some(slot) = self.kernel.timer_slots.remove(&token.0) {
-            self.kernel.pool.replace(slot, EventKind::Cancelled);
+        let held = self.kernel.pool.get(token.slot);
+        if matches!(held, Some(EventKind::Timer { gen, .. }) if *gen == token.gen) {
+            self.kernel.pool.replace(token.slot, EventKind::Cancelled);
+            self.kernel.live_timers -= 1;
         }
     }
 
@@ -459,10 +475,36 @@ impl<'a> Ctx<'a> {
     /// actor's own site. Completion arrives via [`Actor::on_compute_done`].
     /// Returns `None` when the site is down.
     pub fn compute(&mut self, cost: SimDuration, tag: &'static str) -> Option<TimerToken> {
+        self.submit(cost, tag, None)
+    }
+
+    /// [`Ctx::compute`] whose completion event carries `payload`:
+    /// [`Ctx::take_continuation`] hands it back inside
+    /// [`Actor::on_compute_done`], so the actor keeps no table of what each
+    /// token was for. If the site crashes first the completion is void and
+    /// the payload is dropped with it.
+    pub fn compute_then<T: Any + Send>(
+        &mut self,
+        cost: SimDuration,
+        tag: &'static str,
+        payload: T,
+    ) -> Option<TimerToken> {
+        self.submit(cost, tag, Some(Box::new(payload)))
+    }
+
+    /// Inside [`Actor::on_compute_done`]: the payload the completing item
+    /// was submitted with. `None` for a plain [`Ctx::compute`], when
+    /// already taken, or when the payload is not a `T` (it stays put).
+    pub fn take_continuation<T: Any>(&mut self) -> Option<T> {
+        let payload = self.kernel.continuation.take_if(|held| held.is::<T>())?;
+        payload.downcast().ok().map(|payload| *payload)
+    }
+
+    fn submit(&mut self, cost: SimDuration, tag: &'static str, then: Option<Msg>) -> Option<TimerToken> {
         let site = self.self_site;
         let now = self.kernel.now;
         let ticket = self.kernel.sites[site.index()].submit(now, cost)?;
-        let token = TimerToken(self.kernel.next_token);
+        let gen = self.kernel.next_token;
         self.kernel.next_token += 1;
         let actor = self.self_id;
         // Record run-queue wait (Queue) and execution (Compute) as chained
@@ -497,18 +539,18 @@ impl<'a> Ctx<'a> {
         } else {
             None
         };
-        self.kernel.schedule(
+        let slot = self.kernel.schedule(
             ticket.completes_at,
             EventKind::ComputeDone {
                 actor,
-                site,
-                ticket,
-                token,
+                epoch: ticket.epoch,
+                gen,
                 tag,
-                tctx,
+                then,
             },
+            tctx,
         );
-        Some(token)
+        Some(TimerToken { gen, slot })
     }
 
     /// Deterministic RNG stream of the simulation.
@@ -719,9 +761,21 @@ impl<'a> Ctx<'a> {
     /// observe-only (no RNG draw, no scheduled work), so instrumented and
     /// plain runs stay event-for-event identical.
     pub fn emit_event(&mut self, kind: &str, component: &str, fields: &[(&str, &str)]) {
+        self.emit_event_with(kind, component, || fields.iter().map(|&(k, v)| (k, v.to_owned())));
+    }
+
+    /// [`Ctx::emit_event`] for per-request call sites: `fields` runs only
+    /// when the record will be retained, so a log that is off or past its
+    /// bound costs no formatting (the bound still counts the drop).
+    pub fn emit_event_with<K: Into<String>, I: IntoIterator<Item = (K, String)>>(
+        &mut self,
+        kind: &str,
+        component: &str,
+        fields: impl FnOnce() -> I,
+    ) {
         let (site, now) = (self.self_site, self.kernel.now);
         if let Some(log) = &mut self.kernel.events {
-            log.emit(now, kind, Some(site), component, fields);
+            log.emit_with(now, kind, Some(site), component, fields);
         }
     }
 
@@ -773,7 +827,8 @@ impl Simulation {
                 seq: 0,
                 queue: EventQueue::new(scheduler, expected),
                 pool: EventPool::with_capacity(expected),
-                timer_slots: HashMap::new(),
+                live_timers: 0,
+                continuation: None,
                 ids,
                 peak_queue: 0,
                 topology,
@@ -920,6 +975,7 @@ impl Simulation {
         self.kernel.trace = Some(Box::new(TraceState {
             sink: TraceSink::new(max_spans),
             stack: Vec::new(),
+            slot_ctx: Vec::new(),
         }));
     }
 
@@ -1020,7 +1076,7 @@ impl Simulation {
     /// Live (pending, uncancelled) timers the kernel tracks. Bounded by
     /// queue occupancy; cancel-heavy workloads cannot grow it.
     pub fn pending_timers(&self) -> usize {
-        self.kernel.timer_slots.len()
+        self.kernel.live_timers
     }
 
     /// Immutable metrics access for the harness.
@@ -1057,7 +1113,7 @@ impl Simulation {
 
     /// Schedule a site crash at `at`.
     pub fn schedule_crash(&mut self, at: SimTime, site: SiteId) {
-        self.kernel.schedule(at, EventKind::SiteCrash(site));
+        self.kernel.schedule(at, EventKind::SiteCrash(site), None);
     }
 
     /// Schedule a site crash at `at` that additionally tears the last
@@ -1070,13 +1126,14 @@ impl Simulation {
             EventKind::Call(Box::new(move |s: &mut Simulation| {
                 s.kernel.pending_tear.insert(site, torn_records);
             })),
+            None,
         );
-        self.kernel.schedule(at, EventKind::SiteCrash(site));
+        self.kernel.schedule(at, EventKind::SiteCrash(site), None);
     }
 
     /// Schedule a site restart at `at`.
     pub fn schedule_restart(&mut self, at: SimTime, site: SiteId) {
-        self.kernel.schedule(at, EventKind::SiteRestart(site));
+        self.kernel.schedule(at, EventKind::SiteRestart(site), None);
     }
 
     /// Partition (or heal) the pair of sites.
@@ -1095,7 +1152,7 @@ impl Simulation {
     where
         F: FnOnce(&mut Simulation) + Send + 'static,
     {
-        self.kernel.schedule(at, EventKind::Call(Box::new(f)));
+        self.kernel.schedule(at, EventKind::Call(Box::new(f)), None);
     }
 
     /// Inject a message from the outside world (priced as local delivery
@@ -1107,8 +1164,8 @@ impl Simulation {
                 to,
                 from,
                 msg: Box::new(msg),
-                tctx: None,
             },
+            None,
         );
     }
 
@@ -1116,7 +1173,7 @@ impl Simulation {
     /// recording `"{site}.load1m"` time series.
     pub fn enable_load_sampling(&mut self, until: SimTime) {
         let at = self.kernel.now + LOAD_SAMPLE_INTERVAL;
-        self.kernel.schedule(at, EventKind::SampleLoads { until });
+        self.kernel.schedule(at, EventKind::SampleLoads { until }, None);
     }
 
     /// Process events until the queue is drained, the horizon passes, or an
@@ -1166,6 +1223,8 @@ impl Simulation {
             return false;
         };
         let kind = self.kernel.pool.take(key.slot);
+        let slot_ctx = self.kernel.trace.as_ref().map(|ts| &ts.slot_ctx);
+        let tctx = slot_ctx.and_then(|ctxs| *ctxs.get(key.slot as usize)?);
         debug_assert_eq!(
             self.kernel.pool.len(),
             self.kernel.queue.len(),
@@ -1174,12 +1233,7 @@ impl Simulation {
         debug_assert!(key.at >= self.kernel.now, "time went backwards");
         self.kernel.now = key.at;
         match kind {
-            EventKind::Deliver {
-                to,
-                from,
-                msg,
-                tctx,
-            } => {
+            EventKind::Deliver { to, from, msg } => {
                 let site = self.kernel.actor_sites[to.index()];
                 if !self.kernel.sites[site.index()].is_up() {
                     self.kernel.count_drop(site, DropReason::SiteDown);
@@ -1202,33 +1256,32 @@ impl Simulation {
                 // and reclaimed the slot; nothing dispatches.
                 return true;
             }
-            EventKind::Timer {
-                actor,
-                token,
-                tag,
-                tctx,
-            } => {
-                self.kernel.timer_slots.remove(&token.0);
+            EventKind::Timer { actor, gen, tag } => {
+                self.kernel.live_timers -= 1;
                 let site = self.kernel.actor_sites[actor.index()];
                 if !self.kernel.sites[site.index()].is_up() {
                     return true;
                 }
                 self.kernel.set_ambient(tctx);
+                let token = TimerToken { gen, slot: key.slot };
                 self.with_actor(actor, |a, ctx| a.on_timer(ctx, token, tag));
             }
             EventKind::ComputeDone {
                 actor,
-                site,
-                ticket,
-                token,
+                epoch,
+                gen,
                 tag,
-                tctx,
+                then,
             } => {
-                if !self.kernel.sites[site.index()].complete(ticket) {
+                let site = self.kernel.actor_sites[actor.index()];
+                if !self.kernel.sites[site.index()].complete(epoch) {
                     return true; // site crashed since submission
                 }
                 self.kernel.set_ambient(tctx);
+                self.kernel.continuation = then;
+                let token = TimerToken { gen, slot: key.slot };
                 self.with_actor(actor, |a, ctx| a.on_compute_done(ctx, token, tag));
+                self.kernel.continuation = None;
             }
             EventKind::SiteCrash(site) => {
                 let now = self.kernel.now;
@@ -1310,8 +1363,8 @@ impl Simulation {
                     metrics.gauge_at(gauge).set(now, load);
                 }
                 if now + LOAD_SAMPLE_INTERVAL <= until {
-                    self.kernel
-                        .schedule(now + LOAD_SAMPLE_INTERVAL, EventKind::SampleLoads { until });
+                    let next = now + LOAD_SAMPLE_INTERVAL;
+                    self.kernel.schedule(next, EventKind::SampleLoads { until }, None);
                 }
             }
             EventKind::Call(f) => f(self),
@@ -1937,6 +1990,217 @@ mod tests {
         assert_eq!(sim.queue_len(), 0, "tombstones must drain with the queue");
         assert_eq!(sim.pending_timers(), 0, "timer map must not leak");
         assert_eq!(sim.metrics().counter_value("timer.decoy"), 0);
+    }
+
+    /// Seeded model test of the slot-plus-generation tokens: random arm,
+    /// cancel (of live, fired, already-cancelled and compute tokens, some
+    /// twice) against a reference map of live timers. The kernel must fire
+    /// exactly what the map says, in `(due, arm order)`, report the map's
+    /// size as `pending_timers()`, and pop one event per arm and compute.
+    /// Fired tokens are kept and cancelled again after their slot was
+    /// re-let, which cancels the new tenant if `cancel_timer` stops
+    /// comparing generations.
+    #[test]
+    fn timer_tokens_match_a_reference_map_under_random_arm_and_cancel() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        const TAGS: [&str; 3] = ["a", "b", "c"];
+
+        #[derive(Default)]
+        struct Model {
+            /// Every arm: `(due, token, tag, cancelled while live)`.
+            arms: Vec<(SimTime, TimerToken, &'static str, bool)>,
+            /// Live timers → index into `arms`.
+            live: HashMap<TimerToken, usize>,
+            fired: Vec<(TimerToken, &'static str)>,
+            /// Compute items submitted, by token → payload.
+            computes: HashMap<TimerToken, u64>,
+            computes_done: usize,
+            /// No-op cancels whose slot a live timer held at the time.
+            stale_cancels_of_relet_slots: u32,
+        }
+
+        struct Fuzz {
+            rng: SimRng,
+            model: Rc<RefCell<Model>>,
+            issued: Vec<TimerToken>,
+            ops_left: u32,
+        }
+
+        impl Fuzz {
+            fn arm(&mut self, ctx: &mut Ctx<'_>) {
+                let tag = TAGS[self.rng.range(0, 3) as usize];
+                let delay = SimDuration::from_millis(self.rng.range(0, 20));
+                let token = ctx.timer_after(delay, tag);
+                let mut m = self.model.borrow_mut();
+                let idx = m.arms.len();
+                m.arms.push((ctx.now() + delay, token, tag, false));
+                assert!(m.live.insert(token, idx).is_none(), "token issued twice");
+                self.issued.push(token);
+            }
+
+            fn cancel(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+                ctx.cancel_timer(token);
+                let mut m = self.model.borrow_mut();
+                match m.live.remove(&token) {
+                    Some(idx) => m.arms[idx].3 = true,
+                    None if m.live.keys().any(|t| t.slot == token.slot) => {
+                        m.stale_cancels_of_relet_slots += 1;
+                    }
+                    None => {}
+                }
+            }
+
+            fn act(&mut self, ctx: &mut Ctx<'_>) {
+                for _ in 0..self.rng.range(1, 5) {
+                    if self.ops_left == 0 {
+                        return;
+                    }
+                    self.ops_left -= 1;
+                    match self.rng.range(0, 10) {
+                        0..=3 => self.arm(ctx),
+                        4..=7 if !self.issued.is_empty() => {
+                            let i = self.rng.range(0, self.issued.len() as u64) as usize;
+                            let token = self.issued[i];
+                            self.cancel(ctx, token);
+                            if self.rng.chance(0.3) {
+                                self.cancel(ctx, token);
+                            }
+                        }
+                        _ => {
+                            let payload = u64::from(self.ops_left);
+                            let cost = SimDuration::from_millis(self.rng.range(1, 10));
+                            let token = ctx.compute_then(cost, "work", payload).expect("site is up");
+                            self.model.borrow_mut().computes.insert(token, payload);
+                            self.issued.push(token);
+                        }
+                    }
+                }
+                if self.model.borrow().live.is_empty() {
+                    self.arm(ctx); // keep the run going until the ops are spent
+                }
+            }
+        }
+
+        impl Actor for Fuzz {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                self.act(ctx);
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken, tag: &str) {
+                {
+                    let mut m = self.model.borrow_mut();
+                    let idx = m.live.remove(&token).expect("fired a timer the model holds dead");
+                    let (_, _, armed_tag, _) = m.arms[idx];
+                    assert_eq!(tag, armed_tag);
+                    m.fired.push((token, armed_tag));
+                }
+                self.act(ctx);
+            }
+            fn on_compute_done(&mut self, ctx: &mut Ctx<'_>, token: TimerToken, tag: &str) {
+                assert_eq!(tag, "work");
+                assert_eq!(ctx.take_continuation::<String>(), None, "not a String: stays put");
+                let payload = ctx.take_continuation::<u64>();
+                assert_eq!(payload, self.model.borrow_mut().computes.remove(&token));
+                assert_eq!(ctx.take_continuation::<u64>(), None, "taken once");
+                self.model.borrow_mut().computes_done += 1;
+            }
+        }
+
+        let mut stale = 0;
+        for seed in 0..16 {
+            let model = Rc::new(RefCell::new(Model::default()));
+            let mut sim = Simulation::new(Topology::uniform(1), seed);
+            sim.add_actor(
+                SiteId(0),
+                Box::new(Fuzz {
+                    rng: SimRng::from_seed(seed).fork("timer-model"),
+                    model: model.clone(),
+                    issued: Vec::new(),
+                    ops_left: 600,
+                }),
+            );
+            sim.start();
+            let mut events = 0;
+            while sim.step() {
+                events += 1;
+                assert_eq!(sim.pending_timers(), model.borrow().live.len(), "seed {seed}");
+            }
+            let m = model.borrow();
+            assert_eq!(events, m.arms.len() + m.computes_done, "seed {seed}: one pop each");
+            assert!(m.computes.is_empty(), "seed {seed}: every compute item completed");
+            // Arm order breaks ties, as the kernel's sequence number does.
+            let mut expected: Vec<_> = m.arms.iter().filter(|a| !a.3).collect();
+            expected.sort_by_key(|a| a.0);
+            let expected: Vec<_> = expected.iter().map(|a| (a.1, a.2)).collect();
+            assert_eq!(m.fired, expected, "seed {seed}");
+            assert_eq!((sim.pending_timers(), sim.queue_len()), (0, 0));
+            stale += m.stale_cancels_of_relet_slots;
+        }
+        assert!(stale > 100, "the runs must cancel through re-let slots ({stale})");
+    }
+
+    /// A `compute_then` payload is handed back by its completion and by no
+    /// other; when the site crashes first, the completion is void and the
+    /// payload is dropped with the event.
+    #[test]
+    fn compute_then_payload_rides_the_event_and_dies_with_a_crash() {
+        use std::sync::Arc;
+
+        struct Worker {
+            payload: Arc<()>,
+            resumed: u32,
+        }
+        impl Actor for Worker {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.compute_then(SimDuration::from_millis(10), "w", self.payload.clone());
+                ctx.compute(SimDuration::from_millis(10), "plain");
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) {}
+            fn on_compute_done(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken, tag: &str) {
+                let got = ctx.take_continuation::<Arc<()>>();
+                assert_eq!(got.is_some(), tag == "w");
+                self.resumed += 1;
+            }
+            fn on_site_restart(&mut self, ctx: &mut Ctx<'_>) {
+                self.on_start(ctx);
+            }
+            fn as_any(&self) -> Option<&dyn Any> {
+                Some(self)
+            }
+        }
+
+        let payload = Arc::new(());
+        let mut sim = Simulation::new(Topology::uniform(1), 1);
+        let worker = Worker {
+            payload: payload.clone(),
+            resumed: 0,
+        };
+        let id = sim.add_actor(SiteId(0), Box::new(worker));
+        sim.schedule_crash(SimTime::from_millis(5), SiteId(0));
+        sim.schedule_restart(SimTime::from_millis(50), SiteId(0));
+        sim.start();
+        sim.run_until(SimTime::from_millis(5));
+        assert_eq!(Arc::strong_count(&payload), 3, "worker, event, test");
+        sim.run_until(SimTime::from_millis(40));
+        assert_eq!(Arc::strong_count(&payload), 2, "the void completion dropped its copy");
+        assert_eq!(sim.actor_as::<Worker>(id).unwrap().resumed, 0);
+        sim.run_to_quiescence(100);
+        assert_eq!(sim.actor_as::<Worker>(id).unwrap().resumed, 2, "the new incarnation's own");
+        assert_eq!(Arc::strong_count(&payload), 2);
+    }
+
+    /// A pool slot is one cache line at most (it was 88 bytes with the
+    /// site, the whole ticket and a trace context in every variant).
+    #[test]
+    fn an_event_slot_fits_a_cache_line() {
+        assert!(std::mem::size_of::<EventKind>() <= 64);
+        assert_eq!(
+            std::mem::size_of::<Option<EventKind>>(),
+            std::mem::size_of::<EventKind>(),
+            "the pool's vacancy marker costs nothing"
+        );
     }
 
     #[test]

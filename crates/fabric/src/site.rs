@@ -19,6 +19,11 @@ pub const LOAD_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(5);
 /// `exp(-5/60)` — decay of the 1-minute load average per 5 s sample.
 const LOAD_DECAY_1M: f64 = 0.920_044_414_629_323_1;
 
+/// The crash epoch a [`WorkTicket`] was issued in: all of a ticket that
+/// [`SiteRuntime::complete`] reads, and only a ticket yields one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TicketEpoch(u64);
+
 /// Outcome of submitting work to a site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkTicket {
@@ -29,7 +34,7 @@ pub struct WorkTicket {
     pub completes_at: SimTime,
     /// Site epoch at submission; a crash bumps the epoch and invalidates
     /// outstanding tickets.
-    pub epoch: u64,
+    pub epoch: TicketEpoch,
 }
 
 /// Mutable runtime state of one simulated site.
@@ -126,7 +131,7 @@ impl SiteRuntime {
     ///
     /// Returns when it will complete, or `None` when the site is down.
     /// The caller must later call [`SiteRuntime::complete`] with the
-    /// returned ticket at that instant.
+    /// returned ticket's epoch at that instant.
     pub fn submit(&mut self, now: SimTime, cost: SimDuration) -> Option<WorkTicket> {
         if !self.up {
             return None;
@@ -147,14 +152,15 @@ impl SiteRuntime {
         Some(WorkTicket {
             started_at: start,
             completes_at: end,
-            epoch: self.epoch,
+            epoch: TicketEpoch(self.epoch),
         })
     }
 
-    /// Mark a previously submitted work item finished. Returns `false`
-    /// (and changes nothing) when the ticket belongs to a pre-crash epoch.
-    pub fn complete(&mut self, ticket: WorkTicket) -> bool {
-        if ticket.epoch != self.epoch {
+    /// Mark a previously submitted work item finished, given its ticket's
+    /// `epoch`. Returns `false` (and changes nothing) when that is a
+    /// pre-crash epoch.
+    pub fn complete(&mut self, epoch: TicketEpoch) -> bool {
+        if epoch.0 != self.epoch {
             return false;
         }
         assert!(self.run_queue > 0, "complete() without matching submit()");
@@ -208,8 +214,8 @@ mod tests {
         assert_eq!(a.completes_at, SimTime::from_millis(10));
         assert_eq!(b.completes_at, SimTime::from_millis(20), "FCFS queueing");
         assert_eq!(s.run_queue_len(), 2);
-        assert!(s.complete(a));
-        assert!(s.complete(b));
+        assert!(s.complete(a.epoch));
+        assert!(s.complete(b.epoch));
         assert_eq!(s.run_queue_len(), 0);
         assert_eq!(s.work_items_done(), 2);
     }
@@ -267,14 +273,14 @@ mod tests {
         let t = s.submit(SimTime::ZERO, SimDuration::from_millis(10)).unwrap();
         s.crash(SimTime::from_millis(5));
         assert!(!s.is_up());
-        assert!(!s.complete(t), "pre-crash ticket is void");
+        assert!(!s.complete(t.epoch), "pre-crash ticket is void");
         assert!(s.submit(SimTime::from_millis(6), SimDuration::from_millis(1)).is_none());
         s.restart();
         assert!(s.is_up());
         let t2 = s
             .submit(SimTime::from_millis(10), SimDuration::from_millis(1))
             .unwrap();
-        assert!(s.complete(t2));
+        assert!(s.complete(t2.epoch));
     }
 
     #[test]
@@ -302,7 +308,7 @@ mod tests {
             s.sample_load();
         }
         let busy = s.load_average_1m();
-        s.complete(t);
+        s.complete(t.epoch);
         for _ in 0..120 {
             s.sample_load();
         }
@@ -314,7 +320,7 @@ mod tests {
     fn unbalanced_complete_panics() {
         let mut s = rt(1, 1.0);
         let t = s.submit(SimTime::ZERO, SimDuration::from_millis(1)).unwrap();
-        s.complete(t);
-        s.complete(t);
+        s.complete(t.epoch);
+        s.complete(t.epoch);
     }
 }

@@ -133,6 +133,14 @@ impl ActivityDeploymentRegistry {
         TypedResponse { value: list, cost }
     }
 
+    /// Whether the type index holds no name at all, so that
+    /// [`ActivityDeploymentRegistry::deployments_of`] is empty whatever it
+    /// is asked. A type whose last deployment went keeps its (empty) entry
+    /// and reads as indexed.
+    pub fn indexes_nothing(&self) -> bool {
+        self.by_type.read().is_empty()
+    }
+
     /// Count of live deployments of a type (for provider limits).
     pub fn count_of(&self, type_name: &str, now: SimTime) -> usize {
         self.deployments_of(type_name, now).value.len()

@@ -420,6 +420,8 @@ struct PendingQuery {
     hedge: HedgeState,
 }
 
+/// What a node does when a CPU stage completes. It rides the completion
+/// event ([`Ctx::compute_then`]), so a crash voids it with the event.
 enum Deferred {
     HandleQuery(Request),
     ReplyAfterRegistry {
@@ -427,11 +429,6 @@ enum Deferred {
         deployments: Vec<ActivityDeployment>,
     },
     DeliverNotification {
-        sink: ActorId,
-        seq: u64,
-    },
-    /// A staggered per-sink notification waiting for its send offset.
-    NotifyStagger {
         sink: ActorId,
         seq: u64,
     },
@@ -675,7 +672,9 @@ pub struct GlareNode {
     // --- request state ---
     next_req: u64,
     pending: HashMap<u64, PendingQuery>,
-    deferred: HashMap<TimerToken, Deferred>,
+    /// Staggered per-sink notifications `(sink, seq)` waiting for their
+    /// `"notify-stagger"` send offset.
+    staggered: HashMap<TimerToken, (ActorId, u64)>,
     /// Armed probe timers → pending query. What a timer is for is the tag
     /// it was armed with: `"qdl"` a stage deadline, `"qback"` a retry
     /// backoff, `"qhedge"` a hedge delay.
@@ -751,7 +750,7 @@ impl GlareNode {
             verification_sent: false,
             next_req: 0,
             pending: HashMap::new(),
-            deferred: HashMap::new(),
+            staggered: HashMap::new(),
             probe_timers: HashMap::new(),
             breakers: BreakerBank::default(),
             rtt: SuspicionTracker::new(cfg.suspicion),
@@ -885,7 +884,12 @@ impl GlareNode {
         self.atr.with_hierarchy(|h| h.concrete_closure(activity))
     }
 
-    fn resolve_local(&mut self, activity: &str, now: SimTime) -> Vec<ActivityDeployment> {
+    fn resolve_local(&self, activity: &str, now: SimTime) -> Vec<ActivityDeployment> {
+        // A site that hosts nothing (most of a VO) has no answer whatever
+        // the name resolves to; skip the type DAG.
+        if self.adr.indexes_nothing() {
+            return Vec::new();
+        }
         let closure = self.concrete_closure(activity);
         let mut out = Vec::new();
         for n in lookup_names(&closure, activity) {
@@ -1086,11 +1090,9 @@ impl GlareNode {
         p.hedge.sent = Some(ctx.now());
         Self::send_probe(ctx, target, scope, &activity, local_id, p.req.class);
         self.count(ctx, "glare_hedges_fired_total", 1);
-        ctx.emit_event(
-            "query.hedged",
-            "node",
-            &[("activity", &activity), ("target", &target.to_string())],
-        );
+        ctx.emit_event_with("query.hedged", "node", || {
+            [("activity", activity), ("target", target.to_string())]
+        });
     }
 
     /// Start the next probe stage of the ladder answering `req`: arm its
@@ -1181,7 +1183,7 @@ impl GlareNode {
                 ctx.metrics()
                     .counter_labeled("glare_breaker_transitions_total", &opened)
                     .inc();
-                ctx.emit_event("breaker.open", "node", &[("remote", &t.to_string())]);
+                ctx.emit_event_with("breaker.open", "node", || [("remote", t.to_string())]);
             }
         }
         let next = attempt + 1;
@@ -1199,15 +1201,13 @@ impl GlareNode {
         ctx.metrics()
             .histogram_labeled("glare_retry_backoff_ms", &labels.site)
             .record(delay);
-        ctx.emit_event(
-            "retry.attempt",
-            "node",
-            &[
-                ("op", "query"),
-                ("attempt", &next.to_string()),
-                ("backoff_ms", &format!("{}", delay.as_millis_f64())),
-            ],
-        );
+        ctx.emit_event_with("retry.attempt", "node", || {
+            [
+                ("op", "query".to_owned()),
+                ("attempt", next.to_string()),
+                ("backoff_ms", delay.as_millis_f64().to_string()),
+            ]
+        });
         let token = ctx.timer_after(delay, "qback");
         self.probe_timers.insert(token, local_id);
         if let Some(p) = self.pending.get_mut(&local_id) {
@@ -1274,14 +1274,12 @@ impl GlareNode {
             }
             if !stale.is_empty() {
                 self.count(ctx, "glare_degraded_reads_total", 1);
-                ctx.emit_event(
-                    "query.degraded",
-                    "node",
-                    &[
-                        ("activity", &p.req.activity),
-                        ("age_ms", &format!("{}", max_age.as_millis_f64())),
-                    ],
-                );
+                ctx.emit_event_with("query.degraded", "node", || {
+                    [
+                        ("activity", p.req.activity.clone()),
+                        ("age_ms", max_age.as_millis_f64().to_string()),
+                    ]
+                });
                 ctx.span_attr(p.req.span, "degraded", "1");
                 self.reply(ctx, p.req, stale, "degraded");
                 return;
@@ -1468,15 +1466,11 @@ impl GlareNode {
                     self.cache.put_deployment(d.clone(), &origin, epr, now);
                 }
             }
-            if let Some(token) = ctx.compute(self.cfg.registry_cost, "registry") {
-                self.deferred.insert(
-                    token,
-                    Deferred::ReplyAfterRegistry {
-                        req,
-                        deployments: local,
-                    },
-                );
-            }
+            let then = Deferred::ReplyAfterRegistry {
+                req,
+                deployments: local,
+            };
+            ctx.compute_then(self.cfg.registry_cost, "registry", then);
             return;
         }
         let (targets, stage) = match req.scope {
@@ -1520,7 +1514,9 @@ impl GlareNode {
             &[("community", &self.roster.len().to_string())],
         );
         let span = ctx.span("election.round", SpanKind::Internal);
-        ctx.span_attr(span, "community", &self.roster.len().to_string());
+        if ctx.trace_enabled() {
+            ctx.span_attr(span, "community", &self.roster.len().to_string());
+        }
         let size = self.roster.len() as u32;
         for &(id, _) in self.roster.iter() {
             ctx.send(
@@ -2145,11 +2141,9 @@ impl Actor for GlareNode {
                     let leaked = self.admission.take_ttl_released();
                     if leaked > 0 {
                         self.count(ctx, "glare_inbox_ttl_released_total", leaked);
-                        ctx.emit_event(
-                            "inbox.ttl_release",
-                            "admission",
-                            &[("count", &format!("{leaked}"))],
-                        );
+                        ctx.emit_event_with("inbox.ttl_release", "admission", || {
+                            [("count", leaked.to_string())]
+                        });
                     }
                     match decision {
                         AdmissionDecision::Admit { ticket } => {
@@ -2169,18 +2163,13 @@ impl Actor for GlareNode {
                                 class,
                                 false,
                             );
-                            ctx.emit_event(
-                                "query.shed",
-                                "admission",
-                                &[
-                                    ("class", class.label()),
-                                    ("activity", &activity),
-                                    (
-                                        "retry_after_ms",
-                                        &format!("{}", retry_after.as_millis_f64()),
-                                    ),
-                                ],
-                            );
+                            ctx.emit_event_with("query.shed", "admission", || {
+                                [
+                                    ("class", class.label().to_owned()),
+                                    ("activity", activity),
+                                    ("retry_after_ms", retry_after.as_millis_f64().to_string()),
+                                ]
+                            });
                             ctx.send_sized(
                                 reply_to,
                                 NodeMsg::QueryRejected {
@@ -2206,27 +2195,22 @@ impl Actor for GlareNode {
                     ctx.span_attr(span, "activity", &activity);
                     ctx.span_attr(span, "scope", scope_label(scope));
                 }
-                match ctx.compute(self.cfg.request_cost, "req") {
-                    Some(token) => {
-                        let req = Request {
-                            activity,
-                            req_id,
-                            reply_to,
-                            scope,
-                            class,
-                            span,
-                        };
-                        self.deferred.insert(token, Deferred::HandleQuery(req));
+                let then = Deferred::HandleQuery(Request {
+                    activity,
+                    req_id,
+                    reply_to,
+                    scope,
+                    class,
+                    span,
+                });
+                if ctx.compute_then(self.cfg.request_cost, "req", then).is_none() {
+                    // Site down; request lost. An admitted request's
+                    // ticket dies with it (the TTL backstop would
+                    // reclaim it anyway).
+                    if let Some(ticket) = self.admitted.remove(&(reply_to, req_id)) {
+                        self.admission.release(ticket);
                     }
-                    None => {
-                        // Site down; request lost. An admitted request's
-                        // ticket dies with it (the TTL backstop would
-                        // reclaim it anyway).
-                        if let Some(ticket) = self.admitted.remove(&(reply_to, req_id)) {
-                            self.admission.release(ticket);
-                        }
-                        ctx.end_span(span);
-                    }
+                    ctx.end_span(span);
                 }
             }
             NodeMsg::QueryResponse {
@@ -2306,10 +2290,9 @@ impl Actor for GlareNode {
             return;
         }
         if tag == "notify-stagger" {
-            if let Some(Deferred::NotifyStagger { sink, seq }) = self.deferred.remove(&token) {
-                if let Some(t) = ctx.compute(self.cfg.notify_cost, "notify-one") {
-                    self.deferred.insert(t, Deferred::DeliverNotification { sink, seq });
-                }
+            if let Some((sink, seq)) = self.staggered.remove(&token) {
+                let then = Deferred::DeliverNotification { sink, seq };
+                ctx.compute_then(self.cfg.notify_cost, "notify-one", then);
             }
             return;
         }
@@ -2339,10 +2322,12 @@ impl Actor for GlareNode {
                     plan.levels.first().map(Vec::as_slice).unwrap_or(&[]);
                 let tiers = plan.tiers().max(1);
                 let span = ctx.span("election.close", SpanKind::Internal);
-                ctx.span_attr(span, "groups", &leaf.len().to_string());
-                ctx.span_attr(span, "acks", &self.election_acks.len().to_string());
-                if tiers >= 2 {
-                    ctx.span_attr(span, "tiers", &tiers.to_string());
+                if ctx.trace_enabled() {
+                    ctx.span_attr(span, "groups", &leaf.len().to_string());
+                    ctx.span_attr(span, "acks", &self.election_acks.len().to_string());
+                    if tiers >= 2 {
+                        ctx.span_attr(span, "tiers", &tiers.to_string());
+                    }
                 }
                 // Placement above the leaf tier (none on a one-tier plan).
                 let top_sps = plan.top_super_peers();
@@ -2446,12 +2431,14 @@ impl Actor for GlareNode {
                 let sinks = self.sinks.clone();
                 let interval = self.cfg.notify_interval.unwrap_or(SimDuration::from_secs(1));
                 let span = ctx.span("notify.round", SpanKind::Internal);
-                ctx.span_attr(span, "sinks", &sinks.len().to_string());
-                ctx.span_attr(span, "seq", &seq.to_string());
+                if ctx.trace_enabled() {
+                    ctx.span_attr(span, "sinks", &sinks.len().to_string());
+                    ctx.span_attr(span, "seq", &seq.to_string());
+                }
                 for sink in sinks {
                     let offset_ns = ctx.rng().range(0, interval.as_nanos().max(1));
                     let t = ctx.timer_after(SimDuration::from_nanos(offset_ns), "notify-stagger");
-                    self.deferred.insert(t, Deferred::NotifyStagger { sink, seq });
+                    self.staggered.insert(t, (sink, seq));
                 }
                 ctx.end_span(span);
                 if let Some(interval) = self.cfg.notify_interval {
@@ -2499,8 +2486,8 @@ impl Actor for GlareNode {
         }
     }
 
-    fn on_compute_done(&mut self, ctx: &mut Ctx<'_>, token: TimerToken, _tag: &str) {
-        match self.deferred.remove(&token) {
+    fn on_compute_done(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken, _tag: &str) {
+        match ctx.take_continuation::<Deferred>() {
             Some(Deferred::HandleQuery(req)) => self.handle_query(ctx, req),
             Some(Deferred::ReplyAfterRegistry { req, deployments }) => {
                 self.reply(ctx, req, deployments, "registry");
@@ -2509,7 +2496,8 @@ impl Actor for GlareNode {
                 ctx.send(sink, NodeMsg::Notification { seq });
                 ctx.metrics().counter("glare.notifications_sent").inc();
             }
-            Some(Deferred::NotifyStagger { .. }) | None => {}
+            // Store fsyncs and replays are fire-and-forget.
+            None => {}
         }
     }
 
@@ -2551,7 +2539,7 @@ impl Actor for GlareNode {
         // previous incarnation still in flight must never alias a new
         // correlation id.
         self.pending.clear();
-        self.deferred.clear();
+        self.staggered.clear();
         self.probe_timers.clear();
         self.breakers = BreakerBank::default();
         self.rtt.clear();
@@ -2676,6 +2664,142 @@ mod tests {
         );
         // A second `of` finds what the first built.
         assert!(NodeLabels::of(&mut slot, SiteId(7)).cache.is_some());
+    }
+
+    /// Seeded property: `resolve_local` answers a node whose ADR indexes
+    /// nothing without walking the type DAG, and must give what the walk
+    /// gives whatever ran before: type inserts and removals, deployment
+    /// registrations, uninstalls, peer tombstones, type expiry and sweeps
+    /// (a type whose last deployment went keeps an empty index entry: the
+    /// slow path, still right), and the amnesia of a crash, which swaps in
+    /// registries that index nothing again.
+    #[test]
+    fn resolve_local_equals_the_closure_walk_after_random_edits() {
+        use glare_fabric::SimRng;
+
+        const NAMES: u64 = 8;
+        fn walk(node: &GlareNode, activity: &str, now: SimTime) -> Vec<ActivityDeployment> {
+            let closure = node.concrete_closure(activity);
+            lookup_names(&closure, activity)
+                .flat_map(|n| node.adr.deployments_of(n, now).value)
+                .collect()
+        }
+        let mut rng = SimRng::from_seed(0x16_FA57);
+        let (mut answered_empty_early, mut answered_something) = (0, 0);
+        for round in 0..60 {
+            let mut b = OverlayBuilder::new(1, round);
+            b.configure(|_, cfg| cfg.use_cache = false);
+            let (mut sim, ids) = b.build();
+            sim.enable_store(glare_fabric::StoreConfig::standard());
+            let crash_at = SimTime::from_secs(rng.range(5, 40));
+            sim.schedule_crash(crash_at, SiteId(0));
+            sim.schedule_restart(crash_at + SimDuration::from_secs(2), SiteId(0));
+            sim.start();
+            for step in 1..=40u64 {
+                let now = SimTime::from_secs(step);
+                sim.run_until(now);
+                let node: &GlareNode = sim.actor_as(ids[0]).unwrap();
+                let ty = format!("T{}", rng.range(0, NAMES));
+                let key = format!("t{}@s{}", rng.range(0, NAMES), rng.range(0, 3));
+                match rng.range(0, 10) {
+                    0..=2 => {
+                        // Bases have smaller indices: the DAG stays acyclic.
+                        let i: u64 = ty[1..].parse().unwrap();
+                        let mut t = if rng.chance(0.6) {
+                            ActivityType::concrete_type(&ty, "d", "x")
+                        } else {
+                            ActivityType::abstract_type(&ty, "d")
+                        };
+                        if i > 0 && rng.chance(0.7) {
+                            t = t.extends(&format!("T{}", rng.range(0, i)));
+                        }
+                        let _ = node.atr.register(t, now);
+                    }
+                    3 => drop(node.atr.remove(&ty)),
+                    4..=6 => {
+                        let site = format!("s{}", rng.range(0, 3));
+                        let d = ActivityDeployment::executable(&ty, &site, "/x/bin/x", "/x");
+                        let _ = node.adr.register(d, &node.atr, now);
+                    }
+                    7 => drop(node.adr.uninstall(&key, now)),
+                    8 => drop(node.adr.apply_tombstone(&key, now, now)),
+                    _ => {
+                        node.adr.expire_type(&ty, now, now);
+                        node.adr.sweep_expired(now + SimDuration::from_secs(1));
+                    }
+                }
+                for i in 0..NAMES + 1 {
+                    let name = format!("T{i}");
+                    let fast = node.resolve_local(&name, now);
+                    assert_eq!(fast, walk(node, &name, now), "round {round} step {step} {name}");
+                    answered_something += usize::from(!fast.is_empty());
+                }
+                answered_empty_early += usize::from(node.adr.indexes_nothing());
+            }
+        }
+        assert!(answered_empty_early > 100 && answered_something > 100, "both paths ran");
+    }
+
+    /// Continuations ride their completion events, so a crash voids the
+    /// ones in flight with the events themselves, durable store or not: no
+    /// request of the old incarnation is resumed, and the node holds
+    /// nothing of them afterwards (without the store the node keeps its
+    /// volatile state across a crash, and used to keep a `deferred` entry
+    /// per voided completion for the rest of the run).
+    #[test]
+    fn a_crash_voids_the_continuations_in_flight_with_and_without_the_store() {
+        struct Collector(Vec<u64>);
+        impl Actor for Collector {
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, env: Envelope) {
+                if let Ok((_, NodeMsg::QueryResponse { req_id, deployments })) = env.downcast() {
+                    assert_eq!(deployments.len(), 1, "site 1 hosts JPOVray");
+                    self.0.push(req_id);
+                }
+            }
+            fn as_any(&self) -> Option<&dyn Any> {
+                Some(self)
+            }
+        }
+        for store in [false, true] {
+            let (mut sim, ids) = seeded_overlay(2, &[1], false);
+            if store {
+                sim.enable_store(glare_fabric::StoreConfig::standard());
+            }
+            let collector = sim.add_actor(SiteId(0), Box::new(Collector(Vec::new())));
+            let ask = |sim: &mut Simulation, at: SimTime, req_id: u64| {
+                let msg = NodeMsg::QueryDeployments {
+                    activity: "Imaging".to_owned(),
+                    req_id,
+                    reply_to: collector,
+                    scope: QueryScope::LocalOnly,
+                    class: TenantClass::BestEffort,
+                };
+                sim.inject(at, collector, ids[1], msg);
+            };
+            // Request 1 is two thirds through its registry stage and
+            // request 2 half through its request stage when site 1 dies.
+            let t0 = SimTime::from_secs(60);
+            let (request, registry) = (REQUEST_BASE_COST, SimDuration::from_millis(4));
+            ask(&mut sim, t0, 1);
+            ask(&mut sim, t0 + request + registry / 4, 2);
+            let crash = t0 + request + registry * 3 / 4;
+            sim.schedule_crash(crash, SiteId(1));
+            sim.schedule_restart(crash + SimDuration::from_secs(20), SiteId(1));
+            ask(&mut sim, crash + SimDuration::from_secs(40), 3);
+            sim.start();
+            sim.run_until(t0 + SimDuration::from_secs(120));
+            assert_eq!(sim.metrics().counter_value("glare.requests"), 3, "store {store}");
+            assert_eq!(
+                sim.actor_as::<Collector>(collector).unwrap().0,
+                [3],
+                "store {store}: only the new incarnation's request is answered"
+            );
+            let node: &GlareNode = sim.actor_as(ids[1]).unwrap();
+            // The voided completions took their payloads with them (fabric's
+            // `compute_then_payload_rides_the_event_and_dies_with_a_crash`);
+            // the node itself has no table a request could be left in.
+            assert_eq!(node.admitted.len(), 0);
+        }
     }
 
     #[test]

@@ -192,8 +192,10 @@ impl QueryClient {
         // Root span of the whole request's trace: everything downstream
         // (wire time, CPU stages, probes) chains under it causally.
         let span = ctx.root_span("client.query", SpanKind::Request);
-        ctx.span_attr(span, "activity", &self.activity);
-        ctx.span_attr(span, "req_id", &req_id.to_string());
+        if ctx.trace_enabled() {
+            ctx.span_attr(span, "activity", &self.activity);
+            ctx.span_attr(span, "req_id", &req_id.to_string());
+        }
         self.in_flight = Some((req_id, ctx.now(), span));
         self.stats.lock().sent += 1;
         ctx.send(

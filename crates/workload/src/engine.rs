@@ -259,9 +259,11 @@ impl TenantLoad {
         self.next_req += 1;
         let name = &self.activities[activity];
         let span = ctx.root_span("tenant.query", SpanKind::Request);
-        ctx.span_attr(span, "activity", name);
-        ctx.span_attr(span, "class", self.class.label());
-        ctx.span_attr(span, "attempt", &attempt.to_string());
+        if ctx.trace_enabled() {
+            ctx.span_attr(span, "activity", name);
+            ctx.span_attr(span, "class", self.class.label());
+            ctx.span_attr(span, "attempt", &attempt.to_string());
+        }
         self.in_flight.insert(
             req_id,
             InFlight {

@@ -21,13 +21,12 @@
 //! "did p99 recover" is a pure function of the placement the controller
 //! achieved.
 //!
-//! Output splits into a byte-identical deterministic half (actions,
-//! replica timelines, recovery percentiles, invariant violations, event
-//! digest) and a wall-clock half, like the other benches.
+//! The report (actions, replica timelines, recovery percentiles,
+//! invariant violations, event digest) derives from sim-time alone, so
+//! it is byte-identical for a given seed.
 
 use std::collections::BTreeMap;
 use std::collections::HashSet;
-use std::time::Instant;
 
 use glare_core::autonomic::{
     publish_replica_gauges, ActionKind, ActionOutcome, AutonomicConfig, PlacementController,
@@ -37,12 +36,11 @@ use glare_core::grid::Grid;
 use glare_core::model::ActivityType;
 use glare_core::rdm::install_with_dependencies;
 use glare_fabric::store::fnv1a;
-use glare_fabric::{Labels, SimTime, StoreConfig, DEFAULT_GAUGE_WINDOW};
+use glare_fabric::{percentile, Labels, SimTime, StoreConfig, DEFAULT_GAUGE_WINDOW};
 use glare_services::{ChannelKind, Transport};
 use glare_workload::{ArrivalStream, WorkloadSpec};
 
 use crate::json::Json;
-use crate::percentile;
 
 /// Activity catalogue, most popular first (Zipf rank order). Every entry
 /// maps to a real dependency-free package so controller provisions run
@@ -246,8 +244,6 @@ pub struct AutonomicReport {
     pub event_digest: u64,
     /// Metric-name lint violations (must be 0).
     pub lint_errors: usize,
-    /// Host-side run time, ms (wall-clock half only).
-    pub wall_ms: f64,
 }
 
 /// Weighted p99: the smallest latency such that 99% of the request mass
@@ -286,7 +282,6 @@ fn live_replica_sites(grid: &Grid, name: &str, now: SimTime) -> Vec<usize> {
 pub fn run(p: &AutonomicParams) -> AutonomicReport {
     assert!(p.sites >= 6, "the scenario needs at least 6 sites");
     assert!(p.flash_at_secs + p.flash_secs < p.duration_secs);
-    let started = Instant::now();
     let t0 = SimTime::ZERO;
 
     // ---- Grid with durable stores and the seeded catalogue ----
@@ -657,8 +652,8 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
         recovery_after_flash_ms,
         crash_victim_site: victim_site,
         crash_types_lost: crash_lost,
-        crash_recovery_p50_ms: percentile(&crash_recovery_ms, 0.50),
-        crash_recovery_p95_ms: percentile(&crash_recovery_ms, 0.95),
+        crash_recovery_p50_ms: percentile(&crash_recovery_ms, 0.50).unwrap_or(0.0),
+        crash_recovery_p95_ms: percentile(&crash_recovery_ms, 0.95).unwrap_or(0.0),
         degraded_reads_total: degraded.iter().sum(),
         action_counts,
         rounds,
@@ -667,7 +662,6 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
         events: jsonl.lines().count() as u64,
         event_digest: digest,
         lint_errors: grid.metrics.lint_metric_names().len(),
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
     }
 }
 
@@ -732,10 +726,11 @@ pub fn render(r: &AutonomicReport) -> String {
 }
 
 impl AutonomicReport {
-    /// The byte-identical half: everything derived from sim-time alone.
-    pub fn to_json_deterministic(&self) -> Json {
+    /// The `BENCH_autonomic.json` document: everything derives from
+    /// sim-time alone, so it is byte-identical for a given seed.
+    pub fn to_json(&self) -> Json {
         let p = &self.params;
-        Json::obj([
+        let deterministic = Json::obj([
             (
                 "params",
                 Json::obj([
@@ -852,19 +847,11 @@ impl AutonomicReport {
             ("events", Json::from(self.events)),
             ("event_digest", Json::from(format!("{:016x}", self.event_digest))),
             ("lint_errors", Json::from(self.lint_errors)),
-        ])
-    }
-
-    /// The full document (written to `BENCH_autonomic.json`).
-    pub fn to_json(&self) -> Json {
+        ]);
         Json::obj([
             ("schema", Json::from("glare.autonomic.v1")),
             ("experiment", Json::from("autonomic")),
-            ("deterministic", self.to_json_deterministic()),
-            (
-                "wall_clock",
-                Json::obj([("elapsed_ms", Json::from(self.wall_ms))]),
-            ),
+            ("deterministic", deterministic),
         ])
     }
 }
@@ -879,20 +866,21 @@ mod tests {
         assert!(r.violations.is_empty(), "violations: {:?}", r.violations);
         assert_eq!(r.lint_errors, 0);
         assert!(r.recovered, "p99 must recover: {r:?}");
+        assert!(r.gold_p99_post_ms <= 1.25 * r.gold_p99_pre_ms, "recovery bound");
         assert!(r.recovery_after_flash_ms.is_some(), "spike must be visible");
-        let applied_provisions: u64 = r
-            .action_counts
-            .iter()
-            .filter(|((a, o), _)| o == "applied" && (a == "provision" || a == "reprovision"))
-            .map(|(_, n)| *n)
-            .sum();
-        assert!(applied_provisions >= 5, "controller must spread replicas");
-        let retires = r
-            .action_counts
-            .get(&("retire".into(), "applied".into()))
-            .copied()
-            .unwrap_or(0);
-        assert!(retires > 0, "cold replicas must be retired after the flash");
+        let applied = |action: &str| {
+            r.action_counts
+                .get(&(action.into(), "applied".into()))
+                .copied()
+                .unwrap_or(0)
+        };
+        assert!(applied("provision") > 0, "replicas must be provisioned");
+        assert!(applied("reprovision") > 0, "the crash must be re-provisioned");
+        assert!(
+            applied("provision") + applied("reprovision") >= 5,
+            "controller must spread replicas"
+        );
+        assert!(applied("retire") > 0, "cold replicas must be retired after the flash");
         let denied: u64 = r
             .action_counts
             .iter()
@@ -917,9 +905,10 @@ mod tests {
     #[test]
     fn deterministic_half_is_seed_stable() {
         let p = AutonomicParams::smoke();
-        let a = run(&p).to_json_deterministic().to_string_pretty();
-        let b = run(&p).to_json_deterministic().to_string_pretty();
+        let a = run(&p).to_json().to_string_pretty();
+        let b = run(&p).to_json().to_string_pretty();
         assert_eq!(a, b);
+        assert!(a.contains("\"schema\": \"glare.autonomic.v1\""));
     }
 
     #[test]
@@ -935,9 +924,9 @@ mod tests {
         assert_eq!(disabled.event_digest, absent.event_digest);
         assert_eq!(disabled.events, absent.events);
         assert_eq!(
-            disabled.to_json_deterministic().to_string_pretty(),
+            disabled.to_json().to_string_pretty(),
             absent
-                .to_json_deterministic()
+                .to_json()
                 .to_string_pretty()
                 .replace("\"mode\": \"absent\"", "\"mode\": \"disabled\""),
         );

@@ -2,5 +2,6 @@
 //! and majority-acknowledged vs naive super-peer takeover.
 
 fn main() {
+    glare_bench::args::Args::from_env().finish_or_exit();
     print!("{}", glare_bench::ablation::render());
 }

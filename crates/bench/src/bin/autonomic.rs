@@ -12,51 +12,32 @@
 //!                 observe-only identity check)
 //!   --json        machine-readable output on stdout instead of the table
 
+use glare_bench::args::{write_artifact, Args};
 use glare_bench::autonomic::{render, run, AutonomicParams, ControllerMode};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut p = if args.iter().any(|a| a == "--smoke") {
+    let mut args = Args::from_env();
+    let mut p = if args.flag("--smoke") {
         AutonomicParams::smoke()
     } else {
         AutonomicParams::default()
     };
-    if args.iter().any(|a| a == "--disabled") {
+    if args.flag("--disabled") {
         p.mode = ControllerMode::Disabled;
     }
-    if args.iter().any(|a| a == "--absent") {
+    if args.flag("--absent") {
         p.mode = ControllerMode::Absent;
     }
-    let json_out = args.iter().any(|a| a == "--json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--sites" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 6 => p.sites = n,
-                _ => {
-                    eprintln!("--sites expects an integer >= 6");
-                    std::process::exit(2);
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(s) => p.seed = s,
-                None => {
-                    eprintln!("--seed expects an integer");
-                    std::process::exit(2);
-                }
-            },
-            _ => {}
-        }
-    }
+    let json_out = args.flag("--json");
+    args.set(&mut p.sites, "--sites", "an integer >= 6", |&n| n >= 6);
+    args.set(&mut p.seed, "--seed", "an integer", |_| true);
+    args.finish_or_exit();
 
     let report = run(&p);
-    let doc = report.to_json();
-    match std::fs::write("BENCH_autonomic.json", doc.to_string_pretty()) {
-        Ok(()) => eprintln!("wrote BENCH_autonomic.json"),
-        Err(e) => eprintln!("could not write BENCH_autonomic.json: {e}"),
-    }
+    let doc = report.to_json().to_string_pretty();
+    write_artifact("BENCH_autonomic.json", &doc);
     if json_out {
-        print!("{}", doc.to_string_pretty());
+        print!("{doc}");
     } else {
         print!("{}", render(&report));
     }

@@ -18,78 +18,39 @@
 //!
 //! Exits non-zero when any invariant is violated, so CI can gate on it.
 
+use glare_bench::args::{warn_telemetry, write_artifact, Args};
 use glare_bench::chaos::{render, run, ChaosParams};
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_out = args.iter().any(|a| a == "--json");
-
-    let mut p = if args.iter().any(|a| a == "--smoke") {
+    let mut args = Args::from_env();
+    let json_out = args.flag("--json");
+    let mut p = if args.flag("--smoke") {
         ChaosParams::smoke()
     } else {
         ChaosParams::default()
     };
-    if let Some(n) = flag_value(&args, "--sites") {
-        p.sites = n as usize;
-    }
-    if let Some(n) = flag_value(&args, "--clients") {
-        p.clients = n as usize;
-    }
-    if let Some(n) = flag_value(&args, "--queries") {
-        p.queries_per_client = n;
-    }
-    if let Some(n) = flag_value(&args, "--seed") {
-        p.seed = n;
-    }
+    args.set(&mut p.sites, "--sites", "an integer", |_| true);
+    args.set(&mut p.clients, "--clients", "an integer", |_| true);
+    args.set(&mut p.queries_per_client, "--queries", "an integer", |_| true);
+    args.set(&mut p.seed, "--seed", "an integer", |_| true);
+    args.finish_or_exit();
 
     let r = run(p);
-
-    match std::fs::write("BENCH_chaos.json", r.to_json().to_string_pretty()) {
-        Ok(()) => eprintln!("wrote BENCH_chaos.json"),
-        Err(e) => eprintln!("could not write BENCH_chaos.json: {e}"),
-    }
-    match std::fs::write("BENCH_recovery.json", r.to_recovery_json().to_string_pretty()) {
-        Ok(()) => eprintln!("wrote BENCH_recovery.json"),
-        Err(e) => eprintln!("could not write BENCH_recovery.json: {e}"),
-    }
-    let mut events = String::new();
-    for row in &r.rows {
-        events.push_str(&row.events_jsonl);
-    }
+    let doc = r.to_json().to_string_pretty();
+    write_artifact("BENCH_chaos.json", &doc);
+    write_artifact("BENCH_recovery.json", &r.to_recovery_json().to_string_pretty());
+    let mut events: String = r.rows.iter().map(|row| row.events_jsonl.as_str()).collect();
     events.push_str(&r.grid.events_jsonl);
-    match std::fs::write("CHAOS_events.jsonl", &events) {
-        Ok(()) => eprintln!("wrote CHAOS_events.jsonl ({} records)", events.lines().count()),
-        Err(e) => eprintln!("could not write CHAOS_events.jsonl: {e}"),
-    }
+    write_artifact("CHAOS_events.jsonl", &events);
 
-    if r.events_dropped > 0 {
-        eprintln!(
-            "warning: {} event record(s) dropped — raise the event-log bound for a complete log",
-            r.events_dropped
-        );
-    }
-    for v in &r.lint {
-        eprintln!("warning: metric-name lint: {v}");
-    }
-
+    warn_telemetry(r.events_dropped, &r.lint);
     if json_out {
-        print!("{}", r.to_json().to_string_pretty());
+        print!("{doc}");
     } else {
         print!("{}", render(&r));
     }
-
     if !r.invariant_violations.is_empty() {
-        eprintln!(
-            "FAIL: {} invariant violation(s)",
-            r.invariant_violations.len()
-        );
+        eprintln!("FAIL: {} invariant violation(s)", r.invariant_violations.len());
         std::process::exit(1);
     }
 }

@@ -6,22 +6,19 @@
 
 use std::time::Duration;
 
+use glare_bench::args::{write_artifact, Args};
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let per_point = if quick {
-        Duration::from_millis(300)
-    } else {
-        Duration::from_millis(1500)
-    };
+    let mut args = Args::from_env();
+    let (quick, json_out) = (args.flag("--quick"), args.flag("--json"));
+    args.finish_or_exit();
+    let per_point = Duration::from_millis(if quick { 300 } else { 1500 });
     let clients = [1usize, 2, 4, 6, 8, 10, 12, 16];
     let resources = 60;
     let pts = glare_bench::fig10::run(&clients, resources, per_point);
     let doc = glare_bench::fig10::results_json(&pts).to_string_pretty();
-    match std::fs::write("BENCH_registry.json", &doc) {
-        Ok(()) => eprintln!("wrote BENCH_registry.json"),
-        Err(e) => eprintln!("could not write BENCH_registry.json: {e}"),
-    }
-    if std::env::args().any(|a| a == "--json") {
+    write_artifact("BENCH_registry.json", &doc);
+    if json_out {
         print!("{doc}");
     } else {
         print!("{}", glare_bench::fig10::render(&pts));

@@ -3,21 +3,19 @@
 
 use std::time::Duration;
 
+use glare_bench::args::Args;
 use glare_bench::json::Json;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let per_point = if quick {
-        Duration::from_millis(250)
-    } else {
-        Duration::from_millis(1200)
-    };
+    let mut args = Args::from_env();
+    let (quick, json_out) = (args.flag("--quick"), args.flag("--json"));
+    args.finish_or_exit();
+    let per_point = Duration::from_millis(if quick { 250 } else { 1200 });
     let resources = [10usize, 30, 70, 110, 130, 170, 230, 300];
     let clients = 12; // >10, the regime where the paper's index stalled
     let pts = glare_bench::fig11::run(&resources, clients, per_point);
-    if std::env::args().any(|a| a == "--json") {
-        let v = Json::arr(pts.iter().map(|p| p.to_json()));
-        print!("{}", v.to_string_pretty());
+    if json_out {
+        print!("{}", Json::arr(pts.iter().map(|p| p.to_json())).to_string_pretty());
     } else {
         print!("{}", glare_bench::fig11::render(&pts));
         println!("(fixed {clients} concurrent clients)");

@@ -8,78 +8,30 @@
 //! configuration. Always writes `BENCH_overlay.json` with the series
 //! points plus trace-derived critical-path statistics per run.
 
-use glare_bench::fig12::{render, run_config_traced, Fig12Params, Fig12Point};
+use glare_bench::args::{write_artifact, Args};
+use glare_bench::fig12::{render, run_config_traced, Fig12Params, CONFIGS};
 use glare_bench::json::Json;
-use glare_bench::trace::{chrome_trace_json, critical_paths, render_summary, CriticalPathStats};
-use glare_fabric::TraceSink;
-
-fn config_label(sites: usize, cache: bool) -> String {
-    if cache {
-        format!("{sites} site, cache on")
-    } else {
-        format!("{sites} site(s), no cache")
-    }
-}
-
-fn overlay_entry(pt: &Fig12Point, sink: &TraceSink) -> Json {
-    let paths = critical_paths(sink, Some("client.query"));
-    Json::obj([
-        ("point", pt.to_json()),
-        ("critical_path", CriticalPathStats::of(&paths).to_json()),
-        ("dropped_spans", Json::from(sink.dropped())),
-    ])
-}
+use glare_bench::trace::{chrome_trace_json, OverlayReport};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_out = args.iter().any(|a| a == "--json");
-    let export_trace = args.iter().any(|a| a == "--trace");
+    let mut args = Args::from_env();
+    let (json_out, export_trace) = (args.flag("--json"), args.flag("--trace"));
+    args.finish_or_exit();
 
     let p = Fig12Params::default();
-    let configs = [(1usize, true), (1, false), (3, false), (7, false)];
-    let mut pts: Vec<Fig12Point> = Vec::new();
-    let mut entries: Vec<Json> = Vec::new();
-    let mut exported: Option<TraceSink> = None;
-    for (sites, cache) in configs {
+    let mut report = OverlayReport::new("fig12", export_trace);
+    let mut pts = Vec::new();
+    for (sites, cache) in CONFIGS {
         let (pt, sink) = run_config_traced(sites, cache, p);
-        entries.push(overlay_entry(&pt, &sink));
-        if export_trace {
-            let paths = critical_paths(&sink, Some("client.query"));
-            eprint!("{}", render_summary(&config_label(sites, cache), &paths));
-            if sink.dropped() > 0 {
-                eprintln!(
-                    "warning: {}: {} span(s) dropped at the sink bound — \
-                     critical paths may be incomplete",
-                    config_label(sites, cache),
-                    sink.dropped()
-                );
-            }
-        }
-        if sites == 7 {
-            exported = Some(sink);
+        report.record(&pt.label(), pt.to_json(), &sink, "client.query");
+        if export_trace && sites == 7 {
+            write_artifact("TRACE_fig12.json", &chrome_trace_json(&sink).to_string_pretty());
         }
         pts.push(pt);
     }
-
-    let overlay = Json::obj([
-        ("experiment", Json::from("fig12")),
-        ("runs", Json::arr(entries)),
-    ]);
-    match std::fs::write("BENCH_overlay.json", overlay.to_string_pretty()) {
-        Ok(()) => eprintln!("wrote BENCH_overlay.json"),
-        Err(e) => eprintln!("could not write BENCH_overlay.json: {e}"),
-    }
-    if export_trace {
-        let sink = exported.expect("7-site configuration always runs");
-        match std::fs::write("TRACE_fig12.json", chrome_trace_json(&sink).to_string_pretty()) {
-            Ok(()) => eprintln!("wrote TRACE_fig12.json ({} spans)", sink.len()),
-            Err(e) => eprintln!("could not write TRACE_fig12.json: {e}"),
-        }
-    }
-
+    write_artifact("BENCH_overlay.json", &report.into_json().to_string_pretty());
     if json_out {
-        let v = Json::arr(pts.iter().map(|p| p.to_json()));
-        print!("{}", v.to_string_pretty());
+        print!("{}", Json::arr(pts.iter().map(|p| p.to_json())).to_string_pretty());
     } else {
         print!("{}", render(&pts));
     }

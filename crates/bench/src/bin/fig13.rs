@@ -9,84 +9,40 @@
 //! per run — requester runs rooted at `client.query` request spans,
 //! sink runs at `notify.round` fan-out spans.
 
+use glare_bench::args::{write_artifact, Args};
 use glare_bench::fig13::{
-    render, run_requesters_traced, run_sinks_traced, Fig13Params, LoadPoint,
+    render, run_requesters_traced, run_sinks_traced, Fig13Params, REQUESTERS, SINKS, SINK_RATES_S,
 };
 use glare_bench::json::Json;
-use glare_bench::trace::{chrome_trace_json, critical_paths, render_summary, CriticalPathStats};
-use glare_fabric::{SimDuration, TraceSink};
-
-fn overlay_entry(pt: &LoadPoint, sink: &TraceSink, root: &str) -> Json {
-    let paths = critical_paths(sink, Some(root));
-    Json::obj([
-        ("point", pt.to_json()),
-        ("critical_path", CriticalPathStats::of(&paths).to_json()),
-        ("dropped_spans", Json::from(sink.dropped())),
-    ])
-}
+use glare_bench::trace::{chrome_trace_json, OverlayReport};
+use glare_fabric::SimDuration;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_out = args.iter().any(|a| a == "--json");
-    let export_trace = args.iter().any(|a| a == "--trace");
+    let mut args = Args::from_env();
+    let (json_out, export_trace) = (args.flag("--json"), args.flag("--trace"));
+    args.finish_or_exit();
 
     let p = Fig13Params::default();
-    let mut pts: Vec<LoadPoint> = Vec::new();
-    let mut entries: Vec<Json> = Vec::new();
-    let mut exported: Option<TraceSink> = None;
-    for n in [10, 50, 100, 150, 200, 250] {
+    let mut report = OverlayReport::new("fig13", export_trace);
+    let mut pts = Vec::new();
+    for n in REQUESTERS {
         let (pt, sink) = run_requesters_traced(n, p);
-        entries.push(overlay_entry(&pt, &sink, "client.query"));
-        if export_trace {
-            let paths = critical_paths(&sink, Some("client.query"));
-            eprint!("{}", render_summary(&format!("requesters x{n}"), &paths));
-            if sink.dropped() > 0 {
-                eprintln!(
-                    "warning: requesters x{n}: {} span(s) dropped at the sink bound — \
-                     critical paths may be incomplete",
-                    sink.dropped()
-                );
-            }
-        }
-        if n == 250 {
-            exported = Some(sink);
+        report.record(&format!("requesters x{n}"), pt.to_json(), &sink, "client.query");
+        if export_trace && n == 250 {
+            write_artifact("TRACE_fig13.json", &chrome_trace_json(&sink).to_string_pretty());
         }
         pts.push(pt);
     }
-    for rate_s in [1u64, 5, 10] {
-        for n in [30, 70, 140, 210] {
+    for rate_s in SINK_RATES_S {
+        for n in SINKS {
             let (pt, sink) = run_sinks_traced(n, SimDuration::from_secs(rate_s), p);
-            entries.push(overlay_entry(&pt, &sink, "notify.round"));
-            if export_trace && sink.dropped() > 0 {
-                eprintln!(
-                    "warning: sinks x{n} @{rate_s}s: {} span(s) dropped at the sink bound — \
-                     critical paths may be incomplete",
-                    sink.dropped()
-                );
-            }
+            report.record(&format!("sinks x{n} @{rate_s}s"), pt.to_json(), &sink, "notify.round");
             pts.push(pt);
         }
     }
-
-    let overlay = Json::obj([
-        ("experiment", Json::from("fig13")),
-        ("runs", Json::arr(entries)),
-    ]);
-    match std::fs::write("BENCH_overlay.json", overlay.to_string_pretty()) {
-        Ok(()) => eprintln!("wrote BENCH_overlay.json"),
-        Err(e) => eprintln!("could not write BENCH_overlay.json: {e}"),
-    }
-    if export_trace {
-        let sink = exported.expect("250-requester run always executes");
-        match std::fs::write("TRACE_fig13.json", chrome_trace_json(&sink).to_string_pretty()) {
-            Ok(()) => eprintln!("wrote TRACE_fig13.json ({} spans)", sink.len()),
-            Err(e) => eprintln!("could not write TRACE_fig13.json: {e}"),
-        }
-    }
-
+    write_artifact("BENCH_overlay.json", &report.into_json().to_string_pretty());
     if json_out {
-        let v = Json::arr(pts.iter().map(|p| p.to_json()));
-        print!("{}", v.to_string_pretty());
+        print!("{}", Json::arr(pts.iter().map(|p| p.to_json())).to_string_pretty());
     } else {
         print!("{}", render(&pts));
     }

@@ -9,45 +9,28 @@
 //!   --slow F      gray-phase compute slowdown factor (default 150)
 //!   --json        machine-readable output on stdout instead of the table
 
+use glare_bench::args::{write_artifact, Args};
 use glare_bench::grayfail::{render, run, GrayfailParams};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut p = if args.iter().any(|a| a == "--smoke") {
+    let mut args = Args::from_env();
+    let mut p = if args.flag("--smoke") {
         GrayfailParams::smoke()
     } else {
         GrayfailParams::default()
     };
-    let json_out = args.iter().any(|a| a == "--json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(s) => p.seed = s,
-                None => {
-                    eprintln!("--seed expects an integer");
-                    std::process::exit(2);
-                }
-            },
-            "--slow" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if f >= 1.0 => p.slow_factor = f,
-                _ => {
-                    eprintln!("--slow expects a factor >= 1.0");
-                    std::process::exit(2);
-                }
-            },
-            _ => {}
-        }
-    }
+    let json_out = args.flag("--json");
+    args.set(&mut p.seed, "--seed", "an integer", |_| true);
+    args.set(&mut p.slow_factor, "--slow", "a factor >= 1.0", |&f| {
+        f >= 1.0
+    });
+    args.finish_or_exit();
 
     let report = run(&p);
-    let doc = report.to_json();
-    match std::fs::write("BENCH_grayfail.json", doc.to_string_pretty()) {
-        Ok(()) => eprintln!("wrote BENCH_grayfail.json"),
-        Err(e) => eprintln!("could not write BENCH_grayfail.json: {e}"),
-    }
+    let doc = report.to_json().to_string_pretty();
+    write_artifact("BENCH_grayfail.json", &doc);
     if json_out {
-        print!("{}", doc.to_string_pretty());
+        print!("{doc}");
     } else {
         print!("{}", render(&report));
     }

@@ -26,79 +26,42 @@
 //! * `HEALTH_events.jsonl`  — both phases' structured event logs.
 //! * `HEALTH_metrics.prom`  — both registries' text exposition.
 
+use glare_bench::args::{warn_telemetry, write_artifact, Args};
 use glare_bench::health::{render, render_watch, run, HealthParams};
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_out = args.iter().any(|a| a == "--json");
-    let watch = args.iter().any(|a| a == "--watch");
-
-    let mut p = if args.iter().any(|a| a == "--smoke") {
+    let mut args = Args::from_env();
+    let (json_out, watch) = (args.flag("--json"), args.flag("--watch"));
+    let mut p = if args.flag("--smoke") {
         HealthParams::smoke()
     } else {
         HealthParams::default()
     };
-    if let Some(n) = flag_value(&args, "--sites") {
-        p.sites = n as usize;
-    }
-    if let Some(n) = flag_value(&args, "--clients") {
-        p.clients = n as usize;
-    }
-    if let Some(n) = flag_value(&args, "--queries") {
-        p.queries_per_client = n;
-    }
-    if let Some(n) = flag_value(&args, "--seed") {
-        p.seed = n;
-    }
-    if let Some(n) = flag_value(&args, "--loss") {
+    args.set(&mut p.sites, "--sites", "an integer", |_| true);
+    args.set(&mut p.clients, "--clients", "an integer", |_| true);
+    args.set(&mut p.queries_per_client, "--queries", "an integer", |_| true);
+    args.set(&mut p.seed, "--seed", "an integer", |_| true);
+    if let Some(n) = args.value("--loss", "an integer (per-mille)", |_: &u64| true) {
         p.loss = n as f64 / 1000.0;
     }
-    if let Some(n) = flag_value(&args, "--tenants") {
-        p.tenants = n as usize;
-    }
-    if args.iter().any(|a| a == "--gray") {
-        p.gray = true;
-    }
+    args.set(&mut p.tenants, "--tenants", "an integer", |_| true);
+    p.gray |= args.flag("--gray");
+    args.finish_or_exit();
 
     let r = run(p);
-
-    match std::fs::write("BENCH_health.json", r.to_json().to_string_pretty()) {
-        Ok(()) => eprintln!("wrote BENCH_health.json"),
-        Err(e) => eprintln!("could not write BENCH_health.json: {e}"),
-    }
+    let doc = r.to_json().to_string_pretty();
+    write_artifact("BENCH_health.json", &doc);
     let events = format!("{}{}", r.overlay_events_jsonl, r.grid_events_jsonl);
-    match std::fs::write("HEALTH_events.jsonl", &events) {
-        Ok(()) => eprintln!("wrote HEALTH_events.jsonl ({} records)", events.lines().count()),
-        Err(e) => eprintln!("could not write HEALTH_events.jsonl: {e}"),
-    }
+    write_artifact("HEALTH_events.jsonl", &events);
     let prom = format!(
         "# overlay registry\n{}# grid registry\n{}",
         r.overlay_exposition, r.grid_exposition
     );
-    match std::fs::write("HEALTH_metrics.prom", &prom) {
-        Ok(()) => eprintln!("wrote HEALTH_metrics.prom"),
-        Err(e) => eprintln!("could not write HEALTH_metrics.prom: {e}"),
-    }
+    write_artifact("HEALTH_metrics.prom", &prom);
 
-    if r.events_dropped > 0 {
-        eprintln!(
-            "warning: {} event record(s) dropped — raise the event-log bound for a complete log",
-            r.events_dropped
-        );
-    }
-    for v in &r.lint {
-        eprintln!("warning: metric-name lint: {v}");
-    }
-
+    warn_telemetry(r.events_dropped, &r.lint);
     if json_out {
-        print!("{}", r.to_json().to_string_pretty());
+        print!("{doc}");
     } else {
         print!("{}", render(&r));
         if watch {

@@ -11,70 +11,29 @@
 //!   --no-backpressure  disable admission control (observe-only check)
 //!   --json           machine-readable output on stdout instead of the table
 
+use glare_bench::args::{write_artifact, Args};
 use glare_bench::load::{render, run, to_json, LoadParams};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut p = if args.iter().any(|a| a == "--smoke") {
+    let mut args = Args::from_env();
+    let mut p = if args.flag("--smoke") {
         LoadParams::smoke()
     } else {
         LoadParams::default()
     };
-    if args.iter().any(|a| a == "--no-backpressure") {
-        p.backpressure = false;
-    }
-    let json_out = args.iter().any(|a| a == "--json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--sites" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => p.sites = n,
-                _ => {
-                    eprintln!("--sites expects a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(s) => p.seed = s,
-                None => {
-                    eprintln!("--seed expects an integer");
-                    std::process::exit(2);
-                }
-            },
-            "--capacity" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(c) if c > 0 => p.capacity = c,
-                _ => {
-                    eprintln!("--capacity expects a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--factors" => {
-                let parsed: Option<Vec<f64>> = it
-                    .next()
-                    .map(|v| v.split(',').map(|s| s.trim().parse().ok()).collect())
-                    .unwrap_or(None);
-                match parsed {
-                    Some(fs) if !fs.is_empty() && fs.iter().all(|&f| f > 0.0) => {
-                        p.factors = fs;
-                    }
-                    _ => {
-                        eprintln!("--factors expects a comma-separated list of positive numbers");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
+    p.backpressure &= !args.flag("--no-backpressure");
+    let json_out = args.flag("--json");
+    args.set(&mut p.sites, "--sites", "a positive integer", |&n| n > 0);
+    args.set(&mut p.seed, "--seed", "an integer", |_| true);
+    args.set(&mut p.capacity, "--capacity", "a positive integer", |&c| c > 0);
+    args.set_list(&mut p.factors, "--factors", "comma-separated positive numbers", |&f| f > 0.0);
+    args.finish_or_exit();
 
     let points = run(&p);
-    let doc = to_json(&p, &points);
-    match std::fs::write("BENCH_load.json", doc.to_string_pretty()) {
-        Ok(()) => eprintln!("wrote BENCH_load.json"),
-        Err(e) => eprintln!("could not write BENCH_load.json: {e}"),
-    }
+    let doc = to_json(&p, &points).to_string_pretty();
+    write_artifact("BENCH_load.json", &doc);
     if json_out {
-        print!("{}", doc.to_string_pretty());
+        print!("{doc}");
     } else {
         print!("{}", render(&p, &points));
     }

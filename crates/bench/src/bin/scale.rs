@@ -4,71 +4,32 @@
 //!
 //! Flags:
 //!   --smoke          CI-sized sweep (100 and 200 sites)
-//!   --queue KIND     event queue: `calendar` (default) or `heap`
 //!   --sites LIST     comma-separated site counts (default 1000,2500,5000,10000)
 //!   --depth N        super-peer tree depth for the tree rows (default 3)
 //!   --no-flood       skip the flat-broadcast baseline rows
 //!   --json           machine-readable output on stdout instead of the table
 
+use glare_bench::args::{write_artifact, Args};
 use glare_bench::scale::{render, run, to_json, ScaleParams};
-use glare_fabric::SchedulerKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut p = if args.iter().any(|a| a == "--smoke") {
+    let mut args = Args::from_env();
+    let mut p = if args.flag("--smoke") {
         ScaleParams::smoke()
     } else {
         ScaleParams::default()
     };
-    if args.iter().any(|a| a == "--no-flood") {
-        p.flood_baseline = false;
-    }
-    let json_out = args.iter().any(|a| a == "--json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--queue" => match it.next().map(String::as_str) {
-                Some("calendar") => p.scheduler = SchedulerKind::Calendar,
-                Some("heap") => p.scheduler = SchedulerKind::BinaryHeap,
-                other => {
-                    eprintln!("--queue expects `calendar` or `heap`, got {other:?}");
-                    std::process::exit(2);
-                }
-            },
-            "--sites" => {
-                let parsed: Option<Vec<usize>> = it
-                    .next()
-                    .map(|v| v.split(',').map(|s| s.trim().parse().ok()).collect())
-                    .unwrap_or(None);
-                match parsed {
-                    Some(sites) if !sites.is_empty() && sites.iter().all(|&n| n > 0) => {
-                        p.sites = sites;
-                    }
-                    _ => {
-                        eprintln!("--sites expects a comma-separated list of positive integers");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--depth" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(d) if d >= 2 => p.tree_depth = d,
-                _ => {
-                    eprintln!("--depth expects an integer >= 2");
-                    std::process::exit(2);
-                }
-            },
-            _ => {}
-        }
-    }
+    p.flood_baseline &= !args.flag("--no-flood");
+    let json_out = args.flag("--json");
+    args.set_list(&mut p.sites, "--sites", "comma-separated positive integers", |&n| n > 0);
+    args.set(&mut p.tree_depth, "--depth", "an integer >= 2", |&d| d >= 2);
+    args.finish_or_exit();
 
     let points = run(&p);
-    let doc = to_json(&p, &points);
-    match std::fs::write("BENCH_scale.json", doc.to_string_pretty()) {
-        Ok(()) => eprintln!("wrote BENCH_scale.json"),
-        Err(e) => eprintln!("could not write BENCH_scale.json: {e}"),
-    }
+    let doc = to_json(&p, &points).to_string_pretty();
+    write_artifact("BENCH_scale.json", &doc);
     if json_out {
-        print!("{}", doc.to_string_pretty());
+        print!("{doc}");
     } else {
         print!("{}", render(&p, &points));
     }

@@ -44,12 +44,15 @@ use glare_core::rdm::{provision, ProvisionRequest};
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
 use glare_core::{GlareNode, RetryPolicy, Role};
 use glare_fabric::{
-    ActorId, FaultPlan, MetricsRegistry, NetworkConfig, SimDuration, SimRng, SimTime, SiteId,
-    StoreConfig, DEFAULT_MAX_EVENTS,
+    percentile, ActorId, FaultPlan, MetricsRegistry, NetworkConfig, SimDuration, SimRng, SimTime,
+    SiteId, StoreConfig, DEFAULT_MAX_EVENTS,
 };
 use glare_services::{ChannelKind, Transport};
 
-use crate::percentile as pct;
+/// [`percentile`] of ascending millisecond samples; 0 when there are none.
+fn pct(sorted_ms: &[f64], q: f64) -> f64 {
+    percentile(sorted_ms, q).unwrap_or(0.0)
+}
 
 /// Scenario parameters.
 #[derive(Clone, Debug)]
@@ -954,17 +957,23 @@ impl ChaosReport {
         ])
     }
 
-    /// Recovery-time summary (written to `BENCH_recovery.json`):
-    /// crash-to-rejoin percentiles per loss point and merged over the
-    /// whole sweep, plus the Grid phase's restart replay.
-    pub fn to_recovery_json(&self) -> crate::json::Json {
-        use crate::json::Json;
+    /// Every loss point's crash-to-rejoin samples, merged and sorted.
+    fn merged_recovery_ms(&self) -> Vec<f64> {
         let mut merged: Vec<f64> = self
             .rows
             .iter()
             .flat_map(|r| r.recovery_ms.iter().copied())
             .collect();
         merged.sort_by(f64::total_cmp);
+        merged
+    }
+
+    /// Recovery-time summary (written to `BENCH_recovery.json`):
+    /// crash-to-rejoin percentiles per loss point and merged over the
+    /// whole sweep, plus the Grid phase's restart replay.
+    pub fn to_recovery_json(&self) -> crate::json::Json {
+        use crate::json::Json;
+        let merged = self.merged_recovery_ms();
         Json::obj([
             ("experiment", Json::from("recovery")),
             ("seed", Json::from(self.params.seed)),
@@ -1048,6 +1057,11 @@ mod tests {
             "recovery samples are sorted"
         );
         assert!(pct(&row.recovery_ms, 0.95) > 0.0, "recovery took sim-time");
+        let merged = r.merged_recovery_ms();
+        assert!(
+            !merged.is_empty() && pct(&merged, 0.95) > 0.0,
+            "the merged (`overall`) recovery percentiles are populated"
+        );
         // The mid-run crash of the granting site drives the Grid-phase
         // retry path hard enough to trip the breaker.
         assert!(r.grid.retries > 0, "the lease path retried");
@@ -1075,7 +1089,10 @@ mod tests {
         }
         assert_eq!(a.grid.exposition, b.grid.exposition);
         assert_eq!(a.grid.events_jsonl, b.grid.events_jsonl);
-        assert_eq!(a.to_json().to_string_pretty(), b.to_json().to_string_pretty());
+        let report = a.to_json().to_string_pretty();
+        assert_eq!(report, b.to_json().to_string_pretty());
+        assert!(report.contains("\"experiment\": \"chaos\""));
+        assert!(a.to_recovery_json().to_string_pretty().contains("\"experiment\": \"recovery\""));
         assert_eq!(
             a.to_recovery_json().to_string_pretty(),
             b.to_recovery_json().to_string_pretty(),

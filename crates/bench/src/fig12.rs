@@ -10,7 +10,7 @@
 
 use glare_core::model::{ActivityDeployment, ActivityType};
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
-use glare_fabric::{SimDuration, SimTime, SiteId, Topology, TraceSink};
+use glare_fabric::{percentile, SimDuration, SimTime, SiteId, Topology, TraceSink};
 
 /// One Fig. 12 series point.
 #[derive(Clone, Debug)]
@@ -28,6 +28,15 @@ pub struct Fig12Point {
 }
 
 impl Fig12Point {
+    /// The configuration's display name.
+    pub fn label(&self) -> String {
+        if self.cache {
+            format!("{} site, cache on", self.sites)
+        } else {
+            format!("{} site(s), no cache", self.sites)
+        }
+    }
+
     /// JSON-friendly view of the point.
     pub fn to_json(&self) -> crate::json::Json {
         crate::json::Json::obj([
@@ -145,10 +154,7 @@ fn run_config_impl(
     let mut lat_ms: Vec<f64> = s.latencies.iter().map(|d| d.as_millis_f64()).collect();
     lat_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let mean = lat_ms.iter().sum::<f64>() / lat_ms.len().max(1) as f64;
-    let p95 = lat_ms
-        .get(((lat_ms.len() as f64 * 0.95) as usize).min(lat_ms.len().saturating_sub(1)))
-        .copied()
-        .unwrap_or(0.0);
+    let p95 = percentile(&lat_ms, 0.95).unwrap_or(0.0);
     (
         Fig12Point {
             sites,
@@ -161,14 +167,13 @@ fn run_config_impl(
     )
 }
 
-/// The full Fig. 12 series: cache on 1 site; cache off on 1, 3, 7 sites.
+/// The series' configurations as `(sites, cache)`: cache on 1 site;
+/// cache off on 1, 3, 7 sites.
+pub const CONFIGS: [(usize, bool); 4] = [(1, true), (1, false), (3, false), (7, false)];
+
+/// The full Fig. 12 series.
 pub fn run(p: Fig12Params) -> Vec<Fig12Point> {
-    vec![
-        run_config(1, true, p),
-        run_config(1, false, p),
-        run_config(3, false, p),
-        run_config(7, false, p),
-    ]
+    CONFIGS.iter().map(|&(sites, cache)| run_config(sites, cache, p)).collect()
 }
 
 /// Render the series.
@@ -178,14 +183,12 @@ pub fn render(points: &[Fig12Point]) -> String {
          configuration      | mean (ms) | p95 (ms) | requests\n",
     );
     for p in points {
-        let label = if p.cache {
-            format!("{} site, cache on", p.sites)
-        } else {
-            format!("{} site(s), no cache", p.sites)
-        };
         s.push_str(&format!(
-            "{label:<19}| {:>9.1} | {:>8.1} | {:>8}\n",
-            p.mean_ms, p.p95_ms, p.requests
+            "{:<19}| {:>9.1} | {:>8.1} | {:>8}\n",
+            p.label(),
+            p.mean_ms,
+            p.p95_ms,
+            p.requests
         ));
     }
     s
@@ -213,6 +216,31 @@ mod tests {
         assert_eq!(a.mean_ms, b.mean_ms, "same seed, same simulation");
         assert_eq!(a.p95_ms, b.p95_ms);
         assert_eq!(a.requests, b.requests);
+    }
+
+    #[test]
+    fn default_series_has_the_papers_shape() {
+        // EXPERIMENTS.md Fig. 12, at the parameters `--bin fig12` runs.
+        let pts = run(Fig12Params::default());
+        let (cache1, nocache) = (&pts[0], &pts[1..]);
+        assert!(cache1.cache && nocache.iter().all(|p| !p.cache));
+        for p in nocache {
+            assert!(
+                cache1.mean_ms < p.mean_ms,
+                "cache on one site ({:.1} ms) is the fastest configuration; {} took {:.1} ms",
+                cache1.mean_ms,
+                p.label(),
+                p.mean_ms
+            );
+        }
+        assert!(
+            nocache.windows(2).all(|w| w[0].sites < w[1].sites && w[0].mean_ms > w[1].mean_ms),
+            "mean falls monotonically 1 -> 3 -> 7 sites: {nocache:?}"
+        );
+        assert!(
+            nocache[0].mean_ms > 5.0 * nocache[1].mean_ms,
+            "the single saturated no-cache site is the worst case by far: {nocache:?}"
+        );
     }
 
     #[test]

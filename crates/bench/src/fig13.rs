@@ -189,14 +189,21 @@ fn run_sinks_impl(
     )
 }
 
+/// Requester counts of the requester series.
+pub const REQUESTERS: [usize; 6] = [10, 50, 100, 150, 200, 250];
+/// Notification periods of the sink series, seconds.
+pub const SINK_RATES_S: [u64; 3] = [1, 5, 10];
+/// Sink counts of every sink series.
+pub const SINKS: [usize; 4] = [30, 70, 140, 210];
+
 /// The full Fig. 13 sweep.
 pub fn run(p: Fig13Params) -> Vec<LoadPoint> {
     let mut out = Vec::new();
-    for n in [10, 50, 100, 150, 200, 250] {
+    for n in REQUESTERS {
         out.push(run_requesters(n, p));
     }
-    for rate_s in [1u64, 5, 10] {
-        for n in [30, 70, 140, 210] {
+    for rate_s in SINK_RATES_S {
+        for n in SINKS {
             out.push(run_sinks(n, SimDuration::from_secs(rate_s), p));
         }
     }
@@ -252,6 +259,29 @@ mod tests {
             "250 requesters peak just below ~5 in the paper; got {}",
             large.peak_load
         );
+    }
+
+    #[test]
+    fn default_sweep_has_the_papers_crests() {
+        // EXPERIMENTS.md Fig. 13, at the parameters `--bin fig13` runs.
+        let p = Fig13Params::default();
+        let crest = run_requesters(250, p).peak_load;
+        assert!(
+            (4.0..=6.0).contains(&crest),
+            "250 requesters crest at ~5 (paper: just below 5); got {crest}"
+        );
+        let (mut fast, mut slow) = (0.0, 0.0);
+        for n in SINKS {
+            fast = run_sinks(n, SimDuration::from_secs(1), p).peak_load;
+            slow = run_sinks(n, SimDuration::from_secs(5), p).peak_load;
+            assert!(fast > slow, "{n} sinks: 1 s rate {fast} must exceed 5 s rate {slow}");
+        }
+        assert!(
+            (15.0..=18.5).contains(&fast),
+            "210 sinks at 1 s crest near 16 (paper: slightly above 16); got {fast}"
+        );
+        let slowest = run_sinks(210, SimDuration::from_secs(10), p).peak_load;
+        assert!(slow > slowest, "210 sinks: 5 s rate {slow} must exceed 10 s rate {slowest}");
     }
 
     #[test]

@@ -24,11 +24,10 @@
 //! may ever *declare* the slow super-peer failed (zero false-positive
 //! takeovers).
 //!
-//! Output splits into a byte-identical deterministic half and a
-//! wall-clock half, like the other benches (`BENCH_grayfail.json`).
+//! The report (`BENCH_grayfail.json`) derives from sim-time alone, so it
+//! is byte-identical for a given seed.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use glare_core::model::{example_hierarchy, ActivityDeployment};
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
@@ -37,11 +36,11 @@ use glare_core::{GlareNode, TenantClass};
 use glare_fabric::store::fnv1a;
 use glare_fabric::sync::Mutex;
 use glare_fabric::{
-    ActorId, Labels, SimDuration, SimTime, Simulation, SiteId, Topology, DEFAULT_MAX_EVENTS,
+    percentile, ActorId, Labels, SimDuration, SimTime, Simulation, SiteId, Topology,
+    DEFAULT_MAX_EVENTS,
 };
 
 use crate::json::Json;
-use crate::percentile;
 
 /// Skewed activity catalogue (concrete types of the example hierarchy):
 /// client assignment is Zipf-flavored (half the clients hammer the head
@@ -190,8 +189,6 @@ pub struct GrayfailReport {
     pub hedged_beats_unhedged: bool,
     /// Disabled run is event-identical to the absent run.
     pub disabled_matches_absent: bool,
-    /// Host-side run time, ms (wall-clock half only).
-    pub wall_ms: f64,
 }
 
 const CLASSES: [(TenantClass, &str); 3] = [
@@ -399,8 +396,8 @@ pub fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
                 phase: (*phase).to_owned(),
                 responses,
                 hits,
-                p50_ms: percentile(&ms, 0.50),
-                p99_ms: percentile(&ms, 0.99),
+                p50_ms: percentile(&ms, 0.50).unwrap_or(0.0),
+                p99_ms: percentile(&ms, 0.99).unwrap_or(0.0),
             });
         }
         if responses_total == 0 {
@@ -493,7 +490,6 @@ fn gold_p99(r: &ModeReport, phase: &str) -> f64 {
 
 /// Run all three modes and compute the acceptance verdicts.
 pub fn run(p: &GrayfailParams) -> GrayfailReport {
-    let started = Instant::now();
     let enabled = run_mode(p, GrayMode::Enabled);
     let disabled = run_mode(p, GrayMode::Disabled);
     let absent = run_mode(p, GrayMode::Absent);
@@ -515,7 +511,6 @@ pub fn run(p: &GrayfailParams) -> GrayfailReport {
         disabled_exceeds_5x,
         hedged_beats_unhedged,
         disabled_matches_absent,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
     }
 }
 
@@ -602,10 +597,11 @@ impl ModeReport {
 }
 
 impl GrayfailReport {
-    /// The byte-identical half: everything derived from sim-time alone.
-    pub fn to_json_deterministic(&self) -> Json {
+    /// The `BENCH_grayfail.json` document: everything derives from
+    /// sim-time alone, so it is byte-identical for a given seed.
+    pub fn to_json(&self) -> Json {
         let p = &self.params;
-        Json::obj([
+        let deterministic = Json::obj([
             (
                 "params",
                 Json::obj([
@@ -625,19 +621,11 @@ impl GrayfailReport {
             ("disabled_exceeds_5x", Json::from(self.disabled_exceeds_5x)),
             ("hedged_beats_unhedged", Json::from(self.hedged_beats_unhedged)),
             ("disabled_matches_absent", Json::from(self.disabled_matches_absent)),
-        ])
-    }
-
-    /// The full document (written to `BENCH_grayfail.json`).
-    pub fn to_json(&self) -> Json {
+        ]);
         Json::obj([
             ("schema", Json::from("glare.grayfail.v1")),
             ("experiment", Json::from("grayfail")),
-            ("deterministic", self.to_json_deterministic()),
-            (
-                "wall_clock",
-                Json::obj([("elapsed_ms", Json::from(self.wall_ms))]),
-            ),
+            ("deterministic", deterministic),
         ])
     }
 }
@@ -646,19 +634,15 @@ impl GrayfailReport {
 mod tests {
     use super::*;
 
-    fn small() -> GrayfailParams {
-        let mut p = GrayfailParams::smoke();
-        p.healthy_secs = 60;
-        p.gray_secs = 60;
-        p.healed_secs = 30;
-        p
-    }
-
     #[test]
     fn hedging_holds_the_gray_phase_p99() {
-        let r = run(&small());
+        let r = run(&GrayfailParams::smoke());
+        let modes: Vec<&str> = r.runs.iter().map(|m| m.mode.label()).collect();
+        assert_eq!(modes, ["enabled", "disabled", "absent"]);
         for m in &r.runs {
             assert!(m.violations.is_empty(), "{}: {:?}", m.mode.label(), m.violations);
+            assert_eq!(m.lint_errors, 0, "{}: metric-name lint", m.mode.label());
+            assert_eq!(m.false_takeovers, 0, "{}: a slow peer was declared dead", m.mode.label());
         }
         assert!(r.enabled_within_2x, "{}", render(&r));
         assert!(r.disabled_exceeds_5x, "{}", render(&r));
@@ -666,13 +650,15 @@ mod tests {
         assert!(r.disabled_matches_absent, "{}", render(&r));
         assert!(r.runs[0].hedges_fired > 0, "the gray phase must hedge");
         assert!(r.runs[0].hedges_won > 0, "hedges must win under the slow peer");
+        assert_eq!(r.runs[1].hedges_fired, 0, "hedges fired with the stack disabled");
     }
 
     #[test]
     fn deterministic_half_is_seed_stable() {
-        let p = small();
-        let a = run(&p).to_json_deterministic().to_string_pretty();
-        let b = run(&p).to_json_deterministic().to_string_pretty();
+        let p = GrayfailParams::smoke();
+        let a = run(&p).to_json().to_string_pretty();
+        let b = run(&p).to_json().to_string_pretty();
         assert_eq!(a, b);
+        assert!(a.contains("\"schema\": \"glare.grayfail.v1\""));
     }
 }

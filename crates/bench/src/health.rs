@@ -867,6 +867,8 @@ mod tests {
         assert_eq!(r.leases_granted, 2);
         assert_eq!(r.leases_rejected, 1);
         assert!(!r.watch.is_empty(), "windowed gauges sampled");
+        assert!(r.to_json().to_string_pretty().contains("\"experiment\": \"healthreport\""));
+        assert!(!r.overlay_exposition.is_empty() && !r.grid_exposition.is_empty());
         // The mid-run uninstall shows up in the grid event log.
         assert!(r.grid_events_jsonl.contains("\"kind\":\"deployment.degraded\""));
         assert!(r.grid_events_jsonl.contains("\"kind\":\"deploy.retried\""));

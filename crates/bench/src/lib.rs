@@ -2,13 +2,15 @@
 //! figure of the GLARE paper's evaluation (§4).
 //!
 //! Each module owns one experiment and exposes `run(...)` + `render(...)`;
-//! the `table1`/`fig10`/`fig11`/`fig12`/`fig13` binaries print the
-//! regenerated rows/series. Criterion benches over the same primitives
-//! live under `benches/`.
+//! the binaries under `src/bin/` print the regenerated rows/series and
+//! write the `BENCH_*.json` artifacts. Every acceptance check is a unit
+//! test of its module; host-time measurement lives in the perf ledger
+//! (`perf/`), not here.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod args;
 pub mod autonomic;
 pub mod chaos;
 pub mod fig10;
@@ -21,15 +23,4 @@ pub mod json;
 pub mod load;
 pub mod scale;
 pub mod table1;
-pub mod timing;
 pub mod trace;
-
-/// Nearest-rank percentile (`q` in 0–1) over an ascending slice; 0 when
-/// empty.
-pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[rank]
-}

@@ -13,23 +13,17 @@
 //! within 10% of its pre-overload goodput at ≥2x saturation while the
 //! best-effort tier absorbs the rejections.
 //!
-//! Output (`BENCH_load.json`, schema `glare.load.v1`) splits like the
-//! scale sweep:
-//!
-//! * **deterministic** — per-tenant offered/sent/responses/shed/retry
-//!   counts, goodput, latency percentiles, per-class admission counters,
-//!   invariant violations and the structured-event digest. Same seed ⇒
-//!   byte-identical JSON.
-//! * **wall_clock** — elapsed seconds and kernel events/sec.
-
-use std::time::Instant;
+//! Output (`BENCH_load.json`, schema `glare.load.v1`): per-tenant
+//! offered/sent/responses/shed/retry counts, goodput, latency
+//! percentiles, per-class admission counters, invariant violations and
+//! the structured-event digest. Same seed ⇒ byte-identical JSON.
 
 use glare_core::admission::{AdmissionConfig, TenantClass};
 use glare_core::model::{ActivityDeployment, ActivityType};
 use glare_core::overlay::OverlayBuilder;
 use glare_core::retry::RetryPolicy;
 use glare_fabric::store::fnv1a;
-use glare_fabric::{Labels, SimDuration, SimTime, SiteId};
+use glare_fabric::{percentile, Labels, SimDuration, SimTime, SiteId};
 use glare_workload::{TenantLoad, TenantStats, WorkloadSpec};
 
 use crate::json::Json;
@@ -81,7 +75,7 @@ impl Default for LoadParams {
 }
 
 impl LoadParams {
-    /// A fast CI-sized sweep (used by `--smoke` and `verify.sh`). Keeps
+    /// A fast CI-sized sweep (used by `--smoke` and the tier-1 tests). Keeps
     /// the 1.0 and 2.0 factors so the goodput-protection criterion is
     /// still checkable.
     pub fn smoke() -> LoadParams {
@@ -95,7 +89,7 @@ impl LoadParams {
     }
 }
 
-/// One tenant's measured outcome at one sweep point (all deterministic).
+/// One tenant's measured outcome at one sweep point.
 #[derive(Clone, Debug)]
 pub struct TenantRow {
     /// Tenant name from the spec.
@@ -171,26 +165,16 @@ pub struct LoadPoint {
     /// every labeled family (the admission counters included) obeys the
     /// `glare_*` naming contract.
     pub lint_errors: u64,
-    /// Kernel events processed (deterministic).
+    /// Kernel events processed.
     pub events: u64,
-    /// FNV-1a digest of the structured event log (deterministic; the
-    /// same-seed identity oracle for verify.sh).
+    /// FNV-1a digest of the structured event log (the observe-only
+    /// identity oracle).
     pub event_digest: u64,
-    /// Wall-clock seconds inside `run_until` (nondeterministic).
-    pub elapsed_s: f64,
 }
 
 impl LoadPoint {
-    /// Kernel events per wall-clock second (nondeterministic).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.elapsed_s <= 0.0 {
-            return 0.0;
-        }
-        self.events as f64 / self.elapsed_s
-    }
-
-    /// The seed-stable half of the point.
-    pub fn to_json_deterministic(&self) -> Json {
+    /// JSON view of the point.
+    pub fn to_json(&self) -> Json {
         let classes = ["gold", "silver", "best_effort"];
         let by_class = |v: &[u64; 3]| {
             Json::obj(
@@ -216,15 +200,6 @@ impl LoadPoint {
             ("lint_errors", Json::from(self.lint_errors)),
             ("events", Json::from(self.events)),
             ("event_digest", Json::from(self.event_digest)),
-        ])
-    }
-
-    /// The wall-clock half.
-    pub fn to_json_wall(&self) -> Json {
-        Json::obj([
-            ("factor", Json::from(self.factor)),
-            ("elapsed_s", Json::from(self.elapsed_s)),
-            ("events_per_sec", Json::from(self.events_per_sec())),
         ])
     }
 }
@@ -298,9 +273,7 @@ pub fn run_point(factor: f64, p: &LoadParams) -> LoadPoint {
     }
 
     sim.start();
-    let t0 = Instant::now();
     let events = sim.run_until(SimTime::from_secs(p.duration_secs + p.drain_secs));
-    let elapsed_s = t0.elapsed().as_secs_f64();
 
     let window_secs = p.duration_secs as f64;
     let tenants: Vec<TenantRow> = spec
@@ -309,7 +282,9 @@ pub fn run_point(factor: f64, p: &LoadParams) -> LoadPoint {
         .zip(stats.iter())
         .map(|(t, s)| {
             let s = s.lock();
-            let pct = |p: f64| s.percentile(p).map(|d| d.as_millis_f64()).unwrap_or(0.0);
+            let mut sorted = s.latencies.clone();
+            sorted.sort_unstable();
+            let pct = |q: f64| percentile(&sorted, q).map_or(0.0, |d| d.as_millis_f64());
             TenantRow {
                 name: t.name.clone(),
                 class: t.class.label(),
@@ -322,9 +297,9 @@ pub fn run_point(factor: f64, p: &LoadParams) -> LoadPoint {
                 dropped: s.dropped,
                 goodput_hz: s.responses as f64 / window_secs,
                 success_ratio: s.responses as f64 / s.offered.max(1) as f64,
-                p50_ms: pct(50.0),
-                p95_ms: pct(95.0),
-                p99_ms: pct(99.0),
+                p50_ms: pct(0.50),
+                p95_ms: pct(0.95),
+                p99_ms: pct(0.99),
             }
         })
         .collect();
@@ -355,7 +330,6 @@ pub fn run_point(factor: f64, p: &LoadParams) -> LoadPoint {
         lint_errors,
         events,
         event_digest,
-        elapsed_s,
     }
 }
 
@@ -398,8 +372,8 @@ pub fn render(p: &LoadParams, points: &[LoadPoint]) -> String {
     s
 }
 
-/// The `BENCH_load.json` document: `deterministic` is byte-identical
-/// for a given seed and parameter set; `wall_clock` is not.
+/// The `BENCH_load.json` document: byte-identical for a given seed and
+/// parameter set.
 pub fn to_json(p: &LoadParams, points: &[LoadPoint]) -> Json {
     Json::obj([
         ("schema", Json::from("glare.load.v1")),
@@ -413,21 +387,8 @@ pub fn to_json(p: &LoadParams, points: &[LoadPoint]) -> Json {
             "deterministic",
             Json::obj([(
                 "points",
-                Json::arr(points.iter().map(|pt| pt.to_json_deterministic())),
+                Json::arr(points.iter().map(|pt| pt.to_json())),
             )]),
-        ),
-        (
-            "wall_clock",
-            Json::obj([
-                (
-                    "note",
-                    Json::from("wall-clock throughput; varies run to run"),
-                ),
-                (
-                    "points",
-                    Json::arr(points.iter().map(|pt| pt.to_json_wall())),
-                ),
-            ]),
         ),
     ])
 }
@@ -436,38 +397,33 @@ pub fn to_json(p: &LoadParams, points: &[LoadPoint]) -> Json {
 mod tests {
     use super::*;
 
-    fn tiny() -> LoadParams {
-        LoadParams {
-            sites: 4,
-            factors: vec![1.0, 2.0],
-            duration_secs: 10,
-            drain_secs: 5,
-            ..LoadParams::default()
-        }
-    }
-
-    fn deterministic_json(points: &[LoadPoint]) -> String {
-        Json::arr(points.iter().map(|pt| pt.to_json_deterministic())).to_string_pretty()
-    }
-
     #[test]
     fn deterministic_half_is_seed_stable() {
-        let p = tiny();
-        let a = run(&p);
-        let b = run(&p);
-        assert_eq!(deterministic_json(&a), deterministic_json(&b));
+        let p = LoadParams::smoke();
+        let a = to_json(&p, &run(&p)).to_string_pretty();
+        let b = to_json(&p, &run(&p)).to_string_pretty();
+        assert_eq!(a, b);
+        assert!(a.contains("\"schema\": \"glare.load.v1\""));
     }
 
     #[test]
     fn overload_sheds_best_effort_first_and_gold_holds() {
-        let points = run(&tiny());
-        let (pre, over) = (&points[0], &points[1]);
-        assert_eq!(over.invariant_violations, 0);
+        let p = LoadParams::smoke();
+        let points = run(&p);
+        assert_eq!(points.len(), p.factors.len());
+        for pt in &points {
+            assert_eq!(pt.invariant_violations, 0, "factor {}", pt.factor);
+            assert_eq!(pt.lint_errors, 0, "factor {}", pt.factor);
+        }
+        let pre = points.iter().find(|pt| pt.factor == 1.0).expect("1x point");
+        let over = points.last().expect("top factor");
+        assert!(over.factor >= 2.0, "the top factor sits past saturation");
         assert!(
-            over.shed[2] > 0,
+            over.shed[2] > 0 && over.tenants[2].shed > 0,
             "2x saturation must shed best-effort traffic"
         );
         assert!(over.shed[0] <= over.shed[2], "gold never out-sheds BE");
+        assert!(over.tenants[0].shed <= over.tenants[2].shed, "nor as the tenants see it");
         let gold_pre = pre.tenants[0].goodput_hz;
         let gold_over = over.tenants[0].goodput_hz;
         assert!(
@@ -485,14 +441,14 @@ mod tests {
             0.5,
             &LoadParams {
                 backpressure: false,
-                ..tiny()
+                ..LoadParams::smoke()
             },
         );
         let headroom = run_point(
             0.5,
             &LoadParams {
-                capacity: 100_000,
-                ..tiny()
+                capacity: 1_000_000,
+                ..LoadParams::smoke()
             },
         );
         assert_eq!(headroom.shed, [0, 0, 0], "huge capacity never sheds");

@@ -9,25 +9,20 @@
 //! query ladder with the cache off (every query pays the full routing
 //! path, so hop counts are structural, not warm-up artifacts).
 //!
-//! Output splits in two:
-//!
-//! * **deterministic** — events processed, peak event-queue occupancy,
-//!   hops per query, hit counts, and simulated latencies. Same seed ⇒
-//!   byte-identical JSON, regardless of the scheduler ablation (the
-//!   calendar queue and the binary heap are event-identical by
-//!   construction).
-//! * **wall_clock** — elapsed seconds and kernel events/sec, which vary
-//!   run to run and exist to compare the two schedulers' throughput.
+//! Every reported number — events processed, peak event-queue occupancy,
+//! hops per query, hit counts, simulated latencies — derives from
+//! simulated time and event counts: same seed ⇒ byte-identical JSON,
+//! whichever scheduler runs it (the calendar queue and the binary heap
+//! are event-identical by construction). Host time is the perf ledger's
+//! job (`fabric.sim.events_per_s`, `fabric.queue.*`).
 //!
 //! The `flood` rows re-run each point with `flood_mode` (flat broadcast
 //! on a super-peer miss, depth 2) as the hop-count baseline the tree has
 //! to beat.
 
-use std::time::Instant;
-
 use glare_core::model::{example_hierarchy, ActivityDeployment};
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
-use glare_fabric::{SchedulerKind, SimDuration, SimTime, SiteId};
+use glare_fabric::{percentile, SchedulerKind, SimDuration, SimTime, SiteId};
 
 use crate::json::Json;
 
@@ -40,37 +35,25 @@ pub struct ScalePoint {
     pub branching: usize,
     /// Whether this is the flat-broadcast (`flood_mode`) baseline row.
     pub flood: bool,
-    /// Kernel events processed over the horizon (deterministic).
+    /// Kernel events processed over the horizon.
     pub events: u64,
-    /// Peak event-queue occupancy (deterministic).
+    /// Peak event-queue occupancy.
     pub peak_queue: usize,
-    /// Query responses received (deterministic).
+    /// Query responses received.
     pub queries: u64,
-    /// Responses carrying at least one deployment (deterministic).
+    /// Responses carrying at least one deployment.
     pub hits: u64,
-    /// Mean node-visits per query — `glare.requests` / responses
-    /// (deterministic).
+    /// Mean node-visits per query — `glare.requests` / responses.
     pub hops_per_query: f64,
-    /// Mean simulated response latency, ms (deterministic).
+    /// Mean simulated response latency, ms.
     pub mean_ms: f64,
-    /// p95 simulated response latency, ms (deterministic).
+    /// p95 simulated response latency, ms.
     pub p95_ms: f64,
-    /// Wall-clock seconds spent inside `run_until` (nondeterministic).
-    pub elapsed_s: f64,
 }
 
 impl ScalePoint {
-    /// Kernel events per wall-clock second (nondeterministic).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.elapsed_s <= 0.0 {
-            return 0.0;
-        }
-        self.events as f64 / self.elapsed_s
-    }
-
-    /// The seed-stable half of the point: everything derived from
-    /// simulated time and event counts.
-    pub fn to_json_deterministic(&self) -> Json {
+    /// JSON view of the point.
+    pub fn to_json(&self) -> Json {
         Json::obj([
             ("sites", Json::from(self.sites)),
             ("branching", Json::from(self.branching)),
@@ -82,16 +65,6 @@ impl ScalePoint {
             ("hops_per_query", Json::from(self.hops_per_query)),
             ("mean_ms", Json::from(self.mean_ms)),
             ("p95_ms", Json::from(self.p95_ms)),
-        ])
-    }
-
-    /// The wall-clock half: varies run to run, compares schedulers.
-    pub fn to_json_wall(&self) -> Json {
-        Json::obj([
-            ("sites", Json::from(self.sites)),
-            ("flood", Json::from(self.flood)),
-            ("elapsed_s", Json::from(self.elapsed_s)),
-            ("events_per_sec", Json::from(self.events_per_sec())),
         ])
     }
 }
@@ -109,7 +82,7 @@ pub struct ScaleParams {
     pub think: SimDuration,
     /// Super-peer tree depth for the tree rows (baseline rows use 2).
     pub tree_depth: usize,
-    /// Kernel event-queue implementation (the ablation axis).
+    /// Kernel event-queue implementation (both yield the same report).
     pub scheduler: SchedulerKind,
     /// Also run the flat-broadcast (`flood_mode`) baseline per point.
     pub flood_baseline: bool,
@@ -136,7 +109,7 @@ impl Default for ScaleParams {
 }
 
 impl ScaleParams {
-    /// A fast CI-sized sweep (used by `--smoke` and `verify.sh`).
+    /// A fast CI-sized sweep (used by `--smoke` and the tier-1 tests).
     pub fn smoke() -> ScaleParams {
         ScaleParams {
             sites: vec![100, 200],
@@ -197,18 +170,13 @@ pub fn run_point(n: usize, flood: bool, p: &ScaleParams) -> ScalePoint {
         sim.add_actor(SiteId(site as u32), Box::new(client));
     }
     sim.start();
-    let t0 = Instant::now();
     let events = sim.run_until(SimTime::from_secs(p.horizon_secs));
-    let elapsed_s = t0.elapsed().as_secs_f64();
     let requests = sim.metrics().counter_value("glare.requests");
     let s = stats.lock();
     let mut lat_ms: Vec<f64> = s.latencies.iter().map(|d| d.as_millis_f64()).collect();
     lat_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let mean_ms = lat_ms.iter().sum::<f64>() / lat_ms.len().max(1) as f64;
-    let p95_ms = lat_ms
-        .get(((lat_ms.len() as f64 * 0.95) as usize).min(lat_ms.len().saturating_sub(1)))
-        .copied()
-        .unwrap_or(0.0);
+    let p95_ms = percentile(&lat_ms, 0.95).unwrap_or(0.0);
     ScalePoint {
         sites: n,
         branching: b,
@@ -220,7 +188,6 @@ pub fn run_point(n: usize, flood: bool, p: &ScaleParams) -> ScalePoint {
         hops_per_query: requests as f64 / s.responses.max(1) as f64,
         mean_ms,
         p95_ms,
-        elapsed_s,
     }
 }
 
@@ -241,17 +208,16 @@ pub fn run(p: &ScaleParams) -> Vec<ScalePoint> {
 pub fn render(p: &ScaleParams, points: &[ScalePoint]) -> String {
     let mut s = format!(
         "Scale sweep ({} scheduler, depth {})\n\
-         sites  | mode  | events     | ev/sec     | peak q | hops/query | mean (ms) | p95 (ms) | hits\n",
+         sites  | mode  | events     | peak q | hops/query | mean (ms) | p95 (ms) | hits\n",
         scheduler_label(p.scheduler),
         p.tree_depth,
     );
     for pt in points {
         s.push_str(&format!(
-            "{:>6} | {:<5} | {:>10} | {:>10.0} | {:>6} | {:>10.1} | {:>9.1} | {:>8.1} | {}/{}\n",
+            "{:>6} | {:<5} | {:>10} | {:>6} | {:>10.1} | {:>9.1} | {:>8.1} | {}/{}\n",
             pt.sites,
             if pt.flood { "flood" } else { "tree" },
             pt.events,
-            pt.events_per_sec(),
             pt.peak_queue,
             pt.hops_per_query,
             pt.mean_ms,
@@ -263,9 +229,8 @@ pub fn render(p: &ScaleParams, points: &[ScalePoint]) -> String {
     s
 }
 
-/// The `BENCH_scale.json` document. The `deterministic` object is
-/// byte-identical for a given seed and parameter set; `wall_clock` is
-/// not (and says so).
+/// The `BENCH_scale.json` document: byte-identical for a given seed and
+/// parameter set.
 pub fn to_json(p: &ScaleParams, points: &[ScalePoint]) -> Json {
     Json::obj([
         ("schema", Json::from("glare.scale.v1")),
@@ -276,21 +241,8 @@ pub fn to_json(p: &ScaleParams, points: &[ScalePoint]) -> Json {
             "deterministic",
             Json::obj([(
                 "points",
-                Json::arr(points.iter().map(|pt| pt.to_json_deterministic())),
+                Json::arr(points.iter().map(|pt| pt.to_json())),
             )]),
-        ),
-        (
-            "wall_clock",
-            Json::obj([
-                (
-                    "note",
-                    Json::from("wall-clock throughput; varies run to run"),
-                ),
-                (
-                    "points",
-                    Json::arr(points.iter().map(|pt| pt.to_json_wall())),
-                ),
-            ]),
         ),
     ])
 }
@@ -309,18 +261,18 @@ mod tests {
         }
     }
 
-    /// Only the deterministic halves, rendered — the equality oracle for
-    /// the seed-stability and scheduler-ablation guarantees.
-    fn deterministic_json(points: &[ScalePoint]) -> String {
-        Json::arr(points.iter().map(|pt| pt.to_json_deterministic())).to_string_pretty()
+    /// The points alone (the document around them names the scheduler).
+    fn points_json(points: &[ScalePoint]) -> String {
+        Json::arr(points.iter().map(|pt| pt.to_json())).to_string_pretty()
     }
 
     #[test]
     fn deterministic_half_is_seed_stable() {
         let p = tiny();
-        let a = run(&p);
-        let b = run(&p);
-        assert_eq!(deterministic_json(&a), deterministic_json(&b));
+        let a = to_json(&p, &run(&p)).to_string_pretty();
+        let b = to_json(&p, &run(&p)).to_string_pretty();
+        assert_eq!(a, b);
+        assert!(a.contains("\"schema\": \"glare.scale.v1\""));
     }
 
     #[test]
@@ -334,25 +286,30 @@ mod tests {
             ..tiny()
         });
         assert_eq!(
-            deterministic_json(&cal),
-            deterministic_json(&heap),
+            points_json(&cal),
+            points_json(&heap),
             "calendar queue must replay the binary heap's exact event history"
         );
     }
 
     #[test]
     fn tree_beats_flood_on_hops_and_both_hit() {
-        let points = run(&tiny());
-        assert_eq!(points.len(), 2, "tree row plus flood baseline");
-        let (tree, flood) = (&points[0], &points[1]);
-        assert!(!tree.flood && flood.flood);
-        assert_eq!(tree.hits, tree.queries, "tree resolves every query");
-        assert_eq!(flood.hits, flood.queries, "flood resolves every query");
-        assert!(
-            tree.hops_per_query < flood.hops_per_query,
-            "depth-3 routing ({:.1} hops) must beat flat broadcast ({:.1} hops)",
-            tree.hops_per_query,
-            flood.hops_per_query
-        );
+        let p = ScaleParams::smoke();
+        let points = run(&p);
+        assert_eq!(points.len(), 2 * p.sites.len(), "tree row plus flood baseline per size");
+        for pair in points.chunks(2) {
+            let (tree, flood) = (&pair[0], &pair[1]);
+            assert!(!tree.flood && flood.flood && tree.sites == flood.sites);
+            assert!(tree.queries > 0 && flood.queries > 0, "{} sites: no responses", tree.sites);
+            assert_eq!(tree.hits, tree.queries, "tree resolves every query");
+            assert_eq!(flood.hits, flood.queries, "flood resolves every query");
+            assert!(
+                tree.hops_per_query < flood.hops_per_query,
+                "{} sites: depth-3 routing ({:.1} hops) must beat flat broadcast ({:.1} hops)",
+                tree.sites,
+                tree.hops_per_query,
+                flood.hops_per_query
+            );
+        }
     }
 }

@@ -192,6 +192,10 @@ mod tests {
             let ratio = c as f64 / e as f64;
             assert!((1.1..3.5).contains(&ratio), "{app} ratio {ratio}");
         }
+        // Under JavaCoG Invmod's total exceeds Counter's, as in the paper
+        // (53.5 s > 43.5 s).
+        let (i, c) = (get("Java CoG", "Invmod").total_ms, get("Java CoG", "Counter").total_ms);
+        assert!(i > c, "Java CoG: invmod {i} > counter {c}");
         // Installation dominates the Expect totals, as in the paper.
         let inv = get("Expect", "Invmod");
         assert!(inv.installation_ms * 2 > inv.total_ms);

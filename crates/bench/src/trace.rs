@@ -328,6 +328,55 @@ pub fn render_summary(label: &str, paths: &[CriticalPath]) -> String {
     s
 }
 
+/// What the overlay figures' binaries write besides their series: one
+/// `BENCH_overlay.json` entry per run (the point plus the critical-path
+/// statistics of its traces) and, under `--trace`, a critical-path
+/// summary per run on stderr.
+pub struct OverlayReport {
+    experiment: &'static str,
+    verbose: bool,
+    runs: Vec<Json>,
+}
+
+impl OverlayReport {
+    /// An empty report for `experiment`; `verbose` prints the summaries.
+    pub fn new(experiment: &'static str, verbose: bool) -> OverlayReport {
+        OverlayReport {
+            experiment,
+            verbose,
+            runs: Vec::new(),
+        }
+    }
+
+    /// Record one run whose requests are rooted at `root` spans.
+    pub fn record(&mut self, label: &str, point: Json, sink: &TraceSink, root: &str) {
+        let paths = critical_paths(sink, Some(root));
+        if self.verbose {
+            eprint!("{}", render_summary(label, &paths));
+            if sink.dropped() > 0 {
+                eprintln!(
+                    "warning: {label}: {} span(s) dropped at the sink bound — \
+                     critical paths may be incomplete",
+                    sink.dropped()
+                );
+            }
+        }
+        self.runs.push(Json::obj([
+            ("point", point),
+            ("critical_path", CriticalPathStats::of(&paths).to_json()),
+            ("dropped_spans", Json::from(sink.dropped())),
+        ]));
+    }
+
+    /// The `BENCH_overlay.json` document.
+    pub fn into_json(self) -> Json {
+        Json::obj([
+            ("experiment", Json::from(self.experiment)),
+            ("runs", Json::Arr(self.runs)),
+        ])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,8 +45,8 @@ pub mod trace;
 pub use events::{EventLog, EventRecord, DEFAULT_MAX_EVENTS};
 pub use fault::{Fault, FaultPlan};
 pub use metrics::{
-    Counter, CounterId, GaugeBucket, GaugeId, Histogram, Labels, MetricsRegistry, TenantLabels,
-    TimeSeries, WindowedGauge, DEFAULT_GAUGE_WINDOW,
+    percentile, Counter, CounterId, GaugeBucket, GaugeId, Histogram, Labels, MetricsRegistry,
+    TenantLabels, TimeSeries, WindowedGauge, DEFAULT_GAUGE_WINDOW,
 };
 pub use queue::{CalendarQueue, EventKey, EventPool, EventQueue, SchedulerKind};
 pub use rng::SimRng;

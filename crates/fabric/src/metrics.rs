@@ -59,6 +59,19 @@ impl Counter {
     }
 }
 
+/// The workspace's one order statistic: nearest-rank quantile `q` in
+/// `[0, 1]` of an ascending slice — the smallest sample with at least a
+/// `q` share of the samples at or below it, i.e. the element of 1-based
+/// rank `ceil(q·n)`. `None` when empty.
+pub fn percentile<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+    if sorted.is_empty() {
+        return None;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
+    Some(sorted[rank.min(sorted.len() - 1)])
+}
+
 /// Reservoir of duration samples with quantile queries.
 ///
 /// Samples are kept exactly (experiments are bounded) and sorted lazily on
@@ -115,16 +128,10 @@ impl Histogram {
         }
     }
 
-    /// Quantile in `[0, 1]` using the nearest-rank method; `None` when empty.
+    /// Quantile in `[0, 1]` by [`percentile`]; `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<SimDuration> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
         self.ensure_sorted();
-        let samples = self.samples.borrow();
-        if samples.is_empty() {
-            return None;
-        }
-        let rank = ((q * samples.len() as f64).ceil() as usize).max(1) - 1;
-        Some(samples[rank.min(samples.len() - 1)])
+        percentile(&self.samples.borrow(), q)
     }
 
     /// Smallest sample, or `None` when empty.
@@ -1031,6 +1038,16 @@ mod tests {
         assert_eq!(h.min(), Some(SimDuration::from_millis(1)));
         assert_eq!(h.max(), Some(SimDuration::from_millis(100)));
         assert_eq!(h.mean(), Some(SimDuration::from_micros(50_500)));
+    }
+
+    #[test]
+    fn percentile_is_ceil_nearest_rank_on_any_copy_type() {
+        assert_eq!(percentile::<f64>(&[], 0.5), None);
+        let v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&v, 0.0), Some(1.0));
+        assert_eq!(percentile(&v, 0.5), Some(2.0), "rank ceil(2.0) = 2, not floor(2.0) + 1");
+        assert_eq!(percentile(&v, 0.51), Some(3.0), "rank ceil(2.04) = 3");
+        assert_eq!(percentile(&v, 1.0), Some(4.0));
     }
 
     #[test]

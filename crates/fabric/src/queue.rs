@@ -41,8 +41,8 @@ use crate::time::SimTime;
 /// Which event-queue implementation the kernel uses.
 ///
 /// `Calendar` is the default; `BinaryHeap` is the pre-existing reference
-/// implementation kept for A/B benchmarking (`--queue heap` in the scale
-/// bench) and as the oracle in equivalence tests.
+/// implementation kept for A/B measurement (the perf ledger's
+/// `fabric.queue.heap_*`) and as the oracle in equivalence tests.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedulerKind {
     /// Circular calendar/bucket queue (amortized O(1)).

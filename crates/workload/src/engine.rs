@@ -134,17 +134,6 @@ impl TenantStats {
     pub fn shared() -> Arc<Mutex<TenantStats>> {
         Arc::new(Mutex::new(TenantStats::default()))
     }
-
-    /// Latency at percentile `p` (0..=100), `None` before any response.
-    pub fn percentile(&self, p: f64) -> Option<SimDuration> {
-        if self.latencies.is_empty() {
-            return None;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort();
-        let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[rank.min(sorted.len() - 1)])
-    }
 }
 
 /// In-flight request bookkeeping.
@@ -379,6 +368,7 @@ impl Actor for TenantLoad {
 mod tests {
     use super::*;
     use crate::spec::TenantSpec;
+    use glare_fabric::percentile;
 
     fn spec(seed: u64) -> WorkloadSpec {
         WorkloadSpec::new(seed, SimDuration::from_secs(60), 8)
@@ -457,11 +447,11 @@ mod tests {
     #[test]
     fn percentiles_and_digest_edge_cases() {
         let mut st = TenantStats::default();
-        assert_eq!(st.percentile(50.0), None);
+        assert_eq!(percentile(&st.latencies, 0.5), None);
         st.latencies.push(SimDuration::from_millis(10));
         st.latencies.push(SimDuration::from_millis(90));
-        assert_eq!(st.percentile(0.0), Some(SimDuration::from_millis(10)));
-        assert_eq!(st.percentile(100.0), Some(SimDuration::from_millis(90)));
+        assert_eq!(percentile(&st.latencies, 0.0), Some(SimDuration::from_millis(10)));
+        assert_eq!(percentile(&st.latencies, 1.0), Some(SimDuration::from_millis(90)));
         let empty = ArrivalStream { arrivals: vec![] };
         assert_eq!(empty.digest(), empty.digest());
     }

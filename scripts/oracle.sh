@@ -1,36 +1,38 @@
 #!/usr/bin/env bash
-# Cross-commit refactoring oracle. Every gate in verify.sh compares two runs
-# of the *same* commit; this writes what a behaviour-preserving change must
-# leave untouched, so that two commits can be compared:
+# Cross-commit refactoring oracle. The tier-1 tests compare two runs of the
+# *same* commit; this writes what a behaviour-preserving change must leave
+# untouched, so that two commits can be compared:
 #
 #   scripts/oracle.sh /tmp/parent      # in a checkout of the parent commit
 #   scripts/oracle.sh /tmp/change      # in the changed tree
 #   diff -r /tmp/parent /tmp/change    # empty iff nothing observable moved
 #
 # One sub-directory per harness (fig12 and fig13 both write
-# BENCH_overlay.json). The four reports that carry host timings keep only
-# their `deterministic` half. `perf/` holds one untraced round of each perf
-# ledger workload that runs the simulator or the Grid: its output digest,
-# attempted/failed counts and seed-determined `sim_*` values, host-time lines
-# dropped.
+# BENCH_overlay.json); every artifact is seed-determined, so the files are
+# compared as written. `table1/` and `ablation/` hold those bins' stdout.
+# `perf/` holds one untraced round of each perf ledger workload that runs the
+# simulator or the Grid: its output digest, attempted/failed counts and
+# seed-determined `sim_*` values, host-time lines dropped.
 set -euo pipefail
 out=$(mkdir -p "$1" && cd "$1" && pwd)
 cd "$(dirname "$0")/.."
 manifest=$PWD/Cargo.toml
 cargo build --release -q -p glare-bench --bins
 
-harness() { # harness <bin> [args...]: run it inside $out/<bin>
+harness() { # harness <bin> [args...]: run it inside $out/<bin>; stdout goes to $keep there
     local bin=$1
     shift
     mkdir -p "$out/$bin"
     (cd "$out/$bin" && cargo run --release -q -p glare-bench \
-        --manifest-path "$manifest" --bin "$bin" -- "$@" >/dev/null 2>&1)
+        --manifest-path "$manifest" --bin "$bin" -- "$@" >"${keep:-/dev/null}" 2>/dev/null)
 }
 harness fig12 --trace
 harness fig13
 for bin in healthreport chaos load scale grayfail autonomic; do
     harness "$bin" --smoke
 done
+keep=table1.json harness table1 --json
+keep=ablation.txt harness ablation
 
 mkdir -p "$out/perf"
 for workload in overlay_10k load_2x provision_storm; do
@@ -38,12 +40,4 @@ for workload in overlay_10k load_2x provision_storm; do
         --workload "$workload" --trace 0 --micro 0 --spawned-at 0 |
         grep -E '^(digest|attempted|failed|value (sim_|ok_share))' >"$out/perf/$workload.txt"
 done
-
-python3 - "$out"/{load,scale,grayfail,autonomic}/BENCH_*.json <<'EOF'
-import json, sys
-for path in sys.argv[1:]:
-    report = json.load(open(path))
-    del report["wall_clock"]
-    json.dump(report, open(path, "w"), indent=1, sort_keys=True)
-EOF
 echo "oracle: wrote $(find "$out" -type f | wc -l) files under $out"

@@ -1,7 +1,7 @@
 //! Gray-failure resilience driver: a slow super-peer and a degraded
-//! trunk link under closed-loop query load, run in all three modes
-//! (hedging+suspicion enabled / disabled / absent). Prints the summary
-//! on stdout and always writes `BENCH_grayfail.json`.
+//! trunk link under closed-loop query load, run in both modes
+//! (hedging+suspicion enabled / disabled). Prints the summary on stdout
+//! and always writes `BENCH_grayfail.json`.
 //!
 //! Flags:
 //!   --smoke       CI-sized scenario (the default scenario, pinned seed)

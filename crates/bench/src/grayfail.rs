@@ -16,12 +16,11 @@
 //!    stalls — the canonical gray failure.
 //! 3. **Healed** — both degradations lift; latencies must return.
 //!
-//! Three modes share the seed: `enabled` (adaptive suspicion + hedged
-//! probes), `disabled` (the features constructed but off) and `absent`
-//! (untouched default config). Disabled must be event-identical to
-//! absent; enabled must hold the gray-phase gold p99 within the
-//! acceptance bound while the unhedged runs blow through it; and no mode
-//! may ever *declare* the slow super-peer failed (zero false-positive
+//! Two modes share the seed: `enabled` (adaptive suspicion + hedged
+//! probes) and `disabled` (the node's default config, which holds both
+//! features off). Enabled must hold the gray-phase gold p99 within the
+//! acceptance bound while the unhedged run blows through it; and neither
+//! mode may ever *declare* the slow super-peer failed (zero false-positive
 //! takeovers).
 //!
 //! The report (`BENCH_grayfail.json`) derives from sim-time alone, so it
@@ -52,11 +51,9 @@ pub const ACTIVITIES: &[&str] = &["JPOVray", "Wien2k", "Invmod"];
 pub enum GrayMode {
     /// Adaptive suspicion and hedged probes on (the resilient run).
     Enabled,
-    /// Both features constructed but configured off: must be
-    /// event-identical to [`GrayMode::Absent`].
+    /// Both features off, as [`glare_core::node::NodeConfig::new`] leaves
+    /// them.
     Disabled,
-    /// Default config, features never mentioned — the identity baseline.
-    Absent,
 }
 
 impl GrayMode {
@@ -65,7 +62,6 @@ impl GrayMode {
         match self {
             GrayMode::Enabled => "enabled",
             GrayMode::Disabled => "disabled",
-            GrayMode::Absent => "absent",
         }
     }
 }
@@ -174,7 +170,7 @@ pub struct ModeReport {
     pub lint_errors: usize,
 }
 
-/// The assembled three-mode report.
+/// The assembled two-mode report.
 #[derive(Clone, Debug)]
 pub struct GrayfailReport {
     /// Parameters shared by all modes.
@@ -187,8 +183,6 @@ pub struct GrayfailReport {
     pub disabled_exceeds_5x: bool,
     /// Enabled gray-phase gold p99 strictly beats disabled.
     pub hedged_beats_unhedged: bool,
-    /// Disabled run is event-identical to the absent run.
-    pub disabled_matches_absent: bool,
 }
 
 const CLASSES: [(TenantClass, &str); 3] = [
@@ -276,16 +270,9 @@ pub fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
         cfg.max_group_size = 4;
         cfg.use_cache = false;
         cfg.election_interval = None;
-        match mode {
-            GrayMode::Enabled => {
-                cfg.suspicion = SuspicionConfig::standard();
-                cfg.hedge = HedgeConfig::standard();
-            }
-            GrayMode::Disabled => {
-                cfg.suspicion = SuspicionConfig::disabled();
-                cfg.hedge = HedgeConfig::disabled();
-            }
-            GrayMode::Absent => {}
+        if mode == GrayMode::Enabled {
+            cfg.suspicion = SuspicionConfig::standard();
+            cfg.hedge = HedgeConfig::standard();
         }
     });
     let deploy_seed = deploy.clone();
@@ -433,7 +420,7 @@ pub fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
             "{false_takeovers} false-positive takeovers of a merely slow peer"
         ));
     }
-    if mode != GrayMode::Enabled && hedges[0] != 0 {
+    if mode == GrayMode::Disabled && hedges[0] != 0 {
         violations.push(format!("{} hedges fired while disabled", hedges[0]));
     }
     let lint = m.lint_metric_names();
@@ -441,26 +428,6 @@ pub fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
         violations.push(format!("metric lint: {lint:?}"));
     }
     let jsonl = ev.to_jsonl();
-    if std::env::var_os("GRAYFAIL_DEBUG").is_some() {
-        let gray_at = p.healthy_secs as f64;
-        let heal_at = (p.healthy_secs + p.gray_secs) as f64;
-        let mut byphase: std::collections::BTreeMap<(String, &str), u64> =
-            std::collections::BTreeMap::new();
-        for r in ev.records() {
-            let t = r.time.as_secs_f64();
-            let ph = if t < gray_at {
-                "healthy"
-            } else if t < heal_at {
-                "gray"
-            } else {
-                "healed"
-            };
-            *byphase.entry((r.kind.clone(), ph)).or_default() += 1;
-        }
-        for ((k, ph), n) in &byphase {
-            eprintln!("DEBUG {mode:?} {ph:7} {k} = {n}");
-        }
-    }
     let digest = fnv1a(jsonl.as_bytes());
 
     ModeReport {
@@ -488,11 +455,10 @@ fn gold_p99(r: &ModeReport, phase: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Run all three modes and compute the acceptance verdicts.
+/// Run both modes and compute the acceptance verdicts.
 pub fn run(p: &GrayfailParams) -> GrayfailReport {
     let enabled = run_mode(p, GrayMode::Enabled);
     let disabled = run_mode(p, GrayMode::Disabled);
-    let absent = run_mode(p, GrayMode::Absent);
 
     let e_healthy = gold_p99(&enabled, "healthy");
     let e_gray = gold_p99(&enabled, "gray");
@@ -501,16 +467,13 @@ pub fn run(p: &GrayfailParams) -> GrayfailReport {
     let enabled_within_2x = e_healthy > 0.0 && e_gray <= 2.0 * e_healthy;
     let disabled_exceeds_5x = d_healthy > 0.0 && d_gray > 5.0 * d_healthy;
     let hedged_beats_unhedged = e_gray < d_gray;
-    let disabled_matches_absent =
-        disabled.event_digest == absent.event_digest && disabled.events == absent.events;
 
     GrayfailReport {
         params: *p,
-        runs: vec![enabled, disabled, absent],
+        runs: vec![enabled, disabled],
         enabled_within_2x,
         disabled_exceeds_5x,
         hedged_beats_unhedged,
-        disabled_matches_absent,
     }
 }
 
@@ -542,8 +505,8 @@ pub fn render(r: &GrayfailReport) -> String {
         }
     }
     s.push_str(&format!(
-        "\nacceptance: enabled_within_2x={} disabled_exceeds_5x={} hedged_beats_unhedged={} disabled_matches_absent={}\n",
-        r.enabled_within_2x, r.disabled_exceeds_5x, r.hedged_beats_unhedged, r.disabled_matches_absent
+        "\nacceptance: enabled_within_2x={} disabled_exceeds_5x={} hedged_beats_unhedged={}\n",
+        r.enabled_within_2x, r.disabled_exceeds_5x, r.hedged_beats_unhedged
     ));
     s
 }
@@ -620,10 +583,9 @@ impl GrayfailReport {
             ("enabled_within_2x", Json::from(self.enabled_within_2x)),
             ("disabled_exceeds_5x", Json::from(self.disabled_exceeds_5x)),
             ("hedged_beats_unhedged", Json::from(self.hedged_beats_unhedged)),
-            ("disabled_matches_absent", Json::from(self.disabled_matches_absent)),
         ]);
         Json::obj([
-            ("schema", Json::from("glare.grayfail.v1")),
+            ("schema", Json::from("glare.grayfail.v2")),
             ("experiment", Json::from("grayfail")),
             ("deterministic", deterministic),
         ])
@@ -633,12 +595,17 @@ impl GrayfailReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glare_core::node::NodeConfig;
 
     #[test]
     fn hedging_holds_the_gray_phase_p99() {
         let r = run(&GrayfailParams::smoke());
         let modes: Vec<&str> = r.runs.iter().map(|m| m.mode.label()).collect();
-        assert_eq!(modes, ["enabled", "disabled", "absent"]);
+        assert_eq!(modes, ["enabled", "disabled"]);
+        // The disabled row runs the node's defaults: hold them off.
+        let defaults = NodeConfig::new("x", 0);
+        assert_eq!(defaults.suspicion, SuspicionConfig::disabled());
+        assert_eq!(defaults.hedge, HedgeConfig::disabled());
         for m in &r.runs {
             assert!(m.violations.is_empty(), "{}: {:?}", m.mode.label(), m.violations);
             assert_eq!(m.lint_errors, 0, "{}: metric-name lint", m.mode.label());
@@ -647,7 +614,6 @@ mod tests {
         assert!(r.enabled_within_2x, "{}", render(&r));
         assert!(r.disabled_exceeds_5x, "{}", render(&r));
         assert!(r.hedged_beats_unhedged, "{}", render(&r));
-        assert!(r.disabled_matches_absent, "{}", render(&r));
         assert!(r.runs[0].hedges_fired > 0, "the gray phase must hedge");
         assert!(r.runs[0].hedges_won > 0, "hedges must win under the slow peer");
         assert_eq!(r.runs[1].hedges_fired, 0, "hedges fired with the stack disabled");
@@ -659,6 +625,6 @@ mod tests {
         let a = run(&p).to_json().to_string_pretty();
         let b = run(&p).to_json().to_string_pretty();
         assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"glare.grayfail.v1\""));
+        assert!(a.contains("\"schema\": \"glare.grayfail.v2\""));
     }
 }

@@ -7,6 +7,7 @@
 //! test of its module; host-time measurement lives in the perf ledger
 //! (`perf/`), not here.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;

@@ -269,32 +269,6 @@ impl FaultPlan {
         self
     }
 
-    /// Like [`FaultPlan::random_outages`], but every crash also tears a
-    /// random `0..=max_torn` tail records off the victim's journal —
-    /// seeded partial-write corruption for durability chaos runs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn random_outages_torn(
-        mut self,
-        rng: &mut SimRng,
-        n: usize,
-        sites: &[SiteId],
-        start: SimTime,
-        end: SimTime,
-        downtime: SimDuration,
-        max_torn: usize,
-    ) -> Self {
-        assert!(!sites.is_empty(), "need at least one site");
-        assert!(start < end, "empty outage window");
-        let span = end.since(start).as_nanos();
-        for _ in 0..n {
-            let at = start + SimDuration::from_nanos(rng.range(0, span));
-            let site = sites[rng.index(sites.len())];
-            let torn = rng.range(0, max_torn as u64 + 1) as usize;
-            self = self.outage_torn(at, site, downtime, torn);
-        }
-        self
-    }
-
     /// The scripted faults, in insertion order.
     pub fn faults(&self) -> &[Fault] {
         &self.faults

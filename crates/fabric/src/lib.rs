@@ -27,6 +27,7 @@
 //! Everything is deterministic given a seed; experiments replay
 //! bit-identically.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod events;

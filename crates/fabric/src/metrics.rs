@@ -643,11 +643,6 @@ impl MetricsRegistry {
         self.labeled_counters.keys().map(String::as_str)
     }
 
-    /// Names of all labeled histogram families, in sorted order.
-    pub fn labeled_histogram_families(&self) -> impl Iterator<Item = &str> {
-        self.labeled_histograms.keys().map(String::as_str)
-    }
-
     /// Names of all gauge families, in sorted order.
     pub fn gauge_families(&self) -> impl Iterator<Item = &str> {
         self.gauges.keys().map(String::as_str)

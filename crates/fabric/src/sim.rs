@@ -92,7 +92,8 @@ pub trait Actor {
     /// A message arrived.
     fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope);
 
-    /// A timer armed with [`Ctx::timer_after`] fired.
+    /// A timer armed with [`Ctx::timer_after`] or [`Ctx::timer_after_then`]
+    /// fired.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken, _tag: &str) {}
 
     /// A CPU work item submitted with [`Ctx::compute`] or
@@ -148,6 +149,8 @@ enum EventKind {
         actor: ActorId,
         gen: u64,
         tag: &'static str,
+        /// Payload of [`Ctx::timer_after_then`].
+        then: Option<Msg>,
     },
     ComputeDone {
         actor: ActorId,
@@ -252,7 +255,7 @@ pub struct Kernel {
     pool: EventPool<EventKind>,
     /// Armed timers that have neither fired nor been cancelled.
     live_timers: usize,
-    /// Payload of the compute completion being dispatched, until
+    /// Payload of the timer or compute completion being dispatched, until
     /// [`Ctx::take_continuation`] or the end of the callback.
     continuation: Option<Msg>,
     /// Handles of the kernel's own hot instruments.
@@ -446,12 +449,30 @@ impl<'a> Ctx<'a> {
     /// The ambient trace context (if any) is captured and restored when
     /// the timer fires, so causality survives self-scheduled delays.
     pub fn timer_after(&mut self, after: SimDuration, tag: &'static str) -> TimerToken {
+        self.arm(after, tag, None)
+    }
+
+    /// [`Ctx::timer_after`] whose event carries `payload`:
+    /// [`Ctx::take_continuation`] hands it back inside [`Actor::on_timer`],
+    /// so the actor keeps no table of what each token was for. The payload
+    /// is dropped with the event when the timer is cancelled or pops while
+    /// the site is down.
+    pub fn timer_after_then<T: Any + Send>(
+        &mut self,
+        after: SimDuration,
+        tag: &'static str,
+        payload: T,
+    ) -> TimerToken {
+        self.arm(after, tag, Some(Box::new(payload)))
+    }
+
+    fn arm(&mut self, after: SimDuration, tag: &'static str, then: Option<Msg>) -> TimerToken {
         let gen = self.kernel.next_token;
         self.kernel.next_token += 1;
         let at = self.kernel.now + after;
         let actor = self.self_id;
         let tctx = self.kernel.ambient();
-        let slot = self.kernel.schedule(at, EventKind::Timer { actor, gen, tag }, tctx);
+        let slot = self.kernel.schedule(at, EventKind::Timer { actor, gen, tag, then }, tctx);
         self.kernel.live_timers += 1;
         TimerToken { gen, slot }
     }
@@ -492,9 +513,10 @@ impl<'a> Ctx<'a> {
         self.submit(cost, tag, Some(Box::new(payload)))
     }
 
-    /// Inside [`Actor::on_compute_done`]: the payload the completing item
-    /// was submitted with. `None` for a plain [`Ctx::compute`], when
-    /// already taken, or when the payload is not a `T` (it stays put).
+    /// Inside [`Actor::on_timer`] or [`Actor::on_compute_done`]: the payload
+    /// the firing timer or completing item was submitted with. `None` for a
+    /// plain [`Ctx::timer_after`] or [`Ctx::compute`], when already taken,
+    /// or when the payload is not a `T` (it stays put).
     pub fn take_continuation<T: Any>(&mut self) -> Option<T> {
         let payload = self.kernel.continuation.take_if(|held| held.is::<T>())?;
         payload.downcast().ok().map(|payload| *payload)
@@ -573,16 +595,6 @@ impl<'a> Ctx<'a> {
         self.kernel.sites[site.index()].is_up()
     }
 
-    /// Load average of any site (the experiment harness reads this too).
-    pub fn site_load_1m(&self, site: SiteId) -> f64 {
-        self.kernel.sites[site.index()].load_average_1m()
-    }
-
-    /// Site an actor is placed on.
-    pub fn site_of(&self, actor: ActorId) -> SiteId {
-        self.kernel.actor_sites[actor.index()]
-    }
-
     /// Ask the kernel to stop after the current event.
     pub fn stop(&mut self) {
         self.kernel.stopped = true;
@@ -591,12 +603,6 @@ impl<'a> Ctx<'a> {
     /// Whether tracing is enabled on this simulation.
     pub fn trace_enabled(&self) -> bool {
         self.kernel.trace.is_some()
-    }
-
-    /// The innermost ambient trace context (the current event's causal
-    /// coordinates, or the most recently opened span).
-    pub fn trace_context(&self) -> Option<TraceContext> {
-        self.kernel.ambient()
     }
 
     /// Open a span under the ambient context. With tracing disabled this
@@ -748,11 +754,6 @@ impl<'a> Ctx<'a> {
             .get(&self.self_site)
             .map(|s| s.journal_len())
             .unwrap_or(0)
-    }
-
-    /// Whether the structured event log is enabled on this simulation.
-    pub fn events_enabled(&self) -> bool {
-        self.kernel.events.is_some()
     }
 
     /// Emit a structured event attributed to this actor and its site.
@@ -1057,11 +1058,6 @@ impl Simulation {
         self.kernel.now
     }
 
-    /// Which event-queue implementation this simulation runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.kernel.queue.kind()
-    }
-
     /// Events currently pending in the queue (tombstones included).
     pub fn queue_len(&self) -> usize {
         self.kernel.queue.len()
@@ -1256,15 +1252,17 @@ impl Simulation {
                 // and reclaimed the slot; nothing dispatches.
                 return true;
             }
-            EventKind::Timer { actor, gen, tag } => {
+            EventKind::Timer { actor, gen, tag, then } => {
                 self.kernel.live_timers -= 1;
                 let site = self.kernel.actor_sites[actor.index()];
                 if !self.kernel.sites[site.index()].is_up() {
-                    return true;
+                    return true; // `then` dies with the event
                 }
                 self.kernel.set_ambient(tctx);
+                self.kernel.continuation = then;
                 let token = TimerToken { gen, slot: key.slot };
                 self.with_actor(actor, |a, ctx| a.on_timer(ctx, token, tag));
+                self.kernel.continuation = None;
             }
             EventKind::ComputeDone {
                 actor,
@@ -1997,6 +1995,8 @@ mod tests {
     /// twice) against a reference map of live timers. The kernel must fire
     /// exactly what the map says, in `(due, arm order)`, report the map's
     /// size as `pending_timers()`, and pop one event per arm and compute.
+    /// Half the arms carry a payload, which must come back with its own
+    /// timer and no other.
     /// Fired tokens are kept and cancelled again after their slot was
     /// re-let, which cancels the new tenant if `cancel_timer` stops
     /// comparing generations.
@@ -2009,8 +2009,8 @@ mod tests {
 
         #[derive(Default)]
         struct Model {
-            /// Every arm: `(due, token, tag, cancelled while live)`.
-            arms: Vec<(SimTime, TimerToken, &'static str, bool)>,
+            /// Every arm: `(due, token, tag, payload, cancelled while live)`.
+            arms: Vec<(SimTime, TimerToken, &'static str, Option<u64>, bool)>,
             /// Live timers → index into `arms`.
             live: HashMap<TimerToken, usize>,
             fired: Vec<(TimerToken, &'static str)>,
@@ -2032,10 +2032,14 @@ mod tests {
             fn arm(&mut self, ctx: &mut Ctx<'_>) {
                 let tag = TAGS[self.rng.range(0, 3) as usize];
                 let delay = SimDuration::from_millis(self.rng.range(0, 20));
-                let token = ctx.timer_after(delay, tag);
                 let mut m = self.model.borrow_mut();
                 let idx = m.arms.len();
-                m.arms.push((ctx.now() + delay, token, tag, false));
+                let payload = self.rng.chance(0.5).then_some(idx as u64);
+                let token = match payload {
+                    Some(payload) => ctx.timer_after_then(delay, tag, payload),
+                    None => ctx.timer_after(delay, tag),
+                };
+                m.arms.push((ctx.now() + delay, token, tag, payload, false));
                 assert!(m.live.insert(token, idx).is_none(), "token issued twice");
                 self.issued.push(token);
             }
@@ -2044,7 +2048,7 @@ mod tests {
                 ctx.cancel_timer(token);
                 let mut m = self.model.borrow_mut();
                 match m.live.remove(&token) {
-                    Some(idx) => m.arms[idx].3 = true,
+                    Some(idx) => m.arms[idx].4 = true,
                     None if m.live.keys().any(|t| t.slot == token.slot) => {
                         m.stale_cancels_of_relet_slots += 1;
                     }
@@ -2092,8 +2096,10 @@ mod tests {
                 {
                     let mut m = self.model.borrow_mut();
                     let idx = m.live.remove(&token).expect("fired a timer the model holds dead");
-                    let (_, _, armed_tag, _) = m.arms[idx];
+                    let (_, _, armed_tag, payload, _) = m.arms[idx];
                     assert_eq!(tag, armed_tag);
+                    assert_eq!(ctx.take_continuation::<u64>(), payload);
+                    assert_eq!(ctx.take_continuation::<u64>(), None, "taken once");
                     m.fired.push((token, armed_tag));
                 }
                 self.act(ctx);
@@ -2131,7 +2137,7 @@ mod tests {
             assert_eq!(events, m.arms.len() + m.computes_done, "seed {seed}: one pop each");
             assert!(m.computes.is_empty(), "seed {seed}: every compute item completed");
             // Arm order breaks ties, as the kernel's sequence number does.
-            let mut expected: Vec<_> = m.arms.iter().filter(|a| !a.3).collect();
+            let mut expected: Vec<_> = m.arms.iter().filter(|a| !a.4).collect();
             expected.sort_by_key(|a| a.0);
             let expected: Vec<_> = expected.iter().map(|a| (a.1, a.2)).collect();
             assert_eq!(m.fired, expected, "seed {seed}");
@@ -2189,6 +2195,59 @@ mod tests {
         sim.run_to_quiescence(100);
         assert_eq!(sim.actor_as::<Worker>(id).unwrap().resumed, 2, "the new incarnation's own");
         assert_eq!(Arc::strong_count(&payload), 2);
+    }
+
+    /// The timer twin of the test above: the payload is dropped when the
+    /// timer pops while the site is down and when `cancel_timer` tombstones
+    /// its slot, and is delivered exactly once when the timer is due after
+    /// the restart.
+    #[test]
+    fn timer_then_payload_rides_the_event_and_dies_with_a_crash() {
+        use std::sync::Arc;
+
+        struct Waiter {
+            payload: Arc<()>,
+            fired: Vec<String>,
+        }
+        impl Actor for Waiter {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                let ms = SimDuration::from_millis;
+                ctx.timer_after_then(ms(10), "down", self.payload.clone());
+                let cut = ctx.timer_after_then(ms(80), "cut", self.payload.clone());
+                ctx.cancel_timer(cut);
+                ctx.timer_after_then(ms(60), "up", self.payload.clone());
+                ctx.timer_after(ms(70), "plain");
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken, tag: &str) {
+                let got = ctx.take_continuation::<Arc<()>>();
+                assert_eq!(got.is_some(), tag == "up");
+                assert!(ctx.take_continuation::<Arc<()>>().is_none(), "taken once");
+                self.fired.push(tag.to_string());
+            }
+            fn as_any(&self) -> Option<&dyn Any> {
+                Some(self)
+            }
+        }
+
+        let payload = Arc::new(());
+        let mut sim = Simulation::new(Topology::uniform(1), 1);
+        let waiter = Waiter {
+            payload: payload.clone(),
+            fired: Vec::new(),
+        };
+        let id = sim.add_actor(SiteId(0), Box::new(waiter));
+        sim.schedule_crash(SimTime::from_millis(5), SiteId(0));
+        sim.schedule_restart(SimTime::from_millis(50), SiteId(0));
+        sim.start();
+        assert_eq!(Arc::strong_count(&payload), 4, "waiter, two live timers, test: not the cancelled");
+        sim.run_until(SimTime::from_millis(40));
+        assert_eq!(Arc::strong_count(&payload), 3, "the pop while down dropped its copy");
+        assert!(sim.actor_as::<Waiter>(id).unwrap().fired.is_empty());
+        sim.run_to_quiescence(100);
+        assert_eq!(sim.actor_as::<Waiter>(id).unwrap().fired, ["up", "plain"]);
+        assert_eq!(Arc::strong_count(&payload), 2, "delivered once and dropped by the callback");
+        assert_eq!((sim.pending_timers(), sim.queue_len()), (0, 0));
     }
 
     /// A pool slot is one cache line at most (it was 88 bytes with the

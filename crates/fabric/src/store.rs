@@ -246,11 +246,6 @@ impl SiteStore {
         self.journal.len()
     }
 
-    /// Sequence the snapshot covers through, if any.
-    pub fn snapshot_through(&self) -> Option<u64> {
-        self.snapshot.as_ref().map(|s| s.through_seq)
-    }
-
     /// Cumulative store activity counters.
     pub fn stats(&self) -> StoreStats {
         self.stats

@@ -143,11 +143,6 @@ impl SpanHandle {
     pub fn context(self) -> Option<TraceContext> {
         self.0
     }
-
-    /// Whether the handle refers to a real span.
-    pub fn is_active(self) -> bool {
-        self.0.is_some()
-    }
 }
 
 /// Bounded, deterministic collector of [`SpanRecord`]s.

@@ -33,7 +33,7 @@ use glare_wsrf::{ResourceHome, WsrfError, XPathMemo, XmlNode};
 
 use crate::error::GlareError;
 use crate::hierarchy::TypeHierarchy;
-use crate::model::{ActivityType, TypeKind};
+use crate::model::ActivityType;
 
 /// Approximate wire size of a type entry.
 pub const TYPE_WIRE_BYTES: u64 = 1_400;
@@ -286,11 +286,6 @@ impl ActivityTypeRegistry {
     /// Whether a live type exists.
     pub fn contains(&self, name: &str, now: SimTime) -> bool {
         self.home.contains(name, now)
-    }
-
-    /// Kind of a registered type.
-    pub fn kind_of(&self, name: &str) -> Option<TypeKind> {
-        self.hierarchy.read().kind(name)
     }
 
     /// Number of live types.

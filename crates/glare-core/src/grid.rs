@@ -343,6 +343,20 @@ impl Grid {
         &mut self.sites[i]
     }
 
+    /// Two distinct sites at once, the first shared and the second mutable
+    /// (a transfer reads one host and writes the other). Panics when
+    /// `src == dst`.
+    pub fn site_pair_mut(&mut self, src: usize, dst: usize) -> (&GridSite, &mut GridSite) {
+        assert_ne!(src, dst, "a site cannot be borrowed twice");
+        if src < dst {
+            let (head, tail) = self.sites.split_at_mut(dst);
+            (&head[src], &mut tail[0])
+        } else {
+            let (head, tail) = self.sites.split_at_mut(src);
+            (&tail[0], &mut head[dst])
+        }
+    }
+
     /// Index of a site by name.
     pub fn site_index(&self, name: &str) -> Option<usize> {
         self.sites.iter().position(|s| s.name == name)
@@ -1091,6 +1105,22 @@ mod tests {
         assert_eq!(cost, NOTIFICATION_COST);
         assert_eq!(g.notifications.len(), 1);
         assert_eq!(g.notifications[0].site, "site2.agrid.example");
+    }
+
+    #[test]
+    fn site_pair_mut_splits_in_both_orders() {
+        let mut g = Grid::new(3, Transport::Http);
+        for (src, dst) in [(0, 2), (2, 0), (1, 2), (2, 1)] {
+            let expected = (g.site(src).name.clone(), g.site(dst).name.clone());
+            let (a, b) = g.site_pair_mut(src, dst);
+            assert_eq!((a.name.clone(), b.name.clone()), expected);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "borrowed twice")]
+    fn site_pair_mut_rejects_one_site_twice() {
+        Grid::new(2, Transport::Http).site_pair_mut(1, 1);
     }
 
     #[test]

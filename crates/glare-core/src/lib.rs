@@ -3,6 +3,7 @@
 //! Activity registries, the RDM service, the super-peer overlay, caching,
 //! leasing and on-demand deployment, per Siddiqui et al., SC'05.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;

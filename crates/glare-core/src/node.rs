@@ -223,6 +223,15 @@ pub enum NodeMsg {
     },
 }
 
+/// Super-peer heartbeat period.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Silence threshold before a member suspects its super-peer: three missed
+/// beats plus a second of slack.
+const HEARTBEAT_TIMEOUT: SimDuration =
+    SimDuration::from_nanos(3 * HEARTBEAT_INTERVAL.as_nanos() + 1_000_000_000);
+/// How long to wait for probe replies before concluding a stage.
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+
 /// Static configuration of a node.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
@@ -233,10 +242,6 @@ pub struct NodeConfig {
     /// Whether this node hosts the GT4 community index (→ election
     /// coordinator).
     pub has_community_index: bool,
-    /// Super-peer heartbeat period.
-    pub heartbeat_interval: SimDuration,
-    /// Silence threshold before a member suspects its super-peer.
-    pub heartbeat_timeout: SimDuration,
     /// Maximum group size used by the coordinator.
     pub max_group_size: usize,
     /// Levels of the super-peer tree the coordinator builds: `2` (the
@@ -255,8 +260,6 @@ pub struct NodeConfig {
     /// Extra CPU cost of resolving through the registries (the cache
     /// fast path skips this — Fig. 12's cache effect).
     pub registry_cost: SimDuration,
-    /// How long to wait for probe replies before concluding a stage.
-    pub probe_timeout: SimDuration,
     /// Recovery policy for probes that time out with *silent* peers: the
     /// stage backs off (decorrelated jitter) and re-asks only the peers
     /// that never answered, feeding per-peer circuit breakers. Defaults
@@ -307,31 +310,18 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Default silence threshold for a given heartbeat period: three
-    /// missed beats plus a second of slack (16 s at the default 5 s
-    /// period). Overlays that tune `heartbeat_interval` should derive
-    /// their timeout through this instead of inheriting a threshold
-    /// sized for a different cadence.
-    pub fn derived_heartbeat_timeout(interval: SimDuration) -> SimDuration {
-        interval * 3 + SimDuration::from_secs(1)
-    }
-
     /// Sensible defaults for a named site.
     pub fn new(site_name: &str, rank: u64) -> NodeConfig {
-        let heartbeat_interval = SimDuration::from_secs(5);
         NodeConfig {
             site_name: site_name.to_owned(),
             rank,
             has_community_index: false,
-            heartbeat_interval,
-            heartbeat_timeout: NodeConfig::derived_heartbeat_timeout(heartbeat_interval),
             max_group_size: 4,
             tree_depth: 2,
             tree_branching: None,
             use_cache: true,
             request_cost: REQUEST_BASE_COST,
             registry_cost: SimDuration::from_millis(4),
-            probe_timeout: SimDuration::from_millis(500),
             retry: RetryPolicy::disabled(),
             admission: AdmissionConfig::disabled(),
             election_interval: Some(SimDuration::from_secs(120)),
@@ -672,13 +662,6 @@ pub struct GlareNode {
     // --- request state ---
     next_req: u64,
     pending: HashMap<u64, PendingQuery>,
-    /// Staggered per-sink notifications `(sink, seq)` waiting for their
-    /// `"notify-stagger"` send offset.
-    staggered: HashMap<TimerToken, (ActorId, u64)>,
-    /// Armed probe timers → pending query. What a timer is for is the tag
-    /// it was armed with: `"qdl"` a stage deadline, `"qback"` a retry
-    /// backoff, `"qhedge"` a hedge delay.
-    probe_timers: HashMap<TimerToken, u64>,
     /// Per-remote-peer circuit breakers fed by probe deadline misses
     /// (only consulted when `cfg.retry` enables retries).
     breakers: BreakerBank<ActorId>,
@@ -750,8 +733,6 @@ impl GlareNode {
             verification_sent: false,
             next_req: 0,
             pending: HashMap::new(),
-            staggered: HashMap::new(),
-            probe_timers: HashMap::new(),
             breakers: BreakerBank::default(),
             rtt: SuspicionTracker::new(cfg.suspicion),
             hb: SuspicionTracker::new(cfg.suspicion),
@@ -801,12 +782,6 @@ impl GlareNode {
         self.tree_tiers
     }
 
-    /// Per-class admission counters (admitted/shed) and peak inbox
-    /// occupancy. All-zero when backpressure is disabled.
-    pub fn admission_stats(&self) -> crate::admission::AdmissionStats {
-        self.admission.stats()
-    }
-
     /// Current suspicion level of the node's super-peer given its
     /// heartbeat silence at `now` — zero when suspicion is disabled, the
     /// estimator is cold, or the node has no (remote) super-peer.
@@ -819,20 +794,14 @@ impl GlareNode {
         }
     }
 
-    /// The node's per-peer probe round-trip estimator (read-only; empty
-    /// unless suspicion is enabled).
-    pub fn rtt_tracker(&self) -> &SuspicionTracker<ActorId> {
-        &self.rtt
-    }
-
     /// How often the super-peer liveness check runs: with adaptive
     /// suspicion on, every heartbeat period (fine-grained silence
     /// tracking); otherwise the legacy cadence of one full timeout.
     fn hb_check_period(&self) -> SimDuration {
         if self.cfg.suspicion.enabled {
-            self.cfg.heartbeat_interval
+            HEARTBEAT_INTERVAL
         } else {
-            self.cfg.heartbeat_timeout
+            HEARTBEAT_TIMEOUT
         }
     }
 
@@ -843,12 +812,12 @@ impl GlareNode {
     /// configured fixed timeout.
     fn takeover_threshold(&self, peer: ActorId) -> SimDuration {
         if !self.cfg.suspicion.enabled {
-            return self.cfg.heartbeat_timeout;
+            return HEARTBEAT_TIMEOUT;
         }
         self.hb.silence_threshold(
             peer,
-            self.cfg.heartbeat_interval * 2,
-            self.cfg.heartbeat_timeout,
+            HEARTBEAT_INTERVAL * 2,
+            HEARTBEAT_TIMEOUT,
         )
     }
 
@@ -1014,7 +983,7 @@ impl GlareNode {
     /// estimator is warm, else a fixed fraction of the probe deadline.
     /// No randomness — same-seed runs hedge at identical instants.
     fn hedge_delay(&self, target: ActorId) -> SimDuration {
-        let cap = self.cfg.probe_timeout;
+        let cap = PROBE_TIMEOUT;
         let delay = self
             .rtt
             .latency_quantile(target, self.cfg.hedge.sigmas)
@@ -1040,8 +1009,7 @@ impl GlareNode {
             return HedgeState::default();
         };
         let delay = self.hedge_delay(original);
-        let timer = ctx.timer_after(delay, "qhedge");
-        self.probe_timers.insert(timer, local_id);
+        let timer = ctx.timer_after_then(delay, "qhedge", local_id);
         HedgeState {
             plan: Some(plan),
             timer: Some(timer),
@@ -1113,10 +1081,9 @@ impl GlareNode {
         let timeout = if targets.is_empty() {
             SimDuration::ZERO
         } else {
-            self.cfg.probe_timeout
+            PROBE_TIMEOUT
         };
-        let deadline = ctx.timer_after(timeout, "qdl");
-        self.probe_timers.insert(deadline, local_id);
+        let deadline = ctx.timer_after_then(timeout, "qdl", local_id);
         let hedge = match targets[..] {
             [(only, _)] => self.arm_hedge(ctx, local_id, stage, only),
             _ => HedgeState::default(),
@@ -1208,8 +1175,7 @@ impl GlareNode {
                 ("backoff_ms", delay.as_millis_f64().to_string()),
             ]
         });
-        let token = ctx.timer_after(delay, "qback");
-        self.probe_timers.insert(token, local_id);
+        ctx.timer_after_then(delay, "qback", local_id);
         if let Some(p) = self.pending.get_mut(&local_id) {
             p.attempt = next;
             p.prev_backoff = delay;
@@ -1247,8 +1213,7 @@ impl GlareNode {
             self.conclude_stage(ctx, local_id);
             return;
         }
-        p.deadline = ctx.timer_after(self.cfg.probe_timeout, "qdl");
-        self.probe_timers.insert(p.deadline, local_id);
+        p.deadline = ctx.timer_after_then(PROBE_TIMEOUT, "qdl", local_id);
         for &(t, scope) in &resend {
             Self::send_probe(ctx, t, scope, &p.req.activity, local_id, p.req.class);
         }
@@ -1376,11 +1341,9 @@ impl GlareNode {
             return;
         };
         ctx.cancel_timer(p.deadline);
-        self.probe_timers.remove(&p.deadline);
         if let Some(t) = p.hedge.timer {
             // Unfired hedge: tombstone the timer so it never fires.
             ctx.cancel_timer(t);
-            self.probe_timers.remove(&t);
         }
         if p.hedge.target.is_some() {
             // The hedge went out: it either won the stage with a useful
@@ -1539,7 +1502,7 @@ impl GlareNode {
         self.super_peer = Some(self.me);
         if !already {
             // Arm the heartbeat loop exactly once per office term.
-            ctx.timer_after(self.cfg.heartbeat_interval, "heartbeat");
+            ctx.timer_after(HEARTBEAT_INTERVAL, "heartbeat");
             ctx.metrics().counter("glare.superpeer_takeovers").inc();
             ctx.with_span("election.takeover", SpanKind::Internal, |_| {});
         }
@@ -2278,25 +2241,31 @@ impl Actor for GlareNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken, tag: &str) {
-        if let Some(req) = self.probe_timers.remove(&token) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken, tag: &str) {
+        // A probe timer carries the id of its pending query; what it is for
+        // is the tag it was armed with.
+        if let Some(local_id) = ctx.take_continuation::<u64>() {
             match tag {
                 // Probe deadline: retry silent peers or conclude with
                 // whatever arrived.
-                "qdl" => self.deadline_expired(ctx, req),
-                "qback" => self.retry_probe(ctx, req),
-                _ => self.fire_hedge(ctx, req),
-            }
-            return;
-        }
-        if tag == "notify-stagger" {
-            if let Some((sink, seq)) = self.staggered.remove(&token) {
-                let then = Deferred::DeliverNotification { sink, seq };
-                ctx.compute_then(self.cfg.notify_cost, "notify-one", then);
+                "qdl" => self.deadline_expired(ctx, local_id),
+                "qback" => self.retry_probe(ctx, local_id),
+                _ => self.fire_hedge(ctx, local_id),
             }
             return;
         }
         match tag {
+            "notify-stagger" => {
+                let Some((sink, seq)) = ctx.take_continuation::<(ActorId, u64)>() else {
+                    return;
+                };
+                // Amnesia drops the subscriptions, and an offset armed by
+                // the previous incarnation can be due after the restart.
+                if self.sinks.contains(&sink) {
+                    let then = Deferred::DeliverNotification { sink, seq };
+                    ctx.compute_then(self.cfg.notify_cost, "notify-one", then);
+                }
+            }
             "election-second" => {
                 let size = self.roster.len() as u32;
                 for &(id, _) in self.roster.iter() {
@@ -2397,7 +2366,7 @@ impl Actor for GlareNode {
                             ctx.send(m, NodeMsg::Heartbeat);
                         }
                     }
-                    ctx.timer_after(self.cfg.heartbeat_interval, "heartbeat");
+                    ctx.timer_after(HEARTBEAT_INTERVAL, "heartbeat");
                 }
             "hb-check" => {
                 if self.role == Role::Member {
@@ -2437,8 +2406,8 @@ impl Actor for GlareNode {
                 }
                 for sink in sinks {
                     let offset_ns = ctx.rng().range(0, interval.as_nanos().max(1));
-                    let t = ctx.timer_after(SimDuration::from_nanos(offset_ns), "notify-stagger");
-                    self.staggered.insert(t, (sink, seq));
+                    let offset = SimDuration::from_nanos(offset_ns);
+                    ctx.timer_after_then(offset, "notify-stagger", (sink, seq));
                 }
                 ctx.end_span(span);
                 if let Some(interval) = self.cfg.notify_interval {
@@ -2539,8 +2508,6 @@ impl Actor for GlareNode {
         // previous incarnation still in flight must never alias a new
         // correlation id.
         self.pending.clear();
-        self.staggered.clear();
-        self.probe_timers.clear();
         self.breakers = BreakerBank::default();
         self.rtt.clear();
         self.hb.clear();
@@ -2561,7 +2528,7 @@ impl Actor for GlareNode {
             self.start_election(ctx);
         }
         if self.role == Role::SuperPeer {
-            ctx.timer_after(self.cfg.heartbeat_interval, "heartbeat");
+            ctx.timer_after(HEARTBEAT_INTERVAL, "heartbeat");
         }
         if let Some(interval) = self.cfg.notify_interval {
             ctx.timer_after(interval, "notify");

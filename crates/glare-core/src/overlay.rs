@@ -324,6 +324,29 @@ mod tests {
         );
     }
 
+    /// With the store on a crash is amnesia: the subscriptions are gone, so
+    /// the send offsets the previous incarnation armed, due after the
+    /// restart, deliver nothing.
+    #[test]
+    fn amnesia_silences_the_previous_incarnations_notifications() {
+        let mut b = OverlayBuilder::new(2, 9);
+        b.configure(|_, cfg| {
+            cfg.notify_interval = Some(SimDuration::from_secs(10));
+        });
+        let (mut sim, ids) = b.build();
+        sim.enable_store(glare_fabric::StoreConfig::standard());
+        for _ in 0..5 {
+            sim.add_actor(SiteId(1), Box::new(NotificationSink::new(ids[0])));
+        }
+        // The first round, at 10 s, arms one offset per sink within the
+        // next 10 s; the node is down for a millisecond right after it.
+        sim.schedule_crash(SimTime::from_millis(10_001), SiteId(0));
+        sim.schedule_restart(SimTime::from_millis(10_002), SiteId(0));
+        sim.start();
+        sim.run_until(SimTime::from_secs(25));
+        assert_eq!(sim.metrics().counter_value("glare.notifications_sent"), 0);
+    }
+
     #[test]
     fn client_stats_mean() {
         let mut s = ClientStats::default();

@@ -9,7 +9,6 @@
 
 use glare_fabric::{Labels, SimDuration, SimTime, SiteId, SpanKind, TraceContext};
 
-use crate::admission::TenantClass;
 use crate::error::GlareError;
 use crate::grid::Grid;
 use crate::model::ActivityDeployment;
@@ -78,53 +77,11 @@ impl RequestManager {
         activity: &str,
         now: SimTime,
     ) -> Result<ResolveOutcome, GlareError> {
-        self.traced_request(grid, from_site, activity, now, None)
-    }
-
-    /// [`RequestManager::list_deployments`] with the request attributed to
-    /// a tenant class: the `rdm.request` root span gains a `class`
-    /// attribute and `glare_rdm_requests_total{class,site}` counts the
-    /// arrival. Purely observational — resolution, cost and caching are
-    /// identical to the unattributed path (backpressure lives in the DES
-    /// node's bounded inbox, not in this synchronous API).
-    pub fn list_deployments_as(
-        &self,
-        grid: &mut Grid,
-        from_site: usize,
-        activity: &str,
-        now: SimTime,
-        class: TenantClass,
-    ) -> Result<ResolveOutcome, GlareError> {
-        self.traced_request(grid, from_site, activity, now, Some(class))
-    }
-
-    /// Run the ladder under an `rdm.request` root span, counting and
-    /// tagging the request when it is attributed to a tenant class.
-    fn traced_request(
-        &self,
-        grid: &mut Grid,
-        from_site: usize,
-        activity: &str,
-        now: SimTime,
-        class: Option<TenantClass>,
-    ) -> Result<ResolveOutcome, GlareError> {
-        if let Some(class) = class {
-            let from_label = Grid::site_label(from_site);
-            grid.metrics
-                .counter_labeled(
-                    "glare_rdm_requests_total",
-                    &Labels::of(&[("class", class.label()), ("site", &from_label)]),
-                )
-                .inc();
-        }
         let site = Some(SiteId(from_site as u32));
         let root = grid
             .trace
             .open(None, "rdm.request", SpanKind::Request, site, None, now);
         grid.trace.attr(root.span_id, "activity", activity);
-        if let Some(class) = class {
-            grid.trace.attr(root.span_id, "class", class.label());
-        }
         let (out, end) = self.run_ladder(grid, from_site, activity, now, root);
         let label = match &out {
             Ok(o) => match o.source {
@@ -589,29 +546,6 @@ mod tests {
             "warm budget {budget} vs configured {}",
             warm_g.retry.attempt_timeout
         );
-    }
-
-    #[test]
-    fn tenant_attributed_path_is_observe_only() {
-        let mut g1 = grid_with_deployment(3, 2);
-        let mut g2 = grid_with_deployment(3, 2);
-        let rm = RequestManager::new(true);
-        let plain = rm.list_deployments(&mut g1, 0, "Imaging", t(1)).unwrap();
-        let tagged = rm
-            .list_deployments_as(&mut g2, 0, "Imaging", t(1), TenantClass::Gold)
-            .unwrap();
-        // Same ladder, same cost, same answer — only attribution differs.
-        assert_eq!(plain.source, tagged.source);
-        assert_eq!(plain.cost, tagged.cost);
-        assert_eq!(plain.deployments.len(), tagged.deployments.len());
-        assert_eq!(
-            g2.metrics.counter_labeled_value(
-                "glare_rdm_requests_total",
-                &Labels::of(&[("class", "gold"), ("site", "site0")]),
-            ),
-            1
-        );
-        assert_eq!(g2.metrics.lint_metric_names(), Vec::<String>::new());
     }
 
     #[test]

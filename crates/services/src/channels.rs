@@ -14,9 +14,7 @@
 
 use glare_fabric::SimDuration;
 
-use crate::expect::{run_expect, ExpectError, ExpectScript};
 use crate::gram::GramService;
-use crate::host::SiteHost;
 
 /// Which transport mechanism executes install steps on the target site.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -86,180 +84,9 @@ impl ChannelKind {
     }
 }
 
-/// Result of running an install step list through a channel.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChannelReport {
-    /// Channel used.
-    pub kind: ChannelKind,
-    /// Sum of intrinsic step costs (compilation, unpacking…).
-    pub intrinsic_cost: SimDuration,
-    /// Channel-induced overhead (fixed + per-step).
-    pub channel_overhead: SimDuration,
-    /// Number of steps executed.
-    pub steps: usize,
-    /// Number of interactive prompts answered.
-    pub interactions: usize,
-}
-
-impl ChannelReport {
-    /// Total wall time the channel spent.
-    pub fn total(&self) -> SimDuration {
-        self.intrinsic_cost + self.channel_overhead
-    }
-}
-
-/// Execute `commands` on `host` through the given channel, answering
-/// interactive prompts from `script`.
-///
-/// Both channels run the same shell semantics — an installer does not care
-/// who typed at it — but accrue different overheads. JavaCoG cannot hold
-/// an interactive dialog (steps are batch GRAM jobs), so prompts are
-/// answered from the script as embedded here-documents; an unmatched
-/// prompt fails the step just as it hangs a real batch job.
-pub fn run_channel(
-    kind: ChannelKind,
-    host: &mut SiteHost,
-    commands: &[String],
-    script: &ExpectScript,
-) -> Result<ChannelReport, (ExpectError, ChannelReport)> {
-    let mut session = host.open_session();
-    let mut report = ChannelReport {
-        kind,
-        intrinsic_cost: SimDuration::ZERO,
-        channel_overhead: kind.fixed_overhead(),
-        steps: 0,
-        interactions: 0,
-    };
-    for cmd in commands {
-        match run_expect(host, &mut session, cmd, script) {
-            Ok(out) => {
-                report.intrinsic_cost += out.result.cost;
-                report.channel_overhead += kind.step_overhead(out.result.cost);
-                report.steps += 1;
-                report.interactions += out.interactions;
-            }
-            Err(e) => {
-                if let ExpectError::CommandFailed(r) = &e {
-                    report.intrinsic_cost += r.cost;
-                }
-                report.steps += 1;
-                return Err((e, report));
-            }
-        }
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packages;
-    use crate::vfs::{VFile, VPath};
-    use glare_fabric::topology::Platform;
-
-    fn staged_host(pkg: &packages::PackageSpec) -> SiteHost {
-        let mut h = SiteHost::new("target", Platform::intel_linux_32());
-        let p = VPath::new(&format!("/tmp/{}", pkg.archive_file()));
-        h.vfs
-            .write_file(
-                &p,
-                VFile {
-                    size: pkg.archive_bytes,
-                    content: Vec::new(),
-                    executable: false,
-                },
-            )
-            .unwrap();
-        h.register_archive(p, pkg.clone());
-        h
-    }
-
-    fn wien2k_commands() -> Vec<String> {
-        let p = packages::wien2k();
-        vec![
-            "cd /scratch".to_owned(),
-            format!("tar xvfz /tmp/{}", p.archive_file()),
-            format!("cd {}", p.unpack_dir()),
-            "make install".to_owned(),
-        ]
-    }
-
-    #[test]
-    fn expect_channel_installs_wien2k() {
-        let pkg = packages::wien2k();
-        let mut h = staged_host(&pkg);
-        let report = run_channel(
-            ChannelKind::Expect,
-            &mut h,
-            &wien2k_commands(),
-            &ExpectScript::new(),
-        )
-        .unwrap();
-        assert!(h.is_installed("wien2k"));
-        assert_eq!(report.steps, 4);
-        assert!(report.intrinsic_cost >= pkg.unpack_cost + pkg.install_cost);
-        assert!(report.channel_overhead >= EXPECT_FIXED_OVERHEAD);
-    }
-
-    #[test]
-    fn javacog_is_slower_than_expect_for_same_install() {
-        let pkg = packages::wien2k();
-        let mut h1 = staged_host(&pkg);
-        let mut h2 = staged_host(&pkg);
-        let cmds = wien2k_commands();
-        let expect = run_channel(ChannelKind::Expect, &mut h1, &cmds, &ExpectScript::new())
-            .unwrap();
-        let cog = run_channel(ChannelKind::JavaCog, &mut h2, &cmds, &ExpectScript::new())
-            .unwrap();
-        assert_eq!(expect.intrinsic_cost, cog.intrinsic_cost, "same real work");
-        assert!(
-            cog.total() > expect.total(),
-            "JavaCoG {:?} must exceed Expect {:?}",
-            cog.total(),
-            expect.total()
-        );
-        // Paper shape: the gap is dominated by channel overhead, and the
-        // JavaCoG total is roughly 1.3–2.5x the Expect total.
-        let ratio = cog.total().as_millis_f64() / expect.total().as_millis_f64();
-        assert!((1.2..3.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn failure_mid_sequence_reports_partial_cost() {
-        let pkg = packages::wien2k();
-        let mut h = staged_host(&pkg);
-        let cmds = vec![
-            "cd /scratch".to_owned(),
-            "make".to_owned(), // fails: no package dir here
-        ];
-        let (err, report) =
-            run_channel(ChannelKind::Expect, &mut h, &cmds, &ExpectScript::new()).unwrap_err();
-        assert!(matches!(err, ExpectError::CommandFailed(_)));
-        assert_eq!(report.steps, 2);
-    }
-
-    #[test]
-    fn interactive_install_through_both_channels() {
-        let pkg = packages::povray();
-        let script = ExpectScript::new()
-            .expect_send("license", "yes")
-            .expect_send("user type", "all")
-            .expect_send("Install path", "/opt/deployments/povray");
-        let cmds = vec![
-            "cd /scratch".to_owned(),
-            format!("tar xvfz /tmp/{}", pkg.archive_file()),
-            format!("cd {}", pkg.unpack_dir()),
-            "./configure".to_owned(),
-            "make".to_owned(),
-            "make install".to_owned(),
-        ];
-        for kind in [ChannelKind::Expect, ChannelKind::JavaCog] {
-            let mut h = staged_host(&pkg);
-            let report = run_channel(kind, &mut h, &cmds, &script).unwrap();
-            assert!(h.is_installed("povray"), "{:?}", kind);
-            assert_eq!(report.interactions, 3);
-        }
-    }
 
     #[test]
     fn overhead_constants_match_table1() {

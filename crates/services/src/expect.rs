@@ -14,7 +14,7 @@
 //! an unattended `expect` run hits when an installer asks something the
 //! script didn't anticipate.
 
-use glare_fabric::{SimDuration, SimTime, SpanKind, TraceContext, TraceSink};
+use glare_fabric::{SimTime, SpanKind, TraceContext, TraceSink};
 
 use crate::host::SiteHost;
 use crate::shell::{CmdResult, ExecOutcome, ShellSession};
@@ -194,34 +194,6 @@ pub fn run_expect_traced(
     Ok(out)
 }
 
-/// Run a whole sequence of commands under one script (rule consumption
-/// restarts per command, matching per-step dialogs in deploy-files).
-/// Stops at the first failure, returning total cost so far alongside it.
-pub fn run_expect_sequence(
-    host: &mut SiteHost,
-    session: &mut ShellSession,
-    commands: &[String],
-    script: &ExpectScript,
-) -> Result<(SimDuration, usize), (ExpectError, SimDuration)> {
-    let mut total = SimDuration::ZERO;
-    let mut interactions = 0;
-    for cmd in commands {
-        match run_expect(host, session, cmd, script) {
-            Ok(out) => {
-                total += out.result.cost;
-                interactions += out.interactions;
-            }
-            Err(e) => {
-                if let ExpectError::CommandFailed(r) = &e {
-                    total += r.cost;
-                }
-                return Err((e, total));
-            }
-        }
-    }
-    Ok((total, interactions))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,28 +290,5 @@ mod tests {
         let (mut h, mut s) = staged_povray_host();
         let err = run_expect(&mut h, &mut s, "false", &ExpectScript::new()).unwrap_err();
         assert!(matches!(err, ExpectError::CommandFailed(r) if r.exit_code == 1));
-    }
-
-    #[test]
-    fn sequence_accumulates_cost_and_stops_on_error() {
-        let (mut h, mut s) = staged_povray_host();
-        let cmds = vec![
-            "./configure".to_owned(),
-            "make".to_owned(),
-            "make install".to_owned(),
-        ];
-        let (total, interactions) =
-            run_expect_sequence(&mut h, &mut s, &cmds, &povray_script()).unwrap();
-        let spec = packages::povray();
-        assert!(total >= spec.configure_cost + spec.build_cost + spec.install_cost);
-        assert_eq!(interactions, 3);
-
-        // A failing sequence stops early.
-        let mut h2 = SiteHost::new("s", Platform::intel_linux_32());
-        let mut s2 = h2.open_session();
-        let cmds = vec!["echo one".to_owned(), "false".to_owned(), "echo two".to_owned()];
-        let (err, _) =
-            run_expect_sequence(&mut h2, &mut s2, &cmds, &ExpectScript::new()).unwrap_err();
-        assert!(matches!(err, ExpectError::CommandFailed(_)));
     }
 }

@@ -149,11 +149,6 @@ impl SiteHost {
         Some(record)
     }
 
-    /// Names of all installed packages.
-    pub fn installed_packages(&self) -> impl Iterator<Item = &str> {
-        self.installed.keys().map(String::as_str)
-    }
-
     /// Services live in the container.
     pub fn running_services(&self) -> &[String] {
         &self.services

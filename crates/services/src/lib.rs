@@ -16,8 +16,10 @@
 //! * [`gridftp`] — URL transfers with md5 verification.
 //! * [`mds`] — the WS-MDS Index Service baseline (XPath scan, hierarchy).
 //! * [`security`] — http/https transport cost, mechanically reproduced.
-//! * [`channels`] — the Expect vs JavaCoG deployment channels of Table 1.
+//! * [`channels`] — what the Expect and JavaCoG deployment channels of
+//!   Table 1 cost (`glare-core`'s deploy manager is the one executor).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod channels;
@@ -32,7 +34,7 @@ pub mod security;
 pub mod shell;
 pub mod vfs;
 
-pub use channels::{run_channel, ChannelKind, ChannelReport};
+pub use channels::ChannelKind;
 pub use expect::{run_expect, run_expect_traced, ExpectError, ExpectScript};
 pub use gram::{GramError, GramJob, GramService, JobSpec, JobState};
 pub use gridftp::{download, download_traced, Repository, TransferError, TransferReceipt};

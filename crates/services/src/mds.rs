@@ -28,7 +28,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use glare_fabric::sync::RwLock;
-use glare_fabric::{SimDuration, SimTime, SpanKind, TraceContext, TraceSink};
+use glare_fabric::{SimDuration, SimTime};
 use glare_wsrf::{ServiceGroup, WsrfError, XPathMemo, XmlNode};
 
 use crate::security::Transport;
@@ -268,35 +268,6 @@ impl IndexService {
         })
     }
 
-    /// Like [`IndexService::query`], but records the aggregate-document
-    /// walk as an `mds.query` service span into `trace`, laid out over
-    /// `[now, now + cost]` and parented under `parent`. Invalid queries
-    /// record nothing.
-    pub fn query_traced(
-        &self,
-        xpath: &str,
-        now: SimTime,
-        trace: &mut TraceSink,
-        parent: Option<TraceContext>,
-    ) -> Result<QueryResponse, WsrfError> {
-        let resp = self.query(xpath, now)?;
-        trace.record(
-            parent,
-            "mds.query",
-            SpanKind::Service,
-            None,
-            None,
-            now,
-            now + resp.cost,
-            &[
-                ("xpath", xpath.to_owned()),
-                ("matches", resp.matches.len().to_string()),
-                ("scanned", resp.scanned.to_string()),
-            ],
-        );
-        Ok(resp)
-    }
-
     /// Convenience: the query a client uses to find an entry by name.
     pub fn query_by_name(
         &self,
@@ -399,30 +370,6 @@ mod tests {
         let c2 = idx.query_by_name("ActivityType", "t7", t(2)).unwrap();
         assert_eq!(c1.cost, c2.cost);
         assert_eq!(c1.scanned, c2.scanned);
-    }
-
-    #[test]
-    fn traced_query_records_an_mds_span() {
-        let mut idx = index();
-        idx.register("site0", entry("JPOVray"), t(0));
-        idx.register("site0", entry("Wien2k"), t(0));
-        let mut trace = TraceSink::default();
-        let r = idx
-            .query_traced("//ActivityType[@name='Wien2k']", t(5), &mut trace, None)
-            .unwrap();
-        assert_eq!(r.matches.len(), 1);
-        let span = &trace.spans()[0];
-        assert_eq!(span.name, "mds.query");
-        assert_eq!(span.kind, SpanKind::Service);
-        assert_eq!(span.start, t(5));
-        assert_eq!(span.end, t(5) + r.cost, "span lays out over the modeled cost");
-        assert!(span
-            .attrs
-            .iter()
-            .any(|(k, v)| k == "scanned" && v == "2"));
-        // Invalid XPath records nothing.
-        assert!(idx.query_traced("((", t(6), &mut trace, None).is_err());
-        assert_eq!(trace.len(), 1);
     }
 
     #[test]

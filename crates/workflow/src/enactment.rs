@@ -218,11 +218,9 @@ impl EnactmentEngine {
                 if *src_site != site {
                     let dst = VPath::new(&format!("/scratch/wf/{}", src_path.file_name()));
                     let link = grid.link;
-                    let (src, dst_host) = {
-                        let (a, b) = index_pair(grid, *src_site, site);
-                        (a, b)
-                    };
-                    let receipt = gridftp::copy_between(src, src_path, dst_host, &dst, link)?;
+                    let (src, dst_site) = grid.site_pair_mut(*src_site, site);
+                    let receipt =
+                        gridftp::copy_between(&src.host, src_path, &mut dst_site.host, &dst, link)?;
                     stage_in += receipt.cost;
                 }
             }
@@ -303,20 +301,6 @@ impl EnactmentEngine {
             .expect("write output");
         Ok((stage_in, runtime, out))
     }
-}
-
-/// Split-borrow two distinct sites' hosts (src immutable, dst mutable).
-fn index_pair(
-    grid: &mut Grid,
-    src: usize,
-    dst: usize,
-) -> (&glare_services::SiteHost, &mut glare_services::SiteHost) {
-    assert_ne!(src, dst);
-    // Safe split via raw pointers over the sites vec.
-    let src_host: *const glare_services::SiteHost = &grid.site(src).host;
-    let dst_host: *mut glare_services::SiteHost = &mut grid.site_mut(dst).host;
-    // SAFETY: src != dst, so the two references alias distinct elements.
-    unsafe { (&*src_host, &mut *dst_host) }
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! the mapped workflow over the simulated Grid with data staging and
 //! migration on failure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod enactment;

@@ -167,7 +167,6 @@ pub struct TenantLoad {
     retry: RetryPolicy,
     rng: SimRng,
     in_flight: HashMap<u64, InFlight>,
-    retry_timers: HashMap<TimerToken, u64>,
     next_req: u64,
     stats: Arc<Mutex<TenantStats>>,
 }
@@ -197,7 +196,6 @@ impl TenantLoad {
             // must not perturb the schedule's byte-identity.
             rng: SimRng::from_seed(spec.seed).fork(&format!("workload-retry/{}", tenant.name)),
             in_flight: HashMap::new(),
-            retry_timers: HashMap::new(),
             next_req: 0,
             stats,
         }
@@ -325,10 +323,11 @@ impl Actor for TenantLoad {
                             retry_after,
                             elapsed,
                         );
-                        let token = ctx.timer_after(delay, "reoffer");
-                        self.retry_timers.insert(token, req_id);
+                        ctx.timer_after_then(delay, "reoffer", req_id);
                         // Park the state under the old id until the
-                        // timer fires (the re-send allocates a new id).
+                        // timer fires (the re-send allocates a new id);
+                        // parked, it still counts against the closed-loop
+                        // cap.
                         self.in_flight.insert(
                             req_id,
                             InFlight {
@@ -348,17 +347,16 @@ impl Actor for TenantLoad {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken, tag: &str) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken, tag: &str) {
         if tag == "offer" {
             self.offer(ctx);
             return;
         }
         if tag == "reoffer" {
-            if let Some(req_id) = self.retry_timers.remove(&token) {
-                if let Some(f) = self.in_flight.remove(&req_id) {
-                    self.stats.lock().retries += 1;
-                    self.send_request(ctx, f.activity, f.offered_at, f.attempt, f.prev_backoff);
-                }
+            let req_id = ctx.take_continuation::<u64>();
+            if let Some(f) = req_id.and_then(|id| self.in_flight.remove(&id)) {
+                self.stats.lock().retries += 1;
+                self.send_request(ctx, f.activity, f.offered_at, f.attempt, f.prev_backoff);
             }
         }
     }

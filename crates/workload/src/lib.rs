@@ -18,6 +18,7 @@
 //! Everything is a pure function of the spec and its seed: no wall
 //! clock, no global state, no draws from the simulation kernel's RNG.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

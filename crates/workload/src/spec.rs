@@ -143,24 +143,6 @@ impl TenantSpec {
         }
     }
 
-    /// Replace the arrival process.
-    pub fn with_arrival(mut self, arrival: ArrivalProcess) -> TenantSpec {
-        self.arrival = arrival;
-        self
-    }
-
-    /// Add a warm-up ramp.
-    pub fn with_ramp(mut self, from: f64, over: SimDuration) -> TenantSpec {
-        self.modulation.ramp = Some(Ramp { from, over });
-        self
-    }
-
-    /// Add a diurnal cycle.
-    pub fn with_diurnal(mut self, amplitude: f64, period: SimDuration) -> TenantSpec {
-        self.modulation.diurnal = Some(Diurnal { amplitude, period });
-        self
-    }
-
     /// Add a flash-crowd window.
     pub fn with_flash(mut self, at: SimTime, duration: SimDuration, multiplier: f64) -> TenantSpec {
         self.modulation.flash = Some(Flash {

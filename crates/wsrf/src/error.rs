@@ -2,8 +2,7 @@
 
 use std::fmt;
 
-/// Errors raised by the WSRF layer (resource lifecycle, service groups,
-/// notification).
+/// Errors raised by the WSRF layer (resource lifecycle, service groups).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WsrfError {
     /// A resource with this key already exists and is live.
@@ -21,11 +20,6 @@ pub enum WsrfError {
         /// Requested entry id.
         id: u64,
     },
-    /// A notification subscription was not found.
-    NoSuchSubscription {
-        /// Requested subscription id.
-        id: u64,
-    },
     /// An XPath query failed to compile.
     InvalidQuery {
         /// Compiler message.
@@ -41,9 +35,6 @@ impl fmt::Display for WsrfError {
             }
             WsrfError::NoSuchResource { key } => write!(f, "no such resource: {key:?}"),
             WsrfError::NoSuchEntry { id } => write!(f, "no such service-group entry: {id}"),
-            WsrfError::NoSuchSubscription { id } => {
-                write!(f, "no such subscription: {id}")
-            }
             WsrfError::InvalidQuery { message } => write!(f, "invalid query: {message}"),
         }
     }

@@ -14,13 +14,12 @@
 //! * [`epr`] — endpoint references with GLARE's `LastUpdateTime` extension.
 //! * [`service_group`] — the aggregation framework with soft-state entry
 //!   lifetimes.
-//! * [`notification`] — topics, subscriptions and fan-out.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod epr;
 pub mod error;
-pub mod notification;
 pub mod resource;
 pub mod service_group;
 pub mod xml;
@@ -28,7 +27,6 @@ pub mod xpath;
 
 pub use epr::EndpointReference;
 pub use error::WsrfError;
-pub use notification::{SinkAddress, Subscription, SubscriptionId, SubscriptionManager};
 pub use resource::{ResourceHome, ResourceProperties, WsResource};
 pub use service_group::{EntryId, GroupEntry, ServiceGroup};
 pub use xml::{parse as parse_xml, XmlError, XmlNode};

@@ -136,11 +136,6 @@ impl XPath {
             .map(|n| n.text.clone())
             .collect()
     }
-
-    /// Number of steps (used by tests and cost diagnostics).
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
-    }
 }
 
 fn collect_descendants_or_self<'a>(node: &'a XmlNode, out: &mut Vec<&'a XmlNode>) {

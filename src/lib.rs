@@ -4,7 +4,7 @@
 //!
 //! * [`fabric`] — deterministic simulated Grid fabric.
 //! * [`wsrf`] — minimal WS-Resource Framework (XML, XPath, resources,
-//!   service groups, notification).
+//!   service groups).
 //! * [`services`] — Globus-equivalent substrate services (GRAM, GridFTP,
 //!   WS-MDS index, security, shell/Expect, deployment channels).
 //! * [`core`] — the GLARE framework itself: activity registries, RDM
@@ -17,6 +17,7 @@
 //! See `examples/` for runnable walkthroughs and `crates/bench` for the
 //! harness that regenerates every table and figure of the paper.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use glare_core as core;

@@ -369,14 +369,6 @@ impl EventQueue {
         }
     }
 
-    /// Which implementation this queue is.
-    pub fn kind(&self) -> SchedulerKind {
-        match self {
-            EventQueue::Calendar(_) => SchedulerKind::Calendar,
-            EventQueue::Heap(_) => SchedulerKind::BinaryHeap,
-        }
-    }
-
     /// Insert a key.
     pub fn push(&mut self, key: EventKey) {
         match self {
@@ -546,17 +538,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn event_queue_kind_round_trips() {
-        assert_eq!(
-            EventQueue::new(SchedulerKind::Calendar, 1).kind(),
-            SchedulerKind::Calendar
-        );
-        assert_eq!(
-            EventQueue::new(SchedulerKind::BinaryHeap, 1).kind(),
-            SchedulerKind::BinaryHeap
-        );
     }
 }

@@ -74,11 +74,6 @@ impl TypeHierarchy {
         self.kinds.contains_key(name)
     }
 
-    /// Kind of a known type.
-    pub fn kind(&self, name: &str) -> Option<TypeKind> {
-        self.kinds.get(name).copied()
-    }
-
     /// All *concrete* types at or below `name` (the §2.2 "iterative
     /// lookup"), deduplicated, in discovery order. Unknown names yield an
     /// empty list.
@@ -375,13 +370,5 @@ mod tests {
             }
             assert!(h.children.values().all(|kids| !kids.is_empty()));
         }
-    }
-
-    #[test]
-    fn kind_lookup() {
-        let h = fig2();
-        assert_eq!(h.kind("Imaging"), Some(TypeKind::Abstract));
-        assert_eq!(h.kind("JPOVray"), Some(TypeKind::Concrete));
-        assert_eq!(h.kind("Nope"), None);
     }
 }

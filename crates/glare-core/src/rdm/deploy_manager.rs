@@ -22,7 +22,7 @@ use glare_fabric::{Labels, SimDuration, SimTime, SiteId, SpanKind, TraceContext,
 use glare_services::gridftp;
 use glare_services::vfs::VPath;
 use glare_services::ChannelKind;
-use glare_services::{run_expect_traced, ExpectError};
+use glare_services::{run_expect_traced, ExpectError, ExpectScript, Md5Digest, ShellSession};
 
 use crate::deployfile::{DeployFile, PlannedAction};
 use crate::error::GlareError;
@@ -331,7 +331,22 @@ pub fn install_package(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One package install in progress: what goes where, the `deploy.install`
+/// span its steps chain under, and the cost rows charged so far.
+struct Install<'a> {
+    t: &'a ActivityType,
+    site: usize,
+    site_name: String,
+    channel: ChannelKind,
+    site_id: Option<SiteId>,
+    span: TraceContext,
+    session: ShellSession,
+    /// Virtual-clock cursor: each charged cost row advances it, laying the
+    /// step spans out sequentially the way the cost model charges them.
+    at: SimTime,
+    breakdown: CostBreakdown,
+}
+
 fn install_package_traced(
     grid: &mut Grid,
     t: &ActivityType,
@@ -342,71 +357,151 @@ fn install_package_traced(
     trace: &mut TraceSink,
 ) -> Result<InstallReport, GlareError> {
     let inst = t.installation.as_ref().expect("checked by caller");
+    let site_name = grid.site(site).name.clone();
     let spec = glare_services::packages::by_name(&inst.package).ok_or_else(|| {
         GlareError::InstallFailed {
             type_name: t.name.clone(),
-            site: grid.site(site).name.clone(),
+            site: site_name.clone(),
             detail: format!("unknown package {}", inst.package),
         }
     })?;
-    let mut breakdown = CostBreakdown {
-        channel_overhead: channel.fixed_overhead(),
-        ..CostBreakdown::default()
-    };
-
     let site_id = Some(SiteId(site as u32));
-    let ispan = trace.open(parent, "deploy.install", SpanKind::Service, site_id, None, now);
-    trace.attr(ispan.span_id, "type", &t.name);
-    trace.attr(ispan.span_id, "package", &spec.name);
-    // Virtual-clock cursor: each charged cost row advances it, laying the
-    // step spans out sequentially the way the cost model charges them.
-    let mut at = now + channel.fixed_overhead();
+    let span = trace.open(parent, "deploy.install", SpanKind::Service, site_id, None, now);
+    trace.attr(span.span_id, "type", &t.name);
+    trace.attr(span.span_id, "package", &spec.name);
+    let mut install = Install {
+        t,
+        site,
+        site_name,
+        channel,
+        site_id,
+        span,
+        session: grid.site(site).host.open_session(),
+        at: now + channel.fixed_overhead(),
+        breakdown: CostBreakdown {
+            channel_overhead: channel.fixed_overhead(),
+            ..CostBreakdown::default()
+        },
+    };
 
     // Dynamic type registration at the target site (+ deploy-file fetch
     // and validation).
-    let site_name = grid.site(site).name.clone();
     if !grid.site(site).atr.contains(&t.name, now) {
         grid.register_type(site, t.clone(), now)?;
     }
-    breakdown.type_addition += TYPE_ADDITION_COST;
-    trace.record(
-        Some(ispan),
-        "type.register",
-        SpanKind::Service,
-        site_id,
-        None,
-        at,
-        at + TYPE_ADDITION_COST,
-        &[],
-    );
-    at += TYPE_ADDITION_COST;
+    install.charge(trace, |b| &mut b.type_addition, "type.register", TYPE_ADDITION_COST, &[]);
 
     // Plan the deploy-file.
     let archive_md5 = grid.repo.md5_of(&spec.archive_url);
     let deploy_file = DeployFile::for_package(&spec, archive_md5);
     let env = grid.site(site).host.default_env();
     let plan = deploy_file.plan(&env)?;
-    let dialog = deploy_file.dialog.clone();
 
     // Execute.
-    let link = grid.link;
-    let mut session = grid.site(site).host.open_session();
     for action in &plan {
-        // Step-granular recovery: a transient outage of the target site
-        // costs the attempt timeout, then the step — and only the step —
-        // is retried with backoff, resuming the plan from where it
-        // stopped. Only steps flagged idempotent may be rerun; a
-        // non-idempotent step interrupted mid-flight fails the install.
-        // With the fault injector inert the guard never fires.
+        install.wait_out_fault(grid, action)?;
+        match action {
+            PlannedAction::Transfer { url, destination, md5, .. } => {
+                install.transfer(grid, trace, action, url, destination, *md5)?
+            }
+            PlannedAction::Shell { command, workdir, .. } => {
+                install.shell(grid, trace, action, command, workdir, &deploy_file.dialog)?
+            }
+        }
+    }
+
+    let keys = install.register_deployments(grid, trace, &spec.name, now)?;
+    let notify_cost = grid.notify_admin(site, &t.name, "activity deployed", &t.provider_contact);
+    install.charge(trace, |b| &mut b.notification, "notify.admin", notify_cost, &[]);
+    trace.close(span.span_id, install.at);
+
+    Ok(InstallReport {
+        type_name: t.name.clone(),
+        site: install.site_name,
+        package: spec.name,
+        channel,
+        breakdown: install.breakdown,
+        deployments: keys,
+    })
+}
+
+impl Install<'_> {
+    /// Charge `cost` to the row `row` picks, record it as a `name` span at
+    /// the cursor, and move the cursor past it.
+    fn charge(
+        &mut self,
+        trace: &mut TraceSink,
+        row: fn(&mut CostBreakdown) -> &mut SimDuration,
+        name: &str,
+        cost: SimDuration,
+        attrs: &[(&str, String)],
+    ) {
+        *row(&mut self.breakdown) += cost;
+        let (parent, end) = (Some(self.span), self.at + cost);
+        trace.record(parent, name, SpanKind::Service, self.site_id, None, self.at, end, attrs);
+        self.at = end;
+    }
+
+    /// Open the `deploy.step` span of a plan step at the cursor.
+    fn open_step(&self, trace: &mut TraceSink, step: &str, action: &str) -> TraceContext {
+        let (parent, site) = (Some(self.span), self.site_id);
+        let sspan = trace.open(parent, "deploy.step", SpanKind::Service, site, None, self.at);
+        trace.attr(sspan.span_id, "step", step);
+        trace.attr(sspan.span_id, "action", action);
+        sspan
+    }
+
+    /// A plan step failed for `reason`: publish `deploy.step_failed` and
+    /// build the error that ends the install with `detail`.
+    fn step_failed(&self, grid: &mut Grid, step: &str, reason: &str, detail: String) -> GlareError {
+        grid.events.emit(
+            self.at,
+            "deploy.step_failed",
+            self.site_id,
+            "rdm.deploy_manager",
+            &[("type", &self.t.name), ("step", step), ("reason", reason)],
+        );
+        self.failed(detail)
+    }
+
+    /// The error that ends this install, saying why in `detail`.
+    fn failed(&self, detail: String) -> GlareError {
+        GlareError::InstallFailed {
+            type_name: self.t.name.clone(),
+            site: self.site_name.clone(),
+            detail,
+        }
+    }
+
+    fn check_timeout(&self, action: &PlannedAction, cost: SimDuration) -> Result<(), GlareError> {
+        let (step, timeout_secs) = (action.step_name(), action.timeout_secs());
+        if timeout_secs > 0 && cost > SimDuration::from_secs(timeout_secs) {
+            let detail = format!("step {step} exceeded its {timeout_secs}s timeout (took {cost})");
+            return Err(self.failed(detail));
+        }
+        Ok(())
+    }
+
+    /// Step-granular recovery: a transient outage of the target site costs
+    /// the attempt timeout, then the step — and only the step — is retried
+    /// with backoff, resuming the plan from where it stopped. Only steps
+    /// flagged idempotent may be rerun; a non-idempotent step interrupted
+    /// mid-flight fails the install. With the fault injector inert the
+    /// guard never fires.
+    fn wait_out_fault(
+        &mut self,
+        grid: &mut Grid,
+        action: &PlannedAction,
+    ) -> Result<(), GlareError> {
+        let (site, step) = (self.site, action.step_name());
         let policy = grid.retry;
         let mut attempt = 1u32;
         let mut prev_backoff = SimDuration::ZERO;
         let mut step_elapsed = SimDuration::ZERO;
         while !grid.faults.site_up(site) || grid.faults.attempt_lost() {
-            let step = action.step_name();
             step_elapsed += policy.attempt_timeout;
-            at += policy.attempt_timeout;
-            breakdown.channel_overhead += policy.attempt_timeout;
+            self.at += policy.attempt_timeout;
+            self.breakdown.channel_overhead += policy.attempt_timeout;
             grid.metrics
                 .counter_labeled(
                     "glare_retries_total",
@@ -421,26 +516,15 @@ fn install_package_traced(
                 } else {
                     "transient failure on a non-idempotent step".to_owned()
                 };
-                grid.events.emit(
-                    at,
-                    "deploy.step_failed",
-                    site_id,
-                    "rdm.deploy_manager",
-                    &[("type", &t.name), ("step", step), ("reason", &reason)],
-                );
-                return Err(GlareError::InstallFailed {
-                    type_name: t.name.clone(),
-                    site: site_name.clone(),
-                    detail: format!("step {step}: {reason}"),
-                });
+                return Err(self.step_failed(grid, step, &reason, format!("step {step}: {reason}")));
             }
             grid.events.emit(
-                at,
+                self.at,
                 "deploy.step_retried",
-                site_id,
+                self.site_id,
                 "rdm.deploy_manager",
                 &[
-                    ("type", &t.name),
+                    ("type", &self.t.name),
                     ("step", step),
                     ("attempt", &attempt.to_string()),
                 ],
@@ -453,232 +537,145 @@ fn install_package_traced(
                     &Labels::of(&[("site", &Grid::site_label(site))]),
                 )
                 .record(delay);
-            at += delay;
+            self.at += delay;
             step_elapsed += delay;
         }
-        match action {
-            PlannedAction::Transfer {
-                step,
-                url,
-                destination,
-                md5,
-                timeout_secs,
-                ..
-            } => {
-                let sspan =
-                    trace.open(Some(ispan), "deploy.step", SpanKind::Service, site_id, None, at);
-                trace.attr(sspan.span_id, "step", step);
-                trace.attr(sspan.span_id, "action", "transfer");
-                let repo = grid.repo.clone();
-                let receipt = gridftp::download_traced(
-                    &repo,
-                    url,
-                    &mut grid.site_mut(site).host,
-                    &VPath::new(destination),
-                    link,
-                    *md5,
-                    trace,
-                    Some(sspan),
-                    at,
-                )?;
-                let cost = receipt
-                    .cost
-                    .mul_f64(channel.transfer_cost_factor())
-                    + channel.transfer_extra_setup();
-                check_timeout(t, &site_name, step, cost, *timeout_secs)?;
-                breakdown.communication += cost;
-                at += cost;
-                trace.close(sspan.span_id, at);
+        Ok(())
+    }
+
+    /// A transfer step: fetch `url` to `destination` on the target host.
+    fn transfer(
+        &mut self,
+        grid: &mut Grid,
+        trace: &mut TraceSink,
+        action: &PlannedAction,
+        url: &str,
+        destination: &str,
+        md5: Option<Md5Digest>,
+    ) -> Result<(), GlareError> {
+        let sspan = self.open_step(trace, action.step_name(), "transfer");
+        let (repo, link) = (grid.repo.clone(), grid.link);
+        let receipt = gridftp::download_traced(
+            &repo,
+            url,
+            &mut grid.site_mut(self.site).host,
+            &VPath::new(destination),
+            link,
+            md5,
+            trace,
+            Some(sspan),
+            self.at,
+        )?;
+        let cost = receipt.cost.mul_f64(self.channel.transfer_cost_factor())
+            + self.channel.transfer_extra_setup();
+        self.check_timeout(action, cost)?;
+        self.breakdown.communication += cost;
+        self.at += cost;
+        trace.close(sspan.span_id, self.at);
+        Ok(())
+    }
+
+    /// A shell step: run `command` in `workdir` through the expect dialog.
+    fn shell(
+        &mut self,
+        grid: &mut Grid,
+        trace: &mut TraceSink,
+        action: &PlannedAction,
+        command: &str,
+        workdir: &str,
+        dialog: &ExpectScript,
+    ) -> Result<(), GlareError> {
+        let step = action.step_name();
+        let sspan = self.open_step(trace, step, "shell");
+        let host = &mut grid.site_mut(self.site).host;
+        // Enter the step's working directory (create it if the deploy-file
+        // expects it, as Fig. 9's Init step does).
+        let _ = host.exec(&mut self.session, &format!("mkdir -p {workdir}"));
+        let cd = host.exec(&mut self.session, &format!("cd {workdir}")).expect_done("cd");
+        if !cd.success() {
+            trace.attr(sspan.span_id, "error", "1");
+            trace.close(sspan.span_id, self.at);
+            let reason = format!("cannot enter {workdir}");
+            return Err(self.step_failed(grid, step, &reason, format!("step {step}: {reason}")));
+        }
+        let session = &mut self.session;
+        match run_expect_traced(host, session, command, dialog, trace, Some(sspan), self.at) {
+            Ok(out) => {
+                self.check_timeout(action, out.result.cost)?;
+                self.breakdown.installation += out.result.cost;
+                let step_over = self.channel.step_overhead(out.result.cost);
+                self.breakdown.channel_overhead += step_over;
+                self.at += out.result.cost + step_over;
+                trace.close(sspan.span_id, self.at);
+                Ok(())
             }
-            PlannedAction::Shell {
-                step,
-                command,
-                workdir,
-                timeout_secs,
-                ..
-            } => {
-                let sspan =
-                    trace.open(Some(ispan), "deploy.step", SpanKind::Service, site_id, None, at);
-                trace.attr(sspan.span_id, "step", step);
-                trace.attr(sspan.span_id, "action", "shell");
-                let host = &mut grid.site_mut(site).host;
-                // Enter the step's working directory (create it if the
-                // deploy-file expects it, as Fig. 9's Init step does).
-                let _ = host.exec(&mut session, &format!("mkdir -p {workdir}"));
-                let cd = host
-                    .exec(&mut session, &format!("cd {workdir}"))
-                    .expect_done("cd");
-                if !cd.success() {
-                    trace.attr(sspan.span_id, "error", "1");
-                    trace.close(sspan.span_id, at);
-                    grid.events.emit(
-                        at,
-                        "deploy.step_failed",
-                        site_id,
-                        "rdm.deploy_manager",
-                        &[
-                            ("type", &t.name),
-                            ("step", step),
-                            ("reason", &format!("cannot enter {workdir}")),
-                        ],
-                    );
-                    return Err(GlareError::InstallFailed {
-                        type_name: t.name.clone(),
-                        site: site_name,
-                        detail: format!("step {step}: cannot enter {workdir}"),
-                    });
-                }
-                match run_expect_traced(host, &mut session, command, &dialog, trace, Some(sspan), at)
-                {
-                    Ok(out) => {
-                        check_timeout(t, &site_name, step, out.result.cost, *timeout_secs)?;
-                        breakdown.installation += out.result.cost;
-                        let step_over = channel.step_overhead(out.result.cost);
-                        breakdown.channel_overhead += step_over;
-                        at += out.result.cost + step_over;
-                        trace.close(sspan.span_id, at);
+            Err(e) => {
+                trace.attr(sspan.span_id, "error", "1");
+                trace.close(sspan.span_id, self.at);
+                // §3.4: failure notifies the target administrator.
+                grid.notify_admin(
+                    self.site,
+                    &self.t.name,
+                    &format!("installation failed at step {step}"),
+                    &self.t.provider_contact,
+                );
+                let detail = match e {
+                    ExpectError::UnmatchedPrompt { prompt } => {
+                        format!("step {step}: unanswered prompt {prompt:?}")
                     }
-                    Err(e) => {
-                        trace.attr(sspan.span_id, "error", "1");
-                        trace.close(sspan.span_id, at);
-                        // §3.4: failure notifies the target administrator.
-                        grid.notify_admin(
-                            site,
-                            &t.name,
-                            &format!("installation failed at step {step}"),
-                            &t.provider_contact,
-                        );
-                        let detail = match e {
-                            ExpectError::UnmatchedPrompt { prompt } => {
-                                format!("step {step}: unanswered prompt {prompt:?}")
-                            }
-                            ExpectError::CommandFailed(r) => {
-                                format!("step {step}: exit {}: {}", r.exit_code, r.stdout)
-                            }
-                        };
-                        grid.events.emit(
-                            at,
-                            "deploy.step_failed",
-                            site_id,
-                            "rdm.deploy_manager",
-                            &[("type", &t.name), ("step", step), ("reason", &detail)],
-                        );
-                        return Err(GlareError::InstallFailed {
-                            type_name: t.name.clone(),
-                            site: site_name,
-                            detail,
-                        });
+                    ExpectError::CommandFailed(r) => {
+                        format!("step {step}: exit {}: {}", r.exit_code, r.stdout)
                     }
-                }
+                };
+                Err(self.step_failed(grid, step, &detail, detail.clone()))
             }
         }
     }
 
-    // Identify the produced deployments: the install record's executables
-    // and services, or a bin/ exploration fallback (§3.4).
-    let record = grid
-        .site(site)
-        .host
-        .installation(&spec.name)
-        .cloned()
-        .ok_or_else(|| GlareError::InstallFailed {
-            type_name: t.name.clone(),
-            site: site_name.clone(),
-            detail: "plan completed but package not recorded as installed".into(),
+    /// Identify the produced deployments — the install record's
+    /// executables and services, or a bin/ exploration fallback (§3.4) —
+    /// register them, and charge the registration. Returns their keys.
+    fn register_deployments(
+        &mut self,
+        grid: &mut Grid,
+        trace: &mut TraceSink,
+        package: &str,
+        now: SimTime,
+    ) -> Result<Vec<String>, GlareError> {
+        let host = &grid.site(self.site).host;
+        let record = host.installation(package).cloned().ok_or_else(|| {
+            self.failed("plan completed but package not recorded as installed".into())
         })?;
-    let mut deployments: Vec<ActivityDeployment> = Vec::new();
-    let mut executables = record.executables.clone();
-    if executables.is_empty() && record.services.is_empty() {
-        executables = grid
-            .site(site)
-            .host
-            .vfs
-            .find_executables(&record.home);
-    }
-    for exe in &executables {
-        deployments.push(ActivityDeployment::executable(
-            &t.name,
-            &site_name,
-            exe.as_str(),
-            record.home.as_str(),
-        ));
-    }
-    for svc in &record.services {
-        let address = grid
-            .site(site)
-            .host
-            .service_address(svc)
-            .unwrap_or_else(|| format!("https://{site_name}:8084/wsrf/services/{svc}"));
-        deployments.push(ActivityDeployment::service(&t.name, &site_name, svc, &address));
-    }
+        let (type_name, site_name) = (&self.t.name, &self.site_name);
+        let mut executables = record.executables.clone();
+        if executables.is_empty() && record.services.is_empty() {
+            executables = host.vfs.find_executables(&record.home);
+        }
+        let home = record.home.as_str();
+        let mut deployments: Vec<ActivityDeployment> = executables
+            .iter()
+            .map(|exe| ActivityDeployment::executable(type_name, site_name, exe.as_str(), home))
+            .collect();
+        for svc in &record.services {
+            let address = host
+                .service_address(svc)
+                .unwrap_or_else(|| format!("https://{site_name}:8084/wsrf/services/{svc}"));
+            deployments.push(ActivityDeployment::service(type_name, site_name, svc, &address));
+        }
 
-    let keys: Vec<String> = deployments.iter().map(|d| d.key.clone()).collect();
-    for d in deployments {
-        // Type is present (registered above); tolerate re-registration
-        // of the same key on repeated installs. Goes through the Grid so
-        // the registration is journaled when the site is durable.
-        let _ = grid.register_deployment(site, d, now);
+        let keys: Vec<String> = deployments.iter().map(|d| d.key.clone()).collect();
+        for d in deployments {
+            // Type is present (registered above); tolerate re-registration
+            // of the same key on repeated installs. Goes through the Grid so
+            // the registration is journaled when the site is durable.
+            let _ = grid.register_deployment(self.site, d, now);
+        }
+        let n = keys.len();
+        let reg_cost = DEPLOYMENT_REGISTRATION_COST + SimDuration::from_millis(2) * n as u64;
+        let attrs = [("keys", n.to_string())];
+        self.charge(trace, |b| &mut b.deployment_registration, "adr.register", reg_cost, &attrs);
+        Ok(keys)
     }
-    let reg_cost = DEPLOYMENT_REGISTRATION_COST + SimDuration::from_millis(2) * keys.len() as u64;
-    breakdown.deployment_registration += reg_cost;
-    trace.record(
-        Some(ispan),
-        "adr.register",
-        SpanKind::Service,
-        site_id,
-        None,
-        at,
-        at + reg_cost,
-        &[("keys", keys.len().to_string())],
-    );
-    at += reg_cost;
-    let notify_cost = grid.notify_admin(
-        site,
-        &t.name,
-        "activity deployed",
-        &t.provider_contact,
-    );
-    breakdown.notification += notify_cost;
-    trace.record(
-        Some(ispan),
-        "notify.admin",
-        SpanKind::Service,
-        site_id,
-        None,
-        at,
-        at + notify_cost,
-        &[],
-    );
-    at += notify_cost;
-    trace.close(ispan.span_id, at);
-
-    Ok(InstallReport {
-        type_name: t.name.clone(),
-        site: site_name,
-        package: spec.name,
-        channel,
-        breakdown,
-        deployments: keys,
-    })
-}
-
-fn check_timeout(
-    t: &ActivityType,
-    site: &str,
-    step: &str,
-    cost: SimDuration,
-    timeout_secs: u64,
-) -> Result<(), GlareError> {
-    if timeout_secs > 0 && cost > SimDuration::from_secs(timeout_secs) {
-        return Err(GlareError::InstallFailed {
-            type_name: t.name.clone(),
-            site: site.to_owned(),
-            detail: format!(
-                "step {step} exceeded its {timeout_secs}s timeout (took {cost})"
-            ),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

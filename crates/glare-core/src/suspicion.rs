@@ -3,7 +3,7 @@
 //!
 //! Fixed thresholds treat a grid as binary — a peer is reachable inside
 //! the node's heartbeat-silence and probe deadlines (`HEARTBEAT_TIMEOUT`,
-//! `PROBE_TIMEOUT` in `node.rs`) or it is dead. Gray failures (a
+//! `PROBE_TIMEOUT` in `node/msg.rs`) or it is dead. Gray failures (a
 //! 10×-slow super-peer, a degraded trunk link) break that model: the peer
 //! still answers, just late, and a fixed threshold either fires on every
 //! latency wobble or never notices the straggler. This module replaces

@@ -448,14 +448,7 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
         }
         for (s, u) in util.iter().enumerate() {
             if grid.site_is_up(s) {
-                let label = Grid::site_label(s);
-                grid.metrics
-                    .gauge(
-                        LOAD_FAMILY,
-                        &Labels::of(&[("site", &label)]),
-                        DEFAULT_GAUGE_WINDOW,
-                    )
-                    .set(now, *u);
+                grid.set_gauge(s, LOAD_FAMILY, None, now, *u);
             }
         }
 

@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use glare_core::grid::{FaultInjector, Grid};
 use glare_core::lease::LeaseKind;
-use glare_core::model::{example_hierarchy, ActivityDeployment, ActivityType};
+use glare_core::model::example_hierarchy;
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
 use glare_core::rdm::{provision, ProvisionRequest};
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
@@ -239,17 +239,6 @@ pub struct ChaosReport {
     pub events_dropped: u64,
 }
 
-fn sum_family(m: &MetricsRegistry, family: &str) -> u64 {
-    m.labeled_counters_of(family).map(|(_, v)| v).sum()
-}
-
-fn sum_by_reason(m: &MetricsRegistry, family: &str, reason: &str) -> u64 {
-    m.labeled_counters_of(family)
-        .filter(|(l, _)| l.get("reason") == Some(reason))
-        .map(|(_, v)| v)
-        .sum()
-}
-
 fn worst_p95_ms(m: &MetricsRegistry, family: &str) -> f64 {
     let mut worst = 0.0f64;
     for (_, h) in m.labeled_histograms_of(family) {
@@ -439,23 +428,7 @@ fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
         cfg.suspicion = SuspicionConfig::standard();
         cfg.hedge = HedgeConfig::standard();
     });
-    let types = p.types;
-    let sites = p.sites;
-    builder.seed(move |i, node| {
-        for t in 0..types {
-            let ty = ActivityType::concrete_type(&format!("T{t}"), "chaos", "wien2k");
-            node.atr.register(ty, SimTime::ZERO).unwrap();
-            if t % sites == i {
-                let d = ActivityDeployment::executable(
-                    &format!("T{t}"),
-                    &format!("site{i}"),
-                    &format!("/opt/deployments/t{t}/bin/t{t}"),
-                    &format!("/opt/deployments/t{t}"),
-                );
-                node.adr.register(d, &node.atr, SimTime::ZERO).unwrap();
-            }
-        }
-    });
+    builder.seed(crate::seed_round_robin(p.types, p.sites, "chaos"));
     let (mut sim, ids) = builder.build();
     sim.enable_events(DEFAULT_MAX_EVENTS);
     // Durable per-site stores: the scripted outages below become
@@ -520,6 +493,7 @@ fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
         (s.sent, s.responses, s.hits)
     };
     let m = sim.metrics();
+    let dropped = |reason: &str| m.family_total("glare_net_dropped_total", &[("reason", reason)]);
     let events = sim.events().expect("events were enabled");
 
     // Invariant: every confirmed failure names a peer that actually
@@ -563,23 +537,23 @@ fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
         } else {
             0.0
         },
-        retries: sum_family(m, "glare_retries_total"),
+        retries: m.family_total("glare_retries_total", &[]),
         backoff_count: histogram_count(m, "glare_retry_backoff_ms"),
         backoff_p95_ms: worst_p95_ms(m, "glare_retry_backoff_ms"),
-        breaker_opens: sum_family(m, "glare_breaker_transitions_total"),
-        short_circuits: sum_family(m, "glare_breaker_short_circuits_total"),
-        degraded_reads: sum_family(m, "glare_degraded_reads_total"),
-        dropped_loss: sum_by_reason(m, "glare_net_dropped_total", "loss"),
-        dropped_partition: sum_by_reason(m, "glare_net_dropped_total", "partition"),
-        dropped_site_down: sum_by_reason(m, "glare_net_dropped_total", "site_down"),
+        breaker_opens: m.family_total("glare_breaker_transitions_total", &[]),
+        short_circuits: m.family_total("glare_breaker_short_circuits_total", &[]),
+        degraded_reads: m.family_total("glare_degraded_reads_total", &[]),
+        dropped_loss: dropped("loss"),
+        dropped_partition: dropped("partition"),
+        dropped_site_down: dropped("site_down"),
         takeovers: m.counter_value("glare.superpeer_takeovers"),
         false_takeovers,
         failure_detect_p95_ms: worst_p95_ms(m, "glare_failure_detection_ms"),
         site_restarts: events.of_kind("site.restarted").count() as u64,
         slowdowns: events.of_kind("site.degraded").count() as u64,
-        hedges_fired: sum_family(m, "glare_hedges_fired_total"),
+        hedges_fired: m.family_total("glare_hedges_fired_total", &[]),
         recoveries: histogram_count(m, "glare_recovery_ms"),
-        replayed_records: sum_family(m, "glare_store_replayed_records_total"),
+        replayed_records: m.family_total("glare_store_replayed_records_total", &[]),
         recovery_ms: sorted_samples_ms(m, "glare_recovery_ms"),
         violations,
         exposition: m.expose_prometheus(),
@@ -717,22 +691,14 @@ fn run_grid_phase(p: &ChaosParams) -> GridChaos {
     GridChaos {
         provisions_ok,
         provisions_failed,
-        leases_granted: m
-            .labeled_counters_of("glare_leases_total")
-            .filter(|(l, _)| l.get("outcome") == Some("granted"))
-            .map(|(_, v)| v)
-            .sum(),
-        leases_rejected: m
-            .labeled_counters_of("glare_leases_total")
-            .filter(|(l, _)| l.get("outcome") == Some("rejected"))
-            .map(|(_, v)| v)
-            .sum(),
+        leases_granted: m.family_total("glare_leases_total", &[("outcome", "granted")]),
+        leases_rejected: m.family_total("glare_leases_total", &[("outcome", "rejected")]),
         leases_unavailable,
-        retries: sum_family(m, "glare_retries_total"),
-        breaker_opens: sum_family(m, "glare_breaker_transitions_total"),
-        short_circuits: sum_family(m, "glare_breaker_short_circuits_total"),
+        retries: m.family_total("glare_retries_total", &[]),
+        breaker_opens: m.family_total("glare_breaker_transitions_total", &[]),
+        short_circuits: m.family_total("glare_breaker_short_circuits_total", &[]),
         leases_reclaimed,
-        replayed_records: sum_family(m, "glare_store_replayed_records_total"),
+        replayed_records: m.family_total("glare_store_replayed_records_total", &[]),
         replay_ms: sorted_samples_ms(m, "glare_store_replay_ms")
             .last()
             .copied()

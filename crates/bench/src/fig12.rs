@@ -8,7 +8,6 @@
 //! saturated node; more sites spread both the data and the load; the
 //! cache bypasses the registry-resolution stage entirely after warm-up.
 
-use glare_core::model::{ActivityDeployment, ActivityType};
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
 use glare_fabric::{percentile, SimDuration, SimTime, SiteId, Topology, TraceSink};
 
@@ -113,24 +112,7 @@ fn run_config_impl(
         cfg.registry_cost = SimDuration::from_millis(15);
         cfg.max_group_size = 4;
     });
-    let types = p.types;
-    builder.seed(move |i, node| {
-        // Every node knows every type; deployment entries are spread
-        // round-robin over the involved sites.
-        for t in 0..types {
-            let ty = ActivityType::concrete_type(&format!("T{t}"), "fig12", "wien2k");
-            node.atr.register(ty, SimTime::ZERO).unwrap();
-            if t % sites == i {
-                let d = ActivityDeployment::executable(
-                    &format!("T{t}"),
-                    &format!("site{i}"),
-                    &format!("/opt/deployments/t{t}/bin/t{t}"),
-                    &format!("/opt/deployments/t{t}"),
-                );
-                node.adr.register(d, &node.atr, SimTime::ZERO).unwrap();
-            }
-        }
-    });
+    builder.seed(crate::seed_round_robin(p.types, sites, "fig12"));
     let (mut sim, ids) = builder.build();
     if traced {
         sim.enable_tracing(glare_fabric::trace::DEFAULT_MAX_SPANS);

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use glare_core::admission::{AdmissionConfig, TenantClass};
 use glare_core::grid::Grid;
 use glare_core::lease::LeaseKind;
-use glare_core::model::{example_hierarchy, ActivityDeployment, ActivityType};
+use glare_core::model::example_hierarchy;
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
 use glare_core::rdm::{
     provision, CacheRefresher, DeploymentStatusMonitor, IndexMonitor, ProvisionRequest,
@@ -34,7 +34,7 @@ use glare_core::retry::RetryPolicy;
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
 use glare_fabric::sync::Mutex;
 use glare_fabric::{
-    Labels, MetricsRegistry, SimDuration, SimTime, SiteId, StoreConfig, DEFAULT_MAX_EVENTS,
+    Labels, SimDuration, SimTime, SiteId, StoreConfig, DEFAULT_MAX_EVENTS,
 };
 use glare_services::{ChannelKind, Transport};
 use glare_workload::{TenantLoad, TenantSpec, TenantStats, WorkloadSpec};
@@ -247,20 +247,6 @@ fn ms(d: Option<SimDuration>) -> f64 {
     d.map(|d| d.as_millis_f64()).unwrap_or(0.0)
 }
 
-fn sum_by_site(m: &MetricsRegistry, family: &str, site: &str) -> u64 {
-    m.labeled_counters_of(family)
-        .filter(|(l, _)| l.get("site") == Some(site))
-        .map(|(_, v)| v)
-        .sum()
-}
-
-fn dropped_by(m: &MetricsRegistry, site: &str, reason: &str) -> u64 {
-    m.labeled_counters_of("glare_net_dropped_total")
-        .filter(|(l, _)| l.get("site") == Some(site) && l.get("reason") == Some(reason))
-        .map(|(_, v)| v)
-        .sum()
-}
-
 /// Externally observable outcome of the overlay phase — everything a
 /// client or operator could measure *without* the telemetry subsystem.
 /// Used to assert that instrumentation is observe-only.
@@ -324,23 +310,7 @@ pub fn run_overlay_with_tenants(
             cfg.hedge = HedgeConfig::standard();
         }
     });
-    let types = p.types;
-    let sites = p.sites;
-    builder.seed(move |i, node| {
-        for t in 0..types {
-            let ty = ActivityType::concrete_type(&format!("T{t}"), "health", "wien2k");
-            node.atr.register(ty, SimTime::ZERO).unwrap();
-            if t % sites == i {
-                let d = ActivityDeployment::executable(
-                    &format!("T{t}"),
-                    &format!("site{i}"),
-                    &format!("/opt/deployments/t{t}/bin/t{t}"),
-                    &format!("/opt/deployments/t{t}"),
-                );
-                node.adr.register(d, &node.atr, SimTime::ZERO).unwrap();
-            }
-        }
-    });
+    builder.seed(crate::seed_round_robin(p.types, p.sites, "health"));
     let (mut sim, ids) = builder.build();
     // Durable stores for every site, so the scripted crash below is
     // amnesia-faithful and the later restart exercises snapshot-load +
@@ -514,8 +484,12 @@ pub fn run(p: HealthParams) -> HealthReport {
     for i in 0..p.sites {
         let site = Grid::site_label(i);
         let slabels = Labels::of(&[("site", &site)]);
-        let hits = sum_by_site(om, "glare_cache_hits_total", &site);
-        let misses = sum_by_site(om, "glare_cache_misses_total", &site);
+        let at_site = |family: &str| om.family_total(family, &[("site", &site)]);
+        let dropped = |reason: &str| {
+            om.family_total("glare_net_dropped_total", &[("site", &site), ("reason", reason)])
+        };
+        let hits = at_site("glare_cache_hits_total");
+        let misses = at_site("glare_cache_misses_total");
         let staleness = gm.histogram_labeled_ref("glare_cache_staleness_ms", &slabels);
         let failure = om.histogram_labeled_ref("glare_failure_detection_ms", &slabels);
         site_rows.push(SiteHealth {
@@ -538,21 +512,21 @@ pub fn run(p: HealthParams) -> HealthReport {
                 &Labels::of(&[("site", &site), ("outcome", "won")]),
             ),
             failure_detect_p95_ms: ms(failure.and_then(|h| h.quantile(0.95))),
-            dropped_loss: dropped_by(om, &site, "loss"),
-            dropped_partition: dropped_by(om, &site, "partition"),
-            replayed_records: sum_by_site(om, "glare_store_replayed_records_total", &site),
+            dropped_loss: dropped("loss"),
+            dropped_partition: dropped("partition"),
+            replayed_records: at_site("glare_store_replayed_records_total"),
             replay_ms: ms(om
                 .histogram_labeled_ref("glare_store_replay_ms", &slabels)
                 .and_then(|h| h.max())),
-            ae_pulls: sum_by_site(om, "glare_antientropy_pulls_total", &site),
-            ae_pushes: sum_by_site(om, "glare_antientropy_pushes_total", &site),
+            ae_pulls: at_site("glare_antientropy_pulls_total"),
+            ae_pushes: at_site("glare_antientropy_pushes_total"),
             suspicion_level: om
                 .gauge_ref("glare_suspicion_level", &slabels)
                 .map(|g| g.buckets().iter().fold(0.0f64, |a, b| a.max(b.max)))
                 .unwrap_or(0.0),
-            hedges_fired: sum_by_site(om, "glare_hedges_fired_total", &site),
-            hedges_won: sum_by_site(om, "glare_hedges_won_total", &site),
-            hedges_wasted: sum_by_site(om, "glare_hedges_wasted_total", &site),
+            hedges_fired: at_site("glare_hedges_fired_total"),
+            hedges_won: at_site("glare_hedges_won_total"),
+            hedges_wasted: at_site("glare_hedges_wasted_total"),
             site,
         });
     }

@@ -25,3 +25,33 @@ pub mod load;
 pub mod scale;
 pub mod table1;
 pub mod trace;
+
+use glare_core::model::{ActivityDeployment, ActivityType};
+use glare_core::GlareNode;
+use glare_fabric::SimTime;
+
+/// The registry seeding the overlay harnesses share, for
+/// [`glare_core::OverlayBuilder::seed`]: every node knows the concrete
+/// types `T0..T{types}` (of `domain`), and the deployment of `T{t}` lives
+/// on site `t % sites`.
+pub fn seed_round_robin(
+    types: usize,
+    sites: usize,
+    domain: &'static str,
+) -> impl FnMut(usize, &mut GlareNode) + 'static {
+    move |i, node| {
+        for t in 0..types {
+            let ty = ActivityType::concrete_type(&format!("T{t}"), domain, "wien2k");
+            node.atr.register(ty, SimTime::ZERO).unwrap();
+            if t % sites == i {
+                let d = ActivityDeployment::executable(
+                    &format!("T{t}"),
+                    &format!("site{i}"),
+                    &format!("/opt/deployments/t{t}/bin/t{t}"),
+                    &format!("/opt/deployments/t{t}"),
+                );
+                node.adr.register(d, &node.atr, SimTime::ZERO).unwrap();
+            }
+        }
+    }
+}

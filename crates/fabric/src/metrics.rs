@@ -550,15 +550,19 @@ impl MetricsRegistry {
 
     /// Read a labeled counter without creating it (zero if absent).
     pub fn counter_labeled_value(&self, family: &str, labels: &Labels) -> u64 {
-        self.labeled_counters
-            .get(family)
-            .and_then(|m| m.get(labels))
-            .map_or(0, |&i| self.counter_store[i as usize].get())
+        position(&self.labeled_counters, family, labels).map_or(0, |i| self.counter_store[i].get())
     }
 
     /// All `(labels, value)` entries of a counter family, in label order.
     pub fn labeled_counters_of(&self, family: &str) -> impl Iterator<Item = (&Labels, u64)> {
         entries_of(&self.labeled_counters, &self.counter_store, family).map(|(l, c)| (l, c.get()))
+    }
+
+    /// Sum of `family`'s counters whose label sets carry every `(key, value)`
+    /// pair of `matching` — the whole family when it is empty.
+    pub fn family_total(&self, family: &str, matching: &[(&str, &str)]) -> u64 {
+        let wanted = |l: &Labels| matching.iter().all(|&(k, v)| l.get(k) == Some(v));
+        self.labeled_counters_of(family).filter(|(l, _)| wanted(l)).map(|(_, v)| v).sum()
     }
 
     /// Get or create the histogram `labels` inside family `family`.
@@ -575,10 +579,7 @@ impl MetricsRegistry {
 
     /// Read-only view of a labeled histogram if it exists.
     pub fn histogram_labeled_ref(&self, family: &str, labels: &Labels) -> Option<&Histogram> {
-        self.labeled_histograms
-            .get(family)
-            .and_then(|m| m.get(labels))
-            .map(|&i| &self.histogram_store[i as usize])
+        position(&self.labeled_histograms, family, labels).map(|i| &self.histogram_store[i])
     }
 
     /// All `(labels, histogram)` entries of a family, in label order.
@@ -627,10 +628,7 @@ impl MetricsRegistry {
 
     /// Read-only view of a windowed gauge if it exists.
     pub fn gauge_ref(&self, family: &str, labels: &Labels) -> Option<&WindowedGauge> {
-        self.gauges
-            .get(family)
-            .and_then(|m| m.get(labels))
-            .map(|&i| &self.gauge_store[i as usize])
+        position(&self.gauges, family, labels).map(|i| &self.gauge_store[i])
     }
 
     /// All `(labels, gauge)` entries of a family, in label order.
@@ -641,11 +639,6 @@ impl MetricsRegistry {
     /// Names of all labeled counter families, in sorted order.
     pub fn labeled_counter_families(&self) -> impl Iterator<Item = &str> {
         self.labeled_counters.keys().map(String::as_str)
-    }
-
-    /// Names of all gauge families, in sorted order.
-    pub fn gauge_families(&self) -> impl Iterator<Item = &str> {
-        self.gauges.keys().map(String::as_str)
     }
 
     /// Deterministic Prometheus-style text exposition.
@@ -863,6 +856,12 @@ where
     store.push(new());
     index.insert(key.to_owned(), i);
     i
+}
+
+/// Position in its store of the instrument `labels` names inside `family`,
+/// if it exists.
+fn position(families: &FamilyIndex, family: &str, labels: &Labels) -> Option<usize> {
+    families.get(family)?.get(labels).map(|&i| i as usize)
 }
 
 /// [`resolve`] under `family` then `labels`: one search per level for a
@@ -1137,6 +1136,24 @@ mod tests {
         let entries: Vec<_> = m.labeled_counters_of("glare_cache_hits_total").collect();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].1, 3);
+    }
+
+    #[test]
+    fn family_total_sums_the_sets_that_match() {
+        let mut m = MetricsRegistry::new();
+        let drops = [("site0", "loss", 3), ("site0", "partition", 4), ("site1", "loss", 5)];
+        for (site, reason, n) in drops {
+            let labels = Labels::of(&[("site", site), ("reason", reason)]);
+            m.counter_labeled("glare_net_dropped_total", &labels).add(n);
+        }
+        let total = |matching: &[(&str, &str)]| m.family_total("glare_net_dropped_total", matching);
+        assert_eq!(total(&[]), 12);
+        assert_eq!(total(&[("reason", "loss")]), 8);
+        assert_eq!(total(&[("site", "site0")]), 7);
+        assert_eq!(total(&[("site", "site0"), ("reason", "loss")]), 3);
+        assert_eq!(total(&[("site", "site2")]), 0);
+        assert_eq!(total(&[("tenant", "gold")]), 0, "a key no set carries matches nothing");
+        assert_eq!(m.family_total("glare_absent_total", &[]), 0);
     }
 
     #[test]

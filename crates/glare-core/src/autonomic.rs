@@ -183,18 +183,12 @@ impl TelemetrySnapshot {
                 demand.insert(activity.to_owned(), v);
             }
         }
-        let mut load: BTreeMap<String, f64> = BTreeMap::new();
-        for (labels, gauge) in grid.metrics.gauges_of(LOAD_FAMILY) {
-            if let (Some(site), Some(v)) = (labels.get("site"), gauge.latest()) {
-                load.insert(site.to_owned(), v);
-            }
-        }
         let sites = grid
             .site_indices()
             .map(|i| SiteObservation {
                 site: i,
                 up: grid.site_is_up(i),
-                load: load.get(&Grid::site_label(i)).copied().unwrap_or(0.0),
+                load: grid.gauge_latest(i, LOAD_FAMILY).unwrap_or(0.0),
             })
             .collect();
         let types = demand

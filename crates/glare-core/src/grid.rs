@@ -7,12 +7,13 @@
 //! super-peer elections under failures) run on the discrete-event actors
 //! in [`crate::node`], which host the same per-site state.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use glare_fabric::topology::{LinkSpec, Platform, SiteId};
 use glare_fabric::{
     EventLog, Labels, MetricsRegistry, SimDuration, SimRng, SimTime, SiteStore, StoreConfig,
-    TraceSink,
+    TraceSink, DEFAULT_GAUGE_WINDOW,
 };
 use glare_services::gridftp::Repository;
 use glare_services::{GramService, SiteHost, Transport};
@@ -201,6 +202,44 @@ pub struct Grid {
     stores: Option<Vec<SiteStore>>,
     /// Cost/compaction configuration of the durable stores.
     store_cfg: StoreConfig,
+    /// Each site's `{site="site{i}"}` label set, built once: the telemetry
+    /// door ([`Grid::count`], [`Grid::observe`], [`Grid::set_gauge`],
+    /// [`Grid::emit`]) records by site index and formats nothing.
+    site_labels: Vec<Labels>,
+}
+
+/// The lost attempts of one cross-site call under [`Grid::retry`], as
+/// booked by [`Grid::attempt_timed_out`] and [`Grid::back_off`].
+#[derive(Debug, Default)]
+pub(crate) struct Lost {
+    /// Attempts that timed out so far.
+    pub(crate) attempts: u32,
+    /// Virtual-clock cost of their timeouts and of the back-offs between
+    /// them.
+    pub(crate) elapsed: SimDuration,
+    /// The last back-off drawn; decorrelated jitter grows from it.
+    prev_backoff: SimDuration,
+}
+
+/// The `{site}` label set of the site called `name`, or its `{site, key}`
+/// one when a record carries a `second` label.
+fn site_set(name: &str, second: Option<(&str, &str)>) -> Labels {
+    let pairs = [("site", name), second.unwrap_or_default()];
+    Labels::of(&pairs[..1 + usize::from(second.is_some())])
+}
+
+/// The `site` value of a set [`site_set`] built.
+fn site_name(labels: &Labels) -> &str {
+    labels.get("site").expect("site_set names the site")
+}
+
+/// What a record at a site is keyed on: its interned set, or a fresh one
+/// when the record carries a `second` label.
+fn labels_of<'a>(site: &'a Labels, second: Option<(&str, &str)>) -> Cow<'a, Labels> {
+    match second {
+        None => Cow::Borrowed(site),
+        Some(_) => Cow::Owned(site_set(site_name(site), second)),
+    }
 }
 
 impl Grid {
@@ -230,6 +269,7 @@ impl Grid {
             suspicion: crate::suspicion::SuspicionTracker::default(),
             stores: None,
             store_cfg: StoreConfig::disabled(),
+            site_labels: (0..n).map(|i| site_set(&Grid::site_label(i), None)).collect(),
         }
     }
 
@@ -274,13 +314,7 @@ impl Grid {
         };
         stores[site].append(m.kind(), &m.payload());
         let journal_len = stores[site].journal_len() as u64;
-        let site_label = Grid::site_label(site);
-        self.metrics
-            .counter_labeled(
-                "glare_store_appends_total",
-                &Labels::of(&[("site", &site_label)]),
-            )
-            .inc();
+        self.count(site, "glare_store_appends_total", None, 1);
         if self.store_cfg.compact_every > 0 && journal_len >= self.store_cfg.compact_every {
             self.snapshot_site(site, now);
         }
@@ -301,26 +335,63 @@ impl Grid {
             .as_mut()
             .expect("checked above")[site]
             .install_snapshot(&blob);
-        let site_label = Grid::site_label(site);
-        self.metrics
-            .counter_labeled(
-                "glare_store_snapshots_total",
-                &Labels::of(&[("site", &site_label)]),
-            )
-            .inc();
-        self.events.emit(
-            now,
-            "store.compacted",
-            Some(SiteId(site as u32)),
-            "store",
-            &[("site", &site_label), ("records", &records.to_string())],
-        );
+        self.count(site, "glare_store_snapshots_total", None, 1);
+        self.emit(site, now, "store.compacted", "store", &[("records", &records.to_string())]);
     }
 
     /// Short label for a site (`site{i}`), the `site` label value of
     /// every telemetry family the Grid publishes.
     pub fn site_label(i: usize) -> String {
         format!("site{i}")
+    }
+
+    /// Add `n` to `site`'s counter in `family`: keyed `{site}`, or
+    /// `{site, key}` when the record carries a `second` label.
+    pub fn count(&mut self, site: usize, family: &str, second: Option<(&str, &str)>, n: u64) {
+        let labels = labels_of(&self.site_labels[site], second);
+        self.metrics.counter_labeled(family, &labels).add(n);
+    }
+
+    /// Record `d` into `site`'s histogram in the `{site}`-keyed `family`.
+    pub fn observe(&mut self, site: usize, family: &str, d: SimDuration) {
+        self.metrics.histogram_labeled(family, &self.site_labels[site]).record(d);
+    }
+
+    /// Set `site`'s gauge in `family` (keyed as [`Grid::count`] keys a
+    /// counter) to `v` at `now`.
+    pub fn set_gauge(
+        &mut self,
+        site: usize,
+        family: &str,
+        second: Option<(&str, &str)>,
+        now: SimTime,
+        v: f64,
+    ) {
+        let labels = labels_of(&self.site_labels[site], second);
+        self.metrics.gauge(family, &labels, DEFAULT_GAUGE_WINDOW).set(now, v);
+    }
+
+    /// The latest value of `site`'s `{site}`-keyed gauge in `family`, if it
+    /// was ever set.
+    pub fn gauge_latest(&self, site: usize, family: &str) -> Option<f64> {
+        self.metrics.gauge_ref(family, &self.site_labels[site])?.latest()
+    }
+
+    /// Log a `kind` event of `component` at `site`: the record names the
+    /// site and carries its `site` label ahead of `fields`.
+    pub fn emit(
+        &mut self,
+        site: usize,
+        now: SimTime,
+        kind: &str,
+        component: &str,
+        fields: &[(&str, &str)],
+    ) {
+        let label = site_name(&self.site_labels[site]);
+        self.events.emit_with(now, kind, Some(SiteId(site as u32)), component, || {
+            let rest = fields.iter().map(|&(k, v)| (k, v.to_owned()));
+            std::iter::once(("site", label.to_owned())).chain(rest)
+        });
     }
 
     /// Number of sites.
@@ -449,13 +520,7 @@ impl Grid {
             s.cache.evict_deployment(key);
             removed
         };
-        self.events.emit(
-            now,
-            "deployment.tombstoned",
-            Some(SiteId(site as u32)),
-            "adr",
-            &[("site", &Grid::site_label(site)), ("key", key)],
-        );
+        self.emit(site, now, "deployment.tombstoned", "adr", &[("key", key)]);
         self.journal(
             site,
             &RegistryMutation::AdrUninstall {
@@ -582,51 +647,27 @@ impl Grid {
         let result = self.sites[site]
             .leases
             .acquire(deployment, client, kind, window.start, window.end);
-        let site_label = Grid::site_label(site);
         let kind_label = match kind {
             LeaseKind::Exclusive => "exclusive",
             LeaseKind::Shared => "shared",
         };
-        let outcome = if result.is_ok() { "granted" } else { "rejected" };
-        self.metrics
-            .counter_labeled(
-                "glare_leases_total",
-                &Labels::of(&[("site", &site_label), ("outcome", outcome)]),
-            )
-            .inc();
-        let site_id = Some(SiteId(site as u32));
-        match &result {
-            Ok(ticket) => {
-                self.events.emit(
-                    now,
-                    "lease.granted",
-                    site_id,
-                    "lease",
-                    &[
-                        ("site", &site_label),
-                        ("deployment", deployment),
-                        ("client", client),
-                        ("kind", kind_label),
-                        ("ticket", &ticket.id.to_string()),
-                    ],
-                );
-            }
-            Err(e) => {
-                self.events.emit(
-                    now,
-                    "lease.rejected",
-                    site_id,
-                    "lease",
-                    &[
-                        ("site", &site_label),
-                        ("deployment", deployment),
-                        ("client", client),
-                        ("kind", kind_label),
-                        ("reason", &e.to_string()),
-                    ],
-                );
-            }
-        }
+        let (outcome, event, last) = match &result {
+            Ok(ticket) => ("granted", "lease.granted", ("ticket", ticket.id.to_string())),
+            Err(e) => ("rejected", "lease.rejected", ("reason", e.to_string())),
+        };
+        self.count(site, "glare_leases_total", Some(("outcome", outcome)), 1);
+        self.emit(
+            site,
+            now,
+            event,
+            "lease",
+            &[
+                ("deployment", deployment),
+                ("client", client),
+                ("kind", kind_label),
+                (last.0, &last.1),
+            ],
+        );
         if self.stores.is_some() {
             if let Ok(ticket) = &result {
                 let m = RegistryMutation::LeaseGrant(ticket.clone());
@@ -646,16 +687,7 @@ impl Grid {
     ) -> Result<(), GlareError> {
         let result = self.sites[site].leases.release(ticket);
         if result.is_ok() {
-            self.events.emit(
-                now,
-                "lease.released",
-                Some(SiteId(site as u32)),
-                "lease",
-                &[
-                    ("site", &Grid::site_label(site)),
-                    ("ticket", &ticket.to_string()),
-                ],
-            );
+            self.emit(site, now, "lease.released", "lease", &[("ticket", &ticket.to_string())]);
             self.journal(site, &RegistryMutation::LeaseRelease(ticket), now);
         }
         result
@@ -669,13 +701,7 @@ impl Grid {
     /// journaled or snapshotted comes back at restart.
     pub fn crash_site(&mut self, site: usize, now: SimTime) {
         self.faults.crash(site);
-        self.events.emit(
-            now,
-            "site.crashed",
-            Some(SiteId(site as u32)),
-            "fault",
-            &[("site", &Grid::site_label(site))],
-        );
+        self.emit(site, now, "site.crashed", "fault", &[]);
         if self.stores.is_some() {
             let s = &mut self.sites[site];
             let atr_address = s.atr.address.clone();
@@ -685,13 +711,7 @@ impl Grid {
             s.adr = ActivityDeploymentRegistry::new(&adr_address, transport);
             s.leases = LeaseManager::new();
             s.cache = RegistryCache::new(DEFAULT_CACHE_AGE);
-            self.events.emit(
-                now,
-                "site.amnesia",
-                Some(SiteId(site as u32)),
-                "fault",
-                &[("site", &Grid::site_label(site))],
-            );
+            self.emit(site, now, "site.amnesia", "fault", &[]);
         }
     }
 
@@ -708,16 +728,8 @@ impl Grid {
             self.recover_site(site, now);
         }
         let reclaimed = self.sites[site].leases.sweep_expired(now);
-        self.events.emit(
-            now,
-            "site.restarted",
-            Some(SiteId(site as u32)),
-            "fault",
-            &[
-                ("site", &Grid::site_label(site)),
-                ("leases_reclaimed", &reclaimed.to_string()),
-            ],
-        );
+        let swept = reclaimed.to_string();
+        self.emit(site, now, "site.restarted", "fault", &[("leases_reclaimed", &swept)]);
         if self.stores.is_some() {
             // Re-snapshot so the next crash replays from a compact journal
             // that already reflects the swept lease table.
@@ -737,14 +749,8 @@ impl Grid {
         let had_snapshot = recovered.snapshot.is_some();
         let s = &mut self.sites[site];
         durable::replay(&recovered, &s.atr, &s.adr, Some(&mut s.leases), now);
-        let site_label = Grid::site_label(site);
-        let labels = Labels::of(&[("site", &site_label)]);
-        self.metrics
-            .counter_labeled("glare_store_replayed_records_total", &labels)
-            .add(replayed);
-        self.metrics
-            .counter_labeled("glare_store_truncated_records_total", &labels)
-            .add(truncated);
+        self.count(site, "glare_store_replayed_records_total", None, replayed);
+        self.count(site, "glare_store_truncated_records_total", None, truncated);
         let mut replay_cost = self
             .store_cfg
             .replay_cost_per_record
@@ -752,16 +758,13 @@ impl Grid {
         if had_snapshot {
             replay_cost += self.store_cfg.snapshot_load_cost;
         }
-        self.metrics
-            .histogram_labeled("glare_store_replay_ms", &labels)
-            .record(replay_cost);
-        self.events.emit(
+        self.observe(site, "glare_store_replay_ms", replay_cost);
+        self.emit(
+            site,
             now,
             "store.recovered",
-            Some(SiteId(site as u32)),
             "store",
             &[
-                ("site", &site_label),
                 ("replayed", &replayed.to_string()),
                 ("truncated_records", &truncated.to_string()),
                 ("snapshot", if had_snapshot { "true" } else { "false" }),
@@ -772,6 +775,61 @@ impl Grid {
     /// Whether the fault injector considers `site` reachable.
     pub fn site_is_up(&self, site: usize) -> bool {
         self.faults.site_up(site)
+    }
+
+    /// Whether `site`'s breaker lets a call through at `at`; a refusal is
+    /// counted as a short circuit.
+    pub(crate) fn breaker_allows(&mut self, site: usize, at: SimTime) -> bool {
+        let allowed = self.breakers.breaker(site).allow(at);
+        if !allowed {
+            self.count(site, "glare_breaker_short_circuits_total", None, 1);
+        }
+        allowed
+    }
+
+    /// Whether an attempt to reach `site` is lost: the site is down, or
+    /// the injector's per-attempt loss draw fires (no draw when inert).
+    pub(crate) fn attempt_lost(&mut self, site: usize) -> bool {
+        !self.faults.site_up(site) || self.faults.attempt_lost()
+    }
+
+    /// Book an attempt of `op` at `site` that stayed silent for `budget`.
+    pub(crate) fn attempt_timed_out(
+        &mut self,
+        site: usize,
+        op: &str,
+        budget: SimDuration,
+        lost: &mut Lost,
+    ) {
+        lost.attempts += 1;
+        lost.elapsed += budget;
+        self.count(site, "glare_retries_total", Some(("op", op)), 1);
+    }
+
+    /// Feed `site`'s breaker a failed attempt of `op` at `at`, publishing
+    /// the trip when this failure opens it.
+    pub(crate) fn breaker_failure(&mut self, site: usize, op: &str, at: SimTime) {
+        if self.breakers.breaker(site).record_failure(at) {
+            self.count(site, "glare_breaker_transitions_total", Some(("to", "open")), 1);
+            self.emit(site, at, "breaker.open", "retry", &[("op", op)]);
+        }
+    }
+
+    /// The wait before the next attempt at `site`, charged to `lost`, or
+    /// `None` when the policy allows no further attempt. Only a granted
+    /// wait draws from the injector's RNG, and only after the lost attempt
+    /// was booked and the breaker fed: a run's loss draws come from the
+    /// same stream, so an extra, missing or earlier draw here moves
+    /// everything after it (`tests/sync_recovery_pin.rs`).
+    pub(crate) fn back_off(&mut self, site: usize, lost: &mut Lost) -> Option<SimDuration> {
+        if !self.retry.may_attempt(lost.attempts + 1, lost.elapsed) {
+            return None;
+        }
+        let delay = self.retry.next_backoff(self.faults.rng_mut(), lost.prev_backoff);
+        lost.prev_backoff = delay;
+        self.observe(site, "glare_retry_backoff_ms", delay);
+        lost.elapsed += delay;
+        Some(delay)
     }
 
     /// [`Grid::acquire_lease`] under the unified recovery policy:
@@ -790,98 +848,38 @@ impl Grid {
         window: std::ops::Range<SimTime>,
         now: SimTime,
     ) -> (Result<LeaseTicket, GlareError>, SimDuration) {
-        let policy = self.retry;
-        let site_label = Grid::site_label(site);
-        let mut elapsed = SimDuration::ZERO;
-        let mut prev_backoff = SimDuration::ZERO;
-        let mut attempt = 1u32;
-        loop {
-            if !self.breakers.breaker(site).allow(now + elapsed) {
-                self.metrics
-                    .counter_labeled(
-                        "glare_breaker_short_circuits_total",
-                        &Labels::of(&[("site", &site_label)]),
-                    )
-                    .inc();
-                return (
-                    Err(GlareError::SiteUnavailable {
-                        site: site_label,
-                        detail: "circuit open".into(),
-                    }),
-                    elapsed,
-                );
+        let mut lost = Lost::default();
+        let detail = loop {
+            if !self.breaker_allows(site, now + lost.elapsed) {
+                break "circuit open".to_owned();
             }
-            let lost = !self.faults.site_up(site) || self.faults.attempt_lost();
-            if !lost {
+            if !self.attempt_lost(site) {
                 self.breakers.breaker(site).record_success();
-                let result = self.acquire_lease(
-                    site,
-                    deployment,
-                    client,
-                    kind,
-                    window.clone(),
-                    now + elapsed,
-                );
-                return (result, elapsed);
+                let at = now + lost.elapsed;
+                let result = self.acquire_lease(site, deployment, client, kind, window, at);
+                return (result, lost.elapsed);
             }
             // The attempt timed out: charge the per-attempt timeout.
-            elapsed += policy.attempt_timeout;
-            self.metrics
-                .counter_labeled(
-                    "glare_retries_total",
-                    &Labels::of(&[("site", &site_label), ("op", "lease")]),
-                )
-                .inc();
-            if self.breakers.breaker(site).record_failure(now + elapsed) {
-                self.metrics
-                    .counter_labeled(
-                        "glare_breaker_transitions_total",
-                        &Labels::of(&[("site", &site_label), ("to", "open")]),
-                    )
-                    .inc();
-                self.events.emit(
-                    now + elapsed,
-                    "breaker.open",
-                    Some(SiteId(site as u32)),
-                    "retry",
-                    &[("site", &site_label), ("op", "lease")],
-                );
-            }
-            attempt += 1;
-            if !policy.may_attempt(attempt, elapsed) {
-                return (
-                    Err(GlareError::SiteUnavailable {
-                        site: site_label,
-                        detail: format!(
-                            "retry budget exhausted after {} attempts",
-                            attempt - 1
-                        ),
-                    }),
-                    elapsed,
-                );
-            }
-            let delay = policy.next_backoff(self.faults.rng_mut(), prev_backoff);
-            prev_backoff = delay;
-            self.metrics
-                .histogram_labeled(
-                    "glare_retry_backoff_ms",
-                    &Labels::of(&[("site", &site_label)]),
-                )
-                .record(delay);
-            self.events.emit(
-                now + elapsed,
+            self.attempt_timed_out(site, "lease", self.retry.attempt_timeout, &mut lost);
+            let at = now + lost.elapsed;
+            self.breaker_failure(site, "lease", at);
+            let Some(delay) = self.back_off(site, &mut lost) else {
+                break format!("retry budget exhausted after {} attempts", lost.attempts);
+            };
+            self.emit(
+                site,
+                at,
                 "retry.attempt",
-                Some(SiteId(site as u32)),
                 "retry",
                 &[
-                    ("site", &site_label),
                     ("op", "lease"),
-                    ("attempt", &attempt.to_string()),
+                    ("attempt", &(lost.attempts + 1).to_string()),
                     ("backoff_ms", &format!("{:.1}", delay.as_millis_f64())),
                 ],
             );
-            elapsed += delay;
-        }
+        };
+        let site = site_name(&self.site_labels[site]).to_owned();
+        (Err(GlareError::SiteUnavailable { site, detail }), lost.elapsed)
     }
 
     /// Send an admin notification (recorded; costs
@@ -971,6 +969,81 @@ mod tests {
             0
         );
         assert_eq!(g.events.of_kind("retry.attempt").count(), 0);
+    }
+
+    type Call = fn(&mut Grid);
+
+    /// One retried call of each kind against site 1: a lease there, a
+    /// discovery from site 0 that probes it, and a package install on it.
+    fn retried_calls() -> [(&'static str, Call); 3] {
+        fn lease(g: &mut Grid) {
+            let (window, kind) = (t(10)..t(100), LeaseKind::Shared);
+            let _ = g.acquire_lease_retrying(1, "jpovray@site1", "a", kind, window, t(2));
+        }
+        fn probe(g: &mut Grid) {
+            let _ = crate::RequestManager::new(false).list_deployments(g, 0, "Wien2k", t(2));
+        }
+        fn deploy(g: &mut Grid) {
+            let (ty, _, _) = g.find_type(0, "Wien2k", t(2)).expect("registered");
+            let channel = glare_services::ChannelKind::Expect;
+            let _ = crate::rdm::install_package(g, &ty, 1, channel, t(2), None);
+        }
+        [("lease", lease), ("probe", probe), ("deploy", deploy)]
+    }
+
+    /// The exposition lines of the families the attempt loop books, with
+    /// the `op` value blanked.
+    fn booked(g: &Grid, op: &str) -> Vec<String> {
+        let families = ["glare_retries_total", "glare_retry_backoff_ms", "glare_breaker"];
+        let text = g.metrics.expose_prometheus().replace(&format!("op=\"{op}\""), "op");
+        let of_loop = |l: &&str| families.iter().any(|f| l.starts_with(f));
+        text.lines().filter(of_loop).map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn three_callers_share_one_attempt_loop() {
+        let against_a_dead_site = |call: Call| {
+            let mut g = Grid::new(2, Transport::Http);
+            for ty in example_hierarchy(SimTime::ZERO) {
+                g.register_type(0, ty, t(0)).unwrap();
+            }
+            g.faults = FaultInjector::seeded(9, 0.0);
+            g.crash_site(1, t(1));
+            call(&mut g);
+            g
+        };
+        let [lease, probe, deploy] = retried_calls().map(|(op, call)| {
+            let mut g = against_a_dead_site(call);
+            assert_eq!(g.metrics.lint_metric_names(), Vec::<String>::new());
+            (booked(&g, op), g.faults.rng_mut().next_u64())
+        });
+        // Guarded alike, so booked alike: three timeouts trip the breaker
+        // and the fourth attempt is short-circuited.
+        assert_eq!(lease, probe, "lease and probe differ only in `op`");
+        let thrice = [
+            "glare_retries_total{op,site=\"site1\"} 3",
+            "glare_retry_backoff_ms_count{site=\"site1\"} 3",
+        ];
+        for line in thrice {
+            assert!(lease.0.iter().any(|l| l == line), "no {line} in {lease:?}");
+        }
+        // No breaker guards a deploy step: a fourth timeout, then the
+        // policy's refusal — the same families and the same three draws.
+        let unguarded = lease.0.iter().filter(|l| !l.contains("breaker"));
+        let fourth = |l: &String| l.replace("{op,site=\"site1\"} 3", "{op,site=\"site1\"} 4");
+        assert_eq!(deploy.0, unguarded.map(fourth).collect::<Vec<_>>());
+        assert_eq!(deploy.1, lease.1, "three back-offs drawn each");
+    }
+
+    #[test]
+    fn an_inert_injector_books_and_draws_nothing() {
+        let mut g = grid_with_types();
+        for (op, call) in retried_calls() {
+            call(&mut g);
+            assert_eq!(booked(&g, op), Vec::<String>::new());
+        }
+        let untouched = FaultInjector::inert().rng_mut().next_u64();
+        assert_eq!(g.faults.rng_mut().next_u64(), untouched);
     }
 
     #[test]

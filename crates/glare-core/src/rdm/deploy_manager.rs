@@ -18,7 +18,7 @@
 
 use std::collections::HashSet;
 
-use glare_fabric::{Labels, SimDuration, SimTime, SiteId, SpanKind, TraceContext, TraceSink};
+use glare_fabric::{SimDuration, SimTime, SiteId, SpanKind, TraceContext, TraceSink};
 use glare_services::gridftp;
 use glare_services::vfs::VPath;
 use glare_services::ChannelKind;
@@ -26,7 +26,7 @@ use glare_services::{run_expect_traced, ExpectError, ExpectScript, Md5Digest, Sh
 
 use crate::deployfile::{DeployFile, PlannedAction};
 use crate::error::GlareError;
-use crate::grid::Grid;
+use crate::grid::{Grid, Lost};
 use crate::model::{ActivityDeployment, ActivityType, InstallMode};
 
 /// Cost of adding a new activity type to a site's registries, including
@@ -493,29 +493,22 @@ impl Install<'_> {
         grid: &mut Grid,
         action: &PlannedAction,
     ) -> Result<(), GlareError> {
-        let (site, step) = (self.site, action.step_name());
-        let policy = grid.retry;
-        let mut attempt = 1u32;
-        let mut prev_backoff = SimDuration::ZERO;
-        let mut step_elapsed = SimDuration::ZERO;
-        while !grid.faults.site_up(site) || grid.faults.attempt_lost() {
-            step_elapsed += policy.attempt_timeout;
-            self.at += policy.attempt_timeout;
-            self.breakdown.channel_overhead += policy.attempt_timeout;
-            grid.metrics
-                .counter_labeled(
-                    "glare_retries_total",
-                    &Labels::of(&[("site", &Grid::site_label(site)), ("op", "deploy")]),
-                )
-                .inc();
-            attempt += 1;
-            let retryable = action.is_idempotent() && policy.may_attempt(attempt, step_elapsed);
-            if !retryable {
-                let reason = if action.is_idempotent() {
-                    format!("site unreachable after {} attempts", attempt - 1)
-                } else {
-                    "transient failure on a non-idempotent step".to_owned()
-                };
+        let (site, step, start) = (self.site, action.step_name(), self.at);
+        let timeout = grid.retry.attempt_timeout;
+        let mut lost = Lost::default();
+        while grid.attempt_lost(site) {
+            grid.attempt_timed_out(site, "deploy", timeout, &mut lost);
+            self.at = start + lost.elapsed;
+            self.breakdown.channel_overhead += timeout;
+            // No breaker guards a deploy step, and only an idempotent one
+            // is ever granted another attempt.
+            let granted = if action.is_idempotent() {
+                grid.back_off(site, &mut lost)
+                    .ok_or_else(|| format!("site unreachable after {} attempts", lost.attempts))
+            } else {
+                Err("transient failure on a non-idempotent step".to_owned())
+            };
+            if let Err(reason) = granted {
                 return Err(self.step_failed(grid, step, &reason, format!("step {step}: {reason}")));
             }
             grid.events.emit(
@@ -526,19 +519,10 @@ impl Install<'_> {
                 &[
                     ("type", &self.t.name),
                     ("step", step),
-                    ("attempt", &attempt.to_string()),
+                    ("attempt", &(lost.attempts + 1).to_string()),
                 ],
             );
-            let delay = policy.next_backoff(grid.faults.rng_mut(), prev_backoff);
-            prev_backoff = delay;
-            grid.metrics
-                .histogram_labeled(
-                    "glare_retry_backoff_ms",
-                    &Labels::of(&[("site", &Grid::site_label(site))]),
-                )
-                .record(delay);
-            self.at += delay;
-            step_elapsed += delay;
+            self.at = start + lost.elapsed;
         }
         Ok(())
     }

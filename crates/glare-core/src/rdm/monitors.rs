@@ -23,7 +23,7 @@
 
 use std::collections::BTreeSet;
 
-use glare_fabric::{Labels, SimTime, SiteId, DEFAULT_GAUGE_WINDOW};
+use glare_fabric::{SimTime, SiteId};
 use glare_services::ChannelKind;
 
 use crate::cache::Freshness;
@@ -59,27 +59,18 @@ impl CacheRefresher {
     /// `cache.discarded` event per dropped entry.
     pub fn refresh(grid: &mut Grid, site: usize, now: SimTime) -> RefreshReport {
         let mut report = RefreshReport::default();
-        let site_label = Grid::site_label(site);
         let site_id = Some(SiteId(site as u32));
-        let slabels = Labels::of(&[("site", &site_label)]);
         let mut origins = grid.site(site).cache.deployment_origins();
         // Deterministic pass order (the cache map is hash-ordered), so
         // emitted events and recorded samples replay byte-identically.
         origins.sort();
         let outcome = |grid: &mut Grid, o: &str, n: u64| {
-            grid.metrics
-                .counter_labeled(
-                    "glare_cache_refresh_total",
-                    &Labels::of(&[("site", &site_label), ("outcome", o)]),
-                )
-                .add(n);
+            grid.count(site, "glare_cache_refresh_total", Some(("outcome", o)), n);
         };
         for (key, origin_name) in origins {
             report.checked += 1;
             if let Some(age) = grid.site(site).cache.age_of(&key, now) {
-                grid.metrics
-                    .histogram_labeled("glare_cache_staleness_ms", &slabels)
-                    .record(age);
+                grid.observe(site, "glare_cache_staleness_ms", age);
             }
             let Some(origin_idx) = grid.site_index(&origin_name) else {
                 grid.site_mut(site).cache.evict_deployment(&key);
@@ -140,9 +131,7 @@ impl CacheRefresher {
             }
         }
         let entries = grid.site(site).cache.len() as f64;
-        grid.metrics
-            .gauge("glare_cache_entries", &slabels, DEFAULT_GAUGE_WINDOW)
-            .set(now, entries);
+        grid.set_gauge(site, "glare_cache_entries", None, now, entries);
         report
     }
 }
@@ -177,9 +166,7 @@ impl DeploymentStatusMonitor {
     /// `deployment.degraded` / `deployment.restored` events.
     pub fn run(grid: &mut Grid, site: usize, now: SimTime) -> StatusReport {
         let mut report = StatusReport::default();
-        let site_label = Grid::site_label(site);
         let site_id = Some(SiteId(site as u32));
-        let slabels = Labels::of(&[("site", &site_label)]);
         let mut keys = grid.site(site).adr.keys(now);
         keys.sort();
         let mut tally = [0u64; 3]; // available, unavailable, failed
@@ -188,9 +175,7 @@ impl DeploymentStatusMonitor {
             let Some(resp) = grid.site(site).adr.lookup(&key, now) else {
                 continue;
             };
-            grid.metrics
-                .histogram_labeled("glare_probe_latency_ms", &slabels)
-                .record(resp.cost);
+            grid.observe(site, "glare_probe_latency_ms", resp.cost);
             let healthy = match &resp.value.access {
                 DeploymentAccess::Executable { path, .. } => {
                     let host = &grid.site(site).host;
@@ -246,21 +231,13 @@ impl DeploymentStatusMonitor {
                 DeploymentStatus::Failed => tally[2] += 1,
             }
         }
-        for (status, n) in [("available", tally[0]), ("unavailable", tally[1]), ("failed", tally[2])]
-        {
-            grid.metrics
-                .gauge(
-                    "glare_deployments",
-                    &Labels::of(&[("site", &site_label), ("status", status)]),
-                    DEFAULT_GAUGE_WINDOW,
-                )
-                .set(now, n as f64);
+        let by_status = [("available", tally[0]), ("unavailable", tally[1]), ("failed", tally[2])];
+        for (status, n) in by_status {
+            grid.set_gauge(site, "glare_deployments", Some(("status", status)), now, n as f64);
         }
         if report.checked > 0 {
             let availability = tally[0] as f64 / report.checked as f64;
-            grid.metrics
-                .gauge("glare_deployment_availability", &slabels, DEFAULT_GAUGE_WINDOW)
-                .set(now, availability);
+            grid.set_gauge(site, "glare_deployment_availability", None, now, availability);
         }
         report
     }
@@ -367,14 +344,8 @@ impl IndexMonitor {
             report.sites += 1;
             let local: BTreeSet<String> = grid.site(i).atr.names(now).into_iter().collect();
             let divergence = index_names.symmetric_difference(&local).count();
-            let site_label = Grid::site_label(i);
-            let slabels = Labels::of(&[("site", &site_label)]);
-            grid.metrics
-                .gauge("glare_index_divergence", &slabels, DEFAULT_GAUGE_WINDOW)
-                .set(now, divergence as f64);
-            grid.metrics
-                .gauge("glare_registry_types", &slabels, DEFAULT_GAUGE_WINDOW)
-                .set(now, local.len() as f64);
+            grid.set_gauge(i, "glare_index_divergence", None, now, divergence as f64);
+            grid.set_gauge(i, "glare_registry_types", None, now, local.len() as f64);
             if divergence > 0 {
                 report.divergent_sites += 1;
                 report.max_divergence = report.max_divergence.max(divergence);
@@ -396,6 +367,7 @@ mod tests {
     use super::*;
     use crate::model::example_hierarchy;
     use crate::rdm::deploy_manager::{provision, ProvisionRequest};
+    use glare_fabric::Labels;
     use glare_services::vfs::VPath;
     use glare_services::Transport;
 

@@ -7,10 +7,10 @@
 //! answers from its own registry, then its cache, then the rest of the
 //! VO — caching whatever it learns.
 
-use glare_fabric::{Labels, SimDuration, SimTime, SiteId, SpanKind, TraceContext};
+use glare_fabric::{SimDuration, SimTime, SiteId, SpanKind, TraceContext};
 
 use crate::error::GlareError;
-use crate::grid::Grid;
+use crate::grid::{Grid, Lost};
 use crate::model::ActivityDeployment;
 
 /// Where a discovery answer came from.
@@ -82,7 +82,18 @@ impl RequestManager {
             .trace
             .open(None, "rdm.request", SpanKind::Request, site, None, now);
         grid.trace.attr(root.span_id, "activity", activity);
-        let (out, end) = self.run_ladder(grid, from_site, activity, now, root);
+        let mut lookup = Lookup {
+            grid,
+            use_cache: self.use_cache,
+            from_site,
+            activity,
+            now,
+            root,
+            concrete: Vec::new(),
+            cost: SimDuration::ZERO,
+            probes_exhausted: false,
+        };
+        let out = lookup.run();
         let label = match &out {
             Ok(o) => match o.source {
                 DiscoverySource::LocalRegistry => "registry",
@@ -92,322 +103,240 @@ impl RequestManager {
             },
             Err(_) => "not-found",
         };
+        // The request finished at `now` plus the accumulated cost, on the
+        // error path too.
+        let end = lookup.at();
         grid.trace.attr(root.span_id, "source", label);
         grid.trace.close(root.span_id, end);
         out
     }
+}
 
-    /// The discovery ladder proper. Returns the outcome plus the virtual
-    /// instant the request finished (`now` + accumulated cost), which the
-    /// caller uses to close the root span even on the error path.
-    fn run_ladder(
+/// One discovery request in progress: who asks for what, the `rdm.request`
+/// span its rungs chain under, and the cost charged so far.
+struct Lookup<'a> {
+    grid: &'a mut Grid,
+    use_cache: bool,
+    from_site: usize,
+    activity: &'a str,
+    now: SimTime,
+    root: TraceContext,
+    /// Concrete type names `activity` resolved to.
+    concrete: Vec<String>,
+    /// Virtual-clock cursor: each rung adds what it cost, laying the rung
+    /// spans out sequentially the way the cost model charges them.
+    cost: SimDuration,
+    /// Whether some remote stayed unreachable after its retry budget.
+    probes_exhausted: bool,
+}
+
+impl Lookup<'_> {
+    /// The discovery ladder proper: each rung either answers or leaves
+    /// its cost on the cursor for the next one.
+    fn run(&mut self) -> Result<ResolveOutcome, GlareError> {
+        self.resolve_types()?;
+        let (sites, from_site) = (self.grid.len(), self.from_site);
+        let answer = self
+            .local_registry()
+            .or_else(|| self.local_cache())
+            .or_else(|| (0..sites).filter(|&i| i != from_site).find_map(|i| self.probe(i)))
+            .or_else(|| self.degraded_cache());
+        answer.ok_or_else(|| GlareError::NotFound {
+            what: format!("deployments of {}", self.activity),
+        })
+    }
+
+    /// The virtual instant the cursor stands at.
+    fn at(&self) -> SimTime {
+        self.now + self.cost
+    }
+
+    /// Record a rung as a `name` span at `site`, from `start` to the cursor.
+    fn span(
+        &mut self,
+        name: &str,
+        kind: SpanKind,
+        site: usize,
+        start: SimTime,
+        attrs: &[(&str, String)],
+    ) {
+        let (parent, site, end) = (Some(self.root), Some(SiteId(site as u32)), self.at());
+        self.grid.trace.record(parent, name, kind, site, None, start, end, attrs);
+    }
+
+    /// The answer `deployments`, found at `source`, at the cost so far.
+    fn found(
         &self,
-        grid: &mut Grid,
-        from_site: usize,
-        activity: &str,
-        now: SimTime,
-        root: TraceContext,
-    ) -> (Result<ResolveOutcome, GlareError>, SimTime) {
-        let site = Some(SiteId(from_site as u32));
-        // Resolve the (possibly abstract) activity to concrete type names,
-        // preferring purely local hierarchy knowledge.
-        let local = grid.site_mut(from_site).atr.resolve_concrete(activity, now);
-        let mut cost = local.cost;
-        let mut concrete: Vec<String> = local.value.iter().map(|t| t.name.clone()).collect();
-        if concrete.is_empty() {
-            let (types, c) = grid.resolve_concrete(from_site, activity, now);
-            cost += c;
-            concrete = types.into_iter().map(|t| t.name).collect();
+        deployments: Vec<ActivityDeployment>,
+        source: DiscoverySource,
+        staleness: Option<SimDuration>,
+    ) -> ResolveOutcome {
+        ResolveOutcome {
+            deployments,
+            source,
+            cost: self.cost,
+            staleness,
         }
-        grid.trace.record(
-            Some(root),
-            "resolve.types",
-            SpanKind::Compute,
-            site,
-            None,
-            now,
-            now + cost,
-            &[("concrete", concrete.len().to_string())],
-        );
-        if concrete.is_empty() {
-            let err = Err(GlareError::NotFound {
-                what: format!("concrete type for {activity}"),
+    }
+
+    /// Record a rung that stayed on the asking site as a `name` span from
+    /// `start` to the cursor, saying whether it `hit`.
+    fn local_span(&mut self, name: &str, start: SimTime, hit: bool) {
+        let attrs = [("hit", if hit { "1" } else { "0" }.to_owned())];
+        self.span(name, SpanKind::Service, self.from_site, start, &attrs);
+    }
+
+    /// Resolve the (possibly abstract) activity to concrete type names,
+    /// preferring purely local hierarchy knowledge.
+    fn resolve_types(&mut self) -> Result<(), GlareError> {
+        let (from_site, now) = (self.from_site, self.now);
+        let local = self.grid.site_mut(from_site).atr.resolve_concrete(self.activity, now);
+        self.cost = local.cost;
+        self.concrete = local.value.iter().map(|t| t.name.clone()).collect();
+        if self.concrete.is_empty() {
+            let (types, c) = self.grid.resolve_concrete(from_site, self.activity, now);
+            self.cost += c;
+            self.concrete = types.into_iter().map(|t| t.name).collect();
+        }
+        let attrs = [("concrete", self.concrete.len().to_string())];
+        self.span("resolve.types", SpanKind::Compute, from_site, now, &attrs);
+        if self.concrete.is_empty() {
+            return Err(GlareError::NotFound {
+                what: format!("concrete type for {}", self.activity),
             });
-            return (err, now + cost);
         }
+        Ok(())
+    }
 
-        // 1. Local registry.
-        let registry_start = now + cost;
-        for name in &concrete {
-            let resp = grid.site(from_site).adr.deployments_of(name, now);
-            cost += resp.cost;
+    /// The first non-empty deployment list `site`'s registry holds for one
+    /// of the concrete types, charging each lookup made.
+    fn registry_hit(&mut self, site: usize) -> Vec<ActivityDeployment> {
+        for name in &self.concrete {
+            let resp = self.grid.site(site).adr.deployments_of(name, self.now);
+            self.cost += resp.cost;
             if !resp.value.is_empty() {
-                grid.trace.record(
-                    Some(root),
-                    "registry.local",
-                    SpanKind::Service,
-                    site,
-                    None,
-                    registry_start,
-                    now + cost,
-                    &[("hit", "1".to_owned())],
-                );
-                let out = Ok(ResolveOutcome {
-                    deployments: resp.value,
-                    source: DiscoverySource::LocalRegistry,
-                    cost,
-                    staleness: None,
-                });
-                return (out, now + cost);
+                return resp.value;
             }
         }
-        grid.trace.record(
-            Some(root),
-            "registry.local",
-            SpanKind::Service,
-            site,
-            None,
-            registry_start,
-            now + cost,
-            &[("hit", "0".to_owned())],
-        );
+        Vec::new()
+    }
 
-        // 2. Local cache.
+    /// Rung 1: the local registry.
+    fn local_registry(&mut self) -> Option<ResolveOutcome> {
+        let start = self.at();
+        let hit = self.registry_hit(self.from_site);
+        self.local_span("registry.local", start, !hit.is_empty());
+        (!hit.is_empty()).then(|| self.found(hit, DiscoverySource::LocalRegistry, None))
+    }
+
+    /// Rung 2: the local cache.
+    fn local_cache(&mut self) -> Option<ResolveOutcome> {
+        if !self.use_cache {
+            return None;
+        }
+        let start = self.at();
+        self.cost += CACHE_HIT_COST;
+        let mut hits = Vec::new();
+        for name in &self.concrete {
+            hits = self.grid.site_mut(self.from_site).cache.deployments_of(name, self.now);
+            if !hits.is_empty() {
+                break;
+            }
+        }
+        self.local_span("cache.lookup", start, !hits.is_empty());
+        (!hits.is_empty()).then(|| self.found(hits, DiscoverySource::LocalCache, None))
+    }
+
+    /// Rung 3, once per remote: the rest of the VO (one round-trip per
+    /// probed site), under the recovery policy: lost attempts charge the
+    /// per-attempt timeout and back off with decorrelated jitter, an open
+    /// per-site breaker skips the site outright, and a site whose retry
+    /// budget exhausts is skipped rather than failing the whole ladder.
+    /// With the fault injector inert no attempt is ever lost and this
+    /// stage costs exactly what it did without the policy.
+    fn probe(&mut self, peer: usize) -> Option<ResolveOutcome> {
+        let start = self.at();
+        let rtt = self.grid.link.transfer_time(1024) * 2;
+        // A silent probe charges the per-remote budget: the configured
+        // attempt timeout, tightened to the learned `margin×mean + k×σ`
+        // once the site's estimator is warm — waiting 500 ms on a site
+        // that always answers in 40 ms only stretches the ladder's tail.
+        let budget = self.grid.suspicion.attempt_budget(peer, self.grid.retry.attempt_timeout);
+        let mut lost = Lost::default();
+        let reached = loop {
+            if !self.grid.breaker_allows(peer, start + lost.elapsed) {
+                break false;
+            }
+            if !self.grid.attempt_lost(peer) {
+                self.grid.breakers.breaker(peer).record_success();
+                // Feed the per-site round-trip estimator (no-op when
+                // suspicion is disabled, the default).
+                self.grid.suspicion.observe(peer, rtt);
+                break true;
+            }
+            self.grid.attempt_timed_out(peer, "probe", budget, &mut lost);
+            self.grid.breaker_failure(peer, "probe", start + lost.elapsed);
+            if self.grid.back_off(peer, &mut lost).is_none() {
+                break false;
+            }
+        };
+        self.cost += lost.elapsed;
+        if !reached {
+            self.probes_exhausted = true;
+            let attrs = [("peer", peer.to_string()), ("hit", "unreachable".to_owned())];
+            self.span("probe.remote", SpanKind::Network, peer, start, &attrs);
+            return None;
+        }
+        self.cost += rtt;
+        let hit = self.registry_hit(peer);
+        let hit_attr = if hit.is_empty() { "0" } else { "1" }.to_owned();
+        let attrs = [("peer", peer.to_string()), ("hit", hit_attr)];
+        self.span("probe.remote", SpanKind::Network, peer, start, &attrs);
+        if hit.is_empty() {
+            return None;
+        }
+        // Cache what we learned (§3.1: "a resource discovered from a
+        // remote registry is optionally cached locally").
         if self.use_cache {
-            let cache_start = now + cost;
-            cost += CACHE_HIT_COST;
-            let mut cache_hits = Vec::new();
-            for name in &concrete {
-                cache_hits = grid.site_mut(from_site).cache.deployments_of(name, now);
-                if !cache_hits.is_empty() {
-                    break;
-                }
-            }
-            let hit = !cache_hits.is_empty();
-            grid.trace.record(
-                Some(root),
-                "cache.lookup",
-                SpanKind::Service,
-                site,
-                None,
-                cache_start,
-                now + cost,
-                &[("hit", if hit { "1" } else { "0" }.to_owned())],
-            );
-            if hit {
-                let out = Ok(ResolveOutcome {
-                    deployments: cache_hits,
-                    source: DiscoverySource::LocalCache,
-                    cost,
-                    staleness: None,
-                });
-                return (out, now + cost);
-            }
+            let found: Vec<(usize, ActivityDeployment)> =
+                hit.iter().map(|d| (peer, d.clone())).collect();
+            super::deploy_manager::cache_remote(self.grid, self.from_site, &found, self.now);
         }
+        Some(self.found(hit, DiscoverySource::RemoteSite(peer), None))
+    }
 
-        // 3. The rest of the VO (one round-trip per probed site), each
-        // probe under the recovery policy: lost attempts charge the
-        // per-attempt timeout and back off with decorrelated jitter, an
-        // open per-site breaker skips the site outright, and a site whose
-        // retry budget exhausts is skipped rather than failing the whole
-        // ladder. With the fault injector inert no attempt is ever lost
-        // and this stage costs exactly what it did without the policy.
-        let rtt = grid.link.transfer_time(1024) * 2;
-        let site_count = grid.len();
-        let policy = grid.retry;
-        let mut probes_exhausted = false;
-        for i in (0..site_count).filter(|&i| i != from_site) {
-            let probe_start = now + cost;
-            let peer_label = Grid::site_label(i);
-            let mut reached = false;
-            let mut prev_backoff = SimDuration::ZERO;
-            let mut attempt = 1u32;
-            let mut probe_elapsed = SimDuration::ZERO;
-            loop {
-                if !grid.breakers.breaker(i).allow(probe_start + probe_elapsed) {
-                    grid.metrics
-                        .counter_labeled(
-                            "glare_breaker_short_circuits_total",
-                            &Labels::of(&[("site", &peer_label)]),
-                        )
-                        .inc();
-                    break;
-                }
-                let lost = !grid.faults.site_up(i) || grid.faults.attempt_lost();
-                if !lost {
-                    grid.breakers.breaker(i).record_success();
-                    // Feed the per-site round-trip estimator (no-op when
-                    // suspicion is disabled, the default).
-                    grid.suspicion.observe(i, rtt);
-                    reached = true;
-                    break;
-                }
-                // A silent probe charges the per-remote budget: the
-                // configured attempt timeout, tightened to the learned
-                // `margin×mean + k×σ` once the site's estimator is warm —
-                // waiting 500 ms on a site that always answers in 40 ms
-                // only stretches the ladder's tail.
-                probe_elapsed += grid.suspicion.attempt_budget(i, policy.attempt_timeout);
-                grid.metrics
-                    .counter_labeled(
-                        "glare_retries_total",
-                        &Labels::of(&[("site", &peer_label), ("op", "probe")]),
-                    )
-                    .inc();
-                if grid
-                    .breakers
-                    .breaker(i)
-                    .record_failure(probe_start + probe_elapsed)
-                {
-                    grid.metrics
-                        .counter_labeled(
-                            "glare_breaker_transitions_total",
-                            &Labels::of(&[("site", &peer_label), ("to", "open")]),
-                        )
-                        .inc();
-                    grid.events.emit(
-                        probe_start + probe_elapsed,
-                        "breaker.open",
-                        Some(SiteId(i as u32)),
-                        "retry",
-                        &[("site", &peer_label), ("op", "probe")],
-                    );
-                }
-                attempt += 1;
-                if !policy.may_attempt(attempt, probe_elapsed) {
-                    break;
-                }
-                let delay = policy.next_backoff(grid.faults.rng_mut(), prev_backoff);
-                prev_backoff = delay;
-                grid.metrics
-                    .histogram_labeled(
-                        "glare_retry_backoff_ms",
-                        &Labels::of(&[("site", &peer_label)]),
-                    )
-                    .record(delay);
-                probe_elapsed += delay;
-            }
-            cost += probe_elapsed;
-            if !reached {
-                probes_exhausted = true;
-                grid.trace.record(
-                    Some(root),
-                    "probe.remote",
-                    SpanKind::Network,
-                    Some(SiteId(i as u32)),
-                    None,
-                    probe_start,
-                    now + cost,
-                    &[("peer", i.to_string()), ("hit", "unreachable".to_owned())],
-                );
-                continue;
-            }
-            cost += rtt;
-            let mut hit: Vec<ActivityDeployment> = Vec::new();
-            for name in &concrete {
-                let resp = grid.site(i).adr.deployments_of(name, now);
-                cost += resp.cost;
-                if !resp.value.is_empty() {
-                    hit = resp.value;
-                    break;
-                }
-            }
-            grid.trace.record(
-                Some(root),
-                "probe.remote",
-                SpanKind::Network,
-                Some(SiteId(i as u32)),
-                None,
-                probe_start,
-                now + cost,
-                &[
-                    ("peer", i.to_string()),
-                    ("hit", if hit.is_empty() { "0" } else { "1" }.to_owned()),
-                ],
-            );
-            if !hit.is_empty() {
-                // Cache what we learned (§3.1: "a resource discovered
-                // from a remote registry is optionally cached locally").
-                if self.use_cache {
-                    let found: Vec<(usize, ActivityDeployment)> =
-                        hit.iter().map(|d| (i, d.clone())).collect();
-                    super::deploy_manager::cache_remote(grid, from_site, &found, now);
-                }
-                let out = Ok(ResolveOutcome {
-                    deployments: hit,
-                    source: DiscoverySource::RemoteSite(i),
-                    cost,
-                    staleness: None,
-                });
-                return (out, now + cost);
-            }
+    /// Rung 4, graceful degradation: at least one remote stayed unreachable
+    /// after the retry budget, so a stale cache entry may be the best
+    /// answer available. Serve it explicitly marked degraded, with its
+    /// age, instead of erroring.
+    fn degraded_cache(&mut self) -> Option<ResolveOutcome> {
+        if !(self.use_cache && self.probes_exhausted) {
+            return None;
         }
-
-        // 4. Graceful degradation: at least one remote stayed unreachable
-        // after the retry budget, so a stale cache entry may be the best
-        // answer available. Serve it explicitly marked degraded, with its
-        // age, instead of erroring.
-        if self.use_cache && probes_exhausted {
-            let degraded_start = now + cost;
-            cost += CACHE_HIT_COST;
-            let mut stale: Vec<(ActivityDeployment, SimDuration)> = Vec::new();
-            for name in &concrete {
-                stale = grid
-                    .site(from_site)
-                    .cache
-                    .deployments_of_degraded(name, now);
-                if !stale.is_empty() {
-                    break;
-                }
-            }
-            grid.trace.record(
-                Some(root),
-                "cache.degraded",
-                SpanKind::Service,
-                site,
-                None,
-                degraded_start,
-                now + cost,
-                &[("hit", if stale.is_empty() { "0" } else { "1" }.to_owned())],
-            );
+        let start = self.at();
+        self.cost += CACHE_HIT_COST;
+        let mut stale: Vec<(ActivityDeployment, SimDuration)> = Vec::new();
+        for name in &self.concrete {
+            stale = self.grid.site(self.from_site).cache.deployments_of_degraded(name, self.now);
             if !stale.is_empty() {
-                let age = stale
-                    .iter()
-                    .map(|(_, a)| *a)
-                    .max()
-                    .unwrap_or(SimDuration::ZERO);
-                let from_label = Grid::site_label(from_site);
-                grid.metrics
-                    .counter_labeled(
-                        "glare_degraded_reads_total",
-                        &Labels::of(&[("site", &from_label)]),
-                    )
-                    .inc();
-                grid.events.emit(
-                    now + cost,
-                    "query.degraded",
-                    site,
-                    "retry",
-                    &[
-                        ("site", &from_label),
-                        ("activity", activity),
-                        ("age_ms", &format!("{:.0}", age.as_millis_f64())),
-                    ],
-                );
-                let out = Ok(ResolveOutcome {
-                    deployments: stale.into_iter().map(|(d, _)| d).collect(),
-                    source: DiscoverySource::DegradedCache,
-                    cost,
-                    staleness: Some(age),
-                });
-                return (out, now + cost);
+                break;
             }
         }
-
-        let err = Err(GlareError::NotFound {
-            what: format!("deployments of {activity}"),
-        });
-        (err, now + cost)
+        self.local_span("cache.degraded", start, !stale.is_empty());
+        let age = stale.iter().map(|(_, a)| *a).max()?;
+        self.grid.count(self.from_site, "glare_degraded_reads_total", None, 1);
+        self.grid.emit(
+            self.from_site,
+            self.at(),
+            "query.degraded",
+            "retry",
+            &[
+                ("activity", self.activity),
+                ("age_ms", &format!("{:.0}", age.as_millis_f64())),
+            ],
+        );
+        let deployments = stale.into_iter().map(|(d, _)| d).collect();
+        Some(self.found(deployments, DiscoverySource::DegradedCache, Some(age)))
     }
 }
 
@@ -415,6 +344,7 @@ impl RequestManager {
 mod tests {
     use super::*;
     use crate::model::{example_hierarchy, ActivityDeployment, ActivityType};
+    use glare_fabric::Labels;
     use glare_services::Transport;
 
     fn t(s: u64) -> SimTime {

@@ -116,15 +116,7 @@ impl EnactmentEngine {
             let mut prev_backoff = SimDuration::ZERO;
             loop {
                 attempts += 1;
-                match self.try_run(
-                    grid,
-                    &activity,
-                    &assignment,
-                    &finish,
-                    &outputs,
-                    workflow,
-                    now,
-                ) {
+                match self.try_run(grid, &activity, &assignment, &outputs, workflow, now) {
                     Ok((stage_in, runtime, out_path)) => {
                         let ready: SimDuration = workflow
                             .predecessors(id)
@@ -197,13 +189,11 @@ impl EnactmentEngine {
     }
 
     /// One attempt: stage inputs, run, materialize output.
-    #[allow(clippy::too_many_arguments)]
     fn try_run(
         &self,
         grid: &mut Grid,
         activity: &crate::model::WorkflowActivity,
         assignment: &Assignment,
-        _finish: &HashMap<ActivityId, SimDuration>,
         outputs: &HashMap<ActivityId, (usize, VPath)>,
         workflow: &Workflow,
         now: SimTime,

@@ -167,10 +167,10 @@ pub fn chrome_trace_json(sink: &TraceSink) -> Json {
             args.push(("parent".to_owned(), Json::from(p.0)));
         }
         for (k, v) in &r.attrs {
-            args.push((k.clone(), Json::from(v.clone())));
+            args.push(((*k).to_owned(), Json::from(&**v)));
         }
         Json::obj([
-            ("name", Json::from(r.name.clone())),
+            ("name", Json::from(&*r.name)),
             ("cat", Json::from(r.kind.label())),
             ("ph", Json::from("X")),
             ("ts", Json::from(micros(r.start))),
@@ -286,7 +286,7 @@ pub fn critical_paths(sink: &TraceSink, root_name: Option<&str>) -> Vec<Critical
                 SpanKind::Request | SpanKind::Internal => cp.other += exclusive,
             }
             cp.hops.push(Hop {
-                name: r.name.clone(),
+                name: r.name.to_string(),
                 kind: r.kind,
                 exclusive,
             });
@@ -403,7 +403,7 @@ mod tests {
             None,
             ms(0),
             ms(10),
-            &[],
+            [],
         );
         let q = t.record(
             Some(net),
@@ -413,7 +413,7 @@ mod tests {
             None,
             ms(10),
             ms(30),
-            &[],
+            [],
         );
         t.record(
             Some(q),
@@ -423,7 +423,7 @@ mod tests {
             None,
             ms(30),
             ms(90),
-            &[],
+            [],
         );
         t.close(root.span_id, ms(100));
         t

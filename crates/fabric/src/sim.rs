@@ -406,8 +406,8 @@ impl Kernel {
                 Some(from),
                 self.now,
             );
-            ts.sink.attr(ctx.span_id, "bytes", &bytes.to_string());
-            ts.sink.attr(ctx.span_id, "to", &to.to_string());
+            ts.sink.attr(ctx.span_id, "bytes", bytes.to_string());
+            ts.sink.attr(ctx.span_id, "to", to.to_string());
             ts.sink.close(ctx.span_id, at);
             Some(ctx)
         } else {
@@ -550,7 +550,7 @@ impl<'a> Ctx<'a> {
             };
             let c = ts.sink.open(
                 parent,
-                &format!("cpu.{tag}"),
+                format!("cpu.{tag}"),
                 SpanKind::Compute,
                 Some(site),
                 Some(actor),
@@ -612,7 +612,7 @@ impl<'a> Ctx<'a> {
     /// timers and compute submitted meanwhile chain under it. Spans left
     /// open across events are closed by whoever holds the handle (or at
     /// `Simulation::take_trace` time).
-    pub fn span(&mut self, name: &str, kind: SpanKind) -> SpanHandle {
+    pub fn span(&mut self, name: &'static str, kind: SpanKind) -> SpanHandle {
         let (site, actor, now) = (self.self_site, self.self_id, self.kernel.now);
         let Some(ts) = &mut self.kernel.trace else {
             return SpanHandle::NONE;
@@ -631,7 +631,7 @@ impl<'a> Ctx<'a> {
     /// of the previous response, where [`Ctx::span`] would wrongly chain
     /// the new request into the old trace. The root becomes the ambient
     /// context until [`Ctx::end_span`], exactly like [`Ctx::span`].
-    pub fn root_span(&mut self, name: &str, kind: SpanKind) -> SpanHandle {
+    pub fn root_span(&mut self, name: &'static str, kind: SpanKind) -> SpanHandle {
         let (site, actor, now) = (self.self_site, self.self_id, self.kernel.now);
         let Some(ts) = &mut self.kernel.trace else {
             return SpanHandle::NONE;
@@ -642,9 +642,9 @@ impl<'a> Ctx<'a> {
     }
 
     /// Attach a key/value attribute to a span opened with [`Ctx::span`].
-    pub fn span_attr(&mut self, span: SpanHandle, key: &str, value: &str) {
+    pub fn span_attr(&mut self, span: SpanHandle, key: &'static str, value: &str) {
         if let (Some(c), Some(ts)) = (span.context(), &mut self.kernel.trace) {
-            ts.sink.attr(c.span_id, key, value);
+            ts.sink.attr(c.span_id, key, value.to_owned());
         }
     }
 
@@ -785,7 +785,7 @@ impl<'a> Ctx<'a> {
     /// under it) but, being same-event, has zero own duration.
     pub fn with_span<R>(
         &mut self,
-        name: &str,
+        name: &'static str,
         kind: SpanKind,
         f: impl FnOnce(&mut Ctx<'_>) -> R,
     ) -> R {
@@ -1803,7 +1803,7 @@ mod tests {
         let work = find("work");
         assert_eq!(work.len(), 1);
         assert_eq!(work[0].parent, Some(net[0].span_id));
-        assert_eq!(work[0].attrs, vec![("k".to_owned(), "v".to_owned())]);
+        assert_eq!(work[0].attrs, vec![("k", "v".into())]);
         let cpu = find("cpu.crunch");
         assert_eq!(cpu.len(), 2);
         assert!(cpu.iter().all(|s| s.trace_id == net[0].trace_id));
@@ -1839,7 +1839,7 @@ mod tests {
                         .iter()
                         .map(|s| {
                             (
-                                s.name.clone(),
+                                s.name.to_string(),
                                 s.span_id.0,
                                 s.start.as_nanos(),
                                 s.end.as_nanos(),

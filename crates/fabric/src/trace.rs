@@ -12,6 +12,8 @@
 //! simulation RNG, so two runs with the same seed produce byte-identical
 //! traces — and enabling tracing cannot perturb an experiment's results.
 
+use std::borrow::Cow;
+
 use crate::sim::ActorId;
 use crate::time::SimTime;
 use crate::topology::SiteId;
@@ -99,8 +101,9 @@ pub struct SpanRecord {
     pub span_id: SpanId,
     /// Causing span, if any.
     pub parent: Option<SpanId>,
-    /// Human-readable name (`"node.query"`, `"cpu.registry"` ...).
-    pub name: String,
+    /// Human-readable name (`"node.query"`, `"cpu.registry"` ...): borrowed
+    /// when the caller passed a literal, owned when it was computed.
+    pub name: Cow<'static, str>,
     /// Coarse classification.
     pub kind: SpanKind,
     /// Site the span is attributed to, when known.
@@ -111,8 +114,9 @@ pub struct SpanRecord {
     pub start: SimTime,
     /// Simulated end instant (`== start` for instantaneous spans).
     pub end: SimTime,
-    /// Free-form key/value attributes, in insertion order.
-    pub attrs: Vec<(String, String)>,
+    /// Free-form key/value attributes, in insertion order. A key is always
+    /// a literal; a value is borrowed when it is one (`"1"`, `"cache"`).
+    pub attrs: Vec<(&'static str, Cow<'static, str>)>,
 }
 
 impl SpanRecord {
@@ -202,7 +206,7 @@ impl TraceSink {
     pub fn open(
         &mut self,
         parent: Option<TraceContext>,
-        name: &str,
+        name: impl Into<Cow<'static, str>>,
         kind: SpanKind,
         site: Option<SiteId>,
         actor: Option<ActorId>,
@@ -223,7 +227,7 @@ impl TraceSink {
                 trace_id,
                 span_id,
                 parent: ctx.parent,
-                name: name.to_owned(),
+                name: name.into(),
                 kind,
                 site,
                 actor,
@@ -238,16 +242,20 @@ impl TraceSink {
     }
 
     /// Attach an attribute to a still-open span (no-op if unknown/closed).
-    pub fn attr(&mut self, span: SpanId, key: &str, value: &str) {
+    pub fn attr(&mut self, span: SpanId, key: &'static str, value: impl Into<Cow<'static, str>>) {
         if let Some(rec) = self.open.iter_mut().rev().find(|r| r.span_id == span) {
-            rec.attrs.push((key.to_owned(), value.to_owned()));
+            rec.attrs.push((key, value.into()));
         }
     }
 
     /// Close an open span at `end`. Returns `false` when the span is
     /// unknown (dropped at the bound, or already closed).
+    ///
+    /// Spans nest, so the one to close is nearly always the last one
+    /// opened: the search runs from the back, and spans an abandoned
+    /// request left open at the front are never walked.
     pub fn close(&mut self, span: SpanId, end: SimTime) -> bool {
-        let Some(pos) = self.open.iter().position(|r| r.span_id == span) else {
+        let Some(pos) = self.open.iter().rposition(|r| r.span_id == span) else {
             return false;
         };
         let mut rec = self.open.remove(pos);
@@ -262,17 +270,17 @@ impl TraceSink {
     pub fn record(
         &mut self,
         parent: Option<TraceContext>,
-        name: &str,
+        name: impl Into<Cow<'static, str>>,
         kind: SpanKind,
         site: Option<SiteId>,
         actor: Option<ActorId>,
         start: SimTime,
         end: SimTime,
-        attrs: &[(&str, String)],
+        attrs: impl IntoIterator<Item = (&'static str, Cow<'static, str>)>,
     ) -> TraceContext {
         let ctx = self.open(parent, name, kind, site, actor, start);
-        for (k, v) in attrs {
-            self.attr(ctx.span_id, k, v);
+        if let Some(rec) = self.open.last_mut().filter(|r| r.span_id == ctx.span_id) {
+            rec.attrs.extend(attrs);
         }
         self.close(ctx.span_id, end);
         ctx
@@ -289,6 +297,11 @@ impl TraceSink {
     /// Closed spans, in close order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.closed
+    }
+
+    /// Spans opened and not closed so far, in open order.
+    pub fn open_spans(&self) -> &[SpanRecord] {
+        &self.open
     }
 
     /// Number of stored (closed) spans.
@@ -345,7 +358,7 @@ mod tests {
         let spans = sink.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "net", "close order preserved");
-        assert_eq!(spans[0].attrs, vec![("bytes".to_owned(), "512".to_owned())]);
+        assert_eq!(spans[0].attrs, vec![("bytes", "512".into())]);
         assert_eq!(spans[1].duration(), crate::time::SimDuration::from_millis(5));
     }
 
@@ -384,7 +397,7 @@ mod tests {
             None,
             t(10),
             t(14),
-            &[("step", "untar".to_owned())],
+            [("step", "untar".into())],
         );
         assert_eq!(sink.len(), 1);
         let rec = &sink.spans()[0];
@@ -392,5 +405,183 @@ mod tests {
         assert_eq!(rec.site, Some(SiteId(2)));
         assert_eq!(rec.end, t(14));
         assert_eq!(rec.attrs[0].1, "untar");
+    }
+
+    /// The sink as it was before span text borrowed and `close` searched
+    /// from the back: every name and attribute an owned `String`, `close`
+    /// a front scan. Kept as the reference the sink is compared against.
+    struct OwningSink {
+        max_spans: usize,
+        next_trace: u64,
+        next_span: u64,
+        closed: Vec<OwningRecord>,
+        open: Vec<OwningRecord>,
+        dropped: u64,
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct OwningRecord {
+        ctx: TraceContext,
+        name: String,
+        start: SimTime,
+        end: SimTime,
+        attrs: Vec<(String, String)>,
+    }
+
+    impl OwningSink {
+        fn open(&mut self, parent: Option<TraceContext>, name: &str, start: SimTime) -> TraceContext {
+            let trace_id = match parent {
+                Some(p) => p.trace_id,
+                None => {
+                    self.next_trace += 1;
+                    TraceId(self.next_trace - 1)
+                }
+            };
+            self.next_span += 1;
+            let span_id = SpanId(self.next_span - 1);
+            let ctx = TraceContext { trace_id, span_id, parent: parent.map(|p| p.span_id) };
+            if self.closed.len() + self.open.len() < self.max_spans {
+                let (name, attrs) = (name.to_owned(), Vec::new());
+                self.open.push(OwningRecord { ctx, name, start, end: start, attrs });
+            } else {
+                self.dropped += 1;
+            }
+            ctx
+        }
+
+        fn attr(&mut self, span: SpanId, key: &str, value: &str) {
+            if let Some(rec) = self.open.iter_mut().rev().find(|r| r.ctx.span_id == span) {
+                rec.attrs.push((key.to_owned(), value.to_owned()));
+            }
+        }
+
+        fn close(&mut self, span: SpanId, end: SimTime) -> bool {
+            let Some(pos) = self.open.iter().position(|r| r.ctx.span_id == span) else {
+                return false;
+            };
+            let mut rec = self.open.remove(pos);
+            rec.end = rec.start.max(end);
+            self.closed.push(rec);
+            true
+        }
+
+        fn finish(&mut self, now: SimTime) {
+            for mut rec in self.open.drain(..) {
+                rec.end = rec.start.max(now);
+                self.closed.push(rec);
+            }
+        }
+    }
+
+    /// What the reference would hold for `rec`.
+    fn owning(rec: &SpanRecord) -> OwningRecord {
+        OwningRecord {
+            ctx: TraceContext { trace_id: rec.trace_id, span_id: rec.span_id, parent: rec.parent },
+            name: rec.name.to_string(),
+            start: rec.start,
+            end: rec.end,
+            attrs: rec.attrs.iter().map(|(k, v)| ((*k).to_owned(), v.to_string())).collect(),
+        }
+    }
+
+    /// Random `open` / `attr` / `record` / `close` / `finish` against the
+    /// owning reference, at and past `max_spans`: closes in LIFO order, out
+    /// of order, and of ids that are unknown, dropped or already closed.
+    /// Same ids returned, same `close` verdicts, same stored spans (names,
+    /// attributes as strings, order, ends), same open spans, same drops.
+    #[test]
+    fn borrowing_sink_equals_the_owning_one_under_random_use() {
+        use crate::rng::SimRng;
+
+        const NAMES: [&str; 4] = ["rdm.request", "deploy.step", "net.send", "cpu.queue"];
+        const KEYS: [&str; 3] = ["hit", "step", "bytes"];
+        const VALUES: [&str; 3] = ["1", "cache", "unreachable"];
+        let mut rng = SimRng::from_seed(0x23_7ACE);
+        for round in 0..300 {
+            let max_spans = rng.range(1, 24) as usize;
+            let mut sink = TraceSink::new(max_spans);
+            let mut old = OwningSink {
+                max_spans,
+                next_trace: 0,
+                next_span: 0,
+                closed: Vec::new(),
+                open: Vec::new(),
+                dropped: 0,
+            };
+            // Every context handed out so far: open, closed or dropped.
+            let mut known: Vec<TraceContext> = Vec::new();
+            let mut clock = 0u64;
+            for _ in 0..rng.range(1, 80) {
+                clock += rng.range(0, 3);
+                let now = t(clock);
+                let parent = (!known.is_empty() && rng.chance(0.6)).then(|| known[rng.index(known.len())]);
+                // Literal or computed text, as the kernel's `cpu.<tag>` is.
+                let literal = rng.chance(0.8);
+                let (name, value) = (NAMES[rng.index(NAMES.len())], VALUES[rng.index(VALUES.len())]);
+                let (computed_name, computed_value) = (format!("cpu.{clock}"), clock.to_string());
+                let key = KEYS[rng.index(KEYS.len())];
+                match rng.range(0, 10) {
+                    0..=2 => {
+                        let got = if literal {
+                            sink.open(parent, name, SpanKind::Internal, None, None, now)
+                        } else {
+                            sink.open(parent, computed_name.clone(), SpanKind::Compute, None, None, now)
+                        };
+                        let want = old.open(parent, if literal { name } else { &computed_name }, now);
+                        assert_eq!(got, want);
+                        known.push(got);
+                    }
+                    3 => {
+                        let end = t(clock + rng.range(0, 5));
+                        let n = rng.range(0, 3) as usize;
+                        let attrs: Vec<(&'static str, Cow<'static, str>)> = (0..n)
+                            .map(|i| (KEYS[i], if literal { value.into() } else { computed_value.clone().into() }))
+                            .collect();
+                        let want = old.open(parent, name, now);
+                        for (k, v) in &attrs {
+                            old.attr(want.span_id, k, v);
+                        }
+                        old.close(want.span_id, end);
+                        let got = sink.record(parent, name, SpanKind::Service, None, None, now, end, attrs);
+                        assert_eq!(got, want);
+                        known.push(got);
+                    }
+                    4 | 5 => {
+                        // Any id ever handed out, or one never handed out.
+                        let span = match known.is_empty() || rng.chance(0.1) {
+                            true => SpanId(1_000_000),
+                            false => known[rng.index(known.len())].span_id,
+                        };
+                        if literal {
+                            sink.attr(span, key, value);
+                        } else {
+                            sink.attr(span, key, computed_value.clone());
+                        }
+                        old.attr(span, key, if literal { value } else { &computed_value });
+                    }
+                    6..=8 => {
+                        // The innermost open span (LIFO), any known id (out
+                        // of order, closed already or dropped), or unknown.
+                        let span = match (old.open.last(), rng.range(0, 10)) {
+                            (Some(last), 0..=5) => last.ctx.span_id,
+                            (_, 6..=8) if !known.is_empty() => known[rng.index(known.len())].span_id,
+                            _ => SpanId(1_000_000),
+                        };
+                        assert_eq!(sink.close(span, now), old.close(span, now), "close of {span}");
+                    }
+                    _ => {
+                        if rng.chance(0.2) {
+                            sink.finish(now);
+                            old.finish(now);
+                        }
+                    }
+                }
+                assert_eq!(sink.len(), old.closed.len(), "round {round}");
+                assert_eq!(sink.dropped(), old.dropped);
+                assert_eq!(sink.is_empty(), old.closed.is_empty() && old.open.is_empty());
+            }
+            assert_eq!(sink.open_spans().iter().map(owning).collect::<Vec<_>>(), old.open);
+            assert_eq!(sink.spans().iter().map(owning).collect::<Vec<_>>(), old.closed);
+        }
     }
 }

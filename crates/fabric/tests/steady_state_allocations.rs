@@ -11,53 +11,18 @@
 //! pins a whole request the same way.
 //!
 //! The test owns its binary because it installs a counting global
-//! allocator; the tally is per thread, so the harness's own threads do not
-//! disturb it.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! allocator (`support/counting_alloc.rs`, shared with the other
+//! allocation pins); the tally is per thread, so the harness's own threads
+//! do not disturb it.
 
 use glare_fabric::{
     Actor, ActorId, CounterId, Ctx, Envelope, GaugeId, Labels, SimDuration, SimTime, Simulation,
     SiteId, TimerToken, Topology, DEFAULT_GAUGE_WINDOW,
 };
 
-thread_local! {
-    /// `(allocations, bytes requested, bytes freed)` by this thread.
-    static TALLY: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the tally is a `Cell` of plain integers with no
-// destructor, so touching it allocates nothing and cannot re-enter.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = TALLY.try_with(|t| {
-            let (n, bytes, freed) = t.get();
-            t.set((n + 1, bytes + layout.size() as u64, freed));
-        });
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = TALLY.try_with(|t| {
-            let (n, bytes, freed) = t.get();
-            t.set((n, bytes, freed + layout.size() as u64));
-        });
-        // SAFETY: `ptr` came from `System.alloc` above with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn tally() -> (u64, u64, u64) {
-    TALLY.with(Cell::get)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::tally;
 
 /// `(allocations, bytes requested, bytes freed)` while `sim` runs to `until`.
 fn spent(sim: &mut Simulation, until: SimTime) -> (u64, u64, u64) {

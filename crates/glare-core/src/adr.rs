@@ -102,10 +102,8 @@ impl ActivityDeploymentRegistry {
     /// Named lookup of one deployment (hashtable fast path).
     pub fn lookup(&self, key: &str, now: SimTime) -> Option<TypedResponse<ActivityDeployment>> {
         let cost = REQUEST_BASE_COST + self.transport.overhead_cost(512 + DEPLOYMENT_WIRE_BYTES);
-        self.home.get(key, now).map(|r| TypedResponse {
-            value: r.payload,
-            cost,
-        })
+        let value = self.home.with_resource(key, now, |r| r.payload.clone())?;
+        Some(TypedResponse { value, cost })
     }
 
     /// All usable deployments of a concrete type.
@@ -120,11 +118,10 @@ impl ActivityDeploymentRegistry {
             .get(type_name)
             .map(|ks| ks.iter().cloned().collect())
             .unwrap_or_default();
+        let usable = |d: &ActivityDeployment| d.is_usable().then(|| d.clone());
         let list: Vec<ActivityDeployment> = keys
             .iter()
-            .filter_map(|k| self.home.get(k, now))
-            .map(|r| r.payload)
-            .filter(ActivityDeployment::is_usable)
+            .filter_map(|k| self.home.with_resource(k, now, |r| usable(&r.payload)).flatten())
             .collect();
         let cost = REQUEST_BASE_COST
             + self

@@ -127,30 +127,39 @@ impl ActivityTypeRegistry {
     pub fn lookup(&self, name: &str, now: SimTime) -> Option<TypedResponse<ActivityType>> {
         self.lookups_served.fetch_add(1, Ordering::Relaxed);
         let cost = REQUEST_BASE_COST + self.transport.overhead_cost(512 + TYPE_WIRE_BYTES);
-        self.home.get(name, now).map(|r| TypedResponse {
-            value: r.payload,
-            cost,
-        })
+        let value = self.home.with_resource(name, now, |r| r.payload.clone())?;
+        Some(TypedResponse { value, cost })
     }
 
     /// Resolve a (possibly abstract) type to the deployable concrete types
     /// at or below it, skipping expired and revoked entries.
     pub fn resolve_concrete(&self, name: &str, now: SimTime) -> TypedResponse<Vec<ActivityType>> {
+        self.resolve_concrete_with(name, now, ActivityType::clone)
+    }
+
+    /// The walk behind [`ActivityTypeRegistry::resolve_concrete`], keeping
+    /// what `project` takes from each type found instead of a copy of it
+    /// (the discovery ladder keeps only names).
+    pub(crate) fn resolve_concrete_with<R>(
+        &self,
+        name: &str,
+        now: SimTime,
+        mut project: impl FnMut(&ActivityType) -> R,
+    ) -> TypedResponse<Vec<R>> {
         self.lookups_served.fetch_add(1, Ordering::Relaxed);
         let names = self.hierarchy.read().concrete_closure(name);
-        let types: Vec<ActivityType> = names
+        let mut unrevoked = |t: &ActivityType| (!t.revoked).then(|| project(t));
+        let found: Vec<R> = names
             .iter()
-            .filter_map(|n| self.home.get(n, now))
-            .map(|r| r.payload)
-            .filter(|t| !t.revoked)
+            .filter_map(|n| self.home.with_resource(n, now, |r| unrevoked(&r.payload)).flatten())
             .collect();
         // One hash lookup per hierarchy hop — still size-independent.
         let cost = REQUEST_BASE_COST
             + SimDuration::from_micros(40) * names.len().max(1) as u64
             + self
                 .transport
-                .overhead_cost(512 + TYPE_WIRE_BYTES * types.len().max(1) as u64);
-        TypedResponse { value: types, cost }
+                .overhead_cost(512 + TYPE_WIRE_BYTES * found.len().max(1) as u64);
+        TypedResponse { value: found, cost }
     }
 
     /// XPath query over the aggregate document — the slow path, with the
@@ -241,8 +250,8 @@ impl ActivityTypeRegistry {
     {
         self.home.update(name, now, f)?;
         // Rebuild hierarchy edges in case base types changed.
-        if let Some(t) = self.home.get(name, now) {
-            self.hierarchy.write().insert(&t.payload);
+        if let Some(t) = self.home.with_resource(name, now, |r| r.payload.clone()) {
+            self.hierarchy.write().insert(&t);
         }
         Ok(())
     }

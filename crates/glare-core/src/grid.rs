@@ -163,7 +163,7 @@ impl Default for FaultInjector {
 /// The whole VO.
 #[derive(Clone, Debug)]
 pub struct Grid {
-    sites: Vec<GridSite>,
+    pub(crate) sites: Vec<GridSite>,
     /// The outside world's download servers.
     pub repo: Repository,
     /// Inter-site / repository link characteristics.
@@ -563,34 +563,33 @@ impl Grid {
     }
 
     /// Resolve a possibly-abstract type name to deployable concrete types,
-    /// searching the whole VO (the §2.2 "iterative lookup").
-    pub fn resolve_concrete(
+    /// searching the whole VO (the §2.2 "iterative lookup"), and keep what
+    /// `project` takes from each: a copy of it, or only its name.
+    pub fn resolve_concrete<R>(
         &mut self,
         from_site: usize,
         name: &str,
         now: SimTime,
-    ) -> (Vec<ActivityType>, SimDuration) {
+        project: impl Fn(&ActivityType) -> R,
+    ) -> (Vec<R>, SimDuration) {
         let mut cost = SimDuration::ZERO;
-        let mut out: Vec<ActivityType> = Vec::new();
         let order = std::iter::once(from_site)
             .chain(self.site_indices().filter(|&i| i != from_site));
         let rtt = self.link.transfer_time(1024) * 2;
+        // A site's closure names each of its types once: nothing repeats.
+        let concrete = |t: &ActivityType| (t.kind == TypeKind::Concrete).then(|| project(t));
         for (hop, i) in order.enumerate() {
             if hop > 0 {
                 cost += rtt;
             }
-            let resp = self.sites[i].atr.resolve_concrete(name, now);
+            let resp = self.sites[i].atr.resolve_concrete_with(name, now, &concrete);
             cost += resp.cost;
-            for t in resp.value {
-                if t.kind == TypeKind::Concrete && !out.iter().any(|o| o.name == t.name) {
-                    out.push(t);
-                }
-            }
+            let out: Vec<R> = resp.value.into_iter().flatten().collect();
             if !out.is_empty() {
-                break; // found on this site; no need to go wider
+                return (out, cost); // found on this site; no need to go wider
             }
         }
-        (out, cost)
+        (Vec::new(), cost)
     }
 
     /// Sites whose platform satisfies a type's install constraints and
@@ -1137,11 +1136,122 @@ mod tests {
     #[test]
     fn resolve_concrete_across_vo() {
         let mut g = grid_with_types();
-        let (types, _) = g.resolve_concrete(2, "Imaging", t(1));
+        let (types, _) = g.resolve_concrete(2, "Imaging", t(1), ActivityType::clone);
         assert_eq!(types.len(), 1);
         assert_eq!(types[0].name, "JPOVray");
-        let (none, _) = g.resolve_concrete(1, "Nothing", t(1));
+        let (none, _) = g.resolve_concrete(1, "Nothing", t(1), ActivityType::clone);
         assert!(none.is_empty());
+    }
+
+    /// The walk as it was before it took a projection: whole types cloned
+    /// out of each site by name lookup, revoked ones dropped, the concrete
+    /// ones kept once per name; the cost arithmetic restated. Runs on
+    /// `registries`, clones of the grid's, so it counts no lookups there.
+    fn cloning_walk(
+        g: &Grid,
+        registries: &[ActivityTypeRegistry],
+        from_site: usize,
+        name: &str,
+        now: SimTime,
+    ) -> (Vec<ActivityType>, SimDuration, Vec<usize>) {
+        use crate::atr::TYPE_WIRE_BYTES;
+        use glare_services::mds::REQUEST_BASE_COST;
+        let (mut out, mut cost, mut visited) = (Vec::<ActivityType>::new(), SimDuration::ZERO, Vec::new());
+        let rtt = g.link.transfer_time(1024) * 2;
+        let order = std::iter::once(from_site).chain((0..g.len()).filter(|&i| i != from_site));
+        for (hop, i) in order.enumerate() {
+            if hop > 0 {
+                cost += rtt;
+            }
+            visited.push(i);
+            let atr = &registries[i];
+            let names = atr.with_hierarchy(|h| h.resolve_concrete(name));
+            let types: Vec<ActivityType> = names
+                .iter()
+                .filter_map(|n| atr.lookup(n, now))
+                .map(|r| r.value)
+                .filter(|t| !t.revoked)
+                .collect();
+            cost += REQUEST_BASE_COST
+                + SimDuration::from_micros(40) * names.len().max(1) as u64
+                + atr.transport.overhead_cost(512 + TYPE_WIRE_BYTES * types.len().max(1) as u64);
+            for t in types {
+                if t.kind == TypeKind::Concrete && !out.iter().any(|o| o.name == t.name) {
+                    out.push(t);
+                }
+            }
+            if !out.is_empty() {
+                break;
+            }
+        }
+        (out, cost, visited)
+    }
+
+    /// After random `register` / `set_revoked` / `set_expiry` / `remove`
+    /// across three sites, both projections of the one walk — whole types,
+    /// names — find what the cloning walk found, at its cost, and each
+    /// counts one lookup on every site it visited; so does the registry's
+    /// own walk under `resolve_concrete` and `resolve_concrete_with`.
+    #[test]
+    fn both_projections_of_the_walk_equal_the_cloning_walk_after_random_edits() {
+        const NAMES: u64 = 8;
+        let mut rng = SimRng::from_seed(0x23_A7B);
+        for _ in 0..60 {
+            let mut g = Grid::new(3, Transport::Http);
+            let mut clock = 1;
+            for _ in 0..rng.range(1, 50) {
+                clock += rng.range(0, 3);
+                let (site, i) = (rng.index(3), rng.range(0, NAMES));
+                let name = format!("T{i}");
+                let atr = &g.site(site).atr;
+                match rng.range(0, 10) {
+                    0..=4 => {
+                        // Bases have smaller indices: the graph stays acyclic.
+                        let mut ty = match rng.chance(0.6) {
+                            true => ActivityType::concrete_type(&name, "d", "wien2k"),
+                            false => ActivityType::abstract_type(&name, "d"),
+                        };
+                        for _ in 0..rng.range(0, 3).min(i) {
+                            ty = ty.extends(&format!("T{}", rng.range(0, i)));
+                        }
+                        let _ = g.register_type(site, ty, t(clock));
+                    }
+                    5 | 6 => drop(atr.set_revoked(&name, rng.chance(0.6), t(clock))),
+                    7 | 8 => {
+                        let when = rng.chance(0.7).then(|| t(clock + rng.range(1, 6)));
+                        let _ = atr.set_expiry(&name, when, t(clock));
+                    }
+                    _ => drop(g.remove_type(site, &name, t(clock))),
+                }
+                let (from_site, now) = (rng.index(3), t(clock));
+                let probe = format!("T{}", rng.range(0, NAMES + 1));
+                let registries: Vec<_> = (0..3).map(|i| g.site(i).atr.clone()).collect();
+                let served = |g: &Grid| (0..3).map(|i| g.site(i).atr.lookups_served()).collect::<Vec<_>>();
+                let (want, want_cost, visited) = cloning_walk(&g, &registries, from_site, &probe, now);
+                let want: Vec<&str> = want.iter().map(|t| t.name.as_str()).collect();
+
+                let before = served(&g);
+                let (types, cost) = g.resolve_concrete(from_site, &probe, now, ActivityType::clone);
+                let after_types = served(&g);
+                let (names, names_cost) = g.resolve_concrete(from_site, &probe, now, |t| t.name.clone());
+                let after_names = served(&g);
+                assert_eq!(types.iter().map(|t| t.name.as_str()).collect::<Vec<_>>(), want, "{probe}");
+                assert_eq!(names, want, "{probe}");
+                assert_eq!((cost, names_cost), (want_cost, want_cost), "{probe}");
+                for i in 0..3 {
+                    let once = u64::from(visited.contains(&i));
+                    assert_eq!(after_types[i] - before[i], once, "site {i} of {visited:?}");
+                    assert_eq!(after_names[i] - after_types[i], once, "site {i} of {visited:?}");
+                }
+
+                let atr = &g.site(from_site).atr;
+                let whole = atr.resolve_concrete(&probe, now);
+                let named = atr.resolve_concrete_with(&probe, now, |t| t.name.clone());
+                assert_eq!(whole.value.iter().map(|t| &t.name).collect::<Vec<_>>(), named.value.iter().collect::<Vec<_>>());
+                assert_eq!(whole.cost, named.cost);
+                assert_eq!(atr.lookups_served() - after_names[from_site], 2);
+            }
+        }
     }
 
     #[test]

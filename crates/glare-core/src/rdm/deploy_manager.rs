@@ -16,6 +16,7 @@
 //! Every phase's cost is accounted in a [`CostBreakdown`] whose rows are
 //! exactly Table 1's.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 use glare_fabric::{SimDuration, SimTime, SiteId, SpanKind, TraceContext, TraceSink};
@@ -129,17 +130,17 @@ pub fn provision(
         None,
         now,
     );
-    grid.trace.attr(root.span_id, "activity", &req.activity);
-    grid.trace.attr(root.span_id, "client", &req.client);
+    grid.trace.attr(root.span_id, "activity", req.activity.clone());
+    grid.trace.attr(root.span_id, "client", req.client.clone());
     let out = provision_inner(grid, req, now, root);
     match &out {
         Ok(o) => {
             grid.trace
-                .attr(root.span_id, "installs", &o.installs.len().to_string());
+                .attr(root.span_id, "installs", o.installs.len().to_string());
             grid.trace.close(root.span_id, now + o.total_cost);
         }
         Err(e) => {
-            grid.trace.attr(root.span_id, "error", &e.to_string());
+            grid.trace.attr(root.span_id, "error", e.to_string());
             grid.trace.close(root.span_id, now);
         }
     }
@@ -152,7 +153,8 @@ fn provision_inner(
     now: SimTime,
     root: TraceContext,
 ) -> Result<ProvisionOutcome, GlareError> {
-    let (candidates, lookup_cost) = grid.resolve_concrete(req.from_site, &req.activity, now);
+    let (candidates, lookup_cost) =
+        grid.resolve_concrete(req.from_site, &req.activity, now, ActivityType::clone);
     let mut total_cost = lookup_cost;
     if candidates.is_empty() {
         return Err(GlareError::NotFound {
@@ -165,7 +167,7 @@ fn provision_inner(
         let found = grid.deployments_anywhere(&t.name, now);
         if !found.is_empty() {
             // Cache the references at the client's local site.
-            cache_remote(grid, req.from_site, &found, now);
+            cache_remote(grid, req.from_site, found.iter().map(|(i, d)| (*i, d)), now);
             total_cost += SimDuration::from_millis(2) * found.len() as u64;
             return Ok(ProvisionOutcome {
                 deployments: found,
@@ -207,7 +209,7 @@ fn provision_inner(
     total_cost += installs.iter().map(|r| r.breakdown.total()).sum();
 
     let deployments = grid.deployments_anywhere(&target_type.name, now);
-    cache_remote(grid, req.from_site, &deployments, now);
+    cache_remote(grid, req.from_site, deployments.iter().map(|(i, d)| (*i, d)), now);
     Ok(ProvisionOutcome {
         deployments,
         installs,
@@ -217,25 +219,18 @@ fn provision_inner(
 
 /// Cache remote deployment references at a site (shared with the
 /// Request Manager).
-pub(crate) fn cache_remote(
+pub(crate) fn cache_remote<'a>(
     grid: &mut Grid,
     from_site: usize,
-    found: &[(usize, ActivityDeployment)],
+    found: impl Iterator<Item = (usize, &'a ActivityDeployment)>,
     now: SimTime,
 ) {
-    let entries: Vec<(String, ActivityDeployment, Option<glare_wsrf::EndpointReference>)> = found
-        .iter()
-        .map(|(i, d)| {
-            let origin = grid.site(*i).name.clone();
-            let epr = grid.site(*i).adr.epr_of(&d.key, now);
-            (origin, d.clone(), epr)
-        })
-        .collect();
-    for (origin, d, epr) in entries {
-        if let Some(epr) = epr {
+    for (i, d) in found {
+        if let Some(epr) = grid.site(i).adr.epr_of(&d.key, now) {
+            let origin = grid.site(i).name.clone();
             grid.site_mut(from_site)
                 .cache
-                .put_deployment(d, &origin, epr, now);
+                .put_deployment(d.clone(), &origin, epr, now);
         }
     }
 }
@@ -313,8 +308,11 @@ pub fn install_with_dependencies(
 
 /// Install one package on one site through a channel, producing the
 /// Table 1 cost rows. Records a `deploy.install` span (one child per
-/// deploy-file step) into `grid.trace`, parented under `parent`; spans
-/// left open by early error returns are closed by [`TraceSink::finish`].
+/// deploy-file step) into `grid.trace`, parented under `parent`. An early
+/// error return leaves its `deploy.install` (and `deploy.step`) span open:
+/// nothing on the `Grid` path calls [`TraceSink::finish`], so such spans
+/// stay in [`TraceSink::open_spans`] for the Grid's life and never reach
+/// `spans()` or an export.
 pub fn install_package(
     grid: &mut Grid,
     t: &ActivityType,
@@ -367,8 +365,8 @@ fn install_package_traced(
     })?;
     let site_id = Some(SiteId(site as u32));
     let span = trace.open(parent, "deploy.install", SpanKind::Service, site_id, None, now);
-    trace.attr(span.span_id, "type", &t.name);
-    trace.attr(span.span_id, "package", &spec.name);
+    trace.attr(span.span_id, "type", t.name.clone());
+    trace.attr(span.span_id, "package", spec.name.clone());
     let mut install = Install {
         t,
         site,
@@ -389,13 +387,12 @@ fn install_package_traced(
     if !grid.site(site).atr.contains(&t.name, now) {
         grid.register_type(site, t.clone(), now)?;
     }
-    install.charge(trace, |b| &mut b.type_addition, "type.register", TYPE_ADDITION_COST, &[]);
+    install.charge(trace, |b| &mut b.type_addition, "type.register", TYPE_ADDITION_COST, []);
 
     // Plan the deploy-file.
     let archive_md5 = grid.repo.md5_of(&spec.archive_url);
-    let deploy_file = DeployFile::for_package(&spec, archive_md5);
-    let env = grid.site(site).host.default_env();
-    let plan = deploy_file.plan(&env)?;
+    let deploy_file = DeployFile::for_package(spec, archive_md5);
+    let plan = deploy_file.plan(&install.session.env)?;
 
     // Execute.
     for action in &plan {
@@ -412,13 +409,13 @@ fn install_package_traced(
 
     let keys = install.register_deployments(grid, trace, &spec.name, now)?;
     let notify_cost = grid.notify_admin(site, &t.name, "activity deployed", &t.provider_contact);
-    install.charge(trace, |b| &mut b.notification, "notify.admin", notify_cost, &[]);
+    install.charge(trace, |b| &mut b.notification, "notify.admin", notify_cost, []);
     trace.close(span.span_id, install.at);
 
     Ok(InstallReport {
         type_name: t.name.clone(),
         site: install.site_name,
-        package: spec.name,
+        package: spec.name.clone(),
         channel,
         breakdown: install.breakdown,
         deployments: keys,
@@ -432,9 +429,9 @@ impl Install<'_> {
         &mut self,
         trace: &mut TraceSink,
         row: fn(&mut CostBreakdown) -> &mut SimDuration,
-        name: &str,
+        name: &'static str,
         cost: SimDuration,
-        attrs: &[(&str, String)],
+        attrs: impl IntoIterator<Item = (&'static str, Cow<'static, str>)>,
     ) {
         *row(&mut self.breakdown) += cost;
         let (parent, end) = (Some(self.span), self.at + cost);
@@ -443,10 +440,10 @@ impl Install<'_> {
     }
 
     /// Open the `deploy.step` span of a plan step at the cursor.
-    fn open_step(&self, trace: &mut TraceSink, step: &str, action: &str) -> TraceContext {
+    fn open_step(&self, trace: &mut TraceSink, step: &str, action: &'static str) -> TraceContext {
         let (parent, site) = (Some(self.span), self.site_id);
         let sspan = trace.open(parent, "deploy.step", SpanKind::Service, site, None, self.at);
-        trace.attr(sspan.span_id, "step", step);
+        trace.attr(sspan.span_id, "step", step.to_owned());
         trace.attr(sspan.span_id, "action", action);
         sspan
     }
@@ -538,13 +535,12 @@ impl Install<'_> {
         md5: Option<Md5Digest>,
     ) -> Result<(), GlareError> {
         let sspan = self.open_step(trace, action.step_name(), "transfer");
-        let (repo, link) = (grid.repo.clone(), grid.link);
         let receipt = gridftp::download_traced(
-            &repo,
+            &grid.repo,
             url,
-            &mut grid.site_mut(self.site).host,
+            &mut grid.sites[self.site].host,
             &VPath::new(destination),
-            link,
+            grid.link,
             md5,
             trace,
             Some(sspan),
@@ -656,8 +652,8 @@ impl Install<'_> {
         }
         let n = keys.len();
         let reg_cost = DEPLOYMENT_REGISTRATION_COST + SimDuration::from_millis(2) * n as u64;
-        let attrs = [("keys", n.to_string())];
-        self.charge(trace, |b| &mut b.deployment_registration, "adr.register", reg_cost, &attrs);
+        let attrs = [("keys", n.to_string().into())];
+        self.charge(trace, |b| &mut b.deployment_registration, "adr.register", reg_cost, attrs);
         Ok(keys)
     }
 }
@@ -862,6 +858,30 @@ mod tests {
             "{err}"
         );
         assert!(g.events.of_kind("deploy.step_failed").count() <= 1);
+    }
+
+    #[test]
+    fn failed_install_leaves_its_spans_open_and_later_spans_close_behind_them() {
+        let mut g = grid();
+        g.repo = glare_services::gridftp::Repository::new(); // nothing to download
+        let err = provision(&mut g, &req("Wien2k", 0), t(1)).unwrap_err();
+        assert!(matches!(err, GlareError::Transfer(_)), "{err}");
+        // The transfer's `?` returned past both closes; nothing on the Grid
+        // path calls `finish`, so the two spans stay open and unexported.
+        let open = |g: &Grid| -> Vec<String> {
+            g.trace.open_spans().iter().map(|s| s.name.to_string()).collect()
+        };
+        assert_eq!(open(&g), ["deploy.install", "deploy.step"]);
+        let stored = g.trace.len();
+        // The next request's spans open behind the stale pair and each is
+        // closed from the back of the open list: the pair is never walked,
+        // never moved, never stored.
+        let rm = crate::rdm::request_manager::RequestManager::new(true);
+        assert!(rm.list_deployments(&mut g, 1, "Wien2k", t(2)).is_err(), "nothing was deployed");
+        assert_eq!(open(&g), ["deploy.install", "deploy.step"]);
+        assert!(g.trace.len() >= stored + 4, "request, resolution, registry and cache rungs closed");
+        let stale: Vec<_> = g.trace.open_spans().iter().map(|s| s.span_id).collect();
+        assert!(g.trace.spans().iter().all(|s| !stale.contains(&s.span_id)));
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! answers from its own registry, then its cache, then the rest of the
 //! VO — caching whatever it learns.
 
+use std::borrow::Cow;
+
 use glare_fabric::{SimDuration, SimTime, SiteId, SpanKind, TraceContext};
 
 use crate::error::GlareError;
 use crate::grid::{Grid, Lost};
-use crate::model::ActivityDeployment;
+use crate::model::{ActivityDeployment, ActivityType};
 
 /// Where a discovery answer came from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,7 +83,7 @@ impl RequestManager {
         let root = grid
             .trace
             .open(None, "rdm.request", SpanKind::Request, site, None, now);
-        grid.trace.attr(root.span_id, "activity", activity);
+        grid.trace.attr(root.span_id, "activity", activity.to_owned());
         let mut lookup = Lookup {
             grid,
             use_cache: self.use_cache,
@@ -154,11 +156,11 @@ impl Lookup<'_> {
     /// Record a rung as a `name` span at `site`, from `start` to the cursor.
     fn span(
         &mut self,
-        name: &str,
+        name: &'static str,
         kind: SpanKind,
         site: usize,
         start: SimTime,
-        attrs: &[(&str, String)],
+        attrs: impl IntoIterator<Item = (&'static str, Cow<'static, str>)>,
     ) {
         let (parent, site, end) = (Some(self.root), Some(SiteId(site as u32)), self.at());
         self.grid.trace.record(parent, name, kind, site, None, start, end, attrs);
@@ -181,25 +183,25 @@ impl Lookup<'_> {
 
     /// Record a rung that stayed on the asking site as a `name` span from
     /// `start` to the cursor, saying whether it `hit`.
-    fn local_span(&mut self, name: &str, start: SimTime, hit: bool) {
-        let attrs = [("hit", if hit { "1" } else { "0" }.to_owned())];
-        self.span(name, SpanKind::Service, self.from_site, start, &attrs);
+    fn local_span(&mut self, name: &'static str, start: SimTime, hit: bool) {
+        let attrs = [("hit", if hit { "1" } else { "0" }.into())];
+        self.span(name, SpanKind::Service, self.from_site, start, attrs);
     }
 
     /// Resolve the (possibly abstract) activity to concrete type names,
     /// preferring purely local hierarchy knowledge.
     fn resolve_types(&mut self) -> Result<(), GlareError> {
         let (from_site, now) = (self.from_site, self.now);
-        let local = self.grid.site_mut(from_site).atr.resolve_concrete(self.activity, now);
-        self.cost = local.cost;
-        self.concrete = local.value.iter().map(|t| t.name.clone()).collect();
+        let name_of = |t: &ActivityType| t.name.clone();
+        let local = self.grid.site(from_site).atr.resolve_concrete_with(self.activity, now, name_of);
+        (self.concrete, self.cost) = (local.value, local.cost);
         if self.concrete.is_empty() {
-            let (types, c) = self.grid.resolve_concrete(from_site, self.activity, now);
+            let (names, c) = self.grid.resolve_concrete(from_site, self.activity, now, name_of);
             self.cost += c;
-            self.concrete = types.into_iter().map(|t| t.name).collect();
+            self.concrete = names;
         }
-        let attrs = [("concrete", self.concrete.len().to_string())];
-        self.span("resolve.types", SpanKind::Compute, from_site, now, &attrs);
+        let attrs = [("concrete", self.concrete.len().to_string().into())];
+        self.span("resolve.types", SpanKind::Compute, from_site, now, attrs);
         if self.concrete.is_empty() {
             return Err(GlareError::NotFound {
                 what: format!("concrete type for {}", self.activity),
@@ -283,24 +285,23 @@ impl Lookup<'_> {
         self.cost += lost.elapsed;
         if !reached {
             self.probes_exhausted = true;
-            let attrs = [("peer", peer.to_string()), ("hit", "unreachable".to_owned())];
-            self.span("probe.remote", SpanKind::Network, peer, start, &attrs);
+            let attrs = [("peer", peer.to_string().into()), ("hit", "unreachable".into())];
+            self.span("probe.remote", SpanKind::Network, peer, start, attrs);
             return None;
         }
         self.cost += rtt;
         let hit = self.registry_hit(peer);
-        let hit_attr = if hit.is_empty() { "0" } else { "1" }.to_owned();
-        let attrs = [("peer", peer.to_string()), ("hit", hit_attr)];
-        self.span("probe.remote", SpanKind::Network, peer, start, &attrs);
+        let hit_attr = if hit.is_empty() { "0" } else { "1" };
+        let attrs = [("peer", peer.to_string().into()), ("hit", hit_attr.into())];
+        self.span("probe.remote", SpanKind::Network, peer, start, attrs);
         if hit.is_empty() {
             return None;
         }
         // Cache what we learned (§3.1: "a resource discovered from a
         // remote registry is optionally cached locally").
         if self.use_cache {
-            let found: Vec<(usize, ActivityDeployment)> =
-                hit.iter().map(|d| (peer, d.clone())).collect();
-            super::deploy_manager::cache_remote(self.grid, self.from_site, &found, self.now);
+            let found = hit.iter().map(|d| (peer, d));
+            super::deploy_manager::cache_remote(self.grid, self.from_site, found, self.now);
         }
         Some(self.found(hit, DiscoverySource::RemoteSite(peer), None))
     }

@@ -6,11 +6,9 @@
 //! formatted for a log that is off would show here as bytes.
 //!
 //! The test owns its binary because it installs a counting global
-//! allocator; the tally is per thread, so the harness's own threads do not
-//! disturb it.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! allocator (`crates/fabric/tests/support/counting_alloc.rs`, shared with
+//! the other allocation pins); the tally is per thread, so the harness's own
+//! threads do not disturb it.
 
 use glare_core::admission::TenantClass;
 use glare_core::model::example_hierarchy;
@@ -19,44 +17,15 @@ use glare_fabric::{
     Actor, ActorId, Ctx, Envelope, SimDuration, SimTime, Simulation, SiteId, TimerToken,
 };
 
-thread_local! {
-    /// `(allocations, bytes requested, bytes freed)` by this thread.
-    static TALLY: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the tally is a `Cell` of plain integers with no
-// destructor, so touching it allocates nothing and cannot re-enter.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = TALLY.try_with(|t| {
-            let (n, bytes, freed) = t.get();
-            t.set((n + 1, bytes + layout.size() as u64, freed));
-        });
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = TALLY.try_with(|t| {
-            let (n, bytes, freed) = t.get();
-            t.set((n, bytes, freed + layout.size() as u64));
-        });
-        // SAFETY: `ptr` came from `System.alloc` above with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+#[path = "../../fabric/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::tally;
 
 /// `(allocations, bytes requested, bytes freed)` while `sim` runs to `until`.
 fn spent(sim: &mut Simulation, until: SimTime) -> (u64, u64, u64) {
-    let before = TALLY.with(Cell::get);
+    let before = tally();
     sim.run_until(until);
-    let after = TALLY.with(Cell::get);
+    let after = tally();
     (after.0 - before.0, after.1 - before.1, after.2 - before.2)
 }
 

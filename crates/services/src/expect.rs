@@ -186,9 +186,9 @@ pub fn run_expect_traced(
         None,
         at,
         at + out.result.cost,
-        &[
-            ("command", command.to_owned()),
-            ("interactions", out.interactions.to_string()),
+        [
+            ("command", command.to_owned().into()),
+            ("interactions", out.interactions.to_string().into()),
         ],
     );
     Ok(out)

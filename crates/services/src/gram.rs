@@ -138,7 +138,7 @@ impl GramService {
             None,
             at,
             at + overhead,
-            &[("job", id.to_string()), ("executable", executable)],
+            [("job", id.to_string().into()), ("executable", executable.into())],
         );
         Ok((id, overhead))
     }

@@ -8,6 +8,7 @@
 //! destination site's [`crate::vfs::Vfs`].
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use glare_fabric::topology::LinkSpec;
 use glare_fabric::{SimDuration, SimTime, SpanKind, TraceContext, TraceSink};
@@ -28,8 +29,9 @@ pub struct Artifact {
     pub bytes: u64,
     /// Representative content (digested for md5 checks).
     pub content: Vec<u8>,
-    /// Package this artifact contains, if it is a package archive.
-    pub package: Option<PackageSpec>,
+    /// Package this artifact contains, if it is a package archive (shared
+    /// with every host the archive is downloaded to).
+    pub package: Option<Arc<PackageSpec>>,
 }
 
 impl Artifact {
@@ -40,9 +42,13 @@ impl Artifact {
 }
 
 /// URL-addressed artifact store (the outside world's download servers).
+///
+/// Clones share one map until one of them publishes (copy-on-`publish`),
+/// so handing every VO the catalog costs a reference count.
 #[derive(Clone, Debug, Default)]
 pub struct Repository {
-    artifacts: HashMap<String, Artifact>,
+    /// URL -> the artifact and its digest, taken when it was published.
+    artifacts: Arc<HashMap<String, (Artifact, Md5Digest)>>,
 }
 
 impl Repository {
@@ -53,40 +59,46 @@ impl Repository {
 
     /// Host an artifact at a URL.
     pub fn publish(&mut self, url: impl Into<String>, artifact: Artifact) {
-        self.artifacts.insert(url.into(), artifact);
+        let digest = artifact.digest();
+        Arc::make_mut(&mut self.artifacts).insert(url.into(), (artifact, digest));
     }
 
     /// Host a package archive at its canonical URL; content is synthesized
     /// from the package identity so digests are stable.
-    pub fn publish_package(&mut self, spec: &PackageSpec) {
+    pub fn publish_package(&mut self, spec: Arc<PackageSpec>) {
         let content = format!("tgz:{}:{}", spec.name, spec.version).into_bytes();
         self.publish(
             spec.archive_url.clone(),
             Artifact {
                 bytes: spec.archive_bytes,
                 content,
-                package: Some(spec.clone()),
+                package: Some(spec),
             },
         );
     }
 
-    /// Publish the whole built-in catalog.
+    /// The whole built-in catalog, published: built on first use, a clone
+    /// of that one repository ever after.
     pub fn with_catalog() -> Repository {
-        let mut r = Repository::new();
-        for p in crate::packages::catalog() {
-            r.publish_package(&p);
-        }
-        r
+        static CATALOG: OnceLock<Repository> = OnceLock::new();
+        let published = CATALOG.get_or_init(|| {
+            let mut r = Repository::new();
+            for p in crate::packages::shared_catalog() {
+                r.publish_package(Arc::clone(p));
+            }
+            r
+        });
+        published.clone()
     }
 
     /// Look up an artifact.
     pub fn get(&self, url: &str) -> Option<&Artifact> {
-        self.artifacts.get(url)
+        self.artifacts.get(url).map(|(artifact, _)| artifact)
     }
 
     /// Expected md5 for a URL (what a provider writes into a deploy-file).
     pub fn md5_of(&self, url: &str) -> Option<Md5Digest> {
-        self.get(url).map(Artifact::digest)
+        self.artifacts.get(url).map(|&(_, digest)| digest)
     }
 }
 
@@ -158,8 +170,7 @@ pub fn download(
 ) -> Result<TransferReceipt, TransferError> {
     let artifact = repo
         .get(url)
-        .ok_or_else(|| TransferError::NotFound(url.to_owned()))?
-        .clone();
+        .ok_or_else(|| TransferError::NotFound(url.to_owned()))?;
     let cost = TRANSFER_SETUP_COST + link.transfer_time(artifact.bytes);
     let actual = artifact.digest();
     if let Some(expected) = expected_md5 {
@@ -186,8 +197,8 @@ pub fn download(
             },
         )
         .map_err(|_| TransferError::WriteFailed(dst.to_string()))?;
-    if let Some(pkg) = artifact.package {
-        host.register_archive(dst.clone(), pkg);
+    if let Some(pkg) = &artifact.package {
+        host.register_archive(dst.clone(), Arc::clone(pkg));
     }
     Ok(TransferReceipt {
         bytes: artifact.bytes,
@@ -220,9 +231,9 @@ pub fn download_traced(
         None,
         at,
         at + receipt.cost,
-        &[
-            ("url", url.to_owned()),
-            ("bytes", receipt.bytes.to_string()),
+        [
+            ("url", url.to_owned().into()),
+            ("bytes", receipt.bytes.to_string().into()),
         ],
     );
     Ok(receipt)
@@ -339,6 +350,58 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, TransferError::ChecksumMismatch { .. }));
         assert!(!h.vfs.is_file(&VPath::new("/tmp/x.tgz")), "nothing written");
+    }
+
+    /// The shared repository answers what one published by hand would, a
+    /// `publish` on one handle of it (a new URL or a catalog one, random
+    /// content) is seen by that handle only, and the transfer still checks
+    /// what it received against the digest it was given.
+    #[test]
+    fn shared_repository_is_copy_on_publish_and_transfers_still_verify() {
+        use glare_fabric::SimRng;
+
+        let catalog = packages::catalog();
+        let mut by_hand = Repository::new();
+        for p in &catalog {
+            by_hand.publish_package(Arc::new(p.clone()));
+        }
+        for p in &catalog {
+            let shared = Repository::with_catalog();
+            let artifact = shared.get(&p.archive_url).expect("published");
+            assert_eq!(shared.md5_of(&p.archive_url), Some(Md5Digest::of(&artifact.content)));
+            assert_eq!(shared.md5_of(&p.archive_url), by_hand.md5_of(&p.archive_url));
+            assert_eq!(artifact.package.as_deref(), Some(p));
+        }
+
+        let mut rng = SimRng::from_seed(0x23_F7B);
+        for round in 0..40 {
+            let mut mine = Repository::with_catalog();
+            let other = Repository::with_catalog();
+            let url = match rng.chance(0.5) {
+                true => catalog[rng.index(catalog.len())].archive_url.clone(),
+                false => format!("http://repo.example/dist/extra-{round}.tgz"),
+            };
+            let before = other.md5_of(&url);
+            let mut content = vec![0u8; rng.range(1, 64) as usize];
+            rng.fill_bytes(&mut content);
+            let artifact = Artifact { bytes: content.len() as u64, content: content.clone(), package: None };
+            mine.publish(url.clone(), artifact);
+            let published = Md5Digest::of(&content);
+            assert_eq!(mine.md5_of(&url), Some(published), "the digest is taken at publish");
+            assert_eq!(other.md5_of(&url), before, "another handle does not see it");
+            assert_eq!(Repository::with_catalog().md5_of(&url), before, "nor does the next one");
+
+            let (mut h, dst) = (host("s0"), VPath::new("/tmp/got.tgz"));
+            let mut wrong = [0u8; 16];
+            rng.fill_bytes(&mut wrong);
+            let expected = Md5Digest::of(&wrong);
+            let err = download(&mine, &url, &mut h, &dst, fast_link(), Some(expected)).unwrap_err();
+            assert_eq!(err, TransferError::ChecksumMismatch { url: url.clone(), expected, actual: published });
+            assert!(!h.vfs.is_file(&dst), "nothing written");
+            let receipt = download(&mine, &url, &mut h, &dst, fast_link(), mine.md5_of(&url)).unwrap();
+            assert!(receipt.verified);
+            assert_eq!(h.vfs.read_file(&dst).unwrap().content, content);
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! ground truth the Activity Deployment Registry publishes.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use glare_fabric::topology::Platform;
 
@@ -50,9 +51,9 @@ pub struct SiteHost {
     /// Virtual filesystem.
     pub vfs: Vfs,
     /// Archive files on disk known to contain a package.
-    archives: HashMap<VPath, PackageSpec>,
+    archives: HashMap<VPath, Arc<PackageSpec>>,
     /// Unpacked package directories and their build state.
-    package_dirs: HashMap<VPath, (PackageSpec, BuildState)>,
+    package_dirs: HashMap<VPath, (Arc<PackageSpec>, BuildState)>,
     /// Completed installations by package name.
     installed: HashMap<String, InstallRecord>,
     /// Services running in the WSRF container.
@@ -97,27 +98,27 @@ impl SiteHost {
 
     /// Record that the file at `path` is the archive of `spec` (set when a
     /// transfer writes it).
-    pub fn register_archive(&mut self, path: VPath, spec: PackageSpec) {
-        self.archives.insert(path, spec);
+    pub fn register_archive(&mut self, path: VPath, spec: impl Into<Arc<PackageSpec>>) {
+        self.archives.insert(path, spec.into());
     }
 
     /// Look up the package an archive contains.
-    pub fn archive_package(&self, path: &VPath) -> Option<&PackageSpec> {
+    pub fn archive_package(&self, path: &VPath) -> Option<&Arc<PackageSpec>> {
         self.archives.get(path)
     }
 
     /// Record an unpacked package directory.
-    pub fn register_package_dir(&mut self, dir: VPath, spec: PackageSpec) {
+    pub fn register_package_dir(&mut self, dir: VPath, spec: Arc<PackageSpec>) {
         self.package_dirs.insert(dir, (spec, BuildState::default()));
     }
 
     /// Package + build state of a directory.
-    pub fn package_dir(&self, dir: &VPath) -> Option<&(PackageSpec, BuildState)> {
+    pub fn package_dir(&self, dir: &VPath) -> Option<&(Arc<PackageSpec>, BuildState)> {
         self.package_dirs.get(dir)
     }
 
     /// Mutable build state of a directory.
-    pub fn package_dir_mut(&mut self, dir: &VPath) -> Option<&mut (PackageSpec, BuildState)> {
+    pub fn package_dir_mut(&mut self, dir: &VPath) -> Option<&mut (Arc<PackageSpec>, BuildState)> {
         self.package_dirs.get_mut(dir)
     }
 

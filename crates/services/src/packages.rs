@@ -10,6 +10,8 @@
 //! calibrated so the *shape* of Table 1 (which phase dominates, which
 //! application is heaviest) matches the paper.
 
+use std::sync::{Arc, OnceLock};
+
 use glare_fabric::SimDuration;
 
 /// How a package's payload gets turned into a runnable deployment.
@@ -38,7 +40,7 @@ pub struct InstallPrompt {
 }
 
 /// Full description of a deployable application package.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct PackageSpec {
     /// Package/activity name (e.g. `"povray"`).
     pub name: String,
@@ -91,23 +93,26 @@ impl PackageSpec {
     }
 }
 
-/// The built-in catalog of packages used by examples, tests and Table 1.
+/// The built-in catalog of packages used by examples, tests and Table 1,
+/// as an owned copy.
 pub fn catalog() -> Vec<PackageSpec> {
-    vec![
-        jdk(),
-        ant(),
-        povray(),
-        jpovray(),
-        wien2k(),
-        invmod(),
-        counter(),
-        vizkit(),
-    ]
+    shared_catalog().iter().map(|p| PackageSpec::clone(p)).collect()
+}
+
+/// The catalog every lookup, repository and host of the process shares:
+/// built on first use and never invalidated, because the catalog is code.
+pub(crate) fn shared_catalog() -> &'static [Arc<PackageSpec>] {
+    static CATALOG: OnceLock<Vec<Arc<PackageSpec>>> = OnceLock::new();
+    CATALOG.get_or_init(|| {
+        [jdk(), ant(), povray(), jpovray(), wien2k(), invmod(), counter(), vizkit()]
+            .map(Arc::new)
+            .into()
+    })
 }
 
 /// Look up a catalog package by name.
-pub fn by_name(name: &str) -> Option<PackageSpec> {
-    catalog().into_iter().find(|p| p.name == name)
+pub fn by_name(name: &str) -> Option<&'static PackageSpec> {
+    shared_catalog().iter().find(|p| p.name == name).map(|p| &**p)
 }
 
 /// Sun JDK 1.4-era runtime+compiler: big archive, no build.
@@ -301,6 +306,18 @@ mod tests {
             assert!(by_name(&p.name).is_some(), "{}", p.name);
         }
         assert!(by_name("nope").is_none());
+    }
+
+    #[test]
+    fn shared_catalog_equals_a_fresh_build() {
+        let fresh = [jdk(), ant(), povray(), jpovray(), wien2k(), invmod(), counter(), vizkit()];
+        assert_eq!(catalog(), fresh);
+        for p in &fresh {
+            assert_eq!(by_name(&p.name), Some(p));
+        }
+        let shared = shared_catalog();
+        assert!(std::ptr::eq(shared, shared_catalog()), "built once");
+        assert!(shared.iter().zip(&fresh).all(|(a, b)| **a == *b));
     }
 
     #[test]

@@ -61,9 +61,9 @@ impl VPath {
 
     /// Whether `self` is `other` or inside it.
     pub fn starts_with(&self, other: &VPath) -> bool {
-        self == other
-            || (other.0 == "/" && self.0.starts_with('/'))
-            || self.0.starts_with(&format!("{}/", other.0))
+        self.0
+            .strip_prefix(other.as_str())
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/') || other.0 == "/")
     }
 }
 

@@ -121,7 +121,11 @@ impl XPath {
                 apply_predicates(&step.predicates, &mut matched);
                 next.extend(matched);
             }
-            dedup_by_identity(&mut next);
+            // One context node reaches each node at most once; only several
+            // can reach the same node twice (`//a//b` under nested `a`s).
+            if current.len() > 1 {
+                dedup_by_identity(&mut next);
+            }
             current = next;
             first = false;
         }
@@ -609,6 +613,10 @@ mod tests {
         // '//' from the root visits every node once; '//*' must not repeat.
         let all = XPath::compile("//*").unwrap().select(&d);
         assert_eq!(all.len(), d.subtree_size());
+        // Two nested context nodes (the registry and an entry) both reach
+        // the entry's deployments: this step still needs the dedup.
+        let twice = XPath::compile("//*//Deployment").unwrap().select(&d);
+        assert_eq!(twice.len(), 2);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 #      parameters (health, chaos, scale, load, autonomic, grayfail), same-seed
 #      byte identity and the disabled == absent event digests are unit tests
 #      of `crates/bench` (CHANGES.md, PR 18, maps every former shell gate to
-#      its test)
+#      its test); the allocation pins run here too, each its own test binary
+#      with the counting allocator of crates/fabric/tests/support/:
+#      fabric's steady_state_allocations, glare-core's probe_visit_allocations
+#      and grid_request_allocations
 #   3. clippy with warnings promoted to errors
 #   4. rustdoc with warnings promoted to errors
 #   5. the cross-commit oracle run twice on this commit: every harness binary

@@ -13,7 +13,7 @@ const OVER: [(&str, usize); 7] = [
     ("fabric/src/sim.rs", 1394),
     ("bench/src/chaos.rs", 980),
     ("fabric/src/metrics.rs", 1009),
-    ("glare-core/src/grid.rs", 903),
+    ("glare-core/src/grid.rs", 902),
     ("bench/src/autonomic.rs", 851),
     ("bench/src/health.rs", 824),
     ("glare-core/src/durable.rs", 829),

@@ -3,8 +3,8 @@
 //!
 //! A bin takes what it knows out of [`Args`] — bare flags with
 //! [`Args::flag`], validated values with [`Args::value`] / [`Args::set`]
-//! / [`Args::set_list`] — and then calls [`Args::finish`], which rejects
-//! whatever is left. The first problem (missing value, value its
+//! / [`Args::set_list`] / [`Args::per_mille`] — and then calls
+//! [`Args::finish`], which rejects whatever is left. The first problem (missing value, value its
 //! predicate rejects, unknown argument) is kept and reported there, so a
 //! typo can no longer run the default scenario and exit 0.
 
@@ -65,6 +65,13 @@ impl Args {
         ok: impl Fn(&T) -> bool,
     ) -> Option<T> {
         self.take(name, expects, |v| v.parse().ok().filter(&ok))
+    }
+
+    /// Take `name N`, a share given in per-mille (an integer 0..=1000), as
+    /// the probability `N / 1000`.
+    pub fn per_mille(&mut self, name: &str) -> Option<f64> {
+        let n = self.value(name, "an integer 0..=1000 (per-mille)", |&n: &u32| n <= 1000)?;
+        Some(f64::from(n) / 1000.0)
     }
 
     /// [`Args::value`] into `slot`, which keeps its value when `name`
@@ -192,6 +199,18 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn per_mille_is_a_probability_or_an_error() {
+        assert_eq!(args("--loss 50").per_mille("--loss"), Some(0.05));
+        assert_eq!(args("--loss 1000").per_mille("--loss"), Some(1.0));
+        let mut a = args("--loss 5000");
+        assert_eq!(a.per_mille("--loss"), None);
+        assert_eq!(
+            a.finish(),
+            Err("--loss expects an integer 0..=1000 (per-mille), got `5000`".into())
+        );
     }
 
     #[test]

@@ -30,13 +30,14 @@ use std::collections::HashSet;
 
 use glare_core::autonomic::{
     publish_replica_gauges, ActionKind, ActionOutcome, AutonomicConfig, PlacementController,
-    TelemetrySnapshot, DEMAND_FAMILY, LOAD_FAMILY,
+    TelemetrySnapshot, COOLDOWN, DEMAND_FAMILY, LOAD_FAMILY, MAX_ACTIONS_PER_ROUND,
+    MAX_TARGET_LOAD, MIN_REPLICAS,
 };
 use glare_core::grid::Grid;
 use glare_core::model::ActivityType;
 use glare_core::rdm::install_with_dependencies;
 use glare_fabric::store::fnv1a;
-use glare_fabric::{percentile, Labels, SimTime, StoreConfig, DEFAULT_GAUGE_WINDOW};
+use glare_fabric::{percentile, Labels, SimTime, StoreConfig};
 use glare_services::{ChannelKind, Transport};
 use glare_workload::{ArrivalStream, WorkloadSpec};
 
@@ -141,11 +142,7 @@ impl Default for AutonomicParams {
                 enabled: true,
                 hot_per_replica_hz: 60.0,
                 cold_per_replica_hz: 12.0,
-                min_replicas: 1,
                 max_replicas: 6,
-                cooldown: glare_fabric::SimDuration::from_secs(10),
-                max_actions_per_round: 2,
-                max_target_load: 0.75,
             },
         }
     }
@@ -395,7 +392,7 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
         if t == p.crash_victim_at_secs {
             for (name, _) in CATALOGUE.iter().rev() {
                 let sites = live_replica_sites(&grid, name, now);
-                if sites.len() as u32 <= p.cfg.min_replicas {
+                if sites.len() as u32 <= MIN_REPLICAS {
                     if let Some(&s) = sites.first() {
                         victim_site = s;
                         break;
@@ -405,7 +402,7 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
             for (name, _) in CATALOGUE {
                 let sites = live_replica_sites(&grid, name, now);
                 let survivors = sites.iter().filter(|&&s| s != victim_site).count();
-                if !sites.is_empty() && survivors < p.cfg.min_replicas as usize {
+                if !sites.is_empty() && survivors < MIN_REPLICAS as usize {
                     crash_lost.push((*name).to_owned());
                     crash_recovered_at.insert((*name).to_owned(), None);
                 }
@@ -423,11 +420,7 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
         }
         for (a, (name, _)) in CATALOGUE.iter().enumerate() {
             grid.metrics
-                .gauge(
-                    DEMAND_FAMILY,
-                    &Labels::of(&[("activity", name)]),
-                    DEFAULT_GAUGE_WINDOW,
-                )
+                .gauge(DEMAND_FAMILY, &Labels::of(&[("activity", name)]))
                 .set(now, demand_hz[a]);
         }
 
@@ -496,7 +489,7 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
             // replica count is back at the floor.
             if let Some((name, _)) = CATALOGUE.get(a) {
                 if let Some(slot @ None) = crash_recovered_at.get_mut(*name) {
-                    if sites.len() as u32 >= p.cfg.min_replicas {
+                    if sites.len() as u32 >= MIN_REPLICAS {
                         *slot = Some(t);
                     }
                 }
@@ -553,7 +546,7 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
                                     let live =
                                         live_replica_sites(&grid, &rec.action.type_name, now)
                                             .len() as u32;
-                                    if live < p.cfg.min_replicas {
+                                    if live < MIN_REPLICAS {
                                         violations.push(format!(
                                             "t={t}: retire of {} broke the replica floor",
                                             rec.action.type_name
@@ -743,11 +736,11 @@ impl AutonomicReport {
                     ("mode", Json::from(p.mode.label())),
                     ("hot_per_replica_hz", Json::from(p.cfg.hot_per_replica_hz)),
                     ("cold_per_replica_hz", Json::from(p.cfg.cold_per_replica_hz)),
-                    ("min_replicas", Json::from(u64::from(p.cfg.min_replicas))),
+                    ("min_replicas", Json::from(u64::from(MIN_REPLICAS))),
                     ("max_replicas", Json::from(u64::from(p.cfg.max_replicas))),
-                    ("cooldown_secs", Json::from(p.cfg.cooldown.as_nanos() / 1_000_000_000)),
-                    ("max_actions_per_round", Json::from(p.cfg.max_actions_per_round)),
-                    ("max_target_load", Json::from(p.cfg.max_target_load)),
+                    ("cooldown_secs", Json::from(COOLDOWN.as_nanos() / 1_000_000_000)),
+                    ("max_actions_per_round", Json::from(MAX_ACTIONS_PER_ROUND)),
+                    ("max_target_load", Json::from(MAX_TARGET_LOAD)),
                 ]),
             ),
             (

@@ -10,8 +10,9 @@
 //!   `glare_cache_hit_ratio`).
 //! * `--sites N` / `--clients N` / `--queries N` / `--seed N` — scenario
 //!   overrides (defaults: 5 sites, 15 clients, 12 queries, seed 4711).
-//! * `--loss N`  — drop N per-mille of overlay messages (default 0), so
-//!   the per-site dropped-by-loss column shows a degraded network.
+//! * `--loss N`  — drop N per-mille of overlay messages (0..=1000,
+//!   default 0), so the per-site dropped-by-loss column shows a degraded
+//!   network.
 //! * `--tenants N` — attach N multi-tenant load lanes (classes cycle
 //!   gold/silver/best-effort) behind a tiny bounded inbox at site 0, so
 //!   the report grows per-class admitted/shed/retry-after columns.
@@ -41,8 +42,8 @@ fn main() {
     args.set(&mut p.clients, "--clients", "an integer", |_| true);
     args.set(&mut p.queries_per_client, "--queries", "an integer", |_| true);
     args.set(&mut p.seed, "--seed", "an integer", |_| true);
-    if let Some(n) = args.value("--loss", "an integer (per-mille)", |_: &u64| true) {
-        p.loss = n as f64 / 1000.0;
+    if let Some(loss) = args.per_mille("--loss") {
+        p.loss = loss;
     }
     args.set(&mut p.tenants, "--tenants", "an integer", |_| true);
     p.gray |= args.flag("--gray");

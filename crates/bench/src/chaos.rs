@@ -44,7 +44,7 @@ use glare_core::rdm::{provision, ProvisionRequest};
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
 use glare_core::{GlareNode, RetryPolicy, Role};
 use glare_fabric::{
-    percentile, ActorId, FaultPlan, MetricsRegistry, NetworkConfig, SimDuration, SimRng, SimTime,
+    percentile, ActorId, FaultPlan, MetricsRegistry, SimDuration, SimRng, SimTime,
     SiteId, StoreConfig, DEFAULT_MAX_EVENTS,
 };
 use glare_services::{ChannelKind, Transport};
@@ -435,7 +435,7 @@ fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
     // amnesia-faithful crashes whose restarts replay the journal and
     // anti-entropy-rejoin, feeding the recovery-time percentiles.
     sim.enable_store(StoreConfig::standard());
-    sim.set_network_config(NetworkConfig { drop_probability: loss });
+    sim.set_drop_probability(loss);
     // One deliberately worse link, exercising the per-link override.
     sim.set_link_drop_probability(SiteId(1), SiteId(2), Some((loss * 3.0).min(0.5)));
 
@@ -481,7 +481,7 @@ fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
 
     // Heal: stop losing messages and let two clean election cycles run,
     // then check the convergence invariants.
-    sim.set_network_config(NetworkConfig { drop_probability: 0.0 });
+    sim.set_drop_probability(0.0);
     sim.set_link_drop_probability(SiteId(1), SiteId(2), None);
     let end = t(h) + d(300);
     sim.run_until(end);

@@ -322,9 +322,7 @@ pub fn run_overlay_with_tenants(
         sim.enable_tracing(glare_fabric::trace::DEFAULT_MAX_SPANS);
     }
     if p.loss > 0.0 {
-        sim.set_network_config(glare_fabric::NetworkConfig {
-            drop_probability: p.loss,
-        });
+        sim.set_drop_probability(p.loss);
     }
     let horizon = SimTime::from_secs(p.horizon_secs);
     sim.enable_load_sampling(horizon);

@@ -67,7 +67,7 @@ impl EventRecord {
             "{{\"seq\":{},\"t_ns\":{},\"kind\":\"{}\",\"site\":",
             self.seq,
             self.time.as_nanos(),
-            escape(&self.kind)
+            json_escape(&self.kind)
         );
         match self.site {
             Some(s) => {
@@ -75,14 +75,14 @@ impl EventRecord {
             }
             None => out.push_str("null"),
         }
-        let _ = write!(out, ",\"component\":\"{}\",\"fields\":{{", escape(&self.component));
+        let _ = write!(out, ",\"component\":\"{}\",\"fields\":{{", json_escape(&self.component));
         let mut first = true;
         for (k, v) in &self.fields {
             if !first {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":\"{}\"", escape(k), escape(v));
+            let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
         }
         out.push_str("}}");
         out
@@ -198,7 +198,9 @@ impl EventLog {
     }
 }
 
-fn escape(s: &str) -> String {
+/// `s` as the body of a JSON string literal (no surrounding quotes): the
+/// one escaper behind every `*.jsonl`, `snapshot_json` and `BENCH_*.json`.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -132,18 +132,6 @@ impl FaultPlan {
         self
     }
 
-    /// Torn-tail crash then restart after `downtime`.
-    pub fn outage_torn(
-        self,
-        at: SimTime,
-        site: SiteId,
-        downtime: SimDuration,
-        torn_records: usize,
-    ) -> Self {
-        self.crash_torn(at, site, torn_records)
-            .restart(at + downtime, site)
-    }
-
     /// Add a partition window.
     pub fn partition(mut self, from: SimTime, until: SimTime, a: SiteId, b: SiteId) -> Self {
         assert!(from < until, "partition window must be non-empty");

@@ -43,7 +43,7 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use events::{EventLog, EventRecord, DEFAULT_MAX_EVENTS};
+pub use events::{json_escape, EventLog, EventRecord, DEFAULT_MAX_EVENTS};
 pub use fault::{Fault, FaultPlan};
 pub use metrics::{
     percentile, Counter, CounterId, GaugeBucket, GaugeId, Histogram, Labels, MetricsRegistry,
@@ -51,7 +51,7 @@ pub use metrics::{
 };
 pub use queue::{CalendarQueue, EventKey, EventPool, EventQueue, SchedulerKind};
 pub use rng::SimRng;
-pub use sim::{Actor, ActorId, Ctx, Envelope, Msg, NetworkConfig, Simulation, TimerToken};
+pub use sim::{Actor, ActorId, Ctx, Envelope, Msg, Simulation, TimerToken};
 pub use site::{SiteRuntime, TicketEpoch, WorkTicket};
 pub use store::{JournalRecord, RecoveredState, SiteStore, Snapshot, StoreConfig, StoreStats};
 pub use time::{SimDuration, SimTime};

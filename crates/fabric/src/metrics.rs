@@ -31,9 +31,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::events::json_escape;
 use crate::time::{SimDuration, SimTime};
 
-/// Default bucket width for windowed gauges published by the fabric.
+/// Bucket width of every windowed gauge a [`MetricsRegistry`] creates. Fixed:
+/// each recorder passed this value, and a snapshot prints it as `window_ms`.
 pub const DEFAULT_GAUGE_WINDOW: SimDuration = SimDuration::from_secs(60);
 
 /// A monotonically increasing event count.
@@ -590,32 +592,19 @@ impl MetricsRegistry {
         entries_of(&self.labeled_histograms, &self.histogram_store, family)
     }
 
-    /// Get or create the windowed gauge `labels` inside family `family`.
-    ///
-    /// The first call fixes the bucket window for that instrument; later
-    /// calls must pass the same window.
-    pub fn gauge(&mut self, family: &str, labels: &Labels, window: SimDuration) -> &mut WindowedGauge {
-        let id = self.gauge_id(family, labels, window);
+    /// Get or create the windowed gauge `labels` inside family `family`,
+    /// bucketed over [`DEFAULT_GAUGE_WINDOW`].
+    pub fn gauge(&mut self, family: &str, labels: &Labels) -> &mut WindowedGauge {
+        let id = self.gauge_id(family, labels);
         self.gauge_at(id)
     }
 
     /// Handle of the windowed gauge `labels` inside family `family`,
-    /// created over `window` when absent; an existing gauge must have been
-    /// created over the same window.
-    pub fn gauge_id(&mut self, family: &str, labels: &Labels, window: SimDuration) -> GaugeId {
-        let i = resolve_labeled(
-            &mut self.gauges,
-            &mut self.gauge_store,
-            family,
-            labels,
-            || WindowedGauge::new(window),
-        );
-        assert_eq!(
-            self.gauge_store[i as usize].window(),
-            window,
-            "gauge window changed for {family}"
-        );
-        GaugeId(i)
+    /// created over [`DEFAULT_GAUGE_WINDOW`] when absent.
+    pub fn gauge_id(&mut self, family: &str, labels: &Labels) -> GaugeId {
+        GaugeId(resolve_labeled(&mut self.gauges, &mut self.gauge_store, family, labels, || {
+            WindowedGauge::new(DEFAULT_GAUGE_WINDOW)
+        }))
     }
 
     /// The gauge `id` was resolved to.
@@ -975,24 +964,6 @@ fn opt_f64(v: Option<f64>) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn push_entries<I, T>(out: &mut String, iter: I, mut f: impl FnMut(&mut String, T))
 where
     I: Iterator<Item = T>,
@@ -1185,12 +1156,8 @@ mod tests {
                 .inc();
             m.histogram_labeled("glare_probe_latency_ms", &Labels::of(&[("site", "site0")]))
                 .record(SimDuration::from_millis(12));
-            m.gauge(
-                "glare_site_load1m",
-                &Labels::of(&[("site", "site0")]),
-                SimDuration::from_secs(60),
-            )
-            .set(SimTime::from_secs(30), 0.5);
+            m.gauge("glare_site_load1m", &Labels::of(&[("site", "site0")]))
+                .set(SimTime::from_secs(30), 0.5);
             m
         };
         let a = build().expose_prometheus();
@@ -1219,7 +1186,6 @@ mod tests {
         let mut m = MetricsRegistry::new();
         let s0 = Labels::of(&[("site", "site0")]);
         let s1 = Labels::of(&[("site", "site1")]);
-        let window = SimDuration::from_secs(60);
         for round in 1..=3u64 {
             m.counter("site0.cache.hits").add(round);
             m.histogram("lat").record(SimDuration::from_millis(round));
@@ -1228,7 +1194,7 @@ mod tests {
             m.counter_labeled("glare_requests_total", &s0).add(round);
             m.histogram_labeled("glare_probe_latency_ms", &s0)
                 .record(SimDuration::from_millis(10 * round));
-            m.gauge("glare_inbox_occupancy", &s0, window)
+            m.gauge("glare_inbox_occupancy", &s0)
                 .set(SimTime::from_secs(round), round as f64);
         }
         assert_eq!(m.counter_names().collect::<Vec<_>>(), ["site0.cache.hits"]);
@@ -1273,7 +1239,6 @@ mod tests {
     #[test]
     fn records_by_handle_equal_records_by_name() {
         use crate::rng::SimRng;
-        let window = SimDuration::from_secs(60);
         let names = ["net.msgs_sent", "glare.requests", "site3.cache.hits", "a"];
         let families = ["glare_cache_hits_total", "glare_requests_total"];
         let gauge_families = ["glare_inbox_occupancy", "glare_cache_hit_ratio"];
@@ -1317,16 +1282,16 @@ mod tests {
                         let (f, l) = (rng.index(gauge_families.len()), rng.index(sets.len()));
                         let now = SimTime::from_secs(step);
                         by_name
-                            .gauge(gauge_families[f], &sets[l], window)
+                            .gauge(gauge_families[f], &sets[l])
                             .set(now, n as f64);
                         if by_handle {
                             let id = *gauges[f][l].get_or_insert_with(|| {
-                                mixed.gauge_id(gauge_families[f], &sets[l], window)
+                                mixed.gauge_id(gauge_families[f], &sets[l])
                             });
                             mixed.gauge_at(id).set(now, n as f64);
                         } else {
                             mixed
-                                .gauge(gauge_families[f], &sets[l], window)
+                                .gauge(gauge_families[f], &sets[l])
                                 .set(now, n as f64);
                         }
                     }
@@ -1350,12 +1315,11 @@ mod tests {
     /// own family and in others, and in a clone of the registry.
     #[test]
     fn handles_survive_later_creations_and_cloning() {
-        let window = SimDuration::from_secs(60);
         let site = |i: u32| Labels::of(&[("site", &format!("site{i}"))]);
         let mut m = MetricsRegistry::new();
         let flat = m.counter_id("m.first");
         let labeled = m.counter_labeled_id("glare_requests_total", &site(500));
-        let gauge = m.gauge_id("glare_inbox_occupancy", &site(500), window);
+        let gauge = m.gauge_id("glare_inbox_occupancy", &site(500));
         for i in 0..1000 {
             // Keys sorting before and after the early ones, same family
             // and others, every kind.
@@ -1363,9 +1327,9 @@ mod tests {
             m.counter(&format!("z.{i}")).inc();
             m.counter_labeled("glare_requests_total", &site(i)).inc();
             m.counter_labeled("glare_a_total", &site(i)).inc();
-            m.gauge("glare_inbox_occupancy", &site(i), window)
+            m.gauge("glare_inbox_occupancy", &site(i))
                 .set(SimTime::ZERO, 1.0);
-            m.gauge("glare_z_ratio", &site(i), window)
+            m.gauge("glare_z_ratio", &site(i))
                 .set(SimTime::ZERO, 1.0);
             m.histogram(&format!("h.{i}"))
                 .record(SimDuration::from_millis(1));
@@ -1392,7 +1356,7 @@ mod tests {
             labeled
         );
         assert_eq!(
-            m.gauge_id("glare_inbox_occupancy", &site(500), window),
+            m.gauge_id("glare_inbox_occupancy", &site(500)),
             gauge
         );
 
@@ -1448,11 +1412,7 @@ mod tests {
             .inc();
         m.histogram_labeled("glare_probe_latency_ms", &Labels::of(&[("site", "site0")]))
             .record(SimDuration::from_millis(1));
-        m.gauge(
-            "glare_deployment_availability",
-            &Labels::of(&[("site", "site0")]),
-            SimDuration::from_secs(60),
-        );
+        m.gauge("glare_deployment_availability", &Labels::of(&[("site", "site0")]));
         assert_eq!(m.lint_metric_names(), Vec::<String>::new());
     }
 

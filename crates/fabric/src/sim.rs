@@ -15,11 +15,11 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::events::EventLog;
-use crate::metrics::{CounterId, GaugeId, Labels, MetricsRegistry, DEFAULT_GAUGE_WINDOW};
+use crate::metrics::{CounterId, GaugeId, Labels, MetricsRegistry};
 use crate::queue::{EventKey, EventPool, EventQueue, SchedulerKind};
 use crate::rng::SimRng;
 use crate::site::{SiteRuntime, TicketEpoch, LOAD_SAMPLE_INTERVAL};
-use crate::store::{RecoveredState, SiteStore, StoreConfig};
+use crate::store::{replay_cost, RecoveredState, SiteStore, StoreConfig, FSYNC_COST};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{SiteId, Topology};
 use crate::trace::{SpanHandle, SpanKind, TraceContext, TraceSink};
@@ -113,25 +113,6 @@ pub trait Actor {
     /// the actor opaque.
     fn as_any(&self) -> Option<&dyn Any> {
         None
-    }
-}
-
-/// Network-wide behaviour knobs.
-///
-/// `drop_probability` is the global default; individual site pairs can be
-/// overridden with [`Simulation::set_link_drop_probability`] so chaos
-/// sweeps can target WAN links while loopback-adjacent pairs stay clean.
-#[derive(Clone, Copy, Debug)]
-pub struct NetworkConfig {
-    /// Probability that any inter-site message is silently lost.
-    pub drop_probability: f64,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            drop_probability: 0.0,
-        }
     }
 }
 
@@ -268,7 +249,9 @@ pub struct Kernel {
     next_token: u64,
     rng: SimRng,
     metrics: MetricsRegistry,
-    net: NetworkConfig,
+    /// Probability that any inter-site message is silently lost, unless
+    /// the pair has an entry in `link_drop`.
+    drop_probability: f64,
     link_drop: HashMap<(SiteId, SiteId), f64>,
     /// Gray-failure latency multipliers per *directed* site pair. Consulted
     /// after the base+jitter delay is computed and consuming no randomness,
@@ -374,7 +357,7 @@ impl Kernel {
             .link_drop
             .get(&Self::partition_key(from_site, to_site))
             .copied()
-            .unwrap_or(self.net.drop_probability);
+            .unwrap_or(self.drop_probability);
         if from_site != to_site && self.rng.chance(drop_p) {
             self.count_drop(from_site, DropReason::Loss);
             return;
@@ -668,14 +651,9 @@ impl<'a> Ctx<'a> {
         self.kernel.store_cfg.enabled
     }
 
-    /// The active durability configuration.
-    pub fn store_config(&self) -> StoreConfig {
-        self.kernel.store_cfg
-    }
-
     /// Append one mutation record to this site's write-ahead journal.
     ///
-    /// The configured fsync cost is charged through the site's CPU run
+    /// [`FSYNC_COST`] is charged through the site's CPU run
     /// queue; completion surfaces as an `on_compute_done` with tag
     /// `"store-fsync"` (fire-and-forget for most actors). Returns the
     /// record's sequence number, or `None` when durability is disabled.
@@ -691,10 +669,7 @@ impl<'a> Ctx<'a> {
             .or_default()
             .append(kind, payload);
         self.kernel.metrics.counter("fabric.store.appends").inc();
-        let cost = self.kernel.store_cfg.fsync_cost;
-        if cost > SimDuration::ZERO {
-            self.compute(cost, "store-fsync");
-        }
+        self.compute(FSYNC_COST, "store-fsync");
         Some(seq)
     }
 
@@ -713,10 +688,7 @@ impl<'a> Ctx<'a> {
             .or_default()
             .install_snapshot(blob);
         self.kernel.metrics.counter("fabric.store.snapshots").inc();
-        let cost = self.kernel.store_cfg.fsync_cost;
-        if cost > SimDuration::ZERO {
-            self.compute(cost, "store-fsync");
-        }
+        self.compute(FSYNC_COST, "store-fsync");
         Some(compacted)
     }
 
@@ -732,14 +704,7 @@ impl<'a> Ctx<'a> {
         }
         let site = self.self_site;
         let rec = self.kernel.stores.entry(site).or_default().recover();
-        let cfg = self.kernel.store_cfg;
-        let mut cost = SimDuration::ZERO;
-        if rec.snapshot.is_some() {
-            cost += cfg.snapshot_load_cost;
-        }
-        cost += cfg
-            .replay_cost_per_record
-            .mul_f64(rec.records.len() as f64);
+        let cost = replay_cost(rec.replayed_records(), rec.snapshot.is_some());
         if cost > SimDuration::ZERO {
             self.compute(cost, "store-replay");
         }
@@ -838,7 +803,7 @@ impl Simulation {
                 next_token: 0,
                 rng: SimRng::from_seed(seed).fork("kernel"),
                 metrics: MetricsRegistry::new(),
-                net: NetworkConfig::default(),
+                drop_probability: 0.0,
                 link_drop: HashMap::new(),
                 link_degrade: HashMap::new(),
                 partitions: HashSet::new(),
@@ -854,14 +819,18 @@ impl Simulation {
         }
     }
 
-    /// Override network-wide behaviour.
-    pub fn set_network_config(&mut self, net: NetworkConfig) {
-        self.kernel.net = net;
+    /// Probability that any inter-site message is silently lost (0.0 until
+    /// set): the global default, which individual site pairs override with
+    /// [`Simulation::set_link_drop_probability`] so chaos sweeps can target
+    /// WAN links while loopback-adjacent pairs stay clean.
+    pub fn set_drop_probability(&mut self, p: f64) {
+        assert!((0.0..=1.0).contains(&p), "probability out of range");
+        self.kernel.drop_probability = p;
     }
 
     /// Override the loss probability for one site pair (both directions),
-    /// taking precedence over [`NetworkConfig::drop_probability`]. Pass
-    /// `None` to remove the override and fall back to the global knob.
+    /// taking precedence over [`Simulation::set_drop_probability`]. Pass
+    /// `None` to remove the override and fall back to the global value.
     ///
     /// With no overrides installed the kernel's RNG stream is untouched:
     /// the per-link lookup falls through to the global probability and the
@@ -952,7 +921,7 @@ impl Simulation {
             let labels = Labels::of(&[("scope", scope)]);
             self.kernel
                 .metrics
-                .gauge("glare_degraded_sites", &labels, DEFAULT_GAUGE_WINDOW)
+                .gauge("glare_degraded_sites", &labels)
                 .set(now, value as f64);
         }
     }
@@ -1356,7 +1325,7 @@ impl Simulation {
                         .push(now, load);
                     let gauge = *self.kernel.ids.site_load[i].get_or_insert_with(|| {
                         let labels = Labels::of(&[("site", &format!("site{i}"))]);
-                        metrics.gauge_id("glare_site_load1m", &labels, DEFAULT_GAUGE_WINDOW)
+                        metrics.gauge_id("glare_site_load1m", &labels)
                     });
                     metrics.gauge_at(gauge).set(now, load);
                 }
@@ -1920,6 +1889,12 @@ mod tests {
         sim.inject(sim.now(), ActorId(2), sink1, Tick);
         sim.run_to_quiescence(10);
         assert_eq!(sim.metrics().counter_value("net.msgs_dropped.loss"), 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability out of range")]
+    fn drop_probability_outside_unit_interval_is_rejected() {
+        Simulation::new(Topology::uniform(2), 1).set_drop_probability(5.0);
     }
 
     #[test]

@@ -104,7 +104,29 @@ pub struct StoreStats {
     pub bytes_written: u64,
 }
 
-/// Configuration of the durability layer. The default is
+/// CPU/IO cost charged per journal append or snapshot install (the
+/// modeled fsync): with the three constants below, the ballpark of a
+/// 2005-era site disk. Fixed — every durable run used these, and nothing
+/// is charged, replayed or compacted unless a store is enabled.
+pub const FSYNC_COST: SimDuration = SimDuration::from_millis(2);
+
+/// CPU/IO cost charged per record replayed on recovery.
+const REPLAY_COST_PER_RECORD: SimDuration = SimDuration::from_micros(500);
+
+/// CPU/IO cost charged to load a snapshot on recovery.
+const SNAPSHOT_LOAD_COST: SimDuration = SimDuration::from_millis(10);
+
+/// What a recovery costs: the per-record replay cost of `replayed` journal
+/// records, plus the snapshot load when there was one to start from.
+pub fn replay_cost(replayed: u64, had_snapshot: bool) -> SimDuration {
+    let load = if had_snapshot { SNAPSHOT_LOAD_COST } else { SimDuration::ZERO };
+    load + REPLAY_COST_PER_RECORD * replayed
+}
+
+/// Journal length at which a site folds its journal into a snapshot.
+pub const COMPACT_EVERY: usize = 64;
+
+/// Whether sites have durable stores. The default is
 /// [`StoreConfig::disabled`]: no stores exist, `store_*` kernel calls are
 /// no-ops, and same-seed runs stay event-identical to builds that predate
 /// the layer (the same observe-only contract as `RetryPolicy::disabled`).
@@ -112,40 +134,17 @@ pub struct StoreStats {
 pub struct StoreConfig {
     /// Whether sites have durable stores at all.
     pub enabled: bool,
-    /// CPU/IO cost charged per journal append (the modeled fsync).
-    pub fsync_cost: SimDuration,
-    /// CPU/IO cost charged per record replayed on recovery.
-    pub replay_cost_per_record: SimDuration,
-    /// CPU/IO cost charged to load a snapshot on recovery.
-    pub snapshot_load_cost: SimDuration,
-    /// Journal length that triggers compaction (0 = never auto-compact;
-    /// sites snapshot explicitly).
-    pub compact_every: u64,
 }
 
 impl StoreConfig {
     /// Durability off: the whole layer is inert.
     pub fn disabled() -> StoreConfig {
-        StoreConfig {
-            enabled: false,
-            fsync_cost: SimDuration::ZERO,
-            replay_cost_per_record: SimDuration::ZERO,
-            snapshot_load_cost: SimDuration::ZERO,
-            compact_every: 0,
-        }
+        StoreConfig { enabled: false }
     }
 
-    /// Durability on with costs in the ballpark of a 2005-era site disk:
-    /// ~2 ms per fsynced append, ~10 ms to load a snapshot, ~0.5 ms per
-    /// replayed record, compaction every 64 records.
+    /// Durability on, at the costs above.
     pub fn standard() -> StoreConfig {
-        StoreConfig {
-            enabled: true,
-            fsync_cost: SimDuration::from_millis(2),
-            replay_cost_per_record: SimDuration::from_micros(500),
-            snapshot_load_cost: SimDuration::from_millis(10),
-            compact_every: 64,
-        }
+        StoreConfig { enabled: true }
     }
 }
 

@@ -77,7 +77,7 @@ impl Actor for Ticker {
             (
                 m.counter_id("ticker.ticks"),
                 m.counter_labeled_id("glare_ticks_total", &self.labels),
-                m.gauge_id("glare_tick_level", &self.labels, DEFAULT_GAUGE_WINDOW),
+                m.gauge_id("glare_tick_level", &self.labels),
             )
         });
         m.counter_at(flat).inc();

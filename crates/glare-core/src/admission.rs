@@ -67,7 +67,28 @@ impl TenantClass {
     }
 }
 
-/// Knobs of the bounded-inbox admission behaviour.
+/// Occupancy fraction above which silver traffic is shed: the quarter
+/// above it is the gold reserve. Fixed — the tiering is the policy, and
+/// only an enabled controller ever computes a class limit.
+const SILVER_SHARE: f64 = 0.75;
+
+/// Occupancy fraction above which best-effort traffic is shed.
+const BEST_EFFORT_SHARE: f64 = 0.5;
+
+/// Lifetime of an admission ticket. Tickets are released when the reply
+/// goes out; the TTL is the backstop for requests that die on a crashed
+/// site, so a wedged inbox drains by itself.
+const TICKET_TTL: SimDuration = SimDuration::from_secs(2);
+
+/// `RetryAfter` floor quoted to the first shed request past a threshold;
+/// the hint grows linearly with the overshoot.
+const RETRY_AFTER_BASE: SimDuration = SimDuration::from_millis(250);
+
+/// `RetryAfter` ceiling however deep the overload.
+const RETRY_AFTER_MAX: SimDuration = SimDuration::from_secs(10);
+
+/// The bounded-inbox admission behaviour: whether a site has a front
+/// door at all, and how many requests fit behind it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdmissionConfig {
     /// Master switch. `false` (the default) keeps the request path
@@ -76,20 +97,6 @@ pub struct AdmissionConfig {
     pub enabled: bool,
     /// Hard cap on concurrently admitted requests (the inbox bound).
     pub inbox_capacity: u32,
-    /// Occupancy fraction above which silver traffic is shed.
-    pub silver_share: f64,
-    /// Occupancy fraction above which best-effort traffic is shed.
-    /// Must not exceed `silver_share`.
-    pub best_effort_share: f64,
-    /// Lifetime of an admission ticket. Tickets are released when the
-    /// reply goes out; the TTL is the backstop for requests that die on a
-    /// crashed site, so a wedged inbox drains by itself.
-    pub ticket_ttl: SimDuration,
-    /// `RetryAfter` floor quoted to the first shed request past a
-    /// threshold; the hint grows linearly with the overshoot.
-    pub retry_after_base: SimDuration,
-    /// `RetryAfter` ceiling however deep the overload.
-    pub retry_after_max: SimDuration,
 }
 
 impl AdmissionConfig {
@@ -98,11 +105,6 @@ impl AdmissionConfig {
         AdmissionConfig {
             enabled: false,
             inbox_capacity: u32::MAX,
-            silver_share: 1.0,
-            best_effort_share: 1.0,
-            ticket_ttl: SimDuration::from_secs(2),
-            retry_after_base: SimDuration::from_millis(250),
-            retry_after_max: SimDuration::from_secs(10),
         }
     }
 
@@ -114,11 +116,6 @@ impl AdmissionConfig {
         AdmissionConfig {
             enabled: true,
             inbox_capacity: capacity,
-            silver_share: 0.75,
-            best_effort_share: 0.5,
-            ticket_ttl: SimDuration::from_secs(2),
-            retry_after_base: SimDuration::from_millis(250),
-            retry_after_max: SimDuration::from_secs(10),
         }
     }
 
@@ -126,8 +123,8 @@ impl AdmissionConfig {
     pub fn class_limit(&self, class: TenantClass) -> u32 {
         let share = match class {
             TenantClass::Gold => 1.0,
-            TenantClass::Silver => self.silver_share,
-            TenantClass::BestEffort => self.best_effort_share,
+            TenantClass::Silver => SILVER_SHARE,
+            TenantClass::BestEffort => BEST_EFFORT_SHARE,
         };
         ((self.inbox_capacity as f64 * share).floor() as u32).max(1)
     }
@@ -236,7 +233,7 @@ impl AdmissionController {
         if occupancy >= limit {
             self.stats.shed[class.index()] += 1;
             return AdmissionDecision::Shed {
-                retry_after: self.retry_after(occupancy, limit),
+                retry_after: retry_after(occupancy, limit),
             };
         }
         match self.leases.grant(
@@ -244,7 +241,7 @@ impl AdmissionController {
             class.label(),
             LeaseKind::Shared,
             now,
-            now + self.cfg.ticket_ttl,
+            now + TICKET_TTL,
         ) {
             Ok(ticket) => {
                 let ticket = ticket.id;
@@ -257,7 +254,7 @@ impl AdmissionController {
                 // check and the grant (gold at full inbox).
                 self.stats.shed[class.index()] += 1;
                 AdmissionDecision::Shed {
-                    retry_after: self.retry_after(occupancy, limit),
+                    retry_after: retry_after(occupancy, limit),
                 }
             }
         }
@@ -280,19 +277,14 @@ impl AdmissionController {
     pub fn take_ttl_released(&mut self) -> u64 {
         std::mem::take(&mut self.pending_ttl)
     }
+}
 
-    /// Deterministic `RetryAfter`: the base hint scaled by how far past
-    /// the class threshold the inbox is, capped.
-    fn retry_after(&self, occupancy: u32, limit: u32) -> SimDuration {
-        let overshoot = occupancy.saturating_sub(limit) as u64 + 1;
-        let hint = SimDuration::from_nanos(
-            self.cfg
-                .retry_after_base
-                .as_nanos()
-                .saturating_mul(overshoot),
-        );
-        hint.min(self.cfg.retry_after_max)
-    }
+/// Deterministic `RetryAfter`: the base hint scaled by how far past the
+/// class threshold the inbox is, capped.
+fn retry_after(occupancy: u32, limit: u32) -> SimDuration {
+    let overshoot = occupancy.saturating_sub(limit) as u64 + 1;
+    let hint = SimDuration::from_nanos(RETRY_AFTER_BASE.as_nanos().saturating_mul(overshoot));
+    hint.min(RETRY_AFTER_MAX)
 }
 
 #[cfg(test)]
@@ -375,7 +367,7 @@ mod tests {
             AdmissionDecision::Admit { .. }
         ));
         assert_eq!(c.occupancy(t(1)), 1);
-        // Default TTL is 2 s: the un-released ticket drains on its own.
+        // TICKET_TTL is 2 s: the un-released ticket drains on its own.
         assert_eq!(c.occupancy(t(3)), 0);
         // The leak is visible, and the pending count drains exactly once.
         assert_eq!(c.stats().ttl_released, 1);
@@ -398,8 +390,7 @@ mod tests {
 
     #[test]
     fn retry_after_scales_with_overshoot_and_caps() {
-        let cfg = AdmissionConfig::bounded(4);
-        let mut c = AdmissionController::new(cfg);
+        let mut c = AdmissionController::new(AdmissionConfig::bounded(4));
         // Fill the whole inbox with gold.
         for _ in 0..4 {
             c.decide(TenantClass::Gold, t(0));
@@ -409,10 +400,8 @@ mod tests {
             other => panic!("expected shed, got {other:?}"),
         };
         // Occupancy 4, best-effort limit 2: overshoot 2 → 3 × base.
-        assert_eq!(at_threshold, cfg.retry_after_base * 3);
-        let deep = AdmissionController::new(AdmissionConfig::bounded(4))
-            .retry_after(1_000_000, 1);
-        assert_eq!(deep, cfg.retry_after_max);
+        assert_eq!(at_threshold, RETRY_AFTER_BASE * 3);
+        assert_eq!(retry_after(1_000_000, 1), RETRY_AFTER_MAX);
     }
 
     #[test]

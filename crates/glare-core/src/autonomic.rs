@@ -13,7 +13,7 @@
 //! * **retire** a cold replica (per-replica demand below
 //!   [`AutonomicConfig::cold_per_replica_hz`]) via tombstoned uninstall,
 //! * **re-provision** a replica lost to a crashed or partitioned site
-//!   (live replica count below [`AutonomicConfig::min_replicas`]).
+//!   (live replica count below [`MIN_REPLICAS`]).
 //!
 //! All actions flow through the existing deploy-file machinery
 //! ([`crate::rdm::install_with_dependencies`] /
@@ -26,7 +26,7 @@
 //! telemetry readings) plus the controller's forked [`SimRng`] (used only
 //! to break exact load ties between placement targets). The loop is
 //! damped three ways so it cannot flap or amplify overload: a per-type
-//! cooldown after any action, hard `[min_replicas, max_replicas]` bounds,
+//! cooldown after any action, hard `[MIN_REPLICAS, max_replicas]` bounds,
 //! and a per-round action budget.
 //!
 //! # Safety under failure
@@ -50,7 +50,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use glare_fabric::{Labels, SimDuration, SimRng, SimTime, SiteId, DEFAULT_GAUGE_WINDOW};
+use glare_fabric::{Labels, SimDuration, SimRng, SimTime, SiteId};
 use glare_services::ChannelKind;
 
 use crate::grid::Grid;
@@ -67,7 +67,27 @@ pub const DEMAND_FAMILY: &str = "glare_activity_demand_hz";
 /// in the DES and by the harness in Grid scenarios.
 pub const LOAD_FAMILY: &str = "glare_site_load1m";
 
-/// Knobs of the placement control loop.
+/// Replica floor; re-provisioning restores up to this after crashes.
+/// Fixed, like the three constants below: the flash-crowd scenario and
+/// [`AutonomicConfig::standard`] agree on them, and a disabled controller
+/// returns before reading any.
+pub const MIN_REPLICAS: u32 = 1;
+
+/// Per-type quiet period after any action (also the exclusive
+/// coordination-lease window, so sibling controllers back off for the
+/// same span they are locked out for).
+pub const COOLDOWN: SimDuration = SimDuration::from_secs(10);
+
+/// Hard cap on actions applied per tick, across all types: the blast
+/// radius of one round.
+pub const MAX_ACTIONS_PER_ROUND: usize = 2;
+
+/// Sites hotter than this utilization are not provisioning targets —
+/// healing a hot-spot must not create the next one.
+pub const MAX_TARGET_LOAD: f64 = 0.75;
+
+/// What a placement control loop is told: whether to act, where the
+/// hysteresis band sits and how far a type may spread.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AutonomicConfig {
     /// Master switch. `false` (the default) keeps every run byte-identical
@@ -77,22 +97,11 @@ pub struct AutonomicConfig {
     /// another replica.
     pub hot_per_replica_hz: f64,
     /// Per-replica demand (req/s) below which a type is *cold* and sheds
-    /// a replica (never below `min_replicas`). Keep well under the hot
+    /// a replica (never below [`MIN_REPLICAS`]). Keep well under the hot
     /// threshold: the gap is the hysteresis band that prevents flapping.
     pub cold_per_replica_hz: f64,
-    /// Replica floor; re-provisioning restores up to this after crashes.
-    pub min_replicas: u32,
     /// Replica ceiling however hot the type gets.
     pub max_replicas: u32,
-    /// Per-type quiet period after any action (also the exclusive
-    /// coordination-lease window, so sibling controllers back off for the
-    /// same span they are locked out for).
-    pub cooldown: SimDuration,
-    /// Hard cap on actions applied per tick, across all types.
-    pub max_actions_per_round: usize,
-    /// Sites hotter than this utilization are not provisioning targets —
-    /// healing a hot-spot must not create the next one.
-    pub max_target_load: f64,
 }
 
 impl AutonomicConfig {
@@ -103,27 +112,18 @@ impl AutonomicConfig {
             enabled: false,
             hot_per_replica_hz: f64::INFINITY,
             cold_per_replica_hz: 0.0,
-            min_replicas: 1,
             max_replicas: u32::MAX,
-            cooldown: SimDuration::from_secs(10),
-            max_actions_per_round: 0,
-            max_target_load: 0.75,
         }
     }
 
-    /// Defaults tuned for the flash-crowd scenario: react within a couple
-    /// of ticks, damp with a 10 s cooldown, cap the blast radius at two
-    /// actions per round.
+    /// Defaults tuned for a flash crowd: react within a couple of ticks,
+    /// spread a hot type over at most four sites.
     pub fn standard() -> AutonomicConfig {
         AutonomicConfig {
             enabled: true,
             hot_per_replica_hz: 40.0,
             cold_per_replica_hz: 5.0,
-            min_replicas: 1,
             max_replicas: 4,
-            cooldown: SimDuration::from_secs(10),
-            max_actions_per_round: 2,
-            max_target_load: 0.75,
         }
     }
 }
@@ -373,14 +373,14 @@ impl PlacementController {
             ActionKind::Retire,
         ] {
             for t in &snap.types {
-                if actions.len() >= self.cfg.max_actions_per_round {
+                if actions.len() >= MAX_ACTIONS_PER_ROUND {
                     break;
                 }
                 // The cooldown damps optimization (provision/retire) but
-                // never the replica floor: a type below `min_replicas` is
+                // never the replica floor: a type below `MIN_REPLICAS` is
                 // re-provisioned immediately even if a retire on the same
                 // type just fired — safety beats hysteresis.
-                let below_floor = (t.replica_sites.len() as u32) < self.cfg.min_replicas;
+                let below_floor = (t.replica_sites.len() as u32) < MIN_REPLICAS;
                 if !(pass == ActionKind::Reprovision && below_floor)
                     && self
                         .cooldown_until
@@ -395,7 +395,7 @@ impl PlacementController {
                 let replicas = t.replica_sites.len() as u32;
                 let per_replica = t.demand_hz / f64::from(replicas.max(1));
                 let action = match pass {
-                    ActionKind::Reprovision if replicas < self.cfg.min_replicas => self
+                    ActionKind::Reprovision if replicas < MIN_REPLICAS => self
                         .pick_target(snap, t, &claimed)
                         .map(|site| PlacementAction {
                             kind: ActionKind::Reprovision,
@@ -403,7 +403,7 @@ impl PlacementController {
                             site,
                         }),
                     ActionKind::Provision
-                        if replicas >= self.cfg.min_replicas
+                        if replicas >= MIN_REPLICAS
                             && replicas < self.cfg.max_replicas
                             && per_replica > self.cfg.hot_per_replica_hz =>
                     {
@@ -415,7 +415,7 @@ impl PlacementController {
                             })
                     }
                     ActionKind::Retire
-                        if replicas > self.cfg.min_replicas
+                        if replicas > MIN_REPLICAS
                             && per_replica < self.cfg.cold_per_replica_hz =>
                     {
                         // Free the hottest of the replica sites; ties fall
@@ -441,7 +441,7 @@ impl PlacementController {
                         claimed.insert(a.site);
                     }
                     self.cooldown_until
-                        .insert(a.type_name.clone(), snap.at + self.cfg.cooldown);
+                        .insert(a.type_name.clone(), snap.at + COOLDOWN);
                     actions.push(a);
                 }
             }
@@ -466,7 +466,7 @@ impl PlacementController {
             .filter(|s| s.up)
             .filter(|s| !t.replica_sites.contains(&s.site))
             .filter(|s| !claimed.contains(&s.site))
-            .filter(|s| s.load <= self.cfg.max_target_load)
+            .filter(|s| s.load <= MAX_TARGET_LOAD)
             .collect();
         let best = candidates
             .iter()
@@ -530,7 +530,7 @@ impl PlacementController {
                 &key,
                 &self.name,
                 LeaseKind::Exclusive,
-                now..now + self.cfg.cooldown,
+                now..now + COOLDOWN,
                 now,
             )
             .is_err()
@@ -614,11 +614,7 @@ impl PlacementController {
 pub fn publish_replica_gauges(grid: &mut Grid, snap: &TelemetrySnapshot, now: SimTime) {
     for t in &snap.types {
         grid.metrics
-            .gauge(
-                "glare_autonomic_replicas",
-                &Labels::of(&[("activity", &t.name)]),
-                DEFAULT_GAUGE_WINDOW,
-            )
+            .gauge("glare_autonomic_replicas", &Labels::of(&[("activity", &t.name)]))
             .set(now, t.replica_sites.len() as f64);
     }
 }
@@ -693,7 +689,7 @@ mod tests {
     #[test]
     fn provision_respects_the_target_load_ceiling() {
         let mut c = controller(AutonomicConfig::standard());
-        // Every candidate is hotter than max_target_load: no action
+        // Every candidate is hotter than MAX_TARGET_LOAD: no action
         // (healing must not create the next hot-spot).
         let s = snap(
             t(10),
@@ -736,20 +732,19 @@ mod tests {
 
     #[test]
     fn lost_replica_is_reprovisioned_before_anything_else() {
-        let mut c = controller(AutonomicConfig {
-            max_actions_per_round: 1,
-            ..AutonomicConfig::standard()
-        });
+        let mut c = controller(AutonomicConfig::standard());
+        // Three types want an action; the round's budget is two.
         let s = snap(
             t(10),
-            &[(0, false, 0.0), (1, true, 0.2), (2, true, 0.3)],
-            &[("Hot", 500.0, &[1]), ("Lost", 3.0, &[])],
+            &[(0, false, 0.0), (1, true, 0.2), (2, true, 0.3), (3, true, 0.1)],
+            &[("Hot", 500.0, &[1]), ("Hotter", 500.0, &[2]), ("Lost", 3.0, &[])],
         );
         let actions = c.decide(&s);
-        assert_eq!(actions.len(), 1, "budget binds");
+        assert_eq!(actions.len(), MAX_ACTIONS_PER_ROUND, "budget binds");
         assert_eq!(actions[0].kind, ActionKind::Reprovision);
         assert_eq!(actions[0].type_name, "Lost");
         assert_ne!(actions[0].site, 0, "dead sites are never targets");
+        assert_eq!(actions[1].kind, ActionKind::Provision, "then the hot types");
     }
 
     #[test]
@@ -804,10 +799,8 @@ mod tests {
 
     #[test]
     fn one_round_never_stacks_two_new_replicas_on_one_site() {
-        let mut c = controller(AutonomicConfig {
-            max_actions_per_round: 4,
-            ..AutonomicConfig::standard()
-        });
+        // The round's budget has room for both hot types.
+        let mut c = controller(AutonomicConfig::standard());
         let s = snap(
             t(10),
             &[(0, true, 0.9), (1, true, 0.9), (2, true, 0.0)],
@@ -839,11 +832,7 @@ mod tests {
         )
         .unwrap();
         grid.metrics
-            .gauge(
-                DEMAND_FAMILY,
-                &Labels::of(&[("activity", "Hot")]),
-                DEFAULT_GAUGE_WINDOW,
-            )
+            .gauge(DEMAND_FAMILY, &Labels::of(&[("activity", "Hot")]))
             .set(t(5), 500.0);
 
         let cfg = AutonomicConfig::standard();

@@ -11,9 +11,10 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use glare_fabric::topology::{LinkSpec, Platform, SiteId};
+use glare_fabric::store::{replay_cost, COMPACT_EVERY};
 use glare_fabric::{
     EventLog, Labels, MetricsRegistry, SimDuration, SimRng, SimTime, SiteStore, StoreConfig,
-    TraceSink, DEFAULT_GAUGE_WINDOW,
+    TraceSink,
 };
 use glare_services::gridftp::Repository;
 use glare_services::{GramService, SiteHost, Transport};
@@ -25,7 +26,7 @@ use crate::durable::{self, RegistryMutation, SnapshotState};
 use crate::error::GlareError;
 use crate::lease::{LeaseKind, LeaseManager, LeaseTicket};
 use crate::model::{ActivityDeployment, ActivityType, TypeKind};
-use crate::retry::{BreakerBank, RetryPolicy};
+use crate::retry::{BreakerBank, RetryPolicy, ATTEMPT_TIMEOUT};
 
 /// Default age limit for cached registry entries.
 pub const DEFAULT_CACHE_AGE: SimDuration = SimDuration::from_secs(300);
@@ -190,7 +191,7 @@ pub struct Grid {
     pub breakers: BreakerBank<usize>,
     /// Per-remote-site round-trip estimator: when enabled (default off),
     /// probe attempt timeouts tighten to the learned per-site budget
-    /// instead of charging the full configured `attempt_timeout` per
+    /// instead of charging the full [`ATTEMPT_TIMEOUT`] per
     /// silent probe.
     pub suspicion: crate::suspicion::SuspicionTracker<usize>,
     /// Per-site durable stores (`None` = durability off). With durability
@@ -200,8 +201,6 @@ pub struct Grid {
     /// replay, making the "the ledger is durable" story real instead of
     /// assumed.
     stores: Option<Vec<SiteStore>>,
-    /// Cost/compaction configuration of the durable stores.
-    store_cfg: StoreConfig,
     /// Each site's `{site="site{i}"}` label set, built once: the telemetry
     /// door ([`Grid::count`], [`Grid::observe`], [`Grid::set_gauge`],
     /// [`Grid::emit`]) records by site index and formats nothing.
@@ -268,7 +267,6 @@ impl Grid {
             breakers: BreakerBank::default(),
             suspicion: crate::suspicion::SuspicionTracker::default(),
             stores: None,
-            store_cfg: StoreConfig::disabled(),
             site_labels: (0..n).map(|i| site_set(&Grid::site_label(i), None)).collect(),
         }
     }
@@ -277,13 +275,7 @@ impl Grid {
     /// with `cfg.enabled == false` this removes any stores and restores
     /// the legacy "state survives by fiat" crash semantics.
     pub fn enable_durability(&mut self, cfg: StoreConfig) {
-        if cfg.enabled {
-            self.stores = Some(vec![SiteStore::new(); self.sites.len()]);
-            self.store_cfg = cfg;
-        } else {
-            self.stores = None;
-            self.store_cfg = StoreConfig::disabled();
-        }
+        self.stores = cfg.enabled.then(|| vec![SiteStore::new(); self.sites.len()]);
     }
 
     /// Whether sites have durable stores.
@@ -306,16 +298,16 @@ impl Grid {
     }
 
     /// Journal one registry mutation at `site` (no-op when durability is
-    /// off), compacting the journal into a snapshot at the configured
-    /// threshold.
+    /// off), compacting the journal into a snapshot at [`COMPACT_EVERY`]
+    /// records.
     fn journal(&mut self, site: usize, m: &RegistryMutation, now: SimTime) {
         let Some(stores) = self.stores.as_mut() else {
             return;
         };
         stores[site].append(m.kind(), &m.payload());
-        let journal_len = stores[site].journal_len() as u64;
+        let journal_len = stores[site].journal_len();
         self.count(site, "glare_store_appends_total", None, 1);
-        if self.store_cfg.compact_every > 0 && journal_len >= self.store_cfg.compact_every {
+        if journal_len >= COMPACT_EVERY {
             self.snapshot_site(site, now);
         }
     }
@@ -368,7 +360,7 @@ impl Grid {
         v: f64,
     ) {
         let labels = labels_of(&self.site_labels[site], second);
-        self.metrics.gauge(family, &labels, DEFAULT_GAUGE_WINDOW).set(now, v);
+        self.metrics.gauge(family, &labels).set(now, v);
     }
 
     /// The latest value of `site`'s `{site}`-keyed gauge in `family`, if it
@@ -750,14 +742,7 @@ impl Grid {
         durable::replay(&recovered, &s.atr, &s.adr, Some(&mut s.leases), now);
         self.count(site, "glare_store_replayed_records_total", None, replayed);
         self.count(site, "glare_store_truncated_records_total", None, truncated);
-        let mut replay_cost = self
-            .store_cfg
-            .replay_cost_per_record
-            .mul_f64(replayed as f64);
-        if had_snapshot {
-            replay_cost += self.store_cfg.snapshot_load_cost;
-        }
-        self.observe(site, "glare_store_replay_ms", replay_cost);
+        self.observe(site, "glare_store_replay_ms", replay_cost(replayed, had_snapshot));
         self.emit(
             site,
             now,
@@ -859,7 +844,7 @@ impl Grid {
                 return (result, lost.elapsed);
             }
             // The attempt timed out: charge the per-attempt timeout.
-            self.attempt_timed_out(site, "lease", self.retry.attempt_timeout, &mut lost);
+            self.attempt_timed_out(site, "lease", ATTEMPT_TIMEOUT, &mut lost);
             let at = now + lost.elapsed;
             self.breaker_failure(site, "lease", at);
             let Some(delay) = self.back_off(site, &mut lost) else {

@@ -3,7 +3,6 @@
 
 use glare_fabric::{
     ActorId, CounterId, Ctx, GaugeId, Labels, MetricsRegistry, SimTime, SiteId, TenantLabels,
-    DEFAULT_GAUGE_WINDOW,
 };
 
 use crate::admission::TenantClass;
@@ -183,7 +182,7 @@ impl NodeLabels {
     /// Set `glare_cache_hit_ratio{site}`.
     pub(super) fn set_hit_ratio(&mut self, m: &mut MetricsRegistry, now: SimTime, ratio: f64) {
         let id = *self.hit_ratio.get_or_insert_with(|| {
-            m.gauge_id("glare_cache_hit_ratio", &self.site, DEFAULT_GAUGE_WINDOW)
+            m.gauge_id("glare_cache_hit_ratio", &self.site)
         });
         m.gauge_at(id).set(now, ratio);
     }
@@ -196,7 +195,7 @@ impl NodeLabels {
         occupancy: u32,
     ) {
         let id = *self.inbox_occupancy.get_or_insert_with(|| {
-            m.gauge_id("glare_inbox_occupancy", &self.site, DEFAULT_GAUGE_WINDOW)
+            m.gauge_id("glare_inbox_occupancy", &self.site)
         });
         m.gauge_at(id).set(now, f64::from(occupancy));
     }

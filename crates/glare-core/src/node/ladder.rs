@@ -15,6 +15,22 @@ use crate::model::ActivityDeployment;
 use crate::retry::BreakerBank;
 use crate::suspicion::SuspicionTracker;
 
+/// Hedge delay as a fraction of the probe deadline while the latency
+/// estimator is cold (no learned quantile to derive it from): a cold
+/// hedge waits half the deadline. Fixed, like the two below — tuned once
+/// for the 500 ms [`PROBE_TIMEOUT`], and read only after
+/// `cfg.hedge.enabled` let a hedge be planned.
+const HEDGE_COLD_FRACTION: f64 = 0.5;
+
+/// Standard deviations above the learned mean round-trip used as the
+/// warm hedge delay — a deterministic stand-in for roughly the p99 of
+/// the peer's response distribution.
+const HEDGE_SIGMAS: f64 = 3.0;
+
+/// Floor on any hedge delay: hedging below the healthy round-trip only
+/// duplicates traffic.
+const HEDGE_MIN_DELAY: SimDuration = SimDuration::from_millis(10);
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(super) enum Stage {
     /// A client request's first rung: waiting on this node's group
@@ -332,13 +348,12 @@ impl GlareNode {
     /// estimator is warm, else a fixed fraction of the probe deadline.
     /// No randomness — same-seed runs hedge at identical instants.
     fn hedge_delay(&self, target: ActorId) -> SimDuration {
-        let cap = PROBE_TIMEOUT;
         let delay = self
             .ladder
             .rtt
-            .latency_quantile(target, self.cfg.hedge.sigmas)
-            .unwrap_or_else(|| cap.mul_f64(self.cfg.hedge.cold_fraction));
-        delay.max(self.cfg.hedge.min_delay).min(cap)
+            .latency_quantile(target, HEDGE_SIGMAS)
+            .unwrap_or_else(|| PROBE_TIMEOUT.mul_f64(HEDGE_COLD_FRACTION));
+        delay.max(HEDGE_MIN_DELAY).min(PROBE_TIMEOUT)
     }
 
     /// Arm the hedge for a freshly started single-target read stage, when

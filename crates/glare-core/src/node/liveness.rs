@@ -2,7 +2,7 @@
 //! suspicion, majority-acknowledged verification ([`Liveness`]). On a
 //! confirmed failure the heir takes office through `election`.
 
-use glare_fabric::{ActorId, Ctx, SimDuration, SimTime, DEFAULT_GAUGE_WINDOW};
+use glare_fabric::{ActorId, Ctx, SimDuration, SimTime};
 
 use super::msg::{NodeConfig, NodeMsg, HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT};
 use super::{GlareNode, Loop};
@@ -117,7 +117,7 @@ impl GlareNode {
                     let level = self.super_peer_suspicion(now);
                     let labels = self.tele.labels(ctx.self_site);
                     ctx.metrics()
-                        .gauge("glare_suspicion_level", &labels.site, DEFAULT_GAUGE_WINDOW)
+                        .gauge("glare_suspicion_level", &labels.site)
                         .set(now, level);
                 }
                 if self.liveness.finds_missing(sp, now) {

@@ -6,6 +6,7 @@
 
 use std::collections::HashSet;
 
+use glare_fabric::store::{replay_cost, COMPACT_EVERY};
 use glare_fabric::{ActorId, Ctx, SimTime};
 
 use super::msg::NodeMsg;
@@ -30,7 +31,7 @@ pub(super) struct Rejoin {
 
 impl GlareNode {
     /// Append one registry mutation to the site's durable journal,
-    /// compacting once the journal passes the configured threshold.
+    /// compacting once the journal reaches [`COMPACT_EVERY`] records.
     /// No-op — no appends, no metrics — when the store is disabled.
     fn journal(&mut self, ctx: &mut Ctx<'_>, m: &RegistryMutation) {
         if !ctx.store_enabled() {
@@ -39,8 +40,7 @@ impl GlareNode {
         if ctx.store_append(m.kind(), &m.payload()).is_some() {
             self.tele.count(ctx, "glare_store_appends_total", 1);
         }
-        let every = ctx.store_config().compact_every;
-        if every > 0 && ctx.store_journal_len() >= every as usize {
+        if ctx.store_journal_len() >= COMPACT_EVERY {
             self.write_snapshot(ctx);
         }
     }
@@ -82,14 +82,9 @@ impl GlareNode {
         }
         // Mirror the modeled replay cost (already charged to the site's
         // CPU by the kernel) into an observable latency distribution.
-        let store_cfg = ctx.store_config();
-        let mut replay_cost = store_cfg.replay_cost_per_record.mul_f64(replayed as f64);
-        if had_snapshot {
-            replay_cost += store_cfg.snapshot_load_cost;
-        }
         ctx.metrics()
             .histogram_labeled("glare_store_replay_ms", labels)
-            .record(replay_cost);
+            .record(replay_cost(replayed, had_snapshot));
         ctx.emit_event(
             "store.recovered",
             "store",
@@ -240,6 +235,30 @@ impl GlareNode {
         self.journal(ctx, &RegistryMutation::AdrUninstall { key, at: now });
     }
 
+    /// Either side of an anti-entropy round taking in the other's
+    /// tombstones: keep the newest instant per key, evict what it kills
+    /// from registry and cache, and journal and count
+    /// (`glare_antientropy_tombstones_total`) each one that is news here.
+    fn merge_tombstones(&mut self, ctx: &mut Ctx<'_>, tombstones: Vec<(String, u64)>) {
+        let now = ctx.now();
+        let mut news = 0u64;
+        for (key, at_ns) in tombstones {
+            let at = SimTime::from_nanos(at_ns);
+            let newly = self.adr.tombstone_of(&key).is_none_or(|t| t < at);
+            if self.adr.apply_tombstone(&key, at, now) {
+                ctx.emit_event("deployment.tombstoned", "node", &[("key", &key)]);
+            }
+            self.cache.evict_deployment(&key);
+            if newly {
+                news += 1;
+                self.journal(ctx, &RegistryMutation::AdrUninstall { key, at });
+            }
+        }
+        if news > 0 {
+            self.tele.count(ctx, "glare_antientropy_tombstones_total", news);
+        }
+    }
+
     /// Super-peer side of an anti-entropy round: absorb the member's
     /// durable view into the group cache, apply its tombstones, and push
     /// back the member-origin entries the group still holds but the member
@@ -268,17 +287,7 @@ impl GlareNode {
                 absorbed += 1;
             }
         }
-        let mut applied = 0u64;
-        for (key, at_ns) in tombstones {
-            let at = SimTime::from_nanos(at_ns);
-            let newly = self.adr.tombstone_of(&key).is_none_or(|t| t < at);
-            self.adr.apply_tombstone(&key, at, now);
-            self.cache.evict_deployment(&key);
-            if newly {
-                applied += 1;
-                self.journal(ctx, &RegistryMutation::AdrUninstall { key, at });
-            }
-        }
+        self.merge_tombstones(ctx, tombstones);
         let mut push = Vec::new();
         let mut origins = self.cache.deployment_origins();
         origins.sort_unstable();
@@ -296,9 +305,6 @@ impl GlareNode {
         if absorbed > 0 {
             self.tele.count(ctx, "glare_antientropy_pushes_total", absorbed);
         }
-        if applied > 0 {
-            self.tele.count(ctx, "glare_antientropy_tombstones_total", applied);
-        }
         let tombstones = self.tombstones_on_the_wire();
         let bytes = 256 + DEPLOYMENT_WIRE_BYTES * push.len().max(1) as u64;
         ctx.send_sized(from, NodeMsg::AntiEntropyResponse { push, tombstones }, bytes);
@@ -314,19 +320,7 @@ impl GlareNode {
         tombstones: Vec<(String, u64)>,
     ) {
         let now = ctx.now();
-        let mut learned = 0u64;
-        for (key, at_ns) in tombstones {
-            let at = SimTime::from_nanos(at_ns);
-            let newly = self.adr.tombstone_of(&key).is_none_or(|t| t < at);
-            if self.adr.apply_tombstone(&key, at, now) {
-                ctx.emit_event("deployment.tombstoned", "node", &[("key", &key)]);
-            }
-            self.cache.evict_deployment(&key);
-            if newly {
-                learned += 1;
-                self.journal(ctx, &RegistryMutation::AdrUninstall { key, at });
-            }
-        }
+        self.merge_tombstones(ctx, tombstones);
         let mut pulls = 0u64;
         for d in push {
             let key = d.key.clone();
@@ -337,9 +331,6 @@ impl GlareNode {
         }
         if pulls > 0 {
             self.tele.count(ctx, "glare_antientropy_pulls_total", pulls);
-        }
-        if learned > 0 {
-            self.tele.count(ctx, "glare_antientropy_tombstones_total", learned);
         }
         // First anti-entropy answer after a rejoin: the node is converged
         // with its group — recovery is over.

@@ -1106,17 +1106,16 @@ fn without_hedging_gray_slow_super_peer_turns_hits_into_misses() {
 
 #[test]
 fn hedge_into_dead_replica_original_still_wins() {
-    // The alternate super-peer is crashed; the original is mildly
-    // degraded (8x: ~32ms request stage), slow enough that a 10ms
-    // hedge fires first. The hedge probe vanishes into the dead site;
+    // The alternate super-peer is crashed; the original is degraded
+    // (45x: its ~8ms of request and lookup stages take ~360ms), slow
+    // enough that the 250ms cold hedge fires first, yet inside the
+    // 500ms probe deadline. The hedge probe vanishes into the dead site;
     // the original's non-empty answer concludes the stage — wasted,
     // not won — and the client still sees exactly one response.
     let (client_site, sp_site, other_sp, _other_member) = two_group_sites(7);
     // Deployment on the client's own super-peer: the original answers
     // non-empty from its registry after the group probe misses.
-    let mut hedge = crate::suspicion::HedgeConfig::standard();
-    hedge.cold_fraction = 0.01; // cold delay 5ms -> floored to min 10ms
-    let (mut sim, ids) = grayfail_overlay(sp_site, hedge);
+    let (mut sim, ids) = grayfail_overlay(sp_site, crate::suspicion::HedgeConfig::standard());
     sim.enable_events(100_000);
     let stats = ClientStats::shared();
     let client = QueryClient::new(
@@ -1133,7 +1132,7 @@ fn hedge_into_dead_replica_original_still_wins() {
     sim.schedule_crash(SimTime::from_secs(15), SiteId(other_sp as u32));
     sim.start();
     sim.run_until(SimTime::from_secs(12));
-    sim.set_site_degraded(SiteId(sp_site as u32), Some(8.0));
+    sim.set_site_degraded(SiteId(sp_site as u32), Some(45.0));
     sim.run_until(SimTime::from_secs(30));
     let s = stats.lock();
     assert_eq!(s.responses, 1, "dead hedge target cannot double-answer");

@@ -29,6 +29,7 @@ use crate::deployfile::{DeployFile, PlannedAction};
 use crate::error::GlareError;
 use crate::grid::{Grid, Lost};
 use crate::model::{ActivityDeployment, ActivityType, InstallMode};
+use crate::retry::ATTEMPT_TIMEOUT;
 
 /// Cost of adding a new activity type to a site's registries, including
 /// deploy-file retrieval and validation (Table 1 "Activity Type Addition"
@@ -491,12 +492,11 @@ impl Install<'_> {
         action: &PlannedAction,
     ) -> Result<(), GlareError> {
         let (site, step, start) = (self.site, action.step_name(), self.at);
-        let timeout = grid.retry.attempt_timeout;
         let mut lost = Lost::default();
         while grid.attempt_lost(site) {
-            grid.attempt_timed_out(site, "deploy", timeout, &mut lost);
+            grid.attempt_timed_out(site, "deploy", ATTEMPT_TIMEOUT, &mut lost);
             self.at = start + lost.elapsed;
-            self.breakdown.channel_overhead += timeout;
+            self.breakdown.channel_overhead += ATTEMPT_TIMEOUT;
             // No breaker guards a deploy step, and only an idempotent one
             // is ever granted another attempt.
             let granted = if action.is_idempotent() {

@@ -14,6 +14,7 @@ use glare_fabric::{SimDuration, SimTime, SiteId, SpanKind, TraceContext};
 use crate::error::GlareError;
 use crate::grid::{Grid, Lost};
 use crate::model::{ActivityDeployment, ActivityType};
+use crate::retry::ATTEMPT_TIMEOUT;
 
 /// Where a discovery answer came from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -263,7 +264,7 @@ impl Lookup<'_> {
         // attempt timeout, tightened to the learned `margin×mean + k×σ`
         // once the site's estimator is warm — waiting 500 ms on a site
         // that always answers in 40 ms only stretches the ladder's tail.
-        let budget = self.grid.suspicion.attempt_budget(peer, self.grid.retry.attempt_timeout);
+        let budget = self.grid.suspicion.attempt_budget(peer, ATTEMPT_TIMEOUT);
         let mut lost = Lost::default();
         let reached = loop {
             if !self.grid.breaker_allows(peer, start + lost.elapsed) {
@@ -471,11 +472,10 @@ mod tests {
         assert!(warm_g.suspicion.is_warm(1), "healthy probes warmed site1");
         // The learned budget for the crashed site is far below the
         // configured attempt timeout.
-        let budget = warm_g.suspicion.attempt_budget(1, warm_g.retry.attempt_timeout);
+        let budget = warm_g.suspicion.attempt_budget(1, ATTEMPT_TIMEOUT);
         assert!(
-            budget < warm_g.retry.attempt_timeout,
-            "warm budget {budget} vs configured {}",
-            warm_g.retry.attempt_timeout
+            budget < ATTEMPT_TIMEOUT,
+            "warm budget {budget} vs configured {ATTEMPT_TIMEOUT}"
         );
     }
 

@@ -20,45 +20,48 @@ use std::collections::BTreeMap;
 
 use glare_fabric::{SimDuration, SimRng, SimTime};
 
-/// Knobs of the unified recovery behaviour.
+/// Backoff floor: the first retry waits at least this long. Fixed — no
+/// caller ever asked for another floor, and a policy that never retries
+/// (`max_attempts == 1`) never draws a backoff, so it never reads this.
+pub const BASE_DELAY: SimDuration = SimDuration::from_millis(250);
+
+/// Backoff ceiling for any single jittered wait (a server's `RetryAfter`
+/// hint may exceed it, see [`RetryPolicy::next_backoff_after`]).
+pub const MAX_DELAY: SimDuration = SimDuration::from_secs(5);
+
+/// Budget for one attempt before it is declared failed: what a lost
+/// lease call, probe or deploy step costs the synchronous substrate.
+/// Equal to the node's probe deadline (`PROBE_TIMEOUT` in `node/msg.rs`).
+pub const ATTEMPT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+
+/// Overall budget across all attempts and backoffs; once spent, no
+/// further attempt starts even if `max_attempts` remain. Every caller
+/// asks [`RetryPolicy::may_attempt`] about attempt 2 or later, which a
+/// single-attempt policy refuses on the count alone, so the deadline
+/// binds only a policy that retries.
+pub const DEADLINE: SimDuration = SimDuration::from_secs(30);
+
+/// The unified recovery behaviour. The attempt count is what callers
+/// vary (1 = legacy, 4 = standard, 3 for workflow activities); the
+/// backoff shape, the per-attempt timeout and the overall deadline are
+/// the constants above.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (1 = never retry).
     pub max_attempts: u32,
-    /// Backoff floor; the first retry waits at least this long.
-    pub base_delay: SimDuration,
-    /// Backoff ceiling for any single wait.
-    pub max_delay: SimDuration,
-    /// Budget for one attempt before it is declared failed.
-    pub attempt_timeout: SimDuration,
-    /// Overall budget across all attempts and backoffs; once spent, no
-    /// further attempt starts even if `max_attempts` remain.
-    pub deadline: SimDuration,
 }
 
 impl RetryPolicy {
     /// Legacy single-attempt behaviour: the call runs exactly once and
     /// failures surface immediately. Draws no randomness, ever.
     pub fn disabled() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            base_delay: SimDuration::ZERO,
-            max_delay: SimDuration::ZERO,
-            attempt_timeout: SimDuration::from_millis(500),
-            deadline: SimDuration::MAX,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
     /// Defaults tuned for WAN-crossing control messages (probes, lease
     /// calls): a handful of attempts, sub-second floor, bounded tail.
     pub fn standard() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay: SimDuration::from_millis(250),
-            max_delay: SimDuration::from_secs(5),
-            attempt_timeout: SimDuration::from_millis(500),
-            deadline: SimDuration::from_secs(30),
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 
     /// Whether this policy ever retries.
@@ -69,40 +72,34 @@ impl RetryPolicy {
     /// Whether attempt number `attempt` (1-based) may start after
     /// `elapsed` of the overall budget is already spent.
     pub fn may_attempt(&self, attempt: u32, elapsed: SimDuration) -> bool {
-        attempt <= self.max_attempts && elapsed < self.deadline
+        attempt <= self.max_attempts && elapsed < DEADLINE
     }
 
     /// Draw the next backoff delay with decorrelated jitter:
-    /// `min(max_delay, uniform(base_delay, 3 × prev))`, where `prev` is
+    /// `uniform(BASE_DELAY, min(MAX_DELAY, 3 × prev))`, where `prev` is
     /// the previous delay (pass [`SimDuration::ZERO`] before the first
-    /// retry — it is clamped up to `base_delay`).
+    /// retry — it is clamped up to [`BASE_DELAY`]).
     ///
     /// Consumes RNG only when called, i.e. only on an actual retry.
     pub fn next_backoff(&self, rng: &mut SimRng, prev: SimDuration) -> SimDuration {
-        let base = self.base_delay.as_nanos().max(1);
-        let cap = self.max_delay.as_nanos().max(base);
+        let base = BASE_DELAY.as_nanos();
         let prev = prev.as_nanos().max(base);
-        let hi = prev.saturating_mul(3).min(cap);
-        let drawn = if hi > base {
-            rng.range(base, hi + 1)
-        } else {
-            base
-        };
-        SimDuration::from_nanos(drawn)
+        let hi = prev.saturating_mul(3).min(MAX_DELAY.as_nanos());
+        SimDuration::from_nanos(rng.range(base, hi + 1))
     }
 
     /// Like [`RetryPolicy::next_backoff`], but honoring a server-supplied
     /// `RetryAfter` hint (an overloaded site's admission controller quotes
     /// one when it sheds a request): the drawn backoff is floored at the
-    /// hint, and the hint may exceed `max_delay` — the server knows its
+    /// hint, and the hint may exceed [`MAX_DELAY`] — the server knows its
     /// own congestion better than the client's static cap does.
     ///
     /// The hint is clamped against what is left of the overall deadline
-    /// budget (`deadline - elapsed`): a huge hint must not schedule the
+    /// budget (`DEADLINE - elapsed`): a huge hint must not schedule the
     /// retry past the point where [`RetryPolicy::may_attempt`] would
     /// refuse it anyway — that wastes the attempt without ever sending it.
     /// The clamp applies to the *hint floor* only; the jittered draw is
-    /// already bounded by `max_delay`.
+    /// already bounded by [`MAX_DELAY`].
     ///
     /// Consumes RNG exactly as [`RetryPolicy::next_backoff`] does (one
     /// draw per actual retry), so a run that never sheds is byte-identical
@@ -114,7 +111,7 @@ impl RetryPolicy {
         retry_after: SimDuration,
         elapsed: SimDuration,
     ) -> SimDuration {
-        let remaining = self.deadline.saturating_sub(elapsed);
+        let remaining = DEADLINE.saturating_sub(elapsed);
         self.next_backoff(rng, prev).max(retry_after.min(remaining))
     }
 }
@@ -296,12 +293,10 @@ mod tests {
         let mut prev = SimDuration::ZERO;
         for _ in 0..64 {
             let d = p.next_backoff(&mut rng, prev);
-            assert!(d >= p.base_delay, "floor: {d} >= {}", p.base_delay);
-            assert!(d <= p.max_delay, "ceiling: {d} <= {}", p.max_delay);
-            let upper = SimDuration::from_nanos(
-                prev.max(p.base_delay).as_nanos().saturating_mul(3),
-            );
-            assert!(d <= upper.max(p.base_delay), "decorrelated bound");
+            assert!(d >= BASE_DELAY, "floor: {d} >= {BASE_DELAY}");
+            assert!(d <= MAX_DELAY, "ceiling: {d} <= {MAX_DELAY}");
+            let upper = SimDuration::from_nanos(prev.max(BASE_DELAY).as_nanos().saturating_mul(3));
+            assert!(d <= upper, "decorrelated bound");
             prev = d;
         }
     }
@@ -321,18 +316,6 @@ mod tests {
         };
         assert_eq!(seq(7), seq(7));
         assert_ne!(seq(7), seq(8));
-    }
-
-    #[test]
-    fn degenerate_policy_backoff_stays_at_base() {
-        let p = RetryPolicy {
-            base_delay: SimDuration::from_millis(100),
-            max_delay: SimDuration::from_millis(100),
-            ..RetryPolicy::standard()
-        };
-        let mut rng = SimRng::from_seed(1);
-        let d = p.next_backoff(&mut rng, SimDuration::from_secs(10));
-        assert_eq!(d, SimDuration::from_millis(100));
     }
 
     #[test]
@@ -361,7 +344,7 @@ mod tests {
 
     #[test]
     fn retry_after_hint_is_clamped_to_remaining_deadline() {
-        // standard(): 30s deadline. With 25s already spent, a 20s hint
+        // DEADLINE is 30s. With 25s already spent, a 20s hint
         // would schedule the retry at t=45s — 15s past the budget, where
         // may_attempt refuses it. The clamp caps the floor at the 5s that
         // remain (the jittered draw can still come in below it).
@@ -383,12 +366,9 @@ mod tests {
 
     #[test]
     fn deadline_budget_cuts_attempts_short() {
-        let p = RetryPolicy {
-            deadline: SimDuration::from_secs(2),
-            ..RetryPolicy::standard()
-        };
-        assert!(p.may_attempt(2, SimDuration::from_secs(1)));
-        assert!(!p.may_attempt(2, SimDuration::from_secs(2)));
+        let p = RetryPolicy::standard();
+        assert!(p.may_attempt(2, DEADLINE - SimDuration::from_nanos(1)));
+        assert!(!p.may_attempt(2, DEADLINE), "budget spent with attempts left");
         assert!(!p.may_attempt(5, SimDuration::ZERO), "attempt cap");
     }
 

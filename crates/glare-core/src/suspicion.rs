@@ -33,24 +33,32 @@ use std::collections::BTreeMap;
 
 use glare_fabric::SimDuration;
 
-/// Knobs of the adaptive suspicion estimator.
+/// EWMA smoothing factor for the mean/variance updates, in `(0, 1]`:
+/// gentle smoothing, tuned with the three constants below for the
+/// overlay's heartbeat/probe cadences so that healthy seeds never cross a
+/// takeover threshold. Fixed — a disabled tracker records nothing and is
+/// never warm, so it reads none of the four.
+const ALPHA: f64 = 0.2;
+
+/// Samples required before an estimator is *warm*; cold estimators
+/// always defer to the configured fixed values.
+const MIN_SAMPLES: u64 = 8;
+
+/// Standard deviations of headroom granted above the expected value when
+/// deriving thresholds and budgets.
+const SIGMAS: f64 = 4.0;
+
+/// Multiplicative safety margin on the learned mean (the expected value
+/// is `MARGIN × mean`): absorbs a whole missed beat before any suspicion
+/// accrues.
+const MARGIN: f64 = 2.0;
+
+/// Whether the adaptive suspicion estimator runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SuspicionConfig {
     /// Master switch. Off (the default) keeps every consumer on its
     /// configured fixed threshold and records nothing.
     pub enabled: bool,
-    /// EWMA smoothing factor for the mean/variance updates, in `(0, 1]`.
-    pub alpha: f64,
-    /// Samples required before an estimator is *warm*; cold estimators
-    /// always defer to the configured fixed values.
-    pub min_samples: u32,
-    /// Standard deviations of headroom granted above the expected value
-    /// when deriving thresholds and budgets.
-    pub sigmas: f64,
-    /// Multiplicative safety margin on the learned mean (the expected
-    /// value is `margin × mean`): absorbs a whole missed beat before any
-    /// suspicion accrues.
-    pub margin: f64,
 }
 
 impl SuspicionConfig {
@@ -58,24 +66,12 @@ impl SuspicionConfig {
     /// observations are discarded. Same-seed runs are event-identical to
     /// runs of a build without the estimator.
     pub fn disabled() -> SuspicionConfig {
-        SuspicionConfig {
-            enabled: false,
-            ..SuspicionConfig::standard()
-        }
+        SuspicionConfig { enabled: false }
     }
 
-    /// Defaults tuned for the overlay's heartbeat/probe cadences: gentle
-    /// smoothing, a full missed beat of margin and four sigmas of jitter
-    /// headroom — conservative enough that healthy seeds never cross a
-    /// takeover threshold.
+    /// Estimation on.
     pub fn standard() -> SuspicionConfig {
-        SuspicionConfig {
-            enabled: true,
-            alpha: 0.2,
-            min_samples: 8,
-            sigmas: 4.0,
-            margin: 2.0,
-        }
+        SuspicionConfig { enabled: true }
     }
 }
 
@@ -85,44 +81,25 @@ impl Default for SuspicionConfig {
     }
 }
 
-/// Knobs of hedged probes.
+/// Whether probes are hedged. How long a hedge waits is fixed beside the
+/// code that arms it (`node/ladder.rs`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HedgeConfig {
     /// Master switch. Off (the default) arms no hedge timers and sends no
     /// extra probes — same-seed runs are event-identical to a build
     /// without hedging.
     pub enabled: bool,
-    /// Hedge delay as a fraction of the probe timeout while the latency
-    /// estimator is cold (no learned quantile to derive it from).
-    pub cold_fraction: f64,
-    /// Standard deviations above the learned mean round-trip used as the
-    /// warm hedge delay (a deterministic stand-in for a high latency
-    /// quantile of the peer's response distribution).
-    pub sigmas: f64,
-    /// Floor on any hedge delay — hedging below the healthy round-trip
-    /// only duplicates traffic.
-    pub min_delay: SimDuration,
 }
 
 impl HedgeConfig {
     /// Hedging off (the default): no timers, no extra probes, no counters.
     pub fn disabled() -> HedgeConfig {
-        HedgeConfig {
-            enabled: false,
-            ..HedgeConfig::standard()
-        }
+        HedgeConfig { enabled: false }
     }
 
-    /// Defaults tuned for the overlay's 500 ms probe deadline: a cold
-    /// hedge waits half the deadline; a warm hedge waits roughly the p99
-    /// of the peer's learned response distribution.
+    /// Hedging on.
     pub fn standard() -> HedgeConfig {
-        HedgeConfig {
-            enabled: true,
-            cold_fraction: 0.5,
-            sigmas: 3.0,
-            min_delay: SimDuration::from_millis(10),
-        }
+        HedgeConfig { enabled: true }
     }
 }
 
@@ -145,15 +122,15 @@ impl PeerEstimator {
     /// Fold one observation in. The first sample seeds the mean; later
     /// samples update mean and variance with the standard EWMA
     /// recurrences (`West 1979` form, so variance stays non-negative).
-    pub fn observe(&mut self, alpha: f64, sample: SimDuration) {
+    pub fn observe(&mut self, sample: SimDuration) {
         let x = sample.as_millis_f64();
         if self.samples == 0 {
             self.mean_ms = x;
             self.var_ms2 = 0.0;
         } else {
             let delta = x - self.mean_ms;
-            self.mean_ms += alpha * delta;
-            self.var_ms2 = (1.0 - alpha) * (self.var_ms2 + alpha * delta * delta);
+            self.mean_ms += ALPHA * delta;
+            self.var_ms2 = (1.0 - ALPHA) * (self.var_ms2 + ALPHA * delta * delta);
         }
         self.samples += 1;
     }
@@ -181,10 +158,10 @@ impl PeerEstimator {
 
     /// Phi-style suspicion of a peer whose observable currently stands at
     /// `elapsed`: zero while inside the expected window
-    /// (`margin × mean`), then the number of floored standard deviations
+    /// (`MARGIN × mean`), then the number of floored standard deviations
     /// past it. Monotone in `elapsed`, so silence only ever accrues.
-    pub fn suspicion(&self, cfg: &SuspicionConfig, elapsed: SimDuration) -> f64 {
-        let expected = cfg.margin * self.mean_ms;
+    pub fn suspicion(&self, elapsed: SimDuration) -> f64 {
+        let expected = MARGIN * self.mean_ms;
         let excess = elapsed.as_millis_f64() - expected;
         if excess <= 0.0 {
             0.0
@@ -194,9 +171,9 @@ impl PeerEstimator {
     }
 
     /// The adaptive budget this estimator implies: expected value plus
-    /// the configured sigmas of headroom, in milliseconds.
-    fn budget_ms(&self, cfg: &SuspicionConfig) -> f64 {
-        cfg.margin * self.mean_ms + cfg.sigmas * self.stddev_floored_ms()
+    /// [`SIGMAS`] of headroom, in milliseconds.
+    fn budget_ms(&self) -> f64 {
+        MARGIN * self.mean_ms + SIGMAS * self.stddev_floored_ms()
     }
 }
 
@@ -235,10 +212,7 @@ impl<K: Ord + Copy> SuspicionTracker<K> {
         if !self.cfg.enabled {
             return;
         }
-        self.peers
-            .entry(key)
-            .or_default()
-            .observe(self.cfg.alpha, sample);
+        self.peers.entry(key).or_default().observe(sample);
     }
 
     /// The estimator for `key`, warm or not.
@@ -249,10 +223,7 @@ impl<K: Ord + Copy> SuspicionTracker<K> {
     /// Whether `key`'s estimator has enough samples to be trusted.
     pub fn is_warm(&self, key: K) -> bool {
         self.cfg.enabled
-            && self
-                .peers
-                .get(&key)
-                .is_some_and(|e| e.samples >= u64::from(self.cfg.min_samples))
+            && self.peers.get(&key).is_some_and(|e| e.samples >= MIN_SAMPLES)
     }
 
     /// Suspicion level of `key` whose observable currently stands at
@@ -262,11 +233,11 @@ impl<K: Ord + Copy> SuspicionTracker<K> {
         if !self.is_warm(key) {
             return 0.0;
         }
-        self.peers[&key].suspicion(&self.cfg, elapsed)
+        self.peers[&key].suspicion(elapsed)
     }
 
     /// Adaptive silence threshold before `key` is declared failed:
-    /// `margin × mean + sigmas × σ` clamped into `[lo, hi]` when warm,
+    /// `MARGIN × mean + SIGMAS × σ` clamped into `[lo, hi]` when warm,
     /// `hi` (the configured fixed threshold) when disabled or cold. The
     /// `hi` clamp means adaptation can only ever *accelerate* detection,
     /// never delay it past the configured value.
@@ -274,18 +245,18 @@ impl<K: Ord + Copy> SuspicionTracker<K> {
         if !self.is_warm(key) {
             return hi;
         }
-        let ms = self.peers[&key].budget_ms(&self.cfg);
+        let ms = self.peers[&key].budget_ms();
         SimDuration::from_nanos((ms * 1e6) as u64).max(lo).min(hi)
     }
 
     /// Adaptive per-remote attempt budget: the learned
-    /// `margin × mean + sigmas × σ` capped at the `configured` timeout
+    /// `MARGIN × mean + SIGMAS × σ` capped at the `configured` timeout
     /// (tighten only), or `configured` itself when disabled or cold.
     pub fn attempt_budget(&self, key: K, configured: SimDuration) -> SimDuration {
         if !self.is_warm(key) {
             return configured;
         }
-        let ms = self.peers[&key].budget_ms(&self.cfg);
+        let ms = self.peers[&key].budget_ms();
         SimDuration::from_nanos((ms * 1e6) as u64)
             .max(SimDuration::from_millis(1))
             .min(configured)
@@ -381,7 +352,7 @@ mod tests {
 
     #[test]
     fn cold_and_disabled_estimators_defer_to_configured_values() {
-        let cold = warm_tracker(3, ms(20)); // below min_samples
+        let cold = warm_tracker(3, ms(20)); // below MIN_SAMPLES
         assert_eq!(cold.suspicion(7, ms(10_000)), 0.0);
         assert_eq!(cold.silence_threshold(7, ms(100), ms(16_000)), ms(16_000));
         assert_eq!(cold.attempt_budget(7, ms(500)), ms(500));

@@ -77,17 +77,6 @@ pub enum ExpectError {
     CommandFailed(CmdResult),
 }
 
-impl ExpectError {
-    /// Whether retrying the session could plausibly succeed. Both an
-    /// unmatched prompt and a failing command are deterministic under the
-    /// simulated host — the same dialog replays the same way — so neither
-    /// is transient; retry layers should fail fast on them and spend
-    /// their budget on injected outages instead.
-    pub fn is_transient(&self) -> bool {
-        false
-    }
-}
-
 impl std::fmt::Display for ExpectError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

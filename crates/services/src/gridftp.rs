@@ -120,16 +120,6 @@ pub enum TransferError {
     WriteFailed(String),
 }
 
-impl TransferError {
-    /// Whether retrying the transfer could plausibly succeed. A checksum
-    /// mismatch is a corrupted wire copy — worth re-fetching — while a
-    /// missing artifact or an unwritable destination is deterministic and
-    /// retrying only wastes the budget.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, TransferError::ChecksumMismatch { .. })
-    }
-}
-
 impl std::fmt::Display for TransferError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -76,10 +76,7 @@ impl EnactmentEngine {
         EnactmentEngine {
             channel,
             from_site,
-            retry: RetryPolicy {
-                max_attempts: 3,
-                ..RetryPolicy::standard()
-            },
+            retry: RetryPolicy { max_attempts: 3 },
         }
     }
 

@@ -9,7 +9,9 @@
 #      its test); the allocation pins run here too, each its own test binary
 #      with the counting allocator of crates/fabric/tests/support/:
 #      fabric's steady_state_allocations, glare-core's probe_visit_allocations
-#      and grid_request_allocations
+#      and grid_request_allocations; tests/source_budget.rs holds three
+#      ratchets: file length, function length, and the pub fields left on
+#      each policy struct (a settable value may only go away)
 #   3. clippy with warnings promoted to errors
 #   4. rustdoc with warnings promoted to errors
 #   5. the cross-commit oracle run twice on this commit: every harness binary

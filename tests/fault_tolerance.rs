@@ -135,9 +135,7 @@ fn queries_continue_through_partition_heal() {
 #[test]
 fn message_loss_degrades_but_does_not_wedge() {
     let (mut sim, ids) = seeded(3, &[0], 13);
-    sim.set_network_config(glare::fabric::NetworkConfig {
-        drop_probability: 0.05,
-    });
+    sim.set_drop_probability(0.05);
     let stats = ClientStats::shared();
     let client = QueryClient::new(ids[1], "Imaging", SimDuration::from_secs(10), 12, stats.clone());
     sim.add_actor(SiteId(1), Box::new(client));

@@ -1,7 +1,7 @@
 //! ROADMAP item 1's size targets, held as tests: no source file of a crate
-//! runs past `BUDGET` lines before its unit tests, and no function in one past
-//! `FN_BUDGET`. What did when each test was written is pinned: it may only
-//! shrink, and leaves its list then.
+//! runs past `BUDGET` lines before its unit tests, no function in one past
+//! `FN_BUDGET`, and no policy struct regains a settable field. What did when
+//! each test was written is pinned: it may only shrink, and leaves its list then.
 
 use std::{fs, path::{Path, PathBuf}};
 
@@ -10,27 +10,39 @@ const FN_BUDGET: usize = 120;
 
 /// `(path under crates/, lines before its tests)`: a ratchet, not an allowance.
 const OVER: [(&str, usize); 7] = [
-    ("fabric/src/sim.rs", 1394),
+    ("fabric/src/sim.rs", 1363),
     ("bench/src/chaos.rs", 980),
-    ("fabric/src/metrics.rs", 1009),
-    ("glare-core/src/grid.rs", 902),
-    ("bench/src/autonomic.rs", 851),
-    ("bench/src/health.rs", 824),
+    ("fabric/src/metrics.rs", 980),
+    ("glare-core/src/grid.rs", 887),
+    ("bench/src/autonomic.rs", 844),
+    ("bench/src/health.rs", 822),
     ("glare-core/src/durable.rs", 829),
 ];
 
 /// `(path under crates/, function, its lines)`: the same ratchet for functions.
 const LONG: [(&str, &str, usize); 10] = [
-    ("bench/src/autonomic.rs", "run", 378),
+    ("bench/src/autonomic.rs", "run", 374),
     ("bench/src/health.rs", "run", 218),
     ("bench/src/grayfail.rs", "run_mode", 185),
     ("fabric/src/sim.rs", "step", 155),
     ("bench/src/chaos.rs", "run_overlay_point", 152),
     ("bench/src/chaos.rs", "run_grid_phase", 144),
     ("glare-core/src/deployfile.rs", "for_package", 138),
-    ("bench/src/health.rs", "run_overlay_with_tenants", 132),
+    ("bench/src/health.rs", "run_overlay_with_tenants", 130),
     ("wsrf/src/xml.rs", "parse_element", 128),
     ("bench/src/autonomic.rs", "to_json", 126),
+];
+
+/// `(path under crates/, struct, its pub fields)`: what a caller can still set
+/// on a policy (ROADMAP 1(d)). A field one value reaches from non-test code is
+/// a constant beside its reader, not an entry here.
+const KNOBS: [(&str, &str, usize); 6] = [
+    ("glare-core/src/retry.rs", "RetryPolicy", 1),
+    ("glare-core/src/admission.rs", "AdmissionConfig", 2),
+    ("glare-core/src/suspicion.rs", "SuspicionConfig", 1),
+    ("glare-core/src/suspicion.rs", "HedgeConfig", 1),
+    ("glare-core/src/autonomic.rs", "AutonomicConfig", 4),
+    ("fabric/src/store.rs", "StoreConfig", 1),
 ];
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -127,5 +139,25 @@ fn no_function_outgrows_its_budget() {
     for entry in &LONG {
         let (file, name, _) = entry;
         assert!(still_long.contains(&entry), "{file}: fn {name} fits the budget: delete its entry");
+    }
+}
+
+/// The `pub` fields `name` declares, from its `pub struct` line to the closing
+/// brace at that line's indent.
+fn pub_fields(lines: &[String], name: &str) -> usize {
+    let opening = format!("pub struct {name} {{");
+    let start = lines.iter().position(|l| *l == opening).expect("the struct is declared here");
+    let body = lines[start..].iter().take_while(|l| l.as_str() != "}");
+    body.filter(|l| l.trim_start().starts_with("pub ") && l.trim_end().ends_with(',')).count()
+}
+
+#[test]
+fn no_policy_struct_regains_a_knob() {
+    let sources = sources_before_tests();
+    for (file, name, pinned) in KNOBS {
+        let (_, lines) = sources.iter().find(|(f, _)| f == file).expect("listed file exists");
+        let fields = pub_fields(lines, name);
+        assert!(fields <= pinned, "{file}: {name} has {fields} pub fields, limit {pinned}");
+        assert!(fields > 0, "{file}: {name} has nothing left to set: delete its entry");
     }
 }

@@ -112,17 +112,18 @@ impl ActivityDeploymentRegistry {
         type_name: &str,
         now: SimTime,
     ) -> TypedResponse<Vec<ActivityDeployment>> {
-        let keys: Vec<String> = self
-            .by_type
-            .read()
-            .get(type_name)
-            .map(|ks| ks.iter().cloned().collect())
-            .unwrap_or_default();
+        // The shards are read under the index read lock, walking its key
+        // set in place: index before shard is the order `register` takes
+        // them in.
+        let by_type = self.by_type.read();
         let usable = |d: &ActivityDeployment| d.is_usable().then(|| d.clone());
-        let list: Vec<ActivityDeployment> = keys
-            .iter()
+        let list: Vec<ActivityDeployment> = by_type
+            .get(type_name)
+            .into_iter()
+            .flatten()
             .filter_map(|k| self.home.with_resource(k, now, |r| usable(&r.payload)).flatten())
             .collect();
+        drop(by_type);
         let cost = REQUEST_BASE_COST
             + self
                 .transport

@@ -17,13 +17,17 @@
 //! Every method takes `&self`: the resource home is internally sharded
 //! (see [`ResourceHome`]), the hierarchy index sits behind a single
 //! `RwLock` (reads dominate; writes only on register/update/remove), and
-//! the lookup counter is an atomic. A registry wrapped in `Arc` serves
+//! the lookup counter is an atomic. Entries are shared `Arc`s: a named
+//! lookup bumps a reference count instead of copying the type, and an
+//! update swaps in an edited copy (copy-on-write), so a reader keeps the
+//! version it was handed. A registry wrapped in `Arc` serves
 //! concurrent client threads with no outer lock — named lookups from
 //! different threads genuinely proceed in parallel, which is what the
 //! Fig. 10 throughput harness exercises.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use glare_fabric::sync::RwLock;
 use glare_fabric::{SimDuration, SimTime};
@@ -53,7 +57,7 @@ pub struct ActivityTypeRegistry {
     pub address: String,
     /// Transport security.
     pub transport: Transport,
-    home: ResourceHome<ActivityType>,
+    home: ResourceHome<Arc<ActivityType>>,
     hierarchy: RwLock<TypeHierarchy>,
     xpath_memo: XPathMemo,
     lookups_served: AtomicU64,
@@ -117,17 +121,20 @@ impl ActivityTypeRegistry {
                 reason: "extension cycle".into(),
             });
         }
-        self.home.create(t.name.clone(), t.clone(), now)?;
+        let t = Arc::new(t);
+        self.home.create(t.name.clone(), Arc::clone(&t), now)?;
         hierarchy.insert(&t);
         Ok(REQUEST_BASE_COST + self.transport.overhead_cost(TYPE_WIRE_BYTES))
     }
 
     /// Named lookup — the hashtable fast path. Cost does *not* depend on
-    /// registry size, and concurrent callers do not serialize.
-    pub fn lookup(&self, name: &str, now: SimTime) -> Option<TypedResponse<ActivityType>> {
+    /// registry size, and concurrent callers do not serialize. The entry
+    /// comes back shared: a lookup bumps a reference count and copies
+    /// nothing.
+    pub fn lookup(&self, name: &str, now: SimTime) -> Option<TypedResponse<Arc<ActivityType>>> {
         self.lookups_served.fetch_add(1, Ordering::Relaxed);
         let cost = REQUEST_BASE_COST + self.transport.overhead_cost(512 + TYPE_WIRE_BYTES);
-        let value = self.home.with_resource(name, now, |r| r.payload.clone())?;
+        let value = self.home.with_resource(name, now, |r| Arc::clone(&r.payload))?;
         Some(TypedResponse { value, cost })
     }
 
@@ -216,6 +223,7 @@ impl ActivityTypeRegistry {
                             .unwrap_or(false)
                     })
             })
+            .map(Arc::unwrap_or_clone)
             .collect();
         let cost = REQUEST_BASE_COST
             + SCAN_PER_ENTRY_COST * scanned as u64
@@ -232,7 +240,7 @@ impl ActivityTypeRegistry {
         self.home.for_each_live(now, |r| {
             scanned += 1;
             if r.payload.domain == domain {
-                hits.push(r.payload.clone());
+                hits.push(ActivityType::clone(&r.payload));
             }
         });
         let cost = REQUEST_BASE_COST
@@ -243,16 +251,34 @@ impl ActivityTypeRegistry {
         TypedResponse { value: hits, cost }
     }
 
-    /// Update a type in place (bumps its modification stamp).
+    /// Update a type (bumps its modification stamp). Copy-on-write: `f`
+    /// edits a copy, which replaces the shared entry only if its base types
+    /// close no extension cycle — the check `register` makes. A rejected
+    /// edit leaves entry, stamp and hierarchy as they were.
     pub fn update<F>(&self, name: &str, now: SimTime, f: F) -> Result<(), GlareError>
     where
         F: FnOnce(&mut ActivityType),
     {
-        self.home.update(name, now, f)?;
-        // Rebuild hierarchy edges in case base types changed.
-        if let Some(t) = self.home.with_resource(name, now, |r| r.payload.clone()) {
-            self.hierarchy.write().insert(&t);
+        // Held across read, check, swap and re-insert, as in `register`, so
+        // no other edit lands in between.
+        let mut hierarchy = self.hierarchy.write();
+        let mut edited = self
+            .home
+            .with_resource(name, now, |r| Arc::clone(&r.payload))
+            .ok_or_else(|| WsrfError::NoSuchResource {
+                key: name.to_owned(),
+            })?;
+        f(Arc::make_mut(&mut edited));
+        if hierarchy.would_cycle(&edited.name, &edited.base_types) {
+            return Err(GlareError::InvalidType {
+                name: edited.name.clone(),
+                reason: "extension cycle".into(),
+            });
         }
+        self.home.update(name, now, |entry| {
+            hierarchy.insert(&edited);
+            *entry = edited;
+        })?;
         Ok(())
     }
 
@@ -276,7 +302,7 @@ impl ActivityTypeRegistry {
     pub fn remove(&self, name: &str) -> Result<ActivityType, GlareError> {
         let r = self.home.destroy(name)?;
         self.hierarchy.write().remove(name);
-        Ok(r.payload)
+        Ok(Arc::unwrap_or_clone(r.payload))
     }
 
     /// Sweep expired types out of the hierarchy; returns their names (the
@@ -512,6 +538,30 @@ mod tests {
         let names: Vec<&str> = resolved.iter().map(|t| t.name.as_str()).collect();
         assert!(names.contains(&"Wien2k"));
         assert!(names.contains(&"JPOVray"));
+    }
+
+    #[test]
+    fn update_cannot_introduce_an_extension_cycle() {
+        let r = ActivityTypeRegistry::new("a", Transport::Http);
+        r.register(ActivityType::abstract_type("B", "d"), t(0)).unwrap();
+        r.register(ActivityType::abstract_type("A", "d").extends("B"), t(0))
+            .unwrap();
+        let before = r.lookup("B", t(1)).unwrap().value;
+        let err = r
+            .update("B", t(2), |b| b.base_types.push("A".into()))
+            .unwrap_err();
+        assert!(
+            matches!(&err, GlareError::InvalidType { reason, .. } if reason == "extension cycle"),
+            "{err:?}"
+        );
+        assert!(!r.with_hierarchy(|h| h.has_cycle_from("A")));
+        assert!(!r.with_hierarchy(|h| h.has_cycle_from("B")));
+        assert_eq!(*r.lookup("B", t(3)).unwrap().value, *before, "payload unchanged");
+        assert!(r.resolve_concrete("A", t(3)).value.is_empty());
+        // A legal edit still lands, and a reader keeps the version it held.
+        r.update("B", t(4), |b| b.domain = "e".into()).unwrap();
+        assert_eq!(r.lookup("B", t(5)).unwrap().value.domain, "e");
+        assert_eq!(before.domain, "d");
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl DeployFile {
     pub fn from_xml(node: &XmlNode) -> Result<DeployFile, GlareError> {
         if node.name != "Build" {
             return Err(GlareError::InvalidType {
-                name: node.name.clone(),
+                name: node.name.to_string(),
                 reason: "deploy-file root must be <Build>".into(),
             });
         }

@@ -655,7 +655,7 @@ impl SnapshotState {
             types: names
                 .iter()
                 .filter_map(|n| atr.lookup(n, now))
-                .map(|r| r.value)
+                .map(|r| ActivityType::clone(&r.value))
                 .collect(),
             deployments: live_deployments(adr, now),
             tombstones: adr.tombstones(),

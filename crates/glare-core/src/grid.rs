@@ -537,7 +537,7 @@ impl Grid {
         let mut cost = SimDuration::ZERO;
         // Local first.
         if let Some(resp) = self.sites[from_site].atr.lookup(name, now) {
-            return Some((resp.value, from_site, resp.cost));
+            return Some((ActivityType::clone(&resp.value), from_site, resp.cost));
         }
         cost += SimDuration::from_millis(4);
         // Then the rest of the VO.
@@ -548,7 +548,7 @@ impl Grid {
             }
             cost += rtt;
             if let Some(resp) = self.sites[i].atr.lookup(name, now) {
-                return Some((resp.value, i, cost + resp.cost));
+                return Some((ActivityType::clone(&resp.value), i, cost + resp.cost));
             }
         }
         None
@@ -1154,8 +1154,8 @@ mod tests {
             let types: Vec<ActivityType> = names
                 .iter()
                 .filter_map(|n| atr.lookup(n, now))
-                .map(|r| r.value)
-                .filter(|t| !t.revoked)
+                .filter(|r| !r.value.revoked)
+                .map(|r| ActivityType::clone(&r.value))
                 .collect();
             cost += REQUEST_BASE_COST
                 + SimDuration::from_micros(40) * names.len().max(1) as u64

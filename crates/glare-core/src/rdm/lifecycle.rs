@@ -109,7 +109,7 @@ pub fn undeploy(
         }
         // Uninstall the backing package from the host.
         if let Some(t) = grid.site_mut(i).atr.lookup(type_name, now).map(|r| r.value) {
-            package = t.installation.map(|inst| inst.package);
+            package = t.installation.as_ref().map(|inst| inst.package.clone());
         }
         if let Some(pkg) = package {
             if !keys.is_empty() && grid.site_mut(i).host.uninstall(&pkg).is_some() {

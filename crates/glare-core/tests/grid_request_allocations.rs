@@ -47,6 +47,8 @@ fn request(activity: &str, from_site: usize) -> ProvisionRequest {
 /// Before the borrowing read paths (PR 23) the same measurements read 44
 /// blocks / 4 671 bytes for the cache hit and 965 blocks for the Wien2k
 /// provision, and every `Grid::new` rebuilt the catalogue (764 blocks each).
+/// The provision read 730 blocks before XML element names and attribute
+/// keys were borrowed and ATR entries shared.
 #[test]
 fn a_cache_hit_a_provision_and_a_second_grid_allocate_what_is_pinned() {
     let ((first_grid, _), mut grid) = spent(|| Grid::new(8, Transport::Http));
@@ -77,5 +79,5 @@ fn a_cache_hit_a_provision_and_a_second_grid_allocate_what_is_pinned() {
     // One install: type registration, transfer, unpack, install, journal.
     let (wien2k, out) = spent(|| provision(&mut grid, &request("Wien2k", 0), t(5)));
     assert_eq!(out.expect("Wien2k installs").installs.len(), 1);
-    assert_eq!(wien2k.0, 730, "blocks of a Wien2k provision (one install)");
+    assert_eq!(wien2k.0, 726, "blocks of a Wien2k provision (one install)");
 }

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use glare_fabric::sync::RwLock;
 use glare_fabric::{SimDuration, SimTime};
-use glare_wsrf::{ServiceGroup, WsrfError, XPathMemo, XmlNode};
+use glare_wsrf::{ServiceGroup, WsrfError, XPath, XPathMemo, XmlNode};
 
 use crate::security::Transport;
 
@@ -75,6 +75,14 @@ struct DocSnapshot {
 impl DocSnapshot {
     fn is_fresh(&self, generation: u64, now: SimTime) -> bool {
         self.generation == generation && self.next_lapse.is_none_or(|t| t > now)
+    }
+
+    /// Copies of what `xpath` selects, and how many entries the scan
+    /// covered: while the snapshot is fresh its children are exactly the
+    /// group's live entries.
+    fn answer(&self, xpath: &XPath) -> (Vec<XmlNode>, usize) {
+        let matches = xpath.select(&self.doc).into_iter().cloned().collect();
+        (matches, self.doc.children.len())
     }
 }
 
@@ -228,13 +236,10 @@ impl IndexService {
             .map_err(|e| WsrfError::InvalidQuery {
                 message: e.to_string(),
             })?;
-        let scanned = self.group.read().len_live(now);
         let generation = self.generation.load(Ordering::Acquire);
         let snap = self.snapshot.read();
-        let matches: Vec<XmlNode> = match snap.as_ref() {
-            Some(s) if s.is_fresh(generation, now) => {
-                compiled.select(&s.doc).into_iter().cloned().collect()
-            }
+        let (matches, scanned) = match snap.as_ref() {
+            Some(s) if s.is_fresh(generation, now) => s.answer(&compiled),
             _ => {
                 drop(snap);
                 let mut snap = self.snapshot.write();
@@ -252,8 +257,7 @@ impl IndexService {
                         doc,
                     });
                 }
-                let s = snap.as_ref().expect("snapshot just ensured");
-                compiled.select(&s.doc).into_iter().cloned().collect()
+                snap.as_ref().expect("snapshot just ensured").answer(&compiled)
             }
         };
         self.queries_served.fetch_add(1, Ordering::Relaxed);

@@ -64,7 +64,7 @@ impl EndpointReference {
             .child_text("Address", &self.address)
             .child(
                 XmlNode::new("ReferenceProperties")
-                    .child_text(&self.key_name, &self.key)
+                    .child_text(self.key_name.clone(), &self.key)
                     .child_text(
                         "LastUpdateTime",
                         self.last_update_time.as_nanos().to_string(),
@@ -82,7 +82,7 @@ impl EndpointReference {
         Some(EndpointReference {
             address,
             key: key_elem.text.clone(),
-            key_name: key_elem.name.clone(),
+            key_name: key_elem.name.to_string(),
             last_update_time: SimTime::from_nanos(lut),
         })
     }

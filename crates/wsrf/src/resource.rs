@@ -23,6 +23,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use glare_fabric::sync::RwLock;
 use glare_fabric::SimTime;
@@ -43,6 +44,14 @@ pub trait ResourceProperties {
 impl ResourceProperties for XmlNode {
     fn to_property_document(&self) -> XmlNode {
         self.clone()
+    }
+}
+
+/// A home of shared entries (`ResourceHome<Arc<T>>`) renders each one as
+/// `T` does: a read hands out the `Arc`, not a copy.
+impl<T: ResourceProperties> ResourceProperties for Arc<T> {
+    fn to_property_document(&self) -> XmlNode {
+        T::to_property_document(self)
     }
 }
 

@@ -10,15 +10,21 @@
 //! baseline's XPath-scan cost — the heart of the paper's Fig. 10/11
 //! comparison — runs over these trees.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// One XML element: name, attributes, child elements and concatenated text.
+///
+/// Element names and attribute keys are `Cow<'static, str>`: the literals
+/// the model's `to_xml` methods emit are borrowed, so building or cloning
+/// such a tree allocates nothing for them; names read by [`parse`] are
+/// owned. Values and text are always owned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct XmlNode {
     /// Element name (possibly `prefix:local`).
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Attributes in document order.
-    pub attributes: Vec<(String, String)>,
+    pub attributes: Vec<(Cow<'static, str>, String)>,
     /// Child elements in document order.
     pub children: Vec<XmlNode>,
     /// Concatenated character data directly inside this element, trimmed.
@@ -27,7 +33,7 @@ pub struct XmlNode {
 
 impl XmlNode {
     /// New empty element.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         XmlNode {
             name: name.into(),
             attributes: Vec::new(),
@@ -37,7 +43,7 @@ impl XmlNode {
     }
 
     /// Builder: add an attribute.
-    pub fn attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn attr(mut self, key: impl Into<Cow<'static, str>>, value: impl Into<String>) -> Self {
         self.attributes.push((key.into(), value.into()));
         self
     }
@@ -55,7 +61,7 @@ impl XmlNode {
     }
 
     /// Builder: add a child element containing only text.
-    pub fn child_text(self, name: impl Into<String>, text: impl Into<String>) -> Self {
+    pub fn child_text(self, name: impl Into<Cow<'static, str>>, text: impl Into<String>) -> Self {
         self.child(XmlNode::new(name).text(text))
     }
 
@@ -73,7 +79,7 @@ impl XmlNode {
         if let Some(slot) = self.attributes.iter_mut().find(|(k, _)| k == key) {
             slot.1 = value;
         } else {
-            self.attributes.push((key.to_owned(), value));
+            self.attributes.push((Cow::Owned(key.to_owned()), value));
         }
     }
 
@@ -159,17 +165,25 @@ impl XmlNode {
     }
 }
 
+/// Append `s` to `out` with the five markup characters escaped; the runs
+/// between them are copied whole.
 fn escape_into(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            c => out.push(c),
-        }
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| matches!(b, b'<' | b'>' | b'&' | b'"' | b'\''))
+    {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'&' => "&amp;",
+            b'"' => "&quot;",
+            _ => "&apos;",
+        });
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
 }
 
 /// Error from [`parse`], with byte offset into the input.
@@ -269,7 +283,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> Result<String, XmlError> {
+    /// The name at the cursor, borrowed from the input.
+    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') {
@@ -281,9 +296,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("name bytes are ASCII")
-            .to_owned())
+        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("name bytes are ASCII"))
     }
 
     fn parse_element(&mut self) -> Result<XmlNode, XmlError> {
@@ -292,7 +305,7 @@ impl<'a> Parser<'a> {
         }
         self.pos += 1;
         let name = self.parse_name()?;
-        let mut node = XmlNode::new(name);
+        let mut node = XmlNode::new(name.to_owned());
 
         // Attributes.
         loop {
@@ -311,7 +324,7 @@ impl<'a> Parser<'a> {
                     return Ok(node);
                 }
                 Some(_) => {
-                    let key = self.parse_name()?;
+                    let key = self.parse_name()?.to_owned();
                     self.skip_ws();
                     if self.peek() != Some(b'=') {
                         return Err(self.err("expected '=' in attribute"));
@@ -336,12 +349,13 @@ impl<'a> Parser<'a> {
                     }
                     let raw = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("attribute value is not UTF-8"))?;
-                    let value = unescape(raw).map_err(|m| XmlError {
+                    let mut value = String::with_capacity(raw.len());
+                    unescape_into(raw, &mut value).map_err(|m| XmlError {
                         message: m,
                         offset: start,
                     })?;
                     self.pos += 1;
-                    node.attributes.push((key, value));
+                    node.attributes.push((key.into(), value));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
@@ -354,20 +368,8 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("unexpected end of input in element content")),
                 Some(b'<') => {
                     if self.starts_with("</") {
-                        self.pos += 2;
-                        let close = self.parse_name()?;
-                        if close != node.name {
-                            return Err(self.err(&format!(
-                                "mismatched close tag: expected </{}>, got </{}>",
-                                node.name, close
-                            )));
-                        }
-                        self.skip_ws();
-                        if self.peek() != Some(b'>') {
-                            return Err(self.err("expected '>' in close tag"));
-                        }
-                        self.pos += 1;
-                        node.text = text.trim().to_owned();
+                        self.close_tag(name)?;
+                        node.text = trimmed(text);
                         return Ok(node);
                     } else if self.starts_with("<!--") {
                         match find(self.bytes, self.pos, b"-->") {
@@ -395,24 +397,44 @@ impl<'a> Parser<'a> {
                         node.children.push(self.parse_element()?);
                     }
                 }
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'<' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("text is not UTF-8"))?;
-                    let chunk = unescape(raw).map_err(|m| XmlError {
-                        message: m,
-                        offset: start,
-                    })?;
-                    text.push_str(&chunk);
-                }
+                Some(_) => self.text_chunk(&mut text)?,
             }
         }
+    }
+
+    /// Consume the `</name>` closing the element opened as `open`,
+    /// comparing the two names in the input.
+    fn close_tag(&mut self, open: &str) -> Result<(), XmlError> {
+        self.pos += 2;
+        let close = self.parse_name()?;
+        if close != open {
+            return Err(self.err(&format!(
+                "mismatched close tag: expected </{open}>, got </{close}>"
+            )));
+        }
+        self.skip_ws();
+        if self.peek() != Some(b'>') {
+            return Err(self.err("expected '>' in close tag"));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Append the character data up to the next `<` to `text`, unescaped.
+    fn text_chunk(&mut self, text: &mut String) -> Result<(), XmlError> {
+        let start = self.pos;
+        while let Some(c) = self.peek() {
+            if c == b'<' {
+                break;
+            }
+            self.pos += 1;
+        }
+        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("text is not UTF-8"))?;
+        unescape_into(raw, text).map_err(|m| XmlError {
+            message: m,
+            offset: start,
+        })
     }
 }
 
@@ -423,11 +445,20 @@ fn find(haystack: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
         .map(|i| from + i)
 }
 
-fn unescape(s: &str) -> Result<String, String> {
-    if !s.contains('&') {
-        return Ok(s.to_owned());
+/// `text` without its surrounding whitespace; the buffer itself when
+/// there is none to trim.
+fn trimmed(text: String) -> String {
+    let inner = text.trim();
+    if inner.len() == text.len() {
+        text
+    } else {
+        inner.to_owned()
     }
-    let mut out = String::with_capacity(s.len());
+}
+
+/// Append `s` to `out` with its entity and character references replaced;
+/// text with no `&` is copied in one piece.
+fn unescape_into(s: &str, out: &mut String) -> Result<(), String> {
     let mut rest = s;
     while let Some(amp) = rest.find('&') {
         out.push_str(&rest[..amp]);
@@ -464,7 +495,7 @@ fn unescape(s: &str) -> Result<String, String> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

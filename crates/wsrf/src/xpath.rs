@@ -103,23 +103,22 @@ impl XPath {
         let mut first = true;
         for step in &self.steps {
             let mut next: Vec<&'a XmlNode> = Vec::new();
-            for node in &current {
-                let mut candidates: Vec<&'a XmlNode> = Vec::new();
+            for &node in &current {
+                // This context node's matches are `next[from..]`; the walk
+                // keeps only nodes that pass the node test.
+                let from = next.len();
                 if step.descendant {
-                    collect_descendants_or_self(node, &mut candidates);
+                    step.test.descendants_or_self(node, &mut next);
                 } else if first {
                     // The first non-descendant step tests the root itself,
                     // standing in for the document node's children.
-                    candidates.push(node);
+                    if step.test.matches(node) {
+                        next.push(node);
+                    }
                 } else {
-                    candidates.extend(node.children.iter());
+                    next.extend(node.children.iter().filter(|c| step.test.matches(c)));
                 }
-                let mut matched: Vec<&'a XmlNode> = candidates
-                    .into_iter()
-                    .filter(|n| step.test.matches(n))
-                    .collect();
-                apply_predicates(&step.predicates, &mut matched);
-                next.extend(matched);
+                apply_predicates(&step.predicates, &mut next, from);
             }
             // One context node reaches each node at most once; only several
             // can reach the same node twice (`//a//b` under nested `a`s).
@@ -142,47 +141,47 @@ impl XPath {
     }
 }
 
-fn collect_descendants_or_self<'a>(node: &'a XmlNode, out: &mut Vec<&'a XmlNode>) {
-    out.push(node);
-    for c in &node.children {
-        collect_descendants_or_self(c, out);
-    }
-}
-
-fn apply_predicates(preds: &[Predicate], nodes: &mut Vec<&XmlNode>) {
+/// Filter `nodes[from..]` — one context node's matches, in document order —
+/// through `preds` in turn; a position counts within that run only.
+fn apply_predicates(preds: &[Predicate], nodes: &mut Vec<&XmlNode>, from: usize) {
     for pred in preds {
         match pred {
             Predicate::Position(p) => {
-                let keep = nodes.get(p - 1).copied();
-                nodes.clear();
-                if let Some(n) = keep {
-                    nodes.push(n);
-                }
+                let keep = nodes.get(from + p - 1).copied();
+                nodes.truncate(from);
+                nodes.extend(keep);
             }
             Predicate::AttributeExists(name) => {
-                nodes.retain(|n| n.attribute(name).is_some());
+                retain_from(nodes, from, |n| n.attribute(name).is_some());
             }
             Predicate::Compare {
                 operand,
                 literal,
                 negated,
             } => {
-                nodes.retain(|n| {
+                retain_from(nodes, from, |n| {
                     let value: Option<&str> = match operand {
                         Operand::Attribute(a) => n.attribute(a),
                         Operand::ChildText(c) => n.child_text_of(c),
                         Operand::OwnText => Some(n.text.as_str()),
                     };
-                    let eq = value == Some(literal.as_str());
-                    if *negated {
-                        !eq
-                    } else {
-                        eq
-                    }
+                    (value == Some(literal.as_str())) != *negated
                 });
             }
         }
     }
+}
+
+/// `Vec::retain` over `nodes[from..]` only, keeping their order.
+fn retain_from(nodes: &mut Vec<&XmlNode>, from: usize, keep: impl Fn(&XmlNode) -> bool) {
+    let mut kept = from;
+    for i in from..nodes.len() {
+        if keep(nodes[i]) {
+            nodes.swap(kept, i);
+            kept += 1;
+        }
+    }
+    nodes.truncate(kept);
 }
 
 fn dedup_by_identity(nodes: &mut Vec<&XmlNode>) {
@@ -203,6 +202,18 @@ impl NodeTest {
         match self {
             NodeTest::Any => true,
             NodeTest::Name(n) => node.name == *n,
+        }
+    }
+
+    /// Push every node of `node`'s subtree that passes the test, `node`
+    /// itself first, in document order. Every node is still visited; only
+    /// the ones that pass are kept.
+    fn descendants_or_self<'a>(&self, node: &'a XmlNode, out: &mut Vec<&'a XmlNode>) {
+        if self.matches(node) {
+            out.push(node);
+        }
+        for c in &node.children {
+            self.descendants_or_self(c, out);
         }
     }
 }
@@ -679,6 +690,146 @@ mod tests {
         }
         assert_eq!(memo.len(), 8);
         assert_eq!(memo.hits() + memo.misses(), 400);
+    }
+
+    /// The evaluator before the walk filtered as it went: gather every
+    /// candidate of a context node, test names, then apply the predicates
+    /// to that list.
+    fn collect_then_filter<'a>(xpath: &XPath, root: &'a XmlNode) -> Vec<&'a XmlNode> {
+        fn collect<'a>(node: &'a XmlNode, out: &mut Vec<&'a XmlNode>) {
+            out.push(node);
+            for c in &node.children {
+                collect(c, out);
+            }
+        }
+        let mut current = vec![root];
+        for (i, step) in xpath.steps.iter().enumerate() {
+            let mut next = Vec::new();
+            for &node in &current {
+                let mut candidates = Vec::new();
+                if step.descendant {
+                    collect(node, &mut candidates);
+                } else if i == 0 {
+                    candidates.push(node);
+                } else {
+                    candidates.extend(node.children.iter());
+                }
+                candidates.retain(|n| step.test.matches(n));
+                for pred in &step.predicates {
+                    match pred {
+                        Predicate::Position(p) => {
+                            let keep = candidates.get(p - 1).copied();
+                            candidates = keep.into_iter().collect();
+                        }
+                        Predicate::AttributeExists(a) => {
+                            candidates.retain(|n| n.attribute(a).is_some());
+                        }
+                        Predicate::Compare {
+                            operand,
+                            literal,
+                            negated,
+                        } => candidates.retain(|n| {
+                            let value = match operand {
+                                Operand::Attribute(a) => n.attribute(a),
+                                Operand::ChildText(c) => n.child_text_of(c),
+                                Operand::OwnText => Some(n.text.as_str()),
+                            };
+                            (value == Some(literal.as_str())) != *negated
+                        }),
+                    }
+                }
+                next.extend(candidates);
+            }
+            if current.len() > 1 {
+                dedup_by_identity(&mut next);
+            }
+            current = next;
+        }
+        current
+    }
+
+    /// Three names, so that same-name elements nest; two attributes and
+    /// two values, so that every predicate both holds and fails.
+    fn arb_tree(rng: &mut glare_fabric::SimRng, depth: u32) -> XmlNode {
+        const NAMES: [&str; 3] = ["a", "b", "c"];
+        let mut node = XmlNode::new(NAMES[rng.index(3)]);
+        for key in ["x", "y"] {
+            if rng.chance(0.4) {
+                node = node.attr(key, ["1", "2"][rng.index(2)]);
+            }
+        }
+        if rng.chance(0.3) {
+            node = node.text(["1", "2"][rng.index(2)]);
+        }
+        if depth > 0 {
+            for _ in 0..rng.range(0, 4) {
+                node = node.child(arb_tree(rng, depth - 1));
+            }
+        }
+        node
+    }
+
+    /// An expression drawn from the grammar in the module doc: both axes,
+    /// `*`, positions, attribute existence, `=` / `!=` on attributes, child
+    /// text and own text, over up to three steps (so `//a//b` occurs).
+    fn arb_expr(rng: &mut glare_fabric::SimRng) -> String {
+        const PREDICATES: [&str; 9] = [
+            "[1]",
+            "[2]",
+            "[@x]",
+            "[@x='1']",
+            "[@y!='2']",
+            "[b='1']",
+            "[c!='2']",
+            "[text()='1']",
+            "[text()!='2']",
+        ];
+        let mut expr = String::new();
+        for step in 0..rng.range(1, 4) {
+            expr.push_str(match (step, rng.index(3)) {
+                (0, 0) => "",
+                (_, 1) => "/",
+                _ => "//",
+            });
+            expr.push_str(["a", "b", "c", "*"][rng.index(4)]);
+            for _ in 0..rng.range(0, 3) {
+                expr.push_str(PREDICATES[rng.index(PREDICATES.len())]);
+            }
+        }
+        expr
+    }
+
+    /// Seeded property: on random trees, `select` returns the same nodes,
+    /// by identity and in the same order, as the collect-then-filter
+    /// evaluator it replaced. Fails if the walk skips its context node, if
+    /// a position counts across context nodes, or if the dedup is dropped.
+    #[test]
+    fn filtering_walk_equals_collect_then_filter() {
+        let identities = |nodes: Vec<&XmlNode>| -> Vec<*const XmlNode> {
+            nodes.into_iter().map(|n| n as *const XmlNode).collect()
+        };
+        let mut rng = glare_fabric::SimRng::from_seed(0x5E1EC7);
+        let mut nonempty = 0;
+        for _ in 0..400 {
+            let tree = arb_tree(&mut rng, 4);
+            for _ in 0..20 {
+                let expr = arb_expr(&mut rng);
+                let xpath = XPath::compile(&expr).expect("the generator follows the grammar");
+                let walked = identities(xpath.select(&tree));
+                nonempty += usize::from(!walked.is_empty());
+                assert_eq!(
+                    walked,
+                    identities(collect_then_filter(&xpath, &tree)),
+                    "{expr} over {}",
+                    tree.to_xml()
+                );
+            }
+        }
+        // 2 125 of the 8 000 at this seed.
+        assert!(
+            nonempty > 1_600,
+            "a fifth of the expressions select something: {nonempty}"
+        );
     }
 
     #[test]

@@ -11,7 +11,12 @@
 # quartiles, the rule of `perf/src/stats.rs` and of the driver), in how many
 # pairs the change was ahead (ties count for neither), and the gap between
 # the medians against the parent's interquartile range. A run that is not
-# `"correct":true` with `"failed":0` stops the script.
+# `"correct":true` with `"failed":0` stops the script, and so does a pair whose
+# two runs disagree on `ok_share` or any `sim_*` value: those are seed-exact,
+# so a difference is changed behaviour, not speed (it exits 1 naming the
+# metric). `registry_churn` skips that comparison: its two threads write one
+# shared index, so its scan counts depend on their interleaving and differ
+# run to run on one tree (perf/README.md "Checks").
 set -euo pipefail
 [ $# -ge 3 ] || { sed -n '2,5p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd)
@@ -26,8 +31,9 @@ for tree in "$parent" "$change"; do
     cargo build --release -q --manifest-path "$tree/perf/Cargo.toml"
 done
 
-samples=$(mktemp)
-trap 'rm -f "$samples"' EXIT
+work=$(mktemp -d)
+samples=$work/samples
+trap 'rm -rf "$work"' EXIT
 
 measure() { # measure <side> <tree> <pair>: append "<pair> <side> <metric> <value>" lines
     local out
@@ -38,6 +44,17 @@ measure() { # measure <side> <tree> <pair>: append "<pair> <side> <metric> <valu
     for m in $metrics; do
         awk -v m="$m" -v p="$3" -v s="$1" '$1 == m { print p, s, m, $2 }' <<<"$out" >>"$samples"
     done
+    # The seed-exact values, as the run's JSON line prints them.
+    grep -o '"\(ok_share\|sim_[a-z0-9_]*\)":{"value":[^,}]*' <<<"$out" |
+        sed 's/^"\([^"]*\)":{"value":/\1 /' >"$work/$3.$1"
+}
+
+same_behaviour() { # same_behaviour <pair>: exit 1 if its two runs differ seed-exactly
+    [ "$workload" != registry_churn ] || return 0
+    diff -q "$work/$1.parent" "$work/$1.change" >/dev/null && return 0
+    echo "pairs: pair $1 changed behaviour, not only speed:" >&2
+    diff "$work/$1.parent" "$work/$1.change" | sed -n 's/^< /  parent /p; s/^> /  change /p' >&2
+    exit 1
 }
 
 for p in $(seq 1 "$pairs"); do
@@ -48,6 +65,7 @@ for p in $(seq 1 "$pairs"); do
         measure change "$change" "$p"
         measure parent "$parent" "$p"
     fi
+    same_behaviour "$p"
     echo "pair $p/$pairs done" >&2
 done
 

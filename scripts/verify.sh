@@ -8,8 +8,10 @@
 #      of `crates/bench` (CHANGES.md, PR 18, maps every former shell gate to
 #      its test); the allocation pins run here too, each its own test binary
 #      with the counting allocator of crates/fabric/tests/support/:
-#      fabric's steady_state_allocations, glare-core's probe_visit_allocations
-#      and grid_request_allocations; tests/source_budget.rs holds three
+#      fabric's steady_state_allocations, glare-core's probe_visit_allocations,
+#      grid_request_allocations and registry_read_allocations (a warm ATR
+#      lookup, the request envelope, the reply, an MDS query_by_name at
+#      registry_read's 300 types); tests/source_budget.rs holds three
 #      ratchets: file length, function length, and the pub fields left on
 #      each policy struct (a settable value may only go away)
 #   3. clippy with warnings promoted to errors

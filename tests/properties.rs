@@ -47,7 +47,7 @@ fn arb_attrs(rng: &mut SimRng, node: &mut XmlNode) {
         let (k, v) = (arb_name(rng), arb_text(rng));
         // Attribute keys must be unique for round-trip equality.
         if node.attribute(&k).is_none() {
-            node.attributes.push((k, v));
+            node.attributes.push((k.into(), v));
         }
     }
 }
@@ -116,7 +116,7 @@ fn xpath_descendant_matches_naive_search() {
         } else {
             let mut names = Vec::new();
             fn collect(n: &XmlNode, out: &mut Vec<String>) {
-                out.push(n.name.clone());
+                out.push(n.name.to_string());
                 for c in &n.children {
                     collect(c, out);
                 }

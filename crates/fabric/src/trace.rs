@@ -127,6 +127,19 @@ impl SpanRecord {
     }
 }
 
+/// A count as a span attribute value: borrowed for 0–15, the counts spans
+/// carry nearly always (concrete types, peers, keys, installs, prompts),
+/// owned above.
+pub fn count_attr(n: usize) -> Cow<'static, str> {
+    const SMALL: [&str; 16] = [
+        "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
+    ];
+    match SMALL.get(n) {
+        Some(s) => Cow::Borrowed(s),
+        None => Cow::Owned(n.to_string()),
+    }
+}
+
 /// A lightweight, copyable reference to an open span.
 ///
 /// Obtained from `Ctx::span` (or [`TraceSink::open`]); inert when tracing
@@ -191,10 +204,26 @@ impl TraceSink {
         id
     }
 
-    fn alloc_span(&mut self) -> SpanId {
-        let id = SpanId(self.next_span);
+    /// Allocate the context of a new span under `parent` (in a fresh trace
+    /// without one), and say whether the sink has room to store it: once it
+    /// holds `max_spans` records it has not, and the span counts as dropped.
+    fn begin(&mut self, parent: Option<TraceContext>) -> (TraceContext, bool) {
+        let trace_id = match parent {
+            Some(p) => p.trace_id,
+            None => self.new_trace(),
+        };
+        let span_id = SpanId(self.next_span);
         self.next_span += 1;
-        id
+        let ctx = TraceContext {
+            trace_id,
+            span_id,
+            parent: parent.map(|p| p.span_id),
+        };
+        let room = self.closed.len() + self.open.len() < self.max_spans;
+        if !room {
+            self.dropped += 1;
+        }
+        (ctx, room)
     }
 
     /// Open a span at `start`. With `parent: None` a fresh trace is
@@ -212,20 +241,11 @@ impl TraceSink {
         actor: Option<ActorId>,
         start: SimTime,
     ) -> TraceContext {
-        let trace_id = match parent {
-            Some(p) => p.trace_id,
-            None => self.new_trace(),
-        };
-        let span_id = self.alloc_span();
-        let ctx = TraceContext {
-            trace_id,
-            span_id,
-            parent: parent.map(|p| p.span_id),
-        };
-        if self.closed.len() + self.open.len() < self.max_spans {
+        let (ctx, room) = self.begin(parent);
+        if room {
             self.open.push(SpanRecord {
-                trace_id,
-                span_id,
+                trace_id: ctx.trace_id,
+                span_id: ctx.span_id,
                 parent: ctx.parent,
                 name: name.into(),
                 kind,
@@ -235,8 +255,6 @@ impl TraceSink {
                 end: start,
                 attrs: Vec::new(),
             });
-        } else {
-            self.dropped += 1;
         }
         ctx
     }
@@ -265,7 +283,8 @@ impl TraceSink {
     }
 
     /// Open and immediately close a span over `[start, end]` with the
-    /// given attributes. Returns the context for chaining children.
+    /// given attributes: the closed record is written once, straight into
+    /// the closed buffer. Returns the context for chaining children.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -278,11 +297,21 @@ impl TraceSink {
         end: SimTime,
         attrs: impl IntoIterator<Item = (&'static str, Cow<'static, str>)>,
     ) -> TraceContext {
-        let ctx = self.open(parent, name, kind, site, actor, start);
-        if let Some(rec) = self.open.last_mut().filter(|r| r.span_id == ctx.span_id) {
-            rec.attrs.extend(attrs);
+        let (ctx, room) = self.begin(parent);
+        if room {
+            self.closed.push(SpanRecord {
+                trace_id: ctx.trace_id,
+                span_id: ctx.span_id,
+                parent: ctx.parent,
+                name: name.into(),
+                kind,
+                site,
+                actor,
+                start,
+                end: start.max(end),
+                attrs: attrs.into_iter().collect(),
+            });
         }
-        self.close(ctx.span_id, end);
         ctx
     }
 
@@ -405,6 +434,15 @@ mod tests {
         assert_eq!(rec.site, Some(SiteId(2)));
         assert_eq!(rec.end, t(14));
         assert_eq!(rec.attrs[0].1, "untar");
+    }
+
+    #[test]
+    fn count_attr_borrows_small_counts_and_reads_like_to_string() {
+        for n in [0, 1, 9, 10, 15, 16, 99, 1_000_000] {
+            let v = count_attr(n);
+            assert_eq!(v, n.to_string());
+            assert_eq!(matches!(v, Cow::Borrowed(_)), n < 16, "{n}");
+        }
     }
 
     /// The sink as it was before span text borrowed and `close` searched

@@ -139,9 +139,18 @@ impl ActivityDeploymentRegistry {
         self.by_type.read().is_empty()
     }
 
-    /// Count of live deployments of a type (for provider limits).
+    /// Count of live deployments of a type (for provider limits): the
+    /// entries [`ActivityDeploymentRegistry::deployments_of`] would list,
+    /// counted in place under the index read lock.
     pub fn count_of(&self, type_name: &str, now: SimTime) -> usize {
-        self.deployments_of(type_name, now).value.len()
+        let by_type = self.by_type.read();
+        let usable = |k: &String| self.home.with_resource(k, now, |r| r.payload.is_usable());
+        by_type
+            .get(type_name)
+            .into_iter()
+            .flatten()
+            .filter(|k| usable(k) == Some(true))
+            .count()
     }
 
     /// The current EPR of a deployment (address + key + LUT from the
@@ -396,6 +405,35 @@ mod tests {
         swept.sort();
         assert_eq!(swept, vec!["jpovray@s1", "jpovray@s2"]);
         assert_eq!(adr.count_of("JPOVray", t(102)), 0);
+    }
+
+    #[test]
+    fn count_of_counts_what_deployments_of_lists() {
+        let (atr, adr) = registries();
+        let counts_agree = |now: SimTime| {
+            for ty in ["JPOVray", "Wien2k", "Ghost"] {
+                assert_eq!(
+                    adr.count_of(ty, now),
+                    adr.deployments_of(ty, now).value.len(),
+                    "{ty}"
+                );
+            }
+        };
+        for site in ["s1", "s2", "s3", "s4"] {
+            adr.register(jpov_exec(site), &atr, t(0)).unwrap();
+        }
+        counts_agree(t(1));
+        adr.set_status("jpovray@s2", DeploymentStatus::Failed, t(2))
+            .unwrap();
+        adr.set_status("jpovray@s3", DeploymentStatus::Unavailable, t(2))
+            .unwrap();
+        adr.remove("jpovray@s4").unwrap();
+        counts_agree(t(3));
+        assert_eq!(adr.count_of("JPOVray", t(3)), 1, "only s1 is usable");
+        adr.expire_type("JPOVray", t(10), t(4));
+        counts_agree(t(9));
+        counts_agree(t(10));
+        assert_eq!(adr.count_of("JPOVray", t(10)), 0, "expired");
     }
 
     #[test]

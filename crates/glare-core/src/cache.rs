@@ -13,6 +13,7 @@
 //! simply holds one fed by inter-group traffic.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use glare_fabric::{SimDuration, SimTime};
 use glare_wsrf::EndpointReference;
@@ -46,7 +47,8 @@ pub enum Freshness {
 pub struct RegistryCache {
     max_age: SimDuration,
     types: HashMap<String, CachedEntry<ActivityType>>,
-    deployments: HashMap<String, CachedEntry<ActivityDeployment>>,
+    /// Shared: a hit hands out the entry, not a copy of it.
+    deployments: HashMap<String, CachedEntry<Arc<ActivityDeployment>>>,
     /// type name -> deployment keys known for it (possibly from many
     /// sites). An indexed set: keys cannot duplicate and list out in
     /// deterministic order.
@@ -92,11 +94,12 @@ impl RegistryCache {
     /// Cache a remote deployment.
     pub fn put_deployment(
         &mut self,
-        value: ActivityDeployment,
+        value: impl Into<Arc<ActivityDeployment>>,
         origin_site: &str,
         epr: EndpointReference,
         now: SimTime,
     ) {
+        let value = value.into();
         let key = value.key.clone();
         let type_name = value.type_name.clone();
         let previous = self.deployments.insert(
@@ -143,7 +146,7 @@ impl RegistryCache {
         &mut self,
         key: &str,
         now: SimTime,
-    ) -> Option<&CachedEntry<ActivityDeployment>> {
+    ) -> Option<&CachedEntry<Arc<ActivityDeployment>>> {
         match self.deployments.get(key) {
             Some(e) if now.saturating_since(e.cached_at) < self.max_age => {
                 self.hits += 1;
@@ -157,16 +160,20 @@ impl RegistryCache {
     }
 
     /// All non-aged cached deployments of a type (deterministic key
-    /// order).
-    pub fn deployments_of(&mut self, type_name: &str, now: SimTime) -> Vec<ActivityDeployment> {
-        let out: Vec<ActivityDeployment> = self
+    /// order), shared with the cache.
+    pub fn deployments_of(
+        &mut self,
+        type_name: &str,
+        now: SimTime,
+    ) -> Vec<Arc<ActivityDeployment>> {
+        let out: Vec<Arc<ActivityDeployment>> = self
             .by_type
             .get(type_name)
             .into_iter()
             .flatten()
             .filter_map(|k| self.deployments.get(k))
             .filter(|e| now.saturating_since(e.cached_at) < self.max_age)
-            .map(|e| e.value.clone())
+            .map(|e| Arc::clone(&e.value))
             .collect();
         if out.is_empty() {
             self.misses += 1;
@@ -186,13 +193,13 @@ impl RegistryCache {
         &self,
         type_name: &str,
         now: SimTime,
-    ) -> Vec<(ActivityDeployment, SimDuration)> {
+    ) -> Vec<(Arc<ActivityDeployment>, SimDuration)> {
         self.by_type
             .get(type_name)
             .into_iter()
             .flatten()
             .filter_map(|k| self.deployments.get(k))
-            .map(|e| (e.value.clone(), now.saturating_since(e.cached_at)))
+            .map(|e| (Arc::clone(&e.value), now.saturating_since(e.cached_at)))
             .collect()
     }
 
@@ -211,10 +218,11 @@ impl RegistryCache {
     /// value + EPR and reset its age.
     pub fn revive_deployment(
         &mut self,
-        value: ActivityDeployment,
+        value: impl Into<Arc<ActivityDeployment>>,
         epr: EndpointReference,
         now: SimTime,
     ) {
+        let value = value.into();
         if let Some(e) = self.deployments.get_mut(&value.key) {
             e.value = value;
             e.epr = epr;
@@ -269,7 +277,7 @@ impl RegistryCache {
     /// Peek a cached deployment without touching hit/miss tallies or the
     /// freshness gate (anti-entropy reads raw cache contents, which must
     /// not perturb the Fig. 12 cache-effect metrics).
-    pub fn peek_deployment(&self, key: &str) -> Option<&CachedEntry<ActivityDeployment>> {
+    pub fn peek_deployment(&self, key: &str) -> Option<&CachedEntry<Arc<ActivityDeployment>>> {
         self.deployments.get(key)
     }
 

@@ -8,11 +8,13 @@
 //! the result to a deployment channel.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
+use glare_fabric::sync::Mutex;
 use glare_services::md5::Md5Digest;
 use glare_services::packages::{BuildSystem, PackageSpec};
 use glare_services::shell::expand_vars;
-use glare_services::ExpectScript;
+use glare_services::{ExpectScript, SiteHost};
 use glare_wsrf::XmlNode;
 
 use crate::error::GlareError;
@@ -351,140 +353,61 @@ impl DeployFile {
     /// Generate the canonical deploy-file for a catalog package: download →
     /// expand → (configure → build →) install, with the package's
     /// interactive dialog pre-scripted. `archive_md5` is the provider's
-    /// pinned digest of the archive.
+    /// pinned digest of the archive. The steps are the package's build
+    /// system's row of the step-shape table, each depending on the one
+    /// before.
     pub fn for_package(spec: &PackageSpec, archive_md5: Option<Md5Digest>) -> DeployFile {
-        let scratch = "$GLOBUS_SCRATCH_DIR".to_owned();
-        let archive = format!("{scratch}/{}", spec.archive_file());
-        let unpack_dir = format!("{scratch}/{}", spec.unpack_dir());
-        let mut steps = vec![
-            DeployStep {
-                name: "Init".into(),
-                depends: vec![],
-                task: "mkdir-p".into(),
-                base_dir: Some(scratch.clone()),
-                timeout_secs: 10,
-                properties: vec![("argument".into(), "$DEPLOYMENT_DIR".into())],
-                env: vec![],
-                idempotent: true,
-            },
-            DeployStep {
-                name: "Download".into(),
-                depends: vec!["Init".into()],
-                task: "$GLOBUS_LOCATION/bin/globus-url-copy".into(),
-                base_dir: Some(scratch.clone()),
-                timeout_secs: 120,
-                properties: {
-                    let mut p = vec![
-                        ("source".into(), spec.archive_url.clone()),
-                        ("destination".into(), format!("file://{archive}")),
-                    ];
-                    if let Some(d) = archive_md5 {
-                        p.push(("md5sum".into(), d.to_hex()));
+        const SCRATCH: &str = "$GLOBUS_SCRATCH_DIR";
+        let archive = format!("{SCRATCH}/{}", spec.archive_file());
+        let unpack_dir = format!("{SCRATCH}/{}", spec.unpack_dir());
+        let mut previous: Option<&str> = None;
+        let steps = shapes(spec.build_system)
+            .iter()
+            .map(|s| {
+                let argument = |value: String| vec![("argument".to_owned(), value)];
+                let properties = match s.props {
+                    Props::Nothing => vec![],
+                    Props::Fetch => {
+                        let mut p = vec![
+                            ("source".to_owned(), spec.archive_url.clone()),
+                            ("destination".to_owned(), format!("file://{archive}")),
+                        ];
+                        p.extend(archive_md5.map(|d| ("md5sum".to_owned(), d.to_hex())));
+                        p
                     }
-                    p
-                },
-                env: vec![],
-                idempotent: true,
-            },
-        ];
-        let mut last = "Download".to_owned();
-        if spec.build_system != BuildSystem::ServiceArchive {
-            steps.push(DeployStep {
-                name: "Expand".into(),
-                depends: vec![last.clone()],
-                task: "tar xvfz".into(),
-                base_dir: Some(scratch.clone()),
-                timeout_secs: 60,
-                properties: vec![("argument".into(), archive.clone())],
-                env: vec![],
-                idempotent: true,
-            });
-            last = "Expand".into();
-        }
-        match spec.build_system {
-            BuildSystem::Autoconf => {
-                steps.push(DeployStep {
-                    name: "Configure".into(),
-                    depends: vec![last.clone()],
-                    task: "./configure".into(),
-                    base_dir: Some(unpack_dir.clone()),
-                    timeout_secs: 120,
-                    properties: vec![(
-                        "argument".into(),
-                        format!("--prefix=$DEPLOYMENT_DIR/{}", spec.name),
-                    )],
+                    Props::Archive => argument(archive.clone()),
+                    Props::Prefix => argument(format!("--prefix=$DEPLOYMENT_DIR/{}", spec.name)),
+                    Props::Argument(value) => argument(value.to_owned()),
+                };
+                let base_dir = if s.in_unpack_dir {
+                    &unpack_dir
+                } else {
+                    SCRATCH
+                };
+                DeployStep {
+                    name: s.name.to_owned(),
+                    depends: previous
+                        .replace(s.name)
+                        .map(str::to_owned)
+                        .into_iter()
+                        .collect(),
+                    task: s.task.to_owned(),
+                    base_dir: Some(base_dir.to_owned()),
+                    timeout_secs: s.timeout_secs,
+                    properties,
                     env: vec![],
-                idempotent: true,
-                });
-                steps.push(DeployStep {
-                    name: "Build".into(),
-                    depends: vec!["Configure".into()],
-                    task: "make".into(),
-                    base_dir: Some(unpack_dir.clone()),
-                    timeout_secs: 600,
-                    properties: vec![],
-                    env: vec![],
-                idempotent: true,
-                });
-                steps.push(DeployStep {
-                    name: "Install".into(),
-                    depends: vec!["Build".into()],
-                    task: "make install".into(),
-                    base_dir: Some(unpack_dir.clone()),
-                    timeout_secs: 120,
-                    properties: vec![],
-                    env: vec![],
-                idempotent: true,
-                });
-            }
-            BuildSystem::Ant => {
-                steps.push(DeployStep {
-                    name: "Deploy".into(),
-                    depends: vec![last.clone()],
-                    task: "ant".into(),
-                    base_dir: Some(unpack_dir.clone()),
-                    timeout_secs: 600,
-                    properties: vec![("argument".into(), "Deploy".into())],
-                    env: vec![],
-                idempotent: true,
-                });
-            }
-            BuildSystem::Precompiled => {
-                steps.push(DeployStep {
-                    name: "Install".into(),
-                    depends: vec![last.clone()],
-                    task: "make install".into(),
-                    base_dir: Some(unpack_dir.clone()),
-                    timeout_secs: 300,
-                    properties: vec![],
-                    env: vec![],
-                idempotent: true,
-                });
-            }
-            BuildSystem::ServiceArchive => {
-                // Deploying the same GAR into a live container twice
-                // errors, so a partial deploy must not be blindly rerun.
-                steps.push(DeployStep {
-                    name: "Deploy".into(),
-                    depends: vec![last.clone()],
-                    task: "globus-deploy-gar".into(),
-                    base_dir: Some(scratch.clone()),
-                    timeout_secs: 600,
-                    properties: vec![("argument".into(), archive.clone())],
-                    env: vec![],
-                    idempotent: false,
-                });
-            }
-        }
-        let mut dialog = ExpectScript::new();
-        for p in &spec.prompts {
-            // `$DEPLOYMENT_DIR` style answers are left for the executor's
-            // environment to expand at send time.
-            dialog = dialog.expect_send(&p.prompt, &p.answer);
-        }
+                    idempotent: s.idempotent,
+                }
+            })
+            .collect();
+        // `$DEPLOYMENT_DIR` style answers are left for the executor's
+        // environment to expand at send time.
+        let dialog = spec.prompts.iter().fold(ExpectScript::new(), |d, p| {
+            d.expect_send(&p.prompt, &p.answer)
+        });
         DeployFile {
             name: spec.name.clone(),
-            base_dir: scratch,
+            base_dir: SCRATCH.to_owned(),
             default_task: "Deploy".into(),
             steps,
             dialog,
@@ -531,6 +454,145 @@ impl DeployFile {
             node = node.child(d);
         }
         node
+    }
+}
+
+/// One step of a generated deploy-file, before a package fills it in.
+#[derive(Clone, Copy)]
+struct Shape {
+    name: &'static str,
+    task: &'static str,
+    /// Runs in the unpacked tree rather than the scratch directory.
+    in_unpack_dir: bool,
+    timeout_secs: u64,
+    props: Props,
+    idempotent: bool,
+}
+
+/// What a generated step's `<Property>`s say.
+#[derive(Clone, Copy)]
+enum Props {
+    Nothing,
+    /// `source`, `destination` (and `md5sum` when pinned): the download.
+    Fetch,
+    /// `argument`: the archive's scratch path.
+    Archive,
+    /// `argument`: `--prefix=$DEPLOYMENT_DIR/<package>`.
+    Prefix,
+    /// `argument`: this text.
+    Argument(&'static str),
+}
+
+/// An idempotent step: `name` runs `task` (in the unpacked tree when
+/// `in_unpack_dir`) for at most `timeout_secs`, with `props`.
+const fn step(
+    name: &'static str,
+    task: &'static str,
+    in_unpack_dir: bool,
+    timeout_secs: u64,
+    props: Props,
+) -> Shape {
+    Shape {
+        name,
+        task,
+        in_unpack_dir,
+        timeout_secs,
+        props,
+        idempotent: true,
+    }
+}
+
+const INIT: Shape = step(
+    "Init",
+    "mkdir-p",
+    false,
+    10,
+    Props::Argument("$DEPLOYMENT_DIR"),
+);
+const DOWNLOAD: Shape = step(
+    "Download",
+    "$GLOBUS_LOCATION/bin/globus-url-copy",
+    false,
+    120,
+    Props::Fetch,
+);
+const EXPAND: Shape = step("Expand", "tar xvfz", false, 60, Props::Archive);
+const AUTOCONF: &[Shape] = &[
+    INIT,
+    DOWNLOAD,
+    EXPAND,
+    step("Configure", "./configure", true, 120, Props::Prefix),
+    step("Build", "make", true, 600, Props::Nothing),
+    step("Install", "make install", true, 120, Props::Nothing),
+];
+const ANT: &[Shape] = &[
+    INIT,
+    DOWNLOAD,
+    EXPAND,
+    step("Deploy", "ant", true, 600, Props::Argument("Deploy")),
+];
+const PRECOMPILED: &[Shape] = &[
+    INIT,
+    DOWNLOAD,
+    EXPAND,
+    step("Install", "make install", true, 300, Props::Nothing),
+];
+/// Deploying the same GAR into a live container twice errors, so a
+/// partial deploy must not be blindly rerun.
+const SERVICE_ARCHIVE: &[Shape] = &[
+    INIT,
+    DOWNLOAD,
+    Shape {
+        idempotent: false,
+        ..step("Deploy", "globus-deploy-gar", false, 600, Props::Archive)
+    },
+];
+
+/// The steps a build system's deploy-file runs, in order.
+fn shapes(build: BuildSystem) -> &'static [Shape] {
+    match build {
+        BuildSystem::Autoconf => AUTOCONF,
+        BuildSystem::Ant => ANT,
+        BuildSystem::Precompiled => PRECOMPILED,
+        BuildSystem::ServiceArchive => SERVICE_ARCHIVE,
+    }
+}
+
+/// A catalogue package's deploy-file and its plan: data, built once per
+/// (package, archive digest) in a process and shared by every install.
+///
+/// A plan depends on the package, the digest and the environment it is
+/// planned under, and that environment is always
+/// [`SiteHost::default_env`]: an install plans against the session it has
+/// just opened, and every session on every host opens in that one map.
+#[derive(Debug, PartialEq, Eq)]
+pub struct PackagePlan {
+    /// The generated deploy-file ([`DeployFile::for_package`]).
+    pub file: DeployFile,
+    /// Its steps resolved under the default environment.
+    pub actions: Vec<PlannedAction>,
+}
+
+impl PackagePlan {
+    /// The shared plan of `spec` with archive digest `archive_md5`, built
+    /// by the first install that asks for it. A repository pinning another
+    /// digest (or none) gets its own entry.
+    pub fn shared(
+        spec: &'static PackageSpec,
+        archive_md5: Option<Md5Digest>,
+    ) -> Result<Arc<PackagePlan>, GlareError> {
+        type Plans = HashMap<(&'static str, Option<Md5Digest>), Arc<PackagePlan>>;
+        static PLANS: OnceLock<Mutex<Plans>> = OnceLock::new();
+        let mut plans = PLANS.get_or_init(Mutex::default).lock();
+        let key = (spec.name.as_str(), archive_md5);
+        if let Some(plan) = plans.get(&key) {
+            return Ok(Arc::clone(plan));
+        }
+        let file = DeployFile::for_package(spec, archive_md5);
+        let actions = file.plan(SiteHost::default_env())?;
+        let plan = Arc::new(PackagePlan { file, actions });
+        plans.insert(key, Arc::clone(&plan));
+        Ok(plan)
     }
 }
 
@@ -722,6 +784,41 @@ mod tests {
         let plan = df.plan(&default_env()).unwrap();
         let flags: Vec<bool> = plan.iter().map(PlannedAction::is_idempotent).collect();
         assert_eq!(flags, vec![true, true, false], "Init, Download, Deploy");
+    }
+
+    #[test]
+    fn the_shared_plan_is_a_fresh_plan_under_the_default_env() {
+        let repo = glare_services::gridftp::Repository::with_catalog();
+        for spec in packages::catalog() {
+            let spec = packages::by_name(&spec.name).expect("catalogue package");
+            let pinned = repo.md5_of(&spec.archive_url);
+            assert!(
+                pinned.is_some(),
+                "{} is pinned in the catalogue repository",
+                spec.name
+            );
+            let other = Some(Md5Digest::of(spec.name.as_bytes()));
+            for md5 in [pinned, None, other] {
+                let shared = PackagePlan::shared(spec, md5).unwrap();
+                let file = DeployFile::for_package(spec, md5);
+                let actions = file.plan(&default_env()).unwrap();
+                assert_eq!(
+                    *shared,
+                    PackagePlan { file, actions },
+                    "{} with {md5:?}",
+                    spec.name
+                );
+                let again = PackagePlan::shared(spec, md5).unwrap();
+                assert!(Arc::ptr_eq(&shared, &again), "{} planned once", spec.name);
+            }
+            let plan = |md5| PackagePlan::shared(spec, md5).unwrap();
+            assert_ne!(
+                plan(pinned).actions,
+                plan(other).actions,
+                "{}: another plan",
+                spec.name
+            );
+        }
     }
 
     #[test]

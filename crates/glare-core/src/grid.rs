@@ -590,20 +590,20 @@ impl Grid {
         let Some(inst) = &t.installation else {
             return Vec::new();
         };
+        let total: usize = self
+            .sites
+            .iter()
+            .map(|s| s.adr.count_of(&t.name, now))
+            .sum();
+        if total as u32 >= t.limits.max {
+            return Vec::new();
+        }
         self.sites
             .iter()
             .enumerate()
             .filter(|(_, s)| inst.constraints.accepts(&s.host.platform))
             .filter(|(_, s)| !s.host.is_installed(&inst.package))
             .map(|(i, _)| i)
-            .filter(|_| {
-                let total: usize = self
-                    .sites
-                    .iter()
-                    .map(|s| s.adr.count_of(&t.name, now))
-                    .sum();
-                (total as u32) < t.limits.max
-            })
             .collect()
     }
 

@@ -234,7 +234,12 @@ impl GlareNode {
         let closure = self.concrete_closure(activity);
         let mut out = Vec::new();
         for n in lookup_names(&closure, activity) {
-            out.extend(self.cache.deployments_of(n, now));
+            out.extend(
+                self.cache
+                    .deployments_of(n, now)
+                    .into_iter()
+                    .map(Arc::unwrap_or_clone),
+            );
         }
         let (h1, m1) = (self.cache.hits(), self.cache.misses());
         if h1 > h0 || m1 > m0 {
@@ -597,7 +602,7 @@ impl GlareNode {
                     if age > max_age {
                         max_age = age;
                     }
-                    stale.push(d);
+                    stale.push(Arc::unwrap_or_clone(d));
                 }
             }
             if !stale.is_empty() {

@@ -299,7 +299,7 @@ impl GlareNode {
                 continue;
             }
             if let Some(entry) = self.cache.peek_deployment(&key) {
-                push.push(entry.value.clone());
+                push.push(ActivityDeployment::clone(&entry.value));
             }
         }
         if absorbed > 0 {

@@ -18,14 +18,16 @@
 
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::sync::Arc;
 
+use glare_fabric::trace::count_attr;
 use glare_fabric::{SimDuration, SimTime, SiteId, SpanKind, TraceContext, TraceSink};
 use glare_services::gridftp;
 use glare_services::vfs::VPath;
 use glare_services::ChannelKind;
 use glare_services::{run_expect_traced, ExpectError, ExpectScript, Md5Digest, ShellSession};
 
-use crate::deployfile::{DeployFile, PlannedAction};
+use crate::deployfile::{PackagePlan, PlannedAction};
 use crate::error::GlareError;
 use crate::grid::{Grid, Lost};
 use crate::model::{ActivityDeployment, ActivityType, InstallMode};
@@ -137,7 +139,7 @@ pub fn provision(
     match &out {
         Ok(o) => {
             grid.trace
-                .attr(root.span_id, "installs", o.installs.len().to_string());
+                .attr(root.span_id, "installs", count_attr(o.installs.len()));
             grid.trace.close(root.span_id, now + o.total_cost);
         }
         Err(e) => {
@@ -168,7 +170,7 @@ fn provision_inner(
         let found = grid.deployments_anywhere(&t.name, now);
         if !found.is_empty() {
             // Cache the references at the client's local site.
-            cache_remote(grid, req.from_site, found.iter().map(|(i, d)| (*i, d)), now);
+            cache_remote(grid, req.from_site, cacheable(&found), now);
             total_cost += SimDuration::from_millis(2) * found.len() as u64;
             return Ok(ProvisionOutcome {
                 deployments: found,
@@ -210,7 +212,7 @@ fn provision_inner(
     total_cost += installs.iter().map(|r| r.breakdown.total()).sum();
 
     let deployments = grid.deployments_anywhere(&target_type.name, now);
-    cache_remote(grid, req.from_site, deployments.iter().map(|(i, d)| (*i, d)), now);
+    cache_remote(grid, req.from_site, cacheable(&deployments), now);
     Ok(ProvisionOutcome {
         deployments,
         installs,
@@ -218,12 +220,19 @@ fn provision_inner(
     })
 }
 
+/// Copies of `found` the cache can share.
+fn cacheable(
+    found: &[(usize, ActivityDeployment)],
+) -> impl Iterator<Item = (usize, Arc<ActivityDeployment>)> + '_ {
+    found.iter().map(|(i, d)| (*i, Arc::new(d.clone())))
+}
+
 /// Cache remote deployment references at a site (shared with the
 /// Request Manager).
-pub(crate) fn cache_remote<'a>(
+pub(crate) fn cache_remote(
     grid: &mut Grid,
     from_site: usize,
-    found: impl Iterator<Item = (usize, &'a ActivityDeployment)>,
+    found: impl Iterator<Item = (usize, Arc<ActivityDeployment>)>,
     now: SimTime,
 ) {
     for (i, d) in found {
@@ -231,7 +240,7 @@ pub(crate) fn cache_remote<'a>(
             let origin = grid.site(i).name.clone();
             grid.site_mut(from_site)
                 .cache
-                .put_deployment(d.clone(), &origin, epr, now);
+                .put_deployment(d, &origin, epr, now);
         }
     }
 }
@@ -367,7 +376,7 @@ fn install_package_traced(
     let site_id = Some(SiteId(site as u32));
     let span = trace.open(parent, "deploy.install", SpanKind::Service, site_id, None, now);
     trace.attr(span.span_id, "type", t.name.clone());
-    trace.attr(span.span_id, "package", spec.name.clone());
+    trace.attr(span.span_id, "package", spec.name.as_str());
     let mut install = Install {
         t,
         site,
@@ -390,21 +399,21 @@ fn install_package_traced(
     }
     install.charge(trace, |b| &mut b.type_addition, "type.register", TYPE_ADDITION_COST, []);
 
-    // Plan the deploy-file.
-    let archive_md5 = grid.repo.md5_of(&spec.archive_url);
-    let deploy_file = DeployFile::for_package(spec, archive_md5);
-    let plan = deploy_file.plan(&install.session.env)?;
-
-    // Execute.
-    for action in &plan {
+    // The package's deploy-file, planned once per archive digest: the
+    // session just opened is in the default environment it was planned in.
+    let plan = PackagePlan::shared(spec, grid.repo.md5_of(&spec.archive_url))?;
+    for action in &plan.actions {
         install.wait_out_fault(grid, action)?;
         match action {
-            PlannedAction::Transfer { url, destination, md5, .. } => {
-                install.transfer(grid, trace, action, url, destination, *md5)?
-            }
-            PlannedAction::Shell { command, workdir, .. } => {
-                install.shell(grid, trace, action, command, workdir, &deploy_file.dialog)?
-            }
+            PlannedAction::Transfer {
+                url,
+                destination,
+                md5,
+                ..
+            } => install.transfer(grid, trace, action, url, destination, *md5)?,
+            PlannedAction::Shell {
+                command, workdir, ..
+            } => install.shell(grid, trace, action, command, workdir, &plan.file.dialog)?,
         }
     }
 
@@ -570,9 +579,7 @@ impl Install<'_> {
         let host = &mut grid.site_mut(self.site).host;
         // Enter the step's working directory (create it if the deploy-file
         // expects it, as Fig. 9's Init step does).
-        let _ = host.exec(&mut self.session, &format!("mkdir -p {workdir}"));
-        let cd = host.exec(&mut self.session, &format!("cd {workdir}")).expect_done("cd");
-        if !cd.success() {
+        if !host.enter_dir(&mut self.session, workdir) {
             trace.attr(sspan.span_id, "error", "1");
             trace.close(sspan.span_id, self.at);
             let reason = format!("cannot enter {workdir}");
@@ -652,7 +659,7 @@ impl Install<'_> {
         }
         let n = keys.len();
         let reg_cost = DEPLOYMENT_REGISTRATION_COST + SimDuration::from_millis(2) * n as u64;
-        let attrs = [("keys", n.to_string().into())];
+        let attrs = [("keys", count_attr(n))];
         self.charge(trace, |b| &mut b.deployment_registration, "adr.register", reg_cost, attrs);
         Ok(keys)
     }
@@ -661,6 +668,7 @@ impl Install<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deployfile::DeployFile;
     use crate::grid::Grid;
     use crate::model::example_hierarchy;
     use glare_services::Transport;
@@ -882,6 +890,59 @@ mod tests {
         assert!(g.trace.len() >= stored + 4, "request, resolution, registry and cache rungs closed");
         let stale: Vec<_> = g.trace.open_spans().iter().map(|s| s.span_id).collect();
         assert!(g.trace.spans().iter().all(|s| !stale.contains(&s.span_id)));
+    }
+
+    /// A Fig. 9-style deploy-file rooted in a directory whose name holds a
+    /// space: every step must run in that directory, not in the prefix
+    /// before the space.
+    #[test]
+    fn step_workdir_with_a_space_is_entered_whole() {
+        let xml = r#"
+          <Build baseDir="/scratch/my build" defaultTask="Deploy" name="Spaced">
+            <Step name="Init" task="mkdir-p" timeout="10">
+              <Property name="argument" value="out"/>
+            </Step>
+            <Step name="Check" depends="Init" task="test" timeout="10">
+              <Property name="argument" value="-e"/>
+              <Property name="argument" value="out"/>
+            </Step>
+          </Build>"#;
+        let file = DeployFile::from_xml(&glare_wsrf::parse_xml(xml).unwrap()).unwrap();
+        let plan = file.plan(glare_services::SiteHost::default_env()).unwrap();
+        let (mut g, ty) = (grid(), ActivityType::concrete_type("Spaced", "d", "wien2k"));
+        let mut trace = TraceSink::default();
+        let mut install = Install {
+            t: &ty,
+            site: 0,
+            site_name: g.site(0).name.clone(),
+            channel: ChannelKind::Expect,
+            site_id: Some(SiteId(0)),
+            span: trace.open(None, "deploy.install", SpanKind::Service, None, None, t(1)),
+            session: g.site(0).host.open_session(),
+            at: t(1),
+            breakdown: CostBreakdown::default(),
+        };
+        for action in &plan {
+            let PlannedAction::Shell {
+                command, workdir, ..
+            } = action
+            else {
+                unreachable!()
+            };
+            install
+                .shell(&mut g, &mut trace, action, command, workdir, &file.dialog)
+                .unwrap();
+        }
+        let vfs = &g.site(0).host.vfs;
+        assert_eq!(install.session.cwd, VPath::new("/scratch/my build"));
+        assert!(
+            vfs.is_dir(&VPath::new("/scratch/my build/out")),
+            "Init ran in the spaced dir"
+        );
+        assert!(
+            !vfs.exists(&VPath::new("/scratch/my")),
+            "nothing was split at the space"
+        );
     }
 
     #[test]

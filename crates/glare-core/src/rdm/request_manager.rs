@@ -8,7 +8,9 @@
 //! VO — caching whatever it learns.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
+use glare_fabric::trace::count_attr;
 use glare_fabric::{SimDuration, SimTime, SiteId, SpanKind, TraceContext};
 
 use crate::error::GlareError;
@@ -33,8 +35,8 @@ pub enum DiscoverySource {
 /// A resolved deployment list with provenance and cost.
 #[derive(Clone, Debug)]
 pub struct ResolveOutcome {
-    /// Usable deployments found.
-    pub deployments: Vec<ActivityDeployment>,
+    /// Usable deployments found, shared with the cache that held them.
+    pub deployments: Vec<Arc<ActivityDeployment>>,
     /// Where the answer came from.
     pub source: DiscoverySource,
     /// End-to-end cost charged to the client.
@@ -170,7 +172,7 @@ impl Lookup<'_> {
     /// The answer `deployments`, found at `source`, at the cost so far.
     fn found(
         &self,
-        deployments: Vec<ActivityDeployment>,
+        deployments: Vec<Arc<ActivityDeployment>>,
         source: DiscoverySource,
         staleness: Option<SimDuration>,
     ) -> ResolveOutcome {
@@ -201,7 +203,7 @@ impl Lookup<'_> {
             self.cost += c;
             self.concrete = names;
         }
-        let attrs = [("concrete", self.concrete.len().to_string().into())];
+        let attrs = [("concrete", count_attr(self.concrete.len()))];
         self.span("resolve.types", SpanKind::Compute, from_site, now, attrs);
         if self.concrete.is_empty() {
             return Err(GlareError::NotFound {
@@ -213,12 +215,12 @@ impl Lookup<'_> {
 
     /// The first non-empty deployment list `site`'s registry holds for one
     /// of the concrete types, charging each lookup made.
-    fn registry_hit(&mut self, site: usize) -> Vec<ActivityDeployment> {
+    fn registry_hit(&mut self, site: usize) -> Vec<Arc<ActivityDeployment>> {
         for name in &self.concrete {
             let resp = self.grid.site(site).adr.deployments_of(name, self.now);
             self.cost += resp.cost;
             if !resp.value.is_empty() {
-                return resp.value;
+                return resp.value.into_iter().map(Arc::new).collect();
             }
         }
         Vec::new()
@@ -286,14 +288,14 @@ impl Lookup<'_> {
         self.cost += lost.elapsed;
         if !reached {
             self.probes_exhausted = true;
-            let attrs = [("peer", peer.to_string().into()), ("hit", "unreachable".into())];
+            let attrs = [("peer", count_attr(peer)), ("hit", "unreachable".into())];
             self.span("probe.remote", SpanKind::Network, peer, start, attrs);
             return None;
         }
         self.cost += rtt;
         let hit = self.registry_hit(peer);
         let hit_attr = if hit.is_empty() { "0" } else { "1" };
-        let attrs = [("peer", peer.to_string().into()), ("hit", hit_attr.into())];
+        let attrs = [("peer", count_attr(peer)), ("hit", hit_attr.into())];
         self.span("probe.remote", SpanKind::Network, peer, start, attrs);
         if hit.is_empty() {
             return None;
@@ -301,7 +303,7 @@ impl Lookup<'_> {
         // Cache what we learned (§3.1: "a resource discovered from a
         // remote registry is optionally cached locally").
         if self.use_cache {
-            let found = hit.iter().map(|d| (peer, d));
+            let found = hit.iter().map(|d| (peer, Arc::clone(d)));
             super::deploy_manager::cache_remote(self.grid, self.from_site, found, self.now);
         }
         Some(self.found(hit, DiscoverySource::RemoteSite(peer), None))
@@ -317,7 +319,7 @@ impl Lookup<'_> {
         }
         let start = self.at();
         self.cost += CACHE_HIT_COST;
-        let mut stale: Vec<(ActivityDeployment, SimDuration)> = Vec::new();
+        let mut stale: Vec<(Arc<ActivityDeployment>, SimDuration)> = Vec::new();
         for name in &self.concrete {
             stale = self.grid.site(self.from_site).cache.deployments_of_degraded(name, self.now);
             if !stale.is_empty() {

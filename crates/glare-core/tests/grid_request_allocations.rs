@@ -48,7 +48,10 @@ fn request(activity: &str, from_site: usize) -> ProvisionRequest {
 /// blocks / 4 671 bytes for the cache hit and 965 blocks for the Wien2k
 /// provision, and every `Grid::new` rebuilt the catalogue (764 blocks each).
 /// The provision read 730 blocks before XML element names and attribute
-/// keys were borrowed and ATR entries shared.
+/// keys were borrowed and ATR entries shared. Before install plans were
+/// shared, step directories entered as paths and cached deployments shared,
+/// the cache hit read 19 blocks / 1 777 bytes, the provision 726 blocks and
+/// a second `Grid::new` 610.
 #[test]
 fn a_cache_hit_a_provision_and_a_second_grid_allocate_what_is_pinned() {
     let ((first_grid, _), mut grid) = spent(|| Grid::new(8, Transport::Http));
@@ -74,10 +77,12 @@ fn a_cache_hit_a_provision_and_a_second_grid_allocate_what_is_pinned() {
     rm.list_deployments(&mut grid, asker, "JPOVray", t(3)).expect("cache hit");
     let (hit, found) = spent(|| rm.list_deployments(&mut grid, asker, "JPOVray", t(4)));
     assert_eq!(found.expect("cache hit").source, DiscoverySource::LocalCache);
-    assert_eq!(hit, (19, 1_777), "(blocks, bytes) of a warm cache-hit list_deployments");
+    assert_eq!(hit, (9, 518), "(blocks, bytes) of a warm cache-hit list_deployments");
 
-    // One install: type registration, transfer, unpack, install, journal.
+    // One install: type registration, the process's first Wien2k plan,
+    // transfer, unpack, install, journal.
     let (wien2k, out) = spent(|| provision(&mut grid, &request("Wien2k", 0), t(5)));
     assert_eq!(out.expect("Wien2k installs").installs.len(), 1);
-    assert_eq!(wien2k.0, 726, "blocks of a Wien2k provision (one install)");
+    assert_eq!(wien2k.0, 459, "blocks of a Wien2k provision (one install)");
+    assert_eq!(second_grid, 354, "blocks of a second 8-site Grid::new");
 }

@@ -14,6 +14,7 @@
 //! an unattended `expect` run hits when an installer asks something the
 //! script didn't anticipate.
 
+use glare_fabric::trace::count_attr;
 use glare_fabric::{SimTime, SpanKind, TraceContext, TraceSink};
 
 use crate::host::SiteHost;
@@ -177,7 +178,7 @@ pub fn run_expect_traced(
         at + out.result.cost,
         [
             ("command", command.to_owned().into()),
-            ("interactions", out.interactions.to_string().into()),
+            ("interactions", count_attr(out.interactions)),
         ],
     );
     Ok(out)

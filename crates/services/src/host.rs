@@ -8,7 +8,7 @@
 //! ground truth the Activity Deployment Registry publishes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use glare_fabric::topology::Platform;
 
@@ -86,14 +86,19 @@ impl SiteHost {
         }
     }
 
-    /// Default environment for shell sessions on this host.
-    pub fn default_env(&self) -> HashMap<String, String> {
-        HashMap::from([
-            ("DEPLOYMENT_DIR".to_owned(), "/opt/deployments".to_owned()),
-            ("USER_HOME".to_owned(), "/home/grid".to_owned()),
-            ("GLOBUS_SCRATCH_DIR".to_owned(), "/scratch".to_owned()),
-            ("GLOBUS_LOCATION".to_owned(), "/opt/globus".to_owned()),
-        ])
+    /// The environment every shell session starts in, on every host: the
+    /// locations of the skeleton [`SiteHost::new`] lays out, which are the
+    /// same on every site. One map, built on first use and shared.
+    pub fn default_env() -> &'static HashMap<String, String> {
+        static ENV: OnceLock<HashMap<String, String>> = OnceLock::new();
+        ENV.get_or_init(|| {
+            HashMap::from([
+                ("DEPLOYMENT_DIR".to_owned(), "/opt/deployments".to_owned()),
+                ("USER_HOME".to_owned(), "/home/grid".to_owned()),
+                ("GLOBUS_SCRATCH_DIR".to_owned(), "/scratch".to_owned()),
+                ("GLOBUS_LOCATION".to_owned(), "/opt/globus".to_owned()),
+            ])
+        })
     }
 
     /// Record that the file at `path` is the archive of `spec` (set when a
@@ -177,9 +182,21 @@ mod tests {
     fn skeleton_and_env() {
         let h = host();
         assert!(h.vfs.is_dir(&VPath::new("/opt/deployments")));
-        let env = h.default_env();
+        let env = SiteHost::default_env();
         assert_eq!(env["GLOBUS_LOCATION"], "/opt/globus");
         assert_eq!(env.len(), 4);
+        assert!(std::ptr::eq(env, SiteHost::default_env()), "built once");
+        for dir in [
+            "DEPLOYMENT_DIR",
+            "USER_HOME",
+            "GLOBUS_SCRATCH_DIR",
+            "GLOBUS_LOCATION",
+        ] {
+            assert!(
+                h.vfs.is_dir(&VPath::new(&env[dir])),
+                "{dir} is on every host"
+            );
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! have them (POVray's license/user-type/path dialog) so the Expect engine
 //! has something genuine to automate.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use glare_fabric::SimDuration;
@@ -107,8 +108,9 @@ struct Pending {
 pub struct ShellSession {
     /// Working directory.
     pub cwd: VPath,
-    /// Environment variables (expanded into command lines).
-    pub env: HashMap<String, String>,
+    /// Environment variables (expanded into command lines): the shared
+    /// [`SiteHost::default_env`] until an `export` copies it.
+    pub env: Cow<'static, HashMap<String, String>>,
     pending: Option<Pending>,
 }
 
@@ -124,9 +126,26 @@ impl SiteHost {
     pub fn open_session(&self) -> ShellSession {
         ShellSession {
             cwd: VPath::new("/home/grid"),
-            env: self.default_env(),
+            env: Cow::Borrowed(SiteHost::default_env()),
             pending: None,
         }
+    }
+
+    /// Enter `dir` as `mkdir -p dir && cd dir` would, resolved against the
+    /// cwd the way `cd` resolves it, but taking the path whole: no variable
+    /// expansion, no word splitting. Charges nothing, as neither command's
+    /// cost was ever charged to a step. Returns whether the session is now
+    /// in `dir` (an empty path, or one a file blocks, is not entered).
+    pub fn enter_dir(&mut self, session: &mut ShellSession, dir: &str) -> bool {
+        if dir.is_empty() {
+            return false;
+        }
+        let target = self.resolve(session, dir);
+        let entered = self.vfs.mkdir_p(&target).is_ok();
+        if entered {
+            session.cwd = target;
+        }
+        entered
     }
 
     /// Execute one command line in the session.
@@ -349,7 +368,7 @@ impl SiteHost {
     fn cmd_export(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
         for a in args {
             if let Some((k, v)) = a.split_once('=') {
-                session.env.insert(k.to_owned(), v.to_owned());
+                session.env.to_mut().insert(k.to_owned(), v.to_owned());
             }
         }
         ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST))
@@ -980,6 +999,43 @@ mod tests {
         assert_eq!(run(&mut h, &mut s, "test -e b.txt").exit_code, 1);
         assert!(run(&mut h, &mut s, "rm -rf missing").success());
         assert_eq!(run(&mut h, &mut s, "rm missing").exit_code, 1);
+    }
+
+    #[test]
+    fn enter_dir_is_mkdir_p_then_cd_with_the_path_whole() {
+        let mut h = host();
+        let mut s = h.open_session();
+        assert!(h.enter_dir(&mut s, "/scratch/my build"));
+        assert_eq!(s.cwd, VPath::new("/scratch/my build"));
+        assert!(
+            !h.vfs.exists(&VPath::new("/scratch/my")),
+            "not split at the space"
+        );
+        // Relative to the cwd, as `cd` resolves it; an existing one is reused.
+        assert!(h.enter_dir(&mut s, "sub/dir"));
+        assert_eq!(s.cwd, VPath::new("/scratch/my build/sub/dir"));
+        assert!(h.enter_dir(&mut s, "/scratch"));
+        assert_eq!(run(&mut h, &mut s, "pwd").stdout, "/scratch");
+        // Not entered: an empty path, or one a file stands in the way of.
+        h.vfs.write_text(&VPath::new("/scratch/f"), "x").unwrap();
+        assert!(!h.enter_dir(&mut s, ""));
+        assert!(!h.enter_dir(&mut s, "/scratch/f"));
+        assert!(!h.enter_dir(&mut s, "f/below"));
+        assert_eq!(
+            s.cwd,
+            VPath::new("/scratch"),
+            "a failed entry leaves the cwd"
+        );
+        assert!(
+            matches!(s.env, Cow::Borrowed(_)),
+            "entering copies no environment"
+        );
+        run(&mut h, &mut s, "export FOO=bar");
+        assert_eq!(s.env["FOO"], "bar");
+        assert!(
+            !SiteHost::default_env().contains_key("FOO"),
+            "export copies the shared map"
+        );
     }
 
     #[test]

@@ -19,17 +19,17 @@ pub struct VPath(String);
 impl VPath {
     /// Normalize a path string. Relative paths are taken from `/`.
     pub fn new(path: &str) -> VPath {
-        let mut parts: Vec<&str> = Vec::new();
-        for seg in path.split('/') {
-            match seg {
-                "" | "." => {}
-                ".." => {
-                    parts.pop();
-                }
-                s => parts.push(s),
-            }
+        let mut out = String::with_capacity(path.len() + 1);
+        push_segments(&mut out, path);
+        VPath::rooted(out)
+    }
+
+    /// A path from segments `push_segments` wrote: empty is `/`.
+    fn rooted(mut path: String) -> VPath {
+        if path.is_empty() {
+            path.push('/');
         }
-        VPath(format!("/{}", parts.join("/")))
+        VPath(path)
     }
 
     /// The path as a string.
@@ -54,9 +54,15 @@ impl VPath {
         self.0.rsplit('/').next().unwrap_or("")
     }
 
-    /// Append a component.
+    /// Append a component (or a relative path, normalized as
+    /// [`VPath::new`] would normalize the two joined by `/`).
     pub fn join(&self, seg: &str) -> VPath {
-        VPath::new(&format!("{}/{}", self.0, seg))
+        let mut out = String::with_capacity(self.0.len() + 1 + seg.len());
+        if self.0 != "/" {
+            out.push_str(&self.0);
+        }
+        push_segments(&mut out, seg);
+        VPath::rooted(out)
     }
 
     /// Whether `self` is `other` or inside it.
@@ -64,6 +70,21 @@ impl VPath {
         self.0
             .strip_prefix(other.as_str())
             .is_some_and(|rest| rest.is_empty() || rest.starts_with('/') || other.0 == "/")
+    }
+}
+
+/// Append `path`'s segments to the normalized path `out` (`""` for `/`) as
+/// `/segment`s: `.` and empty segments vanish, `..` drops the last one.
+fn push_segments(out: &mut String, path: &str) {
+    for seg in path.split('/') {
+        match seg {
+            "" | "." => {}
+            ".." => out.truncate(out.rfind('/').unwrap_or(0)),
+            s => {
+                out.push('/');
+                out.push_str(s);
+            }
+        }
     }
 }
 
@@ -149,15 +170,20 @@ impl Vfs {
     }
 
     /// `mkdir -p`: create the directory and all ancestors.
+    ///
+    /// Every directory's ancestors are directories (nothing creates one
+    /// without them, and `remove` takes a directory's subtree with it), so
+    /// only the chain below the nearest existing ancestor can be missing.
     pub fn mkdir_p(&mut self, path: &VPath) -> Result<(), VfsError> {
-        if self.is_file(path) {
-            return Err(VfsError::Conflict(path.to_string()));
+        if self.is_dir(path) {
+            return Ok(());
         }
         let mut chain = vec![path.clone()];
-        let mut cur = path.clone();
-        while let Some(p) = cur.parent() {
-            chain.push(p.clone());
-            cur = p;
+        while let Some(parent) = chain.last().and_then(VPath::parent) {
+            if self.is_dir(&parent) {
+                break;
+            }
+            chain.push(parent);
         }
         for p in chain.into_iter().rev() {
             if self.is_file(&p) {
@@ -376,6 +402,97 @@ mod tests {
         v.write_text(&p("/a/b/two"), "123").unwrap();
         assert_eq!(v.disk_usage(&p("/a")), 8);
         assert_eq!(v.disk_usage(&p("/a/b")), 3);
+    }
+
+    /// The normaliser as it was before `VPath::new` wrote one `String` in
+    /// one pass: collect the segments, then `format!` them behind a `/`.
+    fn normalized_by_collecting(path: &str) -> String {
+        let mut parts: Vec<&str> = Vec::new();
+        for seg in path.split('/') {
+            match seg {
+                "" | "." => {}
+                ".." => {
+                    parts.pop();
+                }
+                s => parts.push(s),
+            }
+        }
+        format!("/{}", parts.join("/"))
+    }
+
+    /// A random path over the segments normalisation treats specially, with
+    /// or without a leading and a trailing `/`.
+    fn random_path(rng: &mut glare_fabric::SimRng) -> String {
+        const SEGMENTS: [&str; 7] = ["", ".", "..", "a", "bc", "my build", "/"];
+        let mut path = if rng.chance(0.5) {
+            "/".to_owned()
+        } else {
+            String::new()
+        };
+        for i in 0..rng.range(0, 6) {
+            if i > 0 {
+                path.push('/');
+            }
+            path.push_str(SEGMENTS[rng.index(SEGMENTS.len())]);
+        }
+        if rng.chance(0.3) {
+            path.push('/');
+        }
+        path
+    }
+
+    #[test]
+    fn one_pass_normalisation_equals_the_collecting_one() {
+        let mut rng = glare_fabric::SimRng::from_seed(0x26_F5);
+        for path in ["", ".", "..", "//", "/", "a/", "/a/b/", "./..//x/."] {
+            assert_eq!(p(path).as_str(), normalized_by_collecting(path), "{path:?}");
+        }
+        for _ in 0..2_000 {
+            let (base, seg) = (random_path(&mut rng), random_path(&mut rng));
+            assert_eq!(
+                p(&base).as_str(),
+                normalized_by_collecting(&base),
+                "{base:?}"
+            );
+            let joined = normalized_by_collecting(&format!("{}/{seg}", p(&base)));
+            assert_eq!(
+                p(&base).join(&seg).as_str(),
+                joined,
+                "{base:?} joined with {seg:?}"
+            );
+        }
+    }
+
+    /// Random `mkdir_p` / `write_file` / `remove` over a small namespace:
+    /// after every operation each directory's and each file's parent is a
+    /// directory — the invariant `mkdir_p`'s early stop relies on.
+    #[test]
+    fn every_entry_keeps_a_parent_directory_under_random_edits() {
+        const NAMES: [&str; 3] = ["a", "b", "c"];
+        let mut rng = glare_fabric::SimRng::from_seed(0x26_D1);
+        for round in 0..200 {
+            let mut v = Vfs::new();
+            for _ in 0..rng.range(1, 40) {
+                let mut path = p("/");
+                for _ in 0..rng.range(1, 5) {
+                    path = path.join(NAMES[rng.index(NAMES.len())]);
+                }
+                let _ = match rng.range(0, 3) {
+                    0 => v.mkdir_p(&path),
+                    1 => v.write_text(&path, "x"),
+                    _ => v.remove(&path),
+                };
+                let orphan = v
+                    .dirs
+                    .keys()
+                    .chain(v.files.keys())
+                    .find(|entry| entry.parent().is_some_and(|parent| !v.is_dir(&parent)));
+                assert!(
+                    orphan.is_none(),
+                    "round {round}: {orphan:?} lost its parent"
+                );
+            }
+        }
     }
 
     #[test]

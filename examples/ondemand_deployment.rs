@@ -25,8 +25,9 @@ fn main() {
 
     // Substitute the default environment variables (§3.4) and plan.
     let mut host = SiteHost::new("target.agrid.example", Platform::intel_linux_32());
-    let env = host.default_env();
-    let plan = deploy_file.plan(&env).expect("valid plan");
+    let plan = deploy_file
+        .plan(SiteHost::default_env())
+        .expect("valid plan");
     println!("planned actions:");
     for a in &plan {
         match a {
@@ -62,11 +63,13 @@ fn main() {
                     receipt.cost
                 );
             }
-            PlannedAction::Shell { command, workdir, .. } => {
-                host.exec(&mut session, &format!("mkdir -p {workdir}"))
-                    .expect_done("mkdir");
-                host.exec(&mut session, &format!("cd {workdir}"))
-                    .expect_done("cd");
+            PlannedAction::Shell {
+                command, workdir, ..
+            } => {
+                assert!(
+                    host.enter_dir(&mut session, workdir),
+                    "cannot enter {workdir}"
+                );
                 let out = run_expect(&mut host, &mut session, command, &deploy_file.dialog)
                     .unwrap_or_else(|e| panic!("step failed: {e}"));
                 interactions += out.interactions;

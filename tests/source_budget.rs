@@ -20,14 +20,13 @@ const OVER: [(&str, usize); 7] = [
 ];
 
 /// `(path under crates/, function, its lines)`: the same ratchet for functions.
-const LONG: [(&str, &str, usize); 9] = [
+const LONG: [(&str, &str, usize); 8] = [
     ("bench/src/autonomic.rs", "run", 374),
     ("bench/src/health.rs", "run", 218),
     ("bench/src/grayfail.rs", "run_mode", 185),
     ("fabric/src/sim.rs", "step", 155),
     ("bench/src/chaos.rs", "run_overlay_point", 152),
     ("bench/src/chaos.rs", "run_grid_phase", 144),
-    ("glare-core/src/deployfile.rs", "for_package", 138),
     ("bench/src/health.rs", "run_overlay_with_tenants", 130),
     ("bench/src/autonomic.rs", "to_json", 126),
 ];

@@ -14,9 +14,10 @@
 //!    is alive but unreachable from one member) the naive protocol splits
 //!    the brain.
 
+use glare_core::invariants;
 use glare_core::model::{example_hierarchy, ActivityDeployment};
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
-use glare_fabric::{SimDuration, SimTime, SiteId, Topology};
+use glare_fabric::{ActorId, SimDuration, SimTime, Simulation, SiteId, Topology};
 
 /// Result of the routing ablation.
 #[derive(Clone, Debug)]
@@ -109,14 +110,15 @@ pub struct TakeoverAblation {
     pub mode: &'static str,
     /// Super-peer offices assumed over the run (1 = stable).
     pub takeovers: u64,
-    /// Whether a split brain happened (an office seized while the real
-    /// super-peer was alive).
+    /// Whether the brain is split at the end of the run: more than one
+    /// node claims the group ([`invariants::super_peers`] reports it).
     pub split_brain: bool,
 }
 
-/// Run the takeover ablation: the super-peer stays alive but is
-/// partitioned from one member for a while.
-pub fn run_takeover(naive: bool, seed: u64) -> TakeoverAblation {
+/// The takeover ablation's overlay, started, with its node ids: the
+/// super-peer stays alive but is partitioned from one member between
+/// t = 30 s and t = 120 s.
+fn takeover_sim(naive: bool, seed: u64) -> (Simulation, Vec<ActorId>) {
     const N: usize = 4;
     let topo = Topology::uniform(N);
     let mut ranked: Vec<(u32, u64)> = (0..N as u32)
@@ -133,9 +135,8 @@ pub fn run_takeover(naive: bool, seed: u64) -> TakeoverAblation {
         // the difference under study.
         cfg.election_interval = None;
     });
-    let (mut sim, _ids) = b.build();
-    // Partition the lowest-ranked member from the (alive) super-peer
-    // between t=30s and t=120s.
+    let (mut sim, ids) = b.build();
+    // Partition the lowest-ranked member from the (alive) super-peer.
     sim.schedule_call(SimTime::from_secs(30), move |s| {
         s.set_partitioned(SiteId(sp), SiteId(isolated), true);
     });
@@ -143,12 +144,17 @@ pub fn run_takeover(naive: bool, seed: u64) -> TakeoverAblation {
         s.set_partitioned(SiteId(sp), SiteId(isolated), false);
     });
     sim.start();
+    (sim, ids)
+}
+
+/// Run the takeover ablation to t = 300 s.
+pub fn run_takeover(naive: bool, seed: u64) -> TakeoverAblation {
+    let (mut sim, ids) = takeover_sim(naive, seed);
     sim.run_until(SimTime::from_secs(300));
-    let takeovers = sim.metrics().counter_value("glare.superpeer_takeovers");
     TakeoverAblation {
         mode: if naive { "naive" } else { "majority-ack" },
-        takeovers,
-        split_brain: takeovers > 1,
+        takeovers: sim.metrics().counter_value("glare.superpeer_takeovers"),
+        split_brain: !invariants::super_peers(&sim, &ids).is_empty(),
     }
 }
 
@@ -193,6 +199,25 @@ mod tests {
             flood.msgs_per_query,
             ladder.msgs_per_query
         );
+    }
+
+    /// The checker's negative case: the naive run splits the brain while
+    /// the partition is up and stays split after it heals (a single
+    /// election, nothing re-merges the group), and the majority run never
+    /// does.
+    #[test]
+    fn super_peer_check_sees_the_naive_split_brain() {
+        let split: Vec<String> = [3, 2, 0]
+            .map(|m| format!("node {m}: in node 1's group but names a different super-peer"))
+            .into();
+        for (naive, expected) in [(false, Vec::new()), (true, split)] {
+            let (mut sim, ids) = takeover_sim(naive, 9);
+            for t in [110, 300] {
+                sim.run_until(SimTime::from_secs(t));
+                let found = invariants::super_peers(&sim, &ids);
+                assert_eq!(found, expected, "naive {naive}, t = {t} s");
+            }
+        }
     }
 
     #[test]

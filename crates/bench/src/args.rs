@@ -1,5 +1,5 @@
 //! What the harness binaries share: the one flag parser, the artifact
-//! writer and the telemetry warnings.
+//! writer, the violation exit and the telemetry warnings.
 //!
 //! A bin takes what it knows out of [`Args`] — bare flags with
 //! [`Args::flag`], validated values with [`Args::value`] / [`Args::set`]
@@ -130,6 +130,16 @@ pub fn write_artifact(name: &str, contents: &str) {
             eprintln!("could not write {name}: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+/// Exit 1 when a run's report lists `violations` invariant violations:
+/// called after the artifacts are written, so a seed sweep in the shell
+/// reads the verdict from the exit status.
+pub fn exit_on_violations(violations: usize) {
+    if violations > 0 {
+        eprintln!("FAIL: {violations} invariant violation(s)");
+        std::process::exit(1);
     }
 }
 

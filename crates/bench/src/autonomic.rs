@@ -29,11 +29,12 @@ use std::collections::BTreeMap;
 use std::collections::HashSet;
 
 use glare_core::autonomic::{
-    publish_replica_gauges, ActionKind, ActionOutcome, AutonomicConfig, PlacementController,
+    live_replica_sites, publish_replica_gauges, AutonomicConfig, PlacementController,
     TelemetrySnapshot, COOLDOWN, DEMAND_FAMILY, LOAD_FAMILY, MAX_ACTIONS_PER_ROUND,
     MAX_TARGET_LOAD, MIN_REPLICAS,
 };
 use glare_core::grid::Grid;
+use glare_core::invariants;
 use glare_core::model::ActivityType;
 use glare_core::rdm::install_with_dependencies;
 use glare_fabric::store::fnv1a;
@@ -263,18 +264,6 @@ fn weighted_p99(samples: &[(f64, u64)]) -> f64 {
     0.0
 }
 
-/// Distinct up sites holding a usable deployment of `name`.
-fn live_replica_sites(grid: &Grid, name: &str, now: SimTime) -> Vec<usize> {
-    let mut sites: Vec<usize> = grid
-        .deployments_anywhere(name, now)
-        .into_iter()
-        .filter(|(site, d)| grid.site_is_up(*site) && d.is_usable())
-        .map(|(site, _)| site)
-        .collect();
-    sites.dedup();
-    sites
-}
-
 /// Run the scenario.
 pub fn run(p: &AutonomicParams) -> AutonomicReport {
     assert!(p.sites >= 6, "the scenario needs at least 6 sites");
@@ -289,16 +278,14 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
         let ty = ActivityType::concrete_type(name, "autonomic", pkg);
         grid.register_type(0, ty.clone(), t0).unwrap();
         let home = i % p.sites;
-        let mut visiting = HashSet::new();
-        let mut reports = Vec::new();
         install_with_dependencies(
             &mut grid,
             &ty,
             home,
             ChannelKind::Expect,
             t0,
-            &mut visiting,
-            &mut reports,
+            &mut HashSet::new(),
+            &mut Vec::new(),
             None,
         )
         .expect("seed install succeeds on a healthy grid");
@@ -306,13 +293,8 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
     }
 
     // ---- Controllers: one per super-peer (sites 0 and 1) ----
-    let ctl_cfg = match p.mode {
-        ControllerMode::Enabled => p.cfg,
-        _ => AutonomicConfig {
-            enabled: false,
-            ..p.cfg
-        },
-    };
+    let acting = p.cfg.enabled && p.mode == ControllerMode::Enabled;
+    let ctl_cfg = AutonomicConfig { enabled: acting, ..p.cfg };
     let mut controllers: Vec<PlacementController> = match p.mode {
         ControllerMode::Absent => Vec::new(),
         _ => vec![
@@ -390,14 +372,9 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
             }
         }
         if t == p.crash_victim_at_secs {
-            for (name, _) in CATALOGUE.iter().rev() {
-                let sites = live_replica_sites(&grid, name, now);
-                if sites.len() as u32 <= MIN_REPLICAS {
-                    if let Some(&s) = sites.first() {
-                        victim_site = s;
-                        break;
-                    }
-                }
+            let mut types = CATALOGUE.iter().rev().map(|(n, _)| live_replica_sites(&grid, n, now));
+            if let Some(sites) = types.find(|s| !s.is_empty() && s.len() as u32 <= MIN_REPLICAS) {
+                victim_site = sites[0];
             }
             for (name, _) in CATALOGUE {
                 let sites = live_replica_sites(&grid, name, now);
@@ -487,11 +464,9 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
             }
             // Crash-recovery bookkeeping: a lost type heals when its live
             // replica count is back at the floor.
-            if let Some((name, _)) = CATALOGUE.get(a) {
-                if let Some(slot @ None) = crash_recovered_at.get_mut(*name) {
-                    if sites.len() as u32 >= MIN_REPLICAS {
-                        *slot = Some(t);
-                    }
+            if let Some(slot @ None) = crash_recovered_at.get_mut(CATALOGUE[a].0) {
+                if sites.len() as u32 >= MIN_REPLICAS {
+                    *slot = Some(t);
                 }
             }
         }
@@ -512,7 +487,7 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
                 }
             } else {
                 let snap = TelemetrySnapshot::observe(&grid, now);
-                let mut applied_this_round: BTreeMap<String, u32> = BTreeMap::new();
+                let mut records = Vec::new();
                 let decisions: Vec<_> = controllers
                     .iter_mut()
                     .map(|c| {
@@ -525,36 +500,11 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
                     .collect();
                 for (c, actions) in controllers.iter_mut().zip(decisions) {
                     let outcome = c.act(&mut grid, actions, now);
+                    violations.extend(invariants::placement_actions(&grid, &outcome.records, now));
                     for rec in &outcome.records {
                         let action = rec.action.kind.label().to_owned();
                         let oc = rec.outcome.label().to_owned();
                         *action_counts.entry((action.clone(), oc.clone())).or_default() += 1;
-                        if rec.outcome == ActionOutcome::Applied {
-                            match rec.action.kind {
-                                ActionKind::Provision | ActionKind::Reprovision => {
-                                    *applied_this_round
-                                        .entry(rec.action.type_name.clone())
-                                        .or_default() += 1;
-                                    if !grid.site_is_up(rec.action.site) {
-                                        violations.push(format!(
-                                            "t={t}: {} of {} applied on dead site {}",
-                                            action, rec.action.type_name, rec.action.site
-                                        ));
-                                    }
-                                }
-                                ActionKind::Retire => {
-                                    let live =
-                                        live_replica_sites(&grid, &rec.action.type_name, now)
-                                            .len() as u32;
-                                    if live < MIN_REPLICAS {
-                                        violations.push(format!(
-                                            "t={t}: retire of {} broke the replica floor",
-                                            rec.action.type_name
-                                        ));
-                                    }
-                                }
-                            }
-                        }
                         rounds.push(RoundRow {
                             t_secs: t,
                             controller: c.name().to_owned(),
@@ -564,25 +514,20 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
                             outcome: oc,
                         });
                     }
+                    records.extend(outcome.records);
                 }
-                for (name, n) in applied_this_round {
-                    if n > 1 {
-                        violations.push(format!("t={t}: {name} provisioned {n}x in one round"));
-                    }
-                }
-                // Post-round state checks + replica timeline.
+                let max = p.cfg.max_replicas;
+                violations.extend(invariants::placement_round(&grid, &records, &names, max, now));
+                // Replica timeline.
                 let post = TelemetrySnapshot::observe(&grid, now);
                 publish_replica_gauges(&mut grid, &post, now);
-                let mut sample = Vec::with_capacity(n_types);
-                for (name, _) in CATALOGUE {
-                    let live = live_replica_sites(&grid, name, now).len() as u32;
-                    if live > p.cfg.max_replicas {
-                        violations
-                            .push(format!("t={t}: {name} has {live} replicas above the cap"));
-                    }
-                    sample.push(((*name).to_owned(), live));
-                }
-                replicas.push(ReplicaSample { t_secs: t, counts: sample });
+                let counts = CATALOGUE
+                    .iter()
+                    .map(|(name, _)| {
+                        ((*name).to_owned(), live_replica_sites(&grid, name, now).len() as u32)
+                    })
+                    .collect();
+                replicas.push(ReplicaSample { t_secs: t, counts });
             }
         }
     }
@@ -605,10 +550,17 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
         .filter_map(|v| v.map(|t| (t.saturating_sub(p.crash_victim_at_secs)) as f64 * 1000.0))
         .collect();
     crash_recovery_ms.sort_by(f64::total_cmp);
-    for (name, slot) in &crash_recovered_at {
-        if slot.is_none() {
-            violations_note_unrecovered(&mut violations, p, name);
+    if p.mode == ControllerMode::Enabled {
+        for (name, _) in crash_recovered_at.iter().filter(|(_, at)| at.is_none()) {
+            violations.push(format!(
+                "{name} never regained its replica floor after the crash at t={}",
+                p.crash_victim_at_secs
+            ));
         }
+    }
+    // The controllers' coordination leases: exclusive, so none may overlap.
+    for s in 0..grid.len() {
+        violations.extend(invariants::lease_caps(s, &grid.site(s).leases));
     }
 
     let class_names = ["gold", "silver", "best_effort"];
@@ -648,15 +600,6 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
         events: jsonl.lines().count() as u64,
         event_digest: digest,
         lint_errors: grid.metrics.lint_metric_names().len(),
-    }
-}
-
-fn violations_note_unrecovered(violations: &mut Vec<String>, p: &AutonomicParams, name: &str) {
-    if p.mode == ControllerMode::Enabled {
-        violations.push(format!(
-            "{name} never regained its replica floor after the crash at t={}",
-            p.crash_victim_at_secs
-        ));
     }
 }
 
@@ -876,6 +819,14 @@ mod tests {
         assert!(denied > 0, "the dueling controller must hit the lease guard");
         assert!(!r.crash_types_lost.is_empty(), "the crash must orphan a type");
         assert!(r.crash_recovery_p95_ms > 0.0, "floor restoration measured");
+    }
+
+    #[test]
+    fn invariants_hold_across_swept_seeds() {
+        for seed in 1..=32 {
+            let r = run(&AutonomicParams { seed, ..AutonomicParams::smoke() });
+            assert!(r.violations.is_empty(), "seed {seed}: {:?}", r.violations);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Autonomic healing driver: flash crowd + site crashes with the
 //! placement controller closing the telemetry loop (or not, with
-//! `--disabled` / `--absent`). Prints the summary on stdout and always
-//! writes `BENCH_autonomic.json`.
+//! `--disabled` / `--absent`). Prints the summary on stdout, always
+//! writes `BENCH_autonomic.json`, and then exits 1 if the report lists a
+//! violation.
 //!
 //! Flags:
 //!   --smoke       CI-sized scenario (the default scenario, pinned seed)
@@ -12,7 +13,7 @@
 //!                 observe-only identity check)
 //!   --json        machine-readable output on stdout instead of the table
 
-use glare_bench::args::{write_artifact, Args};
+use glare_bench::args::{exit_on_violations, write_artifact, Args};
 use glare_bench::autonomic::{render, run, AutonomicParams, ControllerMode};
 
 fn main() {
@@ -41,4 +42,5 @@ fn main() {
     } else {
         print!("{}", render(&report));
     }
+    exit_on_violations(report.violations.len());
 }

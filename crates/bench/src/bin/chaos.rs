@@ -7,7 +7,7 @@
 //! * `--smoke`  — small fixed configuration for CI (one loss point ≥ 1%).
 //! * `--sites N` / `--clients N` / `--queries N` / `--seed N` —
 //!   scenario overrides (defaults: 6 sites, 12 clients, 10 queries,
-//!   seed 7331).
+//!   seed 7331; `--sites` below 4 exits 2).
 //!
 //! Always writes three artifacts to the working directory:
 //! * `BENCH_chaos.json`    — the report (sweep rows, grid phase,
@@ -18,8 +18,8 @@
 //!
 //! Exits non-zero when any invariant is violated, so CI can gate on it.
 
-use glare_bench::args::{warn_telemetry, write_artifact, Args};
-use glare_bench::chaos::{render, run, ChaosParams};
+use glare_bench::args::{exit_on_violations, warn_telemetry, write_artifact, Args};
+use glare_bench::chaos::{render, run, ChaosParams, MIN_SITES};
 
 fn main() {
     let mut args = Args::from_env();
@@ -29,7 +29,8 @@ fn main() {
     } else {
         ChaosParams::default()
     };
-    args.set(&mut p.sites, "--sites", "an integer", |_| true);
+    let at_least = format!("an integer >= {MIN_SITES}");
+    args.set(&mut p.sites, "--sites", &at_least, |&n| n >= MIN_SITES);
     args.set(&mut p.clients, "--clients", "an integer", |_| true);
     args.set(&mut p.queries_per_client, "--queries", "an integer", |_| true);
     args.set(&mut p.seed, "--seed", "an integer", |_| true);
@@ -49,8 +50,5 @@ fn main() {
     } else {
         print!("{}", render(&r));
     }
-    if !r.invariant_violations.is_empty() {
-        eprintln!("FAIL: {} invariant violation(s)", r.invariant_violations.len());
-        std::process::exit(1);
-    }
+    exit_on_violations(r.invariant_violations.len());
 }

@@ -1,7 +1,8 @@
 //! Gray-failure resilience driver: a slow super-peer and a degraded
 //! trunk link under closed-loop query load, run in both modes
-//! (hedging+suspicion enabled / disabled). Prints the summary on stdout
-//! and always writes `BENCH_grayfail.json`.
+//! (hedging+suspicion enabled / disabled). Prints the summary on stdout,
+//! always writes `BENCH_grayfail.json`, and then exits 1 if either mode
+//! lists a violation.
 //!
 //! Flags:
 //!   --smoke       CI-sized scenario (the default scenario, pinned seed)
@@ -9,7 +10,7 @@
 //!   --slow F      gray-phase compute slowdown factor (default 150)
 //!   --json        machine-readable output on stdout instead of the table
 
-use glare_bench::args::{write_artifact, Args};
+use glare_bench::args::{exit_on_violations, write_artifact, Args};
 use glare_bench::grayfail::{render, run, GrayfailParams};
 
 fn main() {
@@ -34,4 +35,5 @@ fn main() {
     } else {
         print!("{}", render(&report));
     }
+    exit_on_violations(report.runs.iter().map(|m| m.violations.len()).sum());
 }

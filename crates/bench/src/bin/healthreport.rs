@@ -9,7 +9,8 @@
 //!   sim-time (the "live" view of `glare_site_load1m` and
 //!   `glare_cache_hit_ratio`).
 //! * `--sites N` / `--clients N` / `--queries N` / `--seed N` — scenario
-//!   overrides (defaults: 5 sites, 15 clients, 12 queries, seed 4711).
+//!   overrides (defaults: 5 sites, 15 clients, 12 queries, seed 4711;
+//!   `--sites` below 3 exits 2).
 //! * `--loss N`  — drop N per-mille of overlay messages (0..=1000,
 //!   default 0), so the per-site dropped-by-loss column shows a degraded
 //!   network.
@@ -28,7 +29,7 @@
 //! * `HEALTH_metrics.prom`  — both registries' text exposition.
 
 use glare_bench::args::{warn_telemetry, write_artifact, Args};
-use glare_bench::health::{render, render_watch, run, HealthParams};
+use glare_bench::health::{render, render_watch, run, HealthParams, MIN_SITES};
 
 fn main() {
     let mut args = Args::from_env();
@@ -38,7 +39,8 @@ fn main() {
     } else {
         HealthParams::default()
     };
-    args.set(&mut p.sites, "--sites", "an integer", |_| true);
+    let at_least = format!("an integer >= {MIN_SITES}");
+    args.set(&mut p.sites, "--sites", &at_least, |&n| n >= MIN_SITES);
     args.set(&mut p.clients, "--clients", "an integer", |_| true);
     args.set(&mut p.queries_per_client, "--queries", "an integer", |_| true);
     args.set(&mut p.seed, "--seed", "an integer", |_| true);

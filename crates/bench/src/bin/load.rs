@@ -1,6 +1,7 @@
 //! Load sweep driver: offered load vs. per-tenant goodput past
 //! saturation (or `--smoke` for a CI-sized pass). Prints the table on
-//! stdout and always writes `BENCH_load.json`.
+//! stdout, always writes `BENCH_load.json`, and then exits 1 if any point
+//! counts an invariant violation.
 //!
 //! Flags:
 //!   --smoke          CI-sized sweep (factors 0.5/1.0/2.0, short window)
@@ -11,7 +12,7 @@
 //!   --no-backpressure  disable admission control (observe-only check)
 //!   --json           machine-readable output on stdout instead of the table
 
-use glare_bench::args::{write_artifact, Args};
+use glare_bench::args::{exit_on_violations, write_artifact, Args};
 use glare_bench::load::{render, run, to_json, LoadParams};
 
 fn main() {
@@ -37,4 +38,5 @@ fn main() {
     } else {
         print!("{}", render(&p, &points));
     }
+    exit_on_violations(points.iter().map(|pt| pt.invariant_violations as usize).sum());
 }

@@ -19,33 +19,31 @@
 //!    granting site exercising [`Grid::acquire_lease_retrying`], the
 //!    per-site breakers and the restart-time lease sweep.
 //!
-//! Invariants (each violation is one human-readable string; the soak
-//! passes only when the list is empty):
+//! Invariants, all from [`glare_core::invariants`] (each violation is one
+//! human-readable string; the soak passes only when the list is empty):
 //!
-//! * exactly one super-peer per group once the network heals;
-//! * every cached deployment agrees with its origin site's registry;
-//! * lease concurrency caps are never exceeded over the whole ledger;
-//! * every provision either yields a queryable deployment or an
-//!   explicit error;
-//! * no false-positive takeover: every `failure.confirmed` suspect
-//!   actually crashed during the run — a merely *slow* site is never
-//!   declared dead.
+//! * the overlay phase checks [`invariants::overlay`] once the network
+//!   heals — one super-peer per group, every cached deployment in its
+//!   origin's registry, and no false-positive takeover (a merely *slow*
+//!   site is never declared dead);
+//! * the Grid phase checks [`invariants::provision_queryable`] on each
+//!   provision that succeeds (a failure is an explicit error, by type)
+//!   and [`invariants::lease_caps`] over every site's final ledger.
 //!
 //! Everything is deterministic: same params → byte-identical
 //! expositions, event JSONL and `BENCH_chaos.json`.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use glare_core::grid::{FaultInjector, Grid};
+use glare_core::invariants;
 use glare_core::lease::LeaseKind;
 use glare_core::model::example_hierarchy;
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
 use glare_core::rdm::{provision, ProvisionRequest};
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
-use glare_core::{GlareNode, RetryPolicy, Role};
+use glare_core::RetryPolicy;
 use glare_fabric::{
-    percentile, ActorId, FaultPlan, MetricsRegistry, SimDuration, SimRng, SimTime,
-    SiteId, StoreConfig, DEFAULT_MAX_EVENTS,
+    percentile, FaultPlan, MetricsRegistry, SimDuration, SimRng, SimTime, SiteId, StoreConfig,
+    DEFAULT_MAX_EVENTS,
 };
 use glare_services::{ChannelKind, Transport};
 
@@ -54,10 +52,14 @@ fn pct(sorted_ms: &[f64], q: f64) -> f64 {
     percentile(sorted_ms, q).unwrap_or(0.0)
 }
 
+/// The fewest sites the scenario runs on: the scripted partition and
+/// flapping link need sites 1–3 beside the coordinator, site 0.
+pub const MIN_SITES: usize = 4;
+
 /// Scenario parameters.
 #[derive(Clone, Debug)]
 pub struct ChaosParams {
-    /// Grid sites (overlay nodes and Grid-phase sites). Minimum 4.
+    /// Grid sites (overlay nodes and Grid-phase sites). Minimum [`MIN_SITES`].
     pub sites: usize,
     /// Clients spread round-robin over the sites.
     pub clients: usize,
@@ -240,19 +242,12 @@ pub struct ChaosReport {
 }
 
 fn worst_p95_ms(m: &MetricsRegistry, family: &str) -> f64 {
-    let mut worst = 0.0f64;
-    for (_, h) in m.labeled_histograms_of(family) {
-        if let Some(q) = h.quantile(0.95) {
-            worst = worst.max(q.as_millis_f64());
-        }
-    }
-    worst
+    let p95s = m.labeled_histograms_of(family).filter_map(|(_, h)| h.quantile(0.95));
+    p95s.fold(0.0, |worst, q| f64::max(worst, q.as_millis_f64()))
 }
 
 fn histogram_count(m: &MetricsRegistry, family: &str) -> u64 {
-    m.labeled_histograms_of(family)
-        .map(|(_, h)| h.count() as u64)
-        .sum()
+    m.labeled_histograms_of(family).map(|(_, h)| h.count() as u64).sum()
 }
 
 /// Every sample of a labeled histogram family, merged across label sets,
@@ -273,145 +268,9 @@ fn sorted_samples_ms(m: &MetricsRegistry, family: &str) -> Vec<f64> {
     out
 }
 
-/// Check the post-heal overlay invariants: one super-peer per group and
-/// cache/registry agreement. `ids` are the node actors in site order.
-fn overlay_violations(
-    sim: &glare_fabric::Simulation,
-    ids: &[ActorId],
-    now: SimTime,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    let node = |id: ActorId| {
-        sim.actor_as::<GlareNode>(id)
-            .expect("overlay actors are GlareNodes")
-    };
-
-    // Invariant: exactly one super-peer per group. Every node names a
-    // super-peer, the named node holds the office, office holders name
-    // themselves, and every member a super-peer claims points back.
-    let mut named: BTreeSet<u32> = BTreeSet::new();
-    let mut office_holders = 0u64;
-    for (i, id) in ids.iter().enumerate() {
-        let n = node(*id);
-        if n.role() == Role::SuperPeer {
-            office_holders += 1;
-        }
-        let Some(sp) = n.super_peer() else {
-            out.push(format!("node {i}: no super-peer after heal"));
-            continue;
-        };
-        named.insert(sp.0);
-        if node(sp).role() != Role::SuperPeer {
-            out.push(format!(
-                "node {i}: names node {} as super-peer, which is not one",
-                sp.0
-            ));
-        }
-        if n.role() == Role::SuperPeer {
-            if sp != *id {
-                out.push(format!(
-                    "node {i}: holds the office but defers to node {}",
-                    sp.0
-                ));
-            }
-            for m in n.group() {
-                if node(*m).super_peer() != Some(*id) {
-                    out.push(format!(
-                        "node {}: in node {i}'s group but names a different super-peer",
-                        m.0
-                    ));
-                }
-            }
-        }
-    }
-    if named.len() as u64 != office_holders {
-        out.push(format!(
-            "{} distinct super-peers named but {} nodes hold the office",
-            named.len(),
-            office_holders
-        ));
-    }
-
-    // Invariant: every cached deployment agrees with its origin site's
-    // registry (the seeded registrations never expire, so a cached key
-    // its origin no longer knows means the cache invented state).
-    for (i, id) in ids.iter().enumerate() {
-        for (key, origin) in node(*id).cache.deployment_origins() {
-            let Some(oi) = origin
-                .strip_prefix("site")
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|oi| *oi < ids.len())
-            else {
-                out.push(format!("node {i}: cached {key} from unknown origin {origin}"));
-                continue;
-            };
-            if node(ids[oi]).adr.lookup(&key, now).is_none() {
-                out.push(format!(
-                    "node {i}: caches {key} but origin {origin} has no such registration"
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Check the lease-cap invariants over every site's final ledger:
-/// shared concurrency never exceeds the deployment's capacity, and
-/// exclusive tickets overlap nothing.
-fn lease_violations(g: &Grid) -> Vec<String> {
-    let mut out = Vec::new();
-    for i in 0..g.len() {
-        let tickets = g.site(i).leases.tickets();
-        let mut by_dep: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (k, t) in tickets.iter().enumerate() {
-            by_dep.entry(t.deployment.as_str()).or_default().push(k);
-        }
-        for (dep, idx) in by_dep {
-            let cap = g.site(i).leases.capacity(dep) as i64;
-            // Sweep the shared tickets: +1 at from, -1 at until
-            // (exclusive end, so the -1 sorts first at equal times).
-            let mut evs: Vec<(SimTime, i64)> = Vec::new();
-            for &k in &idx {
-                let t = &tickets[k];
-                if t.kind == LeaseKind::Shared {
-                    evs.push((t.from, 1));
-                    evs.push((t.until, -1));
-                }
-            }
-            evs.sort();
-            let mut live = 0i64;
-            for (_, d) in evs {
-                live += d;
-                if live > cap {
-                    out.push(format!(
-                        "site {i}: {live} concurrent shared leases on {dep} exceed capacity {cap}"
-                    ));
-                    break;
-                }
-            }
-            for (a, &ka) in idx.iter().enumerate() {
-                let ta = &tickets[ka];
-                if ta.kind != LeaseKind::Exclusive {
-                    continue;
-                }
-                for &kb in &idx[a + 1..] {
-                    let tb = &tickets[kb];
-                    if ta.from < tb.until && tb.from < ta.until {
-                        out.push(format!(
-                            "site {i}: exclusive ticket {} on {dep} overlaps ticket {}",
-                            ta.id, tb.id
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Run one overlay soak at `loss` and return its row.
 fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
-    assert!(p.sites >= 4, "the scenario needs at least 4 sites");
+    assert!(p.sites >= MIN_SITES, "the scenario needs at least {MIN_SITES} sites");
     // Salt the seed per loss point so the sweep explores distinct fault
     // schedules while staying reproducible.
     let salt = (loss * 1000.0).round() as u64;
@@ -486,8 +345,6 @@ fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
     let end = t(h) + d(300);
     sim.run_until(end);
 
-    let mut violations = overlay_violations(&sim, &ids, end);
-
     let (sent, responses, hits) = {
         let s = stats.lock();
         (s.sent, s.responses, s.hits)
@@ -495,48 +352,12 @@ fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
     let m = sim.metrics();
     let dropped = |reason: &str| m.family_total("glare_net_dropped_total", &[("reason", reason)]);
     let events = sim.events().expect("events were enabled");
-
-    // Invariant: every confirmed failure names a peer that actually
-    // crashed. Gray-slowed and lossy-but-alive sites keep heartbeating,
-    // so declaring one dead is a false-positive takeover.
-    let crashed: BTreeSet<u32> = events
-        .of_kind("site.crashed")
-        .filter_map(|r| r.site.map(|s| s.0))
-        .collect();
-    let mut false_takeovers = 0u64;
-    for r in events.of_kind("failure.confirmed") {
-        let suspect = r
-            .fields
-            .iter()
-            .find(|(k, _)| k == "suspect")
-            .and_then(|(_, v)| v.strip_prefix("actor"))
-            .and_then(|v| v.parse::<u32>().ok());
-        // Node actors are registered in site order, so the suspect's
-        // actor index is its site index.
-        match suspect {
-            Some(s) if crashed.contains(&s) => {}
-            Some(s) => {
-                false_takeovers += 1;
-                violations.push(format!(
-                    "false-positive takeover: site {s} was declared dead but never crashed"
-                ));
-            }
-            None => {
-                false_takeovers += 1;
-                violations.push(format!("failure.confirmed with unparsable suspect: {r:?}"));
-            }
-        }
-    }
     LossRow {
         loss,
         sent,
         responses,
         hits,
-        availability: if sent > 0 {
-            responses as f64 / sent as f64
-        } else {
-            0.0
-        },
+        availability: responses as f64 / sent.max(1) as f64,
         retries: m.family_total("glare_retries_total", &[]),
         backoff_count: histogram_count(m, "glare_retry_backoff_ms"),
         backoff_p95_ms: worst_p95_ms(m, "glare_retry_backoff_ms"),
@@ -547,7 +368,7 @@ fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
         dropped_partition: dropped("partition"),
         dropped_site_down: dropped("site_down"),
         takeovers: m.counter_value("glare.superpeer_takeovers"),
-        false_takeovers,
+        false_takeovers: invariants::false_takeovers(events, &ids).len() as u64,
         failure_detect_p95_ms: worst_p95_ms(m, "glare_failure_detection_ms"),
         site_restarts: events.of_kind("site.restarted").count() as u64,
         slowdowns: events.of_kind("site.degraded").count() as u64,
@@ -555,7 +376,7 @@ fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
         recoveries: histogram_count(m, "glare_recovery_ms"),
         replayed_records: m.family_total("glare_store_replayed_records_total", &[]),
         recovery_ms: sorted_samples_ms(m, "glare_recovery_ms"),
-        violations,
+        violations: invariants::overlay(&sim, &ids, end),
         exposition: m.expose_prometheus(),
         events_jsonl: events.to_jsonl(),
         events_dropped: events.dropped(),
@@ -577,60 +398,28 @@ fn run_grid_phase(p: &ChaosParams) -> GridChaos {
         g.register_type(0, ty, SimTime::ZERO).unwrap();
     }
 
-    let mut violations = Vec::new();
-    let mut provisions_ok = 0u64;
-    let mut provisions_failed = 0u64;
-
+    let wien2k = |from_site, preferred| ProvisionRequest {
+        activity: "Wien2k".into(),
+        client: "chaos".into(),
+        channel: ChannelKind::Expect,
+        from_site,
+        preferred_site: Some(preferred),
+    };
     // A clean provision first (injector still inert) so the lease
     // workload always has a deployment to reserve.
-    provision(
-        &mut g,
-        &ProvisionRequest {
-            activity: "Wien2k".into(),
-            client: "chaos".into(),
-            channel: ChannelKind::Expect,
-            from_site: 1,
-            preferred_site: Some(0),
-        },
-        t(1),
-    )
-    .expect("provisioning with the injector inert succeeds");
-    provisions_ok += 1;
+    let clean = provision(&mut g, &wien2k(1, 0), t(1))
+        .expect("provisioning with the injector inert succeeds");
 
     // Now the weather turns: seeded loss for everything that follows.
     g.faults = FaultInjector::seeded(p.seed.wrapping_mul(0x9e37_79b9), loss.max(0.01));
 
     // A second provision under loss: success must leave a queryable
     // deployment, failure must be an explicit error (it is, by type).
-    match provision(
-        &mut g,
-        &ProvisionRequest {
-            activity: "Wien2k".into(),
-            client: "chaos".into(),
-            channel: ChannelKind::Expect,
-            from_site: 2,
-            preferred_site: Some(1),
-        },
-        t(2),
-    ) {
-        Ok(out) => {
-            provisions_ok += 1;
-            if out.deployments.is_empty() {
-                violations.push("grid: provision succeeded but listed no deployments".into());
-            }
-            for (site, dep) in &out.deployments {
-                if g.site(*site).adr.lookup(&dep.key, t(3)).is_none() {
-                    violations.push(format!(
-                        "grid: provision reported {} at site {site} but it is not queryable",
-                        dep.key
-                    ));
-                }
-            }
-        }
-        Err(_) => provisions_failed += 1,
-    }
-    if g.deployments_anywhere("Wien2k", t(3)).is_empty() {
-        violations.push("grid: the clean provision left no queryable deployment".into());
+    let lossy = provision(&mut g, &wien2k(2, 1), t(2));
+    let (provisions_ok, provisions_failed) = if lossy.is_ok() { (2, 0) } else { (1, 1) };
+    let mut violations = Vec::new();
+    for out in std::iter::once(&clean).chain(lossy.as_ref().ok()) {
+        violations.extend(invariants::provision_queryable(&g, out, t(3)));
     }
 
     let lease_key = {
@@ -685,7 +474,9 @@ fn run_grid_phase(p: &ChaosParams) -> GridChaos {
         leases_unavailable += 1;
     }
 
-    violations.extend(lease_violations(&g));
+    for i in 0..g.len() {
+        violations.extend(invariants::lease_caps(i, &g.site(i).leases));
+    }
 
     let m = &g.metrics;
     GridChaos {
@@ -699,10 +490,7 @@ fn run_grid_phase(p: &ChaosParams) -> GridChaos {
         short_circuits: m.family_total("glare_breaker_short_circuits_total", &[]),
         leases_reclaimed,
         replayed_records: m.family_total("glare_store_replayed_records_total", &[]),
-        replay_ms: sorted_samples_ms(m, "glare_store_replay_ms")
-            .last()
-            .copied()
-            .unwrap_or(0.0),
+        replay_ms: sorted_samples_ms(m, "glare_store_replay_ms").last().map_or(0.0, |&ms| ms),
         violations,
         exposition: m.expose_prometheus(),
         events_jsonl: g.events.to_jsonl(),
@@ -716,19 +504,12 @@ pub fn run(p: ChaosParams) -> ChaosReport {
     let grid = run_grid_phase(&p);
 
     let mut invariant_violations = Vec::new();
-    for r in &rows {
-        for v in &r.violations {
-            invariant_violations.push(format!("loss={:.3}: {v}", r.loss));
-        }
+    for LossRow { loss, violations, .. } in &rows {
+        invariant_violations.extend(violations.iter().map(|v| format!("loss={loss:.3}: {v}")));
     }
-    for v in &grid.violations {
-        invariant_violations.push(format!("grid: {v}"));
-    }
-    let mut lint = Vec::new();
-    for r in &rows {
-        lint.extend(r.lint.iter().cloned());
-    }
-    lint.extend(grid.lint.iter().cloned());
+    invariant_violations.extend(grid.violations.iter().map(|v| format!("grid: {v}")));
+    let mut lint: Vec<String> =
+        rows.iter().flat_map(|r| &r.lint).chain(&grid.lint).cloned().collect();
     lint.sort();
     lint.dedup();
     let events_dropped = rows.iter().map(|r| r.events_dropped).sum();
@@ -1042,6 +823,28 @@ mod tests {
             "the restarted granting site replayed its journal"
         );
         assert!(r.grid.replay_ms > 0.0, "replay charged modeled time");
+    }
+
+    /// The smoke seeds that violate an invariant today, with what they
+    /// report. The list may only shrink. Seed 15 (seed 178 too, outside the
+    /// sweep): the `Appointment` closing the election round at 0.9 s is lost
+    /// to the 2 % loss, so actor1 never learns it won office and never
+    /// beats; its group confirms it dead by majority at 20.01 s, before any
+    /// fault is scheduled.
+    const KNOWN: [(u64, &str); 1] = [(
+        15,
+        "loss=0.020: false-positive takeover: site 1 was declared dead but never crashed",
+    )];
+
+    #[test]
+    fn invariants_hold_across_swept_seeds() {
+        let mut found = Vec::new();
+        for seed in 1..=64 {
+            let r = run(ChaosParams { seed, ..ChaosParams::smoke() });
+            found.extend(r.invariant_violations.into_iter().map(|v| (seed, v)));
+        }
+        let known: Vec<(u64, String)> = KNOWN.iter().map(|&(s, v)| (s, v.to_owned())).collect();
+        assert_eq!(found, known, "replay one with `chaos --smoke --seed N`");
     }
 
     #[test]

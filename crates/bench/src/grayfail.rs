@@ -28,6 +28,7 @@
 
 use std::sync::Arc;
 
+use glare_core::invariants;
 use glare_core::model::{example_hierarchy, ActivityDeployment};
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
@@ -156,7 +157,9 @@ pub struct ModeReport {
     pub hedges_wasted: u64,
     /// Super-peer takeovers over the run (must equal the group count).
     pub takeovers: u64,
-    /// `failure.confirmed` events (must be 0: the peer is slow, not dead).
+    /// Confirmed failures of a site that never crashed
+    /// ([`invariants::false_takeovers`]; must be 0: the peer is slow, not
+    /// dead).
     pub false_takeovers: u64,
     /// Suspicion-level samples at the phase boundaries (client sites).
     pub suspicion: Vec<SuspicionSample>,
@@ -393,33 +396,18 @@ pub fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
     }
 
     let m = sim.metrics();
-    let mut hedges = [0u64; 3];
-    for &site in &client_sites {
-        let labels = Labels::of(&[("site", &format!("site{site}"))]);
-        for (slot, family) in [
-            "glare_hedges_fired_total",
-            "glare_hedges_won_total",
-            "glare_hedges_wasted_total",
-        ]
-        .iter()
-        .enumerate()
-        {
-            hedges[slot] += m.counter_labeled_value(family, &labels);
-        }
-    }
+    let sites: Vec<Labels> =
+        client_sites.iter().map(|s| Labels::of(&[("site", &format!("site{s}"))])).collect();
+    let hedges = ["glare_hedges_fired_total", "glare_hedges_won_total", "glare_hedges_wasted_total"]
+        .map(|family| sites.iter().map(|l| m.counter_labeled_value(family, l)).sum::<u64>());
     let takeovers = m.counter_value("glare.superpeer_takeovers");
     let ev = sim.events().expect("events enabled");
-    let false_takeovers = ev.of_kind("failure.confirmed").count() as u64;
+    // No site crashes here, so every confirmed failure is a false one.
+    let false_takeovers = invariants::false_takeovers(ev, &ids).len() as u64;
     if takeovers != expected_groups {
-        violations.push(format!(
-            "takeovers {takeovers} != initial elections {expected_groups}"
-        ));
+        violations.push(format!("takeovers {takeovers} != initial elections {expected_groups}"));
     }
-    if false_takeovers != 0 {
-        violations.push(format!(
-            "{false_takeovers} false-positive takeovers of a merely slow peer"
-        ));
-    }
+    violations.extend(invariants::overlay(&sim, &ids, sim.now()));
     if mode == GrayMode::Disabled && hedges[0] != 0 {
         violations.push(format!("{} hedges fired while disabled", hedges[0]));
     }
@@ -617,6 +605,15 @@ mod tests {
         assert!(r.runs[0].hedges_fired > 0, "the gray phase must hedge");
         assert!(r.runs[0].hedges_won > 0, "hedges must win under the slow peer");
         assert_eq!(r.runs[1].hedges_fired, 0, "hedges fired with the stack disabled");
+    }
+
+    #[test]
+    fn enabled_mode_holds_its_invariants_across_swept_seeds() {
+        for seed in 1..=4 {
+            let p = GrayfailParams { seed, ..GrayfailParams::smoke() };
+            let m = run_mode(&p, GrayMode::Enabled);
+            assert!(m.violations.is_empty(), "seed {seed}: {:?}", m.violations);
+        }
     }
 
     #[test]

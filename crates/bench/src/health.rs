@@ -39,10 +39,14 @@ use glare_fabric::{
 use glare_services::{ChannelKind, Transport};
 use glare_workload::{TenantLoad, TenantSpec, TenantStats, WorkloadSpec};
 
+/// The fewest sites the scenario runs on: the scripted crashes take the
+/// highest- and lowest-ranked sites other than site 0, the community index.
+pub const MIN_SITES: usize = 3;
+
 /// Scenario parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthParams {
-    /// Grid sites (overlay nodes and Grid phase sites). Minimum 3.
+    /// Grid sites (overlay nodes and Grid phase sites). Minimum [`MIN_SITES`].
     pub sites: usize,
     /// Clients spread round-robin over the sites.
     pub clients: usize,
@@ -290,7 +294,7 @@ pub fn run_overlay_with_tenants(
     p: HealthParams,
     instrument: bool,
 ) -> (glare_fabric::Simulation, OverlayProbe, Vec<TenantLane>) {
-    assert!(p.sites >= 3, "the scenario needs at least 3 sites");
+    assert!(p.sites >= MIN_SITES, "the scenario needs at least {MIN_SITES} sites");
     let mut builder = OverlayBuilder::new(p.sites, p.seed);
     let tenants = p.tenants;
     let gray = p.gray;
@@ -493,11 +497,7 @@ pub fn run(p: HealthParams) -> HealthReport {
         site_rows.push(SiteHealth {
             cache_hits: hits,
             cache_misses: misses,
-            hit_ratio: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
+            hit_ratio: hits as f64 / (hits + misses).max(1) as f64,
             staleness_p50_ms: ms(staleness.and_then(|h| h.quantile(0.5))),
             staleness_p95_ms: ms(staleness.and_then(|h| h.quantile(0.95))),
             availability: gm
@@ -549,11 +549,7 @@ pub fn run(p: HealthParams) -> HealthReport {
             group,
             hits,
             misses,
-            hit_ratio: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
+            hit_ratio: hits as f64 / (hits + misses).max(1) as f64,
         })
         .collect();
 
@@ -823,6 +819,8 @@ impl HealthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glare_core::invariants;
+    use glare_fabric::ActorId;
 
     #[test]
     fn smoke_scenario_produces_health_signals() {
@@ -856,6 +854,20 @@ mod tests {
         assert!(r.overlay_events_jsonl.contains("\"kind\":\"store.recovered\""));
         let ae: u64 = r.sites.iter().map(|s| s.ae_pulls + s.ae_pushes).sum();
         assert!(ae > 0, "rejoin exchanged anti-entropy state");
+    }
+
+    #[test]
+    fn overlay_invariants_hold_at_the_end_of_the_run() {
+        let smoke = HealthParams::smoke();
+        let gray_tenants = HealthParams { tenants: 3, gray: true, ..smoke };
+        let seeds = [1, 2, 3, 11].map(|seed| HealthParams { seed, ..smoke });
+        for p in seeds.into_iter().chain([gray_tenants]) {
+            let (sim, _) = run_overlay(p, true);
+            // The builder adds the nodes first, one per site in site order.
+            let ids: Vec<ActorId> = (0..p.sites as u32).map(ActorId).collect();
+            let v = invariants::overlay(&sim, &ids, sim.now());
+            assert!(v.is_empty(), "{p:?}: {v:?}");
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! the structured-event digest. Same seed ⇒ byte-identical JSON.
 
 use glare_core::admission::{AdmissionConfig, TenantClass};
+use glare_core::invariants;
 use glare_core::model::{ActivityDeployment, ActivityType};
 use glare_core::overlay::OverlayBuilder;
 use glare_core::retry::RetryPolicy;
@@ -157,9 +158,10 @@ pub struct LoadPoint {
     pub admitted: [u64; 3],
     /// Server-side shed counters per class.
     pub shed: [u64; 3],
-    /// Admission-invariant violations at this point: a lower class
-    /// out-performing a higher one on success ratio, or a higher class
-    /// out-shedding a lower one. Zero is the acceptance bar.
+    /// Invariant violations at this point: the admission ordering (a lower
+    /// class out-performing a higher one on success ratio, or a higher
+    /// class out-shedding a lower one) plus [`invariants::overlay`] at the
+    /// end of the run. Zero is the acceptance bar.
     pub invariant_violations: u64,
     /// `lint_metric_names` findings in the run's registry — 0 means
     /// every labeled family (the admission counters included) obeys the
@@ -204,23 +206,11 @@ impl LoadPoint {
     }
 }
 
-/// Count admission-invariant violations over the spec-ordered rows
-/// (gold, silver, best-effort): each higher class must succeed at least
-/// as often as every lower one (small epsilon for open-loop noise) and
-/// must never shed more.
+/// Count [`invariants::admission_ordering`] violations over the
+/// spec-ordered rows (gold, silver, best-effort).
 pub fn invariant_violations(rows: &[TenantRow]) -> u64 {
-    let mut v = 0;
-    for hi in 0..rows.len() {
-        for lo in hi + 1..rows.len() {
-            if rows[hi].success_ratio + 0.02 < rows[lo].success_ratio {
-                v += 1;
-            }
-            if rows[hi].shed > rows[lo].shed {
-                v += 1;
-            }
-        }
-    }
-    v
+    let classes: Vec<(f64, u64)> = rows.iter().map(|r| (r.success_ratio, r.shed)).collect();
+    invariants::admission_ordering(&classes).len() as u64
 }
 
 /// Run one sweep point.
@@ -319,11 +309,12 @@ pub fn run_point(factor: f64, p: &LoadParams) -> LoadPoint {
     let jsonl = sim.events().map(|log| log.to_jsonl()).unwrap_or_default();
     let event_digest = fnv1a(jsonl.as_bytes());
     let lint_errors = sim.metrics().lint_metric_names().len() as u64;
+    let overlay = invariants::overlay(&sim, &ids, sim.now()).len() as u64;
 
     LoadPoint {
         factor,
         offered_hz,
-        invariant_violations: invariant_violations(&tenants),
+        invariant_violations: invariant_violations(&tenants) + overlay,
         tenants,
         admitted,
         shed,
@@ -364,7 +355,7 @@ pub fn render(p: &LoadParams, points: &[LoadPoint]) -> String {
         }
         if pt.invariant_violations > 0 {
             s.push_str(&format!(
-                "       ! {} admission-invariant violation(s)\n",
+                "       ! {} invariant violation(s)\n",
                 pt.invariant_violations
             ));
         }

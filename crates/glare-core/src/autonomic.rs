@@ -193,23 +193,27 @@ impl TelemetrySnapshot {
             .collect();
         let types = demand
             .into_iter()
-            .map(|(name, demand_hz)| {
-                let mut replica_sites: Vec<usize> = grid
-                    .deployments_anywhere(&name, at)
-                    .into_iter()
-                    .filter(|(site, d)| grid.site_is_up(*site) && d.is_usable())
-                    .map(|(site, _)| site)
-                    .collect();
-                replica_sites.dedup();
-                TypeObservation {
-                    name,
-                    demand_hz,
-                    replica_sites,
-                }
+            .map(|(name, demand_hz)| TypeObservation {
+                replica_sites: live_replica_sites(grid, &name, at),
+                name,
+                demand_hz,
             })
             .collect();
         TelemetrySnapshot { at, sites, types }
     }
+}
+
+/// Live replica locations of `name`: *up* sites holding at least one
+/// usable deployment of it, ascending and each site once.
+pub fn live_replica_sites(grid: &Grid, name: &str, now: SimTime) -> Vec<usize> {
+    let mut sites: Vec<usize> = grid
+        .deployments_anywhere(name, now)
+        .into_iter()
+        .filter(|(site, d)| grid.site_is_up(*site) && d.is_usable())
+        .map(|(site, _)| site)
+        .collect();
+    sites.dedup();
+    sites
 }
 
 /// What the controller decided to do about one type.

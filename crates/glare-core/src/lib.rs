@@ -16,6 +16,7 @@ pub mod durable;
 pub mod error;
 pub mod grid;
 pub mod hierarchy;
+pub mod invariants;
 pub mod lease;
 pub mod model;
 pub mod node;

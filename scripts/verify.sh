@@ -18,7 +18,9 @@
 #   4. rustdoc with warnings promoted to errors
 #   5. the cross-commit oracle run twice on this commit: every harness binary
 #      must run, write its artifacts (a bin exits 1 if it cannot, 2 on a bad
-#      argument) and write the same bytes both times
+#      argument; chaos, grayfail, autonomic and load also exit 1 after
+#      writing them when their report lists an invariant violation) and write
+#      the same bytes both times
 #   6. perf ledger (perf/README.md): the ledger package's own tests, then one
 #      short `run` pass over its five workloads, whose correctness checks
 #      (every query hits, admission accounting, replay restores, same digest

@@ -9,24 +9,20 @@ const BUDGET: usize = 800;
 const FN_BUDGET: usize = 120;
 
 /// `(path under crates/, lines before its tests)`: a ratchet, not an allowance.
-const OVER: [(&str, usize); 7] = [
+const OVER: [(&str, usize); 5] = [
     ("fabric/src/sim.rs", 1363),
-    ("bench/src/chaos.rs", 980),
     ("fabric/src/metrics.rs", 980),
     ("glare-core/src/grid.rs", 887),
-    ("bench/src/autonomic.rs", 844),
-    ("bench/src/health.rs", 822),
+    ("bench/src/health.rs", 818),
     ("glare-core/src/durable.rs", 829),
 ];
 
 /// `(path under crates/, function, its lines)`: the same ratchet for functions.
-const LONG: [(&str, &str, usize); 8] = [
-    ("bench/src/autonomic.rs", "run", 374),
-    ("bench/src/health.rs", "run", 218),
-    ("bench/src/grayfail.rs", "run_mode", 185),
+const LONG: [(&str, &str, usize); 6] = [
+    ("bench/src/autonomic.rs", "run", 337),
+    ("bench/src/health.rs", "run", 210),
+    ("bench/src/grayfail.rs", "run_mode", 170),
     ("fabric/src/sim.rs", "step", 155),
-    ("bench/src/chaos.rs", "run_overlay_point", 152),
-    ("bench/src/chaos.rs", "run_grid_phase", 144),
     ("bench/src/health.rs", "run_overlay_with_tenants", 130),
     ("bench/src/autonomic.rs", "to_json", 126),
 ];

@@ -3,10 +3,10 @@
 //! GLARE's registration/provisioning promise only matters under sustained
 //! load, and sustained load needs a front door: every client-facing query
 //! passes an [`AdmissionController`] guarding a bounded per-site inbox.
-//! Admission is *lease-based* — each admitted request takes a short shared
-//! [`LeaseManager`] ticket on the synthetic `inbox` deployment, so the
-//! same QoS machinery that caps concurrent activity clients (§3.2) caps
-//! concurrent requests — with class-tiered thresholds on top: best-effort
+//! Each admitted request holds a ticket with a fixed time-to-live until its
+//! reply goes out — the inbox is a FIFO of TTL'd tickets, the shared-lease
+//! cap of §3.2 applied to concurrent requests instead of concurrent
+//! activity clients — with class-tiered thresholds on top: best-effort
 //! traffic is shed once occupancy crosses half the capacity, silver at
 //! three quarters, and only gold may fill the inbox. The headroom between
 //! the silver threshold and the hard cap is therefore a *gold reserve*,
@@ -25,12 +25,10 @@
 //! never shedding, the only difference is metrics — the event stream and
 //! message timing are unchanged.
 
+use std::collections::VecDeque;
+use std::num::NonZeroU64;
+
 use glare_fabric::{SimDuration, SimTime};
-
-use crate::lease::{LeaseKind, LeaseManager};
-
-/// The synthetic lease key the bounded inbox is accounted under.
-const INBOX_KEY: &str = "inbox";
 
 /// Request classes, in descending priority.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
@@ -77,7 +75,9 @@ const BEST_EFFORT_SHARE: f64 = 0.5;
 
 /// Lifetime of an admission ticket. Tickets are released when the reply
 /// goes out; the TTL is the backstop for requests that die on a crashed
-/// site, so a wedged inbox drains by itself.
+/// site, so a wedged inbox drains by itself. Every ticket gets this same
+/// lifetime, which is what keeps the inbox in expiry order (see
+/// [`AdmissionController`]).
 const TICKET_TTL: SimDuration = SimDuration::from_secs(2);
 
 /// `RetryAfter` floor quoted to the first shed request past a threshold;
@@ -142,8 +142,9 @@ pub enum AdmissionDecision {
     /// Admitted; the ticket id must be [released](AdmissionController::release)
     /// when the request's reply goes out.
     Admit {
-        /// The inbox lease ticket backing this admission.
-        ticket: u64,
+        /// The inbox ticket backing this admission (numbered from 1, so a
+        /// request can carry `Option<NonZeroU64>` in one word).
+        ticket: NonZeroU64,
     },
     /// Shed. The hint tells the client how long to stay away; it is a
     /// floor, not a schedule — clients add their own jitter via
@@ -170,10 +171,25 @@ pub struct AdmissionStats {
 }
 
 /// The bounded-inbox controller of one site.
+///
+/// The inbox is a FIFO of `(ticket, expiry)` pairs in grant order. That
+/// is also expiry order, because every ticket lives exactly
+/// `TICKET_TTL` (2 s) and the controller is asked with a `now` that never goes
+/// back (simulated time only moves forward; an amnesia crash builds a new
+/// controller). Three things follow, and the code relies on each:
+/// - the TTL sweep pops expired tickets from the front and stops at the
+///   first live one;
+/// - after the sweep every ticket left covers `now`, so occupancy is the
+///   inbox length;
+/// - tickets are numbered in grant order, so a release finds its ticket by
+///   binary search.
 #[derive(Clone, Debug)]
 pub struct AdmissionController {
     cfg: AdmissionConfig,
-    leases: LeaseManager,
+    /// Live tickets with their expiry instants, oldest first.
+    inbox: VecDeque<(NonZeroU64, SimTime)>,
+    /// The id the next admission is granted under.
+    next_ticket: NonZeroU64,
     stats: AdmissionStats,
     /// TTL releases observed since the last [`AdmissionController::take_ttl_released`]
     /// drain — the node turns these into metrics/events.
@@ -183,13 +199,10 @@ pub struct AdmissionController {
 impl AdmissionController {
     /// Controller for `cfg` (inert while `cfg.enabled` is false).
     pub fn new(cfg: AdmissionConfig) -> AdmissionController {
-        let mut leases = LeaseManager::new();
-        if cfg.enabled {
-            leases.set_capacity(INBOX_KEY, cfg.inbox_capacity);
-        }
         AdmissionController {
             cfg,
-            leases,
+            inbox: VecDeque::new(),
+            next_ticket: NonZeroU64::MIN,
             stats: AdmissionStats::default(),
             pending_ttl: 0,
         }
@@ -205,7 +218,8 @@ impl AdmissionController {
         &self.cfg
     }
 
-    /// Live admitted-request count at `now` (expired tickets swept).
+    /// Live admitted-request count at `now` (expired tickets swept). `now`
+    /// must not precede the instant of any earlier call.
     ///
     /// Tickets the sweep reclaims were *not* released by a reply — they
     /// leaked (request died on a crashed site, reply lost). The count is
@@ -213,12 +227,15 @@ impl AdmissionController {
     /// [`AdmissionController::take_ttl_released`] so callers can surface
     /// the leak in metrics instead of it draining invisibly.
     pub fn occupancy(&mut self, now: SimTime) -> u32 {
-        let swept = self.leases.sweep_expired(now);
-        if swept > 0 {
-            self.stats.ttl_released += swept as u64;
-            self.pending_ttl += swept as u64;
+        // A ticket's interval is `[granted, expiry)`: one expiring at `now`
+        // no longer covers it.
+        let expired = self.inbox.partition_point(|&(_, expiry)| expiry <= now);
+        if expired > 0 {
+            self.inbox.drain(..expired);
+            self.stats.ttl_released += expired as u64;
+            self.pending_ttl += expired as u64;
         }
-        self.leases.active_count(INBOX_KEY, now) as u32
+        self.inbox.len() as u32
     }
 
     /// Admit or shed a `class` request arriving at `now`.
@@ -229,6 +246,8 @@ impl AdmissionController {
         debug_assert!(self.cfg.enabled, "decide() on a disabled controller");
         let occupancy = self.occupancy(now);
         self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupancy);
+        // Every class limit is at most the capacity, so a request under its
+        // limit always finds a free slot.
         let limit = self.cfg.class_limit(class);
         if occupancy >= limit {
             self.stats.shed[class.index()] += 1;
@@ -236,33 +255,20 @@ impl AdmissionController {
                 retry_after: retry_after(occupancy, limit),
             };
         }
-        match self.leases.grant(
-            INBOX_KEY,
-            class.label(),
-            LeaseKind::Shared,
-            now,
-            now + TICKET_TTL,
-        ) {
-            Ok(ticket) => {
-                let ticket = ticket.id;
-                self.stats.admitted[class.index()] += 1;
-                self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupancy + 1);
-                AdmissionDecision::Admit { ticket }
-            }
-            Err(_) => {
-                // The hard lease cap closed the door between the threshold
-                // check and the grant (gold at full inbox).
-                self.stats.shed[class.index()] += 1;
-                AdmissionDecision::Shed {
-                    retry_after: retry_after(occupancy, limit),
-                }
-            }
-        }
+        let ticket = self.next_ticket;
+        self.next_ticket = ticket.checked_add(1).expect("ticket ids outlast any run");
+        self.inbox.push_back((ticket, now + TICKET_TTL));
+        self.stats.admitted[class.index()] += 1;
+        self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupancy + 1);
+        AdmissionDecision::Admit { ticket }
     }
 
-    /// Release an admitted request's ticket (its reply went out).
-    pub fn release(&mut self, ticket: u64) {
-        let _ = self.leases.release(ticket);
+    /// Release an admitted request's ticket (its reply went out). A ticket
+    /// already released or swept is a no-op.
+    pub fn release(&mut self, ticket: NonZeroU64) {
+        if let Ok(i) = self.inbox.binary_search_by_key(&ticket, |&(id, _)| id) {
+            self.inbox.remove(i);
+        }
     }
 
     /// Cumulative per-class tallies.
@@ -290,9 +296,130 @@ fn retry_after(occupancy: u32, limit: u32) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lease::{LeaseKind, LeaseManager};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// The controller as it was while the inbox was a `LeaseManager`
+    /// ledger of shared leases on one synthetic key: the reference the
+    /// FIFO inbox is held to. A shed is `Err(retry_after)`.
+    struct LedgerController {
+        cfg: AdmissionConfig,
+        leases: LeaseManager,
+        stats: AdmissionStats,
+        pending_ttl: u64,
+    }
+
+    const INBOX_KEY: &str = "inbox";
+
+    impl LedgerController {
+        fn new(cfg: AdmissionConfig) -> LedgerController {
+            let mut leases = LeaseManager::new();
+            leases.set_capacity(INBOX_KEY, cfg.inbox_capacity);
+            LedgerController {
+                cfg,
+                leases,
+                stats: AdmissionStats::default(),
+                pending_ttl: 0,
+            }
+        }
+
+        fn occupancy(&mut self, now: SimTime) -> u32 {
+            let swept = self.leases.sweep_expired(now);
+            if swept > 0 {
+                self.stats.ttl_released += swept as u64;
+                self.pending_ttl += swept as u64;
+            }
+            self.leases.active_leases(INBOX_KEY, now).len() as u32
+        }
+
+        fn decide(&mut self, class: TenantClass, now: SimTime) -> Result<u64, SimDuration> {
+            let occupancy = self.occupancy(now);
+            self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupancy);
+            let limit = self.cfg.class_limit(class);
+            if occupancy >= limit {
+                self.stats.shed[class.index()] += 1;
+                return Err(retry_after(occupancy, limit));
+            }
+            let until = now + TICKET_TTL;
+            match self.leases.acquire(INBOX_KEY, class.label(), LeaseKind::Shared, now, until) {
+                Ok(ticket) => {
+                    let ticket = ticket.id;
+                    self.stats.admitted[class.index()] += 1;
+                    self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupancy + 1);
+                    Ok(ticket)
+                }
+                Err(_) => {
+                    self.stats.shed[class.index()] += 1;
+                    Err(retry_after(occupancy, limit))
+                }
+            }
+        }
+
+        fn release(&mut self, ticket: u64) {
+            let _ = self.leases.release(ticket);
+        }
+    }
+
+    /// Seeded property: the FIFO inbox decides, hints, counts and sweeps
+    /// exactly as the lease ledger did, under random admissions of every
+    /// class, releases of live, already released and TTL-swept tickets, and
+    /// time steps, many of them onto a ticket's exact expiry instant.
+    #[test]
+    fn fifo_inbox_equals_the_lease_ledger_under_random_use() {
+        use glare_fabric::SimRng;
+
+        let mut rng = SimRng::from_seed(0xAD_1155);
+        let mut on_an_expiry = 0;
+        for round in 0..200 {
+            let cfg = AdmissionConfig::bounded(rng.range(1, 9) as u32);
+            let mut fifo = AdmissionController::new(cfg);
+            let mut ledger = LedgerController::new(cfg);
+            // Every admission, as both sides numbered it, with its expiry.
+            let mut granted: Vec<(NonZeroU64, u64, SimTime)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for step in 0..300 {
+                let at = format!("round {round} step {step}");
+                match rng.range(0, 10) {
+                    0..=4 => {
+                        let class = TenantClass::ALL[rng.index(3)];
+                        let decided = match fifo.decide(class, now) {
+                            AdmissionDecision::Admit { ticket } => Ok(ticket),
+                            AdmissionDecision::Shed { retry_after } => Err(retry_after),
+                        };
+                        match (decided, ledger.decide(class, now)) {
+                            (Ok(ticket), Ok(id)) => granted.push((ticket, id, now + TICKET_TTL)),
+                            (Err(a), Err(b)) => assert_eq!(a, b, "{at}: retry_after"),
+                            (a, b) => panic!("{at}: fifo {a:?}, ledger {b:?}"),
+                        }
+                    }
+                    5 | 6 if !granted.is_empty() => {
+                        let (ticket, id, _) = granted[rng.index(granted.len())];
+                        fifo.release(ticket);
+                        ledger.release(id);
+                    }
+                    7 => assert_eq!(fifo.occupancy(now), ledger.occupancy(now), "{at}"),
+                    8 => {
+                        let ledger_ttl = std::mem::take(&mut ledger.pending_ttl);
+                        assert_eq!(fifo.take_ttl_released(), ledger_ttl, "{at}");
+                    }
+                    _ => {
+                        let ahead: Vec<SimTime> =
+                            granted.iter().map(|g| g.2).filter(|&e| e >= now).collect();
+                        if !ahead.is_empty() && rng.chance(0.5) {
+                            now = ahead[rng.index(ahead.len())];
+                            on_an_expiry += 1;
+                        } else {
+                            now += SimDuration::from_millis(rng.range(0, 1_500));
+                        }
+                    }
+                }
+                assert_eq!(fifo.stats(), ledger.stats, "{at}");
+            }
+        }
+        assert!(on_an_expiry > 1_000, "only {on_an_expiry} steps landed on an expiry");
     }
 
     #[test]

@@ -94,20 +94,6 @@ impl LeaseManager {
         from: SimTime,
         until: SimTime,
     ) -> Result<LeaseTicket, GlareError> {
-        self.grant(deployment, client, kind, from, until).cloned()
-    }
-
-    /// [`LeaseManager::acquire`], lending the granted ticket instead of
-    /// copying it out: what a caller that keeps only the id wants (the
-    /// admission controller grants one per request).
-    pub fn grant(
-        &mut self,
-        deployment: &str,
-        client: &str,
-        kind: LeaseKind,
-        from: SimTime,
-        until: SimTime,
-    ) -> Result<&LeaseTicket, GlareError> {
         if from >= until {
             return Err(GlareError::LeaseDenied {
                 deployment: deployment.to_owned(),
@@ -148,16 +134,17 @@ impl LeaseManager {
             }
             LeaseKind::Exclusive => {}
         }
-        self.leases.push(LeaseTicket {
+        let ticket = LeaseTicket {
             id: self.next_id,
             deployment: deployment.to_owned(),
             client: client.to_owned(),
             kind,
             from,
             until,
-        });
+        };
         self.next_id += 1;
-        Ok(self.leases.last().expect("pushed above"))
+        self.leases.push(ticket.clone());
+        Ok(ticket)
     }
 
     /// Whether `client` holds a valid ticket for `deployment` at `at`
@@ -215,16 +202,6 @@ impl LeaseManager {
     /// assert shared-capacity caps across a whole run).
     pub fn tickets(&self) -> &[LeaseTicket] {
         &self.leases
-    }
-
-    /// Number of active leases on a deployment at `at` — the allocation-
-    /// free counterpart of [`LeaseManager::active_leases`], sized for hot
-    /// paths (the admission controller checks it on every request).
-    pub fn active_count(&self, deployment: &str, at: SimTime) -> usize {
-        self.leases
-            .iter()
-            .filter(|l| l.deployment == deployment && l.covers(at))
-            .count()
     }
 
     /// Active leases on a deployment at `at`.
@@ -305,39 +282,36 @@ mod tests {
         assert!(m.acquire("d", "b", LeaseKind::Exclusive, t(10), t(15)).is_ok());
     }
 
-    /// `grant` lends the stored ticket `acquire` would have copied out,
-    /// and refuses with the same reasons.
+    /// Tickets are numbered in grant order and stored as handed out; a
+    /// refusal names its reason.
     #[test]
-    fn grant_lends_what_acquire_copies() {
+    fn acquire_numbers_tickets_and_refuses_with_its_reasons() {
         let mut m = LeaseManager::new();
         m.set_capacity("d", 2);
-        let copied = m.acquire("d", "a", LeaseKind::Shared, t(0), t(10)).unwrap();
-        let lent = m
-            .grant("d", "b", LeaseKind::Shared, t(0), t(10))
-            .unwrap()
-            .clone();
-        assert_eq!((copied.id, lent.id), (0, 1));
-        assert_eq!(m.tickets(), [copied, lent]);
-        let reason = |r: Result<&LeaseTicket, GlareError>| match r {
+        let a = m.acquire("d", "a", LeaseKind::Shared, t(0), t(10)).unwrap();
+        let b = m.acquire("d", "b", LeaseKind::Shared, t(0), t(10)).unwrap();
+        assert_eq!((a.id, b.id), (0, 1));
+        assert_eq!(m.tickets(), [a, b]);
+        let reason = |r: Result<LeaseTicket, GlareError>| match r {
             Err(GlareError::LeaseDenied { reason, .. }) => reason,
             other => panic!("expected a denial, got {other:?}"),
         };
         assert_eq!(
-            reason(m.grant("d", "c", LeaseKind::Shared, t(5), t(6))),
+            reason(m.acquire("d", "c", LeaseKind::Shared, t(5), t(6))),
             "shared capacity 2 exhausted"
         );
         assert_eq!(
-            reason(m.grant("d", "c", LeaseKind::Exclusive, t(5), t(6))),
+            reason(m.acquire("d", "c", LeaseKind::Exclusive, t(5), t(6))),
             "2 shared lease(s) already granted"
         );
-        m.grant("d", "c", LeaseKind::Exclusive, t(10), t(20))
+        m.acquire("d", "c", LeaseKind::Exclusive, t(10), t(20))
             .unwrap();
         assert_eq!(
-            reason(m.grant("d", "e", LeaseKind::Shared, t(15), t(16))),
+            reason(m.acquire("d", "e", LeaseKind::Shared, t(15), t(16))),
             "overlaps an exclusive lease"
         );
         assert_eq!(
-            reason(m.grant("d", "e", LeaseKind::Shared, t(3), t(3))),
+            reason(m.acquire("d", "e", LeaseKind::Shared, t(3), t(3))),
             "empty timeframe"
         );
         assert_eq!(m.len(), 3);
@@ -386,8 +360,5 @@ mod tests {
         assert_eq!(m.active_leases("d", t(7)).len(), 2);
         assert_eq!(m.active_leases("d", t(12)).len(), 1);
         assert_eq!(m.active_leases("other", t(7)).len(), 0);
-        assert_eq!(m.active_count("d", t(7)), 2);
-        assert_eq!(m.active_count("d", t(12)), 1);
-        assert_eq!(m.active_count("other", t(7)), 0);
     }
 }

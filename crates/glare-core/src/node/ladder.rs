@@ -4,6 +4,7 @@
 //! hedges ([`Ladder`]). It reads the overlay view and never writes it.
 
 use std::collections::{HashMap, HashSet};
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use glare_fabric::{ActorId, Ctx, SimDuration, SimTime, SpanHandle, SpanKind, TimerToken};
@@ -67,13 +68,16 @@ struct HedgeState {
 
 /// One deployment-list request as the node handling it sees it.
 pub(super) struct Request {
-    activity: String,
+    activity: Arc<str>,
     /// Correlation id chosen by the requester, echoed in the answer.
     req_id: u64,
     reply_to: ActorId,
     scope: QueryScope,
     /// Originating tenant's class, echoed into every probe of the ladder.
     class: TenantClass,
+    /// The inbox ticket a client request was admitted under, given back
+    /// when the reply goes out (`None` for a probe, or with the door off).
+    ticket: Option<NonZeroU64>,
     /// The `node.query` span covering arrival → reply (inert when tracing
     /// is off).
     span: SpanHandle,
@@ -83,7 +87,7 @@ pub(super) struct Request {
 struct PendingQuery {
     req: Request,
     awaiting: HashSet<ActorId>,
-    collected: Vec<ActivityDeployment>,
+    collected: Vec<Arc<ActivityDeployment>>,
     stage: Stage,
     /// Every peer this stage asked, with the scope its probe carried (a
     /// retry re-sends it verbatim).
@@ -146,7 +150,7 @@ impl Ladder {
         now: SimTime,
         local_id: u64,
         from: ActorId,
-        answer: Option<Vec<ActivityDeployment>>,
+        answer: Option<Vec<Arc<ActivityDeployment>>>,
     ) -> bool {
         let Some(p) = self.pending.get_mut(&local_id) else {
             return false;
@@ -226,7 +230,7 @@ impl GlareNode {
         ctx: &mut Ctx<'_>,
         activity: &str,
         now: SimTime,
-    ) -> Vec<ActivityDeployment> {
+    ) -> Vec<Arc<ActivityDeployment>> {
         if !self.cfg.use_cache {
             return Vec::new();
         }
@@ -234,12 +238,13 @@ impl GlareNode {
         let closure = self.concrete_closure(activity);
         let mut out = Vec::new();
         for n in lookup_names(&closure, activity) {
-            out.extend(
-                self.cache
-                    .deployments_of(n, now)
-                    .into_iter()
-                    .map(Arc::unwrap_or_clone),
-            );
+            let found = self.cache.deployments_of(n, now);
+            // One name is the usual case: its vector is the answer as is.
+            if out.is_empty() {
+                out = found;
+            } else {
+                out.extend(found);
+            }
         }
         let (h1, m1) = (self.cache.hits(), self.cache.misses());
         if h1 > h0 || m1 > m0 {
@@ -260,7 +265,7 @@ impl GlareNode {
         &mut self,
         ctx: &mut Ctx<'_>,
         req: Request,
-        deployments: Vec<ActivityDeployment>,
+        deployments: Vec<Arc<ActivityDeployment>>,
         source: &str,
     ) {
         if ctx.trace_enabled() {
@@ -276,7 +281,7 @@ impl GlareNode {
             2_048,
         );
         ctx.end_span(req.span);
-        self.door.release(req.reply_to, req.req_id);
+        self.release_ticket(req.ticket);
     }
 
     /// A deployment-list request arrived: pass the front door, charge the
@@ -284,15 +289,15 @@ impl GlareNode {
     pub(super) fn on_query(
         &mut self,
         ctx: &mut Ctx<'_>,
-        activity: String,
+        activity: Arc<str>,
         req_id: u64,
         reply_to: ActorId,
         scope: QueryScope,
         class: TenantClass,
     ) {
-        if !self.admit(ctx, &activity, req_id, reply_to, scope, class) {
+        let Some(ticket) = self.admit(ctx, &activity, req_id, reply_to, scope, class) else {
             return;
-        }
+        };
         let m = ctx.metrics();
         let id = *self
             .tele
@@ -312,12 +317,13 @@ impl GlareNode {
             reply_to,
             scope,
             class,
+            ticket,
             span,
         });
         if ctx.compute_then(self.cfg.request_cost, "req", then).is_none() {
-            // Site down; request lost. An admitted request's ticket dies
-            // with it (the TTL backstop would reclaim it anyway).
-            self.door.release(reply_to, req_id);
+            // Site down; request lost. Its inbox slot is freed now rather
+            // than left to the TTL backstop.
+            self.release_ticket(ticket);
             ctx.end_span(span);
         }
     }
@@ -341,7 +347,7 @@ impl GlareNode {
         ctx: &mut Ctx<'_>,
         from: ActorId,
         req_id: u64,
-        answer: Option<Vec<ActivityDeployment>>,
+        answer: Option<Vec<Arc<ActivityDeployment>>>,
     ) {
         if self.ladder.record_answer(ctx.now(), req_id, from, answer) {
             self.conclude_stage(ctx, req_id);
@@ -387,23 +393,17 @@ impl GlareNode {
         }
     }
 
-    /// Ask `to` for `activity` on behalf of pending query `local_id`.
-    fn send_probe(
-        ctx: &mut Ctx<'_>,
-        to: ActorId,
-        scope: QueryScope,
-        activity: &str,
-        local_id: u64,
-        class: TenantClass,
-    ) {
+    /// Ask `to` for `req`'s activity, in `req`'s class, on behalf of
+    /// pending query `local_id`.
+    fn send_probe(ctx: &mut Ctx<'_>, to: ActorId, scope: QueryScope, req: &Request, local_id: u64) {
         ctx.send(
             to,
             NodeMsg::QueryDeployments {
-                activity: activity.to_owned(),
+                activity: Arc::clone(&req.activity),
                 req_id: local_id,
                 reply_to: ctx.self_id,
                 scope,
-                class,
+                class: req.class,
             },
         );
     }
@@ -421,13 +421,13 @@ impl GlareNode {
         let Some((target, scope)) = p.hedge.plan else {
             return;
         };
-        let activity = p.req.activity.clone();
+        let activity = Arc::clone(&p.req.activity);
         p.hedge.target = Some(target);
         p.hedge.sent = Some(ctx.now());
-        Self::send_probe(ctx, target, scope, &activity, local_id, p.req.class);
+        Self::send_probe(ctx, target, scope, &p.req, local_id);
         self.tele.count(ctx, "glare_hedges_fired_total", 1);
         ctx.emit_event_with("query.hedged", "node", || {
-            [("activity", activity), ("target", target.to_string())]
+            [("activity", activity.to_string()), ("target", target.to_string())]
         });
     }
 
@@ -457,7 +457,7 @@ impl GlareNode {
             _ => HedgeState::default(),
         };
         for &(t, scope) in &targets {
-            Self::send_probe(ctx, t, scope, &req.activity, local_id, req.class);
+            Self::send_probe(ctx, t, scope, &req, local_id);
         }
         let nothing_to_probe = targets.is_empty();
         self.ladder.pending.insert(
@@ -583,7 +583,7 @@ impl GlareNode {
         }
         p.deadline = ctx.timer_after_then(PROBE_TIMEOUT, "qdl", local_id);
         for &(t, scope) in &resend {
-            Self::send_probe(ctx, t, scope, &p.req.activity, local_id, p.req.class);
+            Self::send_probe(ctx, t, scope, &p.req, local_id);
         }
     }
 
@@ -602,14 +602,14 @@ impl GlareNode {
                     if age > max_age {
                         max_age = age;
                     }
-                    stale.push(Arc::unwrap_or_clone(d));
+                    stale.push(d);
                 }
             }
             if !stale.is_empty() {
                 self.tele.count(ctx, "glare_degraded_reads_total", 1);
                 ctx.emit_event_with("query.degraded", "node", || {
                     [
-                        ("activity", p.req.activity.clone()),
+                        ("activity", p.req.activity.to_string()),
                         ("age_ms", max_age.as_millis_f64().to_string()),
                     ]
                 });
@@ -671,14 +671,13 @@ impl GlareNode {
 
     /// Cache what a resolution found (§3.3: the super-peer "caches the
     /// results"; §3.1: remote resources optionally cached).
-    fn cache_results(&mut self, found: &[ActivityDeployment], now: SimTime) {
+    fn cache_results(&mut self, found: &[Arc<ActivityDeployment>], now: SimTime) {
         if !self.cfg.use_cache {
             return;
         }
         for d in found {
             let epr = d.epr(&self.adr.address, now);
-            let origin = d.site.clone();
-            self.cache.put_deployment(d.clone(), &origin, epr, now);
+            self.cache.put_deployment(Arc::clone(d), &d.site, epr, now);
         }
     }
 
@@ -760,6 +759,7 @@ impl GlareNode {
         }
         let local = self.resolve_local(&req.activity, now);
         if !local.is_empty() {
+            let local: Vec<Arc<ActivityDeployment>> = local.into_iter().map(Arc::new).collect();
             // Registry resolution costs an extra CPU stage; its result is
             // cached for subsequent requests.
             self.cache_results(&local, now);

@@ -54,12 +54,12 @@ use glare_services::Transport;
 
 pub use msg::{NodeConfig, NodeMsg, QueryScope};
 
+use crate::admission::AdmissionController;
 use crate::adr::ActivityDeploymentRegistry;
 use crate::atr::ActivityTypeRegistry;
 use crate::cache::RegistryCache;
 use crate::model::ActivityDeployment;
 use crate::superpeer::Role;
-use door::FrontDoor;
 use election::Coordinator;
 use labels::Telemetry;
 use ladder::{Ladder, Request};
@@ -75,7 +75,7 @@ enum Deferred {
     HandleQuery(Request),
     ReplyAfterRegistry {
         req: Request,
-        deployments: Vec<ActivityDeployment>,
+        deployments: Vec<Arc<ActivityDeployment>>,
     },
     DeliverNotification {
         sink: ActorId,
@@ -130,7 +130,9 @@ pub struct GlareNode {
     coord: Coordinator,
     liveness: Liveness,
     ladder: Ladder,
-    door: FrontDoor,
+    /// The bounded inbox client requests are admitted through (inert
+    /// unless `cfg.admission` is enabled).
+    door: AdmissionController,
     notifier: Notifier,
     rejoin: Rejoin,
     tele: Telemetry,
@@ -165,7 +167,7 @@ impl GlareNode {
             coord: Coordinator::default(),
             liveness: Liveness::new(&cfg),
             ladder: Ladder::new(&cfg),
-            door: FrontDoor::new(&cfg),
+            door: AdmissionController::new(cfg.admission),
             notifier: Notifier::default(),
             rejoin: Rejoin::default(),
             tele: Telemetry::default(),
@@ -377,7 +379,7 @@ impl Actor for GlareNode {
         self.coord = Coordinator::default();
         self.liveness = Liveness::new(cfg);
         self.ladder = self.ladder.after_amnesia(cfg);
-        self.door = FrontDoor::new(cfg);
+        self.door = AdmissionController::new(cfg.admission);
         self.notifier = Notifier::default();
         self.rejoin = Rejoin::default();
         ctx.emit_event("site.amnesia", "node", &[]);

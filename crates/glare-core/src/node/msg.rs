@@ -2,6 +2,8 @@
 //! message vocabulary, the query scopes, the protocol's three time
 //! constants and [`NodeConfig`].
 
+use std::sync::Arc;
+
 use glare_fabric::{ActorId, SimDuration};
 use glare_services::mds::REQUEST_BASE_COST;
 
@@ -123,8 +125,9 @@ pub enum NodeMsg {
     RegisterDeployment(Box<ActivityDeployment>),
     /// Deployment-list query.
     QueryDeployments {
-        /// Requested activity (type name).
-        activity: String,
+        /// Requested activity (type name), shared by every hop of the
+        /// request.
+        activity: Arc<str>,
         /// Correlation id chosen by the requester.
         req_id: u64,
         /// Where the answer goes.
@@ -140,8 +143,9 @@ pub enum NodeMsg {
     QueryResponse {
         /// Correlation id echoed back.
         req_id: u64,
-        /// Deployments found (empty = miss).
-        deployments: Vec<ActivityDeployment>,
+        /// Deployments found (empty = miss), shared with the answering
+        /// node's cache.
+        deployments: Vec<Arc<ActivityDeployment>>,
     },
     /// The handling node's admission controller shed the request before
     /// any work was charged. Clients feed the hint to

@@ -15,7 +15,7 @@ use glare_services::mds::REQUEST_BASE_COST;
 use super::labels::NodeLabels;
 use super::ladder::lookup_names;
 use super::{GlareNode, NodeMsg, QueryScope};
-use crate::admission::TenantClass;
+use crate::admission::{AdmissionConfig, TenantClass};
 use crate::invariants;
 use crate::model::{example_hierarchy, ActivityDeployment, ActivityType};
 use crate::overlay::{ClientStats, OverlayBuilder, QueryClient};
@@ -26,10 +26,21 @@ fn seeded_overlay(
     deploy_on: &[usize],
     use_cache: bool,
 ) -> (Simulation, Vec<ActorId>) {
+    seeded_overlay_admitting(n, deploy_on, use_cache, AdmissionConfig::disabled())
+}
+
+/// [`seeded_overlay`] with every node's front door set to `admission`.
+fn seeded_overlay_admitting(
+    n: usize,
+    deploy_on: &[usize],
+    use_cache: bool,
+    admission: AdmissionConfig,
+) -> (Simulation, Vec<ActorId>) {
     let mut b = OverlayBuilder::new(n, 42);
     b.configure(move |_, cfg| {
         cfg.use_cache = use_cache;
         cfg.max_group_size = 4;
+        cfg.admission = admission;
     });
     let deploy_on = deploy_on.to_vec();
     b.seed(move |i, node| {
@@ -181,7 +192,10 @@ fn resolve_local_equals_the_closure_walk_after_random_edits() {
 /// request of the old incarnation is resumed, and the node holds
 /// nothing of them afterwards (without the store the node keeps its
 /// volatile state across a crash, and used to keep a `deferred` entry
-/// per voided completion for the rest of the run).
+/// per voided completion, and an admitted request's inbox ticket under
+/// its `(reply_to, req_id)`, for the rest of the run). A voided client
+/// request's ticket rode the request too: its slot comes back through the
+/// inbox's TTL sweep, or with the amnesia that rebuilds the inbox.
 #[test]
 fn a_crash_voids_the_continuations_in_flight_with_and_without_the_store() {
     struct Collector(Vec<u64>);
@@ -197,44 +211,56 @@ fn a_crash_voids_the_continuations_in_flight_with_and_without_the_store() {
         }
     }
     for store in [false, true] {
-        let (mut sim, ids) = seeded_overlay(2, &[1], false);
+        let admission = AdmissionConfig::bounded(4);
+        let (mut sim, ids) = seeded_overlay_admitting(2, &[1], false, admission);
         if store {
             sim.enable_store(glare_fabric::StoreConfig::standard());
         }
         let collector = sim.add_actor(SiteId(0), Box::new(Collector(Vec::new())));
-        let ask = |sim: &mut Simulation, at: SimTime, req_id: u64| {
+        let ask = |sim: &mut Simulation, at: SimTime, req_id: u64, scope: QueryScope| {
             let msg = NodeMsg::QueryDeployments {
-                activity: "Imaging".to_owned(),
+                activity: "Imaging".into(),
                 req_id,
                 reply_to: collector,
-                scope: QueryScope::LocalOnly,
+                scope,
                 class: TenantClass::BestEffort,
             };
             sim.inject(at, collector, ids[1], msg);
         };
-        // Request 1 is two thirds through its registry stage and
-        // request 2 half through its request stage when site 1 dies.
+        // Request 1 is two thirds through its registry stage and probes 2
+        // and client request 4 half through their request stage when site
+        // 1 dies; request 4 holds an inbox ticket.
         let t0 = SimTime::from_secs(60);
         let (request, registry) = (REQUEST_BASE_COST, SimDuration::from_millis(4));
-        ask(&mut sim, t0, 1);
-        ask(&mut sim, t0 + request + registry / 4, 2);
+        ask(&mut sim, t0, 1, QueryScope::LocalOnly);
+        ask(&mut sim, t0 + request + registry / 4, 2, QueryScope::LocalOnly);
+        ask(&mut sim, t0 + request + registry / 4, 4, QueryScope::Full);
         let crash = t0 + request + registry * 3 / 4;
         sim.schedule_crash(crash, SiteId(1));
         sim.schedule_restart(crash + SimDuration::from_secs(20), SiteId(1));
-        ask(&mut sim, crash + SimDuration::from_secs(40), 3);
+        ask(&mut sim, crash + SimDuration::from_secs(40), 3, QueryScope::LocalOnly);
+        ask(&mut sim, crash + SimDuration::from_secs(41), 5, QueryScope::Full);
         sim.start();
         sim.run_until(t0 + SimDuration::from_secs(120));
-        assert_eq!(sim.metrics().counter_value("glare.requests"), 3, "store {store}");
+        assert_eq!(sim.metrics().counter_value("glare.requests"), 5, "store {store}");
         assert_eq!(
             sim.actor_as::<Collector>(collector).unwrap().0,
-            [3],
-            "store {store}: only the new incarnation's request is answered"
+            [3, 5],
+            "store {store}: only the new incarnation's requests are answered"
         );
         let node: &GlareNode = sim.actor_as(ids[1]).unwrap();
         // The voided completions took their payloads with them (fabric's
-        // `compute_then_payload_rides_the_event_and_dies_with_a_crash`);
-        // the node itself has no table a request could be left in.
-        assert_eq!(node.door.admitted.len(), 0);
+        // `compute_then_payload_rides_the_event_and_dies_with_a_crash`),
+        // request 4's ticket included. Without the store the inbox outlives
+        // the crash and its TTL sweep reclaims the slot when request 5
+        // arrives; with it the amnesia rebuilt the inbox empty. Either way
+        // request 5 was admitted and gave its ticket back with its reply.
+        let stats = node.door.stats();
+        let best_effort = TenantClass::BestEffort.index();
+        assert_eq!(stats.ttl_released, u64::from(!store), "store {store}");
+        assert_eq!(stats.admitted[best_effort], if store { 1 } else { 2 }, "store {store}");
+        assert_eq!(stats.shed, [0; 3], "store {store}");
+        assert_eq!(node.door.clone().occupancy(sim.now()), 0, "store {store}");
     }
 }
 

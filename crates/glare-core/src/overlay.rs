@@ -145,7 +145,8 @@ impl ClientStats {
 /// local node, waits for the answer, thinks for `interval`, repeats.
 pub struct QueryClient {
     node: ActorId,
-    activity: String,
+    /// The name every query carries, shared rather than copied per send.
+    activity: Arc<str>,
     interval: SimDuration,
     remaining: u64,
     stats: Arc<Mutex<ClientStats>>,
@@ -165,7 +166,7 @@ impl QueryClient {
     ) -> QueryClient {
         QueryClient {
             node,
-            activity: activity.to_owned(),
+            activity: activity.into(),
             interval,
             remaining: count,
             stats,
@@ -201,7 +202,7 @@ impl QueryClient {
         ctx.send(
             self.node,
             NodeMsg::QueryDeployments {
-                activity: self.activity.clone(),
+                activity: Arc::clone(&self.activity),
                 req_id,
                 reply_to: ctx.self_id,
                 scope: QueryScope::Full,

@@ -1,17 +1,23 @@
-//! Allocation pin for a whole request: a `LocalOnly` probe's visit to a
-//! `GlareNode` that hosts nothing, the visit the 10k-site overlay makes
-//! ~325 k times. The kernel's own steady state is pinned the same way in
+//! Allocation pins for a whole request, in the two shapes the simulator
+//! workloads repeat: a `LocalOnly` probe's visit to a `GlareNode` that
+//! hosts nothing, the visit the 10k-site overlay makes ~325 k times, and a
+//! client's `Full` query admitted through a bounded door and answered from
+//! a warm cache, the request `load_2x` makes ~725 k times. The kernel's own
+//! steady state is pinned the same way in
 //! `crates/fabric/tests/steady_state_allocations.rs`; a table entry the
-//! node started keeping per request, a name cloned once more or a record
-//! formatted for a log that is off would show here as bytes.
+//! node started keeping per request, a name cloned once more, an answer
+//! copied out of the cache or a record formatted for a log that is off
+//! would show here as bytes.
 //!
 //! The test owns its binary because it installs a counting global
 //! allocator (`crates/fabric/tests/support/counting_alloc.rs`, shared with
 //! the other allocation pins); the tally is per thread, so the harness's own
 //! threads do not disturb it.
 
-use glare_core::admission::TenantClass;
-use glare_core::model::example_hierarchy;
+use std::sync::Arc;
+
+use glare_core::admission::{AdmissionConfig, TenantClass};
+use glare_core::model::{example_hierarchy, ActivityDeployment};
 use glare_core::{NodeMsg, OverlayBuilder, QueryScope};
 use glare_fabric::{
     Actor, ActorId, Ctx, Envelope, SimDuration, SimTime, Simulation, SiteId, TimerToken,
@@ -45,11 +51,32 @@ const PROBED: &str = "Imaging";
 /// request record plus the answer of the registry stage.
 const CONTINUATION: u64 = 96;
 
-/// Sends its node one `LocalOnly` probe per `PERIOD`, as a super-peer does
-/// to every member of its group, and counts the answers.
+/// Sends its node one query for `activity` per `PERIOD` — a `LocalOnly`
+/// probe, as a super-peer does to every member of its group, or a client's
+/// `Full` request — and counts the answers.
 struct Prober {
     node: ActorId,
+    /// The name asked for, shared by every query as a ladder stage shares
+    /// its request's.
+    activity: Arc<str>,
+    scope: QueryScope,
+    sent: u64,
     answers: u64,
+    /// Deployments in the answers.
+    found: u64,
+}
+
+impl Prober {
+    fn new(node: ActorId, scope: QueryScope) -> Prober {
+        Prober {
+            node,
+            activity: PROBED.into(),
+            scope,
+            sent: 0,
+            answers: 0,
+            found: 0,
+        }
+    }
 }
 
 impl Actor for Prober {
@@ -60,10 +87,10 @@ impl Actor for Prober {
     fn on_message(&mut self, _ctx: &mut Ctx<'_>, env: Envelope) {
         match env.downcast::<NodeMsg>() {
             Ok((_, NodeMsg::QueryResponse { deployments, .. })) => {
-                assert!(deployments.is_empty());
                 self.answers += 1;
+                self.found += deployments.len() as u64;
             }
-            _ => panic!("a probe is answered with a QueryResponse"),
+            _ => panic!("a query is answered with a QueryResponse"),
         }
     }
 
@@ -72,13 +99,14 @@ impl Actor for Prober {
         ctx.send(
             self.node,
             NodeMsg::QueryDeployments {
-                activity: PROBED.to_owned(),
-                req_id: self.answers,
+                activity: Arc::clone(&self.activity),
+                req_id: self.sent,
                 reply_to: ctx.self_id,
-                scope: QueryScope::LocalOnly,
-                class: TenantClass::BestEffort,
+                scope: self.scope,
+                class: TenantClass::Gold,
             },
         );
+        self.sent += 1;
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -86,11 +114,27 @@ impl Actor for Prober {
     }
 }
 
+/// Run `overlay` with a prober asking in `scope`: the first phase warms
+/// up (the election, the ring's first turns), the second is measured.
+/// Returns the second phase's `(allocations, bytes, bytes freed)` and the
+/// prober's `(answers, deployments found)`.
+fn probe(overlay: OverlayBuilder, scope: QueryScope) -> ((u64, u64, u64), (u64, u64)) {
+    let (mut sim, ids) = overlay.build();
+    let prober = sim.add_actor(SiteId(0), Box::new(Prober::new(ids[0], scope)));
+    sim.start();
+    sim.run_until(end_of_phase(1));
+    let spent = spent(&mut sim, end_of_phase(2));
+    let p = sim.actor_as::<Prober>(prober).expect("inspectable");
+    assert!(2 * PHASE - p.answers < 8, "all but the queries in flight were answered ({})", p.answers);
+    (spent, (p.answers, p.found))
+}
+
 /// A whole request, pinned: message in → request CPU stage → completion →
 /// reply out, on a node that knows the type hierarchy and hosts nothing
-/// (cache off, as on the 10k-site overlay). It allocates the probe's name
-/// and box, the continuation that rides the completion event, and the
-/// reply's box; the node keeps no table entry for it.
+/// (cache off, as on the 10k-site overlay). It allocates the probe's box,
+/// the continuation that rides the completion event, and the reply's box;
+/// the name is the prober's, shared, and the node keeps no table entry for
+/// the request.
 #[test]
 fn a_probe_visit_to_a_node_that_hosts_nothing_allocates_its_messages_and_continuation() {
     let mut overlay = OverlayBuilder::new(1, 7);
@@ -100,17 +144,42 @@ fn a_probe_visit_to_a_node_that_hosts_nothing_allocates_its_messages_and_continu
             node.atr.register(t, SimTime::ZERO).expect("fresh registry");
         }
     });
-    let (mut sim, ids) = overlay.build();
-    let prober = sim.add_actor(SiteId(0), Box::new(Prober { node: ids[0], answers: 0 }));
-    sim.start();
-    sim.run_until(end_of_phase(1)); // the election, and the ring's first turns
-    let (allocations, bytes, freed) = spent(&mut sim, end_of_phase(2));
-    let per_visit = 2 * std::mem::size_of::<NodeMsg>() as u64 + PROBED.len() as u64 + CONTINUATION;
+    let (spent, (_, found)) = probe(overlay, QueryScope::LocalOnly);
+    let per_visit = 2 * std::mem::size_of::<NodeMsg>() as u64 + CONTINUATION;
     assert_eq!(
-        (allocations, bytes, freed),
-        (4 * PHASE, PHASE * per_visit, PHASE * per_visit),
+        spent,
+        (3 * PHASE, PHASE * per_visit, PHASE * per_visit),
         "(allocations, bytes, bytes freed) over {PHASE} probe visits"
     );
-    let answered = sim.actor_as::<Prober>(prober).expect("inspectable").answers;
-    assert!(2 * PHASE - answered < 8, "all but the probes in flight were answered ({answered})");
+    assert_eq!(found, 0, "the node hosts nothing");
+}
+
+/// A client's request through a bounded door, answered from a warm cache:
+/// admission, the request CPU stage, the cache hit and the reply. It
+/// allocates the query's box, the continuation, the answer's one-entry
+/// vector (an `Arc` the cache shares) and the reply's box. The inbox ticket
+/// rides the request and the inbox is a ring that stays at its size.
+#[test]
+fn a_warm_cache_hit_through_a_bounded_door_allocates_its_messages_continuation_and_answer() {
+    let mut overlay = OverlayBuilder::new(1, 7);
+    overlay.configure(|_, cfg| cfg.admission = AdmissionConfig::bounded(32));
+    overlay.seed(|_, node| {
+        for t in example_hierarchy(SimTime::ZERO) {
+            node.atr.register(t, SimTime::ZERO).expect("fresh registry");
+        }
+        let d = ActivityDeployment::executable("JPOVray", "site1", "/opt/jpovray/bin/jpovray", "/opt/jpovray");
+        let epr = d.epr(&node.adr.address, SimTime::ZERO);
+        node.cache.put_deployment(d, "site1", epr, SimTime::ZERO);
+    });
+    let (spent, (answers, found)) = probe(overlay, QueryScope::Full);
+    assert_eq!(found, answers, "every answer is the cached deployment");
+    // One `Arc` the cache shares, in the four slots a collected vector
+    // starts with.
+    let answer = 4 * std::mem::size_of::<Arc<ActivityDeployment>>() as u64;
+    let per_visit = 2 * std::mem::size_of::<NodeMsg>() as u64 + CONTINUATION + answer;
+    assert_eq!(
+        spent,
+        (4 * PHASE, PHASE * per_visit, PHASE * per_visit),
+        "(allocations, bytes, bytes freed) over {PHASE} cache-hit visits"
+    );
 }

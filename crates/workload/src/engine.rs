@@ -9,7 +9,7 @@
 //! admission control through [`RetryPolicy::next_backoff_after`], and
 //! accumulates per-tenant goodput/shed/latency statistics.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use glare_core::admission::TenantClass;
@@ -145,6 +145,55 @@ struct InFlight {
     span: SpanHandle,
 }
 
+/// A tenant's requests in flight, indexed by request id: ids are assigned
+/// here, one more than the last, so the request with id `base + i` sits in
+/// `slots[i]`. A slot empties when its request is answered, dropped or
+/// re-sent under a new id; empty slots at the front are dropped (an id
+/// below the oldest in flight is never in flight again), so the slab spans
+/// the ids assigned since the oldest request still in flight.
+#[derive(Default)]
+struct InFlightSlab {
+    /// The id of `slots[0]`; `base + slots.len()` is the next id assigned.
+    base: u64,
+    slots: VecDeque<Option<InFlight>>,
+    /// Occupied slots: the requests in flight, parked ones included.
+    live: usize,
+}
+
+impl InFlightSlab {
+    /// Track `f` under the next request id, which is returned.
+    fn push(&mut self, f: InFlight) -> u64 {
+        let id = self.base + self.slots.len() as u64;
+        self.slots.push_back(Some(f));
+        self.live += 1;
+        id
+    }
+
+    /// The request in flight under `id`; `None` for an id answered,
+    /// dropped, re-sent or never assigned.
+    fn get_mut(&mut self, id: u64) -> Option<&mut InFlight> {
+        let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    /// Stop tracking `id`, handing back its request.
+    fn remove(&mut self, id: u64) -> Option<InFlight> {
+        let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        let f = self.slots.get_mut(i)?.take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(f)
+    }
+
+    /// Requests in flight.
+    fn len(&self) -> usize {
+        self.live
+    }
+}
+
 /// The tenant-load DES actor: replays an [`ArrivalStream`] against one
 /// entry node, tagging requests with the tenant's class.
 ///
@@ -161,13 +210,13 @@ pub struct TenantLoad {
     node: ActorId,
     class: TenantClass,
     loop_mode: LoopMode,
-    activities: Arc<Vec<String>>,
+    /// The catalogue's names, shared with every request that carries one.
+    activities: Vec<Arc<str>>,
     schedule: Vec<Arrival>,
     cursor: usize,
     retry: RetryPolicy,
     rng: SimRng,
-    in_flight: HashMap<u64, InFlight>,
-    next_req: u64,
+    in_flight: InFlightSlab,
     stats: Arc<Mutex<TenantStats>>,
 }
 
@@ -188,15 +237,14 @@ impl TenantLoad {
             node,
             class: tenant.class,
             loop_mode: tenant.loop_mode,
-            activities: Arc::new(spec.activities.clone()),
+            activities: spec.activities.iter().map(|a| Arc::from(a.as_str())).collect(),
             schedule: stream.arrivals,
             cursor: 0,
             retry,
             // Separate fork from the arrival stream: retry jitter draws
             // must not perturb the schedule's byte-identity.
             rng: SimRng::from_seed(spec.seed).fork(&format!("workload-retry/{}", tenant.name)),
-            in_flight: HashMap::new(),
-            next_req: 0,
+            in_flight: InFlightSlab::default(),
             stats,
         }
     }
@@ -242,8 +290,6 @@ impl TenantLoad {
         attempt: u32,
         prev_backoff: SimDuration,
     ) {
-        let req_id = self.next_req;
-        self.next_req += 1;
         let name = &self.activities[activity];
         let span = ctx.root_span("tenant.query", SpanKind::Request);
         if ctx.trace_enabled() {
@@ -251,21 +297,18 @@ impl TenantLoad {
             ctx.span_attr(span, "class", self.class.label());
             ctx.span_attr(span, "attempt", &attempt.to_string());
         }
-        self.in_flight.insert(
-            req_id,
-            InFlight {
-                offered_at,
-                activity,
-                attempt,
-                prev_backoff,
-                span,
-            },
-        );
+        let req_id = self.in_flight.push(InFlight {
+            offered_at,
+            activity,
+            attempt,
+            prev_backoff,
+            span,
+        });
         self.stats.lock().sent += 1;
         ctx.send(
             self.node,
             NodeMsg::QueryDeployments {
-                activity: name.clone(),
+                activity: Arc::clone(name),
                 req_id,
                 reply_to: ctx.self_id,
                 scope: QueryScope::Full,
@@ -291,7 +334,7 @@ impl Actor for TenantLoad {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) {
         match env.downcast::<NodeMsg>() {
             Ok((_, NodeMsg::QueryResponse { req_id, deployments })) => {
-                if let Some(f) = self.in_flight.remove(&req_id) {
+                if let Some(f) = self.in_flight.remove(req_id) {
                     ctx.span_attr(f.span, "hit", if deployments.is_empty() { "0" } else { "1" });
                     ctx.end_span(f.span);
                     let mut s = self.stats.lock();
@@ -305,42 +348,34 @@ impl Actor for TenantLoad {
                 }
             }
             Ok((_, NodeMsg::QueryRejected { req_id, retry_after })) => {
-                if let Some(f) = self.in_flight.remove(&req_id) {
-                    ctx.span_attr(f.span, "shed", "1");
-                    ctx.end_span(f.span);
-                    self.stats.lock().shed += 1;
-                    let next_attempt = f.attempt + 1;
-                    let elapsed = ctx.now().since(f.offered_at);
-                    if self.retry.retries_enabled()
-                        && self.retry.may_attempt(next_attempt, elapsed)
-                    {
-                        // Honour the server's hint: back off at least
-                        // retry_after (clamped to the remaining deadline
-                        // budget), plus the policy's jitter.
-                        let delay = self.retry.next_backoff_after(
-                            &mut self.rng,
-                            f.prev_backoff,
-                            retry_after,
-                            elapsed,
-                        );
-                        ctx.timer_after_then(delay, "reoffer", req_id);
-                        // Park the state under the old id until the
-                        // timer fires (the re-send allocates a new id);
-                        // parked, it still counts against the closed-loop
-                        // cap.
-                        self.in_flight.insert(
-                            req_id,
-                            InFlight {
-                                prev_backoff: delay,
-                                attempt: next_attempt,
-                                span: f.span,
-                                ..f
-                            },
-                        );
-                    } else {
-                        self.stats.lock().dropped += 1;
-                        self.slot_freed(ctx);
-                    }
+                let Some(f) = self.in_flight.get_mut(req_id) else {
+                    return;
+                };
+                ctx.span_attr(f.span, "shed", "1");
+                ctx.end_span(f.span);
+                self.stats.lock().shed += 1;
+                let next_attempt = f.attempt + 1;
+                let elapsed = ctx.now().since(f.offered_at);
+                if self.retry.retries_enabled() && self.retry.may_attempt(next_attempt, elapsed) {
+                    // Honour the server's hint: back off at least
+                    // retry_after (clamped to the remaining deadline
+                    // budget), plus the policy's jitter.
+                    let delay = self.retry.next_backoff_after(
+                        &mut self.rng,
+                        f.prev_backoff,
+                        retry_after,
+                        elapsed,
+                    );
+                    ctx.timer_after_then(delay, "reoffer", req_id);
+                    // Park the state in its slot until the timer fires (the
+                    // re-send takes a new id); parked, it still counts
+                    // against the closed-loop cap.
+                    f.prev_backoff = delay;
+                    f.attempt = next_attempt;
+                } else {
+                    self.in_flight.remove(req_id);
+                    self.stats.lock().dropped += 1;
+                    self.slot_freed(ctx);
                 }
             }
             _ => {}
@@ -354,7 +389,7 @@ impl Actor for TenantLoad {
         }
         if tag == "reoffer" {
             let req_id = ctx.take_continuation::<u64>();
-            if let Some(f) = req_id.and_then(|id| self.in_flight.remove(&id)) {
+            if let Some(f) = req_id.and_then(|id| self.in_flight.remove(id)) {
                 self.stats.lock().retries += 1;
                 self.send_request(ctx, f.activity, f.offered_at, f.attempt, f.prev_backoff);
             }
@@ -440,6 +475,123 @@ mod tests {
             in_window > before * 2,
             "flash window {in_window} vs baseline {before}"
         );
+    }
+
+    /// A node stand-in: holds each query for `hold(req_id)`, then sheds it
+    /// if its id is `shed` and answers it empty otherwise.
+    struct Stub {
+        hold: fn(u64) -> SimDuration,
+        shed: Option<u64>,
+    }
+
+    impl Actor for Stub {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) {
+            if let Ok((_, NodeMsg::QueryDeployments { req_id, reply_to, .. })) = env.downcast() {
+                ctx.timer_after_then((self.hold)(req_id), "answer", (reply_to, req_id));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken, _tag: &str) {
+            let (to, req_id) = ctx.take_continuation::<(ActorId, u64)>().expect("a held query");
+            let msg = if self.shed == Some(req_id) {
+                NodeMsg::QueryRejected {
+                    req_id,
+                    retry_after: SimDuration::from_millis(100),
+                }
+            } else {
+                NodeMsg::QueryResponse {
+                    req_id,
+                    deployments: Vec::new(),
+                }
+            };
+            ctx.send(to, msg);
+        }
+    }
+
+    /// Run tenant 0 of `spec` against `stub` until `until`.
+    fn run_against(spec: &WorkloadSpec, stub: Stub, until: SimTime) -> Arc<Mutex<TenantStats>> {
+        let mut sim = glare_fabric::Simulation::new(glare_fabric::Topology::uniform(1), 1);
+        let site = glare_fabric::SiteId(0);
+        let node = sim.add_actor(site, Box::new(stub));
+        let stats = TenantStats::shared();
+        let load = TenantLoad::new(spec, 0, node, RetryPolicy::standard(), stats.clone());
+        sim.add_actor(site, Box::new(load));
+        sim.start();
+        sim.run_until(until);
+        stats
+    }
+
+    fn in_flight() -> InFlight {
+        InFlight {
+            offered_at: SimTime::ZERO,
+            activity: 0,
+            attempt: 1,
+            prev_backoff: SimDuration::ZERO,
+            span: SpanHandle::NONE,
+        }
+    }
+
+    /// A shed request is parked in its own slot until its `"reoffer"`
+    /// fires, also when it is the oldest in flight — the slot the slab
+    /// drops first once it empties, so taking it out and putting it back
+    /// would lose it.
+    #[test]
+    fn a_shed_oldest_request_is_parked_reoffered_and_counted_once() {
+        let spec = WorkloadSpec::new(3, SimDuration::from_secs(1), 4)
+            .tenant(TenantSpec::open("t", TenantClass::Gold, 50.0));
+        let arrivals = ArrivalStream::generate(&spec, 0).arrivals;
+        // Request 0 is shed 100 ms after it arrives and every other request
+        // is answered after a second, so the shed finds request 0 the
+        // oldest of several in flight.
+        assert!(arrivals[2].at < arrivals[0].at + SimDuration::from_millis(100));
+        let stub = Stub {
+            hold: |id| SimDuration::from_millis(if id == 0 { 100 } else { 1_000 }),
+            shed: Some(0),
+        };
+        let stats = run_against(&spec, stub, SimTime::from_secs(10));
+        let s = stats.lock();
+        assert_eq!(s.offered, arrivals.len() as u64);
+        assert_eq!((s.shed, s.retries, s.dropped), (1, 1, 0));
+        assert_eq!(s.sent, s.offered + 1, "request 0 was sent twice");
+        assert_eq!(s.responses, s.offered, "every request answered once");
+    }
+
+    /// A closed loop's cap counts requests in flight, not the slots the
+    /// slab spans: with request 0 held, the second slot keeps cycling
+    /// although every id since request 0 is still spanned.
+    #[test]
+    fn the_closed_loop_cap_counts_requests_in_flight_not_slab_slots() {
+        let spec = WorkloadSpec::new(5, SimDuration::from_secs(2), 4)
+            .tenant(TenantSpec::closed("t", TenantClass::Gold, 100.0, 2));
+        let arrivals = ArrivalStream::generate(&spec, 0).arrivals;
+        let stub = Stub {
+            hold: |id| SimDuration::from_secs(if id == 0 { 60 } else { 0 }),
+            shed: None,
+        };
+        let stats = run_against(&spec, stub, SimTime::from_secs(5));
+        let s = stats.lock();
+        assert!(arrivals.len() > 100, "{} arrivals", arrivals.len());
+        assert_eq!(s.offered, arrivals.len() as u64, "every arrival was offered");
+        assert_eq!(s.responses, s.offered - 1, "all but request 0 were answered");
+    }
+
+    /// Ids below the oldest request in flight, ids whose request left, and
+    /// ids not assigned yet read `None`; ids carry on after the slab empties.
+    #[test]
+    fn stale_and_never_assigned_ids_read_none() {
+        let mut slab = InFlightSlab::default();
+        let ids: Vec<u64> = (0..4).map(|_| slab.push(in_flight())).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        assert!(slab.remove(0).is_some() && slab.remove(2).is_some());
+        assert!(slab.get_mut(0).is_none(), "stale: below the oldest in flight");
+        assert!(slab.get_mut(2).is_none(), "answered");
+        assert!(slab.get_mut(4).is_none() && slab.get_mut(u64::MAX).is_none(), "never assigned");
+        assert!(slab.remove(0).is_none() && slab.remove(2).is_none() && slab.remove(9).is_none());
+        assert!(slab.get_mut(1).is_some() && slab.get_mut(3).is_some());
+        assert_eq!(slab.len(), 2);
+        assert!(slab.remove(1).is_some() && slab.remove(3).is_some());
+        assert_eq!(slab.len(), 0);
+        assert_eq!(slab.push(in_flight()), 4);
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn write_seq(
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    out.push_str(&glare_fabric::json_escape(s));
+    glare_fabric::json_escape_into(out, s);
     out.push('"');
 }
 

@@ -43,7 +43,9 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use events::{json_escape, EventLog, EventRecord, DEFAULT_MAX_EVENTS};
+pub use events::{
+    json_escape, json_escape_into, EventLog, EventRecord, FieldValue, DEFAULT_MAX_EVENTS, NO_FIELDS,
+};
 pub use fault::{Fault, FaultPlan};
 pub use metrics::{
     percentile, Counter, CounterId, GaugeBucket, GaugeId, Histogram, Labels, MetricsRegistry,

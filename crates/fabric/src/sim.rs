@@ -14,7 +14,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::events::EventLog;
+use crate::events::{EventLog, FieldValue};
 use crate::metrics::{CounterId, GaugeId, Labels, MetricsRegistry};
 use crate::queue::{EventKey, EventPool, EventQueue, SchedulerKind};
 use crate::rng::SimRng;
@@ -657,7 +657,7 @@ impl<'a> Ctx<'a> {
     /// queue; completion surfaces as an `on_compute_done` with tag
     /// `"store-fsync"` (fire-and-forget for most actors). Returns the
     /// record's sequence number, or `None` when durability is disabled.
-    pub fn store_append(&mut self, kind: &str, payload: &str) -> Option<u64> {
+    pub fn store_append(&mut self, kind: &str, payload: impl Into<String>) -> Option<u64> {
         if !self.kernel.store_cfg.enabled {
             return None;
         }
@@ -726,17 +726,22 @@ impl<'a> Ctx<'a> {
     /// No-op when the event log is disabled; like tracing, emission is
     /// observe-only (no RNG draw, no scheduled work), so instrumented and
     /// plain runs stay event-for-event identical.
-    pub fn emit_event(&mut self, kind: &str, component: &str, fields: &[(&str, &str)]) {
-        self.emit_event_with(kind, component, || fields.iter().map(|&(k, v)| (k, v.to_owned())));
+    pub fn emit_event<V: Into<FieldValue>>(
+        &mut self,
+        kind: &'static str,
+        component: &'static str,
+        fields: impl IntoIterator<Item = (&'static str, V)>,
+    ) {
+        self.emit_event_with(kind, component, || fields);
     }
 
     /// [`Ctx::emit_event`] for per-request call sites: `fields` runs only
     /// when the record will be retained, so a log that is off or past its
-    /// bound costs no formatting (the bound still counts the drop).
-    pub fn emit_event_with<K: Into<String>, I: IntoIterator<Item = (K, String)>>(
+    /// bound builds nothing (the bound still counts the drop).
+    pub fn emit_event_with<V: Into<FieldValue>, I: IntoIterator<Item = (&'static str, V)>>(
         &mut self,
-        kind: &str,
-        component: &str,
+        kind: &'static str,
+        component: &'static str,
         fields: impl FnOnce() -> I,
     ) {
         let (site, now) = (self.self_site, self.kernel.now);
@@ -861,16 +866,11 @@ impl Simulation {
         if let Some(log) = &mut self.kernel.events {
             let kind = if is { "site.degraded" } else { "site.recovered" };
             if was != is || is {
-                log.emit(
-                    now,
-                    kind,
-                    Some(site),
-                    "fault",
-                    &[
-                        ("site", &format!("site{}", site.index())),
-                        ("factor_permille", &((f * 1000.0).round() as u64).to_string()),
-                    ],
-                );
+                let fields = [
+                    ("site", FieldValue::from(format!("site{}", site.index()))),
+                    ("factor_permille", ((f * 1000.0).round() as u64).into()),
+                ];
+                log.emit(now, kind, Some(site), "fault", fields);
             }
         }
         self.publish_degraded_gauges();
@@ -895,17 +895,12 @@ impl Simulation {
             }
         };
         if let Some(log) = &mut self.kernel.events {
-            log.emit(
-                now,
-                kind,
-                Some(from),
-                "fault",
-                &[
-                    ("from", &format!("site{}", from.index())),
-                    ("to", &format!("site{}", to.index())),
-                    ("factor_permille", &((f * 1000.0).round() as u64).to_string()),
-                ],
-            );
+            let fields = [
+                ("from", FieldValue::from(format!("site{}", from.index()))),
+                ("to", format!("site{}", to.index()).into()),
+                ("factor_permille", ((f * 1000.0).round() as u64).into()),
+            ];
+            log.emit(now, kind, Some(from), "fault", fields);
         }
         self.publish_degraded_gauges();
     }
@@ -1265,28 +1260,18 @@ impl Simulation {
                                 .counter("fabric.store.torn_records")
                                 .add(torn as u64);
                             if let Some(log) = &mut self.kernel.events {
-                                log.emit(
-                                    now,
-                                    "store.torn",
-                                    Some(site),
-                                    "store",
-                                    &[
-                                        ("site", &format!("site{}", site.index())),
-                                        ("records", &torn.to_string()),
-                                    ],
-                                );
+                                let fields = [
+                                    ("site", FieldValue::from(format!("site{}", site.index()))),
+                                    ("records", (torn as u64).into()),
+                                ];
+                                log.emit(now, "store.torn", Some(site), "store", fields);
                             }
                         }
                     }
                 }
                 if let Some(log) = &mut self.kernel.events {
-                    log.emit(
-                        now,
-                        "site.crashed",
-                        Some(site),
-                        "fault",
-                        &[("site", &format!("site{}", site.index()))],
-                    );
+                    let fields = [("site", format!("site{}", site.index()))];
+                    log.emit(now, "site.crashed", Some(site), "fault", fields);
                 }
                 for i in 0..self.actors.len() {
                     if self.kernel.actor_sites[i] == site {
@@ -1300,13 +1285,8 @@ impl Simulation {
                 self.kernel.sites[site.index()].restart();
                 self.kernel.metrics.counter("fabric.restarts").inc();
                 if let Some(log) = &mut self.kernel.events {
-                    log.emit(
-                        self.kernel.now,
-                        "site.restarted",
-                        Some(site),
-                        "fault",
-                        &[("site", &format!("site{}", site.index()))],
-                    );
+                    let fields = [("site", format!("site{}", site.index()))];
+                    log.emit(self.kernel.now, "site.restarted", Some(site), "fault", fields);
                 }
                 for i in 0..self.actors.len() {
                     if self.kernel.actor_sites[i] == site {

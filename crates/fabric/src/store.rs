@@ -20,21 +20,28 @@ use crate::time::SimDuration;
 /// FNV-1a 64-bit hash — the journal's record checksum and the digest
 /// primitive. Stable across runs and platforms (no `RandomState`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_feed(FNV1A_OFFSET, bytes)
+}
+
+/// The FNV-1a state before any byte.
+const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a hash from state `h` over `bytes`. FNV-1a is
+/// byte-serial, so feeding the pieces of a message in order hashes what
+/// their concatenation would, without building it.
+fn fnv1a_feed(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The journal frame of one record: `seq` (little-endian), `kind`, a unit
+/// separator and `payload`, fed to FNV-1a from state `h`.
+fn feed_record(h: u64, seq: u64, kind: &str, payload: &str) -> u64 {
+    let pieces: [&[u8]; 4] = [&seq.to_le_bytes(), kind.as_bytes(), &[0x1f], payload.as_bytes()];
+    pieces.into_iter().fold(h, fnv1a_feed)
 }
 
 fn record_checksum(seq: u64, kind: &str, payload: &str) -> u64 {
-    let mut buf = Vec::with_capacity(8 + kind.len() + payload.len() + 1);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(kind.as_bytes());
-    buf.push(0x1f);
-    buf.extend_from_slice(payload.as_bytes());
-    fnv1a(&buf)
+    feed_record(FNV1A_OFFSET, seq, kind, payload)
 }
 
 /// One checksummed entry of the write-ahead journal.
@@ -173,19 +180,21 @@ impl SiteStore {
         SiteStore::default()
     }
 
-    /// Append one mutation record; returns its sequence number.
-    pub fn append(&mut self, kind: &str, payload: &str) -> u64 {
+    /// Append one mutation record; returns its sequence number. An owned
+    /// payload moves into the journal as it is.
+    pub fn append(&mut self, kind: &str, payload: impl Into<String>) -> u64 {
+        let payload = payload.into();
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.stats.appends += 1;
+        self.stats.bytes_written += (kind.len() + payload.len()) as u64;
         self.journal.push(JournalRecord {
             seq,
             kind: kind.to_owned(),
-            payload: payload.to_owned(),
-            checksum: record_checksum(seq, kind, payload),
+            checksum: record_checksum(seq, kind, &payload),
+            payload,
             torn: false,
         });
-        self.stats.appends += 1;
-        self.stats.bytes_written += (kind.len() + payload.len()) as u64;
         seq
     }
 
@@ -254,21 +263,16 @@ impl SiteStore {
     /// every journal record). Two same-seed runs produce identical
     /// digests; the crash-replay verification gate compares them.
     pub fn contents_digest(&self) -> u64 {
-        let mut buf = Vec::new();
+        let mut h = FNV1A_OFFSET;
         if let Some(s) = &self.snapshot {
-            buf.extend_from_slice(&s.through_seq.to_le_bytes());
-            buf.extend_from_slice(s.blob.as_bytes());
-            buf.push(0x1e);
+            let pieces: [&[u8]; 3] = [&s.through_seq.to_le_bytes(), s.blob.as_bytes(), &[0x1e]];
+            h = pieces.into_iter().fold(h, fnv1a_feed);
         }
         for r in &self.journal {
-            buf.extend_from_slice(&r.seq.to_le_bytes());
-            buf.extend_from_slice(r.kind.as_bytes());
-            buf.push(0x1f);
-            buf.extend_from_slice(r.payload.as_bytes());
-            buf.push(if r.torn { 1 } else { 0 });
-            buf.push(0x1e);
+            h = feed_record(h, r.seq, &r.kind, &r.payload);
+            h = fnv1a_feed(h, &[u8::from(r.torn), 0x1e]);
         }
-        fnv1a(&buf)
+        h
     }
 }
 
@@ -361,6 +365,76 @@ mod tests {
         let mut other = build();
         other.append("d", "z");
         assert_ne!(build().contents_digest(), other.contents_digest());
+    }
+
+    /// [`record_checksum`] as it was before it fed FNV-1a piece by piece:
+    /// the frame concatenated into a fresh buffer.
+    fn concatenated_checksum(seq: u64, kind: &str, payload: &str) -> u64 {
+        let mut buf = Vec::with_capacity(8 + kind.len() + payload.len() + 1);
+        buf.extend_from_slice(&seq.to_le_bytes());
+        buf.extend_from_slice(kind.as_bytes());
+        buf.push(0x1f);
+        buf.extend_from_slice(payload.as_bytes());
+        fnv1a(&buf)
+    }
+
+    /// [`SiteStore::contents_digest`] as it was, concatenating likewise.
+    fn concatenated_digest(s: &SiteStore) -> u64 {
+        let mut buf = Vec::new();
+        if let Some(s) = &s.snapshot {
+            buf.extend_from_slice(&s.through_seq.to_le_bytes());
+            buf.extend_from_slice(s.blob.as_bytes());
+            buf.push(0x1e);
+        }
+        for r in &s.journal {
+            buf.extend_from_slice(&r.seq.to_le_bytes());
+            buf.extend_from_slice(r.kind.as_bytes());
+            buf.push(0x1f);
+            buf.extend_from_slice(r.payload.as_bytes());
+            buf.push(if r.torn { 1 } else { 0 });
+            buf.push(0x1e);
+        }
+        fnv1a(&buf)
+    }
+
+    fn random_text(rng: &mut crate::rng::SimRng) -> String {
+        const PIECES: [&str; 7] = ["", ":", "12", "\u{1f}", "\u{1e}", "é", "adr.register"];
+        (0..rng.range(0, 5))
+            .map(|_| PIECES[rng.index(PIECES.len())])
+            .collect()
+    }
+
+    #[test]
+    fn hashes_fed_piece_by_piece_equal_the_concatenated_originals() {
+        let mut rng = crate::rng::SimRng::from_seed(29);
+        for seq in [0, 1, u64::MAX, rng.next_u64(), rng.next_u64()] {
+            let (kind, payload) = (random_text(&mut rng), random_text(&mut rng));
+            assert_eq!(
+                record_checksum(seq, &kind, &payload),
+                concatenated_checksum(seq, &kind, &payload)
+            );
+        }
+        for round in 0..64 {
+            let mut s = SiteStore::new();
+            for _ in 0..rng.range(0, 24) {
+                s.append(&random_text(&mut rng), random_text(&mut rng));
+                if rng.chance(0.1) {
+                    s.install_snapshot(&random_text(&mut rng));
+                }
+            }
+            s.tear_tail(rng.index(3));
+            for r in &s.journal {
+                assert_eq!(
+                    r.checksum,
+                    concatenated_checksum(r.seq, &r.kind, &r.payload)
+                );
+            }
+            assert_eq!(
+                s.contents_digest(),
+                concatenated_digest(&s),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

@@ -47,9 +47,9 @@ pub struct ActivityDeploymentRegistry {
 
 impl ActivityDeploymentRegistry {
     /// New registry at `address`.
-    pub fn new(address: &str, transport: Transport) -> Self {
+    pub fn new(address: impl Into<String>, transport: Transport) -> Self {
         ActivityDeploymentRegistry {
-            address: address.to_owned(),
+            address: address.into(),
             transport,
             home: ResourceHome::new(),
             by_type: RwLock::new(HashMap::new()),

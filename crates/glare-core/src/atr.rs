@@ -89,9 +89,9 @@ impl fmt::Debug for ActivityTypeRegistry {
 
 impl ActivityTypeRegistry {
     /// New registry served at `address`.
-    pub fn new(address: &str, transport: Transport) -> Self {
+    pub fn new(address: impl Into<String>, transport: Transport) -> Self {
         ActivityTypeRegistry {
-            address: address.to_owned(),
+            address: address.into(),
             transport,
             home: ResourceHome::new(),
             hierarchy: RwLock::new(TypeHierarchy::new()),

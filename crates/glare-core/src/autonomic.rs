@@ -50,7 +50,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use glare_fabric::{Labels, SimDuration, SimRng, SimTime, SiteId};
+use glare_fabric::{FieldValue, Labels, SimDuration, SimRng, SimTime, SiteId};
 use glare_services::ChannelKind;
 
 use crate::grid::Grid;
@@ -598,18 +598,18 @@ impl PlacementController {
                 ]),
             )
             .inc();
-        grid.events.emit(
-            now,
-            &format!("autonomic.{}", action.kind.label()),
-            Some(SiteId(action.site as u32)),
-            "autonomic",
-            &[
-                ("controller", &self.name),
-                ("activity", &action.type_name),
-                ("site", &Grid::site_label(action.site)),
-                ("outcome", outcome.label()),
-            ],
-        );
+        let kind = match action.kind {
+            ActionKind::Provision => "autonomic.provision",
+            ActionKind::Retire => "autonomic.retire",
+            ActionKind::Reprovision => "autonomic.reprovision",
+        };
+        let fields = [
+            ("controller", FieldValue::from(self.name.clone())),
+            ("activity", action.type_name.clone().into()),
+            ("site", Grid::site_label(action.site).into()),
+            ("outcome", outcome.label().into()),
+        ];
+        grid.events.emit(now, kind, Some(SiteId(action.site as u32)), "autonomic", fields);
     }
 }
 

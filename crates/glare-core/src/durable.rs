@@ -21,6 +21,8 @@
 //! metrics and LUTs so that a recovered-and-rejoined site can compare
 //! equal to a never-crashed one.
 
+use std::fmt::Write as _;
+
 use glare_fabric::store::fnv1a;
 use glare_fabric::{Platform, RecoveredState, SimDuration, SimTime};
 
@@ -45,19 +47,17 @@ struct Enc {
 
 impl Enc {
     fn s(&mut self, v: &str) {
-        self.buf.push_str(&v.len().to_string());
-        self.buf.push(':');
-        self.buf.push_str(v);
+        let _ = write!(self.buf, "{}:{v}", v.len());
     }
 
+    /// A number's token: its length is its digit count, so no `String` is built first.
     fn u(&mut self, v: u64) {
-        let s = v.to_string();
-        self.s(&s);
+        let _ = write!(self.buf, "{}:{v}", v.checked_ilog10().map_or(1, |d| d + 1));
     }
 
     fn i(&mut self, v: i64) {
-        let s = v.to_string();
-        self.s(&s);
+        let digits = v.unsigned_abs().checked_ilog10().map_or(1, |d| d + 1);
+        let _ = write!(self.buf, "{}:{v}", digits + u32::from(v < 0));
     }
 
     fn flag(&mut self, v: bool) {
@@ -715,13 +715,13 @@ pub fn replay(
 /// Encode a snapshot blob. Entries are sorted by key so the blob is
 /// deterministic regardless of registry iteration order.
 pub fn encode_snapshot(state: &SnapshotState) -> String {
-    let mut types = state.types.clone();
+    let mut types: Vec<&ActivityType> = state.types.iter().collect();
     types.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut deployments = state.deployments.clone();
+    let mut deployments: Vec<&ActivityDeployment> = state.deployments.iter().collect();
     deployments.sort_by(|a, b| a.key.cmp(&b.key));
-    let mut tombstones = state.tombstones.clone();
+    let mut tombstones: Vec<&(String, SimTime)> = state.tombstones.iter().collect();
     tombstones.sort();
-    let mut leases = state.leases.clone();
+    let mut leases: Vec<&LeaseTicket> = state.leases.iter().collect();
     leases.sort_by_key(|l| l.id);
 
     let mut e = Enc::default();
@@ -974,6 +974,50 @@ mod tests {
             registry_digest(&types, &[fresh], &["gone@site1".into()]),
             "tombstones are part of the digest"
         );
+    }
+
+    /// `Enc::s` as it was before tokens were written in place: the length
+    /// rendered to a `String` first (and `u`/`i` rendered their number to
+    /// one before that).
+    fn concatenating_s(buf: &mut String, v: &str) {
+        buf.push_str(&v.len().to_string());
+        buf.push(':');
+        buf.push_str(v);
+    }
+
+    #[test]
+    fn tokens_written_in_place_equal_the_concatenating_encoder() {
+        const TEXT: [&str; 7] = ["", ":", "12:", "3:abc", "0", "é:9", "\u{1f}"];
+        const U: [u64; 8] = [0, 9, 10, 99, 100, 9_999_999_999_999_999_999, u64::MAX - 1, u64::MAX];
+        const I: [i64; 8] = [0, -1, 9, -9, -10, i64::MIN, i64::MIN + 1, i64::MAX];
+        let mut rng = glare_fabric::SimRng::from_seed(29);
+        let (mut e, mut old) = (Enc::default(), String::new());
+        for _ in 0..4000 {
+            // A random number keeps a random count of its top bits, so
+            // every digit count comes up; the listed ones are the edges.
+            let (listed, shift) = (rng.chance(0.5), rng.range(0, 64));
+            match rng.index(3) {
+                0 => {
+                    let pieces = (0..rng.range(0, 4)).map(|_| TEXT[rng.index(TEXT.len())]);
+                    let v: String = pieces.collect();
+                    e.s(&v);
+                    concatenating_s(&mut old, &v);
+                }
+                1 => {
+                    let drawn = rng.next_u64() >> shift;
+                    let v = if listed { U[rng.index(U.len())] } else { drawn };
+                    e.u(v);
+                    concatenating_s(&mut old, &v.to_string());
+                }
+                _ => {
+                    let drawn = rng.next_u64() as i64 >> shift;
+                    let v = if listed { I[rng.index(I.len())] } else { drawn };
+                    e.i(v);
+                    concatenating_s(&mut old, &v.to_string());
+                }
+            }
+        }
+        assert_eq!(e.done(), old);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use glare_fabric::topology::{LinkSpec, Platform, SiteId};
 use glare_fabric::store::{replay_cost, COMPACT_EVERY};
 use glare_fabric::{
-    EventLog, Labels, MetricsRegistry, SimDuration, SimRng, SimTime, SiteStore, StoreConfig,
-    TraceSink,
+    EventLog, FieldValue, Labels, MetricsRegistry, SimDuration, SimRng, SimTime, SiteStore,
+    StoreConfig, TraceSink, NO_FIELDS,
 };
 use glare_services::gridftp::Repository;
 use glare_services::{GramService, SiteHost, Transport};
@@ -52,21 +53,22 @@ pub struct GridSite {
 
 impl GridSite {
     /// Fresh site with empty registries.
-    pub fn new(name: &str, platform: Platform, transport: Transport) -> GridSite {
+    pub fn new(name: impl Into<String>, platform: Platform, transport: Transport) -> GridSite {
+        let name = name.into();
         GridSite {
-            name: name.to_owned(),
-            host: SiteHost::new(name, platform),
+            host: SiteHost::new(&name, platform),
             atr: ActivityTypeRegistry::new(
-                &format!("https://{name}:8084/wsrf/services/ActivityTypeRegistry"),
+                ["https://", &name, ":8084/wsrf/services/ActivityTypeRegistry"].concat(),
                 transport,
             ),
             adr: ActivityDeploymentRegistry::new(
-                &format!("https://{name}:8084/wsrf/services/ActivityDeploymentRegistry"),
+                ["https://", &name, ":8084/wsrf/services/ActivityDeploymentRegistry"].concat(),
                 transport,
             ),
             gram: GramService::new(),
             leases: LeaseManager::new(),
             cache: RegistryCache::new(DEFAULT_CACHE_AGE),
+            name,
         }
     }
 }
@@ -205,6 +207,9 @@ pub struct Grid {
     /// door ([`Grid::count`], [`Grid::observe`], [`Grid::set_gauge`],
     /// [`Grid::emit`]) records by site index and formats nothing.
     site_labels: Vec<Labels>,
+    /// Each site's `site{i}` name, shared by every event record
+    /// [`Grid::emit`] keeps.
+    site_names: Vec<Arc<str>>,
 }
 
 /// The lost attempts of one cross-site call under [`Grid::retry`], as
@@ -245,10 +250,11 @@ impl Grid {
     /// Build a VO of `n` homogeneous sites (`site0..`), catalog published.
     pub fn new(n: usize, transport: Transport) -> Grid {
         assert!(n > 0, "a VO needs at least one site");
+        let site_names: Vec<Arc<str>> = (0..n).map(|i| Grid::site_label(i).into()).collect();
         let sites = (0..n)
             .map(|i| {
                 GridSite::new(
-                    &format!("site{i}.agrid.example"),
+                    format!("site{i}.agrid.example"),
                     Platform::intel_linux_32(),
                     transport,
                 )
@@ -267,7 +273,8 @@ impl Grid {
             breakers: BreakerBank::default(),
             suspicion: crate::suspicion::SuspicionTracker::default(),
             stores: None,
-            site_labels: (0..n).map(|i| site_set(&Grid::site_label(i), None)).collect(),
+            site_labels: site_names.iter().map(|name| site_set(name, None)).collect(),
+            site_names,
         }
     }
 
@@ -304,7 +311,7 @@ impl Grid {
         let Some(stores) = self.stores.as_mut() else {
             return;
         };
-        stores[site].append(m.kind(), &m.payload());
+        stores[site].append(m.kind(), m.payload());
         let journal_len = stores[site].journal_len();
         self.count(site, "glare_store_appends_total", None, 1);
         if journal_len >= COMPACT_EVERY {
@@ -328,7 +335,7 @@ impl Grid {
             .expect("checked above")[site]
             .install_snapshot(&blob);
         self.count(site, "glare_store_snapshots_total", None, 1);
-        self.emit(site, now, "store.compacted", "store", &[("records", &records.to_string())]);
+        self.emit(site, now, "store.compacted", "store", [("records", records as u64)]);
     }
 
     /// Short label for a site (`site{i}`), the `site` label value of
@@ -370,19 +377,19 @@ impl Grid {
     }
 
     /// Log a `kind` event of `component` at `site`: the record names the
-    /// site and carries its `site` label ahead of `fields`.
-    pub fn emit(
+    /// site and carries its shared `site` name ahead of `fields`.
+    pub fn emit<V: Into<FieldValue>>(
         &mut self,
         site: usize,
         now: SimTime,
-        kind: &str,
-        component: &str,
-        fields: &[(&str, &str)],
+        kind: &'static str,
+        component: &'static str,
+        fields: impl IntoIterator<Item = (&'static str, V)>,
     ) {
-        let label = site_name(&self.site_labels[site]);
+        let name = &self.site_names[site];
         self.events.emit_with(now, kind, Some(SiteId(site as u32)), component, || {
-            let rest = fields.iter().map(|&(k, v)| (k, v.to_owned()));
-            std::iter::once(("site", label.to_owned())).chain(rest)
+            let rest = fields.into_iter().map(|(k, v)| (k, v.into()));
+            std::iter::once(("site", FieldValue::Shared(Arc::clone(name)))).chain(rest)
         });
     }
 
@@ -512,7 +519,7 @@ impl Grid {
             s.cache.evict_deployment(key);
             removed
         };
-        self.emit(site, now, "deployment.tombstoned", "adr", &[("key", key)]);
+        self.emit(site, now, "deployment.tombstoned", "adr", [("key", key.to_owned())]);
         self.journal(
             site,
             &RegistryMutation::AdrUninstall {
@@ -643,22 +650,17 @@ impl Grid {
             LeaseKind::Shared => "shared",
         };
         let (outcome, event, last) = match &result {
-            Ok(ticket) => ("granted", "lease.granted", ("ticket", ticket.id.to_string())),
-            Err(e) => ("rejected", "lease.rejected", ("reason", e.to_string())),
+            Ok(ticket) => ("granted", "lease.granted", ("ticket", FieldValue::from(ticket.id))),
+            Err(e) => ("rejected", "lease.rejected", ("reason", e.to_string().into())),
         };
         self.count(site, "glare_leases_total", Some(("outcome", outcome)), 1);
-        self.emit(
-            site,
-            now,
-            event,
-            "lease",
-            &[
-                ("deployment", deployment),
-                ("client", client),
-                ("kind", kind_label),
-                (last.0, &last.1),
-            ],
-        );
+        let fields = [
+            ("deployment", FieldValue::from(deployment.to_owned())),
+            ("client", client.to_owned().into()),
+            ("kind", kind_label.into()),
+            last,
+        ];
+        self.emit(site, now, event, "lease", fields);
         if self.stores.is_some() {
             if let Ok(ticket) = &result {
                 let m = RegistryMutation::LeaseGrant(ticket.clone());
@@ -678,7 +680,7 @@ impl Grid {
     ) -> Result<(), GlareError> {
         let result = self.sites[site].leases.release(ticket);
         if result.is_ok() {
-            self.emit(site, now, "lease.released", "lease", &[("ticket", &ticket.to_string())]);
+            self.emit(site, now, "lease.released", "lease", [("ticket", ticket)]);
             self.journal(site, &RegistryMutation::LeaseRelease(ticket), now);
         }
         result
@@ -692,17 +694,17 @@ impl Grid {
     /// journaled or snapshotted comes back at restart.
     pub fn crash_site(&mut self, site: usize, now: SimTime) {
         self.faults.crash(site);
-        self.emit(site, now, "site.crashed", "fault", &[]);
+        self.emit(site, now, "site.crashed", "fault", NO_FIELDS);
         if self.stores.is_some() {
             let s = &mut self.sites[site];
             let atr_address = s.atr.address.clone();
             let adr_address = s.adr.address.clone();
             let transport = s.atr.transport;
-            s.atr = ActivityTypeRegistry::new(&atr_address, transport);
-            s.adr = ActivityDeploymentRegistry::new(&adr_address, transport);
+            s.atr = ActivityTypeRegistry::new(atr_address, transport);
+            s.adr = ActivityDeploymentRegistry::new(adr_address, transport);
             s.leases = LeaseManager::new();
             s.cache = RegistryCache::new(DEFAULT_CACHE_AGE);
-            self.emit(site, now, "site.amnesia", "fault", &[]);
+            self.emit(site, now, "site.amnesia", "fault", NO_FIELDS);
         }
     }
 
@@ -719,8 +721,7 @@ impl Grid {
             self.recover_site(site, now);
         }
         let reclaimed = self.sites[site].leases.sweep_expired(now);
-        let swept = reclaimed.to_string();
-        self.emit(site, now, "site.restarted", "fault", &[("leases_reclaimed", &swept)]);
+        self.emit(site, now, "site.restarted", "fault", [("leases_reclaimed", reclaimed as u64)]);
         if self.stores.is_some() {
             // Re-snapshot so the next crash replays from a compact journal
             // that already reflects the swept lease table.
@@ -743,17 +744,12 @@ impl Grid {
         self.count(site, "glare_store_replayed_records_total", None, replayed);
         self.count(site, "glare_store_truncated_records_total", None, truncated);
         self.observe(site, "glare_store_replay_ms", replay_cost(replayed, had_snapshot));
-        self.emit(
-            site,
-            now,
-            "store.recovered",
-            "store",
-            &[
-                ("replayed", &replayed.to_string()),
-                ("truncated_records", &truncated.to_string()),
-                ("snapshot", if had_snapshot { "true" } else { "false" }),
-            ],
-        );
+        let fields = [
+            ("replayed", FieldValue::from(replayed)),
+            ("truncated_records", truncated.into()),
+            ("snapshot", if had_snapshot { "true" } else { "false" }.into()),
+        ];
+        self.emit(site, now, "store.recovered", "store", fields);
     }
 
     /// Whether the fault injector considers `site` reachable.
@@ -792,10 +788,10 @@ impl Grid {
 
     /// Feed `site`'s breaker a failed attempt of `op` at `at`, publishing
     /// the trip when this failure opens it.
-    pub(crate) fn breaker_failure(&mut self, site: usize, op: &str, at: SimTime) {
+    pub(crate) fn breaker_failure(&mut self, site: usize, op: &'static str, at: SimTime) {
         if self.breakers.breaker(site).record_failure(at) {
             self.count(site, "glare_breaker_transitions_total", Some(("to", "open")), 1);
-            self.emit(site, at, "breaker.open", "retry", &[("op", op)]);
+            self.emit(site, at, "breaker.open", "retry", [("op", op)]);
         }
     }
 
@@ -850,19 +846,14 @@ impl Grid {
             let Some(delay) = self.back_off(site, &mut lost) else {
                 break format!("retry budget exhausted after {} attempts", lost.attempts);
             };
-            self.emit(
-                site,
-                at,
-                "retry.attempt",
-                "retry",
-                &[
-                    ("op", "lease"),
-                    ("attempt", &(lost.attempts + 1).to_string()),
-                    ("backoff_ms", &format!("{:.1}", delay.as_millis_f64())),
-                ],
-            );
+            let fields = [
+                ("op", FieldValue::from("lease")),
+                ("attempt", u64::from(lost.attempts + 1).into()),
+                ("backoff_ms", format!("{:.1}", delay.as_millis_f64()).into()),
+            ];
+            self.emit(site, at, "retry.attempt", "retry", fields);
         };
-        let site = site_name(&self.site_labels[site]).to_owned();
+        let site = self.site_names[site].to_string();
         (Err(GlareError::SiteUnavailable { site, detail }), lost.elapsed)
     }
 
@@ -925,10 +916,7 @@ mod tests {
         assert_eq!(granted[0].site, Some(SiteId(1)));
         let rejected: Vec<_> = g.events.of_kind("lease.rejected").collect();
         assert_eq!(rejected.len(), 1);
-        assert!(rejected[0]
-            .fields
-            .iter()
-            .any(|(k, v)| k == "reason" && v.contains("exclusive")));
+        assert!(rejected[0].field("reason").is_some_and(|v| v.contains("exclusive")));
         assert_eq!(g.metrics.lint_metric_names(), Vec::<String>::new());
     }
 
@@ -1402,10 +1390,7 @@ mod tests {
         );
         let recovered: Vec<_> = g.events.of_kind("store.recovered").collect();
         assert_eq!(recovered.len(), 1);
-        assert!(recovered[0]
-            .fields
-            .iter()
-            .any(|(k, v)| k == "truncated_records" && v == "2"));
+        assert_eq!(recovered[0].field("truncated_records").as_deref(), Some("2"));
     }
 
     #[test]

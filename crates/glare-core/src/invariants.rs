@@ -100,8 +100,8 @@ pub fn false_takeovers(events: &EventLog, ids: &[ActorId]) -> Vec<String> {
     let crashed: BTreeSet<SiteId> = events.of_kind("site.crashed").filter_map(|r| r.site).collect();
     let mut out = Vec::new();
     for r in confirmed_failures(events) {
-        let suspect = r.fields.iter().find(|(k, _)| k == "suspect");
-        let actor = suspect.and_then(|(_, v)| v.strip_prefix("actor")?.parse().ok());
+        let suspect = r.field("suspect");
+        let actor = suspect.and_then(|v| v.strip_prefix("actor")?.parse().ok());
         match actor.and_then(|a| ids.iter().position(|&id| id == ActorId(a))) {
             Some(s) if crashed.contains(&SiteId(s as u32)) => {}
             Some(s) => out.push(format!(

@@ -4,8 +4,9 @@
 //! `Request`, and the reply gives it back.
 
 use std::num::NonZeroU64;
+use std::sync::Arc;
 
-use glare_fabric::{ActorId, Ctx};
+use glare_fabric::{ActorId, Ctx, FieldValue};
 
 use super::msg::{NodeMsg, QueryScope};
 use super::GlareNode;
@@ -20,7 +21,7 @@ impl GlareNode {
     pub(super) fn admit(
         &mut self,
         ctx: &mut Ctx<'_>,
-        activity: &str,
+        activity: &Arc<str>,
         req_id: u64,
         reply_to: ActorId,
         scope: QueryScope,
@@ -37,9 +38,7 @@ impl GlareNode {
         let leaked = self.door.take_ttl_released();
         if leaked > 0 {
             self.tele.count(ctx, "glare_inbox_ttl_released_total", leaked);
-            ctx.emit_event_with("inbox.ttl_release", "admission", || {
-                [("count", leaked.to_string())]
-            });
+            ctx.emit_event_with("inbox.ttl_release", "admission", || [("count", leaked)]);
         }
         let labels = self.tele.labels(ctx.self_site);
         match decision {
@@ -52,9 +51,9 @@ impl GlareNode {
                 labels.count_admission(ctx.metrics(), &self.cfg.site_name, class, false);
                 ctx.emit_event_with("query.shed", "admission", || {
                     [
-                        ("class", class.label().to_owned()),
-                        ("activity", activity.to_owned()),
-                        ("retry_after_ms", retry_after.as_millis_f64().to_string()),
+                        ("class", FieldValue::from(class.label())),
+                        ("activity", Arc::clone(activity).into()),
+                        ("retry_after_ms", retry_after.as_millis_f64().into()),
                     ]
                 });
                 ctx.send_sized(reply_to, NodeMsg::QueryRejected { req_id, retry_after }, 512);

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use glare_fabric::{ActorId, Ctx, SimDuration, SpanKind};
+use glare_fabric::{ActorId, Ctx, FieldValue, SimDuration, SpanKind};
 
 use super::msg::{NodeConfig, NodeMsg};
 use super::view::Membership;
@@ -153,7 +153,7 @@ impl GlareNode {
         ctx.emit_event(
             "election.round",
             "node",
-            &[("community", &self.roster.len().to_string())],
+            [("community", self.roster.len() as u64)],
         );
         let span = ctx.span("election.round", SpanKind::Internal);
         if ctx.trace_enabled() {
@@ -189,9 +189,9 @@ impl GlareNode {
         ctx.emit_event(
             if won { "election.won" } else { "election.lost" },
             "node",
-            &[
-                ("super_peer", &super_peer.to_string()),
-                ("group_size", &self.view.group.len().to_string()),
+            [
+                ("super_peer", FieldValue::from(super_peer.to_string())),
+                ("group_size", (self.view.group.len() as u64).into()),
             ],
         );
         if won {

@@ -7,7 +7,9 @@ use std::collections::{HashMap, HashSet};
 use std::num::NonZeroU64;
 use std::sync::Arc;
 
-use glare_fabric::{ActorId, Ctx, SimDuration, SimTime, SpanHandle, SpanKind, TimerToken};
+use glare_fabric::{
+    ActorId, Ctx, FieldValue, SimDuration, SimTime, SpanHandle, SpanKind, TimerToken,
+};
 
 use super::msg::{scope_label, NodeConfig, NodeMsg, QueryScope, PROBE_TIMEOUT};
 use super::{Deferred, GlareNode};
@@ -427,7 +429,7 @@ impl GlareNode {
         Self::send_probe(ctx, target, scope, &p.req, local_id);
         self.tele.count(ctx, "glare_hedges_fired_total", 1);
         ctx.emit_event_with("query.hedged", "node", || {
-            [("activity", activity.to_string()), ("target", target.to_string())]
+            [("activity", FieldValue::from(activity)), ("target", target.to_string().into())]
         });
     }
 
@@ -538,9 +540,9 @@ impl GlareNode {
             .record(delay);
         ctx.emit_event_with("retry.attempt", "node", || {
             [
-                ("op", "query".to_owned()),
-                ("attempt", next.to_string()),
-                ("backoff_ms", delay.as_millis_f64().to_string()),
+                ("op", FieldValue::from("query")),
+                ("attempt", u64::from(next).into()),
+                ("backoff_ms", delay.as_millis_f64().into()),
             ]
         });
         ctx.timer_after_then(delay, "qback", local_id);
@@ -609,8 +611,8 @@ impl GlareNode {
                 self.tele.count(ctx, "glare_degraded_reads_total", 1);
                 ctx.emit_event_with("query.degraded", "node", || {
                     [
-                        ("activity", p.req.activity.to_string()),
-                        ("age_ms", max_age.as_millis_f64().to_string()),
+                        ("activity", FieldValue::from(Arc::clone(&p.req.activity))),
+                        ("age_ms", max_age.as_millis_f64().into()),
                     ]
                 });
                 ctx.span_attr(p.req.span, "degraded", "1");

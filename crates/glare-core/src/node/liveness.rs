@@ -2,7 +2,7 @@
 //! suspicion, majority-acknowledged verification ([`Liveness`]). On a
 //! confirmed failure the heir takes office through `election`.
 
-use glare_fabric::{ActorId, Ctx, SimDuration, SimTime};
+use glare_fabric::{ActorId, Ctx, FieldValue, SimDuration, SimTime};
 
 use super::msg::{NodeConfig, NodeMsg, HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT};
 use super::{GlareNode, Loop};
@@ -133,7 +133,7 @@ impl GlareNode {
             return;
         };
         self.tele.count(ctx, "glare_failures_suspected_total", 1);
-        ctx.emit_event("failure.suspected", "node", &[("suspect", &sp.to_string())]);
+        ctx.emit_event("failure.suspected", "node", [("suspect", sp.to_string())]);
         if self.cfg.naive_takeover {
             // Ablation: no verification, no majority — just grab office.
             // Under a partial partition this splits the brain.
@@ -214,7 +214,12 @@ impl GlareNode {
     /// Publish a confirmed super-peer failure: the detection latency
     /// (silence since the last heartbeat of the dead super-peer) into
     /// `glare_failure_detection_ms{site}` and a `failure.confirmed` event.
-    fn record_failure_confirmed(&mut self, ctx: &mut Ctx<'_>, suspect: ActorId, method: &str) {
+    fn record_failure_confirmed(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        suspect: ActorId,
+        method: &'static str,
+    ) {
         let latency = ctx.now().saturating_since(self.liveness.last_heartbeat);
         let labels = self.tele.labels(ctx.self_site);
         ctx.metrics()
@@ -223,10 +228,10 @@ impl GlareNode {
         ctx.emit_event(
             "failure.confirmed",
             "node",
-            &[
-                ("suspect", &suspect.to_string()),
-                ("method", method),
-                ("latency_ms", &format!("{}", latency.as_nanos() as f64 / 1e6)),
+            [
+                ("suspect", FieldValue::from(suspect.to_string())),
+                ("method", method.into()),
+                ("latency_ms", (latency.as_nanos() as f64 / 1e6).into()),
             ],
         );
     }

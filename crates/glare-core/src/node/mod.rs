@@ -49,7 +49,7 @@ mod view;
 use std::any::Any;
 use std::sync::Arc;
 
-use glare_fabric::{Actor, ActorId, Ctx, Envelope, SimDuration, TimerToken};
+use glare_fabric::{Actor, ActorId, Ctx, Envelope, SimDuration, TimerToken, NO_FIELDS};
 use glare_services::Transport;
 
 pub use msg::{NodeConfig, NodeMsg, QueryScope};
@@ -147,14 +147,11 @@ impl GlareNode {
     /// from the simulation (the [`crate::overlay::OverlayBuilder`] guarantees this).
     pub fn new(cfg: NodeConfig, me: ActorId, roster: Arc<Vec<(ActorId, u64)>>) -> GlareNode {
         let atr = ActivityTypeRegistry::new(
-            &format!("https://{}:8084/wsrf/services/ActivityTypeRegistry", cfg.site_name),
+            ["https://", &cfg.site_name, ":8084/wsrf/services/ActivityTypeRegistry"].concat(),
             Transport::Http,
         );
         let adr = ActivityDeploymentRegistry::new(
-            &format!(
-                "https://{}:8084/wsrf/services/ActivityDeploymentRegistry",
-                cfg.site_name
-            ),
+            ["https://", &cfg.site_name, ":8084/wsrf/services/ActivityDeploymentRegistry"].concat(),
             Transport::Http,
         );
         GlareNode {
@@ -382,7 +379,7 @@ impl Actor for GlareNode {
         self.door = AdmissionController::new(cfg.admission);
         self.notifier = Notifier::default();
         self.rejoin = Rejoin::default();
-        ctx.emit_event("site.amnesia", "node", &[]);
+        ctx.emit_event("site.amnesia", "node", NO_FIELDS);
     }
 
     fn on_site_restart(&mut self, ctx: &mut Ctx<'_>) {

@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 
 use glare_fabric::store::{replay_cost, COMPACT_EVERY};
-use glare_fabric::{ActorId, Ctx, SimTime};
+use glare_fabric::{ActorId, Ctx, FieldValue, SimTime};
 
 use super::msg::NodeMsg;
 use super::{GlareNode, Loop};
@@ -37,7 +37,7 @@ impl GlareNode {
         if !ctx.store_enabled() {
             return;
         }
-        if ctx.store_append(m.kind(), &m.payload()).is_some() {
+        if ctx.store_append(m.kind(), m.payload()).is_some() {
             self.tele.count(ctx, "glare_store_appends_total", 1);
         }
         if ctx.store_journal_len() >= COMPACT_EVERY {
@@ -55,7 +55,7 @@ impl GlareNode {
         let state = durable::SnapshotState::capture(&self.atr, &self.adr, ctx.now());
         if let Some(compacted) = ctx.store_snapshot(&durable::encode_snapshot(&state)) {
             self.tele.count(ctx, "glare_store_snapshots_total", 1);
-            ctx.emit_event("store.compacted", "store", &[("records", &compacted.to_string())]);
+            ctx.emit_event("store.compacted", "store", [("records", compacted as u64)]);
         }
     }
 
@@ -88,10 +88,10 @@ impl GlareNode {
         ctx.emit_event(
             "store.recovered",
             "store",
-            &[
-                ("replayed", &replayed.to_string()),
-                ("truncated_records", &recovered.truncated_records.to_string()),
-                ("snapshot", if had_snapshot { "1" } else { "0" }),
+            [
+                ("replayed", FieldValue::from(replayed)),
+                ("truncated_records", recovered.truncated_records.into()),
+                ("snapshot", if had_snapshot { "1" } else { "0" }.into()),
             ],
         );
         self.rejoin = Rejoin {
@@ -139,10 +139,7 @@ impl GlareNode {
         ctx.emit_event(
             "antientropy.round",
             "node",
-            &[
-                ("entries", &entries.len().to_string()),
-                ("tombstones", &tombstones.len().to_string()),
-            ],
+            [("entries", entries.len() as u64), ("tombstones", tombstones.len() as u64)],
         );
         let bytes = 256 + DEPLOYMENT_WIRE_BYTES * entries.len().max(1) as u64;
         ctx.send_sized(sp, NodeMsg::AntiEntropySummary { entries, tombstones }, bytes);
@@ -231,7 +228,7 @@ impl GlareNode {
             self.adr.restore_tombstones([(key.clone(), now)]);
         }
         self.cache.evict_deployment(&key);
-        ctx.emit_event("deployment.tombstoned", "node", &[("key", &key)]);
+        ctx.emit_event("deployment.tombstoned", "node", [("key", key.clone())]);
         self.journal(ctx, &RegistryMutation::AdrUninstall { key, at: now });
     }
 
@@ -246,7 +243,7 @@ impl GlareNode {
             let at = SimTime::from_nanos(at_ns);
             let newly = self.adr.tombstone_of(&key).is_none_or(|t| t < at);
             if self.adr.apply_tombstone(&key, at, now) {
-                ctx.emit_event("deployment.tombstoned", "node", &[("key", &key)]);
+                ctx.emit_event("deployment.tombstoned", "node", [("key", key.clone())]);
             }
             self.cache.evict_deployment(&key);
             if newly {
@@ -352,10 +349,7 @@ impl GlareNode {
         ctx.emit_event(
             "monitor.tick",
             "node",
-            &[
-                ("live", &keys.len().to_string()),
-                ("swept", &swept.len().to_string()),
-            ],
+            [("live", keys.len() as u64), ("swept", swept.len() as u64)],
         );
         self.arm(ctx, Loop::StatusMonitor);
     }

@@ -674,10 +674,9 @@ fn torn_journal_truncates_at_last_valid_record() {
     );
     let ev = sim.events().expect("events enabled");
     let rec = ev.of_kind("store.recovered").next().expect("recovery event");
-    assert!(
-        rec.fields
-            .iter()
-            .any(|(k, v)| k == "truncated_records" && v == "2"),
+    assert_eq!(
+        rec.field("truncated_records").as_deref(),
+        Some("2"),
         "recovery reports the torn tail: {:?}",
         rec.fields
     );

@@ -21,7 +21,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use glare_fabric::trace::count_attr;
-use glare_fabric::{SimDuration, SimTime, SiteId, SpanKind, TraceContext, TraceSink};
+use glare_fabric::{FieldValue, SimDuration, SimTime, SiteId, SpanKind, TraceContext, TraceSink};
 use glare_services::gridftp;
 use glare_services::vfs::VPath;
 use glare_services::ChannelKind;
@@ -466,7 +466,11 @@ impl Install<'_> {
             "deploy.step_failed",
             self.site_id,
             "rdm.deploy_manager",
-            &[("type", &self.t.name), ("step", step), ("reason", reason)],
+            [
+                ("type", self.t.name.clone()),
+                ("step", step.to_owned()),
+                ("reason", reason.to_owned()),
+            ],
         );
         self.failed(detail)
     }
@@ -522,10 +526,10 @@ impl Install<'_> {
                 "deploy.step_retried",
                 self.site_id,
                 "rdm.deploy_manager",
-                &[
-                    ("type", &self.t.name),
-                    ("step", step),
-                    ("attempt", &(lost.attempts + 1).to_string()),
+                [
+                    ("type", FieldValue::from(self.t.name.clone())),
+                    ("step", step.to_owned().into()),
+                    ("attempt", u64::from(lost.attempts + 1).into()),
                 ],
             );
             self.at = start + lost.elapsed;

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeSet;
 
-use glare_fabric::{SimTime, SiteId};
+use glare_fabric::{FieldValue, SimTime, SiteId};
 use glare_services::ChannelKind;
 
 use crate::cache::Freshness;
@@ -81,7 +81,11 @@ impl CacheRefresher {
                     "cache.evicted",
                     site_id,
                     "rdm.cache_refresher",
-                    &[("key", &key), ("origin", &origin_name), ("reason", "origin unknown")],
+                    [
+                        ("key", FieldValue::from(key.clone())),
+                        ("origin", origin_name.clone().into()),
+                        ("reason", "origin unknown".into()),
+                    ],
                 );
                 continue;
             };
@@ -96,7 +100,11 @@ impl CacheRefresher {
                         "cache.evicted",
                         site_id,
                         "rdm.cache_refresher",
-                        &[("key", &key), ("origin", &origin_name), ("reason", "origin destroyed")],
+                        [
+                            ("key", FieldValue::from(key.clone())),
+                            ("origin", origin_name.clone().into()),
+                            ("reason", "origin destroyed".into()),
+                        ],
                     );
                 }
                 Some(current) => {
@@ -126,7 +134,7 @@ impl CacheRefresher {
                     "cache.discarded",
                     site_id,
                     "rdm.cache_refresher",
-                    &[("key", key), ("reason", "outdated")],
+                    [("key", FieldValue::from(key.clone())), ("reason", "outdated".into())],
                 );
             }
         }
@@ -203,7 +211,7 @@ impl DeploymentStatusMonitor {
                         "deployment.restored",
                         site_id,
                         "rdm.status_monitor",
-                        &[("key", &key)],
+                        [("key", key.clone())],
                     );
                     report.restored.push(key);
                 } else {
@@ -218,7 +226,7 @@ impl DeploymentStatusMonitor {
                     "deployment.degraded",
                     site_id,
                     "rdm.status_monitor",
-                    &[("key", &key), ("reason", "probe failed")],
+                    [("key", FieldValue::from(key.clone())), ("reason", "probe failed".into())],
                 );
                 report.failed.push(key);
                 DeploymentStatus::Failed
@@ -296,10 +304,10 @@ impl DeploymentStatusMonitor {
                     "deploy.retried",
                     site_id,
                     "rdm.status_monitor",
-                    &[
-                        ("type", &inst.type_name),
-                        ("from", &Grid::site_label(site)),
-                        ("to", &inst.site),
+                    [
+                        ("type", inst.type_name.clone()),
+                        ("from", Grid::site_label(site)),
+                        ("to", inst.site.clone()),
                     ],
                 );
             }
@@ -354,7 +362,7 @@ impl IndexMonitor {
                     "index.diverged",
                     Some(SiteId(i as u32)),
                     "rdm.index_monitor",
-                    &[("divergence", &divergence.to_string())],
+                    [("divergence", divergence as u64)],
                 );
             }
         }
@@ -579,14 +587,14 @@ mod tests {
         let r = CacheRefresher::refresh(&mut g, 1, t(10_000));
         assert_eq!(r.discarded, keys.len());
         assert!(g.site(1).cache.is_empty());
-        let discarded: Vec<&str> = g
+        let discarded: Vec<String> = g
             .events
             .of_kind("cache.discarded")
-            .map(|e| e.fields.iter().find(|(k, _)| k == "key").unwrap().1.as_str())
+            .map(|e| e.field("key").unwrap().into_owned())
             .collect();
         let mut expected: Vec<String> = keys.clone();
         expected.sort();
-        assert_eq!(discarded, expected.iter().map(String::as_str).collect::<Vec<_>>());
+        assert_eq!(discarded, expected);
         // The staleness histogram saw the (large) ages.
         let h = g
             .metrics

@@ -334,9 +334,9 @@ impl Lookup<'_> {
             self.at(),
             "query.degraded",
             "retry",
-            &[
-                ("activity", self.activity),
-                ("age_ms", &format!("{:.0}", age.as_millis_f64())),
+            [
+                ("activity", self.activity.to_owned()),
+                ("age_ms", format!("{:.0}", age.as_millis_f64())),
             ],
         );
         let deployments = stale.into_iter().map(|(d, _)| d).collect();

@@ -20,7 +20,8 @@ use glare_core::admission::{AdmissionConfig, TenantClass};
 use glare_core::model::{example_hierarchy, ActivityDeployment};
 use glare_core::{NodeMsg, OverlayBuilder, QueryScope};
 use glare_fabric::{
-    Actor, ActorId, Ctx, Envelope, SimDuration, SimTime, Simulation, SiteId, TimerToken,
+    Actor, ActorId, Ctx, Envelope, FieldValue, SimDuration, SimTime, Simulation, SiteId,
+    TimerToken,
 };
 
 #[path = "../../fabric/tests/support/counting_alloc.rs"]
@@ -51,19 +52,22 @@ const PROBED: &str = "Imaging";
 /// request record plus the answer of the registry stage.
 const CONTINUATION: u64 = 96;
 
-/// Sends its node one query for `activity` per `PERIOD` — a `LocalOnly`
-/// probe, as a super-peer does to every member of its group, or a client's
-/// `Full` request — and counts the answers.
+/// Sends its node `per_tick` queries for `activity` every `PERIOD` — a
+/// `LocalOnly` probe, as a super-peer does to every member of its group,
+/// or a client's `Full` request — and counts the answers and rejections.
 struct Prober {
     node: ActorId,
     /// The name asked for, shared by every query as a ladder stage shares
     /// its request's.
     activity: Arc<str>,
     scope: QueryScope,
+    per_tick: u64,
     sent: u64,
     answers: u64,
     /// Deployments in the answers.
     found: u64,
+    /// Queries the node's door shed.
+    rejected: u64,
 }
 
 impl Prober {
@@ -72,9 +76,11 @@ impl Prober {
             node,
             activity: PROBED.into(),
             scope,
+            per_tick: 1,
             sent: 0,
             answers: 0,
             found: 0,
+            rejected: 0,
         }
     }
 }
@@ -90,23 +96,26 @@ impl Actor for Prober {
                 self.answers += 1;
                 self.found += deployments.len() as u64;
             }
-            _ => panic!("a query is answered with a QueryResponse"),
+            Ok((_, NodeMsg::QueryRejected { .. })) => self.rejected += 1,
+            _ => panic!("a query is answered with a QueryResponse or a QueryRejected"),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken, _tag: &str) {
         ctx.timer_after(PERIOD, "tick");
-        ctx.send(
-            self.node,
-            NodeMsg::QueryDeployments {
-                activity: Arc::clone(&self.activity),
-                req_id: self.sent,
-                reply_to: ctx.self_id,
-                scope: self.scope,
-                class: TenantClass::Gold,
-            },
-        );
-        self.sent += 1;
+        for _ in 0..self.per_tick {
+            ctx.send(
+                self.node,
+                NodeMsg::QueryDeployments {
+                    activity: Arc::clone(&self.activity),
+                    req_id: self.sent,
+                    reply_to: ctx.self_id,
+                    scope: self.scope,
+                    class: TenantClass::Gold,
+                },
+            );
+            self.sent += 1;
+        }
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -181,5 +190,63 @@ fn a_warm_cache_hit_through_a_bounded_door_allocates_its_messages_continuation_a
         spent,
         (4 * PHASE, PHASE * per_visit, PHASE * per_visit),
         "(allocations, bytes, bytes freed) over {PHASE} cache-hit visits"
+    );
+}
+
+/// The door of the test above at capacity 1, with the event log on and
+/// two queries a period: a request holds the one slot for a few periods,
+/// and every query that arrives meanwhile is shed. An answered query costs
+/// what it does above. A shed one costs its query's box, the rejection's
+/// box and the `query.shed` record's one field vector, which the log keeps:
+/// its kind and class label are literals, its activity the prober's shared
+/// name and its retry-after hint a float. Before records kept typed fields
+/// the same shed cost 11 blocks: the record's kind, component, field
+/// vector, three keys and three values were each a heap block.
+#[test]
+fn a_query_shed_at_a_full_door_allocates_its_messages_and_one_event_record() {
+    let mut overlay = OverlayBuilder::new(1, 7);
+    overlay.configure(|_, cfg| cfg.admission = AdmissionConfig::bounded(1));
+    overlay.seed(|_, node| {
+        for t in example_hierarchy(SimTime::ZERO) {
+            node.atr.register(t, SimTime::ZERO).expect("fresh registry");
+        }
+        let d = ActivityDeployment::executable("JPOVray", "site1", "/opt/jpovray/bin/jpovray", "/opt/jpovray");
+        let epr = d.epr(&node.adr.address, SimTime::ZERO);
+        node.cache.put_deployment(d, "site1", epr, SimTime::ZERO);
+    });
+    let (mut sim, ids) = overlay.build();
+    sim.enable_events(4 * PHASE as usize);
+    let mut prober = Prober::new(ids[0], QueryScope::Full);
+    prober.per_tick = 2;
+    let prober = sim.add_actor(SiteId(0), Box::new(prober));
+    sim.start();
+    sim.run_until(end_of_phase(1));
+    let replies = |sim: &Simulation| {
+        let p = sim.actor_as::<Prober>(prober).expect("inspectable");
+        (p.answers, p.rejected)
+    };
+    let before = replies(&sim);
+    // An eighth of a phase: the log's record vector, grown past the first
+    // phase's records, has room for these without reallocating.
+    let ticks = PHASE / 8;
+    let spent = spent(&mut sim, end_of_phase(1) + PERIOD * ticks);
+    let after = replies(&sim);
+    let (answered, shed) = (after.0 - before.0, after.1 - before.1);
+    assert_eq!(answered + shed, 2 * ticks, "the door is in its steady cycle");
+    assert!(shed > answered, "most queries are shed ({shed} of {})", 2 * ticks);
+    let log = sim.events().expect("events enabled");
+    assert_eq!(log.of_kind("query.shed").count() as u64, after.1);
+    let answer = 4 * std::mem::size_of::<Arc<ActivityDeployment>>() as u64;
+    let per_answer = 2 * std::mem::size_of::<NodeMsg>() as u64 + CONTINUATION + answer;
+    let per_shed = 2 * std::mem::size_of::<NodeMsg>() as u64;
+    let record = 3 * std::mem::size_of::<(&str, FieldValue)>() as u64;
+    assert_eq!(
+        spent,
+        (
+            4 * answered + 3 * shed,
+            answered * per_answer + shed * (per_shed + record),
+            answered * per_answer + shed * per_shed,
+        ),
+        "(allocations, bytes, bytes freed) over {answered} answered and {shed} shed queries"
     );
 }

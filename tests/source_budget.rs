@@ -10,9 +10,9 @@ const FN_BUDGET: usize = 120;
 
 /// `(path under crates/, lines before its tests)`: a ratchet, not an allowance.
 const OVER: [(&str, usize); 5] = [
-    ("fabric/src/sim.rs", 1363),
+    ("fabric/src/sim.rs", 1343),
     ("fabric/src/metrics.rs", 980),
-    ("glare-core/src/grid.rs", 887),
+    ("glare-core/src/grid.rs", 878),
     ("bench/src/health.rs", 818),
     ("glare-core/src/durable.rs", 829),
 ];
@@ -22,7 +22,7 @@ const LONG: [(&str, &str, usize); 6] = [
     ("bench/src/autonomic.rs", "run", 337),
     ("bench/src/health.rs", "run", 210),
     ("bench/src/grayfail.rs", "run_mode", 170),
-    ("fabric/src/sim.rs", "step", 155),
+    ("fabric/src/sim.rs", "step", 140),
     ("bench/src/health.rs", "run_overlay_with_tenants", 130),
     ("bench/src/autonomic.rs", "to_json", 126),
 ];

@@ -17,7 +17,7 @@
 use glare_core::invariants;
 use glare_core::model::{example_hierarchy, ActivityDeployment};
 use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
-use glare_fabric::{ActorId, SimDuration, SimTime, Simulation, SiteId, Topology};
+use glare_fabric::{ActorId, FaultPlan, SimDuration, SimTime, Simulation, SiteId, Topology};
 
 /// Result of the routing ablation.
 #[derive(Clone, Debug)]
@@ -137,12 +137,8 @@ fn takeover_sim(naive: bool, seed: u64) -> (Simulation, Vec<ActorId>) {
     });
     let (mut sim, ids) = b.build();
     // Partition the lowest-ranked member from the (alive) super-peer.
-    sim.schedule_call(SimTime::from_secs(30), move |s| {
-        s.set_partitioned(SiteId(sp), SiteId(isolated), true);
-    });
-    sim.schedule_call(SimTime::from_secs(120), move |s| {
-        s.set_partitioned(SiteId(sp), SiteId(isolated), false);
-    });
+    let (from, until) = (SimTime::from_secs(30), SimTime::from_secs(120));
+    FaultPlan::new().partition(from, until, SiteId(sp), SiteId(isolated)).apply(&mut sim);
     sim.start();
     (sim, ids)
 }

@@ -11,7 +11,8 @@
 //! * [`site`] — per-site CPU scheduling, run queues and the Unix 1-minute
 //!   load average reported in the paper's Fig. 13.
 //! * [`sim`] — the event kernel: actors, messages, timers, CPU work,
-//!   crashes, partitions.
+//!   crashes, partitions. A façade over the dispatch loop, the actor's
+//!   [`Ctx`] and the fault plumbing a [`FaultPlan`] drives.
 //! * [`queue`] — the kernel's calendar/bucket event queue, payload pool
 //!   and the [`SchedulerKind`] ablation switch.
 //! * [`store`] — per-site simulated persistent storage: write-ahead

@@ -9,8 +9,7 @@ const BUDGET: usize = 800;
 const FN_BUDGET: usize = 120;
 
 /// `(path under crates/, lines before its tests)`: a ratchet, not an allowance.
-const OVER: [(&str, usize); 5] = [
-    ("fabric/src/sim.rs", 1343),
+const OVER: [(&str, usize); 4] = [
     ("fabric/src/metrics.rs", 980),
     ("glare-core/src/grid.rs", 878),
     ("bench/src/health.rs", 818),
@@ -18,11 +17,10 @@ const OVER: [(&str, usize); 5] = [
 ];
 
 /// `(path under crates/, function, its lines)`: the same ratchet for functions.
-const LONG: [(&str, &str, usize); 6] = [
+const LONG: [(&str, &str, usize); 5] = [
     ("bench/src/autonomic.rs", "run", 337),
     ("bench/src/health.rs", "run", 210),
     ("bench/src/grayfail.rs", "run_mode", 170),
-    ("fabric/src/sim.rs", "step", 140),
     ("bench/src/health.rs", "run_overlay_with_tenants", 130),
     ("bench/src/autonomic.rs", "to_json", 126),
 ];

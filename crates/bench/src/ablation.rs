@@ -15,9 +15,10 @@
 //!    the brain.
 
 use glare_core::invariants;
-use glare_core::model::{example_hierarchy, ActivityDeployment};
-use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
-use glare_fabric::{ActorId, FaultPlan, SimDuration, SimTime, Simulation, SiteId, Topology};
+use glare_core::node::NodeConfig;
+use glare_fabric::{FaultPlan, SimDuration, SimTime};
+
+use crate::scenario::{deployment, node_defaults, ranked_sites, Client, Registry, Run, Scenario};
 
 /// Result of the routing ablation.
 #[derive(Clone, Debug)]
@@ -32,66 +33,37 @@ pub struct RoutingAblation {
     pub hits: u64,
 }
 
-fn routing_sim(flood: bool, seed: u64) -> (glare_fabric::Simulation, Vec<glare_fabric::ActorId>) {
+/// The routing ablation's overlay: 8 sites with caching on (the ladder's
+/// advantage is that the super-peers cache what forwarding discovers,
+/// §3.3), the one deployment on site 7, and a client on every other site
+/// (the §3.2 "local access" pattern), each repeatedly discovering the same
+/// remote activity.
+pub(crate) fn routing(flood: bool, seed: u64) -> Scenario {
     const N: usize = 8;
-    let mut b = OverlayBuilder::new(N, seed);
-    b.configure(move |_, cfg| {
-        cfg.flood_mode = flood;
-        cfg.max_group_size = 4;
-        // Caching ON: the ladder's advantage is that the super-peers
-        // cache what forwarding discovers (§3.3).
-        cfg.use_cache = true;
-    });
-    b.seed(|i, node| {
-        for t in example_hierarchy(SimTime::ZERO) {
-            node.atr.register(t, SimTime::ZERO).unwrap();
-        }
-        if i == 7 {
-            let d = ActivityDeployment::executable(
-                "JPOVray",
-                "site7",
-                "/opt/deployments/jpovray/bin/jpovray",
-                "/opt/deployments/jpovray",
-            );
-            node.adr.register(d, &node.atr, SimTime::ZERO).unwrap();
-        }
-    });
-    b.build()
+    const QUERIES_PER_CLIENT: u64 = 6;
+    let think = |i| SimDuration::from_secs(5 + i as u64);
+    let client = |i| Client::new(i, "Imaging", think(i), QUERIES_PER_CLIENT);
+    Scenario {
+        node: NodeConfig { flood_mode: flood, ..node_defaults() },
+        registry: Registry::hierarchy(vec![deployment("JPOVray", N - 1, "jpovray", "jpovray")]),
+        clients: (0..N - 1).map(client).collect(),
+        ..Scenario::new(N, seed)
+    }
 }
 
-/// Run the routing ablation in one mode: one client per site (the §3.2
-/// "local access" pattern), each repeatedly discovering the same remote
-/// activity. Overlay background traffic (heartbeats, elections) is
-/// measured by an identical client-less control run and subtracted,
-/// leaving the per-query routing cost.
+/// Run the routing ablation in one mode. Overlay background traffic
+/// (heartbeats, elections) is measured by an identical client-less control
+/// run and subtracted, leaving the per-query routing cost.
 pub fn run_routing(flood: bool, seed: u64) -> RoutingAblation {
-    const QUERIES_PER_CLIENT: u64 = 6;
-    const N: usize = 8;
     let horizon = SimTime::from_secs(600);
-
-    // Control: same overlay, no clients.
-    let (mut control, _) = routing_sim(flood, seed);
-    control.start();
+    let mut control = Scenario { clients: Vec::new(), ..routing(flood, seed) }.start().sim;
     control.run_until(horizon);
     let background = control.metrics().counter_value("net.msgs_sent");
 
-    // Measured run: a client on every site except the deployment's.
-    let (mut sim, ids) = routing_sim(flood, seed);
-    let stats = ClientStats::shared();
-    for (i, &id) in ids.iter().enumerate().take(N - 1) {
-        let client = QueryClient::new(
-            id,
-            "Imaging",
-            SimDuration::from_secs(5 + i as u64),
-            QUERIES_PER_CLIENT,
-            stats.clone(),
-        );
-        sim.add_actor(SiteId(i as u32), Box::new(client));
-    }
-    sim.start();
+    let Run { mut sim, stats, .. } = routing(flood, seed).start();
     sim.run_until(horizon);
     let total = sim.metrics().counter_value("net.msgs_sent");
-    let s = stats.lock();
+    let s = stats[0].lock();
     RoutingAblation {
         mode: if flood { "flood-all" } else { "super-peer" },
         mean_latency_ms: s
@@ -115,37 +87,25 @@ pub struct TakeoverAblation {
     pub split_brain: bool,
 }
 
-/// The takeover ablation's overlay, started, with its node ids: the
-/// super-peer stays alive but is partitioned from one member between
+/// The takeover ablation's overlay: a single election (re-elections would
+/// heal the split and mask the difference under study), and the super-peer
+/// stays alive but is partitioned from the lowest-ranked member between
 /// t = 30 s and t = 120 s.
-fn takeover_sim(naive: bool, seed: u64) -> (Simulation, Vec<ActorId>) {
-    const N: usize = 4;
-    let topo = Topology::uniform(N);
-    let mut ranked: Vec<(u32, u64)> = (0..N as u32)
-        .map(|i| (i, topo.site(SiteId(i)).rank_hashcode()))
-        .collect();
-    ranked.sort_by_key(|r| std::cmp::Reverse(r.1));
-    let sp = ranked[0].0;
-    let isolated = ranked[3].0;
-
-    let mut b = OverlayBuilder::new(N, seed);
-    b.configure(move |_, cfg| {
-        cfg.naive_takeover = naive;
-        // A single election: re-elections would heal the split and mask
-        // the difference under study.
-        cfg.election_interval = None;
-    });
-    let (mut sim, ids) = b.build();
-    // Partition the lowest-ranked member from the (alive) super-peer.
+pub(crate) fn takeover(naive: bool, seed: u64) -> Scenario {
+    let base = Scenario::new(4, seed);
+    let ranked = ranked_sites(&base.topology);
+    let (sp, isolated) = (ranked[0], ranked[ranked.len() - 1]);
     let (from, until) = (SimTime::from_secs(30), SimTime::from_secs(120));
-    FaultPlan::new().partition(from, until, SiteId(sp), SiteId(isolated)).apply(&mut sim);
-    sim.start();
-    (sim, ids)
+    Scenario {
+        node: NodeConfig { naive_takeover: naive, election_interval: None, ..node_defaults() },
+        faults: FaultPlan::new().partition(from, until, sp, isolated),
+        ..base
+    }
 }
 
 /// Run the takeover ablation to t = 300 s.
 pub fn run_takeover(naive: bool, seed: u64) -> TakeoverAblation {
-    let (mut sim, ids) = takeover_sim(naive, seed);
+    let Run { mut sim, ids, .. } = takeover(naive, seed).start();
     sim.run_until(SimTime::from_secs(300));
     TakeoverAblation {
         mode: if naive { "naive" } else { "majority-ack" },
@@ -207,7 +167,7 @@ mod tests {
             .map(|m| format!("node {m}: in node 1's group but names a different super-peer"))
             .into();
         for (naive, expected) in [(false, Vec::new()), (true, split)] {
-            let (mut sim, ids) = takeover_sim(naive, 9);
+            let Run { mut sim, ids, .. } = takeover(naive, 9).start();
             for t in [110, 300] {
                 sim.run_until(SimTime::from_secs(t));
                 let found = invariants::super_peers(&sim, &ids);

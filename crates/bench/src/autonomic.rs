@@ -25,8 +25,8 @@
 //! invariant violations, event digest) derives from sim-time alone, so
 //! it is byte-identical for a given seed.
 
-use std::collections::BTreeMap;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 
 use glare_core::autonomic::{
     live_replica_sites, publish_replica_gauges, AutonomicConfig, PlacementController,
@@ -38,11 +38,11 @@ use glare_core::invariants;
 use glare_core::model::ActivityType;
 use glare_core::rdm::install_with_dependencies;
 use glare_fabric::store::fnv1a;
-use glare_fabric::{percentile, Labels, SimTime, StoreConfig};
+use glare_fabric::{percentile, Labels, SimDuration, SimTime, StoreConfig};
 use glare_services::{ChannelKind, Transport};
 use glare_workload::{ArrivalStream, WorkloadSpec};
 
-use crate::json::Json;
+use crate::json::{fields, Json};
 
 /// Activity catalogue, most popular first (Zipf rank order). Every entry
 /// maps to a real dependency-free package so controller provisions run
@@ -264,61 +264,72 @@ fn weighted_p99(samples: &[(f64, u64)]) -> f64 {
     0.0
 }
 
-/// Run the scenario.
-pub fn run(p: &AutonomicParams) -> AutonomicReport {
-    assert!(p.sites >= 6, "the scenario needs at least 6 sites");
-    assert!(p.flash_at_secs + p.flash_secs < p.duration_secs);
-    let t0 = SimTime::ZERO;
+/// The healing loop: the Grid and its controllers, the offered arrivals
+/// per tick (`[tick][activity][class index]`) and the report's tally.
+struct Healing<'p> {
+    p: &'p AutonomicParams,
+    grid: Grid,
+    controllers: Vec<PlacementController>,
+    counts: Vec<Vec<[u64; 3]>>,
+    /// The pre-spike, first-10-s-of-flash and last-15-s-of-flash windows.
+    windows: [Range<u64>; 3],
+    tally: Tally,
+}
 
-    // ---- Grid with durable stores and the seeded catalogue ----
+/// What the healing loop accumulates for the report.
+#[derive(Default)]
+struct Tally {
+    /// The permanently crashed site (chosen at crash time).
+    victim_site: usize,
+    rounds: Vec<RoundRow>,
+    replicas: Vec<ReplicaSample>,
+    violations: Vec<String>,
+    action_counts: BTreeMap<(String, String), u64>,
+    /// Per class: offered, served, degraded, served pre-spike, served late-flash.
+    traffic: [[u64; 3]; 5],
+    /// Worst per-activity latency seen by gold traffic each tick — the
+    /// spike/recovery scan tracks the hot-spot, not the mean.
+    gold_tick_worst: Vec<f64>,
+    /// Gold `(latency, requests)` samples per window.
+    samples: [Vec<(f64, u64)>; 3],
+    crash_lost: Vec<String>,
+    crash_recovered_at: BTreeMap<String, Option<u64>>,
+}
+
+/// The durable Grid with the catalogue seeded, one replica of type `i` on
+/// site `i % sites`.
+fn seeded_grid(p: &AutonomicParams) -> Grid {
+    let t0 = SimTime::ZERO;
     let mut grid = Grid::new(p.sites, Transport::Http);
     grid.enable_durability(StoreConfig::standard());
-    let mut initial_site = BTreeMap::new();
     for (i, (name, pkg)) in CATALOGUE.iter().enumerate() {
         let ty = ActivityType::concrete_type(name, "autonomic", pkg);
         grid.register_type(0, ty.clone(), t0).unwrap();
         let home = i % p.sites;
-        install_with_dependencies(
-            &mut grid,
-            &ty,
-            home,
-            ChannelKind::Expect,
-            t0,
-            &mut HashSet::new(),
-            &mut Vec::new(),
-            None,
-        )
-        .expect("seed install succeeds on a healthy grid");
-        initial_site.insert((*name).to_owned(), home);
+        let (mut seen, mut report) = (HashSet::new(), Vec::new());
+        let channel = ChannelKind::Expect;
+        install_with_dependencies(&mut grid, &ty, home, channel, t0, &mut seen, &mut report, None)
+            .expect("seed install succeeds on a healthy grid");
     }
+    grid
+}
 
-    // ---- Controllers: one per super-peer (sites 0 and 1) ----
-    let acting = p.cfg.enabled && p.mode == ControllerMode::Enabled;
-    let ctl_cfg = AutonomicConfig { enabled: acting, ..p.cfg };
-    let mut controllers: Vec<PlacementController> = match p.mode {
-        ControllerMode::Absent => Vec::new(),
-        _ => vec![
-            PlacementController::new("ctl@site0", 0, p.seed, ctl_cfg, ChannelKind::Expect),
-            PlacementController::new("ctl@site1", 1, p.seed, ctl_cfg, ChannelKind::Expect),
-        ],
-    };
-
-    // ---- Workload: flash-crowd three-tier mix over the catalogue ----
+/// The flash-crowd three-tier mix over the catalogue, as arrival counts
+/// per tick, activity and class.
+fn arrival_counts(p: &AutonomicParams) -> Vec<Vec<[u64; 3]>> {
     let names: Vec<&str> = CATALOGUE.iter().map(|(n, _)| *n).collect();
     let spec = WorkloadSpec::flash_crowd(
         p.seed,
-        glare_fabric::SimDuration::from_secs(p.duration_secs),
+        SimDuration::from_secs(p.duration_secs),
         p.total_rate_hz,
         SimTime::from_secs(p.flash_at_secs),
-        glare_fabric::SimDuration::from_secs(p.flash_secs),
+        SimDuration::from_secs(p.flash_secs),
         p.flash_multiplier,
     )
     .with_activities(&names)
     .with_zipf(1.0);
-    // Per-tick arrival counts: [tick][activity][class_index].
-    let n_types = CATALOGUE.len();
     let ticks = p.duration_secs as usize;
-    let mut counts = vec![vec![[0u64; 3]; n_types]; ticks];
+    let mut counts = vec![vec![[0u64; 3]; CATALOGUE.len()]; ticks];
     for (i, tenant) in spec.tenants.iter().enumerate() {
         let class = tenant.class.index();
         for a in ArrivalStream::generate(&spec, i).arrivals {
@@ -328,123 +339,103 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
             }
         }
     }
+    counts
+}
 
-    // ---- The telemetry / healing loop ----
-    let flash_end = p.flash_at_secs + p.flash_secs;
-    let pre_window = p.flash_at_secs.saturating_sub(10)..p.flash_at_secs;
-    let peak_window = p.flash_at_secs..(p.flash_at_secs + 10).min(flash_end);
-    let post_window = flash_end.saturating_sub(15)..flash_end;
-    // Chosen at crash time: the site holding the sole replica of a type
-    // sitting at the replica floor, so the crash provably orphans it.
-    let mut victim_site = initial_site[CATALOGUE[n_types - 1].0];
-
-    let mut rounds: Vec<RoundRow> = Vec::new();
-    let mut replicas: Vec<ReplicaSample> = Vec::new();
-    let mut violations: Vec<String> = Vec::new();
-    let mut action_counts: BTreeMap<(String, String), u64> = BTreeMap::new();
-    let mut offered = [0u64; 3];
-    let mut served = [0u64; 3];
-    let mut degraded = [0u64; 3];
-    let mut served_pre = [0u64; 3];
-    let mut served_post = [0u64; 3];
-    // Worst per-activity latency seen by gold traffic each tick — the
-    // spike/recovery scan tracks the hot-spot, not the mean.
-    let mut gold_tick_worst: Vec<f64> = Vec::with_capacity(ticks);
-    let mut pre_samples: Vec<(f64, u64)> = Vec::new();
-    let mut peak_samples: Vec<(f64, u64)> = Vec::new();
-    let mut post_samples: Vec<(f64, u64)> = Vec::new();
-    let mut crash_lost: Vec<String> = Vec::new();
-    let mut crash_recovered_at: BTreeMap<String, Option<u64>> = BTreeMap::new();
-
-    for t in 0..p.duration_secs {
-        let now = SimTime::from_secs(t);
-
-        // -- Chaos schedule --
+impl Healing<'_> {
+    /// Chaos step: the super-peer crash and its amnesia restart, and the
+    /// permanent crash of the site holding the sole replica of a type at
+    /// the replica floor, so the crash provably orphans it.
+    fn chaos_step(&mut self, t: u64) {
+        let (p, now) = (self.p, SimTime::from_secs(t));
         if t == p.crash_b_at_secs {
-            grid.crash_site(1, now);
+            self.grid.crash_site(1, now);
         }
         if t == p.restart_b_at_secs {
-            grid.restart_site(1, now);
+            self.grid.restart_site(1, now);
             // The rejoined super-peer's controller lost all soft state to
             // the amnesia crash; it rebuilds from telemetry.
-            for c in controllers.iter_mut().filter(|c| c.name() == "ctl@site1") {
+            for c in self.controllers.iter_mut().filter(|c| c.name() == "ctl@site1") {
                 c.reset();
             }
         }
         if t == p.crash_victim_at_secs {
-            let mut types = CATALOGUE.iter().rev().map(|(n, _)| live_replica_sites(&grid, n, now));
+            let grid = &self.grid;
+            let mut types = CATALOGUE.iter().rev().map(|(n, _)| live_replica_sites(grid, n, now));
             if let Some(sites) = types.find(|s| !s.is_empty() && s.len() as u32 <= MIN_REPLICAS) {
-                victim_site = sites[0];
+                self.tally.victim_site = sites[0];
             }
             for (name, _) in CATALOGUE {
-                let sites = live_replica_sites(&grid, name, now);
-                let survivors = sites.iter().filter(|&&s| s != victim_site).count();
+                let sites = live_replica_sites(grid, name, now);
+                let survivors = sites.iter().filter(|&&s| s != self.tally.victim_site).count();
                 if !sites.is_empty() && survivors < MIN_REPLICAS as usize {
-                    crash_lost.push((*name).to_owned());
-                    crash_recovered_at.insert((*name).to_owned(), None);
+                    self.tally.crash_lost.push((*name).to_owned());
+                    self.tally.crash_recovered_at.insert((*name).to_owned(), None);
                 }
             }
-            grid.crash_site(victim_site, now);
+            self.grid.crash_site(self.tally.victim_site, now);
         }
+    }
 
-        // -- Publish demand telemetry (trailing mean over the window) --
+    /// Demand publication: per-type gauges of the trailing mean arrival
+    /// rate over the demand window. Returns the rates.
+    fn publish_demand(&mut self, t: u64) -> Vec<f64> {
         let lo = (t as usize + 1).saturating_sub(DEMAND_WINDOW_TICKS);
-        let window = &counts[lo..=t as usize];
-        let mut demand_hz = vec![0.0f64; n_types];
-        for (a, d) in demand_hz.iter_mut().enumerate() {
-            let total: u64 = window.iter().map(|tk| tk[a].iter().sum::<u64>()).sum();
-            *d = total as f64 / window.len() as f64;
-        }
+        let window = &self.counts[lo..=t as usize];
+        let total = |a: usize| window.iter().map(|tk| tk[a].iter().sum::<u64>()).sum::<u64>();
+        let demand_hz: Vec<f64> =
+            (0..CATALOGUE.len()).map(|a| total(a) as f64 / window.len() as f64).collect();
         for (a, (name, _)) in CATALOGUE.iter().enumerate() {
-            grid.metrics
-                .gauge(DEMAND_FAMILY, &Labels::of(&[("activity", name)]))
-                .set(now, demand_hz[a]);
+            let gauge = self.grid.metrics.gauge(DEMAND_FAMILY, &Labels::of(&[("activity", name)]));
+            gauge.set(SimTime::from_secs(t), demand_hz[a]);
         }
+        demand_hz
+    }
 
-        // -- Per-site utilization from the current placement --
-        let replica_map: Vec<Vec<usize>> = CATALOGUE
-            .iter()
-            .map(|(name, _)| live_replica_sites(&grid, name, now))
-            .collect();
+    /// Queueing proxy: per-site utilization from the demand and the current
+    /// placement (published as load gauges), per-type latency from its
+    /// replicas' mean utilization, and per-class accounting of the tick's
+    /// arrivals.
+    fn queueing_proxy(&mut self, t: u64, demand_hz: &[f64]) {
+        let (p, now) = (self.p, SimTime::from_secs(t));
+        let replica_map: Vec<Vec<usize>> =
+            CATALOGUE.iter().map(|(name, _)| live_replica_sites(&self.grid, name, now)).collect();
         let mut util = vec![0.0f64; p.sites];
-        for (a, sites) in replica_map.iter().enumerate() {
-            if sites.is_empty() {
-                continue;
-            }
+        for (a, sites) in replica_map.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
             let per_site = demand_hz[a] / sites.len() as f64 / p.site_capacity_hz;
             for &s in sites {
                 util[s] += per_site;
             }
         }
         for (s, u) in util.iter().enumerate() {
-            if grid.site_is_up(s) {
-                grid.set_gauge(s, LOAD_FAMILY, None, now, *u);
+            if self.grid.site_is_up(s) {
+                self.grid.set_gauge(s, LOAD_FAMILY, None, now, *u);
             }
         }
 
-        // -- Queueing proxy: per-type latency, per-class accounting --
+        let [pre, _, post] = &self.windows;
         let mut worst = f64::NAN;
         for (a, sites) in replica_map.iter().enumerate() {
             let lat_ms = if sites.is_empty() {
                 DEGRADED_MS
             } else {
-                let mean_util: f64 =
-                    sites.iter().map(|&s| util[s]).sum::<f64>() / sites.len() as f64;
+                let mean_util = sites.iter().map(|&s| util[s]).sum::<f64>() / sites.len() as f64;
                 p.base_latency_ms / (1.0 - mean_util.min(0.98))
             };
-            let tick_counts = &counts[t as usize][a];
+            let tick_counts = &self.counts[t as usize][a];
+            let [offered, served, degraded, served_pre, served_post] = &mut self.tally.traffic;
             for (class, &n) in tick_counts.iter().enumerate() {
                 offered[class] += n;
                 if sites.is_empty() {
                     degraded[class] += n;
-                } else {
-                    served[class] += n;
-                    if pre_window.contains(&t) {
-                        served_pre[class] += n;
-                    }
-                    if post_window.contains(&t) {
-                        served_post[class] += n;
-                    }
+                    continue;
+                }
+                served[class] += n;
+                if pre.contains(&t) {
+                    served_pre[class] += n;
+                }
+                if post.contains(&t) {
+                    served_post[class] += n;
                 }
             }
             let gold_count = tick_counts[0];
@@ -452,107 +443,137 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
                 if worst.is_nan() || lat_ms > worst {
                     worst = lat_ms;
                 }
-                if pre_window.contains(&t) {
-                    pre_samples.push((lat_ms, gold_count));
-                }
-                if peak_window.contains(&t) {
-                    peak_samples.push((lat_ms, gold_count));
-                }
-                if post_window.contains(&t) {
-                    post_samples.push((lat_ms, gold_count));
+                for (window, samples) in self.windows.iter().zip(&mut self.tally.samples) {
+                    if window.contains(&t) {
+                        samples.push((lat_ms, gold_count));
+                    }
                 }
             }
             // Crash-recovery bookkeeping: a lost type heals when its live
             // replica count is back at the floor.
-            if let Some(slot @ None) = crash_recovered_at.get_mut(CATALOGUE[a].0) {
+            if let Some(slot @ None) = self.tally.crash_recovered_at.get_mut(CATALOGUE[a].0) {
                 if sites.len() as u32 >= MIN_REPLICAS {
                     *slot = Some(t);
                 }
             }
         }
-        gold_tick_worst.push(worst);
-
-        // -- Controller rounds --
-        if t > 0 && t % p.controller_interval_secs == 0 && !controllers.is_empty() {
-            // Both controllers decide from ONE shared snapshot: they race
-            // for the same hot-spot, and only the coordination lease keeps
-            // them from double-provisioning.
-            let enabled = controllers.iter().any(|c| c.is_enabled());
-            if !enabled {
-                // Disabled controllers still tick: the observe-only
-                // invariant says these calls change nothing.
-                for c in &mut controllers {
-                    let out = c.tick(&mut grid, now);
-                    assert!(out.records.is_empty(), "disabled tick must be a no-op");
-                }
-            } else {
-                let snap = TelemetrySnapshot::observe(&grid, now);
-                let mut records = Vec::new();
-                let decisions: Vec<_> = controllers
-                    .iter_mut()
-                    .map(|c| {
-                        if grid.site_is_up(c.home()) {
-                            c.decide(&snap)
-                        } else {
-                            Vec::new()
-                        }
-                    })
-                    .collect();
-                for (c, actions) in controllers.iter_mut().zip(decisions) {
-                    let outcome = c.act(&mut grid, actions, now);
-                    violations.extend(invariants::placement_actions(&grid, &outcome.records, now));
-                    for rec in &outcome.records {
-                        let action = rec.action.kind.label().to_owned();
-                        let oc = rec.outcome.label().to_owned();
-                        *action_counts.entry((action.clone(), oc.clone())).or_default() += 1;
-                        rounds.push(RoundRow {
-                            t_secs: t,
-                            controller: c.name().to_owned(),
-                            action,
-                            type_name: rec.action.type_name.clone(),
-                            site: rec.action.site,
-                            outcome: oc,
-                        });
-                    }
-                    records.extend(outcome.records);
-                }
-                let max = p.cfg.max_replicas;
-                violations.extend(invariants::placement_round(&grid, &records, &names, max, now));
-                // Replica timeline.
-                let post = TelemetrySnapshot::observe(&grid, now);
-                publish_replica_gauges(&mut grid, &post, now);
-                let counts = CATALOGUE
-                    .iter()
-                    .map(|(name, _)| {
-                        ((*name).to_owned(), live_replica_sites(&grid, name, now).len() as u32)
-                    })
-                    .collect();
-                replicas.push(ReplicaSample { t_secs: t, counts });
-            }
-        }
+        self.tally.gold_tick_worst.push(worst);
     }
 
-    // ---- Distill ----
-    let gold_p99_pre_ms = weighted_p99(&pre_samples);
-    let gold_p99_peak_ms = weighted_p99(&peak_samples);
-    let gold_p99_post_ms = weighted_p99(&post_samples);
+    /// Controller round. Both controllers decide from ONE shared snapshot:
+    /// they race for the same hot-spot, and only the coordination lease
+    /// keeps them from double-provisioning. Disabled controllers still
+    /// tick: the observe-only invariant says these calls change nothing.
+    fn controller_round(&mut self, t: u64) {
+        let (grid, now) = (&mut self.grid, SimTime::from_secs(t));
+        if !self.controllers.iter().any(|c| c.is_enabled()) {
+            for c in &mut self.controllers {
+                let out = c.tick(grid, now);
+                assert!(out.records.is_empty(), "disabled tick must be a no-op");
+            }
+            return;
+        }
+        let snap = TelemetrySnapshot::observe(grid, now);
+        let mut records = Vec::new();
+        let decisions: Vec<_> = self
+            .controllers
+            .iter_mut()
+            .map(|c| if grid.site_is_up(c.home()) { c.decide(&snap) } else { Vec::new() })
+            .collect();
+        for (c, actions) in self.controllers.iter_mut().zip(decisions) {
+            let outcome = c.act(grid, actions, now);
+            let violations = invariants::placement_actions(grid, &outcome.records, now);
+            self.tally.violations.extend(violations);
+            for rec in &outcome.records {
+                let action = rec.action.kind.label().to_owned();
+                let oc = rec.outcome.label().to_owned();
+                *self.tally.action_counts.entry((action.clone(), oc.clone())).or_default() += 1;
+                let (controller, type_name) = (c.name().to_owned(), rec.action.type_name.clone());
+                let site = rec.action.site;
+                let row = RoundRow { t_secs: t, controller, action, type_name, site, outcome: oc };
+                self.tally.rounds.push(row);
+            }
+            records.extend(outcome.records);
+        }
+        let names: Vec<&str> = CATALOGUE.iter().map(|(n, _)| *n).collect();
+        let max = self.p.cfg.max_replicas;
+        self.tally.violations.extend(invariants::placement_round(grid, &records, &names, max, now));
+        // Replica timeline.
+        let post = TelemetrySnapshot::observe(grid, now);
+        publish_replica_gauges(grid, &post, now);
+        let counts = CATALOGUE
+            .iter()
+            .map(|(name, _)| ((*name).to_owned(), live_replica_sites(grid, name, now).len() as u32))
+            .collect();
+        self.tally.replicas.push(ReplicaSample { t_secs: t, counts });
+    }
+}
+
+/// Run the scenario: one telemetry tick per simulated second, each a chaos
+/// step, a demand publication, the queueing proxy and (every controller
+/// interval) a controller round.
+pub fn run(p: &AutonomicParams) -> AutonomicReport {
+    assert!(p.sites >= 6, "the scenario needs at least 6 sites");
+    assert!(p.flash_at_secs + p.flash_secs < p.duration_secs);
+    let grid = seeded_grid(p);
+    // Controllers: one per super-peer (sites 0 and 1).
+    let acting = p.cfg.enabled && p.mode == ControllerMode::Enabled;
+    let ctl_cfg = AutonomicConfig { enabled: acting, ..p.cfg };
+    let controller =
+        |name, home| PlacementController::new(name, home, p.seed, ctl_cfg, ChannelKind::Expect);
+    let controllers = match p.mode {
+        ControllerMode::Absent => Vec::new(),
+        _ => vec![controller("ctl@site0", 0), controller("ctl@site1", 1)],
+    };
+    let flash_end = p.flash_at_secs + p.flash_secs;
+    let mut healing = Healing {
+        p,
+        grid,
+        controllers,
+        counts: arrival_counts(p),
+        windows: [
+            p.flash_at_secs.saturating_sub(10)..p.flash_at_secs,
+            p.flash_at_secs..(p.flash_at_secs + 10).min(flash_end),
+            flash_end.saturating_sub(15)..flash_end,
+        ],
+        tally: Tally {
+            // The coldest type's initial site, unless a better victim
+            // emerges at crash time.
+            victim_site: (CATALOGUE.len() - 1) % p.sites,
+            gold_tick_worst: Vec::with_capacity(p.duration_secs as usize),
+            ..Tally::default()
+        },
+    };
+    for t in 0..p.duration_secs {
+        healing.chaos_step(t);
+        let demand_hz = healing.publish_demand(t);
+        healing.queueing_proxy(t, &demand_hz);
+        if t > 0 && t % p.controller_interval_secs == 0 && !healing.controllers.is_empty() {
+            healing.controller_round(t);
+        }
+    }
+    distill(p, &healing.grid, &healing.windows, healing.tally)
+}
+
+/// The report from the healing loop's tally and the Grid's final state.
+fn distill(p: &AutonomicParams, grid: &Grid, w: &[Range<u64>; 3], mut h: Tally) -> AutonomicReport {
+    let flash_end = p.flash_at_secs + p.flash_secs;
+    let [gold_p99_pre_ms, gold_p99_peak_ms, gold_p99_post_ms] =
+        h.samples.each_ref().map(|s| weighted_p99(s));
     let bound = 1.25 * gold_p99_pre_ms;
     let recovered = gold_p99_post_ms <= bound && gold_p99_pre_ms > 0.0;
-    let spike_tick = (p.flash_at_secs..flash_end)
-        .find(|&t| gold_tick_worst[t as usize] > bound);
-    let recovery_after_flash_ms = spike_tick.and_then(|spike| {
-        (spike..flash_end)
-            .find(|&t| gold_tick_worst[t as usize] <= bound)
-            .map(|t| (t - p.flash_at_secs) * 1000)
-    });
-    let mut crash_recovery_ms: Vec<f64> = crash_recovered_at
-        .values()
-        .filter_map(|v| v.map(|t| (t.saturating_sub(p.crash_victim_at_secs)) as f64 * 1000.0))
-        .collect();
+    let worst = &h.gold_tick_worst;
+    let spike_tick = (p.flash_at_secs..flash_end).find(|&t| worst[t as usize] > bound);
+    let recovered_at = |spike| (spike..flash_end).find(|&t| worst[t as usize] <= bound);
+    let recovery_after_flash_ms =
+        spike_tick.and_then(recovered_at).map(|t| (t - p.flash_at_secs) * 1000);
+    let since_crash = |&t: &u64| t.saturating_sub(p.crash_victim_at_secs) as f64 * 1000.0;
+    let mut crash_recovery_ms: Vec<f64> =
+        h.crash_recovered_at.values().flatten().map(since_crash).collect();
     crash_recovery_ms.sort_by(f64::total_cmp);
     if p.mode == ControllerMode::Enabled {
-        for (name, _) in crash_recovered_at.iter().filter(|(_, at)| at.is_none()) {
-            violations.push(format!(
+        for (name, _) in h.crash_recovered_at.iter().filter(|(_, at)| at.is_none()) {
+            h.violations.push(format!(
                 "{name} never regained its replica floor after the crash at t={}",
                 p.crash_victim_at_secs
             ));
@@ -560,45 +581,40 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
     }
     // The controllers' coordination leases: exclusive, so none may overlap.
     for s in 0..grid.len() {
-        violations.extend(invariants::lease_caps(s, &grid.site(s).leases));
+        h.violations.extend(invariants::lease_caps(s, &grid.site(s).leases));
     }
 
-    let class_names = ["gold", "silver", "best_effort"];
-    let classes = (0..3)
-        .map(|i| ClassRow {
-            class: class_names[i].to_owned(),
+    let [offered, served, degraded, served_pre, served_post] = h.traffic;
+    let rate = |n: u64, w: &Range<u64>| n as f64 / (w.end - w.start).max(1) as f64;
+    let classes = ["gold", "silver", "best_effort"].iter().enumerate().map(|(i, class)| ClassRow {
+            class: (*class).to_owned(),
             offered: offered[i],
             served: served[i],
             degraded: degraded[i],
-            goodput_pre_hz: served_pre[i] as f64
-                / (pre_window.end - pre_window.start).max(1) as f64,
-            goodput_post_hz: served_post[i] as f64
-                / (post_window.end - post_window.start).max(1) as f64,
-        })
-        .collect();
+            goodput_pre_hz: rate(served_pre[i], &w[0]),
+            goodput_post_hz: rate(served_post[i], &w[2]),
+        });
 
     let jsonl = grid.events.to_jsonl();
-    let digest = fnv1a(jsonl.as_bytes());
-
     AutonomicReport {
         params: *p,
-        classes,
+        classes: classes.collect(),
         gold_p99_pre_ms,
         gold_p99_peak_ms,
         gold_p99_post_ms,
         recovered,
         recovery_after_flash_ms,
-        crash_victim_site: victim_site,
-        crash_types_lost: crash_lost,
+        crash_victim_site: h.victim_site,
+        crash_types_lost: h.crash_lost,
         crash_recovery_p50_ms: percentile(&crash_recovery_ms, 0.50).unwrap_or(0.0),
         crash_recovery_p95_ms: percentile(&crash_recovery_ms, 0.95).unwrap_or(0.0),
         degraded_reads_total: degraded.iter().sum(),
-        action_counts,
-        rounds,
-        replicas,
-        violations,
+        action_counts: h.action_counts,
+        rounds: h.rounds,
+        replicas: h.replicas,
+        violations: h.violations,
         events: jsonl.lines().count() as u64,
-        event_digest: digest,
+        event_digest: fnv1a(jsonl.as_bytes()),
         lint_errors: grid.metrics.lint_metric_names().len(),
     }
 }
@@ -659,6 +675,7 @@ impl AutonomicReport {
     /// sim-time alone, so it is byte-identical for a given seed.
     pub fn to_json(&self) -> Json {
         let p = &self.params;
+        let recovery_after_flash_ms = self.recovery_after_flash_ms.map_or(Json::Null, Json::from);
         let deterministic = Json::obj([
             (
                 "params",
@@ -689,14 +706,10 @@ impl AutonomicReport {
             (
                 "classes",
                 Json::arr(self.classes.iter().map(|c| {
-                    Json::obj([
-                        ("class", Json::from(c.class.as_str())),
-                        ("offered", Json::from(c.offered)),
-                        ("served", Json::from(c.served)),
-                        ("degraded", Json::from(c.degraded)),
-                        ("goodput_pre_hz", Json::from(c.goodput_pre_hz)),
-                        ("goodput_post_hz", Json::from(c.goodput_post_hz)),
-                    ])
+                    Json::obj(fields!(
+                        c;
+                        class, offered, served, degraded, goodput_pre_hz, goodput_post_hz,
+                    ))
                 })),
             ),
             (
@@ -706,13 +719,7 @@ impl AutonomicReport {
                     ("p99_peak_ms", Json::from(self.gold_p99_peak_ms)),
                     ("p99_post_ms", Json::from(self.gold_p99_post_ms)),
                     ("recovered", Json::from(self.recovered)),
-                    (
-                        "recovery_after_flash_ms",
-                        match self.recovery_after_flash_ms {
-                            Some(ms) => Json::from(ms),
-                            None => Json::Null,
-                        },
-                    ),
+                    ("recovery_after_flash_ms", recovery_after_flash_ms),
                 ]),
             ),
             (
@@ -754,18 +761,8 @@ impl AutonomicReport {
             (
                 "replicas",
                 Json::arr(self.replicas.iter().map(|s| {
-                    Json::obj([
-                        ("t_secs", Json::from(s.t_secs)),
-                        (
-                            "counts",
-                            Json::obj(
-                                s.counts
-                                    .iter()
-                                    .map(|(name, n)| (name.as_str(), Json::from(u64::from(*n))))
-                                    .collect::<Vec<_>>(),
-                            ),
-                        ),
-                    ])
+                    let counts = s.counts.iter().map(|(t, n)| (t.as_str(), Json::from(*n as u64)));
+                    Json::obj([("t_secs", Json::from(s.t_secs)), ("counts", Json::obj(counts))])
                 })),
             ),
             ("invariant_violations", Json::from(self.violations.len())),

@@ -9,7 +9,7 @@
 //! points plus trace-derived critical-path statistics per run.
 
 use glare_bench::args::{write_artifact, Args};
-use glare_bench::fig12::{render, run_config_traced, Fig12Params, CONFIGS};
+use glare_bench::fig12::{render, run_config, Fig12Params, CONFIGS};
 use glare_bench::json::Json;
 use glare_bench::trace::{chrome_trace_json, OverlayReport};
 
@@ -22,7 +22,7 @@ fn main() {
     let mut report = OverlayReport::new("fig12", export_trace);
     let mut pts = Vec::new();
     for (sites, cache) in CONFIGS {
-        let (pt, sink) = run_config_traced(sites, cache, p);
+        let (pt, sink) = run_config(sites, cache, p, true);
         report.record(&pt.label(), pt.to_json(), &sink, "client.query");
         if export_trace && sites == 7 {
             write_artifact("TRACE_fig12.json", &chrome_trace_json(&sink).to_string_pretty());

@@ -11,7 +11,7 @@
 
 use glare_bench::args::{write_artifact, Args};
 use glare_bench::fig13::{
-    render, run_requesters_traced, run_sinks_traced, Fig13Params, REQUESTERS, SINKS, SINK_RATES_S,
+    render, run_requesters, run_sinks, Fig13Params, REQUESTERS, SINKS, SINK_RATES_S,
 };
 use glare_bench::json::Json;
 use glare_bench::trace::{chrome_trace_json, OverlayReport};
@@ -26,7 +26,7 @@ fn main() {
     let mut report = OverlayReport::new("fig13", export_trace);
     let mut pts = Vec::new();
     for n in REQUESTERS {
-        let (pt, sink) = run_requesters_traced(n, p);
+        let (pt, sink) = run_requesters(n, p, true);
         report.record(&format!("requesters x{n}"), pt.to_json(), &sink, "client.query");
         if export_trace && n == 250 {
             write_artifact("TRACE_fig13.json", &chrome_trace_json(&sink).to_string_pretty());
@@ -35,7 +35,7 @@ fn main() {
     }
     for rate_s in SINK_RATES_S {
         for n in SINKS {
-            let (pt, sink) = run_sinks_traced(n, SimDuration::from_secs(rate_s), p);
+            let (pt, sink) = run_sinks(n, SimDuration::from_secs(rate_s), p, true);
             report.record(&format!("sinks x{n} @{rate_s}s"), pt.to_json(), &sink, "notify.round");
             pts.push(pt);
         }

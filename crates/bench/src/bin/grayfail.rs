@@ -7,7 +7,7 @@
 //! Flags:
 //!   --smoke       CI-sized scenario (the default scenario, pinned seed)
 //!   --seed N      master seed (default 2026)
-//!   --slow F      gray-phase compute slowdown factor (default 150)
+//!   --slow F      gray-phase compute slowdown factor, 1..=1000 (default 150)
 //!   --json        machine-readable output on stdout instead of the table
 
 use glare_bench::args::{exit_on_violations, write_artifact, Args};
@@ -22,8 +22,8 @@ fn main() {
     };
     let json_out = args.flag("--json");
     args.set(&mut p.seed, "--seed", "an integer", |_| true);
-    args.set(&mut p.slow_factor, "--slow", "a factor >= 1.0", |&f| {
-        f >= 1.0
+    args.set(&mut p.slow_factor, "--slow", "a factor in 1.0..=1000.0", |f| {
+        (1.0..=1000.0).contains(f)
     });
     args.finish_or_exit();
 

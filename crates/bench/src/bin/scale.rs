@@ -4,13 +4,13 @@
 //!
 //! Flags:
 //!   --smoke          CI-sized sweep (100 and 200 sites)
-//!   --sites LIST     comma-separated site counts (default 1000,2500,5000,10000)
+//!   --sites LIST     comma-separated site counts, each >= 2 (default 1000,2500,5000,10000)
 //!   --depth N        super-peer tree depth for the tree rows (default 3)
 //!   --no-flood       skip the flat-broadcast baseline rows
 //!   --json           machine-readable output on stdout instead of the table
 
 use glare_bench::args::{write_artifact, Args};
-use glare_bench::scale::{render, run, to_json, ScaleParams};
+use glare_bench::scale::{render, run, to_json, ScaleParams, MIN_SITES};
 
 fn main() {
     let mut args = Args::from_env();
@@ -21,7 +21,8 @@ fn main() {
     };
     p.flood_baseline &= !args.flag("--no-flood");
     let json_out = args.flag("--json");
-    args.set_list(&mut p.sites, "--sites", "comma-separated positive integers", |&n| n > 0);
+    let at_least = format!("comma-separated integers >= {MIN_SITES}");
+    args.set_list(&mut p.sites, "--sites", &at_least, |&n| n >= MIN_SITES);
     args.set(&mut p.tree_depth, "--depth", "an integer >= 2", |&d| d >= 2);
     args.finish_or_exit();
 

@@ -37,7 +37,7 @@ use glare_core::grid::{FaultInjector, Grid};
 use glare_core::invariants;
 use glare_core::lease::LeaseKind;
 use glare_core::model::example_hierarchy;
-use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
+use glare_core::node::NodeConfig;
 use glare_core::rdm::{provision, ProvisionRequest};
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
 use glare_core::RetryPolicy;
@@ -46,6 +46,9 @@ use glare_fabric::{
     DEFAULT_MAX_EVENTS,
 };
 use glare_services::{ChannelKind, Transport};
+
+use crate::json::fields;
+use crate::scenario::{node_defaults, Client, Registry, Run, Scenario};
 
 /// [`percentile`] of ascending millisecond samples; 0 when there are none.
 fn pct(sorted_ms: &[f64], q: f64) -> f64 {
@@ -268,85 +271,75 @@ fn sorted_samples_ms(m: &MetricsRegistry, family: &str) -> Vec<f64> {
     out
 }
 
-/// Run one overlay soak at `loss` and return its row.
-fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
+/// One overlay soak at `loss`, stated as a scenario: the whole
+/// resilience stack on, durable stores, one deliberately worse link, and
+/// random outages, slowdowns, a partition and a flapping link, all healed
+/// by 60% of the horizon. Site 0 hosts the community index (the election
+/// coordinator), so outages spare it.
+pub(crate) fn overlay_scenario(p: &ChaosParams, loss: f64) -> Scenario {
     assert!(p.sites >= MIN_SITES, "the scenario needs at least {MIN_SITES} sites");
     // Salt the seed per loss point so the sweep explores distinct fault
     // schedules while staying reproducible.
     let salt = (loss * 1000.0).round() as u64;
     let seed = p.seed.wrapping_add(salt.wrapping_mul(7919));
-
-    let mut builder = OverlayBuilder::new(p.sites, seed);
-    builder.configure(|_, cfg| {
-        cfg.use_cache = true;
-        cfg.max_group_size = 4;
-        cfg.retry = RetryPolicy::standard();
-        // The gray-failure stack rides along: adaptive suspicion must
-        // never declare a slowed (or merely lossy) peer dead, and hedged
-        // probes must not disturb any post-heal invariant.
-        cfg.suspicion = SuspicionConfig::standard();
-        cfg.hedge = HedgeConfig::standard();
-    });
-    builder.seed(crate::seed_round_robin(p.types, p.sites, "chaos"));
-    let (mut sim, ids) = builder.build();
-    sim.enable_events(DEFAULT_MAX_EVENTS);
-    // Durable per-site stores: the scripted outages below become
-    // amnesia-faithful crashes whose restarts replay the journal and
-    // anti-entropy-rejoin, feeding the recovery-time percentiles.
-    sim.enable_store(StoreConfig::standard());
-    sim.set_drop_probability(loss);
-    // One deliberately worse link, exercising the per-link override.
-    sim.set_link_drop_probability(SiteId(1), SiteId(2), Some((loss * 3.0).min(0.5)));
-
-    // Scripted faults: random outages, a partition and a flapping link,
-    // all healed by 60% of the horizon. Site 0 hosts the community
-    // index (the election coordinator), so outages spare it.
     let h = p.horizon_secs;
     let t = SimTime::from_secs;
     let d = SimDuration::from_secs;
     let mut frng = SimRng::from_seed(seed).fork("chaos.faults");
     let victims: Vec<SiteId> = (1..p.sites as u32).map(SiteId).collect();
-    let plan = FaultPlan::new()
-        .random_outages(&mut frng, p.outages, &victims, t(h / 6), t(h / 2), d(40))
-        .random_slowdowns(
-            &mut frng,
-            p.slowdowns,
-            &victims,
-            t(h / 6),
-            t(h / 2),
-            d(40),
-            p.slow_factor,
-        )
+    let (start, end) = (t(h / 6), t(h / 2));
+    let faults = FaultPlan::new()
+        .random_outages(&mut frng, p.outages, &victims, start, end, d(40))
+        .random_slowdowns(&mut frng, p.slowdowns, &victims, start, end, d(40), p.slow_factor)
         .partition(t(h / 4), t(h / 2), SiteId(1), SiteId(2))
         .flap(SiteId(2), SiteId(3), t(h / 3), d(20), 4);
-    plan.apply(&mut sim);
-
-    let stats = ClientStats::shared();
-    for c in 0..p.clients {
-        let site = c % p.sites;
-        // Query a type homed on a *different* site, so every query has to
-        // cross the faulty network instead of hitting the local registry.
-        let client = QueryClient::new(
-            ids[site],
-            &format!("T{}", (c + 1) % p.types),
-            SimDuration::from_millis(400),
-            p.queries_per_client,
-            stats.clone(),
-        );
-        sim.add_actor(SiteId(site as u32), Box::new(client));
+    // Each client queries a type homed on a *different* site, so every
+    // query has to cross the faulty network instead of hitting the local
+    // registry.
+    let client = |c| {
+        let activity = format!("T{}", (c + 1) % p.types);
+        Client::new(c % p.sites, &activity, SimDuration::from_millis(400), p.queries_per_client)
+    };
+    Scenario {
+        node: NodeConfig {
+            retry: RetryPolicy::standard(),
+            // The gray-failure stack rides along: adaptive suspicion must
+            // never declare a slowed (or merely lossy) peer dead, and hedged
+            // probes must not disturb any post-heal invariant.
+            suspicion: SuspicionConfig::standard(),
+            hedge: HedgeConfig::standard(),
+            ..node_defaults()
+        },
+        registry: Registry::round_robin(p.types, p.sites, "chaos"),
+        // Durable per-site stores: the scripted outages become
+        // amnesia-faithful crashes whose restarts replay the journal and
+        // anti-entropy-rejoin, feeding the recovery-time percentiles.
+        store: true,
+        events: Some(DEFAULT_MAX_EVENTS),
+        loss,
+        // One deliberately worse link, exercising the per-link override.
+        link_loss: vec![(SiteId(1), SiteId(2), (loss * 3.0).min(0.5))],
+        faults,
+        clients: (0..p.clients).map(client).collect(),
+        ..Scenario::new(p.sites, seed)
     }
-    sim.start();
-    sim.run_until(t(h));
+}
+
+/// Run one overlay soak at `loss` and return its row.
+fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
+    let Run { mut sim, ids, stats, .. } = overlay_scenario(p, loss).start();
+    let t = SimTime::from_secs;
+    sim.run_until(t(p.horizon_secs));
 
     // Heal: stop losing messages and let two clean election cycles run,
     // then check the convergence invariants.
     sim.set_drop_probability(0.0);
     sim.set_link_drop_probability(SiteId(1), SiteId(2), None);
-    let end = t(h) + d(300);
+    let end = t(p.horizon_secs) + SimDuration::from_secs(300);
     sim.run_until(end);
 
     let (sent, responses, hits) = {
-        let s = stats.lock();
+        let s = stats[0].lock();
         (s.sent, s.responses, s.hits)
     };
     let m = sim.metrics();
@@ -749,11 +742,7 @@ impl ChaosReport {
             ),
             (
                 "grid",
-                Json::obj([
-                    ("replayed_records", Json::from(self.grid.replayed_records)),
-                    ("replay_ms", Json::from(self.grid.replay_ms)),
-                    ("leases_reclaimed", Json::from(self.grid.leases_reclaimed)),
-                ]),
+                Json::obj(fields!(self.grid; replayed_records, replay_ms, leases_reclaimed)),
             ),
         ])
     }

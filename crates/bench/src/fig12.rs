@@ -8,8 +8,11 @@
 //! saturated node; more sites spread both the data and the load; the
 //! cache bypasses the registry-resolution stage entirely after warm-up.
 
-use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
-use glare_fabric::{percentile, SimDuration, SimTime, SiteId, Topology, TraceSink};
+use glare_core::node::NodeConfig;
+use glare_fabric::{SimDuration, SimTime, SiteSpec, Topology, TraceSink};
+
+use crate::json::fields;
+use crate::scenario::{latency_ms, node_defaults, Client, Registry, Run, Scenario};
 
 /// One Fig. 12 series point.
 #[derive(Clone, Debug)]
@@ -38,13 +41,7 @@ impl Fig12Point {
 
     /// JSON-friendly view of the point.
     pub fn to_json(&self) -> crate::json::Json {
-        crate::json::Json::obj([
-            ("sites", crate::json::Json::from(self.sites)),
-            ("cache", crate::json::Json::from(self.cache)),
-            ("mean_ms", crate::json::Json::from(self.mean_ms)),
-            ("p95_ms", crate::json::Json::from(self.p95_ms)),
-            ("requests", crate::json::Json::from(self.requests)),
-        ])
+        crate::json::Json::obj(fields!(self; sites, cache, mean_ms, p95_ms, requests))
     }
 }
 
@@ -75,78 +72,50 @@ impl Default for Fig12Params {
     }
 }
 
-/// Run one configuration.
-pub fn run_config(sites: usize, cache: bool, p: Fig12Params) -> Fig12Point {
-    run_config_impl(sites, cache, p, false).0
+/// One configuration as a scenario. Constrained sites (2 cores) so a
+/// single site saturates under the full client population, as the paper's
+/// single GT4 container did; the clients spread round-robin over the sites.
+pub(crate) fn scenario(sites: usize, cache: bool, p: Fig12Params) -> Scenario {
+    let mut topology = Topology::new();
+    for i in 0..sites {
+        let mut spec = SiteSpec::reference(&format!("site{i}.fig12"));
+        spec.cores = 2;
+        spec.cpu_mhz = 2000 + (i as u32 % 7) * 150;
+        spec.uptime_secs = 50_000 + i as u64 * 997;
+        topology.add_site(spec);
+    }
+    let activity = |c| format!("T{}", c % p.types);
+    let client = |c| Client::new(c % sites, &activity(c), p.think, p.queries_per_client);
+    Scenario {
+        topology,
+        node: NodeConfig {
+            use_cache: cache,
+            request_cost: SimDuration::from_millis(3),
+            registry_cost: SimDuration::from_millis(15),
+            ..node_defaults()
+        },
+        registry: Registry::round_robin(p.types, sites, "fig12"),
+        clients: (0..p.clients).map(client).collect(),
+        ..Scenario::new(sites, p.seed)
+    }
 }
 
-/// Like [`run_config`], but with kernel tracing enabled: every request's
-/// causal span tree is recorded and returned alongside the point.
-/// Tracing is observe-only, so the point is identical to the untraced
-/// run's.
-pub fn run_config_traced(sites: usize, cache: bool, p: Fig12Params) -> (Fig12Point, TraceSink) {
-    let (pt, trace) = run_config_impl(sites, cache, p, true);
-    (pt, trace.expect("tracing was enabled"))
-}
-
-fn run_config_impl(
+/// Run one configuration. With `traced`, every request's causal span tree
+/// is recorded and returned beside the point (an empty sink otherwise).
+/// Tracing is observe-only, so the point is the same either way.
+pub fn run_config(
     sites: usize,
     cache: bool,
     p: Fig12Params,
     traced: bool,
-) -> (Fig12Point, Option<TraceSink>) {
-    // Constrained sites (2 cores) so a single site saturates under the
-    // full client population, as the paper's single GT4 container did.
-    let mut topo = Topology::new();
-    for i in 0..sites {
-        let mut spec = glare_fabric::SiteSpec::reference(&format!("site{i}.fig12"));
-        spec.cores = 2;
-        spec.cpu_mhz = 2000 + (i as u32 % 7) * 150;
-        spec.uptime_secs = 50_000 + i as u64 * 997;
-        topo.add_site(spec);
-    }
-    let mut builder = OverlayBuilder::new(sites, p.seed).with_topology(topo);
-    builder.configure(move |_, cfg| {
-        cfg.use_cache = cache;
-        cfg.request_cost = SimDuration::from_millis(3);
-        cfg.registry_cost = SimDuration::from_millis(15);
-        cfg.max_group_size = 4;
-    });
-    builder.seed(crate::seed_round_robin(p.types, sites, "fig12"));
-    let (mut sim, ids) = builder.build();
-    if traced {
-        sim.enable_tracing(glare_fabric::trace::DEFAULT_MAX_SPANS);
-    }
-    let stats = ClientStats::shared();
-    for c in 0..p.clients {
-        let site = c % sites;
-        let client = QueryClient::new(
-            ids[site],
-            &format!("T{}", c % p.types),
-            p.think,
-            p.queries_per_client,
-            stats.clone(),
-        );
-        sim.add_actor(SiteId(site as u32), Box::new(client));
-    }
-    sim.start();
+) -> (Fig12Point, TraceSink) {
+    let scenario = Scenario { tracing: traced, ..scenario(sites, cache, p) };
+    let Run { mut sim, stats, .. } = scenario.start();
     sim.run_until(SimTime::from_secs(3_600));
-    let trace = sim.take_trace();
-    let s = stats.lock();
-    let mut lat_ms: Vec<f64> = s.latencies.iter().map(|d| d.as_millis_f64()).collect();
-    lat_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let mean = lat_ms.iter().sum::<f64>() / lat_ms.len().max(1) as f64;
-    let p95 = percentile(&lat_ms, 0.95).unwrap_or(0.0);
-    (
-        Fig12Point {
-            sites,
-            cache,
-            mean_ms: mean,
-            p95_ms: p95,
-            requests: s.responses,
-        },
-        trace,
-    )
+    let trace = sim.take_trace().unwrap_or_default();
+    let s = stats[0].lock();
+    let (mean_ms, p95_ms) = latency_ms(&s);
+    (Fig12Point { sites, cache, mean_ms, p95_ms, requests: s.responses }, trace)
 }
 
 /// The series' configurations as `(sites, cache)`: cache on 1 site;
@@ -155,7 +124,7 @@ pub const CONFIGS: [(usize, bool); 4] = [(1, true), (1, false), (3, false), (7, 
 
 /// The full Fig. 12 series.
 pub fn run(p: Fig12Params) -> Vec<Fig12Point> {
-    CONFIGS.iter().map(|&(sites, cache)| run_config(sites, cache, p)).collect()
+    CONFIGS.iter().map(|&(sites, cache)| run_config(sites, cache, p, false).0).collect()
 }
 
 /// Render the series.
@@ -193,8 +162,8 @@ mod tests {
     #[test]
     fn whole_experiment_is_deterministic() {
         let p = quick_params();
-        let a = run_config(3, false, p);
-        let b = run_config(3, false, p);
+        let a = run_config(3, false, p, false).0;
+        let b = run_config(3, false, p, false).0;
         assert_eq!(a.mean_ms, b.mean_ms, "same seed, same simulation");
         assert_eq!(a.p95_ms, b.p95_ms);
         assert_eq!(a.requests, b.requests);
@@ -228,9 +197,9 @@ mod tests {
     #[test]
     fn more_sites_and_cache_both_help() {
         let p = quick_params();
-        let cache1 = run_config(1, true, p);
-        let nocache1 = run_config(1, false, p);
-        let nocache3 = run_config(3, false, p);
+        let cache1 = run_config(1, true, p, false).0;
+        let nocache1 = run_config(1, false, p, false).0;
+        let nocache3 = run_config(3, false, p, false).0;
         assert_eq!(cache1.requests, 12 * 8);
         assert!(
             cache1.mean_ms < nocache1.mean_ms,

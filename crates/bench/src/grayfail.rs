@@ -29,18 +29,20 @@
 use std::sync::Arc;
 
 use glare_core::invariants;
-use glare_core::model::{example_hierarchy, ActivityDeployment};
-use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
+use glare_core::model::ActivityDeployment;
+use glare_core::node::NodeConfig;
+use glare_core::overlay::ClientStats;
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
 use glare_core::{GlareNode, TenantClass};
 use glare_fabric::store::fnv1a;
 use glare_fabric::sync::Mutex;
 use glare_fabric::{
-    percentile, ActorId, Labels, SimDuration, SimTime, Simulation, SiteId, Topology,
+    percentile, ActorId, FaultPlan, Labels, SimDuration, SimTime, Simulation, SiteId, Topology,
     DEFAULT_MAX_EVENTS,
 };
 
-use crate::json::Json;
+use crate::json::{fields, Json};
+use crate::scenario::{deployment, node_defaults, Client, Registry, Run, Scenario};
 
 /// Skewed activity catalogue (concrete types of the example hierarchy):
 /// client assignment is Zipf-flavored (half the clients hammer the head
@@ -188,12 +190,6 @@ pub struct GrayfailReport {
     pub hedged_beats_unhedged: bool,
 }
 
-const CLASSES: [(TenantClass, &str); 3] = [
-    (TenantClass::Gold, "gold"),
-    (TenantClass::Silver, "silver"),
-    (TenantClass::BestEffort, "best_effort"),
-];
-
 /// Per-class latency slices bracketed at the phase boundaries.
 struct ClassWindows {
     stats: Vec<Arc<Mutex<ClientStats>>>,
@@ -224,19 +220,18 @@ impl ClassWindows {
 }
 
 /// Statically computed election outcome the coordinator will build.
-struct SitePlan {
+pub(crate) struct SitePlan {
     /// Member sites of group 0, where the query clients live.
     client_sites: Vec<usize>,
     /// Group 0's super-peer site — the gray-failure victim.
     sp0: usize,
-    /// The other groups' super-peer sites (hedge alternates).
-    other_sps: Vec<usize>,
-    /// `(activity_index, site)` deployment pairs, one replica of every
-    /// activity per foreign group.
-    deploy: Vec<(usize, usize)>,
+    /// Group 1's super-peer site, across the degraded trunk from `sp0`.
+    trunk: usize,
+    /// One replica of every activity per foreign group.
+    deployments: Vec<(usize, ActivityDeployment)>,
 }
 
-fn plan_sites(p: &GrayfailParams) -> SitePlan {
+pub(crate) fn plan_sites(p: &GrayfailParams) -> SitePlan {
     let topo = Topology::uniform(p.sites);
     let responders: Vec<(ActorId, u64)> = (0..p.sites as u32)
         .map(|i| (ActorId(i), topo.site(SiteId(i)).rank_hashcode()))
@@ -246,144 +241,88 @@ fn plan_sites(p: &GrayfailParams) -> SitePlan {
     assert!(groups.len() >= 3, "the scenario needs three groups");
     let client_sites: Vec<usize> = groups[0].members.iter().map(|a| a.0 as usize).collect();
     let sp0 = groups[0].super_peer.0 as usize;
-    let other_sps: Vec<usize> = groups[1..].iter().map(|g| g.super_peer.0 as usize).collect();
+    let trunk = groups[1].super_peer.0 as usize;
     // Every activity is replicated once per foreign group, on a plain
     // member (round-robin within the group). Every lookup must leave
     // group 0, and any alternate super-peer can serve the read — the
     // precondition for a hedged probe to be useful at all.
-    let mut deploy: Vec<(usize, usize)> = Vec::new();
+    let mut deployments = Vec::new();
     for g in &groups[1..] {
         let mut members: Vec<usize> = g.members.iter().map(|a| a.0 as usize).collect();
         members.sort_unstable();
-        for a in 0..ACTIVITIES.len() {
-            deploy.push((a, members[a % members.len()]));
+        for (a, name) in ACTIVITIES.iter().enumerate() {
+            let site = members[a % members.len()];
+            deployments.push(deployment(name, site, &name.to_lowercase(), "run"));
         }
     }
-    SitePlan { client_sites, sp0, other_sps, deploy }
+    SitePlan { client_sites, sp0, trunk, deployments }
 }
 
-/// Run one mode.
-pub fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
-    assert!(p.sites >= 12, "the scenario needs three groups of four");
-    let SitePlan { client_sites, sp0, other_sps, deploy } = plan_sites(p);
-    let expected_groups = p.sites.div_ceil(4) as u64;
-
-    let mut b = OverlayBuilder::new(p.sites, p.seed);
-    b.configure(move |_, cfg| {
-        cfg.max_group_size = 4;
-        cfg.use_cache = false;
-        cfg.election_interval = None;
-        if mode == GrayMode::Enabled {
-            cfg.suspicion = SuspicionConfig::standard();
-            cfg.hedge = HedgeConfig::standard();
-        }
-    });
-    let deploy_seed = deploy.clone();
-    b.seed(move |i, node| {
-        for t in example_hierarchy(SimTime::ZERO) {
-            node.atr.register(t, SimTime::ZERO).unwrap();
-        }
-        for &(a, site) in deploy_seed.iter() {
-            if site == i {
-                let name = ACTIVITIES[a];
-                let d = ActivityDeployment::executable(
-                    name,
-                    &format!("site{i}"),
-                    &format!("/opt/deployments/{}/bin/run", name.to_lowercase()),
-                    &format!("/opt/deployments/{}", name.to_lowercase()),
-                );
-                node.adr.register(d, &node.atr, SimTime::ZERO).unwrap();
-            }
-        }
-    });
-    let (mut sim, ids) = b.build();
-    sim.enable_events(DEFAULT_MAX_EVENTS);
-
-    // Closed-loop clients: Zipf-flavored activity skew (half on the head
-    // entry), classes round-robin, spread over group 0's plain members.
-    let horizon = p.healthy_secs + p.gray_secs + p.healed_secs;
-    let think = SimDuration::from_millis(p.think_ms);
-    let mut windows = ClassWindows {
-        stats: CLASSES.iter().map(|_| ClientStats::shared()).collect(),
-        marks: vec![Vec::new(); CLASSES.len()],
+/// One mode as a scenario: cache off and a single election, so every
+/// query escalates through group 0's super-peer; the catalogue seeded per
+/// `plan`; closed-loop clients with a Zipf-flavored activity skew (half on
+/// the head entry) and classes round-robin, spread over group 0's plain
+/// members, each class its own stats group. The gray phase slows the
+/// clients' super-peer and degrades the trunk to the next super-peer (both
+/// directions); a 1.0 slowdown is the healthy price, so no fault.
+pub(crate) fn scenario(p: &GrayfailParams, mode: GrayMode, plan: &SitePlan) -> Scenario {
+    let (suspicion, hedge) = match mode {
+        GrayMode::Enabled => (SuspicionConfig::standard(), HedgeConfig::standard()),
+        GrayMode::Disabled => (SuspicionConfig::disabled(), HedgeConfig::disabled()),
     };
-    for k in 0..p.clients {
-        let activity = ACTIVITIES[[0, 0, 0, 1, 1, 2][k % 6]];
-        let class_idx = k % CLASSES.len();
-        let site = client_sites[k % client_sites.len()];
-        let client = QueryClient::new(
-            ids[site],
-            activity,
-            think,
-            u64::MAX / 2, // run until the horizon, not a fixed count
-            windows.stats[class_idx].clone(),
-        )
-        .with_class(CLASSES[class_idx].0);
-        sim.add_actor(SiteId(site as u32), Box::new(client));
+    let client = |k: usize| Client {
+        site: plan.client_sites[k % plan.client_sites.len()],
+        activity: ACTIVITIES[[0, 0, 0, 1, 1, 2][k % 6]].to_owned(),
+        think: SimDuration::from_millis(p.think_ms),
+        count: u64::MAX / 2, // run until the horizon, not a fixed count
+        class: TenantClass::ALL[k % TenantClass::ALL.len()],
+        group: k % TenantClass::ALL.len(),
+    };
+    let from = SimTime::from_secs(p.healthy_secs);
+    let until = SimTime::from_secs(p.healthy_secs + p.gray_secs);
+    let (sp0, trunk) = (SiteId(plan.sp0 as u32), SiteId(plan.trunk as u32));
+    let mut faults = FaultPlan::new();
+    if p.slow_factor > 1.0 {
+        faults = faults.slow_site(from, until, sp0, p.slow_factor);
     }
+    Scenario {
+        node: NodeConfig {
+            use_cache: false,
+            election_interval: None,
+            suspicion,
+            hedge,
+            ..node_defaults()
+        },
+        registry: Registry::hierarchy(plan.deployments.clone()),
+        events: Some(DEFAULT_MAX_EVENTS),
+        faults: faults.degrade_link(from, until, sp0, trunk, p.link_factor),
+        clients: (0..p.clients).map(client).collect(),
+        ..Scenario::new(p.sites, p.seed)
+    }
+}
 
-    // Phase schedule. The election needs a couple of seconds; the healthy
-    // baseline window starts after a short settling prefix.
-    sim.start();
-    sim.run_until(SimTime::from_secs(10));
-    windows.mark();
-    sim.run_until(SimTime::from_secs(p.healthy_secs));
-    windows.mark();
-    let mut suspicion = Vec::new();
-    let sample_suspicion = |sim: &Simulation, t: u64, out: &mut Vec<SuspicionSample>| {
-        let now = sim.now();
-        for &site in &client_sites {
-            if let Some(node) = sim.actor_as::<GlareNode>(ids[site]) {
-                out.push(SuspicionSample {
-                    t_secs: t,
-                    site: format!("site{site}"),
-                    level: node.super_peer_suspicion(now),
-                });
-            }
-        }
-    };
-    sample_suspicion(&sim, p.healthy_secs, &mut suspicion);
-
-    // Gray phase: slow super-peer + degraded trunk (both directions).
-    sim.set_site_degraded(SiteId(sp0 as u32), Some(p.slow_factor));
-    let trunk = (SiteId(sp0 as u32), SiteId(other_sps[0] as u32));
-    sim.set_link_degraded(trunk.0, trunk.1, Some(p.link_factor));
-    sim.set_link_degraded(trunk.1, trunk.0, Some(p.link_factor));
-    sim.run_until(SimTime::from_secs(p.healthy_secs + p.gray_secs));
-    windows.mark();
-    sample_suspicion(&sim, p.healthy_secs + p.gray_secs, &mut suspicion);
-
-    // Heal and cool down.
-    sim.set_site_degraded(SiteId(sp0 as u32), None);
-    sim.set_link_degraded(trunk.0, trunk.1, None);
-    sim.set_link_degraded(trunk.1, trunk.0, None);
-    sim.run_until(SimTime::from_secs(horizon));
-    windows.mark();
-    sample_suspicion(&sim, horizon, &mut suspicion);
-
-    // ---- Distill ----
-    let phases = ["healthy", "gray", "healed"];
+/// Per-class, per-phase latency rows. The first mark lands after the
+/// settling prefix, so the three windows map 1:1 onto the phases. The
+/// response log carries no timestamps, so misses (which only the slow-peer
+/// deadline can produce) are attributed to the gray row. A class without
+/// traffic is a violation.
+fn window_rows(windows: &ClassWindows, violations: &mut Vec<String>) -> Vec<WindowRow> {
     let mut rows = Vec::new();
-    let mut violations = Vec::new();
-    for (c, (_, label)) in CLASSES.iter().enumerate() {
-        // The first mark lands after the settling prefix, so the three
-        // windows map 1:1 onto the phases. The response log carries no
-        // timestamps, so misses (which only the slow-peer deadline can
-        // produce) are attributed to the gray row.
+    for (c, label) in TenantClass::ALL.map(TenantClass::label).into_iter().enumerate() {
         let (responses_total, misses_total) = {
             let s = windows.stats[c].lock();
             (s.responses, s.responses - s.hits)
         };
-        for (w, phase) in phases.iter().enumerate() {
+        for (w, phase) in ["healthy", "gray", "healed"].into_iter().enumerate() {
             let (responses, ms) = windows.window(c, w);
-            let hits = if *phase == "gray" {
+            let hits = if phase == "gray" {
                 responses.saturating_sub(misses_total)
             } else {
                 responses
             };
             rows.push(WindowRow {
-                class: (*label).to_owned(),
-                phase: (*phase).to_owned(),
+                class: label.to_owned(),
+                phase: phase.to_owned(),
                 responses,
                 hits,
                 p50_ms: percentile(&ms, 0.50).unwrap_or(0.0),
@@ -394,10 +333,50 @@ pub fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
             violations.push(format!("class {label} saw no traffic"));
         }
     }
+    rows
+}
 
+/// Run one mode: mark the phase boundaries (the degradations themselves
+/// are in the scenario's fault plan), sample suspicion at each, and
+/// distill.
+pub fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
+    assert!(p.sites >= 12, "the scenario needs three groups of four");
+    let plan = plan_sites(p);
+    let expected_groups = p.sites.div_ceil(4) as u64;
+    let Run { mut sim, ids, mut stats, .. } = scenario(p, mode, &plan).start();
+    // A class no client belongs to still gets its (empty) window rows.
+    stats.resize_with(TenantClass::ALL.len(), ClientStats::shared);
+    let mut windows = ClassWindows { stats, marks: vec![Vec::new(); TenantClass::ALL.len()] };
+
+    // Phase schedule. The election needs a couple of seconds; the healthy
+    // baseline window starts after a short settling prefix.
+    let mut suspicion = Vec::new();
+    let sample_suspicion = |sim: &Simulation, t: u64, out: &mut Vec<SuspicionSample>| {
+        let now = sim.now();
+        for &site in &plan.client_sites {
+            if let Some(node) = sim.actor_as::<GlareNode>(ids[site]) {
+                out.push(SuspicionSample {
+                    t_secs: t,
+                    site: format!("site{site}"),
+                    level: node.super_peer_suspicion(now),
+                });
+            }
+        }
+    };
+    sim.run_until(SimTime::from_secs(10));
+    windows.mark();
+    let horizon = p.healthy_secs + p.gray_secs + p.healed_secs;
+    for t in [p.healthy_secs, p.healthy_secs + p.gray_secs, horizon] {
+        sim.run_until(SimTime::from_secs(t));
+        windows.mark();
+        sample_suspicion(&sim, t, &mut suspicion);
+    }
+
+    let mut violations = Vec::new();
+    let rows = window_rows(&windows, &mut violations);
     let m = sim.metrics();
     let sites: Vec<Labels> =
-        client_sites.iter().map(|s| Labels::of(&[("site", &format!("site{s}"))])).collect();
+        plan.client_sites.iter().map(|s| Labels::of(&[("site", &format!("site{s}"))])).collect();
     let hedges = ["glare_hedges_fired_total", "glare_hedges_won_total", "glare_hedges_wasted_total"]
         .map(|family| sites.iter().map(|l| m.counter_labeled_value(family, l)).sum::<u64>());
     let takeovers = m.counter_value("glare.superpeer_takeovers");
@@ -506,14 +485,7 @@ impl ModeReport {
             (
                 "windows",
                 Json::arr(self.windows.iter().map(|w| {
-                    Json::obj([
-                        ("class", Json::from(w.class.as_str())),
-                        ("phase", Json::from(w.phase.as_str())),
-                        ("responses", Json::from(w.responses)),
-                        ("hits", Json::from(w.hits)),
-                        ("p50_ms", Json::from(w.p50_ms)),
-                        ("p99_ms", Json::from(w.p99_ms)),
-                    ])
+                    Json::obj(fields!(w; class, phase, responses, hits, p50_ms, p99_ms))
                 })),
             ),
             (
@@ -529,11 +501,7 @@ impl ModeReport {
             (
                 "suspicion",
                 Json::arr(self.suspicion.iter().map(|s| {
-                    Json::obj([
-                        ("t_secs", Json::from(s.t_secs)),
-                        ("site", Json::from(s.site.as_str())),
-                        ("level", Json::from(s.level)),
-                    ])
+                    Json::obj(fields!(s; t_secs, site, level))
                 })),
             ),
             (
@@ -555,17 +523,11 @@ impl GrayfailReport {
         let deterministic = Json::obj([
             (
                 "params",
-                Json::obj([
-                    ("sites", Json::from(p.sites)),
-                    ("seed", Json::from(p.seed)),
-                    ("clients", Json::from(p.clients)),
-                    ("think_ms", Json::from(p.think_ms)),
-                    ("healthy_secs", Json::from(p.healthy_secs)),
-                    ("gray_secs", Json::from(p.gray_secs)),
-                    ("healed_secs", Json::from(p.healed_secs)),
-                    ("slow_factor", Json::from(p.slow_factor)),
-                    ("link_factor", Json::from(p.link_factor)),
-                ]),
+                Json::obj(fields!(
+                    p;
+                    sites, seed, clients, think_ms, healthy_secs, gray_secs, healed_secs,
+                    slow_factor, link_factor,
+                )),
             ),
             ("runs", Json::arr(self.runs.iter().map(|r| r.to_json()))),
             ("enabled_within_2x", Json::from(self.enabled_within_2x)),

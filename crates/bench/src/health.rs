@@ -20,24 +20,24 @@
 //! Everything is deterministic: same params → byte-identical expositions,
 //! event JSONL and report JSON.
 
-use std::sync::Arc;
-
 use glare_core::admission::{AdmissionConfig, TenantClass};
 use glare_core::grid::Grid;
 use glare_core::lease::LeaseKind;
 use glare_core::model::example_hierarchy;
-use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
+use glare_core::node::NodeConfig;
 use glare_core::rdm::{
     provision, CacheRefresher, DeploymentStatusMonitor, IndexMonitor, ProvisionRequest,
 };
-use glare_core::retry::RetryPolicy;
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
-use glare_fabric::sync::Mutex;
 use glare_fabric::{
-    Labels, SimDuration, SimTime, SiteId, StoreConfig, DEFAULT_MAX_EVENTS,
+    FaultPlan, Labels, MetricsRegistry, SimDuration, SimTime, Simulation, SiteId,
+    DEFAULT_MAX_EVENTS,
 };
 use glare_services::{ChannelKind, Transport};
-use glare_workload::{TenantLoad, TenantSpec, TenantStats, WorkloadSpec};
+use glare_workload::{TenantSpec, WorkloadSpec};
+
+pub use crate::scenario::TenantLane;
+use crate::scenario::{node_defaults, ranked_sites, Client, Registry, Run, Scenario};
 
 /// The fewest sites the scenario runs on: the scripted crashes take the
 /// highest- and lowest-ranked sites other than site 0, the community index.
@@ -268,148 +268,101 @@ pub struct OverlayProbe {
     pub takeovers: u64,
 }
 
-/// One tenant load generator's identity plus its shared client-side
-/// stats, returned by [`run_overlay_with_tenants`].
-pub struct TenantLane {
-    /// Tenant name from the workload spec.
-    pub name: String,
-    /// Tenant class.
-    pub class: TenantClass,
-    /// Client-observed stats (offered/responses/shed/retries/dropped).
-    pub stats: Arc<Mutex<TenantStats>>,
-}
-
-/// Run the overlay phase. With `instrument` the structured event log and
-/// kernel tracing are enabled; without it the simulation runs bare. The
-/// returned probe must be identical either way (observe-only invariant).
-pub fn run_overlay(p: HealthParams, instrument: bool) -> (glare_fabric::Simulation, OverlayProbe) {
-    let (sim, probe, _lanes) = run_overlay_with_tenants(p, instrument);
-    (sim, probe)
-}
-
-/// [`run_overlay`] plus the tenant load lanes (empty when
-/// `p.tenants == 0`, which also leaves the legacy scenario untouched:
-/// admission stays disabled and no extra actors are attached).
-pub fn run_overlay_with_tenants(
-    p: HealthParams,
-    instrument: bool,
-) -> (glare_fabric::Simulation, OverlayProbe, Vec<TenantLane>) {
+/// The overlay phase as a scenario: clients round-robin over the sites,
+/// load sampling over the horizon, and two scripted outages. Durable
+/// stores are on for every site, so each crash is amnesia-faithful and
+/// each restart exercises snapshot-load + journal replay + anti-entropy
+/// rejoin; they are on for both `instrument` settings, so the observe-only
+/// comparison stays apples-to-apples. With `instrument`, the structured
+/// event log and kernel tracing are on too.
+pub(crate) fn overlay_scenario(p: HealthParams, instrument: bool) -> Scenario {
     assert!(p.sites >= MIN_SITES, "the scenario needs at least {MIN_SITES} sites");
-    let mut builder = OverlayBuilder::new(p.sites, p.seed);
-    let tenants = p.tenants;
-    let gray = p.gray;
-    builder.configure(move |_, cfg| {
-        cfg.use_cache = true;
-        cfg.max_group_size = 4;
-        if tenants > 0 {
-            // A deliberately tiny inbox so the modest tenant rates still
-            // trip class-aware shedding and populate the report columns.
-            cfg.admission = AdmissionConfig::bounded(2);
-        }
-        if gray {
-            // Gray-failure stack: adaptive latency-aware suspicion plus
-            // hedged read probes. Observe-only with respect to liveness —
-            // a slow peer is never declared dead by suspicion alone.
-            cfg.suspicion = SuspicionConfig::standard();
-            cfg.hedge = HedgeConfig::standard();
-        }
-    });
-    builder.seed(crate::seed_round_robin(p.types, p.sites, "health"));
-    let (mut sim, ids) = builder.build();
-    // Durable stores for every site, so the scripted crash below is
-    // amnesia-faithful and the later restart exercises snapshot-load +
-    // journal replay + anti-entropy rejoin. Enabled for both instrument
-    // settings, so the observe-only probe comparison stays apples-to-apples.
-    sim.enable_store(StoreConfig::standard());
-    if instrument {
-        sim.enable_events(DEFAULT_MAX_EVENTS);
-        sim.enable_tracing(glare_fabric::trace::DEFAULT_MAX_SPANS);
-    }
-    if p.loss > 0.0 {
-        sim.set_drop_probability(p.loss);
-    }
-    let horizon = SimTime::from_secs(p.horizon_secs);
-    sim.enable_load_sampling(horizon);
-
-    // Crash the highest-ranked site (the most likely super-peer) a third
-    // of the way in, to exercise failure detection and re-election. Site 0
-    // hosts the community index, so fall back to the runner-up if ranking
-    // puts site 0 first.
-    let topo = sim.topology().clone();
-    let mut ranked: Vec<(u32, u64)> = (0..p.sites as u32)
-        .map(|i| (i, topo.site(SiteId(i)).rank_hashcode()))
-        .collect();
-    ranked.sort_by_key(|r| std::cmp::Reverse(r.1));
-    let crash_site = if ranked[0].0 == 0 { ranked[1].0 } else { ranked[0].0 };
-    sim.schedule_crash(SimTime::from_secs(p.horizon_secs / 3), SiteId(crash_site));
-    // Bring it back two thirds of the way in: recovery replays the durable
-    // store and the rejoin runs an anti-entropy round, populating the
-    // per-site recovery columns of the report.
-    sim.schedule_restart(SimTime::from_secs(2 * p.horizon_secs / 3), SiteId(crash_site));
-    // Also bounce the lowest-ranked member. Unlike the ex super-peer above
-    // (which reclaims its office on rejoin and has nobody to sync with), a
-    // member rejoin pulls/pushes registry state from its super-peer — the
+    let base = Scenario::new(p.sites, p.seed);
+    // Crash the highest-ranked site (the most likely super-peer) a third of
+    // the way in, to exercise failure detection and re-election, and bring
+    // it back two thirds of the way in. Site 0 hosts the community index,
+    // so fall back to the runner-up if ranking puts site 0 first.
+    let ranked = ranked_sites(&base.topology);
+    let sp = if ranked[0] == SiteId(0) { ranked[1] } else { ranked[0] };
+    // Also bounce the lowest-ranked member. Unlike the ex super-peer (which
+    // reclaims its office on rejoin and has nobody to sync with), a member
+    // rejoin pulls/pushes registry state from its super-peer — the
     // anti-entropy columns of the report. It comes back after the
     // super-peer does, so its rejoin election finds a higher-ranked winner
     // (a member that rejoins an empty field just wins office instead).
-    let member_site = ranked
-        .iter()
-        .rev()
-        .map(|r| r.0)
-        .find(|&i| i != 0 && i != crash_site)
-        .expect("at least 3 sites leave a spare member");
-    sim.schedule_crash(SimTime::from_secs(p.horizon_secs / 2), SiteId(member_site));
-    sim.schedule_restart(SimTime::from_secs(7 * p.horizon_secs / 10), SiteId(member_site));
-
-    let stats = ClientStats::shared();
-    for c in 0..p.clients {
-        let site = c % p.sites;
-        let client = QueryClient::new(
-            ids[site],
-            &format!("T{}", c % p.types),
-            SimDuration::from_millis(400),
-            p.queries_per_client,
-            stats.clone(),
-        );
-        sim.add_actor(SiteId(site as u32), Box::new(client));
+    let member = ranked.iter().rev().copied().find(|&s| s != SiteId(0) && s != sp);
+    let member = member.expect("at least 3 sites leave a spare member");
+    let at = |num: u64, den: u64| SimTime::from_secs(num * p.horizon_secs / den);
+    let client = |c| {
+        let activity = format!("T{}", c % p.types);
+        Client::new(c % p.sites, &activity, SimDuration::from_millis(400), p.queries_per_client)
+    };
+    let (suspicion, hedge) = if p.gray {
+        // Gray-failure stack: adaptive latency-aware suspicion plus hedged
+        // read probes. Observe-only with respect to liveness — a slow peer
+        // is never declared dead by suspicion alone.
+        (SuspicionConfig::standard(), HedgeConfig::standard())
+    } else {
+        (SuspicionConfig::disabled(), HedgeConfig::disabled())
+    };
+    Scenario {
+        node: NodeConfig {
+            // A deliberately tiny inbox so the modest tenant rates still
+            // trip class-aware shedding and populate the report columns.
+            admission: if p.tenants > 0 {
+                AdmissionConfig::bounded(2)
+            } else {
+                AdmissionConfig::disabled()
+            },
+            suspicion,
+            hedge,
+            ..node_defaults()
+        },
+        registry: Registry::round_robin(p.types, p.sites, "health"),
+        store: true,
+        events: instrument.then_some(DEFAULT_MAX_EVENTS),
+        tracing: instrument,
+        load_sampling: Some(SimTime::from_secs(p.horizon_secs)),
+        loss: p.loss,
+        faults: FaultPlan::new()
+            .crash(at(1, 3), sp)
+            .restart(at(2, 3), sp)
+            .crash(at(1, 2), member)
+            .restart(at(7, 10), member),
+        clients: (0..p.clients).map(client).collect(),
+        tenants: (p.tenants > 0).then(|| tenant_spec(p)),
+        ..base
     }
+}
 
-    // Tenant load lanes: open-loop Poisson arrivals against site 0's
-    // node, classes cycling gold → silver → best-effort, all querying the
-    // same registered T* types. Site 0 is never one of the scripted
-    // crash/restart victims, so the admission counters read there cover
-    // the whole run.
-    let mut lanes = Vec::with_capacity(p.tenants);
-    if p.tenants > 0 {
-        let classes = [TenantClass::Gold, TenantClass::Silver, TenantClass::BestEffort];
-        let names: Vec<String> = (0..p.types).map(|t| format!("T{t}")).collect();
-        let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let mut spec = WorkloadSpec::new(p.seed, SimDuration::from_secs(p.horizon_secs), 1)
-            .with_activities(&name_refs);
-        for i in 0..p.tenants {
-            let class = classes[i % classes.len()];
-            spec = spec.tenant(TenantSpec::open(
-                &format!("tenant{i}-{}", class.label()),
-                class,
-                15.0,
-            ));
-        }
-        for i in 0..p.tenants {
-            let stats = TenantStats::shared();
-            lanes.push(TenantLane {
-                name: spec.tenants[i].name.clone(),
-                class: spec.tenants[i].class,
-                stats: stats.clone(),
-            });
-            let load = TenantLoad::new(&spec, i, ids[0], RetryPolicy::standard(), stats);
-            sim.add_actor(SiteId(0), Box::new(load));
-        }
+/// The tenant lanes: open-loop Poisson arrivals against site 0's node,
+/// classes cycling gold → silver → best-effort, all querying the same
+/// registered `T*` types. Site 0 is never one of the scripted outage
+/// victims, so the admission counters read there cover the whole run.
+fn tenant_spec(p: HealthParams) -> WorkloadSpec {
+    let mut spec = WorkloadSpec::new(p.seed, SimDuration::from_secs(p.horizon_secs), 1);
+    spec.activities = (0..p.types).map(|t| format!("T{t}")).collect();
+    for i in 0..p.tenants {
+        let class = TenantClass::ALL[i % TenantClass::ALL.len()];
+        let name = format!("tenant{i}-{}", class.label());
+        spec = spec.tenant(TenantSpec::open(&name, class, 15.0));
     }
+    spec
+}
 
-    sim.start();
-    sim.run_until(horizon);
+/// Run the overlay phase to its horizon. With `instrument` the structured
+/// event log and kernel tracing are on; the returned probe must be
+/// identical either way (observe-only invariant). The tenant lanes are
+/// empty when `p.tenants == 0`, which also leaves the legacy scenario
+/// untouched: admission stays disabled and no extra actors are attached.
+pub fn run_overlay(
+    p: HealthParams,
+    instrument: bool,
+) -> (Simulation, OverlayProbe, Vec<TenantLane>) {
+    let Run { mut sim, stats, lanes, .. } = overlay_scenario(p, instrument).start();
+    sim.run_until(SimTime::from_secs(p.horizon_secs));
     let probe = {
-        let s = stats.lock();
+        let s = stats[0].lock();
         OverlayProbe {
             responses: s.responses,
             hits: s.hits,
@@ -421,13 +374,9 @@ pub fn run_overlay_with_tenants(
     (sim, probe, lanes)
 }
 
-/// Run the scenario and assemble the report.
-pub fn run(p: HealthParams) -> HealthReport {
-    // ---- Phase 1: overlay under client load with a super-peer crash ----
-    let (mut sim, _probe, lanes) = run_overlay_with_tenants(p, true);
-    let overlay_events = sim.take_events().expect("events were enabled");
-
-    // ---- Phase 2: provisioned Grid driven through monitor ticks ----
+/// The Grid phase: a provisioned Grid with a lease workload, driven through
+/// monitor ticks with a mid-run uninstall and migration.
+fn run_grid_phase(p: HealthParams) -> Grid {
     let mut g = Grid::new(p.sites, Transport::Http);
     for ty in example_hierarchy(SimTime::ZERO) {
         g.register_type(0, ty, SimTime::ZERO).unwrap();
@@ -478,12 +427,13 @@ pub fn run(p: HealthParams) -> HealthReport {
                 .expect("migration target exists");
         }
     }
+    g
+}
 
-    // ---- Assemble ----
-    let om = sim.metrics();
-    let gm = &g.metrics;
-    let mut site_rows = Vec::with_capacity(p.sites);
-    for i in 0..p.sites {
+/// One row per site, from both phases' registries.
+fn site_rows(om: &MetricsRegistry, gm: &MetricsRegistry, sites: usize) -> Vec<SiteHealth> {
+    let mut rows = Vec::with_capacity(sites);
+    for i in 0..sites {
         let site = Grid::site_label(i);
         let slabels = Labels::of(&[("site", &site)]);
         let at_site = |family: &str| om.family_total(family, &[("site", &site)]);
@@ -494,7 +444,7 @@ pub fn run(p: HealthParams) -> HealthReport {
         let misses = at_site("glare_cache_misses_total");
         let staleness = gm.histogram_labeled_ref("glare_cache_staleness_ms", &slabels);
         let failure = om.histogram_labeled_ref("glare_failure_detection_ms", &slabels);
-        site_rows.push(SiteHealth {
+        rows.push(SiteHealth {
             cache_hits: hits,
             cache_misses: misses,
             hit_ratio: hits as f64 / (hits + misses).max(1) as f64,
@@ -528,9 +478,12 @@ pub fn run(p: HealthParams) -> HealthReport {
             site,
         });
     }
+    rows
+}
 
-    // Per-group cache traffic: aggregate the labeled counters by the
-    // peer_group label (BTreeMap keys keep the output ordered).
+/// Per-group cache traffic: the labeled counters aggregated by the
+/// `peer_group` label (BTreeMap keys keep the output ordered).
+fn group_rows(om: &MetricsRegistry) -> Vec<GroupHealth> {
     let mut groups: std::collections::BTreeMap<String, (u64, u64)> =
         std::collections::BTreeMap::new();
     for (l, v) in om.labeled_counters_of("glare_cache_hits_total") {
@@ -543,7 +496,7 @@ pub fn run(p: HealthParams) -> HealthReport {
             groups.entry(gl.to_owned()).or_default().1 += v;
         }
     }
-    let group_rows = groups
+    groups
         .into_iter()
         .map(|(group, (hits, misses))| GroupHealth {
             group,
@@ -551,8 +504,11 @@ pub fn run(p: HealthParams) -> HealthReport {
             misses,
             hit_ratio: hits as f64 / (hits + misses).max(1) as f64,
         })
-        .collect();
+        .collect()
+}
 
+/// The windowed-gauge samples of the `--watch` view.
+fn watch_rows(om: &MetricsRegistry) -> Vec<WatchRow> {
     let mut watch = Vec::new();
     for family in ["glare_site_load1m", "glare_cache_hit_ratio"] {
         for (l, gauge) in om.gauges_of(family) {
@@ -569,59 +525,66 @@ pub fn run(p: HealthParams) -> HealthReport {
             }
         }
     }
+    watch
+}
 
-    // Tenant admission rows: server-side admitted/shed counters at the
-    // entry site, client-side offered/retry/drop tallies, aggregated per
-    // class in gold → silver → best-effort order.
-    let mut tenant_rows = Vec::new();
-    if !lanes.is_empty() {
-        for class in TenantClass::ALL {
-            if !lanes.iter().any(|l| l.class == class) {
-                continue;
-            }
-            let clabels = Labels::of(&[("class", class.label()), ("site", "site0")]);
-            let (mut offered, mut responses, mut retries, mut dropped) = (0u64, 0u64, 0u64, 0u64);
-            for lane in lanes.iter().filter(|l| l.class == class) {
-                let s = lane.stats.lock();
-                offered += s.offered;
-                responses += s.responses;
-                retries += s.retries;
-                dropped += s.dropped;
-            }
-            tenant_rows.push(TenantHealth {
-                class: class.label().to_owned(),
-                offered,
-                admitted: om.counter_labeled_value("glare_admission_admitted_total", &clabels),
-                shed: om.counter_labeled_value("glare_admission_shed_total", &clabels),
-                retry_after_honored: retries,
-                dropped,
-                responses,
-            });
+/// Tenant admission rows: server-side admitted/shed counters at the entry
+/// site, client-side offered/retry/drop tallies, aggregated per class in
+/// gold → silver → best-effort order.
+fn tenant_rows(om: &MetricsRegistry, lanes: &[TenantLane]) -> Vec<TenantHealth> {
+    let mut rows = Vec::new();
+    for class in TenantClass::ALL {
+        if !lanes.iter().any(|l| l.class == class) {
+            continue;
         }
+        let clabels = Labels::of(&[("class", class.label()), ("site", "site0")]);
+        let (mut offered, mut responses, mut retries, mut dropped) = (0u64, 0u64, 0u64, 0u64);
+        for lane in lanes.iter().filter(|l| l.class == class) {
+            let s = lane.stats.lock();
+            offered += s.offered;
+            responses += s.responses;
+            retries += s.retries;
+            dropped += s.dropped;
+        }
+        rows.push(TenantHealth {
+            class: class.label().to_owned(),
+            offered,
+            admitted: om.counter_labeled_value("glare_admission_admitted_total", &clabels),
+            shed: om.counter_labeled_value("glare_admission_shed_total", &clabels),
+            retry_after_honored: retries,
+            dropped,
+            responses,
+        });
     }
+    rows
+}
 
+/// Run the scenario and assemble the report.
+pub fn run(p: HealthParams) -> HealthReport {
+    let (mut sim, _probe, lanes) = run_overlay(p, true);
+    let overlay_events = sim.take_events().expect("events were enabled");
+    let g = run_grid_phase(p);
+
+    let (om, gm) = (sim.metrics(), &g.metrics);
     let mut lint = om.lint_metric_names();
     lint.extend(gm.lint_metric_names());
-
+    let lease = |outcome| {
+        let labels = Labels::of(&[("site", "site0"), ("outcome", outcome)]);
+        gm.counter_labeled_value("glare_leases_total", &labels)
+    };
     HealthReport {
         params: p,
-        sites: site_rows,
-        groups: group_rows,
-        tenant_classes: tenant_rows,
-        watch,
+        sites: site_rows(om, gm, p.sites),
+        groups: group_rows(om),
+        tenant_classes: tenant_rows(om, &lanes),
+        watch: watch_rows(om),
         takeovers: om.counter_value("glare.superpeer_takeovers"),
         inbox_ttl_released: om
             .labeled_counters_of("glare_inbox_ttl_released_total")
             .map(|(_, v)| v)
             .sum(),
-        leases_granted: gm.counter_labeled_value(
-            "glare_leases_total",
-            &Labels::of(&[("site", "site0"), ("outcome", "granted")]),
-        ),
-        leases_rejected: gm.counter_labeled_value(
-            "glare_leases_total",
-            &Labels::of(&[("site", "site0"), ("outcome", "rejected")]),
-        ),
+        leases_granted: lease("granted"),
+        leases_rejected: lease("rejected"),
         events_dropped: overlay_events.dropped() + g.events.dropped(),
         lint,
         overlay_exposition: om.expose_prometheus(),
@@ -720,87 +683,49 @@ pub fn render_watch(r: &HealthReport) -> String {
 impl HealthReport {
     /// JSON-friendly view (written to `BENCH_health.json`).
     pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
+        use crate::json::{fields, Json};
         Json::obj([
             ("experiment", Json::from("healthreport")),
             (
                 "params",
-                Json::obj([
-                    ("sites", Json::from(self.params.sites)),
-                    ("clients", Json::from(self.params.clients)),
-                    ("queries_per_client", Json::from(self.params.queries_per_client)),
-                    ("types", Json::from(self.params.types)),
-                    ("seed", Json::from(self.params.seed)),
-                    ("horizon_secs", Json::from(self.params.horizon_secs)),
-                    ("monitor_ticks", Json::from(self.params.monitor_ticks)),
-                    ("loss", Json::from(self.params.loss)),
-                    ("tenants", Json::from(self.params.tenants)),
-                    ("gray", Json::from(self.params.gray)),
-                ]),
+                Json::obj(fields!(
+                    self.params;
+                    sites, clients, queries_per_client, types, seed, horizon_secs, monitor_ticks,
+                    loss, tenants, gray,
+                )),
             ),
             (
                 "sites",
                 Json::arr(self.sites.iter().map(|s| {
-                    Json::obj([
-                        ("site", Json::from(s.site.as_str())),
-                        ("cache_hits", Json::from(s.cache_hits)),
-                        ("cache_misses", Json::from(s.cache_misses)),
-                        ("hit_ratio", Json::from(s.hit_ratio)),
-                        ("staleness_p50_ms", Json::from(s.staleness_p50_ms)),
-                        ("staleness_p95_ms", Json::from(s.staleness_p95_ms)),
-                        ("availability", Json::from(s.availability)),
-                        ("election_rounds", Json::from(s.election_rounds)),
-                        ("elections_won", Json::from(s.elections_won)),
-                        ("failure_detect_p95_ms", Json::from(s.failure_detect_p95_ms)),
-                        ("dropped_loss", Json::from(s.dropped_loss)),
-                        ("dropped_partition", Json::from(s.dropped_partition)),
-                        ("replayed_records", Json::from(s.replayed_records)),
-                        ("replay_ms", Json::from(s.replay_ms)),
-                        ("ae_pulls", Json::from(s.ae_pulls)),
-                        ("ae_pushes", Json::from(s.ae_pushes)),
-                        ("suspicion_level", Json::from(s.suspicion_level)),
-                        ("hedges_fired", Json::from(s.hedges_fired)),
-                        ("hedges_won", Json::from(s.hedges_won)),
-                        ("hedges_wasted", Json::from(s.hedges_wasted)),
-                    ])
+                    Json::obj(fields!(
+                        s;
+                        site, cache_hits, cache_misses, hit_ratio, staleness_p50_ms,
+                        staleness_p95_ms, availability, election_rounds, elections_won,
+                        failure_detect_p95_ms, dropped_loss, dropped_partition, replayed_records,
+                        replay_ms, ae_pulls, ae_pushes, suspicion_level, hedges_fired, hedges_won,
+                        hedges_wasted,
+                    ))
                 })),
             ),
             (
                 "groups",
                 Json::arr(self.groups.iter().map(|g| {
-                    Json::obj([
-                        ("group", Json::from(g.group.as_str())),
-                        ("hits", Json::from(g.hits)),
-                        ("misses", Json::from(g.misses)),
-                        ("hit_ratio", Json::from(g.hit_ratio)),
-                    ])
+                    Json::obj(fields!(g; group, hits, misses, hit_ratio))
                 })),
             ),
             (
                 "tenant_classes",
                 Json::arr(self.tenant_classes.iter().map(|t| {
-                    Json::obj([
-                        ("class", Json::from(t.class.as_str())),
-                        ("offered", Json::from(t.offered)),
-                        ("admitted", Json::from(t.admitted)),
-                        ("shed", Json::from(t.shed)),
-                        ("retry_after_honored", Json::from(t.retry_after_honored)),
-                        ("dropped", Json::from(t.dropped)),
-                        ("responses", Json::from(t.responses)),
-                    ])
+                    Json::obj(fields!(
+                        t;
+                        class, offered, admitted, shed, retry_after_honored, dropped, responses,
+                    ))
                 })),
             ),
             (
                 "watch",
                 Json::arr(self.watch.iter().map(|w| {
-                    Json::obj([
-                        ("family", Json::from(w.family.as_str())),
-                        ("site", Json::from(w.site.as_str())),
-                        ("t_secs", Json::from(w.t_secs)),
-                        ("mean", Json::from(w.mean)),
-                        ("min", Json::from(w.min)),
-                        ("max", Json::from(w.max)),
-                    ])
+                    Json::obj(fields!(w; family, site, t_secs, mean, min, max))
                 })),
             ),
             ("takeovers", Json::from(self.takeovers)),
@@ -862,7 +787,7 @@ mod tests {
         let gray_tenants = HealthParams { tenants: 3, gray: true, ..smoke };
         let seeds = [1, 2, 3, 11].map(|seed| HealthParams { seed, ..smoke });
         for p in seeds.into_iter().chain([gray_tenants]) {
-            let (sim, _) = run_overlay(p, true);
+            let (sim, _, _) = run_overlay(p, true);
             // The builder adds the nodes first, one per site in site order.
             let ids: Vec<ActorId> = (0..p.sites as u32).map(ActorId).collect();
             let v = invariants::overlay(&sim, &ids, sim.now());

@@ -7,6 +7,17 @@
 
 use std::fmt::Write as _;
 
+/// The `(name, Json)` pairs of `$value`'s fields, each keyed by its own
+/// name, in the order listed: `Json::obj(fields!(row; site, hits))` writes
+/// `{"site": row.site, "hits": row.hits}`. A field's name is its key, so
+/// renaming one changes the artifact's schema.
+macro_rules! fields {
+    ($value:expr; $($field:ident),+ $(,)?) => {
+        [$((stringify!($field), $crate::json::Json::from($value.$field.clone()))),+]
+    };
+}
+pub(crate) use fields;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {

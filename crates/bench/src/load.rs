@@ -20,14 +20,14 @@
 
 use glare_core::admission::{AdmissionConfig, TenantClass};
 use glare_core::invariants;
-use glare_core::model::{ActivityDeployment, ActivityType};
-use glare_core::overlay::OverlayBuilder;
-use glare_core::retry::RetryPolicy;
+use glare_core::model::ActivityType;
+use glare_core::node::NodeConfig;
 use glare_fabric::store::fnv1a;
-use glare_fabric::{percentile, Labels, SimDuration, SimTime, SiteId};
-use glare_workload::{TenantLoad, TenantStats, WorkloadSpec};
+use glare_fabric::{percentile, Labels, SimDuration, SimTime};
+use glare_workload::WorkloadSpec;
 
-use crate::json::Json;
+use crate::json::{fields, Json};
+use crate::scenario::{deployment, node_defaults, Registry, Run, Scenario};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -125,22 +125,11 @@ pub struct TenantRow {
 
 impl TenantRow {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::from(self.name.as_str())),
-            ("class", Json::from(self.class)),
-            ("offered", Json::from(self.offered)),
-            ("sent", Json::from(self.sent)),
-            ("responses", Json::from(self.responses)),
-            ("hits", Json::from(self.hits)),
-            ("shed", Json::from(self.shed)),
-            ("retries", Json::from(self.retries)),
-            ("dropped", Json::from(self.dropped)),
-            ("goodput_hz", Json::from(self.goodput_hz)),
-            ("success_ratio", Json::from(self.success_ratio)),
-            ("p50_ms", Json::from(self.p50_ms)),
-            ("p95_ms", Json::from(self.p95_ms)),
-            ("p99_ms", Json::from(self.p99_ms)),
-        ])
+        Json::obj(fields!(
+            self;
+            name, class, offered, sent, responses, hits, shed, retries, dropped, goodput_hz,
+            success_ratio, p50_ms, p95_ms, p99_ms,
+        ))
     }
 }
 
@@ -213,71 +202,54 @@ pub fn invariant_violations(rows: &[TenantRow]) -> u64 {
     invariants::admission_ordering(&classes).len() as u64
 }
 
+/// One sweep point as a scenario: bounded-inbox admission at every site
+/// (none without backpressure), the configured per-request cost, a single
+/// election, the catalogue known everywhere and deployed on site 0, and the
+/// three-tier tenant mix entering through site 0.
+pub(crate) fn scenario(factor: f64, p: &LoadParams) -> Scenario {
+    let duration = SimDuration::from_secs(p.duration_secs);
+    let spec = WorkloadSpec::three_tier(p.seed, duration, p.base_rate_hz * factor);
+    let catalogue = &spec.activities;
+    let ty = |name: &String| ActivityType::concrete_type(name, "bench", name);
+    let registry = Registry {
+        types: catalogue.iter().map(ty).collect(),
+        deployments: catalogue.iter().map(|name| deployment(name, 0, name, name)).collect(),
+    };
+    Scenario {
+        node: NodeConfig {
+            admission: if p.backpressure {
+                AdmissionConfig::bounded(p.capacity)
+            } else {
+                AdmissionConfig::disabled()
+            },
+            request_cost: SimDuration::from_millis(p.request_cost_ms),
+            election_interval: None,
+            ..node_defaults()
+        },
+        registry,
+        events: Some(200_000),
+        tenants: Some(spec),
+        ..Scenario::new(p.sites, p.seed)
+    }
+}
+
 /// Run one sweep point.
 pub fn run_point(factor: f64, p: &LoadParams) -> LoadPoint {
-    let duration = SimDuration::from_secs(p.duration_secs);
     let offered_hz = p.base_rate_hz * factor;
-    let spec = WorkloadSpec::three_tier(p.seed, duration, offered_hz);
-
-    let mut builder = OverlayBuilder::new(p.sites, p.seed);
-    let (capacity, backpressure) = (p.capacity, p.backpressure);
-    let request_cost = SimDuration::from_millis(p.request_cost_ms);
-    builder.configure(move |_, cfg| {
-        cfg.admission = if backpressure {
-            AdmissionConfig::bounded(capacity)
-        } else {
-            AdmissionConfig::disabled()
-        };
-        cfg.request_cost = request_cost;
-        cfg.election_interval = None;
-    });
-    let catalogue = spec.activities.clone();
-    builder.seed(move |i, node| {
-        for name in &catalogue {
-            node.atr
-                .register(
-                    ActivityType::concrete_type(name, "bench", name),
-                    SimTime::ZERO,
-                )
-                .unwrap();
-            if i == 0 {
-                let d = ActivityDeployment::executable(
-                    name,
-                    "site0",
-                    &format!("/opt/deployments/{name}/bin/{name}"),
-                    &format!("/opt/deployments/{name}"),
-                );
-                node.adr.register(d, &node.atr, SimTime::ZERO).unwrap();
-            }
-        }
-    });
-    let (mut sim, ids) = builder.build();
-    sim.enable_events(200_000);
-
-    let mut stats = Vec::new();
-    for (i, _) in spec.tenants.iter().enumerate() {
-        let s = TenantStats::shared();
-        let load = TenantLoad::new(&spec, i, ids[0], RetryPolicy::standard(), s.clone());
-        sim.add_actor(SiteId(0), Box::new(load));
-        stats.push(s);
-    }
-
-    sim.start();
+    let Run { mut sim, ids, lanes, .. } = scenario(factor, p).start();
     let events = sim.run_until(SimTime::from_secs(p.duration_secs + p.drain_secs));
 
     let window_secs = p.duration_secs as f64;
-    let tenants: Vec<TenantRow> = spec
-        .tenants
+    let tenants: Vec<TenantRow> = lanes
         .iter()
-        .zip(stats.iter())
-        .map(|(t, s)| {
-            let s = s.lock();
+        .map(|lane| {
+            let s = lane.stats.lock();
             let mut sorted = s.latencies.clone();
             sorted.sort_unstable();
             let pct = |q: f64| percentile(&sorted, q).map_or(0.0, |d| d.as_millis_f64());
             TenantRow {
-                name: t.name.clone(),
-                class: t.class.label(),
+                name: lane.name.clone(),
+                class: lane.class.label(),
                 offered: s.offered,
                 sent: s.sent,
                 responses: s.responses,

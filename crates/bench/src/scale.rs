@@ -20,11 +20,16 @@
 //! on a super-peer miss, depth 2) as the hop-count baseline the tree has
 //! to beat.
 
-use glare_core::model::{example_hierarchy, ActivityDeployment};
-use glare_core::overlay::{ClientStats, OverlayBuilder, QueryClient};
-use glare_fabric::{percentile, SchedulerKind, SimDuration, SimTime, SiteId};
+use glare_core::node::NodeConfig;
+use glare_fabric::{SchedulerKind, SimDuration, SimTime};
 
-use crate::json::Json;
+use crate::json::{fields, Json};
+use crate::scenario::{deployment, latency_ms, node_defaults, Client, Registry, Run, Scenario};
+
+/// The sites the overlay needs at least: a group needs a super-peer and a
+/// member slot, and the branching `ceil(sqrt(n))` of one site cannot form
+/// one.
+pub const MIN_SITES: usize = 2;
 
 /// One sweep point: a full overlay run at a given site count.
 #[derive(Clone, Debug)]
@@ -54,18 +59,11 @@ pub struct ScalePoint {
 impl ScalePoint {
     /// JSON view of the point.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("sites", Json::from(self.sites)),
-            ("branching", Json::from(self.branching)),
-            ("flood", Json::from(self.flood)),
-            ("events", Json::from(self.events)),
-            ("peak_queue", Json::from(self.peak_queue)),
-            ("queries", Json::from(self.queries)),
-            ("hits", Json::from(self.hits)),
-            ("hops_per_query", Json::from(self.hops_per_query)),
-            ("mean_ms", Json::from(self.mean_ms)),
-            ("p95_ms", Json::from(self.p95_ms)),
-        ])
+        Json::obj(fields!(
+            self;
+            sites, branching, flood, events, peak_queue, queries, hits, hops_per_query, mean_ms,
+            p95_ms,
+        ))
     }
 }
 
@@ -128,58 +126,46 @@ pub fn scheduler_label(kind: SchedulerKind) -> &'static str {
     }
 }
 
-/// Run one sweep point. `flood` swaps the depth-3 tree for the flat
-/// `flood_mode` broadcast baseline (everything else identical).
-pub fn run_point(n: usize, flood: bool, p: &ScaleParams) -> ScalePoint {
+/// One sweep point as a scenario: `n` sites with leaf groups and tiers of
+/// `b = ceil(sqrt(n))`, the cache off and a single election, JPOVray on
+/// every `b`-th site, and the clients spread evenly over the sites. `flood`
+/// swaps the tree for the flat `flood_mode` broadcast at depth 2.
+pub(crate) fn scenario(n: usize, flood: bool, p: &ScaleParams) -> Scenario {
+    assert!(n >= MIN_SITES, "the overlay needs at least {MIN_SITES} sites");
     let b = (n as f64).sqrt().ceil() as usize;
-    let depth = if flood { 2 } else { p.tree_depth };
-    let mut builder = OverlayBuilder::new(n, p.seed).with_scheduler(p.scheduler);
-    builder.configure(move |_, cfg| {
-        cfg.max_group_size = b;
-        cfg.tree_branching = Some(b);
-        cfg.tree_depth = depth;
-        cfg.flood_mode = flood;
-        cfg.use_cache = false;
-        cfg.election_interval = None;
-    });
-    builder.seed(move |i, node| {
-        for t in example_hierarchy(SimTime::ZERO) {
-            node.atr.register(t, SimTime::ZERO).unwrap();
-        }
-        if i % b == 0 {
-            let d = ActivityDeployment::executable(
-                "JPOVray",
-                &format!("site{i}"),
-                "/opt/deployments/jpovray/bin/jpovray",
-                "/opt/deployments/jpovray",
-            );
-            node.adr.register(d, &node.atr, SimTime::ZERO).unwrap();
-        }
-    });
-    let (mut sim, ids) = builder.build();
-    let stats = ClientStats::shared();
-    for c in 0..p.clients {
-        let site = (c * n) / p.clients.max(1);
-        let client = QueryClient::new(
-            ids[site],
-            "Imaging",
-            p.think,
-            p.queries_per_client,
-            stats.clone(),
-        );
-        sim.add_actor(SiteId(site as u32), Box::new(client));
+    let jpovray = |i| deployment("JPOVray", i, "jpovray", "jpovray");
+    let site = |c| (c * n) / p.clients.max(1);
+    let client = |c| Client::new(site(c), "Imaging", p.think, p.queries_per_client);
+    Scenario {
+        scheduler: p.scheduler,
+        node: NodeConfig {
+            max_group_size: b,
+            tree_branching: Some(b),
+            tree_depth: if flood { 2 } else { p.tree_depth },
+            flood_mode: flood,
+            use_cache: false,
+            election_interval: None,
+            ..node_defaults()
+        },
+        registry: Registry::hierarchy((0..n).step_by(b).map(jpovray).collect()),
+        clients: (0..p.clients).map(client).collect(),
+        ..Scenario::new(n, p.seed)
     }
-    sim.start();
+}
+
+/// Run one sweep point; `flood` swaps the tree for the flat broadcast
+/// baseline.
+pub fn run_point(n: usize, flood: bool, p: &ScaleParams) -> ScalePoint {
+    let scenario = scenario(n, flood, p);
+    let branching = scenario.node.max_group_size;
+    let Run { mut sim, stats, .. } = scenario.start();
     let events = sim.run_until(SimTime::from_secs(p.horizon_secs));
     let requests = sim.metrics().counter_value("glare.requests");
-    let s = stats.lock();
-    let mut lat_ms: Vec<f64> = s.latencies.iter().map(|d| d.as_millis_f64()).collect();
-    lat_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let mean_ms = lat_ms.iter().sum::<f64>() / lat_ms.len().max(1) as f64;
-    let p95_ms = percentile(&lat_ms, 0.95).unwrap_or(0.0);
+    let s = stats[0].lock();
+    let (mean_ms, p95_ms) = latency_ms(&s);
     ScalePoint {
         sites: n,
-        branching: b,
+        branching,
         flood,
         events,
         peak_queue: sim.peak_queue_occupancy(),
@@ -250,6 +236,14 @@ pub fn to_json(p: &ScaleParams, points: &[ScalePoint]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_smallest_overlay_answers_every_query() {
+        let p = ScaleParams { sites: vec![MIN_SITES], ..ScaleParams::smoke() };
+        for pt in run(&p) {
+            assert!(pt.queries > 0 && pt.hits == pt.queries, "{pt:?}");
+        }
+    }
 
     fn tiny() -> ScaleParams {
         ScaleParams {

@@ -9,8 +9,8 @@ use glare_bench::health::{run, run_overlay, HealthParams};
 #[test]
 fn telemetry_is_observe_only() {
     let p = HealthParams::smoke();
-    let (_, plain) = run_overlay(p, false);
-    let (mut sim, instrumented) = run_overlay(p, true);
+    let (_, plain, _) = run_overlay(p, false);
+    let (mut sim, instrumented, _) = run_overlay(p, true);
     assert_eq!(
         plain, instrumented,
         "event log + tracing must not change what the simulation computes"

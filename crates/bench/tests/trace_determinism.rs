@@ -2,8 +2,8 @@
 //! observe-only (points match untraced runs), and the exported Chrome
 //! `trace_event` JSON is byte-identical across same-seed runs.
 
-use glare_bench::fig12::{run_config, run_config_traced, Fig12Params};
-use glare_bench::fig13::{run_requesters_traced, Fig13Params};
+use glare_bench::fig12::{run_config, Fig12Params};
+use glare_bench::fig13::{run_requesters, Fig13Params};
 use glare_bench::trace::{chrome_trace_json, critical_paths, render_summary, CriticalPathStats};
 use glare_fabric::SimDuration;
 
@@ -19,8 +19,8 @@ fn quick() -> Fig12Params {
 
 #[test]
 fn chrome_export_is_byte_identical_across_runs() {
-    let (_, a) = run_config_traced(3, false, quick());
-    let (_, b) = run_config_traced(3, false, quick());
+    let (_, a) = run_config(3, false, quick(), true);
+    let (_, b) = run_config(3, false, quick(), true);
     let ja = chrome_trace_json(&a).to_string_pretty();
     let jb = chrome_trace_json(&b).to_string_pretty();
     assert!(!a.is_empty(), "traced run must record spans");
@@ -35,8 +35,8 @@ fn chrome_export_is_byte_identical_across_runs() {
 
 #[test]
 fn tracing_is_observe_only() {
-    let plain = run_config(3, false, quick());
-    let (traced, _) = run_config_traced(3, false, quick());
+    let (plain, _) = run_config(3, false, quick(), false);
+    let (traced, _) = run_config(3, false, quick(), true);
     assert_eq!(plain.mean_ms, traced.mean_ms, "tracing must not perturb timing");
     assert_eq!(plain.p95_ms, traced.p95_ms);
     assert_eq!(plain.requests, traced.requests);
@@ -45,7 +45,7 @@ fn tracing_is_observe_only() {
 #[test]
 fn critical_paths_cover_every_request() {
     let p = quick();
-    let (pt, sink) = run_config_traced(3, false, p);
+    let (pt, sink) = run_config(3, false, p, true);
     let paths = critical_paths(&sink, Some("client.query"));
     assert_eq!(
         paths.len() as u64,
@@ -77,8 +77,8 @@ fn fig13_requester_traces_are_deterministic() {
         window: SimDuration::from_secs(60),
         seed: 7,
     };
-    let (_, a) = run_requesters_traced(25, p);
-    let (_, b) = run_requesters_traced(25, p);
+    let (_, a) = run_requesters(25, p, true);
+    let (_, b) = run_requesters(25, p, true);
     assert_eq!(
         chrome_trace_json(&a).to_string_pretty(),
         chrome_trace_json(&b).to_string_pretty()

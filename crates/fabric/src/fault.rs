@@ -319,6 +319,7 @@ mod tests {
     use super::*;
     use crate::metrics::Labels;
     use crate::sim::{Actor, ActorId, Ctx, Envelope, Simulation, TimerToken};
+    use crate::store::StoreConfig;
     use crate::topology::{LinkSpec, Topology};
 
     struct Noop;
@@ -338,6 +339,38 @@ mod tests {
         assert!(!sim.site(SiteId(0)).is_up());
         sim.run_until(SimTime::from_secs(4));
         assert!(sim.site(SiteId(0)).is_up());
+    }
+
+    /// A plan's torn crash is the kernel call it scripts, event for event.
+    #[test]
+    fn planned_torn_crash_equals_the_scheduled_one() {
+        struct Journaler;
+        impl Actor for Journaler {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for i in 0..3 {
+                    ctx.store_append("put", format!("record {i}"));
+                }
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) {}
+        }
+        let (at, site) = (SimTime::from_secs(1), SiteId(1));
+        let run = |schedule: &dyn Fn(&mut Simulation)| {
+            let mut sim = Simulation::new(Topology::uniform(2), 3);
+            sim.enable_store(StoreConfig::standard());
+            sim.enable_events(64);
+            sim.add_actor(site, Box::new(Journaler));
+            schedule(&mut sim);
+            sim.start();
+            sim.run_to_quiescence(100);
+            let log = sim.events().expect("events enabled").to_jsonl();
+            let counted = sim.metrics().counter_value("fabric.store.torn_records");
+            (log, counted, sim.store(site).expect("store enabled").stats().torn_records)
+        };
+        let scheduled = run(&|sim| sim.schedule_crash_torn(at, site, 2));
+        let planned = run(&|sim| FaultPlan::new().crash_torn(at, site, 2).apply(sim));
+        assert_eq!(planned, scheduled);
+        assert_eq!((scheduled.1, scheduled.2), (2, 2), "the crash tore two records");
+        assert!(scheduled.0.contains("store.torn"));
     }
 
     #[test]

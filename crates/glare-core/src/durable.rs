@@ -14,6 +14,11 @@
 //!   contain any byte (torn-tail corruption is caught by the store's
 //!   per-record checksum, not by the codec).
 //!
+//! Each durable type states its format once, as a private `Wire` impl that
+//! both writes and reads it: a struct is its fields in the order its
+//! `record!` line lists them, an enum a one-letter tag (`tags!`), an
+//! `Option` a presence flag and the value, a `Vec` a count and the items.
+//!
 //! [`RegistryMutation`] is the journal record vocabulary; snapshots use
 //! [`encode_snapshot`]/[`decode_snapshot`] over a [`SnapshotState`]. The
 //! [`registry_digest`] helper condenses registry contents into one `u64`
@@ -22,6 +27,7 @@
 //! equal to a never-crashed one.
 
 use std::fmt::Write as _;
+use std::str::FromStr;
 
 use glare_fabric::store::fnv1a;
 use glare_fabric::{Platform, RecoveredState, SimDuration, SimTime};
@@ -59,34 +65,6 @@ impl Enc {
         let digits = v.unsigned_abs().checked_ilog10().map_or(1, |d| d + 1);
         let _ = write!(self.buf, "{}:{v}", digits + u32::from(v < 0));
     }
-
-    fn flag(&mut self, v: bool) {
-        self.s(if v { "1" } else { "0" });
-    }
-
-    fn opt_s(&mut self, v: Option<&str>) {
-        match v {
-            Some(s) => {
-                self.flag(true);
-                self.s(s);
-            }
-            None => self.flag(false),
-        }
-    }
-
-    fn opt_u(&mut self, v: Option<u64>) {
-        match v {
-            Some(u) => {
-                self.flag(true);
-                self.u(u);
-            }
-            None => self.flag(false),
-        }
-    }
-
-    fn done(self) -> String {
-        self.buf
-    }
 }
 
 /// Streaming decoder over a token stream. Every accessor returns `None`
@@ -96,10 +74,6 @@ struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
-    fn new(input: &'a str) -> Self {
-        Dec { rest: input }
-    }
-
     fn s(&mut self) -> Option<&'a str> {
         let colon = self.rest.find(':')?;
         let len: usize = self.rest[..colon].parse().ok()?;
@@ -110,359 +84,234 @@ impl<'a> Dec<'a> {
         Some(tok)
     }
 
-    fn u(&mut self) -> Option<u64> {
+    /// A number token, `None` if it does not parse or fit `T`.
+    fn num<T: FromStr>(&mut self) -> Option<T> {
         self.s()?.parse().ok()
     }
+}
 
-    fn i(&mut self) -> Option<i64> {
-        self.s()?.parse().ok()
+// ---------------------------------------------------------------------------
+// The format, one impl per type
+// ---------------------------------------------------------------------------
+
+/// A durable type's wire format: `take` reads exactly what `put` writes.
+trait Wire: Sized {
+    fn put(&self, e: &mut Enc);
+    fn take(d: &mut Dec<'_>) -> Option<Self>;
+}
+
+/// `v` as one payload.
+fn encode<T: Wire>(v: &T) -> String {
+    let mut e = Enc::default();
+    v.put(&mut e);
+    e.buf
+}
+
+/// One `T` that is the whole of `input`; `None` on malformed input.
+fn decode<T: Wire>(input: &str) -> Option<T> {
+    let mut d = Dec { rest: input };
+    let v = T::take(&mut d)?;
+    d.rest.is_empty().then_some(v)
+}
+
+impl Wire for String {
+    fn put(&self, e: &mut Enc) {
+        e.s(self);
     }
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        d.s().map(str::to_owned)
+    }
+}
 
-    fn flag(&mut self) -> Option<bool> {
-        match self.s()? {
+impl Wire for u64 {
+    fn put(&self, e: &mut Enc) {
+        e.u(*self);
+    }
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        d.num()
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, e: &mut Enc) {
+        e.u(u64::from(*self));
+    }
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        d.num()
+    }
+}
+
+impl Wire for i32 {
+    fn put(&self, e: &mut Enc) {
+        e.i(i64::from(*self));
+    }
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        d.num()
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, e: &mut Enc) {
+        e.s(if *self { "1" } else { "0" });
+    }
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        match d.s()? {
             "1" => Some(true),
             "0" => Some(false),
             _ => None,
         }
     }
+}
 
-    fn opt_s(&mut self) -> Option<Option<String>> {
-        if self.flag()? {
-            Some(Some(self.s()?.to_owned()))
-        } else {
-            Some(None)
-        }
+impl Wire for SimTime {
+    fn put(&self, e: &mut Enc) {
+        e.u(self.as_nanos());
     }
-
-    fn opt_u(&mut self) -> Option<Option<u64>> {
-        if self.flag()? { Some(Some(self.u()?)) } else { Some(None) }
-    }
-
-    fn finished(&self) -> bool {
-        self.rest.is_empty()
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        d.num().map(SimTime::from_nanos)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Activity types
-// ---------------------------------------------------------------------------
-
-fn enc_platform(e: &mut Enc, p: &Platform) {
-    e.s(&p.platform);
-    e.s(&p.os);
-    e.s(&p.arch);
+impl Wire for SimDuration {
+    fn put(&self, e: &mut Enc) {
+        e.u(self.as_nanos());
+    }
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        d.num().map(SimDuration::from_nanos)
+    }
 }
 
-fn dec_platform(d: &mut Dec<'_>) -> Option<Platform> {
-    let platform = d.s()?.to_owned();
-    let os = d.s()?.to_owned();
-    let arch = d.s()?.to_owned();
-    Some(Platform::new(&platform, &os, &arch))
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, e: &mut Enc) {
+        self.is_some().put(e);
+        if let Some(v) = self {
+            v.put(e);
+        }
+    }
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        if bool::take(d)? { T::take(d).map(Some) } else { Some(None) }
+    }
 }
 
-fn enc_type(e: &mut Enc, t: &ActivityType) {
-    e.s(&t.name);
-    e.s(match t.kind {
-        TypeKind::Abstract => "A",
-        TypeKind::Concrete => "C",
-    });
-    e.u(t.base_types.len() as u64);
-    for b in &t.base_types {
-        e.s(b);
+/// A count, then the items: how every sequence is written.
+fn put_all<'a, T: Wire + 'a, I>(e: &mut Enc, items: I)
+where
+    I: IntoIterator<Item = &'a T, IntoIter: ExactSizeIterator>,
+{
+    let items = items.into_iter();
+    e.u(items.len() as u64);
+    for item in items {
+        item.put(e);
     }
-    e.s(&t.domain);
-    e.u(t.functions.len() as u64);
-    for f in &t.functions {
-        e.s(&f.name);
-        e.u(f.inputs.len() as u64);
-        for i in &f.inputs {
-            e.s(i);
-        }
-        e.u(f.outputs.len() as u64);
-        for o in &f.outputs {
-            e.s(o);
-        }
-    }
-    e.u(t.benchmarks.len() as u64);
-    for b in &t.benchmarks {
-        enc_platform(e, &b.platform);
-        e.u(b.reference_ms);
-    }
-    e.u(t.dependencies.len() as u64);
-    for dep in &t.dependencies {
-        e.s(dep);
-    }
-    match &t.installation {
-        Some(spec) => {
-            e.flag(true);
-            e.s(match spec.mode {
-                InstallMode::OnDemand => "O",
-                InstallMode::Manual => "M",
-            });
-            e.opt_s(spec.constraints.platform.as_deref());
-            e.opt_s(spec.constraints.os.as_deref());
-            e.opt_s(spec.constraints.arch.as_deref());
-            e.s(&spec.deploy_file_url);
-            e.opt_s(spec.deploy_file_md5.as_deref());
-            e.s(&spec.package);
-        }
-        None => e.flag(false),
-    }
-    e.u(u64::from(t.limits.min));
-    e.u(u64::from(t.limits.max));
-    e.s(&t.provider_contact);
-    e.flag(t.revoked);
 }
 
-fn dec_type(d: &mut Dec<'_>) -> Option<ActivityType> {
-    let name = d.s()?.to_owned();
-    let kind = match d.s()? {
-        "A" => TypeKind::Abstract,
-        "C" => TypeKind::Concrete,
-        _ => return None,
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, e: &mut Enc) {
+        put_all(e, self);
+    }
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        let n: usize = d.num()?;
+        // Each item is at least one `0:` token: a count is never trusted past the input.
+        let mut items = Vec::with_capacity(n.min(d.rest.len() / 2));
+        for _ in 0..n {
+            items.push(T::take(d)?);
+        }
+        Some(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        Some((A::take(d)?, B::take(d)?))
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, e: &mut Enc) {
+        T::put(self, e);
+    }
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        T::take(d).map(Box::new)
+    }
+}
+
+/// A struct's format: its fields, in the order listed. Reordering a list
+/// changes the format, and journals written before will not replay.
+macro_rules! record {
+    ($ty:ty { $($field:ident),+ }) => {
+        impl Wire for $ty {
+            fn put(&self, e: &mut Enc) {
+                $(self.$field.put(e);)+
+            }
+            fn take(d: &mut Dec<'_>) -> Option<Self> {
+                Some(Self { $($field: Wire::take(d)?),+ })
+            }
+        }
     };
-    let n_base = d.u()? as usize;
-    let mut base_types = Vec::with_capacity(n_base);
-    for _ in 0..n_base {
-        base_types.push(d.s()?.to_owned());
-    }
-    let domain = d.s()?.to_owned();
-    let n_funcs = d.u()? as usize;
-    let mut functions = Vec::with_capacity(n_funcs);
-    for _ in 0..n_funcs {
-        let fname = d.s()?.to_owned();
-        let n_in = d.u()? as usize;
-        let mut inputs = Vec::with_capacity(n_in);
-        for _ in 0..n_in {
-            inputs.push(d.s()?.to_owned());
+}
+
+record!(Platform { platform, os, arch });
+record!(ActivityFunction { name, inputs, outputs });
+record!(TypeBenchmark { platform, reference_ms });
+record!(InstallConstraints { platform, os, arch });
+record!(InstallationSpec { mode, constraints, deploy_file_url, deploy_file_md5, package });
+record!(DeploymentLimits { min, max });
+record!(ActivityType {
+    name, kind, base_types, domain, functions, benchmarks, dependencies, installation, limits,
+    provider_contact, revoked
+});
+record!(DeploymentMetrics { last_execution_time, last_return_code, last_invocation, invocations });
+record!(ActivityDeployment { key, type_name, site, access, status, metrics });
+record!(LeaseTicket { id, deployment, client, kind, from, until });
+
+/// A field-less enum's format: one token, the variant's letter.
+macro_rules! tags {
+    ($ty:ident { $($variant:ident = $tag:literal),+ }) => {
+        impl Wire for $ty {
+            fn put(&self, e: &mut Enc) {
+                e.s(match self { $($ty::$variant => $tag),+ });
+            }
+            fn take(d: &mut Dec<'_>) -> Option<Self> {
+                match d.s()? {
+                    $($tag => Some($ty::$variant),)+
+                    _ => None,
+                }
+            }
         }
-        let n_out = d.u()? as usize;
-        let mut outputs = Vec::with_capacity(n_out);
-        for _ in 0..n_out {
-            outputs.push(d.s()?.to_owned());
+    };
+}
+
+tags!(TypeKind { Abstract = "A", Concrete = "C" });
+tags!(InstallMode { OnDemand = "O", Manual = "M" });
+tags!(DeploymentStatus { Available = "A", Unavailable = "U", Failed = "F" });
+tags!(LeaseKind { Exclusive = "X", Shared = "S" });
+
+/// The tag, then the variant's fields.
+impl Wire for DeploymentAccess {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            DeploymentAccess::Executable { path, home } => {
+                e.s("E");
+                e.s(path);
+                e.s(home);
+            }
+            DeploymentAccess::Service { address } => {
+                e.s("S");
+                e.s(address);
+            }
         }
-        functions.push(ActivityFunction {
-            name: fname,
-            inputs,
-            outputs,
-        });
     }
-    let n_bench = d.u()? as usize;
-    let mut benchmarks = Vec::with_capacity(n_bench);
-    for _ in 0..n_bench {
-        let platform = dec_platform(d)?;
-        let reference_ms = d.u()?;
-        benchmarks.push(TypeBenchmark {
-            platform,
-            reference_ms,
-        });
-    }
-    let n_deps = d.u()? as usize;
-    let mut dependencies = Vec::with_capacity(n_deps);
-    for _ in 0..n_deps {
-        dependencies.push(d.s()?.to_owned());
-    }
-    let installation = if d.flag()? {
-        let mode = match d.s()? {
-            "O" => InstallMode::OnDemand,
-            "M" => InstallMode::Manual,
+    fn take(d: &mut Dec<'_>) -> Option<Self> {
+        Some(match d.s()? {
+            "E" => DeploymentAccess::Executable { path: Wire::take(d)?, home: Wire::take(d)? },
+            "S" => DeploymentAccess::Service { address: Wire::take(d)? },
             _ => return None,
-        };
-        let constraints = InstallConstraints {
-            platform: d.opt_s()?,
-            os: d.opt_s()?,
-            arch: d.opt_s()?,
-        };
-        let deploy_file_url = d.s()?.to_owned();
-        let deploy_file_md5 = d.opt_s()?;
-        let package = d.s()?.to_owned();
-        Some(InstallationSpec {
-            mode,
-            constraints,
-            deploy_file_url,
-            deploy_file_md5,
-            package,
         })
-    } else {
-        None
-    };
-    let limits = DeploymentLimits {
-        min: u32::try_from(d.u()?).ok()?,
-        max: u32::try_from(d.u()?).ok()?,
-    };
-    let provider_contact = d.s()?.to_owned();
-    let revoked = d.flag()?;
-    Some(ActivityType {
-        name,
-        kind,
-        base_types,
-        domain,
-        functions,
-        benchmarks,
-        dependencies,
-        installation,
-        limits,
-        provider_contact,
-        revoked,
-    })
-}
-
-/// Encode an activity type with full fidelity (every field round-trips).
-pub fn encode_type(t: &ActivityType) -> String {
-    let mut e = Enc::default();
-    enc_type(&mut e, t);
-    e.done()
-}
-
-/// Decode an activity type; `None` on malformed input.
-pub fn decode_type(input: &str) -> Option<ActivityType> {
-    let mut d = Dec::new(input);
-    let t = dec_type(&mut d)?;
-    d.finished().then_some(t)
-}
-
-// ---------------------------------------------------------------------------
-// Deployments
-// ---------------------------------------------------------------------------
-
-fn enc_deployment(e: &mut Enc, dep: &ActivityDeployment) {
-    e.s(&dep.key);
-    e.s(&dep.type_name);
-    e.s(&dep.site);
-    match &dep.access {
-        DeploymentAccess::Executable { path, home } => {
-            e.s("E");
-            e.s(path);
-            e.s(home);
-        }
-        DeploymentAccess::Service { address } => {
-            e.s("S");
-            e.s(address);
-        }
     }
-    e.s(match dep.status {
-        DeploymentStatus::Available => "A",
-        DeploymentStatus::Unavailable => "U",
-        DeploymentStatus::Failed => "F",
-    });
-    e.opt_u(dep.metrics.last_execution_time.map(|t| t.as_nanos()));
-    match dep.metrics.last_return_code {
-        Some(rc) => {
-            e.flag(true);
-            e.i(i64::from(rc));
-        }
-        None => e.flag(false),
-    }
-    e.opt_u(dep.metrics.last_invocation.map(|t| t.as_nanos()));
-    e.u(dep.metrics.invocations);
-}
-
-fn dec_deployment(d: &mut Dec<'_>) -> Option<ActivityDeployment> {
-    let key = d.s()?.to_owned();
-    let type_name = d.s()?.to_owned();
-    let site = d.s()?.to_owned();
-    let access = match d.s()? {
-        "E" => DeploymentAccess::Executable {
-            path: d.s()?.to_owned(),
-            home: d.s()?.to_owned(),
-        },
-        "S" => DeploymentAccess::Service {
-            address: d.s()?.to_owned(),
-        },
-        _ => return None,
-    };
-    let status = match d.s()? {
-        "A" => DeploymentStatus::Available,
-        "U" => DeploymentStatus::Unavailable,
-        "F" => DeploymentStatus::Failed,
-        _ => return None,
-    };
-    let last_execution_time = d.opt_u()?.map(SimDuration::from_nanos);
-    let last_return_code = if d.flag()? {
-        Some(i32::try_from(d.i()?).ok()?)
-    } else {
-        None
-    };
-    let last_invocation = d.opt_u()?.map(SimTime::from_nanos);
-    let invocations = d.u()?;
-    Some(ActivityDeployment {
-        key,
-        type_name,
-        site,
-        access,
-        status,
-        metrics: DeploymentMetrics {
-            last_execution_time,
-            last_return_code,
-            last_invocation,
-            invocations,
-        },
-    })
-}
-
-/// Encode a deployment with full fidelity (access, status, metrics).
-pub fn encode_deployment(dep: &ActivityDeployment) -> String {
-    let mut e = Enc::default();
-    enc_deployment(&mut e, dep);
-    e.done()
-}
-
-/// Decode a deployment; `None` on malformed input.
-pub fn decode_deployment(input: &str) -> Option<ActivityDeployment> {
-    let mut d = Dec::new(input);
-    let dep = dec_deployment(&mut d)?;
-    d.finished().then_some(dep)
-}
-
-// ---------------------------------------------------------------------------
-// Leases
-// ---------------------------------------------------------------------------
-
-fn enc_lease(e: &mut Enc, l: &LeaseTicket) {
-    e.u(l.id);
-    e.s(&l.deployment);
-    e.s(&l.client);
-    e.s(match l.kind {
-        LeaseKind::Exclusive => "X",
-        LeaseKind::Shared => "S",
-    });
-    e.u(l.from.as_nanos());
-    e.u(l.until.as_nanos());
-}
-
-fn dec_lease(d: &mut Dec<'_>) -> Option<LeaseTicket> {
-    let id = d.u()?;
-    let deployment = d.s()?.to_owned();
-    let client = d.s()?.to_owned();
-    let kind = match d.s()? {
-        "X" => LeaseKind::Exclusive,
-        "S" => LeaseKind::Shared,
-        _ => return None,
-    };
-    let from = SimTime::from_nanos(d.u()?);
-    let until = SimTime::from_nanos(d.u()?);
-    Some(LeaseTicket {
-        id,
-        deployment,
-        client,
-        kind,
-        from,
-        until,
-    })
-}
-
-/// Encode a lease ticket.
-pub fn encode_lease(l: &LeaseTicket) -> String {
-    let mut e = Enc::default();
-    enc_lease(&mut e, l);
-    e.done()
-}
-
-/// Decode a lease ticket; `None` on malformed input.
-pub fn decode_lease(input: &str) -> Option<LeaseTicket> {
-    let mut d = Dec::new(input);
-    let l = dec_lease(&mut d)?;
-    d.finished().then_some(l)
 }
 
 // ---------------------------------------------------------------------------
@@ -530,38 +379,36 @@ impl RegistryMutation {
     pub fn payload(&self) -> String {
         let mut e = Enc::default();
         match self {
-            RegistryMutation::AtrRegister(t) => enc_type(&mut e, t),
-            RegistryMutation::AtrRemove(name) => e.s(name),
-            RegistryMutation::AdrRegister(dep) => enc_deployment(&mut e, dep),
-            RegistryMutation::AdrRemove(key) => e.s(key),
+            RegistryMutation::AtrRegister(t) => t.put(&mut e),
+            RegistryMutation::AtrRemove(name) => name.put(&mut e),
+            RegistryMutation::AdrRegister(dep) => dep.put(&mut e),
+            RegistryMutation::AdrRemove(key) => key.put(&mut e),
             RegistryMutation::AdrUninstall { key, at } => {
-                e.s(key);
-                e.u(at.as_nanos());
+                key.put(&mut e);
+                at.put(&mut e);
             }
-            RegistryMutation::LeaseGrant(l) => enc_lease(&mut e, l),
-            RegistryMutation::LeaseRelease(id) => e.u(*id),
+            RegistryMutation::LeaseGrant(l) => l.put(&mut e),
+            RegistryMutation::LeaseRelease(id) => id.put(&mut e),
         }
-        e.done()
+        e.buf
     }
 
     /// Decode a replayed `(kind, payload)` record; `None` for unknown
     /// kinds or malformed payloads (replay skips such records).
     pub fn decode(kind: &str, payload: &str) -> Option<RegistryMutation> {
-        let mut d = Dec::new(payload);
-        let m = match kind {
-            KIND_ATR_REGISTER => RegistryMutation::AtrRegister(Box::new(dec_type(&mut d)?)),
-            KIND_ATR_REMOVE => RegistryMutation::AtrRemove(d.s()?.to_owned()),
-            KIND_ADR_REGISTER => RegistryMutation::AdrRegister(Box::new(dec_deployment(&mut d)?)),
-            KIND_ADR_REMOVE => RegistryMutation::AdrRemove(d.s()?.to_owned()),
-            KIND_ADR_UNINSTALL => RegistryMutation::AdrUninstall {
-                key: d.s()?.to_owned(),
-                at: SimTime::from_nanos(d.u()?),
-            },
-            KIND_LEASE_GRANT => RegistryMutation::LeaseGrant(dec_lease(&mut d)?),
-            KIND_LEASE_RELEASE => RegistryMutation::LeaseRelease(d.u()?),
+        Some(match kind {
+            KIND_ATR_REGISTER => RegistryMutation::AtrRegister(decode(payload)?),
+            KIND_ATR_REMOVE => RegistryMutation::AtrRemove(decode(payload)?),
+            KIND_ADR_REGISTER => RegistryMutation::AdrRegister(decode(payload)?),
+            KIND_ADR_REMOVE => RegistryMutation::AdrRemove(decode(payload)?),
+            KIND_ADR_UNINSTALL => {
+                let (key, at) = decode(payload)?;
+                RegistryMutation::AdrUninstall { key, at }
+            }
+            KIND_LEASE_GRANT => RegistryMutation::LeaseGrant(decode(payload)?),
+            KIND_LEASE_RELEASE => RegistryMutation::LeaseRelease(decode(payload)?),
             _ => return None,
-        };
-        d.finished().then_some(m)
+        })
     }
 
     /// Replay this mutation into a site's registries (and its lease table,
@@ -712,8 +559,9 @@ pub fn replay(
     had_snapshot
 }
 
-/// Encode a snapshot blob. Entries are sorted by key so the blob is
-/// deterministic regardless of registry iteration order.
+/// Encode a snapshot blob: types, deployments, tombstones and leases,
+/// each sorted by key so the blob is deterministic regardless of registry
+/// iteration order.
 pub fn encode_snapshot(state: &SnapshotState) -> String {
     let mut types: Vec<&ActivityType> = state.types.iter().collect();
     types.sort_by(|a, b| a.name.cmp(&b.name));
@@ -725,52 +573,17 @@ pub fn encode_snapshot(state: &SnapshotState) -> String {
     leases.sort_by_key(|l| l.id);
 
     let mut e = Enc::default();
-    e.u(types.len() as u64);
-    for t in &types {
-        enc_type(&mut e, t);
-    }
-    e.u(deployments.len() as u64);
-    for dep in &deployments {
-        enc_deployment(&mut e, dep);
-    }
-    e.u(tombstones.len() as u64);
-    for (key, at) in &tombstones {
-        e.s(key);
-        e.u(at.as_nanos());
-    }
-    e.u(leases.len() as u64);
-    for l in &leases {
-        enc_lease(&mut e, l);
-    }
-    e.done()
+    put_all(&mut e, types);
+    put_all(&mut e, deployments);
+    put_all(&mut e, tombstones);
+    put_all(&mut e, leases);
+    e.buf
 }
 
 /// Decode a snapshot blob; `None` on malformed input.
 pub fn decode_snapshot(input: &str) -> Option<SnapshotState> {
-    let mut d = Dec::new(input);
-    let n_types = d.u()? as usize;
-    let mut types = Vec::with_capacity(n_types);
-    for _ in 0..n_types {
-        types.push(dec_type(&mut d)?);
-    }
-    let n_deps = d.u()? as usize;
-    let mut deployments = Vec::with_capacity(n_deps);
-    for _ in 0..n_deps {
-        deployments.push(dec_deployment(&mut d)?);
-    }
-    let n_tombs = d.u()? as usize;
-    let mut tombstones = Vec::with_capacity(n_tombs);
-    for _ in 0..n_tombs {
-        let key = d.s()?.to_owned();
-        let at = SimTime::from_nanos(d.u()?);
-        tombstones.push((key, at));
-    }
-    let n_leases = d.u()? as usize;
-    let mut leases = Vec::with_capacity(n_leases);
-    for _ in 0..n_leases {
-        leases.push(dec_lease(&mut d)?);
-    }
-    d.finished().then_some(SnapshotState {
+    let (types, (deployments, (tombstones, leases))) = decode(input)?;
+    Some(SnapshotState {
         types,
         deployments,
         tombstones,
@@ -793,7 +606,7 @@ pub fn registry_digest(
     deployments: &[ActivityDeployment],
     tombstone_keys: &[String],
 ) -> u64 {
-    let mut type_blobs: Vec<String> = types.iter().map(encode_type).collect();
+    let mut type_blobs: Vec<String> = types.iter().map(encode).collect();
     type_blobs.sort();
     let mut dep_blobs: Vec<String> = deployments
         .iter()
@@ -801,7 +614,7 @@ pub fn registry_digest(
             let mut stable = d.clone();
             stable.status = DeploymentStatus::Available;
             stable.metrics = DeploymentMetrics::default();
-            encode_deployment(&stable)
+            encode(&stable)
         })
         .collect();
     dep_blobs.sort();
@@ -832,6 +645,7 @@ mod tests {
     use super::*;
     use crate::model::example_hierarchy;
     use glare_fabric::SimTime;
+    use glare_services::Transport;
 
     fn sample_types() -> Vec<ActivityType> {
         example_hierarchy(SimTime::ZERO)
@@ -852,9 +666,9 @@ mod tests {
     #[test]
     fn type_roundtrip_is_full_fidelity() {
         for t in sample_types() {
-            let blob = encode_type(&t);
-            let back = decode_type(&blob).expect("decodes");
-            assert_eq!(encode_type(&back), blob, "{} re-encodes identically", t.name);
+            let blob = encode(&t);
+            let back: ActivityType = decode(&blob).expect("decodes");
+            assert_eq!(encode(&back), blob, "{} re-encodes identically", t.name);
             assert_eq!(back.name, t.name);
             assert_eq!(back.benchmarks.len(), t.benchmarks.len());
             assert_eq!(back.limits.min, t.limits.min);
@@ -867,9 +681,9 @@ mod tests {
     #[test]
     fn deployment_roundtrip_keeps_metrics() {
         let d = sample_deployment();
-        let blob = encode_deployment(&d);
-        let back = decode_deployment(&blob).expect("decodes");
-        assert_eq!(encode_deployment(&back), blob);
+        let blob = encode(&d);
+        let back: ActivityDeployment = decode(&blob).expect("decodes");
+        assert_eq!(encode(&back), blob);
         assert_eq!(back.metrics.invocations, 1);
         assert_eq!(back.metrics.last_return_code, Some(0));
         assert_eq!(back.status, DeploymentStatus::Unavailable);
@@ -885,8 +699,8 @@ mod tests {
             from: SimTime::from_secs(10),
             until: SimTime::from_secs(20),
         };
-        let blob = encode_lease(&l);
-        assert_eq!(decode_lease(&blob).expect("decodes"), l);
+        let blob = encode(&l);
+        assert_eq!(decode::<LeaseTicket>(&blob).expect("decodes"), l);
     }
 
     #[test]
@@ -1017,15 +831,254 @@ mod tests {
                 }
             }
         }
-        assert_eq!(e.done(), old);
+        assert_eq!(e.buf, old);
+    }
+
+    /// A concrete type that sets every field the codec writes.
+    fn pinned_type() -> ActivityType {
+        ActivityType {
+            name: "JPOVray".into(),
+            kind: TypeKind::Concrete,
+            base_types: vec!["POVray".into()],
+            domain: "Imaging".into(),
+            functions: vec![ActivityFunction {
+                name: "render".into(),
+                inputs: vec!["scene".into(), "ini".into()],
+                outputs: vec!["image".into()],
+            }],
+            benchmarks: vec![TypeBenchmark {
+                platform: Platform::new("Intel", "Linux", "32bit"),
+                reference_ms: 1500,
+            }],
+            dependencies: vec!["Java".into()],
+            installation: Some(InstallationSpec {
+                mode: InstallMode::Manual,
+                constraints: InstallConstraints {
+                    platform: Some("Intel".into()),
+                    os: None,
+                    arch: Some("32bit".into()),
+                },
+                deploy_file_url: "gsiftp://repo/jpovray.xml".into(),
+                deploy_file_md5: Some("d41d8cd9".into()),
+                package: "jpovray".into(),
+            }),
+            limits: DeploymentLimits { min: 1, max: 12 },
+            provider_contact: "ops@site3".into(),
+            revoked: false,
+        }
+    }
+
+    /// An abstract type with nothing optional set.
+    fn pinned_abstract_type() -> ActivityType {
+        ActivityType {
+            name: "POVray".into(),
+            kind: TypeKind::Abstract,
+            base_types: Vec::new(),
+            domain: "Imaging".into(),
+            functions: Vec::new(),
+            benchmarks: Vec::new(),
+            dependencies: Vec::new(),
+            installation: None,
+            limits: DeploymentLimits { min: 0, max: u32::MAX },
+            provider_contact: String::new(),
+            revoked: true,
+        }
+    }
+
+    fn pinned_executable() -> ActivityDeployment {
+        ActivityDeployment {
+            key: "jpovray@site3".into(),
+            type_name: "JPOVray".into(),
+            site: "site3".into(),
+            access: DeploymentAccess::Executable {
+                path: "/opt/jpovray/bin/jpovray".into(),
+                home: "/opt/jpovray".into(),
+            },
+            status: DeploymentStatus::Failed,
+            metrics: DeploymentMetrics {
+                last_execution_time: Some(SimDuration::from_millis(120)),
+                last_return_code: Some(-11),
+                last_invocation: Some(SimTime::from_secs(5)),
+                invocations: 3,
+            },
+        }
+    }
+
+    fn pinned_service() -> ActivityDeployment {
+        ActivityDeployment {
+            key: "wien2k@site1".into(),
+            type_name: "Wien2k".into(),
+            site: "site1".into(),
+            access: DeploymentAccess::Service {
+                address: "https://site1/Wien2k".into(),
+            },
+            status: DeploymentStatus::Unavailable,
+            metrics: DeploymentMetrics::default(),
+        }
+    }
+
+    fn pinned_lease(id: u64, kind: LeaseKind) -> LeaseTicket {
+        LeaseTicket {
+            id,
+            deployment: "jpovray@site3".into(),
+            client: "alice".into(),
+            kind,
+            from: SimTime::from_secs(10),
+            until: SimTime::from_millis(20_500),
+        }
+    }
+
+    /// The journal and snapshot bytes, written out: a format change fails
+    /// here even when encoder and decoder drift together.
+    #[test]
+    fn wire_format_is_pinned() {
+        let payloads = [
+            (
+                RegistryMutation::AtrRegister(Box::new(pinned_type())),
+                concat!(
+                    "7:JPOVray1:C",
+                    "1:16:POVray7:Imaging",
+                    "1:16:render1:25:scene3:ini1:15:image",
+                    "1:15:Intel5:Linux5:32bit4:1500",
+                    "1:14:Java",
+                    "1:11:M1:15:Intel1:01:15:32bit25:gsiftp://repo/jpovray.xml1:18:d41d8cd97:jpovray",
+                    "1:12:129:ops@site31:0",
+                ),
+            ),
+            (
+                RegistryMutation::AdrRegister(Box::new(pinned_executable())),
+                concat!(
+                    "13:jpovray@site37:JPOVray5:site3",
+                    "1:E24:/opt/jpovray/bin/jpovray12:/opt/jpovray",
+                    "1:F1:19:1200000001:13:-111:110:50000000001:3",
+                ),
+            ),
+            (
+                RegistryMutation::AdrRegister(Box::new(pinned_service())),
+                "12:wien2k@site16:Wien2k5:site11:S20:https://site1/Wien2k1:U1:01:01:01:0",
+            ),
+            (
+                RegistryMutation::LeaseGrant(pinned_lease(42, LeaseKind::Exclusive)),
+                "2:4213:jpovray@site35:alice1:X11:1000000000011:20500000000",
+            ),
+            (RegistryMutation::AtrRemove("POVray".into()), "6:POVray"),
+            (RegistryMutation::AdrRemove("wien2k@site1".into()), "12:wien2k@site1"),
+            (
+                RegistryMutation::AdrUninstall {
+                    key: "jpovray@site3".into(),
+                    at: SimTime::from_secs(99),
+                },
+                "13:jpovray@site311:99000000000",
+            ),
+            (RegistryMutation::LeaseRelease(42), "2:42"),
+        ];
+        for (m, pinned) in payloads {
+            assert_eq!(m.payload(), pinned, "{} payload", m.kind());
+            let back = RegistryMutation::decode(m.kind(), pinned).expect("pinned payload decodes");
+            assert_eq!(back.payload(), pinned, "{} decodes to what it pins", m.kind());
+        }
+
+        // Built unsorted: the blob sorts types, deployments, tombstones and leases.
+        let state = SnapshotState {
+            types: vec![pinned_type(), pinned_abstract_type()],
+            deployments: vec![pinned_service(), pinned_executable()],
+            tombstones: vec![
+                ("zeta@site2".into(), SimTime::from_secs(4)),
+                ("alpha@site1".into(), SimTime::from_secs(7)),
+            ],
+            leases: vec![
+                pinned_lease(9, LeaseKind::Shared),
+                pinned_lease(2, LeaseKind::Exclusive),
+            ],
+        };
+        let pinned = concat!(
+            "1:2",
+            "7:JPOVray1:C1:16:POVray7:Imaging1:16:render1:25:scene3:ini1:15:image",
+            "1:15:Intel5:Linux5:32bit4:15001:14:Java",
+            "1:11:M1:15:Intel1:01:15:32bit25:gsiftp://repo/jpovray.xml1:18:d41d8cd97:jpovray",
+            "1:12:129:ops@site31:0",
+            "6:POVray1:A1:07:Imaging1:01:01:01:01:010:42949672950:1:1",
+            "1:2",
+            "13:jpovray@site37:JPOVray5:site31:E24:/opt/jpovray/bin/jpovray12:/opt/jpovray",
+            "1:F1:19:1200000001:13:-111:110:50000000001:3",
+            "12:wien2k@site16:Wien2k5:site11:S20:https://site1/Wien2k1:U1:01:01:01:0",
+            "1:2",
+            "11:alpha@site110:7000000000",
+            "10:zeta@site210:4000000000",
+            "1:2",
+            "1:213:jpovray@site35:alice1:X11:1000000000011:20500000000",
+            "1:913:jpovray@site35:alice1:S11:1000000000011:20500000000",
+        );
+        assert_eq!(encode_snapshot(&state), pinned);
+        let back = decode_snapshot(pinned).expect("pinned snapshot decodes");
+        assert_eq!(encode_snapshot(&back), pinned);
+
+        let tombs = ["zeta@site2".to_owned(), "alpha@site1".to_owned()];
+        let digest = registry_digest(&state.types, &state.deployments, &tombs);
+        assert_eq!(digest, 0x5773_9353_1f99_971b);
+    }
+
+    /// Replay loads what decodes and passes over the rest: a snapshot blob
+    /// that does not decode, a record of unknown kind and one with a
+    /// malformed payload. The valid records apply in journal order.
+    #[test]
+    fn replay_skips_what_it_cannot_read() {
+        let record = |m: RegistryMutation| (m.kind().to_owned(), m.payload());
+        let lease = pinned_lease(42, LeaseKind::Exclusive);
+        let mut recovered = RecoveredState {
+            snapshot: Some("7:garbage".into()),
+            records: vec![
+                record(RegistryMutation::AtrRegister(Box::new(pinned_type()))),
+                ("atr.purge".into(), "7:JPOVray".into()),
+                (KIND_ATR_REMOVE.into(), "7:JPOVrayEXTRA".into()),
+                record(RegistryMutation::AdrRegister(Box::new(pinned_executable()))),
+                record(RegistryMutation::LeaseGrant(lease.clone())),
+                record(RegistryMutation::AdrUninstall {
+                    key: "jpovray@site3".into(),
+                    at: SimTime::from_secs(99),
+                }),
+            ],
+            truncated_records: 0,
+        };
+        let registries = || {
+            let atr = ActivityTypeRegistry::new("https://site3/ATR", Transport::Http);
+            (atr, ActivityDeploymentRegistry::new("https://site3/ADR", Transport::Http))
+        };
+        let now = SimTime::from_secs(100);
+
+        let (atr, adr) = registries();
+        assert!(!replay(&recovered, &atr, &adr, None, now), "the blob does not decode");
+        assert_eq!(atr.names(now), ["JPOVray"], "neither skipped record removed the type");
+        assert!(adr.keys(now).is_empty(), "the uninstall applied after the register");
+        assert_eq!(adr.tombstones(), [("jpovray@site3".to_owned(), SimTime::from_secs(99))]);
+
+        let (atr, adr) = registries();
+        let mut leases = LeaseManager::new();
+        assert!(!replay(&recovered, &atr, &adr, Some(&mut leases), now));
+        assert_eq!(leases.tickets(), [lease], "a lease table takes the grant");
+
+        recovered.snapshot = Some(encode_snapshot(&SnapshotState::default()));
+        let (atr, adr) = registries();
+        assert!(replay(&recovered, &atr, &adr, None, now), "an empty snapshot still loads");
     }
 
     #[test]
     fn malformed_tokens_are_rejected_not_panicked() {
         for bad in ["", "5:abc", "x:abc", "999999999999999999999:a", "3:abcEXTRA"] {
-            assert!(decode_type(bad).is_none(), "{bad:?}");
-            assert!(decode_deployment(bad).is_none(), "{bad:?}");
-            assert!(decode_lease(bad).is_none(), "{bad:?}");
+            assert!(decode::<ActivityType>(bad).is_none(), "{bad:?}");
+            assert!(decode::<ActivityDeployment>(bad).is_none(), "{bad:?}");
+            assert!(decode::<LeaseTicket>(bad).is_none(), "{bad:?}");
+        }
+        // A count the input cannot hold is refused, not reserved: at the
+        // snapshot's type count, a type's base-type count and a function's
+        // input count.
+        for huge in ["20:18446744073709551615", "13:1000000000000"] {
+            let types = huge.to_owned();
+            let base_types = format!("1:17:JPOVray1:C{huge}");
+            let inputs = format!("1:17:JPOVray1:C1:07:Imaging1:16:render{huge}");
+            for bad in [types, base_types, inputs] {
+                assert!(decode_snapshot(&bad).is_none(), "{bad:?}");
+            }
         }
     }
 }

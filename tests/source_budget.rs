@@ -9,10 +9,9 @@ const BUDGET: usize = 800;
 const FN_BUDGET: usize = 120;
 
 /// `(path under crates/, lines before its tests)`: a ratchet, not an allowance.
-const OVER: [(&str, usize); 3] = [
+const OVER: [(&str, usize); 2] = [
     ("fabric/src/metrics.rs", 980),
     ("glare-core/src/grid.rs", 878),
-    ("glare-core/src/durable.rs", 829),
 ];
 
 /// `(path under crates/, function, its lines)`: the same ratchet for functions.

@@ -2,16 +2,17 @@
 //! time series.
 //!
 //! The benchmark harness in `glare-bench` reads these back to print the
-//! rows/series of the paper's tables and figures, so the registry keeps
-//! everything addressable by a flat string name (e.g.
+//! rows/series of the paper's tables and figures. Counters and time series
+//! are addressable by a flat string name (e.g.
 //! `"site3.deployments.installed"`).
 //!
-//! On top of the flat namespace the registry offers a *labeled* metric
-//! model for the health-telemetry subsystem: a metric family has a
+//! Counters, histograms and gauges also live in *labeled* families, the
+//! model of the health-telemetry subsystem: a metric family has a
 //! Prometheus-style name (`glare_cache_hits_total`) and each instrument in
 //! the family is addressed by a sorted `(key=value)` label set
-//! ([`Labels`]) — site, activity type, peer group, component. Labeled
-//! families render deterministically to a Prometheus-style text exposition
+//! ([`Labels`]) — site, activity type, peer group, component. Histograms
+//! and gauges are labeled only. Labeled families render deterministically
+//! to a Prometheus-style text exposition
 //! ([`MetricsRegistry::expose_prometheus`]) and a JSON snapshot
 //! ([`MetricsRegistry::snapshot_json`]); both are byte-identical across
 //! same-seed runs because every map involved is a `BTreeMap` and all
@@ -79,10 +80,10 @@ pub fn percentile<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
 /// Samples are kept exactly (experiments are bounded) and sorted lazily on
 /// query. The sort state lives behind `RefCell`/`Cell` so quantile reads
 /// work through `&self` — read paths like
-/// [`MetricsRegistry::histogram_ref`] can compute `p50`/`p95` without
-/// mutable access to the registry. The interior mutability costs `Sync`
-/// (the simulation is single-threaded, the harness reads after the run)
-/// but keeps queries exact, which is the right trade for a
+/// [`MetricsRegistry::histogram_labeled_ref`] can compute `p50`/`p95`
+/// without mutable access to the registry. The interior mutability costs
+/// `Sync` (the simulation is single-threaded, the harness reads after the
+/// run) but keeps queries exact, which is the right trade for a
 /// reproducibility harness.
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
@@ -183,14 +184,6 @@ impl TimeSeries {
             Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
         }
     }
-
-    /// Value of the last point at or before `t`, or `None` if none exists.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.points.partition_point(|&(pt, _)| pt <= t) {
-            0 => None,
-            i => Some(self.points[i - 1].1),
-        }
-    }
 }
 
 /// A sorted, immutable `(key=value)` label set addressing one instrument
@@ -244,13 +237,14 @@ impl Labels {
         self.0.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
-    /// Render as `{k="v",k2="v2"}`, or `""` when empty.
+    /// Render as `{k="v",k2="v2"}`, or `""` when empty. A value's `\`, `"`
+    /// and line feed are escaped, as the text exposition format requires.
     pub fn render(&self) -> String {
         self.render_with(&[])
     }
 
-    /// Render with extra trailing pairs appended (e.g. `quantile="0.5"`).
-    pub fn render_with(&self, extra: &[(&str, &str)]) -> String {
+    /// [`Labels::render`] with extra trailing pairs (e.g. `quantile="0.5"`).
+    fn render_with(&self, extra: &[(&str, &str)]) -> String {
         if self.0.is_empty() && extra.is_empty() {
             return String::new();
         }
@@ -261,59 +255,18 @@ impl Labels {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\""));
+            let v = v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
+            let _ = write!(out, "{k}=\"{v}\"");
         }
         out.push('}');
         out
     }
 }
 
-/// Interned per-site tenant-class label sets.
-///
-/// The admission path tallies every request into per-class families
-/// (`glare_admission_admitted_total{class,site}` and friends); building a
-/// [`Labels`] per request would allocate on the hot path. The three label
-/// sets are built once at construction and selected by a branch; the
-/// registry looks an existing instrument up by reference, so after the
-/// first event of a class a tally allocates nothing (and a caller that
-/// keeps the [`CounterId`] beside the set does not search either).
-///
-/// The class vocabulary is fixed (`gold`, `silver`, `best_effort`);
-/// unknown class strings fold into `best_effort`, matching the admission
-/// layer's "unclassified traffic is scavenger traffic" rule.
-#[derive(Clone, Debug)]
-pub struct TenantLabels {
-    gold: Labels,
-    silver: Labels,
-    best_effort: Labels,
-}
-
-impl TenantLabels {
-    /// Build the three `{class, site}` label sets for one site.
-    pub fn for_site(site: &str) -> TenantLabels {
-        let of = |class: &str| Labels::of(&[("class", class), ("site", site)]);
-        TenantLabels {
-            gold: of("gold"),
-            silver: of("silver"),
-            best_effort: of("best_effort"),
-        }
-    }
-
-    /// The interned label set for `class` (`gold` / `silver` / anything
-    /// else → `best_effort`).
-    pub fn get(&self, class: &str) -> &Labels {
-        match class {
-            "gold" => &self.gold,
-            "silver" => &self.silver,
-            _ => &self.best_effort,
-        }
-    }
-}
-
 /// One sim-time bucket of a [`WindowedGauge`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GaugeBucket {
-    /// Bucket start time (a multiple of the gauge window).
+    /// Bucket start time (a multiple of [`DEFAULT_GAUGE_WINDOW`]).
     pub start: SimTime,
     /// Last value set in the bucket.
     pub last: f64,
@@ -334,40 +287,26 @@ impl GaugeBucket {
     }
 }
 
-/// A gauge whose samples are aggregated over fixed sim-time buckets.
+/// A gauge whose samples are aggregated over [`DEFAULT_GAUGE_WINDOW`]-wide
+/// sim-time buckets.
 ///
 /// Each `set(now, v)` lands in the bucket `now / window`; the gauge keeps
 /// one [`GaugeBucket`] per touched window in time order. This gives
 /// monitoring clients a bounded "value over time" view (`--watch` mode of
 /// the health report) without retaining every sample.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct WindowedGauge {
-    window: SimDuration,
     buckets: Vec<GaugeBucket>,
 }
 
 impl WindowedGauge {
-    /// New gauge bucketing over `window`-wide sim-time intervals.
-    pub fn new(window: SimDuration) -> WindowedGauge {
-        assert!(window.as_nanos() > 0, "gauge window must be positive");
-        WindowedGauge {
-            window,
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Bucket width.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     /// Record the gauge value `v` observed at `now`.
     ///
     /// Samples must arrive in non-decreasing time order (the simulation
     /// clock guarantees this for fabric-published gauges).
     pub fn set(&mut self, now: SimTime, v: f64) {
-        let idx = now.as_nanos() / self.window.as_nanos();
-        let start = SimTime::from_nanos(idx * self.window.as_nanos());
+        let window = DEFAULT_GAUGE_WINDOW.as_nanos();
+        let start = SimTime::from_nanos(now.as_nanos() / window * window);
         if let Some(b) = self.buckets.last_mut() {
             assert!(start >= b.start, "WindowedGauge::set: time went backwards");
             if b.start == start {
@@ -398,14 +337,6 @@ impl WindowedGauge {
     pub fn latest(&self) -> Option<f64> {
         self.buckets.last().map(|b| b.last)
     }
-
-    /// Last value of the latest bucket starting at or before `t`.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.buckets.partition_point(|b| b.start <= t) {
-            0 => None,
-            i => Some(self.buckets[i - 1].last),
-        }
-    }
 }
 
 /// Handle to a counter, flat or labeled: its position in the registry that
@@ -419,34 +350,105 @@ pub struct CounterId(u32);
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct GaugeId(u32);
 
-/// Ordered index of one labeled family kind: family name, then label set,
-/// to the instrument's position in its store.
+/// Ordered index of one kind's labeled families: family name, then label
+/// set, to the instrument's position in its store.
 type FamilyIndex = BTreeMap<String, BTreeMap<Labels, u32>>;
+
+/// Every instrument of one kind, once, in creation order, and the sorted
+/// indexes into it: by flat name and by family then label set. Counters
+/// use both indexes, histograms and gauges only the families, time series
+/// only the flat names.
+#[derive(Clone, Debug, Default)]
+struct Table<V> {
+    store: Vec<V>,
+    flat: BTreeMap<String, u32>,
+    families: FamilyIndex,
+}
+
+impl<V: Default> Table<V> {
+    /// Position of the flat instrument `name`, created when absent.
+    fn flat_id(&mut self, name: &str) -> u32 {
+        resolve(&mut self.flat, &mut self.store, name)
+    }
+
+    /// Position of the instrument `labels` inside `family`, created when
+    /// absent: one search per level for a known instrument.
+    fn labeled_id(&mut self, family: &str, labels: &Labels) -> u32 {
+        if let Some(&i) = self.families.get(family).and_then(|m| m.get(labels)) {
+            return i;
+        }
+        resolve(self.families.entry(family.to_owned()).or_default(), &mut self.store, labels)
+    }
+
+    /// The flat instrument `name`, if it exists.
+    fn flat(&self, name: &str) -> Option<&V> {
+        self.flat.get(name).map(|&i| &self.store[i as usize])
+    }
+
+    /// The instrument `labels` inside `family`, if it exists.
+    fn labeled(&self, family: &str, labels: &Labels) -> Option<&V> {
+        let i = *self.families.get(family)?.get(labels)?;
+        Some(&self.store[i as usize])
+    }
+
+    /// The `(labels, instrument)` entries of `family`, in label order.
+    fn family(&self, family: &str) -> impl Iterator<Item = (&Labels, &V)> {
+        self.families.get(family).into_iter().flat_map(|m| stored(m, &self.store))
+    }
+
+    /// Append every family to the exposition as `kind`, each instrument
+    /// rendered by `line(out, family, labels, instrument)`.
+    fn expose(&self, out: &mut String, kind: &str, line: impl Fn(&mut String, &str, &Labels, &V)) {
+        for (family, entries) in &self.families {
+            let _ = writeln!(out, "# TYPE {family} {kind}");
+            for (labels, v) in stored(entries, &self.store) {
+                line(out, family, labels, v);
+            }
+        }
+    }
+
+    /// Append every family to the snapshot as `"family":[{"labels":{..},..}]`,
+    /// the fields after the labels written by `fields`.
+    fn families_json(&self, out: &mut String, fields: impl Fn(&mut String, &V)) {
+        push_entries(out, self.families.iter(), |out, (family, entries)| {
+            let _ = write!(out, "\"{}\":[", json_escape(family));
+            push_entries(out, stored(entries, &self.store), |out, (labels, v)| {
+                let _ = write!(out, "{{\"labels\":{},", labels_json(labels));
+                fields(out, v);
+                out.push('}');
+            });
+            out.push(']');
+        });
+    }
+
+    /// Append every flat instrument to the snapshot as `"name":` followed
+    /// by what `value` writes.
+    fn flat_json(&self, out: &mut String, value: impl Fn(&mut String, &V)) {
+        push_entries(out, stored(&self.flat, &self.store), |out, (name, v)| {
+            let _ = write!(out, "\"{}\":", json_escape(name));
+            value(out, v);
+        });
+    }
+}
 
 /// Flat and labeled registry of all instruments in one simulation run.
 ///
-/// Every instrument lives once, in a `Vec` per kind, in creation order.
-/// The sorted name and label maps are indexes into those: exposition, the
-/// snapshot and the read accessors walk them, so output order is the key
-/// order whatever the creation order was. The get-or-create accessors
-/// search the index and then index the store; a caller that records often
-/// keeps the [`CounterId`] / [`GaugeId`] of its first record and skips the
-/// search ([`MetricsRegistry::counter_at`], [`MetricsRegistry::gauge_at`]).
+/// Every instrument lives once, in one table per kind. The sorted name
+/// and label maps are indexes into its store: exposition, the snapshot and
+/// the read accessors walk them, so output order is the key order whatever
+/// the creation order was. The get-or-create accessors search the index
+/// and then index the store; a caller that records often keeps the
+/// [`CounterId`] / [`GaugeId`] of its first record and skips the search
+/// ([`MetricsRegistry::counter_at`], [`MetricsRegistry::gauge_at`]).
 /// Resolving an id creates the instrument, so a caller resolves when it
 /// first records and not before: an instrument that never recorded must not
 /// show up in exposition.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counter_store: Vec<Counter>,
-    histogram_store: Vec<Histogram>,
-    series_store: Vec<TimeSeries>,
-    gauge_store: Vec<WindowedGauge>,
-    counters: BTreeMap<String, u32>,
-    histograms: BTreeMap<String, u32>,
-    series: BTreeMap<String, u32>,
-    labeled_counters: FamilyIndex,
-    labeled_histograms: FamilyIndex,
-    gauges: FamilyIndex,
+    counters: Table<Counter>,
+    histograms: Table<Histogram>,
+    gauges: Table<WindowedGauge>,
+    series: Table<TimeSeries>,
 }
 
 impl MetricsRegistry {
@@ -463,12 +465,7 @@ impl MetricsRegistry {
 
     /// Handle of the counter `name`, created when absent.
     pub fn counter_id(&mut self, name: &str) -> CounterId {
-        CounterId(resolve(
-            &mut self.counters,
-            &mut self.counter_store,
-            name,
-            Counter::default,
-        ))
+        CounterId(self.counters.flat_id(name))
     }
 
     /// The counter `id` was resolved to.
@@ -476,60 +473,28 @@ impl MetricsRegistry {
     /// # Panics
     /// May panic on an id another registry resolved.
     pub fn counter_at(&mut self, id: CounterId) -> &mut Counter {
-        &mut self.counter_store[id.0 as usize]
+        &mut self.counters.store[id.0 as usize]
     }
 
     /// Read a counter value without creating it (zero if absent).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .get(name)
-            .map_or(0, |&i| self.counter_store[i as usize].get())
-    }
-
-    /// Get or create the histogram `name`.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        let i = resolve(
-            &mut self.histograms,
-            &mut self.histogram_store,
-            name,
-            Histogram::default,
-        );
-        &mut self.histogram_store[i as usize]
-    }
-
-    /// Read-only view of a histogram if it exists.
-    pub fn histogram_ref(&self, name: &str) -> Option<&Histogram> {
-        self.histograms
-            .get(name)
-            .map(|&i| &self.histogram_store[i as usize])
+        self.counters.flat(name).map_or(0, Counter::get)
     }
 
     /// Get or create the time series `name`.
     pub fn time_series(&mut self, name: &str) -> &mut TimeSeries {
-        let i = resolve(
-            &mut self.series,
-            &mut self.series_store,
-            name,
-            TimeSeries::default,
-        );
-        &mut self.series_store[i as usize]
+        let i = self.series.flat_id(name);
+        &mut self.series.store[i as usize]
     }
 
     /// Read-only view of a time series if it exists.
     pub fn time_series_ref(&self, name: &str) -> Option<&TimeSeries> {
-        self.series
-            .get(name)
-            .map(|&i| &self.series_store[i as usize])
+        self.series.flat(name)
     }
 
     /// Names of all counters, in sorted order.
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
-    /// Names of all histograms, in sorted order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
+        self.counters.flat.keys().map(String::as_str)
     }
 
     /// Get or create the counter `labels` inside family `family`.
@@ -541,23 +506,17 @@ impl MetricsRegistry {
     /// Handle of the counter `labels` inside family `family`, created when
     /// absent.
     pub fn counter_labeled_id(&mut self, family: &str, labels: &Labels) -> CounterId {
-        CounterId(resolve_labeled(
-            &mut self.labeled_counters,
-            &mut self.counter_store,
-            family,
-            labels,
-            Counter::default,
-        ))
+        CounterId(self.counters.labeled_id(family, labels))
     }
 
     /// Read a labeled counter without creating it (zero if absent).
     pub fn counter_labeled_value(&self, family: &str, labels: &Labels) -> u64 {
-        position(&self.labeled_counters, family, labels).map_or(0, |i| self.counter_store[i].get())
+        self.counters.labeled(family, labels).map_or(0, Counter::get)
     }
 
     /// All `(labels, value)` entries of a counter family, in label order.
     pub fn labeled_counters_of(&self, family: &str) -> impl Iterator<Item = (&Labels, u64)> {
-        entries_of(&self.labeled_counters, &self.counter_store, family).map(|(l, c)| (l, c.get()))
+        self.counters.family(family).map(|(l, c)| (l, c.get()))
     }
 
     /// Sum of `family`'s counters whose label sets carry every `(key, value)`
@@ -569,19 +528,13 @@ impl MetricsRegistry {
 
     /// Get or create the histogram `labels` inside family `family`.
     pub fn histogram_labeled(&mut self, family: &str, labels: &Labels) -> &mut Histogram {
-        let i = resolve_labeled(
-            &mut self.labeled_histograms,
-            &mut self.histogram_store,
-            family,
-            labels,
-            Histogram::default,
-        );
-        &mut self.histogram_store[i as usize]
+        let i = self.histograms.labeled_id(family, labels);
+        &mut self.histograms.store[i as usize]
     }
 
     /// Read-only view of a labeled histogram if it exists.
     pub fn histogram_labeled_ref(&self, family: &str, labels: &Labels) -> Option<&Histogram> {
-        position(&self.labeled_histograms, family, labels).map(|i| &self.histogram_store[i])
+        self.histograms.labeled(family, labels)
     }
 
     /// All `(labels, histogram)` entries of a family, in label order.
@@ -589,22 +542,19 @@ impl MetricsRegistry {
         &self,
         family: &str,
     ) -> impl Iterator<Item = (&Labels, &Histogram)> {
-        entries_of(&self.labeled_histograms, &self.histogram_store, family)
+        self.histograms.family(family)
     }
 
-    /// Get or create the windowed gauge `labels` inside family `family`,
-    /// bucketed over [`DEFAULT_GAUGE_WINDOW`].
+    /// Get or create the windowed gauge `labels` inside family `family`.
     pub fn gauge(&mut self, family: &str, labels: &Labels) -> &mut WindowedGauge {
         let id = self.gauge_id(family, labels);
         self.gauge_at(id)
     }
 
     /// Handle of the windowed gauge `labels` inside family `family`,
-    /// created over [`DEFAULT_GAUGE_WINDOW`] when absent.
+    /// created when absent.
     pub fn gauge_id(&mut self, family: &str, labels: &Labels) -> GaugeId {
-        GaugeId(resolve_labeled(&mut self.gauges, &mut self.gauge_store, family, labels, || {
-            WindowedGauge::new(DEFAULT_GAUGE_WINDOW)
-        }))
+        GaugeId(self.gauges.labeled_id(family, labels))
     }
 
     /// The gauge `id` was resolved to.
@@ -612,62 +562,45 @@ impl MetricsRegistry {
     /// # Panics
     /// May panic on an id another registry resolved.
     pub fn gauge_at(&mut self, id: GaugeId) -> &mut WindowedGauge {
-        &mut self.gauge_store[id.0 as usize]
+        &mut self.gauges.store[id.0 as usize]
     }
 
     /// Read-only view of a windowed gauge if it exists.
     pub fn gauge_ref(&self, family: &str, labels: &Labels) -> Option<&WindowedGauge> {
-        position(&self.gauges, family, labels).map(|i| &self.gauge_store[i])
+        self.gauges.labeled(family, labels)
     }
 
     /// All `(labels, gauge)` entries of a family, in label order.
     pub fn gauges_of(&self, family: &str) -> impl Iterator<Item = (&Labels, &WindowedGauge)> {
-        entries_of(&self.gauges, &self.gauge_store, family)
+        self.gauges.family(family)
     }
 
     /// Names of all labeled counter families, in sorted order.
     pub fn labeled_counter_families(&self) -> impl Iterator<Item = &str> {
-        self.labeled_counters.keys().map(String::as_str)
+        self.counters.families.keys().map(String::as_str)
     }
 
     /// Deterministic Prometheus-style text exposition.
     ///
-    /// Labeled families render under their own names; flat metrics render
+    /// Labeled families render under their own names; flat counters render
     /// under a sanitized name (dots become underscores). Durations are in
     /// milliseconds. Output ordering is fully determined by the sorted
     /// maps, so same-seed runs are byte-identical.
     pub fn expose_prometheus(&self) -> String {
         let mut out = String::new();
-        for (family, entries) in &self.labeled_counters {
-            let _ = writeln!(out, "# TYPE {family} counter");
-            for (labels, c) in stored(entries, &self.counter_store) {
-                let _ = writeln!(out, "{family}{} {}", labels.render(), c.get());
-            }
-        }
-        for (name, c) in stored(&self.counters, &self.counter_store) {
+        self.counters.expose(&mut out, "counter", |out, family, labels, c| {
+            let _ = writeln!(out, "{family}{} {}", labels.render(), c.get());
+        });
+        for (name, c) in stored(&self.counters.flat, &self.counters.store) {
             let family = sanitize_name(name);
-            let _ = writeln!(out, "# TYPE {family} counter");
-            let _ = writeln!(out, "{family} {}", c.get());
+            let _ = writeln!(out, "# TYPE {family} counter\n{family} {}", c.get());
         }
-        for (family, entries) in &self.labeled_histograms {
-            let _ = writeln!(out, "# TYPE {family} summary");
-            for (labels, h) in stored(entries, &self.histogram_store) {
-                expose_histogram(&mut out, family, labels, h);
+        self.histograms.expose(&mut out, "summary", expose_histogram);
+        self.gauges.expose(&mut out, "gauge", |out, family, labels, g| {
+            if let Some(v) = g.latest() {
+                let _ = writeln!(out, "{family}{} {v}", labels.render());
             }
-        }
-        for (name, h) in stored(&self.histograms, &self.histogram_store) {
-            let family = sanitize_name(name);
-            let _ = writeln!(out, "# TYPE {family} summary");
-            expose_histogram(&mut out, &family, &Labels::empty(), h);
-        }
-        for (family, entries) in &self.gauges {
-            let _ = writeln!(out, "# TYPE {family} gauge");
-            for (labels, g) in stored(entries, &self.gauge_store) {
-                if let Some(v) = g.latest() {
-                    let _ = writeln!(out, "{family}{} {v}", labels.render());
-                }
-            }
-        }
+        });
         out
     }
 
@@ -675,70 +608,44 @@ impl MetricsRegistry {
     ///
     /// Self-contained (no serializer dependency); durations are reported
     /// in milliseconds. Ordering follows the sorted maps, so the string
-    /// is byte-identical across same-seed runs.
+    /// is byte-identical across same-seed runs. `histograms` is always
+    /// empty: the key stays so the format does not change.
     pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"counters\":{{");
-        push_entries(&mut out, stored(&self.counters, &self.counter_store), |out, (name, c)| {
-            let _ = write!(out, "\"{}\":{}", json_escape(name), c.get());
+        let mut out = String::from("{\"counters\":{");
+        self.counters.flat_json(&mut out, |out, c| {
+            let _ = write!(out, "{}", c.get());
         });
-        let _ = write!(out, "}},\"labeled_counters\":{{");
-        push_entries(&mut out, self.labeled_counters.iter(), |out, (family, m)| {
-            let _ = write!(out, "\"{}\":[", json_escape(family));
-            push_entries(out, stored(m, &self.counter_store), |out, (labels, c)| {
-                let _ = write!(out, "{{\"labels\":{},\"value\":{}}}", labels_json(labels), c.get());
-            });
-            let _ = write!(out, "]");
+        out.push_str("},\"labeled_counters\":{");
+        self.counters.families_json(&mut out, |out, c| {
+            let _ = write!(out, "\"value\":{}", c.get());
         });
-        let _ = write!(out, "}},\"histograms\":{{");
-        push_entries(&mut out, stored(&self.histograms, &self.histogram_store), |out, (name, h)| {
-            let _ = write!(out, "\"{}\":{}", json_escape(name), histogram_json(h));
+        out.push_str("},\"histograms\":{},\"labeled_histograms\":{");
+        self.histograms.families_json(&mut out, |out, h| {
+            let _ = write!(out, "\"stats\":{}", histogram_json(h));
         });
-        let _ = write!(out, "}},\"labeled_histograms\":{{");
-        push_entries(&mut out, self.labeled_histograms.iter(), |out, (family, m)| {
-            let _ = write!(out, "\"{}\":[", json_escape(family));
-            push_entries(out, stored(m, &self.histogram_store), |out, (labels, h)| {
+        out.push_str("},\"gauges\":{");
+        self.gauges.families_json(&mut out, |out, g| {
+            let window_ms = DEFAULT_GAUGE_WINDOW.as_millis_f64();
+            let _ = write!(out, "\"window_ms\":{window_ms},\"buckets\":[");
+            push_entries(out, g.buckets().iter(), |out, b| {
                 let _ = write!(
                     out,
-                    "{{\"labels\":{},\"stats\":{}}}",
-                    labels_json(labels),
-                    histogram_json(h)
+                    "{{\"start_ms\":{},\"last\":{},\"min\":{},\"max\":{},\"mean\":{},\"count\":{}}}",
+                    b.start.as_nanos() as f64 / 1e6,
+                    b.last,
+                    b.min,
+                    b.max,
+                    b.mean(),
+                    b.count
                 );
             });
-            let _ = write!(out, "]");
+            out.push(']');
         });
-        let _ = write!(out, "}},\"gauges\":{{");
-        push_entries(&mut out, self.gauges.iter(), |out, (family, m)| {
-            let _ = write!(out, "\"{}\":[", json_escape(family));
-            push_entries(out, stored(m, &self.gauge_store), |out, (labels, g)| {
-                let _ = write!(
-                    out,
-                    "{{\"labels\":{},\"window_ms\":{},\"buckets\":[",
-                    labels_json(labels),
-                    g.window().as_nanos() as f64 / 1e6
-                );
-                push_entries(out, g.buckets().iter(), |out, b| {
-                    let _ = write!(
-                        out,
-                        "{{\"start_ms\":{},\"last\":{},\"min\":{},\"max\":{},\"mean\":{},\"count\":{}}}",
-                        b.start.as_nanos() as f64 / 1e6,
-                        b.last,
-                        b.min,
-                        b.max,
-                        b.mean(),
-                        b.count
-                    );
-                });
-                let _ = write!(out, "]}}");
-            });
-            let _ = write!(out, "]");
-        });
-        let _ = write!(out, "}},\"series\":{{");
-        push_entries(&mut out, stored(&self.series, &self.series_store), |out, (name, s)| {
+        out.push_str("},\"series\":{");
+        self.series.flat_json(&mut out, |out, s| {
             let _ = write!(
                 out,
-                "\"{}\":{{\"points\":{},\"mean\":{},\"max\":{},\"last\":{}}}",
-                json_escape(name),
+                "{{\"points\":{},\"mean\":{},\"max\":{},\"last\":{}}}",
                 s.points().len(),
                 opt_f64(s.mean_value()),
                 opt_f64(s.max_value()),
@@ -763,14 +670,13 @@ impl MetricsRegistry {
     ///    with a labeled family name.
     pub fn lint_metric_names(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        let all_families: Vec<(&String, &'static str)> = self
-            .labeled_counters
-            .keys()
-            .map(|k| (k, "counter"))
-            .chain(self.labeled_histograms.keys().map(|k| (k, "histogram")))
-            .chain(self.gauges.keys().map(|k| (k, "gauge")))
-            .collect();
-        for (family, _) in &all_families {
+        let kinds = [
+            ("counter", &self.counters.families),
+            ("histogram", &self.histograms.families),
+            ("gauge", &self.gauges.families),
+        ];
+        let all_families = || kinds.iter().flat_map(|&(kind, f)| f.iter().map(move |e| (kind, e)));
+        for (_, (family, _)) in all_families() {
             if !is_valid_family_name(family) {
                 violations.push(format!(
                     "ad-hoc family name {family:?}: must match ^[a-z][a-z0-9_]*$"
@@ -778,43 +684,21 @@ impl MetricsRegistry {
             }
         }
         let mut seen: BTreeMap<&String, &'static str> = BTreeMap::new();
-        for (family, kind) in &all_families {
+        for (kind, (family, _)) in all_families() {
             if let Some(prev) = seen.insert(family, kind) {
                 violations.push(format!(
                     "duplicate family {family:?}: registered as both {prev} and {kind}"
                 ));
             }
         }
-        for (family, entries) in &self.labeled_counters {
-            for labels in entries.keys() {
-                if labels.is_empty() {
-                    violations.push(format!("unlabeled instrument in counter family {family:?}"));
-                }
+        for (kind, (family, entries)) in all_families() {
+            if entries.contains_key(&Labels::empty()) {
+                violations.push(format!("unlabeled instrument in {kind} family {family:?}"));
             }
         }
-        for (family, entries) in &self.labeled_histograms {
-            for labels in entries.keys() {
-                if labels.is_empty() {
-                    violations
-                        .push(format!("unlabeled instrument in histogram family {family:?}"));
-                }
-            }
-        }
-        for (family, entries) in &self.gauges {
-            for labels in entries.keys() {
-                if labels.is_empty() {
-                    violations.push(format!("unlabeled instrument in gauge family {family:?}"));
-                }
-            }
-        }
-        for name in self
-            .counters
-            .keys()
-            .chain(self.histograms.keys())
-            .chain(self.series.keys())
-        {
+        for name in self.counters.flat.keys().chain(self.series.flat.keys()) {
             let sanitized = sanitize_name(name);
-            if seen.keys().any(|f| ***f == sanitized) {
+            if seen.contains_key(&sanitized) {
                 violations.push(format!(
                     "flat metric {name:?} collides with labeled family {sanitized:?} in exposition"
                 ));
@@ -824,48 +708,23 @@ impl MetricsRegistry {
     }
 }
 
-/// Position in `store` of the instrument `key` names, appended by `new`
-/// when the key is new. One search for a known key, and the key is cloned
-/// only when it is not known, so recording under an interned name or
-/// [`Labels`] allocates nothing.
-fn resolve<K, Q, V>(
-    index: &mut BTreeMap<K, u32>,
-    store: &mut Vec<V>,
-    key: &Q,
-    new: impl FnOnce() -> V,
-) -> u32
+/// Position in `store` of the instrument `key` names, appended when the key
+/// is new. One search for a known key, and the key is cloned only when it
+/// is not known, so recording under an interned name or [`Labels`]
+/// allocates nothing.
+fn resolve<K, Q, V>(index: &mut BTreeMap<K, u32>, store: &mut Vec<V>, key: &Q) -> u32
 where
     K: Ord + Borrow<Q>,
     Q: Ord + ToOwned<Owned = K> + ?Sized,
+    V: Default,
 {
     if let Some(&i) = index.get(key) {
         return i;
     }
     let i = u32::try_from(store.len()).expect("fewer than 2^32 instruments of a kind");
-    store.push(new());
+    store.push(V::default());
     index.insert(key.to_owned(), i);
     i
-}
-
-/// Position in its store of the instrument `labels` names inside `family`,
-/// if it exists.
-fn position(families: &FamilyIndex, family: &str, labels: &Labels) -> Option<usize> {
-    families.get(family)?.get(labels).map(|&i| i as usize)
-}
-
-/// [`resolve`] under `family` then `labels`: one search per level for a
-/// known instrument.
-fn resolve_labeled<V>(
-    families: &mut FamilyIndex,
-    store: &mut Vec<V>,
-    family: &str,
-    labels: &Labels,
-    new: impl FnOnce() -> V,
-) -> u32 {
-    if let Some(&i) = families.get(family).and_then(|m| m.get(labels)) {
-        return i;
-    }
-    resolve(families.entry(family.to_owned()).or_default(), store, labels, new)
 }
 
 /// The instruments `index` points at, in key order.
@@ -874,18 +733,6 @@ fn stored<'a, K, V>(
     store: &'a [V],
 ) -> impl Iterator<Item = (&'a K, &'a V)> {
     index.iter().map(move |(k, &i)| (k, &store[i as usize]))
-}
-
-/// The `(labels, instrument)` entries of `family`, in label order.
-fn entries_of<'a, V>(
-    families: &'a FamilyIndex,
-    store: &'a [V],
-    family: &str,
-) -> impl Iterator<Item = (&'a Labels, &'a V)> {
-    families
-        .get(family)
-        .into_iter()
-        .flat_map(move |m| stored(m, store))
 }
 
 /// `true` when `name` follows the labeled-family naming scheme.
@@ -908,31 +755,24 @@ fn sanitize_name(name: &str) -> String {
 fn expose_histogram(out: &mut String, family: &str, labels: &Labels, h: &Histogram) {
     for (q, qs) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
         if let Some(v) = h.quantile(q) {
-            let _ = writeln!(
-                out,
-                "{family}{} {}",
-                labels.render_with(&[("quantile", qs)]),
-                v.as_nanos() as f64 / 1e6
-            );
+            let quantile = labels.render_with(&[("quantile", qs)]);
+            let _ = writeln!(out, "{family}{quantile} {}", v.as_millis_f64());
         }
     }
-    let _ = writeln!(out, "{family}_count{} {}", labels.render(), h.count());
-    let _ = writeln!(
-        out,
-        "{family}_sum{} {}",
-        labels.render(),
-        h.sum().as_nanos() as f64 / 1e6
-    );
+    let labels = labels.render();
+    let _ = writeln!(out, "{family}_count{labels} {}", h.count());
+    let _ = writeln!(out, "{family}_sum{labels} {}", h.sum().as_millis_f64());
 }
 
 fn histogram_json(h: &Histogram) -> String {
+    let ms = |d: Option<SimDuration>| opt_f64(d.map(SimDuration::as_millis_f64));
     format!(
         "{{\"count\":{},\"mean_ms\":{},\"p50_ms\":{},\"p95_ms\":{},\"max_ms\":{}}}",
         h.count(),
-        opt_ms(h.mean()),
-        opt_ms(h.quantile(0.5)),
-        opt_ms(h.quantile(0.95)),
-        opt_ms(h.max())
+        ms(h.mean()),
+        ms(h.quantile(0.5)),
+        ms(h.quantile(0.95)),
+        ms(h.max())
     )
 }
 
@@ -948,13 +788,6 @@ fn labels_json(labels: &Labels) -> String {
     }
     out.push('}');
     out
-}
-
-fn opt_ms(d: Option<SimDuration>) -> String {
-    match d {
-        Some(d) => format!("{}", d.as_nanos() as f64 / 1e6),
-        None => "null".to_owned(),
-    }
 }
 
 fn opt_f64(v: Option<f64>) -> String {
@@ -1033,13 +866,14 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_through_shared_ref() {
-        // The read path (`histogram_ref`) must answer quantiles with no
-        // mutable access to the registry.
+        // The read path (`histogram_labeled_ref`) must answer quantiles
+        // with no mutable access to the registry.
         let mut m = MetricsRegistry::new();
-        m.histogram("lat").record(SimDuration::from_millis(3));
-        m.histogram("lat").record(SimDuration::from_millis(1));
+        let s0 = Labels::of(&[("site", "site0")]);
+        m.histogram_labeled("glare_lat_ms", &s0).record(SimDuration::from_millis(3));
+        m.histogram_labeled("glare_lat_ms", &s0).record(SimDuration::from_millis(1));
         let view: &MetricsRegistry = &m;
-        let h = view.histogram_ref("lat").unwrap();
+        let h = view.histogram_labeled_ref("glare_lat_ms", &s0).unwrap();
         assert_eq!(h.quantile(0.5), Some(SimDuration::from_millis(1)));
         assert_eq!(h.max(), Some(SimDuration::from_millis(3)));
     }
@@ -1052,9 +886,6 @@ mod tests {
         s.push(SimTime::from_secs(3), 3.0);
         assert_eq!(s.max_value(), Some(5.0));
         assert_eq!(s.mean_value(), Some(3.0));
-        assert_eq!(s.value_at(SimTime::from_secs(2)), Some(5.0));
-        assert_eq!(s.value_at(SimTime::from_millis(2500)), Some(5.0));
-        assert_eq!(s.value_at(SimTime::ZERO), None);
     }
 
     #[test]
@@ -1068,11 +899,14 @@ mod tests {
     #[test]
     fn registry_namespaces_are_independent() {
         let mut m = MetricsRegistry::new();
+        let s0 = Labels::of(&[("site", "site0")]);
         m.counter("x").inc();
-        m.histogram("x").record(SimDuration::from_millis(1));
+        m.counter_labeled("x", &s0).add(2);
+        m.histogram_labeled("x", &s0).record(SimDuration::from_millis(1));
         m.time_series("x").push(SimTime::ZERO, 0.0);
         assert_eq!(m.counter_value("x"), 1);
-        assert_eq!(m.histogram_ref("x").unwrap().count(), 1);
+        assert_eq!(m.counter_labeled_value("x", &s0), 2);
+        assert_eq!(m.histogram_labeled_ref("x", &s0).unwrap().count(), 1);
         assert_eq!(m.time_series_ref("x").unwrap().points().len(), 1);
         assert_eq!(m.counter_names().collect::<Vec<_>>(), vec!["x"]);
     }
@@ -1086,6 +920,21 @@ mod tests {
         assert_eq!(a.get("site"), Some("site0"));
         assert_eq!(a.get("missing"), None);
         assert_eq!(Labels::empty().render(), "");
+    }
+
+    /// The text format requires a line feed in a label value escaped, or
+    /// the sample splits across lines.
+    #[test]
+    fn labels_escape_line_feeds() {
+        let l = Labels::of(&[("activity", "a\nb\\c\"d")]);
+        assert_eq!(l.render(), "{activity=\"a\\nb\\\\c\\\"d\"}");
+        let mut m = MetricsRegistry::new();
+        m.gauge("glare_autonomic_replicas", &Labels::of(&[("activity", "a\nb")]))
+            .set(SimTime::ZERO, 2.0);
+        assert_eq!(
+            m.expose_prometheus(),
+            "# TYPE glare_autonomic_replicas gauge\nglare_autonomic_replicas{activity=\"a\\nb\"} 2\n"
+        );
     }
 
     #[test]
@@ -1129,7 +978,7 @@ mod tests {
 
     #[test]
     fn windowed_gauge_buckets_by_window() {
-        let mut g = WindowedGauge::new(SimDuration::from_secs(60));
+        let mut g = WindowedGauge::default();
         g.set(SimTime::from_secs(10), 1.0);
         g.set(SimTime::from_secs(50), 3.0);
         g.set(SimTime::from_secs(70), 2.0);
@@ -1140,9 +989,8 @@ mod tests {
         assert_eq!(b0.min, 1.0);
         assert_eq!(b0.max, 3.0);
         assert_eq!(b0.mean(), 2.0);
+        assert_eq!(g.buckets()[1].start, SimTime::from_secs(60));
         assert_eq!(g.latest(), Some(2.0));
-        assert_eq!(g.value_at(SimTime::from_secs(59)), Some(3.0));
-        assert_eq!(g.value_at(SimTime::from_secs(61)), Some(2.0));
     }
 
     #[test]
@@ -1188,7 +1036,6 @@ mod tests {
         let s1 = Labels::of(&[("site", "site1")]);
         for round in 1..=3u64 {
             m.counter("site0.cache.hits").add(round);
-            m.histogram("lat").record(SimDuration::from_millis(round));
             m.time_series("load").push(SimTime::from_secs(round), round as f64);
             m.counter_labeled("glare_requests_total", &s1).inc();
             m.counter_labeled("glare_requests_total", &s0).add(round);
@@ -1199,8 +1046,6 @@ mod tests {
         }
         assert_eq!(m.counter_names().collect::<Vec<_>>(), ["site0.cache.hits"]);
         assert_eq!(m.counter_value("site0.cache.hits"), 6);
-        assert_eq!(m.histogram_names().collect::<Vec<_>>(), ["lat"]);
-        assert_eq!(m.histogram_ref("lat").unwrap().count(), 3);
         assert_eq!(m.time_series_ref("load").unwrap().points().len(), 3);
         let requests: Vec<_> = m.labeled_counters_of("glare_requests_total").collect();
         assert_eq!(requests, [(&s0, 6), (&s1, 3)]);
@@ -1222,14 +1067,50 @@ mod tests {
              glare_probe_latency_ms{site=\"site0\",quantile=\"0.99\"} 30\n\
              glare_probe_latency_ms_count{site=\"site0\"} 3\n\
              glare_probe_latency_ms_sum{site=\"site0\"} 60\n\
-             # TYPE lat summary\n\
-             lat{quantile=\"0.5\"} 2\n\
-             lat{quantile=\"0.95\"} 3\n\
-             lat{quantile=\"0.99\"} 3\n\
-             lat_count 3\n\
-             lat_sum 6\n\
              # TYPE glare_inbox_occupancy gauge\n\
              glare_inbox_occupancy{site=\"site0\"} 3\n"
+        );
+    }
+
+    /// The snapshot, byte for byte: an empty registry, then one holding
+    /// every kind it reports.
+    #[test]
+    fn snapshot_json_is_pinned() {
+        assert_eq!(
+            MetricsRegistry::new().snapshot_json(),
+            "{\"counters\":{},\"labeled_counters\":{},\"histograms\":{},\
+             \"labeled_histograms\":{},\"gauges\":{},\"series\":{}}"
+        );
+        let mut m = MetricsRegistry::new();
+        let (s0, s1) = (Labels::of(&[("site", "site0")]), Labels::of(&[("site", "site1")]));
+        m.counter("net.msgs_sent").add(7);
+        m.counter_labeled("glare_requests_total", &s1).add(2);
+        m.counter_labeled("glare_requests_total", &s0).inc();
+        let h = m.histogram_labeled("glare_probe_latency_ms", &s0);
+        h.record(SimDuration::from_millis(12));
+        h.record(SimDuration::from_millis(4));
+        let g = m.gauge("glare_site_load1m", &s0);
+        g.set(SimTime::from_secs(30), 0.5);
+        g.set(SimTime::from_secs(45), 1.5);
+        g.set(SimTime::from_secs(90), 2.0);
+        let s = m.time_series("load");
+        s.push(SimTime::from_secs(1), 1.0);
+        s.push(SimTime::from_secs(2), 3.0);
+        assert_eq!(
+            m.snapshot_json(),
+            "{\"counters\":{\"net.msgs_sent\":7},\
+             \"labeled_counters\":{\"glare_requests_total\":[\
+             {\"labels\":{\"site\":\"site0\"},\"value\":1},\
+             {\"labels\":{\"site\":\"site1\"},\"value\":2}]},\
+             \"histograms\":{},\
+             \"labeled_histograms\":{\"glare_probe_latency_ms\":[\
+             {\"labels\":{\"site\":\"site0\"},\"stats\":\
+             {\"count\":2,\"mean_ms\":8,\"p50_ms\":4,\"p95_ms\":12,\"max_ms\":12}}]},\
+             \"gauges\":{\"glare_site_load1m\":[\
+             {\"labels\":{\"site\":\"site0\"},\"window_ms\":60000,\"buckets\":[\
+             {\"start_ms\":0,\"last\":1.5,\"min\":0.5,\"max\":1.5,\"mean\":1,\"count\":2},\
+             {\"start_ms\":60000,\"last\":2,\"min\":2,\"max\":2,\"mean\":2,\"count\":1}]}]},\
+             \"series\":{\"load\":{\"points\":2,\"mean\":2,\"max\":3,\"last\":3}}}"
         );
     }
 
@@ -1331,7 +1212,7 @@ mod tests {
                 .set(SimTime::ZERO, 1.0);
             m.gauge("glare_z_ratio", &site(i))
                 .set(SimTime::ZERO, 1.0);
-            m.histogram(&format!("h.{i}"))
+            m.histogram_labeled("glare_h_ms", &site(i))
                 .record(SimDuration::from_millis(1));
         }
         m.counter_at(flat).add(7);
@@ -1421,35 +1302,16 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.counter_labeled("Bad.Name", &Labels::of(&[("site", "site0")])).inc();
         m.counter_labeled("glare_ok_total", &Labels::empty()).inc();
+        m.histogram_labeled("glare_ok_ms", &Labels::empty())
+            .record(SimDuration::from_millis(1));
+        m.gauge("glare_ok_ratio", &Labels::empty()).set(SimTime::ZERO, 1.0);
         let v = m.lint_metric_names();
-        assert_eq!(v.len(), 2, "violations: {v:?}");
+        assert_eq!(v.len(), 4, "violations: {v:?}");
         assert!(v.iter().any(|s| s.contains("ad-hoc family name")));
-        assert!(v.iter().any(|s| s.contains("unlabeled instrument")));
-    }
-
-    #[test]
-    fn tenant_labels_intern_and_fold_unknown_classes() {
-        let t = TenantLabels::for_site("site3");
-        assert_eq!(
-            *t.get("gold"),
-            Labels::of(&[("class", "gold"), ("site", "site3")])
-        );
-        assert_eq!(
-            *t.get("silver"),
-            Labels::of(&[("class", "silver"), ("site", "site3")])
-        );
-        // Unknown classes fold into best_effort, and repeated lookups
-        // return the same interned set (pointer equality — no allocation).
-        assert_eq!(
-            *t.get("mystery"),
-            Labels::of(&[("class", "best_effort"), ("site", "site3")])
-        );
-        assert!(std::ptr::eq(t.get("gold"), t.get("gold")));
-        // The interned sets pass the naming lint when used on a family.
-        let mut m = MetricsRegistry::new();
-        m.counter_labeled("glare_admission_shed_total", t.get("best_effort"))
-            .inc();
-        assert_eq!(m.lint_metric_names(), Vec::<String>::new());
+        for kind in ["counter", "histogram", "gauge"] {
+            let message = format!("unlabeled instrument in {kind} family");
+            assert!(v.iter().any(|s| s.contains(&message)), "{kind}: {v:?}");
+        }
     }
 
     #[test]

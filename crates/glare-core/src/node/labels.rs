@@ -1,9 +1,7 @@
 //! The names a node records its metrics under, interned, and the handles
 //! of the instruments a request records into ([`Telemetry`]).
 
-use glare_fabric::{
-    ActorId, CounterId, Ctx, GaugeId, Labels, MetricsRegistry, SimTime, SiteId, TenantLabels,
-};
+use glare_fabric::{ActorId, CounterId, Ctx, GaugeId, Labels, MetricsRegistry, SimTime, SiteId};
 
 use crate::admission::TenantClass;
 
@@ -61,9 +59,10 @@ pub(super) struct NodeLabels {
 
 /// The `{class, site}` sets one node's admission decisions are counted
 /// under, with the handles of the two counters of each class once
-/// recorded, by [`TenantClass::index`].
+/// recorded, all by [`TenantClass::index`]. Built once per node, so a
+/// tally allocates nothing.
 pub(super) struct AdmissionLabels {
-    pub(super) sets: TenantLabels,
+    pub(super) sets: [Labels; 3],
     /// `glare_admission_admitted_total{class, site}`.
     admitted: [Option<CounterId>; 3],
     /// `glare_admission_shed_total{class, site}`.
@@ -206,7 +205,8 @@ impl NodeLabels {
     pub(super) fn admission(&mut self, site_name: &str) -> &mut AdmissionLabels {
         self.tenant.get_or_insert_with(|| {
             Box::new(AdmissionLabels {
-                sets: TenantLabels::for_site(site_name),
+                sets: TenantClass::ALL
+                    .map(|c| Labels::of(&[("class", c.label()), ("site", site_name)])),
                 admitted: [None; 3],
                 shed: [None; 3],
             })
@@ -229,7 +229,7 @@ impl NodeLabels {
             ("glare_admission_shed_total", &mut a.shed)
         };
         let id = *slots[class.index()]
-            .get_or_insert_with(|| m.counter_labeled_id(family, a.sets.get(class.label())));
+            .get_or_insert_with(|| m.counter_labeled_id(family, &a.sets[class.index()]));
         m.counter_at(id).inc();
     }
 }

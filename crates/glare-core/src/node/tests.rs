@@ -106,11 +106,31 @@ fn node_labels_are_lazy_and_track_the_super_peer() {
         "no miss was tallied"
     );
     assert_eq!(
-        *labels.admission("siteSeven").sets.get("gold"),
+        labels.admission("siteSeven").sets[TenantClass::Gold.index()],
         Labels::of(&[("class", "gold"), ("site", "siteSeven")])
     );
     // A second `of` finds what the first built.
     assert!(NodeLabels::of(&mut slot, SiteId(7)).cache.is_some());
+}
+
+/// One `{class, site}` set per tenant class, under the configured site
+/// name and by the class's index, and each admission decision counts
+/// under its class's set.
+#[test]
+fn admission_labels_cover_every_tenant_class() {
+    let mut slot = None;
+    let labels = NodeLabels::of(&mut slot, SiteId(7));
+    let mut m = MetricsRegistry::new();
+    for class in TenantClass::ALL {
+        let set = Labels::of(&[("class", class.label()), ("site", "siteSeven")]);
+        assert_eq!(labels.admission("siteSeven").sets[class.index()], set);
+        for admitted in [true, false, false] {
+            labels.count_admission(&mut m, "siteSeven", class, admitted);
+        }
+        assert_eq!(m.counter_labeled_value("glare_admission_admitted_total", &set), 1);
+        assert_eq!(m.counter_labeled_value("glare_admission_shed_total", &set), 2);
+    }
+    assert_eq!(m.lint_metric_names(), Vec::<String>::new());
 }
 
 /// Seeded property: `resolve_local` answers a node whose ADR indexes

@@ -10,7 +10,7 @@ const FN_BUDGET: usize = 120;
 
 /// `(path under crates/, lines before its tests)`: a ratchet, not an allowance.
 const OVER: [(&str, usize); 2] = [
-    ("fabric/src/metrics.rs", 980),
+    ("fabric/src/metrics.rs", 813),
     ("glare-core/src/grid.rs", 878),
 ];
 

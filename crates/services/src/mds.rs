@@ -16,20 +16,25 @@
 //! ## Concurrency
 //!
 //! [`IndexService::query`] takes `&self`: the aggregate document lives in
-//! a generation-stamped snapshot behind an `RwLock`, so concurrent client
-//! threads scan the same materialized document in parallel instead of
-//! serializing on an exclusive service lock. Mutations (`register`,
-//! `refresh`, `remove`, `sweep`) stay `&mut self` and bump the generation,
-//! invalidating the snapshot. **The cost model is unchanged**: every query
-//! is still charged the per-entry scan over the live entry count — only
-//! the locking moved.
+//! a snapshot behind an `RwLock`, so concurrent client threads scan the
+//! same materialized document in parallel instead of serializing on an
+//! exclusive service lock. The snapshot is derived state that the `&mut
+//! self` mutators keep in step with the group: `register` appends the new
+//! `<Entry>`, `refresh` with new content replaces the one it changed,
+//! `remove` drops it, and a `sweep` that drops anything discards the
+//! snapshot. So a snapshot, while it exists, holds the group's entries in
+//! the group's order, one `<Entry>` each. It also records the earliest
+//! instant one of them can lapse; a query at or past that instant sweeps
+//! the group and rebuilds the snapshot. **The cost model is unchanged**:
+//! every query still walks the whole document and is charged the per-entry
+//! scan over the live entry count.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use glare_fabric::sync::RwLock;
 use glare_fabric::{SimDuration, SimTime};
-use glare_wsrf::{ServiceGroup, WsrfError, XPath, XPathMemo, XmlNode};
+use glare_wsrf::{EntryId, ServiceGroup, WsrfError, XPath, XPathMemo, XmlNode};
 
 use crate::security::Transport;
 
@@ -57,24 +62,20 @@ pub const DEFAULT_ENTRY_LIFETIME: SimDuration = SimDuration::from_secs(600);
 /// Approximate serialized size of one aggregated entry on the wire.
 pub const ENTRY_WIRE_BYTES: u64 = 1_200;
 
-/// A materialized aggregate document, stamped with the registration
-/// generation it was built from and the instant its content decays.
-#[derive(Clone, Debug)]
+/// A materialized aggregate document and the instant its content decays.
+#[derive(Debug)]
 struct DocSnapshot {
-    /// Value of the service's generation counter at build time; any
-    /// registration change advances the counter and orphans the snapshot.
-    generation: u64,
-    /// When the snapshot was materialized.
-    built_at: SimTime,
-    /// Earliest soft-state lapse among the entries included; past this
-    /// instant the snapshot over-reports and must be rebuilt.
+    /// No later than the earliest soft-state lapse among the entries
+    /// included; from this instant on the snapshot may over-report and
+    /// must be rebuilt. A refresh moves a lapse later, so it may leave
+    /// this value early, never late.
     next_lapse: Option<SimTime>,
     doc: XmlNode,
 }
 
 impl DocSnapshot {
-    fn is_fresh(&self, generation: u64, now: SimTime) -> bool {
-        self.generation == generation && self.next_lapse.is_none_or(|t| t > now)
+    fn is_fresh(&self, now: SimTime) -> bool {
+        self.next_lapse.is_none_or(|t| t > now)
     }
 
     /// Copies of what `xpath` selects, and how many entries the scan
@@ -96,43 +97,26 @@ pub struct IndexService {
     /// Upstream community index this default index registers into.
     upstream: Option<String>,
     queries_served: AtomicU64,
-    /// Registration-change counter stamped into snapshots.
-    generation: AtomicU64,
-    /// Cached aggregate document (rebuilt when the generation advances or
-    /// an included entry's soft state lapses).
+    /// Cached aggregate document: patched by every write, discarded by a
+    /// sweep that drops entries, rebuilt when an included entry's soft
+    /// state may have lapsed.
     snapshot: RwLock<Option<DocSnapshot>>,
     xpath_memo: XPathMemo,
 }
 
-impl Clone for IndexService {
-    fn clone(&self) -> Self {
-        IndexService {
-            kind: self.kind,
-            transport: self.transport,
-            group: self.group.clone(),
-            upstream: self.upstream.clone(),
-            queries_served: AtomicU64::new(self.queries_served()),
-            generation: AtomicU64::new(self.generation.load(Ordering::Acquire)),
-            snapshot: self.snapshot.clone(),
-            xpath_memo: self.xpath_memo.clone(),
-        }
-    }
-}
-
 impl fmt::Debug for IndexService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let snapshot_age = self
+        let snapshot = self
             .snapshot
             .read()
             .as_ref()
-            .map(|s| (s.generation, s.built_at));
+            .map(|s| (s.doc.children.len(), s.next_lapse));
         f.debug_struct("IndexService")
             .field("kind", &self.kind)
             .field("transport", &self.transport)
             .field("upstream", &self.upstream)
             .field("queries_served", &self.queries_served())
-            .field("generation", &self.generation.load(Ordering::Acquire))
-            .field("snapshot(gen, built_at)", &snapshot_age)
+            .field("snapshot(entries, next_lapse)", &snapshot)
             .finish()
     }
 }
@@ -157,7 +141,6 @@ impl IndexService {
             group: RwLock::new(ServiceGroup::new(name, DEFAULT_ENTRY_LIFETIME)),
             upstream: None,
             queries_served: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
             snapshot: RwLock::new(None),
             xpath_memo: XPathMemo::new(),
         }
@@ -178,19 +161,24 @@ impl IndexService {
         self.upstream.as_deref()
     }
 
-    fn bump_generation(&mut self) {
-        *self.generation.get_mut() += 1;
-    }
-
     /// Register member content; returns the entry id and the modeled cost.
     pub fn register(
         &mut self,
         member: &str,
         content: XmlNode,
         now: SimTime,
-    ) -> (glare_wsrf::EntryId, SimDuration) {
-        self.bump_generation();
-        let id = self.group.get_mut().add(member, content, now);
+    ) -> (EntryId, SimDuration) {
+        let group = self.group.get_mut();
+        let id = group.add(member, content, now);
+        if let Some(snap) = self.snapshot.get_mut() {
+            // The snapshot mirrors the group, so the appended entry's
+            // position is the snapshot's child count.
+            snap.doc
+                .children
+                .push(group.entry_node(snap.doc.children.len()));
+            let lapse = now + DEFAULT_ENTRY_LIFETIME;
+            snap.next_lapse = Some(snap.next_lapse.map_or(lapse, |t| t.min(lapse)));
+        }
         let cost = REGISTER_COST + self.transport.overhead_cost(ENTRY_WIRE_BYTES);
         (id, cost)
     }
@@ -198,19 +186,25 @@ impl IndexService {
     /// Refresh an entry's soft state (and optionally its content).
     pub fn refresh(
         &mut self,
-        id: glare_wsrf::EntryId,
+        id: EntryId,
         content: Option<XmlNode>,
         now: SimTime,
     ) -> Result<SimDuration, WsrfError> {
-        self.group.get_mut().refresh(id, content, now)?;
-        self.bump_generation();
+        let group = self.group.get_mut();
+        let new_content = content.is_some();
+        let at = group.refresh(id, content, now)?;
+        if let (true, Some(snap)) = (new_content, self.snapshot.get_mut()) {
+            snap.doc.children[at] = group.entry_node(at);
+        }
         Ok(REGISTER_COST + self.transport.overhead_cost(ENTRY_WIRE_BYTES))
     }
 
     /// Remove an entry.
-    pub fn remove(&mut self, id: glare_wsrf::EntryId) -> Result<(), WsrfError> {
-        self.group.get_mut().remove(id)?;
-        self.bump_generation();
+    pub fn remove(&mut self, id: EntryId) -> Result<(), WsrfError> {
+        let at = self.group.get_mut().remove(id)?;
+        if let Some(snap) = self.snapshot.get_mut() {
+            snap.doc.children.remove(at);
+        }
         Ok(())
     }
 
@@ -236,26 +230,20 @@ impl IndexService {
             .map_err(|e| WsrfError::InvalidQuery {
                 message: e.to_string(),
             })?;
-        let generation = self.generation.load(Ordering::Acquire);
         let snap = self.snapshot.read();
         let (matches, scanned) = match snap.as_ref() {
-            Some(s) if s.is_fresh(generation, now) => s.answer(&compiled),
+            Some(s) if s.is_fresh(now) => s.answer(&compiled),
             _ => {
                 drop(snap);
                 let mut snap = self.snapshot.write();
                 // Another reader may have rebuilt while we waited.
-                if !snap.as_ref().is_some_and(|s| s.is_fresh(generation, now)) {
+                if !snap.as_ref().is_some_and(|s| s.is_fresh(now)) {
                     let mut group = self.group.write();
                     group.sweep_stale(now);
                     let doc = group.aggregate_document(now);
                     let next_lapse = group.next_lapse(now);
                     drop(group);
-                    *snap = Some(DocSnapshot {
-                        generation,
-                        built_at: now,
-                        next_lapse,
-                        doc,
-                    });
+                    *snap = Some(DocSnapshot { next_lapse, doc });
                 }
                 snap.as_ref().expect("snapshot just ensured").answer(&compiled)
             }
@@ -272,14 +260,22 @@ impl IndexService {
         })
     }
 
-    /// Convenience: the query a client uses to find an entry by name.
+    /// Convenience: the query a client uses to find an entry by name. The
+    /// name is quoted with `'`, or with `"` if it holds a `'`; XPath 1.0
+    /// literals have no escape, so a name holding both is refused.
     pub fn query_by_name(
         &self,
         element: &str,
         name: &str,
         now: SimTime,
     ) -> Result<QueryResponse, WsrfError> {
-        self.query(&format!("//{element}[@name='{name}']"), now)
+        let quote = if name.contains('\'') { '"' } else { '\'' };
+        if name.contains(quote) {
+            return Err(WsrfError::InvalidQuery {
+                message: format!("name {name:?} holds both quote kinds"),
+            });
+        }
+        self.query(&format!("//{element}[@name={quote}{name}{quote}]"), now)
     }
 
     /// Total queries served.
@@ -300,7 +296,7 @@ impl IndexService {
         community: &mut IndexService,
         member_name: &str,
         now: SimTime,
-    ) -> (glare_wsrf::EntryId, SimDuration) {
+    ) -> (EntryId, SimDuration) {
         assert_eq!(community.kind, IndexKind::Community);
         community.register(member_name, self.aggregate(now), now)
     }
@@ -309,7 +305,7 @@ impl IndexService {
     pub fn sweep(&mut self, now: SimTime) -> usize {
         let n = self.group.get_mut().sweep_stale(now);
         if n > 0 {
-            self.bump_generation();
+            *self.snapshot.get_mut() = None;
         }
         n
     }
@@ -391,24 +387,32 @@ mod tests {
     }
 
     /// Seeded property: through any interleaving of `register`,
-    /// `refresh` (with and without new content), `remove`, `sweep`, and
-    /// time moving on — now and then past a lapse — a query sees exactly
-    /// the document rebuilt from the group at that instant, whatever
-    /// became of the snapshot on the way. Pins the invalidation rules for
-    /// any later change to how mutators treat the snapshot.
+    /// `refresh` (with and without new content, also of an entry that has
+    /// lapsed but is not swept yet), `remove`, `sweep`, and time moving on
+    /// — now and then past a lapse, exactly onto the earliest one or one
+    /// nanosecond short of it — a query sees exactly the document rebuilt
+    /// from the group at that instant, whatever became of the snapshot on
+    /// the way. Pins the rules by which the mutators patch the snapshot.
     #[test]
     fn query_sees_the_rebuilt_aggregate_after_random_edits() {
         use glare_fabric::SimRng;
-        use glare_wsrf::EntryId;
+
+        fn check(idx: &IndexService, now: SimTime) {
+            let seen = idx.query("//Entry", now).unwrap();
+            let rebuilt = idx.aggregate(now);
+            assert_eq!(seen.matches, rebuilt.children);
+            assert_eq!(seen.scanned, rebuilt.children.len());
+        }
 
         let mut rng = SimRng::from_seed(0x3D5_5A9);
+        let (mut onto_lapse, mut lapsed_refreshes) = (0, 0);
         for _ in 0..60 {
             let mut idx = index();
             let mut now = t(0);
             let mut ids: Vec<EntryId> = Vec::new();
             let mut serial = 0;
             for _ in 0..rng.range(20, 120) {
-                match rng.range(0, 10) {
+                match rng.range(0, 12) {
                     0..=2 => {
                         serial += 1;
                         ids.push(idx.register("m", entry(&format!("n{serial}")), now).0);
@@ -432,18 +436,64 @@ mod tests {
                         let step = if rng.chance(0.2) { 700 } else { rng.range(1, 200) };
                         now += SimDuration::from_secs(step);
                     }
+                    9 => {
+                        // Onto the earliest lapse, or one nanosecond short.
+                        if let Some(lapse) = idx.group.read().next_lapse(now) {
+                            now = if rng.chance(0.5) {
+                                lapse
+                            } else {
+                                lapse - SimDuration::from_nanos(1)
+                            };
+                            onto_lapse += 1;
+                        }
+                    }
+                    10 => {
+                        // New content for an entry that has lapsed but
+                        // not been swept (a swept one refuses it).
+                        let live: Vec<EntryId> =
+                            idx.group.read().iter_live(now).map(|e| e.id).collect();
+                        for &id in ids.iter().filter(|id| !live.contains(id)) {
+                            serial += 1;
+                            if idx.refresh(id, Some(entry(&format!("n{serial}"))), now).is_ok() {
+                                lapsed_refreshes += 1;
+                                break;
+                            }
+                        }
+                    }
+                    11 => {
+                        // Queries at the very instant of each write.
+                        serial += 1;
+                        ids.push(idx.register("m", entry(&format!("n{serial}")), now).0);
+                        check(&idx, now);
+                        let id = ids.swap_remove(rng.index(ids.len()));
+                        let _ = idx.remove(id);
+                        check(&idx, now);
+                    }
                     _ => {}
                 }
                 // Not after every step, so several writes can land
                 // between two queries.
                 if rng.chance(0.6) {
-                    let seen = idx.query("//Entry", now).unwrap();
-                    let rebuilt = idx.aggregate(now);
-                    assert_eq!(seen.matches, rebuilt.children);
-                    assert_eq!(seen.scanned, rebuilt.children.len());
+                    check(&idx, now);
                 }
             }
         }
+        assert!(onto_lapse > 0 && lapsed_refreshes > 0, "{onto_lapse} {lapsed_refreshes}");
+    }
+
+    #[test]
+    fn names_with_an_apostrophe_are_found_and_both_quotes_refused() {
+        let mut idx = index();
+        idx.register("m", entry("O'Brien"), t(0));
+        idx.register("m", entry("say \"hi\""), t(0));
+        let r = idx.query_by_name("ActivityType", "O'Brien", t(1)).unwrap();
+        assert_eq!(r.matches.len(), 1);
+        let r = idx.query_by_name("ActivityType", "say \"hi\"", t(1)).unwrap();
+        assert_eq!(r.matches.len(), 1);
+        assert!(matches!(
+            idx.query_by_name("ActivityType", "O'Brien \"Jr\"", t(1)),
+            Err(WsrfError::InvalidQuery { message }) if message.contains("both quote kinds")
+        ));
     }
 
     #[test]

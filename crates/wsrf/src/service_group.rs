@@ -14,7 +14,6 @@ use glare_fabric::{SimDuration, SimTime};
 
 use crate::error::WsrfError;
 use crate::xml::XmlNode;
-use crate::xpath::XPath;
 
 /// Identifier of a service-group entry.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -89,30 +88,35 @@ impl ServiceGroup {
     }
 
     /// Refresh an entry's soft state, optionally replacing its content.
+    /// Returns the entry's position, as [`ServiceGroup::entry_node`] takes it.
     pub fn refresh(
         &mut self,
         id: EntryId,
         content: Option<XmlNode>,
         now: SimTime,
-    ) -> Result<(), WsrfError> {
-        let entry = self
-            .entries
-            .iter_mut()
-            .find(|e| e.id == id)
-            .ok_or(WsrfError::NoSuchEntry { id: id.0 })?;
+    ) -> Result<usize, WsrfError> {
+        let at = self.position(id)?;
+        let entry = &mut self.entries[at];
         entry.refreshed_at = now;
         if let Some(c) = content {
             entry.content = c;
         }
-        Ok(())
+        Ok(at)
     }
 
-    /// Remove an entry.
-    pub fn remove(&mut self, id: EntryId) -> Result<GroupEntry, WsrfError> {
-        match self.entries.iter().position(|e| e.id == id) {
-            Some(i) => Ok(self.entries.remove(i)),
-            None => Err(WsrfError::NoSuchEntry { id: id.0 }),
-        }
+    /// Remove an entry, returning the position it held; the entries after
+    /// it move up by one.
+    pub fn remove(&mut self, id: EntryId) -> Result<usize, WsrfError> {
+        let at = self.position(id)?;
+        self.entries.remove(at);
+        Ok(at)
+    }
+
+    fn position(&self, id: EntryId) -> Result<usize, WsrfError> {
+        self.entries
+            .iter()
+            .position(|e| e.id == id)
+            .ok_or(WsrfError::NoSuchEntry { id: id.0 })
     }
 
     /// Drop all lapsed entries, returning how many were swept.
@@ -141,6 +145,18 @@ impl ServiceGroup {
             .min()
     }
 
+    /// The `<Entry member=".." id="..">…</Entry>` element of the entry at
+    /// position `at` (counting lapsed entries not yet swept; `add` appends,
+    /// `refresh` and `remove` report the position), as the aggregate
+    /// document holds it.
+    pub fn entry_node(&self, at: usize) -> XmlNode {
+        let e = &self.entries[at];
+        XmlNode::new("Entry")
+            .attr("member", &e.member)
+            .attr("id", e.id.0.to_string())
+            .child(e.content.clone())
+    }
+
     /// Build the aggregate document
     /// (`<ServiceGroup name=".."><Entry member="..">…</Entry></ServiceGroup>`).
     ///
@@ -148,31 +164,19 @@ impl ServiceGroup {
     /// Service pays on every XPath query.
     pub fn aggregate_document(&self, now: SimTime) -> XmlNode {
         let mut root = XmlNode::new("ServiceGroup").attr("name", &self.name);
-        for e in self.iter_live(now) {
-            root.children.push(
-                XmlNode::new("Entry")
-                    .attr("member", &e.member)
-                    .attr("id", e.id.0.to_string())
-                    .child(e.content.clone()),
-            );
+        for (at, e) in self.entries.iter().enumerate() {
+            if !e.is_stale(now) {
+                root.children.push(self.entry_node(at));
+            }
         }
         root
-    }
-
-    /// Run an XPath query over the aggregate document, returning matching
-    /// subtrees as owned nodes.
-    pub fn query(&self, xpath: &str, now: SimTime) -> Result<Vec<XmlNode>, WsrfError> {
-        let compiled = XPath::compile(xpath).map_err(|e| WsrfError::InvalidQuery {
-            message: e.to_string(),
-        })?;
-        let doc = self.aggregate_document(now);
-        Ok(compiled.select(&doc).into_iter().cloned().collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::xpath::XPath;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -186,15 +190,18 @@ mod tests {
         ServiceGroup::new("atr", SimDuration::from_secs(60))
     }
 
+    /// How many nodes `xpath` selects in the aggregate document at `now`.
+    fn hits(g: &ServiceGroup, xpath: &str, now: SimTime) -> usize {
+        let compiled = XPath::compile(xpath).expect("valid XPath");
+        compiled.select(&g.aggregate_document(now)).len()
+    }
+
     #[test]
     fn add_and_query() {
         let mut g = group();
         g.add("site0", entry("JPOVray"), t(0));
         g.add("site1", entry("Wien2k"), t(0));
-        let hits = g
-            .query("//ActivityType[@name='JPOVray']", t(1))
-            .unwrap();
-        assert_eq!(hits.len(), 1);
+        assert_eq!(hits(&g, "//ActivityType[@name='JPOVray']", t(1)), 1);
         assert_eq!(g.len_live(t(1)), 2);
     }
 
@@ -213,8 +220,8 @@ mod tests {
         let mut g = group();
         let id = g.add("site0", entry("A"), t(0));
         g.refresh(id, Some(entry("B")), t(1)).unwrap();
-        assert_eq!(g.query("//ActivityType[@name='B']", t(2)).unwrap().len(), 1);
-        assert!(g.query("//ActivityType[@name='A']", t(2)).unwrap().is_empty());
+        assert_eq!(hits(&g, "//ActivityType[@name='B']", t(2)), 1);
+        assert_eq!(hits(&g, "//ActivityType[@name='A']", t(2)), 0);
     }
 
     #[test]
@@ -260,11 +267,7 @@ mod tests {
 
     #[test]
     fn invalid_query_is_reported() {
-        let g = group();
-        assert!(matches!(
-            g.query("///", t(0)),
-            Err(WsrfError::InvalidQuery { .. })
-        ));
+        assert!(XPath::compile("///").is_err());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 # `"correct":true` with `"failed":0` stops the script, and so does a pair whose
 # two runs disagree on `ok_share` or any `sim_*` value: those are seed-exact,
 # so a difference is changed behaviour, not speed (it exits 1 naming the
-# metric). `registry_churn` skips that comparison: its two threads write one
-# shared index, so its scan counts depend on their interleaving and differ
+# metric). On `registry_churn` only `ok_share` and `sim_hops_per_query` are
+# compared: its two threads write one shared index, so its scan counts, and
+# with them its other `sim_*` values, depend on their interleaving and differ
 # run to run on one tree (perf/README.md "Checks").
 set -euo pipefail
 [ $# -ge 3 ] || { sed -n '2,5p' "$0" >&2; exit 2; }
@@ -26,6 +27,8 @@ pairs=${4:-10}
 seed=${5:-4212}
 seconds=15
 metrics="wall_s ops_per_s setup_s peak_rss_mb"
+exact='ok_share\|sim_[a-z0-9_]*'
+[ "$workload" != registry_churn ] || exact='ok_share\|sim_hops_per_query'
 
 for tree in "$parent" "$change"; do
     cargo build --release -q --manifest-path "$tree/perf/Cargo.toml"
@@ -45,12 +48,11 @@ measure() { # measure <side> <tree> <pair>: append "<pair> <side> <metric> <valu
         awk -v m="$m" -v p="$3" -v s="$1" '$1 == m { print p, s, m, $2 }' <<<"$out" >>"$samples"
     done
     # The seed-exact values, as the run's JSON line prints them.
-    grep -o '"\(ok_share\|sim_[a-z0-9_]*\)":{"value":[^,}]*' <<<"$out" |
+    grep -o "\"\\($exact\\)\":{\"value\":[^,}]*" <<<"$out" |
         sed 's/^"\([^"]*\)":{"value":/\1 /' >"$work/$3.$1"
 }
 
 same_behaviour() { # same_behaviour <pair>: exit 1 if its two runs differ seed-exactly
-    [ "$workload" != registry_churn ] || return 0
     diff -q "$work/$1.parent" "$work/$1.change" >/dev/null && return 0
     echo "pairs: pair $1 changed behaviour, not only speed:" >&2
     diff "$work/$1.parent" "$work/$1.change" | sed -n 's/^< /  parent /p; s/^> /  change /p' >&2

@@ -54,7 +54,7 @@ pub(crate) fn routing(flood: bool, seed: u64) -> Scenario {
 /// Run the routing ablation in one mode. Overlay background traffic
 /// (heartbeats, elections) is measured by an identical client-less control
 /// run and subtracted, leaving the per-query routing cost.
-pub fn run_routing(flood: bool, seed: u64) -> RoutingAblation {
+pub(crate) fn run_routing(flood: bool, seed: u64) -> RoutingAblation {
     let horizon = SimTime::from_secs(600);
     let mut control = Scenario { clients: Vec::new(), ..routing(flood, seed) }.start().sim;
     control.run_until(horizon);
@@ -104,7 +104,7 @@ pub(crate) fn takeover(naive: bool, seed: u64) -> Scenario {
 }
 
 /// Run the takeover ablation to t = 300 s.
-pub fn run_takeover(naive: bool, seed: u64) -> TakeoverAblation {
+pub(crate) fn run_takeover(naive: bool, seed: u64) -> TakeoverAblation {
     let Run { mut sim, ids, .. } = takeover(naive, seed).start();
     sim.run_until(SimTime::from_secs(300));
     TakeoverAblation {

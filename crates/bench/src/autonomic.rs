@@ -47,7 +47,7 @@ use crate::json::{fields, Json};
 /// Activity catalogue, most popular first (Zipf rank order). Every entry
 /// maps to a real dependency-free package so controller provisions run
 /// the genuine deploy-file plans.
-pub const CATALOGUE: &[(&str, &str)] = &[
+pub(crate) const CATALOGUE: &[(&str, &str)] = &[
     ("Render", "povray"),
     ("Simulate", "wien2k"),
     ("Hydrology", "invmod"),

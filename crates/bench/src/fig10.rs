@@ -67,7 +67,7 @@ fn type_entry(i: usize) -> ActivityType {
 }
 
 /// Build an ATR preloaded with `resources` types.
-pub fn build_atr(resources: usize, transport: Transport) -> ActivityTypeRegistry {
+pub(crate) fn build_atr(resources: usize, transport: Transport) -> ActivityTypeRegistry {
     let atr = ActivityTypeRegistry::new("https://bench/ATR", transport);
     for i in 0..resources {
         atr.register(type_entry(i), SimTime::ZERO).unwrap();
@@ -76,7 +76,7 @@ pub fn build_atr(resources: usize, transport: Transport) -> ActivityTypeRegistry
 }
 
 /// Build an Index Service preloaded with the same entries.
-pub fn build_mds(resources: usize, transport: Transport) -> IndexService {
+pub(crate) fn build_mds(resources: usize, transport: Transport) -> IndexService {
     let mut mds = IndexService::new("bench-index", IndexKind::Default, transport);
     for i in 0..resources {
         mds.register("bench", type_entry(i).to_xml(), SimTime::ZERO);

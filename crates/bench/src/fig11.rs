@@ -18,7 +18,7 @@ use crate::fig10::{measure, Service, ThroughputPoint};
 
 /// Throughput below this fraction of the same-configuration ATR rate is
 /// reported as "unresponsive" (the paper's stalled index).
-pub const COLLAPSE_FRACTION: f64 = 0.30;
+pub(crate) const COLLAPSE_FRACTION: f64 = 0.30;
 
 /// One Fig. 11 measurement, with the collapse flag.
 #[derive(Clone, Debug)]

@@ -339,7 +339,7 @@ fn window_rows(windows: &ClassWindows, violations: &mut Vec<String>) -> Vec<Wind
 /// Run one mode: mark the phase boundaries (the degradations themselves
 /// are in the scenario's fault plan), sample suspicion at each, and
 /// distill.
-pub fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
+pub(crate) fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
     assert!(p.sites >= 12, "the scenario needs three groups of four");
     let plan = plan_sites(p);
     let expected_groups = p.sites.div_ceil(4) as u64;

@@ -234,7 +234,7 @@ pub(crate) fn scenario(factor: f64, p: &LoadParams) -> Scenario {
 }
 
 /// Run one sweep point.
-pub fn run_point(factor: f64, p: &LoadParams) -> LoadPoint {
+pub(crate) fn run_point(factor: f64, p: &LoadParams) -> LoadPoint {
     let offered_hz = p.base_rate_hz * factor;
     let Run { mut sim, ids, lanes, .. } = scenario(factor, p).start();
     let events = sim.run_until(SimTime::from_secs(p.duration_secs + p.drain_secs));

@@ -119,7 +119,7 @@ impl ScaleParams {
 }
 
 /// Human-readable scheduler label for reports and JSON.
-pub fn scheduler_label(kind: SchedulerKind) -> &'static str {
+pub(crate) fn scheduler_label(kind: SchedulerKind) -> &'static str {
     match kind {
         SchedulerKind::Calendar => "calendar",
         SchedulerKind::BinaryHeap => "binary-heap",
@@ -155,7 +155,7 @@ pub(crate) fn scenario(n: usize, flood: bool, p: &ScaleParams) -> Scenario {
 
 /// Run one sweep point; `flood` swaps the tree for the flat broadcast
 /// baseline.
-pub fn run_point(n: usize, flood: bool, p: &ScaleParams) -> ScalePoint {
+pub(crate) fn run_point(n: usize, flood: bool, p: &ScaleParams) -> ScalePoint {
     let scenario = scenario(n, flood, p);
     let branching = scenario.node.max_group_size;
     let Run { mut sim, stats, .. } = scenario.start();

@@ -36,7 +36,7 @@ pub struct Registry {
 impl Registry {
     /// Every node knows the concrete types `T0..T{types}` (of `domain`),
     /// and the deployment of `T{t}` lives on site `t % sites`.
-    pub fn round_robin(types: usize, sites: usize, domain: &str) -> Registry {
+    pub(crate) fn round_robin(types: usize, sites: usize, domain: &str) -> Registry {
         let ty = |t| ActivityType::concrete_type(&format!("T{t}"), domain, "wien2k");
         let dir = |t| format!("t{t}");
         let deployed = |t| deployment(&format!("T{t}"), t % sites, &dir(t), &dir(t));
@@ -59,13 +59,13 @@ pub fn deployment(ty: &str, site: usize, dir: &str, bin: &str) -> (usize, Activi
 
 /// [`NodeConfig::new`]'s policy, the base a scenario edits: the site name,
 /// rank and community-index flag it carries are each node's own.
-pub fn node_defaults() -> NodeConfig {
+pub(crate) fn node_defaults() -> NodeConfig {
     NodeConfig::new("", 0)
 }
 
 /// The topology's sites by election rank, highest first: the likeliest
 /// super-peer leads, the likeliest plain member trails.
-pub fn ranked_sites(topology: &Topology) -> Vec<SiteId> {
+pub(crate) fn ranked_sites(topology: &Topology) -> Vec<SiteId> {
     let mut sites: Vec<SiteId> = (0..topology.len() as u32).map(SiteId).collect();
     sites.sort_by_key(|&s| Reverse(topology.site(s).rank_hashcode()));
     sites

@@ -48,7 +48,7 @@ impl Table1Entry {
 }
 
 /// The applications Table 1 measures, as (display name, activity type).
-pub const APPS: [(&str, &str); 3] = [
+pub(crate) const APPS: [(&str, &str); 3] = [
     ("Wien2k", "Wien2k"),
     ("Invmod", "Invmod"),
     ("Counter", "Counter"),

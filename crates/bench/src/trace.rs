@@ -57,7 +57,7 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// JSON view of the path (hops omitted; see [`CriticalPath::to_json_full`]).
+    /// JSON view of the path: the per-hop breakdown is counted, not listed.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("trace", Json::from(self.trace_id.0)),
@@ -68,25 +68,6 @@ impl CriticalPath {
             ("other_ms", Json::from(self.other.as_millis_f64())),
             ("hops", Json::from(self.hops.len())),
         ])
-    }
-
-    /// JSON view including the per-hop breakdown.
-    pub fn to_json_full(&self) -> Json {
-        let Json::Obj(mut fields) = self.to_json() else {
-            unreachable!("to_json returns an object");
-        };
-        fields.pop(); // replace the hop count with the hop list
-        fields.push((
-            "hops".to_owned(),
-            Json::arr(self.hops.iter().map(|h| {
-                Json::obj([
-                    ("name", Json::from(h.name.clone())),
-                    ("kind", Json::from(h.kind.label())),
-                    ("exclusive_ms", Json::from(h.exclusive.as_millis_f64())),
-                ])
-            })),
-        ));
-        Json::Obj(fields)
     }
 }
 

@@ -144,7 +144,7 @@ impl EventRecord {
     /// Times are integer nanoseconds so the encoding is exact and
     /// byte-stable; field order is preserved from emission, and every
     /// value is a JSON string.
-    pub fn write_json_line(&self, out: &mut String) {
+    pub(crate) fn write_json_line(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"seq\":{},\"t_ns\":{},\"kind\":\"",

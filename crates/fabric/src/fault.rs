@@ -188,7 +188,7 @@ impl FaultPlan {
     /// Like [`FaultPlan::degrade_link`], but with explicit directionality:
     /// `symmetric = false` degrades only `a → b`, modelling an asymmetric
     /// trunk (slow uplink, healthy downlink).
-    pub fn degrade_link_dir(
+    pub(crate) fn degrade_link_dir(
         mut self,
         from: SimTime,
         until: SimTime,

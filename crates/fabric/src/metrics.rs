@@ -482,7 +482,7 @@ impl MetricsRegistry {
     }
 
     /// Get or create the time series `name`.
-    pub fn time_series(&mut self, name: &str) -> &mut TimeSeries {
+    pub(crate) fn time_series(&mut self, name: &str) -> &mut TimeSeries {
         let i = self.series.flat_id(name);
         &mut self.series.store[i as usize]
     }

@@ -143,11 +143,6 @@ impl<T> EventPool<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Total slots ever allocated (high-water mark of concurrent events).
-    pub fn capacity_used(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// Smallest allowed bucket count (also the initial count).
@@ -194,7 +189,7 @@ pub struct CalendarQueue {
 
 impl CalendarQueue {
     /// Empty queue, ring pre-sized for roughly `expected` concurrent events.
-    pub fn with_expected(expected: usize) -> Self {
+    pub(crate) fn with_expected(expected: usize) -> Self {
         let nb = expected
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
@@ -433,7 +428,7 @@ mod tests {
         assert_eq!(pool.take(b), "B");
         assert_eq!(pool.take(c), "c");
         assert!(pool.is_empty());
-        assert_eq!(pool.capacity_used(), 2);
+        assert_eq!(pool.slots.len(), 2, "two slots ever allocated");
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl SimRng {
     }
 
     /// Next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
+    pub(crate) fn next_u32(&mut self) -> u32 {
         if self.cursor >= 16 {
             self.refill();
         }

@@ -251,31 +251,15 @@ impl Simulation {
         self.kernel.now
     }
 
-    /// Events currently pending in the queue (tombstones included).
-    pub fn queue_len(&self) -> usize {
-        self.kernel.queue.len()
-    }
-
     /// High-water mark of concurrent pending events over the whole run —
     /// the "peak queue occupancy" column of the scale bench.
     pub fn peak_queue_occupancy(&self) -> usize {
         self.kernel.peak_queue
     }
 
-    /// Live (pending, uncancelled) timers the kernel tracks. Bounded by
-    /// queue occupancy; cancel-heavy workloads cannot grow it.
-    pub fn pending_timers(&self) -> usize {
-        self.kernel.live_timers
-    }
-
     /// Immutable metrics access for the harness.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.kernel.metrics
-    }
-
-    /// Mutable metrics access for the harness.
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.kernel.metrics
     }
 
     /// The topology the simulation runs over.
@@ -346,22 +330,6 @@ impl Simulation {
     pub fn run_for(&mut self, d: SimDuration) -> u64 {
         let horizon = self.kernel.now + d;
         self.run_until(horizon)
-    }
-
-    /// Drain the queue completely (or until stop), with an event-count
-    /// safety valve.
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
-        assert!(self.started, "call start() before running");
-        let mut n = 0;
-        while !self.kernel.stopped && !self.kernel.queue.is_empty() {
-            self.step();
-            n += 1;
-            assert!(
-                n <= max_events,
-                "run_to_quiescence exceeded {max_events} events — livelock?"
-            );
-        }
-        n
     }
 }
 

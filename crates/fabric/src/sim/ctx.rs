@@ -299,7 +299,7 @@ impl<'a> Ctx<'a> {
 
     /// Append one mutation record to this site's write-ahead journal.
     ///
-    /// [`FSYNC_COST`] is charged through the site's CPU run
+    /// A fixed 2 ms fsync is charged through the site's CPU run
     /// queue; completion surfaces as an `on_compute_done` with tag
     /// `"store-fsync"` (fire-and-forget for most actors). Returns the
     /// record's sequence number, or `None` when durability is disabled.

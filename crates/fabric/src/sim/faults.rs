@@ -161,7 +161,7 @@ impl Simulation {
     /// `factor ×` its base+jitter delay. Call once per direction for a
     /// symmetric degradation (see [`Fault::DegradeLink`](crate::fault::Fault)).
     /// Emits `link.degraded` / `link.recovered`. Draws no randomness.
-    pub fn set_link_degraded(&mut self, from: SiteId, to: SiteId, factor: Option<f64>) {
+    pub(crate) fn set_link_degraded(&mut self, from: SiteId, to: SiteId, factor: Option<f64>) {
         let link_degrade = &mut self.kernel.faults.link_degrade;
         let (kind, f) = match factor {
             Some(f) => {
@@ -209,7 +209,7 @@ impl Simulation {
     /// `torn_records` records off the site's journal — the partial write a
     /// real crash leaves behind. Recovery truncates at the last valid
     /// record. With durability disabled this is an ordinary crash.
-    pub fn schedule_crash_torn(&mut self, at: SimTime, site: SiteId, torn_records: usize) {
+    pub(crate) fn schedule_crash_torn(&mut self, at: SimTime, site: SiteId, torn_records: usize) {
         let crash = EventKind::SiteCrash { site, torn: torn_records };
         self.kernel.schedule(at, crash, None);
     }

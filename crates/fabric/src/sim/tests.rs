@@ -5,6 +5,35 @@ use crate::metrics::Labels;
 use crate::rng::SimRng;
 use crate::topology::LinkSpec;
 
+/// Kernel state only the tests inspect, and the drain they run to.
+impl Simulation {
+    /// Events currently pending in the queue (tombstones included).
+    pub(crate) fn queue_len(&self) -> usize {
+        self.kernel.queue.len()
+    }
+
+    /// Live (pending, uncancelled) timers the kernel tracks.
+    pub(crate) fn pending_timers(&self) -> usize {
+        self.kernel.live_timers
+    }
+
+    /// Drain the queue completely (or until stop), with an event-count
+    /// safety valve.
+    pub(crate) fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
+        assert!(self.started, "call start() before running");
+        let mut n = 0;
+        while !self.kernel.stopped && !self.kernel.queue.is_empty() {
+            self.step();
+            n += 1;
+            assert!(
+                n <= max_events,
+                "run_to_quiescence exceeded {max_events} events — livelock?"
+            );
+        }
+        n
+    }
+}
+
 struct Ping {
     peer: Option<ActorId>,
     remaining: u32,
@@ -346,7 +375,7 @@ fn schedule_call_runs_closures() {
     let mut sim = Simulation::new(topo, 5);
     sim.add_actor(SiteId(0), Box::new(Cruncher { done: 0 }));
     sim.schedule_call(SimTime::from_millis(50), |sim| {
-        sim.metrics_mut().counter("called").inc();
+        sim.kernel.metrics.counter("called").inc();
     });
     sim.start();
     sim.run_to_quiescence(100);

@@ -14,7 +14,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::SiteSpec;
 
 /// Sampling interval of the load average, matching the classic kernel value.
-pub const LOAD_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(5);
+pub(crate) const LOAD_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
 /// `exp(-5/60)` — decay of the 1-minute load average per 5 s sample.
 const LOAD_DECAY_1M: f64 = 0.920_044_414_629_323_1;
@@ -52,9 +52,6 @@ pub struct SiteRuntime {
     run_queue: u32,
     /// EWMA 1-minute load average.
     load_1m: f64,
-    /// Totals for metrics.
-    work_items_done: u64,
-    busy_time: SimDuration,
 }
 
 impl SiteRuntime {
@@ -74,8 +71,6 @@ impl SiteRuntime {
             core_free_at: vec![SimTime::ZERO; spec.cores as usize],
             run_queue: 0,
             load_1m: 0.0,
-            work_items_done: 0,
-            busy_time: SimDuration::ZERO,
         }
     }
 
@@ -89,40 +84,20 @@ impl SiteRuntime {
         self.epoch
     }
 
-    /// Current run-queue length (executing + waiting work items).
-    pub fn run_queue_len(&self) -> u32 {
-        self.run_queue
-    }
-
     /// Current 1-minute load average.
-    pub fn load_average_1m(&self) -> f64 {
+    pub(crate) fn load_average_1m(&self) -> f64 {
         self.load_1m
     }
 
-    /// Total completed work items.
-    pub fn work_items_done(&self) -> u64 {
-        self.work_items_done
-    }
-
-    /// Total CPU-busy time accumulated across cores.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
-    /// Current gray-failure compute multiplier (1.0 when healthy).
-    pub fn degrade_factor(&self) -> f64 {
-        self.degrade_factor
-    }
-
     /// Whether the site is currently degraded (slowed but not down).
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.degrade_factor > 1.0
     }
 
     /// Install (or clear, with `1.0`) a gray-failure compute multiplier.
     /// Work submitted while degraded costs `factor ×` its healthy price;
     /// already-queued work keeps its original completion time.
-    pub fn set_degrade_factor(&mut self, factor: f64) {
+    pub(crate) fn set_degrade_factor(&mut self, factor: f64) {
         assert!(factor >= 1.0, "degrade factor must be ≥ 1.0");
         self.degrade_factor = factor;
     }
@@ -148,7 +123,6 @@ impl SiteRuntime {
         let end = start + scaled;
         self.core_free_at[idx] = end;
         self.run_queue += 1;
-        self.busy_time += scaled;
         Some(WorkTicket {
             started_at: start,
             completes_at: end,
@@ -165,7 +139,6 @@ impl SiteRuntime {
         }
         assert!(self.run_queue > 0, "complete() without matching submit()");
         self.run_queue -= 1;
-        self.work_items_done += 1;
         true
     }
 
@@ -187,7 +160,7 @@ impl SiteRuntime {
 
     /// Fold one 5-second sample of the run queue into the 1-minute load
     /// average (Unix formula: `load = load*e^(-5/60) + n*(1-e^(-5/60))`).
-    pub fn sample_load(&mut self) {
+    pub(crate) fn sample_load(&mut self) {
         let n = f64::from(self.run_queue);
         self.load_1m = self.load_1m * LOAD_DECAY_1M + n * (1.0 - LOAD_DECAY_1M);
     }
@@ -197,6 +170,13 @@ impl SiteRuntime {
 mod tests {
     use super::*;
     use crate::topology::SiteSpec;
+
+    impl SiteRuntime {
+        /// Current gray-failure compute multiplier (1.0 when healthy).
+        pub(crate) fn degrade_factor(&self) -> f64 {
+            self.degrade_factor
+        }
+    }
 
     fn rt(cores: u32, speed: f64) -> SiteRuntime {
         let mut spec = SiteSpec::reference("t");
@@ -213,11 +193,10 @@ mod tests {
         let b = s.submit(t0, SimDuration::from_millis(10)).unwrap();
         assert_eq!(a.completes_at, SimTime::from_millis(10));
         assert_eq!(b.completes_at, SimTime::from_millis(20), "FCFS queueing");
-        assert_eq!(s.run_queue_len(), 2);
+        assert_eq!(s.run_queue, 2);
         assert!(s.complete(a.epoch));
         assert!(s.complete(b.epoch));
-        assert_eq!(s.run_queue_len(), 0);
-        assert_eq!(s.work_items_done(), 2);
+        assert_eq!(s.run_queue, 0);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub struct JournalRecord {
 impl JournalRecord {
     /// Whether the record survives recovery validation: not torn and the
     /// checksum still matches its contents.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         !self.torn && self.checksum == record_checksum(self.seq, &self.kind, &self.payload)
     }
 }
@@ -115,7 +115,7 @@ pub struct StoreStats {
 /// modeled fsync): with the three constants below, the ballpark of a
 /// 2005-era site disk. Fixed — every durable run used these, and nothing
 /// is charged, replayed or compacted unless a store is enabled.
-pub const FSYNC_COST: SimDuration = SimDuration::from_millis(2);
+pub(crate) const FSYNC_COST: SimDuration = SimDuration::from_millis(2);
 
 /// CPU/IO cost charged per record replayed on recovery.
 const REPLAY_COST_PER_RECORD: SimDuration = SimDuration::from_micros(500);

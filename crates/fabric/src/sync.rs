@@ -27,11 +27,6 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        recover(self.0.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -54,11 +49,6 @@ impl<T> RwLock<T> {
     /// New lock holding `value`.
     pub fn new(value: T) -> Self {
         RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        recover(self.0.into_inner())
     }
 }
 
@@ -101,7 +91,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]

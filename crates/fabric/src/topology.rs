@@ -3,10 +3,10 @@
 //! A [`SiteSpec`] carries the static attributes the paper's super-peer
 //! election hashes into a rank (processor speed, memory, uptime, site name)
 //! plus the platform constraints (`os`/`arch`/`platform`) that deploy-files
-//! match against. A [`Topology`] adds pairwise link characteristics used to
+//! match against. A [`Topology`] adds the link characteristics used to
 //! price message and file-transfer latency.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashSet;
 
 use crate::time::SimDuration;
 
@@ -131,7 +131,7 @@ impl LinkSpec {
     }
 
     /// Loopback: negligible latency, effectively infinite bandwidth.
-    pub fn loopback() -> Self {
+    pub(crate) fn loopback() -> Self {
         LinkSpec {
             latency: SimDuration::from_micros(50),
             bandwidth_bps: 1_250_000_000,
@@ -156,25 +156,19 @@ impl Default for LinkSpec {
     }
 }
 
-/// The full static picture: all sites plus link overrides.
+/// The full static picture: all sites plus the link between any two.
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
     sites: Vec<SiteSpec>,
-    /// Site names to ids, so that adding a site checks its name in O(1).
-    by_name: HashMap<String, SiteId>,
-    default_link: Option<LinkSpec>,
-    overrides: HashMap<(SiteId, SiteId), LinkSpec>,
+    /// Site names, so that adding a site checks its name in O(1).
+    names: HashSet<String>,
+    default_link: LinkSpec,
 }
 
 impl Topology {
     /// Empty topology with the WAN default link.
     pub fn new() -> Self {
-        Topology {
-            sites: Vec::new(),
-            by_name: HashMap::new(),
-            default_link: Some(LinkSpec::wan_default()),
-            overrides: HashMap::new(),
-        }
+        Topology::default()
     }
 
     /// Add a site, returning its id.
@@ -182,13 +176,9 @@ impl Topology {
     /// # Panics
     /// Panics if a site of the same name was already added.
     pub fn add_site(&mut self, spec: SiteSpec) -> SiteId {
-        let id = SiteId(self.sites.len() as u32);
-        match self.by_name.entry(spec.name.clone()) {
-            Entry::Occupied(_) => panic!("duplicate site name {:?}", spec.name),
-            Entry::Vacant(slot) => slot.insert(id),
-        };
+        assert!(self.names.insert(spec.name.clone()), "duplicate site name {:?}", spec.name);
         self.sites.push(spec);
-        id
+        SiteId(self.sites.len() as u32 - 1)
     }
 
     /// Build `n` reference sites named `site0..siteN-1` with slightly
@@ -224,41 +214,16 @@ impl Topology {
     }
 
     /// All site ids.
-    pub fn site_ids(&self) -> impl Iterator<Item = SiteId> + '_ {
+    pub(crate) fn site_ids(&self) -> impl Iterator<Item = SiteId> + '_ {
         (0..self.sites.len() as u32).map(SiteId)
-    }
-
-    /// Find a site by name.
-    pub fn site_by_name(&self, name: &str) -> Option<SiteId> {
-        self.by_name.get(name).copied()
-    }
-
-    /// Override the link between a pair of sites (applies symmetrically).
-    pub fn set_link(&mut self, a: SiteId, b: SiteId, link: LinkSpec) {
-        self.overrides.insert(Self::key(a, b), link);
-    }
-
-    /// Replace the default link used where no override exists.
-    pub fn set_default_link(&mut self, link: LinkSpec) {
-        self.default_link = Some(link);
     }
 
     /// The effective link between two sites; loopback when `a == b`.
     pub fn link(&self, a: SiteId, b: SiteId) -> LinkSpec {
         if a == b {
-            return LinkSpec::loopback();
-        }
-        self.overrides
-            .get(&Self::key(a, b))
-            .copied()
-            .unwrap_or_else(|| self.default_link.unwrap_or_default())
-    }
-
-    fn key(a: SiteId, b: SiteId) -> (SiteId, SiteId) {
-        if a <= b {
-            (a, b)
+            LinkSpec::loopback()
         } else {
-            (b, a)
+            self.default_link
         }
     }
 }
@@ -266,6 +231,13 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Topology {
+        /// Replace the link every pair of distinct sites uses.
+        pub(crate) fn set_default_link(&mut self, link: LinkSpec) {
+            self.default_link = link;
+        }
+    }
 
     #[test]
     fn uniform_topology_has_distinct_ranks() {
@@ -300,29 +272,23 @@ mod tests {
     fn uniform_10k_builds_and_finds_sites_by_name() {
         let t = Topology::uniform(10_000);
         assert_eq!(t.len(), 10_000);
-        assert_eq!(
-            t.site_by_name("site9999.agrid.example"),
-            Some(SiteId(9_999))
-        );
+        assert!(t.names.contains("site9999.agrid.example"));
+        assert_eq!(t.site(SiteId(9_999)).name, "site9999.agrid.example");
     }
 
     #[test]
     fn link_lookup_symmetry_and_default() {
         let mut t = Topology::uniform(3);
         let (a, b) = (SiteId(0), SiteId(1));
+        assert_eq!(t.link(a, SiteId(2)).latency, LinkSpec::wan_default().latency);
         let fast = LinkSpec {
             latency: SimDuration::from_millis(1),
             bandwidth_bps: 125_000_000,
             jitter: 0.0,
         };
-        t.set_link(a, b, fast);
+        t.set_default_link(fast);
         assert_eq!(t.link(a, b).latency, SimDuration::from_millis(1));
         assert_eq!(t.link(b, a).latency, SimDuration::from_millis(1));
-        // Unconfigured pair falls back to the default.
-        assert_eq!(
-            t.link(a, SiteId(2)).latency,
-            LinkSpec::wan_default().latency
-        );
         // Self link is loopback.
         assert_eq!(t.link(a, a).latency, LinkSpec::loopback().latency);
     }
@@ -341,13 +307,5 @@ mod tests {
         );
         // Zero-size message costs only propagation latency.
         assert_eq!(l.transfer_time(0), SimDuration::from_millis(10));
-    }
-
-    #[test]
-    fn site_by_name_round_trips() {
-        let t = Topology::uniform(4);
-        let id = t.site_by_name("site2.agrid.example").unwrap();
-        assert_eq!(id, SiteId(2));
-        assert!(t.site_by_name("nope").is_none());
     }
 }

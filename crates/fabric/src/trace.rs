@@ -152,7 +152,7 @@ impl SpanHandle {
     pub const NONE: SpanHandle = SpanHandle(None);
 
     /// Make a handle from a raw context.
-    pub fn from_context(ctx: TraceContext) -> SpanHandle {
+    pub(crate) fn from_context(ctx: TraceContext) -> SpanHandle {
         SpanHandle(Some(ctx))
     }
 
@@ -198,7 +198,7 @@ impl TraceSink {
     }
 
     /// Allocate a fresh trace id.
-    pub fn new_trace(&mut self) -> TraceId {
+    pub(crate) fn new_trace(&mut self) -> TraceId {
         let id = TraceId(self.next_trace);
         self.next_trace += 1;
         id
@@ -346,11 +346,6 @@ impl TraceSink {
     /// Number of spans discarded at the capacity bound.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The capacity bound.
-    pub fn max_spans(&self) -> usize {
-        self.max_spans
     }
 
     /// Sorted, deduplicated list of trace ids with at least one stored span.

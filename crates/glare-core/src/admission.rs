@@ -120,7 +120,7 @@ impl AdmissionConfig {
     }
 
     /// Occupancy at which `class` starts shedding (gold = the hard cap).
-    pub fn class_limit(&self, class: TenantClass) -> u32 {
+    pub(crate) fn class_limit(&self, class: TenantClass) -> u32 {
         let share = match class {
             TenantClass::Gold => 1.0,
             TenantClass::Silver => SILVER_SHARE,
@@ -224,7 +224,7 @@ impl AdmissionController {
     /// Tickets the sweep reclaims were *not* released by a reply — they
     /// leaked (request died on a crashed site, reply lost). The count is
     /// tallied in [`AdmissionStats::ttl_released`] and queued for
-    /// [`AdmissionController::take_ttl_released`] so callers can surface
+    /// `take_ttl_released` so the node can surface
     /// the leak in metrics instead of it draining invisibly.
     pub fn occupancy(&mut self, now: SimTime) -> u32 {
         // A ticket's interval is `[granted, expiry)`: one expiring at `now`
@@ -280,7 +280,7 @@ impl AdmissionController {
     /// calls this after every occupancy refresh and converts a nonzero
     /// count into `glare_inbox_ttl_released_total` and an
     /// `inbox.ttl_release` event.
-    pub fn take_ttl_released(&mut self) -> u64 {
+    pub(crate) fn take_ttl_released(&mut self) -> u64 {
         std::mem::take(&mut self.pending_ttl)
     }
 }

@@ -27,7 +27,7 @@ use crate::error::GlareError;
 use crate::model::{ActivityDeployment, DeploymentStatus};
 
 /// Approximate wire size of one deployment entry.
-pub const DEPLOYMENT_WIRE_BYTES: u64 = 900;
+pub(crate) const DEPLOYMENT_WIRE_BYTES: u64 = 900;
 
 /// The deployment registry of one GLARE site.
 #[derive(Clone, Debug)]
@@ -135,7 +135,7 @@ impl ActivityDeploymentRegistry {
     /// [`ActivityDeploymentRegistry::deployments_of`] is empty whatever it
     /// is asked. A type whose last deployment went keeps its (empty) entry
     /// and reads as indexed.
-    pub fn indexes_nothing(&self) -> bool {
+    pub(crate) fn indexes_nothing(&self) -> bool {
         self.by_type.read().is_empty()
     }
 
@@ -245,7 +245,7 @@ impl ActivityDeploymentRegistry {
     /// newest tombstone instant per key and evicts a live entry whose LUT
     /// is not newer than the tombstone. Returns whether an entry was
     /// evicted (i.e. a resurrection was prevented).
-    pub fn apply_tombstone(&self, key: &str, at: SimTime, now: SimTime) -> bool {
+    pub(crate) fn apply_tombstone(&self, key: &str, at: SimTime, now: SimTime) -> bool {
         {
             let mut tombs = self.tombstones.write();
             let entry = tombs.entry(key.to_owned()).or_insert(at);
@@ -261,7 +261,7 @@ impl ActivityDeploymentRegistry {
     }
 
     /// Restore tombstones wholesale (snapshot replay after a crash).
-    pub fn restore_tombstones(&self, tombs: impl IntoIterator<Item = (String, SimTime)>) {
+    pub(crate) fn restore_tombstones(&self, tombs: impl IntoIterator<Item = (String, SimTime)>) {
         self.tombstones.write().extend(tombs);
     }
 

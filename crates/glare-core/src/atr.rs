@@ -40,7 +40,7 @@ use crate::hierarchy::TypeHierarchy;
 use crate::model::ActivityType;
 
 /// Approximate wire size of a type entry.
-pub const TYPE_WIRE_BYTES: u64 = 1_400;
+pub(crate) const TYPE_WIRE_BYTES: u64 = 1_400;
 
 /// A named-lookup response with its modeled service cost.
 #[derive(Clone, Debug)]
@@ -199,58 +199,6 @@ impl ActivityTypeRegistry {
         })
     }
 
-    /// Discover types by offered function name — the semantic-description
-    /// lookup sketched in the paper's §6 future work ("we plan to augment
-    /// activity types with ontological description so that activity types
-    /// can be searched for based on a semantic description"). A linear
-    /// scan (costed like the XPath path), since functions are not named
-    /// resources.
-    pub fn find_by_function(&self, function: &str, now: SimTime) -> TypedResponse<Vec<ActivityType>> {
-        let entries = self.home.snapshot_live(now);
-        let scanned = entries.len();
-        let hierarchy = self.hierarchy.read();
-        let hits: Vec<ActivityType> = entries
-            .into_iter()
-            .map(|r| r.payload)
-            .filter(|t| {
-                // A type offers a function if it or any ancestor declares it.
-                t.functions.iter().any(|f| f.name == function)
-                    || hierarchy.ancestors(&t.name).iter().any(|a| {
-                        self.home
-                            .with_resource(a, now, |b| {
-                                b.payload.functions.iter().any(|f| f.name == function)
-                            })
-                            .unwrap_or(false)
-                    })
-            })
-            .map(Arc::unwrap_or_clone)
-            .collect();
-        let cost = REQUEST_BASE_COST
-            + SCAN_PER_ENTRY_COST * scanned as u64
-            + self
-                .transport
-                .overhead_cost(512 + TYPE_WIRE_BYTES * hits.len().max(1) as u64);
-        TypedResponse { value: hits, cost }
-    }
-
-    /// Discover types by application domain (same scan cost model).
-    pub fn find_by_domain(&self, domain: &str, now: SimTime) -> TypedResponse<Vec<ActivityType>> {
-        let mut hits: Vec<ActivityType> = Vec::new();
-        let mut scanned = 0usize;
-        self.home.for_each_live(now, |r| {
-            scanned += 1;
-            if r.payload.domain == domain {
-                hits.push(ActivityType::clone(&r.payload));
-            }
-        });
-        let cost = REQUEST_BASE_COST
-            + SCAN_PER_ENTRY_COST * scanned as u64
-            + self
-                .transport
-                .overhead_cost(512 + TYPE_WIRE_BYTES * hits.len().max(1) as u64);
-        TypedResponse { value: hits, cost }
-    }
-
     /// Update a type (bumps its modification stamp). Copy-on-write: `f`
     /// edits a copy, which replaces the shared entry only if its base types
     /// close no extension cycle — the check `register` makes. A rejected
@@ -280,11 +228,6 @@ impl ActivityTypeRegistry {
             *entry = edited;
         })?;
         Ok(())
-    }
-
-    /// Revoke / un-revoke a type (§3.3: "revoking for certain time").
-    pub fn set_revoked(&self, name: &str, revoked: bool, now: SimTime) -> Result<(), GlareError> {
-        self.update(name, now, |t| t.revoked = revoked)
     }
 
     /// Schedule (or clear) expiry of a type.
@@ -344,7 +287,7 @@ impl ActivityTypeRegistry {
     }
 
     /// Run `f` against the hierarchy index under its read lock.
-    pub fn with_hierarchy<R>(&self, f: impl FnOnce(&TypeHierarchy) -> R) -> R {
+    pub(crate) fn with_hierarchy<R>(&self, f: impl FnOnce(&TypeHierarchy) -> R) -> R {
         f(&self.hierarchy.read())
     }
 
@@ -439,9 +382,9 @@ mod tests {
             r.resolve_concrete("Imaging", t(1)).value[0].name,
             "JPOVray"
         );
-        r.set_revoked("JPOVray", true, t(1)).unwrap();
+        r.update("JPOVray", t(1), |t| t.revoked = true).unwrap();
         assert!(r.resolve_concrete("Imaging", t(2)).value.is_empty());
-        r.set_revoked("JPOVray", false, t(2)).unwrap();
+        r.update("JPOVray", t(2), |t| t.revoked = false).unwrap();
         r.set_expiry("JPOVray", Some(t(10)), t(2)).unwrap();
         assert_eq!(r.resolve_concrete("Imaging", t(9)).value.len(), 1);
         assert!(r.resolve_concrete("Imaging", t(11)).value.is_empty());
@@ -501,30 +444,6 @@ mod tests {
         assert_eq!(r.len(t(1)), n - 1);
         assert!(!r.names(t(1)).contains(&"Counter".to_owned()));
         assert!(r.remove("Counter").is_err());
-    }
-
-    #[test]
-    fn semantic_discovery_by_function_and_domain() {
-        let r = loaded();
-        // 'render' is declared on the abstract Imaging type; JPOVray
-        // inherits it through the hierarchy.
-        let hits = r.find_by_function("render", t(1)).value;
-        let names: Vec<&str> = hits.iter().map(|t| t.name.as_str()).collect();
-        assert!(names.contains(&"Imaging"), "{names:?}");
-        assert!(names.contains(&"JPOVray"), "inherited function: {names:?}");
-        assert!(r.find_by_function("transmogrify", t(1)).value.is_empty());
-
-        let domain_hits = r.find_by_domain("imaging", t(1)).value;
-        assert!(domain_hits.len() >= 3, "Imaging, POVray, JPOVray");
-        assert!(r.find_by_domain("astrology", t(1)).value.is_empty());
-        // Scan-cost model: grows with registry size.
-        let c1 = r.find_by_domain("imaging", t(1)).cost;
-        for i in 0..100 {
-            r.register(ActivityType::concrete_type(&format!("B{i}"), "bulk", "x"), t(0))
-                .unwrap();
-        }
-        let c2 = r.find_by_domain("imaging", t(1)).cost;
-        assert!(c2 > c1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use glare_fabric::{SimDuration, SimTime};
 use glare_wsrf::EndpointReference;
 
-use crate::model::{ActivityDeployment, ActivityType};
+use crate::model::ActivityDeployment;
 
 /// A cached remote resource with provenance.
 #[derive(Clone, Debug)]
@@ -46,7 +46,6 @@ pub enum Freshness {
 #[derive(Clone, Debug)]
 pub struct RegistryCache {
     max_age: SimDuration,
-    types: HashMap<String, CachedEntry<ActivityType>>,
     /// Shared: a hit hands out the entry, not a copy of it.
     deployments: HashMap<String, CachedEntry<Arc<ActivityDeployment>>>,
     /// type name -> deployment keys known for it (possibly from many
@@ -64,31 +63,11 @@ impl RegistryCache {
         assert!(max_age > SimDuration::ZERO, "max_age must be positive");
         RegistryCache {
             max_age,
-            types: HashMap::new(),
             deployments: HashMap::new(),
             by_type: HashMap::new(),
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Cache a remote activity type.
-    pub fn put_type(
-        &mut self,
-        value: ActivityType,
-        origin_site: &str,
-        epr: EndpointReference,
-        now: SimTime,
-    ) {
-        self.types.insert(
-            value.name.clone(),
-            CachedEntry {
-                value,
-                origin_site: origin_site.to_owned(),
-                epr,
-                cached_at: now,
-            },
-        );
     }
 
     /// Cache a remote deployment.
@@ -127,38 +106,6 @@ impl RegistryCache {
         self.by_type.entry(type_name).or_default().insert(key);
     }
 
-    /// Cached type by name (counts hit/miss).
-    pub fn get_type(&mut self, name: &str, now: SimTime) -> Option<&CachedEntry<ActivityType>> {
-        match self.types.get(name) {
-            Some(e) if now.saturating_since(e.cached_at) < self.max_age => {
-                self.hits += 1;
-                self.types.get(name)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Cached deployment by key (counts hit/miss).
-    pub fn get_deployment(
-        &mut self,
-        key: &str,
-        now: SimTime,
-    ) -> Option<&CachedEntry<Arc<ActivityDeployment>>> {
-        match self.deployments.get(key) {
-            Some(e) if now.saturating_since(e.cached_at) < self.max_age => {
-                self.hits += 1;
-                self.deployments.get(key)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
     /// All non-aged cached deployments of a type (deterministic key
     /// order), shared with the cache.
     pub fn deployments_of(
@@ -189,7 +136,7 @@ impl RegistryCache {
     /// exhaust — the caller serves the possibly-stale copies explicitly
     /// marked degraded instead of erroring. Does not count hit/miss (it is
     /// not part of the normal lookup ladder).
-    pub fn deployments_of_degraded(
+    pub(crate) fn deployments_of_degraded(
         &self,
         type_name: &str,
         now: SimTime,
@@ -204,7 +151,7 @@ impl RegistryCache {
     }
 
     /// Compare a cached deployment against the origin's current EPR.
-    pub fn freshness(&self, key: &str, current: &EndpointReference) -> Option<Freshness> {
+    pub(crate) fn freshness(&self, key: &str, current: &EndpointReference) -> Option<Freshness> {
         self.deployments.get(key).map(|e| {
             if current.is_newer_than(&e.epr) {
                 Freshness::Stale
@@ -216,7 +163,7 @@ impl RegistryCache {
 
     /// Revive a stale deployment copy (the Cache Refresher's job): replace
     /// value + EPR and reset its age.
-    pub fn revive_deployment(
+    pub(crate) fn revive_deployment(
         &mut self,
         value: impl Into<Arc<ActivityDeployment>>,
         epr: EndpointReference,
@@ -232,23 +179,16 @@ impl RegistryCache {
 
     /// Drop entries older than `max_age` ("outdated resources are
     /// discarded automatically"). Returns how many were discarded.
-    pub fn discard_outdated(&mut self, now: SimTime) -> usize {
+    pub(crate) fn discard_outdated(&mut self, now: SimTime) -> usize {
         self.discard_outdated_keys(now).len()
     }
 
     /// Like [`RegistryCache::discard_outdated`], but returns the discarded
-    /// entry names (type names and deployment keys) in sorted order so the
+    /// deployment keys in sorted order so the
     /// Cache Refresher can emit one deterministic event per discard.
-    pub fn discard_outdated_keys(&mut self, now: SimTime) -> Vec<String> {
+    pub(crate) fn discard_outdated_keys(&mut self, now: SimTime) -> Vec<String> {
         let max_age = self.max_age;
         let mut discarded = Vec::new();
-        self.types.retain(|name, e| {
-            let keep = now.saturating_since(e.cached_at) < max_age;
-            if !keep {
-                discarded.push(name.clone());
-            }
-            keep
-        });
         self.deployments.retain(|key, e| {
             let keep = now.saturating_since(e.cached_at) < max_age;
             if !keep {
@@ -268,7 +208,7 @@ impl RegistryCache {
     /// Age of a cached deployment copy at `now` (how long since the copy
     /// was taken or last revived) — the Cache Refresher's LUT-staleness
     /// sample.
-    pub fn age_of(&self, key: &str, now: SimTime) -> Option<SimDuration> {
+    pub(crate) fn age_of(&self, key: &str, now: SimTime) -> Option<SimDuration> {
         self.deployments
             .get(key)
             .map(|e| now.saturating_since(e.cached_at))
@@ -282,7 +222,7 @@ impl RegistryCache {
     }
 
     /// Drop a specific deployment (e.g. origin reported it destroyed).
-    pub fn evict_deployment(&mut self, key: &str) {
+    pub(crate) fn evict_deployment(&mut self, key: &str) {
         if let Some(e) = self.deployments.remove(key) {
             if let Some(keys) = self.by_type.get_mut(&e.value.type_name) {
                 keys.remove(key);
@@ -295,7 +235,7 @@ impl RegistryCache {
 
     /// All cached deployment keys with their origin sites (what the Cache
     /// Refresher iterates).
-    pub fn deployment_origins(&self) -> Vec<(String, String)> {
+    pub(crate) fn deployment_origins(&self) -> Vec<(String, String)> {
         self.deployments
             .iter()
             .map(|(k, e)| (k.clone(), e.origin_site.clone()))
@@ -318,9 +258,9 @@ impl RegistryCache {
         (total > 0).then(|| self.hits as f64 / total as f64)
     }
 
-    /// Number of cached entries (types + deployments).
+    /// Number of cached deployments.
     pub fn len(&self) -> usize {
-        self.types.len() + self.deployments.len()
+        self.deployments.len()
     }
 
     /// Whether the cache is empty.
@@ -332,7 +272,6 @@ impl RegistryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ActivityType;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -351,23 +290,13 @@ mod tests {
     }
 
     #[test]
-    fn put_get_type() {
-        let mut c = cache();
-        let ty = ActivityType::concrete_type("JPOVray", "imaging", "jpovray");
-        c.put_type(ty, "s1", epr(0), t(0));
-        assert!(c.get_type("JPOVray", t(10)).is_some());
-        assert!(c.get_type("Missing", t(10)).is_none());
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hit_ratio(), Some(0.5));
-    }
-
-    #[test]
     fn age_expires_entries() {
         let mut c = cache();
         c.put_deployment(jpov(), "s1", epr(0), t(0));
-        assert!(c.get_deployment("jpovray@s1", t(59)).is_some());
-        assert!(c.get_deployment("jpovray@s1", t(60)).is_none(), "aged out");
+        assert_eq!(c.hit_ratio(), None);
+        assert_eq!(c.deployments_of("JPOVray", t(59)).len(), 1);
+        assert!(c.deployments_of("JPOVray", t(60)).is_empty(), "aged out");
+        assert_eq!((c.hits(), c.misses(), c.hit_ratio()), (1, 1, Some(0.5)));
         assert_eq!(c.discard_outdated(t(60)), 1);
         assert!(c.is_empty());
     }
@@ -434,7 +363,7 @@ mod tests {
         let mut newer = jpov();
         newer.metrics.invocations = 7;
         c.revive_deployment(newer, epr(20), t(20));
-        let e = c.get_deployment("jpovray@s1", t(21)).unwrap();
+        let e = c.peek_deployment("jpovray@s1").unwrap();
         assert_eq!(e.value.metrics.invocations, 7);
         assert_eq!(c.freshness("jpovray@s1", &epr(20)), Some(Freshness::Fresh));
     }
@@ -460,8 +389,8 @@ mod tests {
         c.put_deployment(jpov(), "s1", epr(0), t(0));
         c.revive_deployment(jpov(), epr(50), t(50));
         // Would have aged at t(60) from original; refresh extends to t(110).
-        assert!(c.get_deployment("jpovray@s1", t(100)).is_some());
-        assert!(c.get_deployment("jpovray@s1", t(110)).is_none());
+        assert_eq!(c.deployments_of("JPOVray", t(100)).len(), 1);
+        assert!(c.deployments_of("JPOVray", t(110)).is_empty());
     }
 
     #[test]

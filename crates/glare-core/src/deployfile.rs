@@ -54,7 +54,7 @@ impl DeployStep {
     }
 
     /// All `argument` properties in order.
-    pub fn arguments(&self) -> Vec<&str> {
+    pub(crate) fn arguments(&self) -> Vec<&str> {
         self.properties
             .iter()
             .filter(|(k, _)| k == "argument")
@@ -63,7 +63,7 @@ impl DeployStep {
     }
 
     /// Whether this step is a GridFTP transfer.
-    pub fn is_transfer(&self) -> bool {
+    pub(crate) fn is_transfer(&self) -> bool {
         self.task.contains("globus-url-copy")
     }
 }
@@ -125,7 +125,7 @@ impl PlannedAction {
     }
 
     /// The step timeout.
-    pub fn timeout_secs(&self) -> u64 {
+    pub(crate) fn timeout_secs(&self) -> u64 {
         match self {
             PlannedAction::Transfer { timeout_secs, .. }
             | PlannedAction::Shell { timeout_secs, .. } => *timeout_secs,
@@ -134,7 +134,7 @@ impl PlannedAction {
 
     /// Whether the deploy manager may retry this action after a
     /// transient failure.
-    pub fn is_idempotent(&self) -> bool {
+    pub(crate) fn is_idempotent(&self) -> bool {
         match self {
             PlannedAction::Transfer { idempotent, .. }
             | PlannedAction::Shell { idempotent, .. } => *idempotent,

@@ -20,7 +20,7 @@
 //! `Option` a presence flag and the value, a `Vec` a count and the items.
 //!
 //! [`RegistryMutation`] is the journal record vocabulary; snapshots use
-//! [`encode_snapshot`]/[`decode_snapshot`] over a [`SnapshotState`]. The
+//! `encode_snapshot`/`decode_snapshot` over a [`SnapshotState`]. The
 //! [`registry_digest`] helper condenses registry contents into one `u64`
 //! for convergence checks; it deliberately excludes volatile invocation
 //! metrics and LUTs so that a recovered-and-rejoined site can compare
@@ -320,7 +320,7 @@ impl Wire for DeploymentAccess {
 
 /// One journaled registry mutation: the write-ahead-log vocabulary of a
 /// durable GLARE site. `kind()`/`payload()` map onto the store's
-/// `(kind, payload)` record pair; [`RegistryMutation::decode`] is the
+/// `(kind, payload)` record pair; `RegistryMutation::decode` is the
 /// replay path.
 #[derive(Clone, Debug)]
 pub enum RegistryMutation {
@@ -347,19 +347,19 @@ pub enum RegistryMutation {
 }
 
 /// Journal record kind for [`RegistryMutation::AtrRegister`].
-pub const KIND_ATR_REGISTER: &str = "atr.register";
+pub(crate) const KIND_ATR_REGISTER: &str = "atr.register";
 /// Journal record kind for [`RegistryMutation::AtrRemove`].
-pub const KIND_ATR_REMOVE: &str = "atr.remove";
+pub(crate) const KIND_ATR_REMOVE: &str = "atr.remove";
 /// Journal record kind for [`RegistryMutation::AdrRegister`].
-pub const KIND_ADR_REGISTER: &str = "adr.register";
+pub(crate) const KIND_ADR_REGISTER: &str = "adr.register";
 /// Journal record kind for [`RegistryMutation::AdrRemove`].
-pub const KIND_ADR_REMOVE: &str = "adr.remove";
+pub(crate) const KIND_ADR_REMOVE: &str = "adr.remove";
 /// Journal record kind for [`RegistryMutation::AdrUninstall`].
-pub const KIND_ADR_UNINSTALL: &str = "adr.uninstall";
+pub(crate) const KIND_ADR_UNINSTALL: &str = "adr.uninstall";
 /// Journal record kind for [`RegistryMutation::LeaseGrant`].
-pub const KIND_LEASE_GRANT: &str = "lease.grant";
+pub(crate) const KIND_LEASE_GRANT: &str = "lease.grant";
 /// Journal record kind for [`RegistryMutation::LeaseRelease`].
-pub const KIND_LEASE_RELEASE: &str = "lease.release";
+pub(crate) const KIND_LEASE_RELEASE: &str = "lease.release";
 
 impl RegistryMutation {
     /// The journal record kind for this mutation.
@@ -395,7 +395,7 @@ impl RegistryMutation {
 
     /// Decode a replayed `(kind, payload)` record; `None` for unknown
     /// kinds or malformed payloads (replay skips such records).
-    pub fn decode(kind: &str, payload: &str) -> Option<RegistryMutation> {
+    pub(crate) fn decode(kind: &str, payload: &str) -> Option<RegistryMutation> {
         Some(match kind {
             KIND_ATR_REGISTER => RegistryMutation::AtrRegister(decode(payload)?),
             KIND_ATR_REMOVE => RegistryMutation::AtrRemove(decode(payload)?),
@@ -492,7 +492,7 @@ impl SnapshotState {
     /// The durable state of one site's registries at `now`: live types,
     /// live deployments and uninstall tombstones. `leases` is left empty
     /// for the substrate that keeps a lease table to fill in.
-    pub fn capture(
+    pub(crate) fn capture(
         atr: &ActivityTypeRegistry,
         adr: &ActivityDeploymentRegistry,
         now: SimTime,
@@ -562,7 +562,7 @@ pub fn replay(
 /// Encode a snapshot blob: types, deployments, tombstones and leases,
 /// each sorted by key so the blob is deterministic regardless of registry
 /// iteration order.
-pub fn encode_snapshot(state: &SnapshotState) -> String {
+pub(crate) fn encode_snapshot(state: &SnapshotState) -> String {
     let mut types: Vec<&ActivityType> = state.types.iter().collect();
     types.sort_by(|a, b| a.name.cmp(&b.name));
     let mut deployments: Vec<&ActivityDeployment> = state.deployments.iter().collect();
@@ -581,7 +581,7 @@ pub fn encode_snapshot(state: &SnapshotState) -> String {
 }
 
 /// Decode a snapshot blob; `None` on malformed input.
-pub fn decode_snapshot(input: &str) -> Option<SnapshotState> {
+pub(crate) fn decode_snapshot(input: &str) -> Option<SnapshotState> {
     let (types, (deployments, (tombstones, leases))) = decode(input)?;
     Some(SnapshotState {
         types,
@@ -599,8 +599,12 @@ pub fn decode_snapshot(input: &str) -> Option<SnapshotState> {
 /// volatile invocation metrics and status zeroed out) and tombstone keys,
 /// each sorted by key. LUTs and metrics are deliberately excluded so a
 /// crashed/recovered/rejoined site digests equal to a never-crashed
-/// same-seed run once anti-entropy has converged — the byte-identity
-/// gate of `scripts/verify.sh`.
+/// same-seed run once anti-entropy has converged. Today only a node unit
+/// test compares it (through [`GlareNode::registry_digest`]); it stays
+/// public for the sequential reference registry of ROADMAP item 8, whose
+/// model must digest equal to every live site.
+///
+/// [`GlareNode::registry_digest`]: crate::node::GlareNode::registry_digest
 pub fn registry_digest(
     types: &[ActivityType],
     deployments: &[ActivityDeployment],

@@ -30,7 +30,7 @@ use crate::model::{ActivityDeployment, ActivityType, TypeKind};
 use crate::retry::{BreakerBank, RetryPolicy, ATTEMPT_TIMEOUT};
 
 /// Default age limit for cached registry entries.
-pub const DEFAULT_CACHE_AGE: SimDuration = SimDuration::from_secs(300);
+pub(crate) const DEFAULT_CACHE_AGE: SimDuration = SimDuration::from_secs(300);
 
 /// One GLARE-enabled Grid site: host plus local services.
 #[derive(Clone, Debug)]
@@ -91,7 +91,7 @@ pub struct AdminNotification {
 
 /// Cost of producing and delivering an admin/event notification
 /// (Table 1's "Notification" row, ~345 ms).
-pub const NOTIFICATION_COST: SimDuration = SimDuration::from_millis(345);
+pub(crate) const NOTIFICATION_COST: SimDuration = SimDuration::from_millis(345);
 
 /// Synchronous-path fault injection for the cost-model harness.
 ///
@@ -131,7 +131,7 @@ impl FaultInjector {
     }
 
     /// Whether the injector considers `site` reachable.
-    pub fn site_up(&self, site: usize) -> bool {
+    pub(crate) fn site_up(&self, site: usize) -> bool {
         !self.down.contains(&site)
     }
 
@@ -146,7 +146,7 @@ impl FaultInjector {
     }
 
     /// Draw the per-attempt loss. Does not touch the RNG when loss is 0.
-    pub fn attempt_lost(&mut self) -> bool {
+    pub(crate) fn attempt_lost(&mut self) -> bool {
         self.rng.chance(self.loss)
     }
 
@@ -193,7 +193,7 @@ pub struct Grid {
     pub breakers: BreakerBank<usize>,
     /// Per-remote-site round-trip estimator: when enabled (default off),
     /// probe attempt timeouts tighten to the learned per-site budget
-    /// instead of charging the full [`ATTEMPT_TIMEOUT`] per
+    /// instead of charging the full 500 ms attempt timeout per
     /// silent probe.
     pub suspicion: crate::suspicion::SuspicionTracker<usize>,
     /// Per-site durable stores (`None` = durability off). With durability
@@ -285,23 +285,9 @@ impl Grid {
         self.stores = cfg.enabled.then(|| vec![SiteStore::new(); self.sites.len()]);
     }
 
-    /// Whether sites have durable stores.
-    pub fn durability_enabled(&self) -> bool {
-        self.stores.is_some()
-    }
-
     /// A site's durable store, if durability is on (inspection/tests).
     pub fn store(&self, site: usize) -> Option<&SiteStore> {
         self.stores.as_ref().map(|s| &s[site])
-    }
-
-    /// Damage the tail of a site's journal, the way a torn partial write
-    /// does at crash time. No-op (returning 0) when durability is off.
-    pub fn tear_journal_tail(&mut self, site: usize, records: usize) -> usize {
-        match self.stores.as_mut() {
-            Some(stores) => stores[site].tear_tail(records),
-            None => 0,
-        }
     }
 
     /// Journal one registry mutation at `site` (no-op when durability is
@@ -321,7 +307,7 @@ impl Grid {
 
     /// Fold a site's full durable state into a snapshot, clearing the
     /// journal. No-op when durability is off.
-    pub fn snapshot_site(&mut self, site: usize, now: SimTime) {
+    pub(crate) fn snapshot_site(&mut self, site: usize, now: SimTime) {
         if self.stores.is_none() {
             return;
         }
@@ -372,7 +358,7 @@ impl Grid {
 
     /// The latest value of `site`'s `{site}`-keyed gauge in `family`, if it
     /// was ever set.
-    pub fn gauge_latest(&self, site: usize, family: &str) -> Option<f64> {
+    pub(crate) fn gauge_latest(&self, site: usize, family: &str) -> Option<f64> {
         self.metrics.gauge_ref(family, &self.site_labels[site])?.latest()
     }
 
@@ -458,7 +444,7 @@ impl Grid {
     /// Register a deployment at a site's ADR, journaling it when durable.
     /// The RDM deploy path funnels through here so installed deployments
     /// survive an amnesia-faithful crash.
-    pub fn register_deployment(
+    pub(crate) fn register_deployment(
         &mut self,
         site: usize,
         d: ActivityDeployment,
@@ -478,7 +464,7 @@ impl Grid {
     /// Drop a deployment record without a tombstone (failed-record
     /// cleanup, undeploy), journaling the removal when durable so replay
     /// does not resurrect it.
-    pub fn remove_deployment(
+    pub(crate) fn remove_deployment(
         &mut self,
         site: usize,
         key: &str,
@@ -493,7 +479,7 @@ impl Grid {
 
     /// Remove an activity type from a site's ATR, journaling the removal
     /// when durable.
-    pub fn remove_type(
+    pub(crate) fn remove_type(
         &mut self,
         site: usize,
         name: &str,
@@ -535,7 +521,7 @@ impl Grid {
     /// iterative lookup across other sites. Returns the type, the index of
     /// the site that had it, and the accumulated lookup cost (remote hops
     /// pay a network round-trip each).
-    pub fn find_type(
+    pub(crate) fn find_type(
         &mut self,
         from_site: usize,
         name: &str,
@@ -593,7 +579,7 @@ impl Grid {
 
     /// Sites whose platform satisfies a type's install constraints and
     /// which can still accept a deployment under the provider limits.
-    pub fn eligible_sites(&self, t: &ActivityType, now: SimTime) -> Vec<usize> {
+    pub(crate) fn eligible_sites(&self, t: &ActivityType, now: SimTime) -> Vec<usize> {
         let Some(inst) = &t.installation else {
             return Vec::new();
         };
@@ -859,7 +845,7 @@ impl Grid {
 
     /// Send an admin notification (recorded; costs
     /// [`NOTIFICATION_COST`]).
-    pub fn notify_admin(
+    pub(crate) fn notify_admin(
         &mut self,
         site: usize,
         type_name: &str,
@@ -1160,7 +1146,7 @@ mod tests {
         (out, cost, visited)
     }
 
-    /// After random `register` / `set_revoked` / `set_expiry` / `remove`
+    /// After random `register` / revoking `update` / `set_expiry` / `remove`
     /// across three sites, both projections of the one walk — whole types,
     /// names — find what the cloning walk found, at its cost, and each
     /// counts one lookup on every site it visited; so does the registry's
@@ -1189,7 +1175,10 @@ mod tests {
                         }
                         let _ = g.register_type(site, ty, t(clock));
                     }
-                    5 | 6 => drop(atr.set_revoked(&name, rng.chance(0.6), t(clock))),
+                    5 | 6 => {
+                        let revoked = rng.chance(0.6);
+                        drop(atr.update(&name, t(clock), |ty| ty.revoked = revoked));
+                    }
                     7 | 8 => {
                         let when = rng.chance(0.7).then(|| t(clock + rng.range(1, 6)));
                         let _ = atr.set_expiry(&name, when, t(clock));
@@ -1374,7 +1363,8 @@ mod tests {
             keys.push(d.key.clone());
             g.register_deployment(0, d, t(2)).unwrap();
         }
-        assert_eq!(g.tear_journal_tail(0, 2), 2);
+        // A torn partial write at crash time damages the journal's tail.
+        assert_eq!(g.stores.as_mut().expect("durable")[0].tear_tail(2), 2);
         g.crash_site(0, t(10));
         g.restart_site(0, t(20));
         assert!(g.site(0).adr.lookup(&keys[0], t(21)).is_some());
@@ -1396,7 +1386,6 @@ mod tests {
     #[test]
     fn durability_off_keeps_legacy_crash_semantics() {
         let mut g = grid_with_types();
-        assert!(!g.durability_enabled());
         assert!(g.store(0).is_none());
         g.crash_site(0, t(1));
         // Legacy fiction: state survives by fiat, no amnesia, no stores.

@@ -85,7 +85,7 @@ impl TypeHierarchy {
     /// runs once per name between edge changes, every later call is one
     /// hash lookup. Names the hierarchy has never heard of are answered
     /// empty without being remembered.
-    pub fn concrete_closure(&self, name: &str) -> Arc<[String]> {
+    pub(crate) fn concrete_closure(&self, name: &str) -> Arc<[String]> {
         if let Some(hit) = self.closures.read().get(name) {
             return Arc::clone(hit);
         }

@@ -18,7 +18,7 @@ use crate::superpeer::Role;
 
 /// How far a higher class's success ratio may trail a lower one's before
 /// [`admission_ordering`] calls it a violation (open-loop arrival noise).
-pub const SUCCESS_RATIO_EPSILON: f64 = 0.02;
+pub(crate) const SUCCESS_RATIO_EPSILON: f64 = 0.02;
 
 fn node(sim: &Simulation, id: ActorId) -> &GlareNode {
     sim.actor_as::<GlareNode>(id).expect("overlay actors are GlareNodes")
@@ -69,7 +69,7 @@ pub fn super_peers(sim: &Simulation, ids: &[ActorId]) -> Vec<String> {
 
 /// Every cached deployment exists in its origin site's registry at `now`:
 /// a cached key its origin no longer knows means the cache invented state.
-pub fn cache_origins(sim: &Simulation, ids: &[ActorId], now: SimTime) -> Vec<String> {
+pub(crate) fn cache_origins(sim: &Simulation, ids: &[ActorId], now: SimTime) -> Vec<String> {
     let mut out = Vec::new();
     for (i, &id) in ids.iter().enumerate() {
         for (key, origin) in node(sim, id).cache.deployment_origins() {
@@ -88,7 +88,7 @@ pub fn cache_origins(sim: &Simulation, ids: &[ActorId], now: SimTime) -> Vec<Str
 
 /// The `failure.confirmed` records of a log: each a super-peer some node
 /// declared dead.
-pub fn confirmed_failures(events: &EventLog) -> impl Iterator<Item = &EventRecord> {
+pub(crate) fn confirmed_failures(events: &EventLog) -> impl Iterator<Item = &EventRecord> {
     events.of_kind("failure.confirmed")
 }
 
@@ -114,7 +114,7 @@ pub fn false_takeovers(events: &EventLog, ids: &[ActorId]) -> Vec<String> {
 }
 
 /// Every discrete-event overlay check at `now`: [`super_peers`],
-/// [`cache_origins`] and, when the event log is on, [`false_takeovers`].
+/// `cache_origins` and, when the event log is on, [`false_takeovers`].
 pub fn overlay(sim: &Simulation, ids: &[ActorId], now: SimTime) -> Vec<String> {
     let mut out = super_peers(sim, ids);
     out.extend(cache_origins(sim, ids, now));
@@ -233,7 +233,7 @@ pub fn placement_round(
 
 /// Admission ordering over `(success_ratio, shed)` per tenant class, in
 /// class order (gold, silver, best-effort): each higher class succeeds at
-/// least as often as every lower one, within [`SUCCESS_RATIO_EPSILON`], and
+/// least as often as every lower one, within a 0.02 tolerance, and
 /// never sheds more.
 pub fn admission_ordering(classes: &[(f64, u64)]) -> Vec<String> {
     let label = |i: usize| TenantClass::ALL.get(i).map_or("?", |c| c.label());

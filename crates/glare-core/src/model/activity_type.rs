@@ -11,7 +11,6 @@
 
 use glare_fabric::topology::Platform;
 use glare_fabric::SimTime;
-use glare_services::md5::Md5Digest;
 use glare_wsrf::resource::ResourceProperties;
 use glare_wsrf::XmlNode;
 
@@ -69,7 +68,7 @@ pub struct InstallConstraints {
 
 impl InstallConstraints {
     /// Whether a site's platform satisfies the constraints.
-    pub fn accepts(&self, p: &Platform) -> bool {
+    pub(crate) fn accepts(&self, p: &Platform) -> bool {
         self.platform.as_deref().is_none_or(|v| v == p.platform)
             && self.os.as_deref().is_none_or(|v| v == p.os)
             && self.arch.as_deref().is_none_or(|v| v == p.arch)
@@ -98,15 +97,6 @@ pub struct InstallationSpec {
     pub deploy_file_md5: Option<String>,
     /// Package this type installs (keys into the package catalog).
     pub package: String,
-}
-
-impl InstallationSpec {
-    /// Parsed md5 digest, if present and well-formed.
-    pub fn deploy_file_digest(&self) -> Option<Md5Digest> {
-        self.deploy_file_md5
-            .as_deref()
-            .and_then(Md5Digest::from_hex)
-    }
 }
 
 /// Deployment-count limits a provider can impose (§3.3: "a provider can
@@ -201,7 +191,7 @@ impl ActivityType {
     }
 
     /// Builder: add a dependency.
-    pub fn depends_on(mut self, dep: &str) -> Self {
+    pub(crate) fn depends_on(mut self, dep: &str) -> Self {
         self.dependencies.push(dep.to_owned());
         self
     }
@@ -237,7 +227,7 @@ impl ActivityType {
 
     /// Whether the type can be deployed right now (concrete, installable,
     /// not revoked).
-    pub fn is_deployable(&self) -> bool {
+    pub(crate) fn is_deployable(&self) -> bool {
         self.kind == TypeKind::Concrete && self.installation.is_some() && !self.revoked
     }
 
@@ -494,7 +484,7 @@ mod tests {
         let inst = t.installation.unwrap();
         assert_eq!(inst.mode, InstallMode::OnDemand);
         assert!(inst.constraints.accepts(&Platform::intel_linux_32()));
-        assert!(inst.deploy_file_digest().is_some());
+        assert_eq!(inst.deploy_file_md5.as_deref(), Some("d41d8cd98f00b204e9800998ecf8427e"));
     }
 
     #[test]

@@ -174,7 +174,7 @@ impl GlareNode {
     }
 
     /// Current overlay role.
-    pub fn role(&self) -> Role {
+    pub(crate) fn role(&self) -> Role {
         self.view.role
     }
 

@@ -147,9 +147,10 @@ impl GlareNode {
 
     /// Deterministic digest over the node's registry state: types,
     /// deployments (volatile status/metrics masked) and tombstone keys.
-    /// The crash-replay verification gate compares this between a
+    /// The crash-replay unit test compares this between a
     /// crashed-recovered-rejoined run and a never-crashed run of the same
-    /// seed.
+    /// seed; ROADMAP item 8's reference registry will compare it with its
+    /// model.
     pub fn registry_digest(&self, now: SimTime) -> u64 {
         let state = durable::SnapshotState::capture(&self.atr, &self.adr, now);
         let tomb_keys: Vec<String> = state.tombstones.into_iter().map(|(k, _)| k).collect();

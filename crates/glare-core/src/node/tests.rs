@@ -7,8 +7,8 @@
 use std::any::Any;
 
 use glare_fabric::{
-    Actor, ActorId, Ctx, Envelope, Labels, MetricsRegistry, SimDuration, SimTime, Simulation,
-    SiteId,
+    Actor, ActorId, Ctx, Envelope, FaultPlan, Labels, MetricsRegistry, SimDuration, SimTime,
+    Simulation, SiteId,
 };
 use glare_services::mds::REQUEST_BASE_COST;
 
@@ -677,8 +677,10 @@ fn torn_journal_truncates_at_last_valid_record() {
     }
     // ...and the crash tears the last two off the tail: recovery must
     // truncate at the last valid record, not die on the corruption.
-    sim.schedule_crash_torn(SimTime::from_secs(30), SiteId(1), 2);
-    sim.schedule_restart(SimTime::from_secs(45), SiteId(1));
+    FaultPlan::new()
+        .crash_torn(SimTime::from_secs(30), SiteId(1), 2)
+        .restart(SimTime::from_secs(45), SiteId(1))
+        .apply(&mut sim);
     sim.start();
     sim.run_until(SimTime::from_secs(60));
     let node: &GlareNode = sim.actor_as(ids[1]).unwrap();

@@ -21,7 +21,7 @@ use crate::grid::Grid;
 use crate::model::{ActivityDeployment, DeploymentAccess};
 
 /// Cost of a wrapper-service generation + container deployment.
-pub const WRAPPER_GENERATION_COST: SimDuration = SimDuration::from_millis(4_200);
+pub(crate) const WRAPPER_GENERATION_COST: SimDuration = SimDuration::from_millis(4_200);
 
 /// Report of one un-deployment.
 #[derive(Clone, Debug)]

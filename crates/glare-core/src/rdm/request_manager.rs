@@ -46,7 +46,7 @@ pub struct ResolveOutcome {
 }
 
 /// Cost of serving a hit from the local cache.
-pub const CACHE_HIT_COST: SimDuration = SimDuration::from_millis(1);
+pub(crate) const CACHE_HIT_COST: SimDuration = SimDuration::from_millis(1);
 
 /// The request manager of one site.
 #[derive(Clone, Copy, Debug)]

@@ -23,23 +23,23 @@ use glare_fabric::{SimDuration, SimRng, SimTime};
 /// Backoff floor: the first retry waits at least this long. Fixed — no
 /// caller ever asked for another floor, and a policy that never retries
 /// (`max_attempts == 1`) never draws a backoff, so it never reads this.
-pub const BASE_DELAY: SimDuration = SimDuration::from_millis(250);
+pub(crate) const BASE_DELAY: SimDuration = SimDuration::from_millis(250);
 
 /// Backoff ceiling for any single jittered wait (a server's `RetryAfter`
 /// hint may exceed it, see [`RetryPolicy::next_backoff_after`]).
-pub const MAX_DELAY: SimDuration = SimDuration::from_secs(5);
+pub(crate) const MAX_DELAY: SimDuration = SimDuration::from_secs(5);
 
 /// Budget for one attempt before it is declared failed: what a lost
 /// lease call, probe or deploy step costs the synchronous substrate.
 /// Equal to the node's probe deadline (`PROBE_TIMEOUT` in `node/msg.rs`).
-pub const ATTEMPT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+pub(crate) const ATTEMPT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
 /// Overall budget across all attempts and backoffs; once spent, no
 /// further attempt starts even if `max_attempts` remain. Every caller
 /// asks [`RetryPolicy::may_attempt`] about attempt 2 or later, which a
 /// single-attempt policy refuses on the count alone, so the deadline
 /// binds only a policy that retries.
-pub const DEADLINE: SimDuration = SimDuration::from_secs(30);
+pub(crate) const DEADLINE: SimDuration = SimDuration::from_secs(30);
 
 /// The unified recovery behaviour. The attempt count is what callers
 /// vary (1 = legacy, 4 = standard, 3 for workflow activities); the
@@ -78,7 +78,7 @@ impl RetryPolicy {
     /// Draw the next backoff delay with decorrelated jitter:
     /// `uniform(BASE_DELAY, min(MAX_DELAY, 3 × prev))`, where `prev` is
     /// the previous delay (pass [`SimDuration::ZERO`] before the first
-    /// retry — it is clamped up to [`BASE_DELAY`]).
+    /// retry — it is clamped up to `BASE_DELAY`, 250 ms).
     ///
     /// Consumes RNG only when called, i.e. only on an actual retry.
     pub fn next_backoff(&self, rng: &mut SimRng, prev: SimDuration) -> SimDuration {
@@ -91,7 +91,7 @@ impl RetryPolicy {
     /// Like [`RetryPolicy::next_backoff`], but honoring a server-supplied
     /// `RetryAfter` hint (an overloaded site's admission controller quotes
     /// one when it sheds a request): the drawn backoff is floored at the
-    /// hint, and the hint may exceed [`MAX_DELAY`] — the server knows its
+    /// hint, and the hint may exceed `MAX_DELAY` (5 s) — the server knows its
     /// own congestion better than the client's static cap does.
     ///
     /// The hint is clamped against what is left of the overall deadline
@@ -99,7 +99,7 @@ impl RetryPolicy {
     /// retry past the point where [`RetryPolicy::may_attempt`] would
     /// refuse it anyway — that wastes the attempt without ever sending it.
     /// The clamp applies to the *hint floor* only; the jittered draw is
-    /// already bounded by [`MAX_DELAY`].
+    /// already bounded by `MAX_DELAY`.
     ///
     /// Consumes RNG exactly as [`RetryPolicy::next_backoff`] does (one
     /// draw per actual retry), so a run that never sheds is byte-identical
@@ -185,11 +185,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// Consecutive failures recorded since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
     /// Whether a call may be issued at `now`. Advances Open → HalfOpen
     /// when the cooldown has elapsed. A `now` before the opening instant
     /// (a caller whose own clock lags the charged retry time) counts as
@@ -205,7 +200,7 @@ impl CircuitBreaker {
 
     /// Record a successful call: the breaker closes and the failure run
     /// resets.
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         self.state = BreakerState::Closed;
         self.consecutive_failures = 0;
     }
@@ -213,7 +208,7 @@ impl CircuitBreaker {
     /// Record a failed call at `now`. Returns `true` when this failure
     /// transitioned the breaker to Open (either the threshold was reached
     /// or a half-open probe failed).
-    pub fn record_failure(&mut self, now: SimTime) -> bool {
+    pub(crate) fn record_failure(&mut self, now: SimTime) -> bool {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let opens = match self.state {
             BreakerState::HalfOpen => true,
@@ -385,7 +380,7 @@ mod tests {
         assert_eq!(b.state(t(12)), BreakerState::HalfOpen);
         b.record_success();
         assert_eq!(b.state(t(12)), BreakerState::Closed);
-        assert_eq!(b.consecutive_failures(), 0);
+        assert_eq!(b.consecutive_failures, 0);
     }
 
     #[test]

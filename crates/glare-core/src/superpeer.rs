@@ -49,7 +49,7 @@ impl Group {
 /// The highest-ranked ⌈n / max_group_size⌉ responders become super-peers;
 /// remaining members are distributed round-robin so group sizes differ by
 /// at most one. Deterministic given the input.
-pub fn partition_groups(responders: &[(ActorId, u64)], max_group_size: usize) -> Vec<Group> {
+pub(crate) fn partition_groups(responders: &[(ActorId, u64)], max_group_size: usize) -> Vec<Group> {
     assert!(max_group_size >= 2, "groups need a super-peer and a member slot");
     if responders.is_empty() {
         return Vec::new();
@@ -76,7 +76,7 @@ pub fn partition_groups(responders: &[(ActorId, u64)], max_group_size: usize) ->
 /// Pick the highest-ranked node from a set (re-election's "immediately
 /// calculates the ranks of all member sites, excluding the missing
 /// super-peer and notifies the highest ranked member").
-pub fn highest_ranked(candidates: &[(ActorId, u64)], exclude: ActorId) -> Option<ActorId> {
+pub(crate) fn highest_ranked(candidates: &[(ActorId, u64)], exclude: ActorId) -> Option<ActorId> {
     candidates
         .iter()
         .filter(|(id, _)| *id != exclude)
@@ -104,7 +104,7 @@ pub struct TreeParent {
 /// A planned multi-level super-peer tree.
 ///
 /// `levels[0]` holds the leaf groups (level 1, identical to what
-/// [`partition_groups`] produces), `levels[1]` groups the leaf
+/// `partition_groups` produces), `levels[1]` groups the leaf
 /// super-peers, and so on. The super-peers of the last level form the
 /// (flat, fully connected) top tier; when the population shrinks to a
 /// single super-peer before the depth budget is exhausted, that node is
@@ -124,7 +124,7 @@ impl TreePlan {
 
     /// Super-peers of the topmost level (the flat top tier; a single
     /// entry when the tree converged to one root).
-    pub fn top_super_peers(&self) -> Vec<ActorId> {
+    pub(crate) fn top_super_peers(&self) -> Vec<ActorId> {
         self.levels
             .last()
             .map(|gs| gs.iter().map(|g| g.super_peer).collect())
@@ -134,7 +134,7 @@ impl TreePlan {
 
 /// Plan a multi-level super-peer tree over ranked responders.
 ///
-/// The leaf level is exactly [`partition_groups`] with `max_group_size`;
+/// The leaf level is exactly `partition_groups` with `max_group_size`;
 /// every higher level re-partitions the previous level's super-peers with
 /// `branching` until either `depth - 1` tiers exist or a single
 /// super-peer remains (the root). `depth = 2` therefore degenerates to
@@ -192,7 +192,7 @@ impl MajorityTally {
     }
 
     /// Whether a simple majority (> half) has agreed.
-    pub fn has_majority(&self) -> bool {
+    pub(crate) fn has_majority(&self) -> bool {
         self.agreed.len() * 2 > self.voters
     }
 

@@ -148,7 +148,7 @@ impl PeerEstimator {
     /// Learned standard deviation, floored so a near-constant observable
     /// (σ ≈ 0) cannot make the estimator hair-triggered: at least 10 % of
     /// the mean and never below one millisecond.
-    pub fn stddev_floored_ms(&self) -> f64 {
+    pub(crate) fn stddev_floored_ms(&self) -> f64 {
         self.var_ms2
             .max(0.0)
             .sqrt()
@@ -241,7 +241,12 @@ impl<K: Ord + Copy> SuspicionTracker<K> {
     /// `hi` (the configured fixed threshold) when disabled or cold. The
     /// `hi` clamp means adaptation can only ever *accelerate* detection,
     /// never delay it past the configured value.
-    pub fn silence_threshold(&self, key: K, lo: SimDuration, hi: SimDuration) -> SimDuration {
+    pub(crate) fn silence_threshold(
+        &self,
+        key: K,
+        lo: SimDuration,
+        hi: SimDuration,
+    ) -> SimDuration {
         if !self.is_warm(key) {
             return hi;
         }
@@ -252,7 +257,7 @@ impl<K: Ord + Copy> SuspicionTracker<K> {
     /// Adaptive per-remote attempt budget: the learned
     /// `MARGIN × mean + SIGMAS × σ` capped at the `configured` timeout
     /// (tighten only), or `configured` itself when disabled or cold.
-    pub fn attempt_budget(&self, key: K, configured: SimDuration) -> SimDuration {
+    pub(crate) fn attempt_budget(&self, key: K, configured: SimDuration) -> SimDuration {
         if !self.is_warm(key) {
             return configured;
         }
@@ -265,7 +270,7 @@ impl<K: Ord + Copy> SuspicionTracker<K> {
     /// Deterministic high quantile of `key`'s learned response
     /// distribution (`mean + sigmas × σ`): the delay a hedged request
     /// waits before firing. `None` when disabled or cold.
-    pub fn latency_quantile(&self, key: K, sigmas: f64) -> Option<SimDuration> {
+    pub(crate) fn latency_quantile(&self, key: K, sigmas: f64) -> Option<SimDuration> {
         if !self.is_warm(key) {
             return None;
         }

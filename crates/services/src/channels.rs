@@ -26,13 +26,13 @@ pub enum ChannelKind {
 }
 
 /// Fixed Expect-channel overhead (Table 1: "Expect Overhead" = 2,100 ms).
-pub const EXPECT_FIXED_OVERHEAD: SimDuration = SimDuration::from_millis(2_100);
+pub(crate) const EXPECT_FIXED_OVERHEAD: SimDuration = SimDuration::from_millis(2_100);
 
 /// Fixed JavaCoG overhead (Table 1: "JavaCoG Overhead" ≈ 9,800 ms).
-pub const JAVACOG_FIXED_OVERHEAD: SimDuration = SimDuration::from_millis(9_800);
+pub(crate) const JAVACOG_FIXED_OVERHEAD: SimDuration = SimDuration::from_millis(9_800);
 
 /// Expect per-command round-trip on the live shell.
-pub const EXPECT_STEP_OVERHEAD: SimDuration = SimDuration::from_millis(120);
+pub(crate) const EXPECT_STEP_OVERHEAD: SimDuration = SimDuration::from_millis(120);
 
 impl ChannelKind {
     /// Channel label as printed in Table 1.

@@ -261,21 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn scripted_answers_resolve_from_package_spec() {
-        use crate::host::SiteHost;
-        let spec = crate::packages::povray();
-        assert_eq!(
-            SiteHost::scripted_answer(&spec, "Do you accept the POV-Ray license? [y/n]"),
-            Some("yes".to_owned())
-        );
-        assert_eq!(
-            SiteHost::scripted_answer(&spec, "Install path: "),
-            Some("$DEPLOYMENT_DIR".to_owned())
-        );
-        assert_eq!(SiteHost::scripted_answer(&spec, "unknown prompt"), None);
-    }
-
-    #[test]
     fn command_failure_reported() {
         let (mut h, mut s) = staged_povray_host();
         let err = run_expect(&mut h, &mut s, "false", &ExpectScript::new()).unwrap_err();

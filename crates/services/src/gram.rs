@@ -13,12 +13,12 @@ use crate::host::SiteHost;
 use crate::vfs::VPath;
 
 /// Cost of one job submission round-trip (auth, staging, LRM hand-off).
-pub const SUBMIT_OVERHEAD: SimDuration = SimDuration::from_millis(1_100);
+pub(crate) const SUBMIT_OVERHEAD: SimDuration = SimDuration::from_millis(1_100);
 
 /// Status-poll granularity: a finished job is only *observed* finished at
 /// the next poll, so short jobs round up — one reason the JavaCoG channel
 /// is slower than Expect in Table 1.
-pub const POLL_INTERVAL: SimDuration = SimDuration::from_millis(2_000);
+pub(crate) const POLL_INTERVAL: SimDuration = SimDuration::from_millis(2_000);
 
 /// Lifecycle of a GRAM job.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,8 +29,6 @@ pub enum JobState {
     Active,
     /// Finished successfully.
     Done,
-    /// Finished with an error.
-    Failed,
 }
 
 /// A job request: run an executable (already deployed on the site).
@@ -53,8 +51,6 @@ pub struct GramJob {
     pub spec: JobSpec,
     /// Current state.
     pub state: JobState,
-    /// Diagnostic output.
-    pub diagnostics: String,
 }
 
 /// Errors from submission.
@@ -111,7 +107,6 @@ impl GramService {
             id,
             spec,
             state: JobState::Pending,
-            diagnostics: String::new(),
         });
         Ok((id, SUBMIT_OVERHEAD))
     }
@@ -145,29 +140,12 @@ impl GramService {
 
     /// Move a pending job to active (the site started executing it).
     pub fn mark_active(&mut self, id: u64) -> Result<(), GramError> {
-        self.transition(id, JobState::Pending, JobState::Active, "")
+        self.transition(id, JobState::Pending, JobState::Active)
     }
 
     /// Mark an active job done.
     pub fn mark_done(&mut self, id: u64) -> Result<(), GramError> {
-        self.transition(id, JobState::Active, JobState::Done, "")
-    }
-
-    /// Mark a job failed from any live state.
-    pub fn mark_failed(&mut self, id: u64, why: &str) -> Result<(), GramError> {
-        let job = self.job_mut(id)?;
-        job.state = JobState::Failed;
-        job.diagnostics = why.to_owned();
-        Ok(())
-    }
-
-    /// Current state of a job.
-    pub fn poll(&self, id: u64) -> Result<JobState, GramError> {
-        self.jobs
-            .iter()
-            .find(|j| j.id == id)
-            .map(|j| j.state)
-            .ok_or(GramError::NoSuchJob(id))
+        self.transition(id, JobState::Active, JobState::Done)
     }
 
     /// Full job record.
@@ -198,13 +176,7 @@ impl GramService {
             .ok_or(GramError::NoSuchJob(id))
     }
 
-    fn transition(
-        &mut self,
-        id: u64,
-        from: JobState,
-        to: JobState,
-        diag: &str,
-    ) -> Result<(), GramError> {
+    fn transition(&mut self, id: u64, from: JobState, to: JobState) -> Result<(), GramError> {
         let job = self.job_mut(id)?;
         assert_eq!(
             job.state, from,
@@ -212,9 +184,6 @@ impl GramService {
             job.state
         );
         job.state = to;
-        if !diag.is_empty() {
-            job.diagnostics = diag.to_owned();
-        }
         Ok(())
     }
 }
@@ -256,11 +225,11 @@ mod tests {
         let mut g = GramService::new();
         let (id, overhead) = g.submit(&h, spec(&p)).unwrap();
         assert_eq!(overhead, SUBMIT_OVERHEAD);
-        assert_eq!(g.poll(id).unwrap(), JobState::Pending);
+        assert_eq!(g.job(id).unwrap().state, JobState::Pending);
         g.mark_active(id).unwrap();
-        assert_eq!(g.poll(id).unwrap(), JobState::Active);
+        assert_eq!(g.job(id).unwrap().state, JobState::Active);
         g.mark_done(id).unwrap();
-        assert_eq!(g.poll(id).unwrap(), JobState::Done);
+        assert_eq!(g.job(id).unwrap().state, JobState::Done);
     }
 
     #[test]
@@ -276,17 +245,7 @@ mod tests {
             g.submit(&h, spec(&p)),
             Err(GramError::NotExecutable(_))
         ));
-        assert!(matches!(g.poll(99), Err(GramError::NoSuchJob(99))));
-    }
-
-    #[test]
-    fn failure_from_any_state() {
-        let (h, p) = host_with_exe();
-        let mut g = GramService::new();
-        let (id, _) = g.submit(&h, spec(&p)).unwrap();
-        g.mark_failed(id, "node crashed").unwrap();
-        assert_eq!(g.poll(id).unwrap(), JobState::Failed);
-        assert_eq!(g.job(id).unwrap().diagnostics, "node crashed");
+        assert!(matches!(g.job(99), Err(GramError::NoSuchJob(99))));
     }
 
     #[test]

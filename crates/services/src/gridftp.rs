@@ -20,7 +20,7 @@ use crate::vfs::{VFile, VPath};
 
 /// Per-transfer control-channel setup cost (auth handshake, channel
 /// establishment). The JavaCoG path pays this once per file.
-pub const TRANSFER_SETUP_COST: SimDuration = SimDuration::from_millis(350);
+pub(crate) const TRANSFER_SETUP_COST: SimDuration = SimDuration::from_millis(350);
 
 /// One hosted artifact.
 #[derive(Clone, Debug)]
@@ -65,7 +65,7 @@ impl Repository {
 
     /// Host a package archive at its canonical URL; content is synthesized
     /// from the package identity so digests are stable.
-    pub fn publish_package(&mut self, spec: Arc<PackageSpec>) {
+    pub(crate) fn publish_package(&mut self, spec: Arc<PackageSpec>) {
         let content = format!("tgz:{}:{}", spec.name, spec.version).into_bytes();
         self.publish(
             spec.archive_url.clone(),

@@ -103,27 +103,30 @@ impl SiteHost {
 
     /// Record that the file at `path` is the archive of `spec` (set when a
     /// transfer writes it).
-    pub fn register_archive(&mut self, path: VPath, spec: impl Into<Arc<PackageSpec>>) {
+    pub(crate) fn register_archive(&mut self, path: VPath, spec: impl Into<Arc<PackageSpec>>) {
         self.archives.insert(path, spec.into());
     }
 
     /// Look up the package an archive contains.
-    pub fn archive_package(&self, path: &VPath) -> Option<&Arc<PackageSpec>> {
+    pub(crate) fn archive_package(&self, path: &VPath) -> Option<&Arc<PackageSpec>> {
         self.archives.get(path)
     }
 
     /// Record an unpacked package directory.
-    pub fn register_package_dir(&mut self, dir: VPath, spec: Arc<PackageSpec>) {
+    pub(crate) fn register_package_dir(&mut self, dir: VPath, spec: Arc<PackageSpec>) {
         self.package_dirs.insert(dir, (spec, BuildState::default()));
     }
 
     /// Package + build state of a directory.
-    pub fn package_dir(&self, dir: &VPath) -> Option<&(Arc<PackageSpec>, BuildState)> {
+    pub(crate) fn package_dir(&self, dir: &VPath) -> Option<&(Arc<PackageSpec>, BuildState)> {
         self.package_dirs.get(dir)
     }
 
     /// Mutable build state of a directory.
-    pub fn package_dir_mut(&mut self, dir: &VPath) -> Option<&mut (Arc<PackageSpec>, BuildState)> {
+    pub(crate) fn package_dir_mut(
+        &mut self,
+        dir: &VPath,
+    ) -> Option<&mut (Arc<PackageSpec>, BuildState)> {
         self.package_dirs.get_mut(dir)
     }
 

@@ -11,7 +11,9 @@
 //! cost, contrasted with the registries' hashtable fast path, is the whole
 //! Fig. 10/11 story. The GT4 deployment is hierarchical: each site runs a
 //! *Default Index* that registers upstream into the VO-level *Community
-//! Index* (§3.3 builds peer groups from exactly this hierarchy).
+//! Index*. [`IndexKind`] names that role only; no index here pushes its
+//! aggregate upstream, because the overlay models the hierarchy as its
+//! shared site roster (§3.3 builds peer groups from it).
 //!
 //! ## Concurrency
 //!
@@ -54,13 +56,13 @@ pub const REQUEST_BASE_COST: SimDuration = SimDuration::from_millis(4);
 pub const SCAN_PER_ENTRY_COST: SimDuration = SimDuration::from_micros(120);
 
 /// Cost of registering/refreshing one entry.
-pub const REGISTER_COST: SimDuration = SimDuration::from_millis(6);
+pub(crate) const REGISTER_COST: SimDuration = SimDuration::from_millis(6);
 
 /// Default soft-state lifetime of index entries.
-pub const DEFAULT_ENTRY_LIFETIME: SimDuration = SimDuration::from_secs(600);
+pub(crate) const DEFAULT_ENTRY_LIFETIME: SimDuration = SimDuration::from_secs(600);
 
 /// Approximate serialized size of one aggregated entry on the wire.
-pub const ENTRY_WIRE_BYTES: u64 = 1_200;
+pub(crate) const ENTRY_WIRE_BYTES: u64 = 1_200;
 
 /// A materialized aggregate document and the instant its content decays.
 #[derive(Debug)]
@@ -94,8 +96,6 @@ pub struct IndexService {
     /// Transport security applied to every exchange.
     pub transport: Transport,
     group: RwLock<ServiceGroup>,
-    /// Upstream community index this default index registers into.
-    upstream: Option<String>,
     queries_served: AtomicU64,
     /// Cached aggregate document: patched by every write, discarded by a
     /// sweep that drops entries, rebuilt when an included entry's soft
@@ -114,7 +114,6 @@ impl fmt::Debug for IndexService {
         f.debug_struct("IndexService")
             .field("kind", &self.kind)
             .field("transport", &self.transport)
-            .field("upstream", &self.upstream)
             .field("queries_served", &self.queries_served())
             .field("snapshot(entries, next_lapse)", &snapshot)
             .finish()
@@ -139,26 +138,10 @@ impl IndexService {
             kind,
             transport,
             group: RwLock::new(ServiceGroup::new(name, DEFAULT_ENTRY_LIFETIME)),
-            upstream: None,
             queries_served: AtomicU64::new(0),
             snapshot: RwLock::new(None),
             xpath_memo: XPathMemo::new(),
         }
-    }
-
-    /// Point a default index at its community index (by name).
-    pub fn set_upstream(&mut self, community: &str) {
-        assert_eq!(
-            self.kind,
-            IndexKind::Default,
-            "only default indexes register upstream"
-        );
-        self.upstream = Some(community.to_owned());
-    }
-
-    /// Name of the upstream community index, if configured.
-    pub fn upstream(&self) -> Option<&str> {
-        self.upstream.as_deref()
     }
 
     /// Register member content; returns the entry id and the modeled cost.
@@ -283,22 +266,9 @@ impl IndexService {
         self.queries_served.load(Ordering::Relaxed)
     }
 
-    /// The full aggregate document (what upstream registration ships).
+    /// The full aggregate document.
     pub fn aggregate(&self, now: SimTime) -> XmlNode {
         self.group.read().aggregate_document(now)
-    }
-
-    /// Register this default index's entire aggregate into the community
-    /// index, as the GT4 hierarchy does on its refresh cycle. Returns the
-    /// upstream entry id.
-    pub fn push_upstream(
-        &self,
-        community: &mut IndexService,
-        member_name: &str,
-        now: SimTime,
-    ) -> (EntryId, SimDuration) {
-        assert_eq!(community.kind, IndexKind::Community);
-        community.register(member_name, self.aggregate(now), now)
     }
 
     /// Drop lapsed soft-state entries.
@@ -544,30 +514,6 @@ mod tests {
         assert_eq!(idx.len(t(900)), 1);
         assert_eq!(idx.sweep(t(2000)), 1);
         assert!(idx.is_empty(t(2000)));
-    }
-
-    #[test]
-    fn hierarchy_pushes_aggregate_upstream() {
-        let mut community = IndexService::new("community", IndexKind::Community, Transport::Http);
-        let mut d0 = IndexService::new("d0", IndexKind::Default, Transport::Http);
-        let mut d1 = IndexService::new("d1", IndexKind::Default, Transport::Http);
-        d0.set_upstream("community");
-        d1.set_upstream("community");
-        d0.register("site0", entry("A"), t(0));
-        d1.register("site1", entry("B"), t(0));
-        d0.push_upstream(&mut community, "site0", t(1));
-        d1.push_upstream(&mut community, "site1", t(1));
-        // The community index sees both sites' content.
-        let r = community.query("//ActivityType", t(2)).unwrap();
-        assert_eq!(r.matches.len(), 2);
-        assert_eq!(d0.upstream(), Some("community"));
-    }
-
-    #[test]
-    #[should_panic(expected = "only default indexes")]
-    fn community_cannot_set_upstream() {
-        let mut c = IndexService::new("c", IndexKind::Community, Transport::Http);
-        c.set_upstream("other");
     }
 
     #[test]

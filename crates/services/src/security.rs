@@ -43,11 +43,6 @@ impl Transport {
         }
     }
 
-    /// Whether security work applies.
-    pub fn is_secure(self) -> bool {
-        matches!(self, Transport::Https)
-    }
-
     /// Simulated-time cost of securing one request/response exchange of
     /// `bytes` payload. Zero for plain HTTP.
     pub fn overhead_cost(self, bytes: u64) -> SimDuration {
@@ -131,7 +126,6 @@ mod tests {
     fn http_is_free() {
         assert_eq!(Transport::Http.overhead_cost(1 << 20), SimDuration::ZERO);
         assert_eq!(Transport::Http.process(b"anything"), 0);
-        assert!(!Transport::Http.is_secure());
     }
 
     #[test]

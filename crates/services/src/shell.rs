@@ -20,10 +20,10 @@ use crate::packages::{BuildSystem, InstallPrompt, PackageSpec};
 use crate::vfs::{VFile, VPath};
 
 /// Cost charged for trivial commands (mkdir, echo, cp…).
-pub const TRIVIAL_CMD_COST: SimDuration = SimDuration::from_millis(5);
+pub(crate) const TRIVIAL_CMD_COST: SimDuration = SimDuration::from_millis(5);
 
 /// Extra cost per interactive prompt round-trip.
-pub const PROMPT_COST: SimDuration = SimDuration::from_millis(50);
+pub(crate) const PROMPT_COST: SimDuration = SimDuration::from_millis(50);
 
 /// Result of a completed command.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,26 +64,14 @@ impl CmdResult {
 pub enum ExecOutcome {
     /// Command ran to completion.
     Done(CmdResult),
-    /// The command is waiting for interactive input; answer with
-    /// [`SiteHost::respond`].
+    /// The command is waiting for interactive input; an Expect script
+    /// ([`run_expect`](crate::expect::run_expect)) answers it.
     Prompt {
         /// Text the installer printed.
         prompt: String,
         /// Cost consumed so far by this step.
         cost: SimDuration,
     },
-}
-
-impl ExecOutcome {
-    /// Unwrap a completed result (panics on a pending prompt).
-    pub fn expect_done(self, what: &str) -> CmdResult {
-        match self {
-            ExecOutcome::Done(r) => r,
-            ExecOutcome::Prompt { prompt, .. } => {
-                panic!("{what}: unexpected interactive prompt {prompt:?}")
-            }
-        }
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -112,13 +100,6 @@ pub struct ShellSession {
     /// [`SiteHost::default_env`] until an `export` copies it.
     pub env: Cow<'static, HashMap<String, String>>,
     pending: Option<Pending>,
-}
-
-impl ShellSession {
-    /// Whether the session is blocked on an installer prompt.
-    pub fn is_interactive(&self) -> bool {
-        self.pending.is_some()
-    }
 }
 
 impl SiteHost {
@@ -185,7 +166,7 @@ impl SiteHost {
 
     /// Answer the pending installer prompt. An empty answer aborts the
     /// installer with exit code 1.
-    pub fn respond(&mut self, session: &mut ShellSession, answer: &str) -> ExecOutcome {
+    pub(crate) fn respond(&mut self, session: &mut ShellSession, answer: &str) -> ExecOutcome {
         let mut pending = session
             .pending
             .take()
@@ -211,15 +192,6 @@ impl SiteHost {
             return ExecOutcome::Prompt { prompt, cost };
         }
         self.finish_action(pending.action, pending.phase_cost)
-    }
-
-    /// The scripted answer the provider's deploy-file gives for a prompt
-    /// (used by the Expect engine's default dialogs).
-    pub fn scripted_answer(spec: &PackageSpec, prompt: &str) -> Option<String> {
-        spec.prompts
-            .iter()
-            .find(|p| prompt.contains(&p.prompt))
-            .map(|p| p.answer.clone())
     }
 
     fn start_or_finish(
@@ -773,6 +745,25 @@ mod tests {
     use super::*;
     use crate::packages;
     use glare_fabric::topology::Platform;
+
+    impl ExecOutcome {
+        /// Unwrap a completed result (panics on a pending prompt).
+        pub(crate) fn expect_done(self, what: &str) -> CmdResult {
+            match self {
+                ExecOutcome::Done(r) => r,
+                ExecOutcome::Prompt { prompt, .. } => {
+                    panic!("{what}: unexpected interactive prompt {prompt:?}")
+                }
+            }
+        }
+    }
+
+    impl ShellSession {
+        /// Whether the session is blocked on an installer prompt.
+        pub(crate) fn is_interactive(&self) -> bool {
+            self.pending.is_some()
+        }
+    }
 
     fn host() -> SiteHost {
         SiteHost::new("site0", Platform::intel_linux_32())

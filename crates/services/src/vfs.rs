@@ -160,7 +160,7 @@ impl Vfs {
     }
 
     /// Whether a file exists.
-    pub fn is_file(&self, path: &VPath) -> bool {
+    pub(crate) fn is_file(&self, path: &VPath) -> bool {
         self.files.contains_key(path)
     }
 
@@ -209,7 +209,7 @@ impl Vfs {
     }
 
     /// Convenience: write a text file.
-    pub fn write_text(&mut self, path: &VPath, text: &str) -> Result<(), VfsError> {
+    pub(crate) fn write_text(&mut self, path: &VPath, text: &str) -> Result<(), VfsError> {
         let bytes = text.as_bytes().to_vec();
         self.write_file(
             path,
@@ -273,15 +273,6 @@ impl Vfs {
             .filter(|(p, f)| f.executable && p.starts_with(dir))
             .map(|(p, _)| p.clone())
             .collect()
-    }
-
-    /// Total bytes stored under `dir`.
-    pub fn disk_usage(&self, dir: &VPath) -> u64 {
-        self.files
-            .iter()
-            .filter(|(p, _)| p.starts_with(dir))
-            .map(|(_, f)| f.size)
-            .sum()
     }
 }
 
@@ -392,16 +383,6 @@ mod tests {
         let found = v.find_executables(&p("/opt/povray"));
         assert_eq!(found, vec![p("/opt/povray/bin/povray")]);
         assert!(v.find_executables(&p("/elsewhere")).is_empty());
-    }
-
-    #[test]
-    fn disk_usage_sums_subtree() {
-        let mut v = Vfs::new();
-        v.mkdir_p(&p("/a/b")).unwrap();
-        v.write_text(&p("/a/one"), "12345").unwrap();
-        v.write_text(&p("/a/b/two"), "123").unwrap();
-        assert_eq!(v.disk_usage(&p("/a")), 8);
-        assert_eq!(v.disk_usage(&p("/a/b")), 3);
     }
 
     /// The normaliser as it was before `VPath::new` wrote one `String` in

@@ -84,7 +84,7 @@ impl Workflow {
     }
 
     /// Add an activity; returns its id.
-    pub fn add_activity(
+    pub(crate) fn add_activity(
         &mut self,
         label: &str,
         activity_type: &str,
@@ -103,7 +103,7 @@ impl Workflow {
     }
 
     /// Add a dependency edge.
-    pub fn add_dependency(&mut self, from: ActivityId, to: ActivityId) {
+    pub(crate) fn add_dependency(&mut self, from: ActivityId, to: ActivityId) {
         self.dependencies.push(Dependency { from, to });
     }
 
@@ -113,7 +113,7 @@ impl Workflow {
     }
 
     /// Direct predecessors of an activity.
-    pub fn predecessors(&self, id: ActivityId) -> Vec<ActivityId> {
+    pub(crate) fn predecessors(&self, id: ActivityId) -> Vec<ActivityId> {
         self.dependencies
             .iter()
             .filter(|d| d.to == id)
@@ -173,7 +173,7 @@ impl Workflow {
     }
 
     /// The distinct activity types the workflow needs (scheduler input).
-    pub fn required_types(&self) -> Vec<&str> {
+    pub(crate) fn required_types(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
         for a in &self.activities {
             if !out.contains(&a.activity_type.as_str()) {

@@ -400,16 +400,19 @@ impl Actor for TenantLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::TenantSpec;
+    use crate::spec::{Flash, TenantSpec};
     use glare_fabric::percentile;
 
     fn spec(seed: u64) -> WorkloadSpec {
+        let mut be = TenantSpec::open("be", TenantClass::BestEffort, 20.0);
+        be.modulation.flash = Some(Flash {
+            at: SimTime::from_secs(20),
+            duration: SimDuration::from_secs(5),
+            multiplier: 4.0,
+        });
         WorkloadSpec::new(seed, SimDuration::from_secs(60), 8)
             .tenant(TenantSpec::open("gold", TenantClass::Gold, 5.0))
-            .tenant(
-                TenantSpec::open("be", TenantClass::BestEffort, 20.0)
-                    .with_flash(SimTime::from_secs(20), SimDuration::from_secs(5), 4.0),
-            )
+            .tenant(be)
     }
 
     #[test]

@@ -142,16 +142,6 @@ impl TenantSpec {
             ..TenantSpec::open(name, class, rate_hz)
         }
     }
-
-    /// Add a flash-crowd window.
-    pub fn with_flash(mut self, at: SimTime, duration: SimDuration, multiplier: f64) -> TenantSpec {
-        self.modulation.flash = Some(Flash {
-            at,
-            duration,
-            multiplier,
-        });
-        self
-    }
 }
 
 /// A complete workload scenario.

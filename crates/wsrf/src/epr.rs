@@ -42,14 +42,8 @@ impl EndpointReference {
         }
     }
 
-    /// Stable identity of the referenced resource: `(address, key)`.
-    /// Two EPRs with different LUTs still point at the same resource.
-    pub fn resource_id(&self) -> (String, String) {
-        (self.address.clone(), self.key.clone())
-    }
-
     /// Whether `other` references the same resource (ignoring LUT).
-    pub fn same_resource(&self, other: &EndpointReference) -> bool {
+    pub(crate) fn same_resource(&self, other: &EndpointReference) -> bool {
         self.address == other.address && self.key == other.key
     }
 
@@ -115,7 +109,6 @@ mod tests {
         assert!(old.same_resource(&new));
         assert!(new.is_newer_than(&old));
         assert!(!old.is_newer_than(&new));
-        assert_eq!(old.resource_id(), new.resource_id());
     }
 
     #[test]

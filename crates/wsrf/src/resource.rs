@@ -12,7 +12,7 @@
 //!
 //! ## Concurrency
 //!
-//! The home is internally sharded: keys hash onto [`SHARD_COUNT`]
+//! The home is internally sharded: keys hash onto 16 (`SHARD_COUNT`)
 //! independent `RwLock`-protected hash tables, so every operation takes
 //! `&self` and named lookups from different client threads proceed in
 //! parallel (they serialize only when two keys land on the same shard
@@ -32,7 +32,7 @@ use crate::error::WsrfError;
 use crate::xml::XmlNode;
 
 /// Number of independent lock shards (power of two).
-pub const SHARD_COUNT: usize = 16;
+pub(crate) const SHARD_COUNT: usize = 16;
 
 /// Payloads stored in a [`ResourceHome`] render themselves as a WSRF
 /// resource property document for XPath queries and aggregation.
@@ -72,7 +72,7 @@ pub struct WsResource<T> {
 
 impl<T> WsResource<T> {
     /// Whether the resource has passed its scheduled termination at `now`.
-    pub fn is_expired(&self, now: SimTime) -> bool {
+    pub(crate) fn is_expired(&self, now: SimTime) -> bool {
         self.terminates_at.is_some_and(|t| t <= now)
     }
 }
@@ -246,7 +246,7 @@ impl<T> ResourceHome<T> {
     /// Visit every live resource. Holds one shard read lock at a time;
     /// concurrent writers may land between shards (the usual snapshot
     /// semantics of concurrent maps).
-    pub fn for_each_live(&self, now: SimTime, mut f: impl FnMut(&WsResource<T>)) {
+    pub(crate) fn for_each_live(&self, now: SimTime, mut f: impl FnMut(&WsResource<T>)) {
         for shard in &self.shards {
             let shard = shard.read();
             for r in shard.values() {
@@ -286,13 +286,6 @@ impl<T: Clone> ResourceHome<T> {
     /// Owned copy of a live resource (hiding expired resources).
     pub fn get(&self, key: &str, now: SimTime) -> Option<WsResource<T>> {
         self.with_resource(key, now, |r| r.clone())
-    }
-
-    /// Owned copies of every live resource (unordered).
-    pub fn snapshot_live(&self, now: SimTime) -> Vec<WsResource<T>> {
-        let mut out = Vec::new();
-        self.for_each_live(now, |r| out.push(r.clone()));
-        out
     }
 }
 

@@ -38,7 +38,7 @@ pub struct GroupEntry {
 
 impl GroupEntry {
     /// Whether the entry's soft state has lapsed at `now`.
-    pub fn is_stale(&self, now: SimTime) -> bool {
+    pub(crate) fn is_stale(&self, now: SimTime) -> bool {
         self.refreshed_at + self.lifetime <= now
     }
 }

@@ -73,16 +73,6 @@ impl XmlNode {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Set or replace an attribute.
-    pub fn set_attribute(&mut self, key: &str, value: impl Into<String>) {
-        let value = value.into();
-        if let Some(slot) = self.attributes.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value;
-        } else {
-            self.attributes.push((Cow::Owned(key.to_owned()), value));
-        }
-    }
-
     /// First child element with the given name.
     pub fn first_child(&self, name: &str) -> Option<&XmlNode> {
         self.children.iter().find(|c| c.name == name)
@@ -600,16 +590,6 @@ mod tests {
         assert_eq!(node.first_child("Type").unwrap().text, "executable");
         assert_eq!(node.children_named("Path").count(), 1);
         assert_eq!(node.subtree_size(), 3);
-    }
-
-    #[test]
-    fn set_attribute_replaces() {
-        let mut n = XmlNode::new("a").attr("k", "1");
-        n.set_attribute("k", "2");
-        n.set_attribute("j", "3");
-        assert_eq!(n.attribute("k"), Some("2"));
-        assert_eq!(n.attribute("j"), Some("3"));
-        assert_eq!(n.attributes.len(), 2);
     }
 
     #[test]

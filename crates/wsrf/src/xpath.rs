@@ -130,15 +130,6 @@ impl XPath {
         }
         current
     }
-
-    /// Evaluate and extract string values: the text content of each
-    /// matched element.
-    pub fn select_texts(&self, root: &XmlNode) -> Vec<String> {
-        self.select(root)
-            .into_iter()
-            .map(|n| n.text.clone())
-            .collect()
-    }
 }
 
 /// Filter `nodes[from..]` — one context node's matches, in document order —
@@ -239,7 +230,7 @@ pub struct XPathMemo {
 }
 
 /// Default number of distinct expressions an [`XPathMemo`] retains.
-pub const XPATH_MEMO_CAPACITY: usize = 1024;
+pub(crate) const XPATH_MEMO_CAPACITY: usize = 1024;
 
 impl Default for XPathMemo {
     fn default() -> Self {
@@ -612,9 +603,10 @@ mod tests {
     #[test]
     fn select_texts_extracts_content() {
         let d = doc();
-        let texts = XPath::compile("/Registry/Entry[@name='JPOVray']/Deployment")
+        let hits = XPath::compile("/Registry/Entry[@name='JPOVray']/Deployment")
             .unwrap()
-            .select_texts(&d);
+            .select(&d);
+        let texts: Vec<&str> = hits.iter().map(|n| n.text.as_str()).collect();
         assert_eq!(texts, vec!["jpovray", "WS-JPOVray"]);
     }
 

@@ -6,8 +6,11 @@
 //! glare provision <activity> [n]     provision an activity on an n-site VO
 //! glare undeploy  <type> [n]         provision then undeploy, showing cleanup
 //! glare wrap      <activity> [n]     provision then Otho-wrap the first executable
-//! glare inventory [n]                list the built-in types and packages
+//! glare inventory                    list the built-in types and packages
 //! ```
+//!
+//! A given `[n]` must be a site count of at least 1 (absent, the VO has 3
+//! sites); anything else prints the usage and exits 2.
 
 use glare::core::grid::Grid;
 use glare::core::model::example_hierarchy;
@@ -25,7 +28,7 @@ fn usage() -> ! {
          \x20 provision <activity> [n]  provision an activity on an n-site VO (default 3)\n\
          \x20 undeploy  <type> [n]      provision then undeploy a type\n\
          \x20 wrap      <activity> [n]  provision then generate a WS wrapper\n\
-         \x20 inventory [n]             list built-in activity types and packages"
+         \x20 inventory                 list built-in activity types and packages"
     );
     std::process::exit(2);
 }
@@ -78,10 +81,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("");
     let sites = |idx: usize| -> usize {
-        args.get(idx)
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(3)
+        let Some(arg) = args.get(idx) else { return 3 };
+        match arg.parse() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                eprintln!("[n] expects an integer >= 1, got `{arg}`");
+                usage()
+            }
+        }
     };
     match cmd {
         "demo" => {

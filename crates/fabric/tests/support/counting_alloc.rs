@@ -1,9 +1,10 @@
 //! The counting global allocator the allocation-pin binaries share
 //! (`steady_state_allocations.rs` here; `probe_visit_allocations.rs`,
-//! `grid_request_allocations.rs` and `registry_read_allocations.rs` in
-//! `crates/glare-core/tests`). Each includes this file with `#[path]`, so
-//! each installs its own copy; no library crate carries it. The tally is
-//! per thread, so the harness's own threads do not disturb a measurement.
+//! `grid_request_allocations.rs`, `registry_read_allocations.rs` and
+//! `node_build_allocations.rs` in `crates/glare-core/tests`). Each includes
+//! this file with `#[path]`, so each installs its own copy; no library crate
+//! carries it. The tally is per thread, so the harness's own threads do not
+//! disturb a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -22,12 +22,10 @@ use crate::model::{ActivityType, TypeKind};
 /// Index over base-type edges for fast downward/upward walks.
 #[derive(Clone, Debug, Default)]
 pub struct TypeHierarchy {
-    /// type -> its direct base types.
-    parents: HashMap<String, Vec<String>>,
+    /// type -> its kind and its direct base types.
+    parents: HashMap<String, (TypeKind, Vec<String>)>,
     /// base type -> types that directly extend it (no empty lists).
     children: HashMap<String, Vec<String>>,
-    /// type -> kind.
-    kinds: HashMap<String, TypeKind>,
     /// name -> its concrete closure, filled on first resolution and
     /// emptied by every edge change. Only names the edge maps mention are
     /// stored, so it never outgrows them.
@@ -43,8 +41,8 @@ impl TypeHierarchy {
     /// Insert (or replace) a type's edges.
     pub fn insert(&mut self, t: &ActivityType) {
         self.remove(&t.name);
-        self.kinds.insert(t.name.clone(), t.kind);
-        self.parents.insert(t.name.clone(), t.base_types.clone());
+        self.parents
+            .insert(t.name.clone(), (t.kind, t.base_types.clone()));
         for base in &t.base_types {
             self.children
                 .entry(base.clone())
@@ -56,8 +54,7 @@ impl TypeHierarchy {
     /// Remove a type's edges.
     pub fn remove(&mut self, name: &str) {
         self.closures.get_mut().clear();
-        self.kinds.remove(name);
-        if let Some(bases) = self.parents.remove(name) {
+        if let Some((_, bases)) = self.parents.remove(name) {
             for base in bases {
                 if let Some(kids) = self.children.get_mut(&base) {
                     kids.retain(|k| k != name);
@@ -71,7 +68,7 @@ impl TypeHierarchy {
 
     /// Whether the hierarchy knows this type.
     pub fn contains(&self, name: &str) -> bool {
-        self.kinds.contains_key(name)
+        self.parents.contains_key(name)
     }
 
     /// All *concrete* types at or below `name` (the §2.2 "iterative
@@ -89,7 +86,7 @@ impl TypeHierarchy {
         if let Some(hit) = self.closures.read().get(name) {
             return Arc::clone(hit);
         }
-        if !self.kinds.contains_key(name) && !self.children.contains_key(name) {
+        if !self.parents.contains_key(name) && !self.children.contains_key(name) {
             return Arc::default();
         }
         let closure: Arc<[String]> = self.walk_concrete(name).into();
@@ -108,7 +105,7 @@ impl TypeHierarchy {
             if !seen.insert(cur.clone()) {
                 continue;
             }
-            if self.kinds.get(&cur) == Some(&TypeKind::Concrete) {
+            if let Some((TypeKind::Concrete, _)) = self.parents.get(&cur) {
                 out.push(cur.clone());
             }
             if let Some(kids) = self.children.get(&cur) {
@@ -125,13 +122,13 @@ impl TypeHierarchy {
         let mut queue: VecDeque<String> = self
             .parents
             .get(name)
-            .map(|p| p.iter().cloned().collect())
+            .map(|(_, p)| p.iter().cloned().collect())
             .unwrap_or_default();
         while let Some(cur) = queue.pop_front() {
             if !seen.insert(cur.clone()) {
                 continue;
             }
-            if let Some(ps) = self.parents.get(&cur) {
+            if let Some((_, ps)) = self.parents.get(&cur) {
                 queue.extend(ps.iter().cloned());
             }
             out.push(cur);
@@ -161,7 +158,7 @@ impl TypeHierarchy {
             if !seen.insert(cur) {
                 continue;
             }
-            if let Some(ps) = self.parents.get(cur) {
+            if let Some((_, ps)) = self.parents.get(cur) {
                 stack.extend(ps.iter().map(String::as_str));
             }
         }
@@ -183,7 +180,7 @@ impl TypeHierarchy {
             if !visiting.insert(node.to_owned()) {
                 return true;
             }
-            if let Some(parents) = h.parents.get(node) {
+            if let Some((_, parents)) = h.parents.get(node) {
                 for p in parents {
                     if visit(h, p, visiting, done) {
                         return true;
@@ -355,7 +352,7 @@ mod tests {
                     assert_eq!(*h.concrete_closure(&probe), *h.walk_concrete(&probe));
                 }
             }
-            assert!(h.closures.read().len() <= h.kinds.len() + h.children.len());
+            assert!(h.closures.read().len() <= h.parents.len() + h.children.len());
             h.closures.write().clear();
             for name in ["Nope", "", "T99"] {
                 assert!(h.concrete_closure(name).is_empty());

@@ -19,11 +19,13 @@
 //! *and* one of the operations is a write). This is what lets the
 //! registries expose a genuinely concurrent read path — the paper's
 //! hashtable named-lookup argument — instead of hiding behind one big
-//! service lock.
+//! service lock. The shard array is allocated at the first insert: a home
+//! that was never written costs one pointer, and every read of it finds
+//! nothing without taking a lock.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use glare_fabric::sync::RwLock;
 use glare_fabric::SimTime;
@@ -55,11 +57,9 @@ impl<T: ResourceProperties> ResourceProperties for Arc<T> {
     }
 }
 
-/// One live WS-Resource.
+/// One live WS-Resource. Its key is the one it is stored under in its home.
 #[derive(Clone, Debug)]
 pub struct WsResource<T> {
-    /// Resource key (unique within its home).
-    pub key: String,
     /// Typed payload.
     pub payload: T,
     /// Creation instant.
@@ -89,28 +89,20 @@ fn shard_of(key: &str) -> usize {
     ((h ^ (h >> 32)) as usize) & (SHARD_COUNT - 1)
 }
 
+type Shard<T> = RwLock<HashMap<String, WsResource<T>>>;
+
 /// A keyed collection of WS-Resources with lifetime management and a
 /// sharded, interior-mutable concurrent access path.
+#[derive(Clone)]
 pub struct ResourceHome<T> {
-    shards: Vec<RwLock<HashMap<String, WsResource<T>>>>,
+    /// `SHARD_COUNT` shards, allocated by the first `create`.
+    shards: OnceLock<Box<[Shard<T>]>>,
 }
 
 impl<T> Default for ResourceHome<T> {
     fn default() -> Self {
         ResourceHome {
-            shards: (0..SHARD_COUNT).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
-    }
-}
-
-impl<T: Clone> Clone for ResourceHome<T> {
-    fn clone(&self) -> Self {
-        ResourceHome {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| RwLock::new(s.read().clone()))
-                .collect(),
+            shards: OnceLock::new(),
         }
     }
 }
@@ -118,12 +110,18 @@ impl<T: Clone> Clone for ResourceHome<T> {
 impl<T: fmt::Debug> fmt::Debug for ResourceHome<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut map = f.debug_map();
-        for shard in &self.shards {
+        for shard in self.shards() {
             for (k, r) in shard.read().iter() {
                 map.entry(k, r);
             }
         }
         map.finish()
+    }
+}
+
+fn no_such(key: &str) -> WsrfError {
+    WsrfError::NoSuchResource {
+        key: key.to_owned(),
     }
 }
 
@@ -133,8 +131,14 @@ impl<T> ResourceHome<T> {
         Self::default()
     }
 
-    fn shard(&self, key: &str) -> &RwLock<HashMap<String, WsResource<T>>> {
-        &self.shards[shard_of(key)]
+    /// The shards, or none before the first `create`.
+    fn shards(&self) -> &[Shard<T>] {
+        self.shards.get().map_or(&[], |s| s)
+    }
+
+    /// The shard `key` hashes onto, if the shards exist yet.
+    fn shard(&self, key: &str) -> Option<&Shard<T>> {
+        self.shards().get(shard_of(key))
     }
 
     /// Create a resource. Fails if the key exists and is not expired.
@@ -145,16 +149,18 @@ impl<T> ResourceHome<T> {
         now: SimTime,
     ) -> Result<(), WsrfError> {
         let key = key.into();
-        let mut shard = self.shard(&key).write();
+        let shards = self
+            .shards
+            .get_or_init(|| (0..SHARD_COUNT).map(|_| RwLock::default()).collect());
+        let mut shard = shards[shard_of(&key)].write();
         if let Some(existing) = shard.get(&key) {
             if !existing.is_expired(now) {
                 return Err(WsrfError::AlreadyExists { key });
             }
         }
         shard.insert(
-            key.clone(),
+            key,
             WsResource {
-                key,
                 payload,
                 created_at: now,
                 modified_at: now,
@@ -172,8 +178,20 @@ impl<T> ResourceHome<T> {
         now: SimTime,
         f: impl FnOnce(&WsResource<T>) -> R,
     ) -> Option<R> {
-        let shard = self.shard(key).read();
+        let shard = self.shard(key)?.read();
         shard.get(key).filter(|r| !r.is_expired(now)).map(f)
+    }
+
+    /// Mutable access to a live resource under its shard's write lock.
+    fn with_live_mut<R>(
+        &self,
+        key: &str,
+        now: SimTime,
+        f: impl FnOnce(&mut WsResource<T>) -> R,
+    ) -> Result<R, WsrfError> {
+        let mut shard = self.shard(key).ok_or_else(|| no_such(key))?.write();
+        let r = shard.get_mut(key).filter(|r| !r.is_expired(now));
+        Ok(f(r.ok_or_else(|| no_such(key))?))
     }
 
     /// Mutate a live resource's payload and bump its modification stamp.
@@ -181,22 +199,17 @@ impl<T> ResourceHome<T> {
     where
         F: FnOnce(&mut T) -> R,
     {
-        let mut shard = self.shard(key).write();
-        let r = shard
-            .get_mut(key)
-            .filter(|r| !r.is_expired(now))
-            .ok_or_else(|| WsrfError::NoSuchResource {
-                key: key.to_owned(),
-            })?;
-        let out = f(&mut r.payload);
-        r.modified_at = now;
-        Ok(out)
+        self.with_live_mut(key, now, |r| {
+            let out = f(&mut r.payload);
+            r.modified_at = now;
+            out
+        })
     }
 
     /// Touch a resource: bump `modified_at` without changing the payload
     /// (the Deployment Status Monitor's heartbeat).
     pub fn touch(&self, key: &str, now: SimTime) -> Result<(), WsrfError> {
-        self.update(key, now, |_| ()).map(|_| ())
+        self.update(key, now, |_| ())
     }
 
     /// Set or clear a resource's scheduled termination time.
@@ -206,33 +219,20 @@ impl<T> ResourceHome<T> {
         when: Option<SimTime>,
         now: SimTime,
     ) -> Result<(), WsrfError> {
-        let mut shard = self.shard(key).write();
-        let r = shard
-            .get_mut(key)
-            .filter(|r| !r.is_expired(now))
-            .ok_or_else(|| WsrfError::NoSuchResource {
-                key: key.to_owned(),
-            })?;
-        r.terminates_at = when;
-        Ok(())
+        self.with_live_mut(key, now, |r| r.terminates_at = when)
     }
 
     /// Explicitly destroy a resource.
     pub fn destroy(&self, key: &str) -> Result<WsResource<T>, WsrfError> {
-        self.shard(key)
-            .write()
-            .remove(key)
-            .ok_or_else(|| WsrfError::NoSuchResource {
-                key: key.to_owned(),
-            })
+        let shard = self.shard(key).ok_or_else(|| no_such(key))?;
+        shard.write().remove(key).ok_or_else(|| no_such(key))
     }
 
     /// Remove every expired resource, returning their keys.
     pub fn sweep_expired(&self, now: SimTime) -> Vec<String> {
         let mut dead = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.retain(|k, r| {
+        for shard in self.shards() {
+            shard.write().retain(|k, r| {
                 let expired = r.is_expired(now);
                 if expired {
                     dead.push(k.clone());
@@ -243,15 +243,14 @@ impl<T> ResourceHome<T> {
         dead
     }
 
-    /// Visit every live resource. Holds one shard read lock at a time;
-    /// concurrent writers may land between shards (the usual snapshot
-    /// semantics of concurrent maps).
-    pub(crate) fn for_each_live(&self, now: SimTime, mut f: impl FnMut(&WsResource<T>)) {
-        for shard in &self.shards {
-            let shard = shard.read();
-            for r in shard.values() {
+    /// Visit every live resource with its key. Holds one shard read lock at
+    /// a time; concurrent writers may land between shards (the usual
+    /// snapshot semantics of concurrent maps).
+    pub(crate) fn for_each_live(&self, now: SimTime, mut f: impl FnMut(&str, &WsResource<T>)) {
+        for shard in self.shards() {
+            for (k, r) in shard.read().iter() {
                 if !r.is_expired(now) {
-                    f(r);
+                    f(k, r);
                 }
             }
         }
@@ -260,13 +259,13 @@ impl<T> ResourceHome<T> {
     /// Number of live resources.
     pub fn len_live(&self, now: SimTime) -> usize {
         let mut n = 0;
-        self.for_each_live(now, |_| n += 1);
+        self.for_each_live(now, |_, _| n += 1);
         n
     }
 
     /// Total stored (live + expired-but-unswept).
     pub fn len_total(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards().iter().map(|s| s.read().len()).sum()
     }
 
     /// Whether a live resource exists under `key`.
@@ -277,7 +276,7 @@ impl<T> ResourceHome<T> {
     /// Keys of all live resources (unordered).
     pub fn live_keys(&self, now: SimTime) -> Vec<String> {
         let mut keys = Vec::new();
-        self.for_each_live(now, |r| keys.push(r.key.clone()));
+        self.for_each_live(now, |k, _| keys.push(k.to_owned()));
         keys
     }
 }
@@ -295,10 +294,10 @@ impl<T: ResourceProperties> ResourceHome<T> {
     /// deterministic key order.
     pub fn aggregate_document(&self, now: SimTime) -> XmlNode {
         let mut live: Vec<XmlNode> = Vec::new();
-        self.for_each_live(now, |r| {
+        self.for_each_live(now, |k, r| {
             live.push(
                 XmlNode::new("Resource")
-                    .attr("key", &r.key)
+                    .attr("key", k)
                     .attr("modified", r.modified_at.as_nanos().to_string())
                     .child(r.payload.to_property_document()),
             );
@@ -434,7 +433,6 @@ mod tests {
 
     #[test]
     fn concurrent_reads_while_writing() {
-        use std::sync::Arc;
         let home: Arc<ResourceHome<u64>> = Arc::new(ResourceHome::new());
         for i in 0..64 {
             home.create(format!("k{i}"), i, t(0)).unwrap();
@@ -466,6 +464,88 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(home.len_total(), 256);
+    }
+
+    #[test]
+    fn a_never_written_home_is_empty_to_every_method() {
+        let home: ResourceHome<Named> = ResourceHome::new();
+        assert!(home.shards.get().is_none());
+        assert_eq!(home.with_resource("a", t(0), |_| ()), None);
+        assert!(home.get("a", t(0)).is_none());
+        assert!(!home.contains("a", t(0)));
+        for err in [
+            home.update("a", t(0), |_| ()).unwrap_err(),
+            home.touch("a", t(0)).unwrap_err(),
+            home.set_termination_time("a", Some(t(1)), t(0))
+                .unwrap_err(),
+            home.destroy("a").unwrap_err(),
+        ] {
+            assert!(matches!(err, WsrfError::NoSuchResource { ref key } if key == "a"));
+        }
+        assert!(home.sweep_expired(t(0)).is_empty());
+        assert_eq!((home.len_live(t(0)), home.len_total()), (0, 0));
+        assert!(home.live_keys(t(0)).is_empty());
+        let doc = home.aggregate_document(t(0));
+        assert_eq!((doc.name.as_ref(), doc.children.len()), ("Resources", 0));
+        let copy = home.clone();
+        assert!(
+            copy.shards.get().is_none(),
+            "a clone of an empty home is empty"
+        );
+        assert_eq!(format!("{home:?} {copy:?}"), "{} {}");
+        assert!(home.shards.get().is_none(), "no read allocated the shards");
+    }
+
+    #[test]
+    fn racing_first_creates_all_land() {
+        let home: Arc<ResourceHome<u64>> = Arc::new(ResourceHome::new());
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4u64)
+            .map(|i| {
+                let (home, barrier) = (home.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    home.create(format!("k{i}"), i, t(0)).unwrap();
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(home.len_total(), 4);
+        for i in 0..4u64 {
+            assert_eq!(home.get(&format!("k{i}"), t(1)).unwrap().payload, i);
+        }
+    }
+
+    #[test]
+    fn a_home_emptied_by_destroy_stays_usable() {
+        let home: ResourceHome<Named> = ResourceHome::new();
+        home.create("a", Named("aa"), t(0)).unwrap();
+        assert_eq!(home.destroy("a").unwrap().payload.0, "aa");
+        assert_eq!((home.len_total(), home.live_keys(t(1)).len()), (0, 0));
+        assert!(home.aggregate_document(t(1)).children.is_empty());
+        assert!(home.touch("a", t(1)).is_err());
+        home.create("a", Named("again"), t(2)).unwrap();
+        home.create("b", Named("bb"), t(2)).unwrap();
+        let mut keys = home.live_keys(t(3));
+        keys.sort();
+        assert_eq!(keys, ["a", "b"]);
+        assert_eq!(home.get("a", t(3)).unwrap().created_at, t(2));
+    }
+
+    #[test]
+    fn debug_and_for_each_live_read_the_map_key() {
+        let home: ResourceHome<Named> = ResourceHome::new();
+        home.create("k1", Named("v"), t(0)).unwrap();
+        let debug = format!("{home:?}");
+        assert!(
+            debug.starts_with("{\"k1\": WsResource { payload: Named(\"v\")"),
+            "{debug}"
+        );
+        let mut seen = Vec::new();
+        home.for_each_live(t(0), |k, r| seen.push((k.to_owned(), r.payload.0)));
+        assert_eq!(seen, [("k1".to_owned(), "v")]);
     }
 
     #[test]

@@ -2,16 +2,18 @@
 # The behaviour oracle (ROADMAP "working rules") against one revision, in one
 # command: check <rev> out into a temporary `git worktree`, run this tree's
 # scripts/oracle.sh in both trees and fail on any `diff -r` output. Given a
-# workload, then print its perf claim table: scripts/pairs.sh, 10 pairs.
+# workload, or a comma-separated list of them, then print their perf claim
+# tables: scripts/pairs.sh, 10 pairs each, one table per workload.
 #
-#   scripts/against.sh <rev> [workload]     # e.g. scripts/against.sh HEAD~1 provision_storm
+#   scripts/against.sh <rev> [workload[,workload...]]
+#   # e.g. scripts/against.sh HEAD~1 overlay_10k,registry_read
 #
 # The worktree runs this tree's oracle.sh, so both sides write the same files
 # even when <rev> predates the current script. The worktree and every oracle
 # output are removed on exit; a run killed outright leaves a stale worktree
 # entry behind, which `git worktree prune` clears.
 set -euo pipefail
-[ $# -ge 1 ] || { sed -n '2,7p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,9p' "$0" >&2; exit 2; }
 rev=$1
 workload=${2:-}
 here=$(cd "$(dirname "$0")/.." && pwd)

@@ -9,9 +9,11 @@
 #      its test); the allocation pins run here too, each its own test binary
 #      with the counting allocator of crates/fabric/tests/support/:
 #      fabric's steady_state_allocations, glare-core's probe_visit_allocations,
-#      grid_request_allocations and registry_read_allocations (a warm ATR
+#      grid_request_allocations, registry_read_allocations (a warm ATR
 #      lookup, the request envelope, the reply, an MDS query_by_name at
-#      registry_read's 300 types); tests/source_budget.rs holds four
+#      registry_read's 300 types) and node_build_allocations (one
+#      overlay_10k site's build; an empty ADR allocates nothing);
+#      tests/source_budget.rs holds four
 #      ratchets: file length, function length, the pub fields left on each
 #      policy struct (a settable value may only go away) and each crate's
 #      count of pub items (crate-internal code is pub(crate), so clippy

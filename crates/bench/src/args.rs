@@ -2,9 +2,9 @@
 //! writer, the violation exit and the telemetry warnings.
 //!
 //! A bin takes what it knows out of [`Args`] — bare flags with
-//! [`Args::flag`], validated values with [`Args::value`] / [`Args::set`]
+//! [`Args::flag`], validated values with `Args::value` / [`Args::set`]
 //! / [`Args::set_list`] / [`Args::per_mille`] — and then calls
-//! [`Args::finish`], which rejects whatever is left. The first problem (missing value, value its
+//! `Args::finish`, which rejects whatever is left. The first problem (missing value, value its
 //! predicate rejects, unknown argument) is kept and reported there, so a
 //! typo can no longer run the default scenario and exit 0.
 
@@ -19,7 +19,7 @@ pub struct Args {
 
 impl Args {
     /// Parse `args` (the command line without the program name).
-    pub fn new(args: Vec<String>) -> Args {
+    pub(crate) fn new(args: Vec<String>) -> Args {
         Args {
             rest: args,
             error: None,
@@ -58,7 +58,7 @@ impl Args {
     }
 
     /// Take `name VALUE`, parsed as `T` and accepted by `ok`.
-    pub fn value<T: FromStr>(
+    pub(crate) fn value<T: FromStr>(
         &mut self,
         name: &str,
         expects: &str,
@@ -74,8 +74,8 @@ impl Args {
         Some(f64::from(n) / 1000.0)
     }
 
-    /// [`Args::value`] into `slot`, which keeps its value when `name`
-    /// is absent (or wrong, which [`Args::finish`] then reports).
+    /// `Args::value` into `slot`, which keeps its value when `name`
+    /// is absent (or wrong, which `Args::finish` then reports).
     pub fn set<T: FromStr>(
         &mut self,
         slot: &mut T,
@@ -104,7 +104,7 @@ impl Args {
     }
 
     /// The first problem met, or the first argument nobody took.
-    pub fn finish(self) -> Result<(), String> {
+    pub(crate) fn finish(self) -> Result<(), String> {
         match (self.error, self.rest.first()) {
             (Some(e), _) => Err(e),
             (None, Some(arg)) => Err(format!("unknown argument `{arg}`")),
@@ -112,7 +112,7 @@ impl Args {
         }
     }
 
-    /// [`Args::finish`] for a `main`: print the problem and exit 2.
+    /// `Args::finish` for a `main`: print the problem and exit 2.
     pub fn finish_or_exit(self) {
         if let Err(e) = self.finish() {
             eprintln!("{e}");

@@ -78,7 +78,7 @@ pub enum ControllerMode {
 
 impl ControllerMode {
     /// Stable label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ControllerMode::Enabled => "enabled",
             ControllerMode::Disabled => "disabled",
@@ -326,8 +326,7 @@ fn arrival_counts(p: &AutonomicParams) -> Vec<Vec<[u64; 3]>> {
         SimDuration::from_secs(p.flash_secs),
         p.flash_multiplier,
     )
-    .with_activities(&names)
-    .with_zipf(1.0);
+    .with_activities(&names);
     let ticks = p.duration_secs as usize;
     let mut counts = vec![vec![[0u64; 3]; CATALOGUE.len()]; ticks];
     for (i, tenant) in spec.tenants.iter().enumerate() {

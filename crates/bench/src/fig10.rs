@@ -38,7 +38,7 @@ pub enum Service {
 
 impl Service {
     /// Label used in output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Service::Atr => "ATR",
             Service::Mds => "WS-MDS",
@@ -90,7 +90,7 @@ pub(crate) fn build_mds(resources: usize, transport: Transport) -> IndexService 
 const WIRE_PAYLOAD: usize = 1_024;
 
 /// Measure one configuration for `duration`.
-pub fn measure(
+pub(crate) fn measure(
     service: Service,
     transport: Transport,
     clients: usize,
@@ -171,7 +171,7 @@ pub fn measure(
 
 impl ThroughputPoint {
     /// JSON-friendly view of the measurement.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("service", Json::from(self.service.label())),
             ("transport", Json::from(self.transport.label())),

@@ -122,11 +122,6 @@ pub fn run_config(
 /// cache off on 1, 3, 7 sites.
 pub const CONFIGS: [(usize, bool); 4] = [(1, true), (1, false), (3, false), (7, false)];
 
-/// The full Fig. 12 series.
-pub fn run(p: Fig12Params) -> Vec<Fig12Point> {
-    CONFIGS.iter().map(|&(sites, cache)| run_config(sites, cache, p, false).0).collect()
-}
-
 /// Render the series.
 pub fn render(points: &[Fig12Point]) -> String {
     let mut s = String::from(
@@ -172,7 +167,10 @@ mod tests {
     #[test]
     fn default_series_has_the_papers_shape() {
         // EXPERIMENTS.md Fig. 12, at the parameters `--bin fig12` runs.
-        let pts = run(Fig12Params::default());
+        let pts: Vec<Fig12Point> = CONFIGS
+            .iter()
+            .map(|&(sites, cache)| run_config(sites, cache, Fig12Params::default(), false).0)
+            .collect();
         let (cache1, nocache) = (&pts[0], &pts[1..]);
         assert!(cache1.cache && nocache.iter().all(|p| !p.cache));
         for p in nocache {

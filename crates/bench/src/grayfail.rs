@@ -47,7 +47,7 @@ use crate::scenario::{deployment, node_defaults, Client, Registry, Run, Scenario
 /// Skewed activity catalogue (concrete types of the example hierarchy):
 /// client assignment is Zipf-flavored (half the clients hammer the head
 /// entry).
-pub const ACTIVITIES: &[&str] = &["JPOVray", "Wien2k", "Invmod"];
+pub(crate) const ACTIVITIES: &[&str] = &["JPOVray", "Wien2k", "Invmod"];
 
 /// How the gray-resilience features participate in a run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,7 +61,7 @@ pub enum GrayMode {
 
 impl GrayMode {
     /// Stable label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             GrayMode::Enabled => "enabled",
             GrayMode::Disabled => "disabled",

@@ -165,7 +165,7 @@ pub struct LoadPoint {
 
 impl LoadPoint {
     /// JSON view of the point.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let classes = ["gold", "silver", "best_effort"];
         let by_class = |v: &[u64; 3]| {
             Json::obj(

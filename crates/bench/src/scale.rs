@@ -58,7 +58,7 @@ pub struct ScalePoint {
 
 impl ScalePoint {
     /// JSON view of the point.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(fields!(
             self;
             sites, branching, flood, events, peak_queue, queries, hits, hops_per_query, mean_ms,

@@ -45,14 +45,14 @@ impl Registry {
     }
 
     /// Every node knows the example type hierarchy, plus `deployments`.
-    pub fn hierarchy(deployments: Vec<(usize, ActivityDeployment)>) -> Registry {
+    pub(crate) fn hierarchy(deployments: Vec<(usize, ActivityDeployment)>) -> Registry {
         Registry { types: example_hierarchy(SimTime::ZERO), deployments }
     }
 }
 
 /// An executable deployment of activity type `ty` on site `site` (named
 /// `site{site}`), installed at `/opt/deployments/{dir}/bin/{bin}`.
-pub fn deployment(ty: &str, site: usize, dir: &str, bin: &str) -> (usize, ActivityDeployment) {
+pub(crate) fn deployment(ty: &str, site: usize, dir: &str, bin: &str) -> (usize, ActivityDeployment) {
     let (home, name) = (format!("/opt/deployments/{dir}"), format!("site{site}"));
     (site, ActivityDeployment::executable(ty, &name, &format!("{home}/bin/{bin}"), &home))
 }
@@ -90,7 +90,7 @@ pub struct Client {
 
 impl Client {
     /// A best-effort client reporting into stats group 0.
-    pub fn new(site: usize, activity: &str, think: SimDuration, count: u64) -> Client {
+    pub(crate) fn new(site: usize, activity: &str, think: SimDuration, count: u64) -> Client {
         let (activity, class) = (activity.to_owned(), TenantClass::BestEffort);
         Client { site, activity, think, count, class, group: 0 }
     }
@@ -98,7 +98,7 @@ impl Client {
 
 /// The mean and 95th percentile of a stats group's latencies, in ms (0 when
 /// nothing was answered).
-pub fn latency_ms(stats: &ClientStats) -> (f64, f64) {
+pub(crate) fn latency_ms(stats: &ClientStats) -> (f64, f64) {
     let mut lat_ms: Vec<f64> = stats.latencies.iter().map(|d| d.as_millis_f64()).collect();
     lat_ms.sort_by(f64::total_cmp);
     let mean = lat_ms.iter().sum::<f64>() / lat_ms.len().max(1) as f64;
@@ -168,7 +168,7 @@ pub struct Run {
 impl Scenario {
     /// `n` nodes over a uniform topology at the node defaults, with nothing
     /// registered, no telemetry, a reliable network, no faults and no load.
-    pub fn new(n: usize, seed: u64) -> Scenario {
+    pub(crate) fn new(n: usize, seed: u64) -> Scenario {
         Scenario {
             topology: Topology::uniform(n),
             seed,
@@ -190,7 +190,7 @@ impl Scenario {
 
     /// Build the overlay, switch on what the scenario asks for, schedule
     /// its faults, attach its actors and start it.
-    pub fn start(self) -> Run {
+    pub(crate) fn start(self) -> Run {
         let mut builder = OverlayBuilder::new(self.topology.len(), self.seed)
             .with_topology(self.topology)
             .with_scheduler(self.scheduler);

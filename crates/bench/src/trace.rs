@@ -56,21 +56,6 @@ pub struct CriticalPath {
     pub other: SimDuration,
 }
 
-impl CriticalPath {
-    /// JSON view of the path: the per-hop breakdown is counted, not listed.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("trace", Json::from(self.trace_id.0)),
-            ("total_ms", Json::from(self.total.as_millis_f64())),
-            ("network_ms", Json::from(self.network.as_millis_f64())),
-            ("compute_ms", Json::from(self.compute.as_millis_f64())),
-            ("queueing_ms", Json::from(self.queueing.as_millis_f64())),
-            ("other_ms", Json::from(self.other.as_millis_f64())),
-            ("hops", Json::from(self.hops.len())),
-        ])
-    }
-}
-
 /// Aggregate critical-path statistics over all traces of a run.
 #[derive(Clone, Debug)]
 pub struct CriticalPathStats {
@@ -111,7 +96,7 @@ impl CriticalPathStats {
     }
 
     /// JSON view for the `BENCH_overlay.json` emitter.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("traces", Json::from(self.traces)),
             ("mean_ms", Json::from(self.mean.as_millis_f64())),

@@ -199,7 +199,7 @@ impl Default for EventLog {
 
 impl EventLog {
     /// New log retaining at most `max_events` records.
-    pub fn new(max_events: usize) -> EventLog {
+    pub(crate) fn new(max_events: usize) -> EventLog {
         EventLog {
             max_events,
             next_seq: 0,

@@ -257,11 +257,6 @@ impl FaultPlan {
         self
     }
 
-    /// The scripted faults, in insertion order.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// Apply the plan to a simulation (schedules all events).
     pub fn apply(&self, sim: &mut Simulation) {
         for fault in &self.faults {
@@ -406,8 +401,7 @@ mod tests {
                     SimTime::from_secs(100),
                     SimDuration::from_secs(5),
                 )
-                .faults()
-                .to_vec()
+                .faults
         };
         assert_eq!(plan(9), plan(9));
         assert_ne!(plan(9), plan(10));
@@ -423,7 +417,7 @@ mod tests {
             SimDuration::from_secs(4),
             3,
         );
-        let faults = plan.faults();
+        let faults = &plan.faults;
         assert_eq!(faults.len(), 3);
         for (k, f) in faults.iter().enumerate() {
             let expect_from = SimTime::from_secs(10 + 4 * k as u64);
@@ -504,6 +498,7 @@ mod tests {
         }
         struct Starter {
             peer: ActorId,
+            echoed_at: Option<SimTime>,
         }
         impl Actor for Starter {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -513,9 +508,10 @@ mod tests {
                 ctx.send(self.peer, ());
             }
             fn on_message(&mut self, ctx: &mut Ctx<'_>, _env: Envelope) {
-                // Echo received: freeze the clock at the arrival instant so
-                // the pending heal calls don't advance quiescence time.
-                ctx.stop();
+                self.echoed_at = Some(ctx.now());
+            }
+            fn as_any(&self) -> Option<&dyn std::any::Any> {
+                Some(self)
             }
         }
         let run = |plan: FaultPlan| {
@@ -527,11 +523,11 @@ mod tests {
             });
             let mut sim = Simulation::new(topo, 1);
             let b = sim.add_actor(SiteId(1), Box::new(Echo));
-            sim.add_actor(SiteId(0), Box::new(Starter { peer: b }));
+            let a = sim.add_actor(SiteId(0), Box::new(Starter { peer: b, echoed_at: None }));
             plan.apply(&mut sim);
             sim.start();
             sim.run_to_quiescence(100);
-            sim.now()
+            sim.actor_as::<Starter>(a).unwrap().echoed_at.expect("echo arrived")
         };
         let healthy = run(FaultPlan::new());
         assert!(healthy >= SimTime::from_millis(21) && healthy < SimTime::from_millis(22));
@@ -570,8 +566,7 @@ mod tests {
                     SimDuration::from_secs(5),
                     10.0,
                 )
-                .faults()
-                .to_vec()
+                .faults
         };
         assert_eq!(plan(9), plan(9));
         assert_ne!(plan(9), plan(10));

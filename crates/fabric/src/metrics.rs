@@ -57,7 +57,7 @@ impl Counter {
     }
 
     /// Current count.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value
     }
 }
@@ -104,7 +104,7 @@ impl Histogram {
     }
 
     /// Sum of all samples.
-    pub fn sum(&self) -> SimDuration {
+    pub(crate) fn sum(&self) -> SimDuration {
         let total: u128 = self
             .samples
             .borrow()
@@ -115,7 +115,7 @@ impl Histogram {
     }
 
     /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<SimDuration> {
+    pub(crate) fn mean(&self) -> Option<SimDuration> {
         let samples = self.samples.borrow();
         if samples.is_empty() {
             return None;
@@ -137,11 +137,6 @@ impl Histogram {
         percentile(&self.samples.borrow(), q)
     }
 
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<SimDuration> {
-        self.quantile(0.0)
-    }
-
     /// Largest sample, or `None` when empty.
     pub fn max(&self) -> Option<SimDuration> {
         self.quantile(1.0)
@@ -156,7 +151,7 @@ pub struct TimeSeries {
 
 impl TimeSeries {
     /// Append a point. Timestamps must be non-decreasing.
-    pub fn push(&mut self, t: SimTime, v: f64) {
+    pub(crate) fn push(&mut self, t: SimTime, v: f64) {
         if let Some(&(last, _)) = self.points.last() {
             assert!(t >= last, "TimeSeries::push: time went backwards");
         }
@@ -164,7 +159,7 @@ impl TimeSeries {
     }
 
     /// All recorded points in order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
+    pub(crate) fn points(&self) -> &[(SimTime, f64)] {
         &self.points
     }
 
@@ -215,13 +210,8 @@ impl Labels {
     }
 
     /// The empty label set.
-    pub fn empty() -> Labels {
+    pub(crate) fn empty() -> Labels {
         Labels::default()
-    }
-
-    /// True when no labels are present.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// Value for `key` if present.
@@ -233,13 +223,13 @@ impl Labels {
     }
 
     /// Iterate `(key, value)` pairs in sorted key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.0.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
     /// Render as `{k="v",k2="v2"}`, or `""` when empty. A value's `\`, `"`
     /// and line feed are escaped, as the text exposition format requires.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         self.render_with(&[])
     }
 
@@ -833,7 +823,7 @@ mod tests {
         assert_eq!(h.count(), 100);
         assert_eq!(h.quantile(0.5), Some(SimDuration::from_millis(50)));
         assert_eq!(h.quantile(0.99), Some(SimDuration::from_millis(99)));
-        assert_eq!(h.min(), Some(SimDuration::from_millis(1)));
+        assert_eq!(h.quantile(0.0), Some(SimDuration::from_millis(1)));
         assert_eq!(h.max(), Some(SimDuration::from_millis(100)));
         assert_eq!(h.mean(), Some(SimDuration::from_micros(50_500)));
     }
@@ -861,7 +851,7 @@ mod tests {
         h.record(SimDuration::from_millis(10));
         assert_eq!(h.quantile(1.0), Some(SimDuration::from_millis(10)));
         h.record(SimDuration::from_millis(5));
-        assert_eq!(h.min(), Some(SimDuration::from_millis(5)));
+        assert_eq!(h.quantile(0.0), Some(SimDuration::from_millis(5)));
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub struct EventPool<T> {
 
 impl<T> EventPool<T> {
     /// Pool with `cap` pre-allocated slots.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         EventPool {
             slots: Vec::with_capacity(cap),
             free: Vec::with_capacity(cap),
@@ -88,7 +88,7 @@ impl<T> EventPool<T> {
     }
 
     /// Store a payload, returning its slot index.
-    pub fn insert(&mut self, value: T) -> u32 {
+    pub(crate) fn insert(&mut self, value: T) -> u32 {
         match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slots[slot as usize].is_none(), "free slot occupied");
@@ -107,7 +107,7 @@ impl<T> EventPool<T> {
     ///
     /// # Panics
     /// Panics if the slot is vacant (double pop / bad key).
-    pub fn take(&mut self, slot: u32) -> T {
+    pub(crate) fn take(&mut self, slot: u32) -> T {
         let value = self.slots[slot as usize]
             .take()
             .expect("event pool slot already vacant");
@@ -118,7 +118,7 @@ impl<T> EventPool<T> {
     /// The payload a slot holds now, if any. A [`crate::sim::TimerToken`]
     /// outlives its event, so its slot may be vacant, re-let, or past the
     /// end of another simulation's pool.
-    pub fn get(&self, slot: u32) -> Option<&T> {
+    pub(crate) fn get(&self, slot: u32) -> Option<&T> {
         self.slots.get(slot as usize)?.as_ref()
     }
 
@@ -128,20 +128,15 @@ impl<T> EventPool<T> {
     ///
     /// # Panics
     /// Panics if the slot is vacant.
-    pub fn replace(&mut self, slot: u32, value: T) -> T {
+    pub(crate) fn replace(&mut self, slot: u32, value: T) -> T {
         self.slots[slot as usize]
             .replace(value)
             .expect("event pool slot vacant on replace")
     }
 
     /// Number of live (occupied) slots.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len() - self.free.len()
-    }
-
-    /// Whether no slot is occupied.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -206,13 +201,8 @@ impl CalendarQueue {
     }
 
     /// Total pending keys.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the queue holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Residue bucket of a due time (bucket count is a power of two).
@@ -232,7 +222,7 @@ impl CalendarQueue {
     /// walk far beyond the clock — an event injected "now" can land on
     /// an earlier day than the walk's. Rewinding to that day keeps the
     /// walk's invariant (no pending key is due before the current day).
-    pub fn push(&mut self, key: EventKey) {
+    pub(crate) fn push(&mut self, key: EventKey) {
         let at = key.at.as_nanos();
         let idx = self.bucket_of(at);
         self.buckets[idx].push(Reverse(key));
@@ -281,7 +271,7 @@ impl CalendarQueue {
     }
 
     /// Earliest key without removing it (may advance the walk).
-    pub fn peek(&mut self) -> Option<EventKey> {
+    pub(crate) fn peek(&mut self) -> Option<EventKey> {
         if self.len == 0 {
             return None;
         }
@@ -290,7 +280,7 @@ impl CalendarQueue {
     }
 
     /// Remove and return the earliest key.
-    pub fn pop(&mut self) -> Option<EventKey> {
+    pub(crate) fn pop(&mut self) -> Option<EventKey> {
         if self.len == 0 {
             return None;
         }
@@ -373,7 +363,7 @@ impl EventQueue {
     }
 
     /// Earliest key without removing it (may advance internal cursors).
-    pub fn peek(&mut self) -> Option<EventKey> {
+    pub(crate) fn peek(&mut self) -> Option<EventKey> {
         match self {
             EventQueue::Calendar(q) => q.peek(),
             EventQueue::Heap(h) => h.peek().map(|Reverse(k)| *k),
@@ -389,16 +379,11 @@ impl EventQueue {
     }
 
     /// Pending keys.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             EventQueue::Calendar(q) => q.len(),
             EventQueue::Heap(h) => h.len(),
         }
-    }
-
-    /// Whether no key is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -427,7 +412,7 @@ mod tests {
         assert_eq!(pool.replace(b, "B"), "b");
         assert_eq!(pool.take(b), "B");
         assert_eq!(pool.take(c), "c");
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
         assert_eq!(pool.slots.len(), 2, "two slots ever allocated");
     }
 
@@ -449,7 +434,7 @@ mod tests {
         q.push(key(50, 0));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|k| k.seq).collect();
         assert_eq!(order, vec![3, 0, 1, 2]);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -502,7 +487,7 @@ mod tests {
             let mut now = 0u64; // pushes are never in the past, as in the kernel
             for _ in 0..5_000 {
                 let op = rng.range(0, 100);
-                if op < 60 || cal.is_empty() {
+                if op < 60 || cal.len() == 0 {
                     // Cluster times to force plenty of exact `at` ties and
                     // occasionally fling events far beyond the window.
                     let delta = match rng.range(0, 10) {

@@ -76,11 +76,7 @@ impl SimRng {
     /// label, so `fork("network")` yields the same stream regardless of how
     /// many other forks were taken before it.
     pub fn fork(&self, label: &str) -> SimRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        let h = crate::store::fnv1a(label.as_bytes());
         SimRng::from_seed(self.seed ^ h.rotate_left(17))
     }
 
@@ -190,7 +186,7 @@ impl SimRng {
     }
 
     /// Truncated-normal-ish jitter: uniform in `[-spread, +spread]`.
-    pub fn jitter(&mut self, spread: f64) -> f64 {
+    pub(crate) fn jitter(&mut self, spread: f64) -> f64 {
         (self.unit() * 2.0 - 1.0) * spread
     }
 

@@ -5,7 +5,7 @@
 //! message passing; the kernel prices every message with the link between
 //! the two sites (latency + serialization + jitter) and refuses delivery
 //! across partitions or to crashed sites. CPU-bound work is priced through
-//! [`Ctx::compute`], which feeds the per-site run-queue/load-average model.
+//! `Ctx::compute`, which feeds the per-site run-queue/load-average model.
 //!
 //! Everything is deterministic given the master seed: the event queue is
 //! ordered by `(time, sequence-number)` and all randomness flows from
@@ -15,7 +15,7 @@
 //! owns clock, queue and RNG, each component reaches them through a
 //! context, and one handler trait receives events.
 //! - `kernel` — the state actors share (clock, event pool and queue, sites,
-//!   RNG, sinks) and the dispatch loop, [`Simulation::step`].
+//!   RNG, sinks) and the dispatch loop, `Simulation::step`.
 //! - `ctx` — [`Ctx`], an actor's view of the kernel during a callback:
 //!   messaging, timers, compute, spans, store and events.
 //! - `faults` — what the kernel does to a message or a site on a fault
@@ -30,7 +30,7 @@ use crate::events::EventLog;
 use crate::metrics::MetricsRegistry;
 use crate::queue::SchedulerKind;
 use crate::site::{SiteRuntime, LOAD_SAMPLE_INTERVAL};
-use crate::store::{SiteStore, StoreConfig};
+use crate::store::StoreConfig;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{SiteId, Topology};
 use crate::trace::{TraceContext, TraceSink};
@@ -82,11 +82,6 @@ impl Envelope {
             Err(msg) => Err(Envelope { from, msg, trace }),
         }
     }
-
-    /// Peek whether the payload is of type `T` without consuming.
-    pub fn is<T: 'static>(&self) -> bool {
-        self.msg.is::<T>()
-    }
 }
 
 /// Handle to a pending timer or compute item, usable for cancellation.
@@ -114,7 +109,7 @@ pub trait Actor {
     /// fired.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken, _tag: &str) {}
 
-    /// A CPU work item submitted with [`Ctx::compute`] or
+    /// A CPU work item submitted with `Ctx::compute` or
     /// [`Ctx::compute_then`] finished.
     fn on_compute_done(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken, _tag: &str) {}
 
@@ -278,12 +273,6 @@ impl Simulation {
         self.kernel.store_cfg = cfg;
     }
 
-    /// A site's durable store, if durability is on and the site ever wrote
-    /// to it (digest/stat inspection for harnesses and tests).
-    pub fn store(&self, site: SiteId) -> Option<&SiteStore> {
-        self.kernel.stores.get(&site)
-    }
-
     /// Run a closure against the whole simulation at time `at` (used by
     /// experiment drivers to inject load or flip configuration mid-run).
     pub fn schedule_call<F>(&mut self, at: SimTime, f: F)
@@ -307,20 +296,16 @@ impl Simulation {
         self.kernel.schedule(at, EventKind::SampleLoads { until }, None);
     }
 
-    /// Process events until the queue is drained, the horizon passes, or an
-    /// actor called [`Ctx::stop`]. Returns the number of events processed.
+    /// Process events until the queue is drained or the horizon passes.
+    /// Returns the number of events processed.
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         assert!(self.started, "call start() before running");
         let mut n = 0;
-        while !self.kernel.stopped {
-            match self.kernel.queue.peek() {
-                Some(key) if key.at <= horizon => {}
-                _ => break,
-            }
+        while self.kernel.queue.peek().is_some_and(|key| key.at <= horizon) {
             self.step();
             n += 1;
         }
-        if self.kernel.now < horizon && !self.kernel.stopped {
+        if self.kernel.now < horizon {
             self.kernel.now = horizon;
         }
         n

@@ -11,7 +11,7 @@ use crate::metrics::MetricsRegistry;
 use crate::rng::SimRng;
 use crate::store::{replay_cost, RecoveredState, SiteStore, FSYNC_COST};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{SiteId, Topology};
+use crate::topology::SiteId;
 use crate::trace::{SpanHandle, SpanKind, TraceContext};
 
 /// Actor-facing view of the kernel during a callback.
@@ -119,11 +119,11 @@ impl<'a> Ctx<'a> {
     /// actor's own site. Completion arrives via
     /// [`Actor::on_compute_done`](super::Actor::on_compute_done). Returns
     /// `None` when the site is down.
-    pub fn compute(&mut self, cost: SimDuration, tag: &'static str) -> Option<TimerToken> {
+    pub(crate) fn compute(&mut self, cost: SimDuration, tag: &'static str) -> Option<TimerToken> {
         self.submit(cost, tag, None)
     }
 
-    /// [`Ctx::compute`] whose completion event carries `payload`:
+    /// `Ctx::compute` whose completion event carries `payload`:
     /// [`Ctx::take_continuation`] hands it back inside
     /// [`Actor::on_compute_done`](super::Actor::on_compute_done), so the
     /// actor keeps no table of what each token was for. If the site crashes
@@ -140,7 +140,7 @@ impl<'a> Ctx<'a> {
     /// Inside [`Actor::on_timer`](super::Actor::on_timer) or
     /// [`Actor::on_compute_done`](super::Actor::on_compute_done): the payload
     /// the firing timer or completing item was submitted with. `None` for a
-    /// plain [`Ctx::timer_after`] or [`Ctx::compute`], when already taken,
+    /// plain [`Ctx::timer_after`] or `Ctx::compute`, when already taken,
     /// or when the payload is not a `T` (it stays put).
     pub fn take_continuation<T: Any>(&mut self) -> Option<T> {
         let payload = self.kernel.continuation.take_if(|held| held.is::<T>())?;
@@ -182,21 +182,6 @@ impl<'a> Ctx<'a> {
     /// Mutable metrics registry.
     pub fn metrics(&mut self) -> &mut MetricsRegistry {
         &mut self.kernel.metrics
-    }
-
-    /// Static spec of any site.
-    pub fn topology(&self) -> &Topology {
-        &self.kernel.topology
-    }
-
-    /// Liveness of any site.
-    pub fn site_is_up(&self, site: SiteId) -> bool {
-        self.kernel.sites[site.index()].is_up()
-    }
-
-    /// Ask the kernel to stop after the current event.
-    pub fn stop(&mut self) {
-        self.kernel.stopped = true;
     }
 
     /// Whether tracing is enabled on this simulation.

@@ -114,7 +114,6 @@ pub(super) struct Kernel {
     pub(super) metrics: MetricsRegistry,
     /// Loss, partitions and gray degradation currently in force.
     pub(super) faults: Faults,
-    pub(super) stopped: bool,
     pub(super) trace: Option<Box<TraceState>>,
     pub(super) events: Option<EventLog>,
     pub(super) store_cfg: StoreConfig,
@@ -153,7 +152,6 @@ impl Kernel {
             rng: SimRng::from_seed(seed).fork("kernel"),
             metrics: MetricsRegistry::new(),
             faults: Faults::default(),
-            stopped: false,
             trace: None,
             events: None,
             store_cfg: StoreConfig::disabled(),
@@ -270,7 +268,7 @@ impl Simulation {
     /// `dispatch` the actor's callback; and account, at the end of
     /// `with_actor`, where the kernel forgets the event's continuation and
     /// ambient context.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         let Some((slot, kind, tctx)) = self.kernel.pop() else {
             return false;
         };

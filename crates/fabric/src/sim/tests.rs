@@ -17,12 +17,17 @@ impl Simulation {
         self.kernel.live_timers
     }
 
-    /// Drain the queue completely (or until stop), with an event-count
-    /// safety valve.
+    /// A site's durable store, if durability is on and the site ever wrote
+    /// to it.
+    pub(crate) fn store(&self, site: SiteId) -> Option<&crate::store::SiteStore> {
+        self.kernel.stores.get(&site)
+    }
+
+    /// Drain the queue completely, with an event-count safety valve.
     pub(crate) fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         assert!(self.started, "call start() before running");
         let mut n = 0;
-        while !self.kernel.stopped && !self.kernel.queue.is_empty() {
+        while self.kernel.queue.len() > 0 {
             self.step();
             n += 1;
             assert!(
@@ -261,8 +266,6 @@ fn envelope_downcast_and_is() {
         msg: Box::new(Tick),
         trace: None,
     };
-    assert!(env.is::<Tick>());
-    assert!(!env.is::<String>());
     let (from, _tick) = env.downcast::<Tick>().ok().unwrap();
     assert_eq!(from, ActorId(3));
     // Wrong-type downcast returns the envelope intact.
@@ -273,7 +276,7 @@ fn envelope_downcast_and_is() {
     };
     let env = env.downcast::<String>().unwrap_err();
     assert_eq!(env.from, ActorId(4));
-    assert!(env.is::<Tick>());
+    assert!(env.downcast::<Tick>().is_ok());
 }
 
 #[test]
@@ -328,33 +331,6 @@ fn run_to_quiescence_catches_livelock() {
     sim.add_actor(SiteId(0), Box::new(Forever));
     sim.start();
     sim.run_to_quiescence(100);
-}
-
-#[test]
-fn stop_halts_the_run() {
-    struct Stopper {
-        count: u32,
-    }
-    impl Actor for Stopper {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.timer_after(SimDuration::from_millis(1), "t");
-        }
-        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerToken, _tag: &str) {
-            self.count += 1;
-            if self.count >= 3 {
-                ctx.stop();
-            } else {
-                ctx.timer_after(SimDuration::from_millis(1), "t");
-            }
-        }
-    }
-    let mut sim = Simulation::new(Topology::uniform(1), 1);
-    sim.add_actor(SiteId(0), Box::new(Stopper { count: 0 }));
-    sim.start();
-    let n = sim.run_until(SimTime::from_secs(10));
-    assert_eq!(n, 3, "stopped after three timer events");
-    assert!(sim.now() < SimTime::from_secs(1));
 }
 
 #[test]
@@ -454,7 +430,7 @@ fn tracing_chains_network_and_compute_spans() {
         "queued compute chains under its wait"
     );
     assert_eq!(
-        queue[0].duration(),
+        queue[0].end.saturating_since(queue[0].start),
         SimDuration::from_millis(10),
         "waited exactly one 10ms slot"
     );

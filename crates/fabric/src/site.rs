@@ -2,7 +2,7 @@
 //! 1-minute load average the paper reports in Fig. 13.
 //!
 //! CPU-bound work (request handling, notification fan-out, compilation) is
-//! priced in reference-CPU time and submitted with [`SiteRuntime::submit`].
+//! priced in reference-CPU time and submitted with `SiteRuntime::submit`.
 //! The runtime keeps one virtual run queue per site: each of the site's
 //! cores is busy until some instant, new work starts on the earliest-free
 //! core, and the number of unfinished work items is the run-queue length.
@@ -20,7 +20,7 @@ pub(crate) const LOAD_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(5);
 const LOAD_DECAY_1M: f64 = 0.920_044_414_629_323_1;
 
 /// The crash epoch a [`WorkTicket`] was issued in: all of a ticket that
-/// [`SiteRuntime::complete`] reads, and only a ticket yields one.
+/// `SiteRuntime::complete` reads, and only a ticket yields one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TicketEpoch(u64);
 
@@ -56,7 +56,7 @@ pub struct SiteRuntime {
 
 impl SiteRuntime {
     /// Fresh runtime for a site described by `spec`.
-    pub fn new(spec: &SiteSpec) -> Self {
+    pub(crate) fn new(spec: &SiteSpec) -> Self {
         assert!(spec.cores > 0, "site {:?} must have at least one core", spec.name);
         assert!(
             spec.speed_factor > 0.0,
@@ -77,11 +77,6 @@ impl SiteRuntime {
     /// Whether the site is currently up.
     pub fn is_up(&self) -> bool {
         self.up
-    }
-
-    /// Current crash epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Current 1-minute load average.
@@ -107,7 +102,7 @@ impl SiteRuntime {
     /// Returns when it will complete, or `None` when the site is down.
     /// The caller must later call [`SiteRuntime::complete`] with the
     /// returned ticket's epoch at that instant.
-    pub fn submit(&mut self, now: SimTime, cost: SimDuration) -> Option<WorkTicket> {
+    pub(crate) fn submit(&mut self, now: SimTime, cost: SimDuration) -> Option<WorkTicket> {
         if !self.up {
             return None;
         }
@@ -133,7 +128,7 @@ impl SiteRuntime {
     /// Mark a previously submitted work item finished, given its ticket's
     /// `epoch`. Returns `false` (and changes nothing) when that is a
     /// pre-crash epoch.
-    pub fn complete(&mut self, epoch: TicketEpoch) -> bool {
+    pub(crate) fn complete(&mut self, epoch: TicketEpoch) -> bool {
         if epoch.0 != self.epoch {
             return false;
         }
@@ -144,7 +139,7 @@ impl SiteRuntime {
 
     /// Crash the site: all in-flight work is lost and outstanding tickets
     /// are invalidated via the epoch bump.
-    pub fn crash(&mut self, now: SimTime) {
+    pub(crate) fn crash(&mut self, now: SimTime) {
         self.up = false;
         self.epoch += 1;
         self.run_queue = 0;
@@ -154,7 +149,7 @@ impl SiteRuntime {
     }
 
     /// Bring the site back up after a crash.
-    pub fn restart(&mut self) {
+    pub(crate) fn restart(&mut self) {
         self.up = true;
     }
 

@@ -19,6 +19,7 @@ use crate::time::SimDuration;
 
 /// FNV-1a 64-bit hash — the journal's record checksum and the digest
 /// primitive. Stable across runs and platforms (no `RandomState`).
+#[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_feed(FNV1A_OFFSET, bytes)
 }
@@ -29,7 +30,8 @@ const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Continue an FNV-1a hash from state `h` over `bytes`. FNV-1a is
 /// byte-serial, so feeding the pieces of a message in order hashes what
 /// their concatenation would, without building it.
-fn fnv1a_feed(h: u64, bytes: &[u8]) -> u64 {
+#[inline]
+pub(crate) fn fnv1a_feed(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
@@ -134,7 +136,7 @@ pub fn replay_cost(replayed: u64, had_snapshot: bool) -> SimDuration {
 pub const COMPACT_EVERY: usize = 64;
 
 /// Whether sites have durable stores. The default is
-/// [`StoreConfig::disabled`]: no stores exist, `store_*` kernel calls are
+/// `StoreConfig::disabled`: no stores exist, `store_*` kernel calls are
 /// no-ops, and same-seed runs stay event-identical to builds that predate
 /// the layer (the same observe-only contract as `RetryPolicy::disabled`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,7 +147,7 @@ pub struct StoreConfig {
 
 impl StoreConfig {
     /// Durability off: the whole layer is inert.
-    pub fn disabled() -> StoreConfig {
+    pub(crate) fn disabled() -> StoreConfig {
         StoreConfig { enabled: false }
     }
 
@@ -279,6 +281,14 @@ impl SiteStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_its_pinned_values() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        let pieces: [&[u8]; 3] = [b"site", &7u64.to_le_bytes(), &[0x1f]];
+        assert_eq!(pieces.into_iter().fold(fnv1a(b""), fnv1a_feed), 0x2929_84d1_dac4_1b22);
+        assert_eq!(fnv1a(&pieces.concat()), 0x2929_84d1_dac4_1b22);
+    }
 
     #[test]
     fn append_recover_roundtrip() {

@@ -34,11 +34,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> sync::MutexGuard<'_, T> {
         recover(self.0.lock())
     }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        recover(self.0.get_mut())
-    }
 }
 
 /// A reader-writer lock whose `read()`/`write()` return guards directly.

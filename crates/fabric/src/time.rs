@@ -24,8 +24,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
-    /// The maximum representable instant.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -79,18 +77,11 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// Maximum representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from raw nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {

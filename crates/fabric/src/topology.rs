@@ -8,6 +8,7 @@
 
 use std::collections::HashSet;
 
+use crate::store::{fnv1a, fnv1a_feed};
 use crate::time::SimDuration;
 
 /// Identifier of a simulated Grid site (dense index into the topology).
@@ -16,7 +17,7 @@ pub struct SiteId(pub u32);
 
 impl SiteId {
     /// Index form for vector addressing.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -94,18 +95,13 @@ impl SiteSpec {
     /// GLARE RDM services residing on different sites" — we use FNV-1a,
     /// which every site computes identically.
     pub fn rank_hashcode(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(&self.cpu_mhz.to_le_bytes());
-        eat(&self.memory_mb.to_le_bytes());
-        eat(&self.uptime_secs.to_le_bytes());
-        eat(self.name.as_bytes());
-        h
+        let pieces: [&[u8]; 4] = [
+            &self.cpu_mhz.to_le_bytes(),
+            &self.memory_mb.to_le_bytes(),
+            &self.uptime_secs.to_le_bytes(),
+            self.name.as_bytes(),
+        ];
+        pieces.into_iter().fold(fnv1a(b""), fnv1a_feed)
     }
 }
 
@@ -219,7 +215,7 @@ impl Topology {
     }
 
     /// The effective link between two sites; loopback when `a == b`.
-    pub fn link(&self, a: SiteId, b: SiteId) -> LinkSpec {
+    pub(crate) fn link(&self, a: SiteId, b: SiteId) -> LinkSpec {
         if a == b {
             LinkSpec::loopback()
         } else {

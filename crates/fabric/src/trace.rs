@@ -119,14 +119,6 @@ pub struct SpanRecord {
     pub attrs: Vec<(&'static str, Cow<'static, str>)>,
 }
 
-impl SpanRecord {
-    /// Span duration (saturating; open spans report zero-or-more up to
-    /// their provisional end).
-    pub fn duration(&self) -> crate::time::SimDuration {
-        self.end.saturating_since(self.start)
-    }
-}
-
 /// A count as a span attribute value: borrowed for 0–15, the counts spans
 /// carry nearly always (concrete types, peers, keys, installs, prompts),
 /// owned above.
@@ -157,7 +149,7 @@ impl SpanHandle {
     }
 
     /// The underlying context, `None` when inert.
-    pub fn context(self) -> Option<TraceContext> {
+    pub(crate) fn context(self) -> Option<TraceContext> {
         self.0
     }
 }
@@ -347,14 +339,6 @@ impl TraceSink {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Sorted, deduplicated list of trace ids with at least one stored span.
-    pub fn trace_ids(&self) -> Vec<TraceId> {
-        let mut ids: Vec<TraceId> = self.closed.iter().map(|r| r.trace_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
 }
 
 #[cfg(test)]
@@ -383,7 +367,7 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "net", "close order preserved");
         assert_eq!(spans[0].attrs, vec![("bytes", "512".into())]);
-        assert_eq!(spans[1].duration(), crate::time::SimDuration::from_millis(5));
+        assert_eq!(spans[1].end.saturating_since(spans[1].start), crate::time::SimDuration::from_millis(5));
     }
 
     #[test]
@@ -407,7 +391,6 @@ mod tests {
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.spans()[0].name, "a");
         assert_eq!(sink.spans()[1].end, t(9));
-        assert_eq!(sink.trace_ids(), vec![TraceId(0)]);
     }
 
     #[test]

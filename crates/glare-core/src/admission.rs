@@ -139,7 +139,7 @@ impl Default for AdmissionConfig {
 /// Outcome of one admission check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionDecision {
-    /// Admitted; the ticket id must be [released](AdmissionController::release)
+    /// Admitted; the ticket id must be released (`AdmissionController::release`)
     /// when the request's reply goes out.
     Admit {
         /// The inbox ticket backing this admission (numbered from 1, so a
@@ -153,21 +153,6 @@ pub enum AdmissionDecision {
         /// Server-suggested minimum wait before retrying.
         retry_after: SimDuration,
     },
-}
-
-/// Per-class admitted/shed tallies, read by the bench harness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Requests admitted, by [`TenantClass::index`].
-    pub admitted: [u64; 3],
-    /// Requests shed, by [`TenantClass::index`].
-    pub shed: [u64; 3],
-    /// Highest concurrent occupancy observed.
-    pub peak_occupancy: u32,
-    /// Tickets reclaimed by the TTL backstop instead of a reply release —
-    /// each one is a request that died holding an inbox slot (crashed
-    /// site, lost reply). Distinguishes leaks from normal drainage.
-    pub ttl_released: u64,
 }
 
 /// The bounded-inbox controller of one site.
@@ -190,7 +175,6 @@ pub struct AdmissionController {
     inbox: VecDeque<(NonZeroU64, SimTime)>,
     /// The id the next admission is granted under.
     next_ticket: NonZeroU64,
-    stats: AdmissionStats,
     /// TTL releases observed since the last [`AdmissionController::take_ttl_released`]
     /// drain — the node turns these into metrics/events.
     pending_ttl: u64,
@@ -198,24 +182,18 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// Controller for `cfg` (inert while `cfg.enabled` is false).
-    pub fn new(cfg: AdmissionConfig) -> AdmissionController {
+    pub(crate) fn new(cfg: AdmissionConfig) -> AdmissionController {
         AdmissionController {
             cfg,
             inbox: VecDeque::new(),
             next_ticket: NonZeroU64::MIN,
-            stats: AdmissionStats::default(),
             pending_ttl: 0,
         }
     }
 
     /// Whether the controller participates in the request path at all.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.cfg.enabled
-    }
-
-    /// The controller's configuration.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
     }
 
     /// Live admitted-request count at `now` (expired tickets swept). `now`
@@ -223,16 +201,14 @@ impl AdmissionController {
     ///
     /// Tickets the sweep reclaims were *not* released by a reply — they
     /// leaked (request died on a crashed site, reply lost). The count is
-    /// tallied in [`AdmissionStats::ttl_released`] and queued for
-    /// `take_ttl_released` so the node can surface
-    /// the leak in metrics instead of it draining invisibly.
-    pub fn occupancy(&mut self, now: SimTime) -> u32 {
+    /// queued for `take_ttl_released` so the node can surface the leak in
+    /// metrics instead of it draining invisibly.
+    pub(crate) fn occupancy(&mut self, now: SimTime) -> u32 {
         // A ticket's interval is `[granted, expiry)`: one expiring at `now`
         // no longer covers it.
         let expired = self.inbox.partition_point(|&(_, expiry)| expiry <= now);
         if expired > 0 {
             self.inbox.drain(..expired);
-            self.stats.ttl_released += expired as u64;
             self.pending_ttl += expired as u64;
         }
         self.inbox.len() as u32
@@ -242,15 +218,13 @@ impl AdmissionController {
     ///
     /// Draws no randomness: the `RetryAfter` hint is a pure function of
     /// the overshoot, so same-seed runs stay byte-identical.
-    pub fn decide(&mut self, class: TenantClass, now: SimTime) -> AdmissionDecision {
+    pub(crate) fn decide(&mut self, class: TenantClass, now: SimTime) -> AdmissionDecision {
         debug_assert!(self.cfg.enabled, "decide() on a disabled controller");
         let occupancy = self.occupancy(now);
-        self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupancy);
         // Every class limit is at most the capacity, so a request under its
         // limit always finds a free slot.
         let limit = self.cfg.class_limit(class);
         if occupancy >= limit {
-            self.stats.shed[class.index()] += 1;
             return AdmissionDecision::Shed {
                 retry_after: retry_after(occupancy, limit),
             };
@@ -258,22 +232,15 @@ impl AdmissionController {
         let ticket = self.next_ticket;
         self.next_ticket = ticket.checked_add(1).expect("ticket ids outlast any run");
         self.inbox.push_back((ticket, now + TICKET_TTL));
-        self.stats.admitted[class.index()] += 1;
-        self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupancy + 1);
         AdmissionDecision::Admit { ticket }
     }
 
     /// Release an admitted request's ticket (its reply went out). A ticket
     /// already released or swept is a no-op.
-    pub fn release(&mut self, ticket: NonZeroU64) {
+    pub(crate) fn release(&mut self, ticket: NonZeroU64) {
         if let Ok(i) = self.inbox.binary_search_by_key(&ticket, |&(id, _)| id) {
             self.inbox.remove(i);
         }
-    }
-
-    /// Cumulative per-class tallies.
-    pub fn stats(&self) -> AdmissionStats {
-        self.stats
     }
 
     /// Drain the TTL releases observed since the last call. The node
@@ -308,7 +275,6 @@ mod tests {
     struct LedgerController {
         cfg: AdmissionConfig,
         leases: LeaseManager,
-        stats: AdmissionStats,
         pending_ttl: u64,
     }
 
@@ -321,7 +287,6 @@ mod tests {
             LedgerController {
                 cfg,
                 leases,
-                stats: AdmissionStats::default(),
                 pending_ttl: 0,
             }
         }
@@ -329,7 +294,6 @@ mod tests {
         fn occupancy(&mut self, now: SimTime) -> u32 {
             let swept = self.leases.sweep_expired(now);
             if swept > 0 {
-                self.stats.ttl_released += swept as u64;
                 self.pending_ttl += swept as u64;
             }
             self.leases.active_leases(INBOX_KEY, now).len() as u32
@@ -337,24 +301,14 @@ mod tests {
 
         fn decide(&mut self, class: TenantClass, now: SimTime) -> Result<u64, SimDuration> {
             let occupancy = self.occupancy(now);
-            self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupancy);
             let limit = self.cfg.class_limit(class);
             if occupancy >= limit {
-                self.stats.shed[class.index()] += 1;
                 return Err(retry_after(occupancy, limit));
             }
             let until = now + TICKET_TTL;
             match self.leases.acquire(INBOX_KEY, class.label(), LeaseKind::Shared, now, until) {
-                Ok(ticket) => {
-                    let ticket = ticket.id;
-                    self.stats.admitted[class.index()] += 1;
-                    self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupancy + 1);
-                    Ok(ticket)
-                }
-                Err(_) => {
-                    self.stats.shed[class.index()] += 1;
-                    Err(retry_after(occupancy, limit))
-                }
+                Ok(ticket) => Ok(ticket.id),
+                Err(_) => Err(retry_after(occupancy, limit)),
             }
         }
 
@@ -363,7 +317,7 @@ mod tests {
         }
     }
 
-    /// Seeded property: the FIFO inbox decides, hints, counts and sweeps
+    /// Seeded property: the FIFO inbox decides, hints and sweeps
     /// exactly as the lease ledger did, under random admissions of every
     /// class, releases of live, already released and TTL-swept tickets, and
     /// time steps, many of them onto a ticket's exact expiry instant.
@@ -416,7 +370,6 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(fifo.stats(), ledger.stats, "{at}");
             }
         }
         assert!(on_an_expiry > 1_000, "only {on_an_expiry} steps landed on an expiry");
@@ -462,10 +415,7 @@ mod tests {
             c.decide(TenantClass::Gold, t(0)),
             AdmissionDecision::Shed { .. }
         ));
-        let s = c.stats();
-        assert_eq!(s.admitted, [1, 1, 2]);
-        assert_eq!(s.shed, [1, 1, 1]);
-        assert_eq!(s.peak_occupancy, 4);
+        assert_eq!(c.occupancy(t(0)), 4);
     }
 
     #[test]
@@ -497,7 +447,6 @@ mod tests {
         // TICKET_TTL is 2 s: the un-released ticket drains on its own.
         assert_eq!(c.occupancy(t(3)), 0);
         // The leak is visible, and the pending count drains exactly once.
-        assert_eq!(c.stats().ttl_released, 1);
         assert_eq!(c.take_ttl_released(), 1);
         assert_eq!(c.take_ttl_released(), 0);
     }
@@ -511,8 +460,7 @@ mod tests {
         };
         c.release(ticket);
         assert_eq!(c.occupancy(t(10)), 0);
-        assert_eq!(c.stats().ttl_released, 0, "reply release mistaken for a leak");
-        assert_eq!(c.take_ttl_released(), 0);
+        assert_eq!(c.take_ttl_released(), 0, "reply release mistaken for a leak");
     }
 
     #[test]
@@ -534,7 +482,7 @@ mod tests {
     #[test]
     fn decisions_are_pure_no_rng() {
         // Two controllers fed the same sequence produce the same
-        // decisions and stats — there is no hidden entropy.
+        // decisions and occupancy — there is no hidden entropy.
         let run = || {
             let mut c = AdmissionController::new(AdmissionConfig::bounded(3));
             let mut out = Vec::new();
@@ -542,7 +490,7 @@ mod tests {
                 let class = TenantClass::ALL[(i % 3) as usize];
                 out.push(c.decide(class, SimTime::from_millis(i * 10)));
             }
-            (out, c.stats())
+            (out, c.occupancy(SimTime::from_millis(160)))
         };
         assert_eq!(run(), run());
     }

@@ -20,7 +20,7 @@ use glare_fabric::sync::RwLock;
 use glare_fabric::{SimDuration, SimTime};
 use glare_services::mds::REQUEST_BASE_COST;
 use glare_services::Transport;
-use glare_wsrf::{EndpointReference, ResourceHome, XmlNode};
+use glare_wsrf::{EndpointReference, ResourceHome};
 
 use crate::atr::{ActivityTypeRegistry, TypedResponse};
 use crate::error::GlareError;
@@ -142,7 +142,7 @@ impl ActivityDeploymentRegistry {
     /// Count of live deployments of a type (for provider limits): the
     /// entries [`ActivityDeploymentRegistry::deployments_of`] would list,
     /// counted in place under the index read lock.
-    pub fn count_of(&self, type_name: &str, now: SimTime) -> usize {
+    pub(crate) fn count_of(&self, type_name: &str, now: SimTime) -> usize {
         let by_type = self.by_type.read();
         let usable = |k: &String| self.home.with_resource(k, now, |r| r.payload.is_usable());
         by_type
@@ -211,7 +211,7 @@ impl ActivityDeploymentRegistry {
     }
 
     /// Remove a deployment permanently (e.g. after migration).
-    pub fn remove(&self, key: &str) -> Result<ActivityDeployment, GlareError> {
+    pub(crate) fn remove(&self, key: &str) -> Result<ActivityDeployment, GlareError> {
         let r = self.home.destroy(key)?;
         if let Some(keys) = self.by_type.write().get_mut(&r.payload.type_name) {
             keys.remove(key);
@@ -233,7 +233,7 @@ impl ActivityDeploymentRegistry {
     }
 
     /// All tombstones, sorted by key.
-    pub fn tombstones(&self) -> Vec<(String, SimTime)> {
+    pub(crate) fn tombstones(&self) -> Vec<(String, SimTime)> {
         self.tombstones
             .read()
             .iter()
@@ -266,7 +266,7 @@ impl ActivityDeploymentRegistry {
     }
 
     /// Sweep expired deployments, returning their keys.
-    pub fn sweep_expired(&self, now: SimTime) -> Vec<String> {
+    pub(crate) fn sweep_expired(&self, now: SimTime) -> Vec<String> {
         let dead = self.home.sweep_expired(now);
         if !dead.is_empty() {
             let mut by_type = self.by_type.write();
@@ -290,11 +290,6 @@ impl ActivityDeploymentRegistry {
     /// Keys of all live deployments.
     pub fn keys(&self, now: SimTime) -> Vec<String> {
         self.home.live_keys(now)
-    }
-
-    /// Aggregate document of all live deployments.
-    pub fn aggregate(&self, now: SimTime) -> XmlNode {
-        self.home.aggregate_document(now)
     }
 }
 

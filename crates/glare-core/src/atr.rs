@@ -139,15 +139,10 @@ impl ActivityTypeRegistry {
     }
 
     /// Resolve a (possibly abstract) type to the deployable concrete types
-    /// at or below it, skipping expired and revoked entries.
-    pub fn resolve_concrete(&self, name: &str, now: SimTime) -> TypedResponse<Vec<ActivityType>> {
-        self.resolve_concrete_with(name, now, ActivityType::clone)
-    }
-
-    /// The walk behind [`ActivityTypeRegistry::resolve_concrete`], keeping
-    /// what `project` takes from each type found instead of a copy of it
-    /// (the discovery ladder keeps only names).
-    pub(crate) fn resolve_concrete_with<R>(
+    /// at or below it, skipping expired and revoked entries, keeping what
+    /// `project` takes from each type found (the discovery ladder keeps
+    /// only names).
+    pub(crate) fn resolve_concrete<R>(
         &self,
         name: &str,
         now: SimTime,
@@ -271,13 +266,8 @@ impl ActivityTypeRegistry {
         self.home.len_live(now)
     }
 
-    /// Whether the registry is empty.
-    pub fn is_empty(&self, now: SimTime) -> bool {
-        self.len(now) == 0
-    }
-
     /// Names of all live types.
-    pub fn names(&self, now: SimTime) -> Vec<String> {
+    pub(crate) fn names(&self, now: SimTime) -> Vec<String> {
         self.home.live_keys(now)
     }
 
@@ -289,11 +279,6 @@ impl ActivityTypeRegistry {
     /// Run `f` against the hierarchy index under its read lock.
     pub(crate) fn with_hierarchy<R>(&self, f: impl FnOnce(&TypeHierarchy) -> R) -> R {
         f(&self.hierarchy.read())
-    }
-
-    /// The full aggregate document (what super-peers exchange).
-    pub fn aggregate(&self, now: SimTime) -> XmlNode {
-        self.home.aggregate_document(now)
     }
 }
 
@@ -379,15 +364,15 @@ mod tests {
     fn resolve_concrete_skips_revoked_and_expired() {
         let r = loaded();
         assert_eq!(
-            r.resolve_concrete("Imaging", t(1)).value[0].name,
+            r.resolve_concrete("Imaging", t(1), ActivityType::clone).value[0].name,
             "JPOVray"
         );
         r.update("JPOVray", t(1), |t| t.revoked = true).unwrap();
-        assert!(r.resolve_concrete("Imaging", t(2)).value.is_empty());
+        assert!(r.resolve_concrete("Imaging", t(2), ActivityType::clone).value.is_empty());
         r.update("JPOVray", t(2), |t| t.revoked = false).unwrap();
         r.set_expiry("JPOVray", Some(t(10)), t(2)).unwrap();
-        assert_eq!(r.resolve_concrete("Imaging", t(9)).value.len(), 1);
-        assert!(r.resolve_concrete("Imaging", t(11)).value.is_empty());
+        assert_eq!(r.resolve_concrete("Imaging", t(9), ActivityType::clone).value.len(), 1);
+        assert!(r.resolve_concrete("Imaging", t(11), ActivityType::clone).value.is_empty());
     }
 
     #[test]
@@ -420,7 +405,7 @@ mod tests {
         dead.sort();
         assert_eq!(dead, vec!["Invmod", "Wien2k"]);
         assert!(!r.contains("Wien2k", t(6)));
-        assert!(r.resolve_concrete("Wien2k", t(6)).value.is_empty());
+        assert!(r.resolve_concrete("Wien2k", t(6), ActivityType::clone).value.is_empty());
     }
 
     #[test]
@@ -453,7 +438,7 @@ mod tests {
             t.base_types.push("Imaging".into());
         })
         .unwrap();
-        let resolved = r.resolve_concrete("Imaging", t(2)).value;
+        let resolved = r.resolve_concrete("Imaging", t(2), ActivityType::clone).value;
         let names: Vec<&str> = resolved.iter().map(|t| t.name.as_str()).collect();
         assert!(names.contains(&"Wien2k"));
         assert!(names.contains(&"JPOVray"));
@@ -476,7 +461,7 @@ mod tests {
         assert!(!r.with_hierarchy(|h| h.has_cycle_from("A")));
         assert!(!r.with_hierarchy(|h| h.has_cycle_from("B")));
         assert_eq!(*r.lookup("B", t(3)).unwrap().value, *before, "payload unchanged");
-        assert!(r.resolve_concrete("A", t(3)).value.is_empty());
+        assert!(r.resolve_concrete("A", t(3), ActivityType::clone).value.is_empty());
         // A legal edit still lands, and a reader keeps the version it held.
         r.update("B", t(4), |b| b.domain = "e".into()).unwrap();
         assert_eq!(r.lookup("B", t(5)).unwrap().value.domain, "e");

@@ -43,7 +43,7 @@
 //!
 //! # Observe-only when disabled
 //!
-//! With [`AutonomicConfig::disabled`] (the default), [`PlacementController::tick`]
+//! With `AutonomicConfig::disabled` (the default), [`PlacementController::tick`]
 //! returns immediately: no RNG draws, no metrics, no events, no registry
 //! reads — a same-seed run with a disabled controller is byte-identical
 //! to one where the controller was never constructed.
@@ -68,9 +68,8 @@ pub const DEMAND_FAMILY: &str = "glare_activity_demand_hz";
 pub const LOAD_FAMILY: &str = "glare_site_load1m";
 
 /// Replica floor; re-provisioning restores up to this after crashes.
-/// Fixed, like the three constants below: the flash-crowd scenario and
-/// [`AutonomicConfig::standard`] agree on them, and a disabled controller
-/// returns before reading any.
+/// Fixed, like the three constants below: every flash-crowd configuration
+/// agrees on them, and a disabled controller returns before reading any.
 pub const MIN_REPLICAS: u32 = 1;
 
 /// Per-type quiet period after any action (also the exclusive
@@ -107,23 +106,12 @@ pub struct AutonomicConfig {
 impl AutonomicConfig {
     /// Controller off: ticks are no-ops and the run is event-identical to
     /// one without the controller.
-    pub fn disabled() -> AutonomicConfig {
+    pub(crate) fn disabled() -> AutonomicConfig {
         AutonomicConfig {
             enabled: false,
             hot_per_replica_hz: f64::INFINITY,
             cold_per_replica_hz: 0.0,
             max_replicas: u32::MAX,
-        }
-    }
-
-    /// Defaults tuned for a flash crowd: react within a couple of ticks,
-    /// spread a hot type over at most four sites.
-    pub fn standard() -> AutonomicConfig {
-        AutonomicConfig {
-            enabled: true,
-            hot_per_replica_hz: 40.0,
-            cold_per_replica_hz: 5.0,
-            max_replicas: 4,
         }
     }
 }
@@ -325,11 +313,6 @@ impl PlacementController {
             rng: SimRng::from_seed(seed).fork(name),
             cooldown_until: BTreeMap::new(),
         }
-    }
-
-    /// The controller's configuration.
-    pub fn config(&self) -> &AutonomicConfig {
-        &self.cfg
     }
 
     /// The controller's identity.
@@ -639,6 +622,17 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// Tuned for a flash crowd: react within a couple of ticks, spread a
+    /// hot type over at most four sites.
+    fn standard() -> AutonomicConfig {
+        AutonomicConfig {
+            enabled: true,
+            hot_per_replica_hz: 40.0,
+            cold_per_replica_hz: 5.0,
+            max_replicas: 4,
+        }
+    }
+
     fn snap(
         at: SimTime,
         sites: &[(usize, bool, f64)],
@@ -678,7 +672,7 @@ mod tests {
 
     #[test]
     fn hot_type_earns_a_replica_on_the_coolest_site() {
-        let mut c = controller(AutonomicConfig::standard());
+        let mut c = controller(standard());
         let s = snap(
             t(10),
             &[(0, true, 0.9), (1, true, 0.6), (2, true, 0.2)],
@@ -692,7 +686,7 @@ mod tests {
 
     #[test]
     fn provision_respects_the_target_load_ceiling() {
-        let mut c = controller(AutonomicConfig::standard());
+        let mut c = controller(standard());
         // Every candidate is hotter than MAX_TARGET_LOAD: no action
         // (healing must not create the next hot-spot).
         let s = snap(
@@ -707,7 +701,7 @@ mod tests {
     fn max_replicas_caps_growth() {
         let mut c = controller(AutonomicConfig {
             max_replicas: 2,
-            ..AutonomicConfig::standard()
+            ..standard()
         });
         let s = snap(
             t(10),
@@ -719,7 +713,7 @@ mod tests {
 
     #[test]
     fn cold_type_retires_down_to_the_floor() {
-        let mut c = controller(AutonomicConfig::standard());
+        let mut c = controller(standard());
         let s = snap(
             t(10),
             &[(0, true, 0.7), (1, true, 0.1)],
@@ -736,7 +730,7 @@ mod tests {
 
     #[test]
     fn lost_replica_is_reprovisioned_before_anything_else() {
-        let mut c = controller(AutonomicConfig::standard());
+        let mut c = controller(standard());
         // Three types want an action; the round's budget is two.
         let s = snap(
             t(10),
@@ -753,7 +747,7 @@ mod tests {
 
     #[test]
     fn cooldown_damps_repeat_actions() {
-        let mut c = controller(AutonomicConfig::standard());
+        let mut c = controller(standard());
         let hot = |at| {
             snap(
                 at,
@@ -768,7 +762,7 @@ mod tests {
 
     #[test]
     fn replica_floor_overrides_the_cooldown() {
-        let mut c = controller(AutonomicConfig::standard());
+        let mut c = controller(standard());
         // A retire at t=10 puts "Churn" on cooldown...
         let s = snap(
             t(10),
@@ -786,7 +780,7 @@ mod tests {
 
     #[test]
     fn reset_wipes_hysteresis_state() {
-        let mut c = controller(AutonomicConfig::standard());
+        let mut c = controller(standard());
         let hot = |at| {
             snap(
                 at,
@@ -804,7 +798,7 @@ mod tests {
     #[test]
     fn one_round_never_stacks_two_new_replicas_on_one_site() {
         // The round's budget has room for both hot types.
-        let mut c = controller(AutonomicConfig::standard());
+        let mut c = controller(standard());
         let s = snap(
             t(10),
             &[(0, true, 0.9), (1, true, 0.9), (2, true, 0.0)],
@@ -839,7 +833,7 @@ mod tests {
             .gauge(DEMAND_FAMILY, &Labels::of(&[("activity", "Hot")]))
             .set(t(5), 500.0);
 
-        let cfg = AutonomicConfig::standard();
+        let cfg = standard();
         let mut a = PlacementController::new("ctl-a", 0, 7, cfg, ChannelKind::Expect);
         let mut b = PlacementController::new("ctl-b", 1, 7, cfg, ChannelKind::Expect);
         // Both super-peers react to the SAME snapshot of the same
@@ -869,7 +863,7 @@ mod tests {
                 "ctl",
                 0,
                 seed,
-                AutonomicConfig::standard(),
+                standard(),
                 ChannelKind::Expect,
             );
             // All-equal loads force the RNG tie-break.

@@ -59,7 +59,7 @@ pub struct RegistryCache {
 impl RegistryCache {
     /// New cache whose entries are discarded `max_age` after caching
     /// unless refreshed.
-    pub fn new(max_age: SimDuration) -> Self {
+    pub(crate) fn new(max_age: SimDuration) -> Self {
         assert!(max_age > SimDuration::ZERO, "max_age must be positive");
         RegistryCache {
             max_age,
@@ -108,7 +108,7 @@ impl RegistryCache {
 
     /// All non-aged cached deployments of a type (deterministic key
     /// order), shared with the cache.
-    pub fn deployments_of(
+    pub(crate) fn deployments_of(
         &mut self,
         type_name: &str,
         now: SimTime,
@@ -253,19 +253,14 @@ impl RegistryCache {
     }
 
     /// Hit ratio in `[0,1]`; `None` before any access.
-    pub fn hit_ratio(&self) -> Option<f64> {
+    pub(crate) fn hit_ratio(&self) -> Option<f64> {
         let total = self.hits + self.misses;
         (total > 0).then(|| self.hits as f64 / total as f64)
     }
 
     /// Number of cached deployments.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.deployments.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -298,7 +293,7 @@ mod tests {
         assert!(c.deployments_of("JPOVray", t(60)).is_empty(), "aged out");
         assert_eq!((c.hits(), c.misses(), c.hit_ratio()), (1, 1, Some(0.5)));
         assert_eq!(c.discard_outdated(t(60)), 1);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -372,7 +367,7 @@ mod tests {
     fn revive_ignores_unknown_keys() {
         let mut c = cache();
         c.revive_deployment(jpov(), epr(1), t(1));
-        assert!(c.is_empty(), "revive must not insert");
+        assert_eq!(c.len(), 0, "revive must not insert");
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub struct DeployStep {
 
 impl DeployStep {
     /// First property value by name.
-    pub fn property(&self, name: &str) -> Option<&str> {
+    pub(crate) fn property(&self, name: &str) -> Option<&str> {
         self.properties
             .iter()
             .find(|(k, _)| k == name)
@@ -251,7 +251,7 @@ impl DeployFile {
     }
 
     /// Steps in dependency order (stable within ties).
-    pub fn topological_order(&self) -> Result<Vec<&DeployStep>, GlareError> {
+    pub(crate) fn topological_order(&self) -> Result<Vec<&DeployStep>, GlareError> {
         let by_name: HashMap<&str, &DeployStep> =
             self.steps.iter().map(|s| (s.name.as_str(), s)).collect();
         let mut order = Vec::new();
@@ -577,7 +577,7 @@ impl PackagePlan {
     /// The shared plan of `spec` with archive digest `archive_md5`, built
     /// by the first install that asks for it. A repository pinning another
     /// digest (or none) gets its own entry.
-    pub fn shared(
+    pub(crate) fn shared(
         spec: &'static PackageSpec,
         archive_md5: Option<Md5Digest>,
     ) -> Result<Arc<PackagePlan>, GlareError> {

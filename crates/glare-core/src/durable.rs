@@ -5,8 +5,8 @@
 //! defines the encoding. The format is a flat netstring-style token
 //! stream (`len:bytes` per token), which is:
 //!
-//! * **full fidelity** — unlike [`ActivityType::from_xml`], every field
-//!   round-trips (benchmarks, limits, provider contact, revocation flag),
+//! * **full fidelity** — every field round-trips (benchmarks, limits,
+//!   provider contact, revocation flag),
 //! * **deterministic** — no hash-map iteration order leaks in; identical
 //!   values encode to identical bytes, which is what makes the
 //!   crash-replay byte-identity gate in `scripts/verify.sh` meaningful,
@@ -363,7 +363,7 @@ pub(crate) const KIND_LEASE_RELEASE: &str = "lease.release";
 
 impl RegistryMutation {
     /// The journal record kind for this mutation.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             RegistryMutation::AtrRegister(_) => KIND_ATR_REGISTER,
             RegistryMutation::AtrRemove(_) => KIND_ATR_REMOVE,
@@ -376,7 +376,7 @@ impl RegistryMutation {
     }
 
     /// The journal record payload for this mutation.
-    pub fn payload(&self) -> String {
+    pub(crate) fn payload(&self) -> String {
         let mut e = Enc::default();
         match self {
             RegistryMutation::AtrRegister(t) => t.put(&mut e),
@@ -418,7 +418,7 @@ impl RegistryMutation {
     /// unconditionally — if the entry never made it back (a torn
     /// register) the tombstone is kept regardless — and a later replayed
     /// register legitimately supersedes it.
-    pub fn apply(
+    pub(crate) fn apply(
         self,
         atr: &ActivityTypeRegistry,
         adr: &ActivityDeploymentRegistry,
@@ -514,7 +514,7 @@ impl SnapshotState {
     /// types before the deployments checked against them, tombstones
     /// before the deployments that may supersede them, lease tickets into
     /// the lease table if the substrate keeps one.
-    pub fn restore(
+    pub(crate) fn restore(
         self,
         atr: &ActivityTypeRegistry,
         adr: &ActivityDeploymentRegistry,
@@ -539,7 +539,7 @@ impl SnapshotState {
 /// Rebuild a site's registries from what its store recovered after a
 /// crash: the snapshot first, then the journal *in record order*, skipping
 /// records that do not decode. Returns whether a snapshot was loaded.
-pub fn replay(
+pub(crate) fn replay(
     recovered: &RecoveredState,
     atr: &ActivityTypeRegistry,
     adr: &ActivityDeploymentRegistry,

@@ -53,7 +53,7 @@ pub struct GridSite {
 
 impl GridSite {
     /// Fresh site with empty registries.
-    pub fn new(name: impl Into<String>, platform: Platform, transport: Transport) -> GridSite {
+    pub(crate) fn new(name: impl Into<String>, platform: Platform, transport: Transport) -> GridSite {
         let name = name.into();
         GridSite {
             host: SiteHost::new(&name, platform),
@@ -111,7 +111,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Injector that never loses anything (the default).
-    pub fn inert() -> FaultInjector {
+    pub(crate) fn inert() -> FaultInjector {
         FaultInjector {
             loss: 0.0,
             rng: SimRng::from_seed(0),
@@ -136,12 +136,12 @@ impl FaultInjector {
     }
 
     /// Mark a site down.
-    pub fn crash(&mut self, site: usize) {
+    pub(crate) fn crash(&mut self, site: usize) {
         self.down.insert(site);
     }
 
     /// Mark a site back up.
-    pub fn restart(&mut self, site: usize) {
+    pub(crate) fn restart(&mut self, site: usize) {
         self.down.remove(&site);
     }
 
@@ -332,17 +332,17 @@ impl Grid {
 
     /// Add `n` to `site`'s counter in `family`: keyed `{site}`, or
     /// `{site, key}` when the record carries a `second` label.
-    pub fn count(&mut self, site: usize, family: &str, second: Option<(&str, &str)>, n: u64) {
+    pub(crate) fn count(&mut self, site: usize, family: &str, second: Option<(&str, &str)>, n: u64) {
         let labels = labels_of(&self.site_labels[site], second);
         self.metrics.counter_labeled(family, &labels).add(n);
     }
 
     /// Record `d` into `site`'s histogram in the `{site}`-keyed `family`.
-    pub fn observe(&mut self, site: usize, family: &str, d: SimDuration) {
+    pub(crate) fn observe(&mut self, site: usize, family: &str, d: SimDuration) {
         self.metrics.histogram_labeled(family, &self.site_labels[site]).record(d);
     }
 
-    /// Set `site`'s gauge in `family` (keyed as [`Grid::count`] keys a
+    /// Set `site`'s gauge in `family` (keyed as `Grid::count` keys a
     /// counter) to `v` at `now`.
     pub fn set_gauge(
         &mut self,
@@ -364,7 +364,7 @@ impl Grid {
 
     /// Log a `kind` event of `component` at `site`: the record names the
     /// site and carries its shared `site` name ahead of `fields`.
-    pub fn emit<V: Into<FieldValue>>(
+    pub(crate) fn emit<V: Into<FieldValue>>(
         &mut self,
         site: usize,
         now: SimTime,
@@ -550,7 +550,7 @@ impl Grid {
     /// Resolve a possibly-abstract type name to deployable concrete types,
     /// searching the whole VO (the §2.2 "iterative lookup"), and keep what
     /// `project` takes from each: a copy of it, or only its name.
-    pub fn resolve_concrete<R>(
+    pub(crate) fn resolve_concrete<R>(
         &mut self,
         from_site: usize,
         name: &str,
@@ -567,7 +567,7 @@ impl Grid {
             if hop > 0 {
                 cost += rtt;
             }
-            let resp = self.sites[i].atr.resolve_concrete_with(name, now, &concrete);
+            let resp = self.sites[i].atr.resolve_concrete(name, now, &concrete);
             cost += resp.cost;
             let out: Vec<R> = resp.value.into_iter().flatten().collect();
             if !out.is_empty() {
@@ -1150,7 +1150,7 @@ mod tests {
     /// across three sites, both projections of the one walk — whole types,
     /// names — find what the cloning walk found, at its cost, and each
     /// counts one lookup on every site it visited; so does the registry's
-    /// own walk under `resolve_concrete` and `resolve_concrete_with`.
+    /// own walk under both projections.
     #[test]
     fn both_projections_of_the_walk_equal_the_cloning_walk_after_random_edits() {
         const NAMES: u64 = 8;
@@ -1207,8 +1207,8 @@ mod tests {
                 }
 
                 let atr = &g.site(from_site).atr;
-                let whole = atr.resolve_concrete(&probe, now);
-                let named = atr.resolve_concrete_with(&probe, now, |t| t.name.clone());
+                let whole = atr.resolve_concrete(&probe, now, ActivityType::clone);
+                let named = atr.resolve_concrete(&probe, now, |t| t.name.clone());
                 assert_eq!(whole.value.iter().map(|t| &t.name).collect::<Vec<_>>(), named.value.iter().collect::<Vec<_>>());
                 assert_eq!(whole.cost, named.cost);
                 assert_eq!(atr.lookups_served() - after_names[from_site], 2);
@@ -1306,7 +1306,7 @@ mod tests {
 
         g.crash_site(0, t(10));
         // Amnesia: volatile state really is gone between crash and restart.
-        assert!(g.site(0).atr.is_empty(t(11)), "ATR wiped by the crash");
+        assert_eq!(g.site(0).atr.len(t(11)), 0, "ATR wiped by the crash");
         assert!(g.site(0).adr.is_empty(t(11)), "ADR wiped by the crash");
         assert!(g.site(0).leases.is_empty(), "lease table wiped by the crash");
         assert_eq!(g.events.of_kind("site.amnesia").count(), 1);

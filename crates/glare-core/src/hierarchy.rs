@@ -52,7 +52,7 @@ impl TypeHierarchy {
     }
 
     /// Remove a type's edges.
-    pub fn remove(&mut self, name: &str) {
+    pub(crate) fn remove(&mut self, name: &str) {
         self.closures.get_mut().clear();
         if let Some((_, bases)) = self.parents.remove(name) {
             for base in bases {
@@ -64,11 +64,6 @@ impl TypeHierarchy {
                 }
             }
         }
-    }
-
-    /// Whether the hierarchy knows this type.
-    pub fn contains(&self, name: &str) -> bool {
-        self.parents.contains_key(name)
     }
 
     /// All *concrete* types at or below `name` (the §2.2 "iterative
@@ -116,7 +111,7 @@ impl TypeHierarchy {
     }
 
     /// All ancestors (transitive base types) of `name`, deduplicated.
-    pub fn ancestors(&self, name: &str) -> Vec<String> {
+    pub(crate) fn ancestors(&self, name: &str) -> Vec<String> {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
         let mut queue: VecDeque<String> = self
@@ -247,7 +242,7 @@ mod tests {
         let mut h = fig2();
         h.remove("JPOVray");
         assert!(h.resolve_concrete("Imaging").is_empty());
-        assert!(!h.contains("JPOVray"));
+        assert!(!h.parents.contains_key("JPOVray"));
         // Reinsert works.
         for t in example_hierarchy(SimTime::ZERO) {
             if t.name == "JPOVray" {

@@ -44,7 +44,7 @@ pub struct LeaseTicket {
 
 impl LeaseTicket {
     /// Whether the ticket covers instant `at`.
-    pub fn covers(&self, at: SimTime) -> bool {
+    pub(crate) fn covers(&self, at: SimTime) -> bool {
         self.from <= at && at < self.until
     }
 

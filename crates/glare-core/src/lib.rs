@@ -27,7 +27,7 @@ pub mod superpeer;
 pub mod suspicion;
 
 pub use admission::{
-    AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats, TenantClass,
+    AdmissionConfig, AdmissionController, AdmissionDecision, TenantClass,
 };
 pub use adr::ActivityDeploymentRegistry;
 pub use atr::{ActivityTypeRegistry, TypedResponse};

@@ -185,7 +185,7 @@ impl ActivityType {
     }
 
     /// Builder: add a base type.
-    pub fn extends(mut self, base: &str) -> Self {
+    pub(crate) fn extends(mut self, base: &str) -> Self {
         self.base_types.push(base.to_owned());
         self
     }
@@ -285,72 +285,6 @@ impl ActivityType {
         }
         node
     }
-
-    /// Parse back from the XML emitted by [`ActivityType::to_xml`].
-    pub fn from_xml(node: &XmlNode) -> Option<ActivityType> {
-        if node.name != "ActivityTypeEntry" {
-            return None;
-        }
-        let name = node.attribute("name")?.to_owned();
-        let kind = match node.attribute("kind")? {
-            "abstract" => TypeKind::Abstract,
-            "concrete" => TypeKind::Concrete,
-            _ => return None,
-        };
-        let domain = node.attribute("domain").unwrap_or("").to_owned();
-        let split_list = |s: Option<&str>| -> Vec<String> {
-            s.map(|v| {
-                v.split(',')
-                    .filter(|x| !x.is_empty())
-                    .map(str::to_owned)
-                    .collect()
-            })
-            .unwrap_or_default()
-        };
-        let base_types = split_list(node.child_text_of("Type"));
-        let dependencies = split_list(node.child_text_of("Dependency"));
-        let functions = node
-            .children_named("Function")
-            .map(|f| ActivityFunction {
-                name: f.attribute("name").unwrap_or("").to_owned(),
-                inputs: split_list(f.child_text_of("Inputs")),
-                outputs: split_list(f.child_text_of("Outputs")),
-            })
-            .collect();
-        let installation = node.first_child("Installation").and_then(|i| {
-            let mode = match i.attribute("mode").unwrap_or("on-demand") {
-                "manual" => InstallMode::Manual,
-                _ => InstallMode::OnDemand,
-            };
-            let c = i.first_child("Constraints");
-            let constraints = InstallConstraints {
-                platform: c.and_then(|c| c.child_text_of("platform")).map(str::to_owned),
-                os: c.and_then(|c| c.child_text_of("os")).map(str::to_owned),
-                arch: c.and_then(|c| c.child_text_of("arch")).map(str::to_owned),
-            };
-            let df = i.first_child("DeployFile")?;
-            Some(InstallationSpec {
-                mode,
-                constraints,
-                deploy_file_url: df.attribute("url")?.to_owned(),
-                deploy_file_md5: df.attribute("md5sum").map(str::to_owned),
-                package: i.child_text_of("Package")?.to_owned(),
-            })
-        });
-        Some(ActivityType {
-            name,
-            kind,
-            base_types,
-            domain,
-            functions,
-            benchmarks: Vec::new(),
-            dependencies,
-            installation,
-            limits: DeploymentLimits::default(),
-            provider_contact: String::new(),
-            revoked: false,
-        })
-    }
 }
 
 impl ResourceProperties for ActivityType {
@@ -421,70 +355,6 @@ mod tests {
         };
         assert!(os_only.accepts(&Platform::new("AMD", "Linux", "64bit")));
         assert!(!os_only.accepts(&Platform::new("AMD", "AIX", "64bit")));
-    }
-
-    #[test]
-    fn xml_round_trip_concrete() {
-        let mut t = ActivityType::concrete_type("JPOVray", "imaging", "jpovray")
-            .extends("POVray")
-            .depends_on("Java")
-            .depends_on("Ant")
-            .with_function("render", &["scene:pov"], &["image:png"])
-            .with_constraints(InstallConstraints::intel_linux_32());
-        t.installation.as_mut().unwrap().deploy_file_md5 =
-            Some("d41d8cd98f00b204e9800998ecf8427e".into());
-        let xml = t.to_xml();
-        let back = ActivityType::from_xml(&xml).unwrap();
-        assert_eq!(back.name, t.name);
-        assert_eq!(back.kind, t.kind);
-        assert_eq!(back.base_types, t.base_types);
-        assert_eq!(back.dependencies, t.dependencies);
-        assert_eq!(back.functions, t.functions);
-        assert_eq!(back.installation, t.installation);
-    }
-
-    #[test]
-    fn xml_round_trip_abstract() {
-        let t = ActivityType::abstract_type("Imaging", "imaging")
-            .with_function("render", &["scene"], &["image"]);
-        let back = ActivityType::from_xml(&t.to_xml()).unwrap();
-        assert_eq!(back.kind, TypeKind::Abstract);
-        assert!(back.installation.is_none());
-        assert_eq!(back.functions.len(), 1);
-    }
-
-    #[test]
-    fn from_xml_rejects_foreign_elements() {
-        assert!(ActivityType::from_xml(&XmlNode::new("Other")).is_none());
-        let unnamed = XmlNode::new("ActivityTypeEntry");
-        assert!(ActivityType::from_xml(&unnamed).is_none());
-    }
-
-    #[test]
-    fn fig9_like_document_parses() {
-        let xml = r#"
-          <ActivityTypeEntry name="POVray" kind="concrete" domain="imaging">
-            <Type>Imaging</Type>
-            <Dependency>Java,Ant</Dependency>
-            <Installation mode="on-demand">
-              <Constraints>
-                <platform>Intel</platform>
-                <os>Linux</os>
-                <arch>32bit</arch>
-              </Constraints>
-              <DeployFile url="http://dps.uibk.ac.at/~mumtaz/deployfiles/povray.build"
-                          md5sum="d41d8cd98f00b204e9800998ecf8427e"/>
-              <Package>povray</Package>
-            </Installation>
-          </ActivityTypeEntry>"#;
-        let node = glare_wsrf::parse_xml(xml).unwrap();
-        let t = ActivityType::from_xml(&node).unwrap();
-        assert_eq!(t.name, "POVray");
-        assert_eq!(t.dependencies, vec!["Java", "Ant"]);
-        let inst = t.installation.unwrap();
-        assert_eq!(inst.mode, InstallMode::OnDemand);
-        assert!(inst.constraints.accepts(&Platform::intel_linux_32()));
-        assert_eq!(inst.deploy_file_md5.as_deref(), Some("d41d8cd98f00b204e9800998ecf8427e"));
     }
 
     #[test]

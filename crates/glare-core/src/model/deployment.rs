@@ -100,7 +100,7 @@ impl ActivityDeployment {
     }
 
     /// New service deployment.
-    pub fn service(type_name: &str, site: &str, service: &str, address: &str) -> ActivityDeployment {
+    pub(crate) fn service(type_name: &str, site: &str, service: &str, address: &str) -> ActivityDeployment {
         ActivityDeployment {
             key: format!("{service}@{site}"),
             type_name: type_name.to_owned(),
@@ -125,7 +125,7 @@ impl ActivityDeployment {
     }
 
     /// Record a completed invocation.
-    pub fn record_invocation(&mut self, at: SimTime, runtime: SimDuration, return_code: i32) {
+    pub(crate) fn record_invocation(&mut self, at: SimTime, runtime: SimDuration, return_code: i32) {
         self.metrics.last_invocation = Some(at);
         self.metrics.last_execution_time = Some(runtime);
         self.metrics.last_return_code = Some(return_code);

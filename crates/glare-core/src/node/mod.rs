@@ -179,12 +179,12 @@ impl GlareNode {
     }
 
     /// The node's current super-peer (itself when it is one).
-    pub fn super_peer(&self) -> Option<ActorId> {
+    pub(crate) fn super_peer(&self) -> Option<ActorId> {
         self.view.super_peer
     }
 
     /// The node's group (empty before the first election).
-    pub fn group(&self) -> &[ActorId] {
+    pub(crate) fn group(&self) -> &[ActorId] {
         &self.view.group
     }
 

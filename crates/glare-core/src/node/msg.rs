@@ -228,7 +228,7 @@ pub struct NodeConfig {
     /// Recovery policy for probes that time out with *silent* peers: the
     /// stage backs off (decorrelated jitter) and re-asks only the peers
     /// that never answered, feeding per-peer circuit breakers. Defaults
-    /// to [`RetryPolicy::disabled`], under which a deadline miss concludes
+    /// to `RetryPolicy::disabled`, under which a deadline miss concludes
     /// the stage immediately — byte-for-byte the legacy behaviour.
     pub retry: RetryPolicy,
     /// Backpressure at the front door: a bounded, lease-accounted inbox

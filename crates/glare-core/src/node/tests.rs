@@ -275,11 +275,10 @@ fn a_crash_voids_the_continuations_in_flight_with_and_without_the_store() {
         // the crash and its TTL sweep reclaims the slot when request 5
         // arrives; with it the amnesia rebuilt the inbox empty. Either way
         // request 5 was admitted and gave its ticket back with its reply.
-        let stats = node.door.stats();
-        let best_effort = TenantClass::BestEffort.index();
-        assert_eq!(stats.ttl_released, u64::from(!store), "store {store}");
-        assert_eq!(stats.admitted[best_effort], if store { 1 } else { 2 }, "store {store}");
-        assert_eq!(stats.shed, [0; 3], "store {store}");
+        let total = |family| sim.metrics().labeled_counters_of(family).map(|(_, n)| n).sum::<u64>();
+        assert_eq!(total("glare_inbox_ttl_released_total"), u64::from(!store), "store {store}");
+        assert_eq!(total("glare_admission_admitted_total"), 2, "store {store}");
+        assert_eq!(total("glare_admission_shed_total"), 0, "store {store}");
         assert_eq!(node.door.clone().occupancy(sim.now()), 0, "store {store}");
     }
 }

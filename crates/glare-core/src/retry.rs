@@ -54,7 +54,7 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// Legacy single-attempt behaviour: the call runs exactly once and
     /// failures surface immediately. Draws no randomness, ever.
-    pub fn disabled() -> RetryPolicy {
+    pub(crate) fn disabled() -> RetryPolicy {
         RetryPolicy { max_attempts: 1 }
     }
 
@@ -133,17 +133,6 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-impl BreakerState {
-    /// Stable lowercase label for metrics/events.
-    pub fn label(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        }
-    }
-}
-
 /// Consecutive-failure circuit breaker for one remote site.
 #[derive(Clone, Debug)]
 pub struct CircuitBreaker {
@@ -157,7 +146,7 @@ pub struct CircuitBreaker {
 impl CircuitBreaker {
     /// New closed breaker: opens after `threshold` consecutive failures
     /// and allows a half-open probe `cooldown` after opening.
-    pub fn new(threshold: u32, cooldown: SimDuration) -> CircuitBreaker {
+    pub(crate) fn new(threshold: u32, cooldown: SimDuration) -> CircuitBreaker {
         assert!(threshold > 0, "breaker threshold must be positive");
         CircuitBreaker {
             threshold,
@@ -170,26 +159,15 @@ impl CircuitBreaker {
 
     /// Defaults matching [`RetryPolicy::standard`]: open after 3 straight
     /// failures, probe again after 30 s.
-    pub fn standard() -> CircuitBreaker {
+    pub(crate) fn standard() -> CircuitBreaker {
         CircuitBreaker::new(3, SimDuration::from_secs(30))
-    }
-
-    /// Current state (lazily advancing Open → HalfOpen once the cooldown
-    /// has elapsed at `now`).
-    pub fn state(&self, now: SimTime) -> BreakerState {
-        match self.state {
-            BreakerState::Open if now.saturating_since(self.opened_at) >= self.cooldown => {
-                BreakerState::HalfOpen
-            }
-            s => s,
-        }
     }
 
     /// Whether a call may be issued at `now`. Advances Open → HalfOpen
     /// when the cooldown has elapsed. A `now` before the opening instant
     /// (a caller whose own clock lags the charged retry time) counts as
     /// zero elapsed cooldown, not an error.
-    pub fn allow(&mut self, now: SimTime) -> bool {
+    pub(crate) fn allow(&mut self, now: SimTime) -> bool {
         if self.state == BreakerState::Open
             && now.saturating_since(self.opened_at) >= self.cooldown
         {
@@ -233,7 +211,7 @@ pub struct BreakerBank<K: Ord + Copy> {
 
 impl<K: Ord + Copy> BreakerBank<K> {
     /// A bank whose members are cloned from `template` on first use.
-    pub fn new(template: CircuitBreaker) -> BreakerBank<K> {
+    pub(crate) fn new(template: CircuitBreaker) -> BreakerBank<K> {
         BreakerBank {
             template,
             breakers: BTreeMap::new(),
@@ -241,21 +219,11 @@ impl<K: Ord + Copy> BreakerBank<K> {
     }
 
     /// The breaker for `key`, created on first access.
-    pub fn breaker(&mut self, key: K) -> &mut CircuitBreaker {
+    pub(crate) fn breaker(&mut self, key: K) -> &mut CircuitBreaker {
         let template = &self.template;
         self.breakers
             .entry(key)
             .or_insert_with(|| template.clone())
-    }
-
-    /// Read-only view of a breaker, if it has ever been touched.
-    pub fn get(&self, key: K) -> Option<&CircuitBreaker> {
-        self.breakers.get(&key)
-    }
-
-    /// All touched breakers, key order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, &CircuitBreaker)> {
-        self.breakers.iter().map(|(k, b)| (*k, b))
     }
 }
 
@@ -374,12 +342,12 @@ mod tests {
         assert!(!b.record_failure(t(0)));
         assert!(!b.record_failure(t(1)));
         assert!(b.record_failure(t(2)), "third strike opens");
-        assert_eq!(b.state(t(2)), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
         assert!(!b.allow(t(5)), "short-circuits while cooling down");
         assert!(b.allow(t(12)), "half-open probe after cooldown");
-        assert_eq!(b.state(t(12)), BreakerState::HalfOpen);
+        assert_eq!(b.state, BreakerState::HalfOpen);
         b.record_success();
-        assert_eq!(b.state(t(12)), BreakerState::Closed);
+        assert_eq!(b.state, BreakerState::Closed);
         assert_eq!(b.consecutive_failures, 0);
     }
 
@@ -398,10 +366,10 @@ mod tests {
         let mut bank: BreakerBank<u32> = BreakerBank::new(CircuitBreaker::new(1, SimDuration::from_secs(5)));
         bank.breaker(9).record_failure(t(0));
         bank.breaker(3).record_success();
-        assert_eq!(bank.get(9).unwrap().state(t(0)), BreakerState::Open);
-        assert_eq!(bank.get(3).unwrap().state(t(0)), BreakerState::Closed);
-        assert!(bank.get(7).is_none());
-        let keys: Vec<u32> = bank.iter().map(|(k, _)| k).collect();
+        assert_eq!(bank.breakers[&9].state, BreakerState::Open);
+        assert_eq!(bank.breakers[&3].state, BreakerState::Closed);
+        assert!(!bank.breakers.contains_key(&7));
+        let keys: Vec<u32> = bank.breakers.keys().copied().collect();
         assert_eq!(keys, vec![3, 9]);
     }
 }

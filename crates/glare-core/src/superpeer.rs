@@ -118,7 +118,7 @@ pub struct TreePlan {
 impl TreePlan {
     /// Number of grouping tiers actually realized (1 = flat two-level
     /// overlay — today's paper protocol).
-    pub fn tiers(&self) -> u8 {
+    pub(crate) fn tiers(&self) -> u8 {
         self.levels.len() as u8
     }
 
@@ -177,7 +177,7 @@ pub struct MajorityTally {
 
 impl MajorityTally {
     /// New tally over `voters` eligible voters.
-    pub fn new(voters: usize) -> Self {
+    pub(crate) fn new(voters: usize) -> Self {
         MajorityTally {
             voters,
             agreed: HashSet::new(),
@@ -186,7 +186,7 @@ impl MajorityTally {
 
     /// Record an agreement. Returns `true` once (and as long as) a simple
     /// majority has agreed.
-    pub fn agree(&mut self, from: ActorId) -> bool {
+    pub(crate) fn agree(&mut self, from: ActorId) -> bool {
         self.agreed.insert(from);
         self.has_majority()
     }
@@ -194,11 +194,6 @@ impl MajorityTally {
     /// Whether a simple majority (> half) has agreed.
     pub(crate) fn has_majority(&self) -> bool {
         self.agreed.len() * 2 > self.voters
-    }
-
-    /// Number of agreements so far.
-    pub fn count(&self) -> usize {
-        self.agreed.len()
     }
 }
 
@@ -309,7 +304,7 @@ mod tests {
         assert!(!t.agree(ActorId(0)));
         assert!(!t.agree(ActorId(1)));
         assert!(t.agree(ActorId(2)), "3 of 5 is a simple majority");
-        assert_eq!(t.count(), 3);
+        assert_eq!(t.agreed.len(), 3);
         // Duplicate votes don't double-count.
         let mut t = MajorityTally::new(4);
         t.agree(ActorId(0));

@@ -122,7 +122,7 @@ impl PeerEstimator {
     /// Fold one observation in. The first sample seeds the mean; later
     /// samples update mean and variance with the standard EWMA
     /// recurrences (`West 1979` form, so variance stays non-negative).
-    pub fn observe(&mut self, sample: SimDuration) {
+    pub(crate) fn observe(&mut self, sample: SimDuration) {
         let x = sample.as_millis_f64();
         if self.samples == 0 {
             self.mean_ms = x;
@@ -133,16 +133,6 @@ impl PeerEstimator {
             self.var_ms2 = (1.0 - ALPHA) * (self.var_ms2 + ALPHA * delta * delta);
         }
         self.samples += 1;
-    }
-
-    /// Observations folded in so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Learned mean of the observable, in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        self.mean_ms
     }
 
     /// Learned standard deviation, floored so a near-constant observable
@@ -160,7 +150,7 @@ impl PeerEstimator {
     /// `elapsed`: zero while inside the expected window
     /// (`MARGIN × mean`), then the number of floored standard deviations
     /// past it. Monotone in `elapsed`, so silence only ever accrues.
-    pub fn suspicion(&self, elapsed: SimDuration) -> f64 {
+    pub(crate) fn suspicion(&self, elapsed: SimDuration) -> f64 {
         let expected = MARGIN * self.mean_ms;
         let excess = elapsed.as_millis_f64() - expected;
         if excess <= 0.0 {
@@ -197,27 +187,17 @@ impl<K: Ord + Copy> SuspicionTracker<K> {
 
     /// Whether the estimator is live (observations recorded, thresholds
     /// adapted).
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.cfg.enabled
-    }
-
-    /// The tracker's knobs.
-    pub fn config(&self) -> &SuspicionConfig {
-        &self.cfg
     }
 
     /// Record one observation for `key`. No-op when disabled, so the
     /// disabled tracker holds no state at all.
-    pub fn observe(&mut self, key: K, sample: SimDuration) {
+    pub(crate) fn observe(&mut self, key: K, sample: SimDuration) {
         if !self.cfg.enabled {
             return;
         }
         self.peers.entry(key).or_default().observe(sample);
-    }
-
-    /// The estimator for `key`, warm or not.
-    pub fn estimator(&self, key: K) -> Option<&PeerEstimator> {
-        self.peers.get(&key)
     }
 
     /// Whether `key`'s estimator has enough samples to be trusted.
@@ -229,7 +209,7 @@ impl<K: Ord + Copy> SuspicionTracker<K> {
     /// Suspicion level of `key` whose observable currently stands at
     /// `elapsed`. Zero when disabled or cold — a cold estimator has no
     /// distribution to be suspicious against.
-    pub fn suspicion(&self, key: K, elapsed: SimDuration) -> f64 {
+    pub(crate) fn suspicion(&self, key: K, elapsed: SimDuration) -> f64 {
         if !self.is_warm(key) {
             return 0.0;
         }
@@ -281,18 +261,8 @@ impl<K: Ord + Copy> SuspicionTracker<K> {
 
     /// Drop `key`'s history (the peer crashed or left the overlay; its
     /// next incarnation starts cold).
-    pub fn forget(&mut self, key: K) {
+    pub(crate) fn forget(&mut self, key: K) {
         self.peers.remove(&key);
-    }
-
-    /// Drop all history (the local site crashed — volatile state dies).
-    pub fn clear(&mut self) {
-        self.peers.clear();
-    }
-
-    /// All tracked peers with their estimators, key order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, &PeerEstimator)> {
-        self.peers.iter().map(|(k, e)| (*k, e))
     }
 }
 
@@ -368,7 +338,7 @@ mod tests {
         for _ in 0..100 {
             off.observe(7, ms(20));
         }
-        assert_eq!(off.estimator(7), None, "disabled tracker records nothing");
+        assert!(off.peers.is_empty(), "disabled tracker records nothing");
         assert_eq!(off.silence_threshold(7, ms(100), ms(16_000)), ms(16_000));
         assert_eq!(off.attempt_budget(7, ms(500)), ms(500));
     }
@@ -398,14 +368,10 @@ mod tests {
     }
 
     #[test]
-    fn forget_and_clear_reset_to_cold() {
+    fn forget_resets_to_cold() {
         let mut t = warm_tracker(20, ms(20));
         assert!(t.is_warm(7));
         t.forget(7);
         assert!(!t.is_warm(7));
-        t.observe(7, ms(20));
-        t.observe(9, ms(20));
-        t.clear();
-        assert_eq!(t.iter().count(), 0);
     }
 }

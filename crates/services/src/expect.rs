@@ -7,7 +7,7 @@
 //! the form of send/expect patterns" (§3.4).
 //!
 //! An [`ExpectScript`] is an ordered list of `expect → send` rules. The
-//! engine runs a command through [`SiteHost::exec`]; whenever the command
+//! engine runs a command through `SiteHost::exec`; whenever the command
 //! blocks on a prompt, the engine finds the first unconsumed rule whose
 //! pattern is contained in the prompt text and sends its answer. No match
 //! (or an exhausted script) aborts the installation — exactly the failure

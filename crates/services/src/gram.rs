@@ -47,8 +47,6 @@ pub struct JobSpec {
 pub struct GramJob {
     /// Job id, unique per manager.
     pub id: u64,
-    /// The request.
-    pub spec: JobSpec,
     /// Current state.
     pub state: JobState,
 }
@@ -91,7 +89,7 @@ impl GramService {
 
     /// Validate and accept a job. Returns the job id and the submission
     /// overhead the client pays before the job is even pending.
-    pub fn submit(
+    pub(crate) fn submit(
         &mut self,
         host: &SiteHost,
         spec: JobSpec,
@@ -105,13 +103,12 @@ impl GramService {
         self.next_id += 1;
         self.jobs.push(GramJob {
             id,
-            spec,
             state: JobState::Pending,
         });
         Ok((id, SUBMIT_OVERHEAD))
     }
 
-    /// Like [`GramService::submit`], but records the submission round-trip
+    /// Like `GramService::submit`, but records the submission round-trip
     /// as a `gram.submit` service span into `trace`, laid out over
     /// `[at, at + overhead]` and parented under `parent`. Rejected
     /// submissions record nothing.
@@ -148,25 +145,12 @@ impl GramService {
         self.transition(id, JobState::Active, JobState::Done)
     }
 
-    /// Full job record.
-    pub fn job(&self, id: u64) -> Result<&GramJob, GramError> {
-        self.jobs
-            .iter()
-            .find(|j| j.id == id)
-            .ok_or(GramError::NoSuchJob(id))
-    }
-
     /// Observed completion latency for a job whose true runtime is
     /// `actual`: submission overhead plus runtime rounded up to the poll
     /// grid.
     pub fn observed_latency(actual: SimDuration) -> SimDuration {
         let polls = actual.as_nanos().div_ceil(POLL_INTERVAL.as_nanos()).max(1);
         SUBMIT_OVERHEAD + POLL_INTERVAL * polls
-    }
-
-    /// All jobs (for tests/monitoring).
-    pub fn jobs(&self) -> &[GramJob] {
-        &self.jobs
     }
 
     fn job_mut(&mut self, id: u64) -> Result<&mut GramJob, GramError> {
@@ -225,11 +209,11 @@ mod tests {
         let mut g = GramService::new();
         let (id, overhead) = g.submit(&h, spec(&p)).unwrap();
         assert_eq!(overhead, SUBMIT_OVERHEAD);
-        assert_eq!(g.job(id).unwrap().state, JobState::Pending);
+        assert_eq!(g.job_mut(id).unwrap().state, JobState::Pending);
         g.mark_active(id).unwrap();
-        assert_eq!(g.job(id).unwrap().state, JobState::Active);
+        assert_eq!(g.job_mut(id).unwrap().state, JobState::Active);
         g.mark_done(id).unwrap();
-        assert_eq!(g.job(id).unwrap().state, JobState::Done);
+        assert_eq!(g.job_mut(id).unwrap().state, JobState::Done);
     }
 
     #[test]
@@ -245,7 +229,7 @@ mod tests {
             g.submit(&h, spec(&p)),
             Err(GramError::NotExecutable(_))
         ));
-        assert!(matches!(g.job(99), Err(GramError::NoSuchJob(99))));
+        assert_eq!(g.mark_active(99), Err(GramError::NoSuchJob(99)));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct Artifact {
 
 impl Artifact {
     /// MD5 of the content.
-    pub fn digest(&self) -> Md5Digest {
+    pub(crate) fn digest(&self) -> Md5Digest {
         Md5Digest::of(&self.content)
     }
 }
@@ -58,7 +58,7 @@ impl Repository {
     }
 
     /// Host an artifact at a URL.
-    pub fn publish(&mut self, url: impl Into<String>, artifact: Artifact) {
+    pub(crate) fn publish(&mut self, url: impl Into<String>, artifact: Artifact) {
         let digest = artifact.digest();
         Arc::make_mut(&mut self.artifacts).insert(url.into(), (artifact, digest));
     }
@@ -92,7 +92,7 @@ impl Repository {
     }
 
     /// Look up an artifact.
-    pub fn get(&self, url: &str) -> Option<&Artifact> {
+    pub(crate) fn get(&self, url: &str) -> Option<&Artifact> {
         self.artifacts.get(url).map(|(artifact, _)| artifact)
     }
 

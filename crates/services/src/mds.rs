@@ -196,11 +196,6 @@ impl IndexService {
         self.group.read().len_live(now)
     }
 
-    /// Whether the index holds no live entries.
-    pub fn is_empty(&self, now: SimTime) -> bool {
-        self.len(now) == 0
-    }
-
     /// Serve an XPath query. This is the real scan: the aggregate document
     /// is materialized and walked, and the modeled cost is charged per
     /// entry scanned — *there is no fast path*, even for `[@name='x']`
@@ -269,15 +264,6 @@ impl IndexService {
     /// The full aggregate document.
     pub fn aggregate(&self, now: SimTime) -> XmlNode {
         self.group.read().aggregate_document(now)
-    }
-
-    /// Drop lapsed soft-state entries.
-    pub fn sweep(&mut self, now: SimTime) -> usize {
-        let n = self.group.get_mut().sweep_stale(now);
-        if n > 0 {
-            *self.snapshot.get_mut() = None;
-        }
-        n
     }
 }
 
@@ -358,7 +344,7 @@ mod tests {
 
     /// Seeded property: through any interleaving of `register`,
     /// `refresh` (with and without new content, also of an entry that has
-    /// lapsed but is not swept yet), `remove`, `sweep`, and time moving on
+    /// lapsed but is not swept yet), `remove`, and time moving on
     /// — now and then past a lapse, exactly onto the earliest one or one
     /// nanosecond short of it — a query sees exactly the document rebuilt
     /// from the group at that instant, whatever became of the snapshot on
@@ -397,9 +383,6 @@ mod tests {
                     6 if !ids.is_empty() => {
                         let id = ids.swap_remove(rng.index(ids.len()));
                         let _ = idx.remove(id);
-                    }
-                    7 => {
-                        idx.sweep(now);
                     }
                     8 => {
                         // Mostly small steps; sometimes past every lease.
@@ -512,8 +495,9 @@ mod tests {
         assert_eq!(idx.len(t(600)), 0);
         idx.refresh(id, None, t(500)).unwrap();
         assert_eq!(idx.len(t(900)), 1);
-        assert_eq!(idx.sweep(t(2000)), 1);
-        assert!(idx.is_empty(t(2000)));
+        // A query past the lapse sweeps the entry out of the group.
+        idx.query("//Entry", t(2000)).unwrap();
+        assert!(idx.refresh(id, None, t(2000)).is_err(), "a swept entry refuses a refresh");
     }
 
     #[test]
@@ -521,7 +505,7 @@ mod tests {
         let mut idx = index();
         let (id, _) = idx.register("m", entry("A"), t(0));
         idx.remove(id).unwrap();
-        assert!(idx.is_empty(t(1)));
+        assert_eq!(idx.len(t(1)), 0);
         assert!(idx.remove(id).is_err());
     }
 

@@ -116,7 +116,7 @@ pub fn by_name(name: &str) -> Option<&'static PackageSpec> {
 }
 
 /// Sun JDK 1.4-era runtime+compiler: big archive, no build.
-pub fn jdk() -> PackageSpec {
+pub(crate) fn jdk() -> PackageSpec {
     PackageSpec {
         name: "java".into(),
         version: "1.4.2".into(),
@@ -138,7 +138,7 @@ pub fn jdk() -> PackageSpec {
 }
 
 /// Apache Ant build tool.
-pub fn ant() -> PackageSpec {
+pub(crate) fn ant() -> PackageSpec {
     PackageSpec {
         name: "ant".into(),
         version: "1.6.2".into(),
@@ -269,7 +269,7 @@ pub fn counter() -> PackageSpec {
 
 /// VizKit — a small pre-built image viewer/exporter used by the §2
 /// workflow's Visualization activity.
-pub fn vizkit() -> PackageSpec {
+pub(crate) fn vizkit() -> PackageSpec {
     PackageSpec {
         name: "vizkit".into(),
         version: "0.9".into(),

@@ -13,6 +13,7 @@
 //! shape* (fixed handshake + linear per-byte work), which is all the
 //! experiment measures.
 
+use glare_fabric::store::fnv1a;
 use glare_fabric::SimDuration;
 
 /// Transport flavor of a service endpoint.
@@ -107,15 +108,6 @@ fn xor_keystream(buf: &mut [u8], key: u64) -> u64 {
         }
     }
     fnv1a(buf)
-}
-
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

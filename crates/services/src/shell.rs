@@ -2,7 +2,7 @@
 //! virtual terminal used to automatically interact with operating systems
 //! of different Grid sites" needs an operating-system side to talk to.
 //!
-//! [`SiteHost::exec`] interprets the command vocabulary deploy-files use
+//! `SiteHost::exec` interprets the command vocabulary deploy-files use
 //! (`mkdir -p`, `tar xvfz`, `./configure`, `make`, `make install`, `ant`,
 //! `globus-deploy-gar`, plus coreutils) against the site's [`crate::vfs::Vfs`], charges
 //! each command its CPU cost from the [`PackageSpec`] being built, and
@@ -54,12 +54,12 @@ impl CmdResult {
     }
 
     /// Whether the command succeeded.
-    pub fn success(&self) -> bool {
+    pub(crate) fn success(&self) -> bool {
         self.exit_code == 0
     }
 }
 
-/// Outcome of [`SiteHost::exec`]: finished, or blocked on a prompt.
+/// Outcome of `SiteHost::exec`: finished, or blocked on a prompt.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecOutcome {
     /// Command ran to completion.
@@ -130,7 +130,7 @@ impl SiteHost {
     }
 
     /// Execute one command line in the session.
-    pub fn exec(&mut self, session: &mut ShellSession, line: &str) -> ExecOutcome {
+    pub(crate) fn exec(&mut self, session: &mut ShellSession, line: &str) -> ExecOutcome {
         assert!(
             session.pending.is_none(),
             "session is waiting for interactive input; call respond()"

@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::md5::Md5Digest;
-
 /// A normalized absolute path (always starts with `/`, no `.`/`..`).
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VPath(String);
@@ -106,13 +104,6 @@ pub struct VFile {
     pub executable: bool,
 }
 
-impl VFile {
-    /// MD5 digest of the content.
-    pub fn digest(&self) -> Md5Digest {
-        Md5Digest::of(&self.content)
-    }
-}
-
 /// Errors from VFS operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum VfsError {
@@ -148,7 +139,7 @@ pub struct Vfs {
 
 impl Vfs {
     /// New filesystem containing only `/`.
-    pub fn new() -> Vfs {
+    pub(crate) fn new() -> Vfs {
         let mut v = Vfs::default();
         v.dirs.insert(VPath::new("/"), ());
         v
@@ -240,7 +231,7 @@ impl Vfs {
     }
 
     /// Remove a file or (recursively) a directory.
-    pub fn remove(&mut self, path: &VPath) -> Result<(), VfsError> {
+    pub(crate) fn remove(&mut self, path: &VPath) -> Result<(), VfsError> {
         if self.files.remove(path).is_some() {
             return Ok(());
         }
@@ -253,7 +244,7 @@ impl Vfs {
     }
 
     /// Immediate children (dirs and files) of a directory.
-    pub fn list(&self, dir: &VPath) -> Result<Vec<VPath>, VfsError> {
+    pub(crate) fn list(&self, dir: &VPath) -> Result<Vec<VPath>, VfsError> {
         if !self.is_dir(dir) {
             return Err(VfsError::NotFound(dir.to_string()));
         }

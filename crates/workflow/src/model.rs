@@ -76,7 +76,7 @@ impl std::error::Error for WorkflowError {}
 
 impl Workflow {
     /// New empty workflow.
-    pub fn new(name: &str) -> Workflow {
+    pub(crate) fn new(name: &str) -> Workflow {
         Workflow {
             name: name.to_owned(),
             ..Default::default()
@@ -108,7 +108,7 @@ impl Workflow {
     }
 
     /// Activity by id.
-    pub fn activity(&self, id: ActivityId) -> Option<&WorkflowActivity> {
+    pub(crate) fn activity(&self, id: ActivityId) -> Option<&WorkflowActivity> {
         self.activities.iter().find(|a| a.id == id)
     }
 
@@ -122,7 +122,7 @@ impl Workflow {
     }
 
     /// Validate ids and acyclicity.
-    pub fn validate(&self) -> Result<(), WorkflowError> {
+    pub(crate) fn validate(&self) -> Result<(), WorkflowError> {
         let mut seen = HashSet::new();
         for a in &self.activities {
             if !seen.insert(a.id) {
@@ -140,7 +140,7 @@ impl Workflow {
     }
 
     /// Activities in dependency order.
-    pub fn topological_order(&self) -> Result<Vec<ActivityId>, WorkflowError> {
+    pub(crate) fn topological_order(&self) -> Result<Vec<ActivityId>, WorkflowError> {
         let mut indegree: HashMap<ActivityId, usize> =
             self.activities.iter().map(|a| (a.id, 0)).collect();
         for d in &self.dependencies {

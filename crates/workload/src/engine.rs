@@ -20,7 +20,7 @@ use glare_fabric::{
     Actor, ActorId, Ctx, Envelope, SimDuration, SimRng, SimTime, SpanHandle, SpanKind, TimerToken,
 };
 
-use crate::spec::{ArrivalProcess, LoopMode, TenantSpec, WorkloadSpec};
+use crate::spec::{TenantSpec, WorkloadSpec};
 use crate::zipf::ZipfSampler;
 
 /// One scheduled request: when it's offered and which catalogue entry it
@@ -37,6 +37,9 @@ pub struct Arrival {
 /// (say, 1e9 Hz for an hour) fails loudly instead of exhausting memory.
 pub const MAX_ARRIVALS_PER_TENANT: usize = 2_000_000;
 
+/// Zipf exponent over every catalogue: the classic web/Grid skew.
+const ZIPF_EXPONENT: f64 = 1.0;
+
 /// A tenant's precomputed arrival schedule.
 #[derive(Clone, Debug)]
 pub struct ArrivalStream {
@@ -52,7 +55,7 @@ impl ArrivalStream {
     pub fn generate(spec: &WorkloadSpec, index: usize) -> ArrivalStream {
         let tenant = &spec.tenants[index];
         let mut rng = SimRng::from_seed(spec.seed).fork(&format!("workload/{}", tenant.name));
-        let zipf = ZipfSampler::new(spec.activities.len(), spec.zipf_exponent);
+        let zipf = ZipfSampler::new(spec.activities.len(), ZIPF_EXPONENT);
         let mut arrivals = Vec::new();
         let mut t = SimTime::ZERO;
         let horizon = SimTime::ZERO + spec.duration;
@@ -74,35 +77,14 @@ impl ArrivalStream {
         }
         ArrivalStream { arrivals }
     }
-
-    /// Stable digest of the schedule (FNV-1a over nanos and activity
-    /// indices) — the byte-identity tests compare these across runs.
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for a in &self.arrivals {
-            mix(a.at.as_nanos());
-            mix(a.activity as u64);
-        }
-        h
-    }
 }
 
-/// Draw the next inter-arrival gap at instant `t` (instantaneous rate =
-/// baseline × modulation factor).
+/// Draw the next exponential inter-arrival gap at instant `t` (a Poisson
+/// process at the instantaneous rate = baseline × modulation factor).
 fn draw_gap(rng: &mut SimRng, tenant: &TenantSpec, t: SimTime) -> SimDuration {
     assert!(tenant.rate_hz > 0.0, "tenant rate must be positive");
     let rate = tenant.rate_hz * tenant.modulation.factor(t);
-    let mean = 1.0 / rate;
-    let secs = match tenant.arrival {
-        ArrivalProcess::Poisson => rng.exponential(mean),
-        ArrivalProcess::Uniform => (0.5 + rng.unit()) * mean,
-    };
+    let secs = rng.exponential(1.0 / rate);
     // Floor at 1µs so a pathological draw can't produce a zero-length
     // gap and wedge the generator at one instant.
     SimDuration::from_secs_f64(secs.max(1e-6))
@@ -111,7 +93,7 @@ fn draw_gap(rng: &mut SimRng, tenant: &TenantSpec, t: SimTime) -> SimDuration {
 /// Shared measurement sink for one tenant.
 #[derive(Debug, Default)]
 pub struct TenantStats {
-    /// Arrivals offered (open loop: scheduled fires; closed loop: sends).
+    /// Arrivals offered (scheduled fires).
     pub offered: u64,
     /// Messages sent, including retries after shed.
     pub sent: u64,
@@ -156,8 +138,6 @@ struct InFlightSlab {
     /// The id of `slots[0]`; `base + slots.len()` is the next id assigned.
     base: u64,
     slots: VecDeque<Option<InFlight>>,
-    /// Occupied slots: the requests in flight, parked ones included.
-    live: usize,
 }
 
 impl InFlightSlab {
@@ -165,7 +145,6 @@ impl InFlightSlab {
     fn push(&mut self, f: InFlight) -> u64 {
         let id = self.base + self.slots.len() as u64;
         self.slots.push_back(Some(f));
-        self.live += 1;
         id
     }
 
@@ -180,27 +159,19 @@ impl InFlightSlab {
     fn remove(&mut self, id: u64) -> Option<InFlight> {
         let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
         let f = self.slots.get_mut(i)?.take()?;
-        self.live -= 1;
         while let Some(None) = self.slots.front() {
             self.slots.pop_front();
             self.base += 1;
         }
         Some(f)
     }
-
-    /// Requests in flight.
-    fn len(&self) -> usize {
-        self.live
-    }
 }
 
 /// The tenant-load DES actor: replays an [`ArrivalStream`] against one
-/// entry node, tagging requests with the tenant's class.
-///
-/// *Open loop*: fires at every scheduled arrival no matter how many are
-/// outstanding. *Closed loop*: keeps at most `concurrency` outstanding
-/// and offers the next one think-gap after a slot frees (the gaps reuse
-/// the precomputed schedule's spacing).
+/// entry node, tagging requests with the tenant's class. The loop is
+/// open: it fires at every scheduled arrival no matter how many are
+/// outstanding, so offered load does not back off when the system slows
+/// (the regime where overload control matters).
 ///
 /// On `QueryRejected` the actor honours the server's retry-after hint:
 /// the next attempt waits `max(jittered backoff, hint)` via
@@ -209,7 +180,6 @@ impl InFlightSlab {
 pub struct TenantLoad {
     node: ActorId,
     class: TenantClass,
-    loop_mode: LoopMode,
     /// The catalogue's names, shared with every request that carries one.
     activities: Vec<Arc<str>>,
     schedule: Vec<Arrival>,
@@ -236,7 +206,6 @@ impl TenantLoad {
         TenantLoad {
             node,
             class: tenant.class,
-            loop_mode: tenant.loop_mode,
             activities: spec.activities.iter().map(|a| Arc::from(a.as_str())).collect(),
             schedule: stream.arrivals,
             cursor: 0,
@@ -249,13 +218,6 @@ impl TenantLoad {
         }
     }
 
-    fn concurrency_cap(&self) -> usize {
-        match self.loop_mode {
-            LoopMode::Open => usize::MAX,
-            LoopMode::Closed { concurrency } => concurrency.max(1) as usize,
-        }
-    }
-
     /// Arm a timer for the next scheduled arrival, if any.
     fn arm_next(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(a) = self.schedule.get(self.cursor) {
@@ -264,16 +226,11 @@ impl TenantLoad {
         }
     }
 
-    /// Offer the arrival under the cursor (if the loop mode allows).
+    /// Offer every arrival due by now.
     fn offer(&mut self, ctx: &mut Ctx<'_>) {
         while let Some(&a) = self.schedule.get(self.cursor) {
             if a.at > ctx.now() {
                 break;
-            }
-            if self.in_flight.len() >= self.concurrency_cap() {
-                // Closed loop saturated: this arrival is deferred until
-                // a slot frees (offered load self-throttles).
-                return;
             }
             self.cursor += 1;
             self.send_request(ctx, a.activity, ctx.now(), 1, SimDuration::ZERO);
@@ -316,14 +273,6 @@ impl TenantLoad {
             },
         );
     }
-
-    /// A slot freed (response, drop): closed-loop tenants may now offer
-    /// a deferred arrival.
-    fn slot_freed(&mut self, ctx: &mut Ctx<'_>) {
-        if matches!(self.loop_mode, LoopMode::Closed { .. }) {
-            self.offer(ctx);
-        }
-    }
 }
 
 impl Actor for TenantLoad {
@@ -343,8 +292,6 @@ impl Actor for TenantLoad {
                         s.hits += 1;
                     }
                     s.latencies.push(ctx.now().since(f.offered_at));
-                    drop(s);
-                    self.slot_freed(ctx);
                 }
             }
             Ok((_, NodeMsg::QueryRejected { req_id, retry_after })) => {
@@ -368,14 +315,12 @@ impl Actor for TenantLoad {
                     );
                     ctx.timer_after_then(delay, "reoffer", req_id);
                     // Park the state in its slot until the timer fires (the
-                    // re-send takes a new id); parked, it still counts
-                    // against the closed-loop cap.
+                    // re-send takes a new id).
                     f.prev_backoff = delay;
                     f.attempt = next_attempt;
                 } else {
                     self.in_flight.remove(req_id);
                     self.stats.lock().dropped += 1;
-                    self.slot_freed(ctx);
                 }
             }
             _ => {}
@@ -423,7 +368,6 @@ mod tests {
             let a = ArrivalStream::generate(&s, idx);
             let b = ArrivalStream::generate(&s, idx);
             assert_eq!(a.arrivals, b.arrivals, "tenant {idx}");
-            assert_eq!(a.digest(), b.digest());
         }
     }
 
@@ -431,7 +375,7 @@ mod tests {
     fn different_seeds_diverge() {
         let a = ArrivalStream::generate(&spec(1), 0);
         let b = ArrivalStream::generate(&spec(2), 0);
-        assert_ne!(a.digest(), b.digest());
+        assert_ne!(a.arrivals, b.arrivals);
     }
 
     #[test]
@@ -442,8 +386,8 @@ mod tests {
         let solo = WorkloadSpec::new(7, SimDuration::from_secs(60), 8)
             .tenant(TenantSpec::open("gold", TenantClass::Gold, 5.0));
         assert_eq!(
-            ArrivalStream::generate(&full, 0).digest(),
-            ArrivalStream::generate(&solo, 0).digest(),
+            ArrivalStream::generate(&full, 0).arrivals,
+            ArrivalStream::generate(&solo, 0).arrivals,
         );
     }
 
@@ -559,25 +503,6 @@ mod tests {
         assert_eq!(s.responses, s.offered, "every request answered once");
     }
 
-    /// A closed loop's cap counts requests in flight, not the slots the
-    /// slab spans: with request 0 held, the second slot keeps cycling
-    /// although every id since request 0 is still spanned.
-    #[test]
-    fn the_closed_loop_cap_counts_requests_in_flight_not_slab_slots() {
-        let spec = WorkloadSpec::new(5, SimDuration::from_secs(2), 4)
-            .tenant(TenantSpec::closed("t", TenantClass::Gold, 100.0, 2));
-        let arrivals = ArrivalStream::generate(&spec, 0).arrivals;
-        let stub = Stub {
-            hold: |id| SimDuration::from_secs(if id == 0 { 60 } else { 0 }),
-            shed: None,
-        };
-        let stats = run_against(&spec, stub, SimTime::from_secs(5));
-        let s = stats.lock();
-        assert!(arrivals.len() > 100, "{} arrivals", arrivals.len());
-        assert_eq!(s.offered, arrivals.len() as u64, "every arrival was offered");
-        assert_eq!(s.responses, s.offered - 1, "all but request 0 were answered");
-    }
-
     /// Ids below the oldest request in flight, ids whose request left, and
     /// ids not assigned yet read `None`; ids carry on after the slab empties.
     #[test]
@@ -591,21 +516,19 @@ mod tests {
         assert!(slab.get_mut(4).is_none() && slab.get_mut(u64::MAX).is_none(), "never assigned");
         assert!(slab.remove(0).is_none() && slab.remove(2).is_none() && slab.remove(9).is_none());
         assert!(slab.get_mut(1).is_some() && slab.get_mut(3).is_some());
-        assert_eq!(slab.len(), 2);
+        assert_eq!(slab.slots.iter().flatten().count(), 2);
         assert!(slab.remove(1).is_some() && slab.remove(3).is_some());
-        assert_eq!(slab.len(), 0);
+        assert_eq!(slab.slots.iter().flatten().count(), 0);
         assert_eq!(slab.push(in_flight()), 4);
     }
 
     #[test]
-    fn percentiles_and_digest_edge_cases() {
+    fn latency_percentile_edge_cases() {
         let mut st = TenantStats::default();
         assert_eq!(percentile(&st.latencies, 0.5), None);
         st.latencies.push(SimDuration::from_millis(10));
         st.latencies.push(SimDuration::from_millis(90));
         assert_eq!(percentile(&st.latencies, 0.0), Some(SimDuration::from_millis(10)));
         assert_eq!(percentile(&st.latencies, 1.0), Some(SimDuration::from_millis(90)));
-        let empty = ArrivalStream { arrivals: vec![] };
-        assert_eq!(empty.digest(), empty.digest());
     }
 }

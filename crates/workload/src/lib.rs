@@ -8,8 +8,8 @@
 //! `glare_core::admission` earns its keep.
 //!
 //! * [`spec`] — the seedable [`WorkloadSpec`] scenario DSL: per-tenant
-//!   request classes, Poisson/uniform arrivals, warm-up ramps, diurnal
-//!   cycles, flash crowds, Zipf activity popularity.
+//!   request classes, Poisson arrivals, flash crowds, Zipf activity
+//!   popularity.
 //! * [`zipf`] — the precomputed-CDF Zipf sampler.
 //! * [`engine`] — pure [`ArrivalStream`] generation (byte-identical per
 //!   seed) and the [`TenantLoad`] DES actor that replays a stream
@@ -26,7 +26,5 @@ pub mod spec;
 pub mod zipf;
 
 pub use engine::{Arrival, ArrivalStream, TenantLoad, TenantStats, MAX_ARRIVALS_PER_TENANT};
-pub use spec::{
-    ArrivalProcess, Diurnal, Flash, LoopMode, Ramp, RateModulation, TenantSpec, WorkloadSpec,
-};
+pub use spec::{Flash, RateModulation, TenantSpec, WorkloadSpec};
 pub use zipf::ZipfSampler;

@@ -2,58 +2,15 @@
 //!
 //! A spec is a seedable, declarative description of who offers load to
 //! the overlay and how: per-tenant request classes (gold / silver /
-//! best-effort), open- or closed-loop arrival processes, Zipf-skewed
-//! activity popularity, and multiplicative rate modulation (warm-up
-//! ramps, diurnal cycles, flash-crowd spikes). Everything the engine
-//! does is a pure function of the spec plus its seed, so two runs of the
-//! same spec produce byte-identical arrival streams.
+//! best-effort), open-loop Poisson arrivals, Zipf-skewed activity
+//! popularity (exponent 1 over the catalogue's rank order), and an
+//! optional flash-crowd window that multiplies a tenant's rate.
+//! Everything the engine does is a pure function of the spec plus its
+//! seed, so two runs of the same spec produce byte-identical arrival
+//! streams.
 
 use glare_core::admission::TenantClass;
 use glare_fabric::{SimDuration, SimTime};
-
-/// Inter-arrival process shape.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ArrivalProcess {
-    /// Memoryless arrivals: exponential gaps (a Poisson process at the
-    /// instantaneous rate).
-    Poisson,
-    /// Low-variance arrivals: gaps uniform in `[0.5, 1.5] / rate`.
-    Uniform,
-}
-
-/// Open- vs closed-loop request generation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LoopMode {
-    /// Fire at every scheduled arrival regardless of outstanding
-    /// requests — offered load does not back off when the system slows
-    /// (the regime where overload control matters).
-    Open,
-    /// At most `concurrency` requests in flight; a new one is offered
-    /// one think-gap after a slot frees. Offered load self-throttles.
-    Closed {
-        /// Maximum outstanding requests.
-        concurrency: u32,
-    },
-}
-
-/// Linear warm-up ramp: the rate factor climbs from `from` to 1.0 over
-/// the first `over` of the run.
-#[derive(Clone, Copy, Debug)]
-pub struct Ramp {
-    /// Starting fraction of the baseline rate (e.g. 0.1 = 10%).
-    pub from: f64,
-    /// Ramp duration.
-    pub over: SimDuration,
-}
-
-/// Sinusoidal diurnal cycle: factor `1 + amplitude * sin(2πt/period)`.
-#[derive(Clone, Copy, Debug)]
-pub struct Diurnal {
-    /// Peak deviation from baseline, in `[0, 1)`.
-    pub amplitude: f64,
-    /// Cycle length (a simulated "day").
-    pub period: SimDuration,
-}
 
 /// Flash crowd: the rate multiplies by `multiplier` inside the window.
 #[derive(Clone, Copy, Debug)]
@@ -66,36 +23,20 @@ pub struct Flash {
     pub multiplier: f64,
 }
 
-/// Multiplicative rate modulation. Each component defaults to off; the
-/// instantaneous rate is `base * ramp(t) * diurnal(t) * flash(t)`.
+/// Multiplicative rate modulation, off by default: the instantaneous
+/// rate is `base * flash(t)`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RateModulation {
-    /// Warm-up ramp, if any.
-    pub ramp: Option<Ramp>,
-    /// Diurnal cycle, if any.
-    pub diurnal: Option<Diurnal>,
     /// Flash-crowd window, if any.
     pub flash: Option<Flash>,
 }
 
 impl RateModulation {
-    /// The combined rate factor at instant `t`, floored at a small
-    /// epsilon so a modulated rate never reaches zero (which would stall
-    /// the arrival stream forever).
-    pub fn factor(&self, t: SimTime) -> f64 {
+    /// The rate factor at instant `t`, floored at a small epsilon so a
+    /// modulated rate never reaches zero (which would stall the arrival
+    /// stream forever).
+    pub(crate) fn factor(&self, t: SimTime) -> f64 {
         let mut f = 1.0;
-        if let Some(r) = self.ramp {
-            let progress = if r.over == SimDuration::ZERO {
-                1.0
-            } else {
-                (t.as_nanos() as f64 / r.over.as_nanos() as f64).min(1.0)
-            };
-            f *= r.from + (1.0 - r.from) * progress;
-        }
-        if let Some(d) = self.diurnal {
-            let phase = t.as_nanos() as f64 / d.period.as_nanos() as f64;
-            f *= 1.0 + d.amplitude * (2.0 * std::f64::consts::PI * phase).sin();
-        }
         if let Some(fl) = self.flash {
             if t >= fl.at && t < fl.at + fl.duration {
                 f *= fl.multiplier;
@@ -114,10 +55,6 @@ pub struct TenantSpec {
     pub class: TenantClass,
     /// Baseline offered rate, requests per simulated second.
     pub rate_hz: f64,
-    /// Inter-arrival shape.
-    pub arrival: ArrivalProcess,
-    /// Open or closed loop.
-    pub loop_mode: LoopMode,
     /// Time-varying rate modulation.
     pub modulation: RateModulation,
 }
@@ -129,17 +66,7 @@ impl TenantSpec {
             name: name.to_owned(),
             class,
             rate_hz,
-            arrival: ArrivalProcess::Poisson,
-            loop_mode: LoopMode::Open,
             modulation: RateModulation::default(),
-        }
-    }
-
-    /// Closed-loop tenant with `concurrency` outstanding requests.
-    pub fn closed(name: &str, class: TenantClass, rate_hz: f64, concurrency: u32) -> TenantSpec {
-        TenantSpec {
-            loop_mode: LoopMode::Closed { concurrency },
-            ..TenantSpec::open(name, class, rate_hz)
         }
     }
 }
@@ -154,8 +81,6 @@ pub struct WorkloadSpec {
     pub duration: SimDuration,
     /// Activity catalogue, most popular first (Zipf rank order).
     pub activities: Vec<String>,
-    /// Zipf exponent over the catalogue (0 = uniform, ~1 = classic skew).
-    pub zipf_exponent: f64,
     /// The tenants.
     pub tenants: Vec<TenantSpec>,
 }
@@ -168,7 +93,6 @@ impl WorkloadSpec {
             seed,
             duration,
             activities: (0..n_activities).map(|i| format!("Activity{i}")).collect(),
-            zipf_exponent: 1.0,
             tenants: Vec::new(),
         }
     }
@@ -177,12 +101,6 @@ impl WorkloadSpec {
     pub fn with_activities(mut self, names: &[&str]) -> WorkloadSpec {
         assert!(!names.is_empty(), "catalogue must be non-empty");
         self.activities = names.iter().map(|s| (*s).to_owned()).collect();
-        self
-    }
-
-    /// Set the Zipf exponent.
-    pub fn with_zipf(mut self, s: f64) -> WorkloadSpec {
-        self.zipf_exponent = s;
         self
     }
 
@@ -253,21 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn ramp_climbs_to_one() {
-        let m = RateModulation {
-            ramp: Some(Ramp {
-                from: 0.2,
-                over: SimDuration::from_secs(10),
-            }),
-            ..Default::default()
-        };
-        assert!((m.factor(SimTime::ZERO) - 0.2).abs() < 1e-9);
-        assert!((m.factor(SimTime::from_secs(5)) - 0.6).abs() < 1e-9);
-        assert!((m.factor(SimTime::from_secs(10)) - 1.0).abs() < 1e-9);
-        assert!((m.factor(SimTime::from_secs(20)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn flash_window_multiplies_inside_only() {
         let m = RateModulation {
             flash: Some(Flash {
@@ -275,7 +178,6 @@ mod tests {
                 duration: SimDuration::from_secs(2),
                 multiplier: 4.0,
             }),
-            ..Default::default()
         };
         assert_eq!(m.factor(SimTime::from_secs(4)), 1.0);
         assert_eq!(m.factor(SimTime::from_secs(5)), 4.0);
@@ -283,30 +185,15 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_oscillates_around_one() {
-        let m = RateModulation {
-            diurnal: Some(Diurnal {
-                amplitude: 0.5,
-                period: SimDuration::from_secs(40),
-            }),
-            ..Default::default()
-        };
-        // Quarter period: sin peak.
-        assert!((m.factor(SimTime::from_secs(10)) - 1.5).abs() < 1e-9);
-        // Three quarters: trough.
-        assert!((m.factor(SimTime::from_secs(30)) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn factor_never_zero() {
         let m = RateModulation {
-            diurnal: Some(Diurnal {
-                amplitude: 1.0,
-                period: SimDuration::from_secs(4),
+            flash: Some(Flash {
+                at: SimTime::from_secs(2),
+                duration: SimDuration::from_secs(2),
+                multiplier: 0.0,
             }),
-            ..Default::default()
         };
-        // Trough of a full-amplitude sine would be 0; the floor holds.
+        // A zero multiplier would stop the stream; the floor holds.
         assert!(m.factor(SimTime::from_secs(3)) > 0.0);
     }
 

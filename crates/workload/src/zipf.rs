@@ -24,7 +24,7 @@ impl ZipfSampler {
     ///
     /// `s = 0` degenerates to uniform; `s ≈ 1` is the classic web/Grid
     /// popularity curve. `n` must be positive and `s` non-negative.
-    pub fn new(n: usize, s: f64) -> ZipfSampler {
+    pub(crate) fn new(n: usize, s: f64) -> ZipfSampler {
         assert!(n > 0, "ZipfSampler needs at least one rank");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
         let mut cdf = Vec::with_capacity(n);
@@ -43,18 +43,8 @@ impl ZipfSampler {
         ZipfSampler { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the sampler is empty (never true — `new` asserts `n > 0`).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draw a 0-based rank (0 = most popular).
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.unit();
         // First index whose cumulative probability covers `u`.
         match self.cdf.binary_search_by(|c| {
@@ -64,25 +54,25 @@ impl ZipfSampler {
             Err(i) => i.min(self.cdf.len() - 1),
         }
     }
-
-    /// Probability mass of 0-based rank `k` (diagnostics/tests).
-    pub fn mass(&self, k: usize) -> f64 {
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Probability mass of 0-based rank `k`.
+    fn mass(z: &ZipfSampler, k: usize) -> f64 {
+        if k == 0 {
+            z.cdf[0]
+        } else {
+            z.cdf[k] - z.cdf[k - 1]
+        }
+    }
+
     #[test]
     fn masses_sum_to_one() {
         let z = ZipfSampler::new(10, 1.0);
-        let total: f64 = (0..10).map(|k| z.mass(k)).sum();
+        let total: f64 = (0..10).map(|k| mass(&z, k)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 
@@ -117,7 +107,7 @@ mod tests {
     fn zero_exponent_is_uniform() {
         let z = ZipfSampler::new(4, 0.0);
         for k in 0..4 {
-            assert!((z.mass(k) - 0.25).abs() < 1e-9);
+            assert!((mass(&z, k) - 0.25).abs() < 1e-9);
         }
     }
 

@@ -27,6 +27,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use glare_fabric::store::fnv1a;
 use glare_fabric::sync::RwLock;
 use glare_fabric::SimTime;
 
@@ -62,8 +63,6 @@ impl<T: ResourceProperties> ResourceProperties for Arc<T> {
 pub struct WsResource<T> {
     /// Typed payload.
     pub payload: T,
-    /// Creation instant.
-    pub created_at: SimTime,
     /// Last modification instant (the LUT source).
     pub modified_at: SimTime,
     /// Scheduled termination; `None` = no expiry.
@@ -80,11 +79,7 @@ impl<T> WsResource<T> {
 /// FNV-1a over the key bytes; stable across runs (unlike `RandomState`),
 /// so shard assignment is deterministic and replayable.
 fn shard_of(key: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    let h = fnv1a(key.as_bytes());
     // Fold the high bits in: FNV's low bits are weak for short keys.
     ((h ^ (h >> 32)) as usize) & (SHARD_COUNT - 1)
 }
@@ -162,7 +157,6 @@ impl<T> ResourceHome<T> {
             key,
             WsResource {
                 payload,
-                created_at: now,
                 modified_at: now,
                 terminates_at: None,
             },
@@ -281,13 +275,6 @@ impl<T> ResourceHome<T> {
     }
 }
 
-impl<T: Clone> ResourceHome<T> {
-    /// Owned copy of a live resource (hiding expired resources).
-    pub fn get(&self, key: &str, now: SimTime) -> Option<WsResource<T>> {
-        self.with_resource(key, now, |r| r.clone())
-    }
-}
-
 impl<T: ResourceProperties> ResourceHome<T> {
     /// Aggregate all live resources into one queryable document
     /// (`<Resources><Resource key="..">…</Resource>…</Resources>`), in
@@ -321,7 +308,7 @@ mod tests {
     fn create_get_destroy() {
         let home: ResourceHome<u32> = ResourceHome::new();
         home.create("a", 1, t(0)).unwrap();
-        assert_eq!(home.get("a", t(1)).unwrap().payload, 1);
+        assert_eq!(home.with_resource("a", t(1), WsResource::clone).unwrap().payload, 1);
         assert!(home.contains("a", t(1)));
         home.destroy("a").unwrap();
         assert!(!home.contains("a", t(2)));
@@ -342,7 +329,7 @@ mod tests {
         home.set_termination_time("a", Some(t(5)), t(1)).unwrap();
         // After expiry the key can be re-created.
         home.create("a", 3, t(10)).unwrap();
-        assert_eq!(home.get("a", t(10)).unwrap().payload, 3);
+        assert_eq!(home.with_resource("a", t(10), WsResource::clone).unwrap().payload, 3);
     }
 
     #[test]
@@ -350,10 +337,9 @@ mod tests {
         let home: ResourceHome<u32> = ResourceHome::new();
         home.create("a", 1, t(0)).unwrap();
         home.update("a", t(7), |v| *v = 9).unwrap();
-        let r = home.get("a", t(8)).unwrap();
+        let r = home.with_resource("a", t(8), WsResource::clone).unwrap();
         assert_eq!(r.payload, 9);
         assert_eq!(r.modified_at, t(7));
-        assert_eq!(r.created_at, t(0));
     }
 
     #[test]
@@ -361,7 +347,7 @@ mod tests {
         let home: ResourceHome<u32> = ResourceHome::new();
         home.create("a", 1, t(0)).unwrap();
         home.touch("a", t(3)).unwrap();
-        assert_eq!(home.get("a", t(3)).unwrap().modified_at, t(3));
+        assert_eq!(home.with_resource("a", t(3), WsResource::clone).unwrap().modified_at, t(3));
         assert!(home.touch("missing", t(3)).is_err());
     }
 
@@ -444,7 +430,7 @@ mod tests {
                 let mut seen = 0u64;
                 for round in 0..2_000u64 {
                     let k = format!("k{}", (round + reader) % 64);
-                    if let Some(r) = home.get(&k, t(1)) {
+                    if let Some(r) = home.with_resource(&k, t(1), WsResource::clone) {
                         seen += r.payload;
                     }
                 }
@@ -471,7 +457,6 @@ mod tests {
         let home: ResourceHome<Named> = ResourceHome::new();
         assert!(home.shards.get().is_none());
         assert_eq!(home.with_resource("a", t(0), |_| ()), None);
-        assert!(home.get("a", t(0)).is_none());
         assert!(!home.contains("a", t(0)));
         for err in [
             home.update("a", t(0), |_| ()).unwrap_err(),
@@ -514,7 +499,7 @@ mod tests {
         }
         assert_eq!(home.len_total(), 4);
         for i in 0..4u64 {
-            assert_eq!(home.get(&format!("k{i}"), t(1)).unwrap().payload, i);
+            assert_eq!(home.with_resource(&format!("k{i}"), t(1), WsResource::clone).unwrap().payload, i);
         }
     }
 
@@ -531,7 +516,7 @@ mod tests {
         let mut keys = home.live_keys(t(3));
         keys.sort();
         assert_eq!(keys, ["a", "b"]);
-        assert_eq!(home.get("a", t(3)).unwrap().created_at, t(2));
+        assert_eq!(home.with_resource("a", t(3), WsResource::clone).unwrap().payload.0, "again");
     }
 
     #[test]

@@ -28,8 +28,6 @@ pub struct GroupEntry {
     pub member: String,
     /// Aggregated XML content.
     pub content: XmlNode,
-    /// Registration instant.
-    pub registered_at: SimTime,
     /// Last refresh instant.
     pub refreshed_at: SimTime,
     /// Soft-state lifetime: entry lapses `lifetime` after the last refresh.
@@ -67,11 +65,6 @@ impl ServiceGroup {
         }
     }
 
-    /// Group name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Register content from a member, returning the entry id.
     pub fn add(&mut self, member: impl Into<String>, content: XmlNode, now: SimTime) -> EntryId {
         let id = EntryId(self.next_id);
@@ -80,7 +73,6 @@ impl ServiceGroup {
             id,
             member: member.into(),
             content,
-            registered_at: now,
             refreshed_at: now,
             lifetime: self.default_lifetime,
         });

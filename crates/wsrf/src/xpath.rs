@@ -245,7 +245,7 @@ impl XPathMemo {
     }
 
     /// Empty memo retaining at most `capacity` compiled expressions.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         XPathMemo {
             cache: RwLock::new(HashMap::new()),
             capacity,
@@ -284,13 +284,8 @@ impl XPathMemo {
     }
 
     /// Number of expressions currently cached.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cache.read().len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -17,7 +17,8 @@
 #      ratchets: file length, function length, the pub fields left on each
 #      policy struct (a settable value may only go away) and each crate's
 #      count of pub items (crate-internal code is pub(crate), so clippy
-#      below reports it once nothing calls it)
+#      below reports it once nothing calls it), and it fails on any
+#      allow(dead_code) / allow(unused…) that would silence that report
 #   3. clippy with warnings promoted to errors
 #   4. rustdoc with warnings promoted to errors
 #   5. the cross-commit oracle run twice on this commit: every harness binary

@@ -2,7 +2,8 @@
 //! runs past `BUDGET` lines before its unit tests, no function in one past
 //! `FN_BUDGET`, no policy struct regains a settable field, and no crate
 //! grows its `pub` surface. What did when each test was written is pinned:
-//! it may only shrink, and leaves its list then.
+//! it may only shrink, and leaves its list then. Nor may a source silence
+//! rustc's report of unused code, which the `pub` ratchet relies on.
 
 use std::collections::BTreeMap;
 use std::{fs, path::{Path, PathBuf}};
@@ -12,7 +13,7 @@ const FN_BUDGET: usize = 120;
 
 /// `(path under crates/, lines before its tests)`: a ratchet, not an allowance.
 const OVER: [(&str, usize); 2] = [
-    ("fabric/src/metrics.rs", 813),
+    ("fabric/src/metrics.rs", 803),
     ("glare-core/src/grid.rs", 864),
 ];
 
@@ -36,13 +37,13 @@ const KNOBS: [(&str, &str, usize); 6] = [
 /// item no other crate names is `pub(crate)`, where rustc reports it once
 /// nothing calls it; so these counts may only shrink.
 const PUB_ITEMS: [(&str, usize); 7] = [
-    ("bench", 157),
-    ("fabric", 313),
-    ("glare-core", 351),
-    ("services", 138),
-    ("workflow", 25),
-    ("workload", 35),
-    ("wsrf", 70),
+    ("bench", 137),
+    ("fabric", 262),
+    ("glare-core", 274),
+    ("services", 121),
+    ("workflow", 21),
+    ("workload", 22),
+    ("wsrf", 65),
 ];
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -203,5 +204,35 @@ fn no_crate_grows_its_public_surface() {
     for (krate, pinned) in PUB_ITEMS {
         let n = counts[krate];
         assert!(n <= pinned, "{krate}: {n} pub items before its tests, limit {pinned}");
+    }
+}
+
+/// The lints that an `allow(…)` or `expect(…)` in `text` silences among
+/// `dead_code` and the `unused…` group: the reports that name what no
+/// caller uses.
+fn silenced_unused_lints(text: &str) -> Vec<&str> {
+    let mut found = Vec::new();
+    for opener in ["allow(", "expect("] {
+        for (at, _) in text.match_indices(opener) {
+            let list = &text[at + opener.len()..];
+            let list = &list[..list.find(')').unwrap_or(list.len())];
+            let lints = list.split(',').map(str::trim);
+            found.extend(lints.filter(|l| *l == "dead_code" || l.starts_with("unused")));
+        }
+    }
+    found
+}
+
+#[test]
+fn an_allow_is_read_across_lines_and_lists() {
+    let text = "#[allow(clippy::too_many_arguments, dead_code)]\nfn a() {}\n#![allow(\n    unused_imports,\n)]\n#[allow(clippy::unused_self)]\n#[expect(unused_variables)]";
+    assert_eq!(silenced_unused_lints(text), ["dead_code", "unused_imports", "unused_variables"]);
+}
+
+#[test]
+fn no_source_silences_the_unused_code_lints() {
+    for (file, lines) in sources_before_tests() {
+        let silenced = silenced_unused_lints(&lines.join("\n")).join(", ");
+        assert!(silenced.is_empty(), "{file}: allows {silenced}, which hides code no caller uses");
     }
 }

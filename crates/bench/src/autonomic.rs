@@ -29,9 +29,9 @@ use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
 
 use glare_core::autonomic::{
-    live_replica_sites, publish_replica_gauges, AutonomicConfig, PlacementController,
-    TelemetrySnapshot, COOLDOWN, DEMAND_FAMILY, LOAD_FAMILY, MAX_ACTIONS_PER_ROUND,
-    MAX_TARGET_LOAD, MIN_REPLICAS,
+    live_replica_sites, publish_replica_gauges, PlacementController, TelemetrySnapshot,
+    COLD_PER_REPLICA_HZ, COOLDOWN, DEMAND_FAMILY, HOT_PER_REPLICA_HZ, LOAD_FAMILY,
+    MAX_ACTIONS_PER_ROUND, MAX_REPLICAS, MAX_TARGET_LOAD, MIN_REPLICAS,
 };
 use glare_core::grid::Grid;
 use glare_core::invariants;
@@ -87,73 +87,46 @@ impl ControllerMode {
     }
 }
 
-/// Scenario parameters.
+/// Run length, simulated seconds (one telemetry tick per second).
+const DURATION_SECS: u64 = 120;
+/// Baseline offered load across all tenants, req/s.
+const TOTAL_RATE_HZ: f64 = 120.0;
+/// Flash-crowd window start.
+const FLASH_AT_SECS: u64 = 25;
+/// Flash-crowd window length.
+const FLASH_SECS: u64 = 55;
+/// Flash-crowd rate multiplier.
+const FLASH_MULTIPLIER: f64 = 5.0;
+/// Mid-flash crash of controller B's home super-peer.
+const CRASH_B_AT_SECS: u64 = 40;
+/// Amnesia restart of controller B's home (journal replay + reset).
+const RESTART_B_AT_SECS: u64 = 55;
+/// Permanent crash of the site hosting the coldest type's replica.
+const CRASH_VICTIM_AT_SECS: u64 = 93;
+/// Per-site service capacity, req/s at utilization 1.0.
+const SITE_CAPACITY_HZ: f64 = 360.0;
+/// Unloaded service latency, ms (the queueing-proxy numerator).
+const BASE_LATENCY_MS: f64 = 50.0;
+/// Controller round period, seconds.
+const CONTROLLER_INTERVAL_SECS: u64 = 5;
+
+const _: () = assert!(FLASH_AT_SECS + FLASH_SECS < DURATION_SECS);
+
+/// Scenario parameters: what a run may set besides the fixed scenario
+/// above. The default run is already CI-sized.
 #[derive(Clone, Copy, Debug)]
 pub struct AutonomicParams {
     /// Grid sites (≥ 6: five seeded replicas plus spare capacity).
     pub sites: usize,
     /// Master seed for workload and controller RNG forks.
     pub seed: u64,
-    /// Run length, simulated seconds (one telemetry tick per second).
-    pub duration_secs: u64,
-    /// Baseline offered load across all tenants, req/s.
-    pub total_rate_hz: f64,
-    /// Flash-crowd window start.
-    pub flash_at_secs: u64,
-    /// Flash-crowd window length.
-    pub flash_secs: u64,
-    /// Flash-crowd rate multiplier.
-    pub flash_multiplier: f64,
-    /// Mid-flash crash of controller B's home super-peer.
-    pub crash_b_at_secs: u64,
-    /// Amnesia restart of controller B's home (journal replay + reset).
-    pub restart_b_at_secs: u64,
-    /// Permanent crash of the site hosting the coldest type's replica.
-    pub crash_victim_at_secs: u64,
-    /// Per-site service capacity, req/s at utilization 1.0.
-    pub site_capacity_hz: f64,
-    /// Unloaded service latency, ms (the queueing-proxy numerator).
-    pub base_latency_ms: f64,
-    /// Controller round period, seconds.
-    pub controller_interval_secs: u64,
     /// Controller participation.
     pub mode: ControllerMode,
-    /// Placement policy knobs shared by both controllers.
-    pub cfg: AutonomicConfig,
 }
 
 impl Default for AutonomicParams {
     fn default() -> Self {
-        AutonomicParams {
-            sites: 8,
-            seed: 4213,
-            duration_secs: 120,
-            total_rate_hz: 120.0,
-            flash_at_secs: 25,
-            flash_secs: 55,
-            flash_multiplier: 5.0,
-            crash_b_at_secs: 40,
-            restart_b_at_secs: 55,
-            crash_victim_at_secs: 93,
-            site_capacity_hz: 360.0,
-            base_latency_ms: 50.0,
-            controller_interval_secs: 5,
-            mode: ControllerMode::Enabled,
-            cfg: AutonomicConfig {
-                enabled: true,
-                hot_per_replica_hz: 60.0,
-                cold_per_replica_hz: 12.0,
-                max_replicas: 6,
-            },
-        }
-    }
-}
-
-impl AutonomicParams {
-    /// CI-sized run (the default scenario is already CI-sized; the smoke
-    /// alias pins the seed so gates and docs agree on one artifact).
-    pub fn smoke() -> Self {
-        AutonomicParams::default()
+        AutonomicParams { sites: 8, seed: 4213, mode: ControllerMode::Enabled }
     }
 }
 
@@ -320,14 +293,14 @@ fn arrival_counts(p: &AutonomicParams) -> Vec<Vec<[u64; 3]>> {
     let names: Vec<&str> = CATALOGUE.iter().map(|(n, _)| *n).collect();
     let spec = WorkloadSpec::flash_crowd(
         p.seed,
-        SimDuration::from_secs(p.duration_secs),
-        p.total_rate_hz,
-        SimTime::from_secs(p.flash_at_secs),
-        SimDuration::from_secs(p.flash_secs),
-        p.flash_multiplier,
+        SimDuration::from_secs(DURATION_SECS),
+        TOTAL_RATE_HZ,
+        SimTime::from_secs(FLASH_AT_SECS),
+        SimDuration::from_secs(FLASH_SECS),
+        FLASH_MULTIPLIER,
     )
     .with_activities(&names);
-    let ticks = p.duration_secs as usize;
+    let ticks = DURATION_SECS as usize;
     let mut counts = vec![vec![[0u64; 3]; CATALOGUE.len()]; ticks];
     for (i, tenant) in spec.tenants.iter().enumerate() {
         let class = tenant.class.index();
@@ -346,11 +319,11 @@ impl Healing<'_> {
     /// permanent crash of the site holding the sole replica of a type at
     /// the replica floor, so the crash provably orphans it.
     fn chaos_step(&mut self, t: u64) {
-        let (p, now) = (self.p, SimTime::from_secs(t));
-        if t == p.crash_b_at_secs {
+        let now = SimTime::from_secs(t);
+        if t == CRASH_B_AT_SECS {
             self.grid.crash_site(1, now);
         }
-        if t == p.restart_b_at_secs {
+        if t == RESTART_B_AT_SECS {
             self.grid.restart_site(1, now);
             // The rejoined super-peer's controller lost all soft state to
             // the amnesia crash; it rebuilds from telemetry.
@@ -358,7 +331,7 @@ impl Healing<'_> {
                 c.reset();
             }
         }
-        if t == p.crash_victim_at_secs {
+        if t == CRASH_VICTIM_AT_SECS {
             let grid = &self.grid;
             let mut types = CATALOGUE.iter().rev().map(|(n, _)| live_replica_sites(grid, n, now));
             if let Some(sites) = types.find(|s| !s.is_empty() && s.len() as u32 <= MIN_REPLICAS) {
@@ -401,7 +374,7 @@ impl Healing<'_> {
             CATALOGUE.iter().map(|(name, _)| live_replica_sites(&self.grid, name, now)).collect();
         let mut util = vec![0.0f64; p.sites];
         for (a, sites) in replica_map.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
-            let per_site = demand_hz[a] / sites.len() as f64 / p.site_capacity_hz;
+            let per_site = demand_hz[a] / sites.len() as f64 / SITE_CAPACITY_HZ;
             for &s in sites {
                 util[s] += per_site;
             }
@@ -419,7 +392,7 @@ impl Healing<'_> {
                 DEGRADED_MS
             } else {
                 let mean_util = sites.iter().map(|&s| util[s]).sum::<f64>() / sites.len() as f64;
-                p.base_latency_ms / (1.0 - mean_util.min(0.98))
+                BASE_LATENCY_MS / (1.0 - mean_util.min(0.98))
             };
             let tick_counts = &self.counts[t as usize][a];
             let [offered, served, degraded, served_pre, served_post] = &mut self.tally.traffic;
@@ -495,8 +468,7 @@ impl Healing<'_> {
             records.extend(outcome.records);
         }
         let names: Vec<&str> = CATALOGUE.iter().map(|(n, _)| *n).collect();
-        let max = self.p.cfg.max_replicas;
-        self.tally.violations.extend(invariants::placement_round(grid, &records, &names, max, now));
+        self.tally.violations.extend(invariants::placement_round(grid, &records, &names, now));
         // Replica timeline.
         let post = TelemetrySnapshot::observe(grid, now);
         publish_replica_gauges(grid, &post, now);
@@ -513,41 +485,39 @@ impl Healing<'_> {
 /// interval) a controller round.
 pub fn run(p: &AutonomicParams) -> AutonomicReport {
     assert!(p.sites >= 6, "the scenario needs at least 6 sites");
-    assert!(p.flash_at_secs + p.flash_secs < p.duration_secs);
     let grid = seeded_grid(p);
     // Controllers: one per super-peer (sites 0 and 1).
-    let acting = p.cfg.enabled && p.mode == ControllerMode::Enabled;
-    let ctl_cfg = AutonomicConfig { enabled: acting, ..p.cfg };
+    let acting = p.mode == ControllerMode::Enabled;
     let controller =
-        |name, home| PlacementController::new(name, home, p.seed, ctl_cfg, ChannelKind::Expect);
+        |name, home| PlacementController::new(name, home, p.seed, acting, ChannelKind::Expect);
     let controllers = match p.mode {
         ControllerMode::Absent => Vec::new(),
         _ => vec![controller("ctl@site0", 0), controller("ctl@site1", 1)],
     };
-    let flash_end = p.flash_at_secs + p.flash_secs;
+    let flash_end = FLASH_AT_SECS + FLASH_SECS;
     let mut healing = Healing {
         p,
         grid,
         controllers,
         counts: arrival_counts(p),
         windows: [
-            p.flash_at_secs.saturating_sub(10)..p.flash_at_secs,
-            p.flash_at_secs..(p.flash_at_secs + 10).min(flash_end),
+            FLASH_AT_SECS.saturating_sub(10)..FLASH_AT_SECS,
+            FLASH_AT_SECS..(FLASH_AT_SECS + 10).min(flash_end),
             flash_end.saturating_sub(15)..flash_end,
         ],
         tally: Tally {
             // The coldest type's initial site, unless a better victim
             // emerges at crash time.
             victim_site: (CATALOGUE.len() - 1) % p.sites,
-            gold_tick_worst: Vec::with_capacity(p.duration_secs as usize),
+            gold_tick_worst: Vec::with_capacity(DURATION_SECS as usize),
             ..Tally::default()
         },
     };
-    for t in 0..p.duration_secs {
+    for t in 0..DURATION_SECS {
         healing.chaos_step(t);
         let demand_hz = healing.publish_demand(t);
         healing.queueing_proxy(t, &demand_hz);
-        if t > 0 && t % p.controller_interval_secs == 0 && !healing.controllers.is_empty() {
+        if t > 0 && t % CONTROLLER_INTERVAL_SECS == 0 && !healing.controllers.is_empty() {
             healing.controller_round(t);
         }
     }
@@ -556,25 +526,24 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
 
 /// The report from the healing loop's tally and the Grid's final state.
 fn distill(p: &AutonomicParams, grid: &Grid, w: &[Range<u64>; 3], mut h: Tally) -> AutonomicReport {
-    let flash_end = p.flash_at_secs + p.flash_secs;
+    let flash_end = FLASH_AT_SECS + FLASH_SECS;
     let [gold_p99_pre_ms, gold_p99_peak_ms, gold_p99_post_ms] =
         h.samples.each_ref().map(|s| weighted_p99(s));
     let bound = 1.25 * gold_p99_pre_ms;
     let recovered = gold_p99_post_ms <= bound && gold_p99_pre_ms > 0.0;
     let worst = &h.gold_tick_worst;
-    let spike_tick = (p.flash_at_secs..flash_end).find(|&t| worst[t as usize] > bound);
+    let spike_tick = (FLASH_AT_SECS..flash_end).find(|&t| worst[t as usize] > bound);
     let recovered_at = |spike| (spike..flash_end).find(|&t| worst[t as usize] <= bound);
     let recovery_after_flash_ms =
-        spike_tick.and_then(recovered_at).map(|t| (t - p.flash_at_secs) * 1000);
-    let since_crash = |&t: &u64| t.saturating_sub(p.crash_victim_at_secs) as f64 * 1000.0;
+        spike_tick.and_then(recovered_at).map(|t| (t - FLASH_AT_SECS) * 1000);
+    let since_crash = |&t: &u64| t.saturating_sub(CRASH_VICTIM_AT_SECS) as f64 * 1000.0;
     let mut crash_recovery_ms: Vec<f64> =
         h.crash_recovered_at.values().flatten().map(since_crash).collect();
     crash_recovery_ms.sort_by(f64::total_cmp);
     if p.mode == ControllerMode::Enabled {
         for (name, _) in h.crash_recovered_at.iter().filter(|(_, at)| at.is_none()) {
             h.violations.push(format!(
-                "{name} never regained its replica floor after the crash at t={}",
-                p.crash_victim_at_secs
+                "{name} never regained its replica floor after the crash at t={CRASH_VICTIM_AT_SECS}"
             ));
         }
     }
@@ -681,22 +650,22 @@ impl AutonomicReport {
                 Json::obj([
                     ("sites", Json::from(p.sites)),
                     ("seed", Json::from(p.seed)),
-                    ("duration_secs", Json::from(p.duration_secs)),
-                    ("total_rate_hz", Json::from(p.total_rate_hz)),
-                    ("flash_at_secs", Json::from(p.flash_at_secs)),
-                    ("flash_secs", Json::from(p.flash_secs)),
-                    ("flash_multiplier", Json::from(p.flash_multiplier)),
-                    ("crash_b_at_secs", Json::from(p.crash_b_at_secs)),
-                    ("restart_b_at_secs", Json::from(p.restart_b_at_secs)),
-                    ("crash_victim_at_secs", Json::from(p.crash_victim_at_secs)),
-                    ("site_capacity_hz", Json::from(p.site_capacity_hz)),
-                    ("base_latency_ms", Json::from(p.base_latency_ms)),
-                    ("controller_interval_secs", Json::from(p.controller_interval_secs)),
+                    ("duration_secs", Json::from(DURATION_SECS)),
+                    ("total_rate_hz", Json::from(TOTAL_RATE_HZ)),
+                    ("flash_at_secs", Json::from(FLASH_AT_SECS)),
+                    ("flash_secs", Json::from(FLASH_SECS)),
+                    ("flash_multiplier", Json::from(FLASH_MULTIPLIER)),
+                    ("crash_b_at_secs", Json::from(CRASH_B_AT_SECS)),
+                    ("restart_b_at_secs", Json::from(RESTART_B_AT_SECS)),
+                    ("crash_victim_at_secs", Json::from(CRASH_VICTIM_AT_SECS)),
+                    ("site_capacity_hz", Json::from(SITE_CAPACITY_HZ)),
+                    ("base_latency_ms", Json::from(BASE_LATENCY_MS)),
+                    ("controller_interval_secs", Json::from(CONTROLLER_INTERVAL_SECS)),
                     ("mode", Json::from(p.mode.label())),
-                    ("hot_per_replica_hz", Json::from(p.cfg.hot_per_replica_hz)),
-                    ("cold_per_replica_hz", Json::from(p.cfg.cold_per_replica_hz)),
+                    ("hot_per_replica_hz", Json::from(HOT_PER_REPLICA_HZ)),
+                    ("cold_per_replica_hz", Json::from(COLD_PER_REPLICA_HZ)),
                     ("min_replicas", Json::from(u64::from(MIN_REPLICAS))),
-                    ("max_replicas", Json::from(u64::from(p.cfg.max_replicas))),
+                    ("max_replicas", Json::from(u64::from(MAX_REPLICAS))),
                     ("cooldown_secs", Json::from(COOLDOWN.as_nanos() / 1_000_000_000)),
                     ("max_actions_per_round", Json::from(MAX_ACTIONS_PER_ROUND)),
                     ("max_target_load", Json::from(MAX_TARGET_LOAD)),
@@ -787,7 +756,7 @@ mod tests {
 
     #[test]
     fn enabled_run_heals_the_hot_spot_and_the_crash() {
-        let r = run(&AutonomicParams::smoke());
+        let r = run(&AutonomicParams::default());
         assert!(r.violations.is_empty(), "violations: {:?}", r.violations);
         assert_eq!(r.lint_errors, 0);
         assert!(r.recovered, "p99 must recover: {r:?}");
@@ -820,16 +789,14 @@ mod tests {
     #[test]
     fn invariants_hold_across_swept_seeds() {
         for seed in 1..=32 {
-            let r = run(&AutonomicParams { seed, ..AutonomicParams::smoke() });
+            let r = run(&AutonomicParams { seed, ..AutonomicParams::default() });
             assert!(r.violations.is_empty(), "seed {seed}: {:?}", r.violations);
         }
     }
 
     #[test]
     fn disabled_run_does_not_recover() {
-        let mut p = AutonomicParams::smoke();
-        p.mode = ControllerMode::Disabled;
-        let r = run(&p);
+        let r = run(&AutonomicParams { mode: ControllerMode::Disabled, ..Default::default() });
         assert!(!r.recovered, "without the controller the hot-spot persists");
         assert!(r.rounds.is_empty());
         assert!(r.action_counts.is_empty());
@@ -837,7 +804,7 @@ mod tests {
 
     #[test]
     fn deterministic_half_is_seed_stable() {
-        let p = AutonomicParams::smoke();
+        let p = AutonomicParams::default();
         let a = run(&p).to_json().to_string_pretty();
         let b = run(&p).to_json().to_string_pretty();
         assert_eq!(a, b);
@@ -849,8 +816,7 @@ mod tests {
         // The controller-disabled event-identity check: same seed, a
         // constructed-but-disabled controller pair vs no controller at
         // all must yield byte-identical event logs.
-        let mut p = AutonomicParams::smoke();
-        p.mode = ControllerMode::Disabled;
+        let mut p = AutonomicParams { mode: ControllerMode::Disabled, ..Default::default() };
         let disabled = run(&p);
         p.mode = ControllerMode::Absent;
         let absent = run(&p);

@@ -59,6 +59,9 @@ fn pct(sorted_ms: &[f64], q: f64) -> f64 {
 /// flapping link need sites 1–3 beside the coordinator, site 0.
 pub const MIN_SITES: usize = 4;
 
+/// Compute-cost multiplier each gray slowdown applies while active.
+const SLOW_FACTOR: f64 = 8.0;
+
 /// Scenario parameters.
 #[derive(Clone, Debug)]
 pub struct ChaosParams {
@@ -84,8 +87,6 @@ pub struct ChaosParams {
     /// Random gray slowdowns (compute-degraded but alive sites)
     /// scripted into each overlay run alongside the outages.
     pub slowdowns: usize,
-    /// Compute-cost multiplier each slowdown applies while active.
-    pub slow_factor: f64,
     /// Lease workload rounds in the Grid phase.
     pub lease_rounds: u64,
 }
@@ -102,7 +103,6 @@ impl Default for ChaosParams {
             losses: vec![0.01, 0.03, 0.05],
             outages: 3,
             slowdowns: 3,
-            slow_factor: 8.0,
             lease_rounds: 12,
         }
     }
@@ -121,7 +121,6 @@ impl ChaosParams {
             losses: vec![0.02],
             outages: 2,
             slowdowns: 2,
-            slow_factor: 8.0,
             lease_rounds: 8,
         }
     }
@@ -290,7 +289,7 @@ pub(crate) fn overlay_scenario(p: &ChaosParams, loss: f64) -> Scenario {
     let (start, end) = (t(h / 6), t(h / 2));
     let faults = FaultPlan::new()
         .random_outages(&mut frng, p.outages, &victims, start, end, d(40))
-        .random_slowdowns(&mut frng, p.slowdowns, &victims, start, end, d(40), p.slow_factor)
+        .random_slowdowns(&mut frng, p.slowdowns, &victims, start, end, d(40), SLOW_FACTOR)
         .partition(t(h / 4), t(h / 2), SiteId(1), SiteId(2))
         .flap(SiteId(2), SiteId(3), t(h / 3), d(20), 4);
     // Each client queries a type homed on a *different* site, so every
@@ -612,7 +611,7 @@ impl ChaosReport {
                     ),
                     ("outages", Json::from(self.params.outages)),
                     ("slowdowns", Json::from(self.params.slowdowns)),
-                    ("slow_factor", Json::from(self.params.slow_factor)),
+                    ("slow_factor", Json::from(SLOW_FACTOR)),
                     ("lease_rounds", Json::from(self.params.lease_rounds)),
                 ]),
             ),

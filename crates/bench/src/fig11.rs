@@ -107,18 +107,14 @@ mod tests {
 
     #[test]
     fn atr_flat_mds_degrades() {
-        let dur = Duration::from_millis(250);
-        let pts = run(&[20, 200], 4, dur);
+        // Only the HTTP points the ratios read, each the best of three
+        // 250 ms windows: a window the host steals time from reads low,
+        // and the best of three is the one least disturbed.
         let rps = |svc: Service, resources: usize| {
-            pts.iter()
-                .find(|p| {
-                    p.point.service == svc
-                        && p.point.resources == resources
-                        && p.point.transport == Transport::Http
-                })
-                .unwrap()
-                .point
-                .rps
+            let window = || {
+                measure(svc, Transport::Http, 4, resources, Duration::from_millis(250)).rps
+            };
+            (0..3).map(|_| window()).fold(0.0, f64::max)
         };
         let atr_ratio = rps(Service::Atr, 20) / rps(Service::Atr, 200);
         let mds_ratio = rps(Service::Mds, 20) / rps(Service::Mds, 200);

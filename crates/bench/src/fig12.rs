@@ -45,6 +45,9 @@ impl Fig12Point {
     }
 }
 
+/// Client think time between queries.
+const THINK: SimDuration = SimDuration::from_millis(100);
+
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct Fig12Params {
@@ -52,8 +55,6 @@ pub struct Fig12Params {
     pub clients: usize,
     /// Queries per client.
     pub queries_per_client: u64,
-    /// Client think time between queries.
-    pub think: SimDuration,
     /// Distinct activity types with deployments.
     pub types: usize,
     /// Master seed.
@@ -65,7 +66,6 @@ impl Default for Fig12Params {
         Fig12Params {
             clients: 28,
             queries_per_client: 20,
-            think: SimDuration::from_millis(100),
             types: 50,
             seed: 1205,
         }
@@ -85,7 +85,7 @@ pub(crate) fn scenario(sites: usize, cache: bool, p: Fig12Params) -> Scenario {
         topology.add_site(spec);
     }
     let activity = |c| format!("T{}", c % p.types);
-    let client = |c| Client::new(c % sites, &activity(c), p.think, p.queries_per_client);
+    let client = |c| Client::new(c % sites, &activity(c), THINK, p.queries_per_client);
     Scenario {
         topology,
         node: NodeConfig {
@@ -148,7 +148,6 @@ mod tests {
         Fig12Params {
             clients: 12,
             queries_per_client: 8,
-            think: SimDuration::from_millis(100),
             types: 12,
             seed: 7,
         }

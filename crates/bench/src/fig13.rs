@@ -87,14 +87,13 @@ pub(crate) fn requesters(n: usize, p: Fig13Params) -> Scenario {
 }
 
 /// `n` notification sinks at the given notification period, on a
-/// single-core registry host (the notification worker), ~4.6 ms per
+/// single-core registry host (the notification worker), 4.742 ms per
 /// delivery: 210 sinks at 1 s drive utilization to ~0.99.
 pub(crate) fn sinks(n: usize, rate: SimDuration, p: Fig13Params) -> Scenario {
     Scenario {
         topology: registry_topology(1),
         node: NodeConfig {
             notify_interval: Some(rate),
-            notify_cost: SimDuration::from_micros(4_742),
             ..node_defaults()
         },
         load_sampling: Some(SimTime::ZERO + p.window),

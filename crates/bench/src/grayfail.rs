@@ -69,50 +69,34 @@ impl GrayMode {
     }
 }
 
-/// Scenario parameters.
+/// Overlay sites: three groups of four.
+const SITES: usize = 12;
+/// Closed-loop clients, spread over the plain members of group 0.
+const CLIENTS: usize = 6;
+/// Client think time between queries, ms.
+const THINK_MS: u64 = 400;
+/// Healthy warm-up phase, seconds (also the baseline window).
+const HEALTHY_SECS: u64 = 120;
+/// Gray phase length, seconds.
+const GRAY_SECS: u64 = 120;
+/// Post-heal cool-down, seconds.
+const HEALED_SECS: u64 = 60;
+/// Latency multiplier on the degraded trunk link.
+const LINK_FACTOR: f64 = 4.0;
+
+/// Scenario parameters: what a run may set besides the fixed scenario
+/// above. The default run is already CI-sized.
 #[derive(Clone, Copy, Debug)]
 pub struct GrayfailParams {
-    /// Overlay sites (12: three groups of four).
-    pub sites: usize,
     /// Master seed.
     pub seed: u64,
-    /// Closed-loop clients, spread over the plain members of group 0.
-    pub clients: usize,
-    /// Client think time between queries, ms.
-    pub think_ms: u64,
-    /// Healthy warm-up phase, seconds (also the baseline window).
-    pub healthy_secs: u64,
-    /// Gray phase length, seconds.
-    pub gray_secs: u64,
-    /// Post-heal cool-down, seconds.
-    pub healed_secs: u64,
     /// Compute slowdown of the clients' super-peer during the gray phase.
     pub slow_factor: f64,
-    /// Latency multiplier on the degraded trunk link.
-    pub link_factor: f64,
 }
 
 impl Default for GrayfailParams {
     fn default() -> Self {
-        GrayfailParams {
-            sites: 12,
-            seed: 2026,
-            clients: 6,
-            think_ms: 400,
-            healthy_secs: 120,
-            gray_secs: 120,
-            healed_secs: 60,
-            slow_factor: 150.0,
-            link_factor: 4.0,
-        }
-    }
-}
-
-impl GrayfailParams {
-    /// CI-sized run (the default scenario is already CI-sized; the smoke
-    /// alias pins the seed so gates and docs agree on one artifact).
-    pub fn smoke() -> Self {
-        GrayfailParams::default()
+        GrayfailParams { seed: 2026, slow_factor: 150.0 }
     }
 }
 
@@ -231,9 +215,9 @@ pub(crate) struct SitePlan {
     deployments: Vec<(usize, ActivityDeployment)>,
 }
 
-pub(crate) fn plan_sites(p: &GrayfailParams) -> SitePlan {
-    let topo = Topology::uniform(p.sites);
-    let responders: Vec<(ActorId, u64)> = (0..p.sites as u32)
+pub(crate) fn plan_sites() -> SitePlan {
+    let topo = Topology::uniform(SITES);
+    let responders: Vec<(ActorId, u64)> = (0..SITES as u32)
         .map(|i| (ActorId(i), topo.site(SiteId(i)).rank_hashcode()))
         .collect();
     let plan = glare_core::plan_tree(&responders, 4, 4, 2);
@@ -273,13 +257,13 @@ pub(crate) fn scenario(p: &GrayfailParams, mode: GrayMode, plan: &SitePlan) -> S
     let client = |k: usize| Client {
         site: plan.client_sites[k % plan.client_sites.len()],
         activity: ACTIVITIES[[0, 0, 0, 1, 1, 2][k % 6]].to_owned(),
-        think: SimDuration::from_millis(p.think_ms),
+        think: SimDuration::from_millis(THINK_MS),
         count: u64::MAX / 2, // run until the horizon, not a fixed count
         class: TenantClass::ALL[k % TenantClass::ALL.len()],
         group: k % TenantClass::ALL.len(),
     };
-    let from = SimTime::from_secs(p.healthy_secs);
-    let until = SimTime::from_secs(p.healthy_secs + p.gray_secs);
+    let from = SimTime::from_secs(HEALTHY_SECS);
+    let until = SimTime::from_secs(HEALTHY_SECS + GRAY_SECS);
     let (sp0, trunk) = (SiteId(plan.sp0 as u32), SiteId(plan.trunk as u32));
     let mut faults = FaultPlan::new();
     if p.slow_factor > 1.0 {
@@ -295,9 +279,9 @@ pub(crate) fn scenario(p: &GrayfailParams, mode: GrayMode, plan: &SitePlan) -> S
         },
         registry: Registry::hierarchy(plan.deployments.clone()),
         events: Some(DEFAULT_MAX_EVENTS),
-        faults: faults.degrade_link(from, until, sp0, trunk, p.link_factor),
-        clients: (0..p.clients).map(client).collect(),
-        ..Scenario::new(p.sites, p.seed)
+        faults: faults.degrade_link(from, until, sp0, trunk, LINK_FACTOR),
+        clients: (0..CLIENTS).map(client).collect(),
+        ..Scenario::new(SITES, p.seed)
     }
 }
 
@@ -340,9 +324,8 @@ fn window_rows(windows: &ClassWindows, violations: &mut Vec<String>) -> Vec<Wind
 /// are in the scenario's fault plan), sample suspicion at each, and
 /// distill.
 pub(crate) fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
-    assert!(p.sites >= 12, "the scenario needs three groups of four");
-    let plan = plan_sites(p);
-    let expected_groups = p.sites.div_ceil(4) as u64;
+    let plan = plan_sites();
+    let expected_groups = SITES.div_ceil(4) as u64;
     let Run { mut sim, ids, mut stats, .. } = scenario(p, mode, &plan).start();
     // A class no client belongs to still gets its (empty) window rows.
     stats.resize_with(TenantClass::ALL.len(), ClientStats::shared);
@@ -365,8 +348,8 @@ pub(crate) fn run_mode(p: &GrayfailParams, mode: GrayMode) -> ModeReport {
     };
     sim.run_until(SimTime::from_secs(10));
     windows.mark();
-    let horizon = p.healthy_secs + p.gray_secs + p.healed_secs;
-    for t in [p.healthy_secs, p.healthy_secs + p.gray_secs, horizon] {
+    let horizon = HEALTHY_SECS + GRAY_SECS + HEALED_SECS;
+    for t in [HEALTHY_SECS, HEALTHY_SECS + GRAY_SECS, horizon] {
         sim.run_until(SimTime::from_secs(t));
         windows.mark();
         sample_suspicion(&sim, t, &mut suspicion);
@@ -448,7 +431,7 @@ pub fn run(p: &GrayfailParams) -> GrayfailReport {
 pub fn render(r: &GrayfailReport) -> String {
     let mut s = format!(
         "Gray-failure resilience (seed {}, slow x{:.0}, trunk x{:.0})\n",
-        r.params.seed, r.params.slow_factor, r.params.link_factor
+        r.params.seed, r.params.slow_factor, LINK_FACTOR
     );
     for run in &r.runs {
         s.push_str(&format!(
@@ -523,11 +506,17 @@ impl GrayfailReport {
         let deterministic = Json::obj([
             (
                 "params",
-                Json::obj(fields!(
-                    p;
-                    sites, seed, clients, think_ms, healthy_secs, gray_secs, healed_secs,
-                    slow_factor, link_factor,
-                )),
+                Json::obj([
+                    ("sites", Json::from(SITES)),
+                    ("seed", Json::from(p.seed)),
+                    ("clients", Json::from(CLIENTS)),
+                    ("think_ms", Json::from(THINK_MS)),
+                    ("healthy_secs", Json::from(HEALTHY_SECS)),
+                    ("gray_secs", Json::from(GRAY_SECS)),
+                    ("healed_secs", Json::from(HEALED_SECS)),
+                    ("slow_factor", Json::from(p.slow_factor)),
+                    ("link_factor", Json::from(LINK_FACTOR)),
+                ]),
             ),
             ("runs", Json::arr(self.runs.iter().map(|r| r.to_json()))),
             ("enabled_within_2x", Json::from(self.enabled_within_2x)),
@@ -549,7 +538,7 @@ mod tests {
 
     #[test]
     fn hedging_holds_the_gray_phase_p99() {
-        let r = run(&GrayfailParams::smoke());
+        let r = run(&GrayfailParams::default());
         let modes: Vec<&str> = r.runs.iter().map(|m| m.mode.label()).collect();
         assert_eq!(modes, ["enabled", "disabled"]);
         // The disabled row runs the node's defaults: hold them off.
@@ -572,7 +561,7 @@ mod tests {
     #[test]
     fn enabled_mode_holds_its_invariants_across_swept_seeds() {
         for seed in 1..=4 {
-            let p = GrayfailParams { seed, ..GrayfailParams::smoke() };
+            let p = GrayfailParams { seed, ..GrayfailParams::default() };
             let m = run_mode(&p, GrayMode::Enabled);
             assert!(m.violations.is_empty(), "seed {seed}: {:?}", m.violations);
         }
@@ -580,7 +569,7 @@ mod tests {
 
     #[test]
     fn deterministic_half_is_seed_stable() {
-        let p = GrayfailParams::smoke();
+        let p = GrayfailParams::default();
         let a = run(&p).to_json().to_string_pretty();
         let b = run(&p).to_json().to_string_pretty();
         assert_eq!(a, b);

@@ -31,6 +31,12 @@ use crate::scenario::{deployment, latency_ms, node_defaults, Client, Registry, R
 /// one.
 pub const MIN_SITES: usize = 2;
 
+/// Client think time between queries.
+const THINK: SimDuration = SimDuration::from_secs(2);
+
+/// Master seed.
+const SEED: u64 = 4205;
+
 /// One sweep point: a full overlay run at a given site count.
 #[derive(Clone, Debug)]
 pub struct ScalePoint {
@@ -76,8 +82,6 @@ pub struct ScaleParams {
     pub clients: usize,
     /// Queries per client.
     pub queries_per_client: u64,
-    /// Client think time between queries.
-    pub think: SimDuration,
     /// Super-peer tree depth for the tree rows (baseline rows use 2).
     pub tree_depth: usize,
     /// Kernel event-queue implementation (both yield the same report).
@@ -86,8 +90,6 @@ pub struct ScaleParams {
     pub flood_baseline: bool,
     /// Simulated horizon per point, seconds.
     pub horizon_secs: u64,
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl Default for ScaleParams {
@@ -96,12 +98,10 @@ impl Default for ScaleParams {
             sites: vec![1_000, 2_500, 5_000, 10_000],
             clients: 24,
             queries_per_client: 5,
-            think: SimDuration::from_secs(2),
             tree_depth: 3,
             scheduler: SchedulerKind::default(),
             flood_baseline: true,
             horizon_secs: 120,
-            seed: 4205,
         }
     }
 }
@@ -135,7 +135,7 @@ pub(crate) fn scenario(n: usize, flood: bool, p: &ScaleParams) -> Scenario {
     let b = (n as f64).sqrt().ceil() as usize;
     let jpovray = |i| deployment("JPOVray", i, "jpovray", "jpovray");
     let site = |c| (c * n) / p.clients.max(1);
-    let client = |c| Client::new(site(c), "Imaging", p.think, p.queries_per_client);
+    let client = |c| Client::new(site(c), "Imaging", THINK, p.queries_per_client);
     Scenario {
         scheduler: p.scheduler,
         node: NodeConfig {
@@ -149,7 +149,7 @@ pub(crate) fn scenario(n: usize, flood: bool, p: &ScaleParams) -> Scenario {
         },
         registry: Registry::hierarchy((0..n).step_by(b).map(jpovray).collect()),
         clients: (0..p.clients).map(client).collect(),
-        ..Scenario::new(n, p.seed)
+        ..Scenario::new(n, SEED)
     }
 }
 
@@ -220,7 +220,7 @@ pub fn render(p: &ScaleParams, points: &[ScalePoint]) -> String {
 pub fn to_json(p: &ScaleParams, points: &[ScalePoint]) -> Json {
     Json::obj([
         ("schema", Json::from("glare.scale.v1")),
-        ("seed", Json::from(p.seed)),
+        ("seed", Json::from(SEED)),
         ("tree_depth", Json::from(p.tree_depth)),
         ("scheduler", Json::from(scheduler_label(p.scheduler))),
         (

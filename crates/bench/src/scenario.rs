@@ -319,8 +319,8 @@ mod tests {
     fn every_harness() -> Vec<(&'static str, Scenario, u64)> {
         let f12 = Fig12Params { clients: 6, queries_per_client: 4, types: 6, ..Default::default() };
         let f13 = Fig13Params { window: SimDuration::from_secs(60), seed: 7 };
-        let gray = GrayfailParams::smoke();
-        let plan = grayfail::plan_sites(&gray);
+        let gray = GrayfailParams::default();
+        let plan = grayfail::plan_sites();
         let h = HealthParams { tenants: 3, gray: true, loss: 0.02, ..HealthParams::smoke() };
         vec![
             ("fig12", fig12::scenario(3, false, f12), 600),

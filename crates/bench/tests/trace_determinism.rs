@@ -11,7 +11,6 @@ fn quick() -> Fig12Params {
     Fig12Params {
         clients: 10,
         queries_per_client: 6,
-        think: SimDuration::from_millis(100),
         types: 10,
         seed: 42,
     }

@@ -8,10 +8,10 @@
 //! and periodically turns telemetry into deployment actions:
 //!
 //! * **provision** an extra replica of a hot activity type (per-replica
-//!   demand above [`AutonomicConfig::hot_per_replica_hz`]) on the
-//!   least-loaded live site not already holding one,
+//!   demand above [`HOT_PER_REPLICA_HZ`]) on the least-loaded live site
+//!   not already holding one,
 //! * **retire** a cold replica (per-replica demand below
-//!   [`AutonomicConfig::cold_per_replica_hz`]) via tombstoned uninstall,
+//!   [`COLD_PER_REPLICA_HZ`]) via tombstoned uninstall,
 //! * **re-provision** a replica lost to a crashed or partitioned site
 //!   (live replica count below [`MIN_REPLICAS`]).
 //!
@@ -26,7 +26,7 @@
 //! telemetry readings) plus the controller's forked [`SimRng`] (used only
 //! to break exact load ties between placement targets). The loop is
 //! damped three ways so it cannot flap or amplify overload: a per-type
-//! cooldown after any action, hard `[MIN_REPLICAS, max_replicas]` bounds,
+//! cooldown after any action, hard `[MIN_REPLICAS, MAX_REPLICAS]` bounds,
 //! and a per-round action budget.
 //!
 //! # Safety under failure
@@ -43,8 +43,8 @@
 //!
 //! # Observe-only when disabled
 //!
-//! With `AutonomicConfig::disabled` (the default), [`PlacementController::tick`]
-//! returns immediately: no RNG draws, no metrics, no events, no registry
+//! A controller built disabled returns from [`PlacementController::tick`]
+//! immediately: no RNG draws, no metrics, no events, no registry
 //! reads — a same-seed run with a disabled controller is byte-identical
 //! to one where the controller was never constructed.
 
@@ -68,9 +68,21 @@ pub const DEMAND_FAMILY: &str = "glare_activity_demand_hz";
 pub const LOAD_FAMILY: &str = "glare_site_load1m";
 
 /// Replica floor; re-provisioning restores up to this after crashes.
-/// Fixed, like the three constants below: every flash-crowd configuration
-/// agrees on them, and a disabled controller returns before reading any.
+/// Fixed, like every constant below: the one flash-crowd configuration
+/// uses these values, and a disabled controller returns before reading any.
 pub const MIN_REPLICAS: u32 = 1;
+
+/// Replica ceiling however hot the type gets.
+pub const MAX_REPLICAS: u32 = 6;
+
+/// Per-replica demand (req/s) above which a type is *hot* and earns
+/// another replica.
+pub const HOT_PER_REPLICA_HZ: f64 = 60.0;
+
+/// Per-replica demand (req/s) below which a type is *cold* and sheds a
+/// replica (never below [`MIN_REPLICAS`]). Well under the hot threshold:
+/// the gap is the hysteresis band that prevents flapping.
+pub const COLD_PER_REPLICA_HZ: f64 = 12.0;
 
 /// Per-type quiet period after any action (also the exclusive
 /// coordination-lease window, so sibling controllers back off for the
@@ -84,43 +96,6 @@ pub const MAX_ACTIONS_PER_ROUND: usize = 2;
 /// Sites hotter than this utilization are not provisioning targets —
 /// healing a hot-spot must not create the next one.
 pub const MAX_TARGET_LOAD: f64 = 0.75;
-
-/// What a placement control loop is told: whether to act, where the
-/// hysteresis band sits and how far a type may spread.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AutonomicConfig {
-    /// Master switch. `false` (the default) keeps every run byte-identical
-    /// to a build without the controller.
-    pub enabled: bool,
-    /// Per-replica demand (req/s) above which a type is *hot* and earns
-    /// another replica.
-    pub hot_per_replica_hz: f64,
-    /// Per-replica demand (req/s) below which a type is *cold* and sheds
-    /// a replica (never below [`MIN_REPLICAS`]). Keep well under the hot
-    /// threshold: the gap is the hysteresis band that prevents flapping.
-    pub cold_per_replica_hz: f64,
-    /// Replica ceiling however hot the type gets.
-    pub max_replicas: u32,
-}
-
-impl AutonomicConfig {
-    /// Controller off: ticks are no-ops and the run is event-identical to
-    /// one without the controller.
-    pub(crate) fn disabled() -> AutonomicConfig {
-        AutonomicConfig {
-            enabled: false,
-            hot_per_replica_hz: f64::INFINITY,
-            cold_per_replica_hz: 0.0,
-            max_replicas: u32::MAX,
-        }
-    }
-}
-
-impl Default for AutonomicConfig {
-    fn default() -> Self {
-        AutonomicConfig::disabled()
-    }
-}
 
 /// One site's reading in a snapshot.
 #[derive(Clone, Debug, PartialEq)]
@@ -286,7 +261,9 @@ pub struct PlacementController {
     /// Home site: deploy lookups start here, and an amnesia crash of this
     /// site is what [`PlacementController::reset`] models.
     home: usize,
-    cfg: AutonomicConfig,
+    /// Whether the loop acts at all. `false` keeps every run byte-identical
+    /// to one without the controller.
+    enabled: bool,
     channel: ChannelKind,
     seed: u64,
     rng: SimRng,
@@ -301,13 +278,13 @@ impl PlacementController {
         name: &str,
         home: usize,
         seed: u64,
-        cfg: AutonomicConfig,
+        enabled: bool,
         channel: ChannelKind,
     ) -> PlacementController {
         PlacementController {
             name: name.to_owned(),
             home,
-            cfg,
+            enabled,
             channel,
             seed,
             rng: SimRng::from_seed(seed).fork(name),
@@ -327,7 +304,7 @@ impl PlacementController {
 
     /// Whether the control loop acts at all.
     pub fn is_enabled(&self) -> bool {
-        self.cfg.enabled
+        self.enabled
     }
 
     /// Amnesia crash of the home super-peer: all soft state (cooldowns,
@@ -347,7 +324,7 @@ impl PlacementController {
     /// Priority order when the budget binds: re-provision lost replicas,
     /// then spread hot types, then retire cold ones.
     pub fn decide(&mut self, snap: &TelemetrySnapshot) -> Vec<PlacementAction> {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return Vec::new();
         }
         let mut actions: Vec<PlacementAction> = Vec::new();
@@ -390,9 +367,8 @@ impl PlacementController {
                             site,
                         }),
                     ActionKind::Provision
-                        if replicas >= MIN_REPLICAS
-                            && replicas < self.cfg.max_replicas
-                            && per_replica > self.cfg.hot_per_replica_hz =>
+                        if (MIN_REPLICAS..MAX_REPLICAS).contains(&replicas)
+                            && per_replica > HOT_PER_REPLICA_HZ =>
                     {
                         self.pick_target(snap, t, &claimed)
                             .map(|site| PlacementAction {
@@ -403,7 +379,7 @@ impl PlacementController {
                     }
                     ActionKind::Retire
                         if replicas > MIN_REPLICAS
-                            && per_replica < self.cfg.cold_per_replica_hz =>
+                            && per_replica < COLD_PER_REPLICA_HZ =>
                     {
                         // Free the hottest of the replica sites; ties fall
                         // to the highest index (stable without RNG so the
@@ -493,7 +469,7 @@ impl PlacementController {
     /// One full control round: observe → decide → act. The disabled path
     /// returns before touching anything (no RNG, no metrics, no events).
     pub fn tick(&mut self, grid: &mut Grid, now: SimTime) -> RoundOutcome {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return RoundOutcome::default();
         }
         let snap = TelemetrySnapshot::observe(grid, now);
@@ -622,17 +598,6 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    /// Tuned for a flash crowd: react within a couple of ticks, spread a
-    /// hot type over at most four sites.
-    fn standard() -> AutonomicConfig {
-        AutonomicConfig {
-            enabled: true,
-            hot_per_replica_hz: 40.0,
-            cold_per_replica_hz: 5.0,
-            max_replicas: 4,
-        }
-    }
-
     fn snap(
         at: SimTime,
         sites: &[(usize, bool, f64)],
@@ -655,13 +620,13 @@ mod tests {
         }
     }
 
-    fn controller(cfg: AutonomicConfig) -> PlacementController {
-        PlacementController::new("ctl@site0", 0, 42, cfg, ChannelKind::Expect)
+    fn controller(enabled: bool) -> PlacementController {
+        PlacementController::new("ctl@site0", 0, 42, enabled, ChannelKind::Expect)
     }
 
     #[test]
     fn disabled_controller_decides_nothing() {
-        let mut c = controller(AutonomicConfig::disabled());
+        let mut c = controller(false);
         let s = snap(
             t(10),
             &[(0, true, 0.9), (1, true, 0.0)],
@@ -672,7 +637,7 @@ mod tests {
 
     #[test]
     fn hot_type_earns_a_replica_on_the_coolest_site() {
-        let mut c = controller(standard());
+        let mut c = controller(true);
         let s = snap(
             t(10),
             &[(0, true, 0.9), (1, true, 0.6), (2, true, 0.2)],
@@ -686,7 +651,7 @@ mod tests {
 
     #[test]
     fn provision_respects_the_target_load_ceiling() {
-        let mut c = controller(standard());
+        let mut c = controller(true);
         // Every candidate is hotter than MAX_TARGET_LOAD: no action
         // (healing must not create the next hot-spot).
         let s = snap(
@@ -699,21 +664,34 @@ mod tests {
 
     #[test]
     fn max_replicas_caps_growth() {
-        let mut c = controller(AutonomicConfig {
-            max_replicas: 2,
-            ..standard()
-        });
-        let s = snap(
-            t(10),
-            &[(0, true, 0.5), (1, true, 0.5), (2, true, 0.0)],
-            &[("Hot", 1000.0, &[0, 1])],
-        );
-        assert!(c.decide(&s).is_empty(), "at the ceiling, however hot");
+        let sites: Vec<(usize, bool, f64)> = (0..8).map(|s| (s, true, 0.0)).collect();
+        let held: Vec<usize> = (0..MAX_REPLICAS as usize).collect();
+        // One replica short of the ceiling, a hot type still spreads...
+        let s = snap(t(10), &sites, &[("Hot", 1000.0, &held[1..])]);
+        assert_eq!(controller(true).decide(&s).len(), 1, "below the ceiling");
+        // ...and at it, with cool sites free, it does not.
+        let s = snap(t(10), &sites, &[("Hot", 1000.0, &held)]);
+        assert!(controller(true).decide(&s).is_empty(), "at the ceiling, however hot");
+    }
+
+    #[test]
+    fn the_hysteresis_band_holds_a_type_still() {
+        // Two replicas, at `hz` each, with a cool site free to take a third.
+        let kinds = |hz: f64| -> Vec<ActionKind> {
+            let sites = [(0, true, 0.5), (1, true, 0.5), (2, true, 0.0)];
+            let s = snap(t(10), &sites, &[("Warm", 2.0 * hz, &[0, 1])]);
+            controller(true).decide(&s).iter().map(|a| a.kind).collect()
+        };
+        assert_eq!(kinds(HOT_PER_REPLICA_HZ + 1.0), [ActionKind::Provision]);
+        assert_eq!(kinds(HOT_PER_REPLICA_HZ), [], "the hot threshold is exclusive");
+        assert_eq!(kinds((HOT_PER_REPLICA_HZ + COLD_PER_REPLICA_HZ) / 2.0), []);
+        assert_eq!(kinds(COLD_PER_REPLICA_HZ), [], "the cold threshold is exclusive");
+        assert_eq!(kinds(COLD_PER_REPLICA_HZ - 1.0), [ActionKind::Retire]);
     }
 
     #[test]
     fn cold_type_retires_down_to_the_floor() {
-        let mut c = controller(standard());
+        let mut c = controller(true);
         let s = snap(
             t(10),
             &[(0, true, 0.7), (1, true, 0.1)],
@@ -730,7 +708,7 @@ mod tests {
 
     #[test]
     fn lost_replica_is_reprovisioned_before_anything_else() {
-        let mut c = controller(standard());
+        let mut c = controller(true);
         // Three types want an action; the round's budget is two.
         let s = snap(
             t(10),
@@ -747,7 +725,7 @@ mod tests {
 
     #[test]
     fn cooldown_damps_repeat_actions() {
-        let mut c = controller(standard());
+        let mut c = controller(true);
         let hot = |at| {
             snap(
                 at,
@@ -762,7 +740,7 @@ mod tests {
 
     #[test]
     fn replica_floor_overrides_the_cooldown() {
-        let mut c = controller(standard());
+        let mut c = controller(true);
         // A retire at t=10 puts "Churn" on cooldown...
         let s = snap(
             t(10),
@@ -780,7 +758,7 @@ mod tests {
 
     #[test]
     fn reset_wipes_hysteresis_state() {
-        let mut c = controller(standard());
+        let mut c = controller(true);
         let hot = |at| {
             snap(
                 at,
@@ -798,7 +776,7 @@ mod tests {
     #[test]
     fn one_round_never_stacks_two_new_replicas_on_one_site() {
         // The round's budget has room for both hot types.
-        let mut c = controller(standard());
+        let mut c = controller(true);
         let s = snap(
             t(10),
             &[(0, true, 0.9), (1, true, 0.9), (2, true, 0.0)],
@@ -833,9 +811,8 @@ mod tests {
             .gauge(DEMAND_FAMILY, &Labels::of(&[("activity", "Hot")]))
             .set(t(5), 500.0);
 
-        let cfg = standard();
-        let mut a = PlacementController::new("ctl-a", 0, 7, cfg, ChannelKind::Expect);
-        let mut b = PlacementController::new("ctl-b", 1, 7, cfg, ChannelKind::Expect);
+        let mut a = PlacementController::new("ctl-a", 0, 7, true, ChannelKind::Expect);
+        let mut b = PlacementController::new("ctl-b", 1, 7, true, ChannelKind::Expect);
         // Both super-peers react to the SAME snapshot of the same
         // hot-spot; only the coordination lease arbitrates.
         let snap = TelemetrySnapshot::observe(&grid, t(5));
@@ -863,7 +840,7 @@ mod tests {
                 "ctl",
                 0,
                 seed,
-                standard(),
+                true,
                 ChannelKind::Expect,
             );
             // All-equal loads force the RNG tie-break.

@@ -9,7 +9,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use glare_fabric::{ActorId, EventLog, EventRecord, SimTime, Simulation, SiteId};
 
 use crate::admission::TenantClass;
-use crate::autonomic::{live_replica_sites, ActionKind, ActionOutcome, ActionRecord, MIN_REPLICAS};
+use crate::autonomic::{
+    live_replica_sites, ActionKind, ActionOutcome, ActionRecord, MAX_REPLICAS, MIN_REPLICAS,
+};
 use crate::grid::Grid;
 use crate::lease::{LeaseKind, LeaseManager};
 use crate::node::GlareNode;
@@ -204,12 +206,11 @@ pub fn placement_actions(grid: &Grid, records: &[ActionRecord], now: SimTime) ->
 
 /// One controller round, checked after every controller acted: no type was
 /// provisioned (or re-provisioned) more than once by `records`, and none of
-/// `types` holds more than `max_replicas` live replicas.
+/// `types` holds more than [`MAX_REPLICAS`] live replicas.
 pub fn placement_round(
     grid: &Grid,
     records: &[ActionRecord],
     types: &[&str],
-    max_replicas: u32,
     now: SimTime,
 ) -> Vec<String> {
     let t = now.as_millis() / 1000;
@@ -224,7 +225,7 @@ pub fn placement_round(
         twice.map(|(name, n)| format!("t={t}: {name} provisioned {n}x in one round")).collect();
     for name in types {
         let live = live_replica_sites(grid, name, now).len() as u32;
-        if live > max_replicas {
+        if live > MAX_REPLICAS {
             out.push(format!("t={t}: {name} has {live} replicas above the cap"));
         }
     }
@@ -234,12 +235,14 @@ pub fn placement_round(
 /// Admission ordering over `(success_ratio, shed)` per tenant class, in
 /// class order (gold, silver, best-effort): each higher class succeeds at
 /// least as often as every lower one, within a 0.02 tolerance, and
-/// never sheds more.
-pub fn admission_ordering(classes: &[(f64, u64)]) -> Vec<String> {
+/// never sheds more. A class that offered nothing has no ratio to rank.
+pub fn admission_ordering(classes: &[(u64, f64, u64)]) -> Vec<String> {
     let label = |i: usize| TenantClass::ALL.get(i).map_or("?", |c| c.label());
+    let offered = classes.iter().enumerate().filter(|(_, &(offered, _, _))| offered > 0);
+    let ranked: Vec<(usize, f64, u64)> = offered.map(|(i, &(_, ok, shed))| (i, ok, shed)).collect();
     let mut out = Vec::new();
-    for (hi, &(hi_ok, hi_shed)) in classes.iter().enumerate() {
-        for (lo, &(lo_ok, lo_shed)) in classes.iter().enumerate().skip(hi + 1) {
+    for (at, &(hi, hi_ok, hi_shed)) in ranked.iter().enumerate() {
+        for &(lo, lo_ok, lo_shed) in &ranked[at + 1..] {
             let (h, l) = (label(hi), label(lo));
             if hi_ok + SUCCESS_RATIO_EPSILON < lo_ok {
                 out.push(format!("{h} succeeds {hi_ok:.3} of the time, below {l}'s {lo_ok:.3}"));
@@ -289,14 +292,21 @@ mod tests {
 
     #[test]
     fn admission_ordering_names_each_inverted_pair() {
-        assert!(admission_ordering(&[(1.0, 0), (0.99, 3), (0.5, 40)]).is_empty());
+        assert!(admission_ordering(&[(9, 1.0, 0), (9, 0.99, 3), (9, 0.5, 40)]).is_empty());
         assert_eq!(
-            admission_ordering(&[(0.9, 5), (0.95, 2), (0.95, 9)]),
+            admission_ordering(&[(9, 0.9, 5), (9, 0.95, 2), (9, 0.95, 9)]),
             [
                 "gold succeeds 0.900 of the time, below silver's 0.950",
                 "gold shed 5, more than silver's 2",
                 "gold succeeds 0.900 of the time, below best_effort's 0.950",
             ]
+        );
+        // A class that offered nothing has a 0.0 ratio that ranks below no
+        // one; the classes that did offer are still ranked against each other.
+        assert!(admission_ordering(&[(0, 0.0, 0), (0, 0.0, 0), (1, 1.0, 0)]).is_empty());
+        assert_eq!(
+            admission_ordering(&[(0, 0.0, 0), (4, 0.5, 0), (4, 1.0, 0)]),
+            ["silver succeeds 0.500 of the time, below best_effort's 1.000"]
         );
     }
 }

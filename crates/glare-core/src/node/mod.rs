@@ -325,7 +325,7 @@ impl Actor for GlareNode {
             return;
         }
         match tag {
-            "notify-stagger" => self.notifier.stagger_elapsed(ctx, &self.cfg),
+            "notify-stagger" => self.notifier.stagger_elapsed(ctx),
             "election-second" => election::broadcast_notice(ctx, &self.roster, true),
             "election-close" => self.close_election(ctx),
             "election-reopen" if self.cfg.has_community_index => self.start_election(ctx),

@@ -250,8 +250,6 @@ pub struct NodeConfig {
     /// When set, the node notifies all subscribed sinks at this period
     /// (Fig. 13's notification rate).
     pub notify_interval: Option<SimDuration>,
-    /// CPU cost per delivered notification.
-    pub notify_cost: SimDuration,
     /// Deployment Status Monitor period: sweeps expired deployments and
     /// heartbeats live entries' LUTs (§3.2). `None` (default) disables
     /// the loop.
@@ -293,7 +291,6 @@ impl NodeConfig {
             flood_mode: false,
             naive_takeover: false,
             notify_interval: None,
-            notify_cost: SimDuration::from_millis(25),
             monitor_interval: None,
             cache_refresh_interval: None,
             suspicion: SuspicionConfig::disabled(),

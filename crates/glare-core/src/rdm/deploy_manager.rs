@@ -36,11 +36,11 @@ use crate::retry::ATTEMPT_TIMEOUT;
 /// Cost of adding a new activity type to a site's registries, including
 /// deploy-file retrieval and validation (Table 1 "Activity Type Addition"
 /// ≈ 633 ms).
-pub const TYPE_ADDITION_COST: SimDuration = SimDuration::from_millis(630);
+pub(crate) const TYPE_ADDITION_COST: SimDuration = SimDuration::from_millis(630);
 
 /// Cost of registering the produced deployments of one installation
 /// (Table 1 "Activity Deployment Registration" ≈ 350 ms).
-pub const DEPLOYMENT_REGISTRATION_COST: SimDuration = SimDuration::from_millis(350);
+pub(crate) const DEPLOYMENT_REGISTRATION_COST: SimDuration = SimDuration::from_millis(350);
 
 /// Per-phase costs matching Table 1's rows.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -12,7 +12,7 @@ pub mod request_manager;
 
 pub use deploy_manager::{
     install_package, install_with_dependencies, provision, CostBreakdown, InstallReport,
-    ProvisionOutcome, ProvisionRequest, DEPLOYMENT_REGISTRATION_COST, TYPE_ADDITION_COST,
+    ProvisionOutcome, ProvisionRequest,
 };
 pub use lifecycle::{enforce_min_deployments, generate_wrapper_service, undeploy, UndeployReport};
 pub use monitors::{

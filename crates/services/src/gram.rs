@@ -2,8 +2,9 @@
 //!
 //! The paper's workflows instantiate executable deployments "as GRAM
 //! jobs" (Example 3), and the JavaCoG deployment channel submits install
-//! scripts through GRAM. This module provides the job manager: job
-//! descriptions, a submission state machine with queue/poll overheads,
+//! scripts through GRAM. This module provides the job manager: a job names
+//! the executable to run, and a submission state machine with queue/poll
+//! overheads,
 //! and validation against the target host (the executable must exist and
 //! be executable).
 
@@ -29,17 +30,6 @@ pub enum JobState {
     Active,
     /// Finished successfully.
     Done,
-}
-
-/// A job request: run an executable (already deployed on the site).
-#[derive(Clone, Debug)]
-pub struct JobSpec {
-    /// Absolute path of the executable on the target site.
-    pub executable: VPath,
-    /// Arguments (recorded; semantics belong to the application).
-    pub args: Vec<String>,
-    /// Declared CPU cost of the run.
-    pub cpu_cost: SimDuration,
 }
 
 /// A submitted job.
@@ -87,17 +77,18 @@ impl GramService {
         Self::default()
     }
 
-    /// Validate and accept a job. Returns the job id and the submission
-    /// overhead the client pays before the job is even pending.
+    /// Validate and accept a job running `executable`, an absolute path on
+    /// the site. Returns the job id and the submission overhead the client
+    /// pays before the job is even pending.
     pub(crate) fn submit(
         &mut self,
         host: &SiteHost,
-        spec: JobSpec,
+        executable: &VPath,
     ) -> Result<(u64, SimDuration), GramError> {
-        match host.vfs.read_file(&spec.executable) {
+        match host.vfs.read_file(executable) {
             Ok(f) if f.executable => {}
-            Ok(_) => return Err(GramError::NotExecutable(spec.executable.to_string())),
-            Err(_) => return Err(GramError::NoSuchExecutable(spec.executable.to_string())),
+            Ok(_) => return Err(GramError::NotExecutable(executable.to_string())),
+            Err(_) => return Err(GramError::NoSuchExecutable(executable.to_string())),
         }
         let id = self.next_id;
         self.next_id += 1;
@@ -115,13 +106,12 @@ impl GramService {
     pub fn submit_traced(
         &mut self,
         host: &SiteHost,
-        spec: JobSpec,
+        executable: &VPath,
         trace: &mut TraceSink,
         parent: Option<TraceContext>,
         at: SimTime,
     ) -> Result<(u64, SimDuration), GramError> {
-        let executable = spec.executable.to_string();
-        let (id, overhead) = self.submit(host, spec)?;
+        let (id, overhead) = self.submit(host, executable)?;
         trace.record(
             parent,
             "gram.submit",
@@ -130,7 +120,7 @@ impl GramService {
             None,
             at,
             at + overhead,
-            [("job", id.to_string().into()), ("executable", executable.into())],
+            [("job", id.to_string().into()), ("executable", executable.to_string().into())],
         );
         Ok((id, overhead))
     }
@@ -195,19 +185,11 @@ mod tests {
         (h, p)
     }
 
-    fn spec(p: &VPath) -> JobSpec {
-        JobSpec {
-            executable: p.clone(),
-            args: vec!["scene.pov".into()],
-            cpu_cost: SimDuration::from_secs(5),
-        }
-    }
-
     #[test]
     fn lifecycle_happy_path() {
         let (h, p) = host_with_exe();
         let mut g = GramService::new();
-        let (id, overhead) = g.submit(&h, spec(&p)).unwrap();
+        let (id, overhead) = g.submit(&h, &p).unwrap();
         assert_eq!(overhead, SUBMIT_OVERHEAD);
         assert_eq!(g.job_mut(id).unwrap().state, JobState::Pending);
         g.mark_active(id).unwrap();
@@ -221,12 +203,12 @@ mod tests {
         let (mut h, p) = host_with_exe();
         let mut g = GramService::new();
         assert!(matches!(
-            g.submit(&h, spec(&VPath::new("/nope"))),
+            g.submit(&h, &VPath::new("/nope")),
             Err(GramError::NoSuchExecutable(_))
         ));
         h.vfs.chmod_exec(&p, false).unwrap();
         assert!(matches!(
-            g.submit(&h, spec(&p)),
+            g.submit(&h, &p),
             Err(GramError::NotExecutable(_))
         ));
         assert_eq!(g.mark_active(99), Err(GramError::NoSuchJob(99)));
@@ -237,7 +219,7 @@ mod tests {
     fn done_before_active_panics() {
         let (h, p) = host_with_exe();
         let mut g = GramService::new();
-        let (id, _) = g.submit(&h, spec(&p)).unwrap();
+        let (id, _) = g.submit(&h, &p).unwrap();
         g.mark_done(id).unwrap();
     }
 

@@ -36,7 +36,7 @@ pub mod vfs;
 
 pub use channels::ChannelKind;
 pub use expect::{run_expect, run_expect_traced, ExpectError, ExpectScript};
-pub use gram::{GramError, GramJob, GramService, JobSpec, JobState};
+pub use gram::{GramError, GramJob, GramService, JobState};
 pub use gridftp::{download, download_traced, Repository, TransferError, TransferReceipt};
 pub use host::{InstallRecord, SiteHost};
 pub use md5::{Md5, Md5Digest};

@@ -15,7 +15,7 @@ use glare_core::model::DeploymentAccess;
 use glare_core::rdm::deploy_manager::{provision, ProvisionRequest};
 use glare_core::{GlareError, RetryPolicy};
 use glare_fabric::{SimDuration, SimTime};
-use glare_services::gram::{GramService, JobSpec};
+use glare_services::gram::GramService;
 use glare_services::vfs::VPath;
 use glare_services::{gridftp, ChannelKind};
 
@@ -217,17 +217,12 @@ impl EnactmentEngine {
         let runtime = match &assignment.deployment.access {
             DeploymentAccess::Executable { path, .. } => {
                 let exe = VPath::new(path);
-                let spec = JobSpec {
-                    executable: exe,
-                    args: vec![activity.label.clone()],
-                    cpu_cost: activity.cpu_cost,
-                };
                 let mut gram = std::mem::take(&mut grid.site_mut(site).gram);
                 // The sink is moved out so the submission span can be
                 // recorded while the site's host is borrowed.
                 let mut trace = std::mem::take(&mut grid.trace);
                 let submit = gram
-                    .submit_traced(&grid.site(site).host, spec, &mut trace, None, now)
+                    .submit_traced(&grid.site(site).host, &exe, &mut trace, None, now)
                     .map_err(|e| {
                         grid.site_mut(site).gram = gram.clone();
                         GlareError::InstallFailed {

@@ -114,9 +114,9 @@ fn gold_holds_goodput_while_best_effort_sheds_first() {
     // 2x saturation actually sheds; lower classes shed first and succeed
     // less often (the admission ordering, down-class).
     assert!(be.shed > 0, "2x saturation must shed best-effort traffic");
-    let classes: Vec<(f64, u64)> = [gold, silver, be]
+    let classes: Vec<(u64, f64, u64)> = [gold, silver, be]
         .iter()
-        .map(|o| (o.success_ratio, o.shed))
+        .map(|o| (o.offered, o.success_ratio, o.shed))
         .collect();
     assert_eq!(admission_ordering(&classes), Vec::<String>::new());
 

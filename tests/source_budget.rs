@@ -1,9 +1,10 @@
 //! ROADMAP item 1's size targets, held as tests: no source file of a crate
 //! runs past `BUDGET` lines before its unit tests, no function in one past
-//! `FN_BUDGET`, no policy struct regains a settable field, and no crate
-//! grows its `pub` surface. What did when each test was written is pinned:
-//! it may only shrink, and leaves its list then. Nor may a source silence
-//! rustc's report of unused code, which the `pub` ratchet relies on.
+//! `FN_BUDGET`, no policy, harness or node settings struct regains a
+//! settable field, and no crate grows its `pub` surface. What did when
+//! each test was written is pinned: it may only shrink, and leaves its
+//! list then. Nor may a source silence rustc's report of unused code,
+//! which the `pub` ratchet relies on.
 
 use std::collections::BTreeMap;
 use std::{fs, path::{Path, PathBuf}};
@@ -21,15 +22,24 @@ const OVER: [(&str, usize); 2] = [
 const LONG: [(&str, &str, usize); 0] = [];
 
 /// `(path under crates/, struct, its pub fields)`: what a caller can still set
-/// on a policy (ROADMAP 1(d)). A field one value reaches from non-test code is
-/// a constant beside its reader, not an entry here.
-const KNOBS: [(&str, &str, usize); 6] = [
+/// on a policy (ROADMAP 1(d)), on a harness's `*Params` or on a node's
+/// `NodeConfig`. A field one value reaches from non-test code is a constant
+/// beside its reader, not an entry here.
+const KNOBS: [(&str, &str, usize); 14] = [
     ("glare-core/src/retry.rs", "RetryPolicy", 1),
     ("glare-core/src/admission.rs", "AdmissionConfig", 2),
     ("glare-core/src/suspicion.rs", "SuspicionConfig", 1),
     ("glare-core/src/suspicion.rs", "HedgeConfig", 1),
-    ("glare-core/src/autonomic.rs", "AutonomicConfig", 4),
     ("fabric/src/store.rs", "StoreConfig", 1),
+    ("glare-core/src/node/msg.rs", "NodeConfig", 19),
+    ("bench/src/autonomic.rs", "AutonomicParams", 3),
+    ("bench/src/chaos.rs", "ChaosParams", 10),
+    ("bench/src/fig12.rs", "Fig12Params", 4),
+    ("bench/src/fig13.rs", "Fig13Params", 2),
+    ("bench/src/grayfail.rs", "GrayfailParams", 2),
+    ("bench/src/health.rs", "HealthParams", 10),
+    ("bench/src/load.rs", "LoadParams", 7),
+    ("bench/src/scale.rs", "ScaleParams", 7),
 ];
 
 /// `(crate directory, pub items before its tests)`: every `pub fn`, `struct`,
@@ -37,10 +47,10 @@ const KNOBS: [(&str, &str, usize); 6] = [
 /// item no other crate names is `pub(crate)`, where rustc reports it once
 /// nothing calls it; so these counts may only shrink.
 const PUB_ITEMS: [(&str, usize); 7] = [
-    ("bench", 137),
+    ("bench", 135),
     ("fabric", 262),
     ("glare-core", 274),
-    ("services", 121),
+    ("services", 120),
     ("workflow", 21),
     ("workload", 22),
     ("wsrf", 65),

@@ -19,7 +19,8 @@
 //! re-provision replicas through the deploy machinery. A deterministic
 //! queueing proxy turns per-site utilization into per-class latency, so
 //! "did p99 recover" is a pure function of the placement the controller
-//! achieved.
+//! achieved. The `--disabled` baseline builds no controller: the same
+//! chaos and load, with the initial placement left as it is.
 //!
 //! The report (actions, replica timelines, recovery percentiles,
 //! invariant violations, event digest) derives from sim-time alone, so
@@ -63,17 +64,14 @@ const DEGRADED_MS: f64 = 5_000.0;
 /// Poisson arrival noise so thresholds see sustained rates, not blips.
 const DEMAND_WINDOW_TICKS: usize = 5;
 
-/// How the controller participates in a run.
+/// Whether the run has controllers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ControllerMode {
     /// Controllers observe and act (the healing run).
     Enabled,
-    /// Controllers exist but are configured off: every tick must be a
-    /// no-op (observe-only invariant).
+    /// No controller is built: the baseline the healing run is judged
+    /// against.
     Disabled,
-    /// Controllers are never constructed — the baseline the disabled
-    /// mode must be event-identical to.
-    Absent,
 }
 
 impl ControllerMode {
@@ -82,7 +80,6 @@ impl ControllerMode {
         match self {
             ControllerMode::Enabled => "enabled",
             ControllerMode::Disabled => "disabled",
-            ControllerMode::Absent => "absent",
         }
     }
 }
@@ -434,17 +431,9 @@ impl Healing<'_> {
 
     /// Controller round. Both controllers decide from ONE shared snapshot:
     /// they race for the same hot-spot, and only the coordination lease
-    /// keeps them from double-provisioning. Disabled controllers still
-    /// tick: the observe-only invariant says these calls change nothing.
+    /// keeps them from double-provisioning.
     fn controller_round(&mut self, t: u64) {
         let (grid, now) = (&mut self.grid, SimTime::from_secs(t));
-        if !self.controllers.iter().any(|c| c.is_enabled()) {
-            for c in &mut self.controllers {
-                let out = c.tick(grid, now);
-                assert!(out.records.is_empty(), "disabled tick must be a no-op");
-            }
-            return;
-        }
         let snap = TelemetrySnapshot::observe(grid, now);
         let mut records = Vec::new();
         let decisions: Vec<_> = self
@@ -487,12 +476,10 @@ pub fn run(p: &AutonomicParams) -> AutonomicReport {
     assert!(p.sites >= 6, "the scenario needs at least 6 sites");
     let grid = seeded_grid(p);
     // Controllers: one per super-peer (sites 0 and 1).
-    let acting = p.mode == ControllerMode::Enabled;
-    let controller =
-        |name, home| PlacementController::new(name, home, p.seed, acting, ChannelKind::Expect);
+    let controller = |name, home| PlacementController::new(name, home, p.seed, ChannelKind::Expect);
     let controllers = match p.mode {
-        ControllerMode::Absent => Vec::new(),
-        _ => vec![controller("ctl@site0", 0), controller("ctl@site1", 1)],
+        ControllerMode::Enabled => vec![controller("ctl@site0", 0), controller("ctl@site1", 1)],
+        ControllerMode::Disabled => Vec::new(),
     };
     let flash_end = FLASH_AT_SECS + FLASH_SECS;
     let mut healing = Healing {
@@ -809,25 +796,5 @@ mod tests {
         let b = run(&p).to_json().to_string_pretty();
         assert_eq!(a, b);
         assert!(a.contains("\"schema\": \"glare.autonomic.v1\""));
-    }
-
-    #[test]
-    fn disabled_mode_is_event_identical_to_absent() {
-        // The controller-disabled event-identity check: same seed, a
-        // constructed-but-disabled controller pair vs no controller at
-        // all must yield byte-identical event logs.
-        let mut p = AutonomicParams { mode: ControllerMode::Disabled, ..Default::default() };
-        let disabled = run(&p);
-        p.mode = ControllerMode::Absent;
-        let absent = run(&p);
-        assert_eq!(disabled.event_digest, absent.event_digest);
-        assert_eq!(disabled.events, absent.events);
-        assert_eq!(
-            disabled.to_json().to_string_pretty(),
-            absent
-                .to_json()
-                .to_string_pretty()
-                .replace("\"mode\": \"absent\"", "\"mode\": \"disabled\""),
-        );
     }
 }

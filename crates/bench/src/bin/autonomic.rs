@@ -1,6 +1,6 @@
 //! Autonomic healing driver: flash crowd + site crashes with the
 //! placement controller closing the telemetry loop (or not, with
-//! `--disabled` / `--absent`). Prints the summary on stdout, always
+//! `--disabled`). Prints the summary on stdout, always
 //! writes `BENCH_autonomic.json`, and then exits 1 if the report lists a
 //! violation.
 //!
@@ -9,9 +9,8 @@
 //!                 selects the default run, which is already CI-sized
 //!   --sites N     grid size (default 8, minimum 6)
 //!   --seed N      master seed (default 4213)
-//!   --disabled    construct the controllers but keep them off
-//!   --absent      never construct the controllers (baseline for the
-//!                 observe-only identity check)
+//!   --disabled    build no controller: the same chaos and load with the
+//!                 initial placement left as it is
 //!   --json        machine-readable output on stdout instead of the table
 
 use glare_bench::args::{exit_on_violations, write_artifact, Args};
@@ -23,9 +22,6 @@ fn main() {
     let mut p = AutonomicParams::default();
     if args.flag("--disabled") {
         p.mode = ControllerMode::Disabled;
-    }
-    if args.flag("--absent") {
-        p.mode = ControllerMode::Absent;
     }
     let json_out = args.flag("--json");
     args.set(&mut p.sites, "--sites", "an integer >= 6", |&n| n >= 6);

@@ -305,7 +305,7 @@ mod tests {
             .iter()
             .map(|&id| {
                 let node = sim.actor_as::<GlareNode>(id).expect("a node");
-                assert!(node.atr.contains("T3", SimTime::ZERO));
+                assert!(node.atr.contains("T3"));
                 let mut keys = node.adr.keys(SimTime::ZERO);
                 keys.sort();
                 keys

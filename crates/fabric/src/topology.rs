@@ -1,10 +1,11 @@
 //! Static description of a simulated Grid: sites and the links between them.
 //!
 //! A [`SiteSpec`] carries the static attributes the paper's super-peer
-//! election hashes into a rank (processor speed, memory, uptime, site name)
-//! plus the platform constraints (`os`/`arch`/`platform`) that deploy-files
-//! match against. A [`Topology`] adds the link characteristics used to
-//! price message and file-transfer latency.
+//! election hashes into a rank (processor speed, memory, uptime, site name).
+//! The [`Platform`] triple (`os`/`arch`/`platform`) that deploy-files match
+//! against belongs to a Grid site's host, not to a simulated site. A
+//! [`Topology`] adds the link characteristics used to price message and
+//! file-transfer latency.
 
 use std::collections::HashSet;
 
@@ -68,8 +69,6 @@ pub struct SiteSpec {
     pub memory_mb: u32,
     /// Uptime in seconds at simulation start (election rank input).
     pub uptime_secs: u64,
-    /// Platform triple for deployment constraints.
-    pub platform: Platform,
     /// Relative service speed: 1.0 = reference site; CPU-bound work costs
     /// `cost / speed_factor`.
     pub speed_factor: f64,
@@ -84,7 +83,6 @@ impl SiteSpec {
             cores: 4,
             memory_mb: 4096,
             uptime_secs: 86_400,
-            platform: Platform::intel_linux_32(),
             speed_factor: 1.0,
         }
     }

@@ -67,7 +67,7 @@ impl ActivityDeploymentRegistry {
         atr: &ActivityTypeRegistry,
         now: SimTime,
     ) -> Result<SimDuration, GlareError> {
-        if !atr.contains(&deployment.type_name, now) {
+        if !atr.contains(&deployment.type_name) {
             return Err(GlareError::TypeNotRegistered {
                 type_name: deployment.type_name.clone(),
             });
@@ -99,18 +99,21 @@ impl ActivityDeploymentRegistry {
         Ok(REQUEST_BASE_COST + self.transport.overhead_cost(DEPLOYMENT_WIRE_BYTES))
     }
 
-    /// Named lookup of one deployment (hashtable fast path).
-    pub fn lookup(&self, key: &str, now: SimTime) -> Option<TypedResponse<ActivityDeployment>> {
+    /// Named lookup of one deployment (hashtable fast path). `_now` is
+    /// unread: an entry lives until it is removed, and the parameter stays
+    /// only while `perf/` calls this read (ROADMAP 1A).
+    pub fn lookup(&self, key: &str, _now: SimTime) -> Option<TypedResponse<ActivityDeployment>> {
         let cost = REQUEST_BASE_COST + self.transport.overhead_cost(512 + DEPLOYMENT_WIRE_BYTES);
-        let value = self.home.with_resource(key, now, |r| r.payload.clone())?;
+        let value = self.home.with_resource(key, |r| r.payload.clone())?;
         Some(TypedResponse { value, cost })
     }
 
-    /// All usable deployments of a concrete type.
+    /// All usable deployments of a concrete type. `_now` is unread; it
+    /// stays only while `perf/` calls this read (ROADMAP 1A).
     pub fn deployments_of(
         &self,
         type_name: &str,
-        now: SimTime,
+        _now: SimTime,
     ) -> TypedResponse<Vec<ActivityDeployment>> {
         // The shards are read under the index read lock, walking its key
         // set in place: index before shard is the order `register` takes
@@ -121,7 +124,7 @@ impl ActivityDeploymentRegistry {
             .get(type_name)
             .into_iter()
             .flatten()
-            .filter_map(|k| self.home.with_resource(k, now, |r| usable(&r.payload)).flatten())
+            .filter_map(|k| self.home.with_resource(k, |r| usable(&r.payload)).flatten())
             .collect();
         drop(by_type);
         let cost = REQUEST_BASE_COST
@@ -139,12 +142,12 @@ impl ActivityDeploymentRegistry {
         self.by_type.read().is_empty()
     }
 
-    /// Count of live deployments of a type (for provider limits): the
+    /// Count of usable deployments of a type (for provider limits): the
     /// entries [`ActivityDeploymentRegistry::deployments_of`] would list,
     /// counted in place under the index read lock.
-    pub(crate) fn count_of(&self, type_name: &str, now: SimTime) -> usize {
+    pub(crate) fn count_of(&self, type_name: &str) -> usize {
         let by_type = self.by_type.read();
-        let usable = |k: &String| self.home.with_resource(k, now, |r| r.payload.is_usable());
+        let usable = |k: &String| self.home.with_resource(k, |r| r.payload.is_usable());
         by_type
             .get(type_name)
             .into_iter()
@@ -155,9 +158,9 @@ impl ActivityDeploymentRegistry {
 
     /// The current EPR of a deployment (address + key + LUT from the
     /// resource's modification stamp).
-    pub fn epr_of(&self, key: &str, now: SimTime) -> Option<EndpointReference> {
+    pub fn epr_of(&self, key: &str) -> Option<EndpointReference> {
         self.home
-            .with_resource(key, now, |r| r.payload.epr(&self.address, r.modified_at))
+            .with_resource(key, |r| r.payload.epr(&self.address, r.modified_at))
     }
 
     /// Status-monitor heartbeat: bump the LUT without changing payload.
@@ -188,26 +191,6 @@ impl ActivityDeploymentRegistry {
         self.home
             .update(key, at, |d| d.record_invocation(at, runtime, return_code))?;
         Ok(())
-    }
-
-    /// Expire all deployments of a type at `when` (cascade from type
-    /// expiry, §3.3: "If an activity type expires, its deployments
-    /// automatically expire"). Running instances finish: expiry is
-    /// scheduled, not immediate destruction.
-    pub fn expire_type(&self, type_name: &str, when: SimTime, now: SimTime) -> usize {
-        let keys: Vec<String> = self
-            .by_type
-            .read()
-            .get(type_name)
-            .map(|ks| ks.iter().cloned().collect())
-            .unwrap_or_default();
-        let mut n = 0;
-        for k in keys {
-            if self.home.set_termination_time(&k, Some(when), now).is_ok() {
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Remove a deployment permanently (e.g. after migration).
@@ -245,7 +228,7 @@ impl ActivityDeploymentRegistry {
     /// newest tombstone instant per key and evicts a live entry whose LUT
     /// is not newer than the tombstone. Returns whether an entry was
     /// evicted (i.e. a resurrection was prevented).
-    pub(crate) fn apply_tombstone(&self, key: &str, at: SimTime, now: SimTime) -> bool {
+    pub(crate) fn apply_tombstone(&self, key: &str, at: SimTime) -> bool {
         {
             let mut tombs = self.tombstones.write();
             let entry = tombs.entry(key.to_owned()).or_insert(at);
@@ -255,7 +238,7 @@ impl ActivityDeploymentRegistry {
         }
         let stale = self
             .home
-            .with_resource(key, now, |r| r.modified_at <= at)
+            .with_resource(key, |r| r.modified_at <= at)
             .unwrap_or(false);
         stale && self.remove(key).is_ok()
     }
@@ -265,31 +248,20 @@ impl ActivityDeploymentRegistry {
         self.tombstones.write().extend(tombs);
     }
 
-    /// Sweep expired deployments, returning their keys.
-    pub(crate) fn sweep_expired(&self, now: SimTime) -> Vec<String> {
-        let dead = self.home.sweep_expired(now);
-        if !dead.is_empty() {
-            let mut by_type = self.by_type.write();
-            for keys in by_type.values_mut() {
-                keys.retain(|k| !dead.contains(k));
-            }
-        }
-        dead
+    /// Number of registered deployments. `_now` is unread; it stays only
+    /// while `perf/` calls this read (ROADMAP 1A), as on the two below.
+    pub fn len(&self, _now: SimTime) -> usize {
+        self.home.len()
     }
 
-    /// Number of live deployments.
-    pub fn len(&self, now: SimTime) -> usize {
-        self.home.len_live(now)
+    /// Whether no deployment is registered.
+    pub fn is_empty(&self, _now: SimTime) -> bool {
+        self.home.is_empty()
     }
 
-    /// Whether the registry is empty.
-    pub fn is_empty(&self, now: SimTime) -> bool {
-        self.len(now) == 0
-    }
-
-    /// Keys of all live deployments.
-    pub fn keys(&self, now: SimTime) -> Vec<String> {
-        self.home.live_keys(now)
+    /// Keys of all registered deployments.
+    pub fn keys(&self, _now: SimTime) -> Vec<String> {
+        self.home.live_keys()
     }
 }
 
@@ -346,7 +318,7 @@ mod tests {
         let resp = adr.deployments_of("JPOVray", t(1));
         assert_eq!(resp.value.len(), 3);
         assert!(adr.deployments_of("Wien2k", t(1)).value.is_empty());
-        assert_eq!(adr.count_of("JPOVray", t(1)), 3);
+        assert_eq!(adr.count_of("JPOVray"), 3);
     }
 
     #[test]
@@ -356,7 +328,7 @@ mod tests {
         // Same key re-registered (re-install): index must stay at one
         // entry, and the payload must be the newer record.
         adr.register(jpov_exec("s1"), &atr, t(5)).unwrap();
-        assert_eq!(adr.count_of("JPOVray", t(6)), 1);
+        assert_eq!(adr.count_of("JPOVray"), 1);
         assert_eq!(adr.len(t(6)), 1);
     }
 
@@ -364,11 +336,11 @@ mod tests {
     fn status_gates_listing_and_bumps_lut() {
         let (atr, adr) = registries();
         adr.register(jpov_exec("s1"), &atr, t(0)).unwrap();
-        let epr0 = adr.epr_of("jpovray@s1", t(1)).unwrap();
+        let epr0 = adr.epr_of("jpovray@s1").unwrap();
         adr.set_status("jpovray@s1", DeploymentStatus::Failed, t(5))
             .unwrap();
         assert!(adr.deployments_of("JPOVray", t(6)).value.is_empty());
-        let epr1 = adr.epr_of("jpovray@s1", t(6)).unwrap();
+        let epr1 = adr.epr_of("jpovray@s1").unwrap();
         assert!(epr1.is_newer_than(&epr0), "status change must bump LUT");
         adr.set_status("jpovray@s1", DeploymentStatus::Available, t(7))
             .unwrap();
@@ -379,27 +351,11 @@ mod tests {
     fn touch_is_monitor_heartbeat() {
         let (atr, adr) = registries();
         adr.register(jpov_exec("s1"), &atr, t(0)).unwrap();
-        let epr0 = adr.epr_of("jpovray@s1", t(1)).unwrap();
+        let epr0 = adr.epr_of("jpovray@s1").unwrap();
         adr.touch("jpovray@s1", t(30)).unwrap();
-        let epr1 = adr.epr_of("jpovray@s1", t(31)).unwrap();
+        let epr1 = adr.epr_of("jpovray@s1").unwrap();
         assert!(epr1.is_newer_than(&epr0));
         assert!(adr.touch("missing", t(31)).is_err());
-    }
-
-    #[test]
-    fn expiry_cascade_from_type() {
-        let (atr, adr) = registries();
-        adr.register(jpov_exec("s1"), &atr, t(0)).unwrap();
-        adr.register(jpov_exec("s2"), &atr, t(0)).unwrap();
-        let n = adr.expire_type("JPOVray", t(100), t(1));
-        assert_eq!(n, 2);
-        // Still live before the deadline (running instances finish).
-        assert_eq!(adr.deployments_of("JPOVray", t(99)).value.len(), 2);
-        assert!(adr.deployments_of("JPOVray", t(100)).value.is_empty());
-        let mut swept = adr.sweep_expired(t(101));
-        swept.sort();
-        assert_eq!(swept, vec!["jpovray@s1", "jpovray@s2"]);
-        assert_eq!(adr.count_of("JPOVray", t(102)), 0);
     }
 
     #[test]
@@ -408,7 +364,7 @@ mod tests {
         let counts_agree = |now: SimTime| {
             for ty in ["JPOVray", "Wien2k", "Ghost"] {
                 assert_eq!(
-                    adr.count_of(ty, now),
+                    adr.count_of(ty),
                     adr.deployments_of(ty, now).value.len(),
                     "{ty}"
                 );
@@ -424,11 +380,10 @@ mod tests {
             .unwrap();
         adr.remove("jpovray@s4").unwrap();
         counts_agree(t(3));
-        assert_eq!(adr.count_of("JPOVray", t(3)), 1, "only s1 is usable");
-        adr.expire_type("JPOVray", t(10), t(4));
-        counts_agree(t(9));
-        counts_agree(t(10));
-        assert_eq!(adr.count_of("JPOVray", t(10)), 0, "expired");
+        assert_eq!(adr.count_of("JPOVray"), 1, "only s1 is usable");
+        adr.uninstall("jpovray@s1", t(4)).unwrap();
+        counts_agree(t(5));
+        assert_eq!(adr.count_of("JPOVray"), 0, "uninstalled");
     }
 
     #[test]
@@ -467,7 +422,7 @@ mod tests {
         // A genuinely newer install wins and clears the tombstone.
         adr.register(jpov_exec("s1"), &atr, t(11)).unwrap();
         assert_eq!(adr.tombstone_of("jpovray@s1"), None);
-        assert_eq!(adr.count_of("JPOVray", t(12)), 1);
+        assert_eq!(adr.count_of("JPOVray"), 1);
     }
 
     #[test]
@@ -475,16 +430,16 @@ mod tests {
         let (atr, adr) = registries();
         adr.register(jpov_exec("s1"), &atr, t(5)).unwrap();
         // Peer tombstone newer than the local entry: evict.
-        assert!(adr.apply_tombstone("jpovray@s1", t(7), t(8)));
+        assert!(adr.apply_tombstone("jpovray@s1", t(7)));
         assert!(adr.lookup("jpovray@s1", t(8)).is_none());
         assert_eq!(adr.tombstone_of("jpovray@s1"), Some(t(7)));
         // Re-applying on an absent entry evicts nothing but keeps the
         // newest tombstone instant.
-        assert!(!adr.apply_tombstone("jpovray@s1", t(6), t(9)));
+        assert!(!adr.apply_tombstone("jpovray@s1", t(6)));
         assert_eq!(adr.tombstone_of("jpovray@s1"), Some(t(7)));
         // A tombstone older than a live entry leaves the entry alone.
         adr.register(jpov_exec("s2"), &atr, t(20)).unwrap();
-        assert!(!adr.apply_tombstone("jpovray@s2", t(15), t(21)));
+        assert!(!adr.apply_tombstone("jpovray@s2", t(15)));
         assert!(adr.lookup("jpovray@s2", t(21)).is_some());
     }
 
@@ -499,6 +454,6 @@ mod tests {
         atr.register(ActivityType::concrete_type("NewApp", "d", "wien2k"), t(0))
             .unwrap();
         adr.register(d, &atr, t(1)).unwrap();
-        assert_eq!(adr.count_of("NewApp", t(2)), 1);
+        assert_eq!(adr.count_of("NewApp"), 1);
     }
 }

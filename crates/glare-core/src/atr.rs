@@ -81,7 +81,7 @@ impl fmt::Debug for ActivityTypeRegistry {
         f.debug_struct("ActivityTypeRegistry")
             .field("address", &self.address)
             .field("transport", &self.transport)
-            .field("types", &self.home.len_total())
+            .field("types", &self.home.len())
             .field("lookups_served", &self.lookups_served())
             .finish()
     }
@@ -130,22 +130,21 @@ impl ActivityTypeRegistry {
     /// Named lookup — the hashtable fast path. Cost does *not* depend on
     /// registry size, and concurrent callers do not serialize. The entry
     /// comes back shared: a lookup bumps a reference count and copies
-    /// nothing.
-    pub fn lookup(&self, name: &str, now: SimTime) -> Option<TypedResponse<Arc<ActivityType>>> {
+    /// nothing. `_now` is unread: an entry lives until it is removed, and
+    /// the parameter stays only while `perf/` calls this read (ROADMAP 1A).
+    pub fn lookup(&self, name: &str, _now: SimTime) -> Option<TypedResponse<Arc<ActivityType>>> {
         self.lookups_served.fetch_add(1, Ordering::Relaxed);
         let cost = REQUEST_BASE_COST + self.transport.overhead_cost(512 + TYPE_WIRE_BYTES);
-        let value = self.home.with_resource(name, now, |r| Arc::clone(&r.payload))?;
+        let value = self.home.with_resource(name, |r| Arc::clone(&r.payload))?;
         Some(TypedResponse { value, cost })
     }
 
     /// Resolve a (possibly abstract) type to the deployable concrete types
-    /// at or below it, skipping expired and revoked entries, keeping what
-    /// `project` takes from each type found (the discovery ladder keeps
-    /// only names).
+    /// at or below it, skipping revoked entries, keeping what `project`
+    /// takes from each type found (the discovery ladder keeps only names).
     pub(crate) fn resolve_concrete<R>(
         &self,
         name: &str,
-        now: SimTime,
         mut project: impl FnMut(&ActivityType) -> R,
     ) -> TypedResponse<Vec<R>> {
         self.lookups_served.fetch_add(1, Ordering::Relaxed);
@@ -153,7 +152,7 @@ impl ActivityTypeRegistry {
         let mut unrevoked = |t: &ActivityType| (!t.revoked).then(|| project(t));
         let found: Vec<R> = names
             .iter()
-            .filter_map(|n| self.home.with_resource(n, now, |r| unrevoked(&r.payload)).flatten())
+            .filter_map(|n| self.home.with_resource(n, |r| unrevoked(&r.payload)).flatten())
             .collect();
         // One hash lookup per hierarchy hop — still size-independent.
         let cost = REQUEST_BASE_COST
@@ -170,13 +169,9 @@ impl ActivityTypeRegistry {
     ///
     /// Compiled expressions are memoized by string; the per-entry document
     /// walk (the modeled cost) is still paid on every call.
-    pub fn query_xpath(
-        &self,
-        expr: &str,
-        now: SimTime,
-    ) -> Result<TypedResponse<Vec<XmlNode>>, GlareError> {
-        let scanned = self.home.len_live(now);
-        let doc = self.home.aggregate_document(now);
+    pub fn query_xpath(&self, expr: &str) -> Result<TypedResponse<Vec<XmlNode>>, GlareError> {
+        let scanned = self.home.len();
+        let doc = self.home.aggregate_document();
         let compiled = self.xpath_memo.get_or_compile(expr).map_err(|e| {
             GlareError::Wsrf(WsrfError::InvalidQuery {
                 message: e.to_string(),
@@ -207,7 +202,7 @@ impl ActivityTypeRegistry {
         let mut hierarchy = self.hierarchy.write();
         let mut edited = self
             .home
-            .with_resource(name, now, |r| Arc::clone(&r.payload))
+            .with_resource(name, |r| Arc::clone(&r.payload))
             .ok_or_else(|| WsrfError::NoSuchResource {
                 key: name.to_owned(),
             })?;
@@ -225,17 +220,6 @@ impl ActivityTypeRegistry {
         Ok(())
     }
 
-    /// Schedule (or clear) expiry of a type.
-    pub fn set_expiry(
-        &self,
-        name: &str,
-        when: Option<SimTime>,
-        now: SimTime,
-    ) -> Result<(), GlareError> {
-        self.home.set_termination_time(name, when, now)?;
-        Ok(())
-    }
-
     /// Remove a type permanently. Returns the removed entry.
     pub fn remove(&self, name: &str) -> Result<ActivityType, GlareError> {
         let r = self.home.destroy(name)?;
@@ -243,32 +227,20 @@ impl ActivityTypeRegistry {
         Ok(Arc::unwrap_or_clone(r.payload))
     }
 
-    /// Sweep expired types out of the hierarchy; returns their names (the
-    /// RDM cascades expiry to their deployments).
-    pub fn sweep_expired(&self, now: SimTime) -> Vec<String> {
-        let dead = self.home.sweep_expired(now);
-        if !dead.is_empty() {
-            let mut hierarchy = self.hierarchy.write();
-            for name in &dead {
-                hierarchy.remove(name);
-            }
-        }
-        dead
+    /// Whether a type is registered under `name`.
+    pub fn contains(&self, name: &str) -> bool {
+        self.home.contains(name)
     }
 
-    /// Whether a live type exists.
-    pub fn contains(&self, name: &str, now: SimTime) -> bool {
-        self.home.contains(name, now)
+    /// Number of registered types. `_now` is unread; it stays only while
+    /// `perf/` calls this read (ROADMAP 1A).
+    pub fn len(&self, _now: SimTime) -> usize {
+        self.home.len()
     }
 
-    /// Number of live types.
-    pub fn len(&self, now: SimTime) -> usize {
-        self.home.len_live(now)
-    }
-
-    /// Names of all live types.
-    pub(crate) fn names(&self, now: SimTime) -> Vec<String> {
-        self.home.live_keys(now)
+    /// Names of all registered types.
+    pub(crate) fn names(&self) -> Vec<String> {
+        self.home.live_keys()
     }
 
     /// Total lookups served (for experiment accounting).
@@ -343,7 +315,7 @@ mod tests {
     fn xpath_cost_scales_with_size() {
         let r = loaded();
         let c_small = r
-            .query_xpath("//ActivityTypeEntry[@name='Wien2k']", t(1))
+            .query_xpath("//ActivityTypeEntry[@name='Wien2k']")
             .unwrap()
             .cost;
         for i in 0..200 {
@@ -354,7 +326,7 @@ mod tests {
             .unwrap();
         }
         let c_big = r
-            .query_xpath("//ActivityTypeEntry[@name='Wien2k']", t(1))
+            .query_xpath("//ActivityTypeEntry[@name='Wien2k']")
             .unwrap()
             .cost;
         assert!(c_big > c_small, "XPath path pays per entry");
@@ -364,15 +336,15 @@ mod tests {
     fn resolve_concrete_skips_revoked_and_expired() {
         let r = loaded();
         assert_eq!(
-            r.resolve_concrete("Imaging", t(1), ActivityType::clone).value[0].name,
+            r.resolve_concrete("Imaging", ActivityType::clone).value[0].name,
             "JPOVray"
         );
         r.update("JPOVray", t(1), |t| t.revoked = true).unwrap();
-        assert!(r.resolve_concrete("Imaging", t(2), ActivityType::clone).value.is_empty());
+        assert!(r.resolve_concrete("Imaging", ActivityType::clone).value.is_empty());
         r.update("JPOVray", t(2), |t| t.revoked = false).unwrap();
-        r.set_expiry("JPOVray", Some(t(10)), t(2)).unwrap();
-        assert_eq!(r.resolve_concrete("Imaging", t(9), ActivityType::clone).value.len(), 1);
-        assert!(r.resolve_concrete("Imaging", t(11), ActivityType::clone).value.is_empty());
+        assert_eq!(r.resolve_concrete("Imaging", ActivityType::clone).value.len(), 1);
+        r.remove("JPOVray").unwrap();
+        assert!(r.resolve_concrete("Imaging", ActivityType::clone).value.is_empty());
     }
 
     #[test]
@@ -384,7 +356,7 @@ mod tests {
             .register(ActivityType::abstract_type("B", "d").extends("A"), t(0))
             .unwrap_err();
         assert!(matches!(err, GlareError::InvalidType { .. }));
-        assert!(!r.contains("B", t(1)));
+        assert!(!r.contains("B"));
     }
 
     #[test]
@@ -394,18 +366,6 @@ mod tests {
             .register(ActivityType::abstract_type("A", "d").extends("A"), t(0))
             .unwrap_err();
         assert!(matches!(err, GlareError::InvalidType { .. }));
-    }
-
-    #[test]
-    fn sweep_cascade_names() {
-        let r = loaded();
-        r.set_expiry("Wien2k", Some(t(5)), t(0)).unwrap();
-        r.set_expiry("Invmod", Some(t(5)), t(0)).unwrap();
-        let mut dead = r.sweep_expired(t(6));
-        dead.sort();
-        assert_eq!(dead, vec!["Invmod", "Wien2k"]);
-        assert!(!r.contains("Wien2k", t(6)));
-        assert!(r.resolve_concrete("Wien2k", t(6), ActivityType::clone).value.is_empty());
     }
 
     #[test]
@@ -427,7 +387,7 @@ mod tests {
         let removed = r.remove("Counter").unwrap();
         assert_eq!(removed.name, "Counter");
         assert_eq!(r.len(t(1)), n - 1);
-        assert!(!r.names(t(1)).contains(&"Counter".to_owned()));
+        assert!(!r.names().contains(&"Counter".to_owned()));
         assert!(r.remove("Counter").is_err());
     }
 
@@ -438,7 +398,7 @@ mod tests {
             t.base_types.push("Imaging".into());
         })
         .unwrap();
-        let resolved = r.resolve_concrete("Imaging", t(2), ActivityType::clone).value;
+        let resolved = r.resolve_concrete("Imaging", ActivityType::clone).value;
         let names: Vec<&str> = resolved.iter().map(|t| t.name.as_str()).collect();
         assert!(names.contains(&"Wien2k"));
         assert!(names.contains(&"JPOVray"));
@@ -461,7 +421,7 @@ mod tests {
         assert!(!r.with_hierarchy(|h| h.has_cycle_from("A")));
         assert!(!r.with_hierarchy(|h| h.has_cycle_from("B")));
         assert_eq!(*r.lookup("B", t(3)).unwrap().value, *before, "payload unchanged");
-        assert!(r.resolve_concrete("A", t(3), ActivityType::clone).value.is_empty());
+        assert!(r.resolve_concrete("A", ActivityType::clone).value.is_empty());
         // A legal edit still lands, and a reader keeps the version it held.
         r.update("B", t(4), |b| b.domain = "e".into()).unwrap();
         assert_eq!(r.lookup("B", t(5)).unwrap().value.domain, "e");

@@ -41,12 +41,8 @@
 //! reacting to one hot-spot cannot double-provision — the loser observes
 //! `lease.rejected` and backs off for a cooldown.
 //!
-//! # Observe-only when disabled
-//!
-//! A controller built disabled returns from [`PlacementController::tick`]
-//! immediately: no RNG draws, no metrics, no events, no registry
-//! reads — a same-seed run with a disabled controller is byte-identical
-//! to one where the controller was never constructed.
+//! A controller that exists acts. A run without closed-loop placement
+//! (the autonomic harness's `--disabled` baseline) builds none.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -69,7 +65,7 @@ pub const LOAD_FAMILY: &str = "glare_site_load1m";
 
 /// Replica floor; re-provisioning restores up to this after crashes.
 /// Fixed, like every constant below: the one flash-crowd configuration
-/// uses these values, and a disabled controller returns before reading any.
+/// uses these values.
 pub const MIN_REPLICAS: u32 = 1;
 
 /// Replica ceiling however hot the type gets.
@@ -246,9 +242,9 @@ pub struct ActionRecord {
 }
 
 /// Everything one [`PlacementController::tick`] did.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RoundOutcome {
-    /// Actions in application order (empty when disabled or quiet).
+    /// Actions in application order (empty when quiet).
     pub records: Vec<ActionRecord>,
 }
 
@@ -261,9 +257,6 @@ pub struct PlacementController {
     /// Home site: deploy lookups start here, and an amnesia crash of this
     /// site is what [`PlacementController::reset`] models.
     home: usize,
-    /// Whether the loop acts at all. `false` keeps every run byte-identical
-    /// to one without the controller.
-    enabled: bool,
     channel: ChannelKind,
     seed: u64,
     rng: SimRng,
@@ -278,13 +271,11 @@ impl PlacementController {
         name: &str,
         home: usize,
         seed: u64,
-        enabled: bool,
         channel: ChannelKind,
     ) -> PlacementController {
         PlacementController {
             name: name.to_owned(),
             home,
-            enabled,
             channel,
             seed,
             rng: SimRng::from_seed(seed).fork(name),
@@ -300,11 +291,6 @@ impl PlacementController {
     /// The home super-peer site.
     pub fn home(&self) -> usize {
         self.home
-    }
-
-    /// Whether the control loop acts at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Amnesia crash of the home super-peer: all soft state (cooldowns,
@@ -324,9 +310,6 @@ impl PlacementController {
     /// Priority order when the budget binds: re-provision lost replicas,
     /// then spread hot types, then retire cold ones.
     pub fn decide(&mut self, snap: &TelemetrySnapshot) -> Vec<PlacementAction> {
-        if !self.enabled {
-            return Vec::new();
-        }
         let mut actions: Vec<PlacementAction> = Vec::new();
         // Provisioning targets chosen this round count as occupied, so one
         // round never stacks two new replicas on the same cool site.
@@ -466,12 +449,8 @@ impl PlacementController {
         RoundOutcome { records }
     }
 
-    /// One full control round: observe → decide → act. The disabled path
-    /// returns before touching anything (no RNG, no metrics, no events).
+    /// One full control round: observe → decide → act.
     pub fn tick(&mut self, grid: &mut Grid, now: SimTime) -> RoundOutcome {
-        if !self.enabled {
-            return RoundOutcome::default();
-        }
         let snap = TelemetrySnapshot::observe(grid, now);
         let actions = self.decide(&snap);
         self.act(grid, actions, now)
@@ -620,24 +599,13 @@ mod tests {
         }
     }
 
-    fn controller(enabled: bool) -> PlacementController {
-        PlacementController::new("ctl@site0", 0, 42, enabled, ChannelKind::Expect)
-    }
-
-    #[test]
-    fn disabled_controller_decides_nothing() {
-        let mut c = controller(false);
-        let s = snap(
-            t(10),
-            &[(0, true, 0.9), (1, true, 0.0)],
-            &[("Hot", 1000.0, &[0])],
-        );
-        assert!(c.decide(&s).is_empty());
+    fn controller() -> PlacementController {
+        PlacementController::new("ctl@site0", 0, 42, ChannelKind::Expect)
     }
 
     #[test]
     fn hot_type_earns_a_replica_on_the_coolest_site() {
-        let mut c = controller(true);
+        let mut c = controller();
         let s = snap(
             t(10),
             &[(0, true, 0.9), (1, true, 0.6), (2, true, 0.2)],
@@ -651,7 +619,7 @@ mod tests {
 
     #[test]
     fn provision_respects_the_target_load_ceiling() {
-        let mut c = controller(true);
+        let mut c = controller();
         // Every candidate is hotter than MAX_TARGET_LOAD: no action
         // (healing must not create the next hot-spot).
         let s = snap(
@@ -668,10 +636,10 @@ mod tests {
         let held: Vec<usize> = (0..MAX_REPLICAS as usize).collect();
         // One replica short of the ceiling, a hot type still spreads...
         let s = snap(t(10), &sites, &[("Hot", 1000.0, &held[1..])]);
-        assert_eq!(controller(true).decide(&s).len(), 1, "below the ceiling");
+        assert_eq!(controller().decide(&s).len(), 1, "below the ceiling");
         // ...and at it, with cool sites free, it does not.
         let s = snap(t(10), &sites, &[("Hot", 1000.0, &held)]);
-        assert!(controller(true).decide(&s).is_empty(), "at the ceiling, however hot");
+        assert!(controller().decide(&s).is_empty(), "at the ceiling, however hot");
     }
 
     #[test]
@@ -680,7 +648,7 @@ mod tests {
         let kinds = |hz: f64| -> Vec<ActionKind> {
             let sites = [(0, true, 0.5), (1, true, 0.5), (2, true, 0.0)];
             let s = snap(t(10), &sites, &[("Warm", 2.0 * hz, &[0, 1])]);
-            controller(true).decide(&s).iter().map(|a| a.kind).collect()
+            controller().decide(&s).iter().map(|a| a.kind).collect()
         };
         assert_eq!(kinds(HOT_PER_REPLICA_HZ + 1.0), [ActionKind::Provision]);
         assert_eq!(kinds(HOT_PER_REPLICA_HZ), [], "the hot threshold is exclusive");
@@ -691,7 +659,7 @@ mod tests {
 
     #[test]
     fn cold_type_retires_down_to_the_floor() {
-        let mut c = controller(true);
+        let mut c = controller();
         let s = snap(
             t(10),
             &[(0, true, 0.7), (1, true, 0.1)],
@@ -708,7 +676,7 @@ mod tests {
 
     #[test]
     fn lost_replica_is_reprovisioned_before_anything_else() {
-        let mut c = controller(true);
+        let mut c = controller();
         // Three types want an action; the round's budget is two.
         let s = snap(
             t(10),
@@ -725,7 +693,7 @@ mod tests {
 
     #[test]
     fn cooldown_damps_repeat_actions() {
-        let mut c = controller(true);
+        let mut c = controller();
         let hot = |at| {
             snap(
                 at,
@@ -740,7 +708,7 @@ mod tests {
 
     #[test]
     fn replica_floor_overrides_the_cooldown() {
-        let mut c = controller(true);
+        let mut c = controller();
         // A retire at t=10 puts "Churn" on cooldown...
         let s = snap(
             t(10),
@@ -758,7 +726,7 @@ mod tests {
 
     #[test]
     fn reset_wipes_hysteresis_state() {
-        let mut c = controller(true);
+        let mut c = controller();
         let hot = |at| {
             snap(
                 at,
@@ -776,7 +744,7 @@ mod tests {
     #[test]
     fn one_round_never_stacks_two_new_replicas_on_one_site() {
         // The round's budget has room for both hot types.
-        let mut c = controller(true);
+        let mut c = controller();
         let s = snap(
             t(10),
             &[(0, true, 0.9), (1, true, 0.9), (2, true, 0.0)],
@@ -811,8 +779,8 @@ mod tests {
             .gauge(DEMAND_FAMILY, &Labels::of(&[("activity", "Hot")]))
             .set(t(5), 500.0);
 
-        let mut a = PlacementController::new("ctl-a", 0, 7, true, ChannelKind::Expect);
-        let mut b = PlacementController::new("ctl-b", 1, 7, true, ChannelKind::Expect);
+        let mut a = PlacementController::new("ctl-a", 0, 7, ChannelKind::Expect);
+        let mut b = PlacementController::new("ctl-b", 1, 7, ChannelKind::Expect);
         // Both super-peers react to the SAME snapshot of the same
         // hot-spot; only the coordination lease arbitrates.
         let snap = TelemetrySnapshot::observe(&grid, t(5));
@@ -836,13 +804,7 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_per_seed() {
         let run = |seed| {
-            let mut c = PlacementController::new(
-                "ctl",
-                0,
-                seed,
-                true,
-                ChannelKind::Expect,
-            );
+            let mut c = PlacementController::new("ctl", 0, seed, ChannelKind::Expect);
             // All-equal loads force the RNG tie-break.
             let s = snap(
                 t(10),

@@ -497,7 +497,7 @@ impl SnapshotState {
         adr: &ActivityDeploymentRegistry,
         now: SimTime,
     ) -> SnapshotState {
-        let names = atr.names(now);
+        let names = atr.names();
         SnapshotState {
             types: names
                 .iter()
@@ -1052,7 +1052,7 @@ mod tests {
 
         let (atr, adr) = registries();
         assert!(!replay(&recovered, &atr, &adr, None, now), "the blob does not decode");
-        assert_eq!(atr.names(now), ["JPOVray"], "neither skipped record removed the type");
+        assert_eq!(atr.names(), ["JPOVray"], "neither skipped record removed the type");
         assert!(adr.keys(now).is_empty(), "the uninstall applied after the register");
         assert_eq!(adr.tombstones(), [("jpovray@site3".to_owned(), SimTime::from_secs(99))]);
 

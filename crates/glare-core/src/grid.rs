@@ -554,7 +554,6 @@ impl Grid {
         &mut self,
         from_site: usize,
         name: &str,
-        now: SimTime,
         project: impl Fn(&ActivityType) -> R,
     ) -> (Vec<R>, SimDuration) {
         let mut cost = SimDuration::ZERO;
@@ -567,7 +566,7 @@ impl Grid {
             if hop > 0 {
                 cost += rtt;
             }
-            let resp = self.sites[i].atr.resolve_concrete(name, now, &concrete);
+            let resp = self.sites[i].atr.resolve_concrete(name, &concrete);
             cost += resp.cost;
             let out: Vec<R> = resp.value.into_iter().flatten().collect();
             if !out.is_empty() {
@@ -579,14 +578,14 @@ impl Grid {
 
     /// Sites whose platform satisfies a type's install constraints and
     /// which can still accept a deployment under the provider limits.
-    pub(crate) fn eligible_sites(&self, t: &ActivityType, now: SimTime) -> Vec<usize> {
+    pub(crate) fn eligible_sites(&self, t: &ActivityType) -> Vec<usize> {
         let Some(inst) = &t.installation else {
             return Vec::new();
         };
         let total: usize = self
             .sites
             .iter()
-            .map(|s| s.adr.count_of(&t.name, now))
+            .map(|s| s.adr.count_of(&t.name))
             .sum();
         if total as u32 >= t.limits.max {
             return Vec::new();
@@ -1095,10 +1094,10 @@ mod tests {
     #[test]
     fn resolve_concrete_across_vo() {
         let mut g = grid_with_types();
-        let (types, _) = g.resolve_concrete(2, "Imaging", t(1), ActivityType::clone);
+        let (types, _) = g.resolve_concrete(2, "Imaging", ActivityType::clone);
         assert_eq!(types.len(), 1);
         assert_eq!(types[0].name, "JPOVray");
-        let (none, _) = g.resolve_concrete(1, "Nothing", t(1), ActivityType::clone);
+        let (none, _) = g.resolve_concrete(1, "Nothing", ActivityType::clone);
         assert!(none.is_empty());
     }
 
@@ -1146,7 +1145,7 @@ mod tests {
         (out, cost, visited)
     }
 
-    /// After random `register` / revoking `update` / `set_expiry` / `remove`
+    /// After random `register` / (un)revoking `update` / `remove`
     /// across three sites, both projections of the one walk — whole types,
     /// names — find what the cloning walk found, at its cost, and each
     /// counts one lookup on every site it visited; so does the registry's
@@ -1179,10 +1178,7 @@ mod tests {
                         let revoked = rng.chance(0.6);
                         drop(atr.update(&name, t(clock), |ty| ty.revoked = revoked));
                     }
-                    7 | 8 => {
-                        let when = rng.chance(0.7).then(|| t(clock + rng.range(1, 6)));
-                        let _ = atr.set_expiry(&name, when, t(clock));
-                    }
+                    7 | 8 => drop(atr.update(&name, t(clock), |ty| ty.revoked = true)),
                     _ => drop(g.remove_type(site, &name, t(clock))),
                 }
                 let (from_site, now) = (rng.index(3), t(clock));
@@ -1193,9 +1189,9 @@ mod tests {
                 let want: Vec<&str> = want.iter().map(|t| t.name.as_str()).collect();
 
                 let before = served(&g);
-                let (types, cost) = g.resolve_concrete(from_site, &probe, now, ActivityType::clone);
+                let (types, cost) = g.resolve_concrete(from_site, &probe, ActivityType::clone);
                 let after_types = served(&g);
-                let (names, names_cost) = g.resolve_concrete(from_site, &probe, now, |t| t.name.clone());
+                let (names, names_cost) = g.resolve_concrete(from_site, &probe, |t| t.name.clone());
                 let after_names = served(&g);
                 assert_eq!(types.iter().map(|t| t.name.as_str()).collect::<Vec<_>>(), want, "{probe}");
                 assert_eq!(names, want, "{probe}");
@@ -1207,8 +1203,8 @@ mod tests {
                 }
 
                 let atr = &g.site(from_site).atr;
-                let whole = atr.resolve_concrete(&probe, now, ActivityType::clone);
-                let named = atr.resolve_concrete(&probe, now, |t| t.name.clone());
+                let whole = atr.resolve_concrete(&probe, ActivityType::clone);
+                let named = atr.resolve_concrete(&probe, |t| t.name.clone());
                 assert_eq!(whole.value.iter().map(|t| &t.name).collect::<Vec<_>>(), named.value.iter().collect::<Vec<_>>());
                 assert_eq!(whole.cost, named.cost);
                 assert_eq!(atr.lookups_served() - after_names[from_site], 2);
@@ -1220,13 +1216,13 @@ mod tests {
     fn eligible_sites_respect_constraints_and_installed() {
         let mut g = grid_with_types();
         let (ty, _, _) = g.find_type(0, "Wien2k", t(1)).unwrap();
-        assert_eq!(g.eligible_sites(&ty, t(1)).len(), 3);
+        assert_eq!(g.eligible_sites(&ty).len(), 3);
         // Make one site incompatible.
         g.site_mut(1).host.platform = Platform::new("SPARC", "Solaris", "64bit");
         let mut constrained = ty.clone();
         constrained.installation.as_mut().unwrap().constraints =
             crate::model::InstallConstraints::intel_linux_32();
-        let elig = g.eligible_sites(&constrained, t(1));
+        let elig = g.eligible_sites(&constrained);
         assert_eq!(elig, vec![0, 2]);
     }
 
@@ -1238,7 +1234,7 @@ mod tests {
         g.register_type(0, limited.clone(), t(0)).unwrap();
         limited = g.find_type(0, "Limited", t(1)).unwrap().0;
         assert!(
-            g.eligible_sites(&limited, t(1)).is_empty(),
+            g.eligible_sites(&limited).is_empty(),
             "max=0 forbids any deployment"
         );
     }
@@ -1314,7 +1310,7 @@ mod tests {
         let reclaimed = g.restart_site(0, t(30));
         assert_eq!(reclaimed, 1, "bob's [5,20) ticket expired during the outage");
         // Registries rebuilt from snapshot + journal replay.
-        assert!(g.site(0).atr.contains("JPOVray", t(31)));
+        assert!(g.site(0).atr.contains("JPOVray"));
         assert!(g.site(0).adr.lookup(&key, t(31)).is_some());
         // Lease table: alice survives, carol's release held, ids monotonic.
         assert_eq!(g.site(0).leases.tickets().len(), 1);
@@ -1389,7 +1385,7 @@ mod tests {
         assert!(g.store(0).is_none());
         g.crash_site(0, t(1));
         // Legacy fiction: state survives by fiat, no amnesia, no stores.
-        assert!(g.site(0).atr.contains("JPOVray", t(2)));
+        assert!(g.site(0).atr.contains("JPOVray"));
         g.restart_site(0, t(3));
         assert_eq!(g.events.of_kind("site.amnesia").count(), 0);
         assert_eq!(g.events.of_kind("store.recovered").count(), 0);

@@ -250,9 +250,8 @@ pub struct NodeConfig {
     /// When set, the node notifies all subscribed sinks at this period
     /// (Fig. 13's notification rate).
     pub notify_interval: Option<SimDuration>,
-    /// Deployment Status Monitor period: sweeps expired deployments and
-    /// heartbeats live entries' LUTs (§3.2). `None` (default) disables
-    /// the loop.
+    /// Deployment Status Monitor period: heartbeats every deployment's LUT
+    /// (§3.2). `None` (default) disables the loop.
     pub monitor_interval: Option<SimDuration>,
     /// Cache Refresher period: discards outdated cache entries and, when
     /// the durable store is enabled, runs a periodic anti-entropy round

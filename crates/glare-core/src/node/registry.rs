@@ -129,7 +129,7 @@ impl GlareNode {
             .map(|d| {
                 let lut = self
                     .adr
-                    .epr_of(&d.key, now)
+                    .epr_of(&d.key)
                     .map_or(0, |e| e.last_update_time.as_nanos());
                 (d, lut)
             })
@@ -238,12 +238,11 @@ impl GlareNode {
     /// from registry and cache, and journal and count
     /// (`glare_antientropy_tombstones_total`) each one that is news here.
     fn merge_tombstones(&mut self, ctx: &mut Ctx<'_>, tombstones: Vec<(String, u64)>) {
-        let now = ctx.now();
         let mut news = 0u64;
         for (key, at_ns) in tombstones {
             let at = SimTime::from_nanos(at_ns);
             let newly = self.adr.tombstone_of(&key).is_none_or(|t| t < at);
-            if self.adr.apply_tombstone(&key, at, now) {
+            if self.adr.apply_tombstone(&key, at) {
                 ctx.emit_event("deployment.tombstoned", "node", [("key", key.clone())]);
             }
             self.cache.evict_deployment(&key);
@@ -335,23 +334,17 @@ impl GlareNode {
         self.record_recovered(ctx);
     }
 
-    /// Deployment Status Monitor (§3.2): drop expired entries and
-    /// heartbeat the survivors' LUTs so peers can judge cached copies'
-    /// freshness.
+    /// Deployment Status Monitor (§3.2): heartbeat every deployment's LUT
+    /// so peers can judge cached copies' freshness.
     pub(super) fn monitor_tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let swept = self.adr.sweep_expired(now);
         let mut keys = self.adr.keys(now);
         keys.sort_unstable();
         for k in &keys {
             let _ = self.adr.touch(k, now);
         }
         self.tele.count(ctx, "glare_monitor_ticks_total", 1);
-        ctx.emit_event(
-            "monitor.tick",
-            "node",
-            [("live", keys.len() as u64), ("swept", swept.len() as u64)],
-        );
+        ctx.emit_event("monitor.tick", "node", [("live", keys.len() as u64)]);
         self.arm(ctx, Loop::StatusMonitor);
     }
 

@@ -17,7 +17,7 @@ use super::ladder::lookup_names;
 use super::{GlareNode, NodeMsg, QueryScope};
 use crate::admission::{AdmissionConfig, TenantClass};
 use crate::invariants;
-use crate::model::{example_hierarchy, ActivityDeployment, ActivityType};
+use crate::model::{example_hierarchy, ActivityDeployment, ActivityType, DeploymentStatus};
 use crate::overlay::{ClientStats, OverlayBuilder, QueryClient};
 use crate::superpeer::{plan_tree, Role};
 
@@ -136,10 +136,11 @@ fn admission_labels_cover_every_tenant_class() {
 /// Seeded property: `resolve_local` answers a node whose ADR indexes
 /// nothing without walking the type DAG, and must give what the walk
 /// gives whatever ran before: type inserts and removals, deployment
-/// registrations, uninstalls, peer tombstones, type expiry and sweeps
-/// (a type whose last deployment went keeps an empty index entry: the
-/// slow path, still right), and the amnesia of a crash, which swaps in
-/// registries that index nothing again.
+/// registrations, uninstalls, peer tombstones, failed deployments (a
+/// type whose last deployment went keeps an empty index entry: the slow
+/// path, still right), and the amnesia of a crash, which swaps in
+/// registries that index nothing again. A deployment of `T3` on `s1` is
+/// keyed `t3@s1`, so the key-addressed edits find what was registered.
 #[test]
 fn resolve_local_equals_the_closure_walk_after_random_edits() {
     use glare_fabric::SimRng;
@@ -185,15 +186,13 @@ fn resolve_local_equals_the_closure_walk_after_random_edits() {
                 3 => drop(node.atr.remove(&ty)),
                 4..=6 => {
                     let site = format!("s{}", rng.range(0, 3));
-                    let d = ActivityDeployment::executable(&ty, &site, "/x/bin/x", "/x");
+                    let exe = format!("/x/bin/{}", ty.to_lowercase());
+                    let d = ActivityDeployment::executable(&ty, &site, &exe, "/x");
                     let _ = node.adr.register(d, &node.atr, now);
                 }
                 7 => drop(node.adr.uninstall(&key, now)),
-                8 => drop(node.adr.apply_tombstone(&key, now, now)),
-                _ => {
-                    node.adr.expire_type(&ty, now, now);
-                    node.adr.sweep_expired(now + SimDuration::from_secs(1));
-                }
+                8 => drop(node.adr.apply_tombstone(&key, now)),
+                _ => drop(node.adr.set_status(&key, DeploymentStatus::Failed, now)),
             }
             for i in 0..NAMES + 1 {
                 let name = format!("T{i}");

@@ -80,12 +80,8 @@ pub struct InstallReport {
     pub site: String,
     /// Package deployed.
     pub package: String,
-    /// Channel used.
-    pub channel: ChannelKind,
     /// Cost rows.
     pub breakdown: CostBreakdown,
-    /// Keys of the deployments registered.
-    pub deployments: Vec<String>,
 }
 
 /// A provisioning request from a client (scheduler/enactment engine).
@@ -157,7 +153,7 @@ fn provision_inner(
     root: TraceContext,
 ) -> Result<ProvisionOutcome, GlareError> {
     let (candidates, lookup_cost) =
-        grid.resolve_concrete(req.from_site, &req.activity, now, ActivityType::clone);
+        grid.resolve_concrete(req.from_site, &req.activity, ActivityType::clone);
     let mut total_cost = lookup_cost;
     if candidates.is_empty() {
         return Err(GlareError::NotFound {
@@ -189,7 +185,7 @@ fn provision_inner(
         })?
         .clone();
 
-    let eligible = grid.eligible_sites(&target_type, now);
+    let eligible = grid.eligible_sites(&target_type);
     let site = match req.preferred_site {
         Some(p) if eligible.contains(&p) => p,
         Some(_) | None => *eligible.first().ok_or(GlareError::NoEligibleSite {
@@ -236,7 +232,7 @@ pub(crate) fn cache_remote(
     now: SimTime,
 ) {
     for (i, d) in found {
-        if let Some(epr) = grid.site(i).adr.epr_of(&d.key, now) {
+        if let Some(epr) = grid.site(i).adr.epr_of(&d.key) {
             let origin = grid.site(i).name.clone();
             grid.site_mut(from_site)
                 .cache
@@ -394,7 +390,7 @@ fn install_package_traced(
 
     // Dynamic type registration at the target site (+ deploy-file fetch
     // and validation).
-    if !grid.site(site).atr.contains(&t.name, now) {
+    if !grid.site(site).atr.contains(&t.name) {
         grid.register_type(site, t.clone(), now)?;
     }
     install.charge(trace, |b| &mut b.type_addition, "type.register", TYPE_ADDITION_COST, []);
@@ -417,7 +413,7 @@ fn install_package_traced(
         }
     }
 
-    let keys = install.register_deployments(grid, trace, &spec.name, now)?;
+    install.register_deployments(grid, trace, &spec.name, now)?;
     let notify_cost = grid.notify_admin(site, &t.name, "activity deployed", &t.provider_contact);
     install.charge(trace, |b| &mut b.notification, "notify.admin", notify_cost, []);
     trace.close(span.span_id, install.at);
@@ -426,9 +422,7 @@ fn install_package_traced(
         type_name: t.name.clone(),
         site: install.site_name,
         package: spec.name.clone(),
-        channel,
         breakdown: install.breakdown,
-        deployments: keys,
     })
 }
 
@@ -625,14 +619,14 @@ impl Install<'_> {
 
     /// Identify the produced deployments — the install record's
     /// executables and services, or a bin/ exploration fallback (§3.4) —
-    /// register them, and charge the registration. Returns their keys.
+    /// register them, and charge the registration.
     fn register_deployments(
         &mut self,
         grid: &mut Grid,
         trace: &mut TraceSink,
         package: &str,
         now: SimTime,
-    ) -> Result<Vec<String>, GlareError> {
+    ) -> Result<(), GlareError> {
         let host = &grid.site(self.site).host;
         let record = host.installation(package).cloned().ok_or_else(|| {
             self.failed("plan completed but package not recorded as installed".into())
@@ -654,18 +648,17 @@ impl Install<'_> {
             deployments.push(ActivityDeployment::service(type_name, site_name, svc, &address));
         }
 
-        let keys: Vec<String> = deployments.iter().map(|d| d.key.clone()).collect();
+        let n = deployments.len();
         for d in deployments {
             // Type is present (registered above); tolerate re-registration
             // of the same key on repeated installs. Goes through the Grid so
             // the registration is journaled when the site is durable.
             let _ = grid.register_deployment(self.site, d, now);
         }
-        let n = keys.len();
         let reg_cost = DEPLOYMENT_REGISTRATION_COST + SimDuration::from_millis(2) * n as u64;
         let attrs = [("keys", count_attr(n))];
         self.charge(trace, |b| &mut b.deployment_registration, "adr.register", reg_cost, attrs);
-        Ok(keys)
+        Ok(())
     }
 }
 

@@ -26,8 +26,6 @@ pub(crate) const WRAPPER_GENERATION_COST: SimDuration = SimDuration::from_millis
 /// Report of one un-deployment.
 #[derive(Clone, Debug)]
 pub struct UndeployReport {
-    /// Type whose deployments were removed.
-    pub type_name: String,
     /// Deployment keys removed, with the site they were removed from.
     pub removed: Vec<(String, String)>,
     /// Packages uninstalled from hosts.
@@ -72,7 +70,6 @@ pub fn undeploy(
         }
     }
     let mut report = UndeployReport {
-        type_name: type_name.to_owned(),
         removed: Vec::new(),
         uninstalled: Vec::new(),
         type_retired: false,
@@ -205,7 +202,7 @@ pub fn enforce_min_deployments(
     // Collect the type inventory across the VO (dedup by name).
     let mut names: Vec<String> = Vec::new();
     for i in grid.site_indices().collect::<Vec<_>>() {
-        for n in grid.site(i).atr.names(now) {
+        for n in grid.site(i).atr.names() {
             if !names.contains(&n) {
                 names.push(n);
             }
@@ -223,7 +220,7 @@ pub fn enforce_min_deployments(
             if usable >= t.limits.min {
                 break;
             }
-            let eligible = grid.eligible_sites(&t, now);
+            let eligible = grid.eligible_sites(&t);
             let Some(&site) = eligible.first() else {
                 break; // nowhere left to install; best effort
             };
@@ -307,7 +304,7 @@ mod tests {
         let report = undeploy(&mut g, "Wien2k", None, true, t(10)).unwrap();
         assert!(report.type_retired);
         for i in g.site_indices().collect::<Vec<_>>() {
-            assert!(!g.site(i).atr.contains("Wien2k", t(11)));
+            assert!(!g.site(i).atr.contains("Wien2k"));
         }
         assert!(provision(
             &mut g,

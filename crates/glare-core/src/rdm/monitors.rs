@@ -89,7 +89,7 @@ impl CacheRefresher {
                 );
                 continue;
             };
-            match grid.site(origin_idx).adr.epr_of(&key, now) {
+            match grid.site(origin_idx).adr.epr_of(&key) {
                 None => {
                     // Origin destroyed the resource.
                     grid.site_mut(site).cache.evict_deployment(&key);
@@ -288,7 +288,7 @@ impl DeploymentStatusMonitor {
                 continue;
             };
             let eligible: Vec<usize> = grid
-                .eligible_sites(&t, now)
+                .eligible_sites(&t)
                 .into_iter()
                 .filter(|&i| i != site)
                 .collect();
@@ -347,10 +347,10 @@ impl IndexMonitor {
     pub fn run(grid: &mut Grid, index_site: usize, now: SimTime) -> IndexReport {
         let mut report = IndexReport::default();
         let index_names: BTreeSet<String> =
-            grid.site(index_site).atr.names(now).into_iter().collect();
+            grid.site(index_site).atr.names().into_iter().collect();
         for i in 0..grid.len() {
             report.sites += 1;
-            let local: BTreeSet<String> = grid.site(i).atr.names(now).into_iter().collect();
+            let local: BTreeSet<String> = grid.site(i).atr.names().into_iter().collect();
             let divergence = index_names.symmetric_difference(&local).count();
             grid.set_gauge(i, "glare_index_divergence", None, now, divergence as f64);
             grid.set_gauge(i, "glare_registry_types", None, now, local.len() as f64);

@@ -196,10 +196,10 @@ impl Lookup<'_> {
     fn resolve_types(&mut self) -> Result<(), GlareError> {
         let (from_site, now) = (self.from_site, self.now);
         let name_of = |t: &ActivityType| t.name.clone();
-        let local = self.grid.site(from_site).atr.resolve_concrete(self.activity, now, name_of);
+        let local = self.grid.site(from_site).atr.resolve_concrete(self.activity, name_of);
         (self.concrete, self.cost) = (local.value, local.cost);
         if self.concrete.is_empty() {
-            let (names, c) = self.grid.resolve_concrete(from_site, self.activity, now, name_of);
+            let (names, c) = self.grid.resolve_concrete(from_site, self.activity, name_of);
             self.cost += c;
             self.concrete = names;
         }

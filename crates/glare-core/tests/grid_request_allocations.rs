@@ -57,7 +57,8 @@ fn request(activity: &str, from_site: usize) -> ProvisionRequest {
 /// it and its label set was built from its shared event name, a second
 /// `Grid::new` read 354. Before a resource home allocated its shards at its
 /// first insert and stopped storing each key twice, the provision read 417
-/// blocks and a second `Grid::new` 339.
+/// blocks and a second `Grid::new` 339; before an install report stopped
+/// listing the keys it registered (which no caller read), 414.
 #[test]
 fn a_cache_hit_a_provision_and_a_second_grid_allocate_what_is_pinned() {
     let ((first_grid, _), mut grid) = spent(|| Grid::new(8, Transport::Http));
@@ -89,6 +90,6 @@ fn a_cache_hit_a_provision_and_a_second_grid_allocate_what_is_pinned() {
     // transfer, unpack, install, journal.
     let (wien2k, out) = spent(|| provision(&mut grid, &request("Wien2k", 0), t(5)));
     assert_eq!(out.expect("Wien2k installs").installs.len(), 1);
-    assert_eq!(wien2k.0, 414, "blocks of a Wien2k provision (one install)");
+    assert_eq!(wien2k.0, 410, "blocks of a Wien2k provision (one install)");
     assert_eq!(second_grid, 323, "blocks of a second 8-site Grid::new");
 }

@@ -25,8 +25,6 @@ use crate::scheduler::{Assignment, Schedule};
 /// Record of one executed activity.
 #[derive(Clone, Debug)]
 pub struct ActivityRun {
-    /// Activity id.
-    pub id: ActivityId,
     /// Label for reporting.
     pub label: String,
     /// Site the run happened on.
@@ -125,7 +123,6 @@ impl EnactmentEngine {
                         finish.insert(id, finished);
                         outputs.insert(id, (assignment.site, out_path));
                         report.runs.push(ActivityRun {
-                            id,
                             label: activity.label.clone(),
                             site: grid.site(assignment.site).name.clone(),
                             deployment: assignment.deployment.key.clone(),

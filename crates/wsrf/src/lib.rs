@@ -10,7 +10,7 @@
 //! * [`xpath`] — the XPath subset both the Index Service baseline and the
 //!   registries' query interface evaluate.
 //! * [`resource`] — stateful WS-Resources with lifecycle management
-//!   (creation, scheduled termination/expiry, destruction).
+//!   (creation, modification stamps, destruction).
 //! * [`epr`] — endpoint references with GLARE's `LastUpdateTime` extension.
 //! * [`service_group`] — the aggregation framework with soft-state entry
 //!   lifetimes.

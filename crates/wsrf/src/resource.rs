@@ -6,9 +6,10 @@
 //! management, event registration and notification" (§3.1).
 //!
 //! A [`ResourceHome<T>`] stores typed payloads under string keys with
-//! WSRF-style lifetime management: creation time, optional scheduled
-//! termination (expiry), explicit destruction, and a last-modified stamp
-//! that feeds GLARE's LUT-based cache refresh.
+//! WSRF-style lifecycle management: creation, explicit destruction, and a
+//! last-modified stamp that feeds GLARE's LUT-based cache refresh. An
+//! entry lives until it is destroyed; WSRF's scheduled termination is not
+//! modelled (DESIGN.md §2), so no read depends on the clock.
 //!
 //! ## Concurrency
 //!
@@ -58,22 +59,13 @@ impl<T: ResourceProperties> ResourceProperties for Arc<T> {
     }
 }
 
-/// One live WS-Resource. Its key is the one it is stored under in its home.
+/// One WS-Resource. Its key is the one it is stored under in its home.
 #[derive(Clone, Debug)]
 pub struct WsResource<T> {
     /// Typed payload.
     pub payload: T,
     /// Last modification instant (the LUT source).
     pub modified_at: SimTime,
-    /// Scheduled termination; `None` = no expiry.
-    pub terminates_at: Option<SimTime>,
-}
-
-impl<T> WsResource<T> {
-    /// Whether the resource has passed its scheduled termination at `now`.
-    pub(crate) fn is_expired(&self, now: SimTime) -> bool {
-        self.terminates_at.is_some_and(|t| t <= now)
-    }
 }
 
 /// FNV-1a over the key bytes; stable across runs (unlike `RandomState`),
@@ -86,7 +78,7 @@ fn shard_of(key: &str) -> usize {
 
 type Shard<T> = RwLock<HashMap<String, WsResource<T>>>;
 
-/// A keyed collection of WS-Resources with lifetime management and a
+/// A keyed collection of WS-Resources with lifecycle management and a
 /// sharded, interior-mutable concurrent access path.
 #[derive(Clone)]
 pub struct ResourceHome<T> {
@@ -136,7 +128,7 @@ impl<T> ResourceHome<T> {
         self.shards().get(shard_of(key))
     }
 
-    /// Create a resource. Fails if the key exists and is not expired.
+    /// Create a resource. Fails if the key exists.
     pub fn create(
         &self,
         key: impl Into<String>,
@@ -148,56 +140,29 @@ impl<T> ResourceHome<T> {
             .shards
             .get_or_init(|| (0..SHARD_COUNT).map(|_| RwLock::default()).collect());
         let mut shard = shards[shard_of(&key)].write();
-        if let Some(existing) = shard.get(&key) {
-            if !existing.is_expired(now) {
-                return Err(WsrfError::AlreadyExists { key });
-            }
+        if shard.contains_key(&key) {
+            return Err(WsrfError::AlreadyExists { key });
         }
-        shard.insert(
-            key,
-            WsResource {
-                payload,
-                modified_at: now,
-                terminates_at: None,
-            },
-        );
+        shard.insert(key, WsResource { payload, modified_at: now });
         Ok(())
     }
 
-    /// Read access to a live resource through a closure (no clone; the
-    /// shard read lock is held only for the closure's duration).
-    pub fn with_resource<R>(
-        &self,
-        key: &str,
-        now: SimTime,
-        f: impl FnOnce(&WsResource<T>) -> R,
-    ) -> Option<R> {
-        let shard = self.shard(key)?.read();
-        shard.get(key).filter(|r| !r.is_expired(now)).map(f)
+    /// Read access to a resource through a closure (no clone; the shard
+    /// read lock is held only for the closure's duration).
+    pub fn with_resource<R>(&self, key: &str, f: impl FnOnce(&WsResource<T>) -> R) -> Option<R> {
+        self.shard(key)?.read().get(key).map(f)
     }
 
-    /// Mutable access to a live resource under its shard's write lock.
-    fn with_live_mut<R>(
-        &self,
-        key: &str,
-        now: SimTime,
-        f: impl FnOnce(&mut WsResource<T>) -> R,
-    ) -> Result<R, WsrfError> {
-        let mut shard = self.shard(key).ok_or_else(|| no_such(key))?.write();
-        let r = shard.get_mut(key).filter(|r| !r.is_expired(now));
-        Ok(f(r.ok_or_else(|| no_such(key))?))
-    }
-
-    /// Mutate a live resource's payload and bump its modification stamp.
+    /// Mutate a resource's payload and bump its modification stamp, under
+    /// its shard's write lock.
     pub fn update<F, R>(&self, key: &str, now: SimTime, f: F) -> Result<R, WsrfError>
     where
         F: FnOnce(&mut T) -> R,
     {
-        self.with_live_mut(key, now, |r| {
-            let out = f(&mut r.payload);
-            r.modified_at = now;
-            out
-        })
+        let mut shard = self.shard(key).ok_or_else(|| no_such(key))?.write();
+        let r = shard.get_mut(key).ok_or_else(|| no_such(key))?;
+        r.modified_at = now;
+        Ok(f(&mut r.payload))
     }
 
     /// Touch a resource: bump `modified_at` without changing the payload
@@ -206,82 +171,53 @@ impl<T> ResourceHome<T> {
         self.update(key, now, |_| ())
     }
 
-    /// Set or clear a resource's scheduled termination time.
-    pub fn set_termination_time(
-        &self,
-        key: &str,
-        when: Option<SimTime>,
-        now: SimTime,
-    ) -> Result<(), WsrfError> {
-        self.with_live_mut(key, now, |r| r.terminates_at = when)
-    }
-
     /// Explicitly destroy a resource.
     pub fn destroy(&self, key: &str) -> Result<WsResource<T>, WsrfError> {
         let shard = self.shard(key).ok_or_else(|| no_such(key))?;
         shard.write().remove(key).ok_or_else(|| no_such(key))
     }
 
-    /// Remove every expired resource, returning their keys.
-    pub fn sweep_expired(&self, now: SimTime) -> Vec<String> {
-        let mut dead = Vec::new();
-        for shard in self.shards() {
-            shard.write().retain(|k, r| {
-                let expired = r.is_expired(now);
-                if expired {
-                    dead.push(k.clone());
-                }
-                !expired
-            });
-        }
-        dead
-    }
-
-    /// Visit every live resource with its key. Holds one shard read lock at
-    /// a time; concurrent writers may land between shards (the usual
+    /// Visit every resource with its key. Holds one shard read lock at a
+    /// time; concurrent writers may land between shards (the usual
     /// snapshot semantics of concurrent maps).
-    pub(crate) fn for_each_live(&self, now: SimTime, mut f: impl FnMut(&str, &WsResource<T>)) {
+    pub(crate) fn for_each_live(&self, mut f: impl FnMut(&str, &WsResource<T>)) {
         for shard in self.shards() {
             for (k, r) in shard.read().iter() {
-                if !r.is_expired(now) {
-                    f(k, r);
-                }
+                f(k, r);
             }
         }
     }
 
-    /// Number of live resources.
-    pub fn len_live(&self, now: SimTime) -> usize {
-        let mut n = 0;
-        self.for_each_live(now, |_, _| n += 1);
-        n
-    }
-
-    /// Total stored (live + expired-but-unswept).
-    pub fn len_total(&self) -> usize {
+    /// Number of resources.
+    pub fn len(&self) -> usize {
         self.shards().iter().map(|s| s.read().len()).sum()
     }
 
-    /// Whether a live resource exists under `key`.
-    pub fn contains(&self, key: &str, now: SimTime) -> bool {
-        self.with_resource(key, now, |_| ()).is_some()
+    /// Whether the home holds no resource.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Keys of all live resources (unordered).
-    pub fn live_keys(&self, now: SimTime) -> Vec<String> {
+    /// Whether a resource exists under `key`.
+    pub fn contains(&self, key: &str) -> bool {
+        self.with_resource(key, |_| ()).is_some()
+    }
+
+    /// Keys of all resources (unordered).
+    pub fn live_keys(&self) -> Vec<String> {
         let mut keys = Vec::new();
-        self.for_each_live(now, |k, _| keys.push(k.to_owned()));
+        self.for_each_live(|k, _| keys.push(k.to_owned()));
         keys
     }
 }
 
 impl<T: ResourceProperties> ResourceHome<T> {
-    /// Aggregate all live resources into one queryable document
+    /// Aggregate all resources into one queryable document
     /// (`<Resources><Resource key="..">…</Resource>…</Resources>`), in
     /// deterministic key order.
-    pub fn aggregate_document(&self, now: SimTime) -> XmlNode {
+    pub fn aggregate_document(&self) -> XmlNode {
         let mut live: Vec<XmlNode> = Vec::new();
-        self.for_each_live(now, |k, r| {
+        self.for_each_live(|k, r| {
             live.push(
                 XmlNode::new("Resource")
                     .attr("key", k)
@@ -308,10 +244,10 @@ mod tests {
     fn create_get_destroy() {
         let home: ResourceHome<u32> = ResourceHome::new();
         home.create("a", 1, t(0)).unwrap();
-        assert_eq!(home.with_resource("a", t(1), WsResource::clone).unwrap().payload, 1);
-        assert!(home.contains("a", t(1)));
+        assert_eq!(home.with_resource("a", WsResource::clone).unwrap().payload, 1);
+        assert!(home.contains("a"));
         home.destroy("a").unwrap();
-        assert!(!home.contains("a", t(2)));
+        assert!(!home.contains("a"));
         assert!(matches!(
             home.destroy("a"),
             Err(WsrfError::NoSuchResource { .. })
@@ -326,10 +262,15 @@ mod tests {
             home.create("a", 2, t(1)),
             Err(WsrfError::AlreadyExists { .. })
         ));
-        home.set_termination_time("a", Some(t(5)), t(1)).unwrap();
-        // After expiry the key can be re-created.
+        assert!(matches!(
+            home.create("a", 2, t(100)),
+            Err(WsrfError::AlreadyExists { .. })
+        ), "an entry lives until it is destroyed");
+        assert_eq!(home.with_resource("a", WsResource::clone).unwrap().payload, 1);
+        // After destruction the key can be re-created.
+        home.destroy("a").unwrap();
         home.create("a", 3, t(10)).unwrap();
-        assert_eq!(home.with_resource("a", t(10), WsResource::clone).unwrap().payload, 3);
+        assert_eq!(home.with_resource("a", WsResource::clone).unwrap().payload, 3);
     }
 
     #[test]
@@ -337,7 +278,7 @@ mod tests {
         let home: ResourceHome<u32> = ResourceHome::new();
         home.create("a", 1, t(0)).unwrap();
         home.update("a", t(7), |v| *v = 9).unwrap();
-        let r = home.with_resource("a", t(8), WsResource::clone).unwrap();
+        let r = home.with_resource("a", WsResource::clone).unwrap();
         assert_eq!(r.payload, 9);
         assert_eq!(r.modified_at, t(7));
     }
@@ -347,40 +288,8 @@ mod tests {
         let home: ResourceHome<u32> = ResourceHome::new();
         home.create("a", 1, t(0)).unwrap();
         home.touch("a", t(3)).unwrap();
-        assert_eq!(home.with_resource("a", t(3), WsResource::clone).unwrap().modified_at, t(3));
+        assert_eq!(home.with_resource("a", WsResource::clone).unwrap().modified_at, t(3));
         assert!(home.touch("missing", t(3)).is_err());
-    }
-
-    #[test]
-    fn expiry_hides_then_sweep_removes() {
-        let home: ResourceHome<u32> = ResourceHome::new();
-        home.create("a", 1, t(0)).unwrap();
-        home.create("b", 2, t(0)).unwrap();
-        home.set_termination_time("a", Some(t(10)), t(0)).unwrap();
-        assert!(home.contains("a", t(9)));
-        assert!(!home.contains("a", t(10)), "expiry boundary is inclusive");
-        assert_eq!(home.len_live(t(11)), 1);
-        assert_eq!(home.len_total(), 2);
-        let swept = home.sweep_expired(t(11));
-        assert_eq!(swept, vec!["a".to_owned()]);
-        assert_eq!(home.len_total(), 1);
-    }
-
-    #[test]
-    fn update_on_expired_fails() {
-        let home: ResourceHome<u32> = ResourceHome::new();
-        home.create("a", 1, t(0)).unwrap();
-        home.set_termination_time("a", Some(t(1)), t(0)).unwrap();
-        assert!(home.update("a", t(2), |v| *v = 5).is_err());
-    }
-
-    #[test]
-    fn clearing_termination_revives() {
-        let home: ResourceHome<u32> = ResourceHome::new();
-        home.create("a", 1, t(0)).unwrap();
-        home.set_termination_time("a", Some(t(10)), t(0)).unwrap();
-        home.set_termination_time("a", None, t(5)).unwrap();
-        assert!(home.contains("a", t(100)));
     }
 
     #[derive(Clone, Debug)]
@@ -397,14 +306,14 @@ mod tests {
         home.create("z", Named("zz"), t(0)).unwrap();
         home.create("a", Named("aa"), t(0)).unwrap();
         home.create("m", Named("mm"), t(0)).unwrap();
-        home.set_termination_time("m", Some(t(1)), t(0)).unwrap();
-        let doc = home.aggregate_document(t(5));
+        home.destroy("m").unwrap();
+        let doc = home.aggregate_document();
         let keys: Vec<_> = doc
             .children
             .iter()
             .map(|c| c.attribute("key").unwrap())
             .collect();
-        assert_eq!(keys, vec!["a", "z"], "sorted, expired omitted");
+        assert_eq!(keys, vec!["a", "z"], "sorted, destroyed omitted");
         assert_eq!(doc.children[0].children[0].attribute("v"), Some("aa"));
     }
 
@@ -412,9 +321,9 @@ mod tests {
     fn with_resource_does_not_clone() {
         let home: ResourceHome<String> = ResourceHome::new();
         home.create("k", "payload".to_owned(), t(0)).unwrap();
-        let len = home.with_resource("k", t(1), |r| r.payload.len());
+        let len = home.with_resource("k", |r| r.payload.len());
         assert_eq!(len, Some(7));
-        assert_eq!(home.with_resource("missing", t(1), |_| ()), None);
+        assert_eq!(home.with_resource("missing", |_| ()), None);
     }
 
     #[test]
@@ -430,7 +339,7 @@ mod tests {
                 let mut seen = 0u64;
                 for round in 0..2_000u64 {
                     let k = format!("k{}", (round + reader) % 64);
-                    if let Some(r) = home.with_resource(&k, t(1), WsResource::clone) {
+                    if let Some(r) = home.with_resource(&k, WsResource::clone) {
                         seen += r.payload;
                     }
                 }
@@ -449,28 +358,26 @@ mod tests {
             assert!(h.join().unwrap() > 0);
         }
         writer.join().unwrap();
-        assert_eq!(home.len_total(), 256);
+        assert_eq!(home.len(), 256);
     }
 
     #[test]
     fn a_never_written_home_is_empty_to_every_method() {
         let home: ResourceHome<Named> = ResourceHome::new();
         assert!(home.shards.get().is_none());
-        assert_eq!(home.with_resource("a", t(0), |_| ()), None);
-        assert!(!home.contains("a", t(0)));
+        assert_eq!(home.with_resource("a", |_| ()), None);
+        assert!(!home.contains("a"));
         for err in [
             home.update("a", t(0), |_| ()).unwrap_err(),
             home.touch("a", t(0)).unwrap_err(),
-            home.set_termination_time("a", Some(t(1)), t(0))
-                .unwrap_err(),
             home.destroy("a").unwrap_err(),
         ] {
             assert!(matches!(err, WsrfError::NoSuchResource { ref key } if key == "a"));
         }
-        assert!(home.sweep_expired(t(0)).is_empty());
-        assert_eq!((home.len_live(t(0)), home.len_total()), (0, 0));
-        assert!(home.live_keys(t(0)).is_empty());
-        let doc = home.aggregate_document(t(0));
+        assert_eq!(home.len(), 0);
+        assert!(home.is_empty());
+        assert!(home.live_keys().is_empty());
+        let doc = home.aggregate_document();
         assert_eq!((doc.name.as_ref(), doc.children.len()), ("Resources", 0));
         let copy = home.clone();
         assert!(
@@ -497,9 +404,9 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(home.len_total(), 4);
+        assert_eq!(home.len(), 4);
         for i in 0..4u64 {
-            assert_eq!(home.with_resource(&format!("k{i}"), t(1), WsResource::clone).unwrap().payload, i);
+            assert_eq!(home.with_resource(&format!("k{i}"), WsResource::clone).unwrap().payload, i);
         }
     }
 
@@ -508,15 +415,16 @@ mod tests {
         let home: ResourceHome<Named> = ResourceHome::new();
         home.create("a", Named("aa"), t(0)).unwrap();
         assert_eq!(home.destroy("a").unwrap().payload.0, "aa");
-        assert_eq!((home.len_total(), home.live_keys(t(1)).len()), (0, 0));
-        assert!(home.aggregate_document(t(1)).children.is_empty());
+        assert_eq!((home.len(), home.live_keys().len()), (0, 0));
+        assert!(home.is_empty());
+        assert!(home.aggregate_document().children.is_empty());
         assert!(home.touch("a", t(1)).is_err());
         home.create("a", Named("again"), t(2)).unwrap();
         home.create("b", Named("bb"), t(2)).unwrap();
-        let mut keys = home.live_keys(t(3));
+        let mut keys = home.live_keys();
         keys.sort();
         assert_eq!(keys, ["a", "b"]);
-        assert_eq!(home.with_resource("a", t(3), WsResource::clone).unwrap().payload.0, "again");
+        assert_eq!(home.with_resource("a", WsResource::clone).unwrap().payload.0, "again");
     }
 
     #[test]
@@ -529,7 +437,7 @@ mod tests {
             "{debug}"
         );
         let mut seen = Vec::new();
-        home.for_each_live(t(0), |k, r| seen.push((k.to_owned(), r.payload.0)));
+        home.for_each_live(|k, r| seen.push((k.to_owned(), r.payload.0)));
         assert_eq!(seen, [("k1".to_owned(), "v")]);
     }
 

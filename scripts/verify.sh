@@ -4,7 +4,7 @@
 #   2. the full test suite — every acceptance check lives here: the paper's
 #      shapes (table1, fig10-13), each scenario's invariants at its `--smoke`
 #      parameters (health, chaos, scale, load, autonomic, grayfail), same-seed
-#      byte identity and the disabled == absent event digests are unit tests
+#      byte identity are unit tests
 #      of `crates/bench` (CHANGES.md, PR 18, maps every former shell gate to
 #      its test); the allocation pins run here too, each its own test binary
 #      with the counting allocator of crates/fabric/tests/support/:

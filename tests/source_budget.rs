@@ -49,11 +49,11 @@ const KNOBS: [(&str, &str, usize); 14] = [
 const PUB_ITEMS: [(&str, usize); 7] = [
     ("bench", 135),
     ("fabric", 262),
-    ("glare-core", 274),
+    ("glare-core", 270),
     ("services", 120),
     ("workflow", 21),
     ("workload", 22),
-    ("wsrf", 65),
+    ("wsrf", 63),
 ];
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -574,57 +574,6 @@ fn distill(p: &AutonomicParams, grid: &Grid, w: &[Range<u64>; 3], mut h: Tally) 
     }
 }
 
-/// Render the human-readable summary table.
-pub fn render(r: &AutonomicReport) -> String {
-    let mut s = format!(
-        "Autonomic healing scenario ({} mode, seed {})\n\
-         gold p99: pre {:.1} ms | peak {:.1} ms | late-flash {:.1} ms | recovered: {}\n",
-        r.params.mode.label(),
-        r.params.seed,
-        r.gold_p99_pre_ms,
-        r.gold_p99_peak_ms,
-        r.gold_p99_post_ms,
-        r.recovered,
-    );
-    if let Some(ms) = r.recovery_after_flash_ms {
-        s.push_str(&format!("flash recovery: {:.1} s after spike onset\n", ms as f64 / 1e3));
-    }
-    s.push_str(&format!(
-        "crash: site{} lost {:?}; floor restored p50 {:.1} s / p95 {:.1} s; degraded reads {}\n",
-        r.crash_victim_site,
-        r.crash_types_lost,
-        r.crash_recovery_p50_ms / 1e3,
-        r.crash_recovery_p95_ms / 1e3,
-        r.degraded_reads_total,
-    ));
-    s.push_str("\nclass       | offered | served | degraded | goodput pre (hz) | goodput late-flash (hz)\n");
-    for c in &r.classes {
-        s.push_str(&format!(
-            "{:<12}| {:>7} | {:>6} | {:>8} | {:>16.1} | {:>23.1}\n",
-            c.class, c.offered, c.served, c.degraded, c.goodput_pre_hz, c.goodput_post_hz
-        ));
-    }
-    s.push_str("\nactions (action/outcome):\n");
-    for ((action, outcome), n) in &r.action_counts {
-        s.push_str(&format!("  {action:<12} {outcome:<12} {n}\n"));
-    }
-    if !r.replicas.is_empty() {
-        let last = &r.replicas[r.replicas.len() - 1];
-        s.push_str(&format!("\nfinal replicas (t={}s): ", last.t_secs));
-        for (name, n) in &last.counts {
-            s.push_str(&format!("{name}={n} "));
-        }
-        s.push('\n');
-    }
-    s.push_str(&format!(
-        "\ninvariant violations: {}   events: {}   digest: {:016x}\n",
-        r.violations.len(),
-        r.events,
-        r.event_digest
-    ));
-    s
-}
-
 impl AutonomicReport {
     /// The `BENCH_autonomic.json` document: everything derives from
     /// sim-time alone, so it is byte-identical for a given seed.

@@ -1,8 +1,8 @@
 //! Autonomic healing driver: flash crowd + site crashes with the
 //! placement controller closing the telemetry loop (or not, with
-//! `--disabled`). Prints the summary on stdout, always
-//! writes `BENCH_autonomic.json`, and then exits 1 if the report lists a
-//! violation.
+//! `--disabled`). Always writes `BENCH_autonomic.json`, prints it on
+//! stdout (as text, or as that JSON with `--json`), and then exits 1 if
+//! the report lists a violation.
 //!
 //! Flags:
 //!   --smoke       accepted for symmetry with the other harnesses: it
@@ -11,10 +11,10 @@
 //!   --seed N      master seed (default 4213)
 //!   --disabled    build no controller: the same chaos and load with the
 //!                 initial placement left as it is
-//!   --json        machine-readable output on stdout instead of the table
+//!   --json        the document as JSON on stdout instead of as text
 
 use glare_bench::args::{exit_on_violations, write_artifact, Args};
-use glare_bench::autonomic::{render, run, AutonomicParams, ControllerMode};
+use glare_bench::autonomic::{run, AutonomicParams, ControllerMode};
 
 fn main() {
     let mut args = Args::from_env();
@@ -29,12 +29,9 @@ fn main() {
     args.finish_or_exit();
 
     let report = run(&p);
-    let doc = report.to_json().to_string_pretty();
-    write_artifact("BENCH_autonomic.json", &doc);
-    if json_out {
-        print!("{doc}");
-    } else {
-        print!("{}", render(&report));
-    }
+    let doc = report.to_json();
+    let pretty = doc.to_string_pretty();
+    write_artifact("BENCH_autonomic.json", &pretty);
+    print!("{}", if json_out { pretty } else { doc.to_text() });
     exit_on_violations(report.violations.len());
 }

@@ -3,7 +3,7 @@
 //! lease workload under a crash/restart, with post-heal invariant checks.
 //!
 //! Flags:
-//! * `--json`   — machine-readable report on stdout instead of tables.
+//! * `--json`   — `BENCH_chaos.json` on stdout instead of the text below.
 //! * `--smoke`  — small fixed configuration for CI (one loss point ≥ 1%).
 //! * `--sites N` / `--clients N` / `--queries N` / `--seed N` —
 //!   scenario overrides (defaults: 6 sites, 12 clients, 10 queries,
@@ -16,10 +16,12 @@
 //!   per loss point and overall, plus the Grid restart's replay.
 //! * `CHAOS_events.jsonl`  — every run's structured event log.
 //!
-//! Exits non-zero when any invariant is violated, so CI can gate on it.
+//! Prints `BENCH_chaos.json` and then `BENCH_recovery.json` as text on
+//! stdout. Exits non-zero when any invariant is violated, so CI can gate
+//! on it.
 
 use glare_bench::args::{exit_on_violations, warn_telemetry, write_artifact, Args};
-use glare_bench::chaos::{render, run, ChaosParams, MIN_SITES};
+use glare_bench::chaos::{run, ChaosParams, MIN_SITES};
 
 fn main() {
     let mut args = Args::from_env();
@@ -37,18 +39,19 @@ fn main() {
     args.finish_or_exit();
 
     let r = run(p);
-    let doc = r.to_json().to_string_pretty();
-    write_artifact("BENCH_chaos.json", &doc);
-    write_artifact("BENCH_recovery.json", &r.to_recovery_json().to_string_pretty());
+    let (doc, recovery) = (r.to_json(), r.to_recovery_json());
+    let pretty = doc.to_string_pretty();
+    write_artifact("BENCH_chaos.json", &pretty);
+    write_artifact("BENCH_recovery.json", &recovery.to_string_pretty());
     let mut events: String = r.rows.iter().map(|row| row.events_jsonl.as_str()).collect();
     events.push_str(&r.grid.events_jsonl);
     write_artifact("CHAOS_events.jsonl", &events);
 
     warn_telemetry(r.events_dropped, &r.lint);
     if json_out {
-        print!("{doc}");
+        print!("{pretty}");
     } else {
-        print!("{}", render(&r));
+        print!("{}\n{}", doc.to_text(), recovery.to_text());
     }
     exit_on_violations(r.invariant_violations.len());
 }

@@ -1,8 +1,8 @@
 //! Regenerate Fig. 10: registry vs index throughput over concurrent
-//! clients, http and https. Pass `--quick` for a short run and `--json`
-//! for machine-readable output on stdout. Every run also writes the
-//! result document to `BENCH_registry.json` (clients → requests/s per
-//! service/transport) for downstream tooling.
+//! clients, http and https. Every run writes the result document to
+//! `BENCH_registry.json` (clients → requests/s per service/transport) and
+//! prints it on stdout: as text, or as that JSON with `--json`. Pass
+//! `--quick` for a short run.
 
 use std::time::Duration;
 
@@ -16,12 +16,8 @@ fn main() {
     let clients = [1usize, 2, 4, 6, 8, 10, 12, 16];
     let resources = 60;
     let pts = glare_bench::fig10::run(&clients, resources, per_point);
-    let doc = glare_bench::fig10::results_json(&pts).to_string_pretty();
-    write_artifact("BENCH_registry.json", &doc);
-    if json_out {
-        print!("{doc}");
-    } else {
-        print!("{}", glare_bench::fig10::render(&pts));
-        println!("(fixed population: {resources} activity types)");
-    }
+    let doc = glare_bench::fig10::results_json(&pts);
+    let pretty = doc.to_string_pretty();
+    write_artifact("BENCH_registry.json", &pretty);
+    print!("{}", if json_out { pretty } else { doc.to_text() });
 }

@@ -1,5 +1,6 @@
 //! Regenerate Fig. 11: throughput vs number of registered activity types.
-//! Pass `--quick` for a short run and `--json` for machine-readable output.
+//! Prints the points as a table on stdout, or as a JSON array with
+//! `--json`. Pass `--quick` for a short run.
 
 use std::time::Duration;
 
@@ -14,10 +15,6 @@ fn main() {
     let resources = [10usize, 30, 70, 110, 130, 170, 230, 300];
     let clients = 12; // >10, the regime where the paper's index stalled
     let pts = glare_bench::fig11::run(&resources, clients, per_point);
-    if json_out {
-        print!("{}", Json::arr(pts.iter().map(|p| p.to_json())).to_string_pretty());
-    } else {
-        print!("{}", glare_bench::fig11::render(&pts));
-        println!("(fixed {clients} concurrent clients)");
-    }
+    let pts = Json::arr(pts.iter().map(|p| p.to_json()));
+    print!("{}", if json_out { pts.to_string_pretty() } else { pts.to_text() });
 }

@@ -1,18 +1,17 @@
 //! Regenerate Fig. 13: 1-minute load average under concurrent requesters
 //! and notification sinks (discrete-event simulation).
 //!
-//! Pass `--json` for machine-readable output on stdout. Pass `--trace`
-//! to additionally export the causal trace of the heaviest requester run
-//! (250 clients) as Chrome `trace_event` JSON in `TRACE_fig13.json` and
-//! print critical-path summaries. Always writes `BENCH_overlay.json`
+//! Prints the series points as a table on stdout, or as a JSON array
+//! with `--json`. Pass `--trace` to additionally export the causal trace
+//! of the heaviest requester run (250 clients) as Chrome `trace_event`
+//! JSON in `TRACE_fig13.json` and print critical-path summaries on
+//! stderr. Always writes `BENCH_overlay.json`
 //! with the series points plus trace-derived critical-path statistics
 //! per run — requester runs rooted at `client.query` request spans,
 //! sink runs at `notify.round` fan-out spans.
 
 use glare_bench::args::{write_artifact, Args};
-use glare_bench::fig13::{
-    render, run_requesters, run_sinks, Fig13Params, REQUESTERS, SINKS, SINK_RATES_S,
-};
+use glare_bench::fig13::{run_requesters, run_sinks, Fig13Params, REQUESTERS, SINKS, SINK_RATES_S};
 use glare_bench::json::Json;
 use glare_bench::trace::{chrome_trace_json, OverlayReport};
 use glare_fabric::SimDuration;
@@ -31,19 +30,16 @@ fn main() {
         if export_trace && n == 250 {
             write_artifact("TRACE_fig13.json", &chrome_trace_json(&sink).to_string_pretty());
         }
-        pts.push(pt);
+        pts.push(pt.to_json());
     }
     for rate_s in SINK_RATES_S {
         for n in SINKS {
             let (pt, sink) = run_sinks(n, SimDuration::from_secs(rate_s), p, true);
             report.record(&format!("sinks x{n} @{rate_s}s"), pt.to_json(), &sink, "notify.round");
-            pts.push(pt);
+            pts.push(pt.to_json());
         }
     }
     write_artifact("BENCH_overlay.json", &report.into_json().to_string_pretty());
-    if json_out {
-        print!("{}", Json::arr(pts.iter().map(|p| p.to_json())).to_string_pretty());
-    } else {
-        print!("{}", render(&pts));
-    }
+    let pts = Json::Arr(pts);
+    print!("{}", if json_out { pts.to_string_pretty() } else { pts.to_text() });
 }

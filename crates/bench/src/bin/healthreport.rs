@@ -1,13 +1,12 @@
 //! Live monitoring report for the RDM monitors: runs the health-telemetry
 //! scenario (overlay under load with a super-peer crash, then a
-//! provisioned Grid driven through monitor ticks) and renders per-site /
-//! per-group health tables.
+//! provisioned Grid driven through monitor ticks) and prints
+//! `BENCH_health.json` as text: per-site, per-group and per-class tables,
+//! then the windowed-gauge samples over sim-time (`watch`, the "live" view
+//! of `glare_site_load1m` and `glare_cache_hit_ratio`).
 //!
 //! Flags:
-//! * `--json`    — machine-readable report on stdout instead of tables.
-//! * `--watch`   — additionally print windowed-gauge samples over
-//!   sim-time (the "live" view of `glare_site_load1m` and
-//!   `glare_cache_hit_ratio`).
+//! * `--json`    — the document as JSON on stdout instead of as text.
 //! * `--sites N` / `--clients N` / `--queries N` / `--seed N` — scenario
 //!   overrides (defaults: 5 sites, 15 clients, 12 queries, seed 4711;
 //!   `--sites` below 3 exits 2).
@@ -29,11 +28,11 @@
 //! * `HEALTH_metrics.prom`  — both registries' text exposition.
 
 use glare_bench::args::{warn_telemetry, write_artifact, Args};
-use glare_bench::health::{render, render_watch, run, HealthParams, MIN_SITES};
+use glare_bench::health::{run, HealthParams, MIN_SITES};
 
 fn main() {
     let mut args = Args::from_env();
-    let (json_out, watch) = (args.flag("--json"), args.flag("--watch"));
+    let json_out = args.flag("--json");
     let mut p = if args.flag("--smoke") {
         HealthParams::smoke()
     } else {
@@ -52,8 +51,9 @@ fn main() {
     args.finish_or_exit();
 
     let r = run(p);
-    let doc = r.to_json().to_string_pretty();
-    write_artifact("BENCH_health.json", &doc);
+    let doc = r.to_json();
+    let pretty = doc.to_string_pretty();
+    write_artifact("BENCH_health.json", &pretty);
     let events = format!("{}{}", r.overlay_events_jsonl, r.grid_events_jsonl);
     write_artifact("HEALTH_events.jsonl", &events);
     let prom = format!(
@@ -63,13 +63,5 @@ fn main() {
     write_artifact("HEALTH_metrics.prom", &prom);
 
     warn_telemetry(r.events_dropped, &r.lint);
-    if json_out {
-        print!("{doc}");
-    } else {
-        print!("{}", render(&r));
-        if watch {
-            println!();
-            print!("{}", render_watch(&r));
-        }
-    }
+    print!("{}", if json_out { pretty } else { doc.to_text() });
 }

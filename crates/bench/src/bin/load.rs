@@ -1,7 +1,7 @@
 //! Load sweep driver: offered load vs. per-tenant goodput past
-//! saturation (or `--smoke` for a CI-sized pass). Prints the table on
-//! stdout, always writes `BENCH_load.json`, and then exits 1 if any point
-//! counts an invariant violation.
+//! saturation (or `--smoke` for a CI-sized pass). Always writes
+//! `BENCH_load.json`, prints it on stdout (as text, or as that JSON with
+//! `--json`), and then exits 1 if any point counts an invariant violation.
 //!
 //! Flags:
 //!   --smoke          CI-sized sweep (factors 0.5/1.0/2.0, short window)
@@ -10,10 +10,10 @@
 //!   --capacity N     bounded-inbox capacity (default 32)
 //!   --factors LIST   comma-separated rate multipliers (default 0.5,1,1.5,2)
 //!   --no-backpressure  disable admission control (observe-only check)
-//!   --json           machine-readable output on stdout instead of the table
+//!   --json           the document as JSON on stdout instead of as text
 
 use glare_bench::args::{exit_on_violations, write_artifact, Args};
-use glare_bench::load::{render, run, to_json, LoadParams};
+use glare_bench::load::{run, to_json, LoadParams};
 
 fn main() {
     let mut args = Args::from_env();
@@ -31,12 +31,9 @@ fn main() {
     args.finish_or_exit();
 
     let points = run(&p);
-    let doc = to_json(&p, &points).to_string_pretty();
-    write_artifact("BENCH_load.json", &doc);
-    if json_out {
-        print!("{doc}");
-    } else {
-        print!("{}", render(&p, &points));
-    }
+    let doc = to_json(&p, &points);
+    let pretty = doc.to_string_pretty();
+    write_artifact("BENCH_load.json", &pretty);
+    print!("{}", if json_out { pretty } else { doc.to_text() });
     exit_on_violations(points.iter().map(|pt| pt.invariant_violations as usize).sum());
 }

@@ -1,16 +1,16 @@
 //! Scale sweep driver: 1k → 10k sites (or `--smoke` for a CI-sized
-//! 100/200-site pass). Prints the table on stdout and always writes
-//! `BENCH_scale.json`.
+//! 100/200-site pass). Always writes `BENCH_scale.json` and prints it on
+//! stdout: as text, or as that JSON with `--json`.
 //!
 //! Flags:
 //!   --smoke          CI-sized sweep (100 and 200 sites)
 //!   --sites LIST     comma-separated site counts, each >= 2 (default 1000,2500,5000,10000)
 //!   --depth N        super-peer tree depth for the tree rows (default 3)
 //!   --no-flood       skip the flat-broadcast baseline rows
-//!   --json           machine-readable output on stdout instead of the table
+//!   --json           the document as JSON on stdout instead of as text
 
 use glare_bench::args::{write_artifact, Args};
-use glare_bench::scale::{render, run, to_json, ScaleParams, MIN_SITES};
+use glare_bench::scale::{run, to_json, ScaleParams, MIN_SITES};
 
 fn main() {
     let mut args = Args::from_env();
@@ -27,11 +27,8 @@ fn main() {
     args.finish_or_exit();
 
     let points = run(&p);
-    let doc = to_json(&p, &points).to_string_pretty();
-    write_artifact("BENCH_scale.json", &doc);
-    if json_out {
-        print!("{doc}");
-    } else {
-        print!("{}", render(&p, &points));
-    }
+    let doc = to_json(&p, &points);
+    let pretty = doc.to_string_pretty();
+    write_artifact("BENCH_scale.json", &pretty);
+    print!("{}", if json_out { pretty } else { doc.to_text() });
 }

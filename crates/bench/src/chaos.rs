@@ -516,77 +516,6 @@ pub fn run(p: ChaosParams) -> ChaosReport {
     }
 }
 
-/// Render the sweep and Grid-phase tables.
-pub fn render(r: &ChaosReport) -> String {
-    let mut s = String::from(
-        "Chaos soak report\n\
-         loss  | avail | retries | backoff (n/p95 ms) | breaker (open/short) | degraded | dropped (loss/part/down) | takeovers | restarts | slow | hedged | violations\n",
-    );
-    for row in &r.rows {
-        s.push_str(&format!(
-            "{:<6.3}| {:>5.2} | {:>7} | {:>18} | {:>20} | {:>8} | {:>24} | {:>9} | {:>8} | {:>4} | {:>6} | {}\n",
-            row.loss,
-            row.availability,
-            row.retries,
-            format!("{}/{:.1}", row.backoff_count, row.backoff_p95_ms),
-            format!("{}/{}", row.breaker_opens, row.short_circuits),
-            row.degraded_reads,
-            format!(
-                "{}/{}/{}",
-                row.dropped_loss, row.dropped_partition, row.dropped_site_down
-            ),
-            row.takeovers,
-            row.site_restarts,
-            row.slowdowns,
-            row.hedges_fired,
-            row.violations.len(),
-        ));
-    }
-    s.push_str(
-        "\nRecovery (crash → replay → rejoin)\n\
-         loss  | recoveries | replayed | p50 (ms) | p95 (ms) | max (ms)\n",
-    );
-    for row in &r.rows {
-        s.push_str(&format!(
-            "{:<6.3}| {:>10} | {:>8} | {:>8.1} | {:>8.1} | {:>8.1}\n",
-            row.loss,
-            row.recoveries,
-            row.replayed_records,
-            pct(&row.recovery_ms, 0.5),
-            pct(&row.recovery_ms, 0.95),
-            pct(&row.recovery_ms, 1.0),
-        ));
-    }
-    s.push_str(&format!(
-        "\nGrid phase: provisions ok/failed {}/{}   leases granted/rejected/unavailable {}/{}/{}\n\
-         retries {}   breaker open/short {}/{}   leases reclaimed on restart {}\n\
-         restart replayed {} journal record(s) in {:.1} ms\n",
-        r.grid.provisions_ok,
-        r.grid.provisions_failed,
-        r.grid.leases_granted,
-        r.grid.leases_rejected,
-        r.grid.leases_unavailable,
-        r.grid.retries,
-        r.grid.breaker_opens,
-        r.grid.short_circuits,
-        r.grid.leases_reclaimed,
-        r.grid.replayed_records,
-        r.grid.replay_ms,
-    ));
-    if r.invariant_violations.is_empty() {
-        s.push_str("\ninvariants: all hold\n");
-    } else {
-        s.push_str(&format!(
-            "\nINVARIANT VIOLATIONS ({}):\n",
-            r.invariant_violations.len()
-        ));
-        for v in &r.invariant_violations {
-            s.push_str(&format!("  - {v}\n"));
-        }
-    }
-    s
-}
-
 impl ChaosReport {
     /// JSON-friendly view (written to `BENCH_chaos.json`).
     pub fn to_json(&self) -> crate::json::Json {

@@ -213,33 +213,6 @@ pub fn run(
     out
 }
 
-/// Render the series as aligned columns.
-pub fn render(points: &[ThroughputPoint]) -> String {
-    let mut s = String::from(
-        "Fig 10: Throughput (requests/s) vs concurrent clients\n\
-         clients | ATR http | ATR https | WS-MDS http | WS-MDS https\n",
-    );
-    let mut clients: Vec<usize> = points.iter().map(|p| p.clients).collect();
-    clients.sort_unstable();
-    clients.dedup();
-    for c in clients {
-        let find = |svc: Service, tr: Transport| {
-            points
-                .iter()
-                .find(|p| p.clients == c && p.service == svc && p.transport == tr)
-                .map_or(0.0, |p| p.rps)
-        };
-        s.push_str(&format!(
-            "{c:>7} | {:>8.0} | {:>9.0} | {:>11.0} | {:>12.0}\n",
-            find(Service::Atr, Transport::Http),
-            find(Service::Atr, Transport::Https),
-            find(Service::Mds, Transport::Http),
-            find(Service::Mds, Transport::Https),
-        ));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

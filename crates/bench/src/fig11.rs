@@ -65,42 +65,6 @@ pub fn run(
     out
 }
 
-/// Render the series.
-pub fn render(points: &[Fig11Point]) -> String {
-    let mut s = String::from(
-        "Fig 11: Throughput (requests/s) vs registered activity types\n\
-         resources | ATR http | ATR https | WS-MDS http | WS-MDS https\n",
-    );
-    let mut res: Vec<usize> = points.iter().map(|p| p.point.resources).collect();
-    res.sort_unstable();
-    res.dedup();
-    for r in res {
-        let find = |svc: Service, tr: Transport| -> String {
-            points
-                .iter()
-                .find(|p| {
-                    p.point.resources == r && p.point.service == svc && p.point.transport == tr
-                })
-                .map_or("-".to_owned(), |p| {
-                    if p.unresponsive {
-                        format!("{:.0}*", p.point.rps)
-                    } else {
-                        format!("{:.0}", p.point.rps)
-                    }
-                })
-        };
-        s.push_str(&format!(
-            "{r:>9} | {:>8} | {:>9} | {:>11} | {:>12}\n",
-            find(Service::Atr, Transport::Http),
-            find(Service::Atr, Transport::Https),
-            find(Service::Mds, Transport::Http),
-            find(Service::Mds, Transport::Https),
-        ));
-    }
-    s.push_str("(* = effectively unresponsive, cf. the paper's stalled index)\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

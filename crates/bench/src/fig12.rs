@@ -122,24 +122,6 @@ pub fn run_config(
 /// cache off on 1, 3, 7 sites.
 pub const CONFIGS: [(usize, bool); 4] = [(1, true), (1, false), (3, false), (7, false)];
 
-/// Render the series.
-pub fn render(points: &[Fig12Point]) -> String {
-    let mut s = String::from(
-        "Fig 12: Response time per deployment request\n\
-         configuration      | mean (ms) | p95 (ms) | requests\n",
-    );
-    for p in points {
-        s.push_str(&format!(
-            "{:<19}| {:>9.1} | {:>8.1} | {:>8}\n",
-            p.label(),
-            p.mean_ms,
-            p.p95_ms,
-            p.requests
-        ));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

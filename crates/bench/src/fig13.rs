@@ -140,21 +140,6 @@ pub const SINK_RATES_S: [u64; 3] = [1, 5, 10];
 /// Sink counts of every sink series.
 pub const SINKS: [usize; 4] = [30, 70, 140, 210];
 
-/// Render the series.
-pub fn render(points: &[LoadPoint]) -> String {
-    let mut s = String::from(
-        "Fig 13: 1-minute load average of the registry site\n\
-         series       | count | peak load | mean load\n",
-    );
-    for p in points {
-        s.push_str(&format!(
-            "{:<13}| {:>5} | {:>9.2} | {:>9.2}\n",
-            p.series, p.count, p.peak_load, p.mean_load
-        ));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -427,40 +427,6 @@ pub fn run(p: &GrayfailParams) -> GrayfailReport {
     }
 }
 
-/// Render the human-readable summary.
-pub fn render(r: &GrayfailReport) -> String {
-    let mut s = format!(
-        "Gray-failure resilience (seed {}, slow x{:.0}, trunk x{:.0})\n",
-        r.params.seed, r.params.slow_factor, LINK_FACTOR
-    );
-    for run in &r.runs {
-        s.push_str(&format!(
-            "\nmode {} — hedges fired/won/wasted {}/{}/{} — takeovers {} — false {}\n",
-            run.mode.label(),
-            run.hedges_fired,
-            run.hedges_won,
-            run.hedges_wasted,
-            run.takeovers,
-            run.false_takeovers,
-        ));
-        s.push_str("class       | phase   | responses |   p50 ms |   p99 ms\n");
-        for w in &run.windows {
-            s.push_str(&format!(
-                "{:<12}| {:<8}| {:>9} | {:>8.1} | {:>8.1}\n",
-                w.class, w.phase, w.responses, w.p50_ms, w.p99_ms
-            ));
-        }
-        if !run.violations.is_empty() {
-            s.push_str(&format!("violations: {:?}\n", run.violations));
-        }
-    }
-    s.push_str(&format!(
-        "\nacceptance: enabled_within_2x={} disabled_exceeds_5x={} hedged_beats_unhedged={}\n",
-        r.enabled_within_2x, r.disabled_exceeds_5x, r.hedged_beats_unhedged
-    ));
-    s
-}
-
 impl ModeReport {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -550,9 +516,9 @@ mod tests {
             assert_eq!(m.lint_errors, 0, "{}: metric-name lint", m.mode.label());
             assert_eq!(m.false_takeovers, 0, "{}: a slow peer was declared dead", m.mode.label());
         }
-        assert!(r.enabled_within_2x, "{}", render(&r));
-        assert!(r.disabled_exceeds_5x, "{}", render(&r));
-        assert!(r.hedged_beats_unhedged, "{}", render(&r));
+        assert!(r.enabled_within_2x, "{}", r.to_json().to_string_pretty());
+        assert!(r.disabled_exceeds_5x, "{}", r.to_json().to_string_pretty());
+        assert!(r.hedged_beats_unhedged, "{}", r.to_json().to_string_pretty());
         assert!(r.runs[0].hedges_fired > 0, "the gray phase must hedge");
         assert!(r.runs[0].hedges_won > 0, "hedges must win under the slow peer");
         assert_eq!(r.runs[1].hedges_fired, 0, "hedges fired with the stack disabled");

@@ -189,7 +189,7 @@ pub struct TenantHealth {
     pub responses: u64,
 }
 
-/// One windowed-gauge sample for `--watch` mode.
+/// One windowed-gauge sample: a row of the report's `watch` table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WatchRow {
     /// Metric family.
@@ -507,7 +507,7 @@ fn group_rows(om: &MetricsRegistry) -> Vec<GroupHealth> {
         .collect()
 }
 
-/// The windowed-gauge samples of the `--watch` view.
+/// The windowed-gauge samples of the report's `watch` rows.
 fn watch_rows(om: &MetricsRegistry) -> Vec<WatchRow> {
     let mut watch = Vec::new();
     for family in ["glare_site_load1m", "glare_cache_hit_ratio"] {
@@ -594,90 +594,6 @@ pub fn run(p: HealthParams) -> HealthReport {
         overlay_snapshot: om.snapshot_json(),
         grid_snapshot: gm.snapshot_json(),
     }
-}
-
-/// Render the per-site and per-group health tables.
-pub fn render(r: &HealthReport) -> String {
-    let mut s = String::from(
-        "Grid health report\n\
-         site   | hit ratio | stale p50 (ms) | stale p95 (ms) | avail | elections (won/rounds) | fail-det p95 (ms) | dropped (loss/part)\n",
-    );
-    for row in &r.sites {
-        s.push_str(&format!(
-            "{:<7}| {:>9.2} | {:>14.1} | {:>14.1} | {:>5.2} | {:>22} | {:>17.1} | {:>19}\n",
-            row.site,
-            row.hit_ratio,
-            row.staleness_p50_ms,
-            row.staleness_p95_ms,
-            row.availability,
-            format!("{}/{}", row.elections_won, row.election_rounds),
-            row.failure_detect_p95_ms,
-            format!("{}/{}", row.dropped_loss, row.dropped_partition),
-        ));
-    }
-    s.push_str(
-        "\nRecovery & anti-entropy\nsite   | replayed | replay (ms) | AE pulls | AE pushes\n",
-    );
-    for row in &r.sites {
-        s.push_str(&format!(
-            "{:<7}| {:>8} | {:>11.1} | {:>8} | {:>9}\n",
-            row.site, row.replayed_records, row.replay_ms, row.ae_pulls, row.ae_pushes,
-        ));
-    }
-    s.push_str(
-        "\nGray-failure resilience\nsite   | suspicion | hedges (fired/won/wasted)\n",
-    );
-    for row in &r.sites {
-        s.push_str(&format!(
-            "{:<7}| {:>9.2} | {:>25}\n",
-            row.site,
-            row.suspicion_level,
-            format!("{}/{}/{}", row.hedges_fired, row.hedges_won, row.hedges_wasted),
-        ));
-    }
-    s.push_str("\nPeer-group cache traffic\ngroup      | hits | misses | hit ratio\n");
-    for row in &r.groups {
-        s.push_str(&format!(
-            "{:<11}| {:>4} | {:>6} | {:>9.2}\n",
-            row.group, row.hits, row.misses, row.hit_ratio
-        ));
-    }
-    if !r.tenant_classes.is_empty() {
-        s.push_str(
-            "\nTenant admission (site0 entry)\nclass       | offered | admitted | shed | retry-after | dropped | responses\n",
-        );
-        for row in &r.tenant_classes {
-            s.push_str(&format!(
-                "{:<12}| {:>7} | {:>8} | {:>4} | {:>11} | {:>7} | {:>9}\n",
-                row.class,
-                row.offered,
-                row.admitted,
-                row.shed,
-                row.retry_after_honored,
-                row.dropped,
-                row.responses,
-            ));
-        }
-    }
-    s.push_str(&format!(
-        "\nsuper-peer takeovers: {}   leases granted/rejected: {}/{}   inbox TTL leaks: {}   events dropped: {}\n",
-        r.takeovers, r.leases_granted, r.leases_rejected, r.inbox_ttl_released, r.events_dropped
-    ));
-    s
-}
-
-/// Render the `--watch` view: windowed-gauge samples over sim-time.
-pub fn render_watch(r: &HealthReport) -> String {
-    let mut s = String::from(
-        "Windowed gauges over sim-time\nfamily               | site   | t (s) |   mean |    min |    max\n",
-    );
-    for w in &r.watch {
-        s.push_str(&format!(
-            "{:<21}| {:<7}| {:>5.0} | {:>6.2} | {:>6.2} | {:>6.2}\n",
-            w.family, w.site, w.t_secs, w.mean, w.min, w.max
-        ));
-    }
-    s
 }
 
 impl HealthReport {

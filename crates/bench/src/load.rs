@@ -301,40 +301,6 @@ pub fn run(p: &LoadParams) -> Vec<LoadPoint> {
     p.factors.iter().map(|&f| run_point(f, p)).collect()
 }
 
-/// Render the sweep as a table.
-pub fn render(p: &LoadParams, points: &[LoadPoint]) -> String {
-    let mut s = format!(
-        "Load sweep ({} sites, capacity {}, base {:.0} req/s, backpressure {})\n\
-         factor | tenant     | class       | offered | goodput/s | ok-ratio | shed  | p95 (ms)\n",
-        p.sites,
-        p.capacity,
-        BASE_RATE_HZ,
-        if p.backpressure { "on" } else { "off" },
-    );
-    for pt in points {
-        for t in &pt.tenants {
-            s.push_str(&format!(
-                "{:>6.2} | {:<10} | {:<11} | {:>7} | {:>9.1} | {:>8.3} | {:>5} | {:>8.1}\n",
-                pt.factor,
-                t.name,
-                t.class,
-                t.offered,
-                t.goodput_hz,
-                t.success_ratio,
-                t.shed,
-                t.p95_ms,
-            ));
-        }
-        if pt.invariant_violations > 0 {
-            s.push_str(&format!(
-                "       ! {} invariant violation(s)\n",
-                pt.invariant_violations
-            ));
-        }
-    }
-    s
-}
-
 /// The `BENCH_load.json` document: byte-identical for a given seed and
 /// parameter set.
 pub fn to_json(p: &LoadParams, points: &[LoadPoint]) -> Json {

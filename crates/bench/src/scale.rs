@@ -190,31 +190,6 @@ pub fn run(p: &ScaleParams) -> Vec<ScalePoint> {
     points
 }
 
-/// Render the sweep as a table.
-pub fn render(p: &ScaleParams, points: &[ScalePoint]) -> String {
-    let mut s = format!(
-        "Scale sweep ({} scheduler, depth {})\n\
-         sites  | mode  | events     | peak q | hops/query | mean (ms) | p95 (ms) | hits\n",
-        scheduler_label(p.scheduler),
-        p.tree_depth,
-    );
-    for pt in points {
-        s.push_str(&format!(
-            "{:>6} | {:<5} | {:>10} | {:>6} | {:>10.1} | {:>9.1} | {:>8.1} | {}/{}\n",
-            pt.sites,
-            if pt.flood { "flood" } else { "tree" },
-            pt.events,
-            pt.peak_queue,
-            pt.hops_per_query,
-            pt.mean_ms,
-            pt.p95_ms,
-            pt.hits,
-            pt.queries,
-        ));
-    }
-    s
-}
-
 /// The `BENCH_scale.json` document: byte-identical for a given seed and
 /// parameter set.
 pub fn to_json(p: &ScaleParams, points: &[ScalePoint]) -> Json {

@@ -116,55 +116,10 @@ pub fn run() -> Vec<Table1Entry> {
     out
 }
 
-/// Render the table in the paper's layout.
-pub fn render(rows: &[Table1Entry]) -> String {
-    let mut s = String::new();
-    s.push_str(
-        "Table 1: Time spent (in ms) in different operations.\n\
-         Method   | Operation/Overhead                | Wien2k | Invmod | Counter\n\
-         ---------+-----------------------------------+--------+--------+--------\n",
-    );
-    for channel in ["Expect", "Java CoG"] {
-        let cols: Vec<&Table1Entry> = APPS
-            .iter()
-            .map(|(app, _)| {
-                rows.iter()
-                    .find(|r| r.channel == channel && r.app == *app)
-                    .expect("complete rows")
-            })
-            .collect();
-        let overhead_label = if channel == "Expect" {
-            "Expect Overhead"
-        } else {
-            "JavaCoG Overhead"
-        };
-        type RowFn = fn(&Table1Entry) -> u64;
-        let lines: [(&str, RowFn); 7] = [
-            ("Activity Type Addition", |r| r.type_addition_ms),
-            ("Communication Overhead", |r| r.communication_ms),
-            ("Activity Installation/Deployment", |r| r.installation_ms),
-            ("Activity Deployment Registration", |r| r.registration_ms),
-            ("Notification", |r| r.notification_ms),
-            (overhead_label, |r| r.channel_overhead_ms),
-            ("Total overhead for meta-scheduler", |r| r.total_ms),
-        ];
-        for (i, (label, f)) in lines.iter().enumerate() {
-            let method = if i == 0 { channel } else { "" };
-            s.push_str(&format!(
-                "{method:<9}| {label:<34}| {:>6} | {:>6} | {:>7}\n",
-                f(cols[0]),
-                f(cols[1]),
-                f(cols[2]),
-            ));
-        }
-        s.push_str("---------+-----------------------------------+--------+--------+--------\n");
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn table1_shape_matches_paper() {
@@ -206,11 +161,22 @@ mod tests {
 
     #[test]
     fn render_contains_all_rows() {
-        let rows = run();
-        let text = render(&rows);
-        assert!(text.contains("Activity Type Addition"));
-        assert!(text.contains("Expect Overhead"));
-        assert!(text.contains("JavaCoG Overhead"));
-        assert!(text.contains("Total overhead for meta-scheduler"));
+        let rows = Json::arr(run().iter().map(|r| r.to_json()));
+        let text = rows.to_text();
+        let (header, body) = text.split_once('\n').expect("a header and rows");
+        for key in [
+            "channel", "app", "type_addition_ms", "communication_ms", "installation_ms",
+            "registration_ms", "notification_ms", "channel_overhead_ms", "total_ms",
+        ] {
+            assert!(header.split_whitespace().any(|column| column == key), "{key}: {header}");
+        }
+        for channel in ["Expect", "Java CoG"] {
+            for (app, _) in APPS {
+                let (channel_cell, app_cell) = (format!("\"{channel}\""), format!(" \"{app}\" "));
+                let found =
+                    body.lines().filter(|l| l.starts_with(&channel_cell) && l.contains(&app_cell));
+                assert_eq!(found.count(), 1, "one row for {app} via {channel}:\n{text}");
+            }
+        }
     }
 }

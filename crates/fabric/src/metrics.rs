@@ -282,7 +282,7 @@ impl GaugeBucket {
 ///
 /// Each `set(now, v)` lands in the bucket `now / window`; the gauge keeps
 /// one [`GaugeBucket`] per touched window in time order. This gives
-/// monitoring clients a bounded "value over time" view (`--watch` mode of
+/// monitoring clients a bounded "value over time" view (the `watch` rows of
 /// the health report) without retaining every sample.
 #[derive(Clone, Debug, Default)]
 pub struct WindowedGauge {

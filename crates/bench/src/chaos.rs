@@ -30,8 +30,8 @@
 //!   provision that succeeds (a failure is an explicit error, by type)
 //!   and [`invariants::lease_caps`] over every site's final ledger.
 //!
-//! Everything is deterministic: same params → byte-identical
-//! expositions, event JSONL and `BENCH_chaos.json`.
+//! Everything is deterministic: same params → byte-identical event JSONL,
+//! `BENCH_chaos.json` and `BENCH_recovery.json`.
 
 use glare_core::grid::{FaultInjector, Grid};
 use glare_core::invariants;
@@ -180,8 +180,6 @@ pub struct LossRow {
     pub recovery_ms: Vec<f64>,
     /// Invariant violations found after the heal window (must be empty).
     pub violations: Vec<String>,
-    /// Prometheus exposition of the run's registry (determinism probe).
-    pub exposition: String,
     /// Structured event log, JSONL.
     pub events_jsonl: String,
     /// Event records dropped (0 = complete log).
@@ -217,8 +215,6 @@ pub struct GridChaos {
     pub replay_ms: f64,
     /// Invariant violations over the final lease ledger and registries.
     pub violations: Vec<String>,
-    /// Prometheus exposition of the Grid registry.
-    pub exposition: String,
     /// Grid event log, JSONL.
     pub events_jsonl: String,
     /// Metric-name lint violations for the Grid registry.
@@ -369,7 +365,6 @@ fn run_overlay_point(p: &ChaosParams, loss: f64) -> LossRow {
         replayed_records: m.family_total("glare_store_replayed_records_total", &[]),
         recovery_ms: sorted_samples_ms(m, "glare_recovery_ms"),
         violations: invariants::overlay(&sim, &ids, end),
-        exposition: m.expose_prometheus(),
         events_jsonl: events.to_jsonl(),
         events_dropped: events.dropped(),
         lint: m.lint_metric_names(),
@@ -484,7 +479,6 @@ fn run_grid_phase(p: &ChaosParams) -> GridChaos {
         replayed_records: m.family_total("glare_store_replayed_records_total", &[]),
         replay_ms: sorted_samples_ms(m, "glare_store_replay_ms").last().map_or(0.0, |&ms| ms),
         violations,
-        exposition: m.expose_prometheus(),
         events_jsonl: g.events.to_jsonl(),
         lint: m.lint_metric_names(),
     }
@@ -770,10 +764,8 @@ mod tests {
         let a = run(p.clone());
         let b = run(p);
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(ra.exposition, rb.exposition);
             assert_eq!(ra.events_jsonl, rb.events_jsonl);
         }
-        assert_eq!(a.grid.exposition, b.grid.exposition);
         assert_eq!(a.grid.events_jsonl, b.grid.events_jsonl);
         let report = a.to_json().to_string_pretty();
         assert_eq!(report, b.to_json().to_string_pretty());

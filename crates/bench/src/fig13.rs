@@ -11,7 +11,7 @@
 //! while 250 requesters keep it just below 5).
 
 use glare_core::node::NodeConfig;
-use glare_fabric::{SimDuration, SimTime, Topology, TraceSink};
+use glare_fabric::{Labels, SimDuration, SimTime, Topology, TraceSink};
 
 use crate::json::fields;
 use crate::scenario::{node_defaults, Client, Registry, Run, Scenario};
@@ -102,16 +102,21 @@ pub(crate) fn sinks(n: usize, rate: SimDuration, p: Fig13Params) -> Scenario {
     }
 }
 
-/// Run `scenario` over the window and read the registry site's load. With
+/// Run `scenario` over the window and read the registry site's load from
+/// its `glare_site_load1m` gauge: the peak is the largest bucket `max`, the
+/// mean every sample's (Σ`sum` / Σ`count` over the buckets). With
 /// `traced`, the recorded spans come back beside the point (an empty sink
 /// otherwise); tracing is observe-only, so the point is the same either way.
 fn measure(s: Scenario, traced: bool, series: String, count: usize) -> (LoadPoint, TraceSink) {
     let until = s.load_sampling.expect("fig13 samples the load");
     let Run { mut sim, .. } = Scenario { tracing: traced, ..s }.start();
     sim.run_until(until);
-    let load = sim.metrics().time_series_ref("site0.load1m").expect("load sampling enabled");
-    let peak_load = load.max_value().unwrap_or(0.0);
-    let mean_load = load.mean_value().unwrap_or(0.0);
+    let site0 = Labels::of(&[("site", "site0")]);
+    let gauge = sim.metrics().gauge_ref("glare_site_load1m", &site0);
+    let buckets = gauge.expect("load sampling enabled").buckets();
+    let peak_load = buckets.iter().map(|b| b.max).reduce(f64::max).unwrap_or(0.0);
+    let (sum, samples) = buckets.iter().fold((0.0, 0), |(s, n), b| (s + b.sum, n + b.count));
+    let mean_load = sum / samples as f64;
     (LoadPoint { series, count, peak_load, mean_load }, sim.take_trace().unwrap_or_default())
 }
 

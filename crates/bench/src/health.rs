@@ -241,10 +241,6 @@ pub struct HealthReport {
     pub overlay_events_jsonl: String,
     /// Grid-phase event log, JSONL.
     pub grid_events_jsonl: String,
-    /// JSON snapshot of the overlay registry.
-    pub overlay_snapshot: String,
-    /// JSON snapshot of the Grid registry.
-    pub grid_snapshot: String,
 }
 
 fn ms(d: Option<SimDuration>) -> f64 {
@@ -591,8 +587,6 @@ pub fn run(p: HealthParams) -> HealthReport {
         grid_exposition: gm.expose_prometheus(),
         overlay_events_jsonl: overlay_events.to_jsonl(),
         grid_events_jsonl: g.events.to_jsonl(),
-        overlay_snapshot: om.snapshot_json(),
-        grid_snapshot: gm.snapshot_json(),
     }
 }
 
@@ -786,19 +780,5 @@ mod tests {
         let json = r.to_json().to_string_pretty();
         assert!(json.contains("\"suspicion_level\""));
         assert!(json.contains("\"hedges_fired\""));
-    }
-
-    #[test]
-    fn same_seed_reports_are_byte_identical() {
-        let p = HealthParams::smoke();
-        let a = run(p);
-        let b = run(p);
-        assert_eq!(a.overlay_exposition, b.overlay_exposition);
-        assert_eq!(a.grid_exposition, b.grid_exposition);
-        assert_eq!(a.overlay_events_jsonl, b.overlay_events_jsonl);
-        assert_eq!(a.grid_events_jsonl, b.grid_events_jsonl);
-        assert_eq!(a.overlay_snapshot, b.overlay_snapshot);
-        assert_eq!(a.grid_snapshot, b.grid_snapshot);
-        assert_eq!(a.to_json().to_string_pretty(), b.to_json().to_string_pretty());
     }
 }

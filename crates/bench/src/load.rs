@@ -13,10 +13,12 @@
 //! within 10% of its pre-overload goodput at ≥2x saturation while the
 //! best-effort tier absorbs the rejections.
 //!
-//! Output (`BENCH_load.json`, schema `glare.load.v1`): per-tenant
+//! Output (`BENCH_load.json`, schema `glare.load.v2`): per-tenant
 //! offered/sent/responses/shed/retry counts, goodput, latency
 //! percentiles, per-class admission counters, invariant violations and
-//! the structured-event digest. Same seed ⇒ byte-identical JSON.
+//! the structured-event digest (16 hex digits, as grayfail and autonomic
+//! write theirs: a JSON number would round it through `f64`). Same seed
+//! ⇒ byte-identical JSON.
 
 use glare_core::admission::{AdmissionConfig, TenantClass};
 use glare_core::invariants;
@@ -190,7 +192,7 @@ impl LoadPoint {
             ),
             ("lint_errors", Json::from(self.lint_errors)),
             ("events", Json::from(self.events)),
-            ("event_digest", Json::from(self.event_digest)),
+            ("event_digest", Json::from(format!("{:016x}", self.event_digest))),
         ])
     }
 }
@@ -305,7 +307,7 @@ pub fn run(p: &LoadParams) -> Vec<LoadPoint> {
 /// parameter set.
 pub fn to_json(p: &LoadParams, points: &[LoadPoint]) -> Json {
     Json::obj([
-        ("schema", Json::from("glare.load.v1")),
+        ("schema", Json::from("glare.load.v2")),
         ("seed", Json::from(p.seed)),
         ("sites", Json::from(p.sites)),
         ("capacity", Json::from(p.capacity as u64)),
@@ -332,7 +334,7 @@ mod tests {
         let a = to_json(&p, &run(&p)).to_string_pretty();
         let b = to_json(&p, &run(&p)).to_string_pretty();
         assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"glare.load.v1\""));
+        assert!(a.contains("\"schema\": \"glare.load.v2\""));
     }
 
     #[test]
@@ -398,6 +400,21 @@ mod tests {
         let pt = run_point(0.001, &LoadParams::smoke());
         assert!(pt.tenants.iter().any(|t| t.offered == 0), "{:?}", pt.tenants);
         assert_eq!(pt.invariant_violations, 0, "{:?}", pt.tenants);
+    }
+
+    /// The digest is written exactly: as hex, it parses back to the point's
+    /// own `u64`, also one above 2^53 that a JSON number would round.
+    #[test]
+    fn event_digest_is_written_exactly() {
+        let pt = run_point(0.001, &LoadParams::smoke());
+        let unrounded = LoadPoint { event_digest: (1 << 53) + 1, ..pt.clone() };
+        for point in [pt, unrounded] {
+            let Json::Obj(members) = point.to_json() else { panic!("a point is an object") };
+            let written = members.iter().find(|(k, _)| k == "event_digest").map(|(_, v)| v);
+            let Some(Json::Str(hex)) = written else { panic!("digest is a string: {written:?}") };
+            assert_eq!(hex.len(), 16, "{hex}");
+            assert_eq!(u64::from_str_radix(hex, 16), Ok(point.event_digest));
+        }
     }
 
     #[test]

@@ -125,7 +125,8 @@ pub struct Scenario {
     pub events: Option<usize>,
     /// Causal tracing, at the default span bound.
     pub tracing: bool,
-    /// Sample every site's load average until this instant.
+    /// Sample every site's load average into its `glare_site_load1m` gauge
+    /// until this instant.
     pub load_sampling: Option<SimTime>,
     /// Uniform message-loss probability.
     pub loss: f64,

@@ -50,7 +50,7 @@ pub use events::{
 pub use fault::{Fault, FaultPlan};
 pub use metrics::{
     percentile, Counter, CounterId, GaugeBucket, GaugeId, Histogram, Labels, MetricsRegistry,
-    TimeSeries, WindowedGauge, DEFAULT_GAUGE_WINDOW,
+    WindowedGauge, DEFAULT_GAUGE_WINDOW,
 };
 pub use queue::{CalendarQueue, EventKey, EventPool, EventQueue, SchedulerKind};
 pub use rng::SimRng;

@@ -1,10 +1,9 @@
-//! Experiment instrumentation: counters, gauges, latency histograms and
-//! time series.
+//! Experiment instrumentation: counters, latency histograms and windowed
+//! gauges.
 //!
 //! The benchmark harness in `glare-bench` reads these back to print the
-//! rows/series of the paper's tables and figures. Counters and time series
-//! are addressable by a flat string name (e.g.
-//! `"site3.deployments.installed"`).
+//! rows of the paper's tables and figures. Counters are addressable by a
+//! flat string name (e.g. `"site3.deployments.installed"`).
 //!
 //! Counters, histograms and gauges also live in *labeled* families, the
 //! model of the health-telemetry subsystem: a metric family has a
@@ -20,7 +19,8 @@
 //!
 //! [`WindowedGauge`] aggregates a sampled value over fixed sim-time
 //! buckets (last/min/max/mean per bucket) so a monitoring client can
-//! replay "gauge over time" without the registry storing every sample.
+//! replay "gauge over time" without the registry storing every sample;
+//! a site's sampled load average is one (`glare_site_load1m`).
 //!
 //! Instruments are stored densely and the sorted maps index them, so a
 //! recorder on a hot path resolves a counter or gauge once, at its first
@@ -140,44 +140,6 @@ impl Histogram {
     /// Largest sample, or `None` when empty.
     pub fn max(&self) -> Option<SimDuration> {
         self.quantile(1.0)
-    }
-}
-
-/// A `(time, value)` series, e.g. load average over the run.
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Append a point. Timestamps must be non-decreasing.
-    pub(crate) fn push(&mut self, t: SimTime, v: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(t >= last, "TimeSeries::push: time went backwards");
-        }
-        self.points.push((t, v));
-    }
-
-    /// All recorded points in order.
-    pub(crate) fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Largest recorded value, or `None` when empty.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Mean of values over all points, or `None` when empty.
-    pub fn mean_value(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            None
-        } else {
-            Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
-        }
     }
 }
 
@@ -346,8 +308,7 @@ type FamilyIndex = BTreeMap<String, BTreeMap<Labels, u32>>;
 
 /// Every instrument of one kind, once, in creation order, and the sorted
 /// indexes into it: by flat name and by family then label set. Counters
-/// use both indexes, histograms and gauges only the families, time series
-/// only the flat names.
+/// use both indexes, histograms and gauges only the families.
 #[derive(Clone, Debug, Default)]
 struct Table<V> {
     store: Vec<V>,
@@ -438,7 +399,6 @@ pub struct MetricsRegistry {
     counters: Table<Counter>,
     histograms: Table<Histogram>,
     gauges: Table<WindowedGauge>,
-    series: Table<TimeSeries>,
 }
 
 impl MetricsRegistry {
@@ -469,22 +429,6 @@ impl MetricsRegistry {
     /// Read a counter value without creating it (zero if absent).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.counters.flat(name).map_or(0, Counter::get)
-    }
-
-    /// Get or create the time series `name`.
-    pub(crate) fn time_series(&mut self, name: &str) -> &mut TimeSeries {
-        let i = self.series.flat_id(name);
-        &mut self.series.store[i as usize]
-    }
-
-    /// Read-only view of a time series if it exists.
-    pub fn time_series_ref(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.flat(name)
-    }
-
-    /// Names of all counters, in sorted order.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.flat.keys().map(String::as_str)
     }
 
     /// Get or create the counter `labels` inside family `family`.
@@ -565,11 +509,6 @@ impl MetricsRegistry {
         self.gauges.family(family)
     }
 
-    /// Names of all labeled counter families, in sorted order.
-    pub fn labeled_counter_families(&self) -> impl Iterator<Item = &str> {
-        self.counters.families.keys().map(String::as_str)
-    }
-
     /// Deterministic Prometheus-style text exposition.
     ///
     /// Labeled families render under their own names; flat counters render
@@ -598,8 +537,8 @@ impl MetricsRegistry {
     ///
     /// Self-contained (no serializer dependency); durations are reported
     /// in milliseconds. Ordering follows the sorted maps, so the string
-    /// is byte-identical across same-seed runs. `histograms` is always
-    /// empty: the key stays so the format does not change.
+    /// is byte-identical across same-seed runs. `histograms` and `series`
+    /// are always empty: the keys stay so the format does not change.
     pub fn snapshot_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         self.counters.flat_json(&mut out, |out, c| {
@@ -631,18 +570,7 @@ impl MetricsRegistry {
             });
             out.push(']');
         });
-        out.push_str("},\"series\":{");
-        self.series.flat_json(&mut out, |out, s| {
-            let _ = write!(
-                out,
-                "{{\"points\":{},\"mean\":{},\"max\":{},\"last\":{}}}",
-                s.points().len(),
-                opt_f64(s.mean_value()),
-                opt_f64(s.max_value()),
-                opt_f64(s.points().last().map(|&(_, v)| v))
-            );
-        });
-        out.push_str("}}");
+        out.push_str("},\"series\":{}}");
         out
     }
 
@@ -686,7 +614,7 @@ impl MetricsRegistry {
                 violations.push(format!("unlabeled instrument in {kind} family {family:?}"));
             }
         }
-        for name in self.counters.flat.keys().chain(self.series.flat.keys()) {
+        for name in self.counters.flat.keys() {
             let sanitized = sanitize_name(name);
             if seen.contains_key(&sanitized) {
                 violations.push(format!(
@@ -869,36 +797,18 @@ mod tests {
     }
 
     #[test]
-    fn time_series_queries() {
-        let mut s = TimeSeries::default();
-        s.push(SimTime::from_secs(1), 1.0);
-        s.push(SimTime::from_secs(2), 5.0);
-        s.push(SimTime::from_secs(3), 3.0);
-        assert_eq!(s.max_value(), Some(5.0));
-        assert_eq!(s.mean_value(), Some(3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "time went backwards")]
-    fn time_series_rejects_backwards_time() {
-        let mut s = TimeSeries::default();
-        s.push(SimTime::from_secs(2), 0.0);
-        s.push(SimTime::from_secs(1), 0.0);
-    }
-
-    #[test]
     fn registry_namespaces_are_independent() {
         let mut m = MetricsRegistry::new();
         let s0 = Labels::of(&[("site", "site0")]);
         m.counter("x").inc();
         m.counter_labeled("x", &s0).add(2);
         m.histogram_labeled("x", &s0).record(SimDuration::from_millis(1));
-        m.time_series("x").push(SimTime::ZERO, 0.0);
         assert_eq!(m.counter_value("x"), 1);
         assert_eq!(m.counter_labeled_value("x", &s0), 2);
         assert_eq!(m.histogram_labeled_ref("x", &s0).unwrap().count(), 1);
-        assert_eq!(m.time_series_ref("x").unwrap().points().len(), 1);
-        assert_eq!(m.counter_names().collect::<Vec<_>>(), vec!["x"]);
+        let exposition = m.expose_prometheus();
+        let flat: Vec<&str> = exposition.lines().filter(|l| l.starts_with("x ")).collect();
+        assert_eq!(flat, ["x 1"], "one flat counter, beside the labeled family");
     }
 
     #[test]
@@ -984,6 +894,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "time went backwards")]
+    fn windowed_gauge_rejects_backwards_time() {
+        let mut g = WindowedGauge::default();
+        g.set(SimTime::from_secs(70), 0.0);
+        g.set(SimTime::from_secs(10), 0.0);
+    }
+
+    #[test]
     fn exposition_is_deterministic_and_sorted() {
         let build = || {
             let mut m = MetricsRegistry::new();
@@ -1026,7 +944,6 @@ mod tests {
         let s1 = Labels::of(&[("site", "site1")]);
         for round in 1..=3u64 {
             m.counter("site0.cache.hits").add(round);
-            m.time_series("load").push(SimTime::from_secs(round), round as f64);
             m.counter_labeled("glare_requests_total", &s1).inc();
             m.counter_labeled("glare_requests_total", &s0).add(round);
             m.histogram_labeled("glare_probe_latency_ms", &s0)
@@ -1034,9 +951,7 @@ mod tests {
             m.gauge("glare_inbox_occupancy", &s0)
                 .set(SimTime::from_secs(round), round as f64);
         }
-        assert_eq!(m.counter_names().collect::<Vec<_>>(), ["site0.cache.hits"]);
         assert_eq!(m.counter_value("site0.cache.hits"), 6);
-        assert_eq!(m.time_series_ref("load").unwrap().points().len(), 3);
         let requests: Vec<_> = m.labeled_counters_of("glare_requests_total").collect();
         assert_eq!(requests, [(&s0, 6), (&s1, 3)]);
         assert_eq!(m.labeled_histograms_of("glare_probe_latency_ms").count(), 1);
@@ -1083,9 +998,6 @@ mod tests {
         g.set(SimTime::from_secs(30), 0.5);
         g.set(SimTime::from_secs(45), 1.5);
         g.set(SimTime::from_secs(90), 2.0);
-        let s = m.time_series("load");
-        s.push(SimTime::from_secs(1), 1.0);
-        s.push(SimTime::from_secs(2), 3.0);
         assert_eq!(
             m.snapshot_json(),
             "{\"counters\":{\"net.msgs_sent\":7},\
@@ -1100,7 +1012,7 @@ mod tests {
              {\"labels\":{\"site\":\"site0\"},\"window_ms\":60000,\"buckets\":[\
              {\"start_ms\":0,\"last\":1.5,\"min\":0.5,\"max\":1.5,\"mean\":1,\"count\":2},\
              {\"start_ms\":60000,\"last\":2,\"min\":2,\"max\":2,\"mean\":2,\"count\":1}]}]},\
-             \"series\":{\"load\":{\"points\":2,\"mean\":2,\"max\":3,\"last\":3}}}"
+             \"series\":{}}"
         );
     }
 

@@ -290,7 +290,7 @@ impl Simulation {
     }
 
     /// Start sampling every site's load average each 5 s until `until`,
-    /// recording `"{site}.load1m"` time series.
+    /// into the `glare_site_load1m{site}` windowed gauge.
     pub fn enable_load_sampling(&mut self, until: SimTime) {
         let at = self.kernel.now + LOAD_SAMPLE_INTERVAL;
         self.kernel.schedule(at, EventKind::SampleLoads { until }, None);

@@ -236,16 +236,15 @@ impl Kernel {
         Some((key.slot, kind, tctx))
     }
 
-    /// Fold a 5 s sample into every site's load average, record it as the
-    /// `"site{i}.load1m"` series and the `glare_site_load1m{site}` gauge,
-    /// and schedule the next sample while it is due by `until`.
+    /// Fold a 5 s sample into every site's load average, record it in the
+    /// `glare_site_load1m{site}` gauge, and schedule the next sample while
+    /// it is due by `until`.
     fn sample_loads(&mut self, until: SimTime) {
         let now = self.now;
         let metrics = &mut self.metrics;
         for (i, site) in self.sites.iter_mut().enumerate() {
             site.sample_load();
             let load = site.load_average_1m();
-            metrics.time_series(&format!("site{i}.load1m")).push(now, load);
             let gauge = *self.ids.site_load[i].get_or_insert_with(|| {
                 let labels = Labels::of(&[("site", &format!("site{i}"))]);
                 metrics.gauge_id("glare_site_load1m", &labels)

@@ -244,8 +244,10 @@ fn load_sampling_records_series() {
     sim.enable_load_sampling(SimTime::from_secs(30));
     sim.start();
     sim.run_until(SimTime::from_secs(31));
-    let series = sim.metrics().time_series_ref("site0.load1m").unwrap();
-    assert_eq!(series.points().len(), 6, "one sample per 5s for 30s");
+    let site0 = Labels::of(&[("site", "site0")]);
+    let gauge = sim.metrics().gauge_ref("glare_site_load1m", &site0).unwrap();
+    let counts: Vec<u64> = gauge.buckets().iter().map(|b| b.count).collect();
+    assert_eq!(counts, [6], "one sample per 5s for 30s, in one 60s bucket");
 }
 
 #[test]

@@ -93,17 +93,18 @@ fn node_labels_are_lazy_and_track_the_super_peer() {
         names.tally(&mut m, 1, 0);
         assert!(names.group_hits_id.is_some() && names.misses_id.is_none());
     }
-    assert_eq!(m.counter_names().collect::<Vec<_>>(), ["site7.cache.hits"]);
     assert_eq!(m.counter_value("site7.cache.hits"), 3);
     let per_group: Vec<u64> = m
         .labeled_counters_of("glare_cache_hits_total")
         .map(|(_, n)| n)
         .collect();
     assert_eq!(per_group, [2, 1]);
+    let exposition = m.expose_prometheus();
+    let families: Vec<&str> = exposition.lines().filter_map(|l| l.strip_prefix("# TYPE ")).collect();
     assert_eq!(
-        m.labeled_counter_families().count(),
-        1,
-        "no miss was tallied"
+        families,
+        ["glare_cache_hits_total counter", "site7_cache_hits counter"],
+        "one flat counter and one labeled family: no miss was tallied"
     );
     assert_eq!(
         labels.admission("siteSeven").sets[TenantClass::Gold.index()],

@@ -13,10 +13,7 @@ const BUDGET: usize = 800;
 const FN_BUDGET: usize = 120;
 
 /// `(path under crates/, lines before its tests)`: a ratchet, not an allowance.
-const OVER: [(&str, usize); 2] = [
-    ("fabric/src/metrics.rs", 803),
-    ("glare-core/src/grid.rs", 864),
-];
+const OVER: [(&str, usize); 1] = [("glare-core/src/grid.rs", 864)];
 
 /// `(path under crates/, function, its lines)`: the same ratchet for functions.
 const LONG: [(&str, &str, usize); 0] = [];
@@ -48,7 +45,7 @@ const KNOBS: [(&str, &str, usize); 14] = [
 /// nothing calls it; so these counts may only shrink.
 const PUB_ITEMS: [(&str, usize); 7] = [
     ("bench", 124),
-    ("fabric", 262),
+    ("fabric", 256),
     ("glare-core", 270),
     ("services", 120),
     ("workflow", 21),

@@ -81,8 +81,6 @@ pub(crate) fn build_mds(resources: usize, transport: Transport) -> IndexService 
     for i in 0..resources {
         mds.register("bench", type_entry(i).to_xml(), SimTime::ZERO);
     }
-    // Warm the aggregate cache.
-    let _ = mds.query("//ActivityTypeEntry[@name='Type0']", SimTime::ZERO);
     mds
 }
 

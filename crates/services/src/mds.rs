@@ -7,7 +7,7 @@
 //!
 //! The index aggregates member content in a WSRF [`ServiceGroup`] and
 //! answers **every** query — including lookups by name — through an XPath
-//! scan of the materialized aggregate document. That O(entries) per-query
+//! scan of its aggregate document. That O(entries) per-query
 //! cost, contrasted with the registries' hashtable fast path, is the whole
 //! Fig. 10/11 story. The GT4 deployment is hierarchical: each site runs a
 //! *Default Index* that registers upstream into the VO-level *Community
@@ -17,26 +17,20 @@
 //!
 //! ## Concurrency
 //!
-//! [`IndexService::query`] takes `&self`: the aggregate document lives in
-//! a snapshot behind an `RwLock`, so concurrent client threads scan the
-//! same materialized document in parallel instead of serializing on an
-//! exclusive service lock. The snapshot is derived state that the `&mut
-//! self` mutators keep in step with the group: `register` appends the new
-//! `<Entry>`, `refresh` with new content replaces the one it changed,
-//! `remove` drops it, and a `sweep` that drops anything discards the
-//! snapshot. So a snapshot, while it exists, holds the group's entries in
-//! the group's order, one `<Entry>` each. It also records the earliest
-//! instant one of them can lapse; a query at or past that instant sweeps
-//! the group and rebuilds the snapshot. **The cost model is unchanged**:
-//! every query still walks the whole document and is charged the per-entry
-//! scan over the live entry count.
+//! [`IndexService::query`] takes `&self` and walks the group's aggregate
+//! document in place, so concurrent client threads scan the same document
+//! in parallel with no lock of the index's own. The `&mut self` mutators
+//! edit that document directly: `register` appends an `<Entry>`, `refresh`
+//! with new content replaces the one it names, `remove` drops it. An entry
+//! lives until it is removed. **The cost model is unchanged**: every query
+//! walks the whole document and is charged the per-entry scan over its
+//! entry count.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use glare_fabric::sync::RwLock;
 use glare_fabric::{SimDuration, SimTime};
-use glare_wsrf::{EntryId, ServiceGroup, WsrfError, XPath, XPathMemo, XmlNode};
+use glare_wsrf::{EntryId, ServiceGroup, WsrfError, XPathMemo, XmlNode};
 
 use crate::security::Transport;
 
@@ -58,36 +52,8 @@ pub const SCAN_PER_ENTRY_COST: SimDuration = SimDuration::from_micros(120);
 /// Cost of registering/refreshing one entry.
 pub(crate) const REGISTER_COST: SimDuration = SimDuration::from_millis(6);
 
-/// Default soft-state lifetime of index entries.
-pub(crate) const DEFAULT_ENTRY_LIFETIME: SimDuration = SimDuration::from_secs(600);
-
 /// Approximate serialized size of one aggregated entry on the wire.
 pub(crate) const ENTRY_WIRE_BYTES: u64 = 1_200;
-
-/// A materialized aggregate document and the instant its content decays.
-#[derive(Debug)]
-struct DocSnapshot {
-    /// No later than the earliest soft-state lapse among the entries
-    /// included; from this instant on the snapshot may over-report and
-    /// must be rebuilt. A refresh moves a lapse later, so it may leave
-    /// this value early, never late.
-    next_lapse: Option<SimTime>,
-    doc: XmlNode,
-}
-
-impl DocSnapshot {
-    fn is_fresh(&self, now: SimTime) -> bool {
-        self.next_lapse.is_none_or(|t| t > now)
-    }
-
-    /// Copies of what `xpath` selects, and how many entries the scan
-    /// covered: while the snapshot is fresh its children are exactly the
-    /// group's live entries.
-    fn answer(&self, xpath: &XPath) -> (Vec<XmlNode>, usize) {
-        let matches = xpath.select(&self.doc).into_iter().cloned().collect();
-        (matches, self.doc.children.len())
-    }
-}
 
 /// A GT4-style index service.
 pub struct IndexService {
@@ -95,27 +61,18 @@ pub struct IndexService {
     pub kind: IndexKind,
     /// Transport security applied to every exchange.
     pub transport: Transport,
-    group: RwLock<ServiceGroup>,
+    group: ServiceGroup,
     queries_served: AtomicU64,
-    /// Cached aggregate document: patched by every write, discarded by a
-    /// sweep that drops entries, rebuilt when an included entry's soft
-    /// state may have lapsed.
-    snapshot: RwLock<Option<DocSnapshot>>,
     xpath_memo: XPathMemo,
 }
 
 impl fmt::Debug for IndexService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let snapshot = self
-            .snapshot
-            .read()
-            .as_ref()
-            .map(|s| (s.doc.children.len(), s.next_lapse));
         f.debug_struct("IndexService")
             .field("kind", &self.kind)
             .field("transport", &self.transport)
             .field("queries_served", &self.queries_served())
-            .field("snapshot(entries, next_lapse)", &snapshot)
+            .field("entries", &self.group.len())
             .finish()
     }
 }
@@ -137,9 +94,8 @@ impl IndexService {
         IndexService {
             kind,
             transport,
-            group: RwLock::new(ServiceGroup::new(name, DEFAULT_ENTRY_LIFETIME)),
+            group: ServiceGroup::new(name),
             queries_served: AtomicU64::new(0),
-            snapshot: RwLock::new(None),
             xpath_memo: XPathMemo::new(),
         }
     }
@@ -149,83 +105,49 @@ impl IndexService {
         &mut self,
         member: &str,
         content: XmlNode,
-        now: SimTime,
+        _now: SimTime,
     ) -> (EntryId, SimDuration) {
-        let group = self.group.get_mut();
-        let id = group.add(member, content, now);
-        if let Some(snap) = self.snapshot.get_mut() {
-            // The snapshot mirrors the group, so the appended entry's
-            // position is the snapshot's child count.
-            snap.doc
-                .children
-                .push(group.entry_node(snap.doc.children.len()));
-            let lapse = now + DEFAULT_ENTRY_LIFETIME;
-            snap.next_lapse = Some(snap.next_lapse.map_or(lapse, |t| t.min(lapse)));
-        }
+        let id = self.group.add(member, content);
         let cost = REGISTER_COST + self.transport.overhead_cost(ENTRY_WIRE_BYTES);
         (id, cost)
     }
 
-    /// Refresh an entry's soft state (and optionally its content).
+    /// Refresh an entry, optionally replacing its content.
     pub fn refresh(
         &mut self,
         id: EntryId,
         content: Option<XmlNode>,
-        now: SimTime,
+        _now: SimTime,
     ) -> Result<SimDuration, WsrfError> {
-        let group = self.group.get_mut();
-        let new_content = content.is_some();
-        let at = group.refresh(id, content, now)?;
-        if let (true, Some(snap)) = (new_content, self.snapshot.get_mut()) {
-            snap.doc.children[at] = group.entry_node(at);
-        }
+        self.group.update(id, content)?;
         Ok(REGISTER_COST + self.transport.overhead_cost(ENTRY_WIRE_BYTES))
     }
 
     /// Remove an entry.
     pub fn remove(&mut self, id: EntryId) -> Result<(), WsrfError> {
-        let at = self.group.get_mut().remove(id)?;
-        if let Some(snap) = self.snapshot.get_mut() {
-            snap.doc.children.remove(at);
-        }
-        Ok(())
+        self.group.remove(id)
     }
 
-    /// Number of live entries.
-    pub fn len(&self, now: SimTime) -> usize {
-        self.group.read().len_live(now)
+    /// Number of entries.
+    pub fn len(&self, _now: SimTime) -> usize {
+        self.group.len()
     }
 
     /// Serve an XPath query. This is the real scan: the aggregate document
-    /// is materialized and walked, and the modeled cost is charged per
-    /// entry scanned — *there is no fast path*, even for `[@name='x']`
-    /// lookups. Compiled expressions are memoized; the document walk is
-    /// re-paid on every call.
-    pub fn query(&self, xpath: &str, now: SimTime) -> Result<QueryResponse, WsrfError> {
+    /// is walked, and the modeled cost is charged per entry scanned —
+    /// *there is no fast path*, even for `[@name='x']` lookups. Compiled
+    /// expressions are memoized; the document walk is re-paid on every
+    /// call.
+    pub fn query(&self, xpath: &str, _now: SimTime) -> Result<QueryResponse, WsrfError> {
         let compiled = self
             .xpath_memo
             .get_or_compile(xpath)
             .map_err(|e| WsrfError::InvalidQuery {
                 message: e.to_string(),
             })?;
-        let snap = self.snapshot.read();
-        let (matches, scanned) = match snap.as_ref() {
-            Some(s) if s.is_fresh(now) => s.answer(&compiled),
-            _ => {
-                drop(snap);
-                let mut snap = self.snapshot.write();
-                // Another reader may have rebuilt while we waited.
-                if !snap.as_ref().is_some_and(|s| s.is_fresh(now)) {
-                    let mut group = self.group.write();
-                    group.sweep_stale(now);
-                    let doc = group.aggregate_document(now);
-                    let next_lapse = group.next_lapse(now);
-                    drop(group);
-                    *snap = Some(DocSnapshot { next_lapse, doc });
-                }
-                snap.as_ref().expect("snapshot just ensured").answer(&compiled)
-            }
-        };
+        let doc = self.group.document();
+        let matches: Vec<XmlNode> = compiled.select(doc).into_iter().cloned().collect();
+        let scanned = doc.children.len();
         self.queries_served.fetch_add(1, Ordering::Relaxed);
         let response_bytes = ENTRY_WIRE_BYTES * matches.len().max(1) as u64;
         let cost = REQUEST_BASE_COST
@@ -262,8 +184,8 @@ impl IndexService {
     }
 
     /// The full aggregate document.
-    pub fn aggregate(&self, now: SimTime) -> XmlNode {
-        self.group.read().aggregate_document(now)
+    pub fn aggregate(&self, _now: SimTime) -> XmlNode {
+        self.group.document().clone()
     }
 }
 
@@ -319,119 +241,112 @@ mod tests {
         for i in 0..50 {
             idx.register("m", entry(&format!("t{i}")), t(0));
         }
-        // Identical query twice: snapshot and memo are warm the second
-        // time, but the modeled cost — the paper's phenomenon — must not
-        // drop.
+        // Identical query twice: the memo is warm the second time, but
+        // the modeled cost — the paper's phenomenon — must not drop.
         let c1 = idx.query_by_name("ActivityType", "t7", t(1)).unwrap();
         let c2 = idx.query_by_name("ActivityType", "t7", t(2)).unwrap();
         assert_eq!(c1.cost, c2.cost);
         assert_eq!(c1.scanned, c2.scanned);
     }
 
-    #[test]
-    fn snapshot_invalidated_by_registration_and_lapse() {
-        let mut idx = index();
-        idx.register("m", entry("A"), t(0));
-        assert_eq!(idx.query("//ActivityType", t(1)).unwrap().matches.len(), 1);
-        // New registration invalidates the cached aggregate.
-        idx.register("m", entry("B"), t(2));
-        assert_eq!(idx.query("//ActivityType", t(3)).unwrap().matches.len(), 2);
-        // Soft-state lapse invalidates it too: A and B lapse at t(600)
-        // and t(602) respectively.
-        assert_eq!(idx.query("//ActivityType", t(601)).unwrap().matches.len(), 1);
-        assert_eq!(idx.query("//ActivityType", t(700)).unwrap().matches.len(), 0);
-    }
-
-    /// Seeded property: through any interleaving of `register`,
-    /// `refresh` (with and without new content, also of an entry that has
-    /// lapsed but is not swept yet), `remove`, and time moving on
-    /// — now and then past a lapse, exactly onto the earliest one or one
-    /// nanosecond short of it — a query sees exactly the document rebuilt
-    /// from the group at that instant, whatever became of the snapshot on
-    /// the way. Pins the rules by which the mutators patch the snapshot.
+    /// Seeded property: through any interleaving of `register`, `refresh`
+    /// (with and without new content), `remove`, and a `refresh` or
+    /// `remove` of an entry already removed, a query sees exactly the
+    /// document rebuilt from a test-side model of the entries, and a removed
+    /// id names no entry. Pins the rules by which the mutators edit the
+    /// document.
     #[test]
     fn query_sees_the_rebuilt_aggregate_after_random_edits() {
         use glare_fabric::SimRng;
 
-        fn check(idx: &IndexService, now: SimTime) {
-            let seen = idx.query("//Entry", now).unwrap();
-            let rebuilt = idx.aggregate(now);
-            assert_eq!(seen.matches, rebuilt.children);
-            assert_eq!(seen.scanned, rebuilt.children.len());
+        type Model = Vec<(EntryId, String, XmlNode)>;
+
+        fn check(idx: &IndexService, model: &Model, rng: &mut SimRng) {
+            let mut doc = XmlNode::new("ServiceGroup").attr("name", "default-site0");
+            for (id, member, content) in model {
+                doc.children.push(
+                    XmlNode::new("Entry")
+                        .attr("member", member)
+                        .attr("id", id.0.to_string())
+                        .child(content.clone()),
+                );
+            }
+            let seen = idx.query("//Entry", t(0)).unwrap();
+            assert_eq!(seen.matches, doc.children);
+            assert_eq!(seen.scanned, model.len());
+            assert_eq!(idx.aggregate(t(0)), doc);
+            assert_eq!(idx.len(t(0)), model.len());
+            if !model.is_empty() {
+                let content = &model[rng.index(model.len())].2;
+                let name = content.attribute("name").unwrap();
+                let found = idx.query_by_name("ActivityType", name, t(0)).unwrap();
+                assert_eq!(found.matches, std::slice::from_ref(content));
+            }
         }
 
         let mut rng = SimRng::from_seed(0x3D5_5A9);
-        let (mut onto_lapse, mut lapsed_refreshes) = (0, 0);
+        let mut refused = 0;
         for _ in 0..60 {
             let mut idx = index();
-            let mut now = t(0);
-            let mut ids: Vec<EntryId> = Vec::new();
-            let mut serial = 0;
+            let mut model: Model = Vec::new();
+            let mut removed: Vec<EntryId> = Vec::new();
+            let (mut serial, mut edits) = (0, 0);
+            let mut register = |idx: &mut IndexService, model: &mut Model, rng: &mut SimRng| {
+                serial += 1;
+                let member = format!("m{}", rng.range(0, 3));
+                let content = entry(&format!("n{serial}"));
+                let (id, _) = idx.register(&member, content.clone(), t(0));
+                model.push((id, member, content));
+            };
             for _ in 0..rng.range(20, 120) {
-                match rng.range(0, 12) {
-                    0..=2 => {
-                        serial += 1;
-                        ids.push(idx.register("m", entry(&format!("n{serial}")), now).0);
+                match rng.range(0, 10) {
+                    0..=2 => register(&mut idx, &mut model, &mut rng),
+                    3..=5 if !model.is_empty() => {
+                        let at = rng.index(model.len());
+                        edits += 1;
+                        let content = rng.chance(0.5).then(|| entry(&format!("r{edits}")));
+                        idx.refresh(model[at].0, content.clone(), t(0)).unwrap();
+                        if let Some(content) = content {
+                            model[at].2 = content;
+                        }
                     }
-                    3..=5 if !ids.is_empty() => {
-                        let id = ids[rng.index(ids.len())];
-                        serial += 1;
-                        let content = rng.chance(0.5).then(|| entry(&format!("n{serial}")));
-                        // May name an entry a sweep has already dropped.
-                        let _ = idx.refresh(id, content, now);
+                    6 if !model.is_empty() => {
+                        let (id, ..) = model.remove(rng.index(model.len()));
+                        idx.remove(id).unwrap();
+                        removed.push(id);
                     }
-                    6 if !ids.is_empty() => {
-                        let id = ids.swap_remove(rng.index(ids.len()));
-                        let _ = idx.remove(id);
+                    7 if !removed.is_empty() => {
+                        let id = removed[rng.index(removed.len())];
+                        let content = rng.chance(0.5).then(|| entry("ghost"));
+                        assert!(matches!(
+                            idx.refresh(id, content, t(0)),
+                            Err(WsrfError::NoSuchEntry { id: gone }) if gone == id.0
+                        ));
+                        assert!(matches!(
+                            idx.remove(id),
+                            Err(WsrfError::NoSuchEntry { id: gone }) if gone == id.0
+                        ));
+                        refused += 1;
                     }
                     8 => {
-                        // Mostly small steps; sometimes past every lease.
-                        let step = if rng.chance(0.2) { 700 } else { rng.range(1, 200) };
-                        now += SimDuration::from_secs(step);
-                    }
-                    9 => {
-                        // Onto the earliest lapse, or one nanosecond short.
-                        if let Some(lapse) = idx.group.read().next_lapse(now) {
-                            now = if rng.chance(0.5) {
-                                lapse
-                            } else {
-                                lapse - SimDuration::from_nanos(1)
-                            };
-                            onto_lapse += 1;
-                        }
-                    }
-                    10 => {
-                        // New content for an entry that has lapsed but
-                        // not been swept (a swept one refuses it).
-                        let live: Vec<EntryId> =
-                            idx.group.read().iter_live(now).map(|e| e.id).collect();
-                        for &id in ids.iter().filter(|id| !live.contains(id)) {
-                            serial += 1;
-                            if idx.refresh(id, Some(entry(&format!("n{serial}"))), now).is_ok() {
-                                lapsed_refreshes += 1;
-                                break;
-                            }
-                        }
-                    }
-                    11 => {
-                        // Queries at the very instant of each write.
-                        serial += 1;
-                        ids.push(idx.register("m", entry(&format!("n{serial}")), now).0);
-                        check(&idx, now);
-                        let id = ids.swap_remove(rng.index(ids.len()));
-                        let _ = idx.remove(id);
-                        check(&idx, now);
+                        // Queries right after each write.
+                        register(&mut idx, &mut model, &mut rng);
+                        check(&idx, &model, &mut rng);
+                        let (id, ..) = model.remove(rng.index(model.len()));
+                        idx.remove(id).unwrap();
+                        removed.push(id);
+                        check(&idx, &model, &mut rng);
                     }
                     _ => {}
                 }
                 // Not after every step, so several writes can land
                 // between two queries.
                 if rng.chance(0.6) {
-                    check(&idx, now);
+                    check(&idx, &model, &mut rng);
                 }
             }
         }
-        assert!(onto_lapse > 0 && lapsed_refreshes > 0, "{onto_lapse} {lapsed_refreshes}");
+        assert!(refused > 0);
     }
 
     #[test]
@@ -485,19 +400,6 @@ mod tests {
         let c1 = plain.query_by_name("ActivityType", "A", t(1)).unwrap().cost;
         let c2 = secure.query_by_name("ActivityType", "A", t(1)).unwrap().cost;
         assert!(c2 > c1);
-    }
-
-    #[test]
-    fn soft_state_expires_and_sweeps() {
-        let mut idx = index();
-        let (id, _) = idx.register("m", entry("A"), t(0));
-        assert_eq!(idx.len(t(599)), 1);
-        assert_eq!(idx.len(t(600)), 0);
-        idx.refresh(id, None, t(500)).unwrap();
-        assert_eq!(idx.len(t(900)), 1);
-        // A query past the lapse sweeps the entry out of the group.
-        idx.query("//Entry", t(2000)).unwrap();
-        assert!(idx.refresh(id, None, t(2000)).is_err(), "a swept entry refuses a refresh");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`resource`] — stateful WS-Resources with lifecycle management
 //!   (creation, modification stamps, destruction).
 //! * [`epr`] — endpoint references with GLARE's `LastUpdateTime` extension.
-//! * [`service_group`] — the aggregation framework with soft-state entry
-//!   lifetimes.
+//! * [`service_group`] — the aggregation framework: a group is its
+//!   aggregate document.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +28,6 @@ pub mod xpath;
 pub use epr::EndpointReference;
 pub use error::WsrfError;
 pub use resource::{ResourceHome, ResourceProperties, WsResource};
-pub use service_group::{EntryId, GroupEntry, ServiceGroup};
+pub use service_group::{EntryId, ServiceGroup};
 pub use xml::{parse as parse_xml, XmlError, XmlNode};
 pub use xpath::{XPath, XPathError, XPathMemo};

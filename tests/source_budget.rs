@@ -50,7 +50,7 @@ const PUB_ITEMS: [(&str, usize); 7] = [
     ("services", 120),
     ("workflow", 21),
     ("workload", 22),
-    ("wsrf", 63),
+    ("wsrf", 59),
 ];
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {

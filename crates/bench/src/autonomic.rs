@@ -39,7 +39,7 @@ use glare_core::invariants;
 use glare_core::model::ActivityType;
 use glare_core::rdm::install_with_dependencies;
 use glare_fabric::store::fnv1a;
-use glare_fabric::{percentile, Labels, SimDuration, SimTime, StoreConfig};
+use glare_fabric::{percentile, Labels, SimDuration, SimTime};
 use glare_services::{ChannelKind, Transport};
 use glare_workload::{ArrivalStream, WorkloadSpec};
 
@@ -271,7 +271,6 @@ struct Tally {
 fn seeded_grid(p: &AutonomicParams) -> Grid {
     let t0 = SimTime::ZERO;
     let mut grid = Grid::new(p.sites, Transport::Http);
-    grid.enable_durability(StoreConfig::standard());
     for (i, (name, pkg)) in CATALOGUE.iter().enumerate() {
         let ty = ActivityType::concrete_type(name, "autonomic", pkg);
         grid.register_type(0, ty.clone(), t0).unwrap();

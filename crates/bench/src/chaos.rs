@@ -42,7 +42,7 @@ use glare_core::rdm::{provision, ProvisionRequest};
 use glare_core::suspicion::{HedgeConfig, SuspicionConfig};
 use glare_core::RetryPolicy;
 use glare_fabric::{
-    percentile, FaultPlan, MetricsRegistry, SimDuration, SimRng, SimTime, SiteId, StoreConfig,
+    percentile, FaultPlan, MetricsRegistry, SimDuration, SimRng, SimTime, SiteId,
     DEFAULT_MAX_EVENTS,
 };
 use glare_services::{ChannelKind, Transport};
@@ -377,10 +377,9 @@ fn run_grid_phase(p: &ChaosParams) -> GridChaos {
     let loss = p.losses.iter().copied().fold(0.0f64, f64::max);
     let t = SimTime::from_secs;
     let mut g = Grid::new(p.sites, Transport::Http);
-    // Durability on before the first registration, so every mutation is
-    // journaled and the mid-run crash/restart of the granting site is an
-    // amnesia-faithful wipe followed by a real snapshot + journal replay.
-    g.enable_durability(StoreConfig::standard());
+    // Every mutation is journaled, so the mid-run crash/restart of the
+    // granting site is an amnesia-faithful wipe followed by a real
+    // snapshot + journal replay.
     for ty in example_hierarchy(SimTime::ZERO) {
         g.register_type(0, ty, SimTime::ZERO).unwrap();
     }

@@ -20,9 +20,7 @@
 //! slow stage was raced against). `failure.confirmed` (carrying the
 //! `suspect` actor) is also an invariant's input: the harnesses check
 //! every one against the `site.crashed` records through
-//! `glare_core::invariants::false_takeovers`. One kind is spelled two
-//! ways by its two emitters: `store.recovered` carries `snapshot` as `1`/`0` from a
-//! `GlareNode` and as `true`/`false` from the synchronous `Grid`.
+//! `glare_core::invariants::false_takeovers`.
 //! The log is strictly observe-only: emitting an
 //! event never consults the RNG, never schedules simulation work, and
 //! sequence numbers are allocated in emission order, so an instrumented

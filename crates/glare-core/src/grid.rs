@@ -8,7 +8,6 @@
 //! in [`crate::node`], which host the same per-site state.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use glare_fabric::topology::{LinkSpec, Platform, SiteId};
@@ -49,14 +48,29 @@ pub struct GridSite {
     pub leases: LeaseManager,
     /// Local cache of remote resources.
     pub cache: RegistryCache,
+    /// The site's durable store (WAL + snapshots): every registry and
+    /// lease mutation is journaled here, and it is all a crashed site
+    /// gets back at [`Grid::restart_site`].
+    store: SiteStore,
+    /// Whether the site is reachable (false between a crash and its
+    /// restart).
+    up: bool,
+    /// The `{site="site{i}"}` label set, built once: the telemetry door
+    /// ([`Grid::count`], [`Grid::observe`], [`Grid::set_gauge`],
+    /// [`Grid::emit`]) records by site index and formats nothing.
+    labels: Labels,
+    /// The `site{i}` name every event record [`Grid::emit`] keeps shares.
+    short: Arc<str>,
 }
 
 impl GridSite {
-    /// Fresh site with empty registries.
-    pub(crate) fn new(name: impl Into<String>, platform: Platform, transport: Transport) -> GridSite {
-        let name = name.into();
+    /// Site `i` of a VO (`site{i}.agrid.example`), up, with empty
+    /// registries and an empty store.
+    fn new(i: usize, transport: Transport) -> GridSite {
+        let name = format!("site{i}.agrid.example");
+        let short: Arc<str> = Grid::site_label(i).into();
         GridSite {
-            host: SiteHost::new(&name, platform),
+            host: SiteHost::new(&name, Platform::intel_linux_32()),
             atr: ActivityTypeRegistry::new(
                 ["https://", &name, ":8084/wsrf/services/ActivityTypeRegistry"].concat(),
                 transport,
@@ -69,6 +83,10 @@ impl GridSite {
             leases: LeaseManager::new(),
             cache: RegistryCache::new(DEFAULT_CACHE_AGE),
             name,
+            store: SiteStore::default(),
+            up: true,
+            labels: site_set(&short, None),
+            short,
         }
     }
 }
@@ -93,32 +111,22 @@ pub struct AdminNotification {
 /// (Table 1's "Notification" row, ~345 ms).
 pub(crate) const NOTIFICATION_COST: SimDuration = SimDuration::from_millis(345);
 
-/// Synchronous-path fault injection for the cost-model harness.
+/// Synchronous-path message loss for the cost-model harness.
 ///
 /// The distributed fabric injects faults at its kernel (crashes,
-/// partitions, message loss); the synchronous [`Grid`] has no kernel, so
-/// chaos runs configure this injector instead. A cross-site attempt is
-/// lost when the target site is marked down or the per-message loss draw
-/// fires. With `loss` at zero and no sites marked down the injector never
+/// partitions, message loss); the synchronous [`Grid`] has no kernel.
+/// Crashes are the sites' own ([`Grid::crash_site`]); this injector holds
+/// only the loss model: each cross-site attempt is lost with probability
+/// `loss`. Chaos's Grid phase and tests set it. At zero loss it never
 /// draws from its RNG, which keeps faults-off runs bit-identical to runs
 /// of builds that predate it.
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     loss: f64,
     rng: SimRng,
-    down: BTreeSet<usize>,
 }
 
 impl FaultInjector {
-    /// Injector that never loses anything (the default).
-    pub(crate) fn inert() -> FaultInjector {
-        FaultInjector {
-            loss: 0.0,
-            rng: SimRng::from_seed(0),
-            down: BTreeSet::new(),
-        }
-    }
-
     /// Injector losing each cross-site attempt with probability `loss`,
     /// drawing from its own seeded stream.
     pub fn seeded(seed: u64, loss: f64) -> FaultInjector {
@@ -126,23 +134,7 @@ impl FaultInjector {
         FaultInjector {
             loss,
             rng: SimRng::from_seed(seed),
-            down: BTreeSet::new(),
         }
-    }
-
-    /// Whether the injector considers `site` reachable.
-    pub(crate) fn site_up(&self, site: usize) -> bool {
-        !self.down.contains(&site)
-    }
-
-    /// Mark a site down.
-    pub(crate) fn crash(&mut self, site: usize) {
-        self.down.insert(site);
-    }
-
-    /// Mark a site back up.
-    pub(crate) fn restart(&mut self, site: usize) {
-        self.down.remove(&site);
     }
 
     /// Draw the per-attempt loss. Does not touch the RNG when loss is 0.
@@ -154,12 +146,6 @@ impl FaultInjector {
     /// seed reproduces an entire chaos run).
     pub fn rng_mut(&mut self) -> &mut SimRng {
         &mut self.rng
-    }
-}
-
-impl Default for FaultInjector {
-    fn default() -> Self {
-        FaultInjector::inert()
     }
 }
 
@@ -185,7 +171,7 @@ pub struct Grid {
     /// Structured event log of notable state transitions (cache discards,
     /// deploy-step failures, lease grants/rejections, ...).
     pub events: EventLog,
-    /// Fault injector for chaos runs; inert by default.
+    /// Message loss for chaos runs; loses nothing by default.
     pub faults: FaultInjector,
     /// Recovery policy applied by the `_retrying` cross-site entry points.
     pub retry: RetryPolicy,
@@ -196,20 +182,6 @@ pub struct Grid {
     /// instead of charging the full 500 ms attempt timeout per
     /// silent probe.
     pub suspicion: crate::suspicion::SuspicionTracker<usize>,
-    /// Per-site durable stores (`None` = durability off). With durability
-    /// on, [`Grid::crash_site`] becomes amnesia-faithful — it wipes the
-    /// site's volatile registries, lease table and cache — and
-    /// [`Grid::restart_site`] rebuilds them by snapshot load + journal
-    /// replay, making the "the ledger is durable" story real instead of
-    /// assumed.
-    stores: Option<Vec<SiteStore>>,
-    /// Each site's `{site="site{i}"}` label set, built once: the telemetry
-    /// door ([`Grid::count`], [`Grid::observe`], [`Grid::set_gauge`],
-    /// [`Grid::emit`]) records by site index and formats nothing.
-    site_labels: Vec<Labels>,
-    /// Each site's `site{i}` name, shared by every event record
-    /// [`Grid::emit`] keeps.
-    site_names: Vec<Arc<str>>,
 }
 
 /// The lost attempts of one cross-site call under [`Grid::retry`], as
@@ -250,55 +222,37 @@ impl Grid {
     /// Build a VO of `n` homogeneous sites (`site0..`), catalog published.
     pub fn new(n: usize, transport: Transport) -> Grid {
         assert!(n > 0, "a VO needs at least one site");
-        let site_names: Vec<Arc<str>> = (0..n).map(|i| Grid::site_label(i).into()).collect();
-        let sites = (0..n)
-            .map(|i| {
-                GridSite::new(
-                    format!("site{i}.agrid.example"),
-                    Platform::intel_linux_32(),
-                    transport,
-                )
-            })
-            .collect();
         Grid {
-            sites,
+            sites: (0..n).map(|i| GridSite::new(i, transport)).collect(),
             repo: Repository::with_catalog(),
             link: LinkSpec::wan_default(),
             notifications: Vec::new(),
             trace: TraceSink::default(),
             metrics: MetricsRegistry::new(),
             events: EventLog::default(),
-            faults: FaultInjector::inert(),
+            faults: FaultInjector::seeded(0, 0.0),
             retry: RetryPolicy::standard(),
             breakers: BreakerBank::default(),
             suspicion: crate::suspicion::SuspicionTracker::default(),
-            stores: None,
-            site_labels: site_names.iter().map(|name| site_set(name, None)).collect(),
-            site_names,
         }
     }
 
-    /// Give every site a durable store (WAL + snapshots). Off by default;
-    /// with `cfg.enabled == false` this removes any stores and restores
-    /// the legacy "state survives by fiat" crash semantics.
-    pub fn enable_durability(&mut self, cfg: StoreConfig) {
-        self.stores = cfg.enabled.then(|| vec![SiteStore::new(); self.sites.len()]);
-    }
+    /// A no-op: every site of a `Grid` is durable from [`Grid::new`] on.
+    /// Kept for the perf ledger's `provision_storm`, which still calls it.
+    pub fn enable_durability(&mut self, _cfg: StoreConfig) {}
 
-    /// A site's durable store, if durability is on (inspection/tests).
+    /// A site's durable store; always `Some` (the `Option` is kept for
+    /// the perf ledger's `provision_storm`, which still unwraps it).
     pub fn store(&self, site: usize) -> Option<&SiteStore> {
-        self.stores.as_ref().map(|s| &s[site])
+        Some(&self.sites[site].store)
     }
 
-    /// Journal one registry mutation at `site` (no-op when durability is
-    /// off), compacting the journal into a snapshot at [`COMPACT_EVERY`]
-    /// records.
+    /// Journal one registry mutation at `site`, compacting the journal
+    /// into a snapshot at [`COMPACT_EVERY`] records.
     fn journal(&mut self, site: usize, m: &RegistryMutation, now: SimTime) {
-        let Some(stores) = self.stores.as_mut() else {
-            return;
-        };
-        stores[site].append(m.kind(), m.payload());
-        let journal_len = stores[site].journal_len();
+        let store = &mut self.sites[site].store;
+        store.append(m.kind(), m.payload());
+        let journal_len = store.journal_len();
         self.count(site, "glare_store_appends_total", None, 1);
         if journal_len >= COMPACT_EVERY {
             self.snapshot_site(site, now);
@@ -306,20 +260,12 @@ impl Grid {
     }
 
     /// Fold a site's full durable state into a snapshot, clearing the
-    /// journal. No-op when durability is off.
+    /// journal.
     pub(crate) fn snapshot_site(&mut self, site: usize, now: SimTime) {
-        if self.stores.is_none() {
-            return;
-        }
-        let s = &self.sites[site];
+        let s = &mut self.sites[site];
         let mut state = SnapshotState::capture(&s.atr, &s.adr, now);
         state.leases = s.leases.tickets().to_vec();
-        let blob = durable::encode_snapshot(&state);
-        let records = self
-            .stores
-            .as_mut()
-            .expect("checked above")[site]
-            .install_snapshot(&blob);
+        let records = s.store.install_snapshot(&durable::encode_snapshot(&state));
         self.count(site, "glare_store_snapshots_total", None, 1);
         self.emit(site, now, "store.compacted", "store", [("records", records as u64)]);
     }
@@ -333,13 +279,13 @@ impl Grid {
     /// Add `n` to `site`'s counter in `family`: keyed `{site}`, or
     /// `{site, key}` when the record carries a `second` label.
     pub(crate) fn count(&mut self, site: usize, family: &str, second: Option<(&str, &str)>, n: u64) {
-        let labels = labels_of(&self.site_labels[site], second);
+        let labels = labels_of(&self.sites[site].labels, second);
         self.metrics.counter_labeled(family, &labels).add(n);
     }
 
     /// Record `d` into `site`'s histogram in the `{site}`-keyed `family`.
     pub(crate) fn observe(&mut self, site: usize, family: &str, d: SimDuration) {
-        self.metrics.histogram_labeled(family, &self.site_labels[site]).record(d);
+        self.metrics.histogram_labeled(family, &self.sites[site].labels).record(d);
     }
 
     /// Set `site`'s gauge in `family` (keyed as `Grid::count` keys a
@@ -352,14 +298,14 @@ impl Grid {
         now: SimTime,
         v: f64,
     ) {
-        let labels = labels_of(&self.site_labels[site], second);
+        let labels = labels_of(&self.sites[site].labels, second);
         self.metrics.gauge(family, &labels).set(now, v);
     }
 
     /// The latest value of `site`'s `{site}`-keyed gauge in `family`, if it
     /// was ever set.
     pub(crate) fn gauge_latest(&self, site: usize, family: &str) -> Option<f64> {
-        self.metrics.gauge_ref(family, &self.site_labels[site])?.latest()
+        self.metrics.gauge_ref(family, &self.sites[site].labels)?.latest()
     }
 
     /// Log a `kind` event of `component` at `site`: the record names the
@@ -372,7 +318,7 @@ impl Grid {
         component: &'static str,
         fields: impl IntoIterator<Item = (&'static str, V)>,
     ) {
-        let name = &self.site_names[site];
+        let name = &self.sites[site].short;
         self.events.emit_with(now, kind, Some(SiteId(site as u32)), component, || {
             let rest = fields.into_iter().map(|(k, v)| (k, v.into()));
             std::iter::once(("site", FieldValue::Shared(Arc::clone(name)))).chain(rest)
@@ -433,37 +379,35 @@ impl Grid {
         t: ActivityType,
         now: SimTime,
     ) -> Result<SimDuration, GlareError> {
-        let journal = self.stores.is_some().then(|| t.clone());
-        let result = self.sites[site].atr.register(t, now);
-        if let Some(t) = journal.filter(|_| result.is_ok()) {
+        let result = self.sites[site].atr.register(t.clone(), now);
+        if result.is_ok() {
             self.journal(site, &RegistryMutation::AtrRegister(Box::new(t)), now);
         }
         result
     }
 
-    /// Register a deployment at a site's ADR, journaling it when durable.
-    /// The RDM deploy path funnels through here so installed deployments
-    /// survive an amnesia-faithful crash.
+    /// Register a deployment at a site's ADR and journal it. The RDM
+    /// deploy path funnels through here so installed deployments survive
+    /// a crash.
     pub(crate) fn register_deployment(
         &mut self,
         site: usize,
         d: ActivityDeployment,
         now: SimTime,
     ) -> Result<SimDuration, GlareError> {
-        let journal = self.stores.is_some().then(|| d.clone());
         let result = {
             let s = &self.sites[site];
-            s.adr.register(d, &s.atr, now)
+            s.adr.register(d.clone(), &s.atr, now)
         };
-        if let Some(d) = journal.filter(|_| result.is_ok()) {
+        if result.is_ok() {
             self.journal(site, &RegistryMutation::AdrRegister(Box::new(d)), now);
         }
         result
     }
 
     /// Drop a deployment record without a tombstone (failed-record
-    /// cleanup, undeploy), journaling the removal when durable so replay
-    /// does not resurrect it.
+    /// cleanup, undeploy), journaling the removal so replay does not
+    /// resurrect it.
     pub(crate) fn remove_deployment(
         &mut self,
         site: usize,
@@ -477,8 +421,7 @@ impl Grid {
         result
     }
 
-    /// Remove an activity type from a site's ATR, journaling the removal
-    /// when durable.
+    /// Remove an activity type from a site's ATR, journaling the removal.
     pub(crate) fn remove_type(
         &mut self,
         site: usize,
@@ -494,7 +437,7 @@ impl Grid {
 
     /// Uninstall a deployment at a site, leaving a tombstone at `now` so
     /// stale copies can never resurrect it (deletes win). Returns whether
-    /// a live entry was actually removed. Journaled when durable.
+    /// a live entry was actually removed. Journaled.
     pub fn uninstall_deployment(&mut self, site: usize, key: &str, now: SimTime) -> bool {
         let removed = {
             let s = &mut self.sites[site];
@@ -646,17 +589,14 @@ impl Grid {
             last,
         ];
         self.emit(site, now, event, "lease", fields);
-        if self.stores.is_some() {
-            if let Ok(ticket) = &result {
-                let m = RegistryMutation::LeaseGrant(ticket.clone());
-                self.journal(site, &m, now);
-            }
+        if let Ok(ticket) = &result {
+            self.journal(site, &RegistryMutation::LeaseGrant(ticket.clone()), now);
         }
         result
     }
 
-    /// Release a lease early, journaling the release when durable so a
-    /// replayed lease table does not revive freed capacity.
+    /// Release a lease early, journaling the release so a replayed lease
+    /// table does not revive freed capacity.
     pub fn release_lease(
         &mut self,
         site: usize,
@@ -671,75 +611,63 @@ impl Grid {
         result
     }
 
-    /// Mark a site down for the synchronous path. Without durable stores,
-    /// registry and lease state survives the crash by fiat (the legacy
-    /// fiction); only calls fail until [`Grid::restart_site`]. With
-    /// durability on the crash is amnesia-faithful: the site's volatile
-    /// registries, lease table and cache are wiped, and only what was
-    /// journaled or snapshotted comes back at restart.
+    /// Crash a site: it is unreachable until [`Grid::restart_site`], and
+    /// the crash is amnesia-faithful — the site's registries, lease
+    /// tickets and cache are wiped, and only what its store journaled or
+    /// snapshotted comes back at restart. Its host and its per-deployment
+    /// lease caps (site configuration) survive.
     pub fn crash_site(&mut self, site: usize, now: SimTime) {
-        self.faults.crash(site);
+        let s = &mut self.sites[site];
+        s.up = false;
+        s.atr = ActivityTypeRegistry::new(s.atr.address.clone(), s.atr.transport);
+        s.adr = ActivityDeploymentRegistry::new(s.adr.address.clone(), s.adr.transport);
+        s.leases = s.leases.after_crash();
+        s.cache = RegistryCache::new(DEFAULT_CACHE_AGE);
         self.emit(site, now, "site.crashed", "fault", NO_FIELDS);
-        if self.stores.is_some() {
-            let s = &mut self.sites[site];
-            let atr_address = s.atr.address.clone();
-            let adr_address = s.adr.address.clone();
-            let transport = s.atr.transport;
-            s.atr = ActivityTypeRegistry::new(atr_address, transport);
-            s.adr = ActivityDeploymentRegistry::new(adr_address, transport);
-            s.leases = LeaseManager::new();
-            s.cache = RegistryCache::new(DEFAULT_CACHE_AGE);
-            self.emit(site, now, "site.amnesia", "fault", NO_FIELDS);
-        }
+        self.emit(site, now, "site.amnesia", "fault", NO_FIELDS);
     }
 
-    /// Bring a crashed site back. With durability on, the site first
-    /// rebuilds its registries and lease table from its store (snapshot
-    /// load + journal replay, truncating at the last valid record if the
-    /// tail was torn). Expired leases are then reclaimed on the way up —
-    /// the granting site sweeps its ledger so capacity that freed during
-    /// the outage is usable again. Returns how many tickets were
+    /// Bring a crashed site back: it rebuilds its registries and lease
+    /// table from its store (snapshot load + journal replay, truncating at
+    /// the last valid record if the tail was torn), then reclaims expired
+    /// leases on the way up — the granting site sweeps its ledger so
+    /// capacity that freed during the outage is usable again — and
+    /// re-snapshots, so the next crash replays from a compact journal that
+    /// already reflects the swept table. Returns how many tickets were
     /// reclaimed.
     pub fn restart_site(&mut self, site: usize, now: SimTime) -> usize {
-        self.faults.restart(site);
-        if self.stores.is_some() {
-            self.recover_site(site, now);
-        }
+        self.sites[site].up = true;
+        self.recover_site(site, now);
         let reclaimed = self.sites[site].leases.sweep_expired(now);
         self.emit(site, now, "site.restarted", "fault", [("leases_reclaimed", reclaimed as u64)]);
-        if self.stores.is_some() {
-            // Re-snapshot so the next crash replays from a compact journal
-            // that already reflects the swept lease table.
-            self.snapshot_site(site, now);
-        }
+        self.snapshot_site(site, now);
         reclaimed
     }
 
-    /// Rebuild a site's registries and lease table from its durable store.
+    /// Rebuild a site's registries and lease table from its durable store,
+    /// publishing the recovery as a `GlareNode` does.
     fn recover_site(&mut self, site: usize, now: SimTime) {
-        let Some(stores) = self.stores.as_mut() else {
-            return;
-        };
-        let recovered = stores[site].recover();
+        let s = &mut self.sites[site];
+        let recovered = s.store.recover();
+        let had_snapshot = durable::replay(&recovered, &s.atr, &s.adr, Some(&mut s.leases), now);
         let replayed = recovered.replayed_records();
         let truncated = recovered.truncated_records;
-        let had_snapshot = recovered.snapshot.is_some();
-        let s = &mut self.sites[site];
-        durable::replay(&recovered, &s.atr, &s.adr, Some(&mut s.leases), now);
         self.count(site, "glare_store_replayed_records_total", None, replayed);
-        self.count(site, "glare_store_truncated_records_total", None, truncated);
+        if truncated > 0 {
+            self.count(site, "glare_store_truncated_records_total", None, truncated);
+        }
         self.observe(site, "glare_store_replay_ms", replay_cost(replayed, had_snapshot));
         let fields = [
             ("replayed", FieldValue::from(replayed)),
             ("truncated_records", truncated.into()),
-            ("snapshot", if had_snapshot { "true" } else { "false" }.into()),
+            ("snapshot", if had_snapshot { "1" } else { "0" }.into()),
         ];
         self.emit(site, now, "store.recovered", "store", fields);
     }
 
-    /// Whether the fault injector considers `site` reachable.
+    /// Whether `site` is reachable (not crashed).
     pub fn site_is_up(&self, site: usize) -> bool {
-        self.faults.site_up(site)
+        self.sites[site].up
     }
 
     /// Whether `site`'s breaker lets a call through at `at`; a refusal is
@@ -753,9 +681,9 @@ impl Grid {
     }
 
     /// Whether an attempt to reach `site` is lost: the site is down, or
-    /// the injector's per-attempt loss draw fires (no draw when inert).
+    /// the injector's per-attempt loss draw fires (no draw at zero loss).
     pub(crate) fn attempt_lost(&mut self, site: usize) -> bool {
-        !self.faults.site_up(site) || self.faults.attempt_lost()
+        !self.sites[site].up || self.faults.attempt_lost()
     }
 
     /// Book an attempt of `op` at `site` that stayed silent for `budget`.
@@ -838,7 +766,7 @@ impl Grid {
             ];
             self.emit(site, at, "retry.attempt", "retry", fields);
         };
-        let site = self.site_names[site].to_string();
+        let site = self.sites[site].short.to_string();
         (Err(GlareError::SiteUnavailable { site, detail }), lost.elapsed)
     }
 
@@ -999,7 +927,7 @@ mod tests {
             call(&mut g);
             assert_eq!(booked(&g, op), Vec::<String>::new());
         }
-        let untouched = FaultInjector::inert().rng_mut().next_u64();
+        let untouched = FaultInjector::seeded(0, 0.0).rng_mut().next_u64();
         assert_eq!(g.faults.rng_mut().next_u64(), untouched);
     }
 
@@ -1270,18 +1198,9 @@ mod tests {
         assert!(g.deployments_anywhere("JPOVray", t(1)).is_empty());
     }
 
-    fn durable_grid() -> Grid {
-        let mut g = Grid::new(2, Transport::Http);
-        g.enable_durability(glare_fabric::StoreConfig::standard());
-        for ty in example_hierarchy(SimTime::ZERO) {
-            g.register_type(0, ty, t(0)).unwrap();
-        }
-        g
-    }
-
     #[test]
     fn durable_crash_is_amnesia_and_restart_replays() {
-        let mut g = durable_grid();
+        let mut g = grid_with_types();
         let d = crate::model::ActivityDeployment::executable(
             "JPOVray",
             "site0",
@@ -1325,7 +1244,7 @@ mod tests {
 
     #[test]
     fn durable_uninstall_tombstone_survives_crash() {
-        let mut g = durable_grid();
+        let mut g = grid_with_types();
         let d = crate::model::ActivityDeployment::executable(
             "JPOVray",
             "site0",
@@ -1344,9 +1263,23 @@ mod tests {
         assert!(matches!(err, GlareError::Tombstoned { .. }));
     }
 
+    /// Whether `site` has a `glare_store_truncated_records_total` series.
+    fn truncation_counted(g: &Grid, site: &str) -> bool {
+        let series = format!("glare_store_truncated_records_total{{site=\"{site}\"}}");
+        g.metrics.expose_prometheus().lines().any(|l| l.starts_with(&series))
+    }
+
     #[test]
     fn torn_journal_tail_loses_only_the_tail() {
-        let mut g = durable_grid();
+        let mut g = grid_with_types();
+        // A clean recovery without a snapshot: `snapshot` reads "0" and no
+        // truncation series is created.
+        g.crash_site(1, t(1));
+        g.restart_site(1, t(1));
+        let clean: Vec<_> = g.events.of_kind("store.recovered").collect();
+        assert_eq!(clean[0].field("snapshot").as_deref(), Some("0"));
+        assert!(!truncation_counted(&g, "site1"), "nothing was truncated");
+
         g.snapshot_site(0, t(1)); // compact the type registrations away
         let mut keys = Vec::new();
         for name in ["alpha", "beta", "gamma", "delta"] {
@@ -1360,7 +1293,7 @@ mod tests {
             g.register_deployment(0, d, t(2)).unwrap();
         }
         // A torn partial write at crash time damages the journal's tail.
-        assert_eq!(g.stores.as_mut().expect("durable")[0].tear_tail(2), 2);
+        assert_eq!(g.sites[0].store.tear_tail(2), 2);
         g.crash_site(0, t(10));
         g.restart_site(0, t(20));
         assert!(g.site(0).adr.lookup(&keys[0], t(21)).is_some());
@@ -1375,26 +1308,27 @@ mod tests {
             2
         );
         let recovered: Vec<_> = g.events.of_kind("store.recovered").collect();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].field("truncated_records").as_deref(), Some("2"));
+        assert_eq!(recovered.len(), 2);
+        assert_eq!(recovered[1].field("truncated_records").as_deref(), Some("2"));
+        assert_eq!(recovered[1].field("snapshot").as_deref(), Some("1"));
+        assert!(truncation_counted(&g, "site0"));
     }
 
     #[test]
-    fn durability_off_keeps_legacy_crash_semantics() {
+    fn a_bare_grid_journals_crashes_amnesiac_and_replays() {
         let mut g = grid_with_types();
-        assert!(g.store(0).is_none());
-        g.crash_site(0, t(1));
-        // Legacy fiction: state survives by fiat, no amnesia, no stores.
-        assert!(g.site(0).atr.contains("JPOVray"));
-        g.restart_site(0, t(3));
-        assert_eq!(g.events.of_kind("site.amnesia").count(), 0);
-        assert_eq!(g.events.of_kind("store.recovered").count(), 0);
-        assert_eq!(
-            g.metrics.counter_labeled_value(
-                "glare_store_appends_total",
-                &Labels::of(&[("site", "site0")]),
-            ),
-            0
+        let appended = g.metrics.counter_labeled_value(
+            "glare_store_appends_total",
+            &Labels::of(&[("site", "site0")]),
         );
+        assert!(appended > 0, "every registration was journaled");
+        assert_eq!(g.store(0).expect("always durable").journal_len() as u64, appended);
+        g.crash_site(0, t(1));
+        assert!(!g.site(0).atr.contains("JPOVray"), "the crash wiped the ATR");
+        assert_eq!(g.events.of_kind("site.amnesia").count(), 1);
+        g.restart_site(0, t(3));
+        assert!(g.site(0).atr.contains("JPOVray"), "replay rebuilt it");
+        let recovered: Vec<_> = g.events.of_kind("store.recovered").collect();
+        assert_eq!(recovered[0].field("replayed"), Some(appended.to_string().into()));
     }
 }

@@ -71,6 +71,14 @@ impl LeaseManager {
         Self::default()
     }
 
+    /// The table a crash leaves behind: no tickets (replay brings back
+    /// what was journaled) but the same per-deployment capacities, which
+    /// are site configuration rather than ledger state.
+    pub(crate) fn after_crash(&mut self) -> LeaseManager {
+        let capacities = std::mem::take(&mut self.capacities);
+        LeaseManager { capacities, ..LeaseManager::default() }
+    }
+
     /// Set a deployment's shared-lease capacity (the "allowed limits").
     pub fn set_capacity(&mut self, deployment: &str, capacity: u32) {
         assert!(capacity > 0, "capacity must be positive");

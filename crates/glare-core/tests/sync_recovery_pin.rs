@@ -159,16 +159,16 @@ fn faulty_synchronous_runs_behave_as_pinned() {
     let got = [storm(7, 4), storm(4212, 2)];
     let pinned = [
         Pins {
-            metrics: 0xbdba49a3561a6dbe,
-            events: 0x01edd1b56d1cf436,
+            metrics: 0x3424d531b8188e7d,
+            events: 0xaca2e854a657b1f5,
             spans: 0xffceb338861f64de,
             span_count: 1002,
             cost_ns: 461253148384,
             next_draw: 0xc384573a2bc6afa8,
         },
         Pins {
-            metrics: 0x4ef995c36c5fc570,
-            events: 0xd1912ed00a0f213d,
+            metrics: 0x22541ce543a11a79,
+            events: 0xc634c18762e0499c,
             spans: 0xa931fa3092583fe3,
             span_count: 1059,
             cost_ns: 353173847696,

@@ -13,7 +13,7 @@ const BUDGET: usize = 800;
 const FN_BUDGET: usize = 120;
 
 /// `(path under crates/, lines before its tests)`: a ratchet, not an allowance.
-const OVER: [(&str, usize); 1] = [("glare-core/src/grid.rs", 864)];
+const OVER: [(&str, usize); 0] = [];
 
 /// `(path under crates/, function, its lines)`: the same ratchet for functions.
 const LONG: [(&str, &str, usize); 0] = [];

@@ -537,6 +537,7 @@ fn distill(p: &AutonomicParams, grid: &Grid, w: &[Range<u64>; 3], mut h: Tally) 
     for s in 0..grid.len() {
         h.violations.extend(invariants::lease_caps(s, &grid.site(s).leases));
     }
+    h.violations.extend(invariants::lease_ids_unique(&grid.events));
 
     let [offered, served, degraded, served_pre, served_post] = h.traffic;
     let rate = |n: u64, w: &Range<u64>| n as f64 / (w.end - w.start).max(1) as f64;
@@ -744,5 +745,7 @@ mod tests {
         let b = run(&p).to_json().to_string_pretty();
         assert_eq!(a, b);
         assert!(a.contains("\"schema\": \"glare.autonomic.v1\""));
+        // Pinned at the last change meant to move these bytes.
+        assert_eq!(fnv1a(a.as_bytes()), 0xebf9_32eb_82ee_f568);
     }
 }

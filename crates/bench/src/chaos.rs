@@ -463,6 +463,7 @@ fn run_grid_phase(p: &ChaosParams) -> GridChaos {
     for i in 0..g.len() {
         violations.extend(invariants::lease_caps(i, &g.site(i).leases));
     }
+    violations.extend(invariants::lease_ids_unique(&g.events));
 
     let m = &g.metrics;
     GridChaos {
@@ -672,6 +673,7 @@ impl ChaosReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glare_fabric::store::fnv1a;
 
     #[test]
     fn smoke_soak_holds_every_invariant() {
@@ -769,11 +771,16 @@ mod tests {
         let report = a.to_json().to_string_pretty();
         assert_eq!(report, b.to_json().to_string_pretty());
         assert!(report.contains("\"experiment\": \"chaos\""));
-        assert!(a.to_recovery_json().to_string_pretty().contains("\"experiment\": \"recovery\""));
+        let recovery = a.to_recovery_json().to_string_pretty();
+        assert!(recovery.contains("\"experiment\": \"recovery\""));
         assert_eq!(
-            a.to_recovery_json().to_string_pretty(),
+            recovery,
             b.to_recovery_json().to_string_pretty(),
             "BENCH_recovery.json must be byte-identical for the same seed"
         );
+        // Pinned at the last change meant to move these bytes: a moved byte
+        // fails here, not only in a cross-commit `scripts/oracle.sh` diff.
+        let digests = [&report, &recovery, &a.grid.events_jsonl].map(|d| fnv1a(d.as_bytes()));
+        assert_eq!(digests, [0xf54e_6722_dfb7_ab5b, 0x12fb_6067_a952_7c67, 0x5998_950e_7199_296b]);
     }
 }

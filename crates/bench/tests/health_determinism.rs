@@ -5,6 +5,7 @@
 //! across same-seed runs.
 
 use glare_bench::health::{run, run_overlay, HealthParams};
+use glare_fabric::store::fnv1a;
 
 #[test]
 fn telemetry_is_observe_only() {
@@ -35,11 +36,29 @@ fn health_artifacts_are_byte_identical_across_same_seed_runs() {
     assert_eq!(a.grid_exposition, b.grid_exposition);
     assert_eq!(a.overlay_events_jsonl, b.overlay_events_jsonl);
     assert_eq!(a.grid_events_jsonl, b.grid_events_jsonl);
+    let report = a.to_json().to_string_pretty();
     assert_eq!(
-        a.to_json().to_string_pretty(),
+        report,
         b.to_json().to_string_pretty(),
         "BENCH_health.json must be byte-identical for the same seed"
     );
+    // Pinned at the last change meant to move these bytes: a moved byte
+    // fails here, not only in a cross-commit `scripts/oracle.sh` diff.
+    let artifacts = [
+        &a.overlay_exposition,
+        &a.grid_exposition,
+        &a.overlay_events_jsonl,
+        &a.grid_events_jsonl,
+        &report,
+    ];
+    let pinned = [
+        0xece5_15bc_15b1_2764,
+        0xbb16_f919_c0b8_653e,
+        0xfdf5_94ce_90f1_f19b,
+        0x441b_a40b_6af5_cb60,
+        0xc401_40ea_3d49_1ac7,
+    ];
+    assert_eq!(artifacts.map(|d| fnv1a(d.as_bytes())), pinned);
 }
 
 #[test]

@@ -72,6 +72,17 @@ impl ActivityDeploymentRegistry {
                 type_name: deployment.type_name.clone(),
             });
         }
+        self.insert(deployment, now)
+    }
+
+    /// [`register`](Self::register) without the type check: how a snapshot
+    /// gives a site back a deployment whose type was removed after it was
+    /// registered, as the live registry kept it.
+    pub(crate) fn insert(
+        &self,
+        deployment: ActivityDeployment,
+        now: SimTime,
+    ) -> Result<SimDuration, GlareError> {
         let key = deployment.key.clone();
         let type_name = deployment.type_name.clone();
         // Deletes win: a tombstone at least as new as the registration
@@ -208,6 +219,11 @@ impl ActivityDeploymentRegistry {
         let removed = self.remove(key)?;
         self.tombstones.write().insert(key.to_owned(), now);
         Ok(removed)
+    }
+
+    /// Whether a live deployment is registered under `key`.
+    pub(crate) fn contains(&self, key: &str) -> bool {
+        self.home.contains(key)
     }
 
     /// The tombstone instant for `key`, if it was uninstalled.

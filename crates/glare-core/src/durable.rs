@@ -20,7 +20,7 @@
 //! `Option` a presence flag and the value, a `Vec` a count and the items.
 //!
 //! [`RegistryMutation`] is the journal record vocabulary; snapshots use
-//! `encode_snapshot`/`decode_snapshot` over a [`SnapshotState`]. The
+//! `encode_snapshot`/`decode_snapshot` over a `SnapshotState`. The
 //! [`registry_digest`] helper condenses registry contents into one `u64`
 //! for convergence checks; it deliberately excludes volatile invocation
 //! metrics and LUTs so that a recovered-and-rejoined site can compare
@@ -29,11 +29,14 @@
 use std::fmt::Write as _;
 use std::str::FromStr;
 
-use glare_fabric::store::fnv1a;
-use glare_fabric::{Platform, RecoveredState, SimDuration, SimTime};
+use glare_fabric::store::{fnv1a, replay_cost};
+use glare_fabric::{
+    FieldValue, Labels, MetricsRegistry, Platform, RecoveredState, SimDuration, SimTime,
+};
 
 use crate::adr::ActivityDeploymentRegistry;
 use crate::atr::ActivityTypeRegistry;
+use crate::error::GlareError;
 use crate::lease::{LeaseKind, LeaseManager, LeaseTicket};
 use crate::model::{
     ActivityDeployment, ActivityFunction, ActivityType, DeploymentAccess, DeploymentLimits,
@@ -320,8 +323,8 @@ impl Wire for DeploymentAccess {
 
 /// One journaled registry mutation: the write-ahead-log vocabulary of a
 /// durable GLARE site. `kind()`/`payload()` map onto the store's
-/// `(kind, payload)` record pair; `RegistryMutation::decode` is the
-/// replay path.
+/// `(kind, payload)` record pair and `RegistryMutation::decode` reads one
+/// back; `apply` is how a mutation reaches a site, live or in replay.
 #[derive(Clone, Debug)]
 pub enum RegistryMutation {
     /// An activity type was registered (or re-registered) in the ATR.
@@ -411,47 +414,42 @@ impl RegistryMutation {
         })
     }
 
-    /// Replay this mutation into a site's registries (and its lease table,
+    /// Write this mutation into a site's registries (and its lease table,
     /// for the substrate that keeps one; lease records are skipped
-    /// without). Journal order, not timestamps, is the source of truth
-    /// during replay: an uninstall removes the live entry and tombstones
-    /// unconditionally — if the entry never made it back (a torn
-    /// register) the tombstone is kept regardless — and a later replayed
-    /// register legitimately supersedes it.
+    /// without). This is the one write path: a live site's and crash
+    /// replay's. `Err` means the write did not take, and a live caller
+    /// journals only what took. An uninstall always takes: it removes the
+    /// live entry if there is one and tombstones unconditionally, so a
+    /// replayed uninstall whose register was torn away still keeps its
+    /// tombstone, and a later replayed register legitimately supersedes
+    /// it. Journal order, not timestamps, is the source of truth during
+    /// replay.
     pub(crate) fn apply(
         self,
         atr: &ActivityTypeRegistry,
         adr: &ActivityDeploymentRegistry,
         leases: Option<&mut LeaseManager>,
         now: SimTime,
-    ) {
+    ) -> Result<SimDuration, GlareError> {
         match self {
-            RegistryMutation::AtrRegister(t) => {
-                let _ = atr.register(*t, now);
-            }
-            RegistryMutation::AtrRemove(name) => {
-                let _ = atr.remove(&name);
-            }
-            RegistryMutation::AdrRegister(d) => {
-                let _ = adr.register(*d, atr, now);
-            }
-            RegistryMutation::AdrRemove(key) => {
-                let _ = adr.remove(&key);
-            }
+            RegistryMutation::AtrRegister(t) => atr.register(*t, now),
+            RegistryMutation::AtrRemove(name) => atr.remove(&name).map(|_| SimDuration::ZERO),
+            RegistryMutation::AdrRegister(d) => adr.register(*d, atr, now),
+            RegistryMutation::AdrRemove(key) => adr.remove(&key).map(|_| SimDuration::ZERO),
             RegistryMutation::AdrUninstall { key, at } => {
                 if adr.uninstall(&key, at).is_err() {
                     adr.restore_tombstones([(key, at)]);
                 }
+                Ok(SimDuration::ZERO)
             }
             RegistryMutation::LeaseGrant(ticket) => {
                 if let Some(leases) = leases {
                     leases.restore(ticket);
                 }
+                Ok(SimDuration::ZERO)
             }
             RegistryMutation::LeaseRelease(id) => {
-                if let Some(leases) = leases {
-                    let _ = leases.release(id);
-                }
+                leases.map_or(Ok(()), |l| l.release(id)).map(|()| SimDuration::ZERO)
             }
         }
     }
@@ -464,7 +462,7 @@ impl RegistryMutation {
 /// Full durable state of one site at snapshot time: live types, live
 /// deployments, uninstall tombstones and (Grid harness only) live leases.
 #[derive(Clone, Debug, Default)]
-pub struct SnapshotState {
+pub(crate) struct SnapshotState {
     /// Live activity types.
     pub types: Vec<ActivityType>,
     /// Live activity deployments.
@@ -489,12 +487,13 @@ pub(crate) fn live_deployments(
 }
 
 impl SnapshotState {
-    /// The durable state of one site's registries at `now`: live types,
-    /// live deployments and uninstall tombstones. `leases` is left empty
-    /// for the substrate that keeps a lease table to fill in.
+    /// The durable state of one site at `now`, what both substrates
+    /// snapshot: live types, live deployments, uninstall tombstones and,
+    /// where the site keeps a lease table, its live tickets.
     pub(crate) fn capture(
         atr: &ActivityTypeRegistry,
         adr: &ActivityDeploymentRegistry,
+        leases: Option<&LeaseManager>,
         now: SimTime,
     ) -> SnapshotState {
         let names = atr.names();
@@ -506,57 +505,62 @@ impl SnapshotState {
                 .collect(),
             deployments: live_deployments(adr, now),
             tombstones: adr.tombstones(),
-            leases: Vec::new(),
-        }
-    }
-
-    /// Load this snapshot into a site's (empty, post-crash) registries:
-    /// types before the deployments checked against them, tombstones
-    /// before the deployments that may supersede them, lease tickets into
-    /// the lease table if the substrate keeps one.
-    pub(crate) fn restore(
-        self,
-        atr: &ActivityTypeRegistry,
-        adr: &ActivityDeploymentRegistry,
-        leases: Option<&mut LeaseManager>,
-        now: SimTime,
-    ) {
-        for t in self.types {
-            let _ = atr.register(t, now);
-        }
-        adr.restore_tombstones(self.tombstones);
-        for d in self.deployments {
-            let _ = adr.register(d, atr, now);
-        }
-        if let Some(leases) = leases {
-            for l in self.leases {
-                leases.restore(l);
-            }
+            leases: leases.map_or_else(Vec::new, |l| l.tickets().to_vec()),
         }
     }
 }
 
-/// Rebuild a site's registries from what its store recovered after a
-/// crash: the snapshot first, then the journal *in record order*, skipping
-/// records that do not decode. Returns whether a snapshot was loaded.
-pub(crate) fn replay(
+/// Rebuild a site from what its store recovered after a crash — the
+/// snapshot first, then the journal *in record order*, skipping records
+/// that do not decode — and book the recovery under the site's `labels`,
+/// as both substrates do: the replayed records, the truncated ones when
+/// there are any, and the modeled replay cost. Returns the fields of the
+/// `store.recovered` event, which each substrate logs through its own
+/// door; its `snapshot` says whether a snapshot *decoded*, which is also
+/// what `replay_cost` charges for.
+pub(crate) fn recover(
     recovered: &RecoveredState,
     atr: &ActivityTypeRegistry,
     adr: &ActivityDeploymentRegistry,
     mut leases: Option<&mut LeaseManager>,
     now: SimTime,
-) -> bool {
+    metrics: &mut MetricsRegistry,
+    labels: &Labels,
+) -> [(&'static str, FieldValue); 3] {
     let snapshot = recovered.snapshot.as_deref().and_then(decode_snapshot);
     let had_snapshot = snapshot.is_some();
     if let Some(state) = snapshot {
-        state.restore(atr, adr, leases.as_deref_mut(), now);
+        // Tombstones go in before the deployments that may supersede them.
+        // A deployment is not checked against the types: the live registry
+        // kept it when its type was removed, so the snapshot does too.
+        for t in state.types {
+            let _ = atr.register(t, now);
+        }
+        adr.restore_tombstones(state.tombstones);
+        for d in state.deployments {
+            let _ = adr.insert(d, now);
+        }
+        if let Some(leases) = leases.as_deref_mut() {
+            state.leases.into_iter().for_each(|l| leases.restore(l));
+        }
     }
     for (kind, payload) in &recovered.records {
         if let Some(m) = RegistryMutation::decode(kind, payload) {
-            m.apply(atr, adr, leases.as_deref_mut(), now);
+            let _ = m.apply(atr, adr, leases.as_deref_mut(), now);
         }
     }
-    had_snapshot
+    let (replayed, truncated) = (recovered.replayed_records(), recovered.truncated_records);
+    metrics.counter_labeled("glare_store_replayed_records_total", labels).add(replayed);
+    if truncated > 0 {
+        metrics.counter_labeled("glare_store_truncated_records_total", labels).add(truncated);
+    }
+    let cost = replay_cost(replayed, had_snapshot);
+    metrics.histogram_labeled("glare_store_replay_ms", labels).record(cost);
+    [
+        ("replayed", FieldValue::from(replayed)),
+        ("truncated_records", truncated.into()),
+        ("snapshot", if had_snapshot { "1" } else { "0" }.into()),
+    ]
 }
 
 /// Encode a snapshot blob: types, deployments, tombstones and leases,
@@ -1050,20 +1054,33 @@ mod tests {
         };
         let now = SimTime::from_secs(100);
 
+        /// Whether [`recover`] loaded a snapshot, as its event says.
+        fn replay(
+            recovered: &RecoveredState,
+            atr: &ActivityTypeRegistry,
+            adr: &ActivityDeploymentRegistry,
+            leases: Option<&mut LeaseManager>,
+        ) -> bool {
+            let (now, site) = (SimTime::from_secs(100), Labels::of(&[("site", "site3")]));
+            let mut metrics = MetricsRegistry::new();
+            let [.., (_, snapshot)] = recover(recovered, atr, adr, leases, now, &mut metrics, &site);
+            snapshot == FieldValue::from("1")
+        }
+
         let (atr, adr) = registries();
-        assert!(!replay(&recovered, &atr, &adr, None, now), "the blob does not decode");
+        assert!(!replay(&recovered, &atr, &adr, None), "the blob does not decode");
         assert_eq!(atr.names(), ["JPOVray"], "neither skipped record removed the type");
         assert!(adr.keys(now).is_empty(), "the uninstall applied after the register");
         assert_eq!(adr.tombstones(), [("jpovray@site3".to_owned(), SimTime::from_secs(99))]);
 
         let (atr, adr) = registries();
         let mut leases = LeaseManager::new();
-        assert!(!replay(&recovered, &atr, &adr, Some(&mut leases), now));
+        assert!(!replay(&recovered, &atr, &adr, Some(&mut leases)));
         assert_eq!(leases.tickets(), [lease], "a lease table takes the grant");
 
         recovered.snapshot = Some(encode_snapshot(&SnapshotState::default()));
         let (atr, adr) = registries();
-        assert!(replay(&recovered, &atr, &adr, None, now), "an empty snapshot still loads");
+        assert!(replay(&recovered, &atr, &adr, None), "an empty snapshot still loads");
     }
 
     #[test]

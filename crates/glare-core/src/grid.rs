@@ -11,7 +11,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use glare_fabric::topology::{LinkSpec, Platform, SiteId};
-use glare_fabric::store::{replay_cost, COMPACT_EVERY};
+use glare_fabric::store::COMPACT_EVERY;
 use glare_fabric::{
     EventLog, FieldValue, Labels, MetricsRegistry, SimDuration, SimRng, SimTime, SiteStore,
     StoreConfig, TraceSink, NO_FIELDS,
@@ -247,11 +247,11 @@ impl Grid {
         Some(&self.sites[site].store)
     }
 
-    /// Journal one registry mutation at `site`, compacting the journal
-    /// into a snapshot at [`COMPACT_EVERY`] records.
-    fn journal(&mut self, site: usize, m: &RegistryMutation, now: SimTime) {
+    /// Append one journal record at `site`, compacting the journal into a
+    /// snapshot at [`COMPACT_EVERY`] records.
+    fn journal(&mut self, site: usize, kind: &'static str, payload: String, now: SimTime) {
         let store = &mut self.sites[site].store;
-        store.append(m.kind(), m.payload());
+        store.append(kind, payload);
         let journal_len = store.journal_len();
         self.count(site, "glare_store_appends_total", None, 1);
         if journal_len >= COMPACT_EVERY {
@@ -259,12 +259,34 @@ impl Grid {
         }
     }
 
+    /// Write `m` at `site` through [`RegistryMutation::apply`], the path
+    /// crash replay runs, and journal it once it took. `logged`, the
+    /// write's own event, is emitted in between: an append can compact and
+    /// log `store.compacted`, which comes after it.
+    fn commit(
+        &mut self,
+        site: usize,
+        m: RegistryMutation,
+        now: SimTime,
+        logged: Option<(&'static str, &'static str, (&'static str, FieldValue))>,
+    ) -> Result<SimDuration, GlareError> {
+        let (kind, payload) = (m.kind(), m.payload());
+        let s = &mut self.sites[site];
+        let result = m.apply(&s.atr, &s.adr, Some(&mut s.leases), now);
+        if result.is_ok() {
+            if let Some((event, component, field)) = logged {
+                self.emit(site, now, event, component, [field]);
+            }
+            self.journal(site, kind, payload, now);
+        }
+        result
+    }
+
     /// Fold a site's full durable state into a snapshot, clearing the
     /// journal.
     pub(crate) fn snapshot_site(&mut self, site: usize, now: SimTime) {
         let s = &mut self.sites[site];
-        let mut state = SnapshotState::capture(&s.atr, &s.adr, now);
-        state.leases = s.leases.tickets().to_vec();
+        let state = SnapshotState::capture(&s.atr, &s.adr, Some(&s.leases), now);
         let records = s.store.install_snapshot(&durable::encode_snapshot(&state));
         self.count(site, "glare_store_snapshots_total", None, 1);
         self.emit(site, now, "store.compacted", "store", [("records", records as u64)]);
@@ -379,11 +401,7 @@ impl Grid {
         t: ActivityType,
         now: SimTime,
     ) -> Result<SimDuration, GlareError> {
-        let result = self.sites[site].atr.register(t.clone(), now);
-        if result.is_ok() {
-            self.journal(site, &RegistryMutation::AtrRegister(Box::new(t)), now);
-        }
-        result
+        self.commit(site, RegistryMutation::AtrRegister(Box::new(t)), now, None)
     }
 
     /// Register a deployment at a site's ADR and journal it. The RDM
@@ -395,68 +413,32 @@ impl Grid {
         d: ActivityDeployment,
         now: SimTime,
     ) -> Result<SimDuration, GlareError> {
-        let result = {
-            let s = &self.sites[site];
-            s.adr.register(d.clone(), &s.atr, now)
-        };
-        if result.is_ok() {
-            self.journal(site, &RegistryMutation::AdrRegister(Box::new(d)), now);
-        }
-        result
+        self.commit(site, RegistryMutation::AdrRegister(Box::new(d)), now, None)
     }
 
     /// Drop a deployment record without a tombstone (failed-record
     /// cleanup, undeploy), journaling the removal so replay does not
-    /// resurrect it.
-    pub(crate) fn remove_deployment(
-        &mut self,
-        site: usize,
-        key: &str,
-        now: SimTime,
-    ) -> Result<ActivityDeployment, GlareError> {
-        let result = self.sites[site].adr.remove(key);
-        if result.is_ok() {
-            self.journal(site, &RegistryMutation::AdrRemove(key.to_owned()), now);
-        }
-        result
+    /// resurrect it. Returns whether there was one.
+    pub(crate) fn remove_deployment(&mut self, site: usize, key: &str, now: SimTime) -> bool {
+        self.commit(site, RegistryMutation::AdrRemove(key.to_owned()), now, None).is_ok()
     }
 
     /// Remove an activity type from a site's ATR, journaling the removal.
-    pub(crate) fn remove_type(
-        &mut self,
-        site: usize,
-        name: &str,
-        now: SimTime,
-    ) -> Result<ActivityType, GlareError> {
-        let result = self.sites[site].atr.remove(name);
-        if result.is_ok() {
-            self.journal(site, &RegistryMutation::AtrRemove(name.to_owned()), now);
-        }
-        result
+    /// Returns whether there was one.
+    pub(crate) fn remove_type(&mut self, site: usize, name: &str, now: SimTime) -> bool {
+        self.commit(site, RegistryMutation::AtrRemove(name.to_owned()), now, None).is_ok()
     }
 
     /// Uninstall a deployment at a site, leaving a tombstone at `now` so
     /// stale copies can never resurrect it (deletes win). Returns whether
     /// a live entry was actually removed. Journaled.
     pub fn uninstall_deployment(&mut self, site: usize, key: &str, now: SimTime) -> bool {
-        let removed = {
-            let s = &mut self.sites[site];
-            let removed = s.adr.uninstall(key, now).is_ok();
-            if !removed {
-                s.adr.restore_tombstones([(key.to_owned(), now)]);
-            }
-            s.cache.evict_deployment(key);
-            removed
-        };
-        self.emit(site, now, "deployment.tombstoned", "adr", [("key", key.to_owned())]);
-        self.journal(
-            site,
-            &RegistryMutation::AdrUninstall {
-                key: key.to_owned(),
-                at: now,
-            },
-            now,
-        );
+        let s = &mut self.sites[site];
+        let removed = s.adr.contains(key);
+        s.cache.evict_deployment(key);
+        let m = RegistryMutation::AdrUninstall { key: key.to_owned(), at: now };
+        let tombstoned = ("deployment.tombstoned", "adr", ("key", key.to_owned().into()));
+        let _ = self.commit(site, m, now, Some(tombstoned));
         removed
     }
 
@@ -590,7 +572,8 @@ impl Grid {
         ];
         self.emit(site, now, event, "lease", fields);
         if let Ok(ticket) = &result {
-            self.journal(site, &RegistryMutation::LeaseGrant(ticket.clone()), now);
+            let m = RegistryMutation::LeaseGrant(ticket.clone());
+            self.journal(site, m.kind(), m.payload(), now);
         }
         result
     }
@@ -603,12 +586,8 @@ impl Grid {
         ticket: u64,
         now: SimTime,
     ) -> Result<(), GlareError> {
-        let result = self.sites[site].leases.release(ticket);
-        if result.is_ok() {
-            self.emit(site, now, "lease.released", "lease", [("ticket", ticket)]);
-            self.journal(site, &RegistryMutation::LeaseRelease(ticket), now);
-        }
-        result
+        let released = ("lease.released", "lease", ("ticket", ticket.into()));
+        self.commit(site, RegistryMutation::LeaseRelease(ticket), now, Some(released)).map(|_| ())
     }
 
     /// Crash a site: it is unreachable until [`Grid::restart_site`], and
@@ -636,33 +615,16 @@ impl Grid {
     /// already reflects the swept table. Returns how many tickets were
     /// reclaimed.
     pub fn restart_site(&mut self, site: usize, now: SimTime) -> usize {
-        self.sites[site].up = true;
-        self.recover_site(site, now);
+        let s = &mut self.sites[site];
+        s.up = true;
+        let (recovered, leases) = (s.store.recover(), Some(&mut s.leases));
+        let fields =
+            durable::recover(&recovered, &s.atr, &s.adr, leases, now, &mut self.metrics, &s.labels);
+        self.emit(site, now, "store.recovered", "store", fields);
         let reclaimed = self.sites[site].leases.sweep_expired(now);
         self.emit(site, now, "site.restarted", "fault", [("leases_reclaimed", reclaimed as u64)]);
         self.snapshot_site(site, now);
         reclaimed
-    }
-
-    /// Rebuild a site's registries and lease table from its durable store,
-    /// publishing the recovery as a `GlareNode` does.
-    fn recover_site(&mut self, site: usize, now: SimTime) {
-        let s = &mut self.sites[site];
-        let recovered = s.store.recover();
-        let had_snapshot = durable::replay(&recovered, &s.atr, &s.adr, Some(&mut s.leases), now);
-        let replayed = recovered.replayed_records();
-        let truncated = recovered.truncated_records;
-        self.count(site, "glare_store_replayed_records_total", None, replayed);
-        if truncated > 0 {
-            self.count(site, "glare_store_truncated_records_total", None, truncated);
-        }
-        self.observe(site, "glare_store_replay_ms", replay_cost(replayed, had_snapshot));
-        let fields = [
-            ("replayed", FieldValue::from(replayed)),
-            ("truncated_records", truncated.into()),
-            ("snapshot", if had_snapshot { "1" } else { "0" }.into()),
-        ];
-        self.emit(site, now, "store.recovered", "store", fields);
     }
 
     /// Whether `site` is reachable (not crashed).
@@ -1312,6 +1274,79 @@ mod tests {
         assert_eq!(recovered[1].field("truncated_records").as_deref(), Some("2"));
         assert_eq!(recovered[1].field("snapshot").as_deref(), Some("1"));
         assert!(truncation_counted(&g, "site0"));
+    }
+
+    /// What `site` holds at `now`, its snapshot's state.
+    fn held(g: &Grid, site: usize, now: SimTime) -> SnapshotState {
+        let s = g.site(site);
+        SnapshotState::capture(&s.atr, &s.adr, Some(&s.leases), now)
+    }
+
+    /// A seeded walk of every journaled write — register and remove a type,
+    /// register, remove and uninstall a deployment, acquire and release a
+    /// lease — with crashes and restarts at random points on a 2-site Grid.
+    /// Each restart gives a site back what it held at its crash, less the
+    /// leases it swept as expired on the way up. The walk writes only to
+    /// sites that are up: a write to a crashed site lands in its wiped
+    /// registries and is replayed onto at restart, a fault of its own.
+    #[test]
+    fn a_restart_gives_back_what_the_live_writes_left() {
+        for seed in 0..64 {
+            let mut rng = SimRng::from_seed(0x0057_A7E0 + seed);
+            let mut g = Grid::new(2, Transport::Http);
+            let mut at_crash: [Option<SnapshotState>; 2] = [None, None];
+            for step in 1..=40 {
+                let (now, site) = (t(step), rng.index(2));
+                let name = format!("T{}", rng.range(0, 3));
+                let d = ActivityDeployment::executable(
+                    &name,
+                    &Grid::site_label(site),
+                    &format!("/opt/bin/d{}", rng.range(0, 4)),
+                    "/opt",
+                );
+                match (at_crash[site].take(), rng.range(0, 10)) {
+                    (Some(mut want), 0..=3) => {
+                        g.restart_site(site, now);
+                        want.leases.retain(|l| l.until > now);
+                        let got = durable::encode_snapshot(&held(&g, site, now));
+                        assert_eq!(got, durable::encode_snapshot(&want), "seed {seed} step {step}");
+                    }
+                    (down @ Some(_), _) => at_crash[site] = down,
+                    (None, 0) => {
+                        at_crash[site] = Some(held(&g, site, now));
+                        g.crash_site(site, now);
+                    }
+                    (None, 1) => drop(g.register_type(site, ActivityType::concrete_type(&name, "d", "wien2k"), now)),
+                    (None, 2) => drop(g.remove_type(site, &name, now)),
+                    (None, 3 | 4) => drop(g.register_deployment(site, d, now)),
+                    (None, 5) => drop(g.remove_deployment(site, &d.key, now)),
+                    (None, 6) => drop(g.uninstall_deployment(site, &d.key, now)),
+                    (None, 7 | 8) => {
+                        let kind = if rng.chance(0.3) { LeaseKind::Exclusive } else { LeaseKind::Shared };
+                        let until = now + SimDuration::from_secs(rng.range(1, 20));
+                        drop(g.acquire_lease(site, &d.key, "c", kind, now..until, now));
+                    }
+                    (None, _) => drop(g.release_lease(site, rng.range(0, 8), now)),
+                }
+            }
+        }
+    }
+
+    /// A deployment whose type is removed after it is registered stays in
+    /// the live ADR, and so through a restart's journal replay; the
+    /// snapshot that restart writes must give it back after the next one.
+    #[test]
+    fn a_deployment_outliving_its_type_survives_a_second_restart() {
+        let mut g = Grid::new(2, Transport::Http);
+        g.register_type(0, ActivityType::concrete_type("T", "d", "wien2k"), t(1)).unwrap();
+        let d = ActivityDeployment::executable("T", "site0", "/opt/bin/d", "/opt");
+        g.register_deployment(0, d.clone(), t(2)).unwrap();
+        assert!(g.remove_type(0, "T", t(3)));
+        for restart in [5, 7] {
+            g.crash_site(0, t(restart - 1));
+            g.restart_site(0, t(restart));
+            assert!(g.site(0).adr.contains(&d.key), "restart at {restart}s");
+        }
     }
 
     #[test]

@@ -166,6 +166,17 @@ pub fn lease_caps(site: usize, leases: &LeaseManager) -> Vec<String> {
     out
 }
 
+/// A lease ticket id is issued once: no site's `lease.granted` events
+/// repeat a `ticket`. A reissued id would let the holder of a released
+/// ticket release the new holder's.
+pub fn lease_ids_unique(events: &EventLog) -> Vec<String> {
+    let mut granted = BTreeSet::new();
+    let grants = events.of_kind("lease.granted");
+    let grants = grants.map(|r| (r.site.map_or(0, |s| s.0), r.field("ticket").unwrap_or_default()));
+    let again = grants.filter(|grant| !granted.insert(grant.clone()));
+    again.map(|(site, ticket)| format!("site {site}: lease ticket {ticket} granted twice")).collect()
+}
+
 /// A provision that succeeded listed at least one deployment, and every
 /// one it listed is queryable at its site's registry at `now`.
 pub fn provision_queryable(grid: &Grid, outcome: &ProvisionOutcome, now: SimTime) -> Vec<String> {
@@ -288,6 +299,21 @@ mod tests {
                 "site 3: exclusive ticket 2 on d overlaps ticket 1",
             ]
         );
+    }
+
+    #[test]
+    fn lease_ids_unique_names_a_ticket_granted_twice_at_one_site() {
+        let mut log = EventLog::default();
+        let grant = |log: &mut EventLog, site: u32, ticket: u64| {
+            log.emit(SimTime::ZERO, "lease.granted", Some(SiteId(site)), "lease", [("ticket", ticket)]);
+        };
+        grant(&mut log, 0, 0);
+        grant(&mut log, 0, 1);
+        grant(&mut log, 1, 1);
+        log.emit(SimTime::ZERO, "lease.released", Some(SiteId(0)), "lease", [("ticket", 1u64)]);
+        assert_eq!(lease_ids_unique(&log), Vec::<String>::new(), "one id at two sites is two tickets");
+        grant(&mut log, 0, 1);
+        assert_eq!(lease_ids_unique(&log), ["site 0: lease ticket 1 granted twice"]);
     }
 
     #[test]

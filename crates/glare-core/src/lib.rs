@@ -33,7 +33,7 @@ pub use adr::ActivityDeploymentRegistry;
 pub use atr::{ActivityTypeRegistry, TypedResponse};
 pub use cache::{CachedEntry, Freshness, RegistryCache};
 pub use deployfile::{DeployFile, DeployStep, PlannedAction};
-pub use durable::{RegistryMutation, SnapshotState};
+pub use durable::RegistryMutation;
 pub use error::GlareError;
 pub use grid::{AdminNotification, Grid, GridSite};
 pub use rdm::{provision, CostBreakdown, InstallReport, ProvisionOutcome, ProvisionRequest, RequestManager};

@@ -6,8 +6,8 @@
 
 use std::collections::HashSet;
 
-use glare_fabric::store::{replay_cost, COMPACT_EVERY};
-use glare_fabric::{ActorId, Ctx, FieldValue, SimTime};
+use glare_fabric::store::COMPACT_EVERY;
+use glare_fabric::{ActorId, Ctx, SimTime};
 
 use super::msg::NodeMsg;
 use super::{GlareNode, Loop};
@@ -30,14 +30,12 @@ pub(super) struct Rejoin {
 }
 
 impl GlareNode {
-    /// Append one registry mutation to the site's durable journal,
-    /// compacting once the journal reaches [`COMPACT_EVERY`] records.
-    /// No-op — no appends, no metrics — when the store is disabled.
-    fn journal(&mut self, ctx: &mut Ctx<'_>, m: &RegistryMutation) {
-        if !ctx.store_enabled() {
-            return;
-        }
-        if ctx.store_append(m.kind(), m.payload()).is_some() {
+    /// Append one journal record to the site's durable store, compacting
+    /// once the journal reaches [`COMPACT_EVERY`] records. A no-op with
+    /// the store disabled, where no record is encoded either: `commit`
+    /// encodes only with it enabled, and anti-entropy runs only then.
+    fn journal(&mut self, ctx: &mut Ctx<'_>, kind: &'static str, payload: String) {
+        if ctx.store_append(kind, payload).is_some() {
             self.tele.count(ctx, "glare_store_appends_total", 1);
         }
         if ctx.store_journal_len() >= COMPACT_EVERY {
@@ -52,48 +50,26 @@ impl GlareNode {
         if !ctx.store_enabled() {
             return;
         }
-        let state = durable::SnapshotState::capture(&self.atr, &self.adr, ctx.now());
+        let state = durable::SnapshotState::capture(&self.atr, &self.adr, None, ctx.now());
         if let Some(compacted) = ctx.store_snapshot(&durable::encode_snapshot(&state)) {
             self.tele.count(ctx, "glare_store_snapshots_total", 1);
             ctx.emit_event("store.compacted", "store", [("records", compacted as u64)]);
         }
     }
 
-    /// Rebuild the registries from the durable store after a crash
-    /// ([`durable::replay`]), publish what the replay cost, and owe the
-    /// next super-peer an anti-entropy round.
+    /// Rebuild the registries from the durable store after a crash and
+    /// publish what the replay cost ([`durable::recover`]), then owe the
+    /// next super-peer an anti-entropy round. Lease records belong to the
+    /// synchronous Grid harness; the distributed node keeps no lease table.
     pub(super) fn recover_from_store(&mut self, ctx: &mut Ctx<'_>) {
         let Some(recovered) = ctx.store_recover() else {
             return;
         };
         let now = ctx.now();
-        // Lease records belong to the synchronous Grid harness; the
-        // distributed node keeps no lease table.
-        let had_snapshot = durable::replay(&recovered, &self.atr, &self.adr, None, now);
-        let replayed = recovered.replayed_records();
         let labels = &self.tele.labels(ctx.self_site).site;
-        ctx.metrics()
-            .counter_labeled("glare_store_replayed_records_total", labels)
-            .add(replayed);
-        if recovered.truncated_records > 0 {
-            ctx.metrics()
-                .counter_labeled("glare_store_truncated_records_total", labels)
-                .add(recovered.truncated_records);
-        }
-        // Mirror the modeled replay cost (already charged to the site's
-        // CPU by the kernel) into an observable latency distribution.
-        ctx.metrics()
-            .histogram_labeled("glare_store_replay_ms", labels)
-            .record(replay_cost(replayed, had_snapshot));
-        ctx.emit_event(
-            "store.recovered",
-            "store",
-            [
-                ("replayed", FieldValue::from(replayed)),
-                ("truncated_records", recovered.truncated_records.into()),
-                ("snapshot", if had_snapshot { "1" } else { "0" }.into()),
-            ],
-        );
+        let fields =
+            durable::recover(&recovered, &self.atr, &self.adr, None, now, ctx.metrics(), labels);
+        ctx.emit_event("store.recovered", "store", fields);
         self.rejoin = Rejoin {
             pending: true,
             recovery_started: Some(now),
@@ -152,7 +128,7 @@ impl GlareNode {
     /// seed; ROADMAP item 8's reference registry will compare it with its
     /// model.
     pub fn registry_digest(&self, now: SimTime) -> u64 {
-        let state = durable::SnapshotState::capture(&self.atr, &self.adr, now);
+        let state = durable::SnapshotState::capture(&self.atr, &self.adr, None, now);
         let tomb_keys: Vec<String> = state.tombstones.into_iter().map(|(k, _)| k).collect();
         durable::registry_digest(&state.types, &state.deployments, &tomb_keys)
     }
@@ -184,28 +160,22 @@ impl GlareNode {
         }
     }
 
-    /// Register `item` and, once it is in, journal it. The journal's copy
-    /// is taken first, and only when there is a store to write it to.
-    fn register_then_journal<T: Clone>(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        item: Box<T>,
-        register: impl FnOnce(&GlareNode, T, SimTime) -> bool,
-        mutation: fn(Box<T>) -> RegistryMutation,
-    ) -> bool {
-        let journal = ctx.store_enabled().then(|| item.clone());
-        let ok = register(self, *item, ctx.now());
-        if let Some(item) = journal.filter(|_| ok) {
-            self.journal(ctx, &mutation(item));
+    /// Write `m` here through [`RegistryMutation::apply`], the path crash
+    /// replay runs, and journal it once it took. Its record is encoded
+    /// first, and only when there is a store to write it to.
+    fn commit(&mut self, ctx: &mut Ctx<'_>, m: RegistryMutation) -> bool {
+        let record = ctx.store_enabled().then(|| (m.kind(), m.payload()));
+        let took = m.apply(&self.atr, &self.adr, None, ctx.now()).is_ok();
+        if let Some((kind, payload)) = record.filter(|_| took) {
+            self.journal(ctx, kind, payload);
         }
-        ok
+        took
     }
 
     /// Provider update: register a type here; sinks hear of it with the
     /// next notification round.
     pub(super) fn register_type(&mut self, ctx: &mut Ctx<'_>, t: Box<ActivityType>) {
-        let register = |n: &GlareNode, t, now| n.atr.register(t, now).is_ok();
-        self.register_then_journal(ctx, t, register, RegistryMutation::AtrRegister);
+        self.commit(ctx, RegistryMutation::AtrRegister(t));
         self.notifier.notify_seq += 1;
     }
 
@@ -215,8 +185,7 @@ impl GlareNode {
         ctx: &mut Ctx<'_>,
         d: Box<ActivityDeployment>,
     ) -> bool {
-        let register = |n: &GlareNode, d, now| n.adr.register(d, &n.atr, now).is_ok();
-        self.register_then_journal(ctx, d, register, RegistryMutation::AdrRegister)
+        self.commit(ctx, RegistryMutation::AdrRegister(d))
     }
 
     /// Uninstall a deployment here. Remove (if live) and tombstone
@@ -224,13 +193,10 @@ impl GlareNode {
     /// so a concurrent register elsewhere cannot resurrect it via
     /// anti-entropy.
     pub(super) fn uninstall_deployment(&mut self, ctx: &mut Ctx<'_>, key: String) {
-        let now = ctx.now();
-        if self.adr.uninstall(&key, now).is_err() {
-            self.adr.restore_tombstones([(key.clone(), now)]);
-        }
         self.cache.evict_deployment(&key);
         ctx.emit_event("deployment.tombstoned", "node", [("key", key.clone())]);
-        self.journal(ctx, &RegistryMutation::AdrUninstall { key, at: now });
+        let at = ctx.now();
+        self.commit(ctx, RegistryMutation::AdrUninstall { key, at });
     }
 
     /// Either side of an anti-entropy round taking in the other's
@@ -248,7 +214,8 @@ impl GlareNode {
             self.cache.evict_deployment(&key);
             if newly {
                 news += 1;
-                self.journal(ctx, &RegistryMutation::AdrUninstall { key, at });
+                let m = RegistryMutation::AdrUninstall { key, at };
+                self.journal(ctx, m.kind(), m.payload());
             }
         }
         if news > 0 {

@@ -97,15 +97,12 @@ pub fn undeploy(
         let mut package = None;
         for k in &keys {
             found_any = true;
-            if let Ok(d) = grid.remove_deployment(i, k, now) {
-                if let DeploymentAccess::Executable { home, .. } = &d.access {
-                    let _ = home;
-                }
+            if grid.remove_deployment(i, k, now) {
                 report.removed.push((k.clone(), site_name.clone()));
             }
         }
         // Uninstall the backing package from the host.
-        if let Some(t) = grid.site_mut(i).atr.lookup(type_name, now).map(|r| r.value) {
+        if let Some(t) = grid.site(i).atr.lookup(type_name, now).map(|r| r.value) {
             package = t.installation.as_ref().map(|inst| inst.package.clone());
         }
         if let Some(pkg) = package {

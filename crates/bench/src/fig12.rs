@@ -143,6 +143,10 @@ mod tests {
         assert_eq!(a.mean_ms, b.mean_ms, "same seed, same simulation");
         assert_eq!(a.p95_ms, b.p95_ms);
         assert_eq!(a.requests, b.requests);
+        let doc = a.to_json().to_string_pretty();
+        assert_eq!(doc, b.to_json().to_string_pretty());
+        // Pinned at the last change meant to move these bytes.
+        assert_eq!(glare_fabric::store::fnv1a(doc.as_bytes()), 0xb2a7_a8c7_fc51_0837);
     }
 
     #[test]

@@ -162,6 +162,10 @@ mod tests {
         let b = run_sinks(70, SimDuration::from_secs(1), quick(), false).0;
         assert_eq!(a.peak_load, b.peak_load, "same seed, same load trace");
         assert_eq!(a.mean_load, b.mean_load);
+        let doc = a.to_json().to_string_pretty();
+        assert_eq!(doc, b.to_json().to_string_pretty());
+        // Pinned at the last change meant to move these bytes.
+        assert_eq!(glare_fabric::store::fnv1a(doc.as_bytes()), 0xc006_85b3_b0f8_8258);
     }
 
     #[test]

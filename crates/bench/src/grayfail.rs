@@ -540,5 +540,7 @@ mod tests {
         let b = run(&p).to_json().to_string_pretty();
         assert_eq!(a, b);
         assert!(a.contains("\"schema\": \"glare.grayfail.v2\""));
+        // Pinned at the last change meant to move these bytes.
+        assert_eq!(fnv1a(a.as_bytes()), 0x749e_e9f8_98ae_5413);
     }
 }

@@ -335,6 +335,10 @@ mod tests {
         let b = to_json(&p, &run(&p)).to_string_pretty();
         assert_eq!(a, b);
         assert!(a.contains("\"schema\": \"glare.load.v2\""));
+        // Pinned at the last change meant to move these bytes; the document
+        // carries the FNV-1a of each point's event JSONL, so this also pins
+        // the log's rendering.
+        assert_eq!(fnv1a(a.as_bytes()), 0x6b8e_eac9_4a03_b60a);
     }
 
     #[test]

@@ -242,6 +242,8 @@ mod tests {
         let b = to_json(&p, &run(&p)).to_string_pretty();
         assert_eq!(a, b);
         assert!(a.contains("\"schema\": \"glare.scale.v1\""));
+        // Pinned at the last change meant to move these bytes.
+        assert_eq!(glare_fabric::store::fnv1a(a.as_bytes()), 0x810e_e4b3_84c0_510c);
     }
 
     #[test]

@@ -30,6 +30,8 @@ fn chrome_export_is_byte_identical_across_runs() {
     assert!(ja.contains("\"traceEvents\""));
     assert!(ja.contains("\"ph\": \"X\""));
     assert!(ja.contains("\"displayTimeUnit\": \"ms\""));
+    // Pinned at the last change meant to move these bytes.
+    assert_eq!(glare_fabric::store::fnv1a(ja.as_bytes()), 0x0563_795f_173a_f930);
 }
 
 #[test]

@@ -27,18 +27,30 @@
 //! run is event-for-event identical to a plain run and the rendered JSONL
 //! is byte-identical across same-seed runs.
 //!
-//! A record keeps what it was given: its kind, component and field keys
-//! are `&'static str`, and each field value is a [`FieldValue`] — a
-//! literal, a shared name, a count or a float — so emitting one builds a
-//! single vector and formats nothing. Text is rendered once, by
-//! [`EventLog::to_jsonl`], straight into the export buffer.
+//! A record keeps what it was given, in columns the whole log shares. Its
+//! kind, component and field keys are `&'static str`, each kept once in a
+//! table of names and named by a `u16`; each field value is a
+//! [`FieldValue`] — a literal (kept in the same table), a shared name
+//! (kept once per log, one reference however many records name it), text
+//! formatted at the emit site (appended to one log-wide string), a count
+//! or a float (kept inline). A record is one 24-byte row (time, site, kind,
+//! component, the end of its fields) and one 16-byte cell per field in one
+//! arena, so a retained emit allocates nothing once the columns have grown
+//! and formats nothing. Text is rendered once, by [`EventLog::to_jsonl`],
+//! straight into the export buffer; [`EventLog::records`] reads the
+//! columns back as borrowed [`EventRecord`]s.
 //!
 //! The buffer is bounded ([`DEFAULT_MAX_EVENTS`] by default); once full,
 //! further records are counted in [`EventLog::dropped`] rather than
-//! growing without bound.
+//! growing without bound. A record's sequence number is its row, so the
+//! records kept are exactly sequence numbers `0..len`.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
+use std::ptr;
 use std::sync::Arc;
 
 use crate::time::SimTime;
@@ -47,31 +59,20 @@ use crate::topology::SiteId;
 /// Default bound on retained event records.
 pub const DEFAULT_MAX_EVENTS: usize = 1 << 16;
 
-/// One field value of an [`EventRecord`], kept as a value and rendered
-/// (as its [`Display`](fmt::Display)) only on export.
+/// One field value as an emitter hands it to the log, kept as a value and
+/// rendered only on export.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FieldValue {
     /// Text: a class label or literal borrows; text formatted at the emit
     /// site (with a precision, a unit or a prefix) moves in owned.
     Text(Cow<'static, str>),
     /// A name the request path already shares (an activity name): the
-    /// record holds one more reference, not a copy.
+    /// log holds one reference to it, not a copy per record.
     Shared(Arc<str>),
     /// A count.
     U64(u64),
     /// A float rendered as `f64`'s `Display` (e.g. `retry_after_ms`).
     F64(f64),
-}
-
-impl fmt::Display for FieldValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FieldValue::Text(s) => fmt::Display::fmt(s, f),
-            FieldValue::Shared(s) => fmt::Display::fmt(s, f),
-            FieldValue::U64(n) => fmt::Display::fmt(n, f),
-            FieldValue::F64(x) => fmt::Display::fmt(x, f),
-        }
-    }
 }
 
 impl From<String> for FieldValue {
@@ -108,9 +109,65 @@ impl From<f64> for FieldValue {
 /// [`EventLog::emit`] and its wrappers.
 pub const NO_FIELDS: [(&str, FieldValue); 0] = [];
 
-/// One structured event record.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EventRecord {
+/// A retained record's fixed part: one row of the log.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    time: SimTime,
+    site: Option<SiteId>,
+    /// Names in [`EventLog::names`].
+    kind: u16,
+    component: u16,
+    /// One past the record's last cell; its first is the previous row's end.
+    end: u32,
+}
+
+/// Where a [`Cell`]'s value lives.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tag {
+    /// A literal: `word` names it in [`EventLog::names`].
+    Name,
+    /// A shared name: `word` indexes [`EventLog::shared`].
+    Shared,
+    /// Owned text: `len` bytes of [`EventLog::text`] from `word`.
+    Text,
+    /// A count in `word`.
+    U64,
+    /// A float's bits in `word`.
+    F64,
+}
+
+/// One field of a record: its key (a name) and its value, in 16 bytes.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    key: u16,
+    tag: Tag,
+    len: u32,
+    word: u64,
+}
+
+const _: () = assert!(size_of::<Row>() == 24 && size_of::<Cell>() == 16);
+
+/// A field value read back out of the log's columns.
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    Text(&'a str),
+    U64(u64),
+    F64(f64),
+}
+
+impl fmt::Display for Value<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Text(s) => f.write_str(s),
+            Value::U64(n) => fmt::Display::fmt(n, f),
+            Value::F64(x) => fmt::Display::fmt(x, f),
+        }
+    }
+}
+
+/// One structured event record, borrowed from its [`EventLog`].
+#[derive(Clone, Copy)]
+pub struct EventRecord<'a> {
     /// Monotone sequence number in emission order.
     pub seq: u64,
     /// Simulation time of emission.
@@ -121,20 +178,27 @@ pub struct EventRecord {
     pub site: Option<SiteId>,
     /// Short component tag (`node`, `rdm.cache_refresher`, `lease`, ...).
     pub component: &'static str,
-    /// `(key, value)` payload in emission order.
-    pub fields: Vec<(&'static str, FieldValue)>,
+    log: &'a EventLog,
+    cells: &'a [Cell],
 }
 
-impl EventRecord {
+impl<'a> EventRecord<'a> {
     /// The value of field `key` as text, if the record carries it:
     /// borrowed for text and names, rendered for numbers.
-    pub fn field(&self, key: &str) -> Option<Cow<'_, str>> {
-        let (_, v) = self.fields.iter().find(|(k, _)| *k == key)?;
+    pub fn field(&self, key: &str) -> Option<Cow<'a, str>> {
+        let (_, v) = self.fields().find(|(k, _)| *k == key)?;
         Some(match v {
-            FieldValue::Text(s) => Cow::Borrowed(s),
-            FieldValue::Shared(s) => Cow::Borrowed(s),
+            Value::Text(s) => Cow::Borrowed(s),
             n => Cow::Owned(n.to_string()),
         })
+    }
+
+    /// `(key, value)` payload in emission order.
+    fn fields(&self) -> impl Iterator<Item = (&'static str, Value<'a>)> + use<'a> {
+        let log = self.log;
+        self.cells
+            .iter()
+            .map(move |c| (log.names[c.key as usize], log.value(c)))
     }
 
     /// Render as one JSON line (no trailing newline) at the end of `out`.
@@ -142,7 +206,7 @@ impl EventRecord {
     /// Times are integer nanoseconds so the encoding is exact and
     /// byte-stable; field order is preserved from emission, and every
     /// value is a JSON string.
-    pub(crate) fn write_json_line(&self, out: &mut String) {
+    fn write_json_line(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"seq\":{},\"t_ns\":{},\"kind\":\"",
@@ -159,7 +223,7 @@ impl EventRecord {
         out.push_str(",\"component\":\"");
         json_escape_into(out, self.component);
         out.push_str("\",\"fields\":{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
+        for (i, (k, v)) in self.fields().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -167,8 +231,7 @@ impl EventRecord {
             json_escape_into(out, k);
             out.push_str("\":\"");
             match v {
-                FieldValue::Text(s) => json_escape_into(out, s),
-                FieldValue::Shared(s) => json_escape_into(out, s),
+                Value::Text(s) => json_escape_into(out, s),
                 // Digits, signs, `.`, `inf` and `NaN` need no escaping.
                 n => {
                     let _ = write!(out, "{n}");
@@ -180,13 +243,35 @@ impl EventRecord {
     }
 }
 
-/// Bounded, deterministic event log.
+impl fmt::Debug for EventRecord<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields: Vec<_> = self.fields().map(|(k, v)| (k, v.to_string())).collect();
+        f.debug_struct("EventRecord")
+            .field("seq", &self.seq)
+            .field("time", &self.time)
+            .field("kind", &self.kind)
+            .field("site", &self.site)
+            .field("component", &self.component)
+            .field("fields", &fields)
+            .finish()
+    }
+}
+
+/// Bounded, deterministic event log, held in columns: one row per
+/// record, its fields in one arena of cells.
 #[derive(Clone, Debug)]
 pub struct EventLog {
     max_events: usize,
-    next_seq: u64,
-    records: Vec<EventRecord>,
     dropped: u64,
+    rows: Vec<Row>,
+    cells: Vec<Cell>,
+    /// Kinds, components, keys and literal values, each once.
+    names: Vec<&'static str>,
+    /// Shared names, each once, found again by address in `shared_ids`.
+    shared: Vec<Arc<str>>,
+    shared_ids: HashMap<usize, u64, BuildHasherDefault<AddressHasher>>,
+    /// Every owned text value, back to back.
+    text: String,
 }
 
 impl Default for EventLog {
@@ -200,9 +285,13 @@ impl EventLog {
     pub(crate) fn new(max_events: usize) -> EventLog {
         EventLog {
             max_events,
-            next_seq: 0,
-            records: Vec::new(),
             dropped: 0,
+            rows: Vec::new(),
+            cells: Vec::new(),
+            names: Vec::new(),
+            shared: Vec::new(),
+            shared_ids: HashMap::default(),
+            text: String::new(),
         }
     }
 
@@ -233,37 +322,153 @@ impl EventLog {
         component: &'static str,
         fields: impl FnOnce() -> I,
     ) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.records.len() >= self.max_events {
+        let seq = self.rows.len() as u64 + self.dropped;
+        if self.rows.len() >= self.max_events {
             self.dropped += 1;
             return seq;
         }
-        self.records.push(EventRecord {
-            seq,
-            time: now,
-            kind,
-            site,
-            component,
-            // An array of fields collects into a vector of its exact size.
-            fields: fields().into_iter().map(|(k, v)| (k, v.into())).collect(),
-        });
+        let fields = fields().into_iter();
+        let (kind, component, like) = self.open(kind, component, fields.size_hint().0);
+        for (i, (key, value)) in fields.enumerate() {
+            self.push_field(key, value.into(), like.clone().nth(i));
+        }
+        self.close(now, site, kind, component);
         seq
     }
 
+    // The generic `emit_with` is built once per call site, so the work of a
+    // record lives in the three plain methods it calls.
+
+    /// Name a new record's kind and component, and make room for `extra`
+    /// fields. Records of one kind mostly repeat its component and its keys
+    /// in order, so the previous record's names are tried first; the cells
+    /// of that record, if it has this kind, come back to hint the keys.
+    fn open(
+        &mut self,
+        kind: &'static str,
+        component: &'static str,
+        extra: usize,
+    ) -> (u16, u16, Range<usize>) {
+        let last = self.rows.len().checked_sub(1);
+        let prev = last.map(|i| (self.rows[i], self.start(i)));
+        let kind = self.name_id(kind, prev.map(|(r, _)| r.kind));
+        let component = self.name_id(component, prev.map(|(r, _)| r.component));
+        let like = match prev {
+            Some((r, start)) if r.kind == kind => start..r.end as usize,
+            _ => 0..0,
+        };
+        let (rows, max) = (self.rows.len() + 1, self.max_events);
+        reserve(&mut self.cells, extra, |need| {
+            need.saturating_mul(max) / rows
+        });
+        (kind, component, like)
+    }
+
+    /// Append one field; `hint` is the cell at its place in the previous
+    /// record of its kind.
+    fn push_field(&mut self, key: &'static str, value: FieldValue, hint: Option<usize>) {
+        let hint = hint.map(|c| self.cells[c]);
+        let key = self.name_id(key, hint.map(|c| c.key));
+        let (tag, len, word) = match value {
+            FieldValue::Text(Cow::Borrowed(s)) => {
+                let hint = hint.filter(|c| c.tag == Tag::Name).map(|c| c.word as u16);
+                (Tag::Name, 0, u64::from(self.name_id(s, hint)))
+            }
+            FieldValue::Text(Cow::Owned(s)) => {
+                let start = self.text.len() as u64;
+                self.text.push_str(&s);
+                let len = u32::try_from(s.len()).expect("a field under 4 GiB");
+                (Tag::Text, len, start)
+            }
+            FieldValue::Shared(s) => {
+                let (next, at) = (self.shared.len() as u64, Arc::as_ptr(&s) as *const u8);
+                let id = *self.shared_ids.entry(at as usize).or_insert(next);
+                if id == next {
+                    self.shared.push(s);
+                }
+                (Tag::Shared, 0, id)
+            }
+            FieldValue::U64(n) => (Tag::U64, 0, n),
+            FieldValue::F64(x) => (Tag::F64, 0, x.to_bits()),
+        };
+        self.cells.push(Cell {
+            key,
+            tag,
+            len,
+            word,
+        });
+    }
+
+    /// End the record whose cells were just pushed with its row.
+    fn close(&mut self, time: SimTime, site: Option<SiteId>, kind: u16, component: u16) {
+        let end = u32::try_from(self.cells.len()).expect("under 2^32 fields in one log");
+        reserve(&mut self.rows, 1, |_| self.max_events);
+        self.rows.push(Row {
+            time,
+            site,
+            kind,
+            component,
+            end,
+        });
+    }
+
+    /// The id of `name` in the names table, added if new. Names compare by
+    /// address and length (two literals of one text may get two ids, which
+    /// render alike); `hint` is tried before the table is scanned.
+    fn name_id(&mut self, name: &'static str, hint: Option<u16>) -> u16 {
+        if let Some(h) = hint.filter(|&h| ptr::eq(self.names[h as usize], name)) {
+            return h;
+        }
+        if let Some(i) = self.names.iter().position(|n| ptr::eq(*n, name)) {
+            return i as u16;
+        }
+        let id = u16::try_from(self.names.len()).expect("under 65 536 distinct names in one log");
+        self.names.push(name);
+        id
+    }
+
+    /// The first cell of row `i`.
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |p| self.rows[p].end as usize)
+    }
+
+    fn value(&self, cell: &Cell) -> Value<'_> {
+        let at = cell.word as usize;
+        match cell.tag {
+            Tag::Name => Value::Text(self.names[at]),
+            Tag::Shared => Value::Text(&self.shared[at]),
+            Tag::Text => Value::Text(&self.text[at..at + cell.len as usize]),
+            Tag::U64 => Value::U64(cell.word),
+            Tag::F64 => Value::F64(f64::from_bits(cell.word)),
+        }
+    }
+
+    fn record(&self, i: usize) -> EventRecord<'_> {
+        let row = self.rows[i];
+        EventRecord {
+            seq: i as u64,
+            time: row.time,
+            kind: self.names[row.kind as usize],
+            site: row.site,
+            component: self.names[row.component as usize],
+            log: self,
+            cells: &self.cells[self.start(i)..row.end as usize],
+        }
+    }
+
     /// All retained records in emission order.
-    pub fn records(&self) -> &[EventRecord] {
-        &self.records
+    pub fn records(&self) -> impl Iterator<Item = EventRecord<'_>> {
+        (0..self.rows.len()).map(|i| self.record(i))
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.rows.len()
     }
 
     /// True when no record has been retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.rows.is_empty()
     }
 
     /// Records emitted past the bound and not retained.
@@ -272,8 +477,8 @@ impl EventLog {
     }
 
     /// Retained records of a given kind, in emission order.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a EventRecord> {
-        self.records.iter().filter(move |r| r.kind == kind)
+    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = EventRecord<'a>> {
+        self.records().filter(move |r| r.kind == kind)
     }
 
     /// Render the whole log as JSONL (one record per line, trailing
@@ -281,11 +486,51 @@ impl EventLog {
     /// across same-seed runs.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for r in &self.records {
+        for r in self.records() {
             r.write_json_line(&mut out);
             out.push('\n');
         }
         out
+    }
+}
+
+/// Make room in `col` for `extra` more: double as `Vec` does, but not past
+/// `limit(need)`, the length the log's bound projects for a column that
+/// needs `need`, unless `need` is more. A step is at least an eighth of the
+/// column, so a low projection cannot turn growth into a copy per record.
+fn reserve<T>(col: &mut Vec<T>, extra: usize, limit: impl FnOnce(usize) -> usize) {
+    let (cap, need) = (col.capacity(), col.len() + extra);
+    if need > cap {
+        let to = (cap * 2)
+            .max(8)
+            .min(limit(need).max(cap + cap / 8))
+            .max(need);
+        col.reserve_exact(to - col.len());
+    }
+}
+
+/// Hashes an address with one multiply, its well-mixed high half rotated
+/// low: the keys are live allocations, so nothing adversarial reaches it.
+#[derive(Clone, Copy, Debug, Default)]
+struct AddressHasher(u64);
+
+impl Hasher for AddressHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 }
 
@@ -346,8 +591,8 @@ mod tests {
             NO_FIELDS,
         );
         assert_eq!(log.len(), 2);
-        assert_eq!(log.records()[0].seq, 0);
-        assert_eq!(log.records()[1].seq, 1);
+        let seqs: Vec<_> = log.records().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 1]);
         let jsonl = log.to_jsonl();
         assert_eq!(
             jsonl,
@@ -357,8 +602,8 @@ mod tests {
              \"component\":\"lease\",\"fields\":{}}\n"
         );
         assert_eq!(log.of_kind("election.won").count(), 1);
-        assert_eq!(log.records()[0].field("group_size").as_deref(), Some("4"));
-        assert_eq!(log.records()[1].field("group_size"), None);
+        let fields: Vec<_> = log.records().map(|r| r.field("group_size")).collect();
+        assert_eq!(fields, [Some("4".into()), None]);
     }
 
     #[test]
@@ -398,26 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn fields_are_held_at_their_exact_size() {
-        let mut log = EventLog::new(4);
-        let name: Arc<str> = "Imaging".into();
-        log.emit_with(SimTime::ZERO, "query.shed", None, "admission", || {
-            [
-                ("class", FieldValue::from("gold")),
-                ("activity", Arc::clone(&name).into()),
-                ("retry_after_ms", 12.5.into()),
-            ]
-        });
-        let fields = &log.records()[0].fields;
-        assert_eq!((fields.len(), fields.capacity()), (3, 3));
-        assert_eq!(Arc::strong_count(&name), 2, "the record shares the name");
-        assert_eq!(
-            log.records()[0].field("retry_after_ms").as_deref(),
-            Some("12.5")
-        );
-    }
-
-    #[test]
     fn escapes_field_values() {
         let mut log = EventLog::new(4);
         log.emit(
@@ -427,9 +652,7 @@ mod tests {
             "rdm.deploy",
             [("error", "bad \"quote\"\nnewline")],
         );
-        let mut line = String::new();
-        log.records()[0].write_json_line(&mut line);
-        assert!(line.contains("bad \\\"quote\\\"\\nnewline"));
+        assert!(log.to_jsonl().contains("bad \\\"quote\\\"\\nnewline"));
     }
 
     /// A record as the string renderer took it: `(seq, time, kind, site,
@@ -501,8 +724,9 @@ mod tests {
     }
 
     /// A random value of each kind the emitters use, with the text the
-    /// string renderer was given for it (`to_string()` of the number).
-    fn random_value(rng: &mut SimRng) -> (FieldValue, String) {
+    /// string renderer was given for it (`to_string()` of the number). A
+    /// shared value is one of `names`, so records share it.
+    fn random_value(rng: &mut SimRng, names: &[Arc<str>]) -> (FieldValue, String) {
         const FLOATS: [f64; 12] = [
             0.0,
             -0.0,
@@ -541,8 +765,8 @@ mod tests {
                 (FieldValue::U64(n), n.to_string())
             }
             2 => {
-                let name: Arc<str> = format!("Act{}", rng.range(0, 50)).into();
-                (FieldValue::Shared(Arc::clone(&name)), name.to_string())
+                let name = &names[rng.index(names.len())];
+                (FieldValue::Shared(Arc::clone(name)), name.to_string())
             }
             3 => {
                 let lit = TEXT[rng.index(TEXT.len())];
@@ -557,23 +781,32 @@ mod tests {
         }
     }
 
+    /// Random records — every value variant, text that needs escapes,
+    /// sites and none, runs past the bound — render as the string renderer
+    /// rendered what was emitted, and the readers answer as the inputs say.
     #[test]
     fn typed_records_render_as_the_string_renderer_did() {
         const KEYS: [&str; 5] = ["count", "activity", "retry_after_ms", "q\"uote", "tab\t"];
-        const KINDS: [&str; 3] = ["query.shed", "esc\\aped", "ctl\u{7}"];
+        // A second `query.shed` at another address: the log tells names
+        // apart by address, its readers by text.
+        let twin: &'static str = Box::leak(String::from("query.shed").into_boxed_str());
+        let kinds = ["query.shed", "esc\\aped", "ctl\u{7}", twin];
+        let names: Vec<Arc<str>> = (0..4).map(|i| format!("Act{i}").into()).collect();
         let mut rng = SimRng::from_seed(29);
         for round in 0..64 {
-            let mut log = EventLog::new(64);
+            let bound = rng.range(0, 40) as usize;
+            let mut log = EventLog::new(bound);
             let mut strings = Vec::new();
-            for i in 0..rng.range(0, 40) {
-                let (kind, component) = (KINDS[rng.index(3)], KINDS[rng.index(3)]);
+            let emitted = rng.range(0, 48);
+            for i in 0..emitted {
+                let (kind, component) = (kinds[rng.index(4)], kinds[rng.index(4)]);
                 let site = rng.chance(0.5).then(|| SiteId(rng.next_u32()));
                 let time = SimTime::from_nanos(rng.next_u64() >> rng.range(0, 64));
                 let fields: Vec<_> = (0..rng.range(0, 5))
-                    .map(|_| (KEYS[rng.index(5)], random_value(&mut rng)))
+                    .map(|_| (KEYS[rng.index(5)], random_value(&mut rng, &names)))
                     .collect();
                 let typed: Vec<_> = fields.iter().map(|(k, (v, _))| (*k, v.clone())).collect();
-                log.emit(time, kind, site, component, typed);
+                assert_eq!(log.emit(time, kind, site, component, typed), i);
                 strings.push((
                     i,
                     time,
@@ -583,7 +816,36 @@ mod tests {
                     fields.into_iter().map(|(k, (_, s))| (k, s)).collect(),
                 ));
             }
+            strings.truncate(bound);
             assert_eq!(log.to_jsonl(), string_renderer(&strings), "round {round}");
+            assert_eq!(log.len(), strings.len());
+            assert_eq!(log.dropped(), emitted.saturating_sub(bound as u64));
+            let seqs = |kind: &str| -> Vec<u64> {
+                strings
+                    .iter()
+                    .filter(|s| s.2 == kind)
+                    .map(|s| s.0)
+                    .collect()
+            };
+            for kind in ["query.shed", "esc\\aped", "ctl\u{7}", "absent"] {
+                assert_eq!(
+                    log.of_kind(kind).map(|r| r.seq).collect::<Vec<_>>(),
+                    seqs(kind)
+                );
+            }
+            for (r, s) in log.records().zip(&strings) {
+                assert_eq!(
+                    (r.seq, r.time, r.kind, r.site, r.component),
+                    (s.0, s.1, s.2, s.3, s.4)
+                );
+                for key in KEYS.into_iter().chain(["absent"]) {
+                    let given = s.5.iter().find(|(k, _)| *k == key).map(|(_, v)| v.as_str());
+                    assert_eq!(r.field(key).as_deref(), given, "round {round}: {key}");
+                }
+            }
+            for name in &names {
+                assert!(Arc::strong_count(name) <= 2, "the log holds {name} once");
+            }
         }
     }
 }

@@ -983,7 +983,7 @@ fn a_torn_crash_is_one_event_that_tears_before_the_last_gasp() {
         sim.schedule_crash_torn(SimTime::from_secs(1), SiteId(0), torn);
         sim.start();
         let events = sim.run_to_quiescence(100);
-        let kinds: Vec<_> = sim.events().unwrap().records().iter().map(|r| r.kind).collect();
+        let kinds: Vec<_> = sim.events().unwrap().records().map(|r| r.kind).collect();
         (events, kinds, sim.store(SiteId(0)).unwrap().stats().torn_records)
     };
     let (plain_events, plain_kinds, _) = run(0);

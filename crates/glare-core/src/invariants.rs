@@ -90,7 +90,7 @@ pub(crate) fn cache_origins(sim: &Simulation, ids: &[ActorId], now: SimTime) -> 
 
 /// The `failure.confirmed` records of a log: each a super-peer some node
 /// declared dead.
-pub(crate) fn confirmed_failures(events: &EventLog) -> impl Iterator<Item = &EventRecord> {
+pub(crate) fn confirmed_failures(events: &EventLog) -> impl Iterator<Item = EventRecord<'_>> {
     events.of_kind("failure.confirmed")
 }
 

@@ -698,8 +698,7 @@ fn torn_journal_truncates_at_last_valid_record() {
     assert_eq!(
         rec.field("truncated_records").as_deref(),
         Some("2"),
-        "recovery reports the torn tail: {:?}",
-        rec.fields
+        "recovery reports the torn tail: {rec:?}",
     );
     assert!(ev.of_kind("store.torn").count() >= 1, "kernel recorded the tear");
 }

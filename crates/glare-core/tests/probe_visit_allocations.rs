@@ -20,8 +20,7 @@ use glare_core::admission::{AdmissionConfig, TenantClass};
 use glare_core::model::{example_hierarchy, ActivityDeployment};
 use glare_core::{NodeMsg, OverlayBuilder, QueryScope};
 use glare_fabric::{
-    Actor, ActorId, Ctx, Envelope, FieldValue, SimDuration, SimTime, Simulation, SiteId,
-    TimerToken,
+    Actor, ActorId, Ctx, Envelope, SimDuration, SimTime, Simulation, SiteId, TimerToken,
 };
 
 #[path = "../../fabric/tests/support/counting_alloc.rs"]
@@ -196,14 +195,17 @@ fn a_warm_cache_hit_through_a_bounded_door_allocates_its_messages_continuation_a
 /// The door of the test above at capacity 1, with the event log on and
 /// two queries a period: a request holds the one slot for a few periods,
 /// and every query that arrives meanwhile is shed. An answered query costs
-/// what it does above. A shed one costs its query's box, the rejection's
-/// box and the `query.shed` record's one field vector, which the log keeps:
-/// its kind and class label are literals, its activity the prober's shared
-/// name and its retry-after hint a float. Before records kept typed fields
-/// the same shed cost 11 blocks: the record's kind, component, field
-/// vector, three keys and three values were each a heap block.
+/// what it does above. A shed one costs its query's box and the
+/// rejection's box; the `query.shed` record the log keeps costs none: its
+/// kind, component, keys and class label are names the log already holds,
+/// its activity the prober's shared name, which the log holds once, and
+/// its retry-after hint a float, all in columns already grown. Before
+/// records kept typed fields the same shed cost 11 blocks (the record's
+/// kind, component, field vector, three keys and three values were each a
+/// heap block); before the log kept its records in columns it cost 3, the
+/// third the record's own field vector.
 #[test]
-fn a_query_shed_at_a_full_door_allocates_its_messages_and_one_event_record() {
+fn a_query_shed_at_a_full_door_allocates_only_its_messages() {
     let mut overlay = OverlayBuilder::new(1, 7);
     overlay.configure(|_, cfg| cfg.admission = AdmissionConfig::bounded(1));
     overlay.seed(|_, node| {
@@ -226,8 +228,8 @@ fn a_query_shed_at_a_full_door_allocates_its_messages_and_one_event_record() {
         (p.answers, p.rejected)
     };
     let before = replies(&sim);
-    // An eighth of a phase: the log's record vector, grown past the first
-    // phase's records, has room for these without reallocating.
+    // An eighth of a phase: the log's columns, grown past the first
+    // phase's records, have room for these without reallocating.
     let ticks = PHASE / 8;
     let spent = spent(&mut sim, end_of_phase(1) + PERIOD * ticks);
     let after = replies(&sim);
@@ -239,12 +241,11 @@ fn a_query_shed_at_a_full_door_allocates_its_messages_and_one_event_record() {
     let answer = 4 * std::mem::size_of::<Arc<ActivityDeployment>>() as u64;
     let per_answer = 2 * std::mem::size_of::<NodeMsg>() as u64 + CONTINUATION + answer;
     let per_shed = 2 * std::mem::size_of::<NodeMsg>() as u64;
-    let record = 3 * std::mem::size_of::<(&str, FieldValue)>() as u64;
     assert_eq!(
         spent,
         (
-            4 * answered + 3 * shed,
-            answered * per_answer + shed * (per_shed + record),
+            4 * answered + 2 * shed,
+            answered * per_answer + shed * per_shed,
             answered * per_answer + shed * per_shed,
         ),
         "(allocations, bytes, bytes freed) over {answered} answered and {shed} shed queries"

@@ -8,7 +8,9 @@
 #      of `crates/bench` (CHANGES.md, PR 18, maps every former shell gate to
 #      its test); the allocation pins run here too, each its own test binary
 #      with the counting allocator of crates/fabric/tests/support/:
-#      fabric's steady_state_allocations, glare-core's probe_visit_allocations,
+#      fabric's steady_state_allocations and event_log_allocations (a kept
+#      query.shed record holds 72 bytes and, once the log's columns have
+#      grown, allocates nothing), glare-core's probe_visit_allocations,
 #      grid_request_allocations, registry_read_allocations (a warm ATR
 #      lookup, the request envelope, the reply, an MDS query_by_name at
 #      registry_read's 300 types) and node_build_allocations (one

@@ -26,7 +26,7 @@
 //! invariant violations, event digest) derives from sim-time alone, so
 //! it is byte-identical for a given seed.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use glare_core::autonomic::{
@@ -37,7 +37,7 @@ use glare_core::autonomic::{
 use glare_core::grid::Grid;
 use glare_core::invariants;
 use glare_core::model::ActivityType;
-use glare_core::rdm::install_with_dependencies;
+use glare_core::rdm::install;
 use glare_fabric::store::fnv1a;
 use glare_fabric::{percentile, Labels, SimDuration, SimTime};
 use glare_services::{ChannelKind, Transport};
@@ -275,9 +275,7 @@ fn seeded_grid(p: &AutonomicParams) -> Grid {
         let ty = ActivityType::concrete_type(name, "autonomic", pkg);
         grid.register_type(0, ty.clone(), t0).unwrap();
         let home = i % p.sites;
-        let (mut seen, mut report) = (HashSet::new(), Vec::new());
-        let channel = ChannelKind::Expect;
-        install_with_dependencies(&mut grid, &ty, home, channel, t0, &mut seen, &mut report, None)
+        install(&mut grid, &ty, home, ChannelKind::Expect, t0)
             .expect("seed install succeeds on a healthy grid");
     }
     grid

@@ -16,7 +16,7 @@
 //!   (live replica count below [`MIN_REPLICAS`]).
 //!
 //! All actions flow through the existing deploy-file machinery
-//! ([`crate::rdm::install_with_dependencies`] /
+//! ([`crate::rdm::install`] /
 //! [`Grid::uninstall_deployment`]), so they inherit its retries,
 //! idempotence guards and durability journaling for free.
 //!
@@ -51,7 +51,7 @@ use glare_services::ChannelKind;
 
 use crate::grid::Grid;
 use crate::lease::LeaseKind;
-use crate::rdm::install_with_dependencies;
+use crate::rdm::install;
 
 /// Metric family the harness publishes per-activity offered demand under
 /// (label `activity`, value requests per simulated second). The
@@ -481,22 +481,11 @@ impl PlacementController {
         }
         match action.kind {
             ActionKind::Provision | ActionKind::Reprovision => {
-                let Some((t, _, _)) = grid.find_type(self.home, &action.type_name, now) else {
+                let Some(t) = grid.find_type(self.home, &action.type_name, now) else {
                     return ActionOutcome::Failed;
                 };
-                let mut visiting = HashSet::new();
-                let mut reports = Vec::new();
-                match install_with_dependencies(
-                    grid,
-                    &t,
-                    action.site,
-                    self.channel,
-                    now,
-                    &mut visiting,
-                    &mut reports,
-                    None,
-                ) {
-                    Ok(()) => ActionOutcome::Applied,
+                match install(grid, &t, action.site, self.channel, now) {
+                    Ok(_) => ActionOutcome::Applied,
                     Err(_) => ActionOutcome::Failed,
                 }
             }
@@ -762,19 +751,7 @@ mod tests {
         let mut grid = Grid::new(4, Transport::Http);
         let ty = crate::model::ActivityType::concrete_type("Hot", "autonomic", "povray");
         grid.register_type(0, ty.clone(), t(0)).unwrap();
-        let mut visiting = HashSet::new();
-        let mut reports = Vec::new();
-        install_with_dependencies(
-            &mut grid,
-            &ty,
-            0,
-            ChannelKind::Expect,
-            t(0),
-            &mut visiting,
-            &mut reports,
-            None,
-        )
-        .unwrap();
+        install(&mut grid, &ty, 0, ChannelKind::Expect, t(0)).unwrap();
         grid.metrics
             .gauge(DEMAND_FAMILY, &Labels::of(&[("activity", "Hot")]))
             .set(t(5), 500.0);

@@ -442,34 +442,22 @@ impl Grid {
         removed
     }
 
-    /// Find a type anywhere in the VO: the local registry first, then the
-    /// iterative lookup across other sites. Returns the type, the index of
-    /// the site that had it, and the accumulated lookup cost (remote hops
-    /// pay a network round-trip each).
+    /// Site indices in the order a VO-wide lookup asks them: the asking
+    /// site first, then the others in index order.
+    fn asking_first(&self, from_site: usize) -> impl Iterator<Item = usize> {
+        std::iter::once(from_site).chain(self.site_indices().filter(move |&i| i != from_site))
+    }
+
+    /// Find a type anywhere in the VO: the asking site's registry first,
+    /// then the other sites'. Returns the registry's shared entry.
     pub(crate) fn find_type(
-        &mut self,
+        &self,
         from_site: usize,
         name: &str,
         now: SimTime,
-    ) -> Option<(ActivityType, usize, SimDuration)> {
-        let mut cost = SimDuration::ZERO;
-        // Local first.
-        if let Some(resp) = self.sites[from_site].atr.lookup(name, now) {
-            return Some((ActivityType::clone(&resp.value), from_site, resp.cost));
-        }
-        cost += SimDuration::from_millis(4);
-        // Then the rest of the VO.
-        let rtt = self.link.transfer_time(1024) * 2;
-        for i in self.site_indices() {
-            if i == from_site {
-                continue;
-            }
-            cost += rtt;
-            if let Some(resp) = self.sites[i].atr.lookup(name, now) {
-                return Some((ActivityType::clone(&resp.value), i, cost + resp.cost));
-            }
-        }
-        None
+    ) -> Option<Arc<ActivityType>> {
+        let found = self.asking_first(from_site).find_map(|i| self.sites[i].atr.lookup(name, now));
+        found.map(|resp| resp.value)
     }
 
     /// Resolve a possibly-abstract type name to deployable concrete types,
@@ -482,8 +470,7 @@ impl Grid {
         project: impl Fn(&ActivityType) -> R,
     ) -> (Vec<R>, SimDuration) {
         let mut cost = SimDuration::ZERO;
-        let order = std::iter::once(from_site)
-            .chain(self.site_indices().filter(|&i| i != from_site));
+        let order = self.asking_first(from_site);
         let rtt = self.link.transfer_time(1024) * 2;
         // A site's closure names each of its types once: nothing repeats.
         let concrete = |t: &ActivityType| (t.kind == TypeKind::Concrete).then(|| project(t));
@@ -831,9 +818,8 @@ mod tests {
             let _ = crate::RequestManager::new(false).list_deployments(g, 0, "Wien2k", t(2));
         }
         fn deploy(g: &mut Grid) {
-            let (ty, _, _) = g.find_type(0, "Wien2k", t(2)).expect("registered");
-            let channel = glare_services::ChannelKind::Expect;
-            let _ = crate::rdm::install_package(g, &ty, 1, channel, t(2), None);
+            let ty = g.find_type(0, "Wien2k", t(2)).expect("registered");
+            let _ = crate::rdm::install(g, &ty, 1, glare_services::ChannelKind::Expect, t(2));
         }
         [("lease", lease), ("probe", probe), ("deploy", deploy)]
     }
@@ -969,16 +955,20 @@ mod tests {
 
     #[test]
     fn find_type_local_then_remote() {
-        let mut g = grid_with_types();
-        // From the registering site: local hit, cheap.
-        let (ty, site, local_cost) = g.find_type(0, "JPOVray", t(1)).unwrap();
-        assert_eq!(ty.name, "JPOVray");
-        assert_eq!(site, 0);
-        // From another site: found remotely, costlier.
-        let (_, site, remote_cost) = g.find_type(2, "JPOVray", t(1)).unwrap();
-        assert_eq!(site, 0);
-        assert!(remote_cost > local_cost);
+        let g = grid_with_types();
+        let served = |g: &Grid| (0..3).map(|i| g.site(i).atr.lookups_served()).collect::<Vec<_>>();
+        // From the registering site: a local hit asks no other site.
+        let before = served(&g);
+        let local = g.find_type(0, "JPOVray", t(1)).unwrap();
+        assert_eq!(local.name, "JPOVray");
+        assert_eq!(served(&g), [before[0] + 1, before[1], before[2]]);
+        // From site 2: its own registry misses, then site 0 hits and site 1
+        // is never asked. Both hand out the registry's one shared entry.
+        let remote = g.find_type(2, "JPOVray", t(1)).unwrap();
+        assert!(Arc::ptr_eq(&local, &remote));
+        assert_eq!(served(&g), [before[0] + 2, before[1], before[2] + 1]);
         assert!(g.find_type(1, "Ghost", t(1)).is_none());
+        assert_eq!(served(&g), [before[0] + 3, before[1] + 1, before[2] + 2]);
     }
 
     #[test]
@@ -1105,11 +1095,11 @@ mod tests {
     #[test]
     fn eligible_sites_respect_constraints_and_installed() {
         let mut g = grid_with_types();
-        let (ty, _, _) = g.find_type(0, "Wien2k", t(1)).unwrap();
+        let ty = g.find_type(0, "Wien2k", t(1)).unwrap();
         assert_eq!(g.eligible_sites(&ty).len(), 3);
         // Make one site incompatible.
         g.site_mut(1).host.platform = Platform::new("SPARC", "Solaris", "64bit");
-        let mut constrained = ty.clone();
+        let mut constrained = ActivityType::clone(&ty);
         constrained.installation.as_mut().unwrap().constraints =
             crate::model::InstallConstraints::intel_linux_32();
         let elig = g.eligible_sites(&constrained);
@@ -1119,10 +1109,9 @@ mod tests {
     #[test]
     fn limits_cap_eligibility() {
         let mut g = grid_with_types();
-        let mut limited =
-            ActivityType::concrete_type("Limited", "d", "wien2k").with_limits(0, 0);
-        g.register_type(0, limited.clone(), t(0)).unwrap();
-        limited = g.find_type(0, "Limited", t(1)).unwrap().0;
+        let limited = ActivityType::concrete_type("Limited", "d", "wien2k").with_limits(0, 0);
+        g.register_type(0, limited, t(0)).unwrap();
+        let limited = g.find_type(0, "Limited", t(1)).unwrap();
         assert!(
             g.eligible_sites(&limited).is_empty(),
             "max=0 forbids any deployment"

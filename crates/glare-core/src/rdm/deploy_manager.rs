@@ -193,18 +193,7 @@ fn provision_inner(
         })?,
     };
 
-    let mut installs = Vec::new();
-    let mut visiting = HashSet::new();
-    install_with_dependencies(
-        grid,
-        &target_type,
-        site,
-        req.channel,
-        now,
-        &mut visiting,
-        &mut installs,
-        Some(root),
-    )?;
+    let installs = install_under(grid, &target_type, site, req.channel, now, Some(root))?;
     total_cost += installs.iter().map(|r| r.breakdown.total()).sum();
 
     let deployments = grid.deployments_anywhere(&target_type.name, now);
@@ -241,98 +230,175 @@ pub(crate) fn cache_remote(
     }
 }
 
-/// Depth-first dependency-closure installation onto one target site.
-/// `parent` is the trace span the per-package `deploy.install` spans
-/// chain under (`None` starts a fresh trace per package).
-#[allow(clippy::too_many_arguments)]
-pub fn install_with_dependencies(
+/// Install `t` on `site` through `channel`, dependencies first (§2.2: Java
+/// and Ant before JPOVray; one already installed there is skipped).
+/// Returns one report per package installed, in install order. Each
+/// package's `deploy.install` span starts a trace of its own.
+pub fn install(
     grid: &mut Grid,
     t: &ActivityType,
     site: usize,
     channel: ChannelKind,
     now: SimTime,
-    visiting: &mut HashSet<String>,
-    reports: &mut Vec<InstallReport>,
-    parent: Option<TraceContext>,
-) -> Result<(), GlareError> {
-    if !visiting.insert(t.name.clone()) {
-        let mut path: Vec<String> = visiting.iter().cloned().collect();
-        path.sort();
-        path.push(t.name.clone());
-        return Err(GlareError::DependencyCycle { path });
-    }
-
-    let inst = t
-        .installation
-        .as_ref()
-        .ok_or_else(|| GlareError::InvalidType {
-            name: t.name.clone(),
-            reason: "abstract types cannot be installed".into(),
-        })?
-        .clone();
-
-    if inst.mode == InstallMode::Manual {
-        let site_name = grid.site(site).name.clone();
-        grid.notify_admin(site, &t.name, "manual installation required", &t.provider_contact);
-        visiting.remove(&t.name);
-        return Err(GlareError::ManualInstallRequired {
-            type_name: t.name.clone(),
-            site: site_name,
-        });
-    }
-
-    if !inst.constraints.accepts(&grid.site(site).host.platform) {
-        visiting.remove(&t.name);
-        return Err(GlareError::NoEligibleSite {
-            type_name: t.name.clone(),
-        });
-    }
-
-    // Dependencies first (§2.2: Java and Ant before JPOVray).
-    for dep_name in &t.dependencies {
-        let (dep_type, _, _) =
-            grid.find_type(site, dep_name, now)
-                .ok_or_else(|| GlareError::NotFound {
-                    what: format!("dependency type {dep_name}"),
-                })?;
-        let dep_pkg = dep_type
-            .installation
-            .as_ref()
-            .map(|i| i.package.clone())
-            .unwrap_or_default();
-        if grid.site(site).host.is_installed(&dep_pkg) {
-            continue;
-        }
-        install_with_dependencies(grid, &dep_type, site, channel, now, visiting, reports, parent)?;
-    }
-
-    let report = install_package(grid, t, site, channel, now, parent)?;
-    reports.push(report);
-    visiting.remove(&t.name);
-    Ok(())
+) -> Result<Vec<InstallReport>, GlareError> {
+    install_under(grid, t, site, channel, now, None)
 }
 
-/// Install one package on one site through a channel, producing the
-/// Table 1 cost rows. Records a `deploy.install` span (one child per
-/// deploy-file step) into `grid.trace`, parented under `parent`. An early
-/// error return leaves its `deploy.install` (and `deploy.step`) span open:
-/// nothing on the `Grid` path calls [`TraceSink::finish`], so such spans
-/// stay in [`TraceSink::open_spans`] for the Grid's life and never reach
-/// `spans()` or an export.
-pub fn install_package(
+/// [`install`], chaining each package's `deploy.install` span under
+/// `parent` (`None` starts a fresh trace per package).
+fn install_under(
     grid: &mut Grid,
     t: &ActivityType,
     site: usize,
     channel: ChannelKind,
     now: SimTime,
     parent: Option<TraceContext>,
-) -> Result<InstallReport, GlareError> {
-    // The sink is moved out for the duration of the install so service
-    // calls can borrow `grid` (sites, repo) and the sink simultaneously.
-    let mut trace = std::mem::take(&mut grid.trace);
-    let out = install_package_traced(grid, t, site, channel, now, parent, &mut trace);
-    grid.trace = trace;
-    out
+) -> Result<Vec<InstallReport>, GlareError> {
+    let (visiting, reports) = (HashSet::new(), Vec::new());
+    let mut closure = Closure { site, channel, now, parent, visiting, reports };
+    closure.visit(grid, t)?;
+    Ok(closure.reports)
+}
+
+/// A dependency-closure install in progress: where, how and when it
+/// installs, the span its packages chain under, the types on the path from
+/// the requested one down (meeting one again is a cycle), and the packages
+/// installed so far.
+struct Closure {
+    site: usize,
+    channel: ChannelKind,
+    now: SimTime,
+    parent: Option<TraceContext>,
+    visiting: HashSet<String>,
+    reports: Vec<InstallReport>,
+}
+
+impl Closure {
+    /// Depth-first: install `t`'s missing dependencies, then `t`. An error
+    /// ends the whole closure.
+    fn visit(&mut self, grid: &mut Grid, t: &ActivityType) -> Result<(), GlareError> {
+        if !self.visiting.insert(t.name.clone()) {
+            let mut path: Vec<String> = self.visiting.iter().cloned().collect();
+            path.sort();
+            path.push(t.name.clone());
+            return Err(GlareError::DependencyCycle { path });
+        }
+        let inst = t.installation.as_ref().ok_or_else(|| GlareError::InvalidType {
+            name: t.name.clone(),
+            reason: "abstract types cannot be installed".into(),
+        })?;
+        if inst.mode == InstallMode::Manual {
+            let site_name = grid.site(self.site).name.clone();
+            let reason = "manual installation required";
+            grid.notify_admin(self.site, &t.name, reason, &t.provider_contact);
+            return Err(GlareError::ManualInstallRequired {
+                type_name: t.name.clone(),
+                site: site_name,
+            });
+        }
+        if !inst.constraints.accepts(&grid.site(self.site).host.platform) {
+            return Err(GlareError::NoEligibleSite {
+                type_name: t.name.clone(),
+            });
+        }
+        for dep_name in &t.dependencies {
+            let dep = grid.find_type(self.site, dep_name, self.now).ok_or_else(|| {
+                GlareError::NotFound {
+                    what: format!("dependency type {dep_name}"),
+                }
+            })?;
+            let host = &grid.site(self.site).host;
+            if !dep.installation.as_ref().is_some_and(|i| host.is_installed(&i.package)) {
+                self.visit(grid, &dep)?;
+            }
+        }
+        let report = self.install_package(grid, t)?;
+        self.reports.push(report);
+        self.visiting.remove(&t.name);
+        Ok(())
+    }
+
+    /// Install the one package of `t` (checked installable by `visit`) on
+    /// the closure's site, producing the Table 1 cost rows. Records a
+    /// `deploy.install` span (one child per deploy-file step) into
+    /// `grid.trace`, parented under the closure's span. An early error
+    /// return leaves its `deploy.install` (and `deploy.step`) span open:
+    /// nothing on the `Grid` path calls [`TraceSink::finish`], so such spans
+    /// stay in [`TraceSink::open_spans`] for the Grid's life and never reach
+    /// `spans()` or an export.
+    fn install_package(
+        &self,
+        grid: &mut Grid,
+        t: &ActivityType,
+    ) -> Result<InstallReport, GlareError> {
+        let (site, channel, now) = (self.site, self.channel, self.now);
+        let inst = t.installation.as_ref().expect("checked by caller");
+        let site_name = grid.site(site).name.clone();
+        let spec = glare_services::packages::by_name(&inst.package).ok_or_else(|| {
+            GlareError::InstallFailed {
+                type_name: t.name.clone(),
+                site: site_name.clone(),
+                detail: format!("unknown package {}", inst.package),
+            }
+        })?;
+        let site_id = Some(SiteId(site as u32));
+        let (parent, kind) = (self.parent, SpanKind::Service);
+        let span = grid.trace.open(parent, "deploy.install", kind, site_id, None, now);
+        grid.trace.attr(span.span_id, "type", t.name.clone());
+        grid.trace.attr(span.span_id, "package", spec.name.as_str());
+        let mut install = Install {
+            t,
+            site,
+            site_name,
+            channel,
+            site_id,
+            span,
+            session: grid.site(site).host.open_session(),
+            at: now + channel.fixed_overhead(),
+            breakdown: CostBreakdown {
+                channel_overhead: channel.fixed_overhead(),
+                ..CostBreakdown::default()
+            },
+        };
+
+        // Dynamic type registration at the target site (+ deploy-file fetch
+        // and validation).
+        if !grid.site(site).atr.contains(&t.name) {
+            grid.register_type(site, t.clone(), now)?;
+        }
+        let trace = &mut grid.trace;
+        install.charge(trace, |b| &mut b.type_addition, "type.register", TYPE_ADDITION_COST, []);
+
+        // The package's deploy-file, planned once per archive digest: the
+        // session just opened is in the default environment it was planned in.
+        let plan = PackagePlan::shared(spec, grid.repo.md5_of(&spec.archive_url))?;
+        for action in &plan.actions {
+            install.wait_out_fault(grid, action)?;
+            match action {
+                PlannedAction::Transfer {
+                    url,
+                    destination,
+                    md5,
+                    ..
+                } => install.transfer(grid, action, url, destination, *md5)?,
+                PlannedAction::Shell {
+                    command, workdir, ..
+                } => install.shell(grid, action, command, workdir, &plan.file.dialog)?,
+            }
+        }
+
+        install.register_deployments(grid, &spec.name, now)?;
+        let cost = grid.notify_admin(site, &t.name, "activity deployed", &t.provider_contact);
+        install.charge(&mut grid.trace, |b| &mut b.notification, "notify.admin", cost, []);
+        grid.trace.close(span.span_id, install.at);
+
+        Ok(InstallReport {
+            type_name: t.name.clone(),
+            site: install.site_name,
+            package: spec.name.clone(),
+            breakdown: install.breakdown,
+        })
+    }
 }
 
 /// One package install in progress: what goes where, the `deploy.install`
@@ -349,81 +415,6 @@ struct Install<'a> {
     /// step spans out sequentially the way the cost model charges them.
     at: SimTime,
     breakdown: CostBreakdown,
-}
-
-fn install_package_traced(
-    grid: &mut Grid,
-    t: &ActivityType,
-    site: usize,
-    channel: ChannelKind,
-    now: SimTime,
-    parent: Option<TraceContext>,
-    trace: &mut TraceSink,
-) -> Result<InstallReport, GlareError> {
-    let inst = t.installation.as_ref().expect("checked by caller");
-    let site_name = grid.site(site).name.clone();
-    let spec = glare_services::packages::by_name(&inst.package).ok_or_else(|| {
-        GlareError::InstallFailed {
-            type_name: t.name.clone(),
-            site: site_name.clone(),
-            detail: format!("unknown package {}", inst.package),
-        }
-    })?;
-    let site_id = Some(SiteId(site as u32));
-    let span = trace.open(parent, "deploy.install", SpanKind::Service, site_id, None, now);
-    trace.attr(span.span_id, "type", t.name.clone());
-    trace.attr(span.span_id, "package", spec.name.as_str());
-    let mut install = Install {
-        t,
-        site,
-        site_name,
-        channel,
-        site_id,
-        span,
-        session: grid.site(site).host.open_session(),
-        at: now + channel.fixed_overhead(),
-        breakdown: CostBreakdown {
-            channel_overhead: channel.fixed_overhead(),
-            ..CostBreakdown::default()
-        },
-    };
-
-    // Dynamic type registration at the target site (+ deploy-file fetch
-    // and validation).
-    if !grid.site(site).atr.contains(&t.name) {
-        grid.register_type(site, t.clone(), now)?;
-    }
-    install.charge(trace, |b| &mut b.type_addition, "type.register", TYPE_ADDITION_COST, []);
-
-    // The package's deploy-file, planned once per archive digest: the
-    // session just opened is in the default environment it was planned in.
-    let plan = PackagePlan::shared(spec, grid.repo.md5_of(&spec.archive_url))?;
-    for action in &plan.actions {
-        install.wait_out_fault(grid, action)?;
-        match action {
-            PlannedAction::Transfer {
-                url,
-                destination,
-                md5,
-                ..
-            } => install.transfer(grid, trace, action, url, destination, *md5)?,
-            PlannedAction::Shell {
-                command, workdir, ..
-            } => install.shell(grid, trace, action, command, workdir, &plan.file.dialog)?,
-        }
-    }
-
-    install.register_deployments(grid, trace, &spec.name, now)?;
-    let notify_cost = grid.notify_admin(site, &t.name, "activity deployed", &t.provider_contact);
-    install.charge(trace, |b| &mut b.notification, "notify.admin", notify_cost, []);
-    trace.close(span.span_id, install.at);
-
-    Ok(InstallReport {
-        type_name: t.name.clone(),
-        site: install.site_name,
-        package: spec.name.clone(),
-        breakdown: install.breakdown,
-    })
 }
 
 impl Install<'_> {
@@ -535,13 +526,12 @@ impl Install<'_> {
     fn transfer(
         &mut self,
         grid: &mut Grid,
-        trace: &mut TraceSink,
         action: &PlannedAction,
         url: &str,
         destination: &str,
         md5: Option<Md5Digest>,
     ) -> Result<(), GlareError> {
-        let sspan = self.open_step(trace, action.step_name(), "transfer");
+        let sspan = self.open_step(&mut grid.trace, action.step_name(), "transfer");
         let receipt = gridftp::download_traced(
             &grid.repo,
             url,
@@ -549,7 +539,7 @@ impl Install<'_> {
             &VPath::new(destination),
             grid.link,
             md5,
-            trace,
+            &mut grid.trace,
             Some(sspan),
             self.at,
         )?;
@@ -558,7 +548,7 @@ impl Install<'_> {
         self.check_timeout(action, cost)?;
         self.breakdown.communication += cost;
         self.at += cost;
-        trace.close(sspan.span_id, self.at);
+        grid.trace.close(sspan.span_id, self.at);
         Ok(())
     }
 
@@ -566,15 +556,14 @@ impl Install<'_> {
     fn shell(
         &mut self,
         grid: &mut Grid,
-        trace: &mut TraceSink,
         action: &PlannedAction,
         command: &str,
         workdir: &str,
         dialog: &ExpectScript,
     ) -> Result<(), GlareError> {
         let step = action.step_name();
-        let sspan = self.open_step(trace, step, "shell");
-        let host = &mut grid.site_mut(self.site).host;
+        let sspan = self.open_step(&mut grid.trace, step, "shell");
+        let (host, trace) = (&mut grid.sites[self.site].host, &mut grid.trace);
         // Enter the step's working directory (create it if the deploy-file
         // expects it, as Fig. 9's Init step does).
         if !host.enter_dir(&mut self.session, workdir) {
@@ -623,7 +612,6 @@ impl Install<'_> {
     fn register_deployments(
         &mut self,
         grid: &mut Grid,
-        trace: &mut TraceSink,
         package: &str,
         now: SimTime,
     ) -> Result<(), GlareError> {
@@ -657,6 +645,7 @@ impl Install<'_> {
         }
         let reg_cost = DEPLOYMENT_REGISTRATION_COST + SimDuration::from_millis(2) * n as u64;
         let attrs = [("keys", count_attr(n))];
+        let trace = &mut grid.trace;
         self.charge(trace, |b| &mut b.deployment_registration, "adr.register", reg_cost, attrs);
         Ok(())
     }
@@ -907,14 +896,13 @@ mod tests {
         let file = DeployFile::from_xml(&glare_wsrf::parse_xml(xml).unwrap()).unwrap();
         let plan = file.plan(glare_services::SiteHost::default_env()).unwrap();
         let (mut g, ty) = (grid(), ActivityType::concrete_type("Spaced", "d", "wien2k"));
-        let mut trace = TraceSink::default();
         let mut install = Install {
             t: &ty,
             site: 0,
             site_name: g.site(0).name.clone(),
             channel: ChannelKind::Expect,
             site_id: Some(SiteId(0)),
-            span: trace.open(None, "deploy.install", SpanKind::Service, None, None, t(1)),
+            span: g.trace.open(None, "deploy.install", SpanKind::Service, None, None, t(1)),
             session: g.site(0).host.open_session(),
             at: t(1),
             breakdown: CostBreakdown::default(),
@@ -927,7 +915,7 @@ mod tests {
                 unreachable!()
             };
             install
-                .shell(&mut g, &mut trace, action, command, workdir, &file.dialog)
+                .shell(&mut g, action, command, workdir, &file.dialog)
                 .unwrap();
         }
         let vfs = &g.site(0).host.vfs;

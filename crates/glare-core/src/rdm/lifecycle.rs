@@ -19,6 +19,7 @@ use glare_fabric::{SimDuration, SimTime};
 use crate::error::GlareError;
 use crate::grid::Grid;
 use crate::model::{ActivityDeployment, DeploymentAccess};
+use crate::rdm::deploy_manager::{install, InstallReport};
 
 /// Cost of a wrapper-service generation + container deployment.
 pub(crate) const WRAPPER_GENERATION_COST: SimDuration = SimDuration::from_millis(4_200);
@@ -47,71 +48,56 @@ pub fn undeploy(
     retire_type: bool,
     now: SimTime,
 ) -> Result<UndeployReport, GlareError> {
-    // §3.2: "The GLARE ensures that a leased activity remains available
-    // ... during the leased timeframe" — refuse to remove deployments
-    // with active leases.
-    let guard_sites: Vec<usize> = match only_site {
+    let sites: Vec<usize> = match only_site {
         Some(i) => vec![i],
         None => grid.site_indices().collect(),
     };
-    for i in guard_sites {
-        for k in grid.site(i).adr.keys(now) {
-            let is_ours = grid
-                .site(i)
-                .adr
-                .lookup(&k, now)
-                .is_some_and(|r| r.value.type_name == type_name);
-            if is_ours && !grid.site(i).leases.active_leases(&k, now).is_empty() {
-                return Err(GlareError::LeaseDenied {
-                    deployment: k,
-                    reason: "cannot undeploy a leased activity".into(),
-                });
-            }
+    // Each site's deployments of the type. No removal changes another
+    // site's list, so the guard and the walk read the same lists.
+    let listed: Vec<(usize, Vec<String>)> = sites
+        .into_iter()
+        .map(|i| {
+            let adr = &grid.site(i).adr;
+            let ours =
+                |k: &String| adr.lookup(k, now).is_some_and(|r| r.value.type_name == type_name);
+            (i, adr.keys(now).into_iter().filter(ours).collect())
+        })
+        .collect();
+    // §3.2: "The GLARE ensures that a leased activity remains available
+    // ... during the leased timeframe" — refuse to remove deployments
+    // with active leases, before anything is removed.
+    for (i, keys) in &listed {
+        let leases = &grid.site(*i).leases;
+        if let Some(k) = keys.iter().find(|k| !leases.active_leases(k, now).is_empty()) {
+            return Err(GlareError::LeaseDenied {
+                deployment: k.clone(),
+                reason: "cannot undeploy a leased activity".into(),
+            });
         }
     }
     let mut report = UndeployReport {
         removed: Vec::new(),
         uninstalled: Vec::new(),
-        type_retired: false,
+        type_retired: retire_type,
     };
-    let mut found_any = false;
-    let sites: Vec<usize> = match only_site {
-        Some(i) => vec![i],
-        None => grid.site_indices().collect(),
-    };
-    for i in sites {
+    let found_any = listed.iter().any(|(_, keys)| !keys.is_empty());
+    for (i, keys) in listed {
         let site_name = grid.site(i).name.clone();
         // Deregister deployments of the type at this site.
-        let keys: Vec<String> = grid
-            .site(i)
-            .adr
-            .keys(now)
-            .into_iter()
-            .filter(|k| {
-                grid.site(i)
-                    .adr
-                    .lookup(k, now)
-                    .is_some_and(|r| r.value.type_name == type_name)
-            })
-            .collect();
-        let mut package = None;
         for k in &keys {
-            found_any = true;
             if grid.remove_deployment(i, k, now) {
                 report.removed.push((k.clone(), site_name.clone()));
             }
         }
         // Uninstall the backing package from the host.
-        if let Some(t) = grid.site(i).atr.lookup(type_name, now).map(|r| r.value) {
-            package = t.installation.as_ref().map(|inst| inst.package.clone());
-        }
-        if let Some(pkg) = package {
-            if !keys.is_empty() && grid.site_mut(i).host.uninstall(&pkg).is_some() {
-                report.uninstalled.push((pkg, site_name.clone()));
+        let t = grid.site(i).atr.lookup(type_name, now).map(|r| r.value);
+        if let Some(inst) = t.as_ref().and_then(|t| t.installation.as_ref()) {
+            if !keys.is_empty() && grid.site_mut(i).host.uninstall(&inst.package).is_some() {
+                report.uninstalled.push((inst.package.clone(), site_name.clone()));
             }
         }
         // Evict stale cached references everywhere.
-        for j in grid.site_indices().collect::<Vec<_>>() {
+        for j in grid.site_indices() {
             for k in &keys {
                 grid.site_mut(j).cache.evict_deployment(k);
             }
@@ -119,9 +105,6 @@ pub fn undeploy(
         if retire_type {
             let _ = grid.remove_type(i, type_name, now);
         }
-    }
-    if retire_type {
-        report.type_retired = true;
     }
     if !found_any && !retire_type {
         return Err(GlareError::NotFound {
@@ -194,7 +177,7 @@ pub fn enforce_min_deployments(
     grid: &mut Grid,
     channel: glare_services::ChannelKind,
     now: SimTime,
-) -> Result<Vec<crate::rdm::deploy_manager::InstallReport>, GlareError> {
+) -> Result<Vec<InstallReport>, GlareError> {
     let mut installs = Vec::new();
     // Collect the type inventory across the VO (dedup by name).
     let mut names: Vec<String> = Vec::new();
@@ -206,7 +189,7 @@ pub fn enforce_min_deployments(
         }
     }
     for name in names {
-        let Some((t, _, _)) = grid.find_type(0, &name, now) else {
+        let Some(t) = grid.find_type(0, &name, now) else {
             continue;
         };
         if !t.is_deployable() || t.limits.min == 0 {
@@ -221,17 +204,7 @@ pub fn enforce_min_deployments(
             let Some(&site) = eligible.first() else {
                 break; // nowhere left to install; best effort
             };
-            let mut visiting = std::collections::HashSet::new();
-            crate::rdm::deploy_manager::install_with_dependencies(
-                grid,
-                &t,
-                site,
-                channel,
-                now,
-                &mut visiting,
-                &mut installs,
-                None,
-            )?;
+            installs.extend(install(grid, &t, site, channel, now)?);
         }
     }
     Ok(installs)
@@ -324,20 +297,8 @@ mod tests {
         // provisioning installs fresh elsewhere is complex; install
         // directly instead).
         let other = g.site_indices().find(|&i| i != site).unwrap();
-        let (ty, _, _) = g.find_type(0, "Wien2k", t(2)).unwrap();
-        let mut visiting = std::collections::HashSet::new();
-        let mut reports = Vec::new();
-        crate::rdm::deploy_manager::install_with_dependencies(
-            &mut g,
-            &ty,
-            other,
-            ChannelKind::Expect,
-            t(3),
-            &mut visiting,
-            &mut reports,
-            None,
-        )
-        .unwrap();
+        let ty = g.find_type(0, "Wien2k", t(2)).unwrap();
+        install(&mut g, &ty, other, ChannelKind::Expect, t(3)).unwrap();
         assert_eq!(g.deployments_anywhere("Wien2k", t(4)).len(), 6);
         undeploy(&mut g, "Wien2k", Some(site), false, t(5)).unwrap();
         let left = g.deployments_anywhere("Wien2k", t(6));

@@ -11,8 +11,7 @@ pub mod monitors;
 pub mod request_manager;
 
 pub use deploy_manager::{
-    install_package, install_with_dependencies, provision, CostBreakdown, InstallReport,
-    ProvisionOutcome, ProvisionRequest,
+    install, provision, CostBreakdown, InstallReport, ProvisionOutcome, ProvisionRequest,
 };
 pub use lifecycle::{enforce_min_deployments, generate_wrapper_service, undeploy, UndeployReport};
 pub use monitors::{

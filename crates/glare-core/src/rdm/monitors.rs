@@ -30,7 +30,7 @@ use crate::cache::Freshness;
 use crate::error::GlareError;
 use crate::grid::Grid;
 use crate::model::{DeploymentAccess, DeploymentStatus};
-use crate::rdm::deploy_manager::{install_with_dependencies, InstallReport};
+use crate::rdm::deploy_manager::{install, InstallReport};
 
 /// Result of one cache-refresh pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -72,26 +72,13 @@ impl CacheRefresher {
             if let Some(age) = grid.site(site).cache.age_of(&key, now) {
                 grid.observe(site, "glare_cache_staleness_ms", age);
             }
-            let Some(origin_idx) = grid.site_index(&origin_name) else {
-                grid.site_mut(site).cache.evict_deployment(&key);
-                report.evicted += 1;
-                outcome(grid, "evicted", 1);
-                grid.events.emit(
-                    now,
-                    "cache.evicted",
-                    site_id,
-                    "rdm.cache_refresher",
-                    [
-                        ("key", FieldValue::from(key.clone())),
-                        ("origin", origin_name.clone().into()),
-                        ("reason", "origin unknown".into()),
-                    ],
-                );
-                continue;
+            let held = match grid.site_index(&origin_name) {
+                None => Err("origin unknown"),
+                Some(o) => grid.site(o).adr.epr_of(&key).ok_or("origin destroyed").map(|e| (o, e)),
             };
-            match grid.site(origin_idx).adr.epr_of(&key) {
-                None => {
-                    // Origin destroyed the resource.
+            let (origin_idx, current) = match held {
+                Ok(held) => held,
+                Err(reason) => {
                     grid.site_mut(site).cache.evict_deployment(&key);
                     report.evicted += 1;
                     outcome(grid, "evicted", 1);
@@ -101,27 +88,20 @@ impl CacheRefresher {
                         site_id,
                         "rdm.cache_refresher",
                         [
-                            ("key", FieldValue::from(key.clone())),
-                            ("origin", origin_name.clone().into()),
-                            ("reason", "origin destroyed".into()),
+                            ("key", FieldValue::from(key)),
+                            ("origin", origin_name.into()),
+                            ("reason", reason.into()),
                         ],
                     );
+                    continue;
                 }
-                Some(current) => {
-                    if grid.site(site).cache.freshness(&key, &current)
-                        == Some(Freshness::Stale)
-                    {
-                        if let Some(resp) = grid.site(origin_idx).adr.lookup(&key, now) {
-                            grid.site_mut(site)
-                                .cache
-                                .revive_deployment(resp.value, current, now);
-                            report.revived += 1;
-                            outcome(grid, "revived", 1);
-                        }
-                    } else {
-                        outcome(grid, "fresh", 1);
-                    }
-                }
+            };
+            if grid.site(site).cache.freshness(&key, &current) != Some(Freshness::Stale) {
+                outcome(grid, "fresh", 1);
+            } else if let Some(resp) = grid.site(origin_idx).adr.lookup(&key, now) {
+                grid.site_mut(site).cache.revive_deployment(resp.value, current, now);
+                report.revived += 1;
+                outcome(grid, "revived", 1);
             }
         }
         let discarded_keys = grid.site_mut(site).cache.discard_outdated_keys(now);
@@ -284,7 +264,7 @@ impl DeploymentStatusMonitor {
                 let _ = grid.remove_deployment(site, &key, now);
                 continue;
             }
-            let Some((t, _, _)) = grid.find_type(site, &type_name, now) else {
+            let Some(t) = grid.find_type(site, &type_name, now) else {
                 continue;
             };
             let eligible: Vec<usize> = grid
@@ -295,10 +275,8 @@ impl DeploymentStatusMonitor {
             let Some(&target) = eligible.first() else {
                 continue; // nowhere to go; keep the failed record visible
             };
-            let before = installs.len();
-            let mut visiting = std::collections::HashSet::new();
-            install_with_dependencies(grid, &t, target, channel, now, &mut visiting, &mut installs, None)?;
-            for inst in &installs[before..] {
+            let moved = install(grid, &t, target, channel, now)?;
+            for inst in &moved {
                 grid.events.emit(
                     now,
                     "deploy.retried",
@@ -312,6 +290,7 @@ impl DeploymentStatusMonitor {
                 );
             }
             let _ = grid.remove_deployment(site, &key, now);
+            installs.extend(moved);
         }
         Ok(installs)
     }
@@ -497,6 +476,44 @@ mod tests {
         assert_eq!(anywhere.len(), 3);
         assert!(anywhere.iter().all(|(i, _)| *i != 0));
         assert_eq!(g.events.of_kind("deploy.retried").count(), 1);
+    }
+
+    #[test]
+    fn migration_installs_the_dependency_closure_where_it_is_missing() {
+        let mut g = Grid::new(3, Transport::Http);
+        for ty in example_hierarchy(SimTime::ZERO) {
+            g.register_type(0, ty, t(0)).unwrap();
+        }
+        let req = ProvisionRequest {
+            activity: "JPOVray".into(),
+            client: "c".into(),
+            channel: ChannelKind::Expect,
+            from_site: 1,
+            preferred_site: Some(0),
+        };
+        provision(&mut g, &req, t(1)).unwrap();
+        let host = &g.site(1).host;
+        assert!(!host.is_installed("java") && !host.is_installed("ant"));
+        g.site_mut(0).host.uninstall("jpovray").unwrap();
+        DeploymentStatusMonitor::run(&mut g, 0, t(100));
+        let installs =
+            DeploymentStatusMonitor::migrate_failed(&mut g, 0, ChannelKind::Expect, t(101))
+                .unwrap();
+        // Java and Ant go first, on the same target as JPOVray.
+        let packages: Vec<&str> = installs.iter().map(|r| r.package.as_str()).collect();
+        assert_eq!(packages, ["java", "ant", "jpovray"]);
+        let to = "site1.agrid.example";
+        assert!(installs.iter().all(|r| r.site == to));
+        // One `deploy.retried` per package, in install order.
+        let retried: Vec<[String; 3]> = g
+            .events
+            .of_kind("deploy.retried")
+            .map(|e| ["type", "from", "to"].map(|k| e.field(k).unwrap().into_owned()))
+            .collect();
+        let want = ["Java", "Ant", "JPOVray"].map(|ty| [ty, "site0", to].map(str::to_owned));
+        assert_eq!(retried, want);
+        let anywhere = g.deployments_anywhere("JPOVray", t(102));
+        assert!(!anywhere.is_empty() && anywhere.iter().all(|(i, _)| *i == 1));
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl ActivityDeploymentRegistry {
 
     /// Named lookup of one deployment (hashtable fast path). `_now` is
     /// unread: an entry lives until it is removed, and the parameter stays
-    /// only while `perf/` calls this read (ROADMAP 1A).
+    /// only while `perf/` calls this read (ROADMAP 14(a)).
     pub fn lookup(&self, key: &str, _now: SimTime) -> Option<TypedResponse<ActivityDeployment>> {
         let cost = REQUEST_BASE_COST + self.transport.overhead_cost(512 + DEPLOYMENT_WIRE_BYTES);
         let value = self.home.with_resource(key, |r| r.payload.clone())?;
@@ -120,7 +120,7 @@ impl ActivityDeploymentRegistry {
     }
 
     /// All usable deployments of a concrete type. `_now` is unread; it
-    /// stays only while `perf/` calls this read (ROADMAP 1A).
+    /// stays only while `perf/` calls this read (ROADMAP 14(a)).
     pub fn deployments_of(
         &self,
         type_name: &str,
@@ -265,7 +265,7 @@ impl ActivityDeploymentRegistry {
     }
 
     /// Number of registered deployments. `_now` is unread; it stays only
-    /// while `perf/` calls this read (ROADMAP 1A), as on the two below.
+    /// while `perf/` calls this read (ROADMAP 14(a)), as on the two below.
     pub fn len(&self, _now: SimTime) -> usize {
         self.home.len()
     }

@@ -131,7 +131,7 @@ impl ActivityTypeRegistry {
     /// registry size, and concurrent callers do not serialize. The entry
     /// comes back shared: a lookup bumps a reference count and copies
     /// nothing. `_now` is unread: an entry lives until it is removed, and
-    /// the parameter stays only while `perf/` calls this read (ROADMAP 1A).
+    /// the parameter stays only while `perf/` calls this read (ROADMAP 14(a)).
     pub fn lookup(&self, name: &str, _now: SimTime) -> Option<TypedResponse<Arc<ActivityType>>> {
         self.lookups_served.fetch_add(1, Ordering::Relaxed);
         let cost = REQUEST_BASE_COST + self.transport.overhead_cost(512 + TYPE_WIRE_BYTES);
@@ -233,7 +233,7 @@ impl ActivityTypeRegistry {
     }
 
     /// Number of registered types. `_now` is unread; it stays only while
-    /// `perf/` calls this read (ROADMAP 1A).
+    /// `perf/` calls this read (ROADMAP 14(a)).
     pub fn len(&self, _now: SimTime) -> usize {
         self.home.len()
     }

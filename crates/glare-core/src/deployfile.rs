@@ -786,8 +786,13 @@ mod tests {
         assert_eq!(flags, vec![true, true, false], "Init, Download, Deploy");
     }
 
+    /// Also the premise of the shell's vocabulary: every shell step of every
+    /// catalogue plan arrives with its variables expanded and begins with
+    /// one of the six words `SiteHost::exec` runs.
     #[test]
     fn the_shared_plan_is_a_fresh_plan_under_the_default_env() {
+        const WORDS: [&str; 6] =
+            ["mkdir-p", "tar", "./configure", "make", "ant", "globus-deploy-gar"];
         let repo = glare_services::gridftp::Repository::with_catalog();
         for spec in packages::catalog() {
             let spec = packages::by_name(&spec.name).expect("catalogue package");
@@ -810,6 +815,13 @@ mod tests {
                 );
                 let again = PackagePlan::shared(spec, md5).unwrap();
                 assert!(Arc::ptr_eq(&shared, &again), "{} planned once", spec.name);
+                for action in &shared.actions {
+                    if let PlannedAction::Shell { command, .. } = action {
+                        assert!(!command.contains('$'), "{}: {command:?} is expanded", spec.name);
+                        let word = command.split_whitespace().next().unwrap_or_default();
+                        assert!(WORDS.contains(&word), "{}: {command:?} is run by exec", spec.name);
+                    }
+                }
             }
             let plan = |md5| PackagePlan::shared(spec, md5).unwrap();
             assert_ne!(

@@ -449,15 +449,17 @@ impl Grid {
     }
 
     /// Find a type anywhere in the VO: the asking site's registry first,
-    /// then the other sites'. Returns the registry's shared entry.
+    /// then the other sites'. A revoked entry is skipped and the next site
+    /// asked, as [`Grid::resolve_concrete`] does. Returns the registry's
+    /// shared entry.
     pub(crate) fn find_type(
         &self,
         from_site: usize,
         name: &str,
         now: SimTime,
     ) -> Option<Arc<ActivityType>> {
-        let found = self.asking_first(from_site).find_map(|i| self.sites[i].atr.lookup(name, now));
-        found.map(|resp| resp.value)
+        let live = |i: usize| self.sites[i].atr.lookup(name, now).filter(|r| !r.value.revoked);
+        self.asking_first(from_site).find_map(live).map(|resp| resp.value)
     }
 
     /// Resolve a possibly-abstract type name to deployable concrete types,

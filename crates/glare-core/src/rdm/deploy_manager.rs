@@ -705,6 +705,21 @@ mod tests {
         assert!(out.total_cost > SimDuration::from_secs(5));
     }
 
+    /// A revoked type is not deployable, so no closure installs it as a
+    /// dependency: with `Java` revoked at the one site that registered it,
+    /// JPOVray's closure finds no `Java` to install.
+    #[test]
+    fn a_revoked_dependency_is_not_found() {
+        let mut g = grid();
+        g.sites[0].atr.update("Java", t(1), |ty| ty.revoked = true).unwrap();
+        let err = provision(&mut g, &req("JPOVray", 0), t(2)).unwrap_err();
+        assert!(
+            matches!(&err, GlareError::NotFound { what } if what.contains("Java")),
+            "{err:?}"
+        );
+        assert!((0..g.len()).all(|i| !g.site(i).host.is_installed("java")));
+    }
+
     #[test]
     fn second_request_reuses_deployments() {
         let mut g = grid();
@@ -886,10 +901,6 @@ mod tests {
         let xml = r#"
           <Build baseDir="/scratch/my build" defaultTask="Deploy" name="Spaced">
             <Step name="Init" task="mkdir-p" timeout="10">
-              <Property name="argument" value="out"/>
-            </Step>
-            <Step name="Check" depends="Init" task="test" timeout="10">
-              <Property name="argument" value="-e"/>
               <Property name="argument" value="out"/>
             </Step>
           </Build>"#;

@@ -207,10 +207,10 @@ mod tests {
             .unwrap();
         h.register_archive(path, spec);
         let mut s = h.open_session();
-        h.exec(&mut s, "cd /scratch").expect_done("cd");
+        assert!(h.enter_dir(&mut s, "/scratch"));
         h.exec(&mut s, "tar xvfz /tmp/povlinux-3.6.tgz")
             .expect_done("tar");
-        h.exec(&mut s, "cd povray-3.6.1").expect_done("cd");
+        assert!(h.enter_dir(&mut s, "povray-3.6.1"));
         (h, s)
     }
 
@@ -263,7 +263,9 @@ mod tests {
     #[test]
     fn command_failure_reported() {
         let (mut h, mut s) = staged_povray_host();
-        let err = run_expect(&mut h, &mut s, "false", &ExpectScript::new()).unwrap_err();
-        assert!(matches!(err, ExpectError::CommandFailed(r) if r.exit_code == 1));
+        // `make` outside an unpacked package directory finds no Makefile.
+        assert!(h.enter_dir(&mut s, "/scratch"));
+        let err = run_expect(&mut h, &mut s, "make", &ExpectScript::new()).unwrap_err();
+        assert!(matches!(err, ExpectError::CommandFailed(r) if r.exit_code == 2));
     }
 }

@@ -9,8 +9,10 @@
 //!   Counter, POVray/JPOVray, JDK, Ant) with calibrated build costs.
 //! * [`host`] — the software state of a site (installed packages,
 //!   container services).
-//! * [`shell`] — the command vocabulary deploy-files use, with genuine
-//!   interactive installer prompts.
+//! * [`shell`] — the command vocabulary of a planned deploy-file
+//!   (`mkdir-p`, `tar`, `./configure`, `make`, `ant`,
+//!   `globus-deploy-gar`; no coreutils), with genuine interactive
+//!   installer prompts.
 //! * [`expect`] — the send/expect automation engine of §3.4.
 //! * [`gram`] — job submission (used by workflows and the JavaCoG channel).
 //! * [`gridftp`] — URL transfers with md5 verification.

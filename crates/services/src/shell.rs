@@ -2,15 +2,18 @@
 //! virtual terminal used to automatically interact with operating systems
 //! of different Grid sites" needs an operating-system side to talk to.
 //!
-//! `SiteHost::exec` interprets the command vocabulary deploy-files use
-//! (`mkdir -p`, `tar xvfz`, `./configure`, `make`, `make install`, `ant`,
-//! `globus-deploy-gar`, plus coreutils) against the site's [`crate::vfs::Vfs`], charges
-//! each command its CPU cost from the [`PackageSpec`] being built, and
-//! surfaces interactive installer prompts exactly where the real packages
-//! have them (POVray's license/user-type/path dialog) so the Expect engine
-//! has something genuine to automate.
+//! `SiteHost::exec` runs the words a deploy-file plan sends, and no
+//! others: `mkdir-p`, `tar xvfz`, `./configure`, `make`, `make install`,
+//! `ant` and `globus-deploy-gar` (any other word exits 127; `mkdir -p`
+//! stays as a spelling of `mkdir-p` while `perf/` sends it). It runs them
+//! against the site's [`crate::vfs::Vfs`], charges each command its CPU
+//! cost from the [`PackageSpec`] being built, and surfaces interactive
+//! installer prompts exactly where the real packages have them (POVray's
+//! license/user-type/path dialog) so the Expect engine has something
+//! genuine to automate. A line arrives with its variables already
+//! expanded: the RDM resolves a deploy-file once, when it plans it
+//! ([`expand_vars`] is that pass), and `exec` only splits it into words.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use glare_fabric::SimDuration;
@@ -19,7 +22,8 @@ use crate::host::{InstallRecord, SiteHost};
 use crate::packages::{BuildSystem, InstallPrompt, PackageSpec};
 use crate::vfs::{VFile, VPath};
 
-/// Cost charged for trivial commands (mkdir, echo, cp…).
+/// Cost charged for trivial commands (`mkdir-p`, a failed command, `make`
+/// of a pre-built package).
 pub(crate) const TRIVIAL_CMD_COST: SimDuration = SimDuration::from_millis(5);
 
 /// Extra cost per interactive prompt round-trip.
@@ -90,24 +94,21 @@ struct Pending {
     phase_cost: SimDuration,
 }
 
-/// One interactive shell session on a site (cwd + environment + any
-/// in-progress installer dialog).
+/// One interactive shell session on a site (cwd + any in-progress
+/// installer dialog). It has no environment of its own: every session runs
+/// in [`SiteHost::default_env`], the one its plans were resolved under.
 #[derive(Clone, Debug)]
 pub struct ShellSession {
     /// Working directory.
     pub cwd: VPath,
-    /// Environment variables (expanded into command lines): the shared
-    /// [`SiteHost::default_env`] until an `export` copies it.
-    pub env: Cow<'static, HashMap<String, String>>,
     pending: Option<Pending>,
 }
 
 impl SiteHost {
-    /// Open a session with the host's default environment, cwd `/home/grid`.
+    /// Open a session with cwd `/home/grid`.
     pub fn open_session(&self) -> ShellSession {
         ShellSession {
             cwd: VPath::new("/home/grid"),
-            env: Cow::Borrowed(SiteHost::default_env()),
             pending: None,
         }
     }
@@ -129,37 +130,28 @@ impl SiteHost {
         entered
     }
 
-    /// Execute one command line in the session.
+    /// Execute one planned command line (its variables already expanded)
+    /// in the session.
     pub(crate) fn exec(&mut self, session: &mut ShellSession, line: &str) -> ExecOutcome {
         assert!(
             session.pending.is_none(),
             "session is waiting for interactive input; call respond()"
         );
-        let line = expand_vars(line, &session.env);
-        let tokens = tokenize(&line);
+        let tokens = tokenize(line);
         let Some(cmd) = tokens.first().map(String::as_str) else {
             return ExecOutcome::Done(CmdResult::ok("", SimDuration::ZERO));
         };
         let args: Vec<&str> = tokens.iter().skip(1).map(String::as_str).collect();
         match cmd {
-            "cd" => self.cmd_cd(session, &args),
-            "mkdir" | "mkdir-p" => self.cmd_mkdir(session, cmd, &args),
-            "echo" => ExecOutcome::Done(CmdResult::ok(args.join(" "), TRIVIAL_CMD_COST)),
-            "true" => ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST)),
-            "false" => ExecOutcome::Done(CmdResult::fail(1, "")),
-            "pwd" => ExecOutcome::Done(CmdResult::ok(session.cwd.to_string(), TRIVIAL_CMD_COST)),
-            "export" => self.cmd_export(session, &args),
+            "mkdir-p" => self.cmd_mkdir(session, &args),
+            // `perf/src/micro.rs` times `mkdir -p`: this arm stays while it
+            // does (ROADMAP 14(f)).
+            "mkdir" if args.first() == Some(&"-p") => self.cmd_mkdir(session, &args[1..]),
             "tar" => self.cmd_tar(session, &args),
-            "./configure" | "configure" => self.cmd_configure(session, &args),
+            "./configure" => self.cmd_configure(session, &args),
             "make" => self.cmd_make(session, &args),
             "ant" => self.cmd_ant(session, &args),
             "globus-deploy-gar" => self.cmd_deploy_gar(session, &args),
-            "cp" => self.cmd_cp(session, &args),
-            "rm" => self.cmd_rm(session, &args),
-            "chmod" => self.cmd_chmod(session, &args),
-            "test" => self.cmd_test(session, &args),
-            "cat" => self.cmd_cat(session, &args),
-            "ls" => self.cmd_ls(session, &args),
             other => ExecOutcome::Done(CmdResult::fail(127, format!("{other}: command not found"))),
         }
     }
@@ -306,44 +298,15 @@ impl SiteHost {
         }
     }
 
-    fn cmd_cd(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
+    fn cmd_mkdir(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
         let Some(dir) = args.first() else {
-            return ExecOutcome::Done(CmdResult::fail(2, "cd: missing operand"));
-        };
-        let target = self.resolve(session, dir);
-        if self.vfs.is_dir(&target) {
-            session.cwd = target;
-            ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST))
-        } else {
-            ExecOutcome::Done(CmdResult::fail(1, format!("cd: {dir}: no such directory")))
-        }
-    }
-
-    fn cmd_mkdir(&mut self, session: &mut ShellSession, cmd: &str, args: &[&str]) -> ExecOutcome {
-        let mut rest = args;
-        if cmd == "mkdir" {
-            if rest.first() != Some(&"-p") {
-                return ExecOutcome::Done(CmdResult::fail(2, "mkdir: only -p supported"));
-            }
-            rest = &rest[1..];
-        }
-        let Some(dir) = rest.first() else {
-            return ExecOutcome::Done(CmdResult::fail(2, "mkdir: missing operand"));
+            return ExecOutcome::Done(CmdResult::fail(2, "mkdir-p: missing operand"));
         };
         let target = self.resolve(session, dir);
         match self.vfs.mkdir_p(&target) {
             Ok(()) => ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST)),
             Err(e) => ExecOutcome::Done(CmdResult::fail(1, e.to_string())),
         }
-    }
-
-    fn cmd_export(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
-        for a in args {
-            if let Some((k, v)) = a.split_once('=') {
-                session.env.to_mut().insert(k.to_owned(), v.to_owned());
-            }
-        }
-        ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST))
     }
 
     fn cmd_tar(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
@@ -423,17 +386,7 @@ impl SiteHost {
         let prefix = args
             .iter()
             .find_map(|a| a.strip_prefix("--prefix="))
-            .map(VPath::new)
-            .unwrap_or_else(|| {
-                VPath::new(&format!(
-                    "{}/{}",
-                    session
-                        .env
-                        .get("DEPLOYMENT_DIR")
-                        .map_or("/opt/deployments", String::as_str),
-                    spec.name
-                ))
-            });
+            .map_or_else(|| default_prefix(&spec), VPath::new);
         self.start_or_finish(
             session,
             spec.prompts.clone(),
@@ -482,17 +435,7 @@ impl SiteHost {
                 let prefix = args
                     .iter()
                     .find_map(|a| a.strip_prefix("PREFIX="))
-                    .map(VPath::new)
-                    .unwrap_or_else(|| {
-                        VPath::new(&format!(
-                            "{}/{}",
-                            session
-                                .env
-                                .get("DEPLOYMENT_DIR")
-                                .map_or("/opt/deployments", String::as_str),
-                            spec.name
-                        ))
-                    });
+                    .map_or_else(|| default_prefix(&spec), VPath::new);
                 self.start_or_finish(
                     session,
                     spec.prompts.clone(),
@@ -532,14 +475,7 @@ impl SiteHost {
                 ));
             }
         }
-        let prefix = VPath::new(&format!(
-            "{}/{}",
-            session
-                .env
-                .get("DEPLOYMENT_DIR")
-                .map_or("/opt/deployments", String::as_str),
-            spec.name
-        ));
+        let prefix = default_prefix(&spec);
         self.start_or_finish(
             session,
             spec.prompts.clone(),
@@ -573,113 +509,16 @@ impl SiteHost {
             cost,
         )
     }
-
-    fn cmd_cp(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
-        let (Some(src), Some(dst)) = (args.first(), args.get(1)) else {
-            return ExecOutcome::Done(CmdResult::fail(2, "cp: usage: cp <src> <dst>"));
-        };
-        let src = self.resolve(session, src);
-        let dst = self.resolve(session, dst);
-        match self.vfs.read_file(&src) {
-            Ok(file) => {
-                let file = file.clone();
-                let dst = if self.vfs.is_dir(&dst) {
-                    dst.join(src.file_name())
-                } else {
-                    dst
-                };
-                match self.vfs.write_file(&dst, file) {
-                    Ok(()) => ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST)),
-                    Err(e) => ExecOutcome::Done(CmdResult::fail(1, e.to_string())),
-                }
-            }
-            Err(e) => ExecOutcome::Done(CmdResult::fail(1, e.to_string())),
-        }
-    }
-
-    fn cmd_rm(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
-        let target = match args {
-            ["-rf", t] | ["-r", t] | [t] => *t,
-            _ => return ExecOutcome::Done(CmdResult::fail(2, "rm: usage: rm [-rf] <path>")),
-        };
-        let path = self.resolve(session, target);
-        match self.vfs.remove(&path) {
-            Ok(()) => ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST)),
-            // rm -rf of a missing path succeeds, like the real tool.
-            Err(_) if args.first() == Some(&"-rf") => {
-                ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST))
-            }
-            Err(e) => ExecOutcome::Done(CmdResult::fail(1, e.to_string())),
-        }
-    }
-
-    fn cmd_chmod(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
-        let (Some(mode), Some(file)) = (args.first(), args.get(1)) else {
-            return ExecOutcome::Done(CmdResult::fail(2, "chmod: usage: chmod +x <file>"));
-        };
-        let exec = match *mode {
-            "+x" => true,
-            "-x" => false,
-            _ => return ExecOutcome::Done(CmdResult::fail(2, "chmod: only +x/-x supported")),
-        };
-        let path = self.resolve(session, file);
-        match self.vfs.chmod_exec(&path, exec) {
-            Ok(()) => ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST)),
-            Err(e) => ExecOutcome::Done(CmdResult::fail(1, e.to_string())),
-        }
-    }
-
-    fn cmd_test(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
-        match args {
-            ["-e", p] => {
-                let path = self.resolve(session, p);
-                if self.vfs.exists(&path) {
-                    ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST))
-                } else {
-                    ExecOutcome::Done(CmdResult::fail(1, ""))
-                }
-            }
-            ["-x", p] => {
-                let path = self.resolve(session, p);
-                match self.vfs.read_file(&path) {
-                    Ok(f) if f.executable => ExecOutcome::Done(CmdResult::ok("", TRIVIAL_CMD_COST)),
-                    _ => ExecOutcome::Done(CmdResult::fail(1, "")),
-                }
-            }
-            _ => ExecOutcome::Done(CmdResult::fail(2, "test: only -e/-x supported")),
-        }
-    }
-
-    fn cmd_cat(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
-        let Some(file) = args.first() else {
-            return ExecOutcome::Done(CmdResult::fail(2, "cat: missing operand"));
-        };
-        let path = self.resolve(session, file);
-        match self.vfs.read_file(&path) {
-            Ok(f) => ExecOutcome::Done(CmdResult::ok(
-                String::from_utf8_lossy(&f.content).into_owned(),
-                TRIVIAL_CMD_COST,
-            )),
-            Err(e) => ExecOutcome::Done(CmdResult::fail(1, e.to_string())),
-        }
-    }
-
-    fn cmd_ls(&mut self, session: &mut ShellSession, args: &[&str]) -> ExecOutcome {
-        let dir = args
-            .first()
-            .map(|a| self.resolve(session, a))
-            .unwrap_or_else(|| session.cwd.clone());
-        match self.vfs.list(&dir) {
-            Ok(entries) => {
-                let names: Vec<&str> = entries.iter().map(|p| p.file_name()).collect();
-                ExecOutcome::Done(CmdResult::ok(names.join("\n"), TRIVIAL_CMD_COST))
-            }
-            Err(e) => ExecOutcome::Done(CmdResult::fail(1, e.to_string())),
-        }
-    }
 }
 
-/// Expand `$VAR` and `${VAR}` references from the environment.
+/// `$DEPLOYMENT_DIR/<package>` under [`SiteHost::default_env`]: where a
+/// package installs when its command names no prefix.
+fn default_prefix(spec: &PackageSpec) -> VPath {
+    VPath::new(&format!("{}/{}", SiteHost::default_env()["DEPLOYMENT_DIR"], spec.name))
+}
+
+/// Expand `$VAR` and `${VAR}` references from the environment: the pass
+/// that resolves a deploy-file when it is planned.
 pub fn expand_vars(line: &str, env: &HashMap<String, String>) -> String {
     let mut out = String::with_capacity(line.len());
     let bytes = line.as_bytes();
@@ -794,26 +633,11 @@ mod tests {
     fn basic_commands() {
         let mut h = host();
         let mut s = h.open_session();
-        assert_eq!(run(&mut h, &mut s, "pwd").stdout, "/home/grid");
-        assert!(run(&mut h, &mut s, "mkdir -p work/sub").success());
-        assert!(run(&mut h, &mut s, "cd work/sub").success());
-        assert_eq!(run(&mut h, &mut s, "pwd").stdout, "/home/grid/work/sub");
-        assert_eq!(run(&mut h, &mut s, "echo hi there").stdout, "hi there");
+        assert!(run(&mut h, &mut s, "mkdir-p work/sub").success());
+        assert!(h.vfs.is_dir(&VPath::new("/home/grid/work/sub")));
+        assert!(run(&mut h, &mut s, "mkdir -p /tmp/x").success());
+        assert!(h.vfs.is_dir(&VPath::new("/tmp/x")));
         assert_eq!(run(&mut h, &mut s, "nosuchcmd").exit_code, 127);
-        assert_eq!(run(&mut h, &mut s, "cd /nope").exit_code, 1);
-    }
-
-    #[test]
-    fn env_expansion() {
-        let mut h = host();
-        let mut s = h.open_session();
-        assert_eq!(
-            run(&mut h, &mut s, "echo $DEPLOYMENT_DIR/x").stdout,
-            "/opt/deployments/x"
-        );
-        run(&mut h, &mut s, "export FOO=bar");
-        assert_eq!(run(&mut h, &mut s, "echo ${FOO}baz").stdout, "barbaz");
-        assert_eq!(run(&mut h, &mut s, "echo $UNSET_").stdout, "");
     }
 
     #[test]
@@ -822,13 +646,13 @@ mod tests {
         let mut s = h.open_session();
         let spec = packages::invmod();
         let archive = stage_archive(&mut h, &spec);
-        run(&mut h, &mut s, "cd /tmp");
+        assert!(h.enter_dir(&mut s, "/tmp"));
         // make before unpack fails
         assert_eq!(run(&mut h, &mut s, "make").exit_code, 2);
         let r = run(&mut h, &mut s, &format!("tar xvfz {archive}"));
         assert!(r.success());
         assert_eq!(r.cost, spec.unpack_cost);
-        run(&mut h, &mut s, "cd invmod-2.1");
+        assert!(h.enter_dir(&mut s, "invmod-2.1"));
         // make before configure fails
         assert_eq!(run(&mut h, &mut s, "make").exit_code, 2);
         let r = run(&mut h, &mut s, "./configure --prefix=/opt/deployments/invmod");
@@ -857,9 +681,9 @@ mod tests {
         let mut s = h.open_session();
         let spec = packages::povray();
         let archive = stage_archive(&mut h, &spec);
-        run(&mut h, &mut s, "cd /scratch");
+        assert!(h.enter_dir(&mut s, "/scratch"));
         run(&mut h, &mut s, &format!("tar xvfz {archive}"));
-        run(&mut h, &mut s, "cd povray-3.6.1");
+        assert!(h.enter_dir(&mut s, "povray-3.6.1"));
         let out = h.exec(&mut s, "./configure");
         let ExecOutcome::Prompt { prompt, .. } = out else {
             panic!("expected license prompt, got {out:?}");
@@ -894,9 +718,9 @@ mod tests {
         let mut s = h.open_session();
         let spec = packages::povray();
         let archive = stage_archive(&mut h, &spec);
-        run(&mut h, &mut s, "cd /scratch");
+        assert!(h.enter_dir(&mut s, "/scratch"));
         run(&mut h, &mut s, &format!("tar xvfz {archive}"));
-        run(&mut h, &mut s, "cd povray-3.6.1");
+        assert!(h.enter_dir(&mut s, "povray-3.6.1"));
         let ExecOutcome::Prompt { .. } = h.exec(&mut s, "./configure") else {
             panic!()
         };
@@ -913,9 +737,9 @@ mod tests {
         let mut s = h.open_session();
         let spec = packages::wien2k();
         let archive = stage_archive(&mut h, &spec);
-        run(&mut h, &mut s, "cd /scratch");
+        assert!(h.enter_dir(&mut s, "/scratch"));
         run(&mut h, &mut s, &format!("tar xvfz {archive}"));
-        run(&mut h, &mut s, "cd wien2k-04.4");
+        assert!(h.enter_dir(&mut s, "wien2k-04.4"));
         let r = run(&mut h, &mut s, "make");
         assert!(r.stdout.contains("pre-built"));
         let r = run(&mut h, &mut s, "make install");
@@ -930,18 +754,18 @@ mod tests {
         let mut s = h.open_session();
         let spec = packages::jpovray();
         let archive = stage_archive(&mut h, &spec);
-        run(&mut h, &mut s, "cd /scratch");
+        assert!(h.enter_dir(&mut s, "/scratch"));
         run(&mut h, &mut s, &format!("tar xvfz {archive}"));
-        run(&mut h, &mut s, "cd jpovray-1.0");
+        assert!(h.enter_dir(&mut s, "jpovray-1.0"));
         let r = run(&mut h, &mut s, "ant Deploy");
         assert_eq!(r.exit_code, 1, "java/ant missing: {}", r.stdout);
         // Install the toolchain via the quick path, then retry.
         for dep in [packages::jdk(), packages::ant()] {
             let a = stage_archive(&mut h, &dep);
             let mut s2 = h.open_session();
-            run(&mut h, &mut s2, "cd /scratch");
+            assert!(h.enter_dir(&mut s2, "/scratch"));
             run(&mut h, &mut s2, &format!("tar xvfz {a}"));
-            run(&mut h, &mut s2, &format!("cd {}", dep.unpack_dir()));
+            assert!(h.enter_dir(&mut s2, &dep.unpack_dir()));
             match h.exec(&mut s2, "make install") {
                 ExecOutcome::Done(r) => assert!(r.success(), "{}", r.stdout),
                 ExecOutcome::Prompt { .. } => {
@@ -973,26 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn coreutils() {
-        let mut h = host();
-        let mut s = h.open_session();
-        run(&mut h, &mut s, "mkdir -p /work");
-        run(&mut h, &mut s, "cd /work");
-        h.vfs.write_text(&VPath::new("/work/a.txt"), "data").unwrap();
-        assert!(run(&mut h, &mut s, "cp a.txt b.txt").success());
-        assert_eq!(run(&mut h, &mut s, "cat b.txt").stdout, "data");
-        assert!(run(&mut h, &mut s, "test -e b.txt").success());
-        assert_eq!(run(&mut h, &mut s, "test -x b.txt").exit_code, 1);
-        assert!(run(&mut h, &mut s, "chmod +x b.txt").success());
-        assert!(run(&mut h, &mut s, "test -x b.txt").success());
-        assert_eq!(run(&mut h, &mut s, "ls").stdout, "a.txt\nb.txt");
-        assert!(run(&mut h, &mut s, "rm b.txt").success());
-        assert_eq!(run(&mut h, &mut s, "test -e b.txt").exit_code, 1);
-        assert!(run(&mut h, &mut s, "rm -rf missing").success());
-        assert_eq!(run(&mut h, &mut s, "rm missing").exit_code, 1);
-    }
-
-    #[test]
     fn enter_dir_is_mkdir_p_then_cd_with_the_path_whole() {
         let mut h = host();
         let mut s = h.open_session();
@@ -1006,7 +810,7 @@ mod tests {
         assert!(h.enter_dir(&mut s, "sub/dir"));
         assert_eq!(s.cwd, VPath::new("/scratch/my build/sub/dir"));
         assert!(h.enter_dir(&mut s, "/scratch"));
-        assert_eq!(run(&mut h, &mut s, "pwd").stdout, "/scratch");
+        assert_eq!(s.cwd, VPath::new("/scratch"));
         // Not entered: an empty path, or one a file stands in the way of.
         h.vfs.write_text(&VPath::new("/scratch/f"), "x").unwrap();
         assert!(!h.enter_dir(&mut s, ""));
@@ -1017,23 +821,13 @@ mod tests {
             VPath::new("/scratch"),
             "a failed entry leaves the cwd"
         );
-        assert!(
-            matches!(s.env, Cow::Borrowed(_)),
-            "entering copies no environment"
-        );
-        run(&mut h, &mut s, "export FOO=bar");
-        assert_eq!(s.env["FOO"], "bar");
-        assert!(
-            !SiteHost::default_env().contains_key("FOO"),
-            "export copies the shared map"
-        );
     }
 
     #[test]
     fn tokenizer_handles_quotes() {
         assert_eq!(
-            tokenize(r#"echo "two words" 'single'"#),
-            vec!["echo", "two words", "single"]
+            tokenize(r#"mkdir-p "two words" 'single'"#),
+            vec!["mkdir-p", "two words", "single"]
         );
         assert_eq!(tokenize("  spaced   out  "), vec!["spaced", "out"]);
         assert!(tokenize("").is_empty());

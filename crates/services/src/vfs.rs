@@ -243,19 +243,6 @@ impl Vfs {
         Ok(())
     }
 
-    /// Immediate children (dirs and files) of a directory.
-    pub(crate) fn list(&self, dir: &VPath) -> Result<Vec<VPath>, VfsError> {
-        if !self.is_dir(dir) {
-            return Err(VfsError::NotFound(dir.to_string()));
-        }
-        let mut out: Vec<VPath> = Vec::new();
-        let is_child = |p: &VPath| p.parent().as_ref() == Some(dir);
-        out.extend(self.dirs.keys().filter(|p| is_child(p)).cloned());
-        out.extend(self.files.keys().filter(|p| is_child(p)).cloned());
-        out.sort();
-        Ok(out)
-    }
-
     /// All executable files under `dir`, recursively — the discovery pass
     /// GLARE runs over a deployed activity's home.
     pub fn find_executables(&self, dir: &VPath) -> Vec<VPath> {
@@ -352,16 +339,6 @@ mod tests {
         assert!(!v.exists(&p("/a/b/f1")));
         assert!(v.is_file(&p("/a/f2")));
         assert!(matches!(v.remove(&p("/zzz")), Err(VfsError::NotFound(_))));
-    }
-
-    #[test]
-    fn list_immediate_children_only() {
-        let mut v = Vfs::new();
-        v.mkdir_p(&p("/a/b/c")).unwrap();
-        v.write_text(&p("/a/f"), "x").unwrap();
-        let ls = v.list(&p("/a")).unwrap();
-        assert_eq!(ls, vec![p("/a/b"), p("/a/f")]);
-        assert!(v.list(&p("/missing")).is_err());
     }
 
     #[test]

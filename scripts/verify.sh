@@ -23,12 +23,14 @@
 #      allow(dead_code) / allow(unused…) that would silence that report
 #   3. clippy with warnings promoted to errors
 #   4. rustdoc with warnings promoted to errors
-#   5. the cross-commit oracle run twice on this commit: every harness binary
+#   5. each of the five examples once (ondemand_deployment drives the
+#      Expect engine over a planned deploy-file and asserts the install)
+#   6. the cross-commit oracle run twice on this commit: every harness binary
 #      must run, write its artifacts (a bin exits 1 if it cannot, 2 on a bad
 #      argument; chaos, grayfail, autonomic and load also exit 1 after
 #      writing them when their report lists an invariant violation) and write
 #      the same bytes both times
-#   6. perf ledger (perf/README.md): the ledger package's own tests, then one
+#   7. perf ledger (perf/README.md): the ledger package's own tests, then one
 #      short `run` pass over its five workloads, whose correctness checks
 #      (every query hits, admission accounting, replay restores, same digest
 #      and sim_* values on every round, no metric at 0) exit non-zero; no
@@ -47,6 +49,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo "==> examples: each runs once and exits 0 (ondemand_deployment asserts its plan installs)"
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
 
 echo "==> oracle.sh twice: every harness runs and is byte-identical run to run"
 oracle_dir=$(mktemp -d)

@@ -382,6 +382,12 @@ fn expand_vars_behaves() {
         assert_eq!(expanded, format!("{text}/home/grid{text}"));
         // Idempotent on the result (no remaining $NAMES).
         assert_eq!(expand_vars(&expanded, &env), expanded);
+        // The bare form ends at the first non-word character; an unset
+        // variable expands to nothing, in either form.
+        let bare = format!("$HOME/{text}");
+        assert_eq!(expand_vars(&bare, &env), format!("/home/grid/{text}"));
+        let unset = format!("{text}$UNSET_/${{UNSET}}{text}");
+        assert_eq!(expand_vars(&unset, &env), format!("{text}/{text}"));
     }
 }
 

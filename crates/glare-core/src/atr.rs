@@ -10,7 +10,9 @@
 //!   resources. This eliminates XPath-based search requirements for named
 //!   resources and significantly improves the performance."
 //! * **XPath query** — the same aggregate-document scan the Index Service
-//!   performs, kept for non-named discovery (and for the ablation bench).
+//!   performs, kept for the paper's XPath-style querying of the aggregated
+//!   view. Fig. 10/11 time `lookup` against the Index Service's own
+//!   `query_by_name`, not against this path.
 //!
 //! ## Concurrency
 //!

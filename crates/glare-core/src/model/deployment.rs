@@ -10,7 +10,6 @@
 //! and promising QoS", §3.2).
 
 use glare_fabric::{SimDuration, SimTime};
-use glare_wsrf::resource::ResourceProperties;
 use glare_wsrf::{EndpointReference, XmlNode};
 
 /// What kind of artifact the deployment is and how to reach it.
@@ -168,12 +167,6 @@ impl ActivityDeployment {
         }
         node = node.child_text("Invocations", self.metrics.invocations.to_string());
         node
-    }
-}
-
-impl ResourceProperties for ActivityDeployment {
-    fn to_property_document(&self) -> XmlNode {
-        self.to_xml()
     }
 }
 

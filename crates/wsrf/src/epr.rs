@@ -66,20 +66,6 @@ impl EndpointReference {
             )
             .child(XmlNode::new("ReferenceParameters"))
     }
-
-    /// Parse from the XML shape emitted by [`EndpointReference::to_xml`].
-    pub fn from_xml(node: &XmlNode) -> Option<EndpointReference> {
-        let address = node.child_text_of("Address")?.to_owned();
-        let props = node.first_child("ReferenceProperties")?;
-        let key_elem = props.children.iter().find(|c| c.name != "LastUpdateTime")?;
-        let lut: u64 = props.child_text_of("LastUpdateTime")?.parse().ok()?;
-        Some(EndpointReference {
-            address,
-            key: key_elem.text.clone(),
-            key_name: key_elem.name.to_string(),
-            last_update_time: SimTime::from_nanos(lut),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -97,9 +83,14 @@ mod tests {
 
     #[test]
     fn xml_round_trip() {
-        let e = epr(12345);
-        let xml = e.to_xml();
-        assert_eq!(EndpointReference::from_xml(&xml), Some(e));
+        let xml = epr(12345).to_xml();
+        assert_eq!(
+            xml.child_text_of("Address"),
+            Some("https://site1/wsrf/services/ActivityDeploymentRegistry")
+        );
+        let props = xml.first_child("ReferenceProperties").expect("Fig. 6 properties");
+        assert_eq!(props.child_text_of("ActivityDeploymentKey"), Some("jpovray"));
+        assert_eq!(props.child_text_of("LastUpdateTime"), Some("12345"));
     }
 
     #[test]
@@ -118,15 +109,6 @@ mod tests {
         b.key = "wien2k".to_owned();
         assert!(!a.same_resource(&b));
         assert!(!b.is_newer_than(&a), "newer-than requires same resource");
-    }
-
-    #[test]
-    fn from_xml_rejects_malformed() {
-        let missing_addr = XmlNode::new("EndpointReference")
-            .child(XmlNode::new("ReferenceProperties").child_text("K", "v"));
-        assert_eq!(EndpointReference::from_xml(&missing_addr), None);
-        let missing_props = XmlNode::new("EndpointReference").child_text("Address", "x");
-        assert_eq!(EndpointReference::from_xml(&missing_props), None);
     }
 
     #[test]

@@ -45,12 +45,6 @@ pub trait ResourceProperties {
     fn to_property_document(&self) -> XmlNode;
 }
 
-impl ResourceProperties for XmlNode {
-    fn to_property_document(&self) -> XmlNode {
-        self.clone()
-    }
-}
-
 /// A home of shared entries (`ResourceHome<Arc<T>>`) renders each one as
 /// `T` does: a read hands out the `Arc`, not a copy.
 impl<T: ResourceProperties> ResourceProperties for Arc<T> {

@@ -1,18 +1,18 @@
-//! An XPath subset over [`XmlNode`] trees.
+//! The XPath subset the Index Service is asked, over [`XmlNode`] trees.
 //!
 //! GT4's Index Service answers queries "by using standard XPath-based
 //! querying mechanism" (§3.1); GLARE's registries support the same queries
 //! but short-circuit *named* lookups through a hash table. This module is
-//! the XPath engine both sides share. Supported grammar:
+//! the XPath engine both sides share. It parses what callers send — a
+//! by-name query `//{element}[@name='{name}']`, a child-element test, an
+//! absolute child path — and refuses the rest of XPath (`*`, positions,
+//! `!=`, `text()`, attribute tests, `//` after the first step) with an
+//! [`XPathError`]:
 //!
 //! ```text
-//! path      := '/'? step (('/' | '//') step)*
-//! step      := nodetest predicate*
-//! nodetest  := NAME | '*'
-//! predicate := '[' INTEGER ']'                      positional (1-based)
-//!            | '[' operand ('=' | '!=') literal ']' comparison
-//!            | '[' '@' NAME ']'                     attribute existence
-//! operand   := '@' NAME | NAME | 'text()'
+//! path      := ('/' | '//')? step ('/' step)*
+//! step      := NAME predicate?
+//! predicate := '[' ('@' NAME | NAME) '=' literal ']'
 //! ```
 //!
 //! Evaluation is a straightforward tree walk — deliberately so: its O(n)
@@ -48,39 +48,30 @@ impl std::error::Error for XPathError {}
 /// A compiled XPath expression.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct XPath {
+    /// `true` for a leading `//`: the first step matches anywhere in the
+    /// document; each later step matches children only.
+    descendant: bool,
+    /// Never empty.
     steps: Vec<Step>,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Step {
-    /// `true` for `//step` (descendant-or-self), `false` for `/step`.
-    descendant: bool,
-    test: NodeTest,
-    predicates: Vec<Predicate>,
+    name: String,
+    predicate: Option<Predicate>,
 }
 
+/// `[@attribute='literal']` or `[child='literal']`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum NodeTest {
-    Name(String),
-    Any,
+struct Predicate {
+    operand: Operand,
+    literal: String,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Operand {
     Attribute(String),
     ChildText(String),
-    OwnText,
-}
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Predicate {
-    Position(usize),
-    AttributeExists(String),
-    Compare {
-        operand: Operand,
-        literal: String,
-        negated: bool,
-    },
 }
 
 impl XPath {
@@ -97,108 +88,35 @@ impl XPath {
     /// elements in document order.
     ///
     /// The root element is addressable by the first step (i.e.
-    /// `/RootName/...` works as in a real document).
+    /// `/RootName/...` works as in a real document). Only the first step
+    /// can search descendants, from the root alone, and each later step
+    /// maps distinct parents to disjoint children: no node is reached twice.
     pub fn select<'a>(&self, root: &'a XmlNode) -> Vec<&'a XmlNode> {
-        let mut current: Vec<&'a XmlNode> = vec![root];
-        let mut first = true;
-        for step in &self.steps {
-            let mut next: Vec<&'a XmlNode> = Vec::new();
-            for &node in &current {
-                // This context node's matches are `next[from..]`; the walk
-                // keeps only nodes that pass the node test.
-                let from = next.len();
-                if step.descendant {
-                    step.test.descendants_or_self(node, &mut next);
-                } else if first {
-                    // The first non-descendant step tests the root itself,
-                    // standing in for the document node's children.
-                    if step.test.matches(node) {
-                        next.push(node);
-                    }
-                } else {
-                    next.extend(node.children.iter().filter(|c| step.test.matches(c)));
-                }
-                apply_predicates(&step.predicates, &mut next, from);
-            }
-            // One context node reaches each node at most once; only several
-            // can reach the same node twice (`//a//b` under nested `a`s).
-            if current.len() > 1 {
-                dedup_by_identity(&mut next);
-            }
-            current = next;
-            first = false;
+        let (first, rest) = self.steps.split_first().expect("a path has a step");
+        let mut current = Vec::new();
+        if self.descendant {
+            first.descendants_or_self(root, &mut current);
+        } else if first.matches(root) {
+            current.push(root);
+        }
+        for step in rest {
+            current = current
+                .iter()
+                .flat_map(|node| node.children.iter().filter(|c| step.matches(c)))
+                .collect();
         }
         current
     }
 }
 
-/// Filter `nodes[from..]` — one context node's matches, in document order —
-/// through `preds` in turn; a position counts within that run only.
-fn apply_predicates(preds: &[Predicate], nodes: &mut Vec<&XmlNode>, from: usize) {
-    for pred in preds {
-        match pred {
-            Predicate::Position(p) => {
-                let keep = nodes.get(from + p - 1).copied();
-                nodes.truncate(from);
-                nodes.extend(keep);
-            }
-            Predicate::AttributeExists(name) => {
-                retain_from(nodes, from, |n| n.attribute(name).is_some());
-            }
-            Predicate::Compare {
-                operand,
-                literal,
-                negated,
-            } => {
-                retain_from(nodes, from, |n| {
-                    let value: Option<&str> = match operand {
-                        Operand::Attribute(a) => n.attribute(a),
-                        Operand::ChildText(c) => n.child_text_of(c),
-                        Operand::OwnText => Some(n.text.as_str()),
-                    };
-                    (value == Some(literal.as_str())) != *negated
-                });
-            }
-        }
-    }
-}
-
-/// `Vec::retain` over `nodes[from..]` only, keeping their order.
-fn retain_from(nodes: &mut Vec<&XmlNode>, from: usize, keep: impl Fn(&XmlNode) -> bool) {
-    let mut kept = from;
-    for i in from..nodes.len() {
-        if keep(nodes[i]) {
-            nodes.swap(kept, i);
-            kept += 1;
-        }
-    }
-    nodes.truncate(kept);
-}
-
-fn dedup_by_identity(nodes: &mut Vec<&XmlNode>) {
-    let mut seen: Vec<*const XmlNode> = Vec::with_capacity(nodes.len());
-    nodes.retain(|n| {
-        let p = *n as *const XmlNode;
-        if seen.contains(&p) {
-            false
-        } else {
-            seen.push(p);
-            true
-        }
-    });
-}
-
-impl NodeTest {
+impl Step {
     fn matches(&self, node: &XmlNode) -> bool {
-        match self {
-            NodeTest::Any => true,
-            NodeTest::Name(n) => node.name == *n,
-        }
+        node.name == self.name && self.predicate.as_ref().is_none_or(|p| p.holds(node))
     }
 
-    /// Push every node of `node`'s subtree that passes the test, `node`
+    /// Push every node of `node`'s subtree that the step matches, `node`
     /// itself first, in document order. Every node is still visited; only
-    /// the ones that pass are kept.
+    /// the ones that match are kept.
     fn descendants_or_self<'a>(&self, node: &'a XmlNode, out: &mut Vec<&'a XmlNode>) {
         if self.matches(node) {
             out.push(node);
@@ -206,6 +124,16 @@ impl NodeTest {
         for c in &node.children {
             self.descendants_or_self(c, out);
         }
+    }
+}
+
+impl Predicate {
+    fn holds(&self, node: &XmlNode) -> bool {
+        let value = match &self.operand {
+            Operand::Attribute(a) => node.attribute(a),
+            Operand::ChildText(c) => node.child_text_of(c),
+        };
+        value == Some(self.literal.as_str())
     }
 }
 
@@ -338,45 +266,29 @@ impl<'a> Compiler<'a> {
     }
 
     fn compile(mut self) -> Result<XPath, XPathError> {
-        let mut steps = Vec::new();
         // Leading '/' or '//' before the first step.
-        let mut descendant = if self.eat(b'/') { self.eat(b'/') } else { false };
-        loop {
-            let step = self.parse_step(descendant)?;
-            steps.push(step);
-            match self.peek() {
-                None => break,
-                Some(b'/') => {
-                    self.pos += 1;
-                    descendant = self.eat(b'/');
-                }
-                Some(_) => return Err(self.err("expected '/' between steps")),
+        let descendant = self.eat(b'/') && self.eat(b'/');
+        let mut steps = vec![self.parse_step()?];
+        while self.peek().is_some() {
+            if !self.eat(b'/') {
+                return Err(self.err("expected '/' between steps"));
             }
+            if self.peek() == Some(b'/') {
+                return Err(self.err("only the first step may search descendants"));
+            }
+            steps.push(self.parse_step()?);
         }
-        if steps.is_empty() {
-            return Err(self.err("empty expression"));
-        }
-        Ok(XPath { steps })
+        Ok(XPath { descendant, steps })
     }
 
-    fn parse_step(&mut self, descendant: bool) -> Result<Step, XPathError> {
-        let test = if self.eat(b'*') {
-            NodeTest::Any
+    fn parse_step(&mut self) -> Result<Step, XPathError> {
+        let name = self.parse_name()?;
+        let predicate = if self.eat(b'[') {
+            Some(self.parse_predicate()?)
         } else {
-            NodeTest::Name(self.parse_name()?)
+            None
         };
-        let mut predicates = Vec::new();
-        while self.eat(b'[') {
-            predicates.push(self.parse_predicate()?);
-            if !self.eat(b']') {
-                return Err(self.err("expected ']'"));
-            }
-        }
-        Ok(Step {
-            descendant,
-            test,
-            predicates,
-        })
+        Ok(Step { name, predicate })
     }
 
     fn parse_name(&mut self) -> Result<String, XPathError> {
@@ -396,65 +308,21 @@ impl<'a> Compiler<'a> {
             .to_owned())
     }
 
+    /// The rest of a predicate, after its `[`.
     fn parse_predicate(&mut self) -> Result<Predicate, XPathError> {
-        // Positional predicate: an integer.
-        if self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            let start = self.pos;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            let n: usize = std::str::from_utf8(&self.bytes[start..self.pos])
-                .expect("digits are ASCII")
-                .parse()
-                .map_err(|_| self.err("position out of range"))?;
-            if n == 0 {
-                return Err(self.err("XPath positions are 1-based"));
-            }
-            return Ok(Predicate::Position(n));
-        }
-
         let operand = if self.eat(b'@') {
             Operand::Attribute(self.parse_name()?)
         } else {
-            let name = self.parse_name()?;
-            if name == "text" && self.eat(b'(') {
-                if !self.eat(b')') {
-                    return Err(self.err("expected ')' after text("));
-                }
-                Operand::OwnText
-            } else {
-                Operand::ChildText(name)
-            }
+            Operand::ChildText(self.parse_name()?)
         };
-
-        match self.peek() {
-            Some(b']') => match operand {
-                Operand::Attribute(a) => Ok(Predicate::AttributeExists(a)),
-                _ => Err(self.err("bare predicate requires an attribute")),
-            },
-            Some(b'=') => {
-                self.pos += 1;
-                let literal = self.parse_literal()?;
-                Ok(Predicate::Compare {
-                    operand,
-                    literal,
-                    negated: false,
-                })
-            }
-            Some(b'!') => {
-                self.pos += 1;
-                if !self.eat(b'=') {
-                    return Err(self.err("expected '=' after '!'"));
-                }
-                let literal = self.parse_literal()?;
-                Ok(Predicate::Compare {
-                    operand,
-                    literal,
-                    negated: true,
-                })
-            }
-            _ => Err(self.err("expected ']', '=' or '!=' in predicate")),
+        if !self.eat(b'=') {
+            return Err(self.err("expected '=' in predicate"));
         }
+        let literal = self.parse_literal()?;
+        if !self.eat(b']') {
+            return Err(self.err("expected ']'"));
+        }
+        Ok(Predicate { operand, literal })
     }
 
     fn parse_literal(&mut self) -> Result<String, XPathError> {
@@ -518,28 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn attribute_inequality_predicate() {
-        let d = doc();
-        let hits = XPath::compile("/Registry/Entry[@kind!='abstract']")
-            .unwrap()
-            .select(&d);
-        assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    fn attribute_existence_predicate() {
-        let d = doc();
-        assert_eq!(
-            XPath::compile("/Registry/Entry[@kind]").unwrap().select(&d).len(),
-            3
-        );
-        assert_eq!(
-            XPath::compile("/Registry/Entry[@nope]").unwrap().select(&d).len(),
-            0
-        );
-    }
-
-    #[test]
     fn child_text_predicate() {
         let d = doc();
         let hits = XPath::compile("/Registry/Entry[Type='Imaging']")
@@ -550,49 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn own_text_predicate() {
-        let d = doc();
-        let hits = XPath::compile("//Deployment[text()='jpovray']")
-            .unwrap()
-            .select(&d);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].attribute("site"), Some("site1"));
-    }
-
-    #[test]
     fn descendant_axis() {
         let d = doc();
         let hits = XPath::compile("//Deployment").unwrap().select(&d);
         assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    fn wildcard_step() {
-        let d = doc();
-        let hits = XPath::compile("/Registry/*").unwrap().select(&d);
-        assert_eq!(hits.len(), 3);
-        let hits = XPath::compile("/*/Entry[2]").unwrap().select(&d);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].attribute("name"), Some("Wien2k"));
-    }
-
-    #[test]
-    fn positional_predicate() {
-        let d = doc();
-        let hits = XPath::compile("/Registry/Entry[1]").unwrap().select(&d);
-        assert_eq!(hits[0].attribute("name"), Some("JPOVray"));
-        let none = XPath::compile("/Registry/Entry[9]").unwrap().select(&d);
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn chained_predicates() {
-        let d = doc();
-        let hits = XPath::compile("/Registry/Entry[@kind='concrete'][Type='Physics']")
-            .unwrap()
-            .select(&d);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].attribute("name"), Some("Wien2k"));
     }
 
     #[test]
@@ -603,18 +410,6 @@ mod tests {
             .select(&d);
         let texts: Vec<&str> = hits.iter().map(|n| n.text.as_str()).collect();
         assert_eq!(texts, vec!["jpovray", "WS-JPOVray"]);
-    }
-
-    #[test]
-    fn descendant_results_deduped() {
-        let d = doc();
-        // '//' from the root visits every node once; '//*' must not repeat.
-        let all = XPath::compile("//*").unwrap().select(&d);
-        assert_eq!(all.len(), d.subtree_size());
-        // Two nested context nodes (the registry and an entry) both reach
-        // the entry's deployments: this step still needs the dedup.
-        let twice = XPath::compile("//*//Deployment").unwrap().select(&d);
-        assert_eq!(twice.len(), 2);
     }
 
     #[test]
@@ -632,6 +427,23 @@ mod tests {
         assert!(XPath::compile("/a[0]").is_err(), "positions are 1-based");
         assert!(XPath::compile("/a[Type]").is_err(), "bare child test invalid");
         assert!(XPath::compile("/a bad").is_err());
+    }
+
+    /// Each form of XPath that no caller sends is refused, where it starts.
+    #[test]
+    fn removed_forms_are_refused() {
+        for (expr, offset, message) in [
+            ("//*", 2, "expected a name"),
+            ("/a[1]", 4, "expected '=' in predicate"),
+            ("/a[@k]", 5, "expected '=' in predicate"),
+            ("/a[@k!='v']", 5, "expected '=' in predicate"),
+            ("/a[text()='v']", 7, "expected '=' in predicate"),
+            ("/a//b", 3, "only the first step may search descendants"),
+            ("/a[@k='v'][b='w']", 10, "expected '/' between steps"),
+        ] {
+            let err = XPath::compile(expr).expect_err(expr);
+            assert_eq!((err.offset, err.message.as_str()), (offset, message), "{expr}");
+        }
     }
 
     #[test]
@@ -680,7 +492,7 @@ mod tests {
     }
 
     /// The evaluator before the walk filtered as it went: gather every
-    /// candidate of a context node, test names, then apply the predicates
+    /// candidate of a context node, test names, then apply the predicate
     /// to that list.
     fn collect_then_filter<'a>(xpath: &XPath, root: &'a XmlNode) -> Vec<&'a XmlNode> {
         fn collect<'a>(node: &'a XmlNode, out: &mut Vec<&'a XmlNode>) {
@@ -694,41 +506,24 @@ mod tests {
             let mut next = Vec::new();
             for &node in &current {
                 let mut candidates = Vec::new();
-                if step.descendant {
+                if i == 0 && xpath.descendant {
                     collect(node, &mut candidates);
                 } else if i == 0 {
                     candidates.push(node);
                 } else {
                     candidates.extend(node.children.iter());
                 }
-                candidates.retain(|n| step.test.matches(n));
-                for pred in &step.predicates {
-                    match pred {
-                        Predicate::Position(p) => {
-                            let keep = candidates.get(p - 1).copied();
-                            candidates = keep.into_iter().collect();
-                        }
-                        Predicate::AttributeExists(a) => {
-                            candidates.retain(|n| n.attribute(a).is_some());
-                        }
-                        Predicate::Compare {
-                            operand,
-                            literal,
-                            negated,
-                        } => candidates.retain(|n| {
-                            let value = match operand {
-                                Operand::Attribute(a) => n.attribute(a),
-                                Operand::ChildText(c) => n.child_text_of(c),
-                                Operand::OwnText => Some(n.text.as_str()),
-                            };
-                            (value == Some(literal.as_str())) != *negated
-                        }),
-                    }
+                candidates.retain(|n| n.name == step.name);
+                if let Some(Predicate { operand, literal }) = &step.predicate {
+                    candidates.retain(|n| {
+                        let value = match operand {
+                            Operand::Attribute(a) => n.attribute(a),
+                            Operand::ChildText(c) => n.child_text_of(c),
+                        };
+                        value == Some(literal.as_str())
+                    });
                 }
                 next.extend(candidates);
-            }
-            if current.len() > 1 {
-                dedup_by_identity(&mut next);
             }
             current = next;
         }
@@ -756,40 +551,26 @@ mod tests {
         node
     }
 
-    /// An expression drawn from the grammar in the module doc: both axes,
-    /// `*`, positions, attribute existence, `=` / `!=` on attributes, child
-    /// text and own text, over up to three steps (so `//a//b` occurs).
+    /// An expression drawn from the grammar in the module doc: a relative,
+    /// absolute or `//` first step, then up to two child steps, each with
+    /// at most one `=` predicate on an attribute or a child's text.
     fn arb_expr(rng: &mut glare_fabric::SimRng) -> String {
-        const PREDICATES: [&str; 9] = [
-            "[1]",
-            "[2]",
-            "[@x]",
-            "[@x='1']",
-            "[@y!='2']",
-            "[b='1']",
-            "[c!='2']",
-            "[text()='1']",
-            "[text()!='2']",
-        ];
-        let mut expr = String::new();
+        const PREDICATES: [&str; 6] = ["", "", "[@x='1']", "[@y='2']", "[b='1']", "[c='2']"];
+        let mut expr = ["", "/", "//", "//"][rng.index(4)].to_owned();
         for step in 0..rng.range(1, 4) {
-            expr.push_str(match (step, rng.index(3)) {
-                (0, 0) => "",
-                (_, 1) => "/",
-                _ => "//",
-            });
-            expr.push_str(["a", "b", "c", "*"][rng.index(4)]);
-            for _ in 0..rng.range(0, 3) {
-                expr.push_str(PREDICATES[rng.index(PREDICATES.len())]);
+            if step > 0 {
+                expr.push('/');
             }
+            expr.push_str(["a", "b", "c"][rng.index(3)]);
+            expr.push_str(PREDICATES[rng.index(PREDICATES.len())]);
         }
         expr
     }
 
     /// Seeded property: on random trees, `select` returns the same nodes,
     /// by identity and in the same order, as the collect-then-filter
-    /// evaluator it replaced. Fails if the walk skips its context node, if
-    /// a position counts across context nodes, or if the dedup is dropped.
+    /// evaluator it replaced, and no node twice. Fails if the walk skips
+    /// its context node or a step reaches a node by two paths.
     #[test]
     fn filtering_walk_equals_collect_then_filter() {
         let identities = |nodes: Vec<&XmlNode>| -> Vec<*const XmlNode> {
@@ -804,6 +585,8 @@ mod tests {
                 let xpath = XPath::compile(&expr).expect("the generator follows the grammar");
                 let walked = identities(xpath.select(&tree));
                 nonempty += usize::from(!walked.is_empty());
+                let distinct: std::collections::HashSet<_> = walked.iter().collect();
+                assert_eq!(distinct.len(), walked.len(), "{expr} repeats a node");
                 assert_eq!(
                     walked,
                     identities(collect_then_filter(&xpath, &tree)),
@@ -812,10 +595,10 @@ mod tests {
                 );
             }
         }
-        // 2 125 of the 8 000 at this seed.
+        // 1 019 of the 8 000 at this seed.
         assert!(
-            nonempty > 1_600,
-            "a fifth of the expressions select something: {nonempty}"
+            nonempty > 800,
+            "a tenth of the expressions select something: {nonempty}"
         );
     }
 
@@ -825,7 +608,5 @@ mod tests {
         let hits = XPath::compile("/a/b/c/d").unwrap().select(&d);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].text, "leaf");
-        let hits = XPath::compile("//d[text()='leaf']").unwrap().select(&d);
-        assert_eq!(hits.len(), 1);
     }
 }

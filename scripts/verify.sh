@@ -33,8 +33,12 @@
 #   7. perf ledger (perf/README.md): the ledger package's own tests, then one
 #      short `run` pass over its five workloads, whose correctness checks
 #      (every query hits, admission accounting, replay restores, same digest
-#      and sim_* values on every round, no metric at 0) exit non-zero; no
-#      timing is gated here
+#      and sim_* values on every round, no metric at 0) exit non-zero; then
+#      one traced `round --micro 1` per workload, the only pass that drives
+#      perf/src/micro.rs (every per-layer micro measurement, the XPath
+#      compile/select/memo among them), which panics if a call it makes
+#      fails (~10 s; writes perf/out/trace_<workload>.json); no timing is
+#      gated here
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,8 +66,12 @@ scripts/oracle.sh "$oracle_dir/a"
 scripts/oracle.sh "$oracle_dir/b"
 diff -r "$oracle_dir/a" "$oracle_dir/b"
 
-echo "==> perf ledger: cargo test, then run --seconds 4 (correctness checks only)"
+echo "==> perf ledger: cargo test, run --seconds 4, one micro round per workload (no timing gated)"
 cargo test -q --manifest-path perf/Cargo.toml
 cargo run --release -q --manifest-path perf/Cargo.toml -- run --seconds 4 >/dev/null
+for workload in overlay_10k load_2x registry_read registry_churn provision_storm; do
+    cargo run --release -q --manifest-path perf/Cargo.toml -- round \
+        --workload "$workload" --trace 1 --micro 1 >/dev/null
+done
 
 echo "verify: OK"

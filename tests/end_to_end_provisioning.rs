@@ -184,10 +184,9 @@ fn wsrf_layer_visible_through_registries() {
     g.site_mut(site).adr.touch(&key, t(5)).unwrap();
     let epr2 = g.site(site).adr.epr_of(&key).unwrap();
     assert!(epr2.is_newer_than(&epr1));
-    // And the XML form round-trips.
+    // And the XML form carries the bumped LUT.
     let xml = epr2.to_xml();
-    assert_eq!(
-        glare::wsrf::EndpointReference::from_xml(&xml).unwrap(),
-        epr2
-    );
+    let lut = epr2.last_update_time.as_nanos().to_string();
+    let props = xml.first_child("ReferenceProperties").unwrap();
+    assert_eq!(props.child_text_of("LastUpdateTime"), Some(lut.as_str()));
 }

@@ -50,7 +50,7 @@ const PUB_ITEMS: [(&str, usize); 7] = [
     ("services", 120),
     ("workflow", 21),
     ("workload", 22),
-    ("wsrf", 59),
+    ("wsrf", 58),
 ];
 
 /// `(path under crates/, function)`: each function still behind

@@ -9,8 +9,8 @@
 //! the registry answers named lookups from a hash table, the index
 //! re-walks its aggregated XML document with XPath.
 //!
-//! Since the registries' read path became lock-free-for-readers (sharded
-//! `RwLock`s + atomic counters), the services are shared as plain
+//! Since the registries' read path stopped excluding readers (`RwLock`ed
+//! tables + atomic counters), the services are shared as plain
 //! `Arc<ActivityTypeRegistry>` / `Arc<IndexService>` — **no outer
 //! `Mutex`** — so client threads genuinely run concurrently and measured
 //! throughput scales with cores instead of serializing on one lock.

@@ -20,6 +20,8 @@
 //! write theirs: a JSON number would round it through `f64`). Same seed
 //! ⇒ byte-identical JSON.
 
+use std::sync::Arc;
+
 use glare_core::admission::{AdmissionConfig, TenantClass};
 use glare_core::invariants;
 use glare_core::model::ActivityType;
@@ -212,7 +214,7 @@ pub(crate) fn scenario(factor: f64, p: &LoadParams) -> Scenario {
     let duration = SimDuration::from_secs(p.duration_secs);
     let spec = WorkloadSpec::three_tier(p.seed, duration, BASE_RATE_HZ * factor);
     let catalogue = &spec.activities;
-    let ty = |name: &String| ActivityType::concrete_type(name, "bench", name);
+    let ty = |name: &String| Arc::new(ActivityType::concrete_type(name, "bench", name));
     let registry = Registry {
         types: catalogue.iter().map(ty).collect(),
         deployments: catalogue.iter().map(|name| deployment(name, 0, name, name)).collect(),

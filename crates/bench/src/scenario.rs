@@ -26,8 +26,9 @@ use glare_workload::{TenantLoad, TenantStats, WorkloadSpec};
 /// What the nodes' registries hold before the run starts.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    /// Activity types every node registers, in order.
-    pub types: Vec<ActivityType>,
+    /// Activity types every node registers, in order: one shared value
+    /// per type, whatever the number of nodes.
+    pub types: Vec<Arc<ActivityType>>,
     /// `(site, deployment)`: registered on that site's node only, in order,
     /// after every type.
     pub deployments: Vec<(usize, ActivityDeployment)>,
@@ -37,7 +38,7 @@ impl Registry {
     /// Every node knows the concrete types `T0..T{types}` (of `domain`),
     /// and the deployment of `T{t}` lives on site `t % sites`.
     pub(crate) fn round_robin(types: usize, sites: usize, domain: &str) -> Registry {
-        let ty = |t| ActivityType::concrete_type(&format!("T{t}"), domain, "wien2k");
+        let ty = |t| Arc::new(ActivityType::concrete_type(&format!("T{t}"), domain, "wien2k"));
         let dir = |t| format!("t{t}");
         let deployed = |t| deployment(&format!("T{t}"), t % sites, &dir(t), &dir(t));
         let deployments = (0..types).map(deployed).collect();
@@ -46,7 +47,8 @@ impl Registry {
 
     /// Every node knows the example type hierarchy, plus `deployments`.
     pub(crate) fn hierarchy(deployments: Vec<(usize, ActivityDeployment)>) -> Registry {
-        Registry { types: example_hierarchy(SimTime::ZERO), deployments }
+        let types = example_hierarchy(SimTime::ZERO).into_iter().map(Arc::new).collect();
+        Registry { types, deployments }
     }
 }
 
@@ -207,7 +209,7 @@ impl Scenario {
         let registry = self.registry;
         builder.seed(move |i, node| {
             for ty in &registry.types {
-                node.atr.register(ty.clone(), SimTime::ZERO).expect("a well-formed type");
+                node.atr.register(Arc::clone(ty), SimTime::ZERO).expect("a well-formed type");
             }
             for (_, d) in registry.deployments.iter().filter(|(site, _)| *site == i) {
                 let registered = node.adr.register(d.clone(), &node.atr, SimTime::ZERO);

@@ -9,8 +9,7 @@
 //! bump the EPR's `LastUpdateTime`, which drives cache revival (§3.2).
 //!
 //! Like the type registry, every method takes `&self`: the resource home
-//! is sharded and the `type -> deployment keys` index sits behind an
-//! `RwLock`. The index stores keys in a `BTreeSet`, so a type can never
+//! and the `type -> deployment keys` index each sit behind an `RwLock`. The index stores keys in a `BTreeSet`, so a type can never
 //! accumulate duplicate entries and listings come out in deterministic
 //! order.
 
@@ -126,9 +125,9 @@ impl ActivityDeploymentRegistry {
         type_name: &str,
         _now: SimTime,
     ) -> TypedResponse<Vec<ActivityDeployment>> {
-        // The shards are read under the index read lock, walking its key
-        // set in place: index before shard is the order `register` takes
-        // them in.
+        // The home is read under the index read lock, walking its key set
+        // in place: index before home is the order `register` takes them
+        // in.
         let by_type = self.by_type.read();
         let usable = |d: &ActivityDeployment| d.is_usable().then(|| d.clone());
         let list: Vec<ActivityDeployment> = by_type

@@ -16,17 +16,20 @@
 //!
 //! ## Concurrency
 //!
-//! Every method takes `&self`: the resource home is internally sharded
-//! (see [`ResourceHome`]), the hierarchy index sits behind a single
-//! `RwLock` (reads dominate; writes only on register/update/remove), and
-//! the lookup counter is an atomic. Entries are shared `Arc`s: a named
-//! lookup bumps a reference count instead of copying the type, and an
-//! update swaps in an edited copy (copy-on-write), so a reader keeps the
-//! version it was handed. A registry wrapped in `Arc` serves
-//! concurrent client threads with no outer lock — named lookups from
-//! different threads genuinely proceed in parallel, which is what the
-//! Fig. 10 throughput harness exercises.
+//! Every method takes `&self`. Each type is stored once, as a shared
+//! `Arc` in one `RwLock`-protected resource home (see
+//! [`ResourceHome`](glare_wsrf::ResourceHome)); the hierarchy index beside
+//! it, behind its own `RwLock`, keeps only the reverse extension edges and
+//! the memoised closures, and reads a type's kind and base types from the
+//! home. Every write and every closure walk
+//! takes the hierarchy lock before the home's, so the two never deadlock.
+//! A named lookup takes only the home's read lock and bumps a reference
+//! count instead of copying the type; an update swaps in an edited copy
+//! (copy-on-write), so a reader keeps the version it was handed. A
+//! registry wrapped in `Arc` serves concurrent client threads with no
+//! outer lock, which is what the Fig. 10 throughput harness exercises.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,10 +38,10 @@ use glare_fabric::sync::RwLock;
 use glare_fabric::{SimDuration, SimTime};
 use glare_services::mds::{REQUEST_BASE_COST, SCAN_PER_ENTRY_COST};
 use glare_services::Transport;
-use glare_wsrf::{ResourceHome, WsrfError, XPathMemo, XmlNode};
+use glare_wsrf::{WsrfError, XPathMemo, XmlNode};
 
 use crate::error::GlareError;
-use crate::hierarchy::TypeHierarchy;
+use crate::hierarchy::{TypeHierarchy, TypeHome};
 use crate::model::ActivityType;
 
 /// Approximate wire size of a type entry.
@@ -59,7 +62,7 @@ pub struct ActivityTypeRegistry {
     pub address: String,
     /// Transport security.
     pub transport: Transport,
-    home: ResourceHome<Arc<ActivityType>>,
+    home: TypeHome,
     hierarchy: RwLock<TypeHierarchy>,
     xpath_memo: XPathMemo,
     lookups_served: AtomicU64,
@@ -67,11 +70,13 @@ pub struct ActivityTypeRegistry {
 
 impl Clone for ActivityTypeRegistry {
     fn clone(&self) -> Self {
+        // Hierarchy, then home: the copy is one consistent snapshot.
+        let hierarchy = self.hierarchy.read();
         ActivityTypeRegistry {
             address: self.address.clone(),
             transport: self.transport,
             home: self.home.clone(),
-            hierarchy: self.hierarchy.clone(),
+            hierarchy: RwLock::new(hierarchy.clone()),
             xpath_memo: self.xpath_memo.clone(),
             lookups_served: AtomicU64::new(self.lookups_served()),
         }
@@ -95,38 +100,66 @@ impl ActivityTypeRegistry {
         ActivityTypeRegistry {
             address: address.into(),
             transport,
-            home: ResourceHome::new(),
-            hierarchy: RwLock::new(TypeHierarchy::new()),
+            home: TypeHome::new(),
+            hierarchy: RwLock::default(),
             xpath_memo: XPathMemo::new(),
             lookups_served: AtomicU64::new(0),
         }
     }
 
-    /// Register a new activity type (dynamic registration, §3.1).
-    ///
-    /// The cycle check walks the would-be ancestor chain in place —
-    /// O(ancestors), not the O(registry) full-hierarchy clone the naive
-    /// trial-insert approach costs.
-    pub fn register(&self, t: ActivityType, now: SimTime) -> Result<SimDuration, GlareError> {
+    /// Register a new activity type (dynamic registration, §3.1). A
+    /// shared `Arc` is stored as is, so sites that register one value
+    /// hold one copy of it.
+    pub fn register(
+        &self,
+        t: impl Into<Arc<ActivityType>>,
+        now: SimTime,
+    ) -> Result<SimDuration, GlareError> {
+        let t = t.into();
         if t.name.is_empty() {
-            return Err(GlareError::InvalidType {
-                name: t.name.clone(),
-                reason: "empty name".into(),
-            });
+            return Err(invalid(&t.name, "empty name"));
         }
-        // Hold the hierarchy write lock across check + create + insert so
-        // two concurrent registrations cannot interleave into a cycle.
+        // Held across check, create and link so two concurrent
+        // registrations cannot interleave into a cycle.
         let mut hierarchy = self.hierarchy.write();
-        if hierarchy.would_cycle(&t.name, &t.base_types) {
-            return Err(GlareError::InvalidType {
-                name: t.name.clone(),
-                reason: "extension cycle".into(),
-            });
+        if self.would_cycle(&t.name, &t.base_types) {
+            return Err(invalid(&t.name, "extension cycle"));
         }
-        let t = Arc::new(t);
         self.home.create(t.name.clone(), Arc::clone(&t), now)?;
-        hierarchy.insert(&t);
+        hierarchy.link(&t);
         Ok(REQUEST_BASE_COST + self.transport.overhead_cost(TYPE_WIRE_BYTES))
+    }
+
+    /// Would `name` extending `bases` close an extension cycle? Walks up
+    /// the would-be ancestors through the home: O(ancestors of the
+    /// bases), not O(registry). A base nothing is registered under is a
+    /// dangling edge, never a cycle.
+    fn would_cycle(&self, name: &str, bases: &[String]) -> bool {
+        // The registered types above `name` still to walk up from, and the
+        // names of every one found, so a diamond is walked once.
+        let mut above: Vec<Arc<ActivityType>> = Vec::new();
+        let mut seen = HashSet::new();
+        let mut reaches = |base: &String, above: &mut Vec<Arc<ActivityType>>| {
+            if base == name {
+                return true;
+            }
+            if !seen.contains(base) {
+                if let Some(t) = self.home.with_resource(base, |r| Arc::clone(&r.payload)) {
+                    seen.insert(base.clone());
+                    above.push(t);
+                }
+            }
+            false
+        };
+        if bases.iter().any(|b| reaches(b, &mut above)) {
+            return true;
+        }
+        while let Some(t) = above.pop() {
+            if t.base_types.iter().any(|b| reaches(b, &mut above)) {
+                return true;
+            }
+        }
+        false
     }
 
     /// Named lookup — the hashtable fast path. Cost does *not* depend on
@@ -150,7 +183,7 @@ impl ActivityTypeRegistry {
         mut project: impl FnMut(&ActivityType) -> R,
     ) -> TypedResponse<Vec<R>> {
         self.lookups_served.fetch_add(1, Ordering::Relaxed);
-        let names = self.hierarchy.read().concrete_closure(name);
+        let names = self.concrete_closure(name);
         let mut unrevoked = |t: &ActivityType| (!t.revoked).then(|| project(t));
         let found: Vec<R> = names
             .iter()
@@ -191,41 +224,53 @@ impl ActivityTypeRegistry {
         })
     }
 
+    /// All *concrete* types at or below `name` (the §2.2 "iterative
+    /// lookup"), deduplicated, in discovery order: breadth first down the
+    /// extension edges, a type's extending types in the order they were
+    /// last (re)registered. Revoked types are listed; unknown names yield
+    /// an empty list. Memoised per name between edge changes.
+    pub fn concrete_closure(&self, name: &str) -> Arc<[String]> {
+        self.hierarchy.read().concrete_closure(name, &self.home)
+    }
+
     /// Update a type (bumps its modification stamp). Copy-on-write: `f`
-    /// edits a copy, which replaces the shared entry only if its base types
-    /// close no extension cycle — the check `register` makes. A rejected
-    /// edit leaves entry, stamp and hierarchy as they were.
+    /// edits a copy, which replaces the shared entry only if it keeps its
+    /// name and its base types close no extension cycle — the check
+    /// `register` makes. A rejected edit leaves entry, stamp and hierarchy
+    /// as they were.
     pub fn update<F>(&self, name: &str, now: SimTime, f: F) -> Result<(), GlareError>
     where
         F: FnOnce(&mut ActivityType),
     {
-        // Held across read, check, swap and re-insert, as in `register`, so
+        // Held across read, check, swap and relink, as in `register`, so
         // no other edit lands in between.
         let mut hierarchy = self.hierarchy.write();
-        let mut edited = self
+        let old = self
             .home
             .with_resource(name, |r| Arc::clone(&r.payload))
             .ok_or_else(|| WsrfError::NoSuchResource {
                 key: name.to_owned(),
             })?;
+        let mut edited = Arc::clone(&old);
         f(Arc::make_mut(&mut edited));
-        if hierarchy.would_cycle(&edited.name, &edited.base_types) {
-            return Err(GlareError::InvalidType {
-                name: edited.name.clone(),
-                reason: "extension cycle".into(),
-            });
+        if edited.name != name {
+            return Err(invalid(name, "an update cannot rename a type"));
         }
-        self.home.update(name, now, |entry| {
-            hierarchy.insert(&edited);
-            *entry = edited;
-        })?;
+        if self.would_cycle(name, &edited.base_types) {
+            return Err(invalid(name, "extension cycle"));
+        }
+        hierarchy.unlink(&old);
+        hierarchy.link(&edited);
+        self.home.update(name, now, |entry| *entry = edited)?;
         Ok(())
     }
 
     /// Remove a type permanently. Returns the removed entry.
     pub fn remove(&self, name: &str) -> Result<ActivityType, GlareError> {
+        let mut hierarchy = self.hierarchy.write();
         let r = self.home.destroy(name)?;
-        self.hierarchy.write().remove(name);
+        hierarchy.unlink(&r.payload);
+        drop(hierarchy);
         Ok(Arc::unwrap_or_clone(r.payload))
     }
 
@@ -250,9 +295,17 @@ impl ActivityTypeRegistry {
         self.lookups_served.load(Ordering::Relaxed)
     }
 
-    /// Run `f` against the hierarchy index under its read lock.
-    pub(crate) fn with_hierarchy<R>(&self, f: impl FnOnce(&TypeHierarchy) -> R) -> R {
-        f(&self.hierarchy.read())
+    /// The hierarchy index under its read lock, for its tests.
+    #[cfg(test)]
+    pub(crate) fn hierarchy(&self) -> std::sync::RwLockReadGuard<'_, TypeHierarchy> {
+        self.hierarchy.read()
+    }
+}
+
+fn invalid(name: &str, reason: &str) -> GlareError {
+    GlareError::InvalidType {
+        name: name.to_owned(),
+        reason: reason.to_owned(),
     }
 }
 
@@ -420,14 +473,150 @@ mod tests {
             matches!(&err, GlareError::InvalidType { reason, .. } if reason == "extension cycle"),
             "{err:?}"
         );
-        assert!(!r.with_hierarchy(|h| h.has_cycle_from("A")));
-        assert!(!r.with_hierarchy(|h| h.has_cycle_from("B")));
+        assert_eq!(r.lookup("A", t(1)).unwrap().value.base_types, ["B"]);
+        assert!(
+            r.lookup("B", t(1)).unwrap().value.base_types.is_empty(),
+            "no edge closes the loop"
+        );
         assert_eq!(*r.lookup("B", t(3)).unwrap().value, *before, "payload unchanged");
         assert!(r.resolve_concrete("A", ActivityType::clone).value.is_empty());
         // A legal edit still lands, and a reader keeps the version it held.
         r.update("B", t(4), |b| b.domain = "e".into()).unwrap();
         assert_eq!(r.lookup("B", t(5)).unwrap().value.domain, "e");
         assert_eq!(before.domain, "d");
+    }
+
+    /// An edit that renames the type is refused: the entry would sit under
+    /// a key that is not its name, and the index would keep edges for a
+    /// name nothing is registered under.
+    #[test]
+    fn update_refuses_a_rename() {
+        let r = loaded();
+        let stamp = |r: &ActivityTypeRegistry| r.home.with_resource("JPOVray", |e| e.modified_at);
+        let err = r
+            .update("JPOVray", t(5), |ty| ty.name = "Other".into())
+            .unwrap_err();
+        assert!(
+            matches!(&err, GlareError::InvalidType { name, .. } if name == "JPOVray"),
+            "{err:?}"
+        );
+        assert_eq!(r.lookup("JPOVray", t(6)).unwrap().value.name, "JPOVray");
+        assert!(r.lookup("Other", t(6)).is_none());
+        assert_eq!(stamp(&r), Some(t(0)), "a refused edit leaves the stamp");
+        assert_eq!(*r.concrete_closure("Imaging"), ["JPOVray".to_owned()]);
+        r.remove("JPOVray").unwrap();
+        assert!(r.concrete_closure("Imaging").is_empty(), "no name outlives its entry");
+        assert!(r.concrete_closure("Other").is_empty());
+    }
+
+    /// Four threads mix every write and read on one registry. A thread
+    /// writes only its own names, whose bases are its own names or one
+    /// dangling name of its own, so which of its writes are accepted and
+    /// what the closures end as depend on its own order alone: replaying
+    /// each thread's writes in turn on a fresh registry must end in the
+    /// same entries, stamps and closures. Writes and closure walks take the
+    /// hierarchy lock before the home's; one that took them the other way
+    /// round could deadlock here, which the watchdog turns into a failure.
+    #[test]
+    fn concurrent_writes_and_walks_match_a_sequential_replay() {
+        use glare_fabric::SimRng;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        const THREADS: u64 = 4;
+        const NAMES: u64 = 6;
+        const OPS: u64 = 600;
+        enum Op {
+            Register(Arc<ActivityType>),
+            Update(String, Vec<String>, bool),
+            Remove(String),
+        }
+        let name = |th: u64, i: u64| format!("P{th}.{i}");
+        let ops = move |th: u64| -> Vec<Op> {
+            let mut rng = SimRng::from_seed(0xA7_0000 + th);
+            let bases = |rng: &mut SimRng| -> Vec<String> {
+                let n = rng.range(0, 3);
+                let mut out: Vec<String> = (0..n).map(|_| name(th, rng.range(0, NAMES + 1))).collect();
+                out.dedup();
+                out
+            };
+            (0..OPS)
+                .map(|_| {
+                    let n = name(th, rng.range(0, NAMES));
+                    match rng.range(0, 10) {
+                        0..=3 => {
+                            let mut ty = match rng.chance(0.5) {
+                                true => ActivityType::concrete_type(&n, "d", "x"),
+                                false => ActivityType::abstract_type(&n, "d"),
+                            };
+                            ty.base_types = bases(&mut rng);
+                            Op::Register(Arc::new(ty))
+                        }
+                        4..=7 => Op::Update(n, bases(&mut rng), rng.chance(0.3)),
+                        _ => Op::Remove(n),
+                    }
+                })
+                .collect()
+        };
+        let apply = |r: &ActivityTypeRegistry, op: Op, now: SimTime| match op {
+            Op::Register(ty) => r.register(ty, now).is_ok(),
+            Op::Update(n, bases, revoked) => r
+                .update(&n, now, |ty| {
+                    ty.base_types = bases;
+                    ty.revoked = revoked;
+                })
+                .is_ok(),
+            Op::Remove(n) => r.remove(&n).is_ok(),
+        };
+        let all_names: Vec<String> = (0..THREADS)
+            .flat_map(|th| (0..=NAMES).map(move |i| name(th, i)))
+            .collect();
+
+        let shared = Arc::new(ActivityTypeRegistry::new("a", Transport::Http));
+        let (done, finished) = mpsc::channel();
+        for th in 0..THREADS {
+            let (r, done, names) = (Arc::clone(&shared), done.clone(), all_names.clone());
+            std::thread::spawn(move || {
+                let mut rng = SimRng::from_seed(th);
+                let mut accepted = 0;
+                for (k, op) in ops(th).into_iter().enumerate() {
+                    accepted += usize::from(apply(&r, op, t(k as u64)));
+                    let probe = &names[rng.index(names.len())];
+                    let _ = r.lookup(probe, t(0));
+                    let _ = r.resolve_concrete(probe, |ty| ty.name.clone());
+                }
+                done.send(accepted).unwrap();
+            });
+        }
+        let mut accepted = 0;
+        for _ in 0..THREADS {
+            let n = finished
+                .recv_timeout(Duration::from_secs(30))
+                .expect("every thread finishes: no lock-order deadlock");
+            accepted += n;
+        }
+
+        let replay = ActivityTypeRegistry::new("b", Transport::Http);
+        let mut replayed = 0;
+        for th in 0..THREADS {
+            for (k, op) in ops(th).into_iter().enumerate() {
+                replayed += usize::from(apply(&replay, op, t(k as u64)));
+            }
+        }
+        assert_eq!(accepted, replayed, "the same writes are accepted");
+        assert!(replayed > 400, "{replayed} writes accepted");
+        let mut names = shared.names();
+        names.sort();
+        let mut want = replay.names();
+        want.sort();
+        assert_eq!(names, want);
+        let entry = |r: &ActivityTypeRegistry, n: &str| {
+            r.home.with_resource(n, |e| (ActivityType::clone(&e.payload), e.modified_at))
+        };
+        for n in &all_names {
+            assert_eq!(entry(&shared, n), entry(&replay, n), "entry {n}");
+            assert_eq!(*shared.concrete_closure(n), *replay.concrete_closure(n), "closure of {n}");
+        }
     }
 
     #[test]

@@ -1005,7 +1005,7 @@ mod tests {
             }
             visited.push(i);
             let atr = &registries[i];
-            let names = atr.with_hierarchy(|h| h.resolve_concrete(name));
+            let names = atr.concrete_closure(name);
             let types: Vec<ActivityType> = names
                 .iter()
                 .filter_map(|n| atr.lookup(n, now))

@@ -15,7 +15,7 @@ pub mod deployfile;
 pub mod durable;
 pub mod error;
 pub mod grid;
-pub mod hierarchy;
+mod hierarchy;
 pub mod invariants;
 pub mod lease;
 pub mod model;
@@ -37,7 +37,6 @@ pub use durable::RegistryMutation;
 pub use error::GlareError;
 pub use grid::{AdminNotification, Grid, GridSite};
 pub use rdm::{provision, CostBreakdown, InstallReport, ProvisionOutcome, ProvisionRequest, RequestManager};
-pub use hierarchy::TypeHierarchy;
 pub use node::{GlareNode, NodeConfig, NodeMsg, QueryScope};
 pub use overlay::{ClientStats, NotificationSink, OverlayBuilder, QueryClient};
 pub use retry::{BreakerBank, BreakerState, CircuitBreaker, RetryPolicy};

@@ -203,18 +203,13 @@ pub(super) fn lookup_names<'a>(
 }
 
 impl GlareNode {
-    /// The memoised concrete closure of `activity` in this node's ATR.
-    pub(super) fn concrete_closure(&self, activity: &str) -> Arc<[String]> {
-        self.atr.with_hierarchy(|h| h.concrete_closure(activity))
-    }
-
     pub(super) fn resolve_local(&self, activity: &str, now: SimTime) -> Vec<ActivityDeployment> {
         // A site that hosts nothing (most of a VO) has no answer whatever
         // the name resolves to; skip the type DAG.
         if self.adr.indexes_nothing() {
             return Vec::new();
         }
-        let closure = self.concrete_closure(activity);
+        let closure = self.atr.concrete_closure(activity);
         let mut out = Vec::new();
         for n in lookup_names(&closure, activity) {
             out.extend(self.adr.deployments_of(n, now).value);
@@ -237,7 +232,7 @@ impl GlareNode {
             return Vec::new();
         }
         let (h0, m0) = (self.cache.hits(), self.cache.misses());
-        let closure = self.concrete_closure(activity);
+        let closure = self.atr.concrete_closure(activity);
         let mut out = Vec::new();
         for n in lookup_names(&closure, activity) {
             let found = self.cache.deployments_of(n, now);
@@ -596,7 +591,7 @@ impl GlareNode {
     fn reply_miss(&mut self, ctx: &mut Ctx<'_>, p: PendingQuery) {
         if p.probes_failed && self.cfg.use_cache {
             let now = ctx.now();
-            let closure = self.concrete_closure(&p.req.activity);
+            let closure = self.atr.concrete_closure(&p.req.activity);
             let mut stale = Vec::new();
             let mut max_age = SimDuration::ZERO;
             for n in lookup_names(&closure, &p.req.activity) {

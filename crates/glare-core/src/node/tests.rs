@@ -148,7 +148,7 @@ fn resolve_local_equals_the_closure_walk_after_random_edits() {
 
     const NAMES: u64 = 8;
     fn walk(node: &GlareNode, activity: &str, now: SimTime) -> Vec<ActivityDeployment> {
-        let closure = node.concrete_closure(activity);
+        let closure = node.atr.concrete_closure(activity);
         lookup_names(&closure, activity)
             .flat_map(|n| node.adr.deployments_of(n, now).value)
             .collect()

@@ -65,7 +65,9 @@ fn request(activity: &str, from_site: usize) -> ProvisionRequest {
 /// journaled after it, the provision read 410; before the install read its
 /// type's installation spec in place instead of cloning it (its deploy-file
 /// URL and package name), 395; before the shell stopped expanding an already
-/// planned command line a second time (one `String` per shell step), 393.
+/// planned command line a second time (one `String` per shell step), 393;
+/// before the type registry kept each type once (one resource table, and no
+/// second map of every type's kind and base types beside it), 390.
 #[test]
 fn a_cache_hit_a_provision_and_a_second_grid_allocate_what_is_pinned() {
     let ((first_grid, _), mut grid) = spent(|| Grid::new(8, Transport::Http));
@@ -96,6 +98,6 @@ fn a_cache_hit_a_provision_and_a_second_grid_allocate_what_is_pinned() {
     // transfer, unpack, install, journal.
     let (wien2k, out) = spent(|| provision(&mut grid, &request("Wien2k", 0), t(5)));
     assert_eq!(out.expect("Wien2k installs").installs.len(), 1);
-    assert_eq!(wien2k.0, 390, "blocks of a Wien2k provision (one install)");
+    assert_eq!(wien2k.0, 386, "blocks of a Wien2k provision (one install)");
     assert_eq!(second_grid, 321, "blocks of a second 8-site Grid::new");
 }

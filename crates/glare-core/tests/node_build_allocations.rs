@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use glare_core::model::example_hierarchy;
+use glare_core::model::{example_hierarchy, ActivityType};
 use glare_core::{ActivityDeploymentRegistry, GlareNode, NodeConfig};
 use glare_fabric::{ActorId, SimTime};
 use glare_services::Transport;
@@ -75,14 +75,18 @@ fn an_empty_adr_allocates_nothing() {
 }
 
 /// One `overlay_10k` site as the workload builds it. `GlareNode::new` takes
-/// the two registry addresses; the first registration allocates the ATR's
-/// shard array. While both homes allocated their shards up front, each
+/// the two registry addresses; the 8 registrations take the ATR's table,
+/// its keys, each type's shared entry and the hierarchy's reverse edges.
+/// While both homes allocated their 16 shards up front, each
 /// resource stored its key a second time and the type hierarchy kept a
 /// second map over the type names, `new` took (4, 2 166, 2 166) and the
 /// 8 registrations (71, 8 748, 4 789); while each resource also kept a
 /// creation instant that nothing read, the registrations took
 /// (53, 8 260, 4 633); while it also kept a scheduled termination time that
-/// only tests ever set, (53, 8 036, 4 409).
+/// only tests ever set, (53, 8 036, 4 409); while the home hashed its keys
+/// onto 16 shards (an array allocated at the first insert, then one table
+/// per shard written) and the hierarchy kept a second map of every type's
+/// kind and base types, (53, 7 588, 3 961).
 #[test]
 fn an_overlay_10k_node_build_allocates_what_is_pinned() {
     let cfg = overlay_config("site1234");
@@ -104,7 +108,30 @@ fn an_overlay_10k_node_build_allocates_what_is_pinned() {
     );
     assert_eq!(
         register,
-        (53, 7_588, 3_961),
+        (35, 4_818, 1_283),
         "(blocks, bytes, held) of registering the 8 types"
+    );
+}
+
+/// A site that registers values shared by every site of its overlay, as
+/// the bench scenarios do, holds no copy of a type: only its table, keys
+/// and reverse edges. The 8 blocks fewer than above are the entries that
+/// a site registering owned types allocates for them.
+#[test]
+fn a_node_registering_shared_types_holds_no_copy_of_them() {
+    let roster = Arc::new(vec![(ActorId(0), 7), (ActorId(1), 42)]);
+    let shared: Vec<Arc<ActivityType>> = example_hierarchy(NOW).into_iter().map(Arc::new).collect();
+    let node = GlareNode::new(overlay_config("site1234"), ActorId(1), roster);
+    let (register, ()) = spent(|| {
+        for t in &shared {
+            node.atr.register(Arc::clone(t), NOW).expect("example type registers");
+        }
+    });
+    assert_eq!(node.atr.len(NOW), 8);
+    assert!(shared.iter().all(|t| Arc::strong_count(t) == 2), "the entry is the shared value");
+    assert_eq!(
+        register,
+        (27, 2_002, 1_155),
+        "(blocks, bytes, held) of registering the 8 shared types"
     );
 }

@@ -13,30 +13,23 @@
 //!
 //! ## Concurrency
 //!
-//! The home is internally sharded: keys hash onto 16 (`SHARD_COUNT`)
-//! independent `RwLock`-protected hash tables, so every operation takes
+//! The home is one `RwLock`-protected hash table, so every operation takes
 //! `&self` and named lookups from different client threads proceed in
-//! parallel (they serialize only when two keys land on the same shard
-//! *and* one of the operations is a write). This is what lets the
-//! registries expose a genuinely concurrent read path — the paper's
-//! hashtable named-lookup argument — instead of hiding behind one big
-//! service lock. The shard array is allocated at the first insert: a home
-//! that was never written costs one pointer, and every read of it finds
-//! nothing without taking a lock.
+//! parallel under the shared read lock; only a write excludes them. This
+//! is what lets the registries expose a concurrent read path — the
+//! paper's hashtable named-lookup argument — instead of hiding behind one
+//! big service lock. An empty `HashMap` allocates nothing, so a home that
+//! was never written holds no table storage.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use glare_fabric::store::fnv1a;
 use glare_fabric::sync::RwLock;
 use glare_fabric::SimTime;
 
 use crate::error::WsrfError;
 use crate::xml::XmlNode;
-
-/// Number of independent lock shards (power of two).
-pub(crate) const SHARD_COUNT: usize = 16;
 
 /// Payloads stored in a [`ResourceHome`] render themselves as a WSRF
 /// resource property document for XPath queries and aggregation.
@@ -62,41 +55,24 @@ pub struct WsResource<T> {
     pub modified_at: SimTime,
 }
 
-/// FNV-1a over the key bytes; stable across runs (unlike `RandomState`),
-/// so shard assignment is deterministic and replayable.
-fn shard_of(key: &str) -> usize {
-    let h = fnv1a(key.as_bytes());
-    // Fold the high bits in: FNV's low bits are weak for short keys.
-    ((h ^ (h >> 32)) as usize) & (SHARD_COUNT - 1)
-}
-
-type Shard<T> = RwLock<HashMap<String, WsResource<T>>>;
-
-/// A keyed collection of WS-Resources with lifecycle management and a
-/// sharded, interior-mutable concurrent access path.
+/// A keyed collection of WS-Resources with lifecycle management and an
+/// interior-mutable concurrent access path.
 #[derive(Clone)]
 pub struct ResourceHome<T> {
-    /// `SHARD_COUNT` shards, allocated by the first `create`.
-    shards: OnceLock<Box<[Shard<T>]>>,
+    map: RwLock<HashMap<String, WsResource<T>>>,
 }
 
 impl<T> Default for ResourceHome<T> {
     fn default() -> Self {
         ResourceHome {
-            shards: OnceLock::new(),
+            map: RwLock::default(),
         }
     }
 }
 
 impl<T: fmt::Debug> fmt::Debug for ResourceHome<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut map = f.debug_map();
-        for shard in self.shards() {
-            for (k, r) in shard.read().iter() {
-                map.entry(k, r);
-            }
-        }
-        map.finish()
+        f.debug_map().entries(self.map.read().iter()).finish()
     }
 }
 
@@ -112,16 +88,6 @@ impl<T> ResourceHome<T> {
         Self::default()
     }
 
-    /// The shards, or none before the first `create`.
-    fn shards(&self) -> &[Shard<T>] {
-        self.shards.get().map_or(&[], |s| s)
-    }
-
-    /// The shard `key` hashes onto, if the shards exist yet.
-    fn shard(&self, key: &str) -> Option<&Shard<T>> {
-        self.shards().get(shard_of(key))
-    }
-
     /// Create a resource. Fails if the key exists.
     pub fn create(
         &self,
@@ -130,31 +96,28 @@ impl<T> ResourceHome<T> {
         now: SimTime,
     ) -> Result<(), WsrfError> {
         let key = key.into();
-        let shards = self
-            .shards
-            .get_or_init(|| (0..SHARD_COUNT).map(|_| RwLock::default()).collect());
-        let mut shard = shards[shard_of(&key)].write();
-        if shard.contains_key(&key) {
+        let mut map = self.map.write();
+        if map.contains_key(&key) {
             return Err(WsrfError::AlreadyExists { key });
         }
-        shard.insert(key, WsResource { payload, modified_at: now });
+        map.insert(key, WsResource { payload, modified_at: now });
         Ok(())
     }
 
-    /// Read access to a resource through a closure (no clone; the shard
-    /// read lock is held only for the closure's duration).
+    /// Read access to a resource through a closure (no clone; the read
+    /// lock is held only for the closure's duration).
     pub fn with_resource<R>(&self, key: &str, f: impl FnOnce(&WsResource<T>) -> R) -> Option<R> {
-        self.shard(key)?.read().get(key).map(f)
+        self.map.read().get(key).map(f)
     }
 
     /// Mutate a resource's payload and bump its modification stamp, under
-    /// its shard's write lock.
+    /// the write lock.
     pub fn update<F, R>(&self, key: &str, now: SimTime, f: F) -> Result<R, WsrfError>
     where
         F: FnOnce(&mut T) -> R,
     {
-        let mut shard = self.shard(key).ok_or_else(|| no_such(key))?.write();
-        let r = shard.get_mut(key).ok_or_else(|| no_such(key))?;
+        let mut map = self.map.write();
+        let r = map.get_mut(key).ok_or_else(|| no_such(key))?;
         r.modified_at = now;
         Ok(f(&mut r.payload))
     }
@@ -167,24 +130,19 @@ impl<T> ResourceHome<T> {
 
     /// Explicitly destroy a resource.
     pub fn destroy(&self, key: &str) -> Result<WsResource<T>, WsrfError> {
-        let shard = self.shard(key).ok_or_else(|| no_such(key))?;
-        shard.write().remove(key).ok_or_else(|| no_such(key))
+        self.map.write().remove(key).ok_or_else(|| no_such(key))
     }
 
-    /// Visit every resource with its key. Holds one shard read lock at a
-    /// time; concurrent writers may land between shards (the usual
-    /// snapshot semantics of concurrent maps).
+    /// Visit every resource with its key, under the read lock.
     pub(crate) fn for_each_live(&self, mut f: impl FnMut(&str, &WsResource<T>)) {
-        for shard in self.shards() {
-            for (k, r) in shard.read().iter() {
-                f(k, r);
-            }
+        for (k, r) in self.map.read().iter() {
+            f(k, r);
         }
     }
 
     /// Number of resources.
     pub fn len(&self) -> usize {
-        self.shards().iter().map(|s| s.read().len()).sum()
+        self.map.read().len()
     }
 
     /// Whether the home holds no resource.
@@ -358,7 +316,6 @@ mod tests {
     #[test]
     fn a_never_written_home_is_empty_to_every_method() {
         let home: ResourceHome<Named> = ResourceHome::new();
-        assert!(home.shards.get().is_none());
         assert_eq!(home.with_resource("a", |_| ()), None);
         assert!(!home.contains("a"));
         for err in [
@@ -374,12 +331,8 @@ mod tests {
         let doc = home.aggregate_document();
         assert_eq!((doc.name.as_ref(), doc.children.len()), ("Resources", 0));
         let copy = home.clone();
-        assert!(
-            copy.shards.get().is_none(),
-            "a clone of an empty home is empty"
-        );
+        assert!(copy.is_empty(), "a clone of an empty home is empty");
         assert_eq!(format!("{home:?} {copy:?}"), "{} {}");
-        assert!(home.shards.get().is_none(), "no read allocated the shards");
     }
 
     #[test]
@@ -433,14 +386,5 @@ mod tests {
         let mut seen = Vec::new();
         home.for_each_live(|k, r| seen.push((k.to_owned(), r.payload.0)));
         assert_eq!(seen, [("k1".to_owned(), "v")]);
-    }
-
-    #[test]
-    fn shard_assignment_is_stable() {
-        assert_eq!(shard_of("JPOVray"), shard_of("JPOVray"));
-        // Keys must spread over more than one shard.
-        let distinct: std::collections::HashSet<usize> =
-            (0..64).map(|i| shard_of(&format!("Type{i}"))).collect();
-        assert!(distinct.len() > 4, "{distinct:?}");
     }
 }

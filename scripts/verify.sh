@@ -14,7 +14,8 @@
 #      grid_request_allocations, registry_read_allocations (a warm ATR
 #      lookup, the request envelope, the reply, an MDS query_by_name at
 #      registry_read's 300 types) and node_build_allocations (one
-#      overlay_10k site's build; an empty ADR allocates nothing);
+#      overlay_10k site's build, owned or shared types; an empty ADR
+#      allocates nothing);
 #      tests/source_budget.rs holds four
 #      ratchets: file length, function length, the pub fields left on each
 #      policy struct (a settable value may only go away) and each crate's

@@ -6,12 +6,13 @@
 use std::collections::HashMap;
 
 use glare::core::deployfile::DeployFile;
-use glare::core::hierarchy::TypeHierarchy;
 use glare::core::invariants::lease_caps;
 use glare::core::lease::{LeaseKind, LeaseManager, LeaseTicket};
 use glare::core::model::ActivityType;
+use glare::core::{ActivityTypeRegistry, GlareError};
 use glare::fabric::{SimDuration, SimRng, SimTime};
 use glare::services::md5::{Md5, Md5Digest};
+use glare::services::Transport;
 use glare::services::vfs::VPath;
 use glare::wsrf::{parse_xml, XPath, XmlNode};
 
@@ -278,13 +279,46 @@ fn lease_caps_agrees_with_sampling() {
 
 // --- Hierarchy ------------------------------------------------------------
 
-/// Every concrete type reachable via resolve_concrete is a subtype of the
-/// queried name, and resolution never reports duplicates.
+/// `name`'s transitive base types, deduplicated: a walk up the
+/// `base_types` that `lookup` returns.
+fn ancestors(atr: &ActivityTypeRegistry, name: &str) -> Vec<String> {
+    let bases = |n: &str| atr.lookup(n, SimTime::ZERO).map_or_else(Vec::new, |t| t.value.base_types.clone());
+    let mut out: Vec<String> = Vec::new();
+    let mut queue = bases(name);
+    while let Some(cur) = queue.pop() {
+        if !out.contains(&cur) {
+            queue.extend(bases(&cur));
+            out.push(cur);
+        }
+    }
+    out
+}
+
+/// Whether a walk up from `name` through `lookup` comes back to a type it
+/// is already inside of.
+fn has_cycle_from(atr: &ActivityTypeRegistry, name: &str, path: &mut Vec<String>) -> bool {
+    if path.iter().any(|p| p == name) {
+        return true;
+    }
+    let Some(t) = atr.lookup(name, SimTime::ZERO) else {
+        return false;
+    };
+    path.push(name.to_owned());
+    let found = t.value.base_types.iter().any(|b| has_cycle_from(atr, b, path));
+    path.pop();
+    found
+}
+
+/// Every concrete type the registry resolves a name to is a subtype of
+/// that name, found once; no type reaches itself; and the registry's
+/// cycle guard agrees with the ground truth: re-adding the existing
+/// (acyclic) base edges is never refused, while closing a loop back from
+/// any ancestor always is.
 #[test]
 fn hierarchy_resolution_sound() {
     let mut rng = SimRng::from_seed(0x41E7);
     for _ in 0..CASES {
-        let mut h = TypeHierarchy::new();
+        let atr = ActivityTypeRegistry::new("atr", Transport::Http);
         // Build types T0..T7; even ones abstract, odd ones concrete.
         // Only add child->parent edges where child > parent (acyclic).
         let mut bases: Vec<Vec<String>> = vec![Vec::new(); 8];
@@ -305,11 +339,11 @@ fn hierarchy_resolution_sound() {
                 ActivityType::abstract_type(&format!("T{i}"), "d")
             };
             t.base_types = base.clone();
-            h.insert(&t);
+            atr.register(t, SimTime::ZERO).expect("an acyclic type registers");
         }
         for i in 0..8u8 {
             let name = format!("T{i}");
-            let resolved = h.resolve_concrete(&name);
+            let resolved = atr.concrete_closure(&name).to_vec();
             // No duplicates.
             let mut dedup = resolved.clone();
             dedup.sort();
@@ -317,13 +351,21 @@ fn hierarchy_resolution_sound() {
             assert_eq!(dedup.len(), resolved.len());
             // Soundness: each result is a subtype of the query.
             for r in &resolved {
-                assert!(h.is_subtype_of(r, &name), "{r} !<= {name}");
+                assert!(*r == name || ancestors(&atr, r).contains(&name), "{r} !<= {name}");
             }
-            assert!(!h.has_cycle_from(&name));
-            // The incremental cycle guard agrees with the ground truth:
-            // re-adding the existing (acyclic) base edges is never
-            // flagged, while closing a loop back from any ancestor is.
-            assert!(!h.would_cycle(&name, &bases[i as usize]));
+            assert!(!has_cycle_from(&atr, &name, &mut Vec::new()));
+            let same = bases[i as usize].clone();
+            atr.update(&name, SimTime::ZERO, |t| t.base_types = same)
+                .expect("re-adding the existing edges closes no cycle");
+            for above in ancestors(&atr, &name) {
+                let err = atr
+                    .update(&above, SimTime::ZERO, |t| t.base_types.push(name.clone()))
+                    .expect_err("an ancestor extending its descendant closes a cycle");
+                assert!(
+                    matches!(&err, GlareError::InvalidType { reason, .. } if reason == "extension cycle"),
+                    "{err:?}"
+                );
+            }
         }
     }
 }

@@ -46,7 +46,7 @@ const KNOBS: [(&str, &str, usize); 14] = [
 const PUB_ITEMS: [(&str, usize); 7] = [
     ("bench", 124),
     ("fabric", 256),
-    ("glare-core", 269),
+    ("glare-core", 262),
     ("services", 120),
     ("workflow", 21),
     ("workload", 22),
